@@ -116,8 +116,9 @@ struct Coordination {
     destination: NodeId,
     spec: RtChannelSpec,
     request_id: ConnectionRequestId,
-    /// The router's candidate routes, tried in order.
-    candidates: Vec<Route>,
+    /// The router's candidate routes, tried in order (the memoised list,
+    /// shared with the route cache).
+    candidates: Arc<[Route]>,
     /// Index of the candidate currently being probed / reserved.
     candidate: usize,
     /// Per-link deadline split, once the Reserve pass completed.
@@ -213,6 +214,10 @@ impl DistChannel {
     }
 }
 
+/// Memoised candidate lists, keyed by `(topology fingerprint, source,
+/// destination)`.
+type RouteCache = BTreeMap<(u64, u32, u32), Arc<[Route]>>;
+
 /// The distributed channel manager: one [`Site`] per switch behind the one
 /// [`ChannelManager`] seam, driven through
 /// [`ChannelManager::handle_frame_at`] with real switch context.
@@ -226,10 +231,17 @@ pub struct DistributedChannelManager {
     /// the candidate *index* and every hop re-derives the route, so without
     /// this a k-shortest enumeration would rerun per control-frame hop.
     /// The fingerprint key makes entries self-invalidating across topology
-    /// changes.
-    route_cache: BTreeMap<(u64, u32, u32), Vec<Route>>,
-    /// Committed channels, by raw id.
+    /// changes.  Lists are shared, not copied, per look-up.
+    route_cache: RouteCache,
+    /// Committed channels, by raw id.  Written only through
+    /// [`DistributedChannelManager::register`] /
+    /// [`DistributedChannelManager::unregister`], which keep `committed` in
+    /// step.
     registry: BTreeMap<u16, DistChannel>,
+    /// The registry indexed by reservation key (→ raw channel id): "is this
+    /// key a committed channel's" is asked by every lease sweep and every
+    /// token allocation, and must not cost a walk over the whole registry.
+    committed: BTreeMap<ReservationKey, u16>,
     next_token: u16,
     switch_mac: MacAddr,
     /// How long an in-flight reservation (and a coordination, and a
@@ -289,6 +301,7 @@ impl DistributedChannelManager {
             sites,
             route_cache: BTreeMap::new(),
             registry: BTreeMap::new(),
+            committed: BTreeMap::new(),
             next_token: 1,
             switch_mac: MacAddr::for_switch(),
             lease_duration: Duration::from_millis(50),
@@ -393,23 +406,18 @@ impl DistributedChannelManager {
         at: SwitchId,
         source: NodeId,
         destination: NodeId,
-    ) -> RtResult<Vec<Route>> {
+    ) -> RtResult<Arc<[Route]>> {
         let site = self
             .sites
             .get(&at)
             .ok_or_else(|| RtError::Config(format!("unknown switch {at}")))?;
-        let key = (site.view.fingerprint(), source.get(), destination.get());
-        if let Some(candidates) = self.route_cache.get(&key) {
-            return Ok(candidates.clone());
-        }
-        let candidates = self.router.routes(&site.view, source, destination)?;
-        // A runaway-workload backstop, not an LRU: stale fingerprints never
-        // match again, so dropping everything is always safe.
-        if self.route_cache.len() >= 4096 {
-            self.route_cache.clear();
-        }
-        self.route_cache.insert(key, candidates.clone());
-        Ok(candidates)
+        Self::cached_routes(
+            &mut self.route_cache,
+            self.router.as_ref(),
+            &site.view,
+            source,
+            destination,
+        )
     }
 
     /// The candidate list derived from the ground-truth topology — used
@@ -420,16 +428,37 @@ impl DistributedChannelManager {
         &mut self,
         source: NodeId,
         destination: NodeId,
-    ) -> RtResult<Vec<Route>> {
-        let key = (self.topology.fingerprint(), source.get(), destination.get());
-        if let Some(candidates) = self.route_cache.get(&key) {
-            return Ok(candidates.clone());
+    ) -> RtResult<Arc<[Route]>> {
+        Self::cached_routes(
+            &mut self.route_cache,
+            self.router.as_ref(),
+            &self.topology,
+            source,
+            destination,
+        )
+    }
+
+    /// The memoised look-up behind both candidate-list accessors: the key's
+    /// fingerprint is `view`'s memoised one, so a hit costs one map probe
+    /// and one reference-count bump.
+    fn cached_routes(
+        cache: &mut RouteCache,
+        router: &dyn Router,
+        view: &Topology,
+        source: NodeId,
+        destination: NodeId,
+    ) -> RtResult<Arc<[Route]>> {
+        let key = (view.fingerprint(), source.get(), destination.get());
+        if let Some(candidates) = cache.get(&key) {
+            return Ok(Arc::clone(candidates));
         }
-        let candidates = self.router.routes(&self.topology, source, destination)?;
-        if self.route_cache.len() >= 4096 {
-            self.route_cache.clear();
+        let candidates: Arc<[Route]> = router.routes(view, source, destination)?.into();
+        // A runaway-workload backstop, not an LRU: stale fingerprints never
+        // match again, so dropping everything is always safe.
+        if cache.len() >= 4096 {
+            cache.clear();
         }
-        self.route_cache.insert(key, candidates.clone());
+        cache.insert(key, Arc::clone(&candidates));
         Ok(candidates)
     }
 
@@ -442,7 +471,20 @@ impl DistributedChannelManager {
         let candidates = self
             .candidate_routes_at(at, frame.source, frame.destination)
             .ok()?;
-        candidates.into_iter().nth(frame.candidate as usize)
+        candidates.get(frame.candidate as usize).cloned()
+    }
+
+    /// Enter a committed channel into the registry and its key index.
+    fn register(&mut self, channel: DistChannel) {
+        self.committed.insert(channel.key(), channel.id.get());
+        self.registry.insert(channel.id.get(), channel);
+    }
+
+    /// Take a committed channel out of the registry and its key index.
+    fn unregister(&mut self, id: u16) -> Option<DistChannel> {
+        let channel = self.registry.remove(&id)?;
+        self.committed.remove(&channel.key());
+        Some(channel)
     }
 
     fn site(&mut self, switch: SwitchId) -> RtResult<&mut Site> {
@@ -463,9 +505,8 @@ impl DistributedChannelManager {
                 .coordinations
                 .contains_key(&candidate)
                 || self
-                    .registry
-                    .values()
-                    .any(|c| c.coordinator == coordinator && c.token == candidate);
+                    .committed
+                    .contains_key(&ReservationKey::token(coordinator, candidate));
             if !in_use {
                 return candidate;
             }
@@ -610,7 +651,7 @@ impl DistributedChannelManager {
         // a rejection, not a control-plane fault.
         let candidates = match self.candidate_routes_at(at, request.source, request.destination) {
             Ok(candidates) => candidates,
-            Err(RtError::Config(_)) => Vec::new(),
+            Err(RtError::Config(_)) => Arc::from([]),
             Err(e) => return Err(e),
         };
         let token = self.allocate_token(at);
@@ -1328,19 +1369,16 @@ impl DistributedChannelManager {
         let link_deadlines = coord.deadlines.clone().ok_or_else(|| {
             RtError::ProtocolViolation("Confirm for a reservation without deadlines".into())
         })?;
-        self.registry.insert(
-            id.get(),
-            DistChannel {
-                id,
-                source: coord.source,
-                destination: coord.destination,
-                spec: coord.spec,
-                path,
-                link_deadlines,
-                coordinator,
-                token,
-            },
-        );
+        self.register(DistChannel {
+            id,
+            source: coord.source,
+            destination: coord.destination,
+            spec: coord.spec,
+            path,
+            link_deadlines,
+            coordinator,
+            token,
+        });
         Ok(ControlOutcome::emissions_at(
             coordinator,
             vec![SwitchAction::SendResponse {
@@ -1470,8 +1508,7 @@ impl DistributedChannelManager {
     /// admitted route.
     fn on_teardown(&mut self, at: SwitchId, channel: ChannelId) -> RtResult<ControlOutcome> {
         let dist = self
-            .registry
-            .remove(&channel.get())
+            .unregister(channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
         let key = dist.key();
         self.site(at)?.ledger.release_key(key);
@@ -1688,18 +1725,14 @@ impl DistributedChannelManager {
         // Committed channels hold their slack permanently: a lease whose
         // clear never reached this site is dropped without reclaiming
         // anything — one of the two documented places the manager-global
-        // registry is consulted.
-        let committed: Vec<ReservationKey> = self.registry.values().map(|c| c.key()).collect();
-        {
-            let site = self.sites.get_mut(&at).expect("checked above");
-            for key in committed {
-                if site.ledger.lease_of(key).is_some_and(|d| d <= now) {
-                    site.ledger.clear_lease(key);
-                }
-            }
-            let reclaimed = site.ledger.sweep_expired(now);
-            self.lease_expired += reclaimed.len() as u64;
-        }
+        // registry is consulted, and only for this site's own expired
+        // leases, of which there are usually none.
+        let committed = &self.committed;
+        let site = self.sites.get_mut(&at).expect("checked above");
+        let reclaimed = site
+            .ledger
+            .sweep_expired(now, |key| committed.contains_key(&key));
+        self.lease_expired += reclaimed.len() as u64;
         // Timed-out coordinations: a lost frame or a partition stalled the
         // handshake past its deadline — abort, answer the requester, sweep
         // the candidate route.
@@ -1792,22 +1825,14 @@ impl DistributedChannelManager {
         cut: &[(SwitchId, SwitchId)],
         link: (SwitchId, SwitchId),
     ) -> FailoverReport {
-        // Reverse map (coordinator, token) -> channel id.
-        let by_key: BTreeMap<(u32, u16), u16> = self
-            .registry
-            .values()
-            .map(|c| ((c.coordinator.get(), c.token), c.id.get()))
-            .collect();
         let mut affected: BTreeSet<u16> = BTreeSet::new();
         for &(a, b) in cut {
             for (from, to) in [(a, b), (b, a)] {
                 let trunk = HopLink::Trunk { from, to };
                 if let Some(site) = self.sites.get(&from) {
                     for key in site.ledger.keys_on(trunk) {
-                        if let ReservationKey::Token(coordinator, token) = key {
-                            if let Some(&id) = by_key.get(&(coordinator, token)) {
-                                affected.insert(id);
-                            }
+                        if let Some(&id) = self.committed.get(&key) {
+                            affected.insert(id);
                         }
                     }
                 }
@@ -1826,8 +1851,7 @@ impl DistributedChannelManager {
             .iter()
             .map(|id| {
                 let dist = self
-                    .registry
-                    .remove(id)
+                    .unregister(*id)
                     .expect("affected ids come from the registry");
                 let key = dist.key();
                 for site in self.sites.values_mut() {
@@ -1842,15 +1866,15 @@ impl DistributedChannelManager {
                 .unwrap_or_default();
             let key = old.key();
             let mut readmitted = false;
-            for route in candidates {
-                if let Some(deadlines) = self.try_reserve_sync(key, &old.spec, &route) {
+            for route in candidates.iter() {
+                if let Some(deadlines) = self.try_reserve_sync(key, &old.spec, route) {
                     let renewed = DistChannel {
-                        path: route,
+                        path: route.clone(),
                         link_deadlines: deadlines,
                         ..old.clone()
                     };
                     report.rerouted.push(renewed.to_route());
-                    self.registry.insert(renewed.id.get(), renewed);
+                    self.register(renewed);
                     self.rerouted += 1;
                     readmitted = true;
                     break;
@@ -1885,8 +1909,8 @@ impl DistributedChannelManager {
                 (c.source, c.destination)
             };
             let primary = match self.candidate_routes_global(source, destination) {
-                Ok(candidates) => match candidates.into_iter().next() {
-                    Some(route) => route,
+                Ok(candidates) => match candidates.first() {
+                    Some(route) => route.clone(),
                     None => {
                         report.unaffected += 1;
                         continue;
@@ -1902,8 +1926,7 @@ impl DistributedChannelManager {
                 continue;
             }
             let old = self
-                .registry
-                .remove(&id)
+                .unregister(id)
                 .expect("ids come from the live registry");
             let key = old.key();
             for site in self.sites.values_mut() {
@@ -1917,7 +1940,7 @@ impl DistributedChannelManager {
                         ..old
                     };
                     report.rerouted.push(renewed.to_route());
-                    self.registry.insert(renewed.id.get(), renewed);
+                    self.register(renewed);
                     self.rerouted += 1;
                 }
                 None => {
@@ -1936,7 +1959,7 @@ impl DistributedChannelManager {
                             .ledger
                             .reserve(*hop, key, task);
                     }
-                    self.registry.insert(old.id.get(), old);
+                    self.register(old);
                     report.unaffected += 1;
                 }
             }
@@ -2027,8 +2050,7 @@ impl ChannelManager for DistributedChannelManager {
     fn handle_teardown(&mut self, channel: ChannelId) -> RtResult<ReleasedChannel> {
         // Direct (API-level) teardown: release fabric-wide synchronously.
         let dist = self
-            .registry
-            .remove(&channel.get())
+            .unregister(channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
         let key = dist.key();
         for site in self.sites.values_mut() {
@@ -2170,7 +2192,17 @@ impl ChannelManager for DistributedChannelManager {
     }
 
     fn audit_quiescent(&self) -> RtResult<()> {
+        // Rebuilt from the registry, not read from the `committed` index:
+        // the audit is what checks that index.
         let committed: BTreeSet<ReservationKey> = self.registry.values().map(|c| c.key()).collect();
+        let indexed = |c: &DistChannel| self.committed.get(&c.key()) == Some(&c.id.get());
+        if self.committed.len() != self.registry.len() || !self.registry.values().all(indexed) {
+            return Err(RtError::ProtocolViolation(format!(
+                "the key index ({} entries) has drifted from the registry ({} channels)",
+                self.committed.len(),
+                self.registry.len()
+            )));
+        }
         for (&s, site) in &self.sites {
             if let Some(token) = site.coordinations.keys().next() {
                 return Err(RtError::ProtocolViolation(format!(

@@ -95,7 +95,14 @@ impl SlackLedger {
     /// Run the per-link EDF feasibility test with `task` added to the
     /// link's current reservations, committing nothing.
     pub fn feasible_with(&self, link: HopLink, task: &PeriodicTask) -> FeasibilityOutcome {
-        self.tester.test_with_candidate(&self.taskset(link), task)
+        // The held tasks in key order, then the candidate: the set
+        // `test_with_candidate(&self.taskset(link), task)` would build, in
+        // one allocation instead of two.
+        let held = self.links.get(&link);
+        let mut tasks = Vec::with_capacity(held.map_or(0, |m| m.len()) + 1);
+        tasks.extend(held.into_iter().flat_map(|m| m.values().copied()));
+        tasks.push(*task);
+        self.tester.test(&TaskSet::from_tasks(tasks))
     }
 
     /// Reserve `task` on `link` under `key` (replacing any prior entry for
@@ -121,6 +128,11 @@ impl SlackLedger {
     /// Release everything `key` holds, on every link of this ledger, and
     /// drop its lease if one exists.  Returns the number of link
     /// reservations freed.
+    ///
+    /// This visits every loaded link of the ledger: right for a site that
+    /// must drop whatever a token still holds here without knowing which
+    /// links those are, wrong for a caller that has the channel's path in
+    /// hand — that one calls [`SlackLedger::release`] per link.
     pub fn release_key(&mut self, key: ReservationKey) -> usize {
         self.leases.remove(&key);
         let mut freed = 0;
@@ -161,19 +173,36 @@ impl SlackLedger {
     }
 
     /// Reclaim every key whose lease deadline is at or before `now`:
-    /// release all its reservations and return the expired keys (ascending).
-    /// A lease expiring *exactly* at the sweep tick is reclaimed.
-    pub fn sweep_expired(&mut self, now: SimTime) -> Vec<ReservationKey> {
+    /// release all its reservations and return the reclaimed keys
+    /// (ascending).  A lease expiring *exactly* at the sweep tick is
+    /// reclaimed.  An expired key that `committed` vouches for keeps its
+    /// reservations — they became permanent when the channel committed, only
+    /// the lease-clear never reached this ledger — and just loses the
+    /// leftover lease; it is not reported.
+    ///
+    /// The sweep is driven by this ledger's own leases, so a ledger with
+    /// nothing in flight does no work and allocates nothing.
+    pub fn sweep_expired(
+        &mut self,
+        now: SimTime,
+        committed: impl Fn(ReservationKey) -> bool,
+    ) -> Vec<ReservationKey> {
         let expired: Vec<ReservationKey> = self
             .leases
             .iter()
             .filter(|(_, &deadline)| deadline <= now)
             .map(|(&key, _)| key)
             .collect();
-        for &key in &expired {
-            self.release_key(key);
+        let mut reclaimed = Vec::new();
+        for key in expired {
+            if committed(key) {
+                self.leases.remove(&key);
+            } else {
+                self.release_key(key);
+                reclaimed.push(key);
+            }
         }
-        expired
+        reclaimed
     }
 
     /// The reservation keys currently holding slack on `link`, ascending.
@@ -268,14 +297,38 @@ mod tests {
         ledger.lease(key, SimTime::from_micros(50));
         assert_eq!(ledger.next_expiry(), Some(SimTime::from_micros(50)));
         // One tick early: nothing is reclaimed.
-        assert!(ledger.sweep_expired(SimTime::from_nanos(49_999)).is_empty());
+        assert!(ledger
+            .sweep_expired(SimTime::from_nanos(49_999), |_| false)
+            .is_empty());
         assert!(ledger.holds(link, key));
         // Exactly at the deadline: the key is reclaimed.
-        assert_eq!(ledger.sweep_expired(SimTime::from_micros(50)), vec![key]);
+        assert_eq!(
+            ledger.sweep_expired(SimTime::from_micros(50), |_| false),
+            vec![key]
+        );
         assert!(!ledger.holds(link, key));
         assert_eq!(ledger.next_expiry(), None);
         // Sweeping again is a no-op.
-        assert!(ledger.sweep_expired(SimTime::MAX).is_empty());
+        assert!(ledger.sweep_expired(SimTime::MAX, |_| false).is_empty());
+    }
+
+    #[test]
+    fn lease_sweep_spares_committed_keys_but_drops_their_lease() {
+        let mut ledger = SlackLedger::new();
+        let link = HopLink::Uplink(NodeId::new(0));
+        let committed = ReservationKey::token(SwitchId::new(1), 3);
+        let stranded = ReservationKey::token(SwitchId::new(1), 4);
+        for key in [committed, stranded] {
+            ledger.reserve(link, key, task(100, 3, 20));
+            ledger.lease(key, SimTime::from_micros(50));
+        }
+        // Only the stranded key is reclaimed (and reported); the committed
+        // one keeps its slack and just loses the leftover lease.
+        let reclaimed = ledger.sweep_expired(SimTime::from_micros(50), |key| key == committed);
+        assert_eq!(reclaimed, vec![stranded]);
+        assert!(ledger.holds(link, committed));
+        assert!(!ledger.holds(link, stranded));
+        assert_eq!(ledger.next_expiry(), None);
     }
 
     #[test]
@@ -288,7 +341,7 @@ mod tests {
         assert_eq!(ledger.lease_of(key), Some(SimTime::from_micros(10)));
         // Commit in time: the lease clears and the slack survives any sweep.
         assert!(ledger.clear_lease(key));
-        assert!(ledger.sweep_expired(SimTime::MAX).is_empty());
+        assert!(ledger.sweep_expired(SimTime::MAX, |_| false).is_empty());
         assert!(ledger.holds(link, key));
         // Clearing an expired (absent) lease reports failure — a late
         // Confirm must not resurrect reclaimed slack.
@@ -318,7 +371,10 @@ mod tests {
         ledger.lease(early, SimTime::from_micros(30));
         assert_eq!(ledger.next_expiry(), Some(SimTime::from_micros(30)));
         // Only the early key expires at its deadline.
-        assert_eq!(ledger.sweep_expired(SimTime::from_micros(30)), vec![early]);
+        assert_eq!(
+            ledger.sweep_expired(SimTime::from_micros(30), |_| false),
+            vec![early]
+        );
         assert_eq!(ledger.next_expiry(), Some(SimTime::from_micros(90)));
         assert!(ledger.holds(link, late));
     }

@@ -561,7 +561,13 @@ impl MultiHopAdmission {
             .channels
             .remove(&id.get())
             .ok_or(RtError::UnknownChannel(id))?;
-        self.ledger.release_key(ReservationKey::channel(id));
+        // `commit` reserved this id on exactly the links of the path, so
+        // releasing along it frees everything the channel holds without
+        // visiting the rest of the fabric's ledger.
+        let key = ReservationKey::channel(id);
+        for link in channel.path.iter() {
+            self.ledger.release(*link, key);
+        }
         Ok(channel)
     }
 }
@@ -1139,6 +1145,118 @@ mod tests {
         assert!(
             with_fallback > shortest_only,
             "k-shortest fallback ({with_fallback}) must beat single-path ({shortest_only})"
+        );
+    }
+
+    /// The ledger as the live channel table implies it: per link, the keys
+    /// of exactly the channels whose path crosses it.  Scans the whole ledger
+    /// (`loaded_links`, `keys_on`) — here, in the test, so product code can
+    /// release along one path and still be checked against every link.
+    fn assert_ledger_matches_channels(admission: &MultiHopAdmission, gone: &[ChannelId]) {
+        let mut expected: BTreeMap<HopLink, Vec<ReservationKey>> = BTreeMap::new();
+        for channel in admission.channels() {
+            for link in channel.path.iter() {
+                expected
+                    .entry(*link)
+                    .or_default()
+                    .push(ReservationKey::channel(channel.id));
+            }
+        }
+        let held: BTreeMap<HopLink, Vec<ReservationKey>> = admission
+            .loaded_links()
+            .map(|(link, load)| {
+                let keys = admission.ledger.keys_on(link);
+                assert_eq!(keys.len(), load, "{link}");
+                assert_eq!(admission.link_load(link), load, "{link}");
+                (link, keys)
+            })
+            .collect();
+        assert_eq!(held, expected, "ledger and channel table disagree");
+        for id in gone {
+            let key = ReservationKey::channel(*id);
+            for (link, keys) in &held {
+                assert!(!keys.contains(&key), "{link} still holds released {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn path_release_leaves_no_key_behind_across_teardown_cut_and_repair() {
+        let topology = Topology::torus(3, 3, 4);
+        let nodes = topology.node_count() as u64;
+        let trunks: Vec<(SwitchId, SwitchId)> = topology.trunks().collect();
+        let (mut torn_down, mut rerouted) = (0, 0);
+        for seed in 0..8u64 {
+            let mut rng = rt_types::rng::Xoshiro256::new(0x1ed6_e400 + seed);
+            let mut admission = MultiHopAdmission::new(topology.clone(), MultiHopDps::Asymmetric);
+            let mut live: Vec<ChannelId> = Vec::new();
+            let mut gone: Vec<ChannelId> = Vec::new();
+            for step in 0..400 {
+                match rng.below(20) {
+                    // Tear one down.
+                    0..=5 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.below(live.len() as u64) as usize);
+                        admission.release(id).unwrap();
+                        gone.push(id);
+                    }
+                    // Cut a trunk (released-then-readmitted channels keep
+                    // their ids; dropped ones are gone for good) ...
+                    6 => {
+                        let (a, b) = trunks[rng.below(trunks.len() as u64) as usize];
+                        if let Ok(report) = admission.fail_trunk(a, b) {
+                            for dropped in &report.dropped {
+                                live.retain(|id| *id != dropped.id);
+                                gone.push(dropped.id);
+                            }
+                        }
+                    }
+                    // ... or splice one back, which re-optimises.
+                    7 => {
+                        let failed: Vec<_> = admission.topology().failed_trunks().collect();
+                        if let Some(&(a, b)) = failed.first() {
+                            let report = admission.repair_trunk(a, b).unwrap();
+                            assert!(report.dropped.is_empty());
+                        }
+                    }
+                    // Otherwise ask for a new channel.
+                    _ => {
+                        let (src, dst) = (rng.below(nodes) as u32, rng.below(nodes) as u32);
+                        let spec = RtChannelSpec::new(
+                            Slots::new(rng.range_inclusive(50, 400)),
+                            Slots::new(rng.range_inclusive(1, 6)),
+                            Slots::new(rng.range_inclusive(30, 80)),
+                        )
+                        .unwrap();
+                        if src != dst {
+                            if let Ok(Ok(channel)) =
+                                admission.request(NodeId::new(src), NodeId::new(dst), spec)
+                            {
+                                // Ids are reused once free: a reused id is
+                                // live again, not gone.
+                                gone.retain(|id| *id != channel.id);
+                                live.push(channel.id);
+                            }
+                        }
+                    }
+                }
+                if step % 10 == 0 {
+                    assert_ledger_matches_channels(&admission, &gone);
+                }
+            }
+            assert_ledger_matches_channels(&admission, &gone);
+            assert_eq!(admission.channel_count(), live.len());
+            torn_down += gone.len();
+            rerouted += admission.rerouted_count();
+            // Everything torn down: the ledger is empty, link by link.
+            for id in live.drain(..) {
+                admission.release(id).unwrap();
+            }
+            assert_eq!(admission.loaded_links().count(), 0, "seed {seed}");
+        }
+        // The walks really released channels all three ways.
+        assert!(
+            torn_down > 100 && rerouted > 100,
+            "{torn_down} released, {rerouted} moved by cuts and repairs"
         );
     }
 

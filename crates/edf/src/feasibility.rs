@@ -5,7 +5,10 @@
 //!
 //! 1. **First constraint** — the utilisation `U = Σ C_i/P_i` must not exceed
 //!    one (Eq. 18.2).  Liu & Layland showed this alone is sufficient when
-//!    every task's relative deadline equals its period.
+//!    every task's relative deadline equals its period.  The verdict is that
+//!    of the exact rational sum ([`TaskSet::utilisation`]); the tester reads
+//!    it off the float sum whenever that is provably the same answer and
+//!    pays for the exact fold only in a narrow band around `U = 1`.
 //! 2. **Second constraint** — the workload function must satisfy `h(t) ≤ t`
 //!    for all `t` (Eq. 18.3).  Following the paper it is enough to check
 //!    `1 ≤ t ≤ BusyPeriod` (Eq. 18.4) and, within that range, only the
@@ -84,6 +87,48 @@ impl Default for FeasibilityConfig {
     }
 }
 
+/// Per task, how far above the true `U` the exact fold
+/// ([`TaskSet::utilisation`]) can land: when a denominator outgrows `u128`
+/// range, [`crate::taskset::Utilisation::add`] rounds *both* operands up to
+/// a multiple of `2^-40`, less than `2^-40` each — and never rounds down.
+const FIXED_ROUND_UP_PER_TASK: f64 = 2.0 / (1u64 << 40) as f64;
+
+/// Per task, a bound on the relative error of [`TaskSet::utilisation_f64`]:
+/// each term `C as f64 / P as f64` carries three roundings and the running
+/// sum one more per task, so `|F − U| ≤ γ(n+2)·U` with `γ(k) = k·u/(1 − k·u)
+/// ≤ 2·k·u`, `u = 2^-53` — at most `(n+2)·2^-52` for any `n` below `2^51`,
+/// more tasks than memory holds.  Four times that is budgeted, which also
+/// absorbs the roundings of the comparison itself.
+const FLOAT_ERROR_PER_TASK: f64 = 4.0 * f64::EPSILON;
+
+/// Half-width of the band around `U = 1` inside which the float sum of `n`
+/// terms must not decide Constraint 1.  It grows with `n` because both error
+/// sources do, so it is sound for any link load (every term is in `(0, 1]`:
+/// a task's capacity never exceeds its period).
+fn float_band(n: usize) -> f64 {
+    (n as f64 + 3.0) * (FIXED_ROUND_UP_PER_TASK + FLOAT_ERROR_PER_TASK)
+}
+
+/// Constraint 1 from the float sum `F` of `n` terms: `Some(answer)` when it
+/// is certain to be what `set.utilisation().exceeds_one()` — the reference,
+/// fixed-point round-up included — would answer, `None` inside the band.
+///
+/// Write `E` for the reference's value and `b` for the band.  `E ≥ U`, so
+/// `F > 1 + b` gives `U ≥ F·(1 − γ) > 1` (as `b ≥ 4γ`) and the reference says
+/// "exceeded".  `E < U + n·2^-39`, so `F < 1 − b` gives `E < F + 2γ + n·2^-39
+/// < 1` and the reference says "fits".  A sum that is not a number (it cannot
+/// be) fails both comparisons and takes the exact fold.
+fn float_exceeds_one(sum: f64, n: usize) -> Option<bool> {
+    let band = float_band(n);
+    if sum > 1.0 + band {
+        Some(true)
+    } else if sum < 1.0 - band {
+        Some(false)
+    } else {
+        None
+    }
+}
+
 /// The feasibility tester (stateless apart from its configuration).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FeasibilityTester {
@@ -119,9 +164,18 @@ impl FeasibilityTester {
     /// Run the feasibility test on `set`.
     pub fn test(&self, set: &TaskSet) -> FeasibilityOutcome {
         let utilisation = set.utilisation_f64();
+        // Constraint 1: U <= 1, read off the float sum wherever that is
+        // provably the exact comparison's answer, and from the exact
+        // rational fold inside the band around 1 where it is not.
+        let exceeded = float_exceeds_one(utilisation, set.len())
+            .unwrap_or_else(|| set.utilisation().exceeds_one());
+        self.test_given(set, utilisation, exceeded)
+    }
 
-        // Constraint 1: U <= 1 (exact rational comparison).
-        if set.utilisation().exceeds_one() {
+    /// The test with Constraint 1 already decided: `exceeds_one` is the
+    /// verdict of `U > 1`, `utilisation` the float reported with the outcome.
+    fn test_given(&self, set: &TaskSet, utilisation: f64, exceeds_one: bool) -> FeasibilityOutcome {
+        if exceeds_one {
             return FeasibilityOutcome {
                 verdict: FeasibilityVerdict::UtilisationExceeded,
                 utilisation,
@@ -312,6 +366,131 @@ mod tests {
         let before = set.clone();
         let _ = FeasibilityTester::new().test_with_candidate(&set, &task(100, 3, 20));
         assert_eq!(set, before);
+    }
+
+    /// A set of `n` tasks, every one with `C/P = 1/n` exactly (so `U = 1`)
+    /// and a constrained deadline (so Constraint 2 runs as well).
+    fn unit_utilisation_set(n: u64) -> Vec<PeriodicTask> {
+        (0..n).map(|i| task(n, 1, 1 + i % n)).collect()
+    }
+
+    /// The tester agrees, field for field, with the exact-only reference:
+    /// the same test with Constraint 1 always taken from the rational fold.
+    #[test]
+    fn prop_float_shortcut_matches_the_exact_reference() {
+        fn check(tasks: Vec<PeriodicTask>) -> Option<bool> {
+            let set = TaskSet::from_tasks(tasks);
+            let float = set.utilisation_f64();
+            let exact = set.utilisation().exceeds_one();
+            for tester in [
+                FeasibilityTester::new(),
+                FeasibilityTester::utilisation_only(),
+            ] {
+                assert_eq!(
+                    tester.test(&set),
+                    tester.test_given(&set, float, exact),
+                    "{set:?}"
+                );
+            }
+            let decided = float_exceeds_one(float, set.len());
+            if let Some(answer) = decided {
+                assert_eq!(answer, exact, "the float sum decided wrongly: {set:?}");
+            }
+            decided
+        }
+
+        // Heterogeneous random sets: light, around the bound, and heavy, with
+        // awkward (mutually prime-ish) periods.
+        let mut rng = Xoshiro256::new(0xfea5_0003);
+        let (mut fast, mut exceeded) = (0, 0);
+        for _ in 0..512 {
+            let tasks = random_task_vec(&mut rng, (1, 40), (2, 997), (1, 60), (1, 1200));
+            match check(tasks) {
+                Some(true) => exceeded += 1,
+                Some(false) => fast += 1,
+                None => {}
+            }
+        }
+        assert!(
+            fast > 50 && exceeded > 50,
+            "{fast} fit, {exceeded} exceeded"
+        );
+
+        // Huge, mutually awkward periods with every share C/P within 1/P of
+        // 1/n: U lands within n/P of 1, on either side of it and (with the
+        // size of P drawn per set) on either side of the band's edge, while the
+        // exact fold leaves u128 range and rounds up in fixed point — the
+        // regime the band's larger term exists for.
+        let (mut banded, mut decided, mut pessimistic) = (0, 0, 0);
+        for _ in 0..512 {
+            let n = rng.range_inclusive(2, 30);
+            let bits = rng.range_inclusive(30, 46);
+            let tasks: Vec<PeriodicTask> = (0..n)
+                .map(|_| {
+                    let p = rng.range_inclusive(1 << bits, 2 << bits);
+                    task(p, p / n + rng.below(2), p / 2 + 1)
+                })
+                .collect();
+            // The round-up at work: the reference says "exceeded" although
+            // the sum itself stays below 1.
+            let set = TaskSet::from_tasks(tasks.clone());
+            if set.utilisation().exceeds_one() && set.utilisation_f64() < 1.0 {
+                pessimistic += 1;
+            }
+            match check(tasks) {
+                None => banded += 1,
+                Some(_) => decided += 1,
+            }
+        }
+        assert!(
+            banded > 50 && decided > 50 && pessimistic > 0,
+            "{banded} in the band, {decided} decided by the float, {pessimistic} rounded over 1"
+        );
+
+        // Sets built to sit at U = 1 exactly, and one task either side of it.
+        let at_one: Vec<Vec<PeriodicTask>> = vec![
+            vec![task(2, 1, 2), task(4, 1, 3), task(4, 1, 4)],
+            vec![task(3, 1, 2), task(3, 1, 3), task(3, 1, 3)],
+            unit_utilisation_set(7),
+            unit_utilisation_set(33),
+        ];
+        for tasks in at_one {
+            // U = 1 sits inside the band: the exact fold must decide.
+            assert_eq!(check(tasks.clone()), None, "{tasks:?}");
+            assert!(!TaskSet::from_tasks(tasks.clone())
+                .utilisation()
+                .exceeds_one());
+            // A hair over, by less than the band: the exact fold again.
+            let mut over = tasks.clone();
+            over.push(task(10_000_000_000_000, 1, 5));
+            assert_eq!(check(over.clone()), None, "{over:?}");
+            assert_eq!(
+                FeasibilityTester::new()
+                    .test(&TaskSet::from_tasks(over))
+                    .verdict,
+                FeasibilityVerdict::UtilisationExceeded
+            );
+            // Clearly over and clearly under: the float sum decides.
+            let mut heavy = tasks.clone();
+            heavy.push(task(100, 1, 50));
+            assert_eq!(check(heavy), Some(true));
+            let mut light = tasks;
+            light.pop();
+            assert_eq!(check(light), Some(false));
+        }
+    }
+
+    /// The band is wide enough for its two error sources at every load, and
+    /// narrow enough that ordinary admission never sees it.
+    #[test]
+    fn float_band_scales_with_the_load() {
+        for n in [0usize, 1, 16, 1_000, 1_000_000] {
+            let band = float_band(n);
+            let fixed_point = n as f64 * FIXED_ROUND_UP_PER_TASK;
+            let float_error = 2.0 * (n as f64 + 2.0) * f64::EPSILON;
+            assert!(band > fixed_point + float_error, "n = {n}");
+            assert!(band < 1e-5, "n = {n}");
+        }
     }
 
     /// The full test never accepts a set that the utilisation bound rejects

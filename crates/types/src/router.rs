@@ -569,9 +569,8 @@ impl NextHopCache {
         if let Some(pos) = inner.entries.iter().position(|e| e.fingerprint == fp) {
             inner.stats.hits += 1;
             // Move the hit to the front so eviction drops the least
-            // recently used fabric state.
-            let entry = inner.entries.remove(pos);
-            inner.entries.insert(0, entry);
+            // recently used fabric state (a no-op for a hit at the front).
+            inner.entries[..=pos].rotate_right(1);
             return;
         }
         inner.stats.misses += 1;

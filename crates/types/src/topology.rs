@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::error::{RtError, RtResult};
 use crate::ids::NodeId;
@@ -159,6 +160,20 @@ pub struct Topology {
     /// any mutation the closed forms cannot describe; preserved across
     /// trunk failures and repairs.
     structure: Option<FabricStructure>,
+    /// Memo of [`Topology::fingerprint`] and
+    /// [`Topology::structural_fingerprint`], filled by the first call after
+    /// a mutation and dropped by every `&mut self` mutator (see
+    /// [`Topology::invalidate_fingerprints`]).  A clone carries the memo of
+    /// the state it was cloned from.
+    fingerprints: FingerprintMemo,
+}
+
+/// The two memoised hashes of a [`Topology`]; `OnceLock` rather than `Cell`
+/// so a shared `&Topology` stays `Sync`.
+#[derive(Debug, Clone, Default)]
+struct FingerprintMemo {
+    routing: OnceLock<u64>,
+    structural: OnceLock<u64>,
 }
 
 impl Topology {
@@ -411,6 +426,7 @@ impl Topology {
     /// Add a switch (idempotent).  Clears any [`FabricStructure`] tag: an
     /// extra switch is outside what the structured builders describe.
     pub fn add_switch(&mut self, switch: SwitchId) {
+        self.invalidate_fingerprints();
         self.structure = None;
         self.switches.insert(switch);
         self.adjacency.entry(switch).or_default();
@@ -424,6 +440,7 @@ impl Topology {
         if self.attachments.contains_key(&node) {
             return Err(RtError::Config(format!("{node} is already attached")));
         }
+        self.invalidate_fingerprints();
         self.attachments.insert(node, switch);
         Ok(())
     }
@@ -451,6 +468,7 @@ impl Topology {
                 "trunk {a} <-> {b} exists but is failed; repair it instead"
             )));
         }
+        self.invalidate_fingerprints();
         self.structure = None;
         self.adjacency.entry(a).or_default().insert(b);
         self.adjacency.entry(b).or_default().insert(a);
@@ -470,6 +488,7 @@ impl Topology {
         }
         self.add_trunk(a, b)?;
         if cost != 1 {
+            self.invalidate_fingerprints();
             self.costs.insert((a.min(b), a.max(b)), cost);
         }
         Ok(())
@@ -487,6 +506,7 @@ impl Topology {
         if !self.has_trunk(a, b) && !self.failed.contains(&key) {
             return Err(RtError::Config(format!("no trunk {a} <-> {b}")));
         }
+        self.invalidate_fingerprints();
         if cost == 1 {
             self.costs.remove(&key);
         } else {
@@ -521,6 +541,9 @@ impl Topology {
 
     /// Select the channel-management placement (see [`ManagerPlacement`]).
     pub fn set_manager_placement(&mut self, placement: ManagerPlacement) {
+        // Neither hash covers the placement today; dropping the memo anyway
+        // keeps "every mutator invalidates" free of exceptions.
+        self.invalidate_fingerprints();
         self.placement = placement;
     }
 
@@ -538,6 +561,7 @@ impl Topology {
         if !self.adjacency.get(&a).is_some_and(|nbrs| nbrs.contains(&b)) {
             return Err(RtError::Config(format!("no trunk {a} <-> {b} to fail")));
         }
+        self.invalidate_fingerprints();
         self.adjacency
             .get_mut(&a)
             .expect("checked above")
@@ -560,6 +584,7 @@ impl Topology {
                 "trunk {a} <-> {b} is not failed, nothing to repair"
             )));
         }
+        self.invalidate_fingerprints();
         self.adjacency.entry(a).or_default().insert(b);
         self.adjacency.entry(b).or_default().insert(a);
         Ok(())
@@ -622,43 +647,25 @@ impl Topology {
         self.is_connected() && self.trunk_count() == self.switches.len() - 1
     }
 
-    /// A cheap structural fingerprint (FNV-1a over switches, attachments and
-    /// trunks).  Routers key their cached forwarding tables on it, so equal
-    /// fingerprints must mean equal graphs for routing purposes — which they
-    /// do, because the maps iterate in a canonical (sorted) order.
+    /// The routing fingerprint: FNV-1a over switches, attachments, healthy
+    /// trunks and their non-default costs.  Routers key their cached
+    /// forwarding tables on it, so equal fingerprints must mean equal graphs
+    /// for routing purposes — which they do, because the maps iterate in a
+    /// canonical (sorted) order.
+    ///
+    /// The hash is a full O(V + E) scan, but it is *memoised*: only the
+    /// first call after a mutation pays for it, every later call is one
+    /// load.  The memo is dropped by each of the nine `&mut self` mutators
+    /// ([`Topology::add_switch`], [`Topology::attach_node`],
+    /// [`Topology::add_trunk`], [`Topology::add_trunk_weighted`],
+    /// [`Topology::set_trunk_cost`], [`Topology::set_manager_placement`],
+    /// [`Topology::fail_trunk`], [`Topology::repair_trunk`],
+    /// [`Topology::fail_switch`]) whenever they change anything.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(PRIME);
-        for s in &self.switches {
-            h = mix(h, 1);
-            h = mix(h, u64::from(s.0));
-        }
-        for (n, s) in &self.attachments {
-            h = mix(h, 2);
-            h = mix(h, u64::from(n.get()));
-            h = mix(h, u64::from(s.0));
-        }
-        let mut trunk_costs = Vec::new();
-        for (a, b) in self.trunks() {
-            h = mix(h, 3);
-            h = mix(h, u64::from(a.0));
-            h = mix(h, u64::from(b.0));
-            let cost = self.costs.get(&(a, b)).copied().unwrap_or(1);
-            if cost != 1 {
-                trunk_costs.push((a, b, cost));
-            }
-        }
-        // Costs are mixed separately (and only when non-default) so that
-        // all-default topologies keep their historical fingerprints.
-        for (a, b, cost) in trunk_costs {
-            h = mix(h, 4);
-            h = mix(h, u64::from(a.0));
-            h = mix(h, u64::from(b.0));
-            h = mix(h, cost);
-        }
-        h
+        *self
+            .fingerprints
+            .routing
+            .get_or_init(|| self.scan_fingerprint(false))
     }
 
     /// The regular fabric family this topology was built as, if a structured
@@ -669,12 +676,33 @@ impl Topology {
         self.structure.as_ref()
     }
 
-    /// Like [`Topology::fingerprint`], but over the *healthy* graph — failed
-    /// trunks are hashed as if still up.  Every cut/repair state of one
-    /// fabric shares this value, which is what lets a routing cache
-    /// recognise "the same fabric, one trunk different" and repair its
-    /// tables incrementally instead of rebuilding from scratch.
+    /// Like [`Topology::fingerprint`] (and memoised the same way), but over
+    /// the *healthy* graph — failed trunks are hashed as if still up.  Every
+    /// cut/repair state of one fabric shares this value, which is what lets
+    /// a routing cache recognise "the same fabric, one trunk different" and
+    /// repair its tables incrementally instead of rebuilding from scratch.
     pub fn structural_fingerprint(&self) -> u64 {
+        *self
+            .fingerprints
+            .structural
+            .get_or_init(|| self.scan_fingerprint(true))
+    }
+
+    /// Drop both memoised fingerprints.  Every mutator calls this before it
+    /// changes a hashed field ([`Topology::fail_switch`] through the
+    /// [`Topology::fail_trunk`] calls it is made of).
+    fn invalidate_fingerprints(&mut self) {
+        self.fingerprints = FingerprintMemo::default();
+    }
+
+    /// The one scan behind both fingerprints: switches, attachments, trunks
+    /// (`include_failed` adds the failed ones, as if still up) and the
+    /// non-default costs of the trunks hashed.  Costs are mixed separately,
+    /// and only when non-default, so all-default topologies keep their
+    /// historical fingerprints; `costs` never stores a 1 and iterates in the
+    /// trunks' own `(a, b)` order, so walking it directly replaces a map
+    /// probe per trunk — and costs nothing at all on an unweighted fabric.
+    fn scan_fingerprint(&self, include_failed: bool) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -688,15 +716,21 @@ impl Topology {
             h = mix(h, u64::from(n.get()));
             h = mix(h, u64::from(s.0));
         }
-        let all_trunks: BTreeSet<(SwitchId, SwitchId)> =
-            self.trunks().chain(self.failed_trunks()).collect();
-        for &(a, b) in &all_trunks {
-            h = mix(h, 3);
-            h = mix(h, u64::from(a.0));
-            h = mix(h, u64::from(b.0));
+        let mix_trunk = |h: u64, (a, b): (SwitchId, SwitchId)| {
+            mix(mix(mix(h, 3), u64::from(a.0)), u64::from(b.0))
+        };
+        let with_failed = include_failed && !self.failed.is_empty();
+        if with_failed {
+            // Disjoint from the adjacency, so the merge has no duplicates.
+            let mut trunks: Vec<(SwitchId, SwitchId)> =
+                self.trunks().chain(self.failed_trunks()).collect();
+            trunks.sort_unstable();
+            h = trunks.into_iter().fold(h, mix_trunk);
+        } else {
+            h = self.trunks().fold(h, mix_trunk);
         }
         for (&(a, b), &cost) in &self.costs {
-            if all_trunks.contains(&(a, b)) {
+            if self.has_trunk(a, b) || (with_failed && self.failed.contains(&(a, b))) {
                 h = mix(h, 4);
                 h = mix(h, u64::from(a.0));
                 h = mix(h, u64::from(b.0));
@@ -1310,6 +1344,94 @@ mod tests {
         let mut other = Topology::ring(5, 1);
         other.add_trunk(SwitchId::new(0), SwitchId::new(2)).unwrap();
         assert_ne!(other.structural_fingerprint(), healthy);
+    }
+
+    /// Memoised fingerprints equal a from-scratch scan after every step of a
+    /// random mutator sequence, failing calls included — so the memo can
+    /// never hide a topology change from a cache keyed on it.
+    #[test]
+    fn prop_memoised_fingerprints_track_every_mutator() {
+        use crate::rng::Xoshiro256;
+
+        fn assert_fresh(t: &Topology, what: &str) {
+            // Twice: the first call may fill the memo, the second reads it.
+            for _ in 0..2 {
+                assert_eq!(t.fingerprint(), t.scan_fingerprint(false), "{what}");
+                assert_eq!(
+                    t.structural_fingerprint(),
+                    t.scan_fingerprint(true),
+                    "{what}"
+                );
+            }
+        }
+
+        /// One random mutator call on `t`; `Ok`/`Err` is whatever it said.
+        fn mutate(t: &mut Topology, rng: &mut Xoshiro256) -> (u64, bool) {
+            // Ids drawn from a range a little wider than what exists, so
+            // unknown switches, duplicates and double faults all occur.
+            let sw = |rng: &mut Xoshiro256| SwitchId::new(rng.below(8) as u32);
+            let op = rng.below(9);
+            let ok = match op {
+                0 => {
+                    t.add_switch(sw(rng));
+                    true
+                }
+                1 => t
+                    .attach_node(NodeId::new(rng.below(12) as u32), sw(rng))
+                    .is_ok(),
+                2 => t.add_trunk(sw(rng), sw(rng)).is_ok(),
+                3 => t.add_trunk_weighted(sw(rng), sw(rng), rng.below(4)).is_ok(),
+                4 => t.set_trunk_cost(sw(rng), sw(rng), rng.below(4)).is_ok(),
+                5 => {
+                    t.set_manager_placement(if rng.chance(0.5) {
+                        ManagerPlacement::Distributed
+                    } else {
+                        ManagerPlacement::Central
+                    });
+                    true
+                }
+                6 => t.fail_trunk(sw(rng), sw(rng)).is_ok(),
+                7 => t.repair_trunk(sw(rng), sw(rng)).is_ok(),
+                _ => t.fail_switch(sw(rng)).is_ok(),
+            };
+            (op, ok)
+        }
+
+        let mut outcomes = [[0u32; 2]; 9];
+        for seed in 0..32u64 {
+            let mut rng = Xoshiro256::new(0xf1a9_0000 + seed);
+            let mut t = Topology::ring(5, 1);
+            assert_fresh(&t, "fresh ring");
+            for step in 0..120 {
+                let (op, ok) = mutate(&mut t, &mut rng);
+                outcomes[op as usize][usize::from(ok)] += 1;
+                assert_fresh(&t, &format!("seed {seed} step {step} op {op} ok {ok}"));
+                if step == 60 {
+                    // A clone taken with a warm memo, then mutated on its
+                    // own: neither side may see the other's changes.
+                    let mut fork = t.clone();
+                    assert_eq!(fork.fingerprint(), t.fingerprint());
+                    let before = (t.fingerprint(), t.structural_fingerprint());
+                    for fork_step in 0..40 {
+                        let (op, ok) = mutate(&mut fork, &mut rng);
+                        assert_fresh(
+                            &fork,
+                            &format!("seed {seed} fork step {fork_step} op {op} ok {ok}"),
+                        );
+                    }
+                    assert_eq!((t.fingerprint(), t.structural_fingerprint()), before);
+                    assert_fresh(&t, "original after the fork diverged");
+                }
+            }
+        }
+        // The sequences really exercised every mutator, both ways where a
+        // mutator can fail at all (`add_switch` and the placement cannot).
+        for (op, [failed, succeeded]) in outcomes.iter().enumerate() {
+            assert!(*succeeded > 0, "mutator {op} never succeeded");
+            if op != 0 && op != 5 {
+                assert!(*failed > 0, "mutator {op} never failed");
+            }
+        }
     }
 
     #[test]
