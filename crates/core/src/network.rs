@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rt_frames::{EthernetFrame, Frame};
-use rt_netsim::{Delivery, SimConfig, Simulator};
+use rt_netsim::{Delivery, FrameInjection, SimConfig, Simulator};
 use rt_types::constants::ETHERTYPE_IPV4;
 use rt_types::{
     ChannelId, ConnectionRequestId, Duration, HopLink, Ipv4Address, LinkSpeed, MacAddr,
@@ -707,13 +707,19 @@ impl RtNetwork {
             .spec;
         let period = self.sim.config().link_speed.slots_to_duration(spec.period);
         let start = start.max(self.sim.now());
+        let mut batch = Vec::with_capacity((count * spec.capacity.get()) as usize);
         for k in 0..count {
-            let gen = start + period.saturating_mul(k);
-            for _ in 0..spec.capacity.get() {
-                let eth = layer.prepare_data(channel, vec![0u8; payload_len], gen)?;
-                self.sim.inject(source, eth, gen)?;
-            }
+            let at = start + period.saturating_mul(k);
+            let message = layer.prepare_message(channel, vec![0u8; payload_len], at)?;
+            batch.extend(message.map(|eth| FrameInjection {
+                node: source,
+                eth,
+                at,
+            }));
         }
+        // One call per channel: validated as a whole, the frame store
+        // reserved once, ids and event order as frame-by-frame injection.
+        self.sim.inject_batch(batch)?;
         Ok(())
     }
 
@@ -763,16 +769,8 @@ impl RtNetwork {
     /// its simulated time, so a teardown inside the window takes effect on
     /// the traffic behind it.
     pub fn run_until(&mut self, limit: SimTime) -> RtResult<SimTime> {
-        loop {
-            self.sim.run_until_delivery_before(limit);
-            let deliveries = self.sim.poll_deliveries();
-            if deliveries.is_empty() {
-                return Ok(self.sim.now());
-            }
-            for delivery in deliveries {
-                self.dispatch(delivery)?;
-            }
-        }
+        self.pump_with(|sim| sim.run_until_delivery_before(limit))?;
+        Ok(self.sim.now())
     }
 
     /// Run-and-dispatch until the event queue drains, reacting to every
@@ -781,16 +779,21 @@ impl RtNetwork {
     /// channel's wire state — while later traffic is still in flight,
     /// exactly as a real switch would.
     fn pump(&mut self) -> RtResult<()> {
-        loop {
-            self.sim.run_until_delivery();
-            let deliveries = self.sim.poll_deliveries();
-            if deliveries.is_empty() {
-                return Ok(());
-            }
-            for delivery in deliveries {
+        self.pump_with(Simulator::run_until_delivery)
+    }
+
+    /// The pump loop over either stepping rule: `step` runs the simulator
+    /// up to its next delivery (`true`) or until it has nothing left to run
+    /// (`false`).  One buffer takes the deliveries of every poll.
+    fn pump_with(&mut self, mut step: impl FnMut(&mut Simulator) -> bool) -> RtResult<()> {
+        let mut deliveries = Vec::new();
+        while step(&mut self.sim) {
+            self.sim.poll_deliveries_into(&mut deliveries);
+            for delivery in deliveries.drain(..) {
                 self.dispatch(delivery)?;
             }
         }
+        Ok(())
     }
 
     /// Tear a released channel down on the wire and at the endpoints: its
@@ -807,15 +810,24 @@ impl RtNetwork {
 
     fn dispatch(&mut self, delivery: Delivery) -> RtResult<()> {
         let now = self.sim.now();
-        let frame = Frame::classify(delivery.eth.clone())?;
-        if delivery.receiver == NodeId::SWITCH {
+        // Taken apart by value: the frame's buffer travels on into the
+        // decoded frame (and, for RT data, into the received message).
+        let Delivery {
+            receiver,
+            switch,
+            source,
+            eth,
+            delivered_at,
+            deadline,
+            ..
+        } = delivery;
+        let frame = Frame::classify(eth)?;
+        if receiver == NodeId::SWITCH {
             // Control-plane traffic: the delivery names the switch whose
             // control plane received the frame (the managing switch under
             // central placement, any switch under distributed placement).
-            let at = delivery.switch.unwrap_or(self.sim.manager_switch());
-            let outcome = self
-                .manager
-                .handle_frame_at(at, delivery.source, &frame, now)?;
+            let at = switch.unwrap_or(self.sim.manager_switch());
+            let outcome = self.manager.handle_frame_at(at, source, &frame, now)?;
             for (origin, action) in outcome.emissions {
                 self.emit(origin, action, now)?;
             }
@@ -826,16 +838,16 @@ impl RtNetwork {
         }
 
         // Traffic delivered to an end node.
-        let node_key = delivery.receiver.get();
+        let node_key = receiver.get();
         let Some(layer) = self.layers.get_mut(&node_key) else {
-            return Err(RtError::UnknownNode(delivery.receiver));
+            return Err(RtError::UnknownNode(receiver));
         };
         match frame {
             Frame::Request(req) => {
                 // The switch forwarded a request: this node is the
                 // destination and must answer.
                 let (eth, _accepted) = layer.handle_forwarded_request(&req)?;
-                self.sim.inject(delivery.receiver, eth, now)?;
+                self.sim.inject(receiver, eth, now)?;
             }
             Frame::Response(resp) => {
                 let outcome = layer.handle_response(&resp)?;
@@ -843,14 +855,14 @@ impl RtNetwork {
                     .insert((node_key, resp.connection_request_id.get()), outcome);
             }
             Frame::RtData(data) => {
-                match layer.handle_data(&data) {
+                match layer.handle_data(data) {
                     Ok(message) => {
-                        let missed = delivery.deadline.is_some_and(|d| delivery.delivered_at > d);
+                        let missed_deadline = deadline.is_some_and(|d| delivered_at > d);
                         self.received.push(DeliveredMessage {
-                            receiver: delivery.receiver,
+                            receiver,
                             message,
-                            delivered_at: delivery.delivered_at,
-                            missed_deadline: missed,
+                            delivered_at,
+                            missed_deadline,
                         });
                     }
                     // A frame of a channel released while it was already
@@ -977,6 +989,41 @@ mod tests {
             .worst_case_latency()
             .expect("frames were delivered");
         assert!(worst <= bound, "worst {worst} exceeds bound {bound}");
+    }
+
+    /// The payload is *moved* from the wire into `received_messages()`
+    /// (arena decode → classify → `handle_data`, no copy in between): what
+    /// arrives must still be exactly what `prepare_data` was given — headers
+    /// cut off, nothing of the padding or the neighbour left in.
+    #[test]
+    fn payload_bytes_survive_the_move_through_the_pump() {
+        let mut net = fabric(MultiHopDps::Asymmetric);
+        let spec = RtChannelSpec::paper_default();
+        let (src, dst) = (NodeId::new(0), NodeId::new(5));
+        let tx = net.establish_channel(src, dst, spec).unwrap().unwrap();
+        // A short frame (padded on the wire), an odd length, a full one.
+        let payloads: Vec<Vec<u8>> = [1usize, 17, 333, 1400]
+            .iter()
+            .map(|&len| (0..len).map(|i| (i * 31 + len) as u8 | 1).collect())
+            .collect();
+        let mut at = net.now() + Duration::from_millis(1);
+        for payload in &payloads {
+            let layer = net.layers.get_mut(&src.get()).unwrap();
+            let eth = layer.prepare_data(tx.id, payload.clone(), at).unwrap();
+            net.sim.inject(src, eth, at).unwrap();
+            at += Duration::from_millis(1);
+        }
+        net.run_to_completion().unwrap();
+        let received: Vec<&[u8]> = net
+            .received_messages()
+            .iter()
+            .map(|m| m.message.payload.as_slice())
+            .collect();
+        assert_eq!(received, payloads);
+        assert!(net
+            .received_messages()
+            .iter()
+            .all(|m| { m.receiver == dst && m.message.channel == tx.id && !m.missed_deadline }));
     }
 
     #[test]

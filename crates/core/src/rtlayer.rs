@@ -362,17 +362,36 @@ impl RtLayer {
         frame.into_ethernet()
     }
 
+    /// Prepare the `C_i` frames of one periodic message.  They carry the same
+    /// stamp and the same payload, so the message is encoded once
+    /// ([`RtLayer::prepare_data`]) and the image copied for the rest.
+    pub fn prepare_message(
+        &mut self,
+        channel: ChannelId,
+        payload: Vec<u8>,
+        generation_time: SimTime,
+    ) -> RtResult<std::iter::RepeatN<EthernetFrame>> {
+        let eth = self.prepare_data(channel, payload, generation_time)?;
+        let frames = self.tx_channels[&channel.get()].spec.capacity.get();
+        self.frames_sent += frames.saturating_sub(1);
+        Ok(std::iter::repeat_n(eth, frames as usize))
+    }
+
     /// Handle an incoming deadline-stamped data frame: restore the original
-    /// addressing from the channel table and deliver the payload.
-    pub fn handle_data(&mut self, frame: &RtDataFrame) -> RtResult<ReceivedMessage> {
+    /// addressing from the channel table and deliver the payload — moved out
+    /// of the frame, not copied, and its buffer (which held the headers too)
+    /// given back down to the payload's size, since the application keeps it.
+    pub fn handle_data(&mut self, frame: RtDataFrame) -> RtResult<ReceivedMessage> {
         let rx = self
             .rx_channels
             .get(&frame.stamp.channel.get())
             .ok_or(RtError::UnknownChannel(frame.stamp.channel))?;
         self.frames_received += 1;
+        let mut payload = frame.payload;
+        payload.shrink_to_fit();
         Ok(ReceivedMessage {
             channel: rx.id,
-            payload: frame.payload.clone(),
+            payload,
             absolute_deadline: SimTime::from_nanos(frame.stamp.absolute_deadline),
             source: rx.source,
         })
@@ -615,7 +634,7 @@ mod tests {
         let expected = gen + LinkSpeed::FAST_ETHERNET.slots_to_duration(Slots::new(40));
         assert_eq!(data.stamp.absolute_deadline, expected.as_nanos());
 
-        let msg = destination.handle_data(&data).unwrap();
+        let msg = destination.handle_data(data).unwrap();
         assert_eq!(msg.channel, ChannelId::new(5));
         assert_eq!(msg.payload, b"position=42");
         assert_eq!(msg.source.node, NodeId::new(0));
@@ -637,7 +656,7 @@ mod tests {
             dst_port: 2,
             payload: vec![],
         };
-        assert!(l.handle_data(&frame).is_err());
+        assert!(l.handle_data(frame).is_err());
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl Frame {
             ETHERTYPE_IPV4 => {
                 let ip = Ipv4Header::decode(&eth.payload)?;
                 if ip.is_realtime() {
-                    Ok(Frame::RtData(RtDataFrame::from_ethernet(&eth)?))
+                    Ok(Frame::RtData(RtDataFrame::from_ethernet(eth)?))
                 } else {
                     Ok(Frame::BestEffort(eth))
                 }

@@ -177,15 +177,19 @@ impl RtDataFrame {
     }
 
     /// Parse an RT data frame back out of an Ethernet frame.  Fails when the
-    /// frame is not IPv4/UDP or not marked real-time.
-    pub fn from_ethernet(frame: &EthernetFrame) -> RtResult<Self> {
-        let stamp = Self::peek_stamp(frame)?;
+    /// frame is not IPv4/UDP or not marked real-time.  The frame is taken
+    /// apart: its payload buffer becomes the datagram's, cut down to the
+    /// UDP payload in place instead of being copied out.
+    pub fn from_ethernet(frame: EthernetFrame) -> RtResult<Self> {
+        let stamp = Self::peek_stamp(&frame)?;
         let ip = Ipv4Header::decode(&frame.payload)?;
         let udp = UdpHeader::decode(&frame.payload[IPV4_HEADER_BYTES..])?;
         let ip_payload_end = (ip.total_length as usize).min(frame.payload.len());
         let payload_start = IPV4_HEADER_BYTES + UDP_HEADER_BYTES;
         let payload_end = (payload_start + udp.payload_length()).min(ip_payload_end);
-        let payload = frame.payload[payload_start..payload_end].to_vec();
+        let mut payload = frame.payload;
+        payload.truncate(payload_end);
+        payload.drain(..payload_start);
         Ok(RtDataFrame {
             eth_src: frame.src,
             eth_dst: frame.dst,
@@ -261,7 +265,7 @@ mod tests {
         let eth = frame.into_ethernet().unwrap();
         // Survives serialisation to raw bytes and back (including padding).
         let eth2 = EthernetFrame::decode(&eth.encode()).unwrap();
-        let parsed = RtDataFrame::from_ethernet(&eth2).unwrap();
+        let parsed = RtDataFrame::from_ethernet(eth2).unwrap();
         assert_eq!(parsed, frame);
     }
 
@@ -269,7 +273,7 @@ mod tests {
     fn data_frame_rejects_non_ipv4_and_non_udp() {
         let eth =
             EthernetFrame::new(MacAddr::BROADCAST, MacAddr::ZERO, 0x88B5, vec![0u8; 60]).unwrap();
-        assert!(RtDataFrame::from_ethernet(&eth).is_err());
+        assert!(RtDataFrame::from_ethernet(eth).is_err());
 
         // IPv4 but TCP.
         let mut ip = Ipv4Header::udp(
@@ -287,7 +291,7 @@ mod tests {
             ip.encode(),
         )
         .unwrap();
-        assert!(RtDataFrame::from_ethernet(&eth).is_err());
+        assert!(RtDataFrame::from_ethernet(eth).is_err());
     }
 
     #[test]
@@ -359,7 +363,7 @@ mod tests {
             };
             let eth = frame.into_ethernet().unwrap();
             let parsed =
-                RtDataFrame::from_ethernet(&EthernetFrame::decode(&eth.encode()).unwrap()).unwrap();
+                RtDataFrame::from_ethernet(EthernetFrame::decode(&eth.encode()).unwrap()).unwrap();
             assert_eq!(parsed, frame);
         }
     }

@@ -10,7 +10,7 @@
 //! at scale, and a test suite asserts they produce byte-for-byte identical
 //! delivery sequences.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use rt_types::{NodeId, SimTime, SwitchId};
@@ -133,9 +133,9 @@ pub enum SchedulerKind {
     /// The binary-heap reference scheduler: O(log n) per operation, exact
     /// and simple.
     Heap,
-    /// The calendar-queue scheduler: O(1) amortised per operation at any
-    /// pending-event population, identical `(time, seq)` ordering.  The
-    /// default.
+    /// The calendar-queue scheduler: O(1) amortised per operation where its
+    /// bucket width fits the event spacing, O(log k) in a bucket of k events
+    /// where it does not; identical `(time, seq)` ordering.  The default.
     #[default]
     Calendar,
 }
@@ -181,21 +181,15 @@ pub trait EventScheduler: std::fmt::Debug {
     /// Remove the `(time, seq)`-minimal event *and every other event
     /// scheduled at the same time*, appending them to `out` in FIFO
     /// (ascending `seq`) order.  Returns the run's time, or `None` when
-    /// empty.  Semantically a `pop` followed by `peek_time`-guarded pops;
-    /// implementations whose min search is not O(1) override it to locate
-    /// the run once.
+    /// empty.
     fn pop_run(&mut self, out: &mut Vec<Event>) -> Option<SimTime> {
-        let (time, event) = self.pop()?;
-        out.push(event);
-        while self.peek_time() == Some(time) {
-            let (_, event) = self.pop().expect("peeked a pending event");
-            out.push(event);
-        }
-        Some(time)
+        self.pop_run_at_or_before(SimTime::MAX, out)
     }
 
     /// [`EventScheduler::pop_run`] gated on the window: drains the minimal
-    /// same-time run only if its time is at or before `limit`.
+    /// same-time run only if its time is at or before `limit`.  Semantically
+    /// a `pop_at_or_before` followed by `peek_time`-guarded pops;
+    /// implementations whose min search is not O(1) locate the run once.
     fn pop_run_at_or_before(&mut self, limit: SimTime, out: &mut Vec<Event>) -> Option<SimTime> {
         let (time, event) = self.pop_at_or_before(limit)?;
         out.push(event);
@@ -285,8 +279,6 @@ fn placeholder_event() -> Event {
 /// minimum, which preserves FIFO exactly), with a lazily sorted overflow
 /// list for events beyond the current bucket "year".
 ///
-/// ## Layout
-///
 /// The pending set lives in one contiguous **slab** of [`CalendarSlot`]s
 /// with intrusive `next` links; a bucket is a 4-byte head index into the
 /// slab, and vacated slots go on a free list for reuse.  This keeps the
@@ -303,41 +295,44 @@ fn placeholder_event() -> Event {
 /// * `pop` advances a cursor over the buckets of the current year; because
 ///   bucket index is monotone in time within a year, the first non-empty
 ///   bucket at or after the cursor holds the global minimum.
+/// * A chain of at most [`WIDTH_SAMPLE`] events is walked for its minimum.
+///   A longer one is detached once into the **ordered bucket**, a binary
+///   heap: pops and peeks read its top and pushes landing at or behind the
+///   cursor join it, so `k` events in one bucket cost O(log k) each
+///   however their times are distributed — all at one nanosecond included.
 /// * When the year drains, the earliest year present in the overflow is
 ///   migrated into the buckets ("lazily sorted": the overflow is scanned,
 ///   never kept ordered).
 /// * When the pending population outgrows (or far undershoots) the bucket
 ///   count, the queue resizes: the bucket count tracks the population and
 ///   the bucket width is re-estimated from the observed event spacing, so
-///   the average bucket holds O(1) events.
+///   the average bucket holds O(1) events.  In between, a longer chain
+///   that is spread over as many instants narrows the width to its own
+///   span per instant.
 ///
 /// All decisions are functions of queue content only — no wall clock, no
 /// randomness — so the structure is exactly deterministic.
-///
-/// ## Known degenerate case
-///
-/// A bucket's entries are unordered, so a *huge* population of events at
-/// the **exact same nanosecond** collapses into one bucket whose min scan
-/// is linear — draining `n` same-instant events costs O(n²) comparisons
-/// (resizing cannot split them: they hash to one bucket at any width).
-/// Simulation workloads schedule at distinct times at nanosecond
-/// resolution, so this does not arise in practice; a trace that really
-/// floods one instant should run on the [`HeapScheduler`] reference, which
-/// is O(log n) regardless of time distribution.
 #[derive(Debug)]
 pub struct CalendarScheduler {
-    /// Slot storage; `buckets`, `overflow_head` and `free_head` index into
-    /// this.
+    /// Slot storage; `buckets`, `active`, `overflow_head` and `free_head`
+    /// index into this.
     slab: Vec<CalendarSlot>,
     /// Head slot of each bucket (`NIL` = empty).
     buckets: Vec<u32>,
+    /// The ordered bucket, `(time, seq, slot)` with the minimum on top: while
+    /// non-empty it holds every current-year event at or behind `cursor`,
+    /// whose chains are all empty.
+    active: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Head of the free-slot list.
     free_head: u32,
     /// Head of the (unsorted) overflow list: events in years after
     /// `current_year`.
     overflow_head: u32,
-    /// Events on the overflow list.
+    /// Events on the overflow list, the earliest of their times, and the
+    /// latest time ever put there: `floor` to `latest` spans the population.
     overflow_len: usize,
+    overflow_min: u64,
+    latest: u64,
     /// log2 of the bucket width in nanoseconds.
     width_shift: u32,
     /// `buckets.len() - 1` (the bucket count is a power of two).
@@ -346,7 +341,7 @@ pub struct CalendarScheduler {
     current_year: u64,
     /// Next bucket index to examine in the current year.
     cursor: usize,
-    /// Events currently stored in buckets (all in `current_year`).
+    /// Events of `current_year`: in the chains or in `active`.
     in_buckets: usize,
     /// Time of the last popped event: the lower bound the
     /// [`EventScheduler`] contract guarantees for every future push.  The
@@ -357,6 +352,9 @@ pub struct CalendarScheduler {
     resizes: u64,
     /// Reusable `(seq, slot)` scratch for the batched same-time drain.
     run_scratch: Vec<(u64, u32)>,
+    /// Slots examined so far: see [`CalendarScheduler::examined`].
+    #[cfg(test)]
+    work: u64,
 }
 
 /// Initial and minimal number of buckets.
@@ -370,6 +368,19 @@ const INITIAL_WIDTH_SHIFT: u32 = 13;
 /// pending set while the in-bucket min scan stays a short walk over
 /// adjacent slab slots.
 const TARGET_OCCUPANCY: usize = 1;
+/// Events a spacing estimate is drawn from — the nearest pending times at
+/// a resize, the instants of one long chain in between — and so the
+/// longest chain popped by walking it.  A width that fits the events never
+/// gets near (a busy bucket of the 1024-node torus run holds a dozen), and
+/// on chains that short the walk beats the heap.
+const WIDTH_SAMPLE: usize = 64;
+
+/// The width, as a shift, whose buckets hold [`TARGET_OCCUPANCY`] events
+/// spaced `gap` nanoseconds apart.
+fn width_shift_for(gap: u64) -> u32 {
+    let width = gap.saturating_mul(TARGET_OCCUPANCY as u64);
+    (64 - width.leading_zeros()).clamp(4, 40)
+}
 
 impl Default for CalendarScheduler {
     fn default() -> Self {
@@ -383,9 +394,12 @@ impl CalendarScheduler {
         CalendarScheduler {
             slab: Vec::new(),
             buckets: vec![NIL; MIN_BUCKETS],
+            active: BinaryHeap::new(),
             free_head: NIL,
             overflow_head: NIL,
             overflow_len: 0,
+            overflow_min: u64::MAX,
+            latest: 0,
             width_shift: INITIAL_WIDTH_SHIFT,
             bucket_mask: (MIN_BUCKETS - 1) as u64,
             current_year: 0,
@@ -394,6 +408,8 @@ impl CalendarScheduler {
             floor: 0,
             resizes: 0,
             run_scratch: Vec::new(),
+            #[cfg(test)]
+            work: 0,
         }
     }
 
@@ -412,17 +428,18 @@ impl CalendarScheduler {
         self.overflow_len
     }
 
-    #[inline]
-    fn year_shift(&self) -> u32 {
-        self.width_shift + self.buckets.len().trailing_zeros()
+    /// Count `n` slots examined (chain and re-seat steps, empty buckets,
+    /// heap levels): tests bound a pop's work by count (test builds only).
+    #[inline(always)]
+    fn examined(&mut self, _n: usize) {
+        #[cfg(test)]
+        (self.work += _n as u64);
     }
 
-    #[inline]
     fn year_of(&self, time: u64) -> u64 {
-        time >> self.year_shift()
+        time >> (self.width_shift + self.buckets.len().trailing_zeros())
     }
 
-    #[inline]
     fn bucket_of(&self, time: u64) -> usize {
         ((time >> self.width_shift) & self.bucket_mask) as usize
     }
@@ -459,52 +476,47 @@ impl CalendarScheduler {
         (time, event)
     }
 
-    /// Link an (already filled) slot into its home: a current-year bucket
-    /// or the overflow list.
+    /// Link an (already filled) slot into its home: the ordered bucket, a
+    /// current-year chain or the overflow list.
+    #[inline]
     fn link(&mut self, slot: u32) {
         let time = self.slab[slot as usize].time;
         if self.year_of(time) == self.current_year {
             let bucket = self.bucket_of(time);
+            self.in_buckets += 1;
+            // At or behind the ordered bucket (behind is legal after a
+            // refused probe): join it, so its top stays the minimum.
+            if !self.active.is_empty() && bucket <= self.cursor {
+                self.examined(self.active.len().ilog2() as usize + 1);
+                let seq = self.slab[slot as usize].seq;
+                return self.active.push(Reverse((time, seq, slot)));
+            }
             self.slab[slot as usize].next = self.buckets[bucket];
             self.buckets[bucket] = slot;
-            self.in_buckets += 1;
             // Never skip an event inserted behind the scan position.
             if bucket < self.cursor {
                 self.cursor = bucket;
             }
         } else {
-            debug_assert!(
-                self.year_of(time) > self.current_year,
-                "insert into a past year: {} < {}",
-                self.year_of(time),
-                self.current_year
-            );
+            debug_assert!(self.year_of(time) > self.current_year, "past-year insert");
             self.slab[slot as usize].next = self.overflow_head;
             self.overflow_head = slot;
             self.overflow_len += 1;
+            self.overflow_min = self.overflow_min.min(time);
+            self.latest = self.latest.max(time);
         }
     }
 
-    /// Move the earliest overflow year into the buckets.  Called when the
-    /// current year has drained.
-    fn migrate_next_year(&mut self) {
+    /// Spread the overflow year of `min_time`, the overflow minimum, over
+    /// the buckets: detach the whole list and re-link every slot, so that
+    /// this-year slots land in buckets and the rest re-forms the list.
+    fn seat_year_of(&mut self, min_time: u64) {
         debug_assert_eq!(self.in_buckets, 0);
-        if self.overflow_head == NIL {
-            return;
-        }
-        let mut min_year = u64::MAX;
-        let mut walk = self.overflow_head;
-        while walk != NIL {
-            let s = &self.slab[walk as usize];
-            min_year = min_year.min(self.year_of(s.time));
-            walk = s.next;
-        }
-        self.current_year = min_year;
+        self.current_year = self.year_of(min_time);
         self.cursor = 0;
-        // Detach the whole list, re-link every slot: this-year slots land
-        // in buckets, the rest re-forms the overflow list.
+        self.examined(self.overflow_len);
         let mut walk = std::mem::replace(&mut self.overflow_head, NIL);
-        self.overflow_len = 0;
+        (self.overflow_len, self.overflow_min) = (0, u64::MAX);
         while walk != NIL {
             let next = self.slab[walk as usize].next;
             self.link(walk);
@@ -512,67 +524,84 @@ impl CalendarScheduler {
         }
     }
 
-    /// Collect every live slot index (buckets + overflow).
+    /// The current year has drained: move the earliest overflow year into
+    /// the buckets, unless its first event lies after `limit` or nothing is
+    /// pending (`false`).  Migrating advances `current_year`, which is only
+    /// safe when a pop follows immediately (it re-establishes the floor/year
+    /// invariant) — so far-future overflow is refused *before* migrating, or
+    /// a later near-time push would be misfiled into a "past year".
+    #[cold]
+    fn migrate(&mut self, limit: u64) -> bool {
+        let min_time = self.overflow_min;
+        if self.overflow_head == NIL || min_time > limit {
+            return false;
+        }
+        self.seat_year_of(min_time);
+        // A migrated year may hold far more events than the buckets were
+        // sized for.  The resize re-anchors at the (older) floor, which can
+        // push the year back to overflow: migrate again under the new geometry.
+        if self.in_buckets > 2 * TARGET_OCCUPANCY * self.buckets.len()
+            && self.buckets.len() < MAX_BUCKETS
+        {
+            self.resize();
+            if self.in_buckets == 0 {
+                self.seat_year_of(min_time);
+            }
+        }
+        true
+    }
+
+    /// Collect every live slot index (chains + overflow + ordered bucket).
     fn live_slots(&self) -> Vec<u32> {
         let mut slots = Vec::with_capacity(self.len());
-        for &head in &self.buckets {
+        for &head in self.buckets.iter().chain([&self.overflow_head]) {
             let mut walk = head;
             while walk != NIL {
                 slots.push(walk);
                 walk = self.slab[walk as usize].next;
             }
         }
-        let mut walk = self.overflow_head;
-        while walk != NIL {
-            slots.push(walk);
-            walk = self.slab[walk as usize].next;
-        }
+        slots.extend(self.active.iter().map(|&Reverse((_, _, slot))| slot));
         slots
     }
 
     /// Grow or shrink so the population fits the bucket count, and
     /// re-estimate the bucket width from the observed event spacing.
     fn resize(&mut self) {
-        let total = self.len();
-        let target_buckets = (total / TARGET_OCCUPANCY)
+        let slots = self.live_slots();
+        // Estimate the typical spacing between consecutive events from the
+        // spread of the nearest pending times: (k-th smallest − smallest) /
+        // k.  This tracks the local density and ignores far-future outliers.
+        let mut times: Vec<u64> = slots.iter().map(|&s| self.slab[s as usize].time).collect();
+        let mut width_shift = self.width_shift;
+        if times.len() >= 2 {
+            let k = (times.len() - 1).min(WIDTH_SAMPLE);
+            let kth = *times.select_nth_unstable(k).1;
+            let min = *times[..k].iter().min().unwrap_or(&kth).min(&kth);
+            // A zero gap is many simultaneous events: keep the width.
+            if let gap @ 1.. = (kth - min) / k as u64 {
+                width_shift = width_shift_for(gap);
+            }
+        }
+        self.reseat(slots, width_shift);
+    }
+
+    /// Re-seat `slots` — every live slot — under the bucket count that fits
+    /// the population and the given width: only links move, the slab stays.
+    #[cold]
+    fn reseat(&mut self, slots: Vec<u32>, width_shift: u32) {
+        let target_buckets = (slots.len() / TARGET_OCCUPANCY)
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-
-        let slots = self.live_slots();
-
-        // Estimate the typical spacing between consecutive events from the
-        // spread of the nearest ~64 pending times: the k-th smallest time
-        // minus the smallest, divided by k.  This tracks the local event
-        // density and ignores far-future outliers.
-        let mut times: Vec<u64> = slots.iter().map(|&s| self.slab[s as usize].time).collect();
-        let new_width_shift = if times.len() >= 2 {
-            let k = (times.len() - 1).min(64);
-            let (_, kth, _) = times.select_nth_unstable(k);
-            let kth = *kth;
-            let min = *times[..k].iter().min().unwrap_or(&kth).min(&kth);
-            let gap = (kth - min) / k as u64;
-            if gap == 0 {
-                // Degenerate (many simultaneous events): keep the width.
-                self.width_shift
-            } else {
-                // Width ≈ TARGET_OCCUPANCY × typical gap.
-                let width = gap.saturating_mul(TARGET_OCCUPANCY as u64);
-                (64 - width.leading_zeros()).clamp(4, 40)
-            }
-        } else {
-            self.width_shift
-        };
-
-        if target_buckets == self.buckets.len() && new_width_shift == self.width_shift {
+        if target_buckets == self.buckets.len() && width_shift == self.width_shift {
             return;
         }
-
-        // Re-seat under the new geometry: only links move, the slab stays.
         self.buckets = vec![NIL; target_buckets];
         self.bucket_mask = (target_buckets - 1) as u64;
-        self.width_shift = new_width_shift;
+        self.width_shift = width_shift;
+        self.active.clear();
         self.overflow_head = NIL;
-        self.overflow_len = 0;
+        (self.overflow_len, self.overflow_min) = (0, u64::MAX);
         self.in_buckets = 0;
         self.cursor = 0;
         // Anchor the new year at the push floor, NOT at the earliest
@@ -582,98 +611,98 @@ impl CalendarScheduler {
         // stay empty until pop migrates — correctness over a one-off scan.
         self.current_year = self.year_of(self.floor);
         self.resizes += 1;
+        self.examined(slots.len());
         for slot in slots {
             self.link(slot);
         }
     }
 
-    /// `(slot, predecessor)` of the minimal entry, or `None` when the
-    /// buckets are empty (`predecessor == NIL` means the bucket head).
-    fn find_min(&self) -> Option<(u32, u32, usize)> {
-        if self.in_buckets == 0 {
-            return None;
-        }
-        let mut cursor = self.cursor;
-        while self.buckets[cursor] == NIL {
-            cursor += 1;
-            debug_assert!(cursor < self.buckets.len(), "in_buckets out of sync");
-        }
-        let mut best = self.buckets[cursor];
-        let mut best_prev = NIL;
-        let mut prev = best;
-        let mut walk = self.slab[best as usize].next;
+    /// Detach the long chain under the cursor into the ordered bucket.  If
+    /// it is spread over more than [`WIDTH_SAMPLE`] instants, also narrow
+    /// the width to its span per instant (events at one instant share a
+    /// bucket at any width, so they do not count).  The re-seat re-anchors
+    /// at the floor, which may send the events back to the overflow list,
+    /// to be migrated — or refused — like any other.
+    #[cold]
+    fn load(&mut self) {
+        let mut walk = std::mem::replace(&mut self.buckets[self.cursor], NIL);
         while walk != NIL {
             let s = &self.slab[walk as usize];
-            let b = &self.slab[best as usize];
-            if (s.time, s.seq) < (b.time, b.seq) {
-                best = walk;
-                best_prev = prev;
-            }
-            prev = walk;
+            self.active.push(Reverse((s.time, s.seq, walk)));
             walk = s.next;
         }
-        Some((best, best_prev, cursor))
-    }
-
-    /// The earliest time on the overflow list (linear scan; the overflow
-    /// is lazily sorted).
-    fn overflow_min_time(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        let mut walk = self.overflow_head;
-        while walk != NIL {
-            let s = &self.slab[walk as usize];
-            min = Some(min.map_or(s.time, |m| m.min(s.time)));
-            walk = s.next;
-        }
-        min
-    }
-
-    /// Make sure the buckets hold the global minimum, migrating the next
-    /// overflow year in when the current year has drained.  Returns `false`
-    /// when the queue is empty.  **Callers must pop immediately after a
-    /// migration** — the migrated year runs ahead of the push floor until
-    /// the pop re-aligns it.
-    fn bring_min_into_buckets(&mut self) -> bool {
-        if self.in_buckets > 0 {
-            return true;
-        }
-        if self.overflow_head == NIL {
-            return false;
-        }
-        self.migrate_next_year();
-        // A migrated year may hold far more events than the buckets were
-        // sized for.  The resize re-anchors at the (older) floor, which can
-        // push the migrated year back to overflow — migrate again under the
-        // new geometry in that case.
-        if self.in_buckets > 2 * TARGET_OCCUPANCY * self.buckets.len()
-            && self.buckets.len() < MAX_BUCKETS
-        {
-            self.resize();
-            if self.in_buckets == 0 {
-                self.migrate_next_year();
+        self.examined(self.active.len());
+        let mut instants: Vec<u64> = self.active.iter().map(|&Reverse((t, ..))| t).collect();
+        instants.sort_unstable();
+        instants.dedup();
+        if instants.len() > WIDTH_SAMPLE {
+            let gap = (instants[instants.len() - 1] - instants[0]) / instants.len() as u64;
+            // A dense corner must not shrink the year to a sliver of the
+            // population's span: every year costs a pass over the overflow.
+            let span = self.latest.saturating_sub(self.floor);
+            let sparsest = span / (WIDTH_SAMPLE * self.len()) as u64;
+            let width_shift = width_shift_for(gap.max(sparsest));
+            if width_shift < self.width_shift {
+                self.reseat(self.live_slots(), width_shift);
             }
         }
-        true
     }
 
-    /// Unlink every slot of `bucket` whose time is `min_time` in **one**
-    /// chain walk, then release them to `out` in `seq` order.  Equal times
-    /// land in the same bucket at any geometry (`bucket_of` is a pure
-    /// function of time, and equal times share a year), so this really is
-    /// the whole run; a per-event `find_min` would rescan the same chain
-    /// once per event — O(n²) on an n-event burst.
-    fn drain_run(&mut self, bucket: usize, min_time: u64, out: &mut Vec<Event>) {
+    /// Settle the cursor on the bucket holding the global minimum: its slot
+    /// and, in a chain, the slot linked before it (`NIL` at the head), or
+    /// `None` when nothing is pending at or before `limit`.  A refusal
+    /// commits the cursor (repeated window probes do not rescan the same
+    /// empty buckets) but never the year.
+    #[inline]
+    fn locate(&mut self, limit: u64) -> Option<(u32, u32)> {
+        loop {
+            if self.in_buckets == 0 && !self.migrate(limit) {
+                return None;
+            }
+            if let Some(&Reverse((time, _, slot))) = self.active.peek() {
+                return (time <= limit).then_some((slot, NIL));
+            }
+            let mut cursor = self.cursor;
+            while self.buckets[cursor] == NIL {
+                cursor += 1;
+            }
+            let mut slot = self.buckets[cursor];
+            let (mut prev, mut behind, mut len) = (NIL, slot, 1);
+            let mut walk = self.slab[slot as usize].next;
+            while walk != NIL {
+                let s = &self.slab[walk as usize];
+                let min = &self.slab[slot as usize];
+                if (s.time, s.seq) < (min.time, min.seq) {
+                    (slot, prev) = (walk, behind);
+                }
+                behind = walk;
+                walk = s.next;
+                len += 1;
+            }
+            self.examined(cursor - self.cursor + len);
+            self.cursor = cursor;
+            if len <= WIDTH_SAMPLE {
+                return (self.slab[slot as usize].time <= limit).then_some((slot, prev));
+            }
+            self.load();
+        }
+    }
+
+    /// Unlink every event at `time`, the minimum, from the chain under the
+    /// cursor in **one** walk and release them to `out` in FIFO order.
+    /// Equal times land in the same bucket at any geometry, so this really
+    /// is the whole run; a `locate` per event would rescan the same chain.
+    fn drain_run(&mut self, time: u64, out: &mut Vec<Event>) {
         let mut run = std::mem::take(&mut self.run_scratch);
-        debug_assert!(run.is_empty());
         let mut prev = NIL;
-        let mut walk = self.buckets[bucket];
+        let mut walk = self.buckets[self.cursor];
         while walk != NIL {
             let s = &self.slab[walk as usize];
             let next = s.next;
-            if s.time == min_time {
+            if s.time == time {
                 run.push((s.seq, walk));
                 if prev == NIL {
-                    self.buckets[bucket] = next;
+                    self.buckets[self.cursor] = next;
                 } else {
                     self.slab[prev as usize].next = next;
                 }
@@ -682,39 +711,39 @@ impl CalendarScheduler {
             }
             walk = next;
         }
-        debug_assert!(!run.is_empty(), "drain_run called with the min elsewhere");
         self.in_buckets -= run.len();
         // The bucket chain is unordered; FIFO comes from the seq sort.
         run.sort_unstable_by_key(|&(seq, _)| seq);
-        for &(_, slot) in &run {
-            let (_, event) = self.release_slot(slot);
-            out.push(event);
+        for (_, slot) in run.drain(..) {
+            out.push(self.release_slot(slot).1);
         }
-        run.clear();
         self.run_scratch = run;
-        self.floor = min_time;
-        if self.len() * 8 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-            self.resize();
-        }
+        self.floor = time;
     }
 
-    /// Unlink and release the minimal slot located by
-    /// [`CalendarScheduler::find_min`], advancing the push floor.
-    fn take(&mut self, slot: u32, prev: u32, bucket: usize) -> (SimTime, Event) {
-        let next = self.slab[slot as usize].next;
-        if prev == NIL {
-            self.buckets[bucket] = next;
+    /// Remove the minimum [`CalendarScheduler::locate`] found — the top of
+    /// the ordered bucket whenever there is one — advancing the push floor.
+    #[inline]
+    fn take(&mut self, slot: u32, prev: u32) -> (SimTime, Event) {
+        if self.active.pop().is_some() {
+            self.examined(self.active.len().max(1).ilog2() as usize + 1);
+        } else if prev == NIL {
+            self.buckets[self.cursor] = self.slab[slot as usize].next;
         } else {
-            self.slab[prev as usize].next = next;
+            self.slab[prev as usize].next = self.slab[slot as usize].next;
         }
         self.in_buckets -= 1;
         let (time, event) = self.release_slot(slot);
         // The popped minimum is the new lower bound for future pushes.
         self.floor = time;
+        (SimTime::from_nanos(time), event)
+    }
+
+    /// Shrink once the pops have left the bucket array mostly empty.
+    fn shrink_if_sparse(&mut self) {
         if self.len() * 8 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
             self.resize();
         }
-        (SimTime::from_nanos(time), event)
     }
 }
 
@@ -730,79 +759,50 @@ impl EventScheduler for CalendarScheduler {
     }
 
     fn pop(&mut self) -> Option<(SimTime, Event)> {
-        if !self.bring_min_into_buckets() {
-            return None;
-        }
-        let (slot, prev, bucket) = self.find_min().expect("buckets hold the minimum");
-        self.cursor = bucket;
-        Some(self.take(slot, prev, bucket))
+        self.pop_at_or_before(SimTime::MAX)
     }
 
     fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
-        // One min search per call (a peek-then-pop pair would run it
-        // twice); committing the cursor even on a refusal keeps repeated
-        // window probes from rescanning the same empty buckets.
-        if self.in_buckets == 0 {
-            // Migrating advances `current_year`, which is only safe when a
-            // pop follows immediately (it re-establishes the floor/year
-            // invariant) — so refuse far-future overflow *before*
-            // migrating, or a later near-time push would be misfiled into
-            // a "past year".
-            match self.overflow_min_time() {
-                Some(min) if min <= limit.as_nanos() => {
-                    let migrated = self.bring_min_into_buckets();
-                    debug_assert!(migrated, "overflow was non-empty");
-                }
-                _ => return None,
-            }
-        }
-        let (slot, prev, bucket) = self.find_min().expect("buckets hold the minimum");
-        self.cursor = bucket;
-        if self.slab[slot as usize].time > limit.as_nanos() {
-            return None;
-        }
-        Some(self.take(slot, prev, bucket))
-    }
-
-    fn pop_run(&mut self, out: &mut Vec<Event>) -> Option<SimTime> {
-        if !self.bring_min_into_buckets() {
-            return None;
-        }
-        let (slot, _, bucket) = self.find_min().expect("buckets hold the minimum");
-        self.cursor = bucket;
-        let min_time = self.slab[slot as usize].time;
-        self.drain_run(bucket, min_time, out);
-        Some(SimTime::from_nanos(min_time))
+        let (slot, prev) = self.locate(limit.as_nanos())?;
+        let popped = self.take(slot, prev);
+        self.shrink_if_sparse();
+        Some(popped)
     }
 
     fn pop_run_at_or_before(&mut self, limit: SimTime, out: &mut Vec<Event>) -> Option<SimTime> {
-        // Mirrors `pop_at_or_before`: refuse far-future overflow *before*
-        // migrating, so a refused probe cannot advance the year anchor.
-        if self.in_buckets == 0 {
-            match self.overflow_min_time() {
-                Some(min) if min <= limit.as_nanos() => {
-                    let migrated = self.bring_min_into_buckets();
-                    debug_assert!(migrated, "overflow was non-empty");
-                }
-                _ => return None,
+        let (slot, _) = self.locate(limit.as_nanos())?;
+        let time = self.slab[slot as usize].time;
+        if self.active.is_empty() {
+            self.drain_run(time, out);
+        }
+        // The run is the top of the ordered bucket, in FIFO order.
+        while let Some(&Reverse((next, _, slot))) = self.active.peek() {
+            if next != time {
+                break;
             }
+            out.push(self.take(slot, NIL).1);
         }
-        let (slot, _, bucket) = self.find_min().expect("buckets hold the minimum");
-        self.cursor = bucket;
-        let min_time = self.slab[slot as usize].time;
-        if min_time > limit.as_nanos() {
-            return None;
-        }
-        self.drain_run(bucket, min_time, out);
-        Some(SimTime::from_nanos(min_time))
+        self.shrink_if_sparse();
+        Some(SimTime::from_nanos(time))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        if let Some((slot, _, _)) = self.find_min() {
-            return Some(SimTime::from_nanos(self.slab[slot as usize].time));
-        }
-        // Buckets drained: the minimum lives in the overflow list.
-        self.overflow_min_time().map(SimTime::from_nanos)
+        let time = if let Some(&Reverse((time, ..))) = self.active.peek() {
+            Some(time)
+        } else if self.in_buckets == 0 {
+            // Buckets drained: the minimum lives in the overflow list.
+            (self.overflow_head != NIL).then_some(self.overflow_min)
+        } else {
+            let mut ahead = self.buckets[self.cursor..].iter();
+            let mut walk = *ahead.find(|&&head| head != NIL)?;
+            let mut min = u64::MAX;
+            while walk != NIL {
+                min = min.min(self.slab[walk as usize].time);
+                walk = self.slab[walk as usize].next;
+            }
+            Some(min)
+        };
+        time.map(SimTime::from_nanos)
     }
 
     fn len(&self) -> usize {
@@ -942,6 +942,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rt_types::rng::Xoshiro256;
 
     fn ev(node: u32, frame: u64) -> Event {
         Event::EnqueueAtNode {
@@ -1213,6 +1214,63 @@ mod tests {
         }
     }
 
+    /// Regression: a refused probe may *load* the bucket it stops at into
+    /// the ordered bucket (here 200 events at one instant) and leaves the
+    /// cursor on it.  A push that then lands behind that bucket — legal,
+    /// its time is not before `now` — must still come out first, `peek_time`
+    /// must see it, and the year anchor must not have moved.
+    #[test]
+    fn calendar_push_behind_a_loaded_bucket_after_a_refusal_is_found_first() {
+        for refuse_with_run in [false, true] {
+            let mut cal = CalendarScheduler::new();
+            let mut heap = HeapScheduler::new();
+            let flood = SimTime::from_millis(1);
+            let mut seq = 0u64;
+            let mut push = |cal: &mut CalendarScheduler, heap: &mut HeapScheduler, at: SimTime| {
+                cal.push(at, seq, ev(0, seq));
+                heap.push(at, seq, ev(0, seq));
+                seq += 1;
+            };
+            for k in 0..200u64 {
+                push(&mut cal, &mut heap, flood);
+                if k % 50 == 0 {
+                    let later = flood + rt_types::Duration::from_nanos(1 + k);
+                    push(&mut cal, &mut heap, later);
+                }
+            }
+            let year = cal.current_year;
+            let limit = SimTime::from_micros(900);
+            let mut out = Vec::new();
+            if refuse_with_run {
+                assert_eq!(cal.pop_run_at_or_before(limit, &mut out), None);
+                assert_eq!(heap.pop_run_at_or_before(limit, &mut out), None);
+            } else {
+                assert_eq!(cal.pop_at_or_before(limit), None);
+                assert_eq!(heap.pop_at_or_before(limit), None);
+            }
+            assert!(out.is_empty());
+            assert_eq!(cal.active.len(), 204, "the probe ordered the bucket");
+            assert_eq!(cal.current_year, year, "a refusal never moves the year");
+            assert_eq!(cal.peek_time(), Some(flood));
+            // Behind the loaded bucket, inside it ahead of the flood, inside
+            // it among the flood, and beyond it.
+            for at in [5_000u64, 999_999, 1_000_000, 1_000_030, 3_000_000] {
+                push(&mut cal, &mut heap, SimTime::from_nanos(at));
+            }
+            assert_eq!(cal.peek_time(), Some(SimTime::from_nanos(5_000)));
+            // A second refusal, now below the pushed minimum, changes nothing.
+            assert_eq!(cal.pop_at_or_before(SimTime::from_nanos(4_999)), None);
+            assert_eq!(cal.len(), heap.len());
+            loop {
+                let (c, h) = (cal.pop(), heap.pop());
+                assert_eq!(c, h, "calendar diverged after a push behind the cursor");
+                if c.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
     /// Regression, shrink-path variant: draining a large near-time
     /// population down to a far-future remainder triggers shrink resizes;
     /// a near-time push right after a pop must still order correctly.
@@ -1365,5 +1423,228 @@ mod tests {
         assert_eq!(cal.pop().unwrap().0, SimTime::from_secs(20));
         assert!(cal.pop().is_none());
         assert!(cal.peek_time().is_none());
+    }
+
+    // --- skew and flood: by count, not by clock --------------------------
+
+    /// Seeds of the skew property (the `RT_ADVERSARIAL_SEEDS` matrix the
+    /// fabric properties use; CI smokes the release build with 8).
+    fn skew_seeds() -> u64 {
+        std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(32)
+    }
+
+    /// The bimodal hold model — the shape of `send_periodic` on the wire: a
+    /// far-future periodic population preloaded channel by channel (100
+    /// messages each, periods of 1–10 ms, every channel starting at the
+    /// same instant), and under it cascades of near-future events a few
+    /// hundred nanoseconds ahead of `now` (every popped event of generation
+    /// < 3 schedules a successor).  The common start is what blinds the
+    /// resize: the nearest pending times are all one instant, a zero gap,
+    /// and the width stays where the first channel alone had put it.
+    fn preload_bimodal(rng: &mut Xoshiro256, far: u64, queues: &mut [&mut EventQueue]) {
+        for channel in 0..far / 100 {
+            let period = 1_000_000 + rng.below(9_000_000);
+            for message in 0..100 {
+                let at = SimTime::from_nanos(1_000_000 + message * period);
+                for q in queues.iter_mut() {
+                    q.schedule(at, ev(0, channel * 100 + message));
+                }
+            }
+        }
+    }
+
+    fn cascade(rng: &mut Xoshiro256, now: SimTime, event: &Event) -> Option<(SimTime, Event)> {
+        let Event::EnqueueAtNode { node, frame } = event else {
+            return None;
+        };
+        let generation = node.get();
+        (generation < 3).then(|| {
+            let ahead = rt_types::Duration::from_nanos(100 + rng.below(800));
+            (now + ahead, ev(generation + 1, frame.get()))
+        })
+    }
+
+    /// 32 seeds of the bimodal hold model, popped through a random mix of
+    /// `pop` / `pop_until` / `pop_run` / `pop_run_until` (refused windows
+    /// included): heap and calendar yield the identical `(time, event)`
+    /// sequence.
+    #[test]
+    fn skewed_bimodal_hold_model_matches_the_heap_on_every_pop_flavour() {
+        for seed in 0..skew_seeds() {
+            let mut rng = Xoshiro256::new(0x5ca1_ab1e ^ seed);
+            let mut heap = EventQueue::with_scheduler(SchedulerKind::Heap);
+            let mut cal = EventQueue::with_scheduler(SchedulerKind::Calendar);
+            let far = 10_000 + (seed % 4) * 30_000;
+            preload_bimodal(&mut rng, far, &mut [&mut heap, &mut cal]);
+            let (mut h_out, mut c_out) = (Vec::new(), Vec::new());
+            let mut popped = 0u64;
+            while popped < 40_000 && !heap.is_empty() {
+                // A window that ends a little ahead of `now`: sometimes
+                // past the next event, often (between cascades) before it.
+                let limit = heap.now() + rt_types::Duration::from_nanos(rng.below(40_000));
+                let flavour = rng.below(4);
+                h_out.clear();
+                c_out.clear();
+                // A single pop reads as a run of one.
+                let single = |popped: Option<(SimTime, Event)>, out: &mut Vec<Event>| {
+                    popped.map(|(time, event)| {
+                        out.push(event);
+                        time
+                    })
+                };
+                let (h_time, c_time) = match flavour {
+                    0 => (
+                        single(heap.pop(), &mut h_out),
+                        single(cal.pop(), &mut c_out),
+                    ),
+                    1 => (
+                        single(heap.pop_until(limit), &mut h_out),
+                        single(cal.pop_until(limit), &mut c_out),
+                    ),
+                    2 => (heap.pop_run(&mut h_out), cal.pop_run(&mut c_out)),
+                    _ => (
+                        heap.pop_run_until(limit, &mut h_out),
+                        cal.pop_run_until(limit, &mut c_out),
+                    ),
+                };
+                assert_eq!(
+                    h_time, c_time,
+                    "seed {seed}: time diverged (flavour {flavour})"
+                );
+                assert_eq!(
+                    h_out, c_out,
+                    "seed {seed}: events diverged (flavour {flavour})"
+                );
+                assert_eq!(
+                    heap.peek_time(),
+                    cal.peek_time(),
+                    "seed {seed}: peek diverged"
+                );
+                let Some(now) = h_time else { continue };
+                popped += h_out.len() as u64;
+                for event in &h_out {
+                    if let Some((at, next)) = cascade(&mut rng, now, event) {
+                        heap.schedule(at, next.clone());
+                        cal.schedule(at, next);
+                    }
+                }
+            }
+            assert_eq!(heap.len(), cal.len(), "seed {seed}: populations diverged");
+        }
+    }
+
+    /// Slots examined per pop, on the calendar alone.
+    fn work_per_pop(cal: &CalendarScheduler, work_before: u64, pops: u64) -> f64 {
+        (cal.work - work_before) as f64 / pops as f64
+    }
+
+    /// The work of a pop is bounded by count: at most `2·log₂(pending)`
+    /// slots examined per pop, resizes and migrations included, on the
+    /// bimodal hold model — where a width frozen at the preload's spacing
+    /// made the unordered chain walk 137 slots per pop — and on 200 000
+    /// events at one nanosecond with pushes landing in the bucket while it
+    /// is being popped, where it was linear in the flood.
+    #[test]
+    fn work_per_pop_is_logarithmic_under_skew_and_flood() {
+        for far in [10_000u64, 100_000] {
+            let mut rng = Xoshiro256::new(far);
+            let mut queue = EventQueue::with_scheduler(SchedulerKind::Calendar);
+            preload_bimodal(&mut rng, far, &mut [&mut queue]);
+            let mut cal = CalendarScheduler::new();
+            let mut seq = 0u64;
+            while let Some((at, event)) = queue.pop() {
+                cal.push(at, seq, event);
+                seq += 1;
+            }
+            let (before, pops) = (cal.work, 4 * far);
+            for _ in 0..pops {
+                let (now, event) = cal.pop().expect("four pops per preloaded event");
+                if let Some((at, next)) = cascade(&mut rng, now, &event) {
+                    cal.push(at, seq, next);
+                    seq += 1;
+                }
+            }
+            let bound = 2.0 * (far as f64).log2();
+            let work = work_per_pop(&cal, before, pops);
+            assert!(
+                work <= bound,
+                "bimodal, {far} far events: {work:.1} slots per pop > {bound:.1}"
+            );
+        }
+
+        let flood = 200_000u64;
+        let instant = SimTime::from_micros(77);
+        let mut cal = CalendarScheduler::new();
+        for k in 0..flood {
+            cal.push(instant, k, ev(0, k));
+        }
+        let before = cal.work;
+        let mut seq = flood;
+        for k in 0..flood {
+            let (at, event) = cal.pop().expect("the flood is pending");
+            assert_eq!((at, event), (instant, ev(0, k)), "FIFO broken in the flood");
+            // Every fourth pop re-floods the instant being drained.
+            if k % 4 == 0 && seq < flood + 1_000 {
+                cal.push(instant, seq, ev(1, seq));
+                seq += 1;
+            }
+        }
+        let bound = 2.0 * (flood as f64).log2();
+        let work = work_per_pop(&cal, before, flood);
+        assert!(
+            work <= bound,
+            "one-instant flood: {work:.1} slots per pop > {bound:.1}"
+        );
+    }
+
+    /// Width re-estimation cannot thrash: neither a flood at one instant
+    /// (no width separates it) nor a population alternating dense clusters
+    /// and wide gaps (a narrowing at least halves the width, and only a
+    /// population resize widens it again) costs more than O(log n) resizes.
+    #[test]
+    fn width_re_estimation_does_not_thrash() {
+        let n = 100_000u64;
+        let budget = 4 * n.ilog2() as u64;
+
+        let mut flood = CalendarScheduler::new();
+        for k in 0..n {
+            // One instant, plus a straggler a nanosecond later every 1000.
+            let at = 500_000 + u64::from(k % 1_000 == 999);
+            flood.push(SimTime::from_nanos(at), k, ev(0, k));
+        }
+        while flood.pop().is_some() {}
+        assert!(
+            flood.resizes() <= budget,
+            "flood: {} resizes",
+            flood.resizes()
+        );
+
+        let mut mixed = CalendarScheduler::new();
+        for k in 0..n {
+            // Clusters of 200 events 3 ns apart, one cluster per 2 ms.
+            let at = (k / 200) * 2_000_000 + (k % 200) * 3;
+            mixed.push(SimTime::from_nanos(at), k, ev(0, k));
+        }
+        let mut rng = Xoshiro256::new(9);
+        let mut seq = n;
+        while let Some((now, event)) = mixed.pop() {
+            // Keep re-populating both regimes for a while: a near event
+            // into the cluster, a far one into a gap.
+            if seq < 2 * n {
+                for ahead in [1 + rng.below(50), 700_000 + rng.below(600_000)] {
+                    let at = now + rt_types::Duration::from_nanos(ahead);
+                    mixed.push(at, seq, event.clone());
+                    seq += 1;
+                }
+            }
+        }
+        assert!(
+            mixed.resizes() <= budget,
+            "alternating: {} resizes",
+            mixed.resizes()
+        );
     }
 }

@@ -681,6 +681,13 @@ impl Simulator {
         std::mem::take(&mut self.pending_deliveries)
     }
 
+    /// [`Simulator::poll_deliveries`] for a driver that polls after every
+    /// delivery: the accumulated deliveries are moved to the end of `out`
+    /// and both buffers keep their capacity, so a poll allocates nothing.
+    pub fn poll_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
+        out.append(&mut self.pending_deliveries);
+    }
+
     // --- dense lookups ---------------------------------------------------
 
     /// Dense node index of an event's node (events only reference nodes

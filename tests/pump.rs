@@ -1,0 +1,153 @@
+//! The cost and the manners of the `RtNetwork` pump: a delivered RT frame
+//! is *moved* from the simulator into `received_messages()`, not copied
+//! there, and a frame that arrives for a channel released mid-run is
+//! ignored, never an error.
+//!
+//! The allocation count comes from a counting `#[global_allocator]` that
+//! wraps [`System`] (the pattern of `crates/bench/benches/simulator.rs`):
+//! the product crates `forbid(unsafe_code)`, so the instrumentation lives
+//! here, outside the code under test.  The counter is per thread — the
+//! harness runs the tests of one binary on parallel threads — and the count
+//! is deterministic for a deterministic simulation, so it is asserted
+//! exactly as a bound, not statistically.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
+use switched_rt_ethernet::netsim::SchedulerKind;
+use switched_rt_ethernet::types::{Duration, NodeId, Topology};
+
+/// A [`System`] wrapper that counts the requests for memory (allocations and
+/// growing reallocations) of the calling thread.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: pure delegation to `System`; the counter is a const-initialised
+// thread-local `Cell` without a destructor, so touching it allocates
+// nothing and cannot re-enter the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Giving memory back asks for none: only a growing `realloc` counts.
+        if new_size > layout.size() {
+            count();
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// sw0 — sw1 — sw2, two nodes each: node 0 to node 5 crosses both trunks.
+fn line(scheduler: SchedulerKind) -> RtNetwork {
+    RtNetwork::builder()
+        .topology(Topology::line(3, 2))
+        .scheduler(scheduler)
+        .multihop_dps(MultiHopDps::Asymmetric)
+        .build()
+        .expect("a line fabric always builds")
+}
+
+/// One copy of a delivered frame's bytes is left — the decode out of the
+/// frame arena — and with it one allocation (the received message then
+/// hands the header bytes of that buffer back, which asks for no memory);
+/// the pump's own buffers are reused from poll to poll.  Before the frame
+/// was moved it cost four copies and five allocations (arena decode, the
+/// pending-delivery vector of every poll, `eth.clone()`, `from_ethernet`'s
+/// `to_vec`, `handle_data`'s `payload.clone()`).
+#[test]
+fn a_delivered_rt_frame_costs_at_most_two_allocations() {
+    for scheduler in [SchedulerKind::Calendar, SchedulerKind::Heap] {
+        let mut net = line(scheduler);
+        let spec = RtChannelSpec::paper_default();
+        let tx = net
+            .establish_channel(NodeId::new(0), NodeId::new(5), spec)
+            .unwrap()
+            .expect("the empty fabric admits the channel");
+        let messages = 400;
+        let start = net.now() + Duration::from_millis(1);
+        net.send_periodic(NodeId::new(0), tx.id, messages, 1000, start)
+            .unwrap();
+
+        let before = allocations();
+        net.run_to_completion().unwrap();
+        let allocated = allocations() - before;
+
+        let frames = messages * spec.capacity.get();
+        assert_eq!(net.received_messages().len() as u64, frames);
+        assert!(net.received_messages().iter().all(|m| !m.missed_deadline));
+        assert!(
+            allocated <= 2 * frames,
+            "{scheduler:?}: {allocated} allocations for {frames} delivered RT frames \
+             ({:.2} per frame)",
+            allocated as f64 / frames as f64
+        );
+    }
+}
+
+/// A teardown that lands while frames of the channel are past their last
+/// switch: the wire delivers them to a receiver that has forgotten the
+/// channel.  The pump ignores them — they are delivered on the wire and
+/// absent from `received_messages()` — and the run goes on to its end.
+#[test]
+fn a_late_frame_of_a_released_channel_is_ignored_not_an_error() {
+    let spec = RtChannelSpec::paper_default();
+    let (src, dst) = (NodeId::new(0), NodeId::new(5));
+    let mut ignored_somewhere = false;
+    // Sweep the teardown across the flight of one message's three frames.
+    for offset_us in (60..=600).step_by(30) {
+        let mut net = line(SchedulerKind::Calendar);
+        let tx = net.establish_channel(src, dst, spec).unwrap().unwrap();
+        let start = net.now();
+        net.send_periodic(src, tx.id, 1, 1000, start).unwrap();
+        net.run_until(start + Duration::from_micros(offset_us))
+            .unwrap();
+        net.teardown_channel(src, tx.id)
+            .unwrap_or_else(|e| panic!("offset {offset_us} us: teardown aborted: {e}"));
+        net.run_to_completion()
+            .unwrap_or_else(|e| panic!("offset {offset_us} us: run aborted: {e}"));
+        assert_eq!(net.channel_count(), 0);
+
+        let stats = net.simulator().stats();
+        let on_the_wire = stats.channel(tx.id).map_or(0, |c| c.delivered);
+        let received = net.received_messages().len() as u64;
+        assert!(received <= on_the_wire, "offset {offset_us} us");
+        assert_eq!(
+            on_the_wire + stats.released_channel_dropped,
+            spec.capacity.get(),
+            "offset {offset_us} us: every frame is delivered or dropped and counted"
+        );
+        ignored_somewhere |= received < on_the_wire;
+    }
+    assert!(
+        ignored_somewhere,
+        "no offset of the sweep left a frame on the downlink behind the release"
+    );
+}

@@ -167,6 +167,69 @@ fn full_stack_leaf_spine_run_is_scheduler_invariant() {
     assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Calendar));
 }
 
+/// The `wire_rt` shape at small size: every admitted channel's whole
+/// periodic schedule preloaded through `send_periodic` (all channels start
+/// at one instant, periods differ), best-effort cross traffic under it, then
+/// one `run_to_completion` — a large far-future population with cascades of
+/// near events beneath it, which is where the calendar's width estimate
+/// goes blind and its ordered bucket takes over.
+#[test]
+fn preloaded_periodic_run_through_the_pump_is_scheduler_invariant() {
+    use switched_rt_ethernet::traffic::HeterogeneousSpecs;
+    let scenario = FabricScenario::torus(3, 3, 2, 2);
+    let run = |scheduler: SchedulerKind| {
+        let mut net = RtNetwork::builder()
+            .topology(scenario.topology())
+            .scheduler(scheduler)
+            .multihop_dps(MultiHopDps::Asymmetric)
+            .build()
+            .unwrap();
+        let mut specs = HeterogeneousSpecs::new(7);
+        let mut established = Vec::new();
+        for i in 0..40 {
+            let (source, destination) = scenario.cross_switch_pair(i);
+            if let Some(tx) = net
+                .establish_channel(source, destination, specs.next_spec())
+                .unwrap()
+            {
+                established.push((source, tx));
+            }
+        }
+        assert!(established.len() >= 10, "the empty torus admits channels");
+        let start = net.now() + Duration::from_millis(1);
+        for (source, tx) in &established {
+            net.send_periodic(*source, tx.id, 60, 1000, start).unwrap();
+        }
+        for k in 0..2_000u64 {
+            let (source, destination) = scenario.cross_switch_pair(7 * k + 3);
+            let at = start + Duration::from_micros(3 * k);
+            net.send_best_effort(source, destination, 1200, at).unwrap();
+        }
+        net.run_to_completion().unwrap();
+        let received: Vec<_> = net
+            .received_messages()
+            .iter()
+            .map(|m| {
+                (
+                    m.receiver,
+                    m.message.channel,
+                    m.delivered_at.as_nanos(),
+                    m.missed_deadline,
+                )
+            })
+            .collect();
+        assert!(received.len() > 5_000, "{} RT frames", received.len());
+        (
+            received,
+            net.best_effort_received(),
+            net.simulator().events_processed(),
+            net.simulator().stats().summary(),
+            net.now(),
+        )
+    };
+    assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Calendar));
+}
+
 /// A pathological timing mix — bursts of simultaneous frames, then a long
 /// silence, then another burst — exercises the calendar queue's overflow
 /// migration and resize paths inside a full simulation and must still match
