@@ -1,10 +1,12 @@
 //! # rt-netsim
 //!
 //! A deterministic discrete-event simulator of the network architecture in
-//! §18.1 of the paper: a single store-and-forward full-duplex switched
-//! Ethernet switch in a star topology with end nodes attached, each output
-//! port (in the end-node NICs and in the switch) holding a deadline-sorted
-//! real-time queue and a FCFS best-effort queue (Figure 18.2).
+//! §18.1 of the paper, grown from its single switch to a fabric: end nodes
+//! attached to store-and-forward full-duplex Ethernet switches, the switches
+//! joined by trunks into any connected graph (the paper's star is the
+//! one-switch case), and every output port — in the end-node NICs and in the
+//! switches — holding a deadline-sorted real-time queue over a FCFS
+//! best-effort queue (Figure 18.2).
 //!
 //! The simulator stands in for the physical 100 Mbit/s Ethernet testbed the
 //! paper assumes: transmission times are derived from frame sizes and the
@@ -16,9 +18,15 @@
 //!
 //! Modules:
 //! * [`event`] — the simulation clock and the pluggable event scheduler
-//!   (binary-heap reference vs. calendar queue),
+//!   (calendar queue; the binary heap is the reference),
 //! * [`port`] — the dual-queue (RT + best effort) output port model,
-//! * [`sim`] — the simulator proper: nodes, switch, links, frame delivery,
+//! * `switch` (private) — the forwarding core: what the fabric does with one
+//!   event, written once over a read-only fabric view, one lane of mutable
+//!   state and a three-method sink,
+//! * [`sim`] — the single-thread driver of that core and the public
+//!   front-end: construction, injection, channel wire state, faults,
+//! * [`shard`] — the parallel driver: conservative time windows over worker
+//!   threads, pinned byte for byte to the single-thread run,
 //! * [`stats`] — latency / deadline-miss / utilisation accounting.
 
 #![forbid(unsafe_code)]
@@ -29,6 +37,7 @@ pub mod port;
 pub mod shard;
 pub mod sim;
 pub mod stats;
+mod switch;
 
 pub use event::{
     CalendarScheduler, Event, EventQueue, EventScheduler, HeapScheduler, SchedulerKind,

@@ -7,10 +7,11 @@
 //! [`rt_types::partition_switches`] partition) together with every output
 //! port that *originates* at them: the uplink/downlink pair of each attached
 //! node and the directed trunk ports leaving an owned switch.  Each shard
-//! runs its own calendar [`EventQueue`] over the same per-event handlers as
-//! the single-thread simulator, accumulating into its own [`SimStats`] and
-//! its own delivery list; the coordinator folds everything back together at
-//! the end of the run.
+//! drives the one forwarding core (`crate::switch`) over a lane of its own —
+//! its own calendar, ports and [`SimStats`] — through a sink that stages
+//! switch arrivals and parks deliveries and freed buffers; the coordinator
+//! folds everything back together at the end of the run.  No forwarding
+//! rule lives in this file.
 //!
 //! # Synchronisation
 //!
@@ -51,31 +52,29 @@
 //!    reproduces the oracle's `poll_deliveries` order byte for byte.
 //!
 //! Faults synchronise on a barrier: the coordinator applies the topology
-//! mutation and re-pulls the routing tables (exactly the single-thread
-//! semantics), then every worker kills or revives the ports it owns, drains
-//! dead queues into `failed_link_dropped`, and dooms frames caught
-//! mid-serialisation — so a cut inter-shard trunk loses exactly the frames
-//! the oracle loses, while frames whose transmission already completed
-//! (ring entries in flight) arrive exactly as they do in the oracle.
+//! mutation and re-pulls the routing tables (the function the single-thread
+//! simulator calls), then every worker kills or revives the listed ports in
+//! its lane, which drains the dead queues it owns into `failed_link_dropped`
+//! and dooms frames caught mid-serialisation — so a cut inter-shard trunk
+//! loses exactly the frames the oracle loses, while frames whose
+//! transmission already completed (ring entries in flight) arrive exactly as
+//! they do in the oracle.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use rt_frames::{EthernetFrame, FrameArena, FrameRef};
+use rt_frames::{EthernetFrame, FrameRef};
 use rt_types::{
-    effective_shards, partition_switches, ChannelId, DenseNextHop, Duration, HopLink, IdIndex,
-    NodeId, Route, Router, RtError, RtResult, ShardStrategy, SimTime, SwitchId, Topology,
-    MIN_FRAME_WIRE_BYTES, NO_INDEX,
+    effective_shards, partition_switches, ChannelId, DenseNextHop, Duration, HopLink, NodeId,
+    Route, Router, RtError, RtResult, ShardStrategy, SimTime, SwitchId, Topology,
+    MIN_FRAME_WIRE_BYTES,
 };
 
-use crate::event::{Event, EventQueue, SchedulerKind};
-use crate::port::{OutputPort, TrafficClass};
-use crate::sim::{
-    ChannelWireState, Delivery, FaultScript, FrameDest, FrameId, FrameInjection, FrameRecord,
-    LinkFault, SimConfig, Simulator, StoredFrame,
-};
+use crate::event::{Event, SchedulerKind};
+use crate::sim::{Delivery, FaultScript, FrameId, FrameInjection, LinkFault, SimConfig, Simulator};
 use crate::stats::SimStats;
+use crate::switch::{self, Core, Fabric, Lane, PortFlips, Sink};
 
 /// Capacity (entries) of each inter-shard ring; a power of two.  Overflow
 /// is handled by spilling through the coordinator, so this only sizes the
@@ -175,12 +174,11 @@ enum Command {
     },
     /// A scripted fault fires at `at` with global sequence rank `rank`:
     /// execute injections at `at` ranked before it, then kill / revive the
-    /// owned ports listed (port ids into the full dense port space).
+    /// ports listed (port ids into the full dense port space).
     Fault {
         at: SimTime,
         rank: u64,
-        kills: Arc<Vec<u32>>,
-        repairs: Arc<Vec<u32>>,
+        flips: Arc<PortFlips>,
     },
     /// The run is over; send the final report and exit.
     Finish,
@@ -221,155 +219,53 @@ struct Staged {
 }
 
 // ---------------------------------------------------------------------------
-// Shared read-only fabric context
-// ---------------------------------------------------------------------------
-
-/// The immutable-during-run parts of the fabric, shared by every worker.
-struct Fabric<'a> {
-    config: &'a SimConfig,
-    frames: &'a [FrameRecord],
-    arena: &'a FrameArena,
-    node_index: &'a IdIndex,
-    node_access: &'a [u32],
-    trunk_ports: &'a [u32],
-    switch_count: usize,
-    port_links: &'a [HopLink],
-    channel_wire: &'a [Option<ChannelWireState>],
-    released_channels: &'a [bool],
-    manager_index: u32,
-    distributed_control: bool,
-    assignment: &'a [u32],
-    lookahead: Duration,
-}
-
-impl<'a> Clone for Fabric<'a> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<'a> Copy for Fabric<'a> {}
-
-impl<'a> Fabric<'a> {
-    #[inline]
-    fn node_idx(&self, node: NodeId) -> u32 {
-        self.node_index
-            .get(node.get())
-            .expect("events only reference attached nodes")
-    }
-
-    #[inline]
-    fn trunk_port(&self, from: u32, to: u32) -> Option<u32> {
-        match self.trunk_ports[from as usize * self.switch_count + to as usize] {
-            NO_INDEX => None,
-            port => Some(port),
-        }
-    }
-
-    #[inline]
-    fn channel_state(&self, channel: Option<ChannelId>) -> Option<&'a ChannelWireState> {
-        self.channel_wire.get(channel?.get() as usize)?.as_ref()
-    }
-
-    #[inline]
-    fn is_released(&self, channel: Option<ChannelId>) -> bool {
-        channel.is_some_and(|ch| {
-            self.released_channels
-                .get(ch.get() as usize)
-                .copied()
-                .unwrap_or(false)
-        })
-    }
-
-    #[inline]
-    fn record(&self, frame: FrameId) -> &'a FrameRecord {
-        &self.frames[frame.get() as usize]
-    }
-
-    #[inline]
-    fn tx_time(&self, wire_bytes: usize) -> Duration {
-        self.config.link_speed.transmission_time(wire_bytes)
-    }
-
-    /// Mirrors `Simulator::queue_deadline`.
-    #[inline]
-    fn queue_deadline(&self, record: &FrameRecord, port: u32) -> Option<SimTime> {
-        if let Some(offset) = self
-            .channel_state(record.channel)
-            .and_then(|state| state.offset_for(port))
-        {
-            return Some(record.injected_at + offset);
-        }
-        record.deadline
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------------
 
-/// One shard's execution state: the same handlers as [`Simulator::handle`],
-/// over the full dense port space (only owned ports are ever touched), with
-/// switch arrivals staged for deterministic ingestion and deliveries /
-/// frees / stats parked for the end-of-run merge.
-struct Worker<'a> {
-    fab: Fabric<'a>,
+/// A shard's [`Sink`]: switch arrivals are staged for deterministic
+/// ingestion or pushed onto the owning shard's ring, and deliveries, freed
+/// buffers and (in the lane) statistics are parked for the end-of-run merge
+/// — the arena and the delivery list belong to the coordinator.
+struct ShardSink<'a> {
+    fabric: &'a Fabric,
+    /// Dense switch index → owning shard.
+    assignment: &'a [u32],
     shard: u32,
-    dense: Arc<DenseNextHop>,
-    queue: EventQueue,
-    batch: Vec<Event>,
-    ports: Vec<OutputPort>,
-    dead: Vec<bool>,
-    doomed: Vec<bool>,
-    stats: SimStats,
-    deliveries: Vec<(DeliveryKey, Delivery)>,
-    freed: Vec<FrameRef>,
-    /// Preloaded frame injections owned by this shard, in global
-    /// `(time, rank)` order.
-    injections: VecDeque<(SimTime, u64, Event)>,
     staging: Vec<Staged>,
-    /// `inbox[p]`: ring produced by shard `p` for us.
-    inbox: Vec<Arc<SpscRing>>,
+    /// Earliest arrival in `staging` (`u64::MAX` when it is empty).
+    staged_min_ns: u64,
     /// `outbox[c]`: ring we produce for shard `c`.
     outbox: Vec<Arc<SpscRing>>,
     spill: Vec<(u32, RingEntry)>,
     outbound_min_ns: u64,
-    ring_scratch: Vec<RingEntry>,
-    last_ns: u64,
+    freed: Vec<FrameRef>,
+    deliveries: Vec<(DeliveryKey, Delivery)>,
 }
 
-impl<'a> Worker<'a> {
-    #[inline]
-    fn schedule_event(&mut self, at: SimTime, event: Event) {
-        if self.queue.schedule(at, event) {
-            self.stats.record_clamped();
-        }
-    }
-
-    /// The staging record of an arrival: `tx_start` recovers the instant
-    /// the producing transmission began, the tie-break the deterministic
-    /// ingestion order sorts on.
-    fn staged(&self, time: SimTime, switch: u32, frame: FrameId) -> Staged {
-        let time_ns = time.as_nanos();
-        let tx = self
-            .fab
-            .tx_time(self.fab.record(frame).wire_bytes)
-            .as_nanos();
-        let lookahead = self.fab.lookahead.as_nanos();
-        Staged {
+impl ShardSink<'_> {
+    /// Park an arrival.  `tx_start` recovers the instant the producing
+    /// transmission began, the tie-break the deterministic ingestion order
+    /// sorts on.
+    fn stage(&mut self, time_ns: u64, switch: u32, frame: FrameId) {
+        let tx = self.fabric.tx_time(self.fabric.record(frame).wire_bytes);
+        let lookahead = self.fabric.switch_arrival_delay();
+        self.staged_min_ns = self.staged_min_ns.min(time_ns);
+        self.staging.push(Staged {
             time_ns,
-            tx_start_ns: time_ns.saturating_sub(lookahead + tx),
+            tx_start_ns: time_ns.saturating_sub((lookahead + tx).as_nanos()),
             switch,
             frame,
-        }
+        });
     }
+}
 
-    /// Route a switch arrival: stage it locally, or hand it to the owning
-    /// shard's ring (spilling through the coordinator when full).
-    fn emit_arrival(&mut self, at: SimTime, switch: u32, frame: FrameId) {
-        let dest = self.fab.assignment[switch as usize];
+impl Sink for ShardSink<'_> {
+    /// Stage the arrival locally, or hand it to the owning shard's ring
+    /// (spilling through the coordinator when full).
+    fn switch_arrival(&mut self, _lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId) {
+        let dest = self.assignment[switch as usize];
         if dest == self.shard {
-            let staged = self.staged(at, switch, frame);
-            self.staging.push(staged);
+            self.stage(at.as_nanos(), switch, frame);
         } else {
             let entry = RingEntry {
                 time_ns: at.as_nanos(),
@@ -383,21 +279,69 @@ impl<'a> Worker<'a> {
         }
     }
 
+    /// Frees are deferred to the coordinator: the arena is shared read-only
+    /// during the run.
+    fn release(&mut self, buffer: FrameRef) {
+        self.freed.push(buffer);
+    }
+
+    fn deliver(&mut self, delivery: Delivery, since_scheduled: Duration) {
+        let sched_ns = delivery
+            .delivered_at
+            .as_nanos()
+            .saturating_sub(since_scheduled.as_nanos());
+        let tx = self
+            .fabric
+            .tx_time(self.fabric.record(delivery.frame).wire_bytes);
+        let key = [
+            delivery.delivered_at.as_nanos(),
+            sched_ns,
+            sched_ns.saturating_sub(tx.as_nanos()),
+            delivery.frame.get(),
+        ];
+        self.deliveries.push((key, delivery));
+    }
+}
+
+/// One shard's execution state: a [`Lane`] over the full dense port space
+/// (only owned ports are ever touched) driven through the forwarding core,
+/// plus what the window protocol needs around it.
+struct Worker<'a> {
+    lane: Lane,
+    sink: ShardSink<'a>,
+    batch: Vec<Event>,
+    /// Preloaded frame injections owned by this shard, in global
+    /// `(time, rank)` order.
+    injections: VecDeque<(SimTime, u64, Event)>,
+    /// `inbox[p]`: ring produced by shard `p` for us.
+    inbox: Vec<Arc<SpscRing>>,
+    ring_scratch: Vec<RingEntry>,
+    /// Reusable scratch for the arrivals one window ingests.
+    due: Vec<Staged>,
+    last_ns: u64,
+}
+
+impl<'a> Worker<'a> {
+    /// The forwarding core over this shard's lane and sink.
+    fn core(&mut self) -> Core<'_, ShardSink<'a>> {
+        Core {
+            fabric: self.sink.fabric,
+            lane: &mut self.lane,
+            sink: &mut self.sink,
+        }
+    }
+
     /// Pull every published inbound ring entry into the staging area.
     fn drain_rings(&mut self) {
         let mut scratch = std::mem::take(&mut self.ring_scratch);
         for (producer, ring) in self.inbox.iter().enumerate() {
-            if producer as u32 != self.shard {
+            if producer as u32 != self.sink.shard {
                 ring.drain_into(&mut scratch);
             }
         }
         for entry in scratch.drain(..) {
-            let staged = self.staged(
-                SimTime::from_nanos(entry.time_ns),
-                entry.switch,
-                FrameId::new(entry.frame),
-            );
-            self.staging.push(staged);
+            self.sink
+                .stage(entry.time_ns, entry.switch, FrameId::new(entry.frame));
         }
         self.ring_scratch = scratch;
     }
@@ -407,19 +351,22 @@ impl<'a> Worker<'a> {
     /// oracle's same-instant FIFO sequence.
     fn ingest_staged(&mut self, end_excl: SimTime) {
         let end_ns = end_excl.as_nanos();
-        let mut due = Vec::new();
-        self.staging.retain(|s| {
+        let mut due = std::mem::take(&mut self.due);
+        let mut kept_min_ns = u64::MAX;
+        self.sink.staging.retain(|s| {
             if s.time_ns < end_ns {
                 due.push(*s);
                 false
             } else {
+                kept_min_ns = kept_min_ns.min(s.time_ns);
                 true
             }
         });
+        self.sink.staged_min_ns = kept_min_ns;
         due.sort_unstable_by_key(|s| (s.time_ns, s.tx_start_ns, s.frame.get()));
-        for s in due {
-            let switch = self.dense.switch_at(s.switch);
-            self.schedule_event(
+        for s in due.drain(..) {
+            let switch = self.lane.dense.switch_at(s.switch);
+            self.lane.schedule(
                 SimTime::from_nanos(s.time_ns),
                 Event::ArriveAtSwitch {
                     switch,
@@ -427,20 +374,17 @@ impl<'a> Worker<'a> {
                 },
             );
         }
+        self.due = due;
     }
 
     /// Execute every owned event strictly before `end_excl`, interleaving
     /// preloaded injections before same-time derived events (they carry
     /// lower oracle sequence numbers).
     fn run_window(&mut self, end_excl: SimTime, dense: Arc<DenseNextHop>, spilled: Vec<RingEntry>) {
-        self.dense = dense;
+        self.lane.dense = dense;
         for entry in spilled {
-            let staged = self.staged(
-                SimTime::from_nanos(entry.time_ns),
-                entry.switch,
-                FrameId::new(entry.frame),
-            );
-            self.staging.push(staged);
+            self.sink
+                .stage(entry.time_ns, entry.switch, FrameId::new(entry.frame));
         }
         self.drain_rings();
         self.ingest_staged(end_excl);
@@ -450,17 +394,17 @@ impl<'a> Worker<'a> {
                 Some(&(t, _, _)) if t < end_excl => Some(t),
                 _ => None,
             };
-            let next_calendar = self.queue.peek_time().filter(|&t| t < end_excl);
+            let next_calendar = self.lane.events.peek_time().filter(|&t| t < end_excl);
             match (next_injection, next_calendar) {
                 (None, None) => break,
-                (Some(t), None) => self.handle_injections_at(t),
-                (Some(t), Some(c)) if t <= c => self.handle_injections_at(t),
+                (Some(t), None) => self.handle_injections_at(t, u64::MAX),
+                (Some(t), Some(c)) if t <= c => self.handle_injections_at(t, u64::MAX),
                 _ => {
                     let mut batch = std::mem::take(&mut self.batch);
-                    if let Some(time) = self.queue.pop_run_until(end_incl, &mut batch) {
+                    if let Some(time) = self.lane.events.pop_run_until(end_incl, &mut batch) {
                         self.last_ns = self.last_ns.max(time.as_nanos());
                         for event in batch.drain(..) {
-                            self.handle(time, event);
+                            self.core().handle(time, event);
                         }
                     }
                     self.batch = batch;
@@ -469,372 +413,42 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Execute every consecutive preloaded injection at exactly time `t`.
-    fn handle_injections_at(&mut self, t: SimTime) {
+    /// Execute every consecutive preloaded injection at exactly time `t`
+    /// whose rank does not exceed `max_rank`.
+    fn handle_injections_at(&mut self, t: SimTime, max_rank: u64) {
         self.last_ns = self.last_ns.max(t.as_nanos());
-        while let Some(&(it, _, _)) = self.injections.front() {
-            if it != t {
-                break;
+        while matches!(self.injections.front(), Some(&(it, rank, _)) if it == t && rank <= max_rank)
+        {
+            if let Some((_, _, event)) = self.injections.pop_front() {
+                self.core().handle(t, event);
             }
-            let (_, _, event) = self.injections.pop_front().expect("front checked");
-            self.handle(t, event);
         }
     }
 
     /// Fault barrier: injections at `at` ranked before the fault fire
-    /// first (the oracle pops them first), then this shard's owned ports
-    /// die or revive, with dead queues drained into `failed_link_dropped`
-    /// and busy ports doomed — exactly `Simulator::kill_trunk_ports`.
-    fn fault_step(&mut self, at: SimTime, rank: u64, kills: &[u32], repairs: &[u32]) {
-        self.last_ns = self.last_ns.max(at.as_nanos());
-        while let Some(&(t, r, _)) = self.injections.front() {
-            if t != at || r > rank {
-                break;
-            }
-            let (_, _, event) = self.injections.pop_front().expect("front checked");
-            self.handle(at, event);
-        }
-        for &port in kills {
-            if self.port_owner(port) != self.shard {
-                continue;
-            }
-            let p = port as usize;
-            self.dead[p] = true;
-            if self.ports[p].is_busy(at) {
-                self.doomed[p] = true;
-            }
-            for lost in self.ports[p].drain() {
-                self.stats.record_failed_link_drop();
-                self.discard_frame(lost.frame);
-            }
-        }
-        for &port in repairs {
-            if self.port_owner(port) == self.shard {
-                self.dead[port as usize] = false;
-            }
-        }
+    /// first (the oracle pops them first), then the ports the fault names
+    /// die or revive in this lane exactly as in the single-thread run.
+    fn fault_step(&mut self, at: SimTime, rank: u64, flips: &PortFlips) {
+        self.handle_injections_at(at, rank);
+        self.core().flip_ports(flips, at);
         self.drain_rings();
     }
 
-    /// Which shard owns (i.e. transmits on) dense port `port`.
-    fn port_owner(&self, port: u32) -> u32 {
-        match self.fab.port_links[port as usize] {
-            HopLink::Uplink(node) | HopLink::Downlink(node) => {
-                let idx = self.fab.node_idx(node);
-                self.fab.assignment[self.fab.node_access[idx as usize] as usize]
-            }
-            HopLink::Trunk { from, .. } => {
-                let f = self
-                    .dense
-                    .index_of(from)
-                    .expect("trunk ports reference topology switches");
-                self.fab.assignment[f as usize]
-            }
-        }
-    }
-
-    /// Earliest pending work this shard knows about.
-    fn next_pending_ns(&self) -> u64 {
-        let mut next = u64::MAX;
-        if let Some(&(t, _, _)) = self.injections.front() {
-            next = next.min(t.as_nanos());
-        }
-        if let Some(t) = self.queue.peek_time() {
-            next = next.min(t.as_nanos());
-        }
-        for s in &self.staging {
-            next = next.min(s.time_ns);
-        }
-        next
-    }
-
+    /// Acknowledge a barrier with the earliest pending work this shard
+    /// knows about.
     fn make_report(&mut self) -> Report {
-        let next_ns = self.next_pending_ns().min(self.outbound_min_ns);
-        self.outbound_min_ns = u64::MAX;
+        let mut next_ns = self.sink.staged_min_ns.min(self.sink.outbound_min_ns);
+        if let Some(&(t, _, _)) = self.injections.front() {
+            next_ns = next_ns.min(t.as_nanos());
+        }
+        if let Some(t) = self.lane.events.peek_time() {
+            next_ns = next_ns.min(t.as_nanos());
+        }
+        self.sink.outbound_min_ns = u64::MAX;
         Report {
-            shard: self.shard,
+            shard: self.sink.shard,
             next_ns,
-            spill: std::mem::take(&mut self.spill),
-        }
-    }
-
-    // --- event handlers, mirroring `Simulator::handle` -------------------
-
-    fn handle(&mut self, now: SimTime, event: Event) {
-        match event {
-            Event::EnqueueAtNode { node, frame } => {
-                let port = 2 * self.fab.node_idx(node);
-                self.enqueue_at_port(frame, port);
-                self.try_start_tx(now, port);
-            }
-            Event::NodeTxComplete { node, frame } => {
-                let node_idx = self.fab.node_idx(node);
-                let port = 2 * node_idx;
-                self.ports[port as usize].clear_busy();
-                let arrive =
-                    now + self.fab.config.propagation_delay + self.fab.config.switch_latency;
-                self.emit_arrival(arrive, self.fab.node_access[node_idx as usize], frame);
-                self.try_start_tx(now, port);
-            }
-            Event::ArriveAtSwitch { switch, frame } => {
-                let at = self
-                    .dense
-                    .index_of(switch)
-                    .expect("events only reference topology switches");
-                let record = self.fab.record(frame);
-                let channel = record.channel;
-                match record.dest {
-                    FrameDest::ControlPlane => {
-                        if self.fab.distributed_control || at == self.fab.manager_index {
-                            let switch = self.dense.switch_at(at);
-                            self.deliver_to_switch(frame, switch, now);
-                        } else if let Some(port) = self
-                            .dense
-                            .next_hop_index(at, self.fab.manager_index)
-                            .and_then(|next| self.fab.trunk_port(at, next))
-                        {
-                            self.enqueue_at_port(frame, port);
-                            self.try_start_tx(now, port);
-                        } else {
-                            self.stats.record_unroutable();
-                            self.discard_frame(frame);
-                        }
-                    }
-                    FrameDest::Switch { switch: target } => {
-                        if at == target {
-                            let switch = self.dense.switch_at(at);
-                            self.deliver_to_switch(frame, switch, now);
-                        } else if let Some(port) = self
-                            .dense
-                            .next_hop_index(at, target)
-                            .and_then(|next| self.fab.trunk_port(at, next))
-                        {
-                            self.enqueue_at_port(frame, port);
-                            self.try_start_tx(now, port);
-                        } else {
-                            self.stats.record_unroutable();
-                            self.discard_frame(frame);
-                        }
-                    }
-                    FrameDest::Node {
-                        node: dest_node,
-                        switch: dest_switch,
-                    } => {
-                        if self.fab.is_released(channel) {
-                            self.stats.record_released_channel_drop();
-                            self.discard_frame(frame);
-                            return;
-                        }
-                        match self.egress_port(at, dest_node, dest_switch, channel) {
-                            Some(port) if self.dead[port as usize] => {
-                                self.stats.record_failed_link_drop();
-                                self.discard_frame(frame);
-                            }
-                            Some(port) => {
-                                self.enqueue_at_port(frame, port);
-                                self.try_start_tx(now, port);
-                            }
-                            None => {
-                                self.stats.record_unroutable();
-                                self.discard_frame(frame);
-                            }
-                        }
-                    }
-                    FrameDest::Unknown => {
-                        self.stats.record_unroutable();
-                        self.discard_frame(frame);
-                    }
-                }
-            }
-            Event::SwitchTxComplete { to, frame } => {
-                let port = 2 * self.fab.node_idx(to) + 1;
-                self.ports[port as usize].clear_busy();
-                let arrive = now + self.fab.config.propagation_delay;
-                self.schedule_event(arrive, Event::ArriveAtNode { node: to, frame });
-                self.try_start_tx(now, port);
-            }
-            Event::TrunkTxComplete { from, to, frame } => {
-                let from_idx = self
-                    .dense
-                    .index_of(from)
-                    .expect("events only reference topology switches");
-                let to_idx = self
-                    .dense
-                    .index_of(to)
-                    .expect("events only reference topology switches");
-                if let Some(port) = self.fab.trunk_port(from_idx, to_idx) {
-                    let p = port as usize;
-                    self.ports[p].clear_busy();
-                    if self.doomed[p] || self.dead[p] {
-                        self.doomed[p] = false;
-                        self.stats.record_failed_link_drop();
-                        self.discard_frame(frame);
-                        self.try_start_tx(now, port);
-                        return;
-                    }
-                    let arrive =
-                        now + self.fab.config.propagation_delay + self.fab.config.switch_latency;
-                    self.emit_arrival(arrive, to_idx, frame);
-                    self.try_start_tx(now, port);
-                }
-            }
-            Event::ArriveAtNode { node, frame } => {
-                let sched_ns = now
-                    .as_nanos()
-                    .saturating_sub(self.fab.config.propagation_delay.as_nanos());
-                self.deliver_inner(frame, node, None, now, sched_ns);
-            }
-            Event::EnqueueAtSwitch { .. }
-            | Event::FailTrunk { .. }
-            | Event::RepairTrunk { .. }
-            | Event::FailSwitch { .. } => {
-                unreachable!("fault and switch-origination events never enter a shard calendar")
-            }
-        }
-    }
-
-    #[inline]
-    fn egress_port(
-        &self,
-        at: u32,
-        dest_node: u32,
-        dest_switch: u32,
-        channel: Option<ChannelId>,
-    ) -> Option<u32> {
-        if let Some(port) = self
-            .fab
-            .channel_state(channel)
-            .and_then(|state| state.forwarding_port(at))
-        {
-            return Some(port);
-        }
-        if dest_switch == at {
-            return Some(2 * dest_node + 1);
-        }
-        let next = self.dense.next_hop_index(at, dest_switch)?;
-        self.fab.trunk_port(at, next)
-    }
-
-    fn enqueue_at_port(&mut self, frame: FrameId, port: u32) {
-        let record = self.fab.record(frame);
-        let class = record.class;
-        let deadline = self.fab.queue_deadline(record, port);
-        let out = &mut self.ports[port as usize];
-        match class {
-            TrafficClass::RealTime => {
-                out.enqueue_rt(frame, deadline.unwrap_or(SimTime::ZERO));
-            }
-            TrafficClass::BestEffort => {
-                if !out.enqueue_be(frame) {
-                    self.stats.record_be_drop();
-                    self.discard_frame(frame);
-                }
-            }
-        }
-    }
-
-    fn try_start_tx(&mut self, now: SimTime, port: u32) {
-        let out = &mut self.ports[port as usize];
-        if out.is_busy(now) || out.is_empty() {
-            return;
-        }
-        let Some(queued) = out.dequeue_next() else {
-            return;
-        };
-        let record = self.fab.record(queued.frame);
-        let wire_bytes = record.wire_bytes;
-        if record.link_state {
-            self.stats.record_link_state_hop();
-        } else if Simulator::is_control_record(record.class, record.channel) {
-            self.stats.record_control_hop();
-        }
-        let tx = self.fab.tx_time(wire_bytes);
-        let done = now + tx;
-        self.ports[port as usize].set_busy_until(done);
-        self.stats
-            .record_transmission(port as usize, wire_bytes, tx);
-        let event = match self.fab.port_links[port as usize] {
-            HopLink::Uplink(node) => Event::NodeTxComplete {
-                node,
-                frame: queued.frame,
-            },
-            HopLink::Downlink(node) => Event::SwitchTxComplete {
-                to: node,
-                frame: queued.frame,
-            },
-            HopLink::Trunk { from, to } => Event::TrunkTxComplete {
-                from,
-                to,
-                frame: queued.frame,
-            },
-        };
-        self.schedule_event(done, event);
-    }
-
-    fn deliver_to_switch(&mut self, frame: FrameId, switch: SwitchId, now: SimTime) {
-        let sched_ns = now.as_nanos().saturating_sub(self.fab.lookahead.as_nanos());
-        self.deliver_inner(frame, NodeId::SWITCH, Some(switch), now, sched_ns);
-    }
-
-    fn deliver_inner(
-        &mut self,
-        frame: FrameId,
-        receiver: NodeId,
-        switch: Option<SwitchId>,
-        now: SimTime,
-        sched_ns: u64,
-    ) {
-        let record = self.fab.record(frame);
-        match record.class {
-            TrafficClass::RealTime => {
-                self.stats.record_rt_delivery(
-                    record.channel,
-                    record.injected_at,
-                    now,
-                    record.deadline,
-                );
-            }
-            TrafficClass::BestEffort => self.stats.record_be_delivery(),
-        }
-        let eth = match &record.stored {
-            StoredFrame::Owned(eth) => eth.clone(),
-            StoredFrame::Pooled(r) => {
-                let r = *r;
-                let eth = EthernetFrame::decode_unpadded(self.fab.arena.bytes(r))
-                    .expect("pooled frames hold a valid unpadded wire image");
-                // Frees are deferred to the coordinator: the arena is shared
-                // read-only during the run.
-                self.freed.push(r);
-                eth
-            }
-        };
-        let tx_ns = self.fab.tx_time(record.wire_bytes).as_nanos();
-        let key = [
-            now.as_nanos(),
-            sched_ns,
-            sched_ns.saturating_sub(tx_ns),
-            frame.get(),
-        ];
-        self.deliveries.push((
-            key,
-            Delivery {
-                frame,
-                receiver,
-                switch,
-                source: record.source,
-                eth,
-                injected_at: record.injected_at,
-                delivered_at: now,
-                channel: record.channel,
-                deadline: record.deadline,
-                class: record.class,
-            },
-        ));
-    }
-
-    fn discard_frame(&mut self, frame: FrameId) {
-        if let StoredFrame::Pooled(r) = self.fab.record(frame).stored {
-            self.freed.push(r);
+            spill: std::mem::take(&mut self.sink.spill),
         }
     }
 }
@@ -854,48 +468,19 @@ fn worker_main(
                 end_excl,
                 dense,
                 spilled,
-            } => {
-                worker.run_window(end_excl, dense, spilled);
-                let _ = reports.send(worker.make_report());
-            }
-            Command::Fault {
-                at,
-                rank,
-                kills,
-                repairs,
-            } => {
-                worker.fault_step(at, rank, &kills, &repairs);
-                let _ = reports.send(worker.make_report());
-            }
+            } => worker.run_window(end_excl, dense, spilled),
+            Command::Fault { at, rank, flips } => worker.fault_step(at, rank, &flips),
             Command::Finish => break,
         }
+        let _ = reports.send(worker.make_report());
     }
     let _ = finals.send(WorkerFinal {
-        stats: worker.stats,
-        deliveries: worker.deliveries,
-        freed: worker.freed,
-        processed: worker.queue.processed(),
+        stats: worker.lane.stats,
+        deliveries: worker.sink.deliveries,
+        freed: worker.sink.freed,
+        processed: worker.lane.events.processed(),
         last_ns: worker.last_ns,
     });
-}
-
-/// Both directed dense port ids of the trunk `a — b`, appended to `out`.
-fn trunk_ports_of(
-    dense: &DenseNextHop,
-    trunk_ports: &[u32],
-    a: SwitchId,
-    b: SwitchId,
-    out: &mut Vec<u32>,
-) {
-    if let (Some(f), Some(t)) = (dense.index_of(a), dense.index_of(b)) {
-        let s = dense.switch_count();
-        for (x, y) in [(f, t), (t, f)] {
-            match trunk_ports[x as usize * s + y as usize] {
-                NO_INDEX => {}
-                port => out.push(port),
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -959,9 +544,8 @@ impl ShardedSimulator {
     }
 
     fn from_inner(inner: Simulator, shards: usize, strategy: ShardStrategy) -> RtResult<Self> {
-        let config = inner.config();
-        let lookahead = config.propagation_delay + config.switch_latency;
-        let min_tx = config.link_speed.transmission_time(MIN_FRAME_WIRE_BYTES);
+        let lookahead = inner.fabric.switch_arrival_delay();
+        let min_tx = inner.fabric.tx_time(MIN_FRAME_WIRE_BYTES);
         if min_tx < lookahead {
             return Err(RtError::Config(format!(
                 "sharded simulation needs the minimum frame transmission time ({} ns) \
@@ -974,7 +558,7 @@ impl ShardedSimulator {
         }
         let partition = partition_switches(inner.topology(), shards, strategy);
         let shards = effective_shards(inner.topology().switch_count(), shards);
-        let dense = Arc::clone(&inner.dense_next_hop);
+        let dense = &inner.lane.dense;
         let mut assignment = vec![0u32; dense.switch_count()];
         for (pos, switch) in inner.topology().switches().enumerate() {
             let idx = dense
@@ -1052,7 +636,7 @@ impl ShardedSimulator {
 
     /// The shard owning `switch`, if it is part of the topology.
     pub fn shard_of(&self, switch: SwitchId) -> Option<u32> {
-        let idx = self.inner.dense_next_hop.index_of(switch)?;
+        let idx = self.inner.lane.dense.index_of(switch)?;
         Some(self.assignment[idx as usize])
     }
 
@@ -1120,10 +704,11 @@ impl ShardedSimulator {
     /// Run the preloaded event set to completion across the worker shards;
     /// returns the final simulated time.
     ///
-    /// Panics if the pending set contains events a sharded run does not
-    /// support (switch-originated injections via `inject_at_switch` /
-    /// `inject_from_switch`); node injections and scripted faults — the
-    /// full workload model of the property harness — are supported.
+    /// The pending set holds node injections and scripted faults — the full
+    /// workload model of the property harness — and nothing else: this
+    /// front-end offers no `inject_at_switch` / `inject_from_switch`, and
+    /// the events the forwarding core derives live in the shards' own
+    /// calendars, which are drained before this returns.
     pub fn run_to_idle(&mut self) -> SimTime {
         let shards = self.shards;
 
@@ -1133,305 +718,187 @@ impl ShardedSimulator {
         // numbers across the split.
         let mut per_shard: Vec<VecDeque<(SimTime, u64, Event)>> =
             (0..shards).map(|_| VecDeque::new()).collect();
-        let mut faults: VecDeque<(SimTime, u64, Event)> = VecDeque::new();
+        let mut faults: VecDeque<(SimTime, u64, LinkFault)> = VecDeque::new();
         let mut rank = 0u64;
-        while let Some((t, event)) = self.inner.events.pop() {
-            match event {
-                Event::EnqueueAtNode { node, .. } => {
-                    let idx = self
-                        .inner
-                        .node_index
-                        .get(node.get())
-                        .expect("injections reference attached nodes");
-                    let shard = self.assignment[self.inner.node_access[idx as usize] as usize];
-                    per_shard[shard as usize].push_back((t, rank, event));
-                }
-                Event::FailTrunk { .. } | Event::RepairTrunk { .. } | Event::FailSwitch { .. } => {
-                    faults.push_back((t, rank, event));
-                }
-                other => panic!(
-                    "sharded runs drive node-injected workloads and scripted faults only; \
-                     found {other:?} in the pending event set"
-                ),
+        while let Some((t, event)) = self.inner.lane.events.pop() {
+            if let Some(fault) = LinkFault::from_event(&event) {
+                faults.push_back((t, rank, fault));
+            } else if let Event::EnqueueAtNode { node, .. } = event {
+                let access =
+                    self.inner.fabric.node_access[self.inner.fabric.node_idx(node) as usize];
+                per_shard[self.assignment[access as usize] as usize].push_back((t, rank, event));
+            } else {
+                unreachable!(
+                    "inject, inject_batch and schedule_fault(s) are the only ways into the \
+                     pending set and queue nothing but EnqueueAtNode and fault events; \
+                     found {event:?}"
+                );
             }
             rank += 1;
         }
 
-        let lookahead = self.inner.config.propagation_delay + self.inner.config.switch_latency;
-        let lookahead_ns = lookahead.as_nanos();
-        let assignment = self.assignment.clone();
+        let lookahead_ns = self.inner.fabric.switch_arrival_delay().as_nanos();
+        let assignment: &[u32] = &self.assignment;
 
         let mut windows = 0u64;
-        let mut extra_processed = 0u64;
         let mut last_ns = self.inner.now().as_nanos();
-        let mut merged_deliveries: Vec<(DeliveryKey, Delivery)> = Vec::new();
-        let mut merged_freed: Vec<FrameRef> = Vec::new();
 
-        {
-            // Split the inner simulator into the shared read-only fabric
-            // context and the coordinator-mutable routing/stat state.
-            let Simulator {
-                config,
-                topology,
-                router,
-                dense_next_hop,
-                node_index,
-                node_access,
-                trunk_ports,
-                port_links,
-                channel_wire,
-                released_channels,
-                frames,
-                arena,
-                stats,
-                pending_deliveries,
-                manager_index,
-                distributed_control,
-                ..
-            } = &mut self.inner;
-            let config: &SimConfig = config;
-            let router: &Arc<dyn Router> = router;
-            let node_index: &IdIndex = node_index;
-            let node_access: &[u32] = node_access;
-            let trunk_ports: &[u32] = trunk_ports;
-            let port_links: &[HopLink] = port_links;
-            let channel_wire: &[Option<ChannelWireState>] = channel_wire;
-            let released_channels: &[bool] = released_channels;
-            let frames: &[FrameRecord] = frames;
-            let arena: &FrameArena = arena;
-            let manager_index = *manager_index;
-            let distributed_control = *distributed_control;
-            let switch_count = dense_next_hop.switch_count();
-            let assignment: &[u32] = &assignment;
+        // The workers share the read-only fabric; the coordinator keeps
+        // the topology, the router and the routing table it re-pulls
+        // after each fault.
+        let fabric: &Fabric = &self.inner.fabric;
+        let topology = &mut self.inner.topology;
+        let router: &dyn Router = &*self.inner.router;
+        let dense_next_hop = &mut self.inner.lane.dense;
 
-            // rings[p][c]: produced by shard p, consumed by shard c.
-            let rings: Vec<Vec<Arc<SpscRing>>> = (0..shards)
-                .map(|_| {
-                    (0..shards)
-                        .map(|_| Arc::new(SpscRing::new(RING_CAPACITY)))
-                        .collect()
-                })
-                .collect();
+        // rings[p][c]: produced by shard p, consumed by shard c.
+        let rings: Vec<Vec<Arc<SpscRing>>> = (0..shards)
+            .map(|_| {
+                (0..shards)
+                    .map(|_| Arc::new(SpscRing::new(RING_CAPACITY)))
+                    .collect()
+            })
+            .collect();
 
-            let (report_tx, report_rx) = mpsc::channel::<Report>();
-            let (final_tx, final_rx) = mpsc::channel::<WorkerFinal>();
-            let mut command_txs = Vec::with_capacity(shards);
+        let (report_tx, report_rx) = mpsc::channel::<Report>();
+        let (final_tx, final_rx) = mpsc::channel::<WorkerFinal>();
+        let mut command_txs = Vec::with_capacity(shards);
 
-            std::thread::scope(|scope| {
-                for shard in 0..shards {
-                    let (command_tx, command_rx) = mpsc::channel::<Command>();
-                    command_txs.push(command_tx);
-                    let fab = Fabric {
-                        config,
-                        frames,
-                        arena,
-                        node_index,
-                        node_access,
-                        trunk_ports,
-                        switch_count,
-                        port_links,
-                        channel_wire,
-                        released_channels,
-                        manager_index,
-                        distributed_control,
-                        assignment,
-                        lookahead,
-                    };
-                    let injections = std::mem::take(&mut per_shard[shard]);
-                    let inbox: Vec<Arc<SpscRing>> =
-                        (0..shards).map(|p| Arc::clone(&rings[p][shard])).collect();
-                    let outbox: Vec<Arc<SpscRing>> =
-                        (0..shards).map(|c| Arc::clone(&rings[shard][c])).collect();
-                    let dense = Arc::clone(dense_next_hop);
-                    let reports = report_tx.clone();
-                    let finals = final_tx.clone();
-                    let port_count = port_links.len();
-                    let be_capacity = config.be_queue_capacity;
-                    scope.spawn(move || {
-                        let ports = (0..port_count)
-                            .map(|_| match be_capacity {
-                                Some(cap) => OutputPort::with_be_capacity(cap),
-                                None => OutputPort::new(),
-                            })
-                            .collect();
-                        let worker = Worker {
-                            fab,
-                            shard: shard as u32,
+        std::thread::scope(|scope| {
+            for shard in 0..shards {
+                let (command_tx, command_rx) = mpsc::channel::<Command>();
+                command_txs.push(command_tx);
+                let injections = std::mem::take(&mut per_shard[shard]);
+                let inbox: Vec<Arc<SpscRing>> =
+                    (0..shards).map(|p| Arc::clone(&rings[p][shard])).collect();
+                let outbox: Vec<Arc<SpscRing>> =
+                    (0..shards).map(|c| Arc::clone(&rings[shard][c])).collect();
+                let dense = Arc::clone(dense_next_hop);
+                let reports = report_tx.clone();
+                let finals = final_tx.clone();
+                scope.spawn(move || {
+                    let worker = Worker {
+                        lane: Lane::new(
+                            &fabric.config,
+                            SchedulerKind::Calendar,
+                            &fabric.port_links,
                             dense,
-                            queue: EventQueue::with_scheduler(SchedulerKind::Calendar),
-                            batch: Vec::new(),
-                            ports,
-                            dead: vec![false; port_count],
-                            doomed: vec![false; port_count],
-                            stats: SimStats::for_ports(fab.port_links.to_vec()),
-                            deliveries: Vec::new(),
-                            freed: Vec::new(),
-                            injections,
+                        ),
+                        sink: ShardSink {
+                            fabric,
+                            assignment,
+                            shard: shard as u32,
                             staging: Vec::new(),
-                            inbox,
+                            staged_min_ns: u64::MAX,
                             outbox,
                             spill: Vec::new(),
                             outbound_min_ns: u64::MAX,
-                            ring_scratch: Vec::new(),
-                            last_ns: 0,
-                        };
-                        worker_main(worker, command_rx, reports, finals);
-                    });
-                }
-                drop(report_tx);
-                drop(final_tx);
-
-                let mut next_ns = vec![u64::MAX; shards];
-                let mut held: Vec<Vec<RingEntry>> = vec![Vec::new(); shards];
-                let gather = |next_ns: &mut [u64], held: &mut [Vec<RingEntry>]| {
-                    for _ in 0..shards {
-                        let report = report_rx.recv().expect("worker thread alive");
-                        next_ns[report.shard as usize] = report.next_ns;
-                        for (dest, entry) in report.spill {
-                            held[dest as usize].push(entry);
-                        }
-                    }
-                };
-                gather(&mut next_ns, &mut held);
-
-                loop {
-                    let mut t_work = next_ns.iter().copied().min().unwrap_or(u64::MAX);
-                    for h in &held {
-                        for entry in h {
-                            t_work = t_work.min(entry.time_ns);
-                        }
-                    }
-                    let t_fault = faults
-                        .front()
-                        .map(|&(t, _, _)| t.as_nanos())
-                        .unwrap_or(u64::MAX);
-                    if t_work == u64::MAX && t_fault == u64::MAX {
-                        break;
-                    }
-                    if t_fault <= t_work {
-                        // Fault barrier: the coordinator mutates the
-                        // topology and re-pulls routing (the single-thread
-                        // semantics of fail_link / repair_link /
-                        // fail_switch); the workers kill / revive the ports
-                        // they own.
-                        let (at, fault_rank, fault) =
-                            faults.pop_front().expect("fault time was finite");
-                        last_ns = last_ns.max(at.as_nanos());
-                        let mut kills = Vec::new();
-                        let mut repairs = Vec::new();
-                        let mut changed = false;
-                        match fault {
-                            Event::FailTrunk { from, to } => {
-                                let result = topology.fail_trunk(from, to);
-                                debug_assert!(
-                                    result.is_ok(),
-                                    "scripted FailTrunk failed: {result:?}"
-                                );
-                                if result.is_ok() {
-                                    trunk_ports_of(
-                                        dense_next_hop,
-                                        trunk_ports,
-                                        from,
-                                        to,
-                                        &mut kills,
-                                    );
-                                    changed = true;
-                                }
-                            }
-                            Event::RepairTrunk { from, to } => {
-                                let result = topology.repair_trunk(from, to);
-                                debug_assert!(
-                                    result.is_ok(),
-                                    "scripted RepairTrunk failed: {result:?}"
-                                );
-                                if result.is_ok() {
-                                    trunk_ports_of(
-                                        dense_next_hop,
-                                        trunk_ports,
-                                        from,
-                                        to,
-                                        &mut repairs,
-                                    );
-                                    changed = true;
-                                }
-                            }
-                            Event::FailSwitch { switch } => {
-                                let result = topology.fail_switch(switch);
-                                debug_assert!(
-                                    result.is_ok(),
-                                    "scripted FailSwitch failed: {result:?}"
-                                );
-                                if let Ok(cut) = result {
-                                    for (a, b) in cut {
-                                        trunk_ports_of(
-                                            dense_next_hop,
-                                            trunk_ports,
-                                            a,
-                                            b,
-                                            &mut kills,
-                                        );
-                                    }
-                                    changed = true;
-                                }
-                            }
-                            _ => unreachable!("only fault events enter the fault script"),
-                        }
-                        if changed {
-                            *dense_next_hop = router.dense_next_hop(topology);
-                        }
-                        let kills = Arc::new(kills);
-                        let repairs = Arc::new(repairs);
-                        for tx in &command_txs {
-                            tx.send(Command::Fault {
-                                at,
-                                rank: fault_rank,
-                                kills: Arc::clone(&kills),
-                                repairs: Arc::clone(&repairs),
-                            })
-                            .expect("worker thread alive");
-                        }
-                        gather(&mut next_ns, &mut held);
-                    } else {
-                        // Conservative window [t_work, t_work + L), cut
-                        // short by the next fault.
-                        let end_excl = t_work
-                            .saturating_add(lookahead_ns)
-                            .min(t_fault)
-                            .max(t_work.saturating_add(1));
-                        for (shard, tx) in command_txs.iter().enumerate() {
-                            tx.send(Command::Window {
-                                end_excl: SimTime::from_nanos(end_excl),
-                                dense: Arc::clone(dense_next_hop),
-                                spilled: std::mem::take(&mut held[shard]),
-                            })
-                            .expect("worker thread alive");
-                        }
-                        gather(&mut next_ns, &mut held);
-                        windows += 1;
-                    }
-                }
-                for tx in &command_txs {
-                    let _ = tx.send(Command::Finish);
-                }
-            });
-
-            for _ in 0..shards {
-                let done = final_rx.recv().expect("every worker sends a final report");
-                stats.merge_from(&done.stats);
-                merged_deliveries.extend(done.deliveries);
-                merged_freed.extend(done.freed);
-                extra_processed += done.processed;
-                last_ns = last_ns.max(done.last_ns);
+                            freed: Vec::new(),
+                            deliveries: Vec::new(),
+                        },
+                        batch: Vec::new(),
+                        injections,
+                        inbox,
+                        ring_scratch: Vec::new(),
+                        due: Vec::new(),
+                        last_ns: 0,
+                    };
+                    worker_main(worker, command_rx, reports, finals);
+                });
             }
-            merged_deliveries.sort_unstable_by_key(|a| a.0);
-            pending_deliveries.extend(merged_deliveries.into_iter().map(|(_, d)| d));
-        }
+            drop(report_tx);
+            drop(final_tx);
 
-        for r in merged_freed {
-            self.inner.arena.free(r);
+            let mut next_ns = vec![u64::MAX; shards];
+            let mut held: Vec<Vec<RingEntry>> = vec![Vec::new(); shards];
+            let gather = |next_ns: &mut [u64], held: &mut [Vec<RingEntry>]| {
+                for _ in 0..shards {
+                    let report = report_rx.recv().expect("worker thread alive");
+                    next_ns[report.shard as usize] = report.next_ns;
+                    for (dest, entry) in report.spill {
+                        held[dest as usize].push(entry);
+                    }
+                }
+            };
+            gather(&mut next_ns, &mut held);
+
+            loop {
+                let mut t_work = next_ns.iter().copied().min().unwrap_or(u64::MAX);
+                for h in &held {
+                    for entry in h {
+                        t_work = t_work.min(entry.time_ns);
+                    }
+                }
+                let t_fault = faults
+                    .front()
+                    .map(|&(t, _, _)| t.as_nanos())
+                    .unwrap_or(u64::MAX);
+                if t_work == u64::MAX && t_fault == u64::MAX {
+                    break;
+                }
+                if t_fault <= t_work {
+                    // Fault barrier: the coordinator mutates the
+                    // topology and re-pulls routing (the single-thread
+                    // semantics of fail_link / repair_link /
+                    // fail_switch); the workers kill / revive the ports.
+                    let Some((at, rank, fault)) = faults.pop_front() else {
+                        break;
+                    };
+                    last_ns = last_ns.max(at.as_nanos());
+                    let flips =
+                        switch::apply_fault(topology, router, fabric, dense_next_hop, fault);
+                    debug_assert!(flips.is_ok(), "scripted {fault:?} failed: {flips:?}");
+                    let flips = Arc::new(flips.unwrap_or_default());
+                    for tx in &command_txs {
+                        tx.send(Command::Fault {
+                            at,
+                            rank,
+                            flips: Arc::clone(&flips),
+                        })
+                        .expect("worker thread alive");
+                    }
+                    gather(&mut next_ns, &mut held);
+                } else {
+                    // Conservative window [t_work, t_work + L), cut
+                    // short by the next fault.
+                    let end_excl = t_work
+                        .saturating_add(lookahead_ns)
+                        .min(t_fault)
+                        .max(t_work.saturating_add(1));
+                    for (shard, tx) in command_txs.iter().enumerate() {
+                        tx.send(Command::Window {
+                            end_excl: SimTime::from_nanos(end_excl),
+                            dense: Arc::clone(dense_next_hop),
+                            spilled: std::mem::take(&mut held[shard]),
+                        })
+                        .expect("worker thread alive");
+                    }
+                    gather(&mut next_ns, &mut held);
+                    windows += 1;
+                }
+            }
+            for tx in &command_txs {
+                let _ = tx.send(Command::Finish);
+            }
+        });
+
+        // Every worker has exited (the scope joined them), so the channel
+        // holds exactly one hand-back per shard.
+        let mut deliveries: Vec<(DeliveryKey, Delivery)> = Vec::new();
+        for done in final_rx.iter() {
+            self.inner.lane.stats.merge_from(&done.stats);
+            deliveries.extend(done.deliveries);
+            for buffer in done.freed {
+                self.inner.fabric.arena.free(buffer);
+            }
+            self.extra_processed += done.processed;
+            last_ns = last_ns.max(done.last_ns);
         }
+        deliveries.sort_unstable_by_key(|a| a.0);
+        self.inner
+            .pending_deliveries
+            .extend(deliveries.into_iter().map(|(_, d)| d));
         self.windows_executed += windows;
-        self.extra_processed += extra_processed;
         self.finished_at = self.finished_at.max(SimTime::from_nanos(last_ns));
         self.now()
     }

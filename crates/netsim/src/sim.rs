@@ -43,7 +43,12 @@
 //!
 //! ## Hot path
 //!
-//! The per-event path is allocation- and hash-free: at construction every
+//! What the fabric does with one event lives in the private `switch` module
+//! (one forwarding core for this simulator and for the shards of
+//! [`crate::shard::ShardedSimulator`]); this file is its single-thread
+//! driver — the run loops, the faults and control-plane originations only it
+//! sees — and the public front-end that builds and edits what the core
+//! reads.  The per-event path is allocation- and hash-free: at construction every
 //! entity gets a contiguous index — nodes, switches (via the router's
 //! [`DenseNextHop`]) and output ports (uplink `2i`, downlink `2i + 1`,
 //! trunks after all access ports) — and every per-event decision is a few
@@ -65,13 +70,16 @@ use std::sync::Arc;
 
 use rt_frames::{EthernetFrame, Frame, FrameArena, FramePeek, FrameRef};
 use rt_types::{
-    ChannelId, DenseNextHop, Duration, HopLink, IdIndex, LinkId, MacAddr, NextHopTable, NodeId,
-    Route, Router, RtError, RtResult, ShortestPathRouter, SimTime, SwitchId, Topology, NO_INDEX,
+    ChannelId, Duration, HopLink, IdIndex, LinkId, MacAddr, NextHopTable, NodeId, Route, Router,
+    RtError, RtResult, ShortestPathRouter, SimTime, SwitchId, Topology, NO_INDEX,
 };
 
-use crate::event::{Event, EventQueue, SchedulerKind};
-use crate::port::{OutputPort, TrafficClass};
+use crate::event::{Event, SchedulerKind};
+use crate::port::TrafficClass;
 use crate::stats::SimStats;
+use crate::switch::{
+    self, ChannelWireState, Core, Fabric, FrameDest, FrameRecord, Lane, Sink, StoredFrame,
+};
 
 /// Identifier of a frame inside one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -171,66 +179,6 @@ impl SimConfig {
     }
 }
 
-/// Where a frame is headed, resolved once at injection time so the per-hop
-/// forwarding decision never touches the MAC table again.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FrameDest {
-    /// An attached end node: its dense node index and the dense index of
-    /// its access switch.
-    Node {
-        /// Dense node index (downlink port is `2·node + 1`).
-        node: u32,
-        /// Dense index of the node's access switch.
-        switch: u32,
-    },
-    /// The generic switch MAC: deliver to the managing switch's control
-    /// plane (central placement) or to the first switch that receives the
-    /// frame (distributed placement).
-    ControlPlane,
-    /// The per-switch control-plane MAC of one specific switch (dense
-    /// index): forwarded over trunks and delivered to that switch's control
-    /// plane — the transport of the distributed reservation protocol.
-    Switch {
-        /// Dense index of the addressed switch.
-        switch: u32,
-    },
-    /// No attached node owns the MAC; dropped as unroutable at the first
-    /// switch (exactly as the per-hop lookup used to).
-    Unknown,
-}
-
-/// Where one frame's bytes live while it crosses the fabric.
-#[derive(Debug, Clone)]
-pub(crate) enum StoredFrame {
-    /// The decoded frame, owned by the record ([`FrameStoreKind::Owned`]).
-    Owned(EthernetFrame),
-    /// An index into the simulator's [`FrameArena`]
-    /// ([`FrameStoreKind::Arena`]): the buffer holds the unpadded wire
-    /// image and is freed back to the pool at delivery or drop.
-    Pooled(FrameRef),
-}
-
-/// Everything the simulator remembers about one injected frame.
-#[derive(Debug, Clone)]
-pub(crate) struct FrameRecord {
-    pub(crate) stored: StoredFrame,
-    pub(crate) class: TrafficClass,
-    /// Absolute end-to-end deadline (simulated time) for RT frames.
-    pub(crate) deadline: Option<SimTime>,
-    /// RT channel for RT data frames.
-    pub(crate) channel: Option<ChannelId>,
-    /// `true` for link-state flood frames — control-class on the wire, but
-    /// accounted as convergence overhead instead of reservation traffic.
-    pub(crate) link_state: bool,
-    /// The resolved destination (dense indices).
-    pub(crate) dest: FrameDest,
-    /// Where the frame entered the network (`NodeId::SWITCH` for frames
-    /// originated by the switch control plane).
-    pub(crate) source: NodeId,
-    pub(crate) injected_at: SimTime,
-    pub(crate) wire_bytes: usize,
-}
-
 /// A frame delivered to its final receiver (an end node, or the switch
 /// control plane for frames addressed to the switch MAC).
 #[derive(Debug, Clone)]
@@ -308,6 +256,27 @@ pub enum LinkFault {
     },
 }
 
+impl LinkFault {
+    /// The calendar event that carries this fault.
+    fn into_event(self) -> Event {
+        match self {
+            LinkFault::Fail { from, to } => Event::FailTrunk { from, to },
+            LinkFault::Repair { from, to } => Event::RepairTrunk { from, to },
+            LinkFault::FailSwitch { switch } => Event::FailSwitch { switch },
+        }
+    }
+
+    /// The fault a calendar event carries; `None` for every other event.
+    pub(crate) fn from_event(event: &Event) -> Option<Self> {
+        match *event {
+            Event::FailTrunk { from, to } => Some(LinkFault::Fail { from, to }),
+            Event::RepairTrunk { from, to } => Some(LinkFault::Repair { from, to }),
+            Event::FailSwitch { switch } => Some(LinkFault::FailSwitch { switch }),
+            _ => None,
+        }
+    }
+}
+
 /// A scripted sequence of link failures and repairs, injected up front like
 /// a traffic workload ([`Simulator::schedule_faults`]): each fault becomes a
 /// first-class simulator event, totally ordered with the frames around it,
@@ -372,81 +341,20 @@ pub trait TrafficSource {
     fn is_exhausted(&self) -> bool;
 }
 
-/// Per-channel wire state installed at admission time: the EDF deadline
-/// budget of every link of the route, plus the per-switch forwarding
-/// entries that pin the channel's frames to the admitted route (which on a
-/// mesh need not be the next-hop table's shortest path).  Both tables are
-/// tiny sorted vectors keyed by dense indices — a route has a handful of
-/// hops, so lookups are a short binary search over one cache line.
-#[derive(Debug, Default)]
-pub(crate) struct ChannelWireState {
-    /// `(port, budget)`: per-link EDF deadline budget (offset from
-    /// injection time), sorted by dense port id.
-    offsets: Vec<(u32, Duration)>,
-    /// `(switch, port)`: at each switch of the route, the egress the
-    /// channel's frames take, sorted by dense switch index.
-    forwarding: Vec<(u32, u32)>,
-}
-
-impl ChannelWireState {
-    fn set_offset(&mut self, port: u32, budget: Duration) {
-        match self.offsets.binary_search_by_key(&port, |e| e.0) {
-            Ok(i) => self.offsets[i].1 = budget,
-            Err(i) => self.offsets.insert(i, (port, budget)),
-        }
-    }
-
-    fn set_forwarding(&mut self, switch: u32, port: u32) {
-        match self.forwarding.binary_search_by_key(&switch, |e| e.0) {
-            Ok(i) => self.forwarding[i].1 = port,
-            Err(i) => self.forwarding.insert(i, (switch, port)),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn offset_for(&self, port: u32) -> Option<Duration> {
-        self.offsets
-            .binary_search_by_key(&port, |e| e.0)
-            .ok()
-            .map(|i| self.offsets[i].1)
-    }
-
-    #[inline]
-    pub(crate) fn forwarding_port(&self, switch: u32) -> Option<u32> {
-        self.forwarding
-            .binary_search_by_key(&switch, |e| e.0)
-            .ok()
-            .map(|i| self.forwarding[i].1)
-    }
-}
-
 /// The simulator.
 #[derive(Debug)]
 pub struct Simulator {
-    pub(crate) config: SimConfig,
-    pub(crate) events: EventQueue,
     pub(crate) topology: Topology,
-    /// The path-selection policy the fabric was built with.
+    /// The path-selection policy the fabric was built with.  The
+    /// `BTreeMap` reference form of its table is *not* held here: the
+    /// router's cache materialises it lazily for whoever asks
+    /// ([`Simulator::next_hop_table`]), so a structural fabric never pays
+    /// the O(V²) table at all.
     pub(crate) router: Arc<dyn Router>,
-    /// The `(at, towards) → neighbour` forwarding state of the trunk graph
-    /// in dense form — what the per-event path reads.  The `BTreeMap`
-    /// reference form is *not* held here: the router's cache materialises
-    /// it lazily for whoever asks ([`Simulator::next_hop_table`]), so a
-    /// structural fabric never pays the O(V²) table at all.
-    pub(crate) dense_next_hop: Arc<DenseNextHop>,
-    /// Raw node id → dense node index.
-    pub(crate) node_index: IdIndex,
-    /// Dense node index → dense index of the node's access switch.
-    pub(crate) node_access: Vec<u32>,
-    /// Dense `(from, to)` switch-index pair → trunk port id (`NO_INDEX`
-    /// where no trunk exists); row-major `from · S + to`.
-    pub(crate) trunk_ports: Vec<u32>,
-    /// One output port per directed edge, by dense port id: uplink of node
-    /// `i` at `2i`, its downlink at `2i + 1`, trunk ports after all access
-    /// ports.
-    ports: Vec<OutputPort>,
-    /// Dense port id → the directed link it drives.
-    pub(crate) port_links: Vec<HopLink>,
+    /// What the per-event path reads.
+    pub(crate) fabric: Fabric,
+    /// What the per-event path writes.
+    pub(crate) lane: Lane,
     /// MAC → node table (static; consulted once per frame at injection).
     forwarding: HashMap<MacAddr, NodeId>,
     /// The generic switch MAC address (node-originated control traffic is
@@ -456,37 +364,39 @@ pub struct Simulator {
     /// switch-to-switch reservation frames).
     switch_macs: HashMap<MacAddr, u32>,
     /// The switch hosting the RT channel management software.
-    pub(crate) manager_switch: SwitchId,
-    /// Dense index of the managing switch.
-    pub(crate) manager_index: u32,
-    /// `true` when the topology places a channel manager on every switch:
-    /// frames addressed to the generic switch MAC are then consumed by the
-    /// first switch that receives them instead of being forwarded to the
-    /// managing switch.
-    pub(crate) distributed_control: bool,
-    /// Per-channel route state (deadline budgets + forwarding entries),
-    /// indexed by raw channel id.
-    pub(crate) channel_wire: Vec<Option<ChannelWireState>>,
-    /// Channels whose wire state was torn down ([`Simulator::release_channel`]),
-    /// indexed by raw channel id: their late frames are dropped at the first
-    /// switch and counted, never silently delivered.  Re-installing a hop
-    /// schedule (re-admission under the same id) clears the flag.
-    pub(crate) released_channels: Vec<bool>,
-    /// Ports whose link is currently failed, by dense port id.  Only trunk
-    /// ports can die today; access links never fail.
-    dead_ports: Vec<bool>,
-    /// Ports that had a frame mid-serialisation when their link was cut:
-    /// that frame is lost even if the link is repaired before the
-    /// transmission-complete event fires.
-    doomed_ports: Vec<bool>,
-    pub(crate) frames: Vec<FrameRecord>,
-    /// Pooled buffers for in-flight frame bytes
-    /// ([`FrameStoreKind::Arena`]); empty and untouched in `Owned` mode.
-    pub(crate) arena: FrameArena,
+    manager_switch: SwitchId,
     pub(crate) pending_deliveries: Vec<Delivery>,
     /// Reusable scratch for the batched same-time event drain.
     event_batch: Vec<Event>,
-    pub(crate) stats: SimStats,
+    /// Buffers the core released while the arena was lent to it read-only;
+    /// they go back to the pool as soon as the event returns.
+    freed: Vec<FrameRef>,
+}
+
+/// The single-thread driver's [`Sink`]: a switch arrival is one more event
+/// in the lane's own calendar, a delivery is appended as it happens, and a
+/// released buffer waits in `freed` only until the event returns.
+struct Inline<'a> {
+    deliveries: &'a mut Vec<Delivery>,
+    freed: &'a mut Vec<FrameRef>,
+}
+
+impl Sink for Inline<'_> {
+    #[inline]
+    fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId) {
+        let switch = lane.dense.switch_at(switch);
+        lane.schedule(at, Event::ArriveAtSwitch { switch, frame });
+    }
+
+    #[inline]
+    fn release(&mut self, buffer: FrameRef) {
+        self.freed.push(buffer);
+    }
+
+    #[inline]
+    fn deliver(&mut self, delivery: Delivery, _since_scheduled: Duration) {
+        self.deliveries.push(delivery);
+    }
 }
 
 impl Simulator {
@@ -524,42 +434,36 @@ impl Simulator {
             return Err(RtError::Config("the switch graph must be connected".into()));
         }
         router.validate(&topology)?;
-        let make_port = || match config.be_queue_capacity {
-            Some(cap) => OutputPort::with_be_capacity(cap),
-            None => OutputPort::new(),
-        };
         let dense_next_hop = router.dense_next_hop(&topology);
         let switch_count = dense_next_hop.switch_count();
+        // `DenseNextHop` indexes every switch of the topology it was built
+        // from, and attachments and trunks only name topology switches.
+        let switch_idx = |switch: SwitchId| {
+            dense_next_hop
+                .index_of(switch)
+                .expect("the router's dense index covers every topology switch")
+        };
 
         // Dense node layout: `topology.nodes()` iterates in ascending id
         // order, which is exactly the IdIndex ordering.
         let node_index = IdIndex::new(topology.nodes().map(|n| n.get()));
         let mut node_access = Vec::with_capacity(node_index.len());
-        let mut ports = Vec::with_capacity(2 * node_index.len() + 2 * topology.trunk_count());
-        let mut port_links = Vec::with_capacity(ports.capacity());
+        let mut port_links = Vec::with_capacity(2 * node_index.len() + 2 * topology.trunk_count());
         let mut forwarding = HashMap::new();
         for node in topology.nodes() {
             let access = topology
                 .switch_of(node)
                 .expect("nodes() yields attached nodes");
-            node_access.push(
-                dense_next_hop
-                    .index_of(access)
-                    .expect("attachments reference known switches"),
-            );
-            ports.push(make_port());
+            node_access.push(switch_idx(access));
             port_links.push(HopLink::Uplink(node));
-            ports.push(make_port());
             port_links.push(HopLink::Downlink(node));
             forwarding.insert(MacAddr::for_node(node), node);
         }
         let mut trunk_ports = vec![NO_INDEX; switch_count * switch_count];
         for (a, b) in topology.trunks() {
             for (from, to) in [(a, b), (b, a)] {
-                let f = dense_next_hop.index_of(from).expect("trunk switch known") as usize;
-                let t = dense_next_hop.index_of(to).expect("trunk switch known") as usize;
-                trunk_ports[f * switch_count + t] = ports.len() as u32;
-                ports.push(make_port());
+                let slot = switch_idx(from) as usize * switch_count + switch_idx(to) as usize;
+                trunk_ports[slot] = port_links.len() as u32;
                 port_links.push(HopLink::Trunk { from, to });
             }
         }
@@ -567,52 +471,45 @@ impl Simulator {
             .switches()
             .next()
             .expect("switch_count checked above");
-        let manager_index = dense_next_hop
-            .index_of(manager_switch)
-            .expect("manager is a topology switch");
-        let mut switch_macs = HashMap::with_capacity(switch_count);
-        for switch in topology.switches() {
-            let idx = dense_next_hop
-                .index_of(switch)
-                .expect("switches are indexed");
-            switch_macs.insert(MacAddr::for_switch_id(switch), idx);
-        }
+        let switch_macs = topology
+            .switches()
+            .map(|switch| (MacAddr::for_switch_id(switch), switch_idx(switch)))
+            .collect();
         let distributed_control =
             topology.manager_placement() == rt_types::ManagerPlacement::Distributed;
-        let stats = SimStats::for_ports(port_links.clone());
-        let port_count = ports.len();
+        let manager_index = switch_idx(manager_switch);
+        let lane = Lane::new(&config, config.scheduler, &port_links, dense_next_hop);
         Ok(Simulator {
-            config,
-            events: EventQueue::with_scheduler(config.scheduler),
             topology,
             router,
-            dense_next_hop,
-            node_index,
-            node_access,
-            trunk_ports,
-            ports,
-            port_links,
+            fabric: Fabric {
+                config,
+                node_index,
+                node_access,
+                trunk_ports,
+                switch_count,
+                port_links,
+                manager_index,
+                distributed_control,
+                channel_wire: Vec::new(),
+                released_channels: Vec::new(),
+                frames: Vec::new(),
+                arena: FrameArena::new(),
+            },
+            lane,
             forwarding,
             switch_mac: MacAddr::for_switch(),
             switch_macs,
             manager_switch,
-            manager_index,
-            distributed_control,
-            channel_wire: Vec::new(),
-            released_channels: Vec::new(),
-            dead_ports: vec![false; port_count],
-            doomed_ports: vec![false; port_count],
-            frames: Vec::new(),
-            arena: FrameArena::new(),
             pending_deliveries: Vec::new(),
             event_batch: Vec::new(),
-            stats,
+            freed: Vec::new(),
         })
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.fabric.config
     }
 
     /// The topology the fabric was built from.
@@ -627,7 +524,7 @@ impl Simulator {
 
     /// The event scheduler the simulation runs on.
     pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.events.scheduler_kind()
+        self.lane.events.scheduler_kind()
     }
 
     /// The router's `(at, towards) → neighbour` next-hop table (reference
@@ -645,22 +542,22 @@ impl Simulator {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.events.now()
+        self.lane.events.now()
     }
 
     /// Number of end nodes attached to the fabric.
     pub fn node_count(&self) -> usize {
-        self.node_index.len()
+        self.fabric.node_index.len()
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        &self.lane.stats
     }
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events.processed()
+        self.lane.events.processed()
     }
 
     /// Number of frames ever registered with the fabric (every injection
@@ -668,12 +565,12 @@ impl Simulator {
     /// event queue drains, `injected_count() == stats().total_delivered() +
     /// stats().total_dropped()` — frame conservation.
     pub fn injected_count(&self) -> u64 {
-        self.frames.len() as u64
+        self.fabric.frames.len() as u64
     }
 
     /// Number of events still pending.
     pub fn events_pending(&self) -> usize {
-        self.events.len()
+        self.lane.events.len()
     }
 
     /// Drain the deliveries that have accumulated since the last call.
@@ -686,48 +583,6 @@ impl Simulator {
     /// and both buffers keep their capacity, so a poll allocates nothing.
     pub fn poll_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
         out.append(&mut self.pending_deliveries);
-    }
-
-    // --- dense lookups ---------------------------------------------------
-
-    /// Dense node index of an event's node (events only reference nodes
-    /// that passed injection validation).
-    #[inline]
-    fn node_idx(&self, node: NodeId) -> u32 {
-        self.node_index
-            .get(node.get())
-            .expect("events only reference attached nodes")
-    }
-
-    /// Dense switch index of an event's switch.
-    #[inline]
-    fn switch_idx(&self, switch: SwitchId) -> u32 {
-        self.dense_next_hop
-            .index_of(switch)
-            .expect("events only reference topology switches")
-    }
-
-    /// The trunk port from dense switch `from` to dense switch `to`.
-    #[inline]
-    fn trunk_port(&self, from: u32, to: u32) -> Option<u32> {
-        let s = self.dense_next_hop.switch_count();
-        match self.trunk_ports[from as usize * s + to as usize] {
-            NO_INDEX => None,
-            port => Some(port),
-        }
-    }
-
-    /// The port id of a topology link, if the link exists in this fabric.
-    fn port_of_link(&self, link: HopLink) -> Option<u32> {
-        match link {
-            HopLink::Uplink(node) => self.node_index.get(node.get()).map(|i| 2 * i),
-            HopLink::Downlink(node) => self.node_index.get(node.get()).map(|i| 2 * i + 1),
-            HopLink::Trunk { from, to } => {
-                let f = self.dense_next_hop.index_of(from)?;
-                let t = self.dense_next_hop.index_of(to)?;
-                self.trunk_port(f, t)
-            }
-        }
     }
 
     // --- channel wire state ----------------------------------------------
@@ -748,7 +603,7 @@ impl Simulator {
         let mut state = ChannelWireState::default();
         for (link, offset) in offsets {
             self.add_forwarding_entry(&mut state, link);
-            if let Some(port) = self.port_of_link(link) {
+            if let Some(port) = self.fabric.port_of_link(&self.lane.dense, link) {
                 state.set_offset(port, offset);
             }
         }
@@ -773,17 +628,19 @@ impl Simulator {
     /// is the egress of its transmitting switch, a downlink the egress of
     /// the destination's access switch, an uplink belongs to the node.
     fn add_forwarding_entry(&self, state: &mut ChannelWireState, link: HopLink) {
+        let dense = &self.lane.dense;
         match link {
             HopLink::Trunk { from, .. } => {
                 if let (Some(switch), Some(port)) =
-                    (self.dense_next_hop.index_of(from), self.port_of_link(link))
+                    (dense.index_of(from), self.fabric.port_of_link(dense, link))
                 {
                     state.set_forwarding(switch, port);
                 }
             }
             HopLink::Downlink(node) => {
-                if let Some(node_idx) = self.node_index.get(node.get()) {
-                    state.set_forwarding(self.node_access[node_idx as usize], 2 * node_idx + 1);
+                if let Some(node_idx) = self.fabric.node_index.get(node.get()) {
+                    let access = self.fabric.node_access[node_idx as usize];
+                    state.set_forwarding(access, 2 * node_idx + 1);
                 }
             }
             HopLink::Uplink(_) => {}
@@ -793,7 +650,7 @@ impl Simulator {
     /// Forget a channel's wire state (the raw table edit; most callers want
     /// the full [`Simulator::release_channel`] teardown).
     pub fn clear_channel_hop_schedule(&mut self, channel: ChannelId) {
-        if let Some(slot) = self.channel_wire.get_mut(channel.get() as usize) {
+        if let Some(slot) = self.fabric.channel_wire.get_mut(channel.get() as usize) {
             *slot = None;
         }
     }
@@ -812,39 +669,24 @@ impl Simulator {
     }
 
     fn mark_released(&mut self, channel: ChannelId, released: bool) {
+        let flags = &mut self.fabric.released_channels;
         let idx = channel.get() as usize;
-        if idx >= self.released_channels.len() {
+        if idx >= flags.len() {
             if !released {
                 return;
             }
-            self.released_channels.resize(idx + 1, false);
+            flags.resize(idx + 1, false);
         }
-        self.released_channels[idx] = released;
-    }
-
-    /// `true` if the channel's wire state was torn down and not re-installed.
-    #[inline]
-    fn is_released(&self, channel: Option<ChannelId>) -> bool {
-        channel.is_some_and(|c| {
-            self.released_channels
-                .get(c.get() as usize)
-                .copied()
-                .unwrap_or(false)
-        })
+        flags[idx] = released;
     }
 
     fn channel_wire_slot(&mut self, channel: ChannelId) -> &mut Option<ChannelWireState> {
+        let slots = &mut self.fabric.channel_wire;
         let idx = channel.get() as usize;
-        if idx >= self.channel_wire.len() {
-            self.channel_wire.resize_with(idx + 1, || None);
+        if idx >= slots.len() {
+            slots.resize_with(idx + 1, || None);
         }
-        &mut self.channel_wire[idx]
-    }
-
-    /// The installed wire state of a channel, if any (hot path).
-    #[inline]
-    fn channel_state(&self, channel: Option<ChannelId>) -> Option<&ChannelWireState> {
-        self.channel_wire.get(channel?.get() as usize)?.as_ref()
+        &mut slots[idx]
     }
 
     // --- fault injection --------------------------------------------------
@@ -858,32 +700,7 @@ impl Simulator {
     /// at the dead ports drop (and count) their frames until the channel is
     /// re-routed.
     pub fn fail_link(&mut self, from: SwitchId, to: SwitchId) -> RtResult<()> {
-        self.topology.fail_trunk(from, to)?;
-        let now = self.now();
-        self.kill_trunk_ports(from, to, now);
-        self.refresh_routing_tables();
-        Ok(())
-    }
-
-    /// Kill both directed ports of one trunk: mark them dead, doom a frame
-    /// mid-serialisation (lost with the cable even across a repair), and
-    /// drain + count their queues.
-    fn kill_trunk_ports(&mut self, a: SwitchId, b: SwitchId, now: SimTime) {
-        let f = self.switch_idx(a);
-        let t = self.switch_idx(b);
-        for (x, y) in [(f, t), (t, f)] {
-            if let Some(port) = self.trunk_port(x, y) {
-                let p = port as usize;
-                self.dead_ports[p] = true;
-                if self.ports[p].is_busy(now) {
-                    self.doomed_ports[p] = true;
-                }
-                for lost in self.ports[p].drain() {
-                    self.stats.record_failed_link_drop();
-                    self.discard_frame(lost.frame);
-                }
-            }
-        }
+        self.apply_fault(LinkFault::Fail { from, to })
     }
 
     /// Splice a previously cut trunk back: the topology recovers
@@ -893,16 +710,7 @@ impl Simulator {
     /// re-selection after a repair is an admission-control decision, not a
     /// wire-level one.
     pub fn repair_link(&mut self, from: SwitchId, to: SwitchId) -> RtResult<()> {
-        self.topology.repair_trunk(from, to)?;
-        let f = self.switch_idx(from);
-        let t = self.switch_idx(to);
-        for (a, b) in [(f, t), (t, f)] {
-            if let Some(port) = self.trunk_port(a, b) {
-                self.dead_ports[port as usize] = false;
-            }
-        }
-        self.refresh_routing_tables();
-        Ok(())
+        self.apply_fault(LinkFault::Repair { from, to })
     }
 
     /// Cut every healthy trunk incident to `switch` *now*, atomically: the
@@ -913,23 +721,41 @@ impl Simulator {
     /// its access links) survives; repairs splice trunks back one at a
     /// time via [`Simulator::repair_link`].
     pub fn fail_switch(&mut self, switch: SwitchId) -> RtResult<()> {
-        let cut = self.topology.fail_switch(switch)?;
+        self.apply_fault(LinkFault::FailSwitch { switch })
+    }
+
+    /// One fault, now: the topology and the routing table change, then the
+    /// ports the fault names die or come back.
+    fn apply_fault(&mut self, fault: LinkFault) -> RtResult<()> {
+        let flips = switch::apply_fault(
+            &mut self.topology,
+            &*self.router,
+            &self.fabric,
+            &mut self.lane.dense,
+            fault,
+        )?;
         let now = self.now();
-        for &(a, b) in &cut {
-            self.kill_trunk_ports(a, b, now);
-        }
-        self.refresh_routing_tables();
+        self.with_core(|core| core.flip_ports(&flips, now));
         Ok(())
     }
 
-    /// Re-pull the dense next-hop form from the router after a topology
-    /// mutation.  The router caches per fingerprint (rebuilding
-    /// incrementally for a single trunk flip), so this is cheap when
-    /// nothing changed and one bounded recompute when something did.  The
-    /// dense switch indexing is stable across failures (the switch set
-    /// never changes), so ports and trunk indices stay valid.
-    fn refresh_routing_tables(&mut self) {
-        self.dense_next_hop = self.router.dense_next_hop(&self.topology);
+    /// Lend the fabric, the lane and the inline sink to the core for one
+    /// event or fault, then return the buffers it released to the arena.
+    #[inline]
+    fn with_core<R>(&mut self, run: impl FnOnce(&mut Core<'_, Inline<'_>>) -> R) -> R {
+        let mut sink = Inline {
+            deliveries: &mut self.pending_deliveries,
+            freed: &mut self.freed,
+        };
+        let result = run(&mut Core {
+            fabric: &self.fabric,
+            lane: &mut self.lane,
+            sink: &mut sink,
+        });
+        for buffer in self.freed.drain(..) {
+            self.fabric.arena.free(buffer);
+        }
+        result
     }
 
     /// Schedule a single fault as a first-class simulator event: it fires in
@@ -939,12 +765,7 @@ impl Simulator {
         if at < self.now() {
             return Err(Self::past_injection_error(at, self.now()));
         }
-        let event = match fault {
-            LinkFault::Fail { from, to } => Event::FailTrunk { from, to },
-            LinkFault::Repair { from, to } => Event::RepairTrunk { from, to },
-            LinkFault::FailSwitch { switch } => Event::FailSwitch { switch },
-        };
-        self.schedule_event(at, event);
+        self.lane.schedule(at, fault.into_event());
         Ok(())
     }
 
@@ -997,12 +818,13 @@ impl Simulator {
         match self.forwarding.get(&dst) {
             Some(&node) => {
                 let node_idx = self
+                    .fabric
                     .node_index
                     .get(node.get())
                     .expect("forwarding only holds attached nodes");
                 FrameDest::Node {
                     node: node_idx,
-                    switch: self.node_access[node_idx as usize],
+                    switch: self.fabric.node_access[node_idx as usize],
                 }
             }
             None => FrameDest::Unknown,
@@ -1036,23 +858,24 @@ impl Simulator {
     ) -> FrameId {
         let dest = self.resolve_dest(eth.dst);
         let wire_bytes = eth.wire_bytes();
-        let id = FrameId(self.frames.len() as u64);
+        let id = FrameId(self.fabric.frames.len() as u64);
         if link_state {
-            self.stats.record_link_state_frame();
-        } else if Self::is_control_record(class, channel) {
-            self.stats.record_control_frame();
+            self.lane.stats.record_link_state_frame();
+        } else if switch::is_control(class, channel) {
+            self.lane.stats.record_control_frame();
         }
         // The one serialisation of the zero-copy path: the frame's unpadded
         // wire image goes into a pooled buffer here, and only the small
         // `FrameRef` travels through the event loop.
-        let stored = match self.config.frame_store {
+        let stored = match self.fabric.config.frame_store {
             FrameStoreKind::Owned => StoredFrame::Owned(eth),
             FrameStoreKind::Arena => StoredFrame::Pooled(
-                self.arena
+                self.fabric
+                    .arena
                     .alloc_with(eth.unpadded_len(), |buf| eth.encode_unpadded_to_slice(buf)),
             ),
         };
-        self.frames.push(FrameRecord {
+        self.fabric.frames.push(FrameRecord {
             stored,
             class,
             deadline,
@@ -1066,20 +889,12 @@ impl Simulator {
         id
     }
 
-    /// `true` if a frame of this classification is control-plane traffic:
-    /// real-time class without a data channel (establishment, reservation
-    /// and tear-down frames; RT data always carries its channel id).
-    #[inline]
-    pub(crate) fn is_control_record(class: TrafficClass, channel: Option<ChannelId>) -> bool {
-        class == TrafficClass::RealTime && channel.is_none()
-    }
-
     /// One checked gate for every injection path: the entry point must be an
     /// attached node and the time must not lie in the simulated past.  The
     /// error construction is kept out of line so the (always-taken) happy
     /// path stays branch-plus-return.
     fn validate_injection(&self, node: NodeId, at: SimTime) -> RtResult<()> {
-        if self.node_index.get(node.get()).is_none() {
+        if self.fabric.node_index.get(node.get()).is_none() {
             return Err(RtError::UnknownNode(node));
         }
         if at < self.now() {
@@ -1096,21 +911,13 @@ impl Simulator {
         ))
     }
 
-    /// Schedule an internal event, folding the (release-build) past-time
-    /// clamp count into the run statistics.
-    #[inline]
-    fn schedule_event(&mut self, at: SimTime, event: Event) {
-        if self.events.schedule(at, event) {
-            self.stats.record_clamped();
-        }
-    }
-
     /// Inject a frame at `node`'s RT layer at time `at` (it enters the NIC
     /// output queues at that instant).
     pub fn inject(&mut self, node: NodeId, eth: EthernetFrame, at: SimTime) -> RtResult<FrameId> {
         self.validate_injection(node, at)?;
         let id = self.register_frame(eth, node, at)?;
-        self.schedule_event(at, Event::EnqueueAtNode { node, frame: id });
+        self.lane
+            .schedule(at, Event::EnqueueAtNode { node, frame: id });
         Ok(id)
     }
 
@@ -1134,11 +941,12 @@ impl Simulator {
             prepared.push((injection, classified));
         }
         // Infallible from here on.
-        self.frames.reserve(prepared.len());
+        self.fabric.frames.reserve(prepared.len());
         let mut ids = Vec::with_capacity(prepared.len());
         for (FrameInjection { node, eth, at }, classified) in prepared {
             let id = self.register_classified(eth, classified, node, at);
-            self.schedule_event(at, Event::EnqueueAtNode { node, frame: id });
+            self.lane
+                .schedule(at, Event::EnqueueAtNode { node, frame: id });
             ids.push(id);
         }
         Ok(ids)
@@ -1155,7 +963,8 @@ impl Simulator {
     ) -> RtResult<FrameId> {
         self.validate_injection(to, at)?;
         let id = self.register_frame(eth, NodeId::SWITCH, at)?;
-        self.schedule_event(at, Event::EnqueueAtSwitch { to, frame: id });
+        self.lane
+            .schedule(at, Event::EnqueueAtSwitch { to, frame: id });
         Ok(id)
     }
 
@@ -1172,14 +981,14 @@ impl Simulator {
         eth: EthernetFrame,
         at: SimTime,
     ) -> RtResult<FrameId> {
-        if self.dense_next_hop.index_of(at_switch).is_none() {
+        if self.lane.dense.index_of(at_switch).is_none() {
             return Err(RtError::Config(format!("unknown switch {at_switch}")));
         }
         if at < self.now() {
             return Err(Self::past_injection_error(at, self.now()));
         }
         let id = self.register_frame(eth, NodeId::SWITCH, at)?;
-        self.schedule_event(
+        self.lane.schedule(
             at,
             Event::ArriveAtSwitch {
                 switch: at_switch,
@@ -1201,9 +1010,9 @@ impl Simulator {
     /// the single-pop order.
     pub fn run_to_idle(&mut self) -> SimTime {
         let mut batch = std::mem::take(&mut self.event_batch);
-        while let Some(time) = self.events.pop_run(&mut batch) {
+        while let Some(time) = self.lane.events.pop_run(&mut batch) {
             for event in batch.drain(..) {
-                self.handle(time, event);
+                self.dispatch(time, event);
             }
         }
         self.event_batch = batch;
@@ -1229,8 +1038,8 @@ impl Simulator {
     /// `limit` remains (`false`).  Events after `limit` stay pending.
     pub fn run_until_delivery_before(&mut self, limit: SimTime) -> bool {
         while self.pending_deliveries.is_empty() {
-            match self.events.pop_until(limit) {
-                Some((time, event)) => self.handle(time, event),
+            match self.lane.events.pop_until(limit) {
+                Some((time, event)) => self.dispatch(time, event),
                 None => return false,
             }
         }
@@ -1242,9 +1051,9 @@ impl Simulator {
     /// [`Simulator::run_to_idle`].
     pub fn run_until(&mut self, limit: SimTime) {
         let mut batch = std::mem::take(&mut self.event_batch);
-        while let Some(time) = self.events.pop_run_until(limit, &mut batch) {
+        while let Some(time) = self.lane.events.pop_run_until(limit, &mut batch) {
             for event in batch.drain(..) {
-                self.handle(time, event);
+                self.dispatch(time, event);
             }
         }
         self.event_batch = batch;
@@ -1278,377 +1087,70 @@ impl Simulator {
 
     /// Process a single event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.events.pop() {
+        match self.lane.events.pop() {
             Some((time, event)) => {
-                self.handle(time, event);
+                self.dispatch(time, event);
                 true
             }
             None => false,
         }
     }
 
-    fn tx_time(&self, wire_bytes: usize) -> Duration {
-        self.config.link_speed.transmission_time(wire_bytes)
-    }
-
-    /// The output port a frame takes when it sits at dense switch `at` and
-    /// must reach the dense destination node `dest_node` attached to dense
-    /// switch `dest_switch`: the channel's installed route entry when one
-    /// exists, otherwise the local downlink or the trunk port towards the
-    /// next switch of the next-hop table.
+    /// Execute one event: one of the two kinds only this driver's calendar
+    /// ever holds, or the forwarding core's.
     #[inline]
-    fn egress_port(
-        &self,
-        at: u32,
-        dest_node: u32,
-        dest_switch: u32,
-        channel: Option<ChannelId>,
-    ) -> Option<u32> {
-        if let Some(port) = self
-            .channel_state(channel)
-            .and_then(|state| state.forwarding_port(at))
-        {
-            return Some(port);
-        }
-        if dest_switch == at {
-            return Some(2 * dest_node + 1);
-        }
-        let next = self.dense_next_hop.next_hop_index(at, dest_switch)?;
-        self.trunk_port(at, next)
-    }
-
-    fn handle(&mut self, now: SimTime, event: Event) {
+    fn dispatch(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::EnqueueAtNode { node, frame } => {
-                let port = 2 * self.node_idx(node);
-                self.enqueue_at_port(frame, port);
-                self.try_start_tx(now, port);
-            }
-            Event::NodeTxComplete { node, frame } => {
-                let node_idx = self.node_idx(node);
-                let port = 2 * node_idx;
-                self.ports[port as usize].clear_busy();
-                // Last bit leaves the node now; it arrives at the access
-                // switch after the propagation delay, and becomes eligible
-                // for forwarding after the switch processing latency.
-                let arrive = now + self.config.propagation_delay + self.config.switch_latency;
-                let switch = self
-                    .dense_next_hop
-                    .switch_at(self.node_access[node_idx as usize]);
-                self.schedule_event(arrive, Event::ArriveAtSwitch { switch, frame });
-                self.try_start_tx(now, port);
-            }
-            Event::ArriveAtSwitch { switch, frame } => {
-                let at = self.switch_idx(switch);
-                let record = &self.frames[frame.0 as usize];
-                let channel = record.channel;
-                match record.dest {
-                    FrameDest::ControlPlane => {
-                        // Generic control-plane traffic.  Distributed
-                        // placement: the first switch to see the frame runs
-                        // a manager and consumes it.  Central placement:
-                        // deliver at the managing switch, forward over
-                        // trunks towards it from anywhere else.
-                        if self.distributed_control || at == self.manager_index {
-                            let switch = self.dense_next_hop.switch_at(at);
-                            self.deliver_to_switch(frame, switch, now);
-                        } else if let Some(port) = self
-                            .dense_next_hop
-                            .next_hop_index(at, self.manager_index)
-                            .and_then(|next| self.trunk_port(at, next))
-                        {
-                            self.enqueue_at_port(frame, port);
-                            self.try_start_tx(now, port);
-                        } else {
-                            self.stats.record_unroutable();
-                            self.discard_frame(frame);
-                        }
-                    }
-                    FrameDest::Switch { switch: target } => {
-                        // Switch-to-switch control traffic (reservation
-                        // frames): deliver at the addressed switch, forward
-                        // over trunks towards it from anywhere else.
-                        if at == target {
-                            let switch = self.dense_next_hop.switch_at(at);
-                            self.deliver_to_switch(frame, switch, now);
-                        } else if let Some(port) = self
-                            .dense_next_hop
-                            .next_hop_index(at, target)
-                            .and_then(|next| self.trunk_port(at, next))
-                        {
-                            self.enqueue_at_port(frame, port);
-                            self.try_start_tx(now, port);
-                        } else {
-                            self.stats.record_unroutable();
-                            self.discard_frame(frame);
-                        }
-                    }
-                    FrameDest::Node {
-                        node: dest_node,
-                        switch: dest_switch,
-                    } => {
-                        if self.is_released(channel) {
-                            // The channel was torn down: the switch has no
-                            // state for it any more, so the frame is
-                            // discarded, not delivered on a stale route.
-                            self.stats.record_released_channel_drop();
-                            self.discard_frame(frame);
-                            return;
-                        }
-                        match self.egress_port(at, dest_node, dest_switch, channel) {
-                            Some(port) if self.dead_ports[port as usize] => {
-                                // A stale per-channel forwarding entry still
-                                // points at the cut trunk; the frame is lost
-                                // until the channel is re-routed.
-                                self.stats.record_failed_link_drop();
-                                self.discard_frame(frame);
-                            }
-                            Some(port) => {
-                                self.enqueue_at_port(frame, port);
-                                self.try_start_tx(now, port);
-                            }
-                            None => {
-                                self.stats.record_unroutable();
-                                self.discard_frame(frame);
-                            }
-                        }
-                    }
-                    FrameDest::Unknown => {
-                        self.stats.record_unroutable();
-                        self.discard_frame(frame);
-                    }
-                }
-            }
-            Event::EnqueueAtSwitch { to, frame } => {
-                // Control-plane origination at the managing switch.
-                let to_idx = self.node_idx(to);
-                let dest_switch = self.node_access[to_idx as usize];
-                match self.egress_port(self.manager_index, to_idx, dest_switch, None) {
-                    Some(port) => {
-                        self.enqueue_at_port(frame, port);
-                        self.try_start_tx(now, port);
-                    }
-                    None => {
-                        self.stats.record_unroutable();
-                        self.discard_frame(frame);
-                    }
-                }
-            }
-            Event::SwitchTxComplete { to, frame } => {
-                let port = 2 * self.node_idx(to) + 1;
-                self.ports[port as usize].clear_busy();
-                let arrive = now + self.config.propagation_delay;
-                self.schedule_event(arrive, Event::ArriveAtNode { node: to, frame });
-                self.try_start_tx(now, port);
-            }
-            Event::TrunkTxComplete { from, to, frame } => {
-                let from_idx = self.switch_idx(from);
-                let to_idx = self.switch_idx(to);
-                if let Some(port) = self.trunk_port(from_idx, to_idx) {
-                    let p = port as usize;
-                    self.ports[p].clear_busy();
-                    if self.doomed_ports[p] || self.dead_ports[p] {
-                        // The cable was cut while this frame was on it (or
-                        // is still cut): the frame never arrives.  A dead
-                        // port has empty queues (drained at failure time,
-                        // enqueues blocked), but a *repaired* port may have
-                        // picked up new frames while this doomed
-                        // transmission still held it busy — restart it.
-                        self.doomed_ports[p] = false;
-                        self.stats.record_failed_link_drop();
-                        self.discard_frame(frame);
-                        self.try_start_tx(now, port);
-                        return;
-                    }
-                    // Store-and-forward at the receiving switch, exactly as
-                    // for a frame arriving over an uplink.
-                    let arrive = now + self.config.propagation_delay + self.config.switch_latency;
-                    self.schedule_event(arrive, Event::ArriveAtSwitch { switch: to, frame });
-                    self.try_start_tx(now, port);
-                }
-            }
-            Event::ArriveAtNode { node, frame } => {
-                self.deliver(frame, node, now);
-            }
-            Event::FailTrunk { from, to } => {
-                // A scripted cut of an already-failed (or unknown) trunk is
-                // a script bug in debug builds; release builds ignore it
-                // rather than corrupting the run.
-                let result = self.fail_link(from, to);
-                debug_assert!(result.is_ok(), "scripted FailTrunk failed: {result:?}");
-            }
-            Event::RepairTrunk { from, to } => {
-                let result = self.repair_link(from, to);
-                debug_assert!(result.is_ok(), "scripted RepairTrunk failed: {result:?}");
-            }
-            Event::FailSwitch { switch } => {
-                let result = self.fail_switch(switch);
-                debug_assert!(result.is_ok(), "scripted FailSwitch failed: {result:?}");
-            }
+            Event::EnqueueAtSwitch { .. }
+            | Event::FailTrunk { .. }
+            | Event::RepairTrunk { .. }
+            | Event::FailSwitch { .. } => self.dispatch_own(now, event),
+            forwarding => self.with_core(|core| core.handle(now, forwarding)),
         }
     }
 
-    /// The EDF deadline a frame uses while queued at port `port`: the
-    /// registered per-hop budget of its channel when one exists, the
-    /// end-to-end stamp otherwise.
-    #[inline]
-    fn queue_deadline(&self, record: &FrameRecord, port: u32) -> Option<SimTime> {
-        if let Some(offset) = self
-            .channel_state(record.channel)
-            .and_then(|state| state.offset_for(port))
-        {
-            return Some(record.injected_at + offset);
-        }
-        record.deadline
-    }
-
-    fn enqueue_at_port(&mut self, frame: FrameId, port: u32) {
-        let record = &self.frames[frame.0 as usize];
-        let class = record.class;
-        let deadline = self.queue_deadline(record, port);
-        let out = &mut self.ports[port as usize];
-        match class {
-            TrafficClass::RealTime => {
-                // Control frames have no deadline; give them "now or
-                // earlier" urgency by using time zero so they are never
-                // queued behind data frames.
-                out.enqueue_rt(frame, deadline.unwrap_or(SimTime::ZERO));
-            }
-            TrafficClass::BestEffort => {
-                if !out.enqueue_be(frame) {
-                    self.stats.record_be_drop();
-                    self.discard_frame(frame);
-                }
-            }
-        }
-    }
-
-    fn try_start_tx(&mut self, now: SimTime, port: u32) {
-        let out = &mut self.ports[port as usize];
-        if out.is_busy(now) || out.is_empty() {
-            return;
-        }
-        let Some(queued) = out.dequeue_next() else {
-            return;
-        };
-        let record = &self.frames[queued.frame.0 as usize];
-        let wire_bytes = record.wire_bytes;
-        if record.link_state {
-            self.stats.record_link_state_hop();
-        } else if Self::is_control_record(record.class, record.channel) {
-            self.stats.record_control_hop();
-        }
-        let tx = self.config.link_speed.transmission_time(wire_bytes);
-        let done = now + tx;
-        self.ports[port as usize].set_busy_until(done);
-        self.stats
-            .record_transmission(port as usize, wire_bytes, tx);
-        let event = match self.port_links[port as usize] {
-            HopLink::Uplink(node) => Event::NodeTxComplete {
-                node,
-                frame: queued.frame,
-            },
-            HopLink::Downlink(node) => Event::SwitchTxComplete {
-                to: node,
-                frame: queued.frame,
-            },
-            HopLink::Trunk { from, to } => Event::TrunkTxComplete {
-                from,
-                to,
-                frame: queued.frame,
-            },
-        };
-        self.schedule_event(done, event);
-    }
-
-    fn deliver(&mut self, frame: FrameId, receiver: NodeId, now: SimTime) {
-        self.deliver_inner(frame, receiver, None, now);
-    }
-
-    /// Deliver a frame to a switch's control plane (`receiver` is
-    /// [`NodeId::SWITCH`]; the `switch` field says which one).
-    fn deliver_to_switch(&mut self, frame: FrameId, switch: SwitchId, now: SimTime) {
-        self.deliver_inner(frame, NodeId::SWITCH, Some(switch), now);
-    }
-
-    fn deliver_inner(
-        &mut self,
-        frame: FrameId,
-        receiver: NodeId,
-        switch: Option<SwitchId>,
-        now: SimTime,
-    ) {
-        let record = &self.frames[frame.0 as usize];
-        match record.class {
-            TrafficClass::RealTime => {
-                self.stats.record_rt_delivery(
-                    record.channel,
-                    record.injected_at,
-                    now,
-                    record.deadline,
-                );
-            }
-            TrafficClass::BestEffort => self.stats.record_be_delivery(),
-        }
-        // Materialise the public `Delivery` frame: the owned store clones
-        // its decoded frame; the arena store decodes the pooled unpadded
-        // wire image (struct-exact, so deliveries are byte-for-byte
-        // identical across stores) and returns the buffer to the pool.
-        let eth = match &record.stored {
-            StoredFrame::Owned(eth) => eth.clone(),
-            StoredFrame::Pooled(r) => {
-                let r = *r;
-                let eth = EthernetFrame::decode_unpadded(self.arena.bytes(r))
-                    .expect("pooled frames hold a valid unpadded wire image");
-                self.arena.free(r);
-                eth
-            }
-        };
-        self.pending_deliveries.push(Delivery {
-            frame,
-            receiver,
-            switch,
-            source: record.source,
-            eth,
-            injected_at: record.injected_at,
-            delivered_at: now,
-            channel: record.channel,
-            deadline: record.deadline,
-            class: record.class,
-        });
-    }
-
-    /// A frame leaves the fabric without being delivered (unroutable, BE
-    /// overflow, released channel, dead link): return its pooled buffer to
-    /// the arena.  Every drop site must call this exactly once — the
-    /// arena-leak invariant (`arena_outstanding() == 0` once the fabric
-    /// drains) is what the property suite checks.
-    fn discard_frame(&mut self, frame: FrameId) {
-        if let StoredFrame::Pooled(r) = self.frames[frame.0 as usize].stored {
-            self.arena.free(r);
+    /// The scripted faults of a [`FaultScript`] and the managing switch's
+    /// control-plane originations.  Out of line: they are rare, and the
+    /// run loops inline `dispatch`.
+    fn dispatch_own(&mut self, now: SimTime, event: Event) {
+        if let Some(fault) = LinkFault::from_event(&event) {
+            // A scripted cut of an already-failed (or unknown) trunk is a
+            // script bug in debug builds; release builds ignore it rather
+            // than corrupting the run.
+            let result = self.apply_fault(fault);
+            debug_assert!(result.is_ok(), "scripted {fault:?} failed: {result:?}");
+        } else if let Event::EnqueueAtSwitch { to, frame } = event {
+            self.with_core(|core| {
+                let fabric = core.fabric;
+                let to_idx = fabric.node_idx(to);
+                let dest_switch = fabric.node_access[to_idx as usize];
+                let port = core.egress_port(fabric.manager_index, to_idx, dest_switch, None);
+                core.forward(now, frame, port);
+            });
         }
     }
 
     /// Which frame store the simulator runs on.
     pub fn frame_store_kind(&self) -> FrameStoreKind {
-        self.config.frame_store
+        self.fabric.config.frame_store
     }
 
     /// Pooled frame buffers currently in flight (always 0 in `Owned` mode,
     /// and 0 once every injected frame has been delivered or dropped).
     pub fn arena_outstanding(&self) -> usize {
-        self.arena.outstanding()
+        self.fabric.arena.outstanding()
     }
 
     /// Allocation counters of the frame arena (fresh allocations vs
     /// buffer reuses; see [`rt_frames::ArenaStats`]).
     pub fn arena_stats(&self) -> rt_frames::ArenaStats {
-        self.arena.stats()
+        self.fabric.arena.stats()
     }
 
     /// Total transmission (busy) time recorded on an access link so far.
     pub fn link_busy_time(&self, link: LinkId) -> Duration {
-        self.stats
+        self.lane
+            .stats
             .link(link)
             .map(|l| l.busy_time)
             .unwrap_or(Duration::ZERO)
@@ -1656,7 +1158,8 @@ impl Simulator {
 
     /// Total transmission (busy) time recorded on any fabric link so far.
     pub fn hop_busy_time(&self, link: HopLink) -> Duration {
-        self.stats
+        self.lane
+            .stats
             .hop_link(link)
             .map(|l| l.busy_time)
             .unwrap_or(Duration::ZERO)
@@ -1665,12 +1168,12 @@ impl Simulator {
     /// Convenience: the transmission time of a frame of `wire_bytes` bytes at
     /// the configured link speed.
     pub fn transmission_time(&self, wire_bytes: usize) -> Duration {
-        self.tx_time(wire_bytes)
+        self.fabric.tx_time(wire_bytes)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rt_frames::rt_data::{DeadlineStamp, RtDataFrame};
     use rt_types::constants::ETHERTYPE_IPV4;
@@ -1680,7 +1183,7 @@ mod tests {
         (0..n).map(NodeId::new).collect()
     }
 
-    fn be_frame(from: NodeId, to: NodeId, payload_len: usize) -> EthernetFrame {
+    pub(crate) fn be_frame(from: NodeId, to: NodeId, payload_len: usize) -> EthernetFrame {
         // A plain (non-RT) IPv4/UDP frame.
         let udp = rt_frames::UdpHeader::new(1000, 2000, payload_len).unwrap();
         let ip = rt_frames::Ipv4Header::udp(
@@ -1701,7 +1204,7 @@ mod tests {
         .unwrap()
     }
 
-    fn rt_frame(
+    pub(crate) fn rt_frame(
         from: NodeId,
         to: NodeId,
         channel: u16,

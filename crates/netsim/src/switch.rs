@@ -1,0 +1,963 @@
+//! The forwarding core: what one switched-Ethernet fabric does with one
+//! event (§18.1, Fig. 18.2 — store-and-forward, an EDF queue over a FCFS
+//! queue per output port), written once for both drivers.
+//!
+//! The core runs over three things:
+//!
+//! * a [`Fabric`] it only reads — the dense index tables, the per-channel
+//!   wire state, the frame records and the arena holding their bytes;
+//! * a [`Lane`] it writes — the output ports, their dead/doomed flags, the
+//!   pending-event set, the routing table in force and the statistics.  The
+//!   single-thread [`crate::sim::Simulator`] has one lane; every shard of
+//!   the [`crate::shard::ShardedSimulator`] has its own, over the full
+//!   dense port space, and touches only the ports it owns;
+//! * a [`Sink`] for the three things the drivers do differently: where a
+//!   switch arrival goes, when a pooled buffer goes back to the arena and
+//!   how a [`Delivery`] is recorded.
+//!
+//! Everything else — egress selection, the queue deadline, enqueueing,
+//! start of transmission, delivery, every drop rule and the death and
+//! revival of a trunk's ports — is [`Core`]'s and exists nowhere else.
+
+use std::sync::Arc;
+
+use rt_frames::{EthernetFrame, FrameArena, FrameRef};
+use rt_types::{
+    ChannelId, DenseNextHop, Duration, HopLink, IdIndex, NodeId, Router, RtResult, SimTime,
+    SwitchId, Topology, NO_INDEX,
+};
+
+use crate::event::{Event, EventQueue, SchedulerKind};
+use crate::port::{OutputPort, TrafficClass};
+use crate::sim::{Delivery, FrameId, LinkFault, SimConfig};
+use crate::stats::SimStats;
+
+/// Where a frame is headed, resolved once at injection time so the per-hop
+/// forwarding decision never touches the MAC table again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FrameDest {
+    /// An attached end node: its dense node index and the dense index of
+    /// its access switch.
+    Node {
+        /// Dense node index (downlink port is `2·node + 1`).
+        node: u32,
+        /// Dense index of the node's access switch.
+        switch: u32,
+    },
+    /// The generic switch MAC: deliver to the managing switch's control
+    /// plane (central placement) or to the first switch that receives the
+    /// frame (distributed placement).
+    ControlPlane,
+    /// The per-switch control-plane MAC of one specific switch (dense
+    /// index): forwarded over trunks and delivered to that switch's control
+    /// plane — the transport of the distributed reservation protocol.
+    Switch {
+        /// Dense index of the addressed switch.
+        switch: u32,
+    },
+    /// No attached node owns the MAC; dropped as unroutable at the first
+    /// switch (exactly as the per-hop lookup used to).
+    Unknown,
+}
+
+/// Where one frame's bytes live while it crosses the fabric.
+#[derive(Debug, Clone)]
+pub(crate) enum StoredFrame {
+    /// The decoded frame, owned by the record
+    /// ([`crate::sim::FrameStoreKind::Owned`]).
+    Owned(EthernetFrame),
+    /// An index into the fabric's [`FrameArena`]
+    /// ([`crate::sim::FrameStoreKind::Arena`]): the buffer holds the
+    /// unpadded wire image and is freed back to the pool at delivery or drop.
+    Pooled(FrameRef),
+}
+
+/// Everything the simulator remembers about one injected frame.
+#[derive(Debug, Clone)]
+pub(crate) struct FrameRecord {
+    pub(crate) stored: StoredFrame,
+    pub(crate) class: TrafficClass,
+    /// Absolute end-to-end deadline (simulated time) for RT frames.
+    pub(crate) deadline: Option<SimTime>,
+    /// RT channel for RT data frames.
+    pub(crate) channel: Option<ChannelId>,
+    /// `true` for link-state flood frames — control-class on the wire, but
+    /// accounted as convergence overhead instead of reservation traffic.
+    pub(crate) link_state: bool,
+    /// The resolved destination (dense indices).
+    pub(crate) dest: FrameDest,
+    /// Where the frame entered the network (`NodeId::SWITCH` for frames
+    /// originated by the switch control plane).
+    pub(crate) source: NodeId,
+    pub(crate) injected_at: SimTime,
+    pub(crate) wire_bytes: usize,
+}
+
+/// `true` if a frame of this classification is control-plane traffic:
+/// real-time class without a data channel (establishment, reservation and
+/// tear-down frames; RT data always carries its channel id).
+#[inline]
+pub(crate) fn is_control(class: TrafficClass, channel: Option<ChannelId>) -> bool {
+    class == TrafficClass::RealTime && channel.is_none()
+}
+
+/// Per-channel wire state installed at admission time: the EDF deadline
+/// budget of every link of the route, plus the per-switch forwarding
+/// entries that pin the channel's frames to the admitted route (which on a
+/// mesh need not be the next-hop table's shortest path).  Both tables are
+/// tiny sorted vectors keyed by dense indices — a route has a handful of
+/// hops, so lookups are a short binary search over one cache line.
+#[derive(Debug, Default)]
+pub(crate) struct ChannelWireState {
+    /// `(port, budget)`: per-link EDF deadline budget (offset from
+    /// injection time), sorted by dense port id.
+    offsets: Vec<(u32, Duration)>,
+    /// `(switch, port)`: at each switch of the route, the egress the
+    /// channel's frames take, sorted by dense switch index.
+    forwarding: Vec<(u32, u32)>,
+}
+
+impl ChannelWireState {
+    pub(crate) fn set_offset(&mut self, port: u32, budget: Duration) {
+        match self.offsets.binary_search_by_key(&port, |e| e.0) {
+            Ok(i) => self.offsets[i].1 = budget,
+            Err(i) => self.offsets.insert(i, (port, budget)),
+        }
+    }
+
+    pub(crate) fn set_forwarding(&mut self, switch: u32, port: u32) {
+        match self.forwarding.binary_search_by_key(&switch, |e| e.0) {
+            Ok(i) => self.forwarding[i].1 = port,
+            Err(i) => self.forwarding.insert(i, (switch, port)),
+        }
+    }
+
+    #[inline]
+    fn offset_for(&self, port: u32) -> Option<Duration> {
+        self.offsets
+            .binary_search_by_key(&port, |e| e.0)
+            .ok()
+            .map(|i| self.offsets[i].1)
+    }
+
+    #[inline]
+    fn forwarding_port(&self, switch: u32) -> Option<u32> {
+        self.forwarding
+            .binary_search_by_key(&switch, |e| e.0)
+            .ok()
+            .map(|i| self.forwarding[i].1)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The read-only view
+// ---------------------------------------------------------------------------
+
+/// The parts of the fabric no event changes: built at construction, edited
+/// between runs by injection and channel management, and only read while
+/// events execute — so the shards of a parallel run share one `&Fabric`.
+#[derive(Debug)]
+pub(crate) struct Fabric {
+    pub(crate) config: SimConfig,
+    /// Raw node id → dense node index.
+    pub(crate) node_index: IdIndex,
+    /// Dense node index → dense index of the node's access switch.
+    pub(crate) node_access: Vec<u32>,
+    /// Dense `(from, to)` switch-index pair → trunk port id (`NO_INDEX`
+    /// where no trunk exists); row-major `from · switch_count + to`.
+    pub(crate) trunk_ports: Vec<u32>,
+    pub(crate) switch_count: usize,
+    /// Dense port id → the directed link it drives: uplink of node `i` at
+    /// `2i`, its downlink at `2i + 1`, trunk ports after all access ports.
+    pub(crate) port_links: Vec<HopLink>,
+    /// Dense index of the managing switch.
+    pub(crate) manager_index: u32,
+    /// `true` when the topology places a channel manager on every switch:
+    /// frames addressed to the generic switch MAC are then consumed by the
+    /// first switch that receives them instead of being forwarded to the
+    /// managing switch.
+    pub(crate) distributed_control: bool,
+    /// Per-channel route state (deadline budgets + forwarding entries),
+    /// indexed by raw channel id.
+    pub(crate) channel_wire: Vec<Option<ChannelWireState>>,
+    /// Channels whose wire state was torn down
+    /// ([`crate::sim::Simulator::release_channel`]), indexed by raw channel
+    /// id: their late frames are dropped at the first switch and counted,
+    /// never silently delivered.  Re-installing a hop schedule
+    /// (re-admission under the same id) clears the flag.
+    pub(crate) released_channels: Vec<bool>,
+    pub(crate) frames: Vec<FrameRecord>,
+    /// Pooled buffers for in-flight frame bytes
+    /// ([`crate::sim::FrameStoreKind::Arena`]); empty and untouched in
+    /// `Owned` mode.
+    pub(crate) arena: FrameArena,
+}
+
+impl Fabric {
+    /// Dense node index of an event's node.  Cannot fail: events carry node
+    /// ids that passed injection validation against this same index, or
+    /// that the core read back out of `port_links`.
+    #[inline]
+    pub(crate) fn node_idx(&self, node: NodeId) -> u32 {
+        self.node_index
+            .get(node.get())
+            .expect("events only carry nodes validated against node_index at injection")
+    }
+
+    /// The trunk port from dense switch `from` to dense switch `to`.
+    #[inline]
+    pub(crate) fn trunk_port(&self, from: u32, to: u32) -> Option<u32> {
+        match self.trunk_ports[from as usize * self.switch_count + to as usize] {
+            NO_INDEX => None,
+            port => Some(port),
+        }
+    }
+
+    /// The port id of a topology link, if the link exists in this fabric.
+    pub(crate) fn port_of_link(&self, dense: &DenseNextHop, link: HopLink) -> Option<u32> {
+        match link {
+            HopLink::Uplink(node) => self.node_index.get(node.get()).map(|i| 2 * i),
+            HopLink::Downlink(node) => self.node_index.get(node.get()).map(|i| 2 * i + 1),
+            HopLink::Trunk { from, to } => {
+                self.trunk_port(dense.index_of(from)?, dense.index_of(to)?)
+            }
+        }
+    }
+
+    /// Both directed ports of the trunk `a — b`, appended to `out`.
+    fn trunk_ports_of(&self, dense: &DenseNextHop, a: SwitchId, b: SwitchId, out: &mut Vec<u32>) {
+        for (from, to) in [(a, b), (b, a)] {
+            out.extend(self.port_of_link(dense, HopLink::Trunk { from, to }));
+        }
+    }
+
+    #[inline]
+    pub(crate) fn record(&self, frame: FrameId) -> &FrameRecord {
+        &self.frames[frame.get() as usize]
+    }
+
+    #[inline]
+    pub(crate) fn tx_time(&self, wire_bytes: usize) -> Duration {
+        self.config.link_speed.transmission_time(wire_bytes)
+    }
+
+    /// How long after the last bit leaves a port the frame becomes eligible
+    /// at the switch on the far side: propagation plus the store-and-forward
+    /// processing latency.  The sharded run's lookahead.
+    #[inline]
+    pub(crate) fn switch_arrival_delay(&self) -> Duration {
+        self.config.propagation_delay + self.config.switch_latency
+    }
+
+    /// The installed wire state of a channel, if any.
+    #[inline]
+    fn channel_state(&self, channel: Option<ChannelId>) -> Option<&ChannelWireState> {
+        self.channel_wire.get(channel?.get() as usize)?.as_ref()
+    }
+
+    /// `true` if the channel's wire state was torn down and not re-installed.
+    #[inline]
+    fn is_released(&self, channel: Option<ChannelId>) -> bool {
+        channel.is_some_and(|c| {
+            self.released_channels
+                .get(c.get() as usize)
+                .copied()
+                .unwrap_or(false)
+        })
+    }
+
+    /// The EDF deadline a frame uses while queued at port `port`: the
+    /// registered per-hop budget of its channel when one exists, the
+    /// end-to-end stamp otherwise.
+    #[inline]
+    fn queue_deadline(&self, record: &FrameRecord, port: u32) -> Option<SimTime> {
+        if let Some(offset) = self
+            .channel_state(record.channel)
+            .and_then(|state| state.offset_for(port))
+        {
+            return Some(record.injected_at + offset);
+        }
+        record.deadline
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One lane of mutable state
+// ---------------------------------------------------------------------------
+
+/// Everything events change, for one thread of execution.
+#[derive(Debug)]
+pub(crate) struct Lane {
+    pub(crate) events: EventQueue,
+    /// The `(at, towards) → neighbour` forwarding state of the trunk graph
+    /// in dense form, re-pulled from the router after every fault.  The
+    /// dense switch indexing is stable across failures (the switch set
+    /// never changes), so ports and trunk indices stay valid.
+    pub(crate) dense: Arc<DenseNextHop>,
+    /// One output port per directed edge, by dense port id.
+    ports: Vec<OutputPort>,
+    /// Ports whose link is currently failed.  Only trunk ports can die
+    /// today; access links never fail.
+    dead: Vec<bool>,
+    /// Ports that had a frame mid-serialisation when their link was cut:
+    /// that frame is lost even if the link is repaired before the
+    /// transmission-complete event fires.
+    doomed: Vec<bool>,
+    pub(crate) stats: SimStats,
+}
+
+impl Lane {
+    pub(crate) fn new(
+        config: &SimConfig,
+        scheduler: SchedulerKind,
+        port_links: &[HopLink],
+        dense: Arc<DenseNextHop>,
+    ) -> Self {
+        let make_port = |_| match config.be_queue_capacity {
+            Some(cap) => OutputPort::with_be_capacity(cap),
+            None => OutputPort::new(),
+        };
+        Lane {
+            events: EventQueue::with_scheduler(scheduler),
+            dense,
+            ports: (0..port_links.len()).map(make_port).collect(),
+            dead: vec![false; port_links.len()],
+            doomed: vec![false; port_links.len()],
+            stats: SimStats::for_ports(port_links.to_vec()),
+        }
+    }
+
+    /// Schedule an event, folding the (release-build) past-time clamp count
+    /// into the run statistics.
+    #[inline]
+    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
+        if self.events.schedule(at, event) {
+            self.stats.record_clamped();
+        }
+    }
+
+    /// Dense index of an event's switch.  Cannot fail: events carry switch
+    /// ids the core read out of `port_links` or `dense.switch_at`, or that
+    /// `inject_at_switch` checked against this index; faults never change
+    /// the switch set.
+    #[inline]
+    fn switch_idx(&self, switch: SwitchId) -> u32 {
+        self.dense
+            .index_of(switch)
+            .expect("events only carry switches of the dense index built at construction")
+    }
+}
+
+// ---------------------------------------------------------------------------
+// What the drivers do differently
+// ---------------------------------------------------------------------------
+
+/// The three decisions the core leaves to its driver.
+pub(crate) trait Sink {
+    /// A frame has fully crossed a link into dense switch `switch` and
+    /// becomes eligible for forwarding there at `at`.
+    fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId);
+
+    /// A frame left the fabric, delivered or dropped: its pooled buffer is
+    /// no longer read.  Called exactly once per pooled frame.
+    fn release(&mut self, buffer: FrameRef);
+
+    /// A frame reached its receiver.  `since_scheduled` is how long before
+    /// `delivery.delivered_at` the delivering event was scheduled.
+    fn deliver(&mut self, delivery: Delivery, since_scheduled: Duration);
+}
+
+// ---------------------------------------------------------------------------
+// Faults
+// ---------------------------------------------------------------------------
+
+/// The directed ports one fault kills and revives.
+#[derive(Debug, Default)]
+pub(crate) struct PortFlips {
+    kills: Vec<u32>,
+    revives: Vec<u32>,
+}
+
+/// Apply one fault to the topology — a cut degrades it
+/// ([`Topology::fail_trunk`] / [`Topology::fail_switch`]), a repair splices
+/// the trunk back ([`Topology::repair_trunk`]) — re-pull the dense next-hop
+/// form from the router, and list the ports that die or come back.  The
+/// router caches per fingerprint (rebuilding incrementally for a single
+/// trunk flip), so control and best-effort forwarding avoid a dead edge,
+/// and see a restored one, from this instant on.  An `Err` (unknown trunk,
+/// already failed, not failed) leaves everything as it was.
+pub(crate) fn apply_fault(
+    topology: &mut Topology,
+    router: &dyn Router,
+    fabric: &Fabric,
+    dense: &mut Arc<DenseNextHop>,
+    fault: LinkFault,
+) -> RtResult<PortFlips> {
+    let mut flips = PortFlips::default();
+    match fault {
+        LinkFault::Fail { from, to } => {
+            topology.fail_trunk(from, to)?;
+            fabric.trunk_ports_of(dense, from, to, &mut flips.kills);
+        }
+        LinkFault::Repair { from, to } => {
+            topology.repair_trunk(from, to)?;
+            fabric.trunk_ports_of(dense, from, to, &mut flips.revives);
+        }
+        LinkFault::FailSwitch { switch } => {
+            for (a, b) in topology.fail_switch(switch)? {
+                fabric.trunk_ports_of(dense, a, b, &mut flips.kills);
+            }
+        }
+    }
+    *dense = router.dense_next_hop(topology);
+    Ok(flips)
+}
+
+// ---------------------------------------------------------------------------
+// The core
+// ---------------------------------------------------------------------------
+
+/// One fabric view, one lane and one sink, bound together for the duration
+/// of an event (or a fault).
+pub(crate) struct Core<'a, S: Sink> {
+    pub(crate) fabric: &'a Fabric,
+    pub(crate) lane: &'a mut Lane,
+    pub(crate) sink: &'a mut S,
+}
+
+impl<S: Sink> Core<'_, S> {
+    /// Execute one forwarding event.  Inlined into the drivers' run loops,
+    /// where the `Core` then dissolves into the three references it holds
+    /// instead of being rebuilt in memory for every event (about 4 of 130 ns
+    /// per event on the 1024-node torus).
+    #[inline]
+    pub(crate) fn handle(&mut self, now: SimTime, event: Event) {
+        let fabric = self.fabric;
+        match event {
+            Event::EnqueueAtNode { node, frame } => {
+                let port = 2 * fabric.node_idx(node);
+                self.enqueue_at_port(frame, port);
+                self.try_start_tx(now, port);
+            }
+            Event::NodeTxComplete { node, frame } => {
+                let node_idx = fabric.node_idx(node);
+                let port = 2 * node_idx;
+                self.lane.ports[port as usize].clear_busy();
+                // Last bit leaves the node now; it arrives at the access
+                // switch after the propagation delay, and becomes eligible
+                // for forwarding after the switch processing latency.
+                let arrive = now + fabric.switch_arrival_delay();
+                let switch = fabric.node_access[node_idx as usize];
+                self.sink.switch_arrival(self.lane, arrive, switch, frame);
+                self.try_start_tx(now, port);
+            }
+            Event::ArriveAtSwitch { switch, frame } => {
+                let at = self.lane.switch_idx(switch);
+                let record = fabric.record(frame);
+                match record.dest {
+                    FrameDest::ControlPlane => {
+                        // Generic control-plane traffic.  Distributed
+                        // placement: the first switch to see the frame runs
+                        // a manager and consumes it.  Central placement:
+                        // deliver at the managing switch, forward over
+                        // trunks towards it from anywhere else.
+                        if fabric.distributed_control || at == fabric.manager_index {
+                            self.deliver_to_switch(frame, at, now);
+                        } else {
+                            let port = self.trunk_towards(at, fabric.manager_index);
+                            self.forward(now, frame, port);
+                        }
+                    }
+                    FrameDest::Switch { switch: target } => {
+                        // Switch-to-switch control traffic (reservation
+                        // frames): deliver at the addressed switch, forward
+                        // over trunks towards it from anywhere else.
+                        if at == target {
+                            self.deliver_to_switch(frame, at, now);
+                        } else {
+                            let port = self.trunk_towards(at, target);
+                            self.forward(now, frame, port);
+                        }
+                    }
+                    FrameDest::Node {
+                        node: dest_node,
+                        switch: dest_switch,
+                    } => {
+                        if fabric.is_released(record.channel) {
+                            // The channel was torn down: the switch has no
+                            // state for it any more, so the frame is
+                            // discarded, not delivered on a stale route.
+                            self.lane.stats.record_released_channel_drop();
+                            self.discard_frame(frame);
+                            return;
+                        }
+                        match self.egress_port(at, dest_node, dest_switch, record.channel) {
+                            Some(port) if self.lane.dead[port as usize] => {
+                                // A stale per-channel forwarding entry still
+                                // points at the cut trunk; the frame is lost
+                                // until the channel is re-routed.
+                                self.lane.stats.record_failed_link_drop();
+                                self.discard_frame(frame);
+                            }
+                            port => self.forward(now, frame, port),
+                        }
+                    }
+                    FrameDest::Unknown => self.forward(now, frame, None),
+                }
+            }
+            Event::SwitchTxComplete { to, frame } => {
+                let port = 2 * fabric.node_idx(to) + 1;
+                self.lane.ports[port as usize].clear_busy();
+                let arrive = now + fabric.config.propagation_delay;
+                self.lane
+                    .schedule(arrive, Event::ArriveAtNode { node: to, frame });
+                self.try_start_tx(now, port);
+            }
+            Event::TrunkTxComplete { from, to, frame } => {
+                let to_idx = self.lane.switch_idx(to);
+                if let Some(port) = fabric.trunk_port(self.lane.switch_idx(from), to_idx) {
+                    let p = port as usize;
+                    self.lane.ports[p].clear_busy();
+                    if self.lane.doomed[p] || self.lane.dead[p] {
+                        // The cable was cut while this frame was on it (or
+                        // is still cut): the frame never arrives.  A dead
+                        // port has empty queues (drained at failure time,
+                        // enqueues blocked), but a *repaired* port may have
+                        // picked up new frames while this doomed
+                        // transmission still held it busy — restart it.
+                        self.lane.doomed[p] = false;
+                        self.lane.stats.record_failed_link_drop();
+                        self.discard_frame(frame);
+                    } else {
+                        // Store-and-forward at the receiving switch, exactly
+                        // as for a frame arriving over an uplink.
+                        let arrive = now + fabric.switch_arrival_delay();
+                        self.sink.switch_arrival(self.lane, arrive, to_idx, frame);
+                    }
+                    self.try_start_tx(now, port);
+                }
+            }
+            Event::ArriveAtNode { node, frame } => {
+                self.deliver_inner(frame, node, None, now, fabric.config.propagation_delay);
+            }
+            Event::EnqueueAtSwitch { .. }
+            | Event::FailTrunk { .. }
+            | Event::RepairTrunk { .. }
+            | Event::FailSwitch { .. } => unreachable!(
+                "a control-plane origination or a fault never reaches the core: \
+                 Simulator::dispatch takes them first, and a shard calendar holds only \
+                 node injections and what the core itself schedules"
+            ),
+        }
+    }
+
+    /// The trunk port at dense switch `at` on the next-hop table's way to
+    /// dense switch `towards`.
+    #[inline]
+    fn trunk_towards(&self, at: u32, towards: u32) -> Option<u32> {
+        let next = self.lane.dense.next_hop_index(at, towards)?;
+        self.fabric.trunk_port(at, next)
+    }
+
+    /// The output port a frame takes when it sits at dense switch `at` and
+    /// must reach the dense destination node `dest_node` attached to dense
+    /// switch `dest_switch`: the channel's installed route entry when one
+    /// exists, otherwise the local downlink or the trunk port towards the
+    /// next switch of the next-hop table.
+    #[inline]
+    pub(crate) fn egress_port(
+        &self,
+        at: u32,
+        dest_node: u32,
+        dest_switch: u32,
+        channel: Option<ChannelId>,
+    ) -> Option<u32> {
+        if let Some(port) = self
+            .fabric
+            .channel_state(channel)
+            .and_then(|state| state.forwarding_port(at))
+        {
+            return Some(port);
+        }
+        if dest_switch == at {
+            return Some(2 * dest_node + 1);
+        }
+        self.trunk_towards(at, dest_switch)
+    }
+
+    /// Queue the frame at its egress and start the port if it is idle; a
+    /// frame without an egress is dropped as unroutable.
+    #[inline]
+    pub(crate) fn forward(&mut self, now: SimTime, frame: FrameId, port: Option<u32>) {
+        match port {
+            Some(port) => {
+                self.enqueue_at_port(frame, port);
+                self.try_start_tx(now, port);
+            }
+            None => {
+                self.lane.stats.record_unroutable();
+                self.discard_frame(frame);
+            }
+        }
+    }
+
+    fn enqueue_at_port(&mut self, frame: FrameId, port: u32) {
+        let record = self.fabric.record(frame);
+        let deadline = self.fabric.queue_deadline(record, port);
+        let out = &mut self.lane.ports[port as usize];
+        match record.class {
+            TrafficClass::RealTime => {
+                // Control frames have no deadline; give them "now or
+                // earlier" urgency by using time zero so they are never
+                // queued behind data frames.
+                out.enqueue_rt(frame, deadline.unwrap_or(SimTime::ZERO));
+            }
+            TrafficClass::BestEffort => {
+                if !out.enqueue_be(frame) {
+                    self.lane.stats.record_be_drop();
+                    self.discard_frame(frame);
+                }
+            }
+        }
+    }
+
+    fn try_start_tx(&mut self, now: SimTime, port: u32) {
+        let out = &mut self.lane.ports[port as usize];
+        if out.is_busy(now) || out.is_empty() {
+            return;
+        }
+        let Some(queued) = out.dequeue_next() else {
+            return;
+        };
+        let record = self.fabric.record(queued.frame);
+        let wire_bytes = record.wire_bytes;
+        if record.link_state {
+            self.lane.stats.record_link_state_hop();
+        } else if is_control(record.class, record.channel) {
+            self.lane.stats.record_control_hop();
+        }
+        let tx = self.fabric.tx_time(wire_bytes);
+        let done = now + tx;
+        out.set_busy_until(done);
+        self.lane
+            .stats
+            .record_transmission(port as usize, wire_bytes, tx);
+        let frame = queued.frame;
+        let event = match self.fabric.port_links[port as usize] {
+            HopLink::Uplink(node) => Event::NodeTxComplete { node, frame },
+            HopLink::Downlink(node) => Event::SwitchTxComplete { to: node, frame },
+            HopLink::Trunk { from, to } => Event::TrunkTxComplete { from, to, frame },
+        };
+        self.lane.schedule(done, event);
+    }
+
+    /// Deliver a frame to the control plane of dense switch `at` (the
+    /// receiver is [`NodeId::SWITCH`]; the `switch` field says which one).
+    fn deliver_to_switch(&mut self, frame: FrameId, at: u32, now: SimTime) {
+        let switch = self.lane.dense.switch_at(at);
+        let since_scheduled = self.fabric.switch_arrival_delay();
+        self.deliver_inner(frame, NodeId::SWITCH, Some(switch), now, since_scheduled);
+    }
+
+    fn deliver_inner(
+        &mut self,
+        frame: FrameId,
+        receiver: NodeId,
+        switch: Option<SwitchId>,
+        now: SimTime,
+        since_scheduled: Duration,
+    ) {
+        let record = self.fabric.record(frame);
+        match record.class {
+            TrafficClass::RealTime => {
+                self.lane.stats.record_rt_delivery(
+                    record.channel,
+                    record.injected_at,
+                    now,
+                    record.deadline,
+                );
+            }
+            TrafficClass::BestEffort => self.lane.stats.record_be_delivery(),
+        }
+        // Materialise the public `Delivery` frame: the owned store clones
+        // its decoded frame; the arena store decodes the pooled unpadded
+        // wire image (struct-exact, so deliveries are byte-for-byte
+        // identical across stores) and hands the buffer back.
+        let eth = match &record.stored {
+            StoredFrame::Owned(eth) => eth.clone(),
+            StoredFrame::Pooled(r) => {
+                let eth = EthernetFrame::decode_unpadded(self.fabric.arena.bytes(*r)).expect(
+                    "a pooled buffer holds the image encode_unpadded_to_slice wrote at injection",
+                );
+                self.sink.release(*r);
+                eth
+            }
+        };
+        let delivery = Delivery {
+            frame,
+            receiver,
+            switch,
+            source: record.source,
+            eth,
+            injected_at: record.injected_at,
+            delivered_at: now,
+            channel: record.channel,
+            deadline: record.deadline,
+            class: record.class,
+        };
+        self.sink.deliver(delivery, since_scheduled);
+    }
+
+    /// A frame leaves the fabric without being delivered (unroutable, BE
+    /// overflow, released channel, dead link): hand its pooled buffer back.
+    /// Every drop site must call this exactly once — the arena-leak
+    /// invariant (`arena_outstanding() == 0` once the fabric drains) is
+    /// what the property suite checks.
+    fn discard_frame(&mut self, frame: FrameId) {
+        if let StoredFrame::Pooled(r) = self.fabric.record(frame).stored {
+            self.sink.release(r);
+        }
+    }
+
+    /// Carry out a fault's port flips at `now`.  A killed port is marked
+    /// dead, a frame mid-serialisation on it is doomed (lost with the cable
+    /// even across a repair), and its queues are drained and counted; a
+    /// revived port simply accepts frames again.  A shard flips every
+    /// listed port of its lane: the ones it does not own never hold a frame
+    /// or a transmission, so the flip changes nothing there.
+    pub(crate) fn flip_ports(&mut self, flips: &PortFlips, now: SimTime) {
+        for &port in &flips.kills {
+            let p = port as usize;
+            self.lane.dead[p] = true;
+            if self.lane.ports[p].is_busy(now) {
+                self.lane.doomed[p] = true;
+            }
+            for lost in self.lane.ports[p].drain() {
+                self.lane.stats.record_failed_link_drop();
+                self.discard_frame(lost.frame);
+            }
+        }
+        for &port in &flips.revives {
+            self.lane.dead[port as usize] = false;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::tests::{be_frame, rt_frame};
+    use crate::sim::Simulator;
+    use rt_types::Route;
+    use std::collections::HashSet;
+
+    /// A sink that keeps what the core hands it (and feeds switch arrivals
+    /// back into the lane, so a frame keeps travelling).
+    #[derive(Default)]
+    struct Recording {
+        released: Vec<FrameRef>,
+        delivered: Vec<FrameId>,
+    }
+
+    impl Sink for Recording {
+        fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId) {
+            let switch = lane.dense.switch_at(switch);
+            lane.schedule(at, Event::ArriveAtSwitch { switch, frame });
+        }
+
+        fn release(&mut self, buffer: FrameRef) {
+            self.released.push(buffer);
+        }
+
+        fn deliver(&mut self, delivery: Delivery, _since_scheduled: Duration) {
+            self.delivered.push(delivery.frame);
+        }
+    }
+
+    const N0: NodeId = NodeId::new(0);
+    const N1: NodeId = NodeId::new(1);
+
+    /// One way for a frame to leave the fabric undelivered.
+    struct Case {
+        name: &'static str,
+        be_capacity: Option<usize>,
+        /// Channel wire state installed before the run.
+        setup: fn(&mut Simulator),
+        /// What node 0 injects at time zero, in order.
+        frames: Vec<EthernetFrame>,
+        /// When the trunk port 0 → 1 dies and comes back.
+        cut_at: Option<SimTime>,
+        repair_at: Option<SimTime>,
+        /// The counter the losses land in, how many frames are lost, and
+        /// which frames still arrive.
+        counter: fn(&SimStats) -> u64,
+        lost: u64,
+        delivered: Vec<u64>,
+    }
+
+    /// Every undelivered exit releases the frame's buffer exactly once and
+    /// bumps exactly one drop counter; a repaired port that picked up a
+    /// frame behind a doomed transmission restarts.  Driven through the core
+    /// alone, on a two-switch line (node 0 — switch 0 — switch 1 — node 1):
+    /// the port flips are applied by hand, the topology never changes.
+    #[test]
+    fn every_undelivered_exit_releases_once_and_counts_once() {
+        let config = SimConfig::default();
+        let tx = |eth: &EthernetFrame| config.link_speed.transmission_time(eth.wire_bytes());
+        let hop = config.propagation_delay + config.switch_latency;
+        let (long, short) = (be_frame(N0, N1, 1000), be_frame(N0, N1, 500));
+        // `long` is on the trunk from `on_trunk` for `tx(long)`; `short`
+        // follows it up the uplink and reaches switch 0 while it is there.
+        let on_trunk = SimTime::ZERO + tx(&long) + hop;
+        let short_arrives = on_trunk + tx(&short);
+        assert!(short_arrives < on_trunk + tx(&long));
+        let us = Duration::from_micros;
+        let no_setup: fn(&mut Simulator) = |_| {};
+
+        let cases = vec![
+            Case {
+                name: "unroutable",
+                be_capacity: None,
+                setup: no_setup,
+                frames: vec![be_frame(N0, NodeId::new(99), 100)],
+                cut_at: None,
+                repair_at: None,
+                counter: |s| s.unroutable_dropped,
+                lost: 1,
+                delivered: vec![],
+            },
+            Case {
+                name: "best-effort overflow",
+                // One frame on the uplink, one queued, no room for a third.
+                be_capacity: Some(1),
+                setup: no_setup,
+                frames: vec![short.clone(), short.clone(), short.clone()],
+                cut_at: None,
+                repair_at: None,
+                counter: |s| s.be_dropped,
+                lost: 1,
+                delivered: vec![0, 1],
+            },
+            Case {
+                name: "released channel",
+                be_capacity: None,
+                setup: |sim| sim.release_channel(ChannelId::new(7)),
+                frames: vec![rt_frame(N0, N1, 7, SimTime::from_millis(1), 200)],
+                cut_at: None,
+                repair_at: None,
+                counter: |s| s.released_channel_dropped,
+                lost: 1,
+                delivered: vec![],
+            },
+            Case {
+                name: "dead port at arrival",
+                be_capacity: None,
+                setup: |sim| {
+                    let route = Route::from_links(vec![
+                        HopLink::Uplink(N0),
+                        HopLink::Trunk {
+                            from: SwitchId::new(0),
+                            to: SwitchId::new(1),
+                        },
+                        HopLink::Downlink(N1),
+                    ])
+                    .unwrap();
+                    sim.set_channel_route(ChannelId::new(7), &route);
+                },
+                frames: vec![rt_frame(N0, N1, 7, SimTime::from_millis(1), 200)],
+                cut_at: Some(SimTime::from_micros(1)),
+                repair_at: None,
+                counter: |s| s.failed_link_dropped,
+                lost: 1,
+                delivered: vec![],
+            },
+            Case {
+                name: "doomed transmission",
+                be_capacity: None,
+                setup: no_setup,
+                frames: vec![long.clone()],
+                cut_at: Some(on_trunk + us(1)),
+                repair_at: None,
+                counter: |s| s.failed_link_dropped,
+                lost: 1,
+                delivered: vec![],
+            },
+            Case {
+                name: "queue drained by a cut",
+                // `long` is doomed on the wire, `short` drained behind it.
+                be_capacity: None,
+                setup: no_setup,
+                frames: vec![long.clone(), short.clone()],
+                cut_at: Some(short_arrives + us(1)),
+                repair_at: None,
+                counter: |s| s.failed_link_dropped,
+                lost: 2,
+                delivered: vec![],
+            },
+            Case {
+                name: "repaired port restarts behind a doomed transmission",
+                // The trunk is back before `short` arrives, but `long`'s
+                // doomed transmission still holds the port busy.
+                be_capacity: None,
+                setup: no_setup,
+                frames: vec![long.clone(), short.clone()],
+                cut_at: Some(on_trunk + us(1)),
+                repair_at: Some(on_trunk + us(2)),
+                counter: |s| s.failed_link_dropped,
+                lost: 1,
+                delivered: vec![1],
+            },
+        ];
+
+        for case in cases {
+            let name = case.name;
+            let config = SimConfig {
+                be_queue_capacity: case.be_capacity,
+                ..config
+            };
+            let mut sim = Simulator::with_topology(config, Topology::line(2, 1)).unwrap();
+            (case.setup)(&mut sim);
+            for eth in &case.frames {
+                sim.inject(N0, eth.clone(), SimTime::ZERO).unwrap();
+            }
+            let trunk = sim
+                .fabric
+                .trunk_port(0, 1)
+                .expect("the line has trunk 0 → 1");
+            let flips = [
+                (case.cut_at, vec![trunk], vec![]),
+                (case.repair_at, vec![], vec![trunk]),
+            ];
+
+            let mut sink = Recording::default();
+            let mut core = Core {
+                fabric: &sim.fabric,
+                lane: &mut sim.lane,
+                sink: &mut sink,
+            };
+            for (at, kills, revives) in flips {
+                let Some(at) = at else { continue };
+                while let Some((time, event)) = core.lane.events.pop_until(at) {
+                    core.handle(time, event);
+                }
+                core.flip_ports(&PortFlips { kills, revives }, at);
+            }
+            while let Some((time, event)) = core.lane.events.pop() {
+                core.handle(time, event);
+            }
+
+            let stats = &sim.lane.stats;
+            assert_eq!((case.counter)(stats), case.lost, "{name}: its counter");
+            assert_eq!(stats.total_dropped(), case.lost, "{name}: no other counter");
+            let delivered: Vec<u64> = sink.delivered.iter().map(|f| f.get()).collect();
+            assert_eq!(delivered, case.delivered, "{name}: deliveries");
+            let distinct: HashSet<FrameRef> = sink.released.iter().copied().collect();
+            assert_eq!(
+                sink.released.len(),
+                distinct.len(),
+                "{name}: double release"
+            );
+            assert_eq!(distinct.len(), case.frames.len(), "{name}: leaked buffer");
+        }
+    }
+}

@@ -21,7 +21,11 @@
 //! * on a **multiswitch mixed workload** (RT + best-effort + control +
 //!   link-state traffic and a mid-run trunk cut) the per-worker statistics
 //!   merged by [`SimStats::merge_from`] reproduce the oracle's accumulator
-//!   exactly — the satellite check for the stats-merge path.
+//!   exactly — the satellite check for the stats-merge path,
+//! * channels with **per-hop EDF budgets and routes pinned off the shortest
+//!   path**, one of them **released** before the run and one crossing a
+//!   trunk the fault script cuts, forward, queue and drop identically at
+//!   every shard count — the per-channel wire state reaches the shards.
 
 use switched_rt_ethernet::frames::{
     EthernetFrame, RequestFrame, ReservationFrame, ReservationOp, ReservationReason, RtDataFrame,
@@ -31,8 +35,8 @@ use switched_rt_ethernet::netsim::{
     SimConfig, Simulator,
 };
 use switched_rt_ethernet::types::{
-    constants::ETHERTYPE_IPV4, ChannelId, ConnectionRequestId, Duration, Ipv4Address, MacAddr,
-    NodeId, RtError, ShardStrategy, SimTime, Slots, SwitchId, Topology,
+    constants::ETHERTYPE_IPV4, ChannelId, ConnectionRequestId, Duration, HopLink, Ipv4Address,
+    MacAddr, NodeId, Route, RtError, ShardStrategy, SimTime, Slots, SwitchId, Topology,
 };
 
 // --- frame builders -------------------------------------------------------
@@ -483,6 +487,191 @@ fn merged_stats_reproduce_the_oracle_on_a_mixed_multiswitch_scenario() {
             );
             assert_eq!(sim.stats().control_frames, 2);
             assert_eq!(sim.stats().link_state_frames, 2);
+        }
+    }
+}
+
+/// Install the per-channel wire state of the pinned-route scenario on either
+/// simulator (the two share method names, not a trait).  On the five-switch
+/// ring (nodes `2s` and `2s + 1` on switch `s`):
+///
+/// * channel 1, node 0 → node 4, carries per-hop budgets and is pinned the
+///   long way round, 0 → 4 → 3 → 2 (the table says 0 → 1 → 2);
+/// * channel 2, node 2 → node 8, is pinned 1 → 2 → 3 → 4 by `set_channel_route`
+///   (the table says 1 → 0 → 4) — across the trunk 1 — 2 the script cuts;
+/// * channel 3, node 5 → node 9, is installed and then released;
+/// * channel 4, node 1 → node 9, stays on the shortest path but with a trunk
+///   budget tighter than channel 1's, so the shared port 0 → 4 sorts the two
+///   by per-hop deadline against the order of their end-to-end stamps.
+macro_rules! install_pinned_channels {
+    ($sim:expr) => {{
+        let trunk = |from: u32, to: u32| HopLink::Trunk {
+            from: SwitchId::new(from),
+            to: SwitchId::new(to),
+        };
+        let us = Duration::from_micros;
+        $sim.set_channel_hop_schedule(
+            ChannelId::new(1),
+            [
+                (HopLink::Uplink(NodeId::new(0)), us(100)),
+                (trunk(0, 4), us(400)),
+                (trunk(4, 3), us(500)),
+                (trunk(3, 2), us(600)),
+                (HopLink::Downlink(NodeId::new(4)), us(700)),
+            ],
+        );
+        let pinned = Route::from_links(vec![
+            HopLink::Uplink(NodeId::new(2)),
+            trunk(1, 2),
+            trunk(2, 3),
+            trunk(3, 4),
+            HopLink::Downlink(NodeId::new(8)),
+        ])
+        .expect("a contiguous loop-free route");
+        $sim.set_channel_route(ChannelId::new(2), &pinned);
+        $sim.set_channel_hop_schedule(
+            ChannelId::new(3),
+            [
+                (HopLink::Uplink(NodeId::new(5)), us(100)),
+                (trunk(2, 3), us(200)),
+                (trunk(3, 4), us(300)),
+                (HopLink::Downlink(NodeId::new(9)), us(400)),
+            ],
+        );
+        $sim.release_channel(ChannelId::new(3));
+        $sim.set_channel_hop_schedule(
+            ChannelId::new(4),
+            [
+                (HopLink::Uplink(NodeId::new(1)), us(50)),
+                (trunk(0, 4), us(100)),
+                (HopLink::Downlink(NodeId::new(9)), us(150)),
+            ],
+        );
+    }};
+}
+
+/// Everything the pinned-route case compares: deliveries, the summary line,
+/// per-channel and per-link counters, the two drop counters it provokes and
+/// the event count.
+type WireOutcome = (Snapshot, String, String, String, u64, u64, u64);
+
+macro_rules! wire_outcome {
+    ($sim:expr) => {{
+        assert_eq!($sim.arena_outstanding(), 0, "leaked arena buffers");
+        let stats = $sim.stats().clone();
+        let outcome: WireOutcome = (
+            snapshot(&$sim.poll_deliveries()),
+            stats.summary(),
+            format!("{:?}", stats.channels),
+            format!("{:?}", stats.links().collect::<Vec<_>>()),
+            stats.released_channel_dropped,
+            stats.failed_link_dropped,
+            $sim.events_processed(),
+        );
+        outcome
+    }};
+}
+
+/// The wire state `ShardedSimulator` forwards to its inner simulator must
+/// reach the shards: pinned routes, per-hop budgets, the released-channel
+/// drop and the stale-entry-over-a-dead-port drop behave at every shard
+/// count exactly as on the single thread.
+#[test]
+fn pinned_routes_hop_budgets_and_released_channels_survive_sharding() {
+    let topology = Topology::ring(5, 2);
+    let mut workload = Vec::new();
+    for k in 0..30u64 {
+        let at = SimTime::from_micros(50 * k);
+        // (source, destination, channel, end-to-end deadline offset in us):
+        // channel 5 has no wire state at all and follows the table.
+        for (src, dst, channel, deadline) in [
+            (0u32, 4u32, 1u16, 700u64),
+            (2, 8, 2, 900),
+            (5, 9, 3, 900),
+            (1, 9, 4, 1_500),
+            (3, 7, 5, 900),
+        ] {
+            workload.push(FrameInjection {
+                node: NodeId::new(src),
+                eth: rt_frame(
+                    NodeId::new(src),
+                    NodeId::new(dst),
+                    channel,
+                    at + Duration::from_micros(deadline),
+                    300,
+                ),
+                at,
+            });
+        }
+        workload.push(FrameInjection {
+            node: NodeId::new(6),
+            eth: be_frame(NodeId::new(6), NodeId::new(5), 700),
+            at,
+        });
+    }
+    let faults = FaultScript::new()
+        .fail_at(
+            SimTime::from_micros(300),
+            SwitchId::new(1),
+            SwitchId::new(2),
+        )
+        .repair_at(
+            SimTime::from_micros(900),
+            SwitchId::new(1),
+            SwitchId::new(2),
+        );
+
+    let config = SimConfig {
+        scheduler: SchedulerKind::Heap,
+        frame_store: FrameStoreKind::Arena,
+        ..SimConfig::default()
+    };
+    let mut oracle = Simulator::with_topology(config, topology.clone()).expect("fabric is valid");
+    install_pinned_channels!(oracle);
+    oracle.inject_batch(workload.clone()).expect("valid");
+    oracle.schedule_faults(&faults).expect("in-window");
+    oracle.run_to_idle();
+    let expected = wire_outcome!(oracle);
+
+    // The scenario must reach every rule it is there to pin.
+    let stats = oracle.stats();
+    assert_eq!(stats.released_channel_dropped, 30, "{}", stats.summary());
+    assert!(stats.failed_link_dropped > 0, "{}", stats.summary());
+    let ch = |id: u16| stats.channel(ChannelId::new(id)).map_or(0, |c| c.delivered);
+    assert_eq!(ch(1), 30, "channel 1 is pinned clear of the cut");
+    assert!(ch(2) > 0 && ch(2) < 30, "channel 2 loses frames to the cut");
+    assert_eq!(ch(3), 0, "a released channel delivers nothing");
+    let frames_on = |from: u32, to: u32| {
+        let link = HopLink::Trunk {
+            from: SwitchId::new(from),
+            to: SwitchId::new(to),
+        };
+        stats.hop_link(link).map_or(0, |l| l.frames)
+    };
+    assert_eq!(frames_on(0, 1), 0, "channel 1 never takes the table's path");
+    assert!(frames_on(4, 3) >= 30, "channel 1 goes the long way round");
+
+    for shards in [1usize, 2, 4] {
+        for strategy in [ShardStrategy::BfsRegions, ShardStrategy::Striped] {
+            let config = SimConfig {
+                scheduler: SchedulerKind::Calendar,
+                frame_store: FrameStoreKind::Arena,
+                ..SimConfig::default()
+            };
+            let mut sim =
+                ShardedSimulator::with_strategy(config, topology.clone(), shards, strategy)
+                    .expect("fabric is valid");
+            install_pinned_channels!(sim);
+            sim.inject_batch(workload.clone()).expect("valid");
+            sim.schedule_faults(&faults).expect("in-window");
+            sim.run_to_idle();
+            let got = wire_outcome!(sim);
+            assert_eq!(
+                expected,
+                got,
+                "pinned-route scenario diverges (x{shards}, {})",
+                strategy.name(),
+            );
         }
     }
 }
