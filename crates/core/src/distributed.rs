@@ -105,7 +105,7 @@ use crate::ledger::{ReservationKey, SlackLedger};
 use crate::manager::{
     ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel, SwitchAction,
 };
-use crate::multihop::{HopLink, MultiHopDps};
+use crate::multihop::{admit_along, HopLink, MultiHopDps};
 use crate::protocol::ChannelRequest;
 
 /// An in-flight admission, owned by its coordinator (the source's access
@@ -758,25 +758,15 @@ impl DistributedChannelManager {
     ) -> Result<(), ()> {
         let spec = self.sites[&coordinator].coordinations[&token].spec;
         let ledger = &self.sites[&coordinator].ledger;
-        let loads: Vec<usize> = route.iter().map(|l| ledger.link_load(*l)).collect();
-        let deadlines = self.dps.partition(&spec, route, &loads).map_err(|_| ())?;
+        let deadlines =
+            admit_along(self.dps, &spec, route, |link| ledger.link(link)).map_err(|_| ())?;
         let key = ReservationKey::token(coordinator, token);
-        let mut tasks = Vec::with_capacity(route.len());
-        for (link, &deadline) in route.iter().zip(deadlines.iter()) {
-            let task = PeriodicTask::new(spec.period, spec.capacity, deadline).map_err(|_| ())?;
-            if !self.sites[&coordinator]
-                .ledger
-                .feasible_with(*link, &task)
-                .is_feasible()
-            {
-                return Err(());
-            }
-            tasks.push((*link, task));
-        }
         let expires = now.saturating_add(self.lease_duration);
         let site = self.sites.get_mut(&coordinator).expect("site exists");
-        for (link, task) in tasks {
-            site.ledger.reserve(link, key, task);
+        for (link, &deadline) in route.iter().zip(&deadlines) {
+            let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
+                .expect("admit_along built this very task");
+            site.ledger.reserve(*link, key, task);
         }
         site.ledger.lease(key, expires);
         let coord = site
@@ -1977,36 +1967,20 @@ impl DistributedChannelManager {
         spec: &RtChannelSpec,
         route: &Route,
     ) -> Option<Vec<Slots>> {
-        let loads: Vec<usize> = route
-            .iter()
-            .map(|l| {
-                self.owner_of(*l)
-                    .and_then(|owner| self.sites.get(&owner))
-                    .map_or(0, |site| site.ledger.link_load(*l))
-            })
-            .collect();
-        let deadlines = self.dps.partition(spec, route, &loads).ok()?;
-        let mut plan: Vec<(SwitchId, HopLink, PeriodicTask)> = Vec::with_capacity(route.len());
-        for (link, &deadline) in route.iter().zip(deadlines.iter()) {
-            let owner = self.owner_of(*link)?;
-            let task = PeriodicTask::new(spec.period, spec.capacity, deadline).ok()?;
-            if !self
-                .sites
-                .get(&owner)?
-                .ledger
-                .feasible_with(*link, &task)
-                .is_feasible()
-            {
-                return None;
-            }
-            plan.push((owner, *link, task));
+        let site_of = |link: HopLink| self.owner_of(link).and_then(|owner| self.sites.get(&owner));
+        if !route.iter().all(|link| site_of(*link).is_some()) {
+            return None;
         }
-        for (owner, link, task) in plan {
-            self.sites
-                .get_mut(&owner)
-                .expect("owner checked above")
+        let view_of = |link| site_of(link).expect("checked above").ledger.link(link);
+        let deadlines = admit_along(self.dps, spec, route, view_of).ok()?;
+        for (link, &deadline) in route.iter().zip(&deadlines) {
+            let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
+                .expect("admit_along built this very task");
+            self.owner_of(*link)
+                .and_then(|owner| self.sites.get_mut(&owner))
+                .expect("checked above")
                 .ledger
-                .reserve(link, key, task);
+                .reserve(*link, key, task);
         }
         Some(deadlines)
     }

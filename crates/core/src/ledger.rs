@@ -15,9 +15,10 @@
 //! been assigned a channel id yet — so a rollback can release exactly what a
 //! reserve put in, whether or not the admission ever completed.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use rt_edf::{FeasibilityOutcome, FeasibilityTester, PeriodicTask, TaskSet};
+use rt_edf::{DemandScratch, FeasibilityOutcome, FeasibilityTester, PeriodicTask, TaskSet};
 use rt_types::{ChannelId, HopLink, SimTime, SwitchId};
 
 /// What a ledger entry belongs to: an established channel, or an in-flight
@@ -45,81 +46,139 @@ impl ReservationKey {
     }
 }
 
+/// One link's reservations: the keys ascending, and the task `keys[i]` holds
+/// at `tasks[i]`.  The tasks lie contiguous, in the (key) order every derived
+/// task set has always had, so the feasibility test reads them where they
+/// are.  A book is never empty: the release that empties it removes it.
+#[derive(Debug, Default)]
+struct LinkBook {
+    keys: Vec<ReservationKey>,
+    tasks: Vec<PeriodicTask>,
+}
+
+impl LinkBook {
+    /// Drop `key`'s entry; `false` if it held none.
+    fn remove(&mut self, key: ReservationKey) -> bool {
+        let Ok(at) = self.keys.binary_search(&key) else {
+            return false;
+        };
+        self.keys.remove(at);
+        self.tasks.remove(at);
+        true
+    }
+}
+
 /// Per-link reservation state plus the feasibility tester that guards it.
 ///
 /// The ledger itself never decides admission policy — it answers "is this
 /// task feasible on this link given what I hold?" and records reserves and
 /// releases.  Deadline partitioning, candidate routes and the commit /
 /// rollback protocol live in its callers.
+///
+/// Each loaded link has one *book*: its reservation keys, sorted, and their
+/// tasks in a parallel contiguous vector.  A per-link test therefore costs
+/// what the link holds and nothing it has to rebuild — the tester is handed
+/// the book's task slice and the candidate, and the one buffer its demand
+/// scan needs is lent from the ledger ([`SlackLedger::feasible_with`] stays
+/// `&self`; the buffer sits behind a `RefCell` nothing re-enters).  `reserve`
+/// and `release` are a binary search and a shift.
 #[derive(Debug, Default)]
 pub struct SlackLedger {
     tester: FeasibilityTester,
-    links: BTreeMap<HopLink, BTreeMap<ReservationKey, PeriodicTask>>,
+    links: BTreeMap<HopLink, LinkBook>,
     /// Expiry deadline per *leased* key: an in-flight two-phase reservation
     /// holds its slack only until this instant.  A sweep at or past the
     /// deadline reclaims everything the key holds — the backstop that keeps
     /// a handshake stranded by a fault from leaking slack forever.
     /// Committed channels hold no lease.
     leases: BTreeMap<ReservationKey, SimTime>,
+    /// The demand scan's deadline events, reused from test to test.
+    scratch: RefCell<DemandScratch>,
+}
+
+/// What a ledger holds on one link, looked up once: an admission reads the
+/// link's load for the deadline split and then tests its share of the
+/// deadline against the same book, without a second probe of the ledger.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LinkView<'a> {
+    ledger: &'a SlackLedger,
+    held: &'a [PeriodicTask],
+}
+
+impl LinkView<'_> {
+    /// Number of reservations held on the link.
+    pub(crate) fn load(&self) -> usize {
+        self.held.len()
+    }
+
+    /// Run the per-link EDF feasibility test with `task` added to the
+    /// link's current reservations, committing nothing.
+    pub(crate) fn feasible_with(&self, task: &PeriodicTask) -> FeasibilityOutcome {
+        let mut scratch = self.ledger.scratch.borrow_mut();
+        self.ledger
+            .tester
+            .test_slice(self.held, Some(task), &mut scratch)
+    }
 }
 
 impl SlackLedger {
     /// An empty ledger.
     pub fn new() -> Self {
-        SlackLedger {
-            tester: FeasibilityTester::new(),
-            links: BTreeMap::new(),
-            leases: BTreeMap::new(),
+        SlackLedger::default()
+    }
+
+    /// What is held on `link`, resolved once for any number of reads.
+    pub(crate) fn link(&self, link: HopLink) -> LinkView<'_> {
+        LinkView {
+            ledger: self,
+            held: self.links.get(&link).map_or(&[], |book| &book.tasks),
         }
     }
 
     /// Number of reservations currently held on `link`.
     pub fn link_load(&self, link: HopLink) -> usize {
-        self.links.get(&link).map_or(0, |m| m.len())
+        self.link(link).load()
     }
 
     /// The task set currently reserved on `link`, in deterministic
     /// (reservation-key) order.
     pub fn taskset(&self, link: HopLink) -> TaskSet {
-        match self.links.get(&link) {
-            Some(m) => TaskSet::from_tasks(m.values().copied().collect()),
-            None => TaskSet::default(),
-        }
+        TaskSet::from_tasks(self.link(link).held.to_vec())
     }
 
     /// Links that currently hold at least one reservation.
     pub fn loaded_links(&self) -> impl Iterator<Item = (HopLink, usize)> + '_ {
-        self.links.iter().map(|(l, m)| (*l, m.len()))
+        self.links.iter().map(|(l, book)| (*l, book.keys.len()))
     }
 
     /// Run the per-link EDF feasibility test with `task` added to the
     /// link's current reservations, committing nothing.
     pub fn feasible_with(&self, link: HopLink, task: &PeriodicTask) -> FeasibilityOutcome {
-        // The held tasks in key order, then the candidate: the set
-        // `test_with_candidate(&self.taskset(link), task)` would build, in
-        // one allocation instead of two.
-        let held = self.links.get(&link);
-        let mut tasks = Vec::with_capacity(held.map_or(0, |m| m.len()) + 1);
-        tasks.extend(held.into_iter().flat_map(|m| m.values().copied()));
-        tasks.push(*task);
-        self.tester.test(&TaskSet::from_tasks(tasks))
+        self.link(link).feasible_with(task)
     }
 
     /// Reserve `task` on `link` under `key` (replacing any prior entry for
     /// the same key — a key holds at most one task per link).
     pub fn reserve(&mut self, link: HopLink, key: ReservationKey, task: PeriodicTask) {
-        self.links.entry(link).or_default().insert(key, task);
+        let book = self.links.entry(link).or_default();
+        match book.keys.binary_search(&key) {
+            Ok(at) => book.tasks[at] = task,
+            Err(at) => {
+                book.keys.insert(at, key);
+                book.tasks.insert(at, task);
+            }
+        }
     }
 
     /// Release the reservation `key` holds on `link`.  Returns `false` if
     /// there was none (a rollback may race a release; releasing twice must
     /// be harmless, never double-free someone else's slack).
     pub fn release(&mut self, link: HopLink, key: ReservationKey) -> bool {
-        let Some(entries) = self.links.get_mut(&link) else {
+        let Some(book) = self.links.get_mut(&link) else {
             return false;
         };
-        let removed = entries.remove(&key).is_some();
-        if entries.is_empty() {
+        let removed = book.remove(key);
+        if book.keys.is_empty() {
             self.links.remove(&link);
         }
         removed
@@ -136,11 +195,9 @@ impl SlackLedger {
     pub fn release_key(&mut self, key: ReservationKey) -> usize {
         self.leases.remove(&key);
         let mut freed = 0;
-        self.links.retain(|_, entries| {
-            if entries.remove(&key).is_some() {
-                freed += 1;
-            }
-            !entries.is_empty()
+        self.links.retain(|_, book| {
+            freed += usize::from(book.remove(key));
+            !book.keys.is_empty()
         });
         freed
     }
@@ -209,13 +266,15 @@ impl SlackLedger {
     pub fn keys_on(&self, link: HopLink) -> Vec<ReservationKey> {
         self.links
             .get(&link)
-            .map(|m| m.keys().copied().collect())
+            .map(|book| book.keys.clone())
             .unwrap_or_default()
     }
 
     /// `true` if `key` holds a reservation on `link`.
     pub fn holds(&self, link: HopLink, key: ReservationKey) -> bool {
-        self.links.get(&link).is_some_and(|m| m.contains_key(&key))
+        self.links
+            .get(&link)
+            .is_some_and(|book| book.keys.binary_search(&key).is_ok())
     }
 }
 
@@ -377,6 +436,136 @@ mod tests {
         );
         assert_eq!(ledger.next_expiry(), Some(SimTime::from_micros(90)));
         assert!(ledger.holds(link, late));
+    }
+
+    /// The link books against a plain map of maps: a seeded walk of reserves
+    /// (new keys and replacements), releases, whole-key releases, leases and
+    /// sweeps, with every read accessor compared after every step — and the
+    /// per-link test compared with the tester run on the model's tasks.
+    #[test]
+    fn books_behave_like_a_map_of_maps() {
+        use rt_types::rng::Xoshiro256;
+        type Model = BTreeMap<HopLink, BTreeMap<ReservationKey, PeriodicTask>>;
+
+        let links = [
+            HopLink::Uplink(NodeId::new(0)),
+            HopLink::Uplink(NodeId::new(1)),
+            HopLink::Trunk {
+                from: SwitchId::new(0),
+                to: SwitchId::new(1),
+            },
+            HopLink::Trunk {
+                from: SwitchId::new(1),
+                to: SwitchId::new(0),
+            },
+            HopLink::Downlink(NodeId::new(2)),
+        ];
+        let keys: Vec<ReservationKey> = (1..=12)
+            .map(|i| ReservationKey::channel(ChannelId::new(i)))
+            .chain((0..8).map(|t| ReservationKey::token(SwitchId::new(t % 2), t as u16)))
+            .collect();
+        let committed = |key| matches!(key, ReservationKey::Token(_, t) if t % 3 == 0);
+        let tester = FeasibilityTester::new();
+        let (mut replaced, mut emptied, mut reclaimed, mut refused) = (0, 0, 0, 0);
+
+        for seed in 0..8u64 {
+            let mut rng = Xoshiro256::new(0xb00c_1600 + seed);
+            let mut pick = |n: usize| rng.below(n as u64) as usize;
+            let mut ledger = SlackLedger::new();
+            let mut model = Model::new();
+            let mut leases: BTreeMap<ReservationKey, SimTime> = BTreeMap::new();
+            let mut now = 0u64;
+            for step in 0..600 {
+                let (link, key) = (links[pick(links.len())], keys[pick(keys.len())]);
+                // Stretches that fill the books alternate with stretches that
+                // drain them, so links empty (and their books go) in passing.
+                let reserves = if (step / 60) % 2 == 0 { 6 } else { 1 };
+                match pick(10) {
+                    roll if roll < reserves => {
+                        let t = task(
+                            20 + pick(200) as u64,
+                            1 + pick(4) as u64,
+                            4 + pick(60) as u64,
+                        );
+                        ledger.reserve(link, key, t);
+                        replaced +=
+                            usize::from(model.entry(link).or_default().insert(key, t).is_some());
+                    }
+                    0..=6 => {
+                        let held = model.get_mut(&link).and_then(|m| m.remove(&key));
+                        assert_eq!(ledger.release(link, key), held.is_some());
+                    }
+                    7 => {
+                        let freed = model.values_mut().filter_map(|m| m.remove(&key)).count();
+                        leases.remove(&key);
+                        assert_eq!(ledger.release_key(key), freed);
+                    }
+                    8 => {
+                        let expires = SimTime::from_micros(now + pick(40) as u64);
+                        ledger.lease(key, expires);
+                        leases.insert(key, expires);
+                    }
+                    _ => {
+                        now += pick(30) as u64;
+                        let at = SimTime::from_micros(now);
+                        let due: Vec<_> = leases
+                            .iter()
+                            .filter(|(_, &d)| d <= at)
+                            .map(|(&k, _)| k)
+                            .collect();
+                        let mut expected = Vec::new();
+                        for key in due {
+                            leases.remove(&key);
+                            if !committed(key) {
+                                for held in model.values_mut() {
+                                    held.remove(&key);
+                                }
+                                expected.push(key);
+                            }
+                        }
+                        reclaimed += expected.len();
+                        assert_eq!(ledger.sweep_expired(at, committed), expected);
+                    }
+                }
+                let before = model.len();
+                model.retain(|_, m| !m.is_empty());
+                emptied += before - model.len();
+
+                // Every read accessor, on every link, loaded or not.
+                let loaded: Vec<_> = model.iter().map(|(l, m)| (*l, m.len())).collect();
+                assert_eq!(ledger.loaded_links().collect::<Vec<_>>(), loaded);
+                assert_eq!(ledger.next_expiry(), leases.values().min().copied());
+                let candidate = task(
+                    30 + pick(100) as u64,
+                    1 + pick(3) as u64,
+                    3 + pick(30) as u64,
+                );
+                for link in links {
+                    let held = model.get(&link).cloned().unwrap_or_default();
+                    let mut tasks: Vec<PeriodicTask> = held.values().copied().collect();
+                    assert_eq!(ledger.taskset(link).tasks(), tasks);
+                    assert_eq!(
+                        ledger.keys_on(link),
+                        held.keys().copied().collect::<Vec<_>>()
+                    );
+                    assert_eq!(ledger.link_load(link), held.len());
+                    assert_eq!(ledger.link(link).load(), held.len());
+                    for key in &keys {
+                        assert_eq!(ledger.holds(link, *key), held.contains_key(key));
+                    }
+                    tasks.push(candidate);
+                    let expected = tester.test(&TaskSet::from_tasks(tasks));
+                    assert_eq!(ledger.feasible_with(link, &candidate), expected);
+                    refused += usize::from(!expected.is_feasible());
+                }
+            }
+        }
+        // The walk really replaced entries, emptied books, swept leases and
+        // met links that refuse the candidate.
+        assert!(
+            replaced > 50 && emptied > 10 && reclaimed > 50 && refused > 50,
+            "{replaced} replaced, {emptied} emptied, {reclaimed} reclaimed, {refused} refused"
+        );
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub use manager::{
     SwitchChannelManager,
 };
 pub use multihop::{
-    FabricChannelManager, HopLink, MultiHopAdmission, MultiHopChannel, MultiHopDps, Route, Router,
-    SwitchId, Topology,
+    FabricChannelManager, HopLink, MultiHopAdmission, MultiHopChannel, MultiHopDps, Refusal,
+    RefusalCause, Route, Router, SwitchId, Topology,
 };
 pub use network::{RtNetwork, RtNetworkBuilder};
 pub use rtlayer::RtLayer;

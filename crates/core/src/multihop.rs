@@ -25,11 +25,11 @@
 //! iff every link on its path can schedule its share of the deadline.  Only
 //! *path selection* is policy; the acceptance theory is untouched.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use rt_edf::{PeriodicTask, TaskSet};
+use rt_edf::{FeasibilityVerdict, PeriodicTask, TaskSet};
 use rt_frames::rt_response::ResponseVerdict;
 use rt_frames::{RequestFrame, ResponseFrame};
 use rt_types::{
@@ -40,7 +40,7 @@ use rt_types::{
 pub use rt_types::{HopLink, Route, Router, SwitchId, Topology};
 
 use crate::channel::RtChannelSpec;
-use crate::ledger::{ReservationKey, SlackLedger};
+use crate::ledger::{LinkView, ReservationKey, SlackLedger};
 use crate::manager::{ChannelManager, ChannelRoute, FailoverReport, ReleasedChannel, SwitchAction};
 use crate::protocol::ChannelRequest;
 
@@ -80,37 +80,132 @@ impl MultiHopDps {
             )));
         }
         let slack = d - hops * c;
-        let weights: Vec<f64> = match self {
-            MultiHopDps::Symmetric => vec![1.0; path.len()],
-            MultiHopDps::Asymmetric => loads.iter().map(|&l| l as f64 + 1.0).collect(),
+        let weight = |i: usize| match self {
+            MultiHopDps::Symmetric => 1.0,
+            MultiHopDps::Asymmetric => loads[i] as f64 + 1.0,
         };
-        let total_weight: f64 = weights.iter().sum();
+        let total_weight: f64 = (0..path.len()).map(weight).sum();
         // Integer apportionment of the slack: floor of the proportional
         // share, then hand the remaining slots to the largest fractional
         // remainders (ties broken by position, so the result is
-        // deterministic).
-        let mut parts: Vec<u64> = Vec::with_capacity(path.len());
-        let mut remainders: Vec<(usize, f64)> = Vec::with_capacity(path.len());
-        let mut assigned = 0u64;
-        for (i, w) in weights.iter().enumerate() {
-            let exact = slack as f64 * w / total_weight;
-            let floor = exact.floor() as u64;
-            parts.push(floor);
-            assigned += floor;
-            remainders.push((i, exact - floor as f64));
-        }
-        let mut leftover = slack - assigned;
-        remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let mut idx = 0;
-        while leftover > 0 {
-            parts[remainders[idx % remainders.len()].0] += 1;
-            leftover -= 1;
-            idx += 1;
-        }
-        let result: Vec<Slots> = parts.iter().map(|&p| Slots::new(c + p)).collect();
-        debug_assert_eq!(result.iter().map(|s| s.get()).sum::<u64>(), d);
-        Ok(result)
+        // deterministic).  The remainders live on the stack: the result is
+        // the only thing this asks the allocator for.
+        let mut parts: Vec<Slots> = Vec::with_capacity(path.len());
+        with_slots(path.len(), (0.0f64, 0usize), |remainders| {
+            let mut assigned = 0u64;
+            for (i, remainder) in remainders.iter_mut().enumerate() {
+                let exact = slack as f64 * weight(i) / total_weight;
+                let floor = exact.floor() as u64;
+                parts.push(Slots::new(c + floor));
+                assigned += floor;
+                *remainder = (exact - floor as f64, i);
+            }
+            remainders.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+            for k in 0..(slack - assigned) as usize {
+                parts[remainders[k % remainders.len()].1] += Slots::ONE;
+            }
+        });
+        debug_assert_eq!(parts.iter().map(|s| s.get()).sum::<u64>(), d);
+        Ok(parts)
     }
+}
+
+/// Routes of up to this many links are admitted without a heap temporary
+/// (a `fat_tree` route has at most 6, a 4-D torus diameter route 10).
+const INLINE_HOPS: usize = 16;
+
+/// Run `f` over `n` slots holding `fill`: on the stack for a route of up to
+/// [`INLINE_HOPS`] links, on the heap for a longer one.
+fn with_slots<T: Copy, R>(n: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if n <= INLINE_HOPS {
+        f(&mut [fill; INLINE_HOPS][..n])
+    } else {
+        f(&mut vec![fill; n])
+    }
+}
+
+/// Why admission refused a route: where, with which deadline, and the cause.
+/// `Copy`, and built without touching the allocator — the text is produced
+/// only when somebody asks for it ([`fmt::Display`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Refusal {
+    /// The link that refused; `None` when the route as a whole could not be
+    /// given a deadline split.
+    pub link: Option<HopLink>,
+    /// The deadline tried: `link`'s share of the end-to-end deadline, or the
+    /// end-to-end deadline itself when it could not be partitioned.
+    pub deadline: Slots,
+    /// What went wrong.
+    pub cause: RefusalCause,
+}
+
+/// The cause of a [`Refusal`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefusalCause {
+    /// The end-to-end deadline cannot be split over the route's links
+    /// (shorter than one capacity per hop).
+    NotPartitionable,
+    /// The link's share of the deadline does not make a valid periodic task.
+    InvalidTask,
+    /// The per-link EDF test failed, with its verdict: which constraint, and
+    /// for Constraint 2 at which check-point with how much demand.
+    Infeasible(FeasibilityVerdict),
+}
+
+impl fmt::Display for Refusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let d = self.deadline;
+        match (self.cause, self.link) {
+            (RefusalCause::Infeasible(verdict), Some(link)) => {
+                write!(f, "link {link} infeasible with d={d}: {verdict:?}")
+            }
+            (RefusalCause::NotPartitionable, _) => {
+                write!(f, "deadline {d} is shorter than one capacity per hop")
+            }
+            _ => write!(f, "d={d} makes no valid periodic task"),
+        }
+    }
+}
+
+/// The admission sequence every control plane runs over a candidate route:
+/// read each link's load, partition the deadline by those loads, and test
+/// each link's share against what the link holds.  `view_of` resolves a link
+/// in whichever ledger owns it and is called once per link; nothing is
+/// committed.  Returns the per-link deadlines, or the first refusal.
+pub(crate) fn admit_along<'a>(
+    dps: MultiHopDps,
+    spec: &RtChannelSpec,
+    path: &[HopLink],
+    view_of: impl Fn(HopLink) -> LinkView<'a>,
+) -> Result<Vec<Slots>, Refusal> {
+    with_slots(path.len(), 0usize, |loads| {
+        with_slots(path.len(), None, |views| {
+            for ((view, load), link) in views.iter_mut().zip(loads.iter_mut()).zip(path) {
+                let resolved = view_of(*link);
+                *load = resolved.load();
+                *view = Some(resolved);
+            }
+            let refusal = |link, deadline, cause| Refusal {
+                link,
+                deadline,
+                cause,
+            };
+            let deadlines = dps
+                .partition(spec, path, loads)
+                .map_err(|_| refusal(None, spec.deadline, RefusalCause::NotPartitionable))?;
+            for ((link, &deadline), view) in path.iter().zip(&deadlines).zip(views.iter().flatten())
+            {
+                let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
+                    .map_err(|_| refusal(Some(*link), deadline, RefusalCause::InvalidTask))?;
+                let verdict = view.feasible_with(&task).verdict;
+                if verdict != FeasibilityVerdict::Feasible {
+                    let cause = RefusalCause::Infeasible(verdict);
+                    return Err(refusal(Some(*link), deadline, cause));
+                }
+            }
+            Ok(deadlines)
+        })
+    })
 }
 
 /// An RT channel admitted into a multi-switch network.
@@ -280,35 +375,12 @@ impl MultiHopAdmission {
     /// Partition the deadline over `path` and run the per-link feasibility
     /// test with the candidate added, without committing anything.  Returns
     /// the per-link deadlines on success, or which link failed and why.
-    fn try_admit(
-        &self,
-        spec: &RtChannelSpec,
-        path: &Route,
-    ) -> Result<Vec<Slots>, (Option<HopLink>, String)> {
-        let loads: Vec<usize> = path.iter().map(|l| self.link_load(*l)).collect();
-        let deadlines = self
-            .dps
-            .partition(spec, path, &loads)
-            .map_err(|e| (None, e.to_string()))?;
-        for (link, &deadline) in path.iter().zip(deadlines.iter()) {
-            let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
-                .map_err(|e| (Some(*link), e.to_string()))?;
-            let outcome = self.ledger.feasible_with(*link, &task);
-            if !outcome.is_feasible() {
-                return Err((
-                    Some(*link),
-                    format!(
-                        "link {link} infeasible with d={deadline}: {:?}",
-                        outcome.verdict
-                    ),
-                ));
-            }
-        }
-        Ok(deadlines)
+    fn try_admit(&self, spec: &RtChannelSpec, path: &Route) -> Result<Vec<Slots>, Refusal> {
+        admit_along(self.dps, spec, path, |link| self.ledger.link(link))
     }
 
     /// Commit an already-tested channel: reserve capacity on every link of
-    /// the path under the given id.
+    /// the path under the given id.  Returns the channel as stored.
     fn commit(
         &mut self,
         id: ChannelId,
@@ -317,7 +389,7 @@ impl MultiHopAdmission {
         spec: RtChannelSpec,
         path: Route,
         deadlines: Vec<Slots>,
-    ) -> RtResult<MultiHopChannel> {
+    ) -> RtResult<&MultiHopChannel> {
         for (link, &deadline) in path.iter().zip(deadlines.iter()) {
             let task = PeriodicTask::new(spec.period, spec.capacity, deadline)?;
             self.ledger
@@ -331,12 +403,19 @@ impl MultiHopAdmission {
             path,
             link_deadlines: deadlines,
         };
-        self.channels.insert(id.get(), channel.clone());
-        Ok(channel)
+        Ok(match self.channels.entry(id.get()) {
+            btree_map::Entry::Vacant(slot) => slot.insert(channel),
+            btree_map::Entry::Occupied(slot) => {
+                let stored = slot.into_mut();
+                *stored = channel;
+                stored
+            }
+        })
     }
 
     /// Request a channel from `source` to `destination`.  Returns the
-    /// admitted channel, or the rejection (which link failed and why).
+    /// admitted channel (as stored — clone it to keep it past the next
+    /// call), or the [`Refusal`]: which link failed and why.
     ///
     /// The router's candidate routes are tried in preference order: with a
     /// single-route policy this is exactly the classic one-shot admission,
@@ -349,22 +428,21 @@ impl MultiHopAdmission {
         source: NodeId,
         destination: NodeId,
         spec: RtChannelSpec,
-    ) -> RtResult<Result<MultiHopChannel, (Option<HopLink>, String)>> {
+    ) -> RtResult<Result<&MultiHopChannel, Refusal>> {
         spec.validate()?;
         let candidates = self.router.routes(&self.topology, source, destination)?;
-        let mut primary_failure: Option<(Option<HopLink>, String)> = None;
+        let mut primary_failure: Option<Refusal> = None;
         for path in candidates {
             match self.try_admit(&spec, &path) {
                 Ok(deadlines) => {
                     let id = self.allocate_channel_id()?;
-                    let channel = self.commit(id, source, destination, spec, path, deadlines)?;
                     self.accepted += 1;
-                    return Ok(Ok(channel));
+                    return self
+                        .commit(id, source, destination, spec, path, deadlines)
+                        .map(Ok);
                 }
                 Err(failure) => {
-                    if primary_failure.is_none() {
-                        primary_failure = Some(failure);
-                    }
+                    primary_failure.get_or_insert(failure);
                 }
             }
         }
@@ -649,21 +727,22 @@ impl FabricChannelManager {
                 // Tentative reservation: capacity is held on every link of
                 // the path, but the channel only becomes usable once the
                 // destination accepts.
+                let id = channel.id;
                 self.pending.insert(
-                    channel.id,
+                    id,
                     PendingFabricReservation {
                         source: request.source,
                         request_id: request.request_id,
                     },
                 );
                 let mut annotated = *frame;
-                annotated.rt_channel_id = Some(channel.id);
+                annotated.rt_channel_id = Some(id);
                 Ok(vec![SwitchAction::ForwardRequest {
                     to: request.destination,
                     frame: annotated,
                 }])
             }
-            Err((_link, _reason)) => Ok(vec![reject(self.switch_mac)]),
+            Err(_refusal) => Ok(vec![reject(self.switch_mac)]),
         }
     }
 
@@ -958,7 +1037,8 @@ mod tests {
         let channel = admission
             .request(NodeId::new(0), NodeId::new(2), spec)
             .unwrap()
-            .unwrap();
+            .unwrap()
+            .clone();
         assert_eq!(channel.path.len(), 3);
         assert_eq!(admission.link_load(HopLink::Uplink(NodeId::new(0))), 1);
         assert_eq!(admission.link_load(trunk), 1);
@@ -986,7 +1066,8 @@ mod tests {
         let channel = admission
             .request(NodeId::new(0), NodeId::new(1), spec)
             .unwrap()
-            .unwrap();
+            .unwrap()
+            .clone();
         assert_eq!(channel.path.len(), 2);
         assert_eq!(admission.link_load(trunk), 0);
         // And the split is the single-switch SDPS: 20/20.
@@ -1003,19 +1084,34 @@ mod tests {
                 let result = admission
                     .request(NodeId::new(m), NodeId::new(8 + ((m + round) % 8)), spec)
                     .unwrap();
-                if let Err((link, _reason)) = result {
-                    last_rejection = link;
+                if let Err(refusal) = result {
+                    last_rejection = Some(refusal);
                 }
             }
         }
         // With 24 cross-trunk requests the trunk saturates first (13 slots
         // symmetric share -> 4 channels), so rejections blame the trunk.
+        let refusal = last_rejection.expect("the trunk saturates");
+        let trunk = HopLink::Trunk {
+            from: SwitchId::new(0),
+            to: SwitchId::new(1),
+        };
+        assert_eq!(refusal.link, Some(trunk));
+        // The typed cause carries what the text used to: the share tried and
+        // the check-point the fifth channel's demand overran.
+        assert_eq!(refusal.deadline, Slots::new(13));
         assert_eq!(
-            last_rejection,
-            Some(HopLink::Trunk {
-                from: SwitchId::new(0),
-                to: SwitchId::new(1)
+            refusal.cause,
+            RefusalCause::Infeasible(FeasibilityVerdict::DemandExceeded {
+                at: Slots::new(13),
+                demand: Slots::new(15),
             })
+        );
+        assert_eq!(
+            refusal.to_string(),
+            format!(
+                "link {trunk} infeasible with d=13 slot(s): DemandExceeded {{ at: Slots(13), demand: Slots(15) }}"
+            )
         );
         assert!(admission.rejected_count() > 0);
         assert!(admission.accepted_count() > 0);
@@ -1031,13 +1127,15 @@ mod tests {
         let affected = admission
             .request(NodeId::new(0), NodeId::new(3), spec)
             .unwrap()
-            .unwrap();
+            .unwrap()
+            .clone();
         assert_eq!(affected.path.len(), 3);
         // node 1 (sw1) -> node 2 (sw2): off the closing trunk.
         let untouched = admission
             .request(NodeId::new(1), NodeId::new(2), spec)
             .unwrap()
-            .unwrap();
+            .unwrap()
+            .clone();
         let untouched_before = admission.channel(untouched.id).unwrap().clone();
 
         let report = admission
@@ -1090,7 +1188,8 @@ mod tests {
         let fresh = admission
             .request(NodeId::new(0), NodeId::new(3), spec)
             .unwrap()
-            .unwrap();
+            .unwrap()
+            .clone();
         assert_eq!(fresh.path.len(), 3, "new requests use the repaired trunk");
     }
 
@@ -1101,7 +1200,8 @@ mod tests {
         let channel = admission
             .request(NodeId::new(0), NodeId::new(1), spec)
             .unwrap()
-            .unwrap();
+            .unwrap()
+            .clone();
         let report = admission
             .fail_trunk(SwitchId::new(0), SwitchId::new(1))
             .unwrap();

@@ -21,7 +21,7 @@
 use rt_types::Slots;
 
 use crate::task::PeriodicTask;
-use crate::taskset::TaskSet;
+use crate::taskset::{TaskSet, Utilisation};
 
 /// Why a task set was judged infeasible (or why analysis gave up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +129,29 @@ fn float_exceeds_one(sum: f64, n: usize) -> Option<bool> {
     }
 }
 
+/// Scratch space lent to [`FeasibilityTester::test_slice`]: the deadline
+/// events of the Constraint 2 scan.  A caller that tests link after link
+/// keeps one and the scan stops asking the allocator for anything once the
+/// buffer has grown to the busiest link's event count.
+#[derive(Debug, Default)]
+pub struct DemandScratch {
+    /// `(t, C_i)` for every job deadline `t = m·P_i + d_i ≤ BusyPeriod`.
+    events: Vec<(Slots, Slots)>,
+}
+
 /// The feasibility tester (stateless apart from its configuration).
+///
+/// There is one implementation of the test, [`FeasibilityTester::test_slice`];
+/// [`FeasibilityTester::test`] and [`FeasibilityTester::test_with_candidate`]
+/// are thin callers of it.  The textbook formulation it replaced — `h(t)`
+/// recomputed from scratch at every check-point, the busy-period search capped
+/// by the hyperperiod `H` — lives on as the `oracle` of this module's tests,
+/// built from [`TaskSet`]'s public `hyperperiod`/`busy_period`/`checkpoints`/
+/// `workload`; a seeded differential property holds the two to equal
+/// [`FeasibilityOutcome`]s, field for field.  `H` is not computed here: once
+/// Constraint 1 has answered "fits", `U ≤ 1`, so `Σ C_i ≤ W(H) = U·H ≤ H` and
+/// the monotone busy-period iteration never passes `H` — of `min(H,
+/// busy_period_cap)` only the cap can ever bind.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FeasibilityTester {
     config: FeasibilityConfig,
@@ -163,91 +185,120 @@ impl FeasibilityTester {
 
     /// Run the feasibility test on `set`.
     pub fn test(&self, set: &TaskSet) -> FeasibilityOutcome {
-        let utilisation = set.utilisation_f64();
-        // Constraint 1: U <= 1, read off the float sum wherever that is
-        // provably the exact comparison's answer, and from the exact
-        // rational fold inside the band around 1 where it is not.
-        let exceeded = float_exceeds_one(utilisation, set.len())
-            .unwrap_or_else(|| set.utilisation().exceeds_one());
-        self.test_given(set, utilisation, exceeded)
+        self.test_slice(set.tasks(), None, &mut DemandScratch::default())
     }
 
-    /// The test with Constraint 1 already decided: `exceeds_one` is the
-    /// verdict of `U > 1`, `utilisation` the float reported with the outcome.
-    fn test_given(&self, set: &TaskSet, utilisation: f64, exceeds_one: bool) -> FeasibilityOutcome {
-        if exceeds_one {
-            return FeasibilityOutcome {
-                verdict: FeasibilityVerdict::UtilisationExceeded,
-                utilisation,
-                busy_period: None,
-                checkpoints_examined: 0,
-            };
-        }
-
-        // Liu & Layland shortcut: with implicit deadlines (d == P for every
-        // task) the utilisation bound is necessary and sufficient.
-        let all_implicit = set.tasks().iter().all(|t| t.is_implicit_deadline());
-        if self.config.utilisation_only || all_implicit || set.is_empty() {
-            return FeasibilityOutcome {
-                verdict: FeasibilityVerdict::Feasible,
-                utilisation,
-                busy_period: None,
-                checkpoints_examined: 0,
-            };
-        }
-
-        // Constraint 2: h(t) <= t for the Eq. 18.5 check-points within the
-        // first busy period (Eq. 18.4).
-        let cap = match set.hyperperiod() {
-            Some(h) => h.min(self.config.busy_period_cap),
-            None => self.config.busy_period_cap,
-        };
-        let busy_period = match set.busy_period(cap) {
-            Some(bp) => bp,
-            None => {
-                return FeasibilityOutcome {
-                    verdict: FeasibilityVerdict::AnalysisLimitExceeded,
-                    utilisation,
-                    busy_period: None,
-                    checkpoints_examined: 0,
-                }
-            }
-        };
-
-        let checkpoints = set.checkpoints(busy_period);
-        let mut examined = 0;
-        for t in checkpoints {
-            examined += 1;
-            let demand = set.workload(t);
-            if demand > t {
-                return FeasibilityOutcome {
-                    verdict: FeasibilityVerdict::DemandExceeded { at: t, demand },
-                    utilisation,
-                    busy_period: Some(busy_period),
-                    checkpoints_examined: examined,
-                };
-            }
-        }
-
-        FeasibilityOutcome {
-            verdict: FeasibilityVerdict::Feasible,
-            utilisation,
-            busy_period: Some(busy_period),
-            checkpoints_examined: examined,
-        }
-    }
-
-    /// Test whether `candidate` can be added to `set`: clones the set, adds
-    /// the candidate and runs the full test.  This is exactly the question
-    /// the switch answers during admission control.
+    /// Test whether `candidate` can be added to `set`, which is left as it
+    /// is.  This is exactly the question the switch answers during admission
+    /// control.
     pub fn test_with_candidate(
         &self,
         set: &TaskSet,
         candidate: &PeriodicTask,
     ) -> FeasibilityOutcome {
-        let mut tentative = set.clone();
-        tentative.push(*candidate);
-        self.test(&tentative)
+        self.test_slice(set.tasks(), Some(candidate), &mut DemandScratch::default())
+    }
+
+    /// The test itself, on the tasks of `held` followed by `candidate` (if
+    /// any), copying neither: what a link holds is tested where it lies.
+    pub fn test_slice(
+        &self,
+        held: &[PeriodicTask],
+        candidate: Option<&PeriodicTask>,
+        scratch: &mut DemandScratch,
+    ) -> FeasibilityOutcome {
+        let tasks = || held.iter().chain(candidate);
+        let utilisation: f64 = tasks().map(|t| t.utilisation()).sum();
+        let outcome = |verdict, busy_period, checkpoints_examined| FeasibilityOutcome {
+            verdict,
+            utilisation,
+            busy_period,
+            checkpoints_examined,
+        };
+
+        // Constraint 1: U <= 1, read off the float sum wherever that is
+        // provably the exact comparison's answer, and from the exact
+        // rational fold inside the band around 1 where it is not.
+        let n = held.len() + usize::from(candidate.is_some());
+        let exceeded = float_exceeds_one(utilisation, n).unwrap_or_else(|| {
+            tasks()
+                .fold(Utilisation::ZERO, |u, t| u.add(Utilisation::of_task(t)))
+                .exceeds_one()
+        });
+        if exceeded {
+            return outcome(FeasibilityVerdict::UtilisationExceeded, None, 0);
+        }
+
+        // Liu & Layland shortcut: with implicit deadlines (d == P for every
+        // task, the empty set included) the utilisation bound is necessary
+        // and sufficient.
+        if self.config.utilisation_only || tasks().all(|t| t.is_implicit_deadline()) {
+            return outcome(FeasibilityVerdict::Feasible, None, 0);
+        }
+
+        // Constraint 2 is checked inside the first busy period (Eq. 18.4):
+        // the least fixed point of W(L) = Σ ceil(L/P_i)·C_i from L = Σ C_i.
+        //
+        // Only `busy_period_cap` bounds the search, not the hyperperiod H as
+        // well.  Constraint 1 answered "fits", so U <= 1 (neither the float
+        // band nor the exact fold's round-up says "fits" for a U > 1).  Then
+        // Σ C_i <= Σ C_i·(H/P_i) = U·H <= H, W is monotone and W(H) = U·H <= H:
+        // no iterate ever passes H, and `min(H, busy_period_cap)` could only
+        // ever bind through the cap.
+        let mut busy_period: Slots = tasks().map(|t| t.capacity()).sum();
+        loop {
+            if busy_period > self.config.busy_period_cap {
+                return outcome(FeasibilityVerdict::AnalysisLimitExceeded, None, 0);
+            }
+            // A busy period no longer than a task's period holds one job of
+            // it (L >= Σ C_i >= 1): the usual case, answered without dividing.
+            let jobs = |t: &PeriodicTask| {
+                if busy_period <= t.period() {
+                    1
+                } else {
+                    busy_period.div_ceil(t.period())
+                }
+            };
+            let next: Slots = tasks().map(|t| t.capacity().saturating_mul(jobs(t))).sum();
+            if next == busy_period {
+                break;
+            }
+            busy_period = next;
+        }
+
+        // h(t) <= t at the Eq. 18.5 check-points t = m·P_i + d_i (Eq. 18.3).
+        // h steps by C_i at each such deadline and nowhere else, so the
+        // deadlines are gathered once, sorted, and h carried as a running
+        // sum: additions, where recomputing h(t) per check-point costs a
+        // division per task.  (d_i >= C_i >= 1: no event sits at t = 0.)
+        let events = &mut scratch.events;
+        events.clear();
+        for task in tasks() {
+            let mut at = task.relative_deadline();
+            while at <= busy_period {
+                events.push((at, task.capacity()));
+                match at.checked_add(task.period()) {
+                    Some(next) => at = next,
+                    None => break,
+                }
+            }
+        }
+        events.sort_unstable_by_key(|&(at, _)| at);
+        let (mut demand, mut examined) = (Slots::ZERO, 0);
+        for (i, &(at, capacity)) in events.iter().enumerate() {
+            demand += capacity;
+            // Deadlines sharing an instant are one check-point, examined
+            // once all of them are counted.
+            if events.get(i + 1).is_some_and(|&(next, _)| next == at) {
+                continue;
+            }
+            examined += 1;
+            if demand > at {
+                let verdict = FeasibilityVerdict::DemandExceeded { at, demand };
+                return outcome(verdict, Some(busy_period), examined);
+            }
+        }
+        outcome(FeasibilityVerdict::Feasible, Some(busy_period), examined)
     }
 }
 
@@ -259,6 +310,44 @@ mod tests {
 
     fn task(p: u64, c: u64, d: u64) -> PeriodicTask {
         PeriodicTask::new(Slots::new(p), Slots::new(c), Slots::new(d)).unwrap()
+    }
+
+    /// The oracle: the textbook test [`FeasibilityTester::test_slice`]
+    /// replaced, built from [`TaskSet`]'s public pieces.  Constraint 1 always
+    /// from the exact rational fold, the busy-period search capped by the
+    /// hyperperiod as well as the configured cap, and `h(t)` recomputed from
+    /// scratch — a division per task — at every check-point.
+    fn oracle(tester: &FeasibilityTester, set: &TaskSet) -> FeasibilityOutcome {
+        let outcome = |verdict, busy_period, checkpoints_examined| FeasibilityOutcome {
+            verdict,
+            utilisation: set.utilisation_f64(),
+            busy_period,
+            checkpoints_examined,
+        };
+        if set.utilisation().exceeds_one() {
+            return outcome(FeasibilityVerdict::UtilisationExceeded, None, 0);
+        }
+        let all_implicit = set.tasks().iter().all(|t| t.is_implicit_deadline());
+        if tester.config.utilisation_only || all_implicit || set.is_empty() {
+            return outcome(FeasibilityVerdict::Feasible, None, 0);
+        }
+        let cap = match set.hyperperiod() {
+            Some(h) => h.min(tester.config.busy_period_cap),
+            None => tester.config.busy_period_cap,
+        };
+        let Some(busy_period) = set.busy_period(cap) else {
+            return outcome(FeasibilityVerdict::AnalysisLimitExceeded, None, 0);
+        };
+        let mut examined = 0;
+        for t in set.checkpoints(busy_period) {
+            examined += 1;
+            let demand = set.workload(t);
+            if demand > t {
+                let verdict = FeasibilityVerdict::DemandExceeded { at: t, demand };
+                return outcome(verdict, Some(busy_period), examined);
+            }
+        }
+        outcome(FeasibilityVerdict::Feasible, Some(busy_period), examined)
     }
 
     #[test]
@@ -375,7 +464,7 @@ mod tests {
     }
 
     /// The tester agrees, field for field, with the exact-only reference:
-    /// the same test with Constraint 1 always taken from the rational fold.
+    /// the oracle takes Constraint 1 from the rational fold, always.
     #[test]
     fn prop_float_shortcut_matches_the_exact_reference() {
         fn check(tasks: Vec<PeriodicTask>) -> Option<bool> {
@@ -386,11 +475,7 @@ mod tests {
                 FeasibilityTester::new(),
                 FeasibilityTester::utilisation_only(),
             ] {
-                assert_eq!(
-                    tester.test(&set),
-                    tester.test_given(&set, float, exact),
-                    "{set:?}"
-                );
+                assert_eq!(tester.test(&set), oracle(&tester, &set), "{set:?}");
             }
             let decided = float_exceeds_one(float, set.len());
             if let Some(answer) = decided {
@@ -478,6 +563,220 @@ mod tests {
             light.pop();
             assert_eq!(check(light), Some(false));
         }
+    }
+
+    /// What one differential case exercised, so the property can assert that
+    /// its generator reaches every class it claims to cover.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        cases: usize,
+        empty: usize,
+        all_implicit: usize,
+        deadline_past_period: usize,
+        at_one: usize,
+        band_fits: usize,
+        band_exceeded: usize,
+        float_fits: usize,
+        float_exceeded: usize,
+        shared_checkpoint: usize,
+        violation_at_first: usize,
+        violation_at_last: usize,
+        feasible_by_demand: usize,
+        limit_exceeded: usize,
+    }
+
+    impl Coverage {
+        fn record(&mut self, tester: &FeasibilityTester, set: &TaskSet, out: &FeasibilityOutcome) {
+            let tasks = set.tasks();
+            self.cases += 1;
+            self.empty += usize::from(tasks.is_empty());
+            self.all_implicit +=
+                usize::from(!tasks.is_empty() && tasks.iter().all(|t| t.is_implicit_deadline()));
+            self.deadline_past_period +=
+                usize::from(tasks.iter().any(|t| !t.is_constrained_deadline()));
+            let exact = set.utilisation();
+            self.at_one += usize::from(exact == Utilisation::from_ratio(1, 1));
+            match (
+                float_exceeds_one(set.utilisation_f64(), set.len()),
+                exact.exceeds_one(),
+            ) {
+                (None, false) => self.band_fits += 1,
+                (None, true) => self.band_exceeded += 1,
+                (Some(false), _) => self.float_fits += 1,
+                (Some(true), _) => self.float_exceeded += 1,
+            }
+            self.limit_exceeded +=
+                usize::from(out.verdict == FeasibilityVerdict::AnalysisLimitExceeded);
+            let Some(busy_period) = out.busy_period else {
+                return;
+            };
+            let checkpoints = set.checkpoints(busy_period);
+            let deadlines: usize = tasks
+                .iter()
+                .map(|t| TaskSet::from_tasks(vec![*t]).checkpoints(busy_period).len())
+                .sum();
+            // Only a scan that got past the shared instant examined it once.
+            self.shared_checkpoint += usize::from(
+                deadlines > checkpoints.len() && out.checkpoints_examined == checkpoints.len(),
+            );
+            match out.verdict {
+                FeasibilityVerdict::DemandExceeded { at, .. } if checkpoints.len() > 1 => {
+                    self.violation_at_first += usize::from(Some(&at) == checkpoints.first());
+                    self.violation_at_last += usize::from(Some(&at) == checkpoints.last());
+                }
+                FeasibilityVerdict::Feasible if !tester.config.utilisation_only => {
+                    self.feasible_by_demand += 1
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Seeds of the differential property (the `RT_ADVERSARIAL_SEEDS` matrix
+    /// the CI soaks crank up), default 32.
+    fn differential_seeds() -> u64 {
+        std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(32)
+    }
+
+    /// `test_slice` — over a set, and over a held slice plus a candidate, one
+    /// scratch lent to every call — equals the oracle on the whole
+    /// [`FeasibilityOutcome`]: verdict with `at`/`demand`, `busy_period`,
+    /// `checkpoints_examined`, and `utilisation` to the bit.
+    #[test]
+    fn prop_slice_test_matches_the_oracle() {
+        let mut scratch = DemandScratch::default();
+        let mut seen = Coverage::default();
+        let mut check = |tasks: Vec<PeriodicTask>, cap: u64| {
+            let set = TaskSet::from_tasks(tasks);
+            for tester in [
+                FeasibilityTester::new(),
+                FeasibilityTester::utilisation_only(),
+                // A cap small enough that the analysis gives up on both sides.
+                FeasibilityTester::with_config(FeasibilityConfig {
+                    busy_period_cap: Slots::new(cap),
+                    utilisation_only: false,
+                }),
+            ] {
+                let expected = oracle(&tester, &set);
+                let bits = |o: &FeasibilityOutcome| o.utilisation.to_bits();
+                let whole = tester.test_slice(set.tasks(), None, &mut scratch);
+                assert_eq!(whole, expected, "{set:?}");
+                assert_eq!(bits(&whole), bits(&expected), "{set:?}");
+                if let Some((candidate, held)) = set.tasks().split_last() {
+                    let split = tester.test_slice(held, Some(candidate), &mut scratch);
+                    assert_eq!(split, expected, "{set:?}");
+                    assert_eq!(bits(&split), bits(&expected), "{set:?}");
+                }
+                seen.record(&tester, &set, &expected);
+            }
+        };
+
+        for seed in 0..differential_seeds() {
+            let mut rng = Xoshiro256::new(0xfea5_1600 + seed);
+            let cap = |rng: &mut Xoshiro256| rng.range_inclusive(1, 60);
+            check(Vec::new(), cap(&mut rng));
+            for _ in 0..200 {
+                // Small and dense: short busy periods full of check-points,
+                // deadlines on either side of the period, violations anywhere.
+                let tasks = random_task_vec(&mut rng, (1, 6), (2, 16), (1, 4), (1, 40));
+                check(tasks, cap(&mut rng));
+                // Link-like: many tasks, long awkward periods, light to heavy.
+                let tasks = random_task_vec(&mut rng, (1, 40), (2, 997), (1, 60), (1, 1200));
+                check(tasks, cap(&mut rng));
+                // Implicit deadlines only: Liu & Layland decides.
+                let tasks = random_task_vec(&mut rng, (1, 12), (2, 60), (1, 6), (1, 1))
+                    .into_iter()
+                    .map(|t| t.with_relative_deadline(t.period()).unwrap())
+                    .collect();
+                check(tasks, cap(&mut rng));
+            }
+            for _ in 0..20 {
+                // A staircase with one stumble: capacities that fill a busy
+                // period of their sum, each deadline at the running total —
+                // except one a slot early, which is the first violation: at
+                // the last check-point when the last step stumbles, at the
+                // first (two tasks sharing it) when the second does.
+                let k = rng.range_inclusive(2, 6) as usize;
+                let capacities: Vec<u64> = (0..k).map(|_| rng.range_inclusive(1, 4)).collect();
+                let total: u64 = capacities.iter().sum();
+                let stumble = rng.range_inclusive(1, k as u64 - 1) as usize;
+                let mut deadlines: Vec<u64> = capacities
+                    .iter()
+                    .scan(0, |sum, c| {
+                        *sum += c;
+                        Some(*sum)
+                    })
+                    .collect();
+                deadlines[stumble] -= 1;
+                if stumble == 1 {
+                    deadlines[0] = deadlines[1];
+                }
+                let tasks = (0..k)
+                    .map(|i| {
+                        let period = rng.range_inclusive(total, 3 * total);
+                        task(period, capacities[i], deadlines[i])
+                    })
+                    .collect();
+                check(tasks, cap(&mut rng));
+                // U = 1 exactly, then a hair over it (inside the float band).
+                let mut tasks = unit_utilisation_set(rng.range_inclusive(2, 40));
+                check(tasks.clone(), cap(&mut rng));
+                tasks.push(task(10_000_000_000_000, 1, rng.range_inclusive(1, 9)));
+                check(tasks, cap(&mut rng));
+                // Every share within 1/P of 1/n over huge awkward periods: U
+                // within n/P of 1, on either side of 1 and of the band's edge.
+                let n = rng.range_inclusive(2, 30);
+                let bits = rng.range_inclusive(30, 46);
+                let tasks = (0..n)
+                    .map(|_| {
+                        let p = rng.range_inclusive(1 << bits, 2 << bits);
+                        task(p, p / n + rng.below(2), p / 2 + 1)
+                    })
+                    .collect();
+                check(tasks, cap(&mut rng));
+            }
+        }
+
+        // The generator reaches every class the property claims to cover.
+        let Coverage {
+            cases,
+            empty,
+            all_implicit,
+            deadline_past_period,
+            at_one,
+            band_fits,
+            band_exceeded,
+            float_fits,
+            float_exceeded,
+            shared_checkpoint,
+            violation_at_first,
+            violation_at_last,
+            feasible_by_demand,
+            limit_exceeded,
+        } = seen;
+        assert!(
+            [
+                empty,
+                all_implicit,
+                deadline_past_period,
+                at_one,
+                band_fits,
+                band_exceeded,
+                float_fits,
+                float_exceeded,
+                shared_checkpoint,
+                violation_at_first,
+                violation_at_last,
+                feasible_by_demand,
+                limit_exceeded,
+            ]
+            .iter()
+            .all(|&count| count > 0 && count < cases),
+            "a class went vacuous: {seen:?}"
+        );
     }
 
     /// The band is wide enough for its two error sources at every load, and

@@ -32,7 +32,9 @@ pub mod taskset;
 #[cfg(test)]
 pub(crate) mod testgen;
 
-pub use feasibility::{FeasibilityConfig, FeasibilityOutcome, FeasibilityTester};
+pub use feasibility::{
+    DemandScratch, FeasibilityConfig, FeasibilityOutcome, FeasibilityTester, FeasibilityVerdict,
+};
 pub use fixed_priority::{dm_schedulable, dm_schedulable_with_candidate, DmAnalysis};
 pub use queue::{EdfQueue, FcfsQueue};
 pub use schedule::{simulate_edf_schedule, ScheduleOutcome};

@@ -241,9 +241,16 @@ impl Route {
                 "a route must end with the destination's downlink".into(),
             ));
         }
-        let mut visited = std::collections::BTreeSet::new();
+        // The switches a trunk of `trunks` leaves from.  A route is a handful
+        // of links: scanning them allocates nothing, where a set would.
+        let departs_from = |trunks: &[HopLink], switch: SwitchId| {
+            trunks
+                .iter()
+                .any(|l| matches!(l, HopLink::Trunk { from, .. } if *from == switch))
+        };
+        let interior = &links[1..links.len() - 1];
         let mut previous: Option<SwitchId> = None;
-        for link in &links[1..links.len() - 1] {
+        for (i, link) in interior.iter().enumerate() {
             let HopLink::Trunk { from, to } = link else {
                 return Err(RtError::Config(format!(
                     "interior links of a route must be trunks, got [{link}]"
@@ -261,7 +268,7 @@ impl Route {
                     )));
                 }
             }
-            if !visited.insert(*from) {
+            if departs_from(&interior[..i], *from) {
                 return Err(RtError::Config(format!(
                     "a route cannot revisit switch {from}"
                 )));
@@ -269,7 +276,7 @@ impl Route {
             previous = Some(*to);
         }
         if let Some(last) = previous {
-            if visited.contains(&last) {
+            if departs_from(interior, last) {
                 return Err(RtError::Config(format!(
                     "a route cannot revisit switch {last}"
                 )));
@@ -921,6 +928,10 @@ fn route_endpoints(
     Ok((src_switch, dst_switch))
 }
 
+/// Room for a fat-tree route (six links) without regrowing the vector link
+/// by link; a longer route grows it once.
+const ROUTE_LINKS_HINT: usize = 8;
+
 /// Walk the dense next-hop form from the source's switch to the
 /// destination's, producing the uplink + trunks + downlink route.  Walking
 /// the dense form (rather than the `BTreeMap`) means a `route()` call never
@@ -941,7 +952,8 @@ pub(crate) fn walk_dense(
     else {
         return Err(not_connected());
     };
-    let mut links = vec![HopLink::Uplink(source)];
+    let mut links = Vec::with_capacity(ROUTE_LINKS_HINT);
+    links.push(HopLink::Uplink(source));
     while at != towards {
         let next = dense
             .next_hop_index(at, towards)

@@ -3,67 +3,18 @@
 //! there, and a frame that arrives for a channel released mid-run is
 //! ignored, never an error.
 //!
-//! The allocation count comes from a counting `#[global_allocator]` that
-//! wraps [`System`] (the pattern of `crates/bench/benches/simulator.rs`):
-//! the product crates `forbid(unsafe_code)`, so the instrumentation lives
-//! here, outside the code under test.  The counter is per thread — the
-//! harness runs the tests of one binary on parallel threads — and the count
-//! is deterministic for a deterministic simulation, so it is asserted
-//! exactly as a bound, not statistically.
+//! The allocation count comes from the per-thread counting
+//! `#[global_allocator]` of `tests/common/counting_alloc.rs`; it is
+//! deterministic for a deterministic simulation, so it is asserted exactly as
+//! a bound, not statistically.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
 use switched_rt_ethernet::netsim::SchedulerKind;
 use switched_rt_ethernet::types::{Duration, NodeId, Topology};
-
-/// A [`System`] wrapper that counts the requests for memory (allocations and
-/// growing reallocations) of the calling thread.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
-}
-
-fn allocations() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-// SAFETY: pure delegation to `System`; the counter is a const-initialised
-// thread-local `Cell` without a destructor, so touching it allocates
-// nothing and cannot re-enter the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Giving memory back asks for none: only a growing `realloc` counts.
-        if new_size > layout.size() {
-            count();
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// sw0 — sw1 — sw2, two nodes each: node 0 to node 5 crosses both trunks.
 fn line(scheduler: SchedulerKind) -> RtNetwork {
