@@ -82,12 +82,32 @@
 //!
 //! Fail-over is **driven by the switches adjacent to the cut**: they own
 //! the dead trunk's directed ports, so their ledgers name exactly the
-//! channels that crossed it; those are released everywhere and re-admitted
-//! over surviving routes with their ids preserved.  The same adjacent
-//! switches originate the link-state flood for the cut.
+//! channels that crossed it; those are released at the owners of their path
+//! links and re-admitted over surviving routes with their ids preserved.
+//! The same adjacent switches originate the link-state flood for the cut.
+//!
+//! ## What one protocol hop costs
+//!
+//! A hop pays for what its frame touches, not for what its site or the
+//! fabric holds.  The sites sit in a dense table in ascending switch-id
+//! order (`rt_types::IdIndex`: one array index per handler, and a switch's
+//! slot *is* its id-block number).  A view is one `Arc<Topology>` per
+//! *distinct fabric state*: every site starts on the same allocation, a
+//! link-state write moves the writing site — and only it — onto the
+//! allocation that already holds "its state plus this event" if a live one
+//! does, onto a fresh copy otherwise, so sites that agree share memory (and
+//! the memoised fingerprint) while a site that has not heard yet keeps
+//! reading the old state.  Each site keeps a `DueFloor` under its
+//! coordinations and relay entries and its ledger one under its leases, so
+//! the sweep in front of every frame looks at nothing until something can be
+//! due.  A handler reads its position, its neighbours and its one or two
+//! owned links straight off the memoised candidate route; what a hop still
+//! allocates is the `values` list of the frame it forwards and the emission
+//! list of its outcome, both part of the public frame and trait types.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rt_edf::PeriodicTask;
@@ -96,12 +116,12 @@ use rt_frames::{
     Frame, RequestFrame, ReservationFrame, ReservationOp, ReservationReason, ResponseFrame,
 };
 use rt_types::{
-    ChannelId, ConnectionRequestId, Duration, MacAddr, NodeId, Route, Router, RtError, RtResult,
-    SimTime, Slots, SwitchId, Topology,
+    ChannelId, ConnectionRequestId, Duration, IdIndex, MacAddr, NodeId, Route, Router, RtError,
+    RtResult, SimTime, Slots, SwitchId, Topology,
 };
 
 use crate::channel::RtChannelSpec;
-use crate::ledger::{ReservationKey, SlackLedger};
+use crate::ledger::{DueFloor, ReservationKey, SlackLedger};
 use crate::manager::{
     ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel, SwitchAction,
 };
@@ -148,6 +168,8 @@ struct DestPending {
 /// One switch's control-plane state.
 #[derive(Debug)]
 struct Site {
+    /// The switch this state belongs to.
+    switch: SwitchId,
     /// The slack ledger of the links this switch owns.
     ledger: SlackLedger,
     /// Admissions this switch coordinates, by token.
@@ -156,11 +178,14 @@ struct Site {
     /// network-unique key the destination node echoes back, so concurrent
     /// admissions from different sources can never collide here.
     expecting: BTreeMap<u16, DestPending>,
-    /// This switch's own — possibly stale — view of the fabric.  Updated
+    /// This switch's own — possibly stale — view of the fabric.  Changed
     /// only by link-state flood frames (and by originating an announcement
     /// for a trunk this switch is adjacent to); never written "through the
-    /// backplane".
-    view: Topology,
+    /// backplane".  The allocation is shared with every site that believes
+    /// the same fabric state and is never written while shared:
+    /// [`DistributedChannelManager::apply_link_state`], its one writer,
+    /// moves this site onto another allocation instead.
+    view: Arc<Topology>,
     /// Highest link-state epoch applied per undirected trunk `(a, b)` with
     /// `a < b`: older or duplicate announcements are dropped, which both
     /// terminates the flood and keeps late frames from resurrecting a
@@ -168,17 +193,22 @@ struct Site {
     ls_seen: BTreeMap<(u32, u32), u64>,
     /// Next channel-id candidate inside this switch's id block.
     next_local_id: u16,
+    /// No coordination and no relay entry here expires below this (the
+    /// ledger keeps the same bound under its leases).
+    due: DueFloor,
 }
 
 impl Site {
-    fn new(view: Topology, block_start: u16) -> Self {
+    fn new(switch: SwitchId, view: Arc<Topology>, block_start: u16) -> Self {
         Site {
+            switch,
             ledger: SlackLedger::new(),
             coordinations: BTreeMap::new(),
             expecting: BTreeMap::new(),
             view,
             ls_seen: BTreeMap::new(),
             next_local_id: block_start,
+            due: DueFloor::default(),
         }
     }
 }
@@ -225,7 +255,10 @@ pub struct DistributedChannelManager {
     topology: Topology,
     router: Arc<dyn Router>,
     dps: MultiHopDps,
-    sites: BTreeMap<SwitchId, Site>,
+    /// One site per switch, in ascending switch-id order; `site_index` maps
+    /// a switch id to its slot.
+    sites: Vec<Site>,
+    site_index: IdIndex,
     /// Memo of the router's candidate lists, keyed by `(topology
     /// fingerprint, source, destination)`: reservation frames carry only
     /// the candidate *index* and every hop re-derives the route, so without
@@ -285,13 +318,15 @@ impl DistributedChannelManager {
     /// recomputed per hop from each site's *own* view instead of being
     /// carried in the frames.
     pub fn new(topology: Topology, dps: MultiHopDps, router: Arc<dyn Router>) -> Self {
-        let switches: Vec<SwitchId> = topology.switches().collect();
-        let sites = switches
+        let site_index = IdIndex::new(topology.switches().map(|s| s.get()));
+        let view = Arc::new(topology.clone());
+        let sites = site_index
+            .ids()
             .iter()
             .enumerate()
-            .map(|(idx, &s)| {
-                let (start, _) = Self::id_block_of(switches.len(), idx);
-                (s, Site::new(topology.clone(), start))
+            .map(|(slot, &id)| {
+                let (start, _) = Self::id_block_of(site_index.len(), slot);
+                Site::new(SwitchId::new(id), Arc::clone(&view), start)
             })
             .collect();
         DistributedChannelManager {
@@ -299,6 +334,7 @@ impl DistributedChannelManager {
             router,
             dps,
             sites,
+            site_index,
             route_cache: BTreeMap::new(),
             registry: BTreeMap::new(),
             committed: BTreeMap::new(),
@@ -324,7 +360,7 @@ impl DistributedChannelManager {
 
     /// The topology as `switch` currently believes it to be.
     pub fn view_of(&self, switch: SwitchId) -> Option<&Topology> {
-        self.sites.get(&switch).map(|s| &s.view)
+        Some(&*self.sites[self.slot(switch).ok()?].view)
     }
 
     /// How long in-flight reservations live before their site reclaims
@@ -367,6 +403,14 @@ impl DistributedChannelManager {
 
     // --- ownership and geometry ------------------------------------------
 
+    /// The slot of `switch` in the site table.
+    fn slot(&self, switch: SwitchId) -> RtResult<usize> {
+        self.site_index
+            .get(switch.get())
+            .map(|slot| slot as usize)
+            .ok_or_else(|| RtError::Config(format!("unknown switch {switch}")))
+    }
+
     /// The switch that owns a link's slack: the access switch for uplinks
     /// and downlinks, the transmitting switch for trunks.
     fn owner_of(&self, link: HopLink) -> Option<SwitchId> {
@@ -376,45 +420,87 @@ impl DistributedChannelManager {
         }
     }
 
-    /// The link indices (into the route) owned by the switch at position
-    /// `i` of the switch sequence: the uplink at position 0, the outgoing
-    /// trunk at every interior position, the downlink at the last.
-    fn owned_link_indices(route_len: usize, seq_len: usize, i: usize) -> Vec<usize> {
-        let mut owned = Vec::with_capacity(2);
-        if i == 0 {
-            owned.push(0);
-        }
-        if i + 1 < seq_len {
-            owned.push(1 + i);
-        }
-        if i + 1 == seq_len {
-            owned.push(route_len - 1);
-        }
-        owned
+    /// The site that owns a link's slack.
+    fn owner_slot(&self, link: HopLink) -> Option<usize> {
+        self.slot(self.owner_of(link)?).ok()
     }
 
-    /// The router's candidate list for one node pair as seen from `at`'s
-    /// *own view*, memoised per view fingerprint (every reservation-frame
-    /// hop re-derives its route from `(source, destination, candidate)`,
-    /// and a k-shortest enumeration is far too expensive to rerun per
-    /// hop).  Two sites whose views disagree during a link-state
-    /// convergence window can derive different lists for the same pair —
-    /// the per-hop geometry checks turn that disagreement into a graceful
-    /// abort, never a reservation on the wrong links.
+    /// The switch at position `i` of a route's switch sequence — the
+    /// transmitter of its `i`-th trunk, the receiver of its last one, or the
+    /// one access switch of a route that crosses no trunk — read off the
+    /// links, so every handler agrees on geometry and none builds the
+    /// sequence.  `None` past the last position.
+    fn switch_at(view: &Topology, route: &Route, i: usize) -> Option<SwitchId> {
+        match (route.get(i), route.get(i + 1)?) {
+            (_, HopLink::Trunk { from, .. }) => Some(*from),
+            (Some(HopLink::Trunk { to, .. }), _) => Some(*to),
+            (Some(HopLink::Uplink(source)), _) => view.switch_of(*source),
+            _ => None,
+        }
+    }
+
+    /// The link indices (into the route) owned by the switch at position
+    /// `i` of the switch sequence: the uplink at position 0, the outgoing
+    /// trunk at every interior position, the downlink at the last — one
+    /// link, or two adjacent ones at position 0.
+    fn owned_link_indices(i: usize) -> Range<usize> {
+        if i == 0 {
+            0..2
+        } else {
+            i + 1..i + 2
+        }
+    }
+
+    /// Where a frame walking a candidate route backward goes from position
+    /// `i`: to the switch before it, or straight to the coordinator (hop 0)
+    /// when this site's view knows no such candidate or does not put the
+    /// site at `i` — a view disagreement mid-walk; what the shortcut skips
+    /// is bounded by leases and spared by the sweep's registry check.
+    fn step_back(
+        site: &Site,
+        route: Option<&Route>,
+        i: usize,
+        coordinator: SwitchId,
+    ) -> (u8, SwitchId) {
+        route
+            .filter(|r| i > 0 && Self::switch_at(&site.view, r, i) == Some(site.switch))
+            .and_then(|r| Self::switch_at(&site.view, r, i - 1))
+            .map_or((0, coordinator), |before| ((i - 1) as u8, before))
+    }
+
+    /// The switch ids a route crosses, in order: the itinerary a Release
+    /// pass carries in its frame.  Empty for a same-switch route.
+    fn itinerary(route: &Route) -> Vec<u64> {
+        let mut ids = Vec::with_capacity(route.len() - 1);
+        for link in route.iter() {
+            if let HopLink::Trunk { from, to } = link {
+                if ids.is_empty() {
+                    ids.push(u64::from(from.get()));
+                }
+                ids.push(u64::from(to.get()));
+            }
+        }
+        ids
+    }
+
+    /// The router's candidate list for one node pair as seen from site
+    /// `s`'s *own view*, memoised per view fingerprint (every
+    /// reservation-frame hop re-derives its route from `(source,
+    /// destination, candidate)`, and a k-shortest enumeration is far too
+    /// expensive to rerun per hop).  Two sites whose views disagree during
+    /// a link-state convergence window can derive different lists for the
+    /// same pair — the per-hop geometry checks turn that disagreement into
+    /// a graceful abort, never a reservation on the wrong links.
     fn candidate_routes_at(
         &mut self,
-        at: SwitchId,
+        s: usize,
         source: NodeId,
         destination: NodeId,
     ) -> RtResult<Arc<[Route]>> {
-        let site = self
-            .sites
-            .get(&at)
-            .ok_or_else(|| RtError::Config(format!("unknown switch {at}")))?;
         Self::cached_routes(
             &mut self.route_cache,
             self.router.as_ref(),
-            &site.view,
+            &self.sites[s].view,
             source,
             destination,
         )
@@ -462,16 +548,16 @@ impl DistributedChannelManager {
         Ok(candidates)
     }
 
-    /// The candidate route a reservation frame refers to, re-derived from
-    /// the handling site's own view.  `None` when this view (or the frame)
-    /// no longer knows such a candidate — the caller aborts the handshake
-    /// gracefully instead of reserving on links the coordinator did not
-    /// mean.
-    fn candidate_route_at(&mut self, at: SwitchId, frame: &ReservationFrame) -> Option<Route> {
-        let candidates = self
-            .candidate_routes_at(at, frame.source, frame.destination)
-            .ok()?;
-        candidates.get(frame.candidate as usize).cloned()
+    /// The memoised list holding the candidate route a reservation frame
+    /// refers to (at `frame.candidate`), re-derived from the handling site's
+    /// own view and borrowed, not copied.  `None` when this view (or the
+    /// frame) no longer knows such a candidate — the caller aborts the
+    /// handshake gracefully instead of reserving on links the coordinator
+    /// did not mean.
+    fn candidates_at(&mut self, s: usize, frame: &ReservationFrame) -> Option<Arc<[Route]>> {
+        self.candidate_routes_at(s, frame.source, frame.destination)
+            .ok()
+            .filter(|candidates| usize::from(frame.candidate) < candidates.len())
     }
 
     /// Enter a committed channel into the registry and its key index.
@@ -487,13 +573,24 @@ impl DistributedChannelManager {
         Some(channel)
     }
 
-    fn site(&mut self, switch: SwitchId) -> RtResult<&mut Site> {
-        self.sites
-            .get_mut(&switch)
-            .ok_or_else(|| RtError::Config(format!("unknown switch {switch}")))
+    /// Release whatever `key` holds at the owners of `path`'s links — the
+    /// sites a channel on `path` reserved at, which are also the ones that
+    /// may still carry its renewed lease.
+    fn release_along(&mut self, path: &Route, key: ReservationKey) {
+        let mut released_at = None;
+        for link in path.iter() {
+            let owner = self.owner_slot(*link);
+            if owner != released_at {
+                if let Some(s) = owner {
+                    self.sites[s].ledger.release_key(key);
+                }
+                released_at = owner;
+            }
+        }
     }
 
-    fn allocate_token(&mut self, coordinator: SwitchId) -> u16 {
+    fn allocate_token(&mut self, c: usize) -> u16 {
+        let site = &self.sites[c];
         loop {
             let candidate = self.next_token;
             self.next_token = if self.next_token == u16::MAX {
@@ -501,12 +598,10 @@ impl DistributedChannelManager {
             } else {
                 self.next_token + 1
             };
-            let in_use = self.sites[&coordinator]
-                .coordinations
-                .contains_key(&candidate)
+            let in_use = site.coordinations.contains_key(&candidate)
                 || self
                     .committed
-                    .contains_key(&ReservationKey::token(coordinator, candidate));
+                    .contains_key(&ReservationKey::token(site.switch, candidate));
             if !in_use {
                 return candidate;
             }
@@ -530,33 +625,29 @@ impl DistributedChannelManager {
         (start as u16, end.max(start) as u16)
     }
 
-    /// Allocate the next free channel id from `coordinator`'s own id
-    /// block, wrapping within the block and skipping ids that are
-    /// committed or carried by this coordinator's in-flight admissions.
-    /// No fabric-wide sequencer exists, so two coordinators can never race
-    /// to the same id — at the cost of ids that differ from the central
-    /// oracle's (parity is checked under an admission-order id remapping).
-    fn allocate_channel_id(&mut self, coordinator: SwitchId) -> RtResult<ChannelId> {
-        let idx = self
-            .sites
-            .keys()
-            .position(|&s| s == coordinator)
-            .ok_or_else(|| RtError::Config(format!("unknown switch {coordinator}")))?;
-        let (start, end) = Self::id_block_of(self.sites.len(), idx);
-        let in_flight: BTreeSet<u16> = self.sites[&coordinator]
-            .coordinations
-            .values()
-            .filter_map(|c| c.channel.map(|id| id.get()))
-            .collect();
-        let mut cursor = self.sites[&coordinator].next_local_id;
+    /// Allocate the next free channel id from the id block of the
+    /// coordinator in slot `c`, wrapping within the block and skipping ids
+    /// that are committed or carried by this coordinator's in-flight
+    /// admissions.  No fabric-wide sequencer exists, so two coordinators can
+    /// never race to the same id — at the cost of ids that differ from the
+    /// central oracle's (parity is checked under an admission-order id
+    /// remapping).
+    fn allocate_channel_id(&mut self, c: usize) -> RtResult<ChannelId> {
+        let (start, end) = Self::id_block_of(self.sites.len(), c);
+        let site = &mut self.sites[c];
+        let mut cursor = site.next_local_id;
         if cursor < start || cursor > end {
             cursor = start;
         }
         for _ in start..=end {
             let candidate = cursor;
             cursor = if cursor == end { start } else { cursor + 1 };
-            if !self.registry.contains_key(&candidate) && !in_flight.contains(&candidate) {
-                self.site(coordinator)?.next_local_id = cursor;
+            let in_flight = site
+                .coordinations
+                .values()
+                .any(|c| c.channel.is_some_and(|id| id.get() == candidate));
+            if !self.registry.contains_key(&candidate) && !in_flight {
+                site.next_local_id = cursor;
                 return Ok(ChannelId::new(candidate));
             }
         }
@@ -621,6 +712,43 @@ impl DistributedChannelManager {
         }
     }
 
+    /// The outcome of a hop that puts one action on the wire at `at`.
+    fn emit(at: SwitchId, action: SwitchAction) -> ControlOutcome {
+        ControlOutcome {
+            emissions: vec![(at, action)],
+            released: Vec::new(),
+        }
+    }
+
+    /// The outcome of a hop that sends one control frame on, `at` → `to`.
+    fn send(at: SwitchId, to: SwitchId, frame: ReservationFrame) -> ControlOutcome {
+        Self::emit(at, SwitchAction::SendControl { to, frame })
+    }
+
+    /// The coordinator's answer to the node that asked for `coord`.
+    fn response(
+        &self,
+        coord: &Coordination,
+        channel: Option<ChannelId>,
+        verdict: ResponseVerdict,
+    ) -> SwitchAction {
+        SwitchAction::SendResponse {
+            to: coord.source,
+            frame: ResponseFrame {
+                rt_channel_id: channel,
+                switch_mac: self.switch_mac,
+                verdict,
+                connection_request_id: coord.request_id,
+            },
+        }
+    }
+
+    /// Count a rejection and build the answer that tells the requester.
+    fn rejection(&mut self, coord: &Coordination, channel: Option<ChannelId>) -> SwitchAction {
+        self.rejected += 1;
+        self.response(coord, channel, ResponseVerdict::Rejected)
+    }
+
     // --- the coordinator side --------------------------------------------
 
     /// Begin an admission: the source node's RequestFrame arrived at its
@@ -630,7 +758,7 @@ impl DistributedChannelManager {
     /// stale candidate into a clean retry of the next one.
     fn begin_request(
         &mut self,
-        at: SwitchId,
+        s: usize,
         frame: &RequestFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
@@ -640,6 +768,7 @@ impl DistributedChannelManager {
             .topology
             .switch_of(request.source)
             .ok_or(RtError::UnknownNode(request.source))?;
+        let at = self.sites[s].switch;
         if access != at {
             return Err(RtError::ProtocolViolation(format!(
                 "request from {} reached {at}, but its access switch is {access}",
@@ -649,14 +778,14 @@ impl DistributedChannelManager {
         // A view in which the endpoints are unreachable (mid-convergence or
         // genuinely partitioned) yields no candidates — the honest answer is
         // a rejection, not a control-plane fault.
-        let candidates = match self.candidate_routes_at(at, request.source, request.destination) {
+        let candidates = match self.candidate_routes_at(s, request.source, request.destination) {
             Ok(candidates) => candidates,
             Err(RtError::Config(_)) => Arc::from([]),
             Err(e) => return Err(e),
         };
-        let token = self.allocate_token(at);
+        let token = self.allocate_token(s);
         let expires = now.saturating_add(self.lease_duration);
-        self.site(at)?.coordinations.insert(
+        self.sites[s].coordinations.insert(
             token,
             Coordination {
                 source: request.source,
@@ -670,55 +799,41 @@ impl DistributedChannelManager {
                 expires,
             },
         );
-        self.try_candidate(at, token, now)
+        self.try_candidate(s, token, now)
     }
 
     /// Try the coordination's current candidate route: run the whole
     /// reservation locally when the route never leaves this switch, start
     /// the Probe pass otherwise.  Exhausted candidates reject the request.
-    fn try_candidate(
-        &mut self,
-        coordinator: SwitchId,
-        token: u16,
-        now: SimTime,
-    ) -> RtResult<ControlOutcome> {
+    fn try_candidate(&mut self, c: usize, token: u16, now: SimTime) -> RtResult<ControlOutcome> {
         let expires = now.saturating_add(self.lease_duration);
-        if let Some(coord) = self.site(coordinator)?.coordinations.get_mut(&token) {
-            coord.expires = expires;
-        }
+        let site = &mut self.sites[c];
+        let coordinator = site.switch;
+        site.due.lower(expires);
+        let coord = site
+            .coordinations
+            .get_mut(&token)
+            .expect("coordination exists");
+        coord.expires = expires;
+        let candidates = Arc::clone(&coord.candidates);
         loop {
-            let coord = &self.sites[&coordinator].coordinations[&token];
-            let Some(route) = coord.candidates.get(coord.candidate).cloned() else {
+            let coord = &self.sites[c].coordinations[&token];
+            let Some(route) = candidates.get(coord.candidate) else {
                 // Every candidate failed: reject, exactly like the central
                 // manager answering the source directly.
-                let coord = self
-                    .site(coordinator)?
-                    .coordinations
-                    .remove(&token)
-                    .expect("coordination exists");
-                self.rejected += 1;
-                return Ok(ControlOutcome::emissions_at(
-                    coordinator,
-                    vec![SwitchAction::SendResponse {
-                        to: coord.source,
-                        frame: ResponseFrame {
-                            rt_channel_id: None,
-                            switch_mac: self.switch_mac,
-                            verdict: ResponseVerdict::Rejected,
-                            connection_request_id: coord.request_id,
-                        },
-                    }],
-                ));
+                let coord = self.sites[c].coordinations.remove(&token);
+                let coord = coord.expect("coordination exists");
+                let rejection = self.rejection(&coord, None);
+                return Ok(Self::emit(coordinator, rejection));
             };
-            let seq = Self::route_switches(&self.sites[&coordinator].view, &route);
-            if seq.len() == 1 {
+            if route.len() == 2 {
                 // Same-switch route: probe + reserve collapse to local
                 // ledger operations on the one access switch.
-                match self.reserve_local(coordinator, token, &route, now) {
-                    Ok(()) => return self.complete_reservation(coordinator, token, now),
+                match self.reserve_local(c, token, route, now) {
+                    Ok(()) => return self.complete_reservation(c, token, now),
                     Err(()) => {
-                        self.site(coordinator)?
-                            .coordinations
+                        let site = &mut self.sites[c];
+                        site.coordinations
                             .get_mut(&token)
                             .expect("coordination exists")
                             .candidate += 1;
@@ -728,10 +843,10 @@ impl DistributedChannelManager {
             }
             // Multi-switch: append the coordinator's own loads and send the
             // Probe to the next switch of the sequence.
-            let coord = &self.sites[&coordinator].coordinations[&token];
+            let site = &self.sites[c];
             let mut values = Vec::with_capacity(route.len());
-            for idx in Self::owned_link_indices(route.len(), seq.len(), 0) {
-                values.push(self.sites[&coordinator].ledger.link_load(route[idx]) as u64);
+            for idx in Self::owned_link_indices(0) {
+                values.push(site.ledger.link_load(route[idx]) as u64);
             }
             let frame = Self::reservation_frame(
                 ReservationOp::Probe,
@@ -739,10 +854,9 @@ impl DistributedChannelManager {
                 1,
                 values,
             );
-            return Ok(ControlOutcome::emissions_at(
-                coordinator,
-                vec![SwitchAction::SendControl { to: seq[1], frame }],
-            ));
+            let next = Self::switch_at(&site.view, route, 1)
+                .expect("a route of more than two links crosses a trunk");
+            return Ok(Self::send(coordinator, next, frame));
         }
     }
 
@@ -751,24 +865,24 @@ impl DistributedChannelManager {
     /// means "this candidate is infeasible".
     fn reserve_local(
         &mut self,
-        coordinator: SwitchId,
+        c: usize,
         token: u16,
         route: &Route,
         now: SimTime,
     ) -> Result<(), ()> {
-        let spec = self.sites[&coordinator].coordinations[&token].spec;
-        let ledger = &self.sites[&coordinator].ledger;
+        let site = &mut self.sites[c];
+        let spec = site.coordinations[&token].spec;
+        let ledger = &site.ledger;
         let deadlines =
             admit_along(self.dps, &spec, route, |link| ledger.link(link)).map_err(|_| ())?;
-        let key = ReservationKey::token(coordinator, token);
-        let expires = now.saturating_add(self.lease_duration);
-        let site = self.sites.get_mut(&coordinator).expect("site exists");
+        let key = ReservationKey::token(site.switch, token);
         for (link, &deadline) in route.iter().zip(&deadlines) {
             let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
                 .expect("admit_along built this very task");
             site.ledger.reserve(*link, key, task);
         }
-        site.ledger.lease(key, expires);
+        site.ledger
+            .lease(key, now.saturating_add(self.lease_duration));
         let coord = site
             .coordinations
             .get_mut(&token)
@@ -790,15 +904,17 @@ impl DistributedChannelManager {
     /// learn it from the annotated request passing through its egress.)
     fn complete_reservation(
         &mut self,
-        coordinator: SwitchId,
+        c: usize,
         token: u16,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let id = self.allocate_channel_id(coordinator)?;
+        let id = self.allocate_channel_id(c)?;
         self.accepted += 1;
         let expires = now.saturating_add(self.lease_duration);
-        let coord = self
-            .site(coordinator)?
+        let site = &mut self.sites[c];
+        let coordinator = site.switch;
+        site.due.lower(expires);
+        let coord = site
             .coordinations
             .get_mut(&token)
             .expect("coordination exists");
@@ -822,15 +938,17 @@ impl DistributedChannelManager {
             .topology
             .switch_of(request.destination)
             .ok_or(RtError::UnknownNode(request.destination))?;
-        self.site(dest_switch)?.expecting.insert(id.get(), pending);
+        let relay = self.slot(dest_switch)?;
+        self.sites[relay].expecting.insert(id.get(), pending);
+        self.sites[relay].due.lower(expires);
         let mut annotated = request.to_frame();
         annotated.rt_channel_id = Some(id);
-        Ok(ControlOutcome::emissions_at(
+        Ok(Self::emit(
             coordinator,
-            vec![SwitchAction::ForwardRequest {
+            SwitchAction::ForwardRequest {
                 to: request.destination,
                 frame: annotated,
-            }],
+            },
         ))
     }
 
@@ -838,49 +956,46 @@ impl DistributedChannelManager {
 
     fn on_reservation(
         &mut self,
-        at: SwitchId,
+        s: usize,
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         match frame.op {
-            ReservationOp::Probe => self.on_probe(at, frame, now),
-            ReservationOp::Reserve => self.on_reserve(at, frame, now),
-            ReservationOp::Rollback => self.on_rollback(at, frame, now),
-            ReservationOp::ReserveFailed => self.on_reserve_failed(at, frame, now),
-            ReservationOp::Confirm => self.on_confirm(at, frame, now),
-            ReservationOp::Release => self.on_release(at, frame),
-            ReservationOp::LinkState => self.on_link_state(at, frame),
+            ReservationOp::Probe => self.on_probe(s, frame, now),
+            ReservationOp::Reserve => self.on_reserve(s, frame, now),
+            ReservationOp::Rollback => self.on_rollback(s, frame, now),
+            ReservationOp::ReserveFailed => self.on_reserve_failed(s, frame, now),
+            ReservationOp::Confirm => self.on_confirm(s, frame, now),
+            ReservationOp::Release => self.on_release(s, frame),
+            ReservationOp::LinkState => self.on_link_state(s, frame),
         }
     }
 
-    /// Abort an in-flight handshake gracefully at `at`: release whatever
+    /// Abort an in-flight handshake gracefully at site `s`: release whatever
     /// its key holds here and steer the coordinator to the next candidate
-    /// (inline when `at` *is* the coordinator, by ReserveFailed
+    /// (inline when this site *is* the coordinator, by ReserveFailed
     /// otherwise).  Used when a frame's geometry no longer matches this
     /// site's view — legitimate during a link-state convergence window —
     /// and for the degenerate infeasibility cases.  Reservations the
     /// direct notification skips are bounded by their leases.
     fn abort_handshake(
         &mut self,
-        at: SwitchId,
+        s: usize,
         frame: &ReservationFrame,
         reason: ReservationReason,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
+        let site = &mut self.sites[s];
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        self.site(at)?.ledger.release_key(key);
-        if at == frame.coordinator {
-            if self.sites[&at].coordinations.contains_key(&frame.token) {
-                self.site(at)?
-                    .coordinations
-                    .get_mut(&frame.token)
-                    .expect("checked above")
-                    .candidate += 1;
-                return self.try_candidate(at, frame.token, now);
-            }
-            // The coordination already timed out; the requester was
-            // answered by the sweep.
-            return Ok(ControlOutcome::empty());
+        site.ledger.release_key(key);
+        if site.switch == frame.coordinator {
+            // No coordination left: it already timed out, and the sweep
+            // answered the requester.
+            let Some(coord) = site.coordinations.get_mut(&frame.token) else {
+                return Ok(ControlOutcome::empty());
+            };
+            coord.candidate += 1;
+            return self.try_candidate(s, frame.token, now);
         }
         let failed = Self::follow_up(
             frame,
@@ -889,13 +1004,7 @@ impl DistributedChannelManager {
             frame.hop,
             Vec::new(),
         );
-        Ok(ControlOutcome::emissions_at(
-            at,
-            vec![SwitchAction::SendControl {
-                to: frame.coordinator,
-                frame: failed,
-            }],
-        ))
+        Ok(Self::send(site.switch, frame.coordinator, failed))
     }
 
     /// Probe: append the loads of our owned links; forward, or — at the
@@ -906,31 +1015,31 @@ impl DistributedChannelManager {
     /// there is nothing to sweep.
     fn on_probe(
         &mut self,
-        at: SwitchId,
+        s: usize,
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let Some(route) = self.candidate_route_at(at, frame) else {
-            return self.abort_handshake(at, frame, ReservationReason::Infeasible, now);
+        let Some(candidates) = self.candidates_at(s, frame) else {
+            return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
         };
-        let seq = Self::route_switches(&self.sites[&at].view, &route);
-        let i = frame.hop as usize;
-        if seq.get(i) != Some(&at) {
-            return self.abort_handshake(at, frame, ReservationReason::Infeasible, now);
+        let route = &candidates[usize::from(frame.candidate)];
+        let site = &self.sites[s];
+        let (at, i) = (site.switch, usize::from(frame.hop));
+        if Self::switch_at(&site.view, route, i) != Some(at) {
+            return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
         }
-        let mut values = frame.values.clone();
-        for idx in Self::owned_link_indices(route.len(), seq.len(), i) {
-            values.push(self.sites[&at].ledger.link_load(route[idx]) as u64);
-        }
-        if i + 1 < seq.len() {
-            let next = seq[i + 1];
+        let own_loads = Self::owned_link_indices(i).map(|idx| site.ledger.link_load(route[idx]));
+        if let Some(next) = Self::switch_at(&site.view, route, i + 1) {
             // We are always current about our own trunks (the switches
             // adjacent to a cut update their views the instant it
             // happens): a probe routed over our dead trunk by a stale
             // coordinator dies here, cleanly.
-            if !self.sites[&at].view.has_trunk(at, next) {
-                return self.abort_handshake(at, frame, ReservationReason::Infeasible, now);
+            if !site.view.has_trunk(at, next) {
+                return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
             }
+            let mut values = Vec::with_capacity(route.len());
+            values.extend_from_slice(&frame.values);
+            values.extend(own_loads.map(|load| load as u64));
             let forwarded = Self::follow_up(
                 frame,
                 ReservationOp::Probe,
@@ -938,24 +1047,16 @@ impl DistributedChannelManager {
                 frame.hop + 1,
                 values,
             );
-            return Ok(ControlOutcome::emissions_at(
-                at,
-                vec![SwitchAction::SendControl {
-                    to: next,
-                    frame: forwarded,
-                }],
-            ));
+            return Ok(Self::send(at, next, forwarded));
         }
         // Last switch: all loads collected — partition and start Reserve.
         let spec = RtChannelSpec::new(frame.period, frame.capacity, frame.deadline)?;
-        let loads: Vec<usize> = values.iter().map(|&v| v as usize).collect();
-        let deadlines = match self.dps.partition(&spec, &route, &loads) {
-            Ok(d) => d,
-            Err(_) => {
-                // The candidate cannot even be partitioned: tell the
-                // coordinator to move on.  Nothing was reserved anywhere.
-                return self.abort_handshake(at, frame, ReservationReason::Infeasible, now);
-            }
+        let collected = frame.values.iter().map(|&v| v as usize);
+        let loads: Vec<usize> = collected.chain(own_loads).collect();
+        let Ok(deadlines) = self.dps.partition(&spec, route, &loads) else {
+            // The candidate cannot even be partitioned: tell the
+            // coordinator to move on.  Nothing was reserved anywhere.
+            return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
         };
         // No relay state yet: it is registered — keyed by the then-known
         // channel id — only once the whole route is reserved
@@ -965,12 +1066,12 @@ impl DistributedChannelManager {
             frame,
             ReservationOp::Reserve,
             ReservationReason::None,
-            (seq.len() - 1) as u8,
+            frame.hop,
             deadlines.iter().map(|d| d.get()).collect(),
         );
         // Process our own (last-hop) reserve step inline — same switch, no
         // wire hop — then the frame travels backward.
-        self.on_reserve(at, &reserve, now)
+        self.on_reserve(s, &reserve, now)
     }
 
     /// Reserve: feasibility-test and reserve our owned links; forward
@@ -979,56 +1080,52 @@ impl DistributedChannelManager {
     /// pass) and have the destination switch notify the coordinator.
     fn on_reserve(
         &mut self,
-        at: SwitchId,
+        s: usize,
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let Some(route) = self.candidate_route_at(at, frame) else {
-            return self.abort_handshake(at, frame, ReservationReason::Infeasible, now);
+        let Some(candidates) = self.candidates_at(s, frame) else {
+            return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
         };
-        let seq = Self::route_switches(&self.sites[&at].view, &route);
-        let i = frame.hop as usize;
-        if seq.get(i) != Some(&at) || frame.values.len() != route.len() {
+        let route = &candidates[usize::from(frame.candidate)];
+        let expires = now.saturating_add(self.lease_duration);
+        let site = &mut self.sites[s];
+        let (at, i) = (site.switch, usize::from(frame.hop));
+        if Self::switch_at(&site.view, route, i) != Some(at) || frame.values.len() != route.len() {
             // Our view derives a different geometry for this candidate
             // than the probe pass did — abort rather than reserve on links
             // the deadlines were not partitioned for.
-            return self.abort_handshake(at, frame, ReservationReason::Infeasible, now);
+            return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
         }
         let spec = RtChannelSpec::new(frame.period, frame.capacity, frame.deadline)?;
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        let mut reserved: Vec<HopLink> = Vec::with_capacity(2);
-        let mut feasible = true;
-        for idx in Self::owned_link_indices(route.len(), seq.len(), i) {
+        // The owned links below `held` are reserved; the step is feasible
+        // when that is all of them.
+        let owned = Self::owned_link_indices(i);
+        let mut held = owned.start;
+        for idx in owned.clone() {
             let link = route[idx];
             // A dead owned trunk fails the candidate like any infeasible
             // link — this is the stale-coordinator path: we always know
             // about our own trunks before the flood converges.
-            if let HopLink::Trunk { from, to } = link {
-                if !self.sites[&at].view.has_trunk(from, to) {
-                    feasible = false;
-                    break;
-                }
+            if matches!(link, HopLink::Trunk { from, to } if !site.view.has_trunk(from, to)) {
+                break;
             }
             let deadline = Slots::new(frame.values[idx]);
             let Ok(task) = PeriodicTask::new(spec.period, spec.capacity, deadline) else {
-                feasible = false;
                 break;
             };
-            let site = self.site(at)?;
-            if site.ledger.feasible_with(link, &task).is_feasible() {
-                site.ledger.reserve(link, key, task);
-                reserved.push(link);
-            } else {
-                feasible = false;
+            if !site.ledger.feasible_with(link, &task).is_feasible() {
                 break;
             }
+            site.ledger.reserve(link, key, task);
+            held = idx + 1;
         }
-        if feasible {
+        if held == owned.end {
             // Lease the tentative reservation: if the handshake strands
             // here (cut trunk, killed coordinator), the slack comes back
             // at expiry instead of leaking forever.
-            let expires = now.saturating_add(self.lease_duration);
-            self.site(at)?.ledger.lease(key, expires);
+            site.ledger.lease(key, expires);
             if i > 0 {
                 let backward = Self::follow_up(
                     frame,
@@ -1037,38 +1134,29 @@ impl DistributedChannelManager {
                     frame.hop - 1,
                     frame.values.clone(),
                 );
-                return Ok(ControlOutcome::emissions_at(
-                    at,
-                    vec![SwitchAction::SendControl {
-                        to: seq[i - 1],
-                        frame: backward,
-                    }],
-                ));
+                let before = Self::switch_at(&site.view, route, i - 1)
+                    .expect("a position past the first has a predecessor");
+                return Ok(Self::send(at, before, backward));
             }
             // hop 0: the coordinator itself just reserved — the route is
             // fully held.
-            let deadlines: Vec<Slots> = frame.values.iter().map(|&v| Slots::new(v)).collect();
-            if !self.sites[&at].coordinations.contains_key(&frame.token) {
+            let Some(coord) = site.coordinations.get_mut(&frame.token) else {
                 // The coordination timed out while the backward pass was in
                 // flight; the requester was already answered.  Drop our own
                 // step again — everything behind us is lease-bounded.
-                self.site(at)?.ledger.release_key(key);
+                site.ledger.release_key(key);
                 return Ok(ControlOutcome::empty());
-            }
-            self.site(at)?
-                .coordinations
-                .get_mut(&frame.token)
-                .expect("checked above")
-                .deadlines = Some(deadlines);
-            return self.complete_reservation(at, frame.token, now);
+            };
+            coord.deadlines = Some(frame.values.iter().map(|&v| Slots::new(v)).collect());
+            return self.complete_reservation(s, frame.token, now);
         }
         // Infeasible here: undo our partial step, sweep the switches that
         // already reserved (i+1 ..= last) with a Rollback; the destination
         // switch then answers ReserveFailed to the coordinator.
-        for link in reserved {
-            self.site(at)?.ledger.release(link, key);
+        for idx in owned.start..held {
+            site.ledger.release(route[idx], key);
         }
-        if i + 1 < seq.len() {
+        if let Some(behind) = Self::switch_at(&site.view, route, i + 1) {
             let rollback = Self::follow_up(
                 frame,
                 ReservationOp::Rollback,
@@ -1076,19 +1164,13 @@ impl DistributedChannelManager {
                 frame.hop + 1,
                 Vec::new(),
             );
-            return Ok(ControlOutcome::emissions_at(
-                at,
-                vec![SwitchAction::SendControl {
-                    to: seq[i + 1],
-                    frame: rollback,
-                }],
-            ));
+            return Ok(Self::send(at, behind, rollback));
         }
         // We *are* the destination switch (only possible when the reserve
         // failed on its very first step; no relay state exists yet — it is
         // only registered at commit time), or the degenerate single-switch
         // coordinator: notify / advance directly.
-        self.abort_handshake(at, frame, ReservationReason::Infeasible, now)
+        self.abort_handshake(s, frame, ReservationReason::Infeasible, now)
     }
 
     /// Rollback: release whatever this reservation holds here, then keep
@@ -1098,40 +1180,39 @@ impl DistributedChannelManager {
     /// source).
     fn on_rollback(
         &mut self,
-        at: SwitchId,
+        s: usize,
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        self.site(at)?.ledger.release_key(key);
-        let route = self.candidate_route_at(at, frame);
-        let seq = route.map_or_else(Vec::new, |r| {
-            Self::route_switches(&self.sites[&at].view, &r)
-        });
-        let i = frame.hop as usize;
+        self.sites[s].ledger.release_key(key);
+        let candidates = self.candidates_at(s, frame);
+        let route = candidates
+            .as_deref()
+            .map(|c| &c[usize::from(frame.candidate)]);
+        let site = &self.sites[s];
+        let (at, i) = (site.switch, usize::from(frame.hop));
         match frame.reason {
             ReservationReason::Infeasible => {
-                if seq.get(i) == Some(&at) && i + 1 < seq.len() {
-                    let onward = Self::follow_up(
-                        frame,
-                        ReservationOp::Rollback,
-                        frame.reason,
-                        frame.hop + 1,
-                        Vec::new(),
-                    );
-                    return Ok(ControlOutcome::emissions_at(
-                        at,
-                        vec![SwitchAction::SendControl {
-                            to: seq[i + 1],
-                            frame: onward,
-                        }],
-                    ));
-                }
-                // Destination switch (or a view disagreement that stops the
-                // sweep — leases bound whatever it would have reclaimed):
-                // tell the coordinator to try the next candidate.  No relay
-                // state exists for a never-committed reservation.
-                self.abort_handshake(at, frame, ReservationReason::Infeasible, now)
+                let onward = route
+                    .filter(|r| Self::switch_at(&site.view, r, i) == Some(at))
+                    .and_then(|r| Self::switch_at(&site.view, r, i + 1));
+                let Some(behind) = onward else {
+                    // Destination switch (or a view disagreement that stops
+                    // the sweep — leases bound whatever it would have
+                    // reclaimed): tell the coordinator to try the next
+                    // candidate.  No relay state exists for a
+                    // never-committed reservation.
+                    return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
+                };
+                let rollback = Self::follow_up(
+                    frame,
+                    ReservationOp::Rollback,
+                    frame.reason,
+                    frame.hop + 1,
+                    Vec::new(),
+                );
+                Ok(Self::send(at, behind, rollback))
             }
             ReservationReason::DestinationRejected => {
                 if at == frame.coordinator {
@@ -1139,36 +1220,17 @@ impl DistributedChannelManager {
                     // source.  The consumed channel id is not reused —
                     // exactly the central manager's behaviour on a
                     // destination rejection.
-                    return self.finish_destination_reject(at, frame.token);
+                    return self.finish_destination_reject(s, frame.token);
                 }
-                if seq.get(i) == Some(&at) && i > 0 {
-                    let onward = Self::follow_up(
-                        frame,
-                        ReservationOp::Rollback,
-                        frame.reason,
-                        frame.hop - 1,
-                        Vec::new(),
-                    );
-                    return Ok(ControlOutcome::emissions_at(
-                        at,
-                        vec![SwitchAction::SendControl {
-                            to: seq[i - 1],
-                            frame: onward,
-                        }],
-                    ));
-                }
-                // View disagreement mid-descent: hand the release straight
-                // to the coordinator; skipped reservations are
-                // lease-bounded.
-                let onward =
-                    Self::follow_up(frame, ReservationOp::Rollback, frame.reason, 0, Vec::new());
-                Ok(ControlOutcome::emissions_at(
-                    at,
-                    vec![SwitchAction::SendControl {
-                        to: frame.coordinator,
-                        frame: onward,
-                    }],
-                ))
+                let (hop, to) = Self::step_back(site, route, i, frame.coordinator);
+                let rollback = Self::follow_up(
+                    frame,
+                    ReservationOp::Rollback,
+                    frame.reason,
+                    hop,
+                    Vec::new(),
+                );
+                Ok(Self::send(at, to, rollback))
             }
             ReservationReason::None | ReservationReason::LeaseExpired => Err(
                 RtError::ProtocolViolation("rollback without a cause".into()),
@@ -1176,30 +1238,17 @@ impl DistributedChannelManager {
         }
     }
 
-    fn finish_destination_reject(
-        &mut self,
-        coordinator: SwitchId,
-        token: u16,
-    ) -> RtResult<ControlOutcome> {
+    fn finish_destination_reject(&mut self, c: usize, token: u16) -> RtResult<ControlOutcome> {
         // The coordination may already be gone — timed out while the
         // descending rollback was in flight; the requester was answered by
         // the sweep.
-        let Some(coord) = self.site(coordinator)?.coordinations.remove(&token) else {
+        let site = &mut self.sites[c];
+        let Some(coord) = site.coordinations.remove(&token) else {
             return Ok(ControlOutcome::empty());
         };
-        self.rejected += 1;
-        Ok(ControlOutcome::emissions_at(
-            coordinator,
-            vec![SwitchAction::SendResponse {
-                to: coord.source,
-                frame: ResponseFrame {
-                    rt_channel_id: coord.channel,
-                    switch_mac: self.switch_mac,
-                    verdict: ResponseVerdict::Rejected,
-                    connection_request_id: coord.request_id,
-                },
-            }],
-        ))
+        let coordinator = site.switch;
+        let rejection = self.rejection(&coord, coord.channel);
+        Ok(Self::emit(coordinator, rejection))
     }
 
     /// ReserveFailed (direct to the coordinator): the current candidate is
@@ -1210,48 +1259,34 @@ impl DistributedChannelManager {
     /// leases will expire on their own).
     fn on_reserve_failed(
         &mut self,
-        at: SwitchId,
+        s: usize,
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
+        let site = &mut self.sites[s];
+        let at = site.switch;
         if at != frame.coordinator {
             return Err(RtError::ProtocolViolation(format!(
                 "ReserveFailed delivered to {at}, coordinator is {}",
                 frame.coordinator
             )));
         }
-        if !self.sites[&at].coordinations.contains_key(&frame.token) {
-            // Timed out already; the requester was answered by the sweep.
-            return Ok(ControlOutcome::empty());
-        }
+        // No coordination left: timed out already, and the requester was
+        // answered by the sweep.
         if frame.reason == ReservationReason::LeaseExpired {
-            let coord = self
-                .site(at)?
-                .coordinations
-                .remove(&frame.token)
-                .expect("checked above");
-            let key = ReservationKey::token(at, frame.token);
-            self.site(at)?.ledger.release_key(key);
-            self.rejected += 1;
-            return Ok(ControlOutcome::emissions_at(
-                at,
-                vec![SwitchAction::SendResponse {
-                    to: coord.source,
-                    frame: ResponseFrame {
-                        rt_channel_id: coord.channel,
-                        switch_mac: self.switch_mac,
-                        verdict: ResponseVerdict::Rejected,
-                        connection_request_id: coord.request_id,
-                    },
-                }],
-            ));
+            let Some(coord) = site.coordinations.remove(&frame.token) else {
+                return Ok(ControlOutcome::empty());
+            };
+            site.ledger
+                .release_key(ReservationKey::token(at, frame.token));
+            let rejection = self.rejection(&coord, coord.channel);
+            return Ok(Self::emit(at, rejection));
         }
-        self.site(at)?
-            .coordinations
-            .get_mut(&frame.token)
-            .expect("checked above")
-            .candidate += 1;
-        self.try_candidate(at, frame.token, now)
+        let Some(coord) = site.coordinations.get_mut(&frame.token) else {
+            return Ok(ControlOutcome::empty());
+        };
+        coord.candidate += 1;
+        self.try_candidate(s, frame.token, now)
     }
 
     /// Confirm: the destination accepted.  The frame walks the admitted
@@ -1262,16 +1297,18 @@ impl DistributedChannelManager {
     /// (hop 0) the channel commits.
     fn on_confirm(
         &mut self,
-        at: SwitchId,
+        s: usize,
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let i = frame.hop as usize;
+        let expires = now.saturating_add(self.lease_duration);
+        let site = &mut self.sites[s];
+        let at = site.switch;
         if at == frame.coordinator {
-            return self.commit_confirmed(at, frame.token, now);
+            return self.commit_confirmed(s, frame.token);
         }
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        if self.site(at)?.ledger.lease_of(key).is_none() {
+        if site.ledger.lease_of(key).is_none() {
             // Our lease expired before the Confirm arrived: the slack is
             // already reclaimed — never resurrect it.
             let failed = Self::follow_up(
@@ -1281,28 +1318,19 @@ impl DistributedChannelManager {
                 frame.hop,
                 Vec::new(),
             );
-            return Ok(ControlOutcome::emissions_at(
-                at,
-                vec![SwitchAction::SendControl {
-                    to: frame.coordinator,
-                    frame: failed,
-                }],
-            ));
+            return Ok(Self::send(at, frame.coordinator, failed));
         }
-        let expires = now.saturating_add(self.lease_duration);
-        self.site(at)?.ledger.lease(key, expires);
-        let route = self.candidate_route_at(at, frame);
-        let seq = route.map_or_else(Vec::new, |r| {
-            Self::route_switches(&self.sites[&at].view, &r)
-        });
-        let (hop, to) = if seq.get(i) == Some(&at) && i > 0 {
-            (frame.hop - 1, seq[i - 1])
-        } else {
-            // View disagreement mid-walk: hand the commit straight to the
-            // coordinator.  Skipped sites' leases for the committed channel
-            // are spared by the sweep's registry check.
-            (0, frame.coordinator)
-        };
+        site.ledger.lease(key, expires);
+        let candidates = self.candidates_at(s, frame);
+        let route = candidates
+            .as_deref()
+            .map(|c| &c[usize::from(frame.candidate)]);
+        let (hop, to) = Self::step_back(
+            &self.sites[s],
+            route,
+            usize::from(frame.hop),
+            frame.coordinator,
+        );
         let onward = Self::follow_up(
             frame,
             ReservationOp::Confirm,
@@ -1310,41 +1338,24 @@ impl DistributedChannelManager {
             hop,
             Vec::new(),
         );
-        Ok(ControlOutcome::emissions_at(
-            at,
-            vec![SwitchAction::SendControl { to, frame: onward }],
-        ))
+        Ok(Self::send(at, to, onward))
     }
 
-    fn commit_confirmed(
-        &mut self,
-        coordinator: SwitchId,
-        token: u16,
-        _now: SimTime,
-    ) -> RtResult<ControlOutcome> {
+    fn commit_confirmed(&mut self, c: usize, token: u16) -> RtResult<ControlOutcome> {
         // The coordination may have timed out while the Confirm walk was
         // in flight; the requester was already answered with a rejection.
-        let Some(coord) = self.site(coordinator)?.coordinations.remove(&token) else {
+        let site = &mut self.sites[c];
+        let coordinator = site.switch;
+        let Some(mut coord) = site.coordinations.remove(&token) else {
             return Ok(ControlOutcome::empty());
         };
         let key = ReservationKey::token(coordinator, token);
-        if !self.site(coordinator)?.ledger.clear_lease(key) {
+        if !site.ledger.clear_lease(key) {
             // Our own lease expired before the Confirm arrived: the slack
             // is reclaimed; reject rather than resurrect.
-            self.site(coordinator)?.ledger.release_key(key);
-            self.rejected += 1;
-            return Ok(ControlOutcome::emissions_at(
-                coordinator,
-                vec![SwitchAction::SendResponse {
-                    to: coord.source,
-                    frame: ResponseFrame {
-                        rt_channel_id: coord.channel,
-                        switch_mac: self.switch_mac,
-                        verdict: ResponseVerdict::Rejected,
-                        connection_request_id: coord.request_id,
-                    },
-                }],
-            ));
+            site.ledger.release_key(key);
+            let rejection = self.rejection(&coord, coord.channel);
+            return Ok(Self::emit(coordinator, rejection));
         }
         let id = coord.channel.ok_or_else(|| {
             RtError::ProtocolViolation("Confirm for a reservation without a channel id".into())
@@ -1356,7 +1367,7 @@ impl DistributedChannelManager {
             .ok_or_else(|| {
                 RtError::ProtocolViolation("Confirm for a reservation without a route".into())
             })?;
-        let link_deadlines = coord.deadlines.clone().ok_or_else(|| {
+        let link_deadlines = coord.deadlines.take().ok_or_else(|| {
             RtError::ProtocolViolation("Confirm for a reservation without deadlines".into())
         })?;
         self.register(DistChannel {
@@ -1369,18 +1380,8 @@ impl DistributedChannelManager {
             coordinator,
             token,
         });
-        Ok(ControlOutcome::emissions_at(
-            coordinator,
-            vec![SwitchAction::SendResponse {
-                to: coord.source,
-                frame: ResponseFrame {
-                    rt_channel_id: Some(id),
-                    switch_mac: self.switch_mac,
-                    verdict: ResponseVerdict::Accepted,
-                    connection_request_id: coord.request_id,
-                },
-            }],
-        ))
+        let accepted = self.response(&coord, Some(id), ResponseVerdict::Accepted);
+        Ok(Self::emit(coordinator, accepted))
     }
 
     /// The destination node answered: its access switch relays the verdict
@@ -1390,7 +1391,7 @@ impl DistributedChannelManager {
     /// from different sources).
     fn on_response(
         &mut self,
-        at: SwitchId,
+        s: usize,
         from: NodeId,
         resp: &ResponseFrame,
         now: SimTime,
@@ -1398,11 +1399,13 @@ impl DistributedChannelManager {
         let channel = resp.rt_channel_id.ok_or_else(|| {
             RtError::ProtocolViolation("destination response carries no RT channel id".into())
         })?;
-        let Some(pending) = self.site(at)?.expecting.remove(&channel.get()) else {
-            // The relay entry was garbage-collected — the handshake stalled
-            // past its lease and the coordination timeout already answered
-            // the requester.  A late destination verdict changes nothing.
-            let _ = from;
+        let expires = now.saturating_add(self.lease_duration);
+        let site = &mut self.sites[s];
+        let at = site.switch;
+        // No relay entry: it was garbage-collected — the handshake stalled
+        // past its lease and the coordination timeout already answered the
+        // requester.  A late destination verdict changes nothing.
+        let Some(pending) = site.expecting.remove(&channel.get()) else {
             return Ok(ControlOutcome::empty());
         };
         let mut notice = ReservationFrame {
@@ -1424,71 +1427,38 @@ impl DistributedChannelManager {
         let key = ReservationKey::token(pending.coordinator, pending.token);
         if resp.verdict.is_accepted() {
             if at == pending.coordinator {
-                return self.commit_confirmed(at, pending.token, now);
+                return self.commit_confirmed(s, pending.token);
             }
-            if self.sites[&at].ledger.lease_of(key).is_none() {
+            if site.ledger.lease_of(key).is_none() {
                 // Our own lease expired while the destination deliberated:
                 // the slack is reclaimed — tear the admission down.
                 notice.op = ReservationOp::ReserveFailed;
                 notice.reason = ReservationReason::LeaseExpired;
-                return Ok(ControlOutcome::emissions_at(
-                    at,
-                    vec![SwitchAction::SendControl {
-                        to: pending.coordinator,
-                        frame: notice,
-                    }],
-                ));
+                return Ok(Self::send(at, pending.coordinator, notice));
             }
             // Renew (attest) our lease and start the backward Confirm walk
             // at our predecessor on the route.
-            let expires = now.saturating_add(self.lease_duration);
-            self.site(at)?.ledger.lease(key, expires);
-            let route = self.candidate_route_at(at, &notice);
-            let seq = route.map_or_else(Vec::new, |r| {
-                Self::route_switches(&self.sites[&at].view, &r)
-            });
-            let (hop, to) = if seq.len() >= 2 && seq.last() == Some(&at) {
-                ((seq.len() - 2) as u8, seq[seq.len() - 2])
-            } else {
-                // View disagreement: hand the commit straight to the
-                // coordinator; skipped sites' leases are spared by the
-                // sweep's registry check once committed.
-                (0, pending.coordinator)
-            };
-            notice.hop = hop;
-            return Ok(ControlOutcome::emissions_at(
-                at,
-                vec![SwitchAction::SendControl { to, frame: notice }],
-            ));
-        }
-        // Destination refused: release the whole route, ending at the
-        // coordinator which answers the source.
-        self.site(at)?.ledger.release_key(key);
-        if at == pending.coordinator {
-            return self.finish_destination_reject(at, pending.token);
-        }
-        let mut rollback = notice;
-        rollback.op = ReservationOp::Rollback;
-        rollback.reason = ReservationReason::DestinationRejected;
-        let route = self.candidate_route_at(at, &rollback);
-        let seq = route.map_or_else(Vec::new, |r| {
-            Self::route_switches(&self.sites[&at].view, &r)
-        });
-        let (hop, to) = if seq.len() >= 2 && seq.last() == Some(&at) {
-            ((seq.len() - 2) as u8, seq[seq.len() - 2])
+            site.ledger.lease(key, expires);
         } else {
-            // View disagreement: hand the release straight to the
-            // coordinator; skipped reservations are lease-bounded.
-            (0, pending.coordinator)
-        };
-        rollback.hop = hop;
-        Ok(ControlOutcome::emissions_at(
-            at,
-            vec![SwitchAction::SendControl {
-                to,
-                frame: rollback,
-            }],
-        ))
+            // Destination refused: release the whole route, ending at the
+            // coordinator which answers the source.
+            site.ledger.release_key(key);
+            if at == pending.coordinator {
+                return self.finish_destination_reject(s, pending.token);
+            }
+            notice.op = ReservationOp::Rollback;
+            notice.reason = ReservationReason::DestinationRejected;
+        }
+        // Either way the notice walks the route backward from its last
+        // position, which is ours.
+        let candidates = self.candidates_at(s, &notice);
+        let route = candidates
+            .as_deref()
+            .map(|c| &c[usize::from(notice.candidate)]);
+        let last = route.map_or(0, |r| r.len() - 2);
+        let (hop, to) = Self::step_back(&self.sites[s], route, last, pending.coordinator);
+        notice.hop = hop;
+        Ok(Self::send(at, to, notice))
     }
 
     // --- tear-down --------------------------------------------------------
@@ -1496,18 +1466,19 @@ impl DistributedChannelManager {
     /// A TeardownFrame arrived at the channel's coordinator (the source's
     /// access switch): release locally and send the Release pass down the
     /// admitted route.
-    fn on_teardown(&mut self, at: SwitchId, channel: ChannelId) -> RtResult<ControlOutcome> {
+    fn on_teardown(&mut self, s: usize, channel: ChannelId) -> RtResult<ControlOutcome> {
         let dist = self
             .unregister(channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
-        let key = dist.key();
-        self.site(at)?.ledger.release_key(key);
-        let seq = Self::route_switches(&self.topology, &dist.path);
+        let site = &mut self.sites[s];
+        site.ledger.release_key(dist.key());
         let mut emissions = Vec::new();
-        if seq.len() > 1 {
+        if dist.path.len() > 2 {
             // The itinerary travels in the frame: the admitted route must
             // be released even if the topology has changed since.
-            let release = ReservationFrame {
+            let itinerary = Self::itinerary(&dist.path);
+            let next = SwitchId::new(itinerary[1] as u32);
+            let frame = ReservationFrame {
                 op: ReservationOp::Release,
                 reason: ReservationReason::None,
                 coordinator: dist.coordinator,
@@ -1521,15 +1492,9 @@ impl DistributedChannelManager {
                 period: dist.spec.period,
                 capacity: dist.spec.capacity,
                 deadline: dist.spec.deadline,
-                values: seq.iter().map(|s| u64::from(s.get())).collect(),
+                values: itinerary,
             };
-            emissions.push((
-                at,
-                SwitchAction::SendControl {
-                    to: seq[1],
-                    frame: release,
-                },
-            ));
+            emissions.push((site.switch, SwitchAction::SendControl { to: next, frame }));
         }
         Ok(ControlOutcome {
             emissions,
@@ -1542,28 +1507,21 @@ impl DistributedChannelManager {
 
     /// Release: free this reservation here and keep walking the itinerary
     /// carried in the frame.
-    fn on_release(&mut self, at: SwitchId, frame: &ReservationFrame) -> RtResult<ControlOutcome> {
+    fn on_release(&mut self, s: usize, frame: &ReservationFrame) -> RtResult<ControlOutcome> {
+        let site = &mut self.sites[s];
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        self.site(at)?.ledger.release_key(key);
-        let i = frame.hop as usize;
-        if i + 1 < frame.values.len() {
-            let next = SwitchId::new(frame.values[i + 1] as u32);
-            let onward = Self::follow_up(
-                frame,
-                ReservationOp::Release,
-                ReservationReason::None,
-                frame.hop + 1,
-                frame.values.clone(),
-            );
-            return Ok(ControlOutcome::emissions_at(
-                at,
-                vec![SwitchAction::SendControl {
-                    to: next,
-                    frame: onward,
-                }],
-            ));
-        }
-        Ok(ControlOutcome::empty())
+        site.ledger.release_key(key);
+        let Some(&next) = frame.values.get(usize::from(frame.hop) + 1) else {
+            return Ok(ControlOutcome::empty());
+        };
+        let onward = Self::follow_up(
+            frame,
+            ReservationOp::Release,
+            ReservationReason::None,
+            frame.hop + 1,
+            frame.values.clone(),
+        );
+        Ok(Self::send(site.switch, SwitchId::new(next as u32), onward))
     }
 
     // --- link-state flooding ----------------------------------------------
@@ -1601,60 +1559,75 @@ impl DistributedChannelManager {
         }
     }
 
-    /// Apply one link-state announcement to `at`'s own view and return the
-    /// re-flood emissions (empty when the epoch is stale — which both
+    /// Apply one link-state announcement to site `s`'s own view and return
+    /// the re-flood emissions (empty when the epoch is stale — which both
     /// terminates the flood and keeps a late frame from resurrecting an
     /// old view).
+    ///
+    /// This is the one writer of [`Site::view`], and it never writes an
+    /// allocation another site reads: the site moves onto the live view that
+    /// already is "mine plus this event" when there is one (all views
+    /// descend from one fabric by cuts and repairs, so the failed trunks
+    /// tell), and otherwise onto its own copy — made by `Arc::make_mut`,
+    /// which copies exactly when the old allocation is still shared.  A
+    /// flood therefore costs one copy per distinct state, not one per site,
+    /// and sites that agree share one allocation again once it converges.
     fn apply_link_state(
         &mut self,
-        at: SwitchId,
+        s: usize,
         a: SwitchId,
         b: SwitchId,
         alive: bool,
         epoch: u64,
     ) -> Vec<(SwitchId, SwitchAction)> {
-        let (lo, hi) = if a.get() <= b.get() {
-            (a.get(), b.get())
-        } else {
-            (b.get(), a.get())
-        };
-        let Some(site) = self.sites.get_mut(&at) else {
-            return Vec::new();
-        };
-        if site.ls_seen.get(&(lo, hi)).copied().unwrap_or(0) >= epoch {
+        let trunk = (a.min(b), a.max(b));
+        let site = &mut self.sites[s];
+        let seen = (trunk.0.get(), trunk.1.get());
+        if site.ls_seen.get(&seen).copied().unwrap_or(0) >= epoch {
             return Vec::new();
         }
-        site.ls_seen.insert((lo, hi), epoch);
-        // The mutation may be a no-op (the view already agreed — e.g. both
-        // adjacent switches originate the same event); the epoch must
-        // still be recorded and re-flooded so the announcement reaches
-        // everyone.
-        let _ = if alive {
-            site.view.repair_trunk(a, b)
+        site.ls_seen.insert(seen, epoch);
+        // The event may change nothing (the view already agreed — e.g. both
+        // adjacent switches originate the same event, or the trunk is not
+        // one of this fabric's); the epoch must still be recorded and
+        // re-flooded so the announcement reaches everyone.
+        let mine = &self.sites[s].view;
+        let changes = if alive {
+            mine.failed_trunks().any(|failed| failed == trunk)
         } else {
-            site.view.fail_trunk(a, b)
+            mine.has_trunk(a, b)
         };
-        let frame = Self::link_state_frame(at, a, b, alive, epoch);
+        if changes {
+            let others = |failed: &(SwitchId, SwitchId)| *failed != trunk;
+            let is_mine_after = |view: &&Arc<Topology>| {
+                let elsewhere = view.failed_trunks().filter(others);
+                view.has_trunk(a, b) == alive && elsewhere.eq(mine.failed_trunks().filter(others))
+            };
+            match self.sites.iter().map(|site| &site.view).find(is_mine_after) {
+                Some(shared) => self.sites[s].view = Arc::clone(shared),
+                None => {
+                    let own = Arc::make_mut(&mut self.sites[s].view);
+                    if alive {
+                        own.repair_trunk(a, b).expect("the trunk is failed");
+                    } else {
+                        own.fail_trunk(a, b).expect("the trunk is healthy");
+                    }
+                }
+            }
+        }
+        let site = &self.sites[s];
+        let frame = Self::link_state_frame(site.switch, a, b, alive, epoch);
         site.view
-            .neighbours(at)
-            .map(|n| {
-                (
-                    at,
-                    SwitchAction::SendControl {
-                        to: n,
-                        frame: frame.clone(),
-                    },
-                )
+            .neighbours(site.switch)
+            .map(|to| {
+                let frame = frame.clone();
+                (site.switch, SwitchAction::SendControl { to, frame })
             })
             .collect()
     }
 
-    /// A flooded announcement arrived at `at`: apply and re-flood.
-    fn on_link_state(
-        &mut self,
-        at: SwitchId,
-        frame: &ReservationFrame,
-    ) -> RtResult<ControlOutcome> {
+    /// A flooded announcement arrived at site `s`: apply and re-flood.
+    fn on_link_state(&mut self, s: usize, frame: &ReservationFrame) -> RtResult<ControlOutcome> {
         if frame.values.len() != 4 {
             return Err(RtError::ProtocolViolation(format!(
                 "link-state announcement carries {} values, expected 4",
@@ -1666,7 +1639,7 @@ impl DistributedChannelManager {
         let alive = frame.values[2] != 0;
         let epoch = frame.values[3];
         Ok(ControlOutcome {
-            emissions: self.apply_link_state(at, a, b, alive, epoch),
+            emissions: self.apply_link_state(s, a, b, alive, epoch),
             released: Vec::new(),
         })
     }
@@ -1688,7 +1661,8 @@ impl DistributedChannelManager {
             self.ls_epoch += 1;
             let epoch = self.ls_epoch;
             for origin in [a, b] {
-                let emissions = self.apply_link_state(origin, a, b, alive, epoch);
+                let Ok(s) = self.slot(origin) else { continue };
+                let emissions = self.apply_link_state(s, a, b, alive, epoch);
                 if Some(origin) != mute {
                     self.pending_control.extend(emissions);
                 }
@@ -1702,114 +1676,84 @@ impl DistributedChannelManager {
     /// leases (sparing committed channels — their slack is permanent, only
     /// the leftover lease is dropped), timed-out coordinations (the
     /// requester gets a rejection and the candidate route a release
-    /// sweep), and stale destination-side relay entries.
-    fn sweep_site(
-        &mut self,
-        at: SwitchId,
-        now: SimTime,
-    ) -> RtResult<Vec<(SwitchId, SwitchAction)>> {
-        let mut emissions = Vec::new();
-        if !self.sites.contains_key(&at) {
-            return Ok(emissions);
-        }
+    /// sweep), and stale destination-side relay entries.  This runs in
+    /// front of every frame, so it looks only when something can be due:
+    /// the ledger's floor guards the leases, the site's the other two.
+    fn sweep_site(&mut self, s: usize, now: SimTime) -> Vec<(SwitchId, SwitchAction)> {
         // Committed channels hold their slack permanently: a lease whose
         // clear never reached this site is dropped without reclaiming
         // anything — one of the two documented places the manager-global
         // registry is consulted, and only for this site's own expired
         // leases, of which there are usually none.
         let committed = &self.committed;
-        let site = self.sites.get_mut(&at).expect("checked above");
+        let site = &mut self.sites[s];
         let reclaimed = site
             .ledger
             .sweep_expired(now, |key| committed.contains_key(&key));
         self.lease_expired += reclaimed.len() as u64;
+        if site.due.is_above(now) {
+            return Vec::new();
+        }
         // Timed-out coordinations: a lost frame or a partition stalled the
         // handshake past its deadline — abort, answer the requester, sweep
         // the candidate route.
-        let stalled: Vec<u16> = self.sites[&at]
+        let stalled: Vec<u16> = site
             .coordinations
             .iter()
             .filter(|(_, c)| c.expires <= now)
             .map(|(&t, _)| t)
             .collect();
+        let mut emissions = Vec::new();
         for token in stalled {
-            emissions.extend(self.abort_coordination(at, token)?);
+            emissions.extend(self.abort_coordination(s, token));
         }
         // Stale relay entries: the destination node never answered (its
         // request or its response was lost to a fault).
-        self.sites
-            .get_mut(&at)
-            .expect("checked above")
-            .expecting
-            .retain(|_, p| p.expires > now);
-        Ok(emissions)
+        let site = &mut self.sites[s];
+        site.expecting.retain(|_, p| p.expires > now);
+        site.due = DueFloor::default();
+        let coordinations = site.coordinations.values().map(|c| c.expires);
+        for expires in coordinations.chain(site.expecting.values().map(|p| p.expires)) {
+            site.due.lower(expires);
+        }
+        emissions
     }
 
     /// Abort a timed-out coordination at its coordinator: release whatever
     /// it holds here, sweep its current candidate route with a Release
     /// itinerary (anything the sweep misses is lease-bounded), and answer
     /// the requester with a rejection.
-    fn abort_coordination(
-        &mut self,
-        coordinator: SwitchId,
-        token: u16,
-    ) -> RtResult<Vec<(SwitchId, SwitchAction)>> {
-        let Some(coord) = self.site(coordinator)?.coordinations.remove(&token) else {
-            return Ok(Vec::new());
+    fn abort_coordination(&mut self, c: usize, token: u16) -> Vec<(SwitchId, SwitchAction)> {
+        let site = &mut self.sites[c];
+        let coordinator = site.switch;
+        let Some(coord) = site.coordinations.remove(&token) else {
+            return Vec::new();
         };
-        let key = ReservationKey::token(coordinator, token);
-        self.site(coordinator)?.ledger.release_key(key);
-        self.rejected += 1;
+        site.ledger
+            .release_key(ReservationKey::token(coordinator, token));
         let mut emissions = Vec::new();
         if let Some(route) = coord.candidates.get(coord.candidate) {
-            let seq = Self::route_switches(&self.sites[&coordinator].view, route);
-            if seq.len() > 1 {
-                let release = ReservationFrame {
-                    op: ReservationOp::Release,
-                    reason: ReservationReason::None,
-                    coordinator,
-                    token,
-                    source: coord.source,
-                    destination: coord.destination,
-                    request_id: coord.request_id,
-                    candidate: coord.candidate as u8,
-                    hop: 1,
-                    channel: coord.channel,
-                    period: coord.spec.period,
-                    capacity: coord.spec.capacity,
-                    deadline: coord.spec.deadline,
-                    values: seq.iter().map(|s| u64::from(s.get())).collect(),
-                };
-                emissions.push((
-                    coordinator,
-                    SwitchAction::SendControl {
-                        to: seq[1],
-                        frame: release,
-                    },
-                ));
+            if route.len() > 2 {
+                let frame = Self::reservation_frame(
+                    ReservationOp::Release,
+                    (&coord, coordinator, token),
+                    1,
+                    Self::itinerary(route),
+                );
+                let to = SwitchId::new(frame.values[1] as u32);
+                emissions.push((coordinator, SwitchAction::SendControl { to, frame }));
             }
         }
-        emissions.push((
-            coordinator,
-            SwitchAction::SendResponse {
-                to: coord.source,
-                frame: ResponseFrame {
-                    rt_channel_id: coord.channel,
-                    switch_mac: self.switch_mac,
-                    verdict: ResponseVerdict::Rejected,
-                    connection_request_id: coord.request_id,
-                },
-            },
-        ));
-        Ok(emissions)
+        emissions.push((coordinator, self.rejection(&coord, coord.channel)));
+        emissions
     }
 
     // --- fail-over (driven by the switches adjacent to the cut) -----------
 
     /// The shared fail-over engine: the topology is already degraded; the
     /// switches adjacent to each cut trunk name the affected channels from
-    /// their own ledgers, everything affected is released fabric-wide, then
-    /// re-admitted (ascending id, ids preserved) over surviving routes.
+    /// their own ledgers, everything affected is released along its path,
+    /// then re-admitted (ascending id, ids preserved) over surviving routes.
     fn fail_over(
         &mut self,
         cut: &[(SwitchId, SwitchId)],
@@ -1819,8 +1763,8 @@ impl DistributedChannelManager {
         for &(a, b) in cut {
             for (from, to) in [(a, b), (b, a)] {
                 let trunk = HopLink::Trunk { from, to };
-                if let Some(site) = self.sites.get(&from) {
-                    for key in site.ledger.keys_on(trunk) {
+                if let Ok(s) = self.slot(from) {
+                    for key in self.sites[s].ledger.keys_on(trunk) {
                         if let Some(&id) = self.committed.get(&key) {
                             affected.insert(id);
                         }
@@ -1835,18 +1779,15 @@ impl DistributedChannelManager {
             dropped: Vec::new(),
             unaffected,
         };
-        // Release every affected channel fabric-wide before re-admitting
-        // any (the same all-then-readmit rule as the central manager).
+        // Release every affected channel before re-admitting any (the same
+        // all-then-readmit rule as the central manager).
         let released: Vec<DistChannel> = affected
             .iter()
             .map(|id| {
                 let dist = self
                     .unregister(*id)
                     .expect("affected ids come from the registry");
-                let key = dist.key();
-                for site in self.sites.values_mut() {
-                    site.ledger.release_key(key);
-                }
+                self.release_along(&dist.path, dist.key());
                 dist
             })
             .collect();
@@ -1881,10 +1822,10 @@ impl DistributedChannelManager {
     /// The repair-side counterpart of fail-over: after a trunk repair,
     /// migrate every channel whose path differs from the router's primary
     /// route back onto that primary (ascending id, ids preserved, released
-    /// fabric-wide then re-reserved synchronously).  A channel the primary
-    /// cannot admit is restored onto its detour with its exact previous
-    /// reservation — a repair never drops a channel, mirroring the central
-    /// manager's re-optimisation decision for decision.
+    /// along its path then re-reserved synchronously).  A channel the
+    /// primary cannot admit is restored onto its detour with its exact
+    /// previous reservation — a repair never drops a channel, mirroring the
+    /// central manager's re-optimisation decision for decision.
     fn reoptimize(&mut self, link: (SwitchId, SwitchId)) -> FailoverReport {
         let mut report = FailoverReport {
             link,
@@ -1919,9 +1860,7 @@ impl DistributedChannelManager {
                 .unregister(id)
                 .expect("ids come from the live registry");
             let key = old.key();
-            for site in self.sites.values_mut() {
-                site.ledger.release_key(key);
-            }
+            self.release_along(&old.path, key);
             match self.try_reserve_sync(key, &old.spec, &primary) {
                 Some(deadlines) => {
                     let renewed = DistChannel {
@@ -1939,15 +1878,11 @@ impl DistributedChannelManager {
                     // same owning sites — guaranteed to hold.
                     for (hop, &deadline) in old.path.iter().zip(old.link_deadlines.iter()) {
                         let owner = self
-                            .owner_of(*hop)
+                            .owner_slot(*hop)
                             .expect("an admitted route's links all have owners");
                         let task = PeriodicTask::new(old.spec.period, old.spec.capacity, deadline)
                             .expect("the held reservation's task was valid");
-                        self.sites
-                            .get_mut(&owner)
-                            .expect("owning site exists")
-                            .ledger
-                            .reserve(*hop, key, task);
+                        self.sites[owner].ledger.reserve(*hop, key, task);
                     }
                     self.register(old);
                     report.unaffected += 1;
@@ -1967,42 +1902,19 @@ impl DistributedChannelManager {
         spec: &RtChannelSpec,
         route: &Route,
     ) -> Option<Vec<Slots>> {
-        let site_of = |link: HopLink| self.owner_of(link).and_then(|owner| self.sites.get(&owner));
-        if !route.iter().all(|link| site_of(*link).is_some()) {
+        if !route.iter().all(|link| self.owner_slot(*link).is_some()) {
             return None;
         }
-        let view_of = |link| site_of(link).expect("checked above").ledger.link(link);
-        let deadlines = admit_along(self.dps, spec, route, view_of).ok()?;
+        let owner = |link| self.owner_slot(link).expect("checked above");
+        let held = |link| self.sites[owner(link)].ledger.link(link);
+        let deadlines = admit_along(self.dps, spec, route, held).ok()?;
         for (link, &deadline) in route.iter().zip(&deadlines) {
             let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
                 .expect("admit_along built this very task");
-            self.owner_of(*link)
-                .and_then(|owner| self.sites.get_mut(&owner))
-                .expect("checked above")
-                .ledger
-                .reserve(*link, key, task);
+            let owner = self.owner_slot(*link).expect("checked above");
+            self.sites[owner].ledger.reserve(*link, key, task);
         }
         Some(deadlines)
-    }
-
-    /// The switch sequence of a route — module-level so both the
-    /// construction and the per-hop handlers agree on geometry.
-    fn route_switches(topology: &Topology, route: &Route) -> Vec<SwitchId> {
-        let mut seq = Vec::with_capacity(route.len());
-        for link in route.iter() {
-            if let HopLink::Trunk { from, to } = link {
-                if seq.is_empty() {
-                    seq.push(*from);
-                }
-                seq.push(*to);
-            }
-        }
-        if seq.is_empty() {
-            if let Some(access) = topology.switch_of(route.source()) {
-                seq.push(access);
-            }
-        }
-        seq
     }
 }
 
@@ -2022,14 +1934,11 @@ impl ChannelManager for DistributedChannelManager {
     }
 
     fn handle_teardown(&mut self, channel: ChannelId) -> RtResult<ReleasedChannel> {
-        // Direct (API-level) teardown: release fabric-wide synchronously.
+        // Direct (API-level) teardown: release along the path, synchronously.
         let dist = self
             .unregister(channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
-        let key = dist.key();
-        for site in self.sites.values_mut() {
-            site.ledger.release_key(key);
-        }
+        self.release_along(&dist.path, dist.key());
         Ok(ReleasedChannel {
             id: dist.id,
             destination: dist.destination,
@@ -2037,18 +1946,12 @@ impl ChannelManager for DistributedChannelManager {
     }
 
     fn channel_count(&self) -> usize {
-        let in_flight = self
-            .sites
-            .values()
-            .flat_map(|s| s.coordinations.values())
-            .filter(|c| c.channel.is_some())
-            .count();
-        self.registry.len() + in_flight
+        self.registry.len() + self.pending_count()
     }
 
     fn pending_count(&self) -> usize {
         self.sites
-            .values()
+            .iter()
             .flat_map(|s| s.coordinations.values())
             .filter(|c| c.channel.is_some())
             .count()
@@ -2063,13 +1966,8 @@ impl ChannelManager for DistributedChannelManager {
     }
 
     fn link_load(&self, link: HopLink) -> usize {
-        match self.owner_of(link) {
-            Some(owner) => self
-                .sites
-                .get(&owner)
-                .map_or(0, |site| site.ledger.link_load(link)),
-            None => 0,
-        }
+        self.owner_slot(link)
+            .map_or(0, |s| self.sites[s].ledger.link_load(link))
     }
 
     fn schedules_hops(&self) -> bool {
@@ -2095,9 +1993,9 @@ impl ChannelManager for DistributedChannelManager {
         // coordinations it led and relays it owed are simply gone; the
         // slack they referenced elsewhere comes back by lease expiry.
         self.originate_link_state(&cut, false, Some(switch));
-        if let Some(site) = self.sites.get_mut(&switch) {
-            site.coordinations.clear();
-            site.expecting.clear();
+        if let Ok(s) = self.slot(switch) {
+            self.sites[s].coordinations.clear();
+            self.sites[s].expecting.clear();
         }
         Ok(self.fail_over(&cut, (switch, switch)))
     }
@@ -2109,15 +2007,16 @@ impl ChannelManager for DistributedChannelManager {
         frame: &Frame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
+        let s = self.slot(at)?;
         // Time first: anything expired at this site is reclaimed before the
         // frame is looked at, so a frame arriving one tick late finds its
         // lease gone — not a resurrection path.
-        let swept = self.sweep_site(at, now)?;
+        let swept = self.sweep_site(s, now);
         let mut outcome = match frame {
-            Frame::Request(req) => self.begin_request(at, req, now),
-            Frame::Response(resp) => self.on_response(at, from, resp, now),
-            Frame::Teardown(td) => self.on_teardown(at, td.rt_channel_id),
-            Frame::Reservation(rf) => self.on_reservation(at, rf, now),
+            Frame::Request(req) => self.begin_request(s, req, now),
+            Frame::Response(resp) => self.on_response(s, from, resp, now),
+            Frame::Teardown(td) => self.on_teardown(s, td.rt_channel_id),
+            Frame::Reservation(rf) => self.on_reservation(s, rf, now),
             other => Err(RtError::ProtocolViolation(format!(
                 "unexpected frame at the switch control plane: {other:?}"
             ))),
@@ -2131,29 +2030,25 @@ impl ChannelManager for DistributedChannelManager {
     }
 
     fn next_timeout(&self) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
-        let mut fold = |t: SimTime| {
-            earliest = Some(earliest.map_or(t, |e| e.min(t)));
+        // Exact, not the sweep's lower bounds: the caller advances its clock
+        // to this instant and expects the sweep there to find something.
+        let of_site = |site: &Site| {
+            let coordinations = site.coordinations.values().map(|c| c.expires);
+            let relays = site.expecting.values().map(|p| p.expires);
+            site.ledger
+                .next_expiry()
+                .into_iter()
+                .chain(coordinations)
+                .chain(relays)
+                .min()
         };
-        for site in self.sites.values() {
-            if let Some(t) = site.ledger.next_expiry() {
-                fold(t);
-            }
-            for coord in site.coordinations.values() {
-                fold(coord.expires);
-            }
-            for pending in site.expecting.values() {
-                fold(pending.expires);
-            }
-        }
-        earliest
+        self.sites.iter().filter_map(of_site).min()
     }
 
     fn on_tick(&mut self, now: SimTime) -> RtResult<ControlOutcome> {
-        let sites: Vec<SwitchId> = self.sites.keys().copied().collect();
         let mut emissions = Vec::new();
-        for at in sites {
-            emissions.extend(self.sweep_site(at, now)?);
+        for s in 0..self.sites.len() {
+            emissions.extend(self.sweep_site(s, now));
         }
         Ok(ControlOutcome {
             emissions,
@@ -2177,7 +2072,8 @@ impl ChannelManager for DistributedChannelManager {
                 self.registry.len()
             )));
         }
-        for (&s, site) in &self.sites {
+        for site in &self.sites {
+            let s = site.switch;
             if let Some(token) = site.coordinations.keys().next() {
                 return Err(RtError::ProtocolViolation(format!(
                     "site {s} still coordinates token {token} in a quiescent fabric"
@@ -2206,7 +2102,6 @@ impl ChannelManager for DistributedChannelManager {
         }
         // Every admitted channel holds exactly its route's reservations at
         // the owning sites, and its id sits inside its coordinator's block.
-        let switches: Vec<SwitchId> = self.sites.keys().copied().collect();
         for chan in self.registry.values() {
             let key = chan.key();
             for link in chan.path.iter() {
@@ -2216,10 +2111,8 @@ impl ChannelManager for DistributedChannelManager {
                         chan.id
                     ))
                 })?;
-                let held = self
-                    .sites
-                    .get(&owner)
-                    .is_some_and(|site| site.ledger.holds(*link, key));
+                let held =
+                    (self.slot(owner).ok()).is_some_and(|s| self.sites[s].ledger.holds(*link, key));
                 if !held {
                     return Err(RtError::ProtocolViolation(format!(
                         "admitted channel {} lost its reservation on {link:?}",
@@ -2227,16 +2120,13 @@ impl ChannelManager for DistributedChannelManager {
                     )));
                 }
             }
-            let idx = switches
-                .iter()
-                .position(|&s| s == chan.coordinator)
-                .ok_or_else(|| {
-                    RtError::ProtocolViolation(format!(
-                        "admitted channel {} has unknown coordinator {}",
-                        chan.id, chan.coordinator
-                    ))
-                })?;
-            let (start, end) = Self::id_block_of(switches.len(), idx);
+            let slot = self.slot(chan.coordinator).map_err(|_| {
+                RtError::ProtocolViolation(format!(
+                    "admitted channel {} has unknown coordinator {}",
+                    chan.id, chan.coordinator
+                ))
+            })?;
+            let (start, end) = Self::id_block_of(self.sites.len(), slot);
             if chan.id.get() < start || chan.id.get() > end {
                 return Err(RtError::ProtocolViolation(format!(
                     "channel id {} outside its coordinator's block {start}..={end}",
@@ -2247,3 +2137,6 @@ impl ChannelManager for DistributedChannelManager {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests;

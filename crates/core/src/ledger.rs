@@ -46,6 +46,27 @@ impl ReservationKey {
     }
 }
 
+/// A lower bound on the earliest deadline a collection holds, so that the
+/// sweep over it can return without looking while nothing can be due.  Every
+/// deadline written into the collection lowers the bound; removals leave it
+/// (it stays a lower bound); a real scan replaces it with a fresh one lowered
+/// by exactly what is left.  `None`: nothing has been held since that scan.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct DueFloor(Option<SimTime>);
+
+impl DueFloor {
+    /// A deadline `at` was written into the collection.
+    pub(crate) fn lower(&mut self, at: SimTime) {
+        self.0 = Some(self.0.map_or(at, |floor| floor.min(at)));
+    }
+
+    /// `true` while nothing held can be due at `now`: a scan would find
+    /// nothing.
+    pub(crate) fn is_above(&self, now: SimTime) -> bool {
+        self.0.is_none_or(|floor| now < floor)
+    }
+}
+
 /// One link's reservations: the keys ascending, and the task `keys[i]` holds
 /// at `tasks[i]`.  The tasks lie contiguous, in the (key) order every derived
 /// task set has always had, so the feasibility test reads them where they
@@ -82,6 +103,12 @@ impl LinkBook {
 /// scan needs is lent from the ledger ([`SlackLedger::feasible_with`] stays
 /// `&self`; the buffer sits behind a `RefCell` nothing re-enters).  `reserve`
 /// and `release` are a binary search and a shift.
+///
+/// Leases (the expiry deadlines of in-flight two-phase reservations; the
+/// central manager never takes one) sit beside the books under a
+/// `DueFloor`: a site sweeps its ledger in front of every control frame,
+/// and that sweep costs nothing that grows with the leases held until the
+/// earliest of them can be due.
 #[derive(Debug, Default)]
 pub struct SlackLedger {
     tester: FeasibilityTester,
@@ -92,6 +119,13 @@ pub struct SlackLedger {
     /// a handshake stranded by a fault from leaking slack forever.
     /// Committed channels hold no lease.
     leases: BTreeMap<ReservationKey, SimTime>,
+    /// No lease falls due below this: [`SlackLedger::sweep_expired`] walks
+    /// `leases` only once `now` has reached it, so a sweep costs nothing
+    /// that grows with what the ledger holds while nothing is due.
+    lease_floor: DueFloor,
+    /// Leases looked at by sweeps, for the tests that bound that work.
+    #[cfg(test)]
+    leases_examined: u64,
     /// The demand scan's deadline events, reused from test to test.
     scratch: RefCell<DemandScratch>,
 }
@@ -209,6 +243,7 @@ impl SlackLedger {
     /// the lease is cleared (commit) or the key released (rollback) first.
     pub fn lease(&mut self, key: ReservationKey, expires: SimTime) {
         self.leases.insert(key, expires);
+        self.lease_floor.lower(expires);
     }
 
     /// Clear `key`'s lease, making its reservations permanent (the commit
@@ -237,29 +272,42 @@ impl SlackLedger {
     /// the lease-clear never reached this ledger — and just loses the
     /// leftover lease; it is not reported.
     ///
-    /// The sweep is driven by this ledger's own leases, so a ledger with
-    /// nothing in flight does no work and allocates nothing.
+    /// While `now` is below every lease deadline written since the last scan
+    /// the sweep returns at once — no walk, no allocation, whatever the
+    /// ledger holds; a sweep that does walk leaves the bound on the exact
+    /// earliest deadline left.
     pub fn sweep_expired(
         &mut self,
         now: SimTime,
         committed: impl Fn(ReservationKey) -> bool,
     ) -> Vec<ReservationKey> {
-        let expired: Vec<ReservationKey> = self
-            .leases
-            .iter()
-            .filter(|(_, &deadline)| deadline <= now)
-            .map(|(&key, _)| key)
-            .collect();
-        let mut reclaimed = Vec::new();
-        for key in expired {
-            if committed(key) {
+        if self.lease_floor.is_above(now) {
+            return Vec::new();
+        }
+        let mut expired = Vec::new();
+        let mut left = DueFloor::default();
+        for (&key, &deadline) in &self.leases {
+            #[cfg(test)]
+            {
+                self.leases_examined += 1;
+            }
+            if deadline <= now {
+                expired.push(key);
+            } else {
+                left.lower(deadline);
+            }
+        }
+        self.lease_floor = left;
+        expired.retain(|&key| {
+            let spared = committed(key);
+            if spared {
                 self.leases.remove(&key);
             } else {
                 self.release_key(key);
-                reclaimed.push(key);
             }
-        }
-        reclaimed
+            !spared
+        });
+        expired
     }
 
     /// The reservation keys currently holding slack on `link`, ascending.
@@ -566,6 +614,166 @@ mod tests {
             replaced > 50 && emptied > 10 && reclaimed > 50 && refused > 50,
             "{replaced} replaced, {emptied} emptied, {reclaimed} reclaimed, {refused} refused"
         );
+    }
+
+    /// Seeds of the due-time property (the `RT_ADVERSARIAL_SEEDS` matrix the
+    /// CI soaks crank up), default 32.
+    fn due_time_seeds() -> u64 {
+        std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(32)
+    }
+
+    /// The bounded sweep against the sweep it replaced: a seeded walk of
+    /// leases (new, moved earlier, moved later), lease clears, releases and
+    /// sweeps — the clock advancing by random steps and, every so often,
+    /// exactly onto the next deadline — mirrored into a plain map that is
+    /// swept by a full scan.  Whatever the floor lets the ledger skip, it
+    /// must reclaim the same keys at the same instants and keep every
+    /// accessor exact.
+    #[test]
+    fn prop_bounded_sweep_matches_a_full_scan() {
+        use rt_types::rng::Xoshiro256;
+        use std::collections::BTreeSet;
+
+        let links = [
+            HopLink::Uplink(NodeId::new(0)),
+            HopLink::Downlink(NodeId::new(1)),
+            HopLink::Trunk {
+                from: SwitchId::new(0),
+                to: SwitchId::new(1),
+            },
+        ];
+        let keys: Vec<ReservationKey> = (0..24)
+            .map(|t| ReservationKey::token(SwitchId::new(t % 3), t as u16))
+            .collect();
+        let committed = |key| matches!(key, ReservationKey::Token(_, t) if t % 4 == 0);
+        let (mut fresh, mut earlier, mut later) = (0, 0, 0);
+        let (mut on_deadline, mut reclaimed, mut spared, mut idle_sweeps) = (0, 0, 0, 0);
+
+        for seed in 0..due_time_seeds() {
+            let mut rng = Xoshiro256::new(0xd0e7_1700 + seed);
+            let mut pick = |n: usize| rng.below(n as u64) as usize;
+            let mut ledger = SlackLedger::new();
+            let mut leases: BTreeMap<ReservationKey, SimTime> = BTreeMap::new();
+            let mut held: BTreeMap<HopLink, BTreeSet<ReservationKey>> = BTreeMap::new();
+            let mut now = 0u64;
+            for _ in 0..500 {
+                let (link, key) = (links[pick(links.len())], keys[pick(keys.len())]);
+                match pick(12) {
+                    0..=3 => {
+                        let expires = SimTime::from_micros(now + pick(60) as u64);
+                        match leases.insert(key, expires) {
+                            None => fresh += 1,
+                            Some(old) if expires < old => earlier += 1,
+                            Some(old) if expires > old => later += 1,
+                            Some(_) => {}
+                        }
+                        ledger.lease(key, expires);
+                    }
+                    4 => assert_eq!(ledger.clear_lease(key), leases.remove(&key).is_some()),
+                    5 => {
+                        leases.remove(&key);
+                        let freed = held.values_mut().map(|keys| keys.remove(&key));
+                        let freed = freed.filter(|&was_held| was_held).count();
+                        assert_eq!(ledger.release_key(key), freed);
+                    }
+                    6 | 7 => {
+                        ledger.reserve(link, key, task(100, 1, 50));
+                        held.entry(link).or_default().insert(key);
+                    }
+                    8 => {
+                        let was_held = held.get_mut(&link).is_some_and(|keys| keys.remove(&key));
+                        assert_eq!(ledger.release(link, key), was_held);
+                    }
+                    _ => {
+                        // Advance by a random step, or exactly onto the next
+                        // deadline still ahead.
+                        let ahead = leases.values().map(|d| d.as_nanos() / 1_000);
+                        match ahead.filter(|&d| d > now).min() {
+                            Some(deadline) if pick(3) == 0 => {
+                                now = deadline;
+                                on_deadline += 1;
+                            }
+                            _ => now += pick(25) as u64,
+                        }
+                        let at = SimTime::from_micros(now);
+                        let due: Vec<_> = leases
+                            .iter()
+                            .filter(|(_, &deadline)| deadline <= at)
+                            .map(|(&key, _)| key)
+                            .collect();
+                        idle_sweeps += usize::from(due.is_empty());
+                        let mut expected = Vec::new();
+                        for key in due {
+                            leases.remove(&key);
+                            if committed(key) {
+                                spared += 1;
+                            } else {
+                                held.values_mut().for_each(|keys| {
+                                    keys.remove(&key);
+                                });
+                                expected.push(key);
+                            }
+                        }
+                        reclaimed += expected.len();
+                        assert_eq!(ledger.sweep_expired(at, committed), expected);
+                    }
+                }
+                held.retain(|_, keys| !keys.is_empty());
+                assert_eq!(ledger.next_expiry(), leases.values().min().copied());
+                for key in &keys {
+                    assert_eq!(ledger.lease_of(*key), leases.get(key).copied());
+                }
+                let loaded: Vec<_> = held.iter().map(|(l, keys)| (*l, keys.len())).collect();
+                assert_eq!(ledger.loaded_links().collect::<Vec<_>>(), loaded);
+                for (link, keys) in &held {
+                    assert_eq!(
+                        ledger.keys_on(*link),
+                        keys.iter().copied().collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
+        // The walk really moved leases both ways, landed on deadlines,
+        // reclaimed and spared keys, and swept with nothing due.
+        assert!(
+            fresh > 50 && earlier > 50 && later > 50 && on_deadline > 20,
+            "{fresh} new, {earlier} earlier, {later} later, {on_deadline} on a deadline"
+        );
+        assert!(
+            reclaimed > 50 && spared > 10 && idle_sweeps > 20,
+            "{reclaimed} reclaimed, {spared} spared, {idle_sweeps} idle sweeps"
+        );
+    }
+
+    /// What a sweep costs while nothing is due does not grow with what the
+    /// ledger holds: it looks at no lease and returns a `Vec` that never
+    /// allocated.  The sweep that reaches the earliest deadline looks at
+    /// every lease once, and leaves the bound on the next deadline.
+    #[test]
+    fn sweeps_below_the_earliest_deadline_examine_nothing() {
+        let mut ledger = SlackLedger::new();
+        let link = HopLink::Uplink(NodeId::new(0));
+        for t in 0..500u16 {
+            let key = ReservationKey::token(SwitchId::new(1), t);
+            ledger.reserve(link, key, task(10_000, 1, 5_000));
+            ledger.lease(key, SimTime::from_micros(1_000 + u64::from(t / 2)));
+        }
+        for tick in 0..1_000 {
+            let swept = ledger.sweep_expired(SimTime::from_nanos(tick * 999), |_| false);
+            assert_eq!((swept.len(), swept.capacity()), (0, 0));
+        }
+        assert_eq!(ledger.leases_examined, 0);
+        // Exactly at the earliest deadline: one look at each lease.
+        let reclaimed = ledger.sweep_expired(SimTime::from_micros(1_000), |_| false);
+        assert_eq!(reclaimed.len(), 2);
+        assert_eq!(ledger.leases_examined, 500);
+        assert_eq!(ledger.next_expiry(), Some(SimTime::from_micros(1_001)));
+        // And below the next one, nothing again.
+        ledger.sweep_expired(SimTime::from_nanos(1_000_999), |_| false);
+        assert_eq!(ledger.leases_examined, 500);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The allocation budget of the central manager's fast path: what one
-//! arrival asks the allocator for once the fabric is warm.
+//! The allocation budget of an arrival, through the central manager's fast
+//! path and through the distributed manager's handshake: what one arrival
+//! asks the allocator for once the fabric is warm.
 //!
 //! The counts come from the per-thread counting `#[global_allocator]` of
 //! `tests/common/counting_alloc.rs`, shared with `tests/pump.rs`.  They are
@@ -24,22 +25,51 @@
 //! again per response; a teardown allocates its `released` list).  `rtbench`'s
 //! traced `core.manager.allocs_per_attempt` on `churn_central` (27.2 at the
 //! parent) adds to these the growth of books and tables under churn.
+//!
+//! The distributed handshake, frame by frame on the same warmed fabric (an
+//! inter-pod route: five switches, six links), is what PR 17 measured:
+//!
+//! | | frames | parent | since PR 17 |
+//! |---|---|---|---|
+//! | accepted (`Request` → 4 `Probe` → 4 `Reserve` → `Response` → 4 `Confirm`) | 14 | 90 | 27 |
+//! | its `Teardown` → 4 `Release` | 5 | 13 | 9 |
+//! | refused (`Request` → 4 `Probe` → 4 `Reserve` → 4 `Rollback` → `ReserveFailed`) | 14 | 87 | 25 |
+//!
+//! The parent cloned the candidate route and built the switch sequence and an
+//! owned-link list on every hop (seven allocations per forwarded Probe or
+//! Reserve, four per Rollback), built every outcome through two `Vec`s, and
+//! grew the cloned `values` list of each forwarded Probe.  What a hop still
+//! asks for is in the public types: the `values` list of the frame it
+//! forwards (`ReservationFrame::values`: Probe, Reserve and Release carry
+//! one) and the emission list of its outcome (`ControlOutcome::emissions`) —
+//! two per forwarded Probe, Reserve or Release, one per Confirm or Rollback.
+//! Beside those: the last Probe hop builds the load list, the deadline split
+//! and the Reserve frame's list (five in all), the coordinator keeps the
+//! split, commit copies the route into the registry, a teardown builds its
+//! itinerary and its `released` list, and the maps of coordinations, relays,
+//! leases and committed channels allocate a node now and then.  `rtbench`'s
+//! traced `core.manager.allocs_per_attempt` on `churn_distributed` reads 32.4
+//! (86.2 at the parent; the ROADMAP asks for 40): 45 % of its arrivals are
+//! refused, most of them earlier than the refusal measured here.
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::allocations;
+use std::collections::VecDeque;
+use std::sync::Arc;
 use switched_rt_ethernet::core::manager::SwitchAction;
 use switched_rt_ethernet::core::protocol::ChannelRequest;
 use switched_rt_ethernet::core::{
-    ChannelManager, ControlOutcome, FabricChannelManager, MultiHopAdmission, MultiHopDps,
-    RtChannelSpec,
+    ChannelManager, ControlOutcome, DistributedChannelManager, FabricChannelManager,
+    MultiHopAdmission, MultiHopDps, RtChannelSpec,
 };
 use switched_rt_ethernet::frames::codec::TeardownFrame;
 use switched_rt_ethernet::frames::rt_response::ResponseVerdict;
-use switched_rt_ethernet::frames::{Frame, ResponseFrame};
+use switched_rt_ethernet::frames::{Frame, ReservationOp, ResponseFrame};
 use switched_rt_ethernet::types::{
-    ChannelId, ConnectionRequestId, MacAddr, NodeId, SimTime, Slots, SwitchId, Topology,
+    ChannelId, ConnectionRequestId, HopLink, MacAddr, NodeId, ShortestPathRouter, SimTime, Slots,
+    SwitchId, Topology,
 };
 
 const AT: SwitchId = SwitchId::new(0);
@@ -171,4 +201,205 @@ fn a_refused_request_stays_inside_its_allocation_budget() {
         refused <= REFUSED_REQUEST,
         "{refused} allocations for one refused request, budget {REFUSED_REQUEST}"
     );
+}
+
+// --- the distributed handshake, frame by frame -----------------------------
+
+/// Allocations of one accepted inter-pod establishment's 14 frames.
+const DISTRIBUTED_ACCEPTED: u64 = 27;
+/// Allocations of its teardown's 5 frames.
+const DISTRIBUTED_TEARDOWN: u64 = 9;
+/// Allocations of one refused inter-pod request's 14 frames.
+const DISTRIBUTED_REFUSED: u64 = 25;
+
+/// One delivery to the distributed manager: where, which reservation op (if
+/// the frame was one), and what `handle_frame_at` asked the allocator for.
+type Hop = (SwitchId, Option<ReservationOp>, u64);
+
+/// Deliver `frame` and everything it sets off, switch to switch at time zero,
+/// destinations accepting — the churn pump's loop, with the allocator read
+/// around each `handle_frame_at` so that the queue here stays outside the
+/// count.  Returns the verdict the requester heard, if one was sent, and the
+/// deliveries made.
+fn pump(
+    manager: &mut DistributedChannelManager,
+    topology: &Topology,
+    from: u32,
+    frame: Frame,
+) -> (Option<Option<ChannelId>>, Vec<Hop>) {
+    let access = |node: NodeId| topology.switch_of(node).expect("an attached node");
+    let from = NodeId::new(from);
+    let mut queue = VecDeque::from([(access(from), from, frame)]);
+    let (mut verdict, mut hops) = (None, Vec::with_capacity(16));
+    while let Some((at, from, frame)) = queue.pop_front() {
+        let op = match &frame {
+            Frame::Reservation(frame) => Some(frame.op),
+            _ => None,
+        };
+        let before = allocations();
+        let outcome = manager
+            .handle_frame_at(at, from, &frame, SimTime::ZERO)
+            .expect("a well-formed control frame");
+        hops.push((at, op, allocations() - before));
+        for (_, action) in outcome.emissions {
+            match action {
+                SwitchAction::SendControl { to, frame } => {
+                    queue.push_back((to, NodeId::SWITCH, Frame::Reservation(frame)));
+                }
+                SwitchAction::ForwardRequest { to, frame } => {
+                    let accepted = Frame::Response(ResponseFrame {
+                        rt_channel_id: frame.rt_channel_id,
+                        switch_mac: MacAddr::for_switch(),
+                        verdict: ResponseVerdict::Accepted,
+                        connection_request_id: frame.connection_request_id,
+                    });
+                    queue.push_back((access(to), to, accepted));
+                }
+                SwitchAction::SendResponse { frame, .. } => {
+                    verdict = Some(frame.rt_channel_id.filter(|_| frame.verdict.is_accepted()));
+                }
+            }
+        }
+    }
+    (verdict, hops)
+}
+
+fn allocated(hops: &[Hop]) -> u64 {
+    hops.iter().map(|(_, _, allocs)| allocs).sum()
+}
+
+fn distributed(topology: &Topology) -> DistributedChannelManager {
+    let router = Arc::new(ShortestPathRouter::new());
+    DistributedChannelManager::new(topology.clone(), MultiHopDps::Asymmetric, router)
+}
+
+/// The distributed twin of [`warmed`], established over the wire protocol.
+/// Node 0's uplink is filled by three heavy channels to its neighbour on the
+/// same switch, so that no trunk fills with it: a further heavy request from
+/// node 0 is refused by the uplink alone, at the last step of the Reserve
+/// pass, with the whole route to roll back.
+fn warmed_distributed(topology: &Topology) -> DistributedChannelManager {
+    let mut manager = distributed(topology);
+    for round in 0..4 {
+        let (verdict, _) = pump(&mut manager, topology, 0, request(0, 1, heavy(), round));
+        let admitted = verdict.expect("every request is answered").is_some();
+        assert_eq!(admitted, round < 3, "the uplink holds three");
+    }
+    // Standing light traffic on both measured routes, so that every link of
+    // them has its book, and a few cycles of what is measured (the refusal
+    // too: every site's demand-scan buffer has then seen a heavy task).
+    let (verdict, _) = pump(&mut manager, topology, 0, request(0, 15, light(), 4));
+    verdict.flatten().expect("a light channel still fits");
+    let (verdict, _) = pump(&mut manager, topology, 0, request(0, 15, heavy(), 5));
+    assert_eq!(verdict, Some(None), "a fourth heavy channel does not");
+    for round in 0..8u8 {
+        let (verdict, _) = pump(&mut manager, topology, 1, request(1, 14, light(), round));
+        let id = verdict.flatten().expect("a light fabric admits it");
+        if round >= 2 {
+            let teardown = Frame::Teardown(TeardownFrame { rt_channel_id: id });
+            pump(&mut manager, topology, 1, teardown);
+        }
+    }
+    manager
+}
+
+/// One accepted inter-pod arrival through the two-phase protocol, and the
+/// teardown that ends it: the frame counts say the handshake is the one the
+/// table above describes, the budgets what it may ask the allocator for.
+#[test]
+fn a_distributed_handshake_stays_inside_its_allocation_budget() {
+    let topology = Topology::fat_tree(4).expect("radix 4 is a valid fat tree");
+    let mut manager = warmed_distributed(&topology);
+
+    let (verdict, hops) = pump(&mut manager, &topology, 1, request(1, 14, light(), 99));
+    let id = verdict
+        .flatten()
+        .expect("the warmed fabric admits one more");
+    let ops = |op| hops.iter().filter(|(_, o, _)| *o == Some(op)).count();
+    assert_eq!(
+        (
+            hops.len(),
+            ops(ReservationOp::Probe),
+            ops(ReservationOp::Reserve),
+            ops(ReservationOp::Confirm)
+        ),
+        (14, 4, 4, 4),
+        "Request, Probe and Reserve over five switches, Response, Confirm back: {hops:?}"
+    );
+    let established = allocated(&hops);
+
+    let teardown = Frame::Teardown(TeardownFrame { rt_channel_id: id });
+    let (_, hops) = pump(&mut manager, &topology, 1, teardown);
+    assert_eq!(hops.len(), 5, "Teardown, then Release down four switches");
+    let released = allocated(&hops);
+
+    assert!(
+        established <= DISTRIBUTED_ACCEPTED && released <= DISTRIBUTED_TEARDOWN,
+        "{established} allocations to establish (budget {DISTRIBUTED_ACCEPTED}), \
+         {released} to tear down (budget {DISTRIBUTED_TEARDOWN})"
+    );
+}
+
+/// One refused inter-pod arrival: probed to the far end, reserved all the way
+/// back to the coordinator, whose full uplink says no; rolled back hop by
+/// hop, and the one candidate exhausted.
+#[test]
+fn a_refused_distributed_request_stays_inside_its_allocation_budget() {
+    let topology = Topology::fat_tree(4).expect("radix 4 is a valid fat tree");
+    let mut manager = warmed_distributed(&topology);
+
+    let (verdict, hops) = pump(&mut manager, &topology, 0, request(0, 15, heavy(), 99));
+    assert_eq!(verdict, Some(None), "node 0's uplink is full");
+    let ops = |op| hops.iter().filter(|(_, o, _)| *o == Some(op)).count();
+    assert_eq!(
+        (
+            hops.len(),
+            ops(ReservationOp::Rollback),
+            ops(ReservationOp::ReserveFailed)
+        ),
+        (14, 4, 1),
+        "refused at the last Reserve step, swept by Rollback: {hops:?}"
+    );
+    let refused = allocated(&hops);
+    assert!(
+        refused <= DISTRIBUTED_REFUSED,
+        "{refused} allocations for one refused request, budget {DISTRIBUTED_REFUSED}"
+    );
+}
+
+/// A hop costs what its frame touches, not what its site holds.  Every
+/// channel from node 1 to node 14 crosses the same five switches, and with
+/// the clock standing still the four past the coordinator each keep the lease
+/// the Confirm walk renewed, one per channel.  One more establishment is
+/// delivered over those sites holding 10 such leases and then 1 000: every
+/// Probe and every Confirm asks the allocator for the same blocks.
+#[test]
+fn a_hop_allocates_the_same_whatever_its_site_holds() {
+    let topology = Topology::fat_tree(4).expect("radix 4 is a valid fat tree");
+    // One slot in 100 000, due within 10 000 per link: a thousand fit.
+    let tiny = RtChannelSpec::new(Slots::new(100_000), Slots::new(1), Slots::new(60_000)).unwrap();
+    let probes_and_confirms = |held: usize| -> Vec<Hop> {
+        let mut manager = distributed(&topology);
+        for round in 0..held {
+            let (verdict, _) = pump(
+                &mut manager,
+                &topology,
+                1,
+                request(1, 14, tiny, round as u8),
+            );
+            verdict.flatten().expect("a thousand tiny channels fit");
+        }
+        assert_eq!(manager.link_load(HopLink::Downlink(NodeId::new(14))), held);
+        assert!(
+            manager.next_timeout().is_some(),
+            "the renewed leases are held"
+        );
+        let (_, hops) = pump(&mut manager, &topology, 1, request(1, 14, tiny, 255));
+        let walks =
+            |(_, op, _): &Hop| matches!(op, Some(ReservationOp::Probe | ReservationOp::Confirm));
+        hops.into_iter().filter(walks).collect()
+    };
+    let few = probes_and_confirms(10);
+    assert_eq!(few.len(), 8, "four Probe hops, four Confirm hops");
+    assert_eq!(few, probes_and_confirms(1_000));
 }

@@ -82,6 +82,11 @@ impl ControlHarness {
         self.queue.len()
     }
 
+    /// The delivery the next `step` makes, if any is queued.
+    pub fn next(&self) -> Option<&Pending> {
+        self.queue.front()
+    }
+
     /// Forwarded requests awaiting a destination verdict.
     pub fn awaiting_answer(&self) -> usize {
         self.forwarded.len()

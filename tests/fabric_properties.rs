@@ -823,6 +823,189 @@ fn adversarial_mid_handshake_faults_never_leak_slack_or_double_admit() {
     );
 }
 
+/// Views are shared, never written through.  All sites start on one
+/// `Topology` allocation; a link-state write moves the writing site alone.
+/// Random cuts and repairs (few enough at a time to keep the fabric
+/// connected, so every flood reaches every site) — and, later, a switch
+/// kill — are injected while earlier floods are still in flight and the
+/// link-state frames delivered one at a time; every site is mirrored by a `Topology` of its own that
+/// changes only when that site applies an announcement (newer epoch than it
+/// has seen for that trunk).  After every delivery:
+///
+/// * each site's `view_of` equals its model on `fingerprint()` and
+///   `failed_trunks()` — a write at one site never shows at another;
+/// * two sites read one allocation exactly when their models agree, so the
+///   distinct allocations never outnumber the distinct states, and once a
+///   flood has converged every site that heard it is on one allocation —
+///   also after cut → repair back to the healthy fabric.
+#[test]
+fn sites_share_one_view_per_fabric_state_and_never_see_each_others_writes() {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+    use switched_rt_ethernet::core::DistributedChannelManager;
+    use switched_rt_ethernet::frames::{Frame, ReservationOp};
+
+    type Trunk = (SwitchId, SwitchId);
+    /// One site's mirror: its fabric, and the newest epoch applied per trunk.
+    struct Model {
+        fabric: Topology,
+        seen: BTreeMap<Trunk, u64>,
+    }
+    impl Model {
+        fn apply(&mut self, (a, b): Trunk, alive: bool, epoch: u64) {
+            let seen = self.seen.entry((a.min(b), a.max(b))).or_insert(0);
+            if epoch > *seen {
+                *seen = epoch;
+                let _ = if alive {
+                    self.fabric.repair_trunk(a, b)
+                } else {
+                    self.fabric.fail_trunk(a, b)
+                };
+            }
+        }
+    }
+
+    let (mut shared_mid_flood, mut converged, mut healed) = (0, 0, 0);
+    for seed in 0..adversarial_seeds() {
+        for topology in [Topology::ring(5, 1), Topology::torus(3, 3, 2)] {
+            let mut rng = Xoshiro256::new(0x51a7_ed00 ^ seed);
+            let mut mgr = DistributedChannelManager::new(
+                topology.clone(),
+                MultiHopDps::Asymmetric,
+                Arc::new(ShortestPathRouter::new()),
+            );
+            let mut h = ControlHarness::new(&topology);
+            let now = SimTime::from_millis(1);
+            let mut models: BTreeMap<SwitchId, Model> = topology
+                .switches()
+                .map(|s| {
+                    let (fabric, seen) = (topology.clone(), BTreeMap::new());
+                    (s, Model { fabric, seen })
+                })
+                .collect();
+            let mut epoch = 0u64;
+
+            // What must hold after every delivery and every injected event.
+            let check = |mgr: &DistributedChannelManager, models: &BTreeMap<SwitchId, Model>| {
+                let mut allocation_of: BTreeMap<Vec<Trunk>, *const Topology> = BTreeMap::new();
+                let mut state_of: BTreeMap<*const Topology, Vec<Trunk>> = BTreeMap::new();
+                for (s, model) in models {
+                    let view = mgr.view_of(*s).expect("every switch has a site");
+                    let failed: Vec<Trunk> = model.fabric.failed_trunks().collect();
+                    assert_eq!(view.fingerprint(), model.fabric.fingerprint(), "{s}");
+                    assert_eq!(view.failed_trunks().collect::<Vec<_>>(), failed, "{s}");
+                    let at: *const Topology = view;
+                    assert_eq!(
+                        *allocation_of.entry(failed.clone()).or_insert(at),
+                        at,
+                        "{s}"
+                    );
+                    assert_eq!(*state_of.entry(at).or_insert(failed.clone()), failed, "{s}");
+                }
+                allocation_of.len()
+            };
+            assert_eq!(check(&mgr, &models), 1, "every site starts on one view");
+
+            // An API-level trunk event: both adjacent switches apply it at
+            // once, under one fresh epoch.
+            let mut originate = |models: &mut BTreeMap<SwitchId, Model>, trunk: Trunk, alive| {
+                epoch += 1;
+                for origin in [trunk.0, trunk.1] {
+                    models.get_mut(&origin).unwrap().apply(trunk, alive, epoch);
+                }
+            };
+            // Deliver one queued frame, mirroring it into the receiver's model.
+            let deliver = |mgr: &mut DistributedChannelManager,
+                           h: &mut ControlHarness,
+                           models: &mut BTreeMap<SwitchId, Model>| {
+                if let Some((at, _, Frame::Reservation(frame))) = h.next() {
+                    assert_eq!(frame.op, ReservationOp::LinkState);
+                    let trunk = (
+                        SwitchId::new(frame.values[0] as u32),
+                        SwitchId::new(frame.values[1] as u32),
+                    );
+                    let (alive, epoch) = (frame.values[2] != 0, frame.values[3]);
+                    models.get_mut(at).unwrap().apply(trunk, alive, epoch);
+                }
+                h.step(mgr, now).unwrap()
+            };
+
+            // A ring survives one cut in one piece, the 4-regular torus three.
+            let cuts_at_once = if topology.switch_count() == 5 { 1 } else { 3 };
+            let mut killed = None;
+            for event in 0..12 {
+                let cut: Vec<Trunk> = mgr.topology().failed_trunks().collect();
+                let up: Vec<Trunk> = mgr.topology().trunks().collect();
+                let healing = (7..10).contains(&event);
+                let full = killed.is_none() && cut.len() == cuts_at_once;
+                if event == 10 {
+                    // One switch dies: its trunks are cut one epoch each, it
+                    // applies them itself but announces nothing, and no frame
+                    // reaches it any more.
+                    let dead = SwitchId::new(rng.below(topology.switch_count() as u64) as u32);
+                    let neighbours: Vec<SwitchId> = mgr.topology().neighbours(dead).collect();
+                    if mgr.handle_switch_failure(dead).is_ok() {
+                        for n in neighbours {
+                            originate(&mut models, (dead, n), false);
+                        }
+                        h.kill(dead);
+                        killed = Some(dead);
+                    }
+                } else if !cut.is_empty() && (healing || full || rng.chance(0.4)) {
+                    let (a, b) = cut[rng.below(cut.len() as u64) as usize];
+                    if Some(a) != killed && Some(b) != killed {
+                        mgr.handle_link_repair(a, b).unwrap();
+                        originate(&mut models, (a, b), true);
+                    }
+                } else if !healing {
+                    let (a, b) = up[rng.below(up.len() as u64) as usize];
+                    mgr.handle_link_failure(a, b).unwrap();
+                    originate(&mut models, (a, b), false);
+                }
+                h.flood(&mut mgr);
+                check(&mgr, &models);
+                // Mostly a partial delivery, so the next event lands while
+                // sites still disagree; the healing stretch drains.
+                let deliveries = if healing {
+                    usize::MAX
+                } else {
+                    rng.below(30) as usize
+                };
+                for _ in 0..deliveries {
+                    if !deliver(&mut mgr, &mut h, &mut models) {
+                        break;
+                    }
+                    let states = check(&mgr, &models);
+                    shared_mid_flood += usize::from(states > 1 && states < models.len());
+                }
+                if healing {
+                    // Every flood has drained over a connected fabric: all
+                    // sites have heard everything and are on one allocation —
+                    // the healthy fabric's, once the last cut is repaired.
+                    assert_eq!(check(&mgr, &models), 1);
+                    converged += 1;
+                    if mgr.topology().failed_trunks().next().is_none() {
+                        let view = mgr.view_of(SwitchId::new(0)).unwrap();
+                        assert_eq!(view.fingerprint(), topology.fingerprint());
+                        healed += 1;
+                    }
+                }
+            }
+            // Past the kill the fabric may be in pieces; what is left to
+            // deliver still never writes through a shared view.
+            while deliver(&mut mgr, &mut h, &mut models) {
+                check(&mgr, &models);
+            }
+        }
+    }
+    // The walks really held several states at once with sites sharing them,
+    // really converged, and really came back to the healthy fabric.
+    assert!(
+        shared_mid_flood > 50 && converged > 0 && healed > 0,
+        "{shared_mid_flood} shared mid-flood, {converged} converged, {healed} healed"
+    );
+}
+
 /// Invariant 3: on random fabrics, every channel the analysis admits keeps
 /// its promise on the wire — zero deadline misses and every latency within
 /// the hop-aware Eq. 18.1 bound.
