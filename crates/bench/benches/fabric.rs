@@ -1,22 +1,17 @@
-//! Micro-bench: fabric event throughput, heap vs. calendar scheduler,
-//! arena-pooled vs. owned frame store.
+//! Micro-bench: fabric event throughput.
 //!
 //! Four fabrics at two scales — the 16-node star / 4-switch tree / 4-switch
 //! ring baselines of the earlier PRs, plus the 64-switch / 1024-node torus
-//! (`FabricScenario::torus(8, 8, 8, 8)`) that is the point of the
-//! calendar-queue scheduler.  Every fabric is driven four times with the
-//! *identical* pre-generated workload: {heap, calendar} × {arena, owned}.
-//! The workload is injected up front (`inject_batch`), so the pending-event
-//! population is proportional to the frame count — exactly the regime where
-//! the heap's O(log n) cache-hostile operations dominate and the calendar
-//! queue's O(1) bucket operations pay off.  Delivered-frame counts are
-//! asserted equal between all four combinations, so the comparison can
-//! never drift semantically.
+//! (`FabricScenario::torus(8, 8, 8, 8)`).  The workload is pre-generated and
+//! injected up front (`inject_batch`), so the pending-event population is
+//! proportional to the frame count — the regime the calendar queue exists
+//! for.  Every injected frame must be delivered.
 //!
-//! Row keying: the arena store is the simulator default, so its rows keep
-//! the bare fabric names the trajectory has always used (`star/heap`, …) —
-//! `bench_diff` keeps comparing apples to apples across the store switch.
-//! The owned-store rows ride along under a `+owned` fabric suffix.
+//! Row keying: one row per fabric under the `fabric/calendar` key the
+//! trajectory has always used for the default configuration, so
+//! `bench_diff` keeps comparing like with like; the heap and owned-store
+//! rows of earlier artifacts have no counterpart any more (the simulator
+//! has one scheduler and one frame representation) and only warn there.
 //!
 //! The run closes with the routing microbench: rebuild-after-cut latency
 //! and resident routing bytes on the 1280-switch `fat_tree(32)`, one row
@@ -31,7 +26,7 @@
 use std::time::Instant;
 
 use rt_bench::report::{json_object, write_artifact, ToJson};
-use rt_netsim::{FrameStoreKind, SchedulerKind, ShardedSimulator, SimConfig, Simulator};
+use rt_netsim::{ShardedSimulator, SimConfig, Simulator};
 use rt_traffic::{FabricScenario, ScenarioFrameSource};
 use rt_types::{Duration, NextHopCache, Topology};
 
@@ -95,10 +90,7 @@ fn workloads() -> Vec<Workload> {
             Duration::from_micros(2),
         ),
         // The scaling fabric: 64 switches, 1024 nodes, 2M frames injected
-        // up front -> a seven-figure pending-event population, which is
-        // where the heap's O(log n) cache-hostile operations collapse (its
-        // ~64 MB of heap array also evicts the simulator's working set)
-        // while the calendar queue keeps its O(1) bucket operations.
+        // up front -> a seven-figure pending-event population.
         Workload::new(
             "torus_8x8_1024",
             FabricScenario::torus(8, 8, 8, 8),
@@ -114,20 +106,10 @@ struct DriveOutcome {
     elapsed_ns: u64,
 }
 
-/// Run one workload on one scheduler and frame store: build the fabric,
-/// inject the whole pre-generated batch, drain.  Only the simulation (not
-/// the frame generation) is timed.
-fn drive(
-    workload: &Workload,
-    scheduler: SchedulerKind,
-    frame_store: FrameStoreKind,
-) -> DriveOutcome {
-    let config = SimConfig {
-        scheduler,
-        frame_store,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::with_topology(config, workload.topology.clone())
+/// Run one workload: build the fabric, inject the whole pre-generated
+/// batch, drain.  Only the simulation (not the frame generation) is timed.
+fn drive(workload: &Workload) -> DriveOutcome {
+    let mut sim = Simulator::with_topology(SimConfig::default(), workload.topology.clone())
         .expect("bench fabrics are valid");
     let batch = workload.source.clone().drain_all();
     let start = Instant::now();
@@ -141,16 +123,10 @@ fn drive(
     }
 }
 
-/// [`drive`] on the sharded simulator: same pre-generated batch, calendar
-/// scheduler, arena store, `shards` worker threads under the default
-/// (BFS-regions) partition.
+/// [`drive`] on the sharded simulator: same pre-generated batch, `shards`
+/// worker threads under the default (BFS-regions) partition.
 fn drive_sharded(workload: &Workload, shards: usize) -> DriveOutcome {
-    let config = SimConfig {
-        scheduler: SchedulerKind::Calendar,
-        frame_store: FrameStoreKind::Arena,
-        ..SimConfig::default()
-    };
-    let mut sim = ShardedSimulator::new(config, workload.topology.clone(), shards)
+    let mut sim = ShardedSimulator::new(SimConfig::default(), workload.topology.clone(), shards)
         .expect("bench fabrics satisfy the lookahead bound");
     let batch = workload.source.clone().drain_all();
     let start = Instant::now();
@@ -164,13 +140,9 @@ fn drive_sharded(workload: &Workload, shards: usize) -> DriveOutcome {
     }
 }
 
-/// One (fabric, scheduler, store) measurement, encoded with the in-repo
-/// encoder.  `fabric` carries the store suffix for non-default stores (see
-/// the module docs), `store` records it explicitly either way.
+/// One fabric measurement, encoded with the in-repo encoder.
 struct ThroughputRow {
     fabric: String,
-    scheduler: &'static str,
-    store: &'static str,
     nodes: u32,
     frames: u64,
     spacing_ns: u64,
@@ -184,8 +156,8 @@ impl ToJson for ThroughputRow {
     fn to_json(&self) -> String {
         json_object(&[
             ("fabric", self.fabric.to_json()),
-            ("scheduler", self.scheduler.to_json()),
-            ("store", self.store.to_json()),
+            // Half of the `fabric/calendar` key `bench_diff` matches rows on.
+            ("scheduler", "calendar".to_json()),
             ("nodes", self.nodes.to_json()),
             ("frames", self.frames.to_json()),
             ("spacing_ns", self.spacing_ns.to_json()),
@@ -375,130 +347,81 @@ fn routing_rows() -> Vec<Row> {
     .collect()
 }
 
+/// The fastest of `runs` drives (the usual micro-bench "least disturbed
+/// run" summary); every run must deliver every injected frame.
+fn best_of(
+    runs: usize,
+    fabric: &str,
+    frames: u64,
+    drive: impl Fn() -> DriveOutcome,
+) -> DriveOutcome {
+    (0..runs)
+        .map(|_| {
+            let outcome = drive();
+            assert_eq!(
+                outcome.delivered, frames,
+                "{fabric}: every injected frame must be delivered"
+            );
+            outcome
+        })
+        .min_by_key(|outcome| outcome.elapsed_ns)
+        .expect("at least one run happened")
+}
+
 fn main() {
     let mut rows: Vec<Row> = Vec::new();
-    println!("fabric event throughput: heap vs calendar scheduler, arena vs owned store");
+    println!("fabric event throughput");
     println!("(workloads injected up front; identical frame sequences per fabric)\n");
     for workload in workloads() {
-        // calendar-arena / heap-arena and calendar-arena / calendar-owned.
-        let mut arena_per_second = [0.0f64; 2];
-        let mut owned_calendar_per_second = 0.0f64;
-        // Keep the fastest of several runs (the usual micro-bench "least
-        // disturbed run" summary); correctness is checked on every run.
         // The millisecond-scale fabrics get extra samples because they are
         // the ones shared-CI noise can swing past the bench_diff gate; the
         // multi-second torus is dominated by its own working set and stays
         // at two.
         let runs = if workload.frames > 100_000 { 2 } else { 5 };
-        for store in [FrameStoreKind::Arena, FrameStoreKind::Owned] {
-            // The default (arena) rows keep the bare fabric names so the
-            // bench_diff trajectory stays continuous across the store
-            // switch; the owned comparison rows get an explicit suffix.
-            let fabric = match store {
-                FrameStoreKind::Arena => workload.name.to_string(),
-                FrameStoreKind::Owned => format!("{}+owned", workload.name),
-            };
-            for (i, scheduler) in [SchedulerKind::Heap, SchedulerKind::Calendar]
-                .into_iter()
-                .enumerate()
-            {
-                let mut best: Option<DriveOutcome> = None;
-                for _ in 0..runs {
-                    let outcome = drive(&workload, scheduler, store);
-                    assert_eq!(
-                        outcome.delivered,
-                        workload.frames,
-                        "{fabric}/{}: every injected frame must be delivered",
-                        scheduler.name()
-                    );
-                    best = match best {
-                        Some(b) if b.elapsed_ns <= outcome.elapsed_ns => Some(b),
-                        _ => Some(outcome),
-                    };
-                }
-                let outcome = best.expect("at least one run happened");
-                let events_per_second = outcome.events as f64 / (outcome.elapsed_ns as f64 / 1e9);
-                match store {
-                    FrameStoreKind::Arena => arena_per_second[i] = events_per_second,
-                    FrameStoreKind::Owned if i == 1 => {
-                        owned_calendar_per_second = events_per_second
-                    }
-                    FrameStoreKind::Owned => {}
-                }
-                println!(
-                    "{:<22} {:<8} {:>8} events in {:>7.1} ms -> {:>6.2} M events/s, {:>5.1} events/frame",
-                    fabric,
-                    scheduler.name(),
-                    outcome.events,
-                    outcome.elapsed_ns as f64 / 1e6,
-                    events_per_second / 1e6,
-                    outcome.events as f64 / workload.frames as f64,
-                );
-                rows.push(Row::Throughput(ThroughputRow {
-                    fabric: fabric.clone(),
-                    scheduler: scheduler.name(),
-                    store: store.name(),
-                    nodes: workload.nodes,
-                    frames: workload.frames,
-                    spacing_ns: workload.spacing.as_nanos(),
-                    events: outcome.events,
-                    elapsed_ns: outcome.elapsed_ns,
-                    events_per_second,
-                    events_per_frame: outcome.events as f64 / workload.frames as f64,
-                }));
-            }
-        }
+        let row = |fabric: String, outcome: &DriveOutcome| ThroughputRow {
+            fabric,
+            nodes: workload.nodes,
+            frames: workload.frames,
+            spacing_ns: workload.spacing.as_nanos(),
+            events: outcome.events,
+            elapsed_ns: outcome.elapsed_ns,
+            events_per_second: outcome.events as f64 / (outcome.elapsed_ns as f64 / 1e9),
+            events_per_frame: outcome.events as f64 / workload.frames as f64,
+        };
+        let outcome = best_of(runs, workload.name, workload.frames, || drive(&workload));
+        let single = row(workload.name.to_string(), &outcome);
+        let single_per_second = single.events_per_second;
         println!(
-            "{:<22} calendar/heap speed-up: {:.2}x, arena/owned (calendar): {:.2}x\n",
-            workload.name,
-            arena_per_second[1] / arena_per_second[0],
-            arena_per_second[1] / owned_calendar_per_second,
+            "{:<22} {:>8} events in {:>7.1} ms -> {:>6.2} M events/s, {:>5.1} events/frame\n",
+            single.fabric,
+            single.events,
+            single.elapsed_ns as f64 / 1e6,
+            single_per_second / 1e6,
+            single.events_per_frame,
         );
+        rows.push(Row::Throughput(single));
 
         // The shard sweep: the conservative-windowed parallel simulator on
         // the scaling fabric, one row per shard count under a
-        // `+shards{N}` fabric suffix (scheduler stays `calendar`, store
-        // stays `arena` — the sharded path supports nothing else).
-        // `bench_diff` gates the best sharded row, so a regression in the
-        // parallel path fails CI even when the single-thread rows hold.
+        // `+shards{N}` fabric suffix.  `bench_diff` gates the best sharded
+        // row, so a regression in the parallel path fails CI even when the
+        // single-thread rows hold.
         if workload.name == "torus_8x8_1024" {
             for shards in SHARD_SWEEP {
                 let fabric = format!("{}+shards{}", workload.name, shards);
-                let mut best: Option<DriveOutcome> = None;
-                for _ in 0..runs {
-                    let outcome = drive_sharded(&workload, shards);
-                    assert_eq!(
-                        outcome.delivered, workload.frames,
-                        "{fabric}: every injected frame must be delivered"
-                    );
-                    best = match best {
-                        Some(b) if b.elapsed_ns <= outcome.elapsed_ns => Some(b),
-                        _ => Some(outcome),
-                    };
-                }
-                let outcome = best.expect("at least one run happened");
-                let events_per_second = outcome.events as f64 / (outcome.elapsed_ns as f64 / 1e9);
+                let outcome = best_of(runs, &fabric, workload.frames, || {
+                    drive_sharded(&workload, shards)
+                });
+                let sharded = row(fabric, &outcome);
                 println!(
-                    "{:<22} {:<8} {:>8} events in {:>7.1} ms -> {:>6.2} M events/s, {:.2}x vs calendar",
-                    fabric,
-                    "calendar",
-                    outcome.events,
-                    outcome.elapsed_ns as f64 / 1e6,
-                    events_per_second / 1e6,
-                    events_per_second / arena_per_second[1],
+                    "{:<22} {:>8} events in {:>7.1} ms -> {:>6.2} M events/s, {:.2}x vs one thread",
+                    sharded.fabric,
+                    sharded.events,
+                    sharded.elapsed_ns as f64 / 1e6,
+                    sharded.events_per_second / 1e6,
+                    sharded.events_per_second / single_per_second,
                 );
-                rows.push(Row::Throughput(ThroughputRow {
-                    fabric,
-                    scheduler: "calendar",
-                    store: "arena",
-                    nodes: workload.nodes,
-                    frames: workload.frames,
-                    spacing_ns: workload.spacing.as_nanos(),
-                    events: outcome.events,
-                    elapsed_ns: outcome.elapsed_ns,
-                    events_per_second,
-                    events_per_frame: outcome.events as f64 / workload.frames as f64,
-                }));
+                rows.push(Row::Throughput(sharded));
             }
             println!();
         }

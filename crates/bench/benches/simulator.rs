@@ -1,7 +1,7 @@
 //! Micro-bench: event throughput of the discrete-event simulator,
 //! end-to-end cost of the channel-establishment handshake over the wire,
-//! and — the regression thermometer for the zero-copy frame path — heap
-//! allocations per forwarded frame on the 1024-node torus.
+//! and — the regression thermometer for the frame path — heap allocations
+//! per forwarded frame on the 1024-node torus.
 //!
 //! The allocation count comes from a counting `#[global_allocator]` that
 //! wraps [`System`]: the simulator crates themselves `forbid(unsafe_code)`,
@@ -21,7 +21,7 @@ use rt_bench::report::{json_object, write_artifact, Table, ToJson};
 use rt_bench::MicroBench;
 use rt_core::{DpsKind, RtChannelSpec, RtNetwork};
 use rt_frames::rt_data::{DeadlineStamp, RtDataFrame};
-use rt_netsim::{FrameStoreKind, SimConfig, Simulator};
+use rt_netsim::{SimConfig, Simulator};
 use rt_traffic::{FabricScenario, ScenarioFrameSource};
 use rt_types::{ChannelId, Duration, MacAddr, NodeId, SimTime};
 
@@ -105,18 +105,12 @@ impl rt_netsim::TrafficSource for PrebuiltSource {
 /// `run_with_source` loop on the 1024-node torus, everything else (fabric
 /// build, frame generation) outside the counted window.
 ///
-/// Windowed injection matters: frames register (and pool buffers allocate)
-/// at injection time, so the arena's outstanding population tracks the
-/// *in-flight* frames of one window, not the whole experiment.  That is
-/// the steady-state regime the zero-copy path is built for — after a brief
-/// warm-up every pooled buffer is a reuse, and the only per-frame
-/// allocation left is materialising the `Delivery` at the receiver.
-/// Injecting the full batch up front would instead measure peak in-flight
-/// frames (one fresh pool buffer each): a memory-footprint question, not
-/// an allocation-pressure one.
+/// Windowed injection keeps the run in its steady state: the only
+/// per-frame allocation is materialising the `Delivery` at the receiver
+/// (the clone of the injected frame's payload); everything else is the
+/// amortised growth of the frame table and the calendar.
 struct AllocRow {
-    name: String,
-    store: &'static str,
+    name: &'static str,
     frames: u64,
     allocs: u64,
     allocs_per_frame: f64,
@@ -126,7 +120,6 @@ impl ToJson for AllocRow {
     fn to_json(&self) -> String {
         json_object(&[
             ("name", self.name.to_json()),
-            ("store", self.store.to_json()),
             ("frames", self.frames.to_json()),
             ("allocs", self.allocs.to_json()),
             ("allocs_per_frame", self.allocs_per_frame.to_json()),
@@ -134,21 +127,16 @@ impl ToJson for AllocRow {
     }
 }
 
-/// Measure allocations per forwarded frame for one frame store.  The arena
-/// row keeps the bare name (it is the simulator default — the trajectory
-/// key stays stable); the owned row rides along under a `+owned` suffix.
-fn measure_allocs(store: FrameStoreKind) -> AllocRow {
+/// Measure allocations per forwarded frame.
+fn measure_allocs() -> AllocRow {
     const FRAMES: u64 = 100_000;
     let scenario = FabricScenario::torus(8, 8, 8, 8);
     let topology = scenario.topology();
     let batch = ScenarioFrameSource::new(scenario, FRAMES, SPACING)
         .payload_len(64)
         .drain_all();
-    let config = SimConfig {
-        frame_store: store,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::with_topology(config, topology).expect("the torus fabric is valid");
+    let mut sim = Simulator::with_topology(SimConfig::default(), topology)
+        .expect("the torus fabric is valid");
     let mut source = PrebuiltSource {
         items: batch.into_iter().peekable(),
     };
@@ -159,16 +147,10 @@ fn measure_allocs(store: FrameStoreKind) -> AllocRow {
     assert_eq!(
         sim.poll_deliveries().len() as u64,
         FRAMES,
-        "{}: every injected frame must be delivered",
-        store.name()
+        "every injected frame must be delivered"
     );
-    let name = match store {
-        FrameStoreKind::Arena => "torus_8x8_1024_hot_path".to_string(),
-        FrameStoreKind::Owned => "torus_8x8_1024_hot_path+owned".to_string(),
-    };
     AllocRow {
-        name,
-        store: store.name(),
+        name: "torus_8x8_1024_hot_path",
         frames: FRAMES,
         allocs,
         allocs_per_frame: allocs as f64 / FRAMES as f64,
@@ -222,26 +204,20 @@ fn main() {
     harness.finish("simulator");
 
     println!("\nallocations per forwarded frame (1024-node torus, 100k frames)");
-    let alloc_rows: Vec<AllocRow> = [FrameStoreKind::Arena, FrameStoreKind::Owned]
-        .into_iter()
-        .map(measure_allocs)
-        .collect();
-    let mut table = Table::new(&["measurement", "store", "allocs", "allocs/frame"]);
-    for row in &alloc_rows {
-        table.row_strings(vec![
-            row.name.clone(),
-            row.store.to_string(),
-            row.allocs.to_string(),
-            format!("{:.2}", row.allocs_per_frame),
-        ]);
-    }
+    let alloc_row = measure_allocs();
+    let mut table = Table::new(&["measurement", "allocs", "allocs/frame"]);
+    table.row_strings(vec![
+        alloc_row.name.to_string(),
+        alloc_row.allocs.to_string(),
+        format!("{:.2}", alloc_row.allocs_per_frame),
+    ]);
     table.print();
 
     let artifact: Vec<RawJson> = harness
         .results()
         .iter()
         .map(|r| RawJson(r.to_json()))
-        .chain(alloc_rows.iter().map(|r| RawJson(r.to_json())))
+        .chain([RawJson(alloc_row.to_json())])
         .collect();
     write_artifact("BENCH_SIMULATOR_JSON", "BENCH_simulator.json", &artifact);
 }

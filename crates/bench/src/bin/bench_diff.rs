@@ -179,6 +179,79 @@ struct Metrics {
     table_bytes: BTreeMap<String, f64>,
 }
 
+impl Metrics {
+    /// Every gated table.
+    fn tables(&self) -> [&BTreeMap<String, f64>; 8] {
+        [
+            &self.throughput,
+            &self.accepted,
+            &self.allocs,
+            &self.admissions,
+            &self.acceptance,
+            &self.convergence,
+            &self.rebuild,
+            &self.table_bytes,
+        ]
+    }
+}
+
+/// The keys of every baseline row, of any gated table, that the current
+/// artifact no longer carries.  A removed row is reported, never failed: a
+/// benchmark that stops measuring a configuration must not wedge the gate.
+fn removed_rows<'a>(baseline: &'a Metrics, current: &Metrics) -> Vec<&'a str> {
+    let mut removed = Vec::new();
+    for (before, now) in baseline.tables().into_iter().zip(current.tables()) {
+        removed.extend(
+            before
+                .keys()
+                .filter(|key| !now.contains_key(*key))
+                .map(String::as_str),
+        );
+    }
+    removed
+}
+
+/// The events/s gate: fail any `events_per_second` that dropped beyond the
+/// fractional threshold against its baseline row.  Returns `(table rows,
+/// regressions)`.
+fn throughput_regressions(
+    baseline: &BTreeMap<String, f64>,
+    current: &BTreeMap<String, f64>,
+    threshold: f64,
+) -> (Vec<Vec<String>>, Vec<String>) {
+    let mut rows = Vec::new();
+    let mut regressions = Vec::new();
+    for (key, &now) in current {
+        match baseline.get(key) {
+            Some(&before) if before > 0.0 => {
+                let change = now / before - 1.0;
+                rows.push(vec![
+                    key.clone(),
+                    format!("{before:.0}"),
+                    format!("{now:.0}"),
+                    format!("{:+.1}%", change * 100.0),
+                ]);
+                if change < -threshold {
+                    regressions.push(format!(
+                        "{key} events/s dropped {:.1}% (> {:.0}% threshold)",
+                        -change * 100.0,
+                        threshold * 100.0
+                    ));
+                }
+            }
+            _ => {
+                rows.push(vec![
+                    key.clone(),
+                    "(new)".into(),
+                    format!("{now:.0}"),
+                    "-".into(),
+                ]);
+            }
+        }
+    }
+    (rows, regressions)
+}
+
 fn metrics(doc: &JsonValue) -> Result<Metrics, String> {
     let mut out = Metrics::default();
     for row in rows_of(doc) {
@@ -210,15 +283,7 @@ fn metrics(doc: &JsonValue) -> Result<Metrics, String> {
             out.table_bytes.insert(row_key(row), bytes);
         }
     }
-    if out.throughput.is_empty()
-        && out.accepted.is_empty()
-        && out.allocs.is_empty()
-        && out.admissions.is_empty()
-        && out.acceptance.is_empty()
-        && out.convergence.is_empty()
-        && out.rebuild.is_empty()
-        && out.table_bytes.is_empty()
-    {
+    if out.tables().iter().all(|table| table.is_empty()) {
         return Err(
             "no rows with an events_per_second, accepted_channels, allocs_per_frame, \
              admissions_per_second, acceptance_ratio, accepted_under_convergence, \
@@ -588,35 +653,13 @@ fn main() -> ExitCode {
 
     // Throughput: fail beyond the fractional threshold.
     let mut table = Table::new(&["benchmark", "baseline ev/s", "current ev/s", "change"]);
-    for (key, &now) in &current.throughput {
-        match baseline.throughput.get(key) {
-            Some(&before) if before > 0.0 => {
-                let change = now / before - 1.0;
-                table.row_strings(vec![
-                    key.clone(),
-                    format!("{before:.0}"),
-                    format!("{now:.0}"),
-                    format!("{:+.1}%", change * 100.0),
-                ]);
-                if change < -threshold {
-                    regressions.push(format!(
-                        "{key} events/s dropped {:.1}% (> {:.0}% threshold)",
-                        -change * 100.0,
-                        threshold * 100.0
-                    ));
-                }
-            }
-            _ => {
-                table.row_strings(vec![
-                    key.clone(),
-                    "(new)".into(),
-                    format!("{now:.0}"),
-                    "-".into(),
-                ]);
-            }
-        }
+    let (rows, failures) =
+        throughput_regressions(&baseline.throughput, &current.throughput, threshold);
+    for row in rows {
+        table.row_strings(row);
     }
     table.print();
+    regressions.extend(failures);
 
     // Sharded throughput: the best `+shards{N}` row carries the parallel
     // simulator's headline number; gated at a fixed 20 % independent of
@@ -761,53 +804,7 @@ fn main() -> ExitCode {
         table.print();
     }
 
-    for key in baseline
-        .throughput
-        .keys()
-        .filter(|k| !current.throughput.contains_key(*k))
-        .chain(
-            baseline
-                .accepted
-                .keys()
-                .filter(|k| !current.accepted.contains_key(*k)),
-        )
-        .chain(
-            baseline
-                .allocs
-                .keys()
-                .filter(|k| !current.allocs.contains_key(*k)),
-        )
-        .chain(
-            baseline
-                .admissions
-                .keys()
-                .filter(|k| !current.admissions.contains_key(*k)),
-        )
-        .chain(
-            baseline
-                .acceptance
-                .keys()
-                .filter(|k| !current.acceptance.contains_key(*k)),
-        )
-        .chain(
-            baseline
-                .convergence
-                .keys()
-                .filter(|k| !current.convergence.contains_key(*k)),
-        )
-        .chain(
-            baseline
-                .rebuild
-                .keys()
-                .filter(|k| !current.rebuild.contains_key(*k)),
-        )
-        .chain(
-            baseline
-                .table_bytes
-                .keys()
-                .filter(|k| !current.table_bytes.contains_key(*k)),
-        )
-    {
+    for key in removed_rows(&baseline, &current) {
         println!("note: baseline row '{key}' has no current counterpart");
     }
 
@@ -1268,6 +1265,33 @@ mod tests {
         assert!(m.accepted.is_empty());
     }
 
+    /// The module doc's "removed rows only warn": the fabric bench dropping
+    /// its heap and owned-store rows leaves the surviving row gated as
+    /// before and the lost ones listed, not failed.
+    #[test]
+    fn removed_rows_only_warn() {
+        let baseline = metrics(&doc(&[
+            ("star", "heap", 1e6),
+            ("star", "calendar", 2e6),
+            ("star+owned", "calendar", 2.1e6),
+        ]))
+        .unwrap();
+        let current = metrics(&doc(&[("star", "calendar", 1.9e6)])).unwrap();
+        let (rows, failures) =
+            throughput_regressions(&baseline.throughput, &current.throughput, 0.2);
+        assert_eq!(rows.len(), 1, "only the surviving row is compared");
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(sharded_regressions(&baseline.throughput, &current.throughput).is_empty());
+        assert_eq!(
+            removed_rows(&baseline, &current),
+            ["star+owned/calendar", "star/heap"]
+        );
+        // The surviving row is still gated.
+        let slower = metrics(&doc(&[("star", "calendar", 1e6)])).unwrap();
+        let (_, failures) = throughput_regressions(&baseline.throughput, &slower.throughput, 0.2);
+        assert_eq!(failures.len(), 1);
+    }
+
     #[test]
     fn rows_without_gated_metrics_are_skipped() {
         let mut m = BTreeMap::new();
@@ -1293,19 +1317,18 @@ mod tests {
 
     #[test]
     fn mixed_docs_carry_both_metric_tables() {
-        // One object with a throughput array and an admission array, as the
-        // multiswitch artifact emits.
+        // One object holding a throughput array beside an admission array.
         let mut top = BTreeMap::new();
-        let JsonValue::Array(sched) = doc(&[("multiswitch_ring", "heap", 3e6)]) else {
+        let JsonValue::Array(fabric) = doc(&[("torus_8x8_1024", "calendar", 3e6)]) else {
             unreachable!()
         };
-        top.insert("scheduler_comparison".into(), JsonValue::Array(sched));
+        top.insert("fabric".into(), JsonValue::Array(fabric));
         let JsonValue::Object(adm) = admission_doc(&[("dumbbell_asymmetric", 60.0)]) else {
             unreachable!()
         };
         top.extend(adm);
         let m = metrics(&JsonValue::Object(top)).unwrap();
-        assert_eq!(m.throughput["multiswitch_ring/heap"], 3e6);
+        assert_eq!(m.throughput["torus_8x8_1024/calendar"], 3e6);
         assert_eq!(m.accepted["dumbbell_asymmetric"], 60.0);
     }
 }

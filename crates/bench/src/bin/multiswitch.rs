@@ -25,13 +25,6 @@
 //! middle-trunk bottleneck, so the mesh admits more channels; every admitted
 //! channel is again validated on the wire against its hop-aware bound.
 //!
-//! **Part 3 — event scheduler A/B.**  The part-2 ring run (establishment
-//! handshakes + periodic traffic + bound validation) repeated under the
-//! `HeapScheduler` and the `CalendarScheduler`: outcomes must be identical
-//! (the scheduler may never change what happens on the wire, only how fast
-//! the simulation computes it) and the per-scheduler events/s lands in the
-//! JSON artifact next to the fabric baseline's rows.
-//!
 //! **Part 4 — survivability (1024-node torus, scripted trunk cut).**  Forty
 //! channels are admitted over the 8×8×16 torus with `KShortestRouter`
 //! fallback, eight of them pinned across one grid trunk.  Mid-run that
@@ -100,7 +93,6 @@ use rt_core::multihop::{HopLink, MultiHopAdmission, MultiHopDps, SwitchId, Topol
 use rt_core::{
     ChannelRoute, DistributedChannelManager, FabricChannelManager, RtChannelSpec, RtNetwork,
 };
-use rt_netsim::SchedulerKind;
 use rt_traffic::{
     ChurnConfig, ChurnEvent, ChurnProcess, ChurnReport, FabricScenario, FailoverScenario,
 };
@@ -156,8 +148,6 @@ struct WireOutcome {
     misses: u64,
     worst_latency_ns: u64,
     worst_bound_ns: u64,
-    /// Simulation events processed (for the scheduler A/B of part 3).
-    events: u64,
 }
 
 #[derive(Debug)]
@@ -182,27 +172,6 @@ impl ToJson for MeshRow {
             ("requested", self.requested.to_json()),
             ("tree_router_line", enc(&self.tree)),
             ("shortest_path_ring", enc(&self.mesh)),
-        ])
-    }
-}
-
-/// One scheduler's wall-clock numbers for the identical ring workload.
-#[derive(Debug)]
-struct SchedulerRow {
-    scheduler: &'static str,
-    events: u64,
-    elapsed_ns: u64,
-    events_per_second: f64,
-}
-
-impl ToJson for SchedulerRow {
-    fn to_json(&self) -> String {
-        json_object(&[
-            ("fabric", "multiswitch_ring".to_json()),
-            ("scheduler", self.scheduler.to_json()),
-            ("events", self.events.to_json()),
-            ("elapsed_ns", self.elapsed_ns.to_json()),
-            ("events_per_second", self.events_per_second.to_json()),
         ])
     }
 }
@@ -465,7 +434,6 @@ impl ToJson for ChurnRecoveryRow {
 struct Results {
     dumbbell: Vec<MultiSwitchRow>,
     mesh: Vec<MeshRow>,
-    schedulers: Vec<SchedulerRow>,
     failover: Vec<FailoverRow>,
     distributed: Vec<DistributedRow>,
     parity: Vec<ParityRow>,
@@ -481,7 +449,6 @@ impl ToJson for Results {
         json_object(&[
             ("dumbbell", self.dumbbell.to_json()),
             ("mesh_vs_tree", self.mesh.to_json()),
-            ("scheduler_comparison", self.schedulers.to_json()),
             ("failover", self.failover.to_json()),
             ("distributed_admission", self.distributed.to_json()),
             ("distributed_parity", self.parity.to_json()),
@@ -565,7 +532,6 @@ fn drive_on_the_wire(
         established: established.len() as u64,
         frames: stats.rt_delivered,
         misses: stats.total_deadline_misses,
-        events: net.simulator().events_processed(),
         ..WireOutcome::default()
     };
     for (_, tx) in &established {
@@ -751,62 +717,6 @@ fn part2_mesh(messages: u64) -> Vec<MeshRow> {
     println!("The closing trunk shortens end-of-line routes and bypasses the middle trunks,");
     println!("admitting {gained} extra channels over the sweep; every admitted channel still met");
     println!("its hop-aware Eq. 18.1 bound on the wire, under both routers.");
-    rows
-}
-
-/// Part 3: the identical ring workload under both event schedulers —
-/// outcomes must match exactly, only the wall clock may differ.
-fn part3_schedulers(messages: u64) -> Vec<SchedulerRow> {
-    let ring = FabricScenario::ring(4, 2, 2);
-    let spec = RtChannelSpec::paper_default();
-    let requests: Vec<(NodeId, NodeId)> = ring
-        .cross_switch_requests(32, spec)
-        .iter()
-        .map(|r| (r.source, r.destination))
-        .collect();
-    println!("\nPart 3 — event scheduler A/B (ring fabric, identical workload)");
-    let mut rows = Vec::new();
-    let mut reference: Option<(u64, u64, u64, u64, u64)> = None;
-    for scheduler in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-        let net = RtNetwork::builder()
-            .topology(ring.topology())
-            .router(ShortestPathRouter::new())
-            .scheduler(scheduler)
-            .multihop_dps(MultiHopDps::Asymmetric)
-            .build()
-            .expect("the ring builds under shortest-path routing");
-        let start = Instant::now();
-        let wire = drive_on_the_wire(net, &requests, messages);
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
-        let signature = (
-            wire.established,
-            wire.frames,
-            wire.misses,
-            wire.worst_latency_ns,
-            wire.events,
-        );
-        match reference {
-            None => reference = Some(signature),
-            Some(expected) => assert_eq!(
-                signature, expected,
-                "schedulers must produce identical wire-level outcomes"
-            ),
-        }
-        let events_per_second = wire.events as f64 / (elapsed_ns as f64 / 1e9);
-        println!(
-            "  {:<8} {:>7} events in {:>6.1} ms -> {:>5.2} M events/s (outcomes identical)",
-            scheduler.name(),
-            wire.events,
-            elapsed_ns as f64 / 1e6,
-            events_per_second / 1e6,
-        );
-        rows.push(SchedulerRow {
-            scheduler: scheduler.name(),
-            events: wire.events,
-            elapsed_ns,
-            events_per_second,
-        });
-    }
     rows
 }
 
@@ -1525,7 +1435,6 @@ fn main() {
     let messages = 10u64;
     let dumbbell_rows = part1_dumbbell(10, 50, messages);
     let mesh_rows = part2_mesh(messages);
-    let scheduler_rows = part3_schedulers(messages);
     let failover_row = part4_survivability(3);
     let (distributed_rows, parity_row) = part5_distributed();
     let convergence_row = part5b_convergence();
@@ -1560,7 +1469,6 @@ fn main() {
     let results = Results {
         dumbbell: dumbbell_rows,
         mesh: mesh_rows,
-        schedulers: scheduler_rows,
         failover: vec![failover_row],
         distributed: distributed_rows,
         parity: vec![parity_row],

@@ -204,23 +204,6 @@ impl RtNetworkBuilder {
         self
     }
 
-    /// Shorthand: pick the event scheduler the simulator runs on — the
-    /// calendar queue by default, [`rt_netsim::SchedulerKind::Heap`] for the
-    /// bit-exact reference.
-    pub fn scheduler(mut self, scheduler: rt_netsim::SchedulerKind) -> Self {
-        self.sim.scheduler = scheduler;
-        self
-    }
-
-    /// Shorthand: pick how the simulator stores in-flight frame payloads —
-    /// arena-pooled buffers by default,
-    /// [`rt_netsim::FrameStoreKind::Owned`] for the clone-per-delivery
-    /// reference.
-    pub fn frame_store(mut self, frame_store: rt_netsim::FrameStoreKind) -> Self {
-        self.sim.frame_store = frame_store;
-        self
-    }
-
     /// The path-selection policy.  Defaults to [`ShortestPathRouter`]
     /// (identical to the historical tree routing on trees and stars; picks
     /// shortest paths on meshes).  Use [`rt_types::TreeRouter`] to *enforce*
@@ -992,7 +975,7 @@ mod tests {
     }
 
     /// The payload is *moved* from the wire into `received_messages()`
-    /// (arena decode → classify → `handle_data`, no copy in between): what
+    /// (the delivery's clone → classify → `handle_data`, no copy in between): what
     /// arrives must still be exactly what `prepare_data` was given — headers
     /// cut off, nothing of the padding or the neighbour left in.
     #[test]
@@ -1221,47 +1204,30 @@ mod tests {
         assert!(RtNetwork::builder().star(0).build().is_ok());
     }
 
+    /// Establishment plus ten periodic messages across a ring: control and
+    /// data events interleaved in one calendar (debug builds check every
+    /// pop of it against the reference heap).
     #[test]
-    fn builder_wires_the_scheduler_through() {
-        use rt_netsim::SchedulerKind;
-        let heap = RtNetwork::builder()
-            .star(2)
-            .scheduler(SchedulerKind::Heap)
+    fn an_established_channel_run_on_a_ring_delivers_every_frame_in_time() {
+        let mut net = RtNetwork::builder()
+            .topology(Topology::ring(4, 2))
+            .multihop_dps(MultiHopDps::Asymmetric)
             .build()
             .unwrap();
-        assert_eq!(heap.simulator().scheduler_kind(), SchedulerKind::Heap);
-        let default = RtNetwork::builder().star(2).build().unwrap();
-        assert_eq!(
-            default.simulator().scheduler_kind(),
-            SchedulerKind::default()
-        );
-    }
-
-    #[test]
-    fn schedulers_agree_on_an_established_channel_run() {
-        use rt_netsim::SchedulerKind;
-        let drive = |scheduler: SchedulerKind| {
-            let mut net = RtNetwork::builder()
-                .topology(Topology::ring(4, 2))
-                .scheduler(scheduler)
-                .multihop_dps(MultiHopDps::Asymmetric)
-                .build()
-                .unwrap();
-            let spec = RtChannelSpec::paper_default();
-            let tx = net
-                .establish_channel(NodeId::new(0), NodeId::new(7), spec)
-                .unwrap()
-                .expect("empty ring accepts the channel");
-            let start = net.now() + Duration::from_millis(1);
-            net.send_periodic(NodeId::new(0), tx.id, 10, 900, start)
-                .unwrap();
-            net.run_to_completion().unwrap();
-            net.received_messages()
-                .iter()
-                .map(|m| (m.receiver, m.delivered_at))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(drive(SchedulerKind::Heap), drive(SchedulerKind::Calendar));
+        let spec = RtChannelSpec::paper_default();
+        let tx = net
+            .establish_channel(NodeId::new(0), NodeId::new(7), spec)
+            .unwrap()
+            .expect("empty ring accepts the channel");
+        let start = net.now() + Duration::from_millis(1);
+        net.send_periodic(NodeId::new(0), tx.id, 10, 900, start)
+            .unwrap();
+        net.run_to_completion().unwrap();
+        let received = net.received_messages();
+        assert_eq!(received.len() as u64, 10 * spec.capacity.get());
+        assert!(received
+            .iter()
+            .all(|m| m.receiver == NodeId::new(7) && !m.missed_deadline));
     }
 
     #[test]

@@ -137,13 +137,21 @@ impl<T> FcfsQueue<T> {
         Self::default()
     }
 
-    /// A FCFS queue that holds at most `capacity` items.
+    /// A FCFS queue that holds at most `capacity` items.  The capacity is a
+    /// bound, not a reservation: the buffer is allocated on first use (a
+    /// fabric has thousands of ports, most of which never see a best-effort
+    /// frame).
     pub fn bounded(capacity: usize) -> Self {
         FcfsQueue {
-            queue: VecDeque::with_capacity(capacity),
             capacity: Some(capacity),
-            dropped: 0,
+            ..Self::default()
         }
+    }
+
+    /// Slots the buffer has allocated so far.
+    #[cfg(test)]
+    fn buffer_capacity(&self) -> usize {
+        self.queue.capacity()
     }
 
     /// Number of queued items.
@@ -267,6 +275,18 @@ mod tests {
         assert_eq!(q.dropped(), 1);
         q.pop();
         assert!(q.push('c'));
+        assert_eq!(q.dropped(), 1);
+    }
+
+    #[test]
+    fn fcfs_bound_reserves_nothing_until_used() {
+        let mut q = FcfsQueue::bounded(1024);
+        assert_eq!(q.buffer_capacity(), 0, "an unused queue owns no buffer");
+        for item in 0..1024 {
+            assert!(q.push(item));
+        }
+        assert!(!q.push(1024), "push capacity + 1 is refused");
+        assert_eq!(q.len(), 1024);
         assert_eq!(q.dropped(), 1);
     }
 

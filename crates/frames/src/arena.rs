@@ -1,12 +1,16 @@
 //! Arena-pooled frame buffers.
 //!
-//! The simulator's store-and-forward hot path used to clone an owned
-//! `Vec<u8>` payload at every hop; this module replaces that with a slab of
-//! reusable buffers.  A frame's bytes are written **once** at injection into
-//! a buffer borrowed from the [`FrameArena`], every subsequent hop hands off
-//! the lightweight [`FrameRef`] index, and the buffer returns to the pool at
-//! delivery or drop.  In steady state the pool therefore performs **zero**
-//! allocations per frame: buffers are recycled by size class.
+//! A slab of reusable frame buffers: bytes are written **once** into a
+//! buffer borrowed from the [`FrameArena`], the lightweight [`FrameRef`]
+//! index is what gets handed around, and the buffer returns to the pool when
+//! freed, so in steady state the pool performs **zero** allocations per
+//! frame: buffers are recycled by size class.
+//!
+//! The simulator no longer stores frames here — measured on `wire_preload`
+//! and `wire_rt`, a frame record owning the `EthernetFrame` it was injected
+//! with was faster and smaller in every run (ARCHITECTURE.md, *The frame
+//! memory model*).  The type stays only because the frozen benchmark's
+//! `frames.arena.alloc_free_ns` kernel times it; it leaves with that row.
 //!
 //! Three size classes keep recycled capacity close to what frames actually
 //! need: small (control frames), medium (sensor-sized data), and MTU

@@ -86,72 +86,6 @@ impl EthernetFrame {
         *out = w.into_vec();
     }
 
-    /// Append the *unpadded* form to `out`: header + raw payload, no
-    /// minimum-size padding and no FCS.  This is the representation stored
-    /// in the frame arena — unlike the wire form it round-trips through
-    /// [`decode_unpadded`] without growing short payloads, so the
-    /// reconstructed struct (and hence its re-encoded wire bytes) is
-    /// identical to the original.
-    ///
-    /// [`decode_unpadded`]: EthernetFrame::decode_unpadded
-    pub fn encode_unpadded_into(&self, out: &mut Vec<u8>) {
-        let mut w = ByteWriter::from_vec(std::mem::take(out));
-        w.put_slice(&self.dst.octets());
-        w.put_slice(&self.src.octets());
-        w.put_u16(self.ethertype);
-        w.put_slice(&self.payload);
-        *out = w.into_vec();
-    }
-
-    /// Write the unpadded form into an exactly-sized slice (the shape the
-    /// frame arena hands out: [`unpadded_len`] bytes, no spare capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.unpadded_len()`.
-    ///
-    /// [`unpadded_len`]: EthernetFrame::unpadded_len
-    pub fn encode_unpadded_to_slice(&self, out: &mut [u8]) {
-        assert_eq!(
-            out.len(),
-            self.unpadded_len(),
-            "slice must be exactly unpadded_len bytes"
-        );
-        out[0..6].copy_from_slice(&self.dst.octets());
-        out[6..12].copy_from_slice(&self.src.octets());
-        out[12..14].copy_from_slice(&self.ethertype.to_be_bytes());
-        out[ETH_HEADER_BYTES..].copy_from_slice(&self.payload);
-    }
-
-    /// Length of the unpadded form produced by
-    /// [`EthernetFrame::encode_unpadded_into`].
-    pub fn unpadded_len(&self) -> usize {
-        ETH_HEADER_BYTES + self.payload.len()
-    }
-
-    /// Parse the unpadded form produced by
-    /// [`EthernetFrame::encode_unpadded_into`]: everything after the header
-    /// is payload (there is no FCS to strip).
-    pub fn decode_unpadded(bytes: &[u8]) -> RtResult<Self> {
-        let mut r = ByteReader::new(bytes, "EthernetFrame(unpadded)");
-        let dst = MacAddr::new(r.get_array::<6>()?);
-        let src = MacAddr::new(r.get_array::<6>()?);
-        let ethertype = r.get_u16()?;
-        let payload = r.get_rest().to_vec();
-        if payload.len() > ETH_MTU_BYTES {
-            return Err(RtError::FrameDecode(format!(
-                "EthernetFrame: payload of {} bytes exceeds MTU",
-                payload.len()
-            )));
-        }
-        Ok(EthernetFrame {
-            dst,
-            src,
-            ethertype,
-            payload,
-        })
-    }
-
     /// Parse a frame from its serialised form (as produced by [`encode`]).
     ///
     /// Padding cannot be distinguished from payload at this layer, so the
@@ -262,44 +196,5 @@ mod tests {
             f.encode_into(&mut out);
             assert_eq!(out, f.encode());
         }
-    }
-
-    #[test]
-    fn unpadded_round_trip_is_struct_exact() {
-        let (dst, src) = addrs();
-        // Short payloads are exactly where the wire form loses information
-        // to padding; the unpadded form must not.
-        let f = EthernetFrame::new(dst, src, 0x88B5, vec![7, 8]).unwrap();
-        let mut stored = Vec::new();
-        f.encode_unpadded_into(&mut stored);
-        assert_eq!(stored.len(), f.unpadded_len());
-        let g = EthernetFrame::decode_unpadded(&stored).unwrap();
-        assert_eq!(g, f);
-        // And therefore the re-encoded wire bytes are identical too.
-        assert_eq!(g.encode(), f.encode());
-        // The slice writer (the arena's fill path) produces the same image.
-        let mut slice_form = vec![0xffu8; f.unpadded_len()];
-        f.encode_unpadded_to_slice(&mut slice_form);
-        assert_eq!(slice_form, stored);
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly unpadded_len")]
-    fn slice_encoder_rejects_misfit_slices() {
-        let (dst, src) = addrs();
-        let f = EthernetFrame::new(dst, src, 0x88B5, vec![7, 8]).unwrap();
-        let mut short = vec![0u8; f.unpadded_len() - 1];
-        f.encode_unpadded_to_slice(&mut short);
-    }
-
-    #[test]
-    fn decode_unpadded_rejects_truncation_and_oversize() {
-        assert!(EthernetFrame::decode_unpadded(&[0u8; 13]).is_err());
-        let (dst, src) = addrs();
-        let f = EthernetFrame::new(dst, src, ETHERTYPE_IPV4, vec![0; 1500]).unwrap();
-        let mut stored = Vec::new();
-        f.encode_unpadded_into(&mut stored);
-        stored.push(0); // 1501-byte payload
-        assert!(EthernetFrame::decode_unpadded(&stored).is_err());
     }
 }

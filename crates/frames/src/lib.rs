@@ -14,12 +14,13 @@
 //! * a top-level [`codec::Frame`] enum that classifies and round-trips any of
 //!   the above (plus [`codec::Frame::peek`], the borrowed zero-copy
 //!   classifier the simulator hot path uses),
-//! * an arena of reusable frame buffers ([`arena`]) so the simulator can
-//!   pass a [`arena::FrameRef`] index hop to hop instead of cloning payloads.
+//! * an arena of reusable frame buffers ([`arena`]): measured against plain
+//!   owned frames and no longer used by the simulator; it stays only until
+//!   the benchmark's `frames.arena.*` rows, which time it, are retired.
 //!
 //! Every codec offers both an owned `encode() -> Vec<u8>` entry point and an
 //! `encode_into(&mut Vec<u8>)` variant that appends to a caller-supplied
-//! (typically arena-pooled) buffer; the two are byte-for-byte identical,
+//! buffer; the two are byte-for-byte identical,
 //! which the golden-bytes tests in each module enforce.
 //!
 //! Everything is plain safe Rust over `Vec<u8>`/`&[u8]`; no external byte

@@ -17,12 +17,12 @@
 //! frames.
 //!
 //! Modules:
-//! * [`event`] — the simulation clock and the pluggable event scheduler
-//!   (calendar queue; the binary heap is the reference),
+//! * [`event`] — the simulation clock and the event scheduler (a calendar
+//!   queue; debug builds check it, pop by pop, against a binary heap),
 //! * [`port`] — the dual-queue (RT + best effort) output port model,
 //! * `switch` (private) — the forwarding core: what the fabric does with one
 //!   event, written once over a read-only fabric view, one lane of mutable
-//!   state and a three-method sink,
+//!   state and a two-method sink,
 //! * [`sim`] — the single-thread driver of that core and the public
 //!   front-end: construction, injection, channel wire state, faults,
 //! * [`shard`] — the parallel driver: conservative time windows over worker
@@ -39,13 +39,10 @@ pub mod sim;
 pub mod stats;
 mod switch;
 
-pub use event::{
-    CalendarScheduler, Event, EventQueue, EventScheduler, HeapScheduler, SchedulerKind,
-};
+pub use event::{CalendarScheduler, Event, EventQueue, EventScheduler, HeapScheduler};
 pub use port::{OutputPort, QueuedFrame, TrafficClass};
 pub use shard::ShardedSimulator;
 pub use sim::{
-    Delivery, FaultScript, FrameId, FrameInjection, FrameStoreKind, LinkFault, SimConfig,
-    Simulator, TrafficSource,
+    Delivery, FaultScript, FrameId, FrameInjection, LinkFault, SimConfig, Simulator, TrafficSource,
 };
 pub use stats::{ChannelStats, LinkStats, SimStats};

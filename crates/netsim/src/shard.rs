@@ -9,8 +9,8 @@
 //! node and the directed trunk ports leaving an owned switch.  Each shard
 //! drives the one forwarding core (`crate::switch`) over a lane of its own —
 //! its own calendar, ports and [`SimStats`] — through a sink that stages
-//! switch arrivals and parks deliveries and freed buffers; the coordinator
-//! folds everything back together at the end of the run.  No forwarding
+//! switch arrivals and parks deliveries; the coordinator folds everything
+//! back together at the end of the run.  No forwarding
 //! rule lives in this file.
 //!
 //! # Synchronisation
@@ -22,8 +22,8 @@
 //! `V` the globally minimal pending time, every shard may safely execute
 //! `[V, V + L)` — no event executed in the window can produce a cross-shard
 //! arrival inside it.  Cross-shard arrivals travel as `(time, switch,
-//! FrameId)` triples over lock-free SPSC rings (the arena store makes this
-//! an index move, not a buffer copy); ring overflow spills through the
+//! FrameId)` triples over lock-free SPSC rings (the frame itself stays in
+//! the shared read-only fabric); ring overflow spills through the
 //! coordinator, so the rings bound memory, never correctness.
 //!
 //! # Determinism (oracle pinning)
@@ -64,14 +64,14 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use rt_frames::{EthernetFrame, FrameRef};
+use rt_frames::EthernetFrame;
 use rt_types::{
     effective_shards, partition_switches, ChannelId, DenseNextHop, Duration, HopLink, NodeId,
     Route, Router, RtError, RtResult, ShardStrategy, SimTime, SwitchId, Topology,
     MIN_FRAME_WIRE_BYTES,
 };
 
-use crate::event::{Event, SchedulerKind};
+use crate::event::Event;
 use crate::sim::{Delivery, FaultScript, FrameId, FrameInjection, LinkFault, SimConfig, Simulator};
 use crate::stats::SimStats;
 use crate::switch::{self, Core, Fabric, Lane, PortFlips, Sink};
@@ -200,7 +200,6 @@ struct Report {
 struct WorkerFinal {
     stats: SimStats,
     deliveries: Vec<(DeliveryKey, Delivery)>,
-    freed: Vec<FrameRef>,
     processed: u64,
     last_ns: u64,
 }
@@ -223,9 +222,9 @@ struct Staged {
 // ---------------------------------------------------------------------------
 
 /// A shard's [`Sink`]: switch arrivals are staged for deterministic
-/// ingestion or pushed onto the owning shard's ring, and deliveries, freed
-/// buffers and (in the lane) statistics are parked for the end-of-run merge
-/// — the arena and the delivery list belong to the coordinator.
+/// ingestion or pushed onto the owning shard's ring, and deliveries and (in
+/// the lane) statistics are parked for the end-of-run merge — the delivery
+/// list belongs to the coordinator.
 struct ShardSink<'a> {
     fabric: &'a Fabric,
     /// Dense switch index → owning shard.
@@ -238,7 +237,6 @@ struct ShardSink<'a> {
     outbox: Vec<Arc<SpscRing>>,
     spill: Vec<(u32, RingEntry)>,
     outbound_min_ns: u64,
-    freed: Vec<FrameRef>,
     deliveries: Vec<(DeliveryKey, Delivery)>,
 }
 
@@ -277,12 +275,6 @@ impl Sink for ShardSink<'_> {
                 self.spill.push((dest, entry));
             }
         }
-    }
-
-    /// Frees are deferred to the coordinator: the arena is shared read-only
-    /// during the run.
-    fn release(&mut self, buffer: FrameRef) {
-        self.freed.push(buffer);
     }
 
     fn deliver(&mut self, delivery: Delivery, since_scheduled: Duration) {
@@ -477,7 +469,6 @@ fn worker_main(
     let _ = finals.send(WorkerFinal {
         stats: worker.lane.stats,
         deliveries: worker.sink.deliveries,
-        freed: worker.sink.freed,
         processed: worker.lane.events.processed(),
         last_ns: worker.last_ns,
     });
@@ -493,10 +484,9 @@ fn worker_main(
 /// single-thread [`Simulator`]; [`ShardedSimulator::run_to_idle`] then
 /// executes the preloaded event set across worker threads under the
 /// conservative window protocol described in the [module docs](self), and
-/// merges deliveries, statistics and arena buffers back so that every
-/// observable — `poll_deliveries`, `stats().summary()`, per-channel and
-/// per-link counters, `arena_outstanding()` — is byte-for-byte identical to
-/// the single-thread run.
+/// merges deliveries and statistics back so that every observable —
+/// `poll_deliveries`, `stats().summary()`, per-channel and per-link
+/// counters — is byte-for-byte identical to the single-thread run.
 pub struct ShardedSimulator {
     inner: Simulator,
     shards: usize,
@@ -689,16 +679,6 @@ impl ShardedSimulator {
         self.inner.injected_count()
     }
 
-    /// See [`Simulator::arena_outstanding`].
-    pub fn arena_outstanding(&self) -> usize {
-        self.inner.arena_outstanding()
-    }
-
-    /// See [`Simulator::arena_stats`].
-    pub fn arena_stats(&self) -> rt_frames::ArenaStats {
-        self.inner.arena_stats()
-    }
-
     // --- execution --------------------------------------------------------
 
     /// Run the preloaded event set to completion across the worker shards;
@@ -778,12 +758,7 @@ impl ShardedSimulator {
                 let finals = final_tx.clone();
                 scope.spawn(move || {
                     let worker = Worker {
-                        lane: Lane::new(
-                            &fabric.config,
-                            SchedulerKind::Calendar,
-                            &fabric.port_links,
-                            dense,
-                        ),
+                        lane: Lane::new(&fabric.config, &fabric.port_links, dense),
                         sink: ShardSink {
                             fabric,
                             assignment,
@@ -793,7 +768,6 @@ impl ShardedSimulator {
                             outbox,
                             spill: Vec::new(),
                             outbound_min_ns: u64::MAX,
-                            freed: Vec::new(),
                             deliveries: Vec::new(),
                         },
                         batch: Vec::new(),
@@ -888,9 +862,6 @@ impl ShardedSimulator {
         for done in final_rx.iter() {
             self.inner.lane.stats.merge_from(&done.stats);
             deliveries.extend(done.deliveries);
-            for buffer in done.freed {
-                self.inner.fabric.arena.free(buffer);
-            }
             self.extra_processed += done.processed;
             last_ns = last_ns.max(done.last_ns);
         }

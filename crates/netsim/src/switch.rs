@@ -5,15 +5,15 @@
 //! The core runs over three things:
 //!
 //! * a [`Fabric`] it only reads — the dense index tables, the per-channel
-//!   wire state, the frame records and the arena holding their bytes;
+//!   wire state and the frame records, each holding the frame it was
+//!   injected with;
 //! * a [`Lane`] it writes — the output ports, their dead/doomed flags, the
 //!   pending-event set, the routing table in force and the statistics.  The
 //!   single-thread [`crate::sim::Simulator`] has one lane; every shard of
 //!   the [`crate::shard::ShardedSimulator`] has its own, over the full
 //!   dense port space, and touches only the ports it owns;
-//! * a [`Sink`] for the three things the drivers do differently: where a
-//!   switch arrival goes, when a pooled buffer goes back to the arena and
-//!   how a [`Delivery`] is recorded.
+//! * a [`Sink`] for the two things the drivers do differently: where a
+//!   switch arrival goes and how a [`Delivery`] is recorded.
 //!
 //! Everything else — egress selection, the queue deadline, enqueueing,
 //! start of transmission, delivery, every drop rule and the death and
@@ -21,13 +21,13 @@
 
 use std::sync::Arc;
 
-use rt_frames::{EthernetFrame, FrameArena, FrameRef};
+use rt_frames::EthernetFrame;
 use rt_types::{
     ChannelId, DenseNextHop, Duration, HopLink, IdIndex, NodeId, Router, RtResult, SimTime,
     SwitchId, Topology, NO_INDEX,
 };
 
-use crate::event::{Event, EventQueue, SchedulerKind};
+use crate::event::{Event, EventQueue};
 use crate::port::{OutputPort, TrafficClass};
 use crate::sim::{Delivery, FrameId, LinkFault, SimConfig};
 use crate::stats::SimStats;
@@ -60,22 +60,11 @@ pub(crate) enum FrameDest {
     Unknown,
 }
 
-/// Where one frame's bytes live while it crosses the fabric.
-#[derive(Debug, Clone)]
-pub(crate) enum StoredFrame {
-    /// The decoded frame, owned by the record
-    /// ([`crate::sim::FrameStoreKind::Owned`]).
-    Owned(EthernetFrame),
-    /// An index into the fabric's [`FrameArena`]
-    /// ([`crate::sim::FrameStoreKind::Arena`]): the buffer holds the
-    /// unpadded wire image and is freed back to the pool at delivery or drop.
-    Pooled(FrameRef),
-}
-
 /// Everything the simulator remembers about one injected frame.
 #[derive(Debug, Clone)]
 pub(crate) struct FrameRecord {
-    pub(crate) stored: StoredFrame,
+    /// The frame as it was injected; a delivery hands out a clone.
+    pub(crate) eth: EthernetFrame,
     pub(crate) class: TrafficClass,
     /// Absolute end-to-end deadline (simulated time) for RT frames.
     pub(crate) deadline: Option<SimTime>,
@@ -187,10 +176,6 @@ pub(crate) struct Fabric {
     /// (re-admission under the same id) clears the flag.
     pub(crate) released_channels: Vec<bool>,
     pub(crate) frames: Vec<FrameRecord>,
-    /// Pooled buffers for in-flight frame bytes
-    /// ([`crate::sim::FrameStoreKind::Arena`]); empty and untouched in
-    /// `Owned` mode.
-    pub(crate) arena: FrameArena,
 }
 
 impl Fabric {
@@ -309,7 +294,6 @@ pub(crate) struct Lane {
 impl Lane {
     pub(crate) fn new(
         config: &SimConfig,
-        scheduler: SchedulerKind,
         port_links: &[HopLink],
         dense: Arc<DenseNextHop>,
     ) -> Self {
@@ -318,7 +302,7 @@ impl Lane {
             None => OutputPort::new(),
         };
         Lane {
-            events: EventQueue::with_scheduler(scheduler),
+            events: EventQueue::new(),
             dense,
             ports: (0..port_links.len()).map(make_port).collect(),
             dead: vec![false; port_links.len()],
@@ -352,15 +336,11 @@ impl Lane {
 // What the drivers do differently
 // ---------------------------------------------------------------------------
 
-/// The three decisions the core leaves to its driver.
+/// The two decisions the core leaves to its driver.
 pub(crate) trait Sink {
     /// A frame has fully crossed a link into dense switch `switch` and
     /// becomes eligible for forwarding there at `at`.
     fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId);
-
-    /// A frame left the fabric, delivered or dropped: its pooled buffer is
-    /// no longer read.  Called exactly once per pooled frame.
-    fn release(&mut self, buffer: FrameRef);
 
     /// A frame reached its receiver.  `since_scheduled` is how long before
     /// `delivery.delivered_at` the delivering event was scheduled.
@@ -488,7 +468,6 @@ impl<S: Sink> Core<'_, S> {
                             // state for it any more, so the frame is
                             // discarded, not delivered on a stale route.
                             self.lane.stats.record_released_channel_drop();
-                            self.discard_frame(frame);
                             return;
                         }
                         match self.egress_port(at, dest_node, dest_switch, record.channel) {
@@ -497,7 +476,6 @@ impl<S: Sink> Core<'_, S> {
                                 // points at the cut trunk; the frame is lost
                                 // until the channel is re-routed.
                                 self.lane.stats.record_failed_link_drop();
-                                self.discard_frame(frame);
                             }
                             port => self.forward(now, frame, port),
                         }
@@ -527,7 +505,6 @@ impl<S: Sink> Core<'_, S> {
                         // transmission still held it busy — restart it.
                         self.lane.doomed[p] = false;
                         self.lane.stats.record_failed_link_drop();
-                        self.discard_frame(frame);
                     } else {
                         // Store-and-forward at the receiving switch, exactly
                         // as for a frame arriving over an uplink.
@@ -594,10 +571,7 @@ impl<S: Sink> Core<'_, S> {
                 self.enqueue_at_port(frame, port);
                 self.try_start_tx(now, port);
             }
-            None => {
-                self.lane.stats.record_unroutable();
-                self.discard_frame(frame);
-            }
+            None => self.lane.stats.record_unroutable(),
         }
     }
 
@@ -615,7 +589,6 @@ impl<S: Sink> Core<'_, S> {
             TrafficClass::BestEffort => {
                 if !out.enqueue_be(frame) {
                     self.lane.stats.record_be_drop();
-                    self.discard_frame(frame);
                 }
             }
         }
@@ -679,26 +652,12 @@ impl<S: Sink> Core<'_, S> {
             }
             TrafficClass::BestEffort => self.lane.stats.record_be_delivery(),
         }
-        // Materialise the public `Delivery` frame: the owned store clones
-        // its decoded frame; the arena store decodes the pooled unpadded
-        // wire image (struct-exact, so deliveries are byte-for-byte
-        // identical across stores) and hands the buffer back.
-        let eth = match &record.stored {
-            StoredFrame::Owned(eth) => eth.clone(),
-            StoredFrame::Pooled(r) => {
-                let eth = EthernetFrame::decode_unpadded(self.fabric.arena.bytes(*r)).expect(
-                    "a pooled buffer holds the image encode_unpadded_to_slice wrote at injection",
-                );
-                self.sink.release(*r);
-                eth
-            }
-        };
         let delivery = Delivery {
             frame,
             receiver,
             switch,
             source: record.source,
-            eth,
+            eth: record.eth.clone(),
             injected_at: record.injected_at,
             delivered_at: now,
             channel: record.channel,
@@ -706,17 +665,6 @@ impl<S: Sink> Core<'_, S> {
             class: record.class,
         };
         self.sink.deliver(delivery, since_scheduled);
-    }
-
-    /// A frame leaves the fabric without being delivered (unroutable, BE
-    /// overflow, released channel, dead link): hand its pooled buffer back.
-    /// Every drop site must call this exactly once — the arena-leak
-    /// invariant (`arena_outstanding() == 0` once the fabric drains) is
-    /// what the property suite checks.
-    fn discard_frame(&mut self, frame: FrameId) {
-        if let StoredFrame::Pooled(r) = self.fabric.record(frame).stored {
-            self.sink.release(r);
-        }
     }
 
     /// Carry out a fault's port flips at `now`.  A killed port is marked
@@ -732,9 +680,8 @@ impl<S: Sink> Core<'_, S> {
             if self.lane.ports[p].is_busy(now) {
                 self.lane.doomed[p] = true;
             }
-            for lost in self.lane.ports[p].drain() {
+            for _ in self.lane.ports[p].drain() {
                 self.lane.stats.record_failed_link_drop();
-                self.discard_frame(lost.frame);
             }
         }
         for &port in &flips.revives {
@@ -749,13 +696,11 @@ mod tests {
     use crate::sim::tests::{be_frame, rt_frame};
     use crate::sim::Simulator;
     use rt_types::Route;
-    use std::collections::HashSet;
 
     /// A sink that keeps what the core hands it (and feeds switch arrivals
     /// back into the lane, so a frame keeps travelling).
     #[derive(Default)]
     struct Recording {
-        released: Vec<FrameRef>,
         delivered: Vec<FrameId>,
     }
 
@@ -763,10 +708,6 @@ mod tests {
         fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId) {
             let switch = lane.dense.switch_at(switch);
             lane.schedule(at, Event::ArriveAtSwitch { switch, frame });
-        }
-
-        fn release(&mut self, buffer: FrameRef) {
-            self.released.push(buffer);
         }
 
         fn deliver(&mut self, delivery: Delivery, _since_scheduled: Duration) {
@@ -795,13 +736,12 @@ mod tests {
         delivered: Vec<u64>,
     }
 
-    /// Every undelivered exit releases the frame's buffer exactly once and
-    /// bumps exactly one drop counter; a repaired port that picked up a
-    /// frame behind a doomed transmission restarts.  Driven through the core
+    /// Every undelivered exit bumps exactly one drop counter; a repaired port
+    /// that picked up a frame behind a doomed transmission restarts.  Driven through the core
     /// alone, on a two-switch line (node 0 — switch 0 — switch 1 — node 1):
     /// the port flips are applied by hand, the topology never changes.
     #[test]
-    fn every_undelivered_exit_releases_once_and_counts_once() {
+    fn every_undelivered_exit_counts_once() {
         let config = SimConfig::default();
         let tx = |eth: &EthernetFrame| config.link_speed.transmission_time(eth.wire_bytes());
         let hop = config.propagation_delay + config.switch_latency;
@@ -951,13 +891,11 @@ mod tests {
             assert_eq!(stats.total_dropped(), case.lost, "{name}: no other counter");
             let delivered: Vec<u64> = sink.delivered.iter().map(|f| f.get()).collect();
             assert_eq!(delivered, case.delivered, "{name}: deliveries");
-            let distinct: HashSet<FrameRef> = sink.released.iter().copied().collect();
             assert_eq!(
-                sink.released.len(),
-                distinct.len(),
-                "{name}: double release"
+                stats.total_dropped() + sink.delivered.len() as u64,
+                case.frames.len() as u64,
+                "{name}: every frame is delivered or dropped"
             );
-            assert_eq!(distinct.len(), case.frames.len(), "{name}: leaked buffer");
         }
     }
 }

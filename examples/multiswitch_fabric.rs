@@ -23,9 +23,7 @@
 //! counts.
 
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
-use switched_rt_ethernet::netsim::{
-    FaultScript, FrameStoreKind, SchedulerKind, ShardedSimulator, SimConfig, Simulator,
-};
+use switched_rt_ethernet::netsim::{FaultScript, ShardedSimulator, SimConfig, Simulator};
 use switched_rt_ethernet::traffic::{FabricScenario, ScenarioFrameSource};
 use switched_rt_ethernet::types::{Duration, HopLink, SimTime, SwitchId};
 
@@ -46,12 +44,7 @@ fn sharded_smoke(shards: usize) {
         )
         .repair_at(SimTime::from_millis(2), SwitchId::new(1), SwitchId::new(2));
 
-    let oracle_config = SimConfig {
-        scheduler: SchedulerKind::Heap,
-        frame_store: FrameStoreKind::Arena,
-        ..SimConfig::default()
-    };
-    let mut oracle = Simulator::with_topology(oracle_config, fabric.topology())
+    let mut oracle = Simulator::with_topology(SimConfig::default(), fabric.topology())
         .expect("a line fabric always builds");
     oracle
         .inject_batch(workload.clone())
@@ -67,12 +60,7 @@ fn sharded_smoke(shards: usize) {
         .map(|d| (d.frame, d.receiver, d.delivered_at, d.eth.encode()))
         .collect();
 
-    let sharded_config = SimConfig {
-        scheduler: SchedulerKind::Calendar,
-        frame_store: FrameStoreKind::Arena,
-        ..SimConfig::default()
-    };
-    let mut sharded = ShardedSimulator::new(sharded_config, fabric.topology(), shards)
+    let mut sharded = ShardedSimulator::new(SimConfig::default(), fabric.topology(), shards)
         .expect("a line fabric satisfies the lookahead bound");
     sharded.inject_batch(workload).expect("workload is valid");
     sharded
@@ -101,7 +89,6 @@ fn sharded_smoke(shards: usize) {
         "sharded deliveries must be byte-identical to the oracle"
     );
     assert_eq!(oracle_events, sharded.events_processed());
-    assert_eq!(sharded.arena_outstanding(), 0, "no pooled buffer may leak");
     println!(
         "oracle and sharded runs identical: {} deliveries, {} events, summary {}",
         sharded_deliveries.len(),

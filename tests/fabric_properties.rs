@@ -10,18 +10,18 @@
 //!    frame is accounted for: `injected = delivered + dropped` (best-effort
 //!    overflow, unroutable, failed-link and released-channel drops), with
 //!    and without fault injection.
-//! 2. **Scheduler equivalence** — the calendar queue and the binary heap
-//!    produce byte-for-byte identical delivery sequences and statistics on
-//!    the same random fabric + workload (+ fault script).
+//! 2. **Scheduler equivalence** — the calendar queue pops the `(time,
+//!    event)` sequence the binary heap would, on every random fabric +
+//!    workload (+ fault script): `cargo test` builds the queue with its
+//!    reference heap beside the calendar, checked on every pop.
 //! 3. **Admission soundness** — channels admitted by the per-link EDF
 //!    analysis never miss a deadline on the wire, and every measured
 //!    latency stays below the hop-aware Eq. 18.1 bound
 //!    `d·slot + T_latency(h)`.
-//! 4. **Arena hygiene** — with the pooled frame store, every buffer taken
-//!    from the [`rt_frames::FrameArena`] is returned once the fabric
-//!    drains: `arena_outstanding() == 0` after every scenario, faulted or
-//!    not. Delivery frees; every drop path must free too. The pooled and
-//!    owned stores must also be observationally identical.
+//! 4. **What goes in comes out** — every delivered frame is struct-equal,
+//!    and `encode()`-byte-equal, to the frame injected under its id, single
+//!    thread and sharded, faulted or not, with Ethernet payloads of 0, 1,
+//!    45, 46 (the padding boundary) and 1500 bytes in every workload.
 //! 5. **Churn determinism** — the long-running admission churn process
 //!    replays a byte-identical admission trace from the same seed, and the
 //!    central and distributed control planes produce that same trace,
@@ -35,8 +35,7 @@ mod common;
 use common::ControlHarness;
 use switched_rt_ethernet::core::{ChannelManager, MultiHopDps, RtChannelSpec, RtNetwork};
 use switched_rt_ethernet::netsim::{
-    Delivery, FaultScript, FrameInjection, FrameStoreKind, SchedulerKind, ShardedSimulator,
-    SimConfig, Simulator,
+    Delivery, FaultScript, FrameId, FrameInjection, ShardedSimulator, SimConfig, Simulator,
 };
 use switched_rt_ethernet::types::{
     ChannelId, ConnectionRequestId, Duration, KShortestRouter, MacAddr, ManagerPlacement,
@@ -132,13 +131,37 @@ fn rt_frame(
     .unwrap()
 }
 
+/// Ethernet payload lengths every workload carries: empty, one byte, either
+/// side of the 46-byte minimum (where `encode` starts or stops padding) and
+/// the MTU.
+const BOUNDARY_PAYLOADS: [usize; 5] = [0, 1, 45, 46, 1500];
+
+/// A bare Ethernet frame of an ethertype no codec claims (best effort on
+/// the wire), carrying `payload_len` random bytes.
+fn raw_frame(
+    rng: &mut Xoshiro256,
+    from: NodeId,
+    to: NodeId,
+    payload_len: usize,
+) -> rt_frames::EthernetFrame {
+    let payload = (0..payload_len).map(|_| rng.below(256) as u8).collect();
+    rt_frames::EthernetFrame::new(
+        MacAddr::for_node(to),
+        MacAddr::for_node(from),
+        0x88b6,
+        payload,
+    )
+    .unwrap()
+}
+
 /// A random mixed workload over the attached nodes: RT frames with random
 /// channels/deadlines plus best-effort frames, at random times within ~2 ms.
+/// The first five frames are bare Ethernet, one per [`BOUNDARY_PAYLOADS`].
 fn random_workload(rng: &mut Xoshiro256, topology: &Topology) -> Vec<FrameInjection> {
     let nodes: Vec<NodeId> = topology.nodes().collect();
     let frames = rng.range_inclusive(40, 160);
     let mut batch = Vec::with_capacity(frames as usize);
-    for _ in 0..frames {
+    for i in 0..frames as usize {
         let src = nodes[rng.below(nodes.len() as u64) as usize];
         let mut dst = nodes[rng.below(nodes.len() as u64) as usize];
         if dst == src {
@@ -146,7 +169,9 @@ fn random_workload(rng: &mut Xoshiro256, topology: &Topology) -> Vec<FrameInject
         }
         let at = SimTime::from_nanos(rng.below(2_000_000));
         let payload = rng.range_inclusive(50, 1400) as usize;
-        let eth = if rng.chance(0.5) {
+        let eth = if let Some(&boundary) = BOUNDARY_PAYLOADS.get(i) {
+            raw_frame(rng, src, dst, boundary)
+        } else if rng.chance(0.5) {
             let channel = rng.range_inclusive(1, 6) as u16;
             let deadline = at + Duration::from_nanos(rng.range_inclusive(50_000, 3_000_000));
             rt_frame(src, dst, channel, deadline, payload)
@@ -211,26 +236,43 @@ fn snapshot(deliveries: &[Delivery]) -> Snapshot {
         .collect()
 }
 
-/// Run one seed's workload (and optional fault script) on one scheduler and
-/// frame store; assert conservation and arena hygiene; return the
-/// observable outcome.
-fn drive(
-    seed: u64,
-    scheduler: SchedulerKind,
-    frame_store: FrameStoreKind,
-    with_faults: bool,
-) -> (Snapshot, String, u64) {
+/// Invariant 4: each delivery carries exactly the frame injected under its
+/// id — the same struct, hence the same wire bytes.
+fn assert_deliveries_are_what_went_in(
+    context: &str,
+    ids: &[FrameId],
+    workload: &[FrameInjection],
+    deliveries: &[Delivery],
+) {
+    assert_eq!(ids.len(), workload.len());
+    for delivery in deliveries {
+        let position = ids
+            .iter()
+            .position(|&id| id == delivery.frame)
+            .unwrap_or_else(|| panic!("{context}: {:?} was never injected", delivery.frame));
+        let sent = &workload[position].eth;
+        assert_eq!(
+            delivery.eth, *sent,
+            "{context}: {:?} changed in flight",
+            delivery.frame
+        );
+        assert_eq!(delivery.eth.encode(), sent.encode());
+    }
+}
+
+/// Run one seed's workload (and optional fault script); assert
+/// conservation and that what went in came out; return the observable
+/// outcome.
+fn drive(seed: u64, with_faults: bool) -> (Snapshot, String, u64) {
     let mut rng = Xoshiro256::new(seed);
     let topology = random_topology(&mut rng);
     let workload = random_workload(&mut rng, &topology);
     let faults = random_faults(&mut rng, &topology);
-    let config = SimConfig {
-        scheduler,
-        frame_store,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::with_topology(config, topology).expect("generated fabric is valid");
-    sim.inject_batch(workload).expect("workload is valid");
+    let mut sim = Simulator::with_topology(SimConfig::default(), topology)
+        .expect("generated fabric is valid");
+    let ids = sim
+        .inject_batch(workload.clone())
+        .expect("workload is valid");
     if with_faults {
         sim.schedule_faults(&faults).expect("faults are in-window");
     }
@@ -246,23 +288,10 @@ fn drive(
         stats.summary(),
     );
     assert_eq!(stats.clamped_events, 0, "seed {seed}: causality violated");
-    // Invariant 4: once the fabric drains, every pooled buffer is back in
-    // the free list — delivered frames free on decode, dropped frames free
-    // at their drop site. A leak here means some drop path forgot
-    // `discard_frame`.
-    assert_eq!(
-        sim.arena_outstanding(),
-        0,
-        "seed {seed}: {} arena buffers leaked after drain ({})",
-        sim.arena_outstanding(),
-        stats.summary(),
-    );
     let processed = sim.events_processed();
-    (
-        snapshot(&sim.poll_deliveries()),
-        sim.stats().summary(),
-        processed,
-    )
+    let deliveries = sim.poll_deliveries();
+    assert_deliveries_are_what_went_in(&format!("seed {seed}"), &ids, &workload, &deliveries);
+    (snapshot(&deliveries), sim.stats().summary(), processed)
 }
 
 /// [`drive`] on the sharded simulator: identical generation, identical
@@ -277,14 +306,11 @@ fn drive_sharded(
     let topology = random_topology(&mut rng);
     let workload = random_workload(&mut rng, &topology);
     let faults = random_faults(&mut rng, &topology);
-    let config = SimConfig {
-        scheduler: SchedulerKind::Calendar,
-        frame_store: FrameStoreKind::Arena,
-        ..SimConfig::default()
-    };
-    let mut sim = ShardedSimulator::with_strategy(config, topology, shards, strategy)
+    let mut sim = ShardedSimulator::with_strategy(SimConfig::default(), topology, shards, strategy)
         .expect("generated fabric is valid");
-    sim.inject_batch(workload).expect("workload is valid");
+    let ids = sim
+        .inject_batch(workload.clone())
+        .expect("workload is valid");
     if with_faults {
         sim.schedule_faults(&faults).expect("faults are in-window");
     }
@@ -300,61 +326,49 @@ fn drive_sharded(
         stats.clamped_events, 0,
         "seed {seed} x{shards}: sharded causality violated"
     );
-    assert_eq!(
-        sim.arena_outstanding(),
-        0,
-        "seed {seed} x{shards}: sharded run leaked arena buffers ({})",
-        stats.summary(),
-    );
     let processed = sim.events_processed();
-    (
-        snapshot(&sim.poll_deliveries()),
-        sim.stats().summary(),
-        processed,
-    )
+    let deliveries = sim.poll_deliveries();
+    assert_deliveries_are_what_went_in(
+        &format!("seed {seed} x{shards}"),
+        &ids,
+        &workload,
+        &deliveries,
+    );
+    (snapshot(&deliveries), sim.stats().summary(), processed)
 }
 
 // --- the properties -------------------------------------------------------
 
-/// Invariants 1 + 2 + 4 on fault-free fabrics: conservation and arena
-/// hygiene on every seed, heap/calendar byte-for-byte equivalence, and
-/// pooled/owned frame-store equivalence.
+/// Invariants 1 + 2 + 4 on fault-free fabrics: conservation and unchanged
+/// frames on every seed, the calendar checked against the heap pop by pop.
 #[test]
 fn random_fabrics_conserve_frames_and_are_scheduler_invariant() {
     for seed in 0..SEEDS {
-        let heap = drive(seed, SchedulerKind::Heap, FrameStoreKind::Arena, false);
-        let calendar = drive(seed, SchedulerKind::Calendar, FrameStoreKind::Arena, false);
-        assert_eq!(heap, calendar, "seed {seed}: schedulers diverge");
-        let owned = drive(seed, SchedulerKind::Calendar, FrameStoreKind::Owned, false);
-        assert_eq!(calendar, owned, "seed {seed}: frame stores diverge");
+        let (deliveries, _, _) = drive(seed, false);
+        // The boundary frames are the first five injected; none is lost.
+        for boundary in 0..BOUNDARY_PAYLOADS.len() as u64 {
+            assert!(
+                deliveries.iter().any(|&(frame, ..)| frame == boundary),
+                "seed {seed}: boundary frame {boundary} was not delivered"
+            );
+        }
     }
 }
 
 /// Invariants 1 + 2 + 4 *under fault injection*: a scripted trunk cut (and
-/// sometimes a repair) mid-workload must neither lose track of a frame (or
-/// a pooled buffer) nor introduce any scheduler- or store-dependent
-/// behaviour.
+/// sometimes a repair) mid-workload must neither lose track of a frame nor
+/// alter one, and the fault events pop in the heap's order too.
 #[test]
 fn random_fabrics_with_faults_conserve_frames_and_are_scheduler_invariant() {
     for seed in 0..SEEDS {
-        let heap = drive(seed, SchedulerKind::Heap, FrameStoreKind::Arena, true);
-        let calendar = drive(seed, SchedulerKind::Calendar, FrameStoreKind::Arena, true);
-        assert_eq!(
-            heap, calendar,
-            "seed {seed}: schedulers diverge under faults"
-        );
-        let owned = drive(seed, SchedulerKind::Calendar, FrameStoreKind::Owned, true);
-        assert_eq!(
-            calendar, owned,
-            "seed {seed}: frame stores diverge under faults"
-        );
+        drive(seed, true);
     }
 }
 
 /// Sharded-equivalence invariant: for shards ∈ {1, 2, 4} and both
-/// partition strategies, the parallel run conserves frames, leaks no
-/// arena buffer, and is **byte-for-byte identical** to the single-thread
-/// `HeapScheduler` oracle — deliveries, stats summary and event count —
+/// partition strategies, the parallel run conserves frames, delivers what
+/// was injected, and is **byte-for-byte identical** to the single-thread
+/// [`Simulator`] — deliveries, stats summary and event count —
 /// on every seed of the matrix, with and without random trunk cuts and
 /// switch kills.  Seed count follows `RT_ADVERSARIAL_SEEDS` (the CI
 /// standard job dials it down; soaks crank it up).
@@ -362,12 +376,7 @@ fn random_fabrics_with_faults_conserve_frames_and_are_scheduler_invariant() {
 fn sharded_runs_are_byte_identical_to_the_single_thread_oracle() {
     for with_faults in [false, true] {
         for seed in 0..adversarial_seeds() {
-            let oracle = drive(
-                seed,
-                SchedulerKind::Heap,
-                FrameStoreKind::Arena,
-                with_faults,
-            );
+            let oracle = drive(seed, with_faults);
             for shards in [1usize, 2, 4] {
                 for strategy in [ShardStrategy::BfsRegions, ShardStrategy::Striped] {
                     let sharded = drive_sharded(seed, shards, strategy, with_faults);
@@ -457,11 +466,6 @@ fn central_and_distributed_control_planes_are_equivalent_on_random_fabrics() {
             assert!(
                 stats.all_deadlines_met(),
                 "seed {seed}: {placement:?} missed"
-            );
-            assert_eq!(
-                net.simulator().arena_outstanding(),
-                0,
-                "seed {seed}: arena buffers leaked under {placement:?}"
             );
             let deliveries: Vec<_> = net
                 .received_messages()
@@ -1068,17 +1072,12 @@ fn admitted_channels_never_miss_deadlines_on_random_fabrics() {
             }
         }
         // Conservation holds for the full stack too (handshake frames
-        // included), and the full stack leaks no pooled buffers either.
+        // included).
         assert_eq!(
             net.simulator().injected_count(),
             stats.total_delivered() + stats.total_dropped(),
             "seed {seed}: full-stack conservation violated ({})",
             stats.summary()
-        );
-        assert_eq!(
-            net.simulator().arena_outstanding(),
-            0,
-            "seed {seed}: full-stack arena buffers leaked"
         );
     }
 }

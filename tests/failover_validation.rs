@@ -11,7 +11,6 @@
 //!    and frame-conserving.
 
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
-use switched_rt_ethernet::netsim::SchedulerKind;
 use switched_rt_ethernet::traffic::FailoverScenario;
 use switched_rt_ethernet::types::{Duration, HopLink, KShortestRouter, SimTime, SwitchId};
 
@@ -285,71 +284,55 @@ fn mid_flight_teardown_never_aborts_the_run() {
 }
 
 /// The entire fail-over path — establishment, mid-run cut, re-admission,
-/// post-cut traffic — is byte-for-byte identical under the heap and the
-/// calendar scheduler.
+/// post-cut traffic — in one calendar: control frames, a drained port and
+/// re-routed data interleave (debug builds check every pop against the
+/// reference heap), and the run conserves frames.
 #[test]
 fn failover_runs_are_scheduler_invariant() {
     let scenario = FailoverScenario::ring_trunk_cut(4, 2, 2);
     let (cut_from, cut_to) = scenario.cut_trunk();
     let spec = RtChannelSpec::paper_default();
-    let drive = |scheduler: SchedulerKind| {
-        let mut net = RtNetwork::builder()
-            .topology(scenario.fabric().topology())
-            .router(KShortestRouter::new(3))
-            .scheduler(scheduler)
-            .multihop_dps(MultiHopDps::Asymmetric)
-            .build()
-            .unwrap();
-        let pairs = [
-            (
-                scenario.fabric().master(0, 0),
-                scenario.fabric().slave(3, 0),
-            ),
-            (
-                scenario.fabric().master(1, 0),
-                scenario.fabric().slave(2, 0),
-            ),
-            (
-                scenario.fabric().master(2, 1),
-                scenario.fabric().slave(0, 1),
-            ),
-        ];
-        let mut channels = Vec::new();
-        for &(src, dst) in &pairs {
-            if let Some(tx) = net.establish_channel(src, dst, spec).unwrap() {
-                channels.push((src, tx.id));
-            }
+    let mut net = RtNetwork::builder()
+        .topology(scenario.fabric().topology())
+        .router(KShortestRouter::new(3))
+        .multihop_dps(MultiHopDps::Asymmetric)
+        .build()
+        .unwrap();
+    let pairs = [
+        (
+            scenario.fabric().master(0, 0),
+            scenario.fabric().slave(3, 0),
+        ),
+        (
+            scenario.fabric().master(1, 0),
+            scenario.fabric().slave(2, 0),
+        ),
+        (
+            scenario.fabric().master(2, 1),
+            scenario.fabric().slave(0, 1),
+        ),
+    ];
+    let mut channels = Vec::new();
+    for &(src, dst) in &pairs {
+        if let Some(tx) = net.establish_channel(src, dst, spec).unwrap() {
+            channels.push((src, tx.id));
         }
-        let start = SimTime::from_millis(5);
-        for &(src, id) in &channels {
-            net.send_periodic(src, id, 4, 800, start).unwrap();
+    }
+    let start = SimTime::from_millis(5);
+    for &(src, id) in &channels {
+        net.send_periodic(src, id, 4, 800, start).unwrap();
+    }
+    let cut_at = start + Duration::from_micros(150);
+    net.run_until(cut_at).unwrap();
+    net.fail_trunk(cut_from, cut_to).unwrap();
+    let start2 = cut_at + Duration::from_millis(1);
+    for &(src, id) in &channels {
+        if net.manager().channel_route(id).is_some() {
+            net.send_periodic(src, id, 4, 800, start2).unwrap();
         }
-        let cut_at = start + Duration::from_micros(150);
-        net.run_until(cut_at).unwrap();
-        net.fail_trunk(cut_from, cut_to).unwrap();
-        let start2 = cut_at + Duration::from_millis(1);
-        for &(src, id) in &channels {
-            if net.manager().channel_route(id).is_some() {
-                net.send_periodic(src, id, 4, 800, start2).unwrap();
-            }
-        }
-        net.run_to_completion().unwrap();
-        conservation_holds(&net);
-        let trace: Vec<(u32, u16, u64, bool)> = net
-            .received_messages()
-            .iter()
-            .map(|m| {
-                (
-                    m.receiver.get(),
-                    m.message.channel.get(),
-                    m.delivered_at.as_nanos(),
-                    m.missed_deadline,
-                )
-            })
-            .collect();
-        (trace, net.simulator().stats().summary())
-    };
-    let heap = drive(SchedulerKind::Heap);
-    let calendar = drive(SchedulerKind::Calendar);
-    assert_eq!(heap, calendar, "schedulers diverge on the fail-over path");
+    }
+    net.run_to_completion().unwrap();
+    conservation_holds(&net);
+    assert!(!channels.is_empty(), "the empty ring admits channels");
+    assert!(net.received_messages().iter().all(|m| !m.missed_deadline));
 }

@@ -13,54 +13,55 @@ mod counting_alloc;
 
 use counting_alloc::allocations;
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
-use switched_rt_ethernet::netsim::SchedulerKind;
 use switched_rt_ethernet::types::{Duration, NodeId, Topology};
 
 /// sw0 — sw1 — sw2, two nodes each: node 0 to node 5 crosses both trunks.
-fn line(scheduler: SchedulerKind) -> RtNetwork {
+fn line() -> RtNetwork {
     RtNetwork::builder()
         .topology(Topology::line(3, 2))
-        .scheduler(scheduler)
         .multihop_dps(MultiHopDps::Asymmetric)
         .build()
         .expect("a line fabric always builds")
 }
 
-/// One copy of a delivered frame's bytes is left — the decode out of the
-/// frame arena — and with it one allocation (the received message then
-/// hands the header bytes of that buffer back, which asks for no memory);
-/// the pump's own buffers are reused from poll to poll.  Before the frame
-/// was moved it cost four copies and five allocations (arena decode, the
-/// pending-delivery vector of every poll, `eth.clone()`, `from_ethernet`'s
-/// `to_vec`, `handle_data`'s `payload.clone()`).
+/// One copy of a delivered frame's bytes is left — the delivery's clone of
+/// the injected frame — and with it one allocation (the received message
+/// then hands the header bytes of that buffer back, which asks for no
+/// memory); the pump's own buffers are reused from poll to poll.  Before the
+/// frame was moved it cost four copies and five allocations (the delivery's
+/// copy, the pending-delivery vector of every poll, `eth.clone()`,
+/// `from_ethernet`'s `to_vec`, `handle_data`'s `payload.clone()`).
+///
+/// `cargo test` runs this in a debug build, with the queue's reference heap
+/// beside the calendar: `send_periodic` has pushed every frame's first event
+/// before the counted window opens and a frame holds one pending event at a
+/// time, so the heap's buffer never grows inside the window — the count is
+/// 1 218 for 1 200 frames in a debug and in a release build alike.
 #[test]
 fn a_delivered_rt_frame_costs_at_most_two_allocations() {
-    for scheduler in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-        let mut net = line(scheduler);
-        let spec = RtChannelSpec::paper_default();
-        let tx = net
-            .establish_channel(NodeId::new(0), NodeId::new(5), spec)
-            .unwrap()
-            .expect("the empty fabric admits the channel");
-        let messages = 400;
-        let start = net.now() + Duration::from_millis(1);
-        net.send_periodic(NodeId::new(0), tx.id, messages, 1000, start)
-            .unwrap();
+    let mut net = line();
+    let spec = RtChannelSpec::paper_default();
+    let tx = net
+        .establish_channel(NodeId::new(0), NodeId::new(5), spec)
+        .unwrap()
+        .expect("the empty fabric admits the channel");
+    let messages = 400;
+    let start = net.now() + Duration::from_millis(1);
+    net.send_periodic(NodeId::new(0), tx.id, messages, 1000, start)
+        .unwrap();
 
-        let before = allocations();
-        net.run_to_completion().unwrap();
-        let allocated = allocations() - before;
+    let before = allocations();
+    net.run_to_completion().unwrap();
+    let allocated = allocations() - before;
 
-        let frames = messages * spec.capacity.get();
-        assert_eq!(net.received_messages().len() as u64, frames);
-        assert!(net.received_messages().iter().all(|m| !m.missed_deadline));
-        assert!(
-            allocated <= 2 * frames,
-            "{scheduler:?}: {allocated} allocations for {frames} delivered RT frames \
-             ({:.2} per frame)",
-            allocated as f64 / frames as f64
-        );
-    }
+    let frames = messages * spec.capacity.get();
+    assert_eq!(net.received_messages().len() as u64, frames);
+    assert!(net.received_messages().iter().all(|m| !m.missed_deadline));
+    assert!(
+        allocated <= 2 * frames,
+        "{allocated} allocations for {frames} delivered RT frames ({:.2} per frame)",
+        allocated as f64 / frames as f64
+    );
 }
 
 /// A teardown that lands while frames of the channel are past their last
@@ -74,7 +75,7 @@ fn a_late_frame_of_a_released_channel_is_ignored_not_an_error() {
     let mut ignored_somewhere = false;
     // Sweep the teardown across the flight of one message's three frames.
     for offset_us in (60..=600).step_by(30) {
-        let mut net = line(SchedulerKind::Calendar);
+        let mut net = line();
         let tx = net.establish_channel(src, dst, spec).unwrap().unwrap();
         let start = net.now();
         net.send_periodic(src, tx.id, 1, 1000, start).unwrap();

@@ -11,7 +11,6 @@
 //!   must reproduce the single-thread tie-break exactly),
 //! * a `FailTrunk` on an **inter-shard** trunk drains the in-flight frames
 //!   into `failed_link_dropped` — identically to the single-thread oracle,
-//!   and without leaking a pooled buffer,
 //! * a shard whose calendar goes **empty** still honours the global
 //!   conservative window (the coordinator must not let the busy shard run
 //!   ahead of the idle one's horizon),
@@ -31,8 +30,7 @@ use switched_rt_ethernet::frames::{
     EthernetFrame, RequestFrame, ReservationFrame, ReservationOp, ReservationReason, RtDataFrame,
 };
 use switched_rt_ethernet::netsim::{
-    Delivery, FaultScript, FrameInjection, FrameStoreKind, SchedulerKind, ShardedSimulator,
-    SimConfig, Simulator,
+    Delivery, FaultScript, FrameInjection, ShardedSimulator, SimConfig, Simulator,
 };
 use switched_rt_ethernet::types::{
     constants::ETHERTYPE_IPV4, ChannelId, ConnectionRequestId, Duration, HopLink, Ipv4Address,
@@ -145,24 +143,19 @@ fn snapshot(deliveries: &[Delivery]) -> Snapshot {
         .collect()
 }
 
-/// Run the workload (+ fault script) on the single-thread `HeapScheduler`
-/// oracle; return the observable outcome.
+/// Run the workload (+ fault script) on the single-thread [`Simulator`],
+/// the oracle; return the observable outcome.
 fn oracle(
     topology: &Topology,
     workload: &[FrameInjection],
     faults: &FaultScript,
 ) -> (Snapshot, String, u64) {
-    let config = SimConfig {
-        scheduler: SchedulerKind::Heap,
-        frame_store: FrameStoreKind::Arena,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::with_topology(config, topology.clone()).expect("fabric is valid");
+    let mut sim =
+        Simulator::with_topology(SimConfig::default(), topology.clone()).expect("fabric is valid");
     sim.inject_batch(workload.to_vec())
         .expect("workload is valid");
     sim.schedule_faults(faults).expect("faults are in-window");
     sim.run_to_idle();
-    assert_eq!(sim.arena_outstanding(), 0, "oracle leaked arena buffers");
     let processed = sim.events_processed();
     (
         snapshot(&sim.poll_deliveries()),
@@ -180,23 +173,13 @@ fn sharded(
     shards: usize,
     strategy: ShardStrategy,
 ) -> ((Snapshot, String, u64), u64, ShardedSimulator) {
-    let config = SimConfig {
-        scheduler: SchedulerKind::Calendar,
-        frame_store: FrameStoreKind::Arena,
-        ..SimConfig::default()
-    };
-    let mut sim = ShardedSimulator::with_strategy(config, topology.clone(), shards, strategy)
-        .expect("fabric is valid");
+    let mut sim =
+        ShardedSimulator::with_strategy(SimConfig::default(), topology.clone(), shards, strategy)
+            .expect("fabric is valid");
     sim.inject_batch(workload.to_vec())
         .expect("workload is valid");
     sim.schedule_faults(faults).expect("faults are in-window");
     sim.run_to_idle();
-    assert_eq!(
-        sim.arena_outstanding(),
-        0,
-        "sharded x{shards} run leaked arena buffers ({})",
-        sim.stats().summary(),
-    );
     let processed = sim.events_processed();
     let outcome = (
         snapshot(&sim.poll_deliveries()),
@@ -280,8 +263,8 @@ fn same_trunk_same_timestamp_frames_keep_injection_seq_order() {
 
 /// A trunk cut on an *inter-shard* trunk while a queue of frames is still
 /// in flight across it: every frame caught by the cut lands in
-/// `failed_link_dropped`, the count matches the oracle exactly, and no
-/// pooled buffer leaks — on both partition strategies.
+/// `failed_link_dropped` and the count matches the oracle exactly — on
+/// both partition strategies.
 #[test]
 fn inter_shard_trunk_cut_drains_in_flight_frames_into_failed_link_dropped() {
     let topology = Topology::line(2, 2);
@@ -557,7 +540,6 @@ type WireOutcome = (Snapshot, String, String, String, u64, u64, u64);
 
 macro_rules! wire_outcome {
     ($sim:expr) => {{
-        assert_eq!($sim.arena_outstanding(), 0, "leaked arena buffers");
         let stats = $sim.stats().clone();
         let outcome: WireOutcome = (
             snapshot(&$sim.poll_deliveries()),
@@ -621,12 +603,8 @@ fn pinned_routes_hop_budgets_and_released_channels_survive_sharding() {
             SwitchId::new(2),
         );
 
-    let config = SimConfig {
-        scheduler: SchedulerKind::Heap,
-        frame_store: FrameStoreKind::Arena,
-        ..SimConfig::default()
-    };
-    let mut oracle = Simulator::with_topology(config, topology.clone()).expect("fabric is valid");
+    let mut oracle =
+        Simulator::with_topology(SimConfig::default(), topology.clone()).expect("fabric is valid");
     install_pinned_channels!(oracle);
     oracle.inject_batch(workload.clone()).expect("valid");
     oracle.schedule_faults(&faults).expect("in-window");
@@ -653,14 +631,13 @@ fn pinned_routes_hop_budgets_and_released_channels_survive_sharding() {
 
     for shards in [1usize, 2, 4] {
         for strategy in [ShardStrategy::BfsRegions, ShardStrategy::Striped] {
-            let config = SimConfig {
-                scheduler: SchedulerKind::Calendar,
-                frame_store: FrameStoreKind::Arena,
-                ..SimConfig::default()
-            };
-            let mut sim =
-                ShardedSimulator::with_strategy(config, topology.clone(), shards, strategy)
-                    .expect("fabric is valid");
+            let mut sim = ShardedSimulator::with_strategy(
+                SimConfig::default(),
+                topology.clone(),
+                shards,
+                strategy,
+            )
+            .expect("fabric is valid");
             install_pinned_channels!(sim);
             sim.inject_batch(workload.clone()).expect("valid");
             sim.schedule_faults(&faults).expect("in-window");
