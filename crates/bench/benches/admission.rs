@@ -3,8 +3,9 @@
 
 use rt_bench::experiments::run_admission;
 use rt_bench::MicroBench;
-use rt_core::{AdmissionController, DpsKind, RtChannelSpec, SystemState};
+use rt_core::{DpsKind, MultiHopAdmission, RtChannelSpec};
 use rt_traffic::{RequestPattern, Scenario};
+use rt_types::{SwitchId, Topology};
 
 fn main() {
     let scenario = Scenario::paper_master_slave();
@@ -25,14 +26,15 @@ fn main() {
     let warm_requests = RequestPattern::MasterSlaveRoundRobin.generate(&scenario, 59, spec);
     for dps in [DpsKind::Symmetric, DpsKind::Asymmetric] {
         harness.bench(&format!("single_decision_{dps:?}_on_loaded_system"), || {
-            let mut controller =
-                AdmissionController::new(SystemState::with_nodes(scenario.nodes()), dps.build());
+            let star = Topology::star(SwitchId::new(0), scenario.nodes());
+            let mut controller = MultiHopAdmission::new(star, dps);
             for r in &warm_requests {
                 let _ = controller.request(r.source, r.destination, r.spec).unwrap();
             }
             controller
                 .request(scenario.master(59), scenario.slave(59), spec)
                 .unwrap()
+                .is_ok()
         });
     }
     harness.finish("admission control");

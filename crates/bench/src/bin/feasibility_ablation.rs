@@ -57,8 +57,8 @@ fn run_case(utilisation_only: bool, requested: u64) -> FeasibilityRow {
         run_admission_returning_controller(&nodes, &requests, DpsKind::Symmetric, utilisation_only);
     let mut links_with_misses = 0u64;
     let mut total_misses = 0u64;
-    for (link, _load) in controller.state().loaded_links() {
-        let set = controller.state().link_taskset(link);
+    for (link, _load) in controller.loaded_links() {
+        let set = controller.link_taskset(link);
         let outcome = simulate_over_hyperperiod(&set, Slots::new(100_000));
         if !outcome.is_miss_free() {
             links_with_misses += 1;

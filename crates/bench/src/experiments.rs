@@ -1,9 +1,10 @@
 //! Reusable experiment drivers shared by the harness binaries and the
 //! Criterion benches.
 
-use rt_core::{AdmissionController, DpsKind, RtChannelSpec, RtNetwork, SystemState};
+use rt_core::{DpsKind, MultiHopAdmission, Refusal, RtChannelSpec, RtNetwork};
+use rt_edf::FeasibilityTester;
 use rt_traffic::{ChannelRequest, RequestPattern, Scenario};
-use rt_types::{Duration, LinkDirection, NodeId, SimTime};
+use rt_types::{Duration, HopLink, NodeId, SimTime, SwitchId, Topology};
 
 use crate::report::{json_object, ToJson};
 
@@ -21,7 +22,8 @@ pub struct AdmissionRunResult {
     pub rejected_uplink: u64,
     /// Rejections whose bottleneck was a downlink.
     pub rejected_downlink: u64,
-    /// Rejections for other reasons (invalid spec, ...).
+    /// Rejections no single link is to blame for (the deadline could not be
+    /// partitioned).
     pub rejected_other: u64,
 }
 
@@ -49,69 +51,76 @@ impl ToJson for AdmissionRunResult {
     }
 }
 
-/// Feed `requests` to a fresh admission controller over `nodes` using `dps`.
-///
-/// `utilisation_only` switches the feasibility test to the Liu & Layland
-/// utilisation bound (Constraint 1 only), which is what Ablation B compares
-/// against.
+/// Feed `requests` to a fresh admission controller over the single-switch
+/// star of `nodes` using `dps`, handing every refusal to `refused`; the
+/// controller comes back for whoever wants to look at what it admitted.
+fn admit_all(
+    nodes: &[NodeId],
+    requests: &[ChannelRequest],
+    dps: DpsKind,
+    utilisation_only: bool,
+    mut refused: impl FnMut(Refusal),
+) -> MultiHopAdmission {
+    let star = Topology::star(SwitchId::new(0), nodes.iter().copied());
+    let mut admission = MultiHopAdmission::new(star, dps);
+    if utilisation_only {
+        admission = admission.with_tester(FeasibilityTester::utilisation_only());
+    }
+    for req in requests {
+        if let Err(refusal) = admission
+            .request(req.source, req.destination, req.spec)
+            .expect("a valid request over known nodes cannot error")
+        {
+            refused(refusal);
+        }
+    }
+    admission
+}
+
+/// Feed `requests` to a fresh star admission controller (`nodes`, `dps`,
+/// `utilisation_only` as for [`run_admission_returning_controller`]) and
+/// count the verdicts, rejections by the kind of link that refused.
 pub fn run_admission(
     nodes: &[NodeId],
     requests: &[ChannelRequest],
     dps: DpsKind,
     utilisation_only: bool,
 ) -> AdmissionRunResult {
-    let state = SystemState::with_nodes(nodes.iter().copied());
-    let mut controller = if utilisation_only {
-        AdmissionController::utilisation_only(state, dps.build())
-    } else {
-        AdmissionController::new(state, dps.build())
-    };
     let mut result = AdmissionRunResult {
-        dps: controller.dps_name().to_string(),
+        dps: dps.name().to_string(),
         requested: requests.len() as u64,
         accepted: 0,
         rejected_uplink: 0,
         rejected_downlink: 0,
         rejected_other: 0,
     };
-    for req in requests {
-        match controller
-            .request(req.source, req.destination, req.spec)
-            .expect("request over known nodes cannot error")
-        {
-            rt_core::AdmissionDecision::Accepted(_) => result.accepted += 1,
-            rt_core::AdmissionDecision::Rejected { bottleneck, .. } => match bottleneck {
-                Some(link) if link.direction == LinkDirection::Uplink => {
-                    result.rejected_uplink += 1
-                }
-                Some(_) => result.rejected_downlink += 1,
-                None => result.rejected_other += 1,
-            },
-        }
-    }
+    let admission = admit_all(
+        nodes,
+        requests,
+        dps,
+        utilisation_only,
+        |refusal| match refusal.link {
+            Some(HopLink::Uplink(_)) => result.rejected_uplink += 1,
+            Some(HopLink::Downlink(_)) => result.rejected_downlink += 1,
+            _ => result.rejected_other += 1,
+        },
+    );
+    result.accepted = admission.accepted_count();
     result
 }
 
 /// The controller state after running `requests`, for experiments that need
 /// to inspect per-link task sets afterwards (e.g. the feasibility ablation).
+/// `utilisation_only` switches the feasibility test to the Liu & Layland
+/// utilisation bound (Constraint 1 only), which is what Ablation B compares
+/// against.
 pub fn run_admission_returning_controller(
     nodes: &[NodeId],
     requests: &[ChannelRequest],
     dps: DpsKind,
     utilisation_only: bool,
-) -> AdmissionController {
-    let state = SystemState::with_nodes(nodes.iter().copied());
-    let mut controller = if utilisation_only {
-        AdmissionController::utilisation_only(state, dps.build())
-    } else {
-        AdmissionController::new(state, dps.build())
-    };
-    for req in requests {
-        let _ = controller
-            .request(req.source, req.destination, req.spec)
-            .expect("request over known nodes cannot error");
-    }
-    controller
+) -> MultiHopAdmission {
+    admit_all(nodes, requests, dps, utilisation_only, |_| {})
 }
 
 /// One row of the Figure 18.5 reproduction.

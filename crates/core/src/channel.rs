@@ -13,8 +13,7 @@
 //!   channel with `d_i < 2·C_i` can never be feasible on a store-and-forward
 //!   switch).
 
-use rt_edf::PeriodicTask;
-use rt_types::{ChannelId, Ipv4Address, MacAddr, NodeId, RtError, RtResult, Slots};
+use rt_types::{Ipv4Address, MacAddr, NodeId, RtError, RtResult, Slots};
 
 /// The traffic contract of an RT channel: `{P_i, C_i, d_i}` in slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,33 +181,6 @@ impl Endpoint {
     }
 }
 
-/// An established RT channel: spec + endpoints + the accepted deadline split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtChannel {
-    /// Network-unique identifier assigned by the switch.
-    pub id: ChannelId,
-    /// Source endpoint.
-    pub source: Endpoint,
-    /// Destination endpoint.
-    pub destination: Endpoint,
-    /// The traffic contract.
-    pub spec: RtChannelSpec,
-    /// The deadline split in force.
-    pub split: DeadlineSplit,
-}
-
-impl RtChannel {
-    /// The supposed task on the source's uplink (Eq. 18.6).
-    pub fn uplink_task(&self) -> RtResult<PeriodicTask> {
-        PeriodicTask::new(self.spec.period, self.spec.capacity, self.split.uplink)
-    }
-
-    /// The supposed task on the destination's downlink (Eq. 18.7).
-    pub fn downlink_task(&self) -> RtResult<PeriodicTask> {
-        PeriodicTask::new(self.spec.period, self.spec.capacity, self.split.downlink)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,24 +253,6 @@ mod tests {
         assert!(DeadlineSplit::new(&s, Slots::new(38), Slots::new(2)).is_err());
         // Valid.
         assert!(DeadlineSplit::new(&s, Slots::new(30), Slots::new(10)).is_ok());
-    }
-
-    #[test]
-    fn channel_tasks_use_split_deadlines() {
-        let s = RtChannelSpec::paper_default();
-        let ch = RtChannel {
-            id: ChannelId::new(1),
-            source: Endpoint::for_node(NodeId::new(0)),
-            destination: Endpoint::for_node(NodeId::new(1)),
-            spec: s,
-            split: DeadlineSplit::new(&s, Slots::new(30), Slots::new(10)).unwrap(),
-        };
-        let up = ch.uplink_task().unwrap();
-        assert_eq!(up.relative_deadline(), Slots::new(30));
-        assert_eq!(up.period(), Slots::new(100));
-        assert_eq!(up.capacity(), Slots::new(3));
-        let down = ch.downlink_task().unwrap();
-        assert_eq!(down.relative_deadline(), Slots::new(10));
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl DistChannel {
 /// destination)`.
 type RouteCache = BTreeMap<(u64, u32, u32), Arc<[Route]>>;
 
-/// The distributed channel manager: one [`Site`] per switch behind the one
+/// The distributed channel manager: one `Site` per switch behind the one
 /// [`ChannelManager`] seam, driven through
 /// [`ChannelManager::handle_frame_at`] with real switch context.
 pub struct DistributedChannelManager {
@@ -874,7 +874,7 @@ impl DistributedChannelManager {
         let spec = site.coordinations[&token].spec;
         let ledger = &site.ledger;
         let deadlines =
-            admit_along(self.dps, &spec, route, |link| ledger.link(link)).map_err(|_| ())?;
+            admit_along(self.dps.into(), &spec, route, |link| ledger.link(link)).map_err(|_| ())?;
         let key = ReservationKey::token(site.switch, token);
         for (link, &deadline) in route.iter().zip(&deadlines) {
             let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
@@ -1907,7 +1907,7 @@ impl DistributedChannelManager {
         }
         let owner = |link| self.owner_slot(link).expect("checked above");
         let held = |link| self.sites[owner(link)].ledger.link(link);
-        let deadlines = admit_along(self.dps, spec, route, held).ok()?;
+        let deadlines = admit_along(self.dps.into(), spec, route, held).ok()?;
         for (link, &deadline) in route.iter().zip(&deadlines) {
             let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
                 .expect("admit_along built this very task");

@@ -1,504 +1,241 @@
-//! Deadline-partitioning schemes (§18.4).
+//! Deadline partitioning (§18.4): the paper's two-link rules, and the choice
+//! between them and the per-hop rules of [`MultiHopDps`].
 //!
-//! A DPS maps the end-to-end relative deadline `d_i` of every channel onto a
+//! A DPS maps the end-to-end relative deadline `d_i` of a channel onto a
 //! per-link pair `(d_iu, d_id)` with `d_iu + d_id = d_i` (Eq. 18.8).  Written
 //! as the uplink fraction `U_part,i = d_iu / d_i` (Eq. 18.11–18.13), a DPS is
-//! a function of the current system state.
+//! a function of the current system state — here, of what the ledger holds on
+//! the source's uplink and on the destination's downlink.
 //!
-//! This module implements:
-//!
-//! * [`Sdps`] — the *Symmetric* DPS (Eq. 18.14/18.15): always `U_part = ½`,
-//!   independent of the system state;
-//! * [`Adps`] — the *Asymmetric* DPS (Eq. 18.16/18.17): split proportionally
-//!   to the *LinkLoad* (channel count) of the source's uplink and the
-//!   destination's downlink, giving the bottleneck link the larger share of
-//!   the deadline;
-//! * [`WeightedAdps`] — an ablation that measures load in reserved
-//!   utilisation (`Σ C/P`) instead of channel count, which distinguishes
-//!   heavy channels from light ones;
-//! * [`SearchDps`] — an ablation upper bound: per request, search the
-//!   candidate splits and pick one for which both links pass the full
-//!   feasibility test (falling back to the symmetric split when none does).
+//! The two families are different policies, not one written twice: the
+//! paper's rules split the *whole* deadline in proportion to the loads
+//! (Eq. 18.16), the per-hop rules hand every link `C_i` first and split only
+//! the slack.  Each measures better on its own workload (ARCHITECTURE.md,
+//! "two DPS families, measured"), so a star build partitions with a
+//! [`DpsKind`] and a fabric build with a [`MultiHopDps`]; everything under
+//! the rule — ledger, per-link test, handshake — is shared.
 
-use rt_edf::{FeasibilityTester, PeriodicTask};
-use rt_types::{LinkId, NodeId, RtResult, Slots};
+use rt_edf::PeriodicTask;
+use rt_types::{RtResult, Slots};
 
 use crate::channel::{DeadlineSplit, RtChannelSpec};
-use crate::system_state::SystemState;
+use crate::ledger::LinkView;
+use crate::multihop::MultiHopDps;
 
-/// A deadline-partitioning scheme: `U_part = DPS(system state)` (Eq. 18.13).
-pub trait DeadlinePartitioningScheme: Send + Sync {
-    /// A short human-readable name (used in reports and benchmark output).
-    fn name(&self) -> &'static str;
-
-    /// Partition the deadline of a *candidate* channel from `source` to
-    /// `destination` given the current `state` (the candidate itself is not
-    /// yet part of the state).
-    fn partition(
-        &self,
-        spec: &RtChannelSpec,
-        source: NodeId,
-        destination: NodeId,
-        state: &SystemState,
-    ) -> RtResult<DeadlineSplit>;
-}
-
-/// Which built-in scheme to use; convenient for configuration and for the
-/// benchmark harnesses.
+/// The paper's two-link deadline-partitioning rules and the two ablations
+/// beside them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DpsKind {
-    /// Symmetric partitioning (SDPS).
+    /// SDPS: `d_iu = d_id = d_i / 2` (Eq. 18.14), i.e. `U_part,i = ½`
+    /// whatever the system state (Eq. 18.15).
     Symmetric,
-    /// Asymmetric, link-load proportional partitioning (ADPS).
+    /// ADPS: `U_part,i = LL(Source_i) / (LL(Source_i) + LL(Destination_i))`
+    /// (Eq. 18.16), `LL` being the number of channels on the source's uplink
+    /// respectively the destination's downlink.
+    ///
+    /// The DPS is defined over the system state *including the channel being
+    /// partitioned* (Eq. 18.10: its dimension is `size(K)` with the new
+    /// channel in `K`), so the candidate counts towards both loads.  This
+    /// also matches the paper's measured saturation point (~110 accepted
+    /// channels, 11 per master uplink, in the Figure 18.5 configuration): the
+    /// first channel of a pair is split in half, and the split drifts towards
+    /// the loaded uplink as its load grows, without ever starving the
+    /// downlink to its bare minimum.
     Asymmetric,
-    /// Asymmetric partitioning weighted by reserved utilisation.
+    /// ADPS with the load of a link measured as its reserved utilisation
+    /// `Σ C/P` instead of its channel count, so a link carrying a few heavy
+    /// channels counts as more loaded than one carrying as many light ones.
     UtilisationWeighted,
-    /// Per-request feasibility-guided search.
+    /// Feasibility-guided search: the first of the ADPS guess and up to 64
+    /// (`SEARCH_CANDIDATES`) uplink deadlines spread evenly over
+    /// `C_i ..= d_i − C_i` for which *both* links pass the per-link test with
+    /// the candidate added; the symmetric split (and with it a rejection)
+    /// when none does.  An upper bound on what a state-dependent DPS can do
+    /// for one request — greedy across requests, not globally optimal.
     Search,
 }
 
-impl DpsKind {
-    /// Instantiate the scheme.
-    pub fn build(self) -> Box<dyn DeadlinePartitioningScheme> {
-        match self {
-            DpsKind::Symmetric => Box::new(Sdps),
-            DpsKind::Asymmetric => Box::new(Adps),
-            DpsKind::UtilisationWeighted => Box::new(WeightedAdps),
-            DpsKind::Search => Box::new(SearchDps::default()),
-        }
-    }
+/// Splits [`DpsKind::Search`] examines per request at most, so that admission
+/// latency stays bounded.
+const SEARCH_CANDIDATES: u64 = 64;
 
-    /// All built-in kinds, for sweeps.
+impl DpsKind {
+    /// All four rules, for sweeps.
     pub const ALL: [DpsKind; 4] = [
         DpsKind::Symmetric,
         DpsKind::Asymmetric,
         DpsKind::UtilisationWeighted,
         DpsKind::Search,
     ];
-}
 
-/// The Symmetric Deadline Partitioning Scheme: `d_iu = d_id = d_i / 2`
-/// (Eq. 18.14), i.e. `U_part,i = ½` regardless of the system state
-/// (Eq. 18.15).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sdps;
-
-impl DeadlinePartitioningScheme for Sdps {
-    fn name(&self) -> &'static str {
-        "SDPS"
+    /// A short name for reports and benchmark output.
+    pub fn name(self) -> &'static str {
+        match self {
+            DpsKind::Symmetric => "SDPS",
+            DpsKind::Asymmetric => "ADPS",
+            DpsKind::UtilisationWeighted => "ADPS-util",
+            DpsKind::Search => "Search-DPS",
+        }
     }
 
-    fn partition(
-        &self,
+    /// Partition the deadline of a *candidate* channel, given what the
+    /// source's uplink and the destination's downlink hold without it.
+    pub(crate) fn split(
+        self,
         spec: &RtChannelSpec,
-        _source: NodeId,
-        _destination: NodeId,
-        _state: &SystemState,
+        up: LinkView<'_>,
+        down: LinkView<'_>,
     ) -> RtResult<DeadlineSplit> {
-        DeadlineSplit::symmetric(spec)
-    }
-}
-
-/// The Asymmetric Deadline Partitioning Scheme:
-/// `U_part,i = LL(Source_i) / (LL(Source_i) + LL(Destination_i))`
-/// (Eq. 18.16), where `LL` is the number of channels traversing the source's
-/// uplink respectively the destination's downlink.
-///
-/// The DPS is defined over the *system state including the channel being
-/// partitioned* (Eq. 18.10: the dimension of the DPS is `size(K)` with the
-/// new channel in `K`), so the candidate itself counts towards both link
-/// loads.  This also matches the paper's measured saturation point (~110
-/// accepted channels, i.e. 11 per master uplink, in the Figure 18.5
-/// configuration): for the first channel of a pair the split is the
-/// symmetric ½, and the split drifts towards the loaded uplink as its load
-/// grows, without ever starving the downlink to its bare minimum.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Adps;
-
-impl DeadlinePartitioningScheme for Adps {
-    fn name(&self) -> &'static str {
-        "ADPS"
-    }
-
-    fn partition(
-        &self,
-        spec: &RtChannelSpec,
-        source: NodeId,
-        destination: NodeId,
-        state: &SystemState,
-    ) -> RtResult<DeadlineSplit> {
-        // "+1" on both sides: the candidate channel traverses both links and
-        // is part of the system state the DPS partitions.
-        let ll_src = state.link_load(LinkId::uplink(source)) as f64 + 1.0;
-        let ll_dst = state.link_load(LinkId::downlink(destination)) as f64 + 1.0;
-        let upart = ll_src / (ll_src + ll_dst);
-        DeadlineSplit::from_upart(spec, upart)
-    }
-}
-
-/// Utilisation-weighted variant of ADPS: the load of a link is measured as
-/// its reserved utilisation `Σ C/P` rather than its channel count, so a link
-/// carrying a few heavy channels is treated as more loaded than one carrying
-/// the same number of light channels.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WeightedAdps;
-
-impl DeadlinePartitioningScheme for WeightedAdps {
-    fn name(&self) -> &'static str {
-        "ADPS-util"
-    }
-
-    fn partition(
-        &self,
-        spec: &RtChannelSpec,
-        source: NodeId,
-        destination: NodeId,
-        state: &SystemState,
-    ) -> RtResult<DeadlineSplit> {
-        // As for ADPS, the candidate channel's own utilisation counts on
-        // both links.
-        let u = spec.utilisation();
-        let u_src = state.link_utilisation(LinkId::uplink(source)) + u;
-        let u_dst = state.link_utilisation(LinkId::downlink(destination)) + u;
-        let total = u_src + u_dst;
-        let upart = if total <= f64::EPSILON {
-            0.5
-        } else {
-            u_src / total
+        // The candidate traverses both links and is part of the state the
+        // DPS partitions: it counts on both sides.
+        let by_load = || {
+            let (ll_src, ll_dst) = (up.load() as f64 + 1.0, down.load() as f64 + 1.0);
+            DeadlineSplit::from_upart(spec, ll_src / (ll_src + ll_dst))
         };
-        DeadlineSplit::from_upart(spec, upart)
-    }
-}
-
-/// Feasibility-guided search: enumerate candidate uplink deadlines between
-/// `C_i` and `d_i − C_i` and return the first split for which *both* links
-/// pass the full EDF feasibility test with the candidate added.  This is an
-/// upper bound on what any state-dependent DPS can achieve for a single
-/// request (it is greedy across requests, not globally optimal).
-///
-/// The number of candidates examined per request is capped to keep admission
-/// latency bounded; candidates are spread evenly over the valid range.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchDps {
-    /// Maximum number of candidate splits to try per request.
-    pub max_candidates: usize,
-}
-
-impl Default for SearchDps {
-    fn default() -> Self {
-        SearchDps { max_candidates: 64 }
-    }
-}
-
-impl DeadlinePartitioningScheme for SearchDps {
-    fn name(&self) -> &'static str {
-        "Search-DPS"
-    }
-
-    fn partition(
-        &self,
-        spec: &RtChannelSpec,
-        source: NodeId,
-        destination: NodeId,
-        state: &SystemState,
-    ) -> RtResult<DeadlineSplit> {
-        let tester = FeasibilityTester::new();
-        let up_set = state.link_taskset(LinkId::uplink(source));
-        let down_set = state.link_taskset(LinkId::downlink(destination));
-
-        let c = spec.capacity.get();
-        let d = spec.deadline.get();
-        let lo = c;
-        let hi = d - c;
-        let span = hi - lo;
-        let candidates = (self.max_candidates.max(1) as u64).min(span + 1);
-
-        // Start from the ADPS guess and then sweep the range outward-ish by
-        // simply scanning evenly spaced candidates; the first feasible split
-        // wins.
-        let adps_guess = Adps.partition(spec, source, destination, state)?;
-        let mut tried: Vec<Slots> = Vec::with_capacity(candidates as usize + 1);
-        tried.push(adps_guess.uplink);
-        for k in 0..candidates {
-            let up = if candidates == 1 {
-                lo
-            } else {
-                lo + (span * k) / (candidates - 1)
-            };
-            let up = Slots::new(up);
-            if !tried.contains(&up) {
-                tried.push(up);
+        match self {
+            DpsKind::Symmetric => DeadlineSplit::symmetric(spec),
+            DpsKind::Asymmetric => by_load(),
+            DpsKind::UtilisationWeighted => {
+                let u = spec.utilisation();
+                let (u_src, u_dst) = (up.utilisation() + u, down.utilisation() + u);
+                DeadlineSplit::from_upart(spec, u_src / (u_src + u_dst))
+            }
+            DpsKind::Search => {
+                let fits = |link: LinkView<'_>, deadline: Slots| {
+                    PeriodicTask::new(spec.period, spec.capacity, deadline)
+                        .is_ok_and(|task| link.feasible_with(&task).is_feasible())
+                };
+                let (lo, d) = (spec.capacity.get(), spec.deadline.get());
+                let span = d.saturating_sub(2 * lo);
+                let candidates = SEARCH_CANDIDATES.min(span + 1);
+                let spread =
+                    (0..candidates).map(|k| Slots::new(lo + (span * k) / (candidates - 1).max(1)));
+                std::iter::once(by_load()?.uplink)
+                    .chain(spread)
+                    .filter_map(|up_d| DeadlineSplit::new(spec, up_d, spec.deadline - up_d).ok())
+                    .find(|split| fits(up, split.uplink) && fits(down, split.downlink))
+                    .map_or_else(|| DeadlineSplit::symmetric(spec), Ok)
             }
         }
+    }
+}
 
-        for up in tried {
-            let down = spec.deadline - up;
-            let Ok(split) = DeadlineSplit::new(spec, up, down) else {
-                continue;
-            };
-            let up_task = PeriodicTask::new(spec.period, spec.capacity, split.uplink)?;
-            let down_task = PeriodicTask::new(spec.period, spec.capacity, split.downlink)?;
-            if tester.test_with_candidate(&up_set, &up_task).is_feasible()
-                && tester
-                    .test_with_candidate(&down_set, &down_task)
-                    .is_feasible()
-            {
-                return Ok(split);
-            }
-        }
-        // No feasible split found — return the symmetric one and let the
-        // admission controller reject the request.
-        DeadlineSplit::symmetric(spec)
+/// Which family of rules partitions the deadlines of an admission stack: the
+/// one choice between a star build and a fabric build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DpsFamily {
+    /// The paper's rules, for routes of exactly two links (`uplink →
+    /// downlink`, the single-switch star).  Channels keep the paper's
+    /// end-to-end EDF deadline stamps on the wire.
+    TwoLink(DpsKind),
+    /// The per-hop rules, for routes of any length.  Channels carry their
+    /// per-link budgets onto the wire.
+    PerHop(MultiHopDps),
+}
+
+impl From<DpsKind> for DpsFamily {
+    fn from(kind: DpsKind) -> Self {
+        DpsFamily::TwoLink(kind)
+    }
+}
+
+impl From<MultiHopDps> for DpsFamily {
+    fn from(dps: MultiHopDps) -> Self {
+        DpsFamily::PerHop(dps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{Endpoint, RtChannel};
-    use rt_types::ChannelId;
+    use crate::ledger::{ReservationKey, SlackLedger};
+    use rt_types::{HopLink, NodeId};
 
-    fn paper_state(masters: u32, slaves: u32) -> SystemState {
-        SystemState::with_nodes((0..masters + slaves).map(NodeId::new))
+    const UP: HopLink = HopLink::Uplink(NodeId::new(0));
+    const DOWN: HopLink = HopLink::Downlink(NodeId::new(1));
+
+    fn spec(p: u64, c: u64, d: u64) -> RtChannelSpec {
+        RtChannelSpec::new(Slots::new(p), Slots::new(c), Slots::new(d)).unwrap()
     }
 
-    fn insert(state: &mut SystemState, id: u16, src: u32, dst: u32, split: DeadlineSplit) {
-        let spec = RtChannelSpec::paper_default();
-        state
-            .insert_channel(RtChannel {
-                id: ChannelId::new(id),
-                source: Endpoint::for_node(NodeId::new(src)),
-                destination: Endpoint::for_node(NodeId::new(dst)),
-                spec,
-                split,
-            })
-            .unwrap();
+    /// A ledger holding `n` tasks `{p, c, d}` on `link` (after what it held).
+    fn load(ledger: &mut SlackLedger, link: HopLink, n: u16, (p, c, d): (u64, u64, u64)) {
+        let held = ledger.link_load(link) as u16;
+        let task = PeriodicTask::new(Slots::new(p), Slots::new(c), Slots::new(d)).unwrap();
+        for id in held..held + n {
+            ledger.reserve(link, ReservationKey::Channel(id + 1), task);
+        }
     }
 
-    #[test]
-    fn sdps_is_state_invariant() {
-        let spec = RtChannelSpec::paper_default();
-        let mut state = paper_state(2, 2);
-        let s1 = Sdps
-            .partition(&spec, NodeId::new(0), NodeId::new(2), &state)
+    fn split(kind: DpsKind, spec: &RtChannelSpec, ledger: &SlackLedger) -> (u64, u64) {
+        let split = kind
+            .split(spec, ledger.link(UP), ledger.link(DOWN))
             .unwrap();
-        // Add load; SDPS must not care.
-        insert(&mut state, 1, 0, 2, s1);
-        insert(&mut state, 2, 0, 3, s1);
-        let s2 = Sdps
-            .partition(&spec, NodeId::new(0), NodeId::new(2), &state)
-            .unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(s1.uplink, Slots::new(20));
-        assert_eq!(s1.downlink, Slots::new(20));
+        split.validate(spec).unwrap();
+        (split.uplink.get(), split.downlink.get())
     }
 
     #[test]
-    fn adps_shifts_deadline_towards_the_loaded_uplink() {
-        let spec = RtChannelSpec::paper_default();
-        let mut state = paper_state(1, 5);
-        // First channel: no load anywhere -> counting only the candidate on
-        // both links gives the symmetric split.
-        let split = Adps
-            .partition(&spec, NodeId::new(0), NodeId::new(1), &state)
-            .unwrap();
-        assert_eq!(split.uplink, Slots::new(20));
-        insert(&mut state, 1, 0, 1, split);
-
-        // Master 0 now has 1 channel on its uplink; slave 2's downlink has 0.
-        // Including the candidate: U_part = 2 / (2 + 1) = 2/3 -> d_u = 27.
-        let split = Adps
-            .partition(&spec, NodeId::new(0), NodeId::new(2), &state)
-            .unwrap();
-        assert_eq!(split.uplink, Slots::new(27));
-        assert_eq!(split.downlink, Slots::new(13));
-        insert(&mut state, 2, 0, 2, split);
-
-        // With 5 channels on the uplink and 1 on slave 1's downlink:
-        // U_part = (5+1) / (5+1 + 1+1) = 6/8 -> d_u = 30.
-        insert(
-            &mut state,
-            3,
-            0,
-            3,
-            DeadlineSplit::symmetric(&spec).unwrap(),
+    fn every_rule_halves_the_deadline_on_empty_links_and_only_sdps_ignores_load() {
+        let paper = RtChannelSpec::paper_default();
+        let mut ledger = SlackLedger::new();
+        for kind in DpsKind::ALL {
+            assert_eq!(split(kind, &paper, &ledger), (20, 20), "{kind:?}");
+        }
+        assert_eq!(
+            DpsKind::ALL.map(DpsKind::name),
+            ["SDPS", "ADPS", "ADPS-util", "Search-DPS"]
         );
-        insert(
-            &mut state,
-            4,
-            0,
-            4,
-            DeadlineSplit::symmetric(&spec).unwrap(),
-        );
-        insert(
-            &mut state,
-            5,
-            0,
-            5,
-            DeadlineSplit::symmetric(&spec).unwrap(),
-        );
-        let split = Adps
-            .partition(&spec, NodeId::new(0), NodeId::new(1), &state)
-            .unwrap();
-        assert_eq!(split.uplink, Slots::new(30));
-        assert_eq!(split.downlink, Slots::new(10));
-    }
-
-    #[test]
-    fn adps_symmetric_when_loads_equal() {
-        let spec = RtChannelSpec::paper_default();
-        let mut state = paper_state(2, 2);
-        insert(
-            &mut state,
-            1,
-            0,
-            2,
-            DeadlineSplit::symmetric(&spec).unwrap(),
-        );
-        insert(
-            &mut state,
-            2,
-            1,
-            3,
-            DeadlineSplit::symmetric(&spec).unwrap(),
-        );
-        // Uplink of 0 has load 1, downlink of 3 has load 1 -> 0.5.
-        let split = Adps
-            .partition(&spec, NodeId::new(0), NodeId::new(3), &state)
-            .unwrap();
-        assert_eq!(split.uplink, Slots::new(20));
+        // One channel on the uplink, none on the downlink: counting the
+        // candidate, U_part = 2 / (2 + 1) -> d_u = 27.
+        load(&mut ledger, UP, 1, (100, 3, 20));
+        assert_eq!(split(DpsKind::Symmetric, &paper, &ledger), (20, 20));
+        assert_eq!(split(DpsKind::Asymmetric, &paper, &ledger), (27, 13));
+        // Five on the uplink and one on the downlink: 6 / (6 + 2) -> 30.
+        load(&mut ledger, UP, 4, (100, 3, 20));
+        load(&mut ledger, DOWN, 1, (100, 3, 20));
+        assert_eq!(split(DpsKind::Asymmetric, &paper, &ledger), (30, 10));
+        // Equal loads are the symmetric split again ...
+        load(&mut ledger, DOWN, 4, (100, 3, 20));
+        assert_eq!(split(DpsKind::Asymmetric, &paper, &ledger), (20, 20));
+        // ... except that an odd deadline rounds the two rules apart: SDPS
+        // floors the uplink half, ADPS rounds U_part·d to the nearest slot.
+        let odd = spec(100, 3, 41);
+        assert_eq!(split(DpsKind::Symmetric, &odd, &ledger), (20, 21));
+        assert_eq!(split(DpsKind::Asymmetric, &odd, &ledger), (21, 20));
     }
 
     #[test]
     fn weighted_adps_follows_utilisation_not_count() {
-        // Uplink of node 0 carries ONE heavy channel (C=30, P=100); the
-        // downlink of node 2 carries TWO light channels (C=1, P=100).
-        // Channel-count ADPS says 1/(1+2) = 1/3 -> favours the downlink.
-        // Utilisation-weighted ADPS says 0.30/(0.30+0.02) ≈ 0.94 -> favours
-        // the uplink, which is the genuinely loaded one.
-        let mut state = paper_state(2, 2);
-        let heavy = RtChannelSpec::new(Slots::new(100), Slots::new(30), Slots::new(80)).unwrap();
-        let light = RtChannelSpec::new(Slots::new(100), Slots::new(1), Slots::new(40)).unwrap();
-        state
-            .insert_channel(RtChannel {
-                id: ChannelId::new(1),
-                source: Endpoint::for_node(NodeId::new(0)),
-                destination: Endpoint::for_node(NodeId::new(3)),
-                spec: heavy,
-                split: DeadlineSplit::symmetric(&heavy).unwrap(),
-            })
-            .unwrap();
-        for (id, src) in [(2u16, 1u32), (3, 3)] {
-            state
-                .insert_channel(RtChannel {
-                    id: ChannelId::new(id),
-                    source: Endpoint::for_node(NodeId::new(src)),
-                    destination: Endpoint::for_node(NodeId::new(2)),
-                    spec: light,
-                    split: DeadlineSplit::symmetric(&light).unwrap(),
-                })
-                .unwrap();
-        }
-        let spec = RtChannelSpec::paper_default();
-        let count_based = Adps
-            .partition(&spec, NodeId::new(0), NodeId::new(2), &state)
-            .unwrap();
-        let util_based = WeightedAdps
-            .partition(&spec, NodeId::new(0), NodeId::new(2), &state)
-            .unwrap();
-        assert!(count_based.uplink < Slots::new(20));
-        assert!(util_based.uplink > Slots::new(30));
+        // The uplink carries ONE heavy channel (C=30, P=100), the downlink
+        // TWO light ones (C=1, P=100).  By count 2/(2+3) favours the
+        // downlink; by utilisation 0.33/(0.33+0.05) favours the uplink, the
+        // genuinely loaded one.
+        let mut ledger = SlackLedger::new();
+        load(&mut ledger, UP, 1, (100, 30, 40));
+        load(&mut ledger, DOWN, 2, (100, 1, 20));
+        let paper = RtChannelSpec::paper_default();
+        assert!(split(DpsKind::Asymmetric, &paper, &ledger).0 < 20);
+        assert!(split(DpsKind::UtilisationWeighted, &paper, &ledger).0 > 30);
     }
 
     #[test]
-    fn weighted_adps_defaults_to_symmetric_on_empty_links() {
-        let spec = RtChannelSpec::paper_default();
-        let state = paper_state(1, 1);
-        let split = WeightedAdps
-            .partition(&spec, NodeId::new(0), NodeId::new(1), &state)
-            .unwrap();
-        assert_eq!(split.uplink, Slots::new(20));
-    }
+    fn search_finds_a_split_when_one_exists_and_is_symmetric_when_none_does() {
+        let paper = RtChannelSpec::paper_default();
+        // Six symmetric channels exhaust the d_u = 20 budget (6·3 = 18 <= 20,
+        // a seventh needs 21): the symmetric split no longer fits the
+        // uplink, a larger uplink share does.
+        let mut ledger = SlackLedger::new();
+        load(&mut ledger, UP, 6, (100, 3, 20));
+        let task = |d| PeriodicTask::new(paper.period, paper.capacity, Slots::new(d)).unwrap();
+        assert!(!ledger.feasible_with(UP, &task(20)).is_feasible());
+        let (up, down) = split(DpsKind::Search, &paper, &ledger);
+        assert!(ledger.feasible_with(UP, &task(up)).is_feasible());
+        assert!(ledger.feasible_with(DOWN, &task(down)).is_feasible());
 
-    #[test]
-    fn search_dps_finds_a_feasible_split_when_one_exists() {
-        // Load the uplink of node 0 so heavily that the symmetric split no
-        // longer fits, then check Search-DPS still finds a split (by giving
-        // the uplink a larger share).
-        let spec = RtChannelSpec::paper_default();
-        let mut state = paper_state(1, 10);
-        // Six symmetric channels exhaust the d_u = 20 budget (6*3 = 18 <= 20,
-        // a 7th would need 21 > 20).
-        for i in 0..6u16 {
-            insert(
-                &mut state,
-                i + 1,
-                0,
-                (i + 1) as u32,
-                DeadlineSplit::symmetric(&spec).unwrap(),
-            );
-        }
-        let tester = FeasibilityTester::new();
-        // Sanity: symmetric split for a 7th channel is uplink-infeasible.
-        let up_set = state.link_taskset(LinkId::uplink(NodeId::new(0)));
-        let sym_task = PeriodicTask::new(spec.period, spec.capacity, Slots::new(20)).unwrap();
-        assert!(!tester.test_with_candidate(&up_set, &sym_task).is_feasible());
-
-        let split = SearchDps::default()
-            .partition(&spec, NodeId::new(0), NodeId::new(7), &state)
-            .unwrap();
-        let up_task = PeriodicTask::new(spec.period, spec.capacity, split.uplink).unwrap();
-        let down_set = state.link_taskset(LinkId::downlink(NodeId::new(7)));
-        let down_task = PeriodicTask::new(spec.period, spec.capacity, split.downlink).unwrap();
-        assert!(tester.test_with_candidate(&up_set, &up_task).is_feasible());
-        assert!(tester
-            .test_with_candidate(&down_set, &down_task)
-            .is_feasible());
-    }
-
-    #[test]
-    fn search_dps_falls_back_to_symmetric_when_nothing_fits() {
-        // Saturate the uplink utilisation completely: no split can work.
-        let mut state = paper_state(1, 3);
-        let big = RtChannelSpec::new(Slots::new(10), Slots::new(5), Slots::new(20)).unwrap();
-        state
-            .insert_channel(RtChannel {
-                id: ChannelId::new(1),
-                source: Endpoint::for_node(NodeId::new(0)),
-                destination: Endpoint::for_node(NodeId::new(1)),
-                spec: big,
-                split: DeadlineSplit::new(&big, Slots::new(10), Slots::new(10)).unwrap(),
-            })
-            .unwrap();
-        state
-            .insert_channel(RtChannel {
-                id: ChannelId::new(2),
-                source: Endpoint::for_node(NodeId::new(0)),
-                destination: Endpoint::for_node(NodeId::new(2)),
-                spec: big,
-                split: DeadlineSplit::new(&big, Slots::new(10), Slots::new(10)).unwrap(),
-            })
-            .unwrap();
-        // Uplink utilisation is now 1.0; any additional channel is
-        // infeasible on the uplink no matter the split.
-        let spec = RtChannelSpec::paper_default();
-        let split = SearchDps::default()
-            .partition(&spec, NodeId::new(0), NodeId::new(3), &state)
-            .unwrap();
-        assert_eq!(split, DeadlineSplit::symmetric(&spec).unwrap());
-    }
-
-    #[test]
-    fn dps_kind_builds_all_variants() {
-        for kind in DpsKind::ALL {
-            let dps = kind.build();
-            assert!(!dps.name().is_empty());
-            let spec = RtChannelSpec::paper_default();
-            let state = paper_state(1, 1);
-            let split = dps
-                .partition(&spec, NodeId::new(0), NodeId::new(1), &state)
-                .unwrap();
-            split.validate(&spec).unwrap();
-        }
+        // An uplink at utilisation 1 takes nothing more, whatever the split.
+        let mut full = SlackLedger::new();
+        load(&mut full, UP, 2, (10, 5, 10));
+        assert_eq!(split(DpsKind::Search, &paper, &full), (20, 20));
     }
 }

@@ -145,6 +145,11 @@ impl LinkView<'_> {
         self.held.len()
     }
 
+    /// The link's reserved utilisation `Σ C/P`.
+    pub(crate) fn utilisation(&self) -> f64 {
+        self.held.iter().map(PeriodicTask::utilisation).sum()
+    }
+
     /// Run the per-link EDF feasibility test with `task` added to the
     /// link's current reservations, committing nothing.
     pub(crate) fn feasible_with(&self, task: &PeriodicTask) -> FeasibilityOutcome {
@@ -159,6 +164,13 @@ impl SlackLedger {
     /// An empty ledger.
     pub fn new() -> Self {
         SlackLedger::default()
+    }
+
+    /// Guard the links with `tester` instead of the exact two-constraint
+    /// test (the utilisation-only ablation).
+    pub fn with_tester(mut self, tester: FeasibilityTester) -> Self {
+        self.tester = tester;
+        self
     }
 
     /// What is held on `link`, resolved once for any number of reads.

@@ -1,8 +1,9 @@
 //! The switch-side RT channel management software (Figure 18.2, box "RT
-//! channel management").
+//! channel management"): the [`ChannelManager`] interface and its value
+//! types.
 //!
-//! The manager owns the admission controller and drives the switch's part of
-//! the establishment handshake:
+//! A manager owns the admission control and drives the switch's part of the
+//! establishment handshake:
 //!
 //! * on a **RequestFrame** from a source node it runs admission control;
 //!   if the channel is feasible it tentatively reserves it, writes the newly
@@ -17,19 +18,12 @@
 //! [`SwitchAction`]s; actually putting those actions on the wire is the
 //! caller's job (`rt-core::network` does it through the simulator).
 
-use std::collections::HashMap;
 use std::fmt;
 
-use rt_frames::rt_response::ResponseVerdict;
 use rt_frames::{Frame, RequestFrame, ReservationFrame, ResponseFrame};
-use rt_types::{
-    ChannelId, ConnectionRequestId, HopLink, LinkId, MacAddr, NodeId, Route, RtError, RtResult,
-    SimTime, Slots, SwitchId,
-};
+use rt_types::{ChannelId, HopLink, NodeId, Route, RtError, RtResult, SimTime, Slots, SwitchId};
 
-use crate::admission::{AdmissionController, AdmissionDecision};
-use crate::channel::{RtChannel, RtChannelSpec};
-use crate::protocol::ChannelRequest;
+use crate::channel::RtChannelSpec;
 
 /// Something the switch wants to transmit as a result of handling a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,10 +154,10 @@ impl FailoverReport {
 ///
 /// A channel manager is a pure state machine — decoded control frames in,
 /// [`SwitchAction`]s out — plus read access to the channels it has
-/// established.  [`SwitchChannelManager`] implements it for the paper's
-/// single-switch star (two-link admission, four DPS variants);
-/// [`crate::multihop::FabricChannelManager`] for multi-switch fabrics
-/// (per-link admission along the whole route).
+/// established.  [`crate::multihop::FabricChannelManager`] implements it
+/// with one fabric-wide ledger (the paper's single-switch star is its
+/// one-switch case), [`crate::distributed::DistributedChannelManager`] with
+/// one ledger per switch.
 pub trait ChannelManager: fmt::Debug {
     /// Handle a RequestFrame received from a source node.
     fn handle_request(&mut self, frame: &RequestFrame) -> RtResult<Vec<SwitchAction>>;
@@ -192,8 +186,8 @@ pub trait ChannelManager: fmt::Debug {
 
     /// `true` if admitted channels carry per-hop deadline budgets that the
     /// wire-level simulator should enforce per link (multi-hop deadline
-    /// partitioning).  The star manager keeps the paper's end-to-end EDF
-    /// stamps instead.
+    /// partitioning).  A star build keeps the paper's end-to-end EDF stamps
+    /// instead.
     fn schedules_hops(&self) -> bool;
 
     /// React to a trunk failure: release the reservations of every admitted
@@ -219,7 +213,7 @@ pub trait ChannelManager: fmt::Debug {
     /// React to a whole-switch failure: every healthy trunk incident to
     /// `switch` goes down atomically, then every channel that crossed any
     /// of them fails over as in [`ChannelManager::handle_link_failure`].
-    /// The default rejects (a single-switch star has no trunks to lose).
+    /// The default rejects.
     fn handle_switch_failure(&mut self, switch: SwitchId) -> RtResult<FailoverReport> {
         Err(RtError::Config(format!(
             "this manager cannot fail switch {switch}: no trunk fabric"
@@ -303,335 +297,5 @@ pub trait ChannelManager: fmt::Debug {
     /// through its own admission invariants).
     fn audit_quiescent(&self) -> RtResult<()> {
         Ok(())
-    }
-}
-
-/// A reservation waiting for the destination node's confirmation.
-#[derive(Debug, Clone, Copy)]
-struct PendingReservation {
-    source: NodeId,
-    request_id: ConnectionRequestId,
-}
-
-/// The switch-side channel manager.
-#[derive(Debug)]
-pub struct SwitchChannelManager {
-    admission: AdmissionController,
-    /// Reservations keyed by the assigned channel id, awaiting the
-    /// destination's ResponseFrame.
-    pending: HashMap<ChannelId, PendingReservation>,
-    switch_mac: MacAddr,
-}
-
-impl SwitchChannelManager {
-    /// Wrap an admission controller.
-    pub fn new(admission: AdmissionController) -> Self {
-        SwitchChannelManager {
-            admission,
-            pending: HashMap::new(),
-            switch_mac: MacAddr::for_switch(),
-        }
-    }
-
-    /// The admission controller (and through it the system state).
-    pub fn admission(&self) -> &AdmissionController {
-        &self.admission
-    }
-
-    /// Number of reservations still waiting for the destination's answer.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Handle a RequestFrame received from `the source node`.
-    pub fn handle_request(&mut self, frame: &RequestFrame) -> RtResult<Vec<SwitchAction>> {
-        let request = ChannelRequest::from_frame(frame)?;
-        let decision = self
-            .admission
-            .request(request.source, request.destination, request.spec)?;
-        match decision {
-            AdmissionDecision::Accepted(channel) => {
-                // Tentative reservation: capacity is held, but the channel
-                // only becomes usable once the destination accepts.
-                self.pending.insert(
-                    channel.id,
-                    PendingReservation {
-                        source: request.source,
-                        request_id: request.request_id,
-                    },
-                );
-                let mut annotated = *frame;
-                annotated.rt_channel_id = Some(channel.id);
-                Ok(vec![SwitchAction::ForwardRequest {
-                    to: request.destination,
-                    frame: annotated,
-                }])
-            }
-            AdmissionDecision::Rejected { .. } => Ok(vec![SwitchAction::SendResponse {
-                to: request.source,
-                frame: ResponseFrame {
-                    rt_channel_id: None,
-                    switch_mac: self.switch_mac,
-                    verdict: ResponseVerdict::Rejected,
-                    connection_request_id: request.request_id,
-                },
-            }]),
-        }
-    }
-
-    /// Handle a ResponseFrame received from a destination node.
-    pub fn handle_response(&mut self, frame: &ResponseFrame) -> RtResult<Vec<SwitchAction>> {
-        let channel_id = frame.rt_channel_id.ok_or_else(|| {
-            RtError::ProtocolViolation("destination response carries no RT channel id".into())
-        })?;
-        let reservation = self.pending.remove(&channel_id).ok_or_else(|| {
-            RtError::UnknownRequest(format!("no pending reservation for channel {channel_id}"))
-        })?;
-        if !frame.verdict.is_accepted() {
-            // Destination refused: roll the reservation back.
-            self.admission.release(channel_id)?;
-        }
-        Ok(vec![SwitchAction::SendResponse {
-            to: reservation.source,
-            frame: ResponseFrame {
-                rt_channel_id: Some(channel_id),
-                switch_mac: self.switch_mac,
-                verdict: frame.verdict,
-                connection_request_id: reservation.request_id,
-            },
-        }])
-    }
-
-    /// Handle a channel tear-down: release the reserved capacity.
-    pub fn handle_teardown(&mut self, channel: ChannelId) -> RtResult<RtChannel> {
-        self.admission.release(channel)
-    }
-
-    /// Established (confirmed or pending) channel count, for reporting.
-    pub fn channel_count(&self) -> usize {
-        self.admission.state().channel_count()
-    }
-}
-
-impl ChannelManager for SwitchChannelManager {
-    fn handle_request(&mut self, frame: &RequestFrame) -> RtResult<Vec<SwitchAction>> {
-        SwitchChannelManager::handle_request(self, frame)
-    }
-
-    fn handle_response(&mut self, frame: &ResponseFrame) -> RtResult<Vec<SwitchAction>> {
-        SwitchChannelManager::handle_response(self, frame)
-    }
-
-    fn handle_teardown(&mut self, channel: ChannelId) -> RtResult<ReleasedChannel> {
-        let released = SwitchChannelManager::handle_teardown(self, channel)?;
-        Ok(ReleasedChannel {
-            id: released.id,
-            destination: released.destination.node,
-        })
-    }
-
-    fn channel_count(&self) -> usize {
-        SwitchChannelManager::channel_count(self)
-    }
-
-    fn pending_count(&self) -> usize {
-        SwitchChannelManager::pending_count(self)
-    }
-
-    fn channel_ids(&self) -> Vec<ChannelId> {
-        self.admission.state().channels().map(|c| c.id).collect()
-    }
-
-    fn channel_route(&self, id: ChannelId) -> Option<ChannelRoute> {
-        let channel = self.admission.state().channel(id)?;
-        let path = Route::from_links(vec![
-            HopLink::Uplink(channel.source.node),
-            HopLink::Downlink(channel.destination.node),
-        ])
-        .expect("uplink + downlink is a valid route");
-        Some(ChannelRoute {
-            id: channel.id,
-            source: channel.source.node,
-            destination: channel.destination.node,
-            spec: channel.spec,
-            path,
-            link_deadlines: vec![channel.split.uplink, channel.split.downlink],
-        })
-    }
-
-    fn link_load(&self, link: HopLink) -> usize {
-        match link {
-            HopLink::Uplink(n) => self.admission.state().link_load(LinkId::uplink(n)),
-            HopLink::Downlink(n) => self.admission.state().link_load(LinkId::downlink(n)),
-            // A single-switch star has no trunks.
-            HopLink::Trunk { .. } => 0,
-        }
-    }
-
-    fn schedules_hops(&self) -> bool {
-        false
-    }
-
-    fn handle_link_failure(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
-        Err(RtError::Config(format!(
-            "a single-switch star has no trunk {from} <-> {to} to fail"
-        )))
-    }
-
-    fn handle_link_repair(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
-        Err(RtError::Config(format!(
-            "a single-switch star has no trunk {from} <-> {to} to repair"
-        )))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::channel::RtChannelSpec;
-    use crate::dps::DpsKind;
-    use crate::system_state::SystemState;
-    use rt_types::{ConnectionRequestId, NodeId};
-
-    fn manager(nodes: u32, dps: DpsKind) -> SwitchChannelManager {
-        SwitchChannelManager::new(AdmissionController::new(
-            SystemState::with_nodes((0..nodes).map(NodeId::new)),
-            dps.build(),
-        ))
-    }
-
-    fn request(src: u32, dst: u32, req_id: u8) -> RequestFrame {
-        ChannelRequest {
-            source: NodeId::new(src),
-            destination: NodeId::new(dst),
-            spec: RtChannelSpec::paper_default(),
-            request_id: ConnectionRequestId::new(req_id),
-        }
-        .to_frame()
-    }
-
-    fn destination_accepts(frame: &RequestFrame) -> ResponseFrame {
-        ResponseFrame {
-            rt_channel_id: frame.rt_channel_id,
-            switch_mac: MacAddr::for_switch(),
-            verdict: ResponseVerdict::Accepted,
-            connection_request_id: frame.connection_request_id,
-        }
-    }
-
-    #[test]
-    fn full_accept_handshake() {
-        let mut m = manager(4, DpsKind::Asymmetric);
-        let actions = m.handle_request(&request(0, 1, 7)).unwrap();
-        assert_eq!(actions.len(), 1);
-        let forwarded = match &actions[0] {
-            SwitchAction::ForwardRequest { to, frame } => {
-                assert_eq!(*to, NodeId::new(1));
-                assert!(frame.rt_channel_id.is_some());
-                *frame
-            }
-            other => panic!("expected ForwardRequest, got {other:?}"),
-        };
-        assert_eq!(m.pending_count(), 1);
-        assert_eq!(m.channel_count(), 1);
-
-        let actions = m.handle_response(&destination_accepts(&forwarded)).unwrap();
-        assert_eq!(m.pending_count(), 0);
-        match &actions[0] {
-            SwitchAction::SendResponse { to, frame } => {
-                assert_eq!(*to, NodeId::new(0));
-                assert!(frame.verdict.is_accepted());
-                assert_eq!(frame.connection_request_id, ConnectionRequestId::new(7));
-                assert_eq!(frame.rt_channel_id, forwarded.rt_channel_id);
-            }
-            other => panic!("expected SendResponse, got {other:?}"),
-        }
-        assert_eq!(m.channel_count(), 1);
-    }
-
-    #[test]
-    fn switch_rejection_answers_source_directly() {
-        let mut m = manager(10, DpsKind::Symmetric);
-        // Saturate node 0's uplink (6 channels with the paper parameters).
-        for i in 0..6u8 {
-            let f = request(0, 1 + u32::from(i), i);
-            let actions = m.handle_request(&f).unwrap();
-            let fwd = match &actions[0] {
-                SwitchAction::ForwardRequest { frame, .. } => *frame,
-                other => panic!("unexpected {other:?}"),
-            };
-            m.handle_response(&destination_accepts(&fwd)).unwrap();
-        }
-        let actions = m.handle_request(&request(0, 8, 99)).unwrap();
-        assert_eq!(actions.len(), 1);
-        match &actions[0] {
-            SwitchAction::SendResponse { to, frame } => {
-                assert_eq!(*to, NodeId::new(0));
-                assert!(!frame.verdict.is_accepted());
-                assert_eq!(frame.rt_channel_id, None);
-                assert_eq!(frame.connection_request_id, ConnectionRequestId::new(99));
-            }
-            other => panic!("expected SendResponse, got {other:?}"),
-        }
-        assert_eq!(m.channel_count(), 6);
-    }
-
-    #[test]
-    fn destination_rejection_rolls_back_the_reservation() {
-        let mut m = manager(3, DpsKind::Symmetric);
-        let actions = m.handle_request(&request(0, 1, 1)).unwrap();
-        let fwd = match &actions[0] {
-            SwitchAction::ForwardRequest { frame, .. } => *frame,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(m.channel_count(), 1);
-        let mut reject = destination_accepts(&fwd);
-        reject.verdict = ResponseVerdict::Rejected;
-        let actions = m.handle_response(&reject).unwrap();
-        match &actions[0] {
-            SwitchAction::SendResponse { frame, .. } => assert!(!frame.verdict.is_accepted()),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(m.channel_count(), 0, "capacity must be released");
-        assert_eq!(m.pending_count(), 0);
-    }
-
-    #[test]
-    fn teardown_releases_capacity() {
-        let mut m = manager(3, DpsKind::Symmetric);
-        let actions = m.handle_request(&request(0, 1, 1)).unwrap();
-        let fwd = match &actions[0] {
-            SwitchAction::ForwardRequest { frame, .. } => *frame,
-            other => panic!("unexpected {other:?}"),
-        };
-        m.handle_response(&destination_accepts(&fwd)).unwrap();
-        let id = fwd.rt_channel_id.unwrap();
-        let removed = m.handle_teardown(id).unwrap();
-        assert_eq!(removed.id, id);
-        assert_eq!(m.channel_count(), 0);
-        assert!(m.handle_teardown(id).is_err());
-    }
-
-    #[test]
-    fn protocol_violations_are_errors() {
-        let mut m = manager(3, DpsKind::Symmetric);
-        // Response with no channel id.
-        let resp = ResponseFrame {
-            rt_channel_id: None,
-            switch_mac: MacAddr::for_switch(),
-            verdict: ResponseVerdict::Accepted,
-            connection_request_id: ConnectionRequestId::new(1),
-        };
-        assert!(m.handle_response(&resp).is_err());
-        // Response for a channel that is not pending.
-        let resp = ResponseFrame {
-            rt_channel_id: Some(ChannelId::new(55)),
-            switch_mac: MacAddr::for_switch(),
-            verdict: ResponseVerdict::Accepted,
-            connection_request_id: ConnectionRequestId::new(1),
-        };
-        assert!(m.handle_response(&resp).is_err());
-        // Request from an unknown node.
-        assert!(m.handle_request(&request(9, 0, 1)).is_err());
     }
 }

@@ -1,8 +1,10 @@
-//! Multi-switch topologies (the paper's stated future work).
+//! Admission control over a fabric of switches — the paper's single-switch
+//! star (§18.3) being the one-switch fabric — and the central channel
+//! manager built on it.
 //!
 //! The paper's conclusions call for "investigating the use of more complex
 //! network topologies, i.e. networks consisting of many interconnected
-//! switches".  This module generalises the single-switch machinery to an
+//! switches".  This module is the single-switch machinery written for an
 //! arbitrary connected fabric of switches:
 //!
 //! * a [`Topology`] describes which switch every end node attaches to and
@@ -15,7 +17,9 @@
 //! * the end-to-end deadline is partitioned over all links of the route by a
 //!   [`MultiHopDps`]: the symmetric scheme gives every hop `d_i / k`, the
 //!   asymmetric scheme distributes the slack `d_i − k·C_i` proportionally to
-//!   the per-link load (the natural generalisation of Eq. 18.16),
+//!   the per-link load — or, on a star build, over its two links by one of
+//!   the paper's own rules ([`DpsKind`](crate::dps::DpsKind); the two
+//!   families are a [`DpsFamily`]),
 //! * admission control ([`MultiHopAdmission`]) runs the same per-link EDF
 //!   feasibility test on every link of the route and commits the channel only
 //!   if all of them pass.
@@ -29,7 +33,7 @@ use std::collections::{btree_map, BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use rt_edf::{FeasibilityVerdict, PeriodicTask, TaskSet};
+use rt_edf::{FeasibilityTester, FeasibilityVerdict, PeriodicTask, TaskSet};
 use rt_frames::rt_response::ResponseVerdict;
 use rt_frames::{RequestFrame, ResponseFrame};
 use rt_types::{
@@ -40,6 +44,7 @@ use rt_types::{
 pub use rt_types::{HopLink, Route, Router, SwitchId, Topology};
 
 use crate::channel::RtChannelSpec;
+use crate::dps::DpsFamily;
 use crate::ledger::{LinkView, ReservationKey, SlackLedger};
 use crate::manager::{ChannelManager, ChannelRoute, FailoverReport, ReleasedChannel, SwitchAction};
 use crate::protocol::ChannelRequest;
@@ -143,7 +148,8 @@ pub struct Refusal {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefusalCause {
     /// The end-to-end deadline cannot be split over the route's links
-    /// (shorter than one capacity per hop).
+    /// (shorter than one capacity per hop, or a two-link rule handed a route
+    /// of another length).
     NotPartitionable,
     /// The link's share of the deadline does not make a valid periodic task.
     InvalidTask,
@@ -160,7 +166,7 @@ impl fmt::Display for Refusal {
                 write!(f, "link {link} infeasible with d={d}: {verdict:?}")
             }
             (RefusalCause::NotPartitionable, _) => {
-                write!(f, "deadline {d} is shorter than one capacity per hop")
+                write!(f, "deadline {d} cannot be split over the route's links")
             }
             _ => write!(f, "d={d} makes no valid periodic task"),
         }
@@ -173,7 +179,7 @@ impl fmt::Display for Refusal {
 /// in whichever ledger owns it and is called once per link; nothing is
 /// committed.  Returns the per-link deadlines, or the first refusal.
 pub(crate) fn admit_along<'a>(
-    dps: MultiHopDps,
+    dps: DpsFamily,
     spec: &RtChannelSpec,
     path: &[HopLink],
     view_of: impl Fn(HopLink) -> LinkView<'a>,
@@ -190,9 +196,15 @@ pub(crate) fn admit_along<'a>(
                 deadline,
                 cause,
             };
-            let deadlines = dps
-                .partition(spec, path, loads)
-                .map_err(|_| refusal(None, spec.deadline, RefusalCause::NotPartitionable))?;
+            let deadlines = match (dps, &*views) {
+                (DpsFamily::PerHop(rule), _) => rule.partition(spec, path, loads).ok(),
+                (DpsFamily::TwoLink(rule), &[Some(up), Some(down)]) => rule
+                    .split(spec, up, down)
+                    .ok()
+                    .map(|split| vec![split.uplink, split.downlink]),
+                (DpsFamily::TwoLink(_), _) => None,
+            }
+            .ok_or(refusal(None, spec.deadline, RefusalCause::NotPartitionable))?;
             for ((link, &deadline), view) in path.iter().zip(&deadlines).zip(views.iter().flatten())
             {
                 let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
@@ -239,7 +251,10 @@ impl MultiHopChannel {
     }
 }
 
-/// Admission control over a multi-switch topology.
+/// Admission control over a topology of switches, from the paper's
+/// single-switch star ([`Topology::star`], partitioned by a
+/// [`DpsKind`](crate::dps::DpsKind)) to a mesh (partitioned by a
+/// [`MultiHopDps`]).
 ///
 /// The reservation book-keeping lives in one fabric-wide [`SlackLedger`] —
 /// the central control plane is the degenerate "one switch owns every link"
@@ -247,7 +262,7 @@ impl MultiHopChannel {
 pub struct MultiHopAdmission {
     topology: Topology,
     router: Arc<dyn Router>,
-    dps: MultiHopDps,
+    dps: DpsFamily,
     ledger: SlackLedger,
     channels: BTreeMap<u16, MultiHopChannel>,
     next_channel_id: u16,
@@ -270,10 +285,13 @@ impl fmt::Debug for MultiHopAdmission {
 }
 
 impl MultiHopAdmission {
-    /// Create an admission controller for `topology` using `dps`, routing
-    /// with the default [`ShortestPathRouter`] (identical to the tree path
-    /// on tree topologies, shortest paths on meshes).
-    pub fn new(topology: Topology, dps: MultiHopDps) -> Self {
+    /// Create an admission controller for `topology` using `dps` — a
+    /// [`MultiHopDps`], or one of the paper's two-link
+    /// [`DpsKind`](crate::dps::DpsKind)s when every route is `uplink →
+    /// downlink` — routing with the default [`ShortestPathRouter`]
+    /// (identical to the tree path on tree topologies, shortest paths on
+    /// meshes).
+    pub fn new(topology: Topology, dps: impl Into<DpsFamily>) -> Self {
         Self::with_router(topology, dps, Arc::new(ShortestPathRouter::new()))
     }
 
@@ -282,11 +300,15 @@ impl MultiHopAdmission {
     /// [`Router::route`]); callers that want to fail fast should invoke
     /// [`Router::validate`] when the network is built, as
     /// `rt_core::RtNetworkBuilder` does.
-    pub fn with_router(topology: Topology, dps: MultiHopDps, router: Arc<dyn Router>) -> Self {
+    pub fn with_router(
+        topology: Topology,
+        dps: impl Into<DpsFamily>,
+        router: Arc<dyn Router>,
+    ) -> Self {
         MultiHopAdmission {
             topology,
             router,
-            dps,
+            dps: dps.into(),
             ledger: SlackLedger::new(),
             channels: BTreeMap::new(),
             next_channel_id: 1,
@@ -295,6 +317,13 @@ impl MultiHopAdmission {
             rerouted: 0,
             dropped_on_failure: 0,
         }
+    }
+
+    /// Guard every link with `tester` instead of the exact two-constraint
+    /// test (the utilisation-only ablation).
+    pub fn with_tester(mut self, tester: FeasibilityTester) -> Self {
+        self.ledger = self.ledger.with_tester(tester);
+        self
     }
 
     /// The topology being managed.
@@ -446,10 +475,14 @@ impl MultiHopAdmission {
                 }
             }
         }
+        let refusal = primary_failure.ok_or_else(|| {
+            RtError::Config(format!(
+                "router {} offers no route from {source} to {destination}",
+                self.router.name()
+            ))
+        })?;
         self.rejected += 1;
-        Ok(Err(
-            primary_failure.expect("Router::routes yields at least one candidate")
-        ))
+        Ok(Err(refusal))
     }
 
     /// Fail a trunk and fail over: every admitted channel whose route
@@ -657,17 +690,16 @@ struct PendingFabricReservation {
     request_id: ConnectionRequestId,
 }
 
-/// The managing switch's RT channel management software for a multi-switch
-/// fabric: the topology-aware counterpart of
-/// [`crate::manager::SwitchChannelManager`].
+/// The managing switch's RT channel management software (Figure 18.2, box
+/// "RT channel management"), for the single-switch star and for a
+/// multi-switch fabric alike.
 ///
-/// The handshake is the same three-party protocol as on the single-switch
-/// star — RequestFrame in, admission, forwarded request, ResponseFrame back
-/// — except that admission runs the per-link EDF feasibility test on *every*
-/// link of the route (uplink, trunks, downlink) with the end-to-end deadline
-/// partitioned by a [`MultiHopDps`].  Like its star counterpart it is a pure
-/// state machine: frames in, [`SwitchAction`]s out; the caller puts the
-/// actions on the wire.
+/// The handshake is the paper's three-party protocol — RequestFrame in,
+/// admission, forwarded request, ResponseFrame back — with admission running
+/// the per-link EDF feasibility test on *every* link of the route (uplink,
+/// trunks if any, downlink) and the end-to-end deadline partitioned by the
+/// admission controller's [`DpsFamily`].  It is a pure state machine: frames
+/// in, [`SwitchAction`]s out; the caller puts the actions on the wire.
 #[derive(Debug)]
 pub struct FabricChannelManager {
     admission: MultiHopAdmission,
@@ -814,7 +846,7 @@ impl ChannelManager for FabricChannelManager {
     }
 
     fn schedules_hops(&self) -> bool {
-        true
+        matches!(self.admission.dps, DpsFamily::PerHop(_))
     }
 
     fn handle_link_failure(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
@@ -842,6 +874,7 @@ impl ChannelManager for FabricChannelManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dps::DpsKind;
 
     /// Two access switches joined by one trunk; `m` masters on switch 0 and
     /// `s` slaves on switch 1.
@@ -1115,6 +1148,121 @@ mod tests {
         );
         assert!(admission.rejected_count() > 0);
         assert!(admission.accepted_count() > 0);
+    }
+
+    // --- the single-switch star (the paper's §18.3 system) ------------------
+
+    fn star(nodes: u32, dps: DpsKind) -> MultiHopAdmission {
+        let nodes = (0..nodes).map(NodeId::new);
+        MultiHopAdmission::new(Topology::star(SwitchId::new(0), nodes), dps)
+    }
+
+    #[test]
+    fn a_star_uplink_takes_six_sdps_channels_and_a_refusal_changes_nothing() {
+        let spec = RtChannelSpec::paper_default(); // U = 0.03, d = 40 << P
+        let mut admission = star(40, DpsKind::Symmetric);
+        let ask = |admission: &mut MultiHopAdmission, dst: u32| {
+            let result = admission.request(NodeId::new(0), NodeId::new(dst), spec);
+            result
+                .unwrap()
+                .map(|channel| channel.link_deadlines.clone())
+        };
+        for dst in 1..=6 {
+            assert_eq!(
+                ask(&mut admission, dst),
+                Ok(vec![Slots::new(20), Slots::new(20)])
+            );
+        }
+        // d_iu = 20 fits six channels of C = 3; the rest are refused on the
+        // master's uplink (tested before the downlink), and a refusal leaves
+        // every link as it was.
+        let before: Vec<_> = admission.loaded_links().collect();
+        for dst in 7..=20 {
+            let refusal = ask(&mut admission, dst).unwrap_err();
+            assert_eq!(refusal.link, Some(HopLink::Uplink(NodeId::new(0))));
+        }
+        assert_eq!(admission.loaded_links().collect::<Vec<_>>(), before);
+        let counts = |a: &MultiHopAdmission| (a.accepted_count(), a.rejected_count());
+        assert_eq!(counts(&admission), (6, 14));
+        assert_eq!(admission.channel_count(), 6);
+        // Each link holds the supposed task of Eq. 18.6/18.7: the channel's
+        // P and C under that link's share of the deadline.
+        let held = admission.link_taskset(HopLink::Uplink(NodeId::new(0)));
+        let supposed = PeriodicTask::new(spec.period, spec.capacity, Slots::new(20)).unwrap();
+        assert_eq!(held.tasks(), [supposed; 6]);
+        assert!(admission
+            .link_taskset(HopLink::Downlink(NodeId::new(0)))
+            .is_empty());
+
+        // What the caller got wrong is an error, not a counted decision: a
+        // spec with d < 2C, an unknown endpoint, a channel to oneself.
+        let bad = RtChannelSpec {
+            deadline: Slots::new(5),
+            ..spec
+        };
+        let node = NodeId::new;
+        assert!(admission.request(node(1), node(2), bad).is_err());
+        for (src, dst) in [(1, 77), (77, 1)] {
+            let unknown = admission.request(node(src), node(dst), spec).unwrap_err();
+            assert_eq!(unknown, RtError::UnknownNode(node(77)));
+        }
+        assert!(admission.request(node(1), node(1), spec).is_err());
+        assert_eq!(counts(&admission), (6, 14));
+
+        // Ablation B's premise: with d < P the utilisation bound alone admits
+        // what the exact test refuses — everything, while U <= 1.
+        let mut shortcut =
+            star(40, DpsKind::Symmetric).with_tester(FeasibilityTester::utilisation_only());
+        assert!((1..=33).all(|dst| ask(&mut shortcut, dst).is_ok()));
+        assert!(ask(&mut shortcut, 34).is_err(), "34 x 0.03 > 1");
+    }
+
+    #[test]
+    fn channel_ids_wrap_past_the_live_ones_and_are_never_zero() {
+        let spec = RtChannelSpec::paper_default();
+        let mut admission = star(8, DpsKind::Asymmetric);
+        let next_id = |admission: &mut MultiHopAdmission, src: u32| {
+            let result = admission.request(NodeId::new(src), NodeId::new(src + 1), spec);
+            result.unwrap().unwrap().id.get()
+        };
+        assert_eq!(next_id(&mut admission, 0), 1);
+        admission.next_channel_id = u16::MAX;
+        assert_eq!(next_id(&mut admission, 2), u16::MAX);
+        // 0 means "not set yet" on the wire and 1 is still live.
+        assert_eq!(next_id(&mut admission, 4), 2);
+    }
+
+    /// A router that knows no route at all is a configuration error of the
+    /// caller's, reported as one.
+    #[test]
+    fn a_router_offering_no_route_is_an_error_not_a_panic() {
+        #[derive(Debug)]
+        struct NoRoutes;
+        impl Router for NoRoutes {
+            fn name(&self) -> &'static str {
+                "no-routes"
+            }
+            fn validate(&self, _: &Topology) -> RtResult<()> {
+                Ok(())
+            }
+            fn route(&self, t: &Topology, s: NodeId, d: NodeId) -> RtResult<Route> {
+                ShortestPathRouter::new().route(t, s, d)
+            }
+            fn routes(&self, _: &Topology, _: NodeId, _: NodeId) -> RtResult<Vec<Route>> {
+                Ok(vec![])
+            }
+        }
+        let mut admission = MultiHopAdmission::with_router(
+            dumbbell(1, 1),
+            MultiHopDps::Symmetric,
+            Arc::new(NoRoutes),
+        );
+        let spec = RtChannelSpec::paper_default();
+        let error = admission
+            .request(NodeId::new(0), NodeId::new(1), spec)
+            .unwrap_err();
+        assert!(matches!(error, RtError::Config(text) if text.contains("no-routes")));
+        assert_eq!(admission.rejected_count(), 0, "an error is not a verdict");
     }
 
     // --- fail-over ---------------------------------------------------------
@@ -1464,11 +1612,12 @@ mod tests {
         assert_eq!(m.channel_count(), 0);
         assert_eq!(m.admission().link_load(trunk), 0);
 
-        // Protocol violations are errors.
+        // Protocol violations are errors, and so is an unknown requester.
         assert!(m.handle_response(&reject).is_err());
         let mut no_id = reject;
         no_id.rt_channel_id = None;
         assert!(m.handle_response(&no_id).is_err());
+        assert!(m.handle_request(&fabric_request(9, 0, 1)).is_err());
     }
 
     #[test]

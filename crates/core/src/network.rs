@@ -6,11 +6,11 @@
 //! one step further) — and wires the control plane into it:
 //!
 //! * each end node gets an [`RtLayer`],
-//! * the managing switch gets a [`ChannelManager`] — a
-//!   [`SwitchChannelManager`] on the star, a
-//!   [`crate::multihop::FabricChannelManager`] (admission over every link of
-//!   the route, multi-hop deadline partitioning) on a fabric — behind one
-//!   trait, so callers never care which,
+//! * the managing switch gets a [`ChannelManager`] — one stack, three
+//!   builds: a [`FabricChannelManager`] (admission over every link of the
+//!   route) over the star's one-switch topology with the paper's two-link
+//!   deadline partitioning, the same manager over a fabric with multi-hop
+//!   partitioning, or a [`DistributedChannelManager`] —
 //! * a [`Router`] picks the path of every admitted channel; the network
 //!   registers the route's forwarding entries and per-hop deadline budgets
 //!   with the simulator at establishment time,
@@ -43,25 +43,22 @@ use rt_types::{
     SwitchId, Topology,
 };
 
-use crate::admission::AdmissionController;
 use crate::channel::RtChannelSpec;
 use crate::distributed::DistributedChannelManager;
-use crate::dps::DpsKind;
-use crate::manager::{
-    ChannelManager, FailoverReport, ReleasedChannel, SwitchAction, SwitchChannelManager,
-};
+use crate::dps::{DpsFamily, DpsKind};
+use crate::manager::{ChannelManager, FailoverReport, ReleasedChannel, SwitchAction};
 use crate::multihop::{FabricChannelManager, MultiHopAdmission, MultiHopDps};
 use crate::rtlayer::{EstablishmentOutcome, ReceivedMessage, RtLayer, RtLayerConfig, TxChannel};
-use crate::system_state::SystemState;
 
-/// Which channel-management software the managing switch runs.
+/// What the network is built over, and with it which family of rules
+/// partitions its deadlines.
 #[derive(Debug, Clone)]
 enum FabricShape {
-    /// Single-switch star over the given nodes: the paper's §18.3 two-link
-    /// admission with the full set of DPS variants.
+    /// Single-switch star over the given nodes: every route is `uplink →
+    /// downlink`, partitioned by the paper's §18.4 rules ([`DpsKind`]).
     Star(Vec<NodeId>),
-    /// Explicit multi-switch topology: per-link admission along routed
-    /// paths.
+    /// Explicit multi-switch topology: routes of any length, partitioned
+    /// per hop ([`MultiHopDps`]).
     Fabric(Topology),
 }
 
@@ -176,15 +173,27 @@ impl RtNetworkBuilder {
         self
     }
 
-    /// The deadline-partitioning scheme of a star build (ignored on
-    /// fabrics; see [`RtNetworkBuilder::multihop_dps`]).
+    /// The deadline-partitioning rule of a star build (`.star(n)` /
+    /// `.nodes(..)`), one of the paper's two-link family: the *whole*
+    /// deadline split in proportion to the two links' loads (Eq. 18.16).
+    /// Ignored on fabrics, which take a [`RtNetworkBuilder::multihop_dps`].
+    ///
+    /// There are two families because each measures better on its own
+    /// workload: the per-hop `Asymmetric` rule put under the paper's
+    /// 10-master/50-slave star accepts 100 of Figure 18.5's channels where
+    /// this family's ADPS accepts 110, and Eq. 18.16 put under the fabric
+    /// workloads costs up to 16 % of their accepted channels
+    /// (ARCHITECTURE.md, "two DPS families, measured").
     pub fn dps(mut self, dps: DpsKind) -> Self {
         self.dps = dps;
         self
     }
 
-    /// The multi-hop deadline-partitioning scheme of a fabric build
-    /// (ignored on stars; see [`RtNetworkBuilder::dps`]).
+    /// The deadline-partitioning rule of a fabric build (`.topology(..)`),
+    /// one of the per-hop family: every link of the route gets `C_i` first
+    /// and only the slack `d_i − k·C_i` is split.  Ignored on stars, which
+    /// take a [`RtNetworkBuilder::dps`] — see there for why there are two
+    /// families.
     pub fn multihop_dps(mut self, dps: MultiHopDps) -> Self {
         self.multihop_dps = dps;
         self
@@ -267,42 +276,24 @@ impl RtNetworkBuilder {
         let router: Arc<dyn Router> = self
             .router
             .unwrap_or_else(|| Arc::new(ShortestPathRouter::new()));
-        let (topology, manager): (Topology, Box<dyn ChannelManager>) = match shape {
-            FabricShape::Star(nodes) => {
-                if self.placement == ManagerPlacement::Distributed {
-                    return Err(RtError::Config(
-                        "distributed control needs a .topology(..) fabric: a single-switch \
-                         star has nothing to distribute"
-                            .into(),
-                    ));
-                }
-                let topology = Topology::star(SwitchId::new(0), nodes.iter().copied());
-                let admission = AdmissionController::new(
-                    SystemState::with_nodes(nodes.iter().copied()),
-                    self.dps.build(),
-                );
-                (topology, Box::new(SwitchChannelManager::new(admission)))
-            }
-            FabricShape::Fabric(mut topology) => {
-                topology.set_manager_placement(self.placement);
-                match self.placement {
-                    ManagerPlacement::Central => {
-                        let admission = MultiHopAdmission::with_router(
-                            topology.clone(),
-                            self.multihop_dps,
-                            Arc::clone(&router),
-                        );
-                        (topology, Box::new(FabricChannelManager::new(admission)))
-                    }
-                    ManagerPlacement::Distributed => {
-                        let manager = DistributedChannelManager::new(
-                            topology.clone(),
-                            self.multihop_dps,
-                            Arc::clone(&router),
-                        );
-                        (topology, Box::new(manager))
-                    }
-                }
+        let (mut topology, dps): (Topology, DpsFamily) = match shape {
+            FabricShape::Star(nodes) => (Topology::star(SwitchId::new(0), nodes), self.dps.into()),
+            FabricShape::Fabric(topology) => (topology, self.multihop_dps.into()),
+        };
+        topology.set_manager_placement(self.placement);
+        let manager: Box<dyn ChannelManager> = match (self.placement, dps) {
+            (ManagerPlacement::Central, dps) => Box::new(FabricChannelManager::new(
+                MultiHopAdmission::with_router(topology.clone(), dps, Arc::clone(&router)),
+            )),
+            (ManagerPlacement::Distributed, DpsFamily::PerHop(dps)) => Box::new(
+                DistributedChannelManager::new(topology.clone(), dps, Arc::clone(&router)),
+            ),
+            (ManagerPlacement::Distributed, DpsFamily::TwoLink(_)) => {
+                return Err(RtError::Config(
+                    "distributed control needs a .topology(..) fabric: a single-switch \
+                     star has nothing to distribute"
+                        .into(),
+                ));
             }
         };
         // Simulator::with_router runs the router's capability check (e.g.
@@ -381,8 +372,8 @@ impl RtNetwork {
         &self.sim
     }
 
-    /// The switch-side channel manager — star or fabric, behind one
-    /// interface.  Infallible: every network has exactly one.
+    /// The switch-side channel manager, whatever the build.  Infallible:
+    /// every network has exactly one.
     pub fn manager(&self) -> &dyn ChannelManager {
         self.manager.as_ref()
     }
@@ -1504,35 +1495,47 @@ mod tests {
             .is_err());
     }
 
+    /// The one place a star build and a fabric build differ: the same
+    /// one-switch topology partitions by the paper's two-link rule under
+    /// `.star(..)` and by the per-hop rule under `.topology(..)`, and only the
+    /// latter puts per-hop budgets on the wire.
     #[test]
-    fn unified_manager_reports_channels_in_both_modes() {
+    fn star_and_fabric_builds_of_one_switch_differ_only_in_the_dps_family() {
         let spec = RtChannelSpec::paper_default();
-        let mut star = network(4, DpsKind::Asymmetric);
-        let tx = star
-            .establish_channel(NodeId::new(0), NodeId::new(1), spec)
-            .unwrap()
-            .unwrap();
-        assert_eq!(star.manager().channel_ids(), vec![tx.id]);
-        let route = star.manager().channel_route(tx.id).unwrap();
-        assert_eq!(route.path.len(), 2, "a star channel is uplink + downlink");
-        assert_eq!(
-            route.link_deadlines.iter().map(|s| s.get()).sum::<u64>(),
-            spec.deadline.get()
-        );
-        assert_eq!(star.manager().link_load(HopLink::Uplink(NodeId::new(0))), 1);
-        assert_eq!(star.manager().pending_count(), 0);
-        assert!(!star.manager().schedules_hops());
-
-        let mut fab = fabric(MultiHopDps::Asymmetric);
-        let ftx = fab
-            .establish_channel(NodeId::new(0), NodeId::new(5), spec)
-            .unwrap()
-            .unwrap();
-        assert_eq!(fab.manager().channel_ids(), vec![ftx.id]);
-        assert!(fab.manager().schedules_hops());
-        assert_eq!(
-            fab.manager().channel_route(ftx.id).unwrap().destination,
-            NodeId::new(5)
-        );
+        let one_switch = Topology::star(SwitchId::new(0), (0..4).map(NodeId::new));
+        let star = RtNetwork::builder().star(4).dps(DpsKind::Asymmetric);
+        let fabric = RtNetwork::builder()
+            .topology(one_switch)
+            .multihop_dps(MultiHopDps::Asymmetric);
+        for (builder, hops_scheduled, second_split) in
+            [(star, false, [27, 13]), (fabric, true, [26, 14])]
+        {
+            let mut net = builder.build().unwrap();
+            let mut establish = |dst: u32| {
+                let tx = net.establish_channel(NodeId::new(0), NodeId::new(dst), spec);
+                net.manager()
+                    .channel_route(tx.unwrap().expect("accepted").id)
+                    .unwrap()
+            };
+            // Empty links: both families halve the deadline.
+            let first = establish(1);
+            assert_eq!(first.link_deadlines, [Slots::new(20); 2]);
+            assert_eq!(
+                *first.path,
+                [
+                    HopLink::Uplink(NodeId::new(0)),
+                    HopLink::Downlink(NodeId::new(1))
+                ]
+            );
+            // One channel on the uplink, none on the downlink — loads 2:1
+            // counting the candidate: 40·2/3 against 3 + 34·2/3.
+            let second = establish(2);
+            assert_eq!(second.link_deadlines, second_split.map(Slots::new));
+            assert_eq!(second.destination, NodeId::new(2));
+            assert_eq!(net.manager().channel_ids(), [first.id, second.id]);
+            assert_eq!(net.manager().link_load(HopLink::Uplink(NodeId::new(0))), 2);
+            assert_eq!(net.manager().pending_count(), 0);
+            assert_eq!(net.manager().schedules_hops(), hops_scheduled);
+        }
     }
 }

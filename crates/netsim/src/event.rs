@@ -244,7 +244,7 @@ fn placeholder_event() -> Event {
 /// minimum, which preserves FIFO exactly), with a lazily sorted overflow
 /// list for events beyond the current bucket "year".
 ///
-/// The pending set lives in one contiguous **slab** of [`CalendarSlot`]s
+/// The pending set lives in one contiguous **slab** of `CalendarSlot`s
 /// with intrusive `next` links; a bucket is a 4-byte head index into the
 /// slab, and vacated slots go on a free list for reuse.  This keeps the
 /// bucket array small enough to stay cache-resident at six-figure pending
@@ -260,7 +260,7 @@ fn placeholder_event() -> Event {
 /// * `pop` advances a cursor over the buckets of the current year; because
 ///   bucket index is monotone in time within a year, the first non-empty
 ///   bucket at or after the cursor holds the global minimum.
-/// * A chain of at most [`WIDTH_SAMPLE`] events is walked for its minimum.
+/// * A chain of at most `WIDTH_SAMPLE` events is walked for its minimum.
 ///   A longer one is detached once into the **ordered bucket**, a binary
 ///   heap: pops and peeks read its top and pushes landing at or behind the
 ///   cursor join it, so `k` events in one bucket cost O(log k) each

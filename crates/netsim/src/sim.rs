@@ -7,7 +7,7 @@
 //!   cable to its access switch, and switches are connected by full-duplex
 //!   trunk links forming any connected graph — a tree or a cyclic mesh with
 //!   redundant trunks.  Every *directed* edge of that graph is
-//!   driven by one [`OutputPort`]: the node → switch direction (the *uplink*)
+//!   driven by one [`crate::OutputPort`]: the node → switch direction (the *uplink*)
 //!   by the node's NIC, the switch → node direction (the *downlink*) and each
 //!   switch → switch direction (a *trunk port*) by the owning switch.  Every
 //!   port is an EDF-sorted real-time queue with strict priority over a FCFS
@@ -50,7 +50,7 @@
 //! sees — and the public front-end that builds and edits what the core
 //! reads.  The per-event path is allocation- and hash-free: at construction every
 //! entity gets a contiguous index — nodes, switches (via the router's
-//! [`DenseNextHop`]) and output ports (uplink `2i`, downlink `2i + 1`,
+//! [`rt_types::DenseNextHop`]) and output ports (uplink `2i`, downlink `2i + 1`,
 //! trunks after all access ports) — and every per-event decision is a few
 //! bounds-checked array reads.  A frame's destination MAC is resolved
 //! *once*, at injection time, into its dense node and access-switch

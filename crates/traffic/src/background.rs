@@ -7,9 +7,9 @@
 //! what arrival pattern — so two generators are provided: Poisson arrivals
 //! and a bursty on/off source.
 
+use rt_types::rng::Xoshiro256;
 use rt_types::{Duration, NodeId, SimTime};
 
-use crate::rng::SeededRng;
 use crate::scenario::Scenario;
 
 /// One best-effort frame to inject.
@@ -50,14 +50,14 @@ pub struct BurstyConfig {
 /// A generator of best-effort background traffic over a scenario.
 #[derive(Debug, Clone)]
 pub struct BackgroundTraffic {
-    rng: SeededRng,
+    rng: Xoshiro256,
 }
 
 impl BackgroundTraffic {
     /// Create a generator with the given seed.
     pub fn new(seed: u64) -> Self {
         BackgroundTraffic {
-            rng: SeededRng::new(seed),
+            rng: Xoshiro256::new(seed),
         }
     }
 

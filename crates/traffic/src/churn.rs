@@ -36,12 +36,12 @@ use rt_core::{ChannelManager, RtChannelSpec};
 use rt_frames::codec::TeardownFrame;
 use rt_frames::rt_response::ResponseVerdict;
 use rt_frames::{Frame, ResponseFrame};
+use rt_types::rng::Xoshiro256;
 use rt_types::{
     ChannelId, ConnectionRequestId, MacAddr, NodeId, RtError, RtResult, SimTime, SwitchId, Topology,
 };
 
 use crate::pattern::HeterogeneousSpecs;
-use crate::rng::SeededRng;
 
 /// A scripted fault action, pinned to an arrival index so it lands at the
 /// same point of the request sequence on every run (the churn analogue of
@@ -376,9 +376,9 @@ impl ChurnProcess {
     /// central or distributed — through the synchronous protocol pump.
     pub fn run<M: ChannelManager + ?Sized>(&self, manager: &mut M) -> RtResult<ChurnReport> {
         let cfg = &self.config;
-        let mut arrivals_rng = SeededRng::new(cfg.seed).derive(1);
-        let mut holding_rng = SeededRng::new(cfg.seed).derive(2);
-        let mut endpoint_rng = SeededRng::new(cfg.seed).derive(3);
+        let mut arrivals_rng = Xoshiro256::new(cfg.seed).derive(1);
+        let mut holding_rng = Xoshiro256::new(cfg.seed).derive(2);
+        let mut endpoint_rng = Xoshiro256::new(cfg.seed).derive(3);
         let mut specs = HeterogeneousSpecs::new(cfg.seed ^ 0x6368_7572_6e21_0000);
 
         let mut faults = cfg.faults.clone();

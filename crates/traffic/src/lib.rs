@@ -23,11 +23,11 @@
 //! * [`churn`] — long-running admission churn: a seeded arrival/departure
 //!   process that drives a channel manager through millions of cumulative
 //!   establish/release cycles with warm-up and measurement windows, and can
-//!   interleave scripted trunk cut/repair events,
-//! * [`rng`] — seeded, reproducible random number helpers.
+//!   interleave scripted trunk cut/repair events.
 //!
-//! Everything is deterministic given a seed, so every experiment run is
-//! exactly reproducible.
+//! Everything is deterministic given a seed (every draw comes from an
+//! [`rt_types::rng::Xoshiro256`]), so every experiment run is exactly
+//! reproducible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +37,6 @@ pub mod churn;
 pub mod fabric;
 pub mod failover;
 pub mod pattern;
-pub mod rng;
 pub mod scenario;
 pub mod source;
 

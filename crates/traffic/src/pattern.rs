@@ -7,9 +7,9 @@
 //! and hotspot patterns and heterogeneous channel parameters.
 
 use rt_core::RtChannelSpec;
+use rt_types::rng::Xoshiro256;
 use rt_types::{NodeId, Slots};
 
-use crate::rng::SeededRng;
 use crate::scenario::Scenario;
 
 /// One channel request an experiment will submit to admission control.
@@ -79,7 +79,7 @@ impl RequestPattern {
                 }
             }
             RequestPattern::MasterSlaveRandom { seed } => {
-                let mut rng = SeededRng::new(*seed);
+                let mut rng = Xoshiro256::new(*seed);
                 for i in 0..count {
                     let slave = rng.below(u64::from(scenario.slave_count()));
                     out.push(ChannelRequest {
@@ -99,7 +99,7 @@ impl RequestPattern {
                 }
             }
             RequestPattern::Uniform { seed } => {
-                let mut rng = SeededRng::new(*seed);
+                let mut rng = Xoshiro256::new(*seed);
                 let n = u64::from(scenario.node_count());
                 for i in 0..count {
                     let source = rng.below(n);
@@ -140,7 +140,7 @@ impl RequestPattern {
 /// configurable ranges, always respecting `C ≤ P` and `d ≥ 2C`.
 #[derive(Debug, Clone)]
 pub struct HeterogeneousSpecs {
-    rng: SeededRng,
+    rng: Xoshiro256,
     /// Inclusive period range in slots.
     pub period: (u64, u64),
     /// Inclusive capacity range in slots.
@@ -155,7 +155,7 @@ impl HeterogeneousSpecs {
     /// the paper's parameters.
     pub fn new(seed: u64) -> Self {
         HeterogeneousSpecs {
-            rng: SeededRng::new(seed),
+            rng: Xoshiro256::new(seed),
             period: (50, 400),
             capacity: (1, 8),
             deadline_fraction: (0.2, 1.0),

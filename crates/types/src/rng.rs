@@ -31,6 +31,14 @@ impl Xoshiro256 {
         Xoshiro256 { s }
     }
 
+    /// Derive an independent generator for a numbered sub-stream, leaving
+    /// this one where it is.  Deriving with the same `stream` always yields
+    /// the same generator.
+    pub fn derive(&self, stream: u64) -> Xoshiro256 {
+        let mix = self.clone().next_u64() ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        Xoshiro256::new(mix)
+    }
+
     /// The next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
@@ -74,6 +82,13 @@ impl Xoshiro256 {
     /// A uniform float in `[0, 1)` with 53 bits of precision.
     pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// An exponentially distributed value with the given mean.
+    pub fn exponential(&mut self, mean: f64) -> f64 {
+        assert!(mean > 0.0, "mean must be positive");
+        let u: f64 = 1.0 - self.unit(); // in (0, 1]
+        -mean * u.ln()
     }
 
     /// A Bernoulli draw with probability `p`.
@@ -142,6 +157,32 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} far from 0.5");
+    }
+
+    #[test]
+    fn derive_is_deterministic_and_independent() {
+        let master = Xoshiro256::new(7);
+        let mut a1 = master.derive(1);
+        let mut a2 = master.derive(1);
+        let mut b = master.derive(2);
+        let x1: Vec<u64> = (0..16).map(|_| a1.below(100)).collect();
+        let x2: Vec<u64> = (0..16).map(|_| a2.below(100)).collect();
+        let y: Vec<u64> = (0..16).map(|_| b.below(100)).collect();
+        assert_eq!(x1, x2);
+        assert_ne!(x1, y);
+    }
+
+    #[test]
+    fn exponential_has_positive_values_and_plausible_mean() {
+        let mut rng = Xoshiro256::new(11);
+        let n = 20_000;
+        let mean_target = 250.0;
+        let sum: f64 = (0..n).map(|_| rng.exponential(mean_target)).sum();
+        let mean = sum / n as f64;
+        assert!(
+            mean > 0.9 * mean_target && mean < 1.1 * mean_target,
+            "mean {mean}"
+        );
     }
 
     #[test]

@@ -9,18 +9,16 @@
 //!
 //! Run with: `cargo run --example channel_establishment`
 
-use switched_rt_ethernet::core::manager::{SwitchAction, SwitchChannelManager};
+use switched_rt_ethernet::core::manager::SwitchAction;
 use switched_rt_ethernet::core::rtlayer::{EstablishmentOutcome, RtLayer, RtLayerConfig};
-use switched_rt_ethernet::core::{AdmissionController, DpsKind, RtChannelSpec, SystemState};
+use switched_rt_ethernet::core::{DpsKind, FabricChannelManager, MultiHopAdmission, RtChannelSpec};
 use switched_rt_ethernet::frames::Frame;
-use switched_rt_ethernet::types::NodeId;
+use switched_rt_ethernet::types::{NodeId, SwitchId, Topology};
 
 fn main() {
     // A switch managing a 3-node star, using symmetric partitioning.
-    let mut switch = SwitchChannelManager::new(AdmissionController::new(
-        SystemState::with_nodes((0..3).map(NodeId::new)),
-        DpsKind::Symmetric.build(),
-    ));
+    let star = Topology::star(SwitchId::new(0), (0..3).map(NodeId::new));
+    let mut switch = FabricChannelManager::new(MultiHopAdmission::new(star, DpsKind::Symmetric));
     let mut source = RtLayer::new(NodeId::new(0), RtLayerConfig::default());
     let mut destination = RtLayer::new(NodeId::new(1), RtLayerConfig::default());
     let spec = RtChannelSpec::paper_default();

@@ -10,38 +10,31 @@
 //!
 //! Run with: `cargo run --example master_slave_admission`
 
-use switched_rt_ethernet::core::{
-    AdmissionController, AdmissionDecision, DpsKind, RtChannelSpec, SystemState,
-};
+use switched_rt_ethernet::core::{DpsKind, MultiHopAdmission, RtChannelSpec};
 use switched_rt_ethernet::traffic::{RequestPattern, Scenario};
-use switched_rt_ethernet::types::LinkId;
+use switched_rt_ethernet::types::{HopLink, SwitchId, Topology};
 
 fn run(dps: DpsKind) -> (u64, Vec<u64>) {
     let scenario = Scenario::paper_master_slave();
     let spec = RtChannelSpec::paper_default();
     let requests = RequestPattern::MasterSlaveRoundRobin.generate(&scenario, 200, spec);
 
-    let mut switch =
-        AdmissionController::new(SystemState::with_nodes(scenario.nodes()), dps.build());
+    let star = Topology::star(SwitchId::new(0), scenario.nodes());
+    let mut switch = MultiHopAdmission::new(star, dps);
     let mut per_master = vec![0u64; scenario.master_count() as usize];
     for request in &requests {
-        match switch
-            .request(request.source, request.destination, request.spec)
-            .expect("valid request")
-        {
-            AdmissionDecision::Accepted(_) => {
-                per_master[request.source.get() as usize] += 1;
-            }
-            AdmissionDecision::Rejected { .. } => {}
+        let decision = switch.request(request.source, request.destination, request.spec);
+        if decision.expect("valid request").is_ok() {
+            per_master[request.source.get() as usize] += 1;
         }
     }
     // Show the final reserved utilisation of master 0's uplink.
     let uplink_util = switch
-        .state()
-        .link_utilisation(LinkId::uplink(scenario.master(0)));
+        .link_taskset(HopLink::Uplink(scenario.master(0)))
+        .utilisation_f64();
     println!(
         "  {} accepted {} / 200 channels; master0 uplink utilisation {:.1}%",
-        switch.dps_name(),
+        dps.name(),
         switch.accepted_count(),
         uplink_util * 100.0
     );

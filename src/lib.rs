@@ -15,24 +15,24 @@
 //! | [`edf`] | `rt-edf` | EDF theory: utilisation, busy periods, `h(t)`, feasibility tests, EDF/FCFS queues |
 //! | [`netsim`] | `rt-netsim` | discrete-event simulator of the switched Ethernet star |
 //! | [`core`] | `rt-core` | RT channels, DPS (SDPS/ADPS), admission control, switch manager, node RT layer, full-stack network |
-//! | [`traffic`] | `rt-traffic` | scenarios, request patterns, background traffic, seeded RNG |
+//! | [`traffic`] | `rt-traffic` | scenarios, request patterns, background traffic, admission churn |
 //!
 //! ## Quick example: admission control with ADPS
 //!
 //! ```
-//! use switched_rt_ethernet::core::{AdmissionController, DpsKind, RtChannelSpec, SystemState};
-//! use switched_rt_ethernet::types::NodeId;
+//! use switched_rt_ethernet::core::{DpsKind, MultiHopAdmission, RtChannelSpec};
+//! use switched_rt_ethernet::types::{NodeId, SwitchId, Topology};
 //!
 //! // A star with one master (node 0) and three slaves.
-//! let state = SystemState::with_nodes((0..4).map(NodeId::new));
-//! let mut switch = AdmissionController::new(state, DpsKind::Asymmetric.build());
+//! let star = Topology::star(SwitchId::new(0), (0..4).map(NodeId::new));
+//! let mut switch = MultiHopAdmission::new(star, DpsKind::Asymmetric);
 //!
 //! // Request RT channels with the paper's parameters (C=3, P=100, d=40).
 //! let spec = RtChannelSpec::paper_default();
 //! let decision = switch.request(NodeId::new(0), NodeId::new(1), spec).unwrap();
-//! assert!(decision.is_accepted());
-//! let channel = decision.channel().unwrap();
-//! assert_eq!(channel.split.uplink + channel.split.downlink, spec.deadline);
+//! let channel = decision.expect("the empty star accepts the first channel");
+//! let (d_iu, d_id) = (channel.link_deadlines[0], channel.link_deadlines[1]);
+//! assert_eq!(d_iu + d_id, spec.deadline);
 //! ```
 //!
 //! See the `examples/` directory for end-to-end scenarios that run the full
@@ -72,9 +72,8 @@ pub mod traffic {
 }
 
 pub use rt_core::{
-    AdmissionController, Adps, ChannelManager, DeadlinePartitioningScheme, DpsKind,
-    FabricChannelManager, MultiHopAdmission, MultiHopDps, RtChannel, RtChannelSpec, RtNetwork,
-    RtNetworkBuilder, Sdps, SystemState,
+    ChannelManager, DpsKind, FabricChannelManager, MultiHopAdmission, MultiHopDps, RtChannelSpec,
+    RtNetwork, RtNetworkBuilder,
 };
 pub use rt_types::{
     ChannelId, EcmpRouter, HopLink, LinkId, NodeId, Route, Router, ShortestPathRouter, Slots,

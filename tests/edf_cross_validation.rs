@@ -7,16 +7,21 @@
 //! `rt-edf` (analysis and schedule generation) and `rt-traffic` (workload
 //! generation).
 
-use switched_rt_ethernet::core::{AdmissionController, DpsKind, SystemState};
+use switched_rt_ethernet::core::{DpsKind, MultiHopAdmission};
 use switched_rt_ethernet::edf::schedule::simulate_over_hyperperiod;
 use switched_rt_ethernet::edf::FeasibilityTester;
 use switched_rt_ethernet::traffic::{HeterogeneousSpecs, RequestPattern, Scenario};
 use switched_rt_ethernet::types::rng::Xoshiro256;
-use switched_rt_ethernet::types::Slots;
+use switched_rt_ethernet::types::{Slots, SwitchId, Topology};
 
-fn assert_all_links_schedulable(controller: &AdmissionController) {
-    for (link, _) in controller.state().loaded_links() {
-        let set = controller.state().link_taskset(link);
+/// The admission controller of `scenario`'s single-switch star.
+fn star_controller(scenario: &Scenario, dps: DpsKind) -> MultiHopAdmission {
+    MultiHopAdmission::new(Topology::star(SwitchId::new(0), scenario.nodes()), dps)
+}
+
+fn assert_all_links_schedulable(controller: &MultiHopAdmission) {
+    for (link, _) in controller.loaded_links() {
+        let set = controller.link_taskset(link);
         // The analysis itself must agree...
         assert!(
             FeasibilityTester::new().test(&set).is_feasible(),
@@ -50,8 +55,7 @@ fn admitted_systems_are_schedulable() {
         let mut specs = HeterogeneousSpecs::new(seed);
         let requests = RequestPattern::Uniform { seed }
             .generate_with(&scenario, requested, |_| specs.next_spec());
-        let mut controller =
-            AdmissionController::new(SystemState::with_nodes(scenario.nodes()), dps.build());
+        let mut controller = star_controller(&scenario, dps);
         for r in &requests {
             let _ = controller.request(r.source, r.destination, r.spec).unwrap();
         }
@@ -75,8 +79,7 @@ fn paper_workload_is_schedulable_after_admission() {
         };
         let spec = switched_rt_ethernet::core::RtChannelSpec::paper_default();
         let requests = RequestPattern::MasterSlaveRoundRobin.generate(&scenario, requested, spec);
-        let mut controller =
-            AdmissionController::new(SystemState::with_nodes(scenario.nodes()), dps.build());
+        let mut controller = star_controller(&scenario, dps);
         for r in &requests {
             let _ = controller.request(r.source, r.destination, r.spec).unwrap();
         }
@@ -93,10 +96,8 @@ fn utilisation_only_admission_produces_deadline_misses() {
     let scenario = Scenario::paper_master_slave();
     let spec = switched_rt_ethernet::core::RtChannelSpec::paper_default();
     let requests = RequestPattern::MasterSlaveRoundRobin.generate(&scenario, 200, spec);
-    let mut controller = AdmissionController::utilisation_only(
-        SystemState::with_nodes(scenario.nodes()),
-        DpsKind::Symmetric.build(),
-    );
+    let mut controller = star_controller(&scenario, DpsKind::Symmetric)
+        .with_tester(FeasibilityTester::utilisation_only());
     for r in &requests {
         let _ = controller.request(r.source, r.destination, r.spec).unwrap();
     }
@@ -104,9 +105,9 @@ fn utilisation_only_admission_produces_deadline_misses() {
     assert_eq!(controller.accepted_count(), 200);
     // ...but the uplinks are not actually schedulable.
     let mut misses = 0u64;
-    for (link, _) in controller.state().loaded_links() {
+    for (link, _) in controller.loaded_links() {
         let outcome =
-            simulate_over_hyperperiod(&controller.state().link_taskset(link), Slots::new(100_000));
+            simulate_over_hyperperiod(&controller.link_taskset(link), Slots::new(100_000));
         misses += outcome.misses.len() as u64;
     }
     assert!(
