@@ -10,7 +10,7 @@
 //! * **robust summary** — several samples are taken and the *minimum* (the
 //!   least-disturbed run), median and mean ns/iteration are reported,
 //! * **machine-readable output** — results can be dumped as JSON through
-//!   [`crate::report::ToJson`] for the benchmark-trajectory tooling.
+//!   [`crate::report::ToJson`] when the bench is given a path argument.
 //!
 //! This intentionally does not do statistical outlier analysis; it is a
 //! regression thermometer, not a laboratory instrument.

@@ -1,14 +1,10 @@
-//! Small reporting helpers: aligned text tables, JSON result dumps, and a
-//! matching JSON reader.
+//! Small reporting helpers: aligned text tables and JSON result dumps.
 //!
 //! The JSON side is a deliberately tiny, dependency-free encoder: result
 //! rows implement [`ToJson`] by hand (usually one [`json_object`] call), so
-//! benchmark outputs stay machine-readable without pulling a serialisation
-//! framework into the workspace.  [`parse_json`] is the other direction — a
-//! ~100-line recursive-descent reader used by the benchmark-trajectory
-//! tooling (`bench_diff`) to compare a run against the previous artifact.
+//! experiment outputs stay machine-readable without pulling a serialisation
+//! framework into the workspace.
 
-use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::fs;
 use std::path::Path;
@@ -93,301 +89,6 @@ pub fn json_object(fields: &[(&str, String)]) -> String {
         .map(|(k, v)| format!("{}: {}", json_string(k), v))
         .collect();
     format!("{{{}}}", parts.join(", "))
-}
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`, which covers the encoder's
-    /// output range).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object (sorted keys; duplicate keys keep the last value).
-    Object(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// The value as a number, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array, if it is one.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// A member of an object, if this is an object and the key exists.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(m) => m.get(key),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document (the full grammar the in-repo encoder emits:
-/// objects, arrays, strings with the common escapes, numbers, booleans,
-/// null).  Returns a readable error with a byte offset on malformed input.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", b as char, pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        _ => Err(format!("unexpected input at byte {pos}")),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("expected '{literal}' at byte {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(JsonValue::Number)
-        .ok_or_else(|| format!("malformed number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one UTF-8 scalar (the input came from &str, so the
-                // boundaries are valid).
-                let s = &bytes[*pos..];
-                let ch = std::str::from_utf8(s)
-                    .map_err(|_| "invalid UTF-8".to_string())?
-                    .chars()
-                    .next()
-                    .expect("non-empty remainder");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-/// A fixed-bucket histogram for latency-style samples, sized once at
-/// construction: `bucket_count` buckets of `bucket_width` each, with
-/// everything past the last edge clamped into the final (overflow) bucket.
-///
-/// Recording is a single array increment, so the soak harness can feed it
-/// one sample per admission without perturbing what it measures; percentiles
-/// are read at the end.  Resolution is the bucket width — good enough for
-/// p50/p99 reporting, deliberately not a full streaming-quantile sketch.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    bucket_width: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bucket_count` buckets of `bucket_width` units each
-    /// (both must be non-zero).
-    pub fn new(bucket_width: u64, bucket_count: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be non-zero");
-        assert!(bucket_count > 0, "bucket count must be non-zero");
-        Histogram {
-            counts: vec![0; bucket_count],
-            bucket_width,
-            total: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, value: u64) {
-        let bucket = ((value / self.bucket_width) as usize).min(self.counts.len() - 1);
-        self.counts[bucket] += 1;
-        self.total += 1;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// The value at quantile `q` (0.0 ..= 1.0), reported as the inclusive
-    /// upper edge of the bucket holding that rank — so `percentile(0.5)` is
-    /// an upper bound on the true median, tight to one bucket width.
-    /// Returns 0 on an empty histogram.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return (i as u64 + 1) * self.bucket_width;
-            }
-        }
-        self.counts.len() as u64 * self.bucket_width
-    }
-
-    /// Convenience: the p50 (median) upper bound.
-    pub fn p50(&self) -> u64 {
-        self.percentile(0.50)
-    }
-
-    /// Convenience: the p99 upper bound.
-    pub fn p99(&self) -> u64 {
-        self.percentile(0.99)
-    }
 }
 
 /// A simple aligned text table.
@@ -488,19 +189,6 @@ pub fn write_json<T: ToJson + ?Sized>(path: &Path, value: &T) -> std::io::Result
     fs::write(path, value.to_json())
 }
 
-/// Write a benchmark artifact to `<workspace root>/<default_name>` — the
-/// place CI picks artifacts up — unless the environment variable `env_var`
-/// overrides the path.  Prints the outcome; an unwritable path is reported,
-/// not fatal (the numbers were already printed).
-pub fn write_artifact<T: ToJson + ?Sized>(env_var: &str, default_name: &str, value: &T) {
-    let path = std::env::var(env_var)
-        .unwrap_or_else(|_| format!("{}/../../{default_name}", env!("CARGO_MANIFEST_DIR")));
-    match write_json(Path::new(&path), value) {
-        Ok(()) => println!("{default_name} rows written to {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
-
 /// If the process was given a path argument, write the JSON results there.
 /// Flag-style arguments (leading `-`) are ignored — `cargo bench` passes
 /// `--bench` to every bench binary.
@@ -549,105 +237,6 @@ mod tests {
         let compact: String = text.chars().filter(|c| !c.is_whitespace()).collect();
         assert_eq!(compact, "[1,2,3]");
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn parse_json_round_trips_the_encoder_output() {
-        let rows = [
-            json_object(&[
-                ("fabric", "star".to_json()),
-                ("events_per_second", 1234.5f64.to_json()),
-                ("ok", true.to_json()),
-                ("note", "a \"quoted\"\nline".to_json()),
-            ]),
-            json_object(&[("fabric", "ring".to_json()), ("nested", "[1, 2]".to_json())]),
-        ];
-        let text = format!("[\n  {}\n]", rows.join(",\n  "));
-        let parsed = parse_json(&text).unwrap();
-        let arr = parsed.as_array().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[0].get("fabric").unwrap().as_str(), Some("star"));
-        assert_eq!(
-            arr[0].get("events_per_second").unwrap().as_f64(),
-            Some(1234.5)
-        );
-        assert_eq!(arr[0].get("ok"), Some(&JsonValue::Bool(true)));
-        assert_eq!(
-            arr[0].get("note").unwrap().as_str(),
-            Some("a \"quoted\"\nline")
-        );
-        assert_eq!(arr[1].get("nested").unwrap().as_str(), Some("[1, 2]"));
-    }
-
-    #[test]
-    fn parse_json_handles_the_full_grammar() {
-        let v =
-            parse_json(r#"{"a": [1, -2.5, 1e3], "b": null, "c": {}, "d": [], "e": "A"}"#).unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[2].as_f64(),
-            Some(1000.0)
-        );
-        assert_eq!(v.get("b"), Some(&JsonValue::Null));
-        assert_eq!(v.get("c"), Some(&JsonValue::Object(BTreeMap::new())));
-        assert_eq!(v.get("d").unwrap().as_array().unwrap().len(), 0);
-        assert_eq!(v.get("e").unwrap().as_str(), Some("A"));
-        // Non-values on accessor mismatches.
-        assert!(v.get("a").unwrap().as_str().is_none());
-        assert!(v.get("missing").is_none());
-        assert!(JsonValue::Null.get("x").is_none());
-    }
-
-    #[test]
-    fn parse_json_rejects_malformed_input() {
-        assert!(parse_json("").is_err());
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{\"a\" 1}").is_err());
-        assert!(parse_json("\"unterminated").is_err());
-        assert!(parse_json("123 456").is_err());
-        assert!(parse_json("nul").is_err());
-    }
-
-    #[test]
-    fn histogram_percentiles_are_bucket_upper_bounds() {
-        let mut h = Histogram::new(10, 100);
-        for v in 0..100u64 {
-            h.record(v); // one sample per unit: buckets 0..10 hold 10 each
-        }
-        assert_eq!(h.count(), 100);
-        assert!(!h.is_empty());
-        // Rank 50 falls in bucket 4 (values 40..50) -> upper edge 50.
-        assert_eq!(h.p50(), 50);
-        // Rank 99 falls in bucket 9 (values 90..100) -> upper edge 100.
-        assert_eq!(h.p99(), 100);
-        assert_eq!(h.percentile(0.0), 10, "lowest rank is the first bucket");
-        assert_eq!(h.percentile(1.0), 100);
-    }
-
-    #[test]
-    fn histogram_clamps_overflow_into_the_last_bucket() {
-        let mut h = Histogram::new(5, 4); // edges 5, 10, 15, 20+
-        h.record(3);
-        h.record(1_000_000);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.p50(), 5);
-        assert_eq!(h.percentile(1.0), 20, "overflow clamps to the last edge");
-    }
-
-    #[test]
-    fn histogram_empty_and_skew() {
-        let h = Histogram::new(10, 10);
-        assert!(h.is_empty());
-        assert_eq!(h.percentile(0.5), 0);
-
-        let mut h = Histogram::new(1, 1000);
-        for _ in 0..99 {
-            h.record(2);
-        }
-        h.record(500);
-        assert_eq!(h.p50(), 3);
-        assert_eq!(h.p99(), 3, "rank 99 of 100 is still the common value");
-        assert_eq!(h.percentile(1.0), 501, "the outlier sits at the tail");
     }
 
     #[test]

@@ -723,14 +723,26 @@ mod tests {
     use rt_core::{
         DistributedChannelManager, FabricChannelManager, MultiHopAdmission, MultiHopDps,
     };
-    use rt_types::ShortestPathRouter;
+    use rt_types::{Router, ShortestPathRouter, StructuralRouter};
     use std::sync::Arc;
 
     fn central(topology: &Topology) -> FabricChannelManager {
-        FabricChannelManager::new(MultiHopAdmission::with_router(
-            topology.clone(),
+        central_with(
+            topology,
             MultiHopDps::Symmetric,
             Arc::new(ShortestPathRouter::new()),
+        )
+    }
+
+    fn central_with(
+        topology: &Topology,
+        dps: MultiHopDps,
+        router: Arc<dyn Router>,
+    ) -> FabricChannelManager {
+        FabricChannelManager::new(MultiHopAdmission::with_router(
+            topology.clone(),
+            dps,
+            router,
         ))
     }
 
@@ -816,6 +828,79 @@ mod tests {
             .collect();
         let d_ids: std::collections::BTreeSet<ChannelId> = d.channel_ids().into_iter().collect();
         assert_eq!(mapped, d_ids);
+    }
+
+    #[test]
+    fn structural_routing_reproduces_the_tabled_churn_trace() {
+        // On a healthy structure-tagged fabric the closed-form next hops are
+        // the table's, so every verdict, id and release — the *raw* hash —
+        // must agree.
+        let topology = Topology::fat_tree(4).unwrap();
+        let config = ChurnConfig::new(11).windows(100, 400).load(1.0, 30.0);
+        let process = ChurnProcess::new(config, &topology).unwrap();
+        let run = |router: Arc<dyn Router>| {
+            let mut manager = central_with(&topology, MultiHopDps::Asymmetric, router);
+            process.run(&mut manager).unwrap()
+        };
+        let tabled = run(Arc::new(ShortestPathRouter::new()));
+        let structural = run(Arc::new(StructuralRouter::new()));
+        assert!(tabled.admitted > 0 && tabled.admitted < tabled.attempts);
+        assert_eq!(tabled.trace_hash, structural.trace_hash);
+    }
+
+    #[test]
+    fn ring_acceptance_drops_under_a_cut_and_recovers_on_repair() {
+        // On a small ring every trunk carries a large share of the capacity
+        // and the only detour is the long way round, so a cut visibly
+        // depresses steady-state acceptance and the repair re-optimisation
+        // visibly restores it.  Seeded: the counts are exact.
+        let topology = Topology::ring(6, 4);
+        let (warmup, measured) = (2_000u64, 9_000u64);
+        let cut_at = warmup + measured / 3;
+        let repair_at = warmup + measured * 2 / 3;
+        let (a, b) = topology.trunks().next().unwrap();
+        let config = ChurnConfig::new(0x50a4)
+            .windows(warmup, measured)
+            .load(1.0, 250.0)
+            .cut_at(cut_at, a, b)
+            .repair_at(repair_at, a, b);
+        let process = ChurnProcess::new(config, &topology).unwrap();
+        let mut manager = central_with(
+            &topology,
+            MultiHopDps::Asymmetric,
+            Arc::new(ShortestPathRouter::new()),
+        );
+        let report = process.run(&mut manager).unwrap();
+
+        // (attempts, admitted) of the measured arrivals before the cut,
+        // while degraded, and after the repair.
+        let mut segments = [(0u64, 0u64); 3];
+        let (mut rerouted_by_cut, mut rerouted_by_repair) = (0u64, 0u64);
+        let mut arrival = 0u64;
+        for event in &report.trace {
+            match event {
+                ChurnEvent::Admitted(_) | ChurnEvent::Rejected => {
+                    if arrival >= warmup {
+                        let segment =
+                            usize::from(arrival >= cut_at) + usize::from(arrival >= repair_at);
+                        segments[segment].0 += 1;
+                        segments[segment].1 += u64::from(matches!(event, ChurnEvent::Admitted(_)));
+                    }
+                    arrival += 1;
+                }
+                ChurnEvent::TrunkCut { rerouted, .. } => rerouted_by_cut += u64::from(*rerouted),
+                ChurnEvent::TrunkRepaired { rerouted } => {
+                    rerouted_by_repair += u64::from(*rerouted)
+                }
+                ChurnEvent::Released(_) => {}
+            }
+        }
+        let [pre_cut, degraded, recovered] = segments;
+        assert_eq!([pre_cut.0, degraded.0, recovered.0], [3_000; 3]);
+        // 0.7683 -> 0.6603 -> 0.7667
+        assert_eq!([pre_cut.1, degraded.1, recovered.1], [2_305, 1_981, 2_300]);
+        assert!(degraded.1 < pre_cut.1 && recovered.1 > degraded.1);
+        assert_eq!((rerouted_by_cut, rerouted_by_repair), (9, 17));
     }
 
     #[test]

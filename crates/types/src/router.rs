@@ -1814,6 +1814,40 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_on_the_datacenter_fabric_never_falls_back_to_a_from_scratch_sweep() {
+        // What a silent fallback would change is the counters and the
+        // resident size, so those are pinned, not the wall-clock; entry
+        // identity of the three modes is `tests/fabric_properties.rs`.
+        let healthy = Topology::fat_tree(32).unwrap();
+        let (a, b) = healthy.trunks().next().unwrap();
+        let mut degraded = healthy.clone();
+        degraded.fail_trunk(a, b).unwrap();
+
+        let tabled = NextHopCache::new();
+        tabled.get_dense(&healthy);
+        let full = tabled.get_dense(&degraded);
+        let stats = tabled.stats();
+        assert_eq!(stats.incremental_rebuilds, 1, "the cut is a single delta");
+        assert_eq!(stats.full_rebuilds, 1, "only the healthy prime is full");
+
+        let cache = NextHopCache::structural();
+        let structural = cache.get_dense(&healthy);
+        cache.get_dense(&degraded);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.full_rebuilds, stats.incremental_rebuilds),
+            (0, 0),
+            "structural mode never builds a table"
+        );
+        assert!(
+            structural.resident_bytes() * 50 < full.resident_bytes(),
+            "structural routing state must be O(V), far under the O(V^2) table ({} B vs {} B)",
+            structural.resident_bytes(),
+            full.resident_bytes()
+        );
+    }
+
+    #[test]
     fn repair_onto_an_unseen_state_patches_from_the_degraded_base() {
         // Seed the cache with ONLY a degraded state, then repair: the
         // healthy state is one flip away and must be patched, including

@@ -10,9 +10,13 @@
 //!    fault-free run, and the whole fail-over story is scheduler-invariant
 //!    and frame-conserving.
 
-use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
+use std::collections::{BTreeMap, BTreeSet};
+
+use switched_rt_ethernet::core::{ChannelRoute, MultiHopDps, RtChannelSpec, RtNetwork};
 use switched_rt_ethernet::traffic::FailoverScenario;
-use switched_rt_ethernet::types::{Duration, HopLink, KShortestRouter, SimTime, SwitchId};
+use switched_rt_ethernet::types::{
+    ChannelId, Duration, HopLink, KShortestRouter, NodeId, SimTime, Slots, SwitchId,
+};
 
 fn conservation_holds(net: &RtNetwork) {
     let stats = net.simulator().stats();
@@ -207,6 +211,108 @@ fn torus_link_cut_reroutes_all_affected_channels() {
         let bound = net.channel_deadline_bound(*id).unwrap();
         let worst = stats.channel(*id).unwrap().max_latency;
         assert!(worst <= bound, "channel {id}: {worst} > {bound}");
+    }
+}
+
+/// The same cut at scale: the 8x8 torus with 1 024 nodes, 40 channels under
+/// k-shortest fallback, eight of them pinned across the doomed trunk, the cut
+/// landing mid-flight of the first batch.  Every count is exact, and every
+/// channel link-disjoint from the old and the new routes of the affected
+/// ones delivers exactly as in a fault-free run on the same timeline.
+#[test]
+fn torus_1024_mid_run_cut_reroutes_the_pinned_eight_and_spares_the_rest() {
+    let scenario = FailoverScenario::torus_link_cut(8, 8, 8, 8);
+    let (cut_from, cut_to) = scenario.cut_trunk();
+    let spec = RtChannelSpec::paper_default();
+    // The pinned channels (sw0 -> sw1) get a roomier deadline: their
+    // three-trunk detours have two more hops than the direct route and all
+    // eight must re-admit.  The background is 32 neighbour-to-neighbour
+    // channels (switch s to s + 1, the direct trunk, never via sw0).
+    let pinned_spec = RtChannelSpec::new(spec.period, spec.capacity, Slots::new(60)).unwrap();
+    let fabric = scenario.fabric();
+    let mut pairs: Vec<_> = (0..8u64)
+        .map(|i| (fabric.master(0, i), fabric.slave(1, i), pinned_spec))
+        .collect();
+    pairs.extend((1..33u32).map(|s| {
+        (
+            fabric.master(s, u64::from(s)),
+            fabric.slave(s + 1, u64::from(s)),
+            spec,
+        )
+    }));
+
+    type Trace = Vec<(NodeId, u64, bool)>;
+    let drive = |cut: bool| {
+        let mut net = RtNetwork::builder()
+            .topology(fabric.topology())
+            .router(KShortestRouter::new(4))
+            .multihop_dps(MultiHopDps::Asymmetric)
+            .build()
+            .unwrap();
+        let mut routes_before: Vec<ChannelRoute> = Vec::new();
+        for &(src, dst, pair_spec) in &pairs {
+            if let Some(tx) = net.establish_channel(src, dst, pair_spec).unwrap() {
+                routes_before.push(net.manager().channel_route(tx.id).unwrap());
+            }
+        }
+        // One timeline for both worlds: batch 1 well after establishment,
+        // the cut mid-flight of its first messages, batch 2 after
+        // re-admission.
+        let start1 = SimTime::from_millis(100);
+        assert!(net.now() < start1, "establishment ends before batch 1");
+        for r in &routes_before {
+            net.send_periodic(r.source, r.id, 3, 1000, start1).unwrap();
+        }
+        let cut_at = start1 + Duration::from_micros(400);
+        net.run_until(cut_at).unwrap();
+        let report = cut.then(|| net.fail_trunk(cut_from, cut_to).unwrap());
+        let start2 = cut_at + Duration::from_millis(5);
+        for r in &routes_before {
+            net.send_periodic(r.source, r.id, 3, 1000, start2).unwrap();
+        }
+        net.run_to_completion().unwrap();
+        conservation_holds(&net);
+        let mut traces: BTreeMap<ChannelId, Trace> = BTreeMap::new();
+        for m in net.received_messages() {
+            let at = m.delivered_at.as_nanos();
+            let seen = (m.receiver, at, m.missed_deadline);
+            traces.entry(m.message.channel).or_default().push(seen);
+        }
+        let misses = net.simulator().stats().total_deadline_misses;
+        (routes_before, report, traces, misses)
+    };
+
+    let (routes_before, report, traces, misses) = drive(true);
+    let report = report.expect("the cut world reports its fail-over");
+    assert_eq!(routes_before.len(), 40, "40 of 40 admitted");
+    assert_eq!(
+        report.rerouted.len(),
+        8,
+        "exactly the pinned eight re-route"
+    );
+    assert!(report.dropped.is_empty(), "the torus is redundant");
+    assert_eq!(misses, 0, "post-re-admission frames meet the new bounds");
+
+    let (_, _, reference, _) = drive(false);
+    let affected: BTreeSet<ChannelId> = report.rerouted.iter().map(|r| r.id).collect();
+    let touched: BTreeSet<HopLink> = routes_before
+        .iter()
+        .filter(|r| affected.contains(&r.id))
+        .chain(&report.rerouted)
+        .flat_map(|r| r.path.iter().copied())
+        .collect();
+    let bystanders: Vec<ChannelId> = routes_before
+        .iter()
+        .filter(|r| r.path.iter().all(|l| !touched.contains(l)))
+        .map(|r| r.id)
+        .collect();
+    assert_eq!(bystanders.len(), 30);
+    for id in bystanders {
+        assert!(!traces[&id].is_empty());
+        assert_eq!(
+            traces[&id], reference[&id],
+            "channel {id} is off the failed path and must not notice the cut"
+        );
     }
 }
 
