@@ -1786,7 +1786,7 @@ impl DistributedChannelManager {
             .map(|id| {
                 let dist = self
                     .unregister(*id)
-                    .expect("affected ids come from the registry");
+                    .expect("`committed` indexes the registry: register and unregister write both");
                 self.release_along(&dist.path, dist.key());
                 dist
             })
@@ -1858,7 +1858,7 @@ impl DistributedChannelManager {
             }
             let old = self
                 .unregister(id)
-                .expect("ids come from the live registry");
+                .expect("ids were read off the registry, and a repair removes none");
             let key = old.key();
             self.release_along(&old.path, key);
             match self.try_reserve_sync(key, &old.spec, &primary) {
@@ -1879,9 +1879,9 @@ impl DistributedChannelManager {
                     for (hop, &deadline) in old.path.iter().zip(old.link_deadlines.iter()) {
                         let owner = self
                             .owner_slot(*hop)
-                            .expect("an admitted route's links all have owners");
+                            .expect("the route was reserved at its links' owners before");
                         let task = PeriodicTask::new(old.spec.period, old.spec.capacity, deadline)
-                            .expect("the held reservation's task was valid");
+                            .expect("this deadline was reserved as a periodic task before");
                         self.sites[owner].ledger.reserve(*hop, key, task);
                     }
                     self.register(old);
@@ -1905,13 +1905,14 @@ impl DistributedChannelManager {
         if !route.iter().all(|link| self.owner_slot(*link).is_some()) {
             return None;
         }
-        let owner = |link| self.owner_slot(link).expect("checked above");
+        const OWNED: &str = "every link of the route has an owner: checked on entry";
+        let owner = |link| self.owner_slot(link).expect(OWNED);
         let held = |link| self.sites[owner(link)].ledger.link(link);
         let deadlines = admit_along(self.dps.into(), spec, route, held).ok()?;
         for (link, &deadline) in route.iter().zip(&deadlines) {
             let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
-                .expect("admit_along built this very task");
-            let owner = self.owner_slot(*link).expect("checked above");
+                .expect("admit_along built a periodic task from this very deadline");
+            let owner = self.owner_slot(*link).expect(OWNED);
             self.sites[owner].ledger.reserve(*link, key, task);
         }
         Some(deadlines)

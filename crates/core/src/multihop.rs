@@ -251,6 +251,54 @@ impl MultiHopChannel {
     }
 }
 
+/// Which live channels the last repair left on their primary routes.
+///
+/// Kept beside the channel table, not in its entries: a request and a
+/// teardown then move exactly the bytes they moved before a repair kept
+/// anything, and a manager that never repairs a trunk holds an empty set.
+#[derive(Debug, Default)]
+struct OnPrimary {
+    /// The [`Topology::fingerprint`] of the fabric state `ids` was observed
+    /// under.
+    under: Option<u64>,
+    /// One bit per raw channel id: the channel's path was seen equal to the
+    /// router's primary route under `under`, and the channel has not been
+    /// released since.  Set only by [`MultiHopAdmission::reoptimize`], where
+    /// that comparison is made; cleared by [`MultiHopAdmission::release`],
+    /// which every re-placement (and every re-use of an id) goes through.
+    ids: Vec<u64>,
+}
+
+impl OnPrimary {
+    /// Keep the set if it was observed under `state`, start an empty one
+    /// under `state` otherwise.
+    fn observe_under(&mut self, state: u64) {
+        if self.under != Some(state) {
+            self.under = Some(state);
+            self.ids.clear();
+        }
+    }
+
+    fn contains(&self, id: u16) -> bool {
+        let word = self.ids.get(usize::from(id) / 64);
+        word.is_some_and(|word| word >> (id % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, id: u16) {
+        let word = usize::from(id) / 64;
+        if word >= self.ids.len() {
+            self.ids.resize(word + 1, 0);
+        }
+        self.ids[word] |= 1 << (id % 64);
+    }
+
+    fn remove(&mut self, id: u16) {
+        if let Some(word) = self.ids.get_mut(usize::from(id) / 64) {
+            *word &= !(1 << (id % 64));
+        }
+    }
+}
+
 /// Admission control over a topology of switches, from the paper's
 /// single-switch star ([`Topology::star`], partitioned by a
 /// [`DpsKind`](crate::dps::DpsKind)) to a mesh (partitioned by a
@@ -265,6 +313,8 @@ pub struct MultiHopAdmission {
     dps: DpsFamily,
     ledger: SlackLedger,
     channels: BTreeMap<u16, MultiHopChannel>,
+    /// What the last repair learnt, so that the next one need not ask again.
+    on_primary: OnPrimary,
     next_channel_id: u16,
     accepted: u64,
     rejected: u64,
@@ -311,6 +361,7 @@ impl MultiHopAdmission {
             dps: dps.into(),
             ledger: SlackLedger::new(),
             channels: BTreeMap::new(),
+            on_primary: OnPrimary::default(),
             next_channel_id: 1,
             accepted: 0,
             rejected: 0,
@@ -510,33 +561,34 @@ impl MultiHopAdmission {
 
     /// The shared fail-over engine: given the trunks that just died (the
     /// topology is already degraded), release every channel crossing any of
-    /// them and re-admit each over the surviving candidate routes.
+    /// them and re-admit each over the surviving candidate routes.  The
+    /// ledger's books of the cut trunks (both directions) name those
+    /// channels — [`MultiHopAdmission::commit`] reserved each channel's key
+    /// on exactly the links of its path — so nothing off the cut is read.
     fn fail_over(
         &mut self,
         cut: &[(SwitchId, SwitchId)],
         link: (SwitchId, SwitchId),
     ) -> FailoverReport {
-        let crosses = |c: &MultiHopChannel| {
-            c.path.iter().any(|l| {
-                matches!(l, HopLink::Trunk { from: f, to: t }
-                    if cut
-                        .iter()
-                        .any(|&(a, b)| (*f == a && *t == b) || (*f == b && *t == a)))
-            })
-        };
-        let (from, to) = link;
-        let affected: Vec<u16> = self
-            .channels
-            .iter()
-            .filter(|(_, c)| crosses(c))
-            .map(|(&id, _)| id)
-            .collect();
-        let unaffected = self.channels.len() - affected.len();
+        let mut affected: Vec<u16> = Vec::new();
+        for &(a, b) in cut {
+            for (from, to) in [(a, b), (b, a)] {
+                let held = self.ledger.keys_on(HopLink::Trunk { from, to });
+                affected.extend(held.into_iter().filter_map(|key| match key {
+                    ReservationKey::Channel(id) => Some(id),
+                    // The central manager reserves under channel ids only.
+                    ReservationKey::Token(..) => None,
+                }));
+            }
+        }
+        // Ascending id, each channel once however many cut trunks it crossed.
+        affected.sort_unstable();
+        affected.dedup();
         let mut report = FailoverReport {
-            link: (from, to),
+            link,
             rerouted: Vec::new(),
             dropped: Vec::new(),
-            unaffected,
+            unaffected: self.channels.len() - affected.len(),
         };
         // Release *every* affected channel before re-admitting any: a
         // one-at-a-time release would feasibility-test early re-admissions
@@ -546,7 +598,7 @@ impl MultiHopAdmission {
             .into_iter()
             .map(|raw_id| {
                 self.release(ChannelId::new(raw_id))
-                    .expect("affected ids come from the live channel table")
+                    .expect("a ledger book holds a channel key only while that channel is live")
             })
             .collect();
         for old in released {
@@ -566,7 +618,7 @@ impl MultiHopAdmission {
                             path,
                             deadlines,
                         )
-                        .expect("deadlines were just validated by try_admit");
+                        .expect("try_admit built a periodic task from each of these deadlines");
                     report.rerouted.push(channel.to_route());
                     self.rerouted += 1;
                     readmitted = true;
@@ -598,29 +650,35 @@ impl MultiHopAdmission {
 
     /// The repair-side counterpart of [`MultiHopAdmission::fail_over`]:
     /// migrate detoured channels back onto their primary routes, never
-    /// dropping any.
+    /// dropping any.  A channel already seen on its primary route under this
+    /// very fabric state, and not re-placed since, is counted `unaffected`
+    /// without asking the router again: the answer would be the same route,
+    /// and the decision for such a channel is to leave it alone.
     fn reoptimize(&mut self, link: (SwitchId, SwitchId)) -> FailoverReport {
+        self.on_primary.observe_under(self.topology.fingerprint());
+        let unseen: Vec<u16> = self
+            .channels
+            .keys()
+            .copied()
+            .filter(|&id| !self.on_primary.contains(id))
+            .collect();
         let mut report = FailoverReport {
             link,
             rerouted: Vec::new(),
             dropped: Vec::new(),
-            unaffected: 0,
+            unaffected: self.channels.len() - unseen.len(),
         };
-        let ids: Vec<u16> = self.channels.keys().copied().collect();
-        for raw_id in ids {
+        for raw_id in unseen {
             let channel = &self.channels[&raw_id];
-            let primary =
-                match self
-                    .router
+            let Ok(primary) =
+                self.router
                     .route(&self.topology, channel.source, channel.destination)
-                {
-                    Ok(route) => route,
-                    Err(_) => {
-                        report.unaffected += 1;
-                        continue;
-                    }
-                };
+            else {
+                report.unaffected += 1;
+                continue;
+            };
             if primary == channel.path {
+                self.on_primary.insert(raw_id);
                 report.unaffected += 1;
                 continue;
             }
@@ -629,7 +687,7 @@ impl MultiHopAdmission {
             // its exact previous reservation, so re-optimisation is safe.
             let old = self
                 .release(ChannelId::new(raw_id))
-                .expect("ids come from the live channel table");
+                .expect("ids were read off the channel table, and a repair removes none");
             match self.try_admit(&old.spec, &primary) {
                 Ok(deadlines) => {
                     let moved = self
@@ -641,9 +699,10 @@ impl MultiHopAdmission {
                             primary,
                             deadlines,
                         )
-                        .expect("deadlines were just validated by try_admit");
+                        .expect("try_admit built a periodic task from each of these deadlines");
                     report.rerouted.push(moved.to_route());
                     self.rerouted += 1;
+                    self.on_primary.insert(raw_id);
                 }
                 Err(_) => {
                     // The primary route cannot carry it: put it back on its
@@ -654,10 +713,10 @@ impl MultiHopAdmission {
                         old.source,
                         old.destination,
                         old.spec,
-                        old.path.clone(),
-                        old.link_deadlines.clone(),
+                        old.path,
+                        old.link_deadlines,
                     )
-                    .expect("restoring the released reservation cannot fail");
+                    .expect("these deadlines were committed as periodic tasks before");
                     report.unaffected += 1;
                 }
             }
@@ -672,6 +731,9 @@ impl MultiHopAdmission {
             .channels
             .remove(&id.get())
             .ok_or(RtError::UnknownChannel(id))?;
+        // Whatever places this id next — a new channel, a fail-over, a
+        // repair's move or its restore — starts with nothing known about it.
+        self.on_primary.remove(id.get());
         // `commit` reserved this id on exactly the links of the path, so
         // releasing along it frees everything the channel holds without
         // visiting the rest of the fabric's ledger.
@@ -1341,6 +1403,39 @@ mod tests {
         assert_eq!(fresh.path.len(), 3, "new requests use the repaired trunk");
     }
 
+    /// What a repair learnt about a channel goes with the channel: a new
+    /// channel that is handed a torn-down one's id (ids come round, and
+    /// `next_channel_id` need not wrap for it: any free id above it is next)
+    /// is looked at by the next repair, even one landing on the very state
+    /// the old holder was seen on its primary under.
+    #[test]
+    fn a_reissued_id_carries_nothing_over_from_its_last_holder() {
+        let spec = RtChannelSpec::paper_default();
+        let (sw0, sw2, sw3) = (SwitchId::new(0), SwitchId::new(2), SwitchId::new(3));
+        let mut admission = MultiHopAdmission::new(Topology::ring(4, 1), MultiHopDps::Symmetric);
+        let ask = |admission: &mut MultiHopAdmission| {
+            let verdict = admission.request(NodeId::new(0), NodeId::new(3), spec);
+            verdict.unwrap().unwrap().clone()
+        };
+        let first = ask(&mut admission);
+        // A flap elsewhere: its repair sees the channel on its primary route
+        // under the healthy state.
+        admission.fail_trunk(sw2, sw3).unwrap();
+        let seen = admission.repair_trunk(sw2, sw3).unwrap();
+        assert_eq!((seen.rerouted.len(), seen.unaffected), (0, 1));
+        assert_eq!(admission.seen_on_primary(), 1);
+
+        admission.release(first.id).unwrap();
+        admission.fail_trunk(sw3, sw0).unwrap();
+        admission.next_channel_id = first.id.get();
+        let second = ask(&mut admission);
+        assert_eq!((second.id, second.path.len()), (first.id, 5), "the detour");
+        // Back on the healthy state: the new holder moves onto the primary.
+        let repair = admission.repair_trunk(sw3, sw0).unwrap();
+        assert_eq!(repair.rerouted.len(), 1);
+        assert_eq!(admission.channel(second.id).unwrap().path, first.path);
+    }
+
     #[test]
     fn fail_trunk_drops_channels_when_the_fabric_splits() {
         let spec = RtChannelSpec::paper_default();
@@ -1428,84 +1523,547 @@ mod tests {
         }
     }
 
-    #[test]
-    fn path_release_leaves_no_key_behind_across_teardown_cut_and_repair() {
+    // --- the fault path against the code it replaced -----------------------
+
+    /// The fail-over and the re-optimisation this module ran before PR 22,
+    /// kept as the oracles the current ones are compared with: they read no
+    /// ledger book to find a channel and no mark to skip one.
+    impl MultiHopAdmission {
+        /// Fail-over that finds the affected channels by walking every hop
+        /// of every live channel.
+        fn fail_over_by_full_scan(
+            &mut self,
+            cut: &[(SwitchId, SwitchId)],
+            link: (SwitchId, SwitchId),
+        ) -> FailoverReport {
+            let crosses = |c: &MultiHopChannel| {
+                c.path.iter().any(|l| {
+                    matches!(l, HopLink::Trunk { from: f, to: t }
+                        if cut
+                            .iter()
+                            .any(|&(a, b)| (*f == a && *t == b) || (*f == b && *t == a)))
+                })
+            };
+            let affected: Vec<u16> = self
+                .channels()
+                .filter(|c| crosses(c))
+                .map(|c| c.id.get())
+                .collect();
+            let mut report = FailoverReport {
+                link,
+                rerouted: Vec::new(),
+                dropped: Vec::new(),
+                unaffected: self.channels.len() - affected.len(),
+            };
+            let released: Vec<MultiHopChannel> = affected
+                .into_iter()
+                .map(|raw_id| self.release(ChannelId::new(raw_id)).unwrap())
+                .collect();
+            for old in released {
+                let candidates = self
+                    .router
+                    .routes(&self.topology, old.source, old.destination)
+                    .unwrap_or_default();
+                let readmitted = candidates.into_iter().find_map(|path| {
+                    let deadlines = self.try_admit(&old.spec, &path).ok()?;
+                    Some((path, deadlines))
+                });
+                match readmitted {
+                    Some((path, deadlines)) => {
+                        let placed = self
+                            .commit(
+                                old.id,
+                                old.source,
+                                old.destination,
+                                old.spec,
+                                path,
+                                deadlines,
+                            )
+                            .unwrap();
+                        report.rerouted.push(placed.to_route());
+                        self.rerouted += 1;
+                    }
+                    None => {
+                        report.dropped.push(old.to_route());
+                        self.dropped_on_failure += 1;
+                    }
+                }
+            }
+            report
+        }
+
+        /// How many live channels carry the last repair's mark.
+        fn seen_on_primary(&self) -> usize {
+            let marked = |id: &&u16| self.on_primary.contains(**id);
+            self.channels.keys().filter(marked).count()
+        }
+
+        /// Re-optimisation that asks the router about every live channel.
+        fn reoptimize_every_channel(&mut self, link: (SwitchId, SwitchId)) -> FailoverReport {
+            let mut report = FailoverReport {
+                link,
+                rerouted: Vec::new(),
+                dropped: Vec::new(),
+                unaffected: 0,
+            };
+            let ids: Vec<u16> = self.channels.keys().copied().collect();
+            for raw_id in ids {
+                let channel = &self.channels[&raw_id];
+                let primary =
+                    self.router
+                        .route(&self.topology, channel.source, channel.destination);
+                let Some(primary) = primary.ok().filter(|primary| *primary != channel.path) else {
+                    report.unaffected += 1;
+                    continue;
+                };
+                let old = self.release(ChannelId::new(raw_id)).unwrap();
+                match self.try_admit(&old.spec, &primary) {
+                    Ok(deadlines) => {
+                        let moved = self
+                            .commit(
+                                old.id,
+                                old.source,
+                                old.destination,
+                                old.spec,
+                                primary,
+                                deadlines,
+                            )
+                            .unwrap();
+                        report.rerouted.push(moved.to_route());
+                        self.rerouted += 1;
+                    }
+                    Err(_) => {
+                        self.commit(
+                            old.id,
+                            old.source,
+                            old.destination,
+                            old.spec,
+                            old.path,
+                            old.link_deadlines,
+                        )
+                        .unwrap();
+                        report.unaffected += 1;
+                    }
+                }
+            }
+            report
+        }
+    }
+
+    /// One fault notification, as either twin of the walk below takes it.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        Cut(SwitchId, SwitchId),
+        Repair(SwitchId, SwitchId),
+        Kill(SwitchId),
+    }
+
+    impl Fault {
+        fn apply(self, admission: &mut MultiHopAdmission) -> RtResult<FailoverReport> {
+            match self {
+                Fault::Cut(a, b) => admission.fail_trunk(a, b),
+                Fault::Repair(a, b) => admission.repair_trunk(a, b),
+                Fault::Kill(switch) => admission.fail_switch(switch),
+            }
+        }
+
+        /// The same notification through the oracles.
+        fn apply_to_oracle(self, oracle: &mut MultiHopAdmission) -> RtResult<FailoverReport> {
+            Ok(match self {
+                Fault::Cut(a, b) => {
+                    oracle.topology.fail_trunk(a, b)?;
+                    oracle.fail_over_by_full_scan(&[(a, b)], (a, b))
+                }
+                Fault::Repair(a, b) => {
+                    oracle.topology.repair_trunk(a, b)?;
+                    oracle.reoptimize_every_channel((a, b))
+                }
+                Fault::Kill(switch) => {
+                    let cut = oracle.topology.fail_switch(switch)?;
+                    oracle.fail_over_by_full_scan(&cut, (switch, switch))
+                }
+            })
+        }
+    }
+
+    /// What a seeded walk did, so that the property can say it really went
+    /// where it claims to go.
+    #[derive(Debug, Default)]
+    struct WalkTally {
+        torn_down: usize,
+        moved_by_cuts: usize,
+        moved_by_repairs: usize,
+        dropped: usize,
+        /// Channels a repair left alone on the strength of their mark.
+        skipped: usize,
+        /// Channels a repair examined and had to leave off their primary
+        /// route (it could not admit them, or there is none).
+        kept_on_detour: usize,
+        /// Channels admitted on another candidate than the primary route.
+        admitted_on_fallback: usize,
+        concurrent_cuts: usize,
+        switch_kills: usize,
+    }
+
+    /// Seeds of the fault differential property: the `RT_ADVERSARIAL_SEEDS`
+    /// matrix the CI soaks crank up, or the policy's own default — 8 under
+    /// the shortest-path router, which is what the path-release property
+    /// this one took over always ran, 4 under the other two: sixteen walks,
+    /// about three seconds of a debug build.
+    fn fault_walk_seeds(default: u64) -> u64 {
+        std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// 400 steps of request / teardown / cut / repair / flap / switch kill on
+    /// `torus(3, 3, 4)`, taken by two controllers: one through
+    /// `fail_trunk` / `fail_switch` / `repair_trunk`, its twin through the
+    /// oracles above.  Up to three trunks are down at once (a killed switch
+    /// takes four), repairs pick any failed trunk — so not in the order of
+    /// the cuts, and onto states no repair has seen — and a flap cuts and
+    /// repairs one trunk twice over, which is where a mark written by one
+    /// repair meets the next.  After every fault the two reports are equal
+    /// field for field, after every step the two channel tables are, and
+    /// both ledgers hold exactly what their channels say.
+    ///
+    /// `tests/distributed_admission.rs` takes the same walk through the
+    /// distributed manager and writes the generator out a second time (it
+    /// cannot see this module): the arms of `match rng.below(40)` below, the
+    /// rng seed and the spec ranges **must be changed in both places
+    /// together**.  Its doc lists what that copy leaves out.
+    fn fault_walk(seed: u64, router: impl Fn() -> Arc<dyn Router>, tally: &mut WalkTally) {
         let topology = Topology::torus(3, 3, 4);
         let nodes = topology.node_count() as u64;
         let trunks: Vec<(SwitchId, SwitchId)> = topology.trunks().collect();
-        let (mut torn_down, mut rerouted) = (0, 0);
-        for seed in 0..8u64 {
-            let mut rng = rt_types::rng::Xoshiro256::new(0x1ed6_e400 + seed);
-            let mut admission = MultiHopAdmission::new(topology.clone(), MultiHopDps::Asymmetric);
-            let mut live: Vec<ChannelId> = Vec::new();
-            let mut gone: Vec<ChannelId> = Vec::new();
-            for step in 0..400 {
-                match rng.below(20) {
-                    // Tear one down.
-                    0..=5 if !live.is_empty() => {
-                        let id = live.swap_remove(rng.below(live.len() as u64) as usize);
-                        admission.release(id).unwrap();
-                        gone.push(id);
-                    }
-                    // Cut a trunk (released-then-readmitted channels keep
-                    // their ids; dropped ones are gone for good) ...
-                    6 => {
-                        let (a, b) = trunks[rng.below(trunks.len() as u64) as usize];
-                        if let Ok(report) = admission.fail_trunk(a, b) {
-                            for dropped in &report.dropped {
-                                live.retain(|id| *id != dropped.id);
-                                gone.push(dropped.id);
-                            }
-                        }
-                    }
-                    // ... or splice one back, which re-optimises.
-                    7 => {
-                        let failed: Vec<_> = admission.topology().failed_trunks().collect();
-                        if let Some(&(a, b)) = failed.first() {
-                            let report = admission.repair_trunk(a, b).unwrap();
-                            assert!(report.dropped.is_empty());
-                        }
-                    }
-                    // Otherwise ask for a new channel.
-                    _ => {
-                        let (src, dst) = (rng.below(nodes) as u32, rng.below(nodes) as u32);
-                        let spec = RtChannelSpec::new(
-                            Slots::new(rng.range_inclusive(50, 400)),
-                            Slots::new(rng.range_inclusive(1, 6)),
-                            Slots::new(rng.range_inclusive(30, 80)),
-                        )
-                        .unwrap();
-                        if src != dst {
-                            if let Ok(Ok(channel)) =
-                                admission.request(NodeId::new(src), NodeId::new(dst), spec)
-                            {
-                                // Ids are reused once free: a reused id is
-                                // live again, not gone.
-                                gone.retain(|id| *id != channel.id);
-                                live.push(channel.id);
-                            }
+        let mut rng = rt_types::rng::Xoshiro256::new(0x1ed6_e400 + seed);
+        let build =
+            || MultiHopAdmission::with_router(topology.clone(), MultiHopDps::Asymmetric, router());
+        let (mut admission, mut oracle) = (build(), build());
+        let mut live: Vec<ChannelId> = Vec::new();
+        let mut gone: Vec<ChannelId> = Vec::new();
+
+        for step in 0..400 {
+            let failed: Vec<_> = admission.topology().failed_trunks().collect();
+            let healthy = |rng: &mut rt_types::rng::Xoshiro256| loop {
+                let (a, b) = trunks[rng.below(trunks.len() as u64) as usize];
+                if admission.topology().has_trunk(a, b) {
+                    return (a, b);
+                }
+            };
+            let mut faults: Vec<Fault> = Vec::new();
+            match rng.below(40) {
+                // Tear one down.
+                0..=11 if !live.is_empty() => {
+                    let id = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    admission.release(id).unwrap();
+                    oracle.release(id).unwrap();
+                    gone.push(id);
+                    tally.torn_down += 1;
+                }
+                // Cut a trunk, beside whatever is down already ...
+                12..=14 if failed.len() < 3 => {
+                    let (a, b) = healthy(&mut rng);
+                    tally.concurrent_cuts += usize::from(!failed.is_empty());
+                    faults.push(Fault::Cut(a, b));
+                }
+                // ... splice any failed one back, which re-optimises ...
+                12..=16 if !failed.is_empty() => {
+                    let (a, b) = failed[rng.below(failed.len() as u64) as usize];
+                    faults.push(Fault::Repair(a, b));
+                }
+                // ... flap one trunk twice ...
+                17 => {
+                    let (a, b) = healthy(&mut rng);
+                    let flap = [Fault::Cut(a, b), Fault::Repair(b, a)];
+                    faults.extend(flap.iter().chain(&flap));
+                }
+                // ... or lose a whole switch.
+                18 | 19 if failed.is_empty() => {
+                    faults.push(Fault::Kill(SwitchId::new(rng.below(9) as u32)));
+                    tally.switch_kills += 1;
+                }
+                // Otherwise ask for a new channel, half of them towards the
+                // first switch so that its links fill and fallbacks occur.
+                _ => {
+                    let src = rng.below(nodes) as u32;
+                    let dst = if rng.chance(0.5) {
+                        rng.below(4) as u32
+                    } else {
+                        rng.below(nodes) as u32
+                    };
+                    let spec = RtChannelSpec::new(
+                        Slots::new(rng.range_inclusive(50, 400)),
+                        Slots::new(rng.range_inclusive(1, 6)),
+                        Slots::new(rng.range_inclusive(30, 80)),
+                    )
+                    .unwrap();
+                    if src != dst {
+                        let (src, dst) = (NodeId::new(src), NodeId::new(dst));
+                        // `Err`: a killed switch is still cut off.
+                        let asked = admission.request(src, dst, spec).map(|r| r.cloned());
+                        let twin = oracle.request(src, dst, spec).map(|r| r.cloned());
+                        assert_eq!(asked.is_ok(), twin.is_ok(), "seed {seed} step {step}");
+                        assert_eq!(
+                            asked.as_ref().ok(),
+                            twin.as_ref().ok(),
+                            "seed {seed} step {step}"
+                        );
+                        if let Ok(Ok(channel)) = asked {
+                            let primary = admission.router.route(admission.topology(), src, dst);
+                            tally.admitted_on_fallback +=
+                                usize::from(primary.ok().as_ref() != Some(&channel.path));
+                            // Ids are reused once free: a reused id is live
+                            // again, not gone.
+                            gone.retain(|id| *id != channel.id);
+                            live.push(channel.id);
                         }
                     }
                 }
-                if step % 10 == 0 {
-                    assert_ledger_matches_channels(&admission, &gone);
+            }
+            for fault in faults {
+                let what = format!("seed {seed} step {step} {fault:?}");
+                if let Fault::Repair(a, b) = fault {
+                    let mut repaired = admission.topology().clone();
+                    repaired.repair_trunk(a, b).unwrap();
+                    if admission.on_primary.under == Some(repaired.fingerprint()) {
+                        tally.skipped += admission.seen_on_primary();
+                    }
                 }
+                let report = fault.apply(&mut admission).expect(&what);
+                let expected = fault.apply_to_oracle(&mut oracle).expect(&what);
+                assert_eq!(report.link, expected.link, "{what}");
+                assert_eq!(report.rerouted, expected.rerouted, "{what}: rerouted");
+                assert_eq!(report.dropped, expected.dropped, "{what}: dropped");
+                assert_eq!(report.unaffected, expected.unaffected, "{what}: unaffected");
+                for dropped in &report.dropped {
+                    live.retain(|id| *id != dropped.id);
+                    gone.push(dropped.id);
+                }
+                tally.dropped += report.dropped.len();
+                match fault {
+                    Fault::Repair(..) => {
+                        assert!(report.dropped.is_empty(), "{what}");
+                        tally.moved_by_repairs += report.rerouted.len();
+                        // A repair marks every channel it leaves on its
+                        // primary route, so the rest are off theirs.
+                        tally.kept_on_detour +=
+                            admission.channel_count() - admission.seen_on_primary();
+                    }
+                    _ => tally.moved_by_cuts += report.rerouted.len(),
+                }
+                assert_ledger_matches_channels(&admission, &gone);
+                assert_ledger_matches_channels(&oracle, &gone);
             }
-            assert_ledger_matches_channels(&admission, &gone);
-            assert_eq!(admission.channel_count(), live.len());
-            torn_down += gone.len();
-            rerouted += admission.rerouted_count();
-            // Everything torn down: the ledger is empty, link by link.
-            for id in live.drain(..) {
-                admission.release(id).unwrap();
+            assert!(
+                admission.channels().eq(oracle.channels()),
+                "seed {seed} step {step}: the channel tables diverge"
+            );
+            if step % 10 == 0 {
+                assert_ledger_matches_channels(&admission, &gone);
             }
-            assert_eq!(admission.loaded_links().count(), 0, "seed {seed}");
         }
-        // The walks really released channels all three ways.
-        assert!(
-            torn_down > 100 && rerouted > 100,
-            "{torn_down} released, {rerouted} moved by cuts and repairs"
+        assert_ledger_matches_channels(&admission, &gone);
+        assert_eq!(admission.channel_count(), live.len());
+        assert_eq!(admission.rerouted_count(), oracle.rerouted_count());
+        assert_eq!(
+            admission.failure_dropped_count(),
+            oracle.failure_dropped_count()
         );
+        // Everything torn down: the ledger is empty, link by link.
+        for id in live.drain(..) {
+            admission.release(id).unwrap();
+        }
+        assert_eq!(admission.loaded_links().count(), 0, "seed {seed}");
+    }
+
+    /// The differential property of the fault path: what `fail_over` reads
+    /// off the cut trunks' books and what `reoptimize` skips on a mark are
+    /// the decisions of the full scan and of asking about every channel —
+    /// ids, routes and deadline splits in order, `dropped`, `unaffected` —
+    /// under the single-route policy, the k-shortest one (whose fallback
+    /// admissions sit off their primary and must be looked at by every
+    /// repair) and ECMP.  It also is the ledger's path-release property: no
+    /// key of a released, dropped or moved channel stays behind.
+    #[test]
+    fn prop_fault_reports_match_the_full_scan_oracles() {
+        type MakeRouter = fn() -> Arc<dyn Router>;
+        let policies: [(&str, u64, MakeRouter); 3] = [
+            ("shortest-path", 8, || Arc::new(ShortestPathRouter::new())),
+            ("k-shortest", 4, || {
+                Arc::new(rt_types::KShortestRouter::new(3))
+            }),
+            ("ecmp", 4, || Arc::new(rt_types::EcmpRouter::new(0xec3f))),
+        ];
+        for (policy, default_seeds, router) in policies {
+            let seeds = fault_walk_seeds(default_seeds);
+            let mut tally = WalkTally::default();
+            for seed in 0..seeds {
+                fault_walk(seed, router, &mut tally);
+            }
+            // The walks went everywhere they claim to.
+            let per_seed = |count: usize| count as u64 / seeds;
+            assert!(
+                per_seed(tally.torn_down) > 50
+                    && per_seed(tally.moved_by_cuts) > 30
+                    && per_seed(tally.moved_by_repairs) > 30
+                    && per_seed(tally.skipped) > 150
+                    && tally.dropped > 0
+                    && tally.concurrent_cuts > 0
+                    && tally.switch_kills > 0,
+                "{policy}: {tally:?}"
+            );
+            if policy == "k-shortest" {
+                assert!(
+                    tally.admitted_on_fallback > 0 && tally.kept_on_detour > 0,
+                    "{policy}: {tally:?}"
+                );
+            }
+        }
+    }
+
+    // --- the mechanism, as counts ------------------------------------------
+
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+    /// [`ShortestPathRouter`], counting the calls admission makes.
+    #[derive(Debug, Default)]
+    struct CountingRouter {
+        inner: ShortestPathRouter,
+        route_calls: AtomicU64,
+        routes_calls: AtomicU64,
+    }
+
+    impl CountingRouter {
+        /// `(route, routes)` calls since the last look.
+        fn take(&self) -> (u64, u64) {
+            (
+                self.route_calls.swap(0, Relaxed),
+                self.routes_calls.swap(0, Relaxed),
+            )
+        }
+    }
+
+    impl Router for CountingRouter {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn validate(&self, topology: &Topology) -> RtResult<()> {
+            self.inner.validate(topology)
+        }
+        fn route(&self, t: &Topology, s: NodeId, d: NodeId) -> RtResult<Route> {
+            self.route_calls.fetch_add(1, Relaxed);
+            self.inner.route(t, s, d)
+        }
+        fn next_hop_cache(&self) -> Option<&rt_types::NextHopCache> {
+            self.inner.next_hop_cache()
+        }
+        fn routes(&self, t: &Topology, s: NodeId, d: NodeId) -> RtResult<Vec<Route>> {
+            self.routes_calls.fetch_add(1, Relaxed);
+            self.inner.routes(t, s, d)
+        }
+    }
+
+    /// Every live channel with what the ledger holds for it, link by link.
+    fn holdings(
+        admission: &MultiHopAdmission,
+    ) -> BTreeMap<u16, (MultiHopChannel, Vec<PeriodicTask>)> {
+        let held = |channel: &MultiHopChannel| {
+            let key = ReservationKey::channel(channel.id);
+            let on = |link: &HopLink| {
+                let at = admission.ledger.keys_on(*link).binary_search(&key).unwrap();
+                admission.ledger.taskset(*link).tasks()[at]
+            };
+            channel.path.iter().map(on).collect()
+        };
+        admission
+            .channels()
+            .map(|c| (c.id.get(), (c.clone(), held(c))))
+            .collect()
+    }
+
+    /// A fault costs what it touches, counted in router calls on the
+    /// benchmark's 256-switch torus under 300 channels: a cut asks for the
+    /// candidates of the channels on the cut trunk and reads or writes
+    /// nothing of any other; the first repair asks about every live channel
+    /// once; a second flap of the same trunk asks only about the channels
+    /// admitted or re-placed since.  The counts are deterministic: pinned.
+    #[test]
+    fn a_fault_asks_the_router_only_about_the_channels_it_may_move() {
+        let topology = Topology::torus_nd(&[4, 4, 4, 4], 4).unwrap();
+        let nodes = topology.node_count() as u64;
+        let router = Arc::new(CountingRouter::default());
+        let mut admission =
+            MultiHopAdmission::with_router(topology, MultiHopDps::Asymmetric, router.clone());
+        let mut rng = rt_types::rng::Xoshiro256::new(0xfa17_c057);
+        let spec = RtChannelSpec::new(Slots::new(400), Slots::new(2), Slots::new(120)).unwrap();
+        let mut admit = |admission: &mut MultiHopAdmission, count: usize| {
+            let mut admitted = Vec::new();
+            while admitted.len() < count {
+                let (src, dst) = (rng.below(nodes) as u32, rng.below(nodes) as u32);
+                if src != dst {
+                    let verdict = admission.request(NodeId::new(src), NodeId::new(dst), spec);
+                    admitted.push(verdict.unwrap().expect("a light fabric admits it").id);
+                }
+            }
+            admitted
+        };
+        admit(&mut admission, 300);
+        // The trunk most channels cross.
+        let mut crossing: BTreeMap<(SwitchId, SwitchId), usize> = BTreeMap::new();
+        for link in admission.channels().flat_map(|c| c.path.iter()) {
+            if let HopLink::Trunk { from, to } = *link {
+                *crossing.entry((from.min(to), from.max(to))).or_default() += 1;
+            }
+        }
+        let (&(a, b), &on_the_trunk) = crossing.iter().max_by_key(|(_, count)| **count).unwrap();
+        router.take();
+
+        // (iii) The cut: one `routes` call per affected channel, and every
+        // other channel is bit for bit what it was, in the table and in the
+        // ledger.
+        let before = holdings(&admission);
+        let report = admission.fail_trunk(a, b).unwrap();
+        assert_eq!(
+            (report.affected(), report.unaffected),
+            (on_the_trunk, 300 - on_the_trunk)
+        );
+        assert_eq!(router.take(), (0, report.affected() as u64));
+        let after = holdings(&admission);
+        let moved: Vec<u16> = report.rerouted.iter().map(|r| r.id.get()).collect();
+        for (id, was) in &before {
+            assert_eq!(moved.contains(id), after[id] != *was, "channel {id}");
+        }
+        assert!(report.dropped.is_empty(), "the torus has detours to spare");
+
+        // (i) The first repair has seen no channel on this state: it asks
+        // about each once, and moves the detoured ones back.
+        let report = admission.repair_trunk(a, b).unwrap();
+        assert_eq!(router.take(), (300, 0));
+        assert_eq!(report.rerouted.len(), on_the_trunk);
+        let back_on = |(id, (was, _)): (&u16, &(MultiHopChannel, Vec<PeriodicTask>))| {
+            admission.channels[id].path == was.path
+        };
+        assert!(
+            before.iter().all(back_on),
+            "every channel is back on its route"
+        );
+
+        // (ii) Seven more channels, then the same trunk flaps again: the
+        // repair asks about those seven and about what the cut moved.
+        let fresh = admit(&mut admission, 7);
+        router.take();
+        let cut = admission.fail_trunk(a, b).unwrap();
+        let moved: Vec<ChannelId> = cut.rerouted.iter().map(|r| r.id).collect();
+        let fresh_and_moved = fresh.iter().filter(|id| moved.contains(id)).count();
+        assert_eq!(router.take(), (0, cut.affected() as u64));
+        let report = admission.repair_trunk(a, b).unwrap();
+        let asked = (7 + moved.len() - fresh_and_moved) as u64;
+        assert_eq!(router.take(), (asked, 0));
+        assert_eq!(report.rerouted.len(), moved.len());
+        assert_eq!(report.unaffected, 307 - moved.len());
+        assert_eq!((on_the_trunk, asked), (27, 34), "the pinned counts");
     }
 
     // --- FabricChannelManager (handshake over the fabric) -----------------

@@ -55,7 +55,9 @@ pub type NextHopTable = BTreeMap<(SwitchId, SwitchId), SwitchId>;
 /// * **Columns** — destination-major `S × S` storage, one `Arc`'d column
 ///   per destination, so an incremental rebuild after a single trunk flip
 ///   shares every untouched column with the previous table instead of
-///   copying O(V²) entries.
+///   copying O(V²) entries.  A uniform-cost build keeps the trunk graph it
+///   swept beside the columns, one `Arc`'d row per switch, and the rebuild
+///   shares those the same way: a flip re-reads the two rows it changed.
 /// * **Structural** — table-free: next hops are computed from switch
 ///   coordinates ([`FabricStructure`] closed forms, O(V) resident state
 ///   for the id index), plus a sparse detour overlay covering exactly the
@@ -68,9 +70,17 @@ pub struct DenseNextHop {
 
 #[derive(Debug)]
 enum Backing {
-    /// `columns[towards][at]` = dense index of the next switch, or
-    /// [`NO_INDEX`] when unreachable (or `at == towards`).
-    Columns(Vec<Arc<[u32]>>),
+    Columns {
+        /// `next[towards][at]` = dense index of the next switch, or
+        /// [`NO_INDEX`] when unreachable (or `at == towards`).
+        next: Vec<Arc<[u32]>>,
+        /// The trunk graph the columns were swept over: `adjacency[at]` =
+        /// the dense indices of `at`'s healthy neighbours, ascending.  What
+        /// a state one trunk flip away patches instead of reading the whole
+        /// fabric again; `None` when built from a table
+        /// ([`DenseNextHop::build`]), which nothing can patch from.
+        adjacency: Option<Vec<Arc<[u32]>>>,
+    },
     /// Closed-form next hops.  The structured builders allocate contiguous
     /// switch ids, so dense index == switch id and the closed forms apply
     /// directly; `detours` overrides `(at, towards)` pairs whose healthy
@@ -97,14 +107,21 @@ impl DenseNextHop {
             };
             columns[t as usize][f as usize] = x;
         }
-        Self::from_columns(index, columns.into_iter().map(Arc::from).collect())
+        let next = columns.into_iter().map(Arc::from).collect();
+        let backing = Backing::Columns {
+            next,
+            adjacency: None,
+        };
+        DenseNextHop { index, backing }
     }
 
-    fn from_columns(index: IdIndex, columns: Vec<Arc<[u32]>>) -> Self {
-        DenseNextHop {
-            index,
-            backing: Backing::Columns(columns),
-        }
+    /// Columns swept over `adjacency`, which stays with them.
+    fn from_sweep(index: IdIndex, next: Vec<Arc<[u32]>>, adjacency: Vec<Arc<[u32]>>) -> Self {
+        let backing = Backing::Columns {
+            next,
+            adjacency: Some(adjacency),
+        };
+        DenseNextHop { index, backing }
     }
 
     fn structural(
@@ -144,7 +161,7 @@ impl DenseNextHop {
     #[inline]
     pub fn next_hop_index(&self, at: u32, towards: u32) -> Option<u32> {
         match &self.backing {
-            Backing::Columns(columns) => match columns[towards as usize][at as usize] {
+            Backing::Columns { next, .. } => match next[towards as usize][at as usize] {
                 NO_INDEX => None,
                 next => Some(next),
             },
@@ -187,14 +204,16 @@ impl DenseNextHop {
     }
 
     /// Approximate resident bytes of the forwarding state: O(V²) for the
-    /// tabled backing, O(V + detours) for the structural one.  Feeds the
-    /// routing microbench's memory rows.
+    /// tabled backing (its O(V + E) adjacency rows included), O(V + detours)
+    /// for the structural one.  What `rtbench` reports as
+    /// `types.router.table_bytes`.
     pub fn resident_bytes(&self) -> usize {
         let index = self.index.len() * 2 * std::mem::size_of::<u32>();
         index
             + match &self.backing {
-                Backing::Columns(columns) => columns
+                Backing::Columns { next, adjacency } => next
                     .iter()
+                    .chain(adjacency.iter().flatten())
                     .map(|c| std::mem::size_of::<Arc<[u32]>>() + std::mem::size_of_val(&c[..]))
                     .sum(),
                 // BTreeMap node overhead, rounded up generously.
@@ -404,6 +423,13 @@ pub trait Router: fmt::Debug + Send + Sync {
     /// "the shortest path is saturated" from a rejection into a detour.
     /// The default is the single [`Router::route`] — existing policies keep
     /// their exact behaviour.
+    ///
+    /// The primary is [`Router::route`]'s answer: `routes` fails exactly when
+    /// `route` does, and otherwise `routes(..)[0] == route(..)`.  Both channel
+    /// managers rely on it when a repair asks whether a channel sits on its
+    /// primary route — the central one reads `route`, the distributed one
+    /// the head of its memoised `routes` — and an implementation that
+    /// overrides `routes` must keep it.
     fn routes(
         &self,
         topology: &Topology,
@@ -615,22 +641,33 @@ impl NextHopCache {
                         return None;
                     }
                     let dist = e.dist.as_ref()?;
-                    let Backing::Columns(columns) = &e.dense.backing else {
+                    let Backing::Columns {
+                        next,
+                        adjacency: Some(adjacency),
+                    } = &e.dense.backing
+                    else {
                         return None;
                     };
                     single_trunk_delta(&e.failed, &failed)
-                        .map(|delta| (columns.clone(), dist.clone(), delta))
+                        .map(|delta| (next.clone(), dist.clone(), adjacency.clone(), delta))
                 });
-                if let Some((base_next, base_dist, delta)) = base {
+                if let Some((base_next, base_dist, mut adjacency, delta)) = base {
                     inner.stats.incremental_rebuilds += 1;
-                    let (next_cols, dist_cols) =
-                        incremental_columns(topology, &index, &base_next, &base_dist, &delta);
-                    let dense = DenseNextHop::from_columns(index, next_cols);
+                    let (next_cols, dist_cols) = incremental_columns(
+                        topology,
+                        &index,
+                        &base_next,
+                        &base_dist,
+                        &mut adjacency,
+                        &delta,
+                    );
+                    let dense = DenseNextHop::from_sweep(index, next_cols, adjacency);
                     break 'build blank(Arc::new(dense), Some(dist_cols), None);
                 }
                 inner.stats.full_rebuilds += 1;
-                let (next_cols, dist_cols) = uniform_columns(topology, &index);
-                let dense = DenseNextHop::from_columns(index, next_cols);
+                let adjacency = dense_adjacency(topology, &index);
+                let (next_cols, dist_cols) = uniform_columns(&adjacency);
+                let dense = DenseNextHop::from_sweep(index, next_cols, adjacency);
                 break 'build blank(Arc::new(dense), Some(dist_cols), None);
             }
             // Weighted trunks: deterministic-Dijkstra tie-breaks are not
@@ -658,18 +695,23 @@ fn ids_are_contiguous(index: &IdIndex, structure: &FabricStructure) -> bool {
     n == structure.switch_count() as usize && n > 0 && index.id_at(n as u32 - 1) == n as u32 - 1
 }
 
-/// Dense adjacency (ascending, as [`Topology::neighbours`] iterates) over
-/// the topology's current — possibly degraded — trunk graph.
-fn dense_adjacency(topology: &Topology, index: &IdIndex) -> Vec<Vec<u32>> {
-    let mut adjacency = vec![Vec::new(); index.len()];
-    for s in topology.switches() {
-        let si = index.get(s.get()).expect("switch is indexed");
-        adjacency[si as usize] = topology
-            .neighbours(s)
-            .filter_map(|n| index.get(n.get()))
-            .collect();
-    }
-    adjacency
+/// One row of the dense adjacency: the dense indices of `switch`'s healthy
+/// neighbours, ascending (as [`Topology::neighbours`] iterates).
+fn adjacency_row(topology: &Topology, index: &IdIndex, switch: SwitchId) -> Arc<[u32]> {
+    topology
+        .neighbours(switch)
+        .filter_map(|n| index.get(n.get()))
+        .collect()
+}
+
+/// Dense adjacency over the topology's current — possibly degraded — trunk
+/// graph, one row per switch in dense-index order (`index` was built from
+/// [`Topology::switches`], which iterates ascending like the index).
+fn dense_adjacency(topology: &Topology, index: &IdIndex) -> Vec<Arc<[u32]>> {
+    topology
+        .switches()
+        .map(|s| adjacency_row(topology, index, s))
+        .collect()
 }
 
 /// One BFS column towards destination `t`: per-source next hop (the
@@ -683,7 +725,7 @@ fn dense_adjacency(topology: &Topology, index: &IdIndex) -> Vec<Vec<u32>> {
 /// hop of the lex-min path from `s` is precisely the minimum-id neighbour
 /// of `s` that is one hop closer to `t`.  So this per-destination build
 /// produces byte-identical entries at a fraction of the allocation cost.
-fn bfs_column(adjacency: &[Vec<u32>], t: usize) -> (Arc<[u32]>, Arc<[u32]>) {
+fn bfs_column(adjacency: &[Arc<[u32]>], t: usize) -> (Arc<[u32]>, Arc<[u32]>) {
     let n = adjacency.len();
     let mut dist = vec![u32::MAX; n];
     let mut queue = std::collections::VecDeque::with_capacity(n);
@@ -691,7 +733,7 @@ fn bfs_column(adjacency: &[Vec<u32>], t: usize) -> (Arc<[u32]>, Arc<[u32]>) {
     queue.push_back(t as u32);
     while let Some(s) = queue.pop_front() {
         let d = dist[s as usize];
-        for &nb in &adjacency[s as usize] {
+        for &nb in adjacency[s as usize].iter() {
             if dist[nb as usize] == u32::MAX {
                 dist[nb as usize] = d + 1;
                 queue.push_back(nb);
@@ -703,7 +745,7 @@ fn bfs_column(adjacency: &[Vec<u32>], t: usize) -> (Arc<[u32]>, Arc<[u32]>) {
         if s == t || dist[s] == u32::MAX {
             continue;
         }
-        for &nb in &adjacency[s] {
+        for &nb in adjacency[s].iter() {
             if dist[nb as usize] != u32::MAX && dist[nb as usize] + 1 == dist[s] {
                 next[s] = nb;
                 break;
@@ -718,13 +760,12 @@ fn bfs_column(adjacency: &[Vec<u32>], t: usize) -> (Arc<[u32]>, Arc<[u32]>) {
 type ColumnSets = (Vec<Arc<[u32]>>, Vec<Arc<[u32]>>);
 
 /// From-scratch per-destination build of every column.
-fn uniform_columns(topology: &Topology, index: &IdIndex) -> ColumnSets {
-    let adjacency = dense_adjacency(topology, index);
+fn uniform_columns(adjacency: &[Arc<[u32]>]) -> ColumnSets {
     let n = adjacency.len();
     let mut next_cols = Vec::with_capacity(n);
     let mut dist_cols = Vec::with_capacity(n);
     for t in 0..n {
-        let (next, dist) = bfs_column(&adjacency, t);
+        let (next, dist) = bfs_column(adjacency, t);
         next_cols.push(next);
         dist_cols.push(dist);
     }
@@ -770,7 +811,9 @@ fn single_trunk_delta(base: &[(u32, u32)], new: &[(u32, u32)]) -> Option<TrunkDe
 }
 
 /// Patch a base state's per-destination columns for a single trunk flip,
-/// sharing every untouched column's `Arc`.
+/// sharing every untouched column's `Arc`.  `adjacency` comes in as the base
+/// state's and leaves as `topology`'s: the flipped trunk's two rows are read
+/// again, every other row stays the base's allocation.
 ///
 /// Soundness rests on two facts about uniform-cost BFS columns:
 ///
@@ -792,15 +835,25 @@ fn incremental_columns(
     index: &IdIndex,
     base_next: &[Arc<[u32]>],
     base_dist: &[Arc<[u32]>],
+    adjacency: &mut [Arc<[u32]>],
     delta: &TrunkDelta,
 ) -> ColumnSets {
     let (edge, is_cut) = match delta {
         TrunkDelta::Cut(e) => (e, true),
         TrunkDelta::Repaired(e) => (e, false),
     };
-    let a = index.get(edge.0).expect("same switch set") as usize;
-    let b = index.get(edge.1).expect("same switch set") as usize;
-    let adjacency = dense_adjacency(topology, index);
+    // Base and new state hash to one structural fingerprint: one switch set.
+    let dense = |id: u32| {
+        index
+            .get(id)
+            .expect("a flipped trunk joins two switches of the fabric both states share")
+            as usize
+    };
+    let (a, b) = (dense(edge.0), dense(edge.1));
+    for (at, id) in [(a, edge.0), (b, edge.1)] {
+        adjacency[at] = adjacency_row(topology, index, SwitchId::new(id));
+    }
+    let adjacency = &*adjacency;
     let n = adjacency.len();
     let mut next_cols = Vec::with_capacity(n);
     let mut dist_cols = Vec::with_capacity(n);
@@ -840,7 +893,7 @@ fn incremental_columns(
                     dist_cols.push(Arc::clone(dist));
                 }
                 None => {
-                    let (nc, dc) = bfs_column(&adjacency, t);
+                    let (nc, dc) = bfs_column(adjacency, t);
                     next_cols.push(nc);
                     dist_cols.push(dc);
                 }
@@ -848,7 +901,7 @@ fn incremental_columns(
         } else if dist[u] == u32::MAX || dist[u] - dist[v] >= 2 {
             // The repair shortens paths (or reconnects a region):
             // recompute the column.
-            let (nc, dc) = bfs_column(&adjacency, t);
+            let (nc, dc) = bfs_column(adjacency, t);
             next_cols.push(nc);
             dist_cols.push(dc);
         } else if (v as u32) < next[u] {
@@ -1590,6 +1643,49 @@ mod tests {
         );
     }
 
+    /// `routes(..)[0] == route(..)`, and `routes` fails exactly when `route`
+    /// does: the contract the trait states and the channel managers' repair
+    /// path relies on, for the five stock routers on a ring and a torus,
+    /// healthy and with a trunk down.
+    #[test]
+    fn the_first_candidate_is_the_primary_route_for_every_stock_router() {
+        let routers: [Box<dyn Router>; 5] = [
+            Box::new(TreeRouter::new()),
+            Box::new(ShortestPathRouter::new()),
+            Box::new(EcmpRouter::new(7)),
+            Box::new(KShortestRouter::new(3)),
+            Box::new(crate::structural::StructuralRouter::new()),
+        ];
+        let mut fabrics = Vec::new();
+        for healthy in [Topology::ring(6, 2), Topology::torus(3, 3, 2)] {
+            let mut degraded = healthy.clone();
+            let (a, b) = healthy.trunks().nth(2).unwrap();
+            degraded.fail_trunk(a, b).unwrap();
+            fabrics.extend([healthy, degraded]);
+        }
+        for router in &routers {
+            let (mut agreed, mut refused) = (0, 0);
+            for t in &fabrics {
+                for (s, d) in t.nodes().flat_map(|s| t.nodes().map(move |d| (s, d))) {
+                    match (router.route(t, s, d), router.routes(t, s, d)) {
+                        (Ok(primary), Ok(candidates)) => {
+                            assert_eq!(candidates.first(), Some(&primary), "{s} -> {d}");
+                            agreed += 1;
+                        }
+                        (Err(_), Err(_)) => refused += 1,
+                        (route, routes) => panic!(
+                            "{} disagrees with itself on {s} -> {d}: {route:?} vs {routes:?}",
+                            router.name()
+                        ),
+                    }
+                }
+            }
+            // Every router serves the cut ring (a line, so a tree), and each
+            // refuses at least the `s -> s` pairs.
+            assert!(agreed >= 12 * 11 && refused >= 12, "{}", router.name());
+        }
+    }
+
     #[test]
     fn k_shortest_enumerates_both_ways_around_a_ring() {
         let t = ring4();
@@ -1811,6 +1907,52 @@ mod tests {
         assert_eq!(stats.incremental_rebuilds, 2);
         assert_eq!(stats.full_rebuilds, 1);
         assert!(stats.hits >= 1);
+    }
+
+    /// A flip patches the state it came from: the rebuilt entry shares every
+    /// adjacency row with its base except the two the trunk joins, what it
+    /// holds is the topology's adjacency, and the rows are part of what the
+    /// table says it keeps resident.
+    #[test]
+    fn an_incremental_rebuild_shares_every_untouched_adjacency_row_with_its_base() {
+        fn rows(dense: &DenseNextHop) -> &[Arc<[u32]>] {
+            match &dense.backing {
+                Backing::Columns {
+                    adjacency: Some(adjacency),
+                    ..
+                } => adjacency,
+                _ => panic!("a tabled router keeps its columns and what they were swept over"),
+            }
+        }
+        let flipped_rows_only = |base: &DenseNextHop, rebuilt: &DenseNextHop, t: &Topology| {
+            for (at, (was, is)) in rows(base).iter().zip(rows(rebuilt)).enumerate() {
+                assert_eq!(Arc::ptr_eq(was, is), at != 5 && at != 6, "row {at}");
+            }
+            assert_eq!(rows(rebuilt), dense_adjacency(t, &rebuilt.index));
+        };
+        let mut t = Topology::torus(4, 4, 1);
+        let router = ShortestPathRouter::new();
+        let healthy = router.dense_next_hop(&t);
+        t.fail_trunk(SwitchId::new(5), SwitchId::new(6)).unwrap();
+        let cut = router.dense_next_hop(&t);
+        flipped_rows_only(&healthy, &cut, &t);
+        // A repair onto a state the cache has not seen patches the most
+        // recent state one flip away: the one with both trunks down.
+        t.fail_trunk(SwitchId::new(0), SwitchId::new(1)).unwrap();
+        let both = router.dense_next_hop(&t);
+        t.repair_trunk(SwitchId::new(5), SwitchId::new(6)).unwrap();
+        let spliced = router.dense_next_hop(&t);
+        flipped_rows_only(&both, &spliced, &t);
+        let stats = router.next_hop_cache().unwrap().stats();
+        assert_eq!((stats.full_rebuilds, stats.incremental_rebuilds), (1, 3));
+
+        // Sixteen switches: the index, sixteen next-hop columns, and the
+        // rows — 2 x 16 directed trunks less the one that is down.
+        let word = std::mem::size_of::<u32>();
+        let handle = std::mem::size_of::<Arc<[u32]>>();
+        let columns = 16 * 2 * word + 16 * (handle + 16 * word);
+        let adjacency = 16 * handle + (2 * 32 - 2) * word;
+        assert_eq!(spliced.resident_bytes(), columns + adjacency);
     }
 
     #[test]

@@ -161,9 +161,11 @@ pub struct Topology {
     /// trunk failures and repairs.
     structure: Option<FabricStructure>,
     /// Memo of [`Topology::fingerprint`] and
-    /// [`Topology::structural_fingerprint`], filled by the first call after
-    /// a mutation and dropped by every `&mut self` mutator (see
-    /// [`Topology::invalidate_fingerprints`]).  A clone carries the memo of
+    /// [`Topology::structural_fingerprint`], each filled by its first call
+    /// after a mutation that can change it: a trunk flip drops the routing
+    /// hash only ([`Topology::invalidate_routing_fingerprint`]), every other
+    /// `&mut self` mutator drops both
+    /// ([`Topology::invalidate_fingerprints`]).  A clone carries the memo of
     /// the state it was cloned from.
     fingerprints: FingerprintMemo,
 }
@@ -561,7 +563,7 @@ impl Topology {
         if !self.adjacency.get(&a).is_some_and(|nbrs| nbrs.contains(&b)) {
             return Err(RtError::Config(format!("no trunk {a} <-> {b} to fail")));
         }
-        self.invalidate_fingerprints();
+        self.invalidate_routing_fingerprint();
         self.adjacency
             .get_mut(&a)
             .expect("checked above")
@@ -584,7 +586,7 @@ impl Topology {
                 "trunk {a} <-> {b} is not failed, nothing to repair"
             )));
         }
-        self.invalidate_fingerprints();
+        self.invalidate_routing_fingerprint();
         self.adjacency.entry(a).or_default().insert(b);
         self.adjacency.entry(b).or_default().insert(a);
         Ok(())
@@ -655,12 +657,15 @@ impl Topology {
     ///
     /// The hash is a full O(V + E) scan, but it is *memoised*: only the
     /// first call after a mutation pays for it, every later call is one
-    /// load.  The memo is dropped by each of the nine `&mut self` mutators
-    /// ([`Topology::add_switch`], [`Topology::attach_node`],
-    /// [`Topology::add_trunk`], [`Topology::add_trunk_weighted`],
-    /// [`Topology::set_trunk_cost`], [`Topology::set_manager_placement`],
-    /// [`Topology::fail_trunk`], [`Topology::repair_trunk`],
-    /// [`Topology::fail_switch`]) whenever they change anything.
+    /// load.  Each of the nine `&mut self` mutators drops this memo whenever
+    /// it changes anything.  Six of them ([`Topology::add_switch`],
+    /// [`Topology::attach_node`], [`Topology::add_trunk`],
+    /// [`Topology::add_trunk_weighted`], [`Topology::set_trunk_cost`],
+    /// [`Topology::set_manager_placement`]) drop the
+    /// [`Topology::structural_fingerprint`] memo with it; the three that
+    /// only move a trunk between the healthy and the failed set
+    /// ([`Topology::fail_trunk`], [`Topology::repair_trunk`],
+    /// [`Topology::fail_switch`]) keep that one, which they cannot change.
     pub fn fingerprint(&self) -> u64 {
         *self
             .fingerprints
@@ -688,11 +693,19 @@ impl Topology {
             .get_or_init(|| self.scan_fingerprint(true))
     }
 
-    /// Drop both memoised fingerprints.  Every mutator calls this before it
-    /// changes a hashed field ([`Topology::fail_switch`] through the
-    /// [`Topology::fail_trunk`] calls it is made of).
+    /// Drop both memoised fingerprints.  Every mutator that can change the
+    /// healthy graph, the attachments or a cost calls this before it does.
     fn invalidate_fingerprints(&mut self) {
         self.fingerprints = FingerprintMemo::default();
+    }
+
+    /// Drop the routing fingerprint and keep the structural one: what a
+    /// trunk flip calls ([`Topology::fail_switch`] through the
+    /// [`Topology::fail_trunk`] calls it is made of).  A flip moves one
+    /// trunk between the adjacency and the failed set, and the structural
+    /// hash covers the union of the two.
+    fn invalidate_routing_fingerprint(&mut self) {
+        self.fingerprints.routing = OnceLock::new();
     }
 
     /// The one scan behind both fingerprints: switches, attachments, trunks
@@ -1365,6 +1378,24 @@ mod tests {
             }
         }
 
+        /// What mutator `op` left of a memo that was warm when it ran: a
+        /// failing call leaves both hashes, a trunk flip (`fail_trunk`,
+        /// `repair_trunk`, `fail_switch`) keeps the structural one and drops
+        /// the routing one, the other six drop both.  Whatever was kept is
+        /// the hash a scan of the mutated topology yields.
+        fn assert_memo_after(t: &Topology, op: u64, ok: bool, what: &str) {
+            let FingerprintMemo {
+                routing,
+                structural,
+            } = &t.fingerprints;
+            assert_eq!(routing.get().is_some(), !ok, "routing memo: {what}");
+            let kept = !ok || matches!(op, 6..=8);
+            assert_eq!(structural.get().is_some(), kept, "structural memo: {what}");
+            if let Some(&retained) = structural.get() {
+                assert_eq!(retained, t.scan_fingerprint(true), "retained: {what}");
+            }
+        }
+
         /// One random mutator call on `t`; `Ok`/`Err` is whatever it said.
         fn mutate(t: &mut Topology, rng: &mut Xoshiro256) -> (u64, bool) {
             // Ids drawn from a range a little wider than what exists, so
@@ -1405,7 +1436,9 @@ mod tests {
             for step in 0..120 {
                 let (op, ok) = mutate(&mut t, &mut rng);
                 outcomes[op as usize][usize::from(ok)] += 1;
-                assert_fresh(&t, &format!("seed {seed} step {step} op {op} ok {ok}"));
+                let what = format!("seed {seed} step {step} op {op} ok {ok}");
+                assert_memo_after(&t, op, ok, &what);
+                assert_fresh(&t, &what);
                 if step == 60 {
                     // A clone taken with a warm memo, then mutated on its
                     // own: neither side may see the other's changes.
@@ -1414,10 +1447,9 @@ mod tests {
                     let before = (t.fingerprint(), t.structural_fingerprint());
                     for fork_step in 0..40 {
                         let (op, ok) = mutate(&mut fork, &mut rng);
-                        assert_fresh(
-                            &fork,
-                            &format!("seed {seed} fork step {fork_step} op {op} ok {ok}"),
-                        );
+                        let what = format!("seed {seed} fork step {fork_step} op {op} ok {ok}");
+                        assert_memo_after(&fork, op, ok, &what);
+                        assert_fresh(&fork, &what);
                     }
                     assert_eq!((t.fingerprint(), t.structural_fingerprint()), before);
                     assert_fresh(&t, "original after the fork diverged");

@@ -51,6 +51,11 @@
 //! traced `core.manager.allocs_per_attempt` on `churn_distributed` reads 32.4
 //! (86.2 at the parent; the ROADMAP asks for 40): 45 % of its arrivals are
 //! refused, most of them earlier than the refusal measured here.
+//!
+//! A trunk repair is held to a difference, not to a budget: one that lands
+//! on a fabric state every live channel was already seen on asks for the
+//! same blocks over 50 channels and over 500 (before PR 22 it asked the
+//! router for a route per channel).
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -402,4 +407,60 @@ fn a_hop_allocates_the_same_whatever_its_site_holds() {
     let few = probes_and_confirms(10);
     assert_eq!(few.len(), 8, "four Probe hops, four Confirm hops");
     assert_eq!(few, probes_and_confirms(1_000));
+}
+
+/// A repair costs what it may move, not what the fabric holds.  Every channel
+/// runs from node 1 to node 14 and a trunk off their route flaps twice: the
+/// first repair finds each channel on its primary route, the second lands on
+/// the same fabric state with no channel placed since, so it asks the router
+/// nothing and walks the channel table without keeping anything — no block
+/// at all today, and whatever the topology's sets may come to ask for when a
+/// trunk goes back in, the same over 50 channels and over 500.
+#[test]
+fn a_repair_that_moves_nothing_allocates_the_same_whatever_the_fabric_holds() {
+    let topology = Topology::fat_tree(4).expect("radix 4 is a valid fat tree");
+    let tiny = RtChannelSpec::new(Slots::new(100_000), Slots::new(1), Slots::new(60_000)).unwrap();
+    let second_repair = |held: usize| -> u64 {
+        let mut manager = FabricChannelManager::new(MultiHopAdmission::new(
+            topology.clone(),
+            MultiHopDps::Asymmetric,
+        ));
+        for round in 0..held {
+            let id = ask(&mut manager, &request(1, 14, tiny, round as u8), 1);
+            accept(
+                &mut manager,
+                id.expect("five hundred tiny channels fit"),
+                14,
+            );
+        }
+        let route = manager.channel_route(ChannelId::new(1)).unwrap().path;
+        let crossed = |a: SwitchId, b: SwitchId| {
+            let (ab, ba) = (
+                HopLink::Trunk { from: a, to: b },
+                HopLink::Trunk { from: b, to: a },
+            );
+            route.contains(&ab) || route.contains(&ba)
+        };
+        let (a, b) = topology
+            .trunks()
+            .find(|&(a, b)| !crossed(a, b))
+            .expect("a six-link route leaves most of the fat tree alone");
+        let mut allocated = 0;
+        for flap in 0..2 {
+            let cut = manager.handle_link_failure(a, b).unwrap();
+            assert_eq!((cut.affected(), cut.unaffected), (0, held), "flap {flap}");
+            let before = allocations();
+            let repair = manager.handle_link_repair(a, b).unwrap();
+            allocated = allocations() - before;
+            assert_eq!(
+                (repair.affected(), repair.unaffected),
+                (0, held),
+                "flap {flap}"
+            );
+        }
+        allocated
+    };
+    let few = second_repair(50);
+    assert_eq!(few, second_repair(500));
+    assert!(few <= 2, "{few} allocations to put one trunk back");
 }

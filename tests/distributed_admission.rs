@@ -13,14 +13,16 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use common::ControlHarness;
+use switched_rt_ethernet::core::manager::{ChannelRoute, FailoverReport};
 use switched_rt_ethernet::core::{
-    ChannelManager, DistributedChannelManager, MultiHopDps, RtChannelSpec, RtNetwork,
-    RtNetworkBuilder,
+    ChannelManager, DistributedChannelManager, FabricChannelManager, MultiHopAdmission,
+    MultiHopDps, RtChannelSpec, RtNetwork, RtNetworkBuilder,
 };
 use switched_rt_ethernet::traffic::FabricScenario;
 use switched_rt_ethernet::types::{
-    ChannelId, ConnectionRequestId, Duration, HopLink, KShortestRouter, ManagerPlacement, NodeId,
-    Router, ShortestPathRouter, SimTime, Slots, SwitchId, Topology,
+    ChannelId, ConnectionRequestId, Duration, EcmpRouter, HopLink, KShortestRouter,
+    ManagerPlacement, NodeId, Router, ShortestPathRouter, SimTime, Slots, SwitchId, Topology,
+    Xoshiro256,
 };
 
 fn spec() -> RtChannelSpec {
@@ -913,4 +915,253 @@ fn k_shortest_orders_candidates_by_cost() {
         paths[1],
         vec![SwitchId::new(0), SwitchId::new(3), SwitchId::new(2)]
     );
+}
+
+// --- the fault path, distributed against central ---------------------------
+
+/// One fault notification of the walk below.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    Cut(SwitchId, SwitchId),
+    Repair(SwitchId, SwitchId),
+    Kill(SwitchId),
+}
+
+/// Notify `manager` of `fault` and let the link-state flood it sets off
+/// converge, so that the next request meets sites that agree on the fabric.
+fn notify<M: ChannelManager>(
+    manager: &mut M,
+    harness: &mut ControlHarness,
+    fault: Fault,
+) -> FailoverReport {
+    let report = match fault {
+        Fault::Cut(a, b) => manager.handle_link_failure(a, b),
+        Fault::Repair(a, b) => manager.handle_link_repair(a, b),
+        Fault::Kill(switch) => manager.handle_switch_failure(switch),
+    }
+    .expect("the script names trunks in the state it left them in");
+    harness.flood(manager);
+    harness.drain(manager, SimTime::ZERO).unwrap();
+    report
+}
+
+/// Establish a channel over the control protocol, the destination accepting.
+fn establish<M: ChannelManager>(
+    manager: &mut M,
+    harness: &mut ControlHarness,
+    (source, destination): (NodeId, NodeId),
+    spec: RtChannelSpec,
+) -> Option<ChannelId> {
+    harness.submit(source, destination, spec, ConnectionRequestId::new(0));
+    harness.drain(manager, SimTime::ZERO).unwrap();
+    while harness.answer(true) {
+        harness.drain(manager, SimTime::ZERO).unwrap();
+    }
+    harness.verdicts.pop().expect("every request is answered")
+}
+
+/// Seeds of the walk (the `RT_ADVERSARIAL_SEEDS` matrix the CI soaks crank
+/// up), default 4: twelve walks, a good second of a debug build.
+fn fault_walk_seeds() -> u64 {
+    std::env::var("RT_ADVERSARIAL_SEEDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(4)
+}
+
+/// The walk of `rt-core`'s `prop_fault_reports_match_the_full_scan_oracles`
+/// — 400 steps of request / teardown / cut / repair / flap / switch kill on
+/// `torus(3, 3, 4)`, up to three trunks down at once, repairs in any order —
+/// taken by a central and a distributed manager side by side.  That property
+/// holds the central reports to the full-scan oracles; this one holds the
+/// distributed manager's reports to the central ones: ids paired in
+/// admission order, then the same channels re-routed onto the same routes
+/// with the same deadline splits, the same ones dropped, the same count left
+/// alone.  The distributed repair asks the router about every channel and
+/// the central one skips those it has seen, so this is also a second witness
+/// that skipping decides what asking decides.
+///
+/// The generator is written out twice because the two tests sit on either
+/// side of the crate boundary and sharing it would take a `pub` item.  The
+/// arms of `match rng.below(40)` — their weights, the cap of three trunks
+/// down, the flap's cut-repair-cut-repair, the kill only on a healthy
+/// fabric, the spec ranges, the rng seed — are the unit walk's and **must be
+/// changed in both places together**.  What this walk does differently, and
+/// so does not cover of the unit one:
+///
+/// * every request comes from a node of one switch per seed (`seed % 9`),
+///   so that the distributed manager's per-coordinator id blocks order the
+///   channels as the central sequencer does and both re-admit in one order;
+///   the unit walk draws the source from the whole fabric;
+/// * the destination is uniform over the fabric; the unit walk sends half
+///   of its requests towards the first switch to force fallback admissions
+///   (here one switch's uplinks and trunks fill anyway);
+/// * a pair the fabric cannot join is skipped; the unit walk asks and
+///   compares the two errors;
+/// * there is no per-step ledger audit against the channel table: the
+///   distributed ledgers are checked once, by `audit_quiescent` at the end.
+fn fault_walk(seed: u64, router: impl Fn() -> Arc<dyn Router>) -> (usize, usize, usize) {
+    let topology = Topology::torus(3, 3, 4);
+    let nodes: Vec<NodeId> = topology.nodes().collect();
+    let trunks: Vec<(SwitchId, SwitchId)> = topology.trunks().collect();
+    let coordinator = SwitchId::new((seed % 9) as u32);
+    let sources: Vec<NodeId> = topology.nodes_of(coordinator).collect();
+    let mut rng = Xoshiro256::new(0x1ed6_e400 + seed);
+    let mut central = FabricChannelManager::new(MultiHopAdmission::with_router(
+        topology.clone(),
+        MultiHopDps::Asymmetric,
+        router(),
+    ));
+    let mut distributed =
+        DistributedChannelManager::new(topology.clone(), MultiHopDps::Asymmetric, router());
+    let (mut central_wire, mut distributed_wire) = (
+        ControlHarness::new(&topology),
+        ControlHarness::new(&topology),
+    );
+    // Live channels in admission order: (central id, distributed id).
+    let mut live: Vec<(ChannelId, ChannelId)> = Vec::new();
+    let (mut moved_by_cuts, mut moved_by_repairs, mut dropped) = (0, 0, 0);
+
+    for step in 0..400 {
+        let fabric = central.admission().topology();
+        let failed: Vec<_> = fabric.failed_trunks().collect();
+        let healthy = |rng: &mut Xoshiro256| loop {
+            let (a, b) = trunks[rng.below(trunks.len() as u64) as usize];
+            if fabric.has_trunk(a, b) {
+                return (a, b);
+            }
+        };
+        let mut faults: Vec<Fault> = Vec::new();
+        match rng.below(40) {
+            0..=11 if !live.is_empty() => {
+                let (c, d) = live.remove(rng.below(live.len() as u64) as usize);
+                central.handle_teardown(c).unwrap();
+                ChannelManager::handle_teardown(&mut distributed, d).unwrap();
+            }
+            12..=14 if failed.len() < 3 => {
+                let (a, b) = healthy(&mut rng);
+                faults.push(Fault::Cut(a, b));
+            }
+            12..=16 if !failed.is_empty() => {
+                let (a, b) = failed[rng.below(failed.len() as u64) as usize];
+                faults.push(Fault::Repair(a, b));
+            }
+            17 => {
+                let (a, b) = healthy(&mut rng);
+                let flap = [Fault::Cut(a, b), Fault::Repair(b, a)];
+                faults.extend(flap.iter().chain(&flap));
+            }
+            18 | 19 if failed.is_empty() => {
+                faults.push(Fault::Kill(SwitchId::new(rng.below(9) as u32)));
+            }
+            _ => {
+                let source = sources[rng.below(sources.len() as u64) as usize];
+                let destination = nodes[rng.below(nodes.len() as u64) as usize];
+                let spec = RtChannelSpec::new(
+                    Slots::new(rng.range_inclusive(50, 400)),
+                    Slots::new(rng.range_inclusive(1, 6)),
+                    Slots::new(rng.range_inclusive(30, 80)),
+                )
+                .unwrap();
+                // A pair the fabric cannot join right now (a killed switch
+                // not yet spliced back) is an error to one manager and a
+                // refusal to the other: not what this walk compares.
+                let joined = |node| fabric.switch_of(node);
+                let routable = fabric
+                    .switch_path(joined(source).unwrap(), joined(destination).unwrap())
+                    .is_some();
+                if source != destination && routable {
+                    let pair = (source, destination);
+                    let c = establish(&mut central, &mut central_wire, pair, spec);
+                    let d = establish(&mut distributed, &mut distributed_wire, pair, spec);
+                    assert_eq!(
+                        c.is_some(),
+                        d.is_some(),
+                        "seed {seed} step {step}: verdicts"
+                    );
+                    live.extend(c.zip(d));
+                }
+            }
+        }
+        for fault in faults {
+            let what = format!("seed {seed} step {step} {fault:?}");
+            let expected = notify(&mut central, &mut central_wire, fault);
+            let report = notify(&mut distributed, &mut distributed_wire, fault);
+            // The distributed report in the central manager's ids.
+            let in_central_ids = |routes: &[ChannelRoute]| -> Vec<ChannelRoute> {
+                let mut routes: Vec<ChannelRoute> = routes
+                    .iter()
+                    .map(|route| ChannelRoute {
+                        id: live.iter().find(|(_, d)| *d == route.id).expect(&what).0,
+                        ..route.clone()
+                    })
+                    .collect();
+                routes.sort_by_key(|route| route.id);
+                routes
+            };
+            assert_eq!(report.link, expected.link, "{what}");
+            assert_eq!(
+                in_central_ids(&report.rerouted),
+                expected.rerouted,
+                "{what}: rerouted"
+            );
+            assert_eq!(
+                in_central_ids(&report.dropped),
+                expected.dropped,
+                "{what}: dropped"
+            );
+            assert_eq!(report.unaffected, expected.unaffected, "{what}: unaffected");
+            live.retain(|(c, _)| !expected.dropped.iter().any(|gone| gone.id == *c));
+            dropped += expected.dropped.len();
+            match fault {
+                Fault::Repair(..) => moved_by_repairs += expected.rerouted.len(),
+                _ => moved_by_cuts += expected.rerouted.len(),
+            }
+        }
+        // The two tables hold the same channels on the same routes.
+        assert_eq!(
+            central.channel_count(),
+            live.len(),
+            "seed {seed} step {step}"
+        );
+        assert_eq!(
+            distributed.channel_count(),
+            live.len(),
+            "seed {seed} step {step}"
+        );
+        for &(c, d) in &live {
+            let (ours, theirs) = (central.channel_route(c), distributed.channel_route(d));
+            let theirs = theirs.map(|route| ChannelRoute { id: c, ..route });
+            assert_eq!(ours, theirs, "seed {seed} step {step}: channel {c}");
+        }
+    }
+    distributed_wire
+        .settle(&mut distributed, SimTime::ZERO)
+        .unwrap();
+    distributed.audit_quiescent().unwrap();
+    (moved_by_cuts, moved_by_repairs, dropped)
+}
+
+#[test]
+fn distributed_fault_reports_match_the_central_ones() {
+    type MakeRouter = fn() -> Arc<dyn Router>;
+    let policies: [(&str, MakeRouter); 3] = [
+        ("shortest-path", || Arc::new(ShortestPathRouter::new())),
+        ("k-shortest", || Arc::new(KShortestRouter::new(3))),
+        ("ecmp", || Arc::new(EcmpRouter::new(0xec3f))),
+    ];
+    let seeds = fault_walk_seeds();
+    for (policy, router) in policies {
+        let (mut cuts, mut repairs, mut dropped) = (0, 0, 0);
+        for seed in 0..seeds {
+            let (by_cuts, by_repairs, gone) = fault_walk(seed, router);
+            cuts += by_cuts;
+            repairs += by_repairs;
+            dropped += gone;
+        }
+        assert!(
+            cuts as u64 > 10 * seeds && repairs as u64 > 10 * seeds,
+            "{policy}: {cuts} moved by cuts, {repairs} by repairs, {dropped} dropped"
+        );
+    }
 }
