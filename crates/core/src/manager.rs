@@ -76,7 +76,9 @@ impl ControlOutcome {
         ControlOutcome::default()
     }
 
-    /// Wrap legacy actions, all originating at one switch.
+    /// Locate a per-kind handler's actions at one switch.  Its one caller is
+    /// the [`ChannelManager::handle_frame_at`] default; both managers of this
+    /// crate override that and build their outcomes directly.
     pub fn emissions_at(at: SwitchId, actions: Vec<SwitchAction>) -> Self {
         ControlOutcome {
             emissions: actions.into_iter().map(|a| (at, a)).collect(),
@@ -225,13 +227,13 @@ pub trait ChannelManager: fmt::Debug {
     /// switch-originated reservation traffic), at simulated time `now`.
     ///
     /// This is the one entry point the network glue drives.  The default
-    /// implementation reproduces the centralised behaviour: `at` and `now`
-    /// are ignored (every control frame was forwarded to the managing
-    /// switch anyway, and a central manager holds no leases), the legacy
-    /// per-kind handlers run, and all emissions originate at `at`.  The
-    /// distributed manager overrides this with the per-switch two-phase
-    /// reservation protocol, sweeping the handling site's expired leases
-    /// first.
+    /// implementation serves a manager that has only the per-kind handlers:
+    /// `from` and `now` are ignored, the handler of the frame's kind runs,
+    /// and its actions are copied into an outcome located at `at`.  Both
+    /// managers of this crate override it: the central one answers the same
+    /// way without the intermediate action list, the distributed one with
+    /// the per-switch two-phase reservation protocol, sweeping the handling
+    /// site's expired leases first.
     fn handle_frame_at(
         &mut self,
         at: SwitchId,

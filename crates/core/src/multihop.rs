@@ -29,15 +29,16 @@
 //! iff every link on its path can schedule its share of the deadline.  Only
 //! *path selection* is policy; the acceptance theory is untouched.
 
-use std::collections::{btree_map, BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
 use std::sync::Arc;
 
 use rt_edf::{FeasibilityTester, FeasibilityVerdict, PeriodicTask, TaskSet};
 use rt_frames::rt_response::ResponseVerdict;
-use rt_frames::{RequestFrame, ResponseFrame};
+use rt_frames::{Frame, RequestFrame, ResponseFrame};
 use rt_types::{
-    ChannelId, ConnectionRequestId, MacAddr, NodeId, RtError, RtResult, ShortestPathRouter, Slots,
+    ChannelId, ConnectionRequestId, MacAddr, NodeId, RtError, RtResult, ShortestPathRouter,
+    SimTime, Slots,
 };
 // The topology and routing types themselves live in `rt-types` (shared with
 // the fabric simulator); re-exported here for backwards compatibility.
@@ -46,7 +47,9 @@ pub use rt_types::{HopLink, Route, Router, SwitchId, Topology};
 use crate::channel::RtChannelSpec;
 use crate::dps::DpsFamily;
 use crate::ledger::{LinkView, ReservationKey, SlackLedger};
-use crate::manager::{ChannelManager, ChannelRoute, FailoverReport, ReleasedChannel, SwitchAction};
+use crate::manager::{
+    ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel, SwitchAction,
+};
 use crate::protocol::ChannelRequest;
 
 /// How the end-to-end deadline is split over the links of a multi-hop path.
@@ -767,7 +770,7 @@ pub struct FabricChannelManager {
     admission: MultiHopAdmission,
     /// Reservations keyed by the assigned channel id, awaiting the
     /// destination's ResponseFrame.
-    pending: HashMap<ChannelId, PendingFabricReservation>,
+    pending: BTreeMap<u16, PendingFabricReservation>,
     switch_mac: MacAddr,
 }
 
@@ -776,7 +779,7 @@ impl FabricChannelManager {
     pub fn new(admission: MultiHopAdmission) -> Self {
         FabricChannelManager {
             admission,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             switch_mac: MacAddr::for_switch(),
         }
     }
@@ -803,16 +806,13 @@ impl FabricChannelManager {
 
     /// Handle a RequestFrame received from a source node.
     pub fn handle_request(&mut self, frame: &RequestFrame) -> RtResult<Vec<SwitchAction>> {
+        Ok(vec![self.answer_request(frame)?])
+    }
+
+    /// The one action a RequestFrame ends in: the annotated request forwarded
+    /// to the destination, or the rejection sent back to the source.
+    fn answer_request(&mut self, frame: &RequestFrame) -> RtResult<SwitchAction> {
         let request = ChannelRequest::from_frame(frame)?;
-        let reject = |mac: MacAddr| SwitchAction::SendResponse {
-            to: request.source,
-            frame: ResponseFrame {
-                rt_channel_id: None,
-                switch_mac: mac,
-                verdict: ResponseVerdict::Rejected,
-                connection_request_id: request.request_id,
-            },
-        };
         match self
             .admission
             .request(request.source, request.destination, request.spec)?
@@ -823,7 +823,7 @@ impl FabricChannelManager {
                 // destination accepts.
                 let id = channel.id;
                 self.pending.insert(
-                    id,
+                    id.get(),
                     PendingFabricReservation {
                         source: request.source,
                         request_id: request.request_id,
@@ -831,28 +831,42 @@ impl FabricChannelManager {
                 );
                 let mut annotated = *frame;
                 annotated.rt_channel_id = Some(id);
-                Ok(vec![SwitchAction::ForwardRequest {
+                Ok(SwitchAction::ForwardRequest {
                     to: request.destination,
                     frame: annotated,
-                }])
+                })
             }
-            Err(_refusal) => Ok(vec![reject(self.switch_mac)]),
+            Err(_refusal) => Ok(SwitchAction::SendResponse {
+                to: request.source,
+                frame: ResponseFrame {
+                    rt_channel_id: None,
+                    switch_mac: self.switch_mac,
+                    verdict: ResponseVerdict::Rejected,
+                    connection_request_id: request.request_id,
+                },
+            }),
         }
     }
 
     /// Handle a ResponseFrame received from a destination node.
     pub fn handle_response(&mut self, frame: &ResponseFrame) -> RtResult<Vec<SwitchAction>> {
+        Ok(vec![self.answer_response(frame)?])
+    }
+
+    /// The one action a ResponseFrame ends in: the destination's verdict
+    /// passed on to the source, the reservation rolled back if it refused.
+    fn answer_response(&mut self, frame: &ResponseFrame) -> RtResult<SwitchAction> {
         let channel_id = frame.rt_channel_id.ok_or_else(|| {
             RtError::ProtocolViolation("destination response carries no RT channel id".into())
         })?;
-        let reservation = self.pending.remove(&channel_id).ok_or_else(|| {
+        let reservation = self.pending.remove(&channel_id.get()).ok_or_else(|| {
             RtError::UnknownRequest(format!("no pending reservation for channel {channel_id}"))
         })?;
         if !frame.verdict.is_accepted() {
             // Destination refused: roll the whole-path reservation back.
             self.admission.release(channel_id)?;
         }
-        Ok(vec![SwitchAction::SendResponse {
+        Ok(SwitchAction::SendResponse {
             to: reservation.source,
             frame: ResponseFrame {
                 rt_channel_id: Some(channel_id),
@@ -860,7 +874,7 @@ impl FabricChannelManager {
                 verdict: frame.verdict,
                 connection_request_id: reservation.request_id,
             },
-        }])
+        })
     }
 
     /// Handle a channel tear-down: release the reserved capacity on every
@@ -911,11 +925,41 @@ impl ChannelManager for FabricChannelManager {
         matches!(self.admission.dps, DpsFamily::PerHop(_))
     }
 
+    /// The central handshake, one outcome per frame built where the answer
+    /// is: every emission originates at `at` (every control frame was
+    /// forwarded to the managing switch anyway), and `now` is not read — a
+    /// central manager holds no leases.
+    fn handle_frame_at(
+        &mut self,
+        at: SwitchId,
+        _from: NodeId,
+        frame: &Frame,
+        _now: SimTime,
+    ) -> RtResult<ControlOutcome> {
+        let (emissions, released) = match frame {
+            Frame::Request(request) => (vec![(at, self.answer_request(request)?)], Vec::new()),
+            Frame::Response(response) => (vec![(at, self.answer_response(response)?)], Vec::new()),
+            Frame::Teardown(teardown) => {
+                let released = ChannelManager::handle_teardown(self, teardown.rt_channel_id)?;
+                (Vec::new(), vec![released])
+            }
+            other => {
+                return Err(RtError::ProtocolViolation(format!(
+                    "unexpected frame at the switch control plane: {other:?}"
+                )))
+            }
+        };
+        Ok(ControlOutcome {
+            emissions,
+            released,
+        })
+    }
+
     fn handle_link_failure(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
         let report = self.admission.fail_trunk(from, to)?;
         // A dropped channel can no longer complete a pending handshake.
         for dropped in &report.dropped {
-            self.pending.remove(&dropped.id);
+            self.pending.remove(&dropped.id.get());
         }
         Ok(report)
     }
@@ -927,7 +971,7 @@ impl ChannelManager for FabricChannelManager {
     fn handle_switch_failure(&mut self, switch: SwitchId) -> RtResult<FailoverReport> {
         let report = self.admission.fail_switch(switch)?;
         for dropped in &report.dropped {
-            self.pending.remove(&dropped.id);
+            self.pending.remove(&dropped.id.get());
         }
         Ok(report)
     }

@@ -309,6 +309,38 @@ impl ChurnReport {
     }
 }
 
+/// Admission-order renumbering of channel ids for the normalized hash: the
+/// raw id of each *live* channel → its admission sequence number.  A raw id
+/// reused after its release gets a fresh number, so allocator wrap-around
+/// never aliases two distinct channels; a channel that is released (or
+/// dropped by a fault) is forgotten, so the map holds the live channels and
+/// nothing else.
+#[derive(Debug, Default)]
+struct AdmissionOrderIds {
+    admitted: u64,
+    live: BTreeMap<u16, u64>,
+}
+
+impl AdmissionOrderIds {
+    /// A channel was admitted under `raw`: its number, one past the last.
+    fn admitted(&mut self, raw: u16) -> u64 {
+        self.admitted += 1;
+        self.live.insert(raw, self.admitted);
+        self.admitted
+    }
+
+    /// The channel under `raw` is gone: the number it was admitted with, 0
+    /// if no live channel holds that id.
+    fn released(&mut self, raw: u16) -> u64 {
+        self.live.remove(&raw).unwrap_or(0)
+    }
+
+    /// Ids currently mapped.
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+}
+
 /// An established channel the process will eventually tear down.
 #[derive(Debug, Clone, Copy)]
 struct ActiveChannel {
@@ -402,13 +434,8 @@ impl ChurnProcess {
             windows: Vec::new(),
             end_tick: 0,
         };
-        // Admission-order id renumbering for the normalized hash: raw id →
-        // its admission sequence number.  A raw id reused after release gets
-        // a *fresh* normalized id, so allocator wrap-around never aliases
-        // two distinct channels.
-        let mut admit_seq = 0u64;
-        let mut norm_ids: BTreeMap<u16, u64> = BTreeMap::new();
-        let mut record = |report: &mut ChurnReport, event: ChurnEvent| {
+        let mut norm_ids = AdmissionOrderIds::default();
+        let record = |report: &mut ChurnReport, ids: &mut AdmissionOrderIds, event: ChurnEvent| {
             event.fold(&mut report.trace_hash);
             const PRIME: u64 = 0x0000_0100_0000_01b3;
             let mix = |hash: &mut u64, byte: u64| {
@@ -417,15 +444,12 @@ impl ChurnProcess {
             };
             match event {
                 ChurnEvent::Admitted(id) => {
-                    admit_seq += 1;
-                    norm_ids.insert(id.get(), admit_seq);
                     mix(&mut report.normalized_trace_hash, 1);
-                    mix(&mut report.normalized_trace_hash, admit_seq);
+                    mix(&mut report.normalized_trace_hash, ids.admitted(id.get()));
                 }
                 ChurnEvent::Released(id) => {
-                    let n = norm_ids.get(&id.get()).copied().unwrap_or(0);
                     mix(&mut report.normalized_trace_hash, 3);
-                    mix(&mut report.normalized_trace_hash, n);
+                    mix(&mut report.normalized_trace_hash, ids.released(id.get()));
                 }
                 other => other.fold(&mut report.normalized_trace_hash),
             }
@@ -463,6 +487,8 @@ impl ChurnProcess {
                         pump.flood(manager)?;
                         for dropped in &outcome.dropped {
                             let id = dropped.id.get();
+                            // No `Released` will name this channel.
+                            norm_ids.released(id);
                             if let Some(gone) = active.remove(&id) {
                                 departures.remove(&(gone.departs_at, gone.admit_order));
                                 if let Some(w) = gone.window {
@@ -473,6 +499,7 @@ impl ChurnProcess {
                         report.dropped_by_faults += outcome.dropped.len() as u64;
                         record(
                             &mut report,
+                            &mut norm_ids,
                             ChurnEvent::TrunkCut {
                                 rerouted: outcome.rerouted.len() as u16,
                                 dropped: outcome.dropped.len() as u16,
@@ -484,6 +511,7 @@ impl ChurnProcess {
                         pump.flood(manager)?;
                         record(
                             &mut report,
+                            &mut norm_ids,
                             ChurnEvent::TrunkRepaired {
                                 rerouted: outcome.rerouted.len() as u16,
                             },
@@ -506,7 +534,11 @@ impl ChurnProcess {
                 if let Some(w) = channel.window {
                     report.windows[w].released_at_tick = Some(when);
                 }
-                record(&mut report, ChurnEvent::Released(ChannelId::new(id)));
+                record(
+                    &mut report,
+                    &mut norm_ids,
+                    ChurnEvent::Released(ChannelId::new(id)),
+                );
             }
 
             // The arrival itself: uniform distinct endpoint pair, a spec
@@ -572,10 +604,15 @@ impl ChurnProcess {
                     );
                     departures.insert((departs_at, admit_order), id.get());
                     report.peak_active = report.peak_active.max(active.len());
-                    record(&mut report, ChurnEvent::Admitted(id));
+                    record(&mut report, &mut norm_ids, ChurnEvent::Admitted(id));
                 }
-                None => record(&mut report, ChurnEvent::Rejected),
+                None => record(&mut report, &mut norm_ids, ChurnEvent::Rejected),
             }
+            debug_assert_eq!(
+                norm_ids.len(),
+                active.len(),
+                "the renumbering holds the live channels and nothing else"
+            );
         }
 
         report.measured_elapsed = window_started
@@ -988,6 +1025,81 @@ mod tests {
         let lean = quiet.run(&mut m2).unwrap();
         assert!(lean.windows.is_empty());
         assert_eq!(lean.end_tick, report.end_tick, "same seed, same clock");
+    }
+
+    /// `trace_hash` (and, the central ids not having wrapped, also
+    /// `normalized_trace_hash`) of the two runs below, read at the commit
+    /// before the renumbering learnt to forget.
+    const PLAIN_HASH: u64 = 0xe9a6_f982_eeb7_b8b3;
+    const FAULTED_HASH: u64 = 0xed71_8552_0f6c_eeda;
+
+    /// The renumbering behind `normalized_trace_hash` forgets a channel when
+    /// it goes, and hashes what it always hashed.
+    #[test]
+    fn admission_order_ids_hold_the_live_channels_and_nothing_else() {
+        let mut ids = AdmissionOrderIds::default();
+        assert_eq!((ids.admitted(7), ids.admitted(8)), (1, 2));
+        assert_eq!(ids.released(7), 1);
+        assert_eq!(ids.released(7), 0, "a second release finds nothing");
+        assert_eq!(ids.released(99), 0, "an id never admitted folds 0");
+        assert_eq!(ids.admitted(7), 3, "a reused raw id gets a fresh number");
+        assert_eq!((ids.released(7), ids.len()), (3, 1));
+
+        // 5 000 arrivals replayed from the recorded trace: the map is the
+        // live set after every event, and the replay folds to the hash the
+        // run reported (the values the map-that-never-forgot produced).
+        let topology = Topology::fat_tree(4).unwrap();
+        let config = ChurnConfig::new(23).windows(1_000, 4_000).load(1.0, 40.0);
+        let mut manager = central(&topology);
+        let process = ChurnProcess::new(config, &topology).unwrap();
+        let report = process.run(&mut manager).unwrap();
+        let (mut ids, mut live, mut peak) = (AdmissionOrderIds::default(), 0usize, 0usize);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |byte: u64| hash = (hash ^ byte).wrapping_mul(0x0000_0100_0000_01b3);
+        for event in &report.trace {
+            match *event {
+                ChurnEvent::Admitted(id) => {
+                    live += 1;
+                    mix(1);
+                    mix(ids.admitted(id.get()));
+                }
+                ChurnEvent::Released(id) => {
+                    live -= 1;
+                    mix(3);
+                    mix(ids.released(id.get()));
+                }
+                ChurnEvent::Rejected => mix(2),
+                ref fault => panic!("no fault was scripted: {fault:?}"),
+            }
+            assert_eq!(ids.len(), live);
+            peak = peak.max(live);
+        }
+        assert_eq!(hash, report.normalized_trace_hash);
+        assert_eq!((peak, live), (report.peak_active, report.active_at_end));
+        assert_eq!(
+            (report.trace_hash, report.normalized_trace_hash),
+            (PLAIN_HASH, PLAIN_HASH)
+        );
+
+        // Under faults that drop channels no `Released` names them: the run
+        // itself holds the map to the live set (a debug assertion per
+        // arrival), and the hashes are again the old ones.
+        let ring = Topology::ring(6, 4);
+        let (a, b) = ring.trunks().next().unwrap();
+        let mut config = ChurnConfig::new(29).windows(500, 4_500).load(1.0, 250.0);
+        for flap in 0..20 {
+            config = config
+                .cut_at(200 + 200 * flap, a, b)
+                .repair_at(300 + 200 * flap, a, b);
+        }
+        let mut manager = central(&ring);
+        let process = ChurnProcess::new(config, &ring).unwrap();
+        let report = process.run(&mut manager).unwrap();
+        assert!(report.dropped_by_faults > 0, "the cuts dropped channels");
+        assert_eq!(
+            (report.trace_hash, report.normalized_trace_hash),
+            (FAULTED_HASH, FAULTED_HASH)
+        );
     }
 
     #[test]

@@ -7,24 +7,29 @@
 //! deterministic for a deterministic manager, so they are asserted as bounds,
 //! not statistically; a growing `realloc` counts, a shrinking one does not.
 //!
-//! The budgets are what PR 16 measured, beside its parent's on the same
-//! warmed fabric:
+//! The budgets are what PR 16 and then PR 23 measured, beside PR 16's parent,
+//! on the same warmed fabric:
 //!
-//! | | parent | since PR 16 |
-//! |---|---|---|
-//! | accepted cycle (`Request` + `Response` + `Teardown`) | 27 (24 + 2 + 1) | 8 (5 + 2 + 1) |
-//! | refused `Request` | 15 | 5 |
+//! | | parent | since PR 16 | since PR 23 |
+//! |---|---|---|---|
+//! | accepted cycle (`Request` + `Response` + `Teardown`) | 27 (24 + 2 + 1) | 8 (5 + 2 + 1) | 6 (4 + 1 + 1) |
+//! | refused `Request` | 15 | 5 | 4 |
 //!
-//! The parent's request built a `Vec` of loads, four temporaries in
-//! `partition`, a task `Vec` per link test, a `BTreeSet` and three growth
-//! steps per route, a rejection `String` per refusal, and cloned the route
-//! and the deadlines of every channel it stored.  What is left of a request:
-//! the router's candidate list and the route's links, the deadline split,
-//! the manager's action `Vec` and the located-emission `Vec` the
-//! `ChannelManager::handle_frame_at` default builds from it (the last two
-//! again per response; a teardown allocates its `released` list).  `rtbench`'s
-//! traced `core.manager.allocs_per_attempt` on `churn_central` (27.2 at the
-//! parent) adds to these the growth of books and tables under churn.
+//! PR 16's parent built a `Vec` of loads, four temporaries in `partition`, a
+//! task `Vec` per link test, a `BTreeSet` and three growth steps per route, a
+//! rejection `String` per refusal, and cloned the route and the deadlines of
+//! every channel it stored; until PR 23 a request and a response each built
+//! an action `Vec` that the `ChannelManager::handle_frame_at` default copied
+//! into a located-emission `Vec`.  What is left of a request: the router's
+//! candidate list and the route's links, the deadline split, and the
+//! outcome's one-emission list (that list again per response; a teardown
+//! allocates its `released` list).  The ledger asks for nothing once a link
+//! has its book, whether or not the book went empty in between: PR 23's books
+//! keep their slot and their capacity, where a host link that went 0 → 1 → 0
+//! reservations used to cost a tree node and two `Vec`s each time round.
+//! `rtbench`'s traced `core.manager.allocs_per_attempt` on `churn_central`
+//! (27.2 at PR 16's parent, 8.4 since PR 16, 6.7 since PR 23) adds to these
+//! the growth of books and tables under churn.
 //!
 //! The distributed handshake, frame by frame on the same warmed fabric (an
 //! inter-pod route: five switches, six links), is what PR 17 measured:
@@ -80,9 +85,9 @@ use switched_rt_ethernet::types::{
 const AT: SwitchId = SwitchId::new(0);
 
 /// Allocations one accepted `Request` + `Response` + `Teardown` cycle may make.
-const ACCEPTED_CYCLE: u64 = 8;
+const ACCEPTED_CYCLE: u64 = 6;
 /// Allocations one refused `Request` may make.
-const REFUSED_REQUEST: u64 = 5;
+const REFUSED_REQUEST: u64 = 4;
 
 fn request(source: u32, destination: u32, spec: RtChannelSpec, id: u8) -> Frame {
     Frame::Request(
@@ -131,8 +136,8 @@ fn teardown(manager: &mut FabricChannelManager, id: ChannelId, source: u32) {
 }
 
 /// A `fat_tree(4)` central manager in steady state: every link the measured
-/// arrivals cross already holds reservations (so no book is created or
-/// dropped), node 0's uplink is full, and every table has seen its size.
+/// arrivals cross already holds reservations (so no link is interned), node
+/// 0's uplink is full, and every table has seen its size.
 fn warmed() -> FabricChannelManager {
     let topology = Topology::fat_tree(4).expect("radix 4 is a valid fat tree");
     let mut manager =
@@ -205,6 +210,50 @@ fn a_refused_request_stays_inside_its_allocation_budget() {
     assert!(
         refused <= REFUSED_REQUEST,
         "{refused} allocations for one refused request, budget {REFUSED_REQUEST}"
+    );
+}
+
+/// A host link that goes 0 → 1 → 0 → 1 reservations — under churn on a
+/// thousand hosts, nearly every host link every time — finds its book where
+/// it left it.  Nodes 2 and 13 have asked for nothing yet: the first cycle
+/// between them interns their links (books, and a slot each), the second asks
+/// the ledger's allocator for nothing at all and costs exactly what a cycle
+/// costs between hosts whose links hold other channels throughout.
+#[test]
+fn a_link_that_empties_and_refills_asks_the_allocator_for_nothing() {
+    let mut manager = warmed();
+    let host_links = [
+        HopLink::Uplink(NodeId::new(2)),
+        HopLink::Downlink(NodeId::new(13)),
+    ];
+    let idle =
+        |manager: &FabricChannelManager| host_links.iter().all(|l| manager.link_load(*l) == 0);
+    let cycle = |manager: &mut FabricChannelManager, source: u32, destination: u32| {
+        let frame = request(source, destination, light(), 99);
+        let before = allocations();
+        let id = ask(manager, &frame, source).expect("a light fabric admits it");
+        accept(manager, id, destination);
+        teardown(manager, id, source);
+        allocations() - before
+    };
+
+    assert!(idle(&manager), "nothing has crossed these host links");
+    let first = cycle(&mut manager, 2, 13);
+    assert!(idle(&manager), "and nothing stays on them");
+    let second = cycle(&mut manager, 2, 13);
+    let steady = cycle(&mut manager, 1, 14);
+
+    assert!(
+        first > second,
+        "the first cycle ({first}) books links the second ({second}) finds booked"
+    );
+    assert_eq!(
+        second, steady,
+        "a link that emptied costs what a link that never did costs"
+    );
+    assert!(
+        second <= ACCEPTED_CYCLE,
+        "{second} allocations for the refilling cycle, budget {ACCEPTED_CYCLE}"
     );
 }
 
