@@ -67,24 +67,27 @@
 //!   into one contiguous block per switch; a coordinator allocates only
 //!   from its own block (wrapping within it, skipping live ids), so no
 //!   fabric-wide sequencer exists and two coordinators can never race to
-//!   the same id.  Parity with the central oracle is therefore checked
+//!   the same id.  Parity with the central manager is therefore checked
 //!   under an *id-remapping*: the k-th admission on either side must have
 //!   the same route, verdict and byte-for-byte delivery, with distributed
 //!   ids mapped to central ids in admission order.
 //!
-//! The centralised [`crate::multihop::FabricChannelManager`] stays in the
-//! tree as the property-tested oracle (`tests/fabric_properties.rs` drives
-//! both over 32 seeds).  Remaining modelling simplifications, documented
-//! rather than hidden: the committed-channel registry is manager-level
-//! state (a site's lease sweep consults it to spare channels whose commit
-//! landed but whose lease-clear frame has not), and the destination-side
-//! relay state is written without a wire frame at commit time.
+//! The central [`crate::multihop::FabricChannelManager`] is the same
+//! admission sequence over one ledger with no protocol in between — the
+//! operator's fast path — and `tests/fabric_properties.rs` holds the two to
+//! the same verdicts over 32 seeds.  Remaining modelling simplifications,
+//! documented rather than hidden: the committed-channel registry is
+//! manager-level state (a site's lease sweep consults it to spare channels
+//! whose commit landed but whose lease-clear frame has not), and the
+//! destination-side relay state is written without a wire frame at commit
+//! time.
 //!
-//! Fail-over is **driven by the switches adjacent to the cut**: they own
-//! the dead trunk's directed ports, so their ledgers name exactly the
-//! channels that crossed it; those are released at the owners of their path
-//! links and re-admitted over surviving routes with their ids preserved.
-//! The same adjacent switches originate the link-state flood for the cut.
+//! A trunk cut or repair is decided by the fault engine both managers share
+//! (`fault.rs`), here as the atomic recovery decision of **the switches
+//! adjacent to the cut**: they own the dead trunk's directed ports, so their
+//! ledgers name exactly the channels that crossed it, and each of those comes
+//! off and goes back on at the owners of its path links.  The same adjacent
+//! switches originate the link-state flood for the cut.
 //!
 //! ## What one protocol hop costs
 //!
@@ -121,11 +124,12 @@ use rt_types::{
 };
 
 use crate::channel::RtChannelSpec;
+use crate::fault::{self, ChannelStore, FaultLog};
 use crate::ledger::{DueFloor, ReservationKey, SlackLedger};
 use crate::manager::{
     ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel, SwitchAction,
 };
-use crate::multihop::{admit_along, HopLink, MultiHopDps};
+use crate::multihop::{admit_along, next_free_id, reserve_along, HopLink, MultiHopDps};
 use crate::protocol::ChannelRequest;
 
 /// An in-flight admission, owned by its coordinator (the source's access
@@ -213,16 +217,11 @@ impl Site {
     }
 }
 
-/// A committed channel, registered at commit time with the coordinator that
-/// owns its reservation key.
-#[derive(Debug, Clone)]
+/// A committed channel: its record, registered at commit time with the
+/// coordinator and token that make its reservation key.
+#[derive(Debug)]
 struct DistChannel {
-    id: ChannelId,
-    source: NodeId,
-    destination: NodeId,
-    spec: RtChannelSpec,
-    path: Route,
-    link_deadlines: Vec<Slots>,
+    route: ChannelRoute,
     coordinator: SwitchId,
     token: u16,
 }
@@ -230,17 +229,6 @@ struct DistChannel {
 impl DistChannel {
     fn key(&self) -> ReservationKey {
         ReservationKey::token(self.coordinator, self.token)
-    }
-
-    fn to_route(&self) -> ChannelRoute {
-        ChannelRoute {
-            id: self.id,
-            source: self.source,
-            destination: self.destination,
-            spec: self.spec,
-            path: self.path.clone(),
-            link_deadlines: self.link_deadlines.clone(),
-        }
     }
 }
 
@@ -288,10 +276,9 @@ pub struct DistributedChannelManager {
     /// have no frame context to emit from); the caller drains these onto
     /// the wire via [`ChannelManager::drain_control`].
     pending_control: Vec<(SwitchId, SwitchAction)>,
+    faults: FaultLog,
     accepted: u64,
     rejected: u64,
-    rerouted: u64,
-    dropped_on_failure: u64,
     /// In-flight reservations reclaimed because their lease expired.
     lease_expired: u64,
 }
@@ -343,10 +330,9 @@ impl DistributedChannelManager {
             lease_duration: Duration::from_millis(50),
             ls_epoch: 0,
             pending_control: Vec::new(),
+            faults: FaultLog::default(),
             accepted: 0,
             rejected: 0,
-            rerouted: 0,
-            dropped_on_failure: 0,
             lease_expired: 0,
         }
     }
@@ -393,12 +379,12 @@ impl DistributedChannelManager {
 
     /// Channels re-routed over a surviving path after a failure.
     pub fn rerouted_count(&self) -> u64 {
-        self.rerouted
+        self.faults.rerouted
     }
 
     /// Channels dropped because no surviving route could re-admit them.
     pub fn failure_dropped_count(&self) -> u64 {
-        self.dropped_on_failure
+        self.faults.dropped
     }
 
     // --- ownership and geometry ------------------------------------------
@@ -487,58 +473,24 @@ impl DistributedChannelManager {
     /// `s`'s *own view*, memoised per view fingerprint (every
     /// reservation-frame hop re-derives its route from `(source,
     /// destination, candidate)`, and a k-shortest enumeration is far too
-    /// expensive to rerun per hop).  Two sites whose views disagree during
-    /// a link-state convergence window can derive different lists for the
-    /// same pair — the per-hop geometry checks turn that disagreement into
-    /// a graceful abort, never a reservation on the wrong links.
+    /// expensive to rerun per hop): the key's fingerprint is the view's
+    /// memoised one, so a hit costs one map probe and one reference-count
+    /// bump.  Two sites whose views disagree during a link-state convergence
+    /// window can derive different lists for the same pair — the per-hop
+    /// geometry checks turn that disagreement into a graceful abort, never a
+    /// reservation on the wrong links.
     fn candidate_routes_at(
         &mut self,
         s: usize,
         source: NodeId,
         destination: NodeId,
     ) -> RtResult<Arc<[Route]>> {
-        Self::cached_routes(
-            &mut self.route_cache,
-            self.router.as_ref(),
-            &self.sites[s].view,
-            source,
-            destination,
-        )
-    }
-
-    /// The candidate list derived from the ground-truth topology — used
-    /// only by the synchronous fail-over / re-optimisation engine (which
-    /// models the adjacent switches' atomic recovery decision), never by
-    /// the per-hop frame path.
-    fn candidate_routes_global(
-        &mut self,
-        source: NodeId,
-        destination: NodeId,
-    ) -> RtResult<Arc<[Route]>> {
-        Self::cached_routes(
-            &mut self.route_cache,
-            self.router.as_ref(),
-            &self.topology,
-            source,
-            destination,
-        )
-    }
-
-    /// The memoised look-up behind both candidate-list accessors: the key's
-    /// fingerprint is `view`'s memoised one, so a hit costs one map probe
-    /// and one reference-count bump.
-    fn cached_routes(
-        cache: &mut RouteCache,
-        router: &dyn Router,
-        view: &Topology,
-        source: NodeId,
-        destination: NodeId,
-    ) -> RtResult<Arc<[Route]>> {
+        let (cache, view) = (&mut self.route_cache, &self.sites[s].view);
         let key = (view.fingerprint(), source.get(), destination.get());
         if let Some(candidates) = cache.get(&key) {
             return Ok(Arc::clone(candidates));
         }
-        let candidates: Arc<[Route]> = router.routes(view, source, destination)?.into();
+        let candidates: Arc<[Route]> = self.router.routes(view, source, destination)?.into();
         // A runaway-workload backstop, not an LRU: stale fingerprints never
         // match again, so dropping everything is always safe.
         if cache.len() >= 4096 {
@@ -562,14 +514,17 @@ impl DistributedChannelManager {
 
     /// Enter a committed channel into the registry and its key index.
     fn register(&mut self, channel: DistChannel) {
-        self.committed.insert(channel.key(), channel.id.get());
-        self.registry.insert(channel.id.get(), channel);
+        self.committed.insert(channel.key(), channel.route.id.get());
+        self.registry.insert(channel.route.id.get(), channel);
     }
 
-    /// Take a committed channel out of the registry and its key index.
+    /// Take a committed channel out of the registry and its key index —
+    /// every release of one goes through here, so this is also where the
+    /// last repair's mark on its id is forgotten.
     fn unregister(&mut self, id: u16) -> Option<DistChannel> {
         let channel = self.registry.remove(&id)?;
         self.committed.remove(&channel.key());
+        self.faults.forget(id);
         Some(channel)
     }
 
@@ -589,23 +544,15 @@ impl DistributedChannelManager {
         }
     }
 
-    fn allocate_token(&mut self, c: usize) -> u16 {
-        let site = &self.sites[c];
-        loop {
-            let candidate = self.next_token;
-            self.next_token = if self.next_token == u16::MAX {
-                1
-            } else {
-                self.next_token + 1
-            };
-            let in_use = site.coordinations.contains_key(&candidate)
-                || self
-                    .committed
-                    .contains_key(&ReservationKey::token(site.switch, candidate));
-            if !in_use {
-                return candidate;
-            }
-        }
+    /// The next token coordinator `c` neither leads a handshake under nor
+    /// holds a committed channel's reservation under.
+    fn allocate_token(&mut self, c: usize) -> RtResult<u16> {
+        let (site, committed) = (&self.sites[c], &self.committed);
+        next_free_id(&mut self.next_token, (1, u16::MAX), |token| {
+            site.coordinations.contains_key(&token)
+                || committed.contains_key(&ReservationKey::token(site.switch, token))
+        })
+        .ok_or(RtError::ChannelIdsExhausted)
     }
 
     /// The contiguous channel-id block owned by the `idx`-th of `n`
@@ -630,28 +577,18 @@ impl DistributedChannelManager {
     /// that are committed or carried by this coordinator's in-flight
     /// admissions.  No fabric-wide sequencer exists, so two coordinators can
     /// never race to the same id — at the cost of ids that differ from the
-    /// central oracle's (parity is checked under an admission-order id
+    /// central manager's (parity is checked under an admission-order id
     /// remapping).
     fn allocate_channel_id(&mut self, c: usize) -> RtResult<ChannelId> {
-        let (start, end) = Self::id_block_of(self.sites.len(), c);
-        let site = &mut self.sites[c];
-        let mut cursor = site.next_local_id;
-        if cursor < start || cursor > end {
-            cursor = start;
-        }
-        for _ in start..=end {
-            let candidate = cursor;
-            cursor = if cursor == end { start } else { cursor + 1 };
-            let in_flight = site
-                .coordinations
-                .values()
-                .any(|c| c.channel.is_some_and(|id| id.get() == candidate));
-            if !self.registry.contains_key(&candidate) && !in_flight {
-                site.next_local_id = cursor;
-                return Ok(ChannelId::new(candidate));
-            }
-        }
-        Err(RtError::ChannelIdsExhausted)
+        let block = Self::id_block_of(self.sites.len(), c);
+        let (site, registry) = (&mut self.sites[c], &self.registry);
+        let coordinations = &site.coordinations;
+        next_free_id(&mut site.next_local_id, block, |id| {
+            let in_flight = |c: &Coordination| c.channel.is_some_and(|held| held.get() == id);
+            registry.contains_key(&id) || coordinations.values().any(in_flight)
+        })
+        .map(ChannelId::new)
+        .ok_or(RtError::ChannelIdsExhausted)
     }
 
     // --- frame construction ----------------------------------------------
@@ -783,7 +720,7 @@ impl DistributedChannelManager {
             Err(RtError::Config(_)) => Arc::from([]),
             Err(e) => return Err(e),
         };
-        let token = self.allocate_token(s);
+        let token = self.allocate_token(s)?;
         let expires = now.saturating_add(self.lease_duration);
         self.sites[s].coordinations.insert(
             token,
@@ -876,13 +813,11 @@ impl DistributedChannelManager {
         let deadlines =
             admit_along(self.dps.into(), &spec, route, |link| ledger.link(link)).map_err(|_| ())?;
         let key = ReservationKey::token(site.switch, token);
-        for (link, &deadline) in route.iter().zip(&deadlines) {
-            let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
-                .expect("admit_along built this very task");
-            site.ledger.reserve(*link, key, task);
-        }
-        site.ledger
-            .lease(key, now.saturating_add(self.lease_duration));
+        let ledger = &mut site.ledger;
+        reserve_along(&spec, route, &deadlines, |link, task| {
+            ledger.reserve(link, key, task)
+        });
+        ledger.lease(key, now.saturating_add(self.lease_duration));
         let coord = site
             .coordinations
             .get_mut(&token)
@@ -1371,12 +1306,14 @@ impl DistributedChannelManager {
             RtError::ProtocolViolation("Confirm for a reservation without deadlines".into())
         })?;
         self.register(DistChannel {
-            id,
-            source: coord.source,
-            destination: coord.destination,
-            spec: coord.spec,
-            path,
-            link_deadlines,
+            route: ChannelRoute {
+                id,
+                source: coord.source,
+                destination: coord.destination,
+                spec: coord.spec,
+                path,
+                link_deadlines,
+            },
             coordinator,
             token,
         });
@@ -1473,25 +1410,26 @@ impl DistributedChannelManager {
         let site = &mut self.sites[s];
         site.ledger.release_key(dist.key());
         let mut emissions = Vec::new();
-        if dist.path.len() > 2 {
+        let channel = &dist.route;
+        if channel.path.len() > 2 {
             // The itinerary travels in the frame: the admitted route must
             // be released even if the topology has changed since.
-            let itinerary = Self::itinerary(&dist.path);
+            let itinerary = Self::itinerary(&channel.path);
             let next = SwitchId::new(itinerary[1] as u32);
             let frame = ReservationFrame {
                 op: ReservationOp::Release,
                 reason: ReservationReason::None,
                 coordinator: dist.coordinator,
                 token: dist.token,
-                source: dist.source,
-                destination: dist.destination,
+                source: channel.source,
+                destination: channel.destination,
                 request_id: ConnectionRequestId::new(0),
                 candidate: 0,
                 hop: 1,
-                channel: Some(dist.id),
-                period: dist.spec.period,
-                capacity: dist.spec.capacity,
-                deadline: dist.spec.deadline,
+                channel: Some(channel.id),
+                period: channel.spec.period,
+                capacity: channel.spec.capacity,
+                deadline: channel.spec.deadline,
                 values: itinerary,
             };
             emissions.push((site.switch, SwitchAction::SendControl { to: next, frame }));
@@ -1499,8 +1437,8 @@ impl DistributedChannelManager {
         Ok(ControlOutcome {
             emissions,
             released: vec![ReleasedChannel {
-                id: dist.id,
-                destination: dist.destination,
+                id: channel.id,
+                destination: channel.destination,
             }],
         })
     }
@@ -1747,175 +1685,86 @@ impl DistributedChannelManager {
         emissions.push((coordinator, self.rejection(&coord, coord.channel)));
         emissions
     }
+}
 
-    // --- fail-over (driven by the switches adjacent to the cut) -----------
+/// The fault engine's view of the distributed manager, on the ground-truth
+/// fabric: a link's book is at the site that owns the link, and a channel's
+/// key is its coordinator's token, found again through the `committed` index.
+impl ChannelStore for DistributedChannelManager {
+    type Holder = (SwitchId, u16);
 
-    /// The shared fail-over engine: the topology is already degraded; the
-    /// switches adjacent to each cut trunk name the affected channels from
-    /// their own ledgers, everything affected is released along its path,
-    /// then re-admitted (ascending id, ids preserved) over surviving routes.
-    fn fail_over(
-        &mut self,
-        cut: &[(SwitchId, SwitchId)],
-        link: (SwitchId, SwitchId),
-    ) -> FailoverReport {
-        let mut affected: BTreeSet<u16> = BTreeSet::new();
-        for &(a, b) in cut {
-            for (from, to) in [(a, b), (b, a)] {
-                let trunk = HopLink::Trunk { from, to };
-                if let Ok(s) = self.slot(from) {
-                    for key in self.sites[s].ledger.keys_on(trunk) {
-                        if let Some(&id) = self.committed.get(&key) {
-                            affected.insert(id);
-                        }
-                    }
-                }
-            }
-        }
-        let unaffected = self.registry.len() - affected.len();
-        let mut report = FailoverReport {
-            link,
-            rerouted: Vec::new(),
-            dropped: Vec::new(),
-            unaffected,
-        };
-        // Release every affected channel before re-admitting any (the same
-        // all-then-readmit rule as the central manager).
-        let released: Vec<DistChannel> = affected
-            .iter()
-            .map(|id| {
-                let dist = self
-                    .unregister(*id)
-                    .expect("`committed` indexes the registry: register and unregister write both");
-                self.release_along(&dist.path, dist.key());
-                dist
-            })
-            .collect();
-        for old in released {
-            let candidates = self
-                .candidate_routes_global(old.source, old.destination)
-                .unwrap_or_default();
-            let key = old.key();
-            let mut readmitted = false;
-            for route in candidates.iter() {
-                if let Some(deadlines) = self.try_reserve_sync(key, &old.spec, route) {
-                    let renewed = DistChannel {
-                        path: route.clone(),
-                        link_deadlines: deadlines,
-                        ..old.clone()
-                    };
-                    report.rerouted.push(renewed.to_route());
-                    self.register(renewed);
-                    self.rerouted += 1;
-                    readmitted = true;
-                    break;
-                }
-            }
-            if !readmitted {
-                report.dropped.push(old.to_route());
-                self.dropped_on_failure += 1;
-            }
-        }
-        report
+    fn fabric(&self) -> &Topology {
+        &self.topology
     }
 
-    /// The repair-side counterpart of fail-over: after a trunk repair,
-    /// migrate every channel whose path differs from the router's primary
-    /// route back onto that primary (ascending id, ids preserved, released
-    /// along its path then re-reserved synchronously).  A channel the
-    /// primary cannot admit is restored onto its detour with its exact
-    /// previous reservation — a repair never drops a channel, mirroring the
-    /// central manager's re-optimisation decision for decision.
-    fn reoptimize(&mut self, link: (SwitchId, SwitchId)) -> FailoverReport {
-        let mut report = FailoverReport {
-            link,
-            rerouted: Vec::new(),
-            dropped: Vec::new(),
-            unaffected: 0,
-        };
-        let ids: Vec<u16> = self.registry.keys().copied().collect();
-        for id in ids {
-            let (source, destination) = {
-                let c = &self.registry[&id];
-                (c.source, c.destination)
-            };
-            let primary = match self.candidate_routes_global(source, destination) {
-                Ok(candidates) => match candidates.first() {
-                    Some(route) => route.clone(),
-                    None => {
-                        report.unaffected += 1;
-                        continue;
-                    }
-                },
-                Err(_) => {
-                    report.unaffected += 1;
-                    continue;
-                }
-            };
-            if primary == self.registry[&id].path {
-                report.unaffected += 1;
-                continue;
-            }
-            let old = self
-                .unregister(id)
-                .expect("ids were read off the registry, and a repair removes none");
-            let key = old.key();
-            self.release_along(&old.path, key);
-            match self.try_reserve_sync(key, &old.spec, &primary) {
-                Some(deadlines) => {
-                    let renewed = DistChannel {
-                        path: primary,
-                        link_deadlines: deadlines,
-                        ..old
-                    };
-                    report.rerouted.push(renewed.to_route());
-                    self.register(renewed);
-                    self.rerouted += 1;
-                }
-                None => {
-                    // Restore the exact reservation that was just released:
-                    // the same links, the same per-link deadlines, on the
-                    // same owning sites — guaranteed to hold.
-                    for (hop, &deadline) in old.path.iter().zip(old.link_deadlines.iter()) {
-                        let owner = self
-                            .owner_slot(*hop)
-                            .expect("the route was reserved at its links' owners before");
-                        let task = PeriodicTask::new(old.spec.period, old.spec.capacity, deadline)
-                            .expect("this deadline was reserved as a periodic task before");
-                        self.sites[owner].ledger.reserve(*hop, key, task);
-                    }
-                    self.register(old);
-                    report.unaffected += 1;
-                }
-            }
-        }
-        report
+    fn router(&self) -> &dyn Router {
+        self.router.as_ref()
     }
 
-    /// Synchronous reservation across the owning sites (used by fail-over,
-    /// where the re-admission runs as one atomic control-plane decision):
-    /// the same loads → partition → per-link feasibility → reserve sequence
-    /// the wire protocol performs hop by hop.
-    fn try_reserve_sync(
-        &mut self,
-        key: ReservationKey,
-        spec: &RtChannelSpec,
-        route: &Route,
-    ) -> Option<Vec<Slots>> {
+    fn ids(&self) -> impl ExactSizeIterator<Item = u16> + '_ {
+        self.registry.keys().copied()
+    }
+
+    fn record(&self, id: u16) -> &ChannelRoute {
+        &self.registry[&id].route
+    }
+
+    fn faults(&self) -> &FaultLog {
+        &self.faults
+    }
+
+    fn faults_mut(&mut self) -> &mut FaultLog {
+        &mut self.faults
+    }
+
+    fn ids_on(&self, trunk: HopLink, ids: &mut Vec<u16>) {
+        // The transmitting switch owns the trunk; a key its book holds for no
+        // committed channel is a handshake in flight, bounded by its lease.
+        if let Some(s) = self.owner_slot(trunk) {
+            let held = self.sites[s].ledger.keys_on(trunk);
+            ids.extend(held.iter().filter_map(|key| self.committed.get(key)));
+        }
+    }
+
+    fn lift(&mut self, id: u16) -> (ChannelRoute, (SwitchId, u16)) {
+        let lifted = self.unregister(id);
+        let lifted =
+            lifted.expect("the engine lifts only ids it read off the registry or its index");
+        self.release_along(&lifted.route.path, lifted.key());
+        (lifted.route, (lifted.coordinator, lifted.token))
+    }
+
+    fn admit(&self, spec: &RtChannelSpec, route: &Route) -> Option<Vec<Slots>> {
         if !route.iter().all(|link| self.owner_slot(*link).is_some()) {
             return None;
         }
-        const OWNED: &str = "every link of the route has an owner: checked on entry";
-        let owner = |link| self.owner_slot(link).expect(OWNED);
-        let held = |link| self.sites[owner(link)].ledger.link(link);
-        let deadlines = admit_along(self.dps.into(), spec, route, held).ok()?;
-        for (link, &deadline) in route.iter().zip(&deadlines) {
-            let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
-                .expect("admit_along built a periodic task from this very deadline");
-            let owner = self.owner_slot(*link).expect(OWNED);
-            self.sites[owner].ledger.reserve(*link, key, task);
-        }
-        Some(deadlines)
+        let held = |link| {
+            let owner = self.owner_slot(link);
+            let owner = owner.expect("every link of the route has an owner: checked on entry");
+            self.sites[owner].ledger.link(link)
+        };
+        admit_along(self.dps.into(), spec, route, held).ok()
+    }
+
+    fn put(&mut self, route: ChannelRoute, (coordinator, token): (SwitchId, u16)) -> &ChannelRoute {
+        let id = route.id.get();
+        let key = ReservationKey::token(coordinator, token);
+        reserve_along(
+            &route.spec,
+            &route.path,
+            &route.link_deadlines,
+            |link, task| {
+                let owner = self.owner_slot(link);
+                let owner = owner.expect("admitted, or reserved before, at its links' owners");
+                self.sites[owner].ledger.reserve(link, key, task);
+            },
+        );
+        self.register(DistChannel {
+            route,
+            coordinator,
+            token,
+        });
+        &self.registry[&id].route
     }
 }
 
@@ -1939,10 +1788,10 @@ impl ChannelManager for DistributedChannelManager {
         let dist = self
             .unregister(channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
-        self.release_along(&dist.path, dist.key());
+        self.release_along(&dist.route.path, dist.key());
         Ok(ReleasedChannel {
-            id: dist.id,
-            destination: dist.destination,
+            id: dist.route.id,
+            destination: dist.route.destination,
         })
     }
 
@@ -1963,7 +1812,7 @@ impl ChannelManager for DistributedChannelManager {
     }
 
     fn channel_route(&self, id: ChannelId) -> Option<ChannelRoute> {
-        Some(self.registry.get(&id.get())?.to_route())
+        Some(self.registry.get(&id.get())?.route.clone())
     }
 
     fn link_load(&self, link: HopLink) -> usize {
@@ -1978,13 +1827,13 @@ impl ChannelManager for DistributedChannelManager {
     fn handle_link_failure(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
         self.topology.fail_trunk(from, to)?;
         self.originate_link_state(&[(from, to)], false, None);
-        Ok(self.fail_over(&[(from, to)], (from, to)))
+        Ok(fault::fail_over(self, &[(from, to)], (from, to)))
     }
 
     fn handle_link_repair(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
         self.topology.repair_trunk(from, to)?;
         self.originate_link_state(&[(from, to)], true, None);
-        Ok(self.reoptimize((from, to)))
+        Ok(fault::reoptimize(self, (from, to)))
     }
 
     fn handle_switch_failure(&mut self, switch: SwitchId) -> RtResult<FailoverReport> {
@@ -1998,7 +1847,7 @@ impl ChannelManager for DistributedChannelManager {
             self.sites[s].coordinations.clear();
             self.sites[s].expecting.clear();
         }
-        Ok(self.fail_over(&cut, (switch, switch)))
+        Ok(fault::fail_over(self, &cut, (switch, switch)))
     }
 
     fn handle_frame_at(
@@ -2065,7 +1914,7 @@ impl ChannelManager for DistributedChannelManager {
         // Rebuilt from the registry, not read from the `committed` index:
         // the audit is what checks that index.
         let committed: BTreeSet<ReservationKey> = self.registry.values().map(|c| c.key()).collect();
-        let indexed = |c: &DistChannel| self.committed.get(&c.key()) == Some(&c.id.get());
+        let indexed = |c: &DistChannel| self.committed.get(&c.key()) == Some(&c.route.id.get());
         if self.committed.len() != self.registry.len() || !self.registry.values().all(indexed) {
             return Err(RtError::ProtocolViolation(format!(
                 "the key index ({} entries) has drifted from the registry ({} channels)",
@@ -2104,34 +1953,31 @@ impl ChannelManager for DistributedChannelManager {
         // Every admitted channel holds exactly its route's reservations at
         // the owning sites, and its id sits inside its coordinator's block.
         for chan in self.registry.values() {
-            let key = chan.key();
-            for link in chan.path.iter() {
+            let (key, id) = (chan.key(), chan.route.id);
+            for link in chan.route.path.iter() {
                 let owner = self.owner_of(*link).ok_or_else(|| {
                     RtError::ProtocolViolation(format!(
-                        "admitted channel {} crosses unowned link {link:?}",
-                        chan.id
+                        "admitted channel {id} crosses unowned link {link:?}"
                     ))
                 })?;
                 let held =
                     (self.slot(owner).ok()).is_some_and(|s| self.sites[s].ledger.holds(*link, key));
                 if !held {
                     return Err(RtError::ProtocolViolation(format!(
-                        "admitted channel {} lost its reservation on {link:?}",
-                        chan.id
+                        "admitted channel {id} lost its reservation on {link:?}"
                     )));
                 }
             }
             let slot = self.slot(chan.coordinator).map_err(|_| {
                 RtError::ProtocolViolation(format!(
-                    "admitted channel {} has unknown coordinator {}",
-                    chan.id, chan.coordinator
+                    "admitted channel {id} has unknown coordinator {}",
+                    chan.coordinator
                 ))
             })?;
             let (start, end) = Self::id_block_of(self.sites.len(), slot);
-            if chan.id.get() < start || chan.id.get() > end {
+            if id.get() < start || id.get() > end {
                 return Err(RtError::ProtocolViolation(format!(
-                    "channel id {} outside its coordinator's block {start}..={end}",
-                    chan.id
+                    "channel id {id} outside its coordinator's block {start}..={end}"
                 )));
             }
         }

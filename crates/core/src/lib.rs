@@ -29,6 +29,9 @@
 //!   channel manager on top of it,
 //! * [`distributed`] — the same ledger and admission sequence sharded one
 //!   site per switch, behind a two-phase reservation protocol.
+//!
+//! Both managers hand a trunk cut or repair to one private fault engine
+//! (`fault.rs`: fail-over and re-optimisation, written once).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +39,7 @@
 pub mod channel;
 pub mod distributed;
 pub mod dps;
+mod fault;
 pub mod ledger;
 pub mod manager;
 pub mod multihop;
@@ -49,8 +53,8 @@ pub use dps::{DpsFamily, DpsKind};
 pub use ledger::{ReservationKey, SlackLedger};
 pub use manager::{ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel};
 pub use multihop::{
-    FabricChannelManager, HopLink, MultiHopAdmission, MultiHopChannel, MultiHopDps, Refusal,
-    RefusalCause, Route, Router, SwitchId, Topology,
+    FabricChannelManager, HopLink, MultiHopAdmission, MultiHopDps, Refusal, RefusalCause, Route,
+    Router, SwitchId, Topology,
 };
 pub use network::{RtNetwork, RtNetworkBuilder};
 pub use rtlayer::RtLayer;

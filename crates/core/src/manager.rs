@@ -21,7 +21,7 @@
 use std::fmt;
 
 use rt_frames::{Frame, RequestFrame, ReservationFrame, ResponseFrame};
-use rt_types::{ChannelId, HopLink, NodeId, Route, RtError, RtResult, SimTime, Slots, SwitchId};
+use rt_types::{ChannelId, HopLink, NodeId, Route, RtResult, SimTime, Slots, SwitchId};
 
 use crate::channel::RtChannelSpec;
 
@@ -58,7 +58,7 @@ pub enum SwitchAction {
 /// wire state must be torn down.
 ///
 /// This is the switch-located generalisation of the bare
-/// `Vec<SwitchAction>`: the central managers originate everything at the
+/// `Vec<SwitchAction>`: the central manager originates everything at the
 /// managing switch, while the distributed manager emits from whichever
 /// switch handled the frame.
 #[derive(Debug, Default)]
@@ -74,16 +74,6 @@ impl ControlOutcome {
     /// An outcome that transmits nothing and releases nothing.
     pub fn empty() -> Self {
         ControlOutcome::default()
-    }
-
-    /// Locate a per-kind handler's actions at one switch.  Its one caller is
-    /// the [`ChannelManager::handle_frame_at`] default; both managers of this
-    /// crate override that and build their outcomes directly.
-    pub fn emissions_at(at: SwitchId, actions: Vec<SwitchAction>) -> Self {
-        ControlOutcome {
-            emissions: actions.into_iter().map(|a| (at, a)).collect(),
-            released: Vec::new(),
-        }
     }
 }
 
@@ -215,51 +205,24 @@ pub trait ChannelManager: fmt::Debug {
     /// React to a whole-switch failure: every healthy trunk incident to
     /// `switch` goes down atomically, then every channel that crossed any
     /// of them fails over as in [`ChannelManager::handle_link_failure`].
-    /// The default rejects.
-    fn handle_switch_failure(&mut self, switch: SwitchId) -> RtResult<FailoverReport> {
-        Err(RtError::Config(format!(
-            "this manager cannot fail switch {switch}: no trunk fabric"
-        )))
-    }
+    fn handle_switch_failure(&mut self, switch: SwitchId) -> RtResult<FailoverReport>;
 
     /// Handle any control-plane frame delivered to the control plane of
     /// switch `at`, originated by `from` (`NodeId::SWITCH` for
     /// switch-originated reservation traffic), at simulated time `now`.
     ///
-    /// This is the one entry point the network glue drives.  The default
-    /// implementation serves a manager that has only the per-kind handlers:
-    /// `from` and `now` are ignored, the handler of the frame's kind runs,
-    /// and its actions are copied into an outcome located at `at`.  Both
-    /// managers of this crate override it: the central one answers the same
-    /// way without the intermediate action list, the distributed one with
-    /// the per-switch two-phase reservation protocol, sweeping the handling
-    /// site's expired leases first.
+    /// This is the one entry point the network glue drives.  The central
+    /// manager answers with the paper's three-party handshake, every
+    /// emission located at `at` and `from` and `now` unread; the distributed
+    /// one with the per-switch two-phase reservation protocol, sweeping the
+    /// handling site's expired leases first.
     fn handle_frame_at(
         &mut self,
         at: SwitchId,
         from: NodeId,
         frame: &Frame,
         now: SimTime,
-    ) -> RtResult<ControlOutcome> {
-        let _ = (from, now);
-        match frame {
-            Frame::Request(req) => Ok(ControlOutcome::emissions_at(at, self.handle_request(req)?)),
-            Frame::Response(resp) => Ok(ControlOutcome::emissions_at(
-                at,
-                self.handle_response(resp)?,
-            )),
-            Frame::Teardown(td) => {
-                let released = self.handle_teardown(td.rt_channel_id)?;
-                Ok(ControlOutcome {
-                    emissions: Vec::new(),
-                    released: vec![released],
-                })
-            }
-            other => Err(RtError::ProtocolViolation(format!(
-                "unexpected frame at the switch control plane: {other:?}"
-            ))),
-        }
-    }
+    ) -> RtResult<ControlOutcome>;
 
     /// The earliest instant at which this manager has time-driven work to
     /// do (a reservation lease or a coordination deadline expiring), or

@@ -46,6 +46,7 @@ pub use rt_types::{HopLink, Route, Router, SwitchId, Topology};
 
 use crate::channel::RtChannelSpec;
 use crate::dps::DpsFamily;
+use crate::fault::{self, ChannelStore, FaultLog};
 use crate::ledger::{LinkView, ReservationKey, SlackLedger};
 use crate::manager::{
     ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel, SwitchAction,
@@ -223,83 +224,39 @@ pub(crate) fn admit_along<'a>(
     })
 }
 
-/// An RT channel admitted into a multi-switch network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiHopChannel {
-    /// Network-unique id.
-    pub id: ChannelId,
-    /// Source node.
-    pub source: NodeId,
-    /// Destination node.
-    pub destination: NodeId,
-    /// Traffic contract.
-    pub spec: RtChannelSpec,
-    /// The route the channel was admitted on (derefs to its `[HopLink]`s).
-    pub path: Route,
-    /// The per-link deadline of each hop, in the same order as `path`.
-    pub link_deadlines: Vec<Slots>,
-}
-
-impl MultiHopChannel {
-    /// The manager-agnostic [`ChannelRoute`] view of this channel.
-    pub fn to_route(&self) -> ChannelRoute {
-        ChannelRoute {
-            id: self.id,
-            source: self.source,
-            destination: self.destination,
-            spec: self.spec,
-            path: self.path.clone(),
-            link_deadlines: self.link_deadlines.clone(),
-        }
+/// Reserve what [`admit_along`] admitted: on every link of `path` one
+/// periodic task, `spec`'s period and capacity under that link's share of the
+/// deadline.  `reserve` books a task in whichever ledger owns its link, under
+/// the caller's key.
+pub(crate) fn reserve_along(
+    spec: &RtChannelSpec,
+    path: &[HopLink],
+    deadlines: &[Slots],
+    mut reserve: impl FnMut(HopLink, PeriodicTask),
+) {
+    for (link, &deadline) in path.iter().zip(deadlines) {
+        let task = PeriodicTask::new(spec.period, spec.capacity, deadline)
+            .expect("admission built a periodic task from this very deadline");
+        reserve(*link, task);
     }
 }
 
-/// Which live channels the last repair left on their primary routes.
-///
-/// Kept beside the channel table, not in its entries: a request and a
-/// teardown then move exactly the bytes they moved before a repair kept
-/// anything, and a manager that never repairs a trunk holds an empty set.
-#[derive(Debug, Default)]
-struct OnPrimary {
-    /// The [`Topology::fingerprint`] of the fabric state `ids` was observed
-    /// under.
-    under: Option<u64>,
-    /// One bit per raw channel id: the channel's path was seen equal to the
-    /// router's primary route under `under`, and the channel has not been
-    /// released since.  Set only by [`MultiHopAdmission::reoptimize`], where
-    /// that comparison is made; cleared by [`MultiHopAdmission::release`],
-    /// which every re-placement (and every re-use of an id) goes through.
-    ids: Vec<u64>,
-}
-
-impl OnPrimary {
-    /// Keep the set if it was observed under `state`, start an empty one
-    /// under `state` otherwise.
-    fn observe_under(&mut self, state: u64) {
-        if self.under != Some(state) {
-            self.under = Some(state);
-            self.ids.clear();
-        }
-    }
-
-    fn contains(&self, id: u16) -> bool {
-        let word = self.ids.get(usize::from(id) / 64);
-        word.is_some_and(|word| word >> (id % 64) & 1 == 1)
-    }
-
-    fn insert(&mut self, id: u16) {
-        let word = usize::from(id) / 64;
-        if word >= self.ids.len() {
-            self.ids.resize(word + 1, 0);
-        }
-        self.ids[word] |= 1 << (id % 64);
-    }
-
-    fn remove(&mut self, id: u16) {
-        if let Some(word) = self.ids.get_mut(usize::from(id) / 64) {
-            *word &= !(1 << (id % 64));
-        }
-    }
+/// The next id of the inclusive `block` that is not `taken`, searching from
+/// `*cursor` and wrapping within the block; the cursor is left just past the
+/// id returned.  `None` when every id of the block is taken.
+pub(crate) fn next_free_id(
+    cursor: &mut u16,
+    (start, end): (u16, u16),
+    taken: impl Fn(u16) -> bool,
+) -> Option<u16> {
+    let from = if (start..=end).contains(cursor) {
+        *cursor
+    } else {
+        start
+    };
+    let free = (from..=end).chain(start..from).find(|id| !taken(*id))?;
+    *cursor = if free == end { start } else { free + 1 };
+    Some(free)
 }
 
 /// Admission control over a topology of switches, from the paper's
@@ -315,14 +272,11 @@ pub struct MultiHopAdmission {
     router: Arc<dyn Router>,
     dps: DpsFamily,
     ledger: SlackLedger,
-    channels: BTreeMap<u16, MultiHopChannel>,
-    /// What the last repair learnt, so that the next one need not ask again.
-    on_primary: OnPrimary,
+    channels: BTreeMap<u16, ChannelRoute>,
+    faults: FaultLog,
     next_channel_id: u16,
     accepted: u64,
     rejected: u64,
-    rerouted: u64,
-    dropped_on_failure: u64,
 }
 
 impl fmt::Debug for MultiHopAdmission {
@@ -364,12 +318,10 @@ impl MultiHopAdmission {
             dps: dps.into(),
             ledger: SlackLedger::new(),
             channels: BTreeMap::new(),
-            on_primary: OnPrimary::default(),
+            faults: FaultLog::default(),
             next_channel_id: 1,
             accepted: 0,
             rejected: 0,
-            rerouted: 0,
-            dropped_on_failure: 0,
         }
     }
 
@@ -407,12 +359,12 @@ impl MultiHopAdmission {
 
     /// Channels re-routed over a surviving path after a trunk failure.
     pub fn rerouted_count(&self) -> u64 {
-        self.rerouted
+        self.faults.rerouted
     }
 
     /// Channels dropped because no surviving route could re-admit them.
     pub fn failure_dropped_count(&self) -> u64 {
-        self.dropped_on_failure
+        self.faults.dropped
     }
 
     /// The number of channels currently traversing `link`.
@@ -431,28 +383,24 @@ impl MultiHopAdmission {
     }
 
     /// Look up an active channel.
-    pub fn channel(&self, id: ChannelId) -> Option<&MultiHopChannel> {
+    pub fn channel(&self, id: ChannelId) -> Option<&ChannelRoute> {
         self.channels.get(&id.get())
     }
 
     /// The active channels, in ascending id order.
-    pub fn channels(&self) -> impl Iterator<Item = &MultiHopChannel> {
+    pub fn channels(&self) -> impl Iterator<Item = &ChannelRoute> {
         self.channels.values()
     }
 
+    /// The next free id of the one fabric-wide block `1..=u16::MAX` (0 means
+    /// "not set yet" on the wire).
     fn allocate_channel_id(&mut self) -> RtResult<ChannelId> {
-        for _ in 0..u16::MAX {
-            let candidate = self.next_channel_id;
-            self.next_channel_id = if self.next_channel_id == u16::MAX {
-                1
-            } else {
-                self.next_channel_id + 1
-            };
-            if !self.channels.contains_key(&candidate) {
-                return Ok(ChannelId::new(candidate));
-            }
-        }
-        Err(RtError::ChannelIdsExhausted)
+        let live = &self.channels;
+        next_free_id(&mut self.next_channel_id, (1, u16::MAX), |id| {
+            live.contains_key(&id)
+        })
+        .map(ChannelId::new)
+        .ok_or(RtError::ChannelIdsExhausted)
     }
 
     /// Partition the deadline over `path` and run the per-link feasibility
@@ -463,37 +411,23 @@ impl MultiHopAdmission {
     }
 
     /// Commit an already-tested channel: reserve capacity on every link of
-    /// the path under the given id.  Returns the channel as stored.
-    fn commit(
-        &mut self,
-        id: ChannelId,
-        source: NodeId,
-        destination: NodeId,
-        spec: RtChannelSpec,
-        path: Route,
-        deadlines: Vec<Slots>,
-    ) -> RtResult<&MultiHopChannel> {
-        for (link, &deadline) in path.iter().zip(deadlines.iter()) {
-            let task = PeriodicTask::new(spec.period, spec.capacity, deadline)?;
-            self.ledger
-                .reserve(*link, ReservationKey::channel(id), task);
-        }
-        let channel = MultiHopChannel {
-            id,
-            source,
-            destination,
-            spec,
-            path,
-            link_deadlines: deadlines,
-        };
-        Ok(match self.channels.entry(id.get()) {
+    /// its path under its id.  Returns the channel as stored.
+    fn commit(&mut self, channel: ChannelRoute) -> &ChannelRoute {
+        let (ledger, key) = (&mut self.ledger, ReservationKey::channel(channel.id));
+        reserve_along(
+            &channel.spec,
+            &channel.path,
+            &channel.link_deadlines,
+            |link, task| ledger.reserve(link, key, task),
+        );
+        match self.channels.entry(channel.id.get()) {
             btree_map::Entry::Vacant(slot) => slot.insert(channel),
             btree_map::Entry::Occupied(slot) => {
                 let stored = slot.into_mut();
                 *stored = channel;
                 stored
             }
-        })
+        }
     }
 
     /// Request a channel from `source` to `destination`.  Returns the
@@ -511,18 +445,23 @@ impl MultiHopAdmission {
         source: NodeId,
         destination: NodeId,
         spec: RtChannelSpec,
-    ) -> RtResult<Result<&MultiHopChannel, Refusal>> {
+    ) -> RtResult<Result<&ChannelRoute, Refusal>> {
         spec.validate()?;
         let candidates = self.router.routes(&self.topology, source, destination)?;
         let mut primary_failure: Option<Refusal> = None;
         for path in candidates {
             match self.try_admit(&spec, &path) {
-                Ok(deadlines) => {
+                Ok(link_deadlines) => {
                     let id = self.allocate_channel_id()?;
                     self.accepted += 1;
-                    return self
-                        .commit(id, source, destination, spec, path, deadlines)
-                        .map(Ok);
+                    return Ok(Ok(self.commit(ChannelRoute {
+                        id,
+                        source,
+                        destination,
+                        spec,
+                        path,
+                        link_deadlines,
+                    })));
                 }
                 Err(failure) => {
                     primary_failure.get_or_insert(failure);
@@ -539,204 +478,46 @@ impl MultiHopAdmission {
         Ok(Err(refusal))
     }
 
-    /// Fail a trunk and fail over: every admitted channel whose route
-    /// crossed it is released (capacity freed on *all* its links) and
-    /// re-admitted over the surviving candidate routes, keeping its channel
-    /// id so endpoint and wire state stay addressable.  Channels that no
-    /// surviving route can admit are dropped.  Channels off the failed
-    /// trunk are not touched at all.
+    /// Fail a trunk and fail over, as
+    /// [`ChannelManager::handle_link_failure`] describes: every admitted
+    /// channel whose route crossed it is released on *all* its links and
+    /// re-admitted over the surviving candidate routes under its id, or
+    /// dropped; channels off the failed trunk are not touched at all.
     pub fn fail_trunk(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
         self.topology.fail_trunk(from, to)?;
-        Ok(self.fail_over(&[(from, to)], (from, to)))
+        Ok(fault::fail_over(self, &[(from, to)], (from, to)))
     }
 
     /// Fail a whole switch: every healthy trunk incident to it goes down
     /// *atomically* (the topology degrades in one step before any
-    /// re-admission runs, so no fail-over re-route can be placed across a
-    /// trunk that is about to die), and every admitted channel that crossed
-    /// any of those trunks fails over exactly as in
-    /// [`MultiHopAdmission::fail_trunk`].  The reported `link` is the
-    /// degenerate `(switch, switch)` pair.
+    /// re-admission runs, so no re-route can be placed across a trunk that is
+    /// about to die), and every admitted channel that crossed any of them
+    /// fails over as in [`MultiHopAdmission::fail_trunk`].  The reported
+    /// `link` is the degenerate `(switch, switch)` pair.
     pub fn fail_switch(&mut self, switch: SwitchId) -> RtResult<FailoverReport> {
         let cut = self.topology.fail_switch(switch)?;
-        Ok(self.fail_over(&cut, (switch, switch)))
+        Ok(fault::fail_over(self, &cut, (switch, switch)))
     }
 
-    /// The shared fail-over engine: given the trunks that just died (the
-    /// topology is already degraded), release every channel crossing any of
-    /// them and re-admit each over the surviving candidate routes.  The
-    /// ledger's books of the cut trunks (both directions) name those
-    /// channels — [`MultiHopAdmission::commit`] reserved each channel's key
-    /// on exactly the links of its path — so nothing off the cut is read.
-    fn fail_over(
-        &mut self,
-        cut: &[(SwitchId, SwitchId)],
-        link: (SwitchId, SwitchId),
-    ) -> FailoverReport {
-        let mut affected: Vec<u16> = Vec::new();
-        for &(a, b) in cut {
-            for (from, to) in [(a, b), (b, a)] {
-                let held = self.ledger.keys_on(HopLink::Trunk { from, to });
-                affected.extend(held.into_iter().filter_map(|key| match key {
-                    ReservationKey::Channel(id) => Some(id),
-                    // The central manager reserves under channel ids only.
-                    ReservationKey::Token(..) => None,
-                }));
-            }
-        }
-        // Ascending id, each channel once however many cut trunks it crossed.
-        affected.sort_unstable();
-        affected.dedup();
-        let mut report = FailoverReport {
-            link,
-            rerouted: Vec::new(),
-            dropped: Vec::new(),
-            unaffected: self.channels.len() - affected.len(),
-        };
-        // Release *every* affected channel before re-admitting any: a
-        // one-at-a-time release would feasibility-test early re-admissions
-        // against the stale reservations of later affected channels and
-        // drop channels the surviving fabric could actually carry.
-        let released: Vec<MultiHopChannel> = affected
-            .into_iter()
-            .map(|raw_id| {
-                self.release(ChannelId::new(raw_id))
-                    .expect("a ledger book holds a channel key only while that channel is live")
-            })
-            .collect();
-        for old in released {
-            let candidates = self
-                .router
-                .routes(&self.topology, old.source, old.destination)
-                .unwrap_or_default();
-            let mut readmitted = false;
-            for path in candidates {
-                if let Ok(deadlines) = self.try_admit(&old.spec, &path) {
-                    let channel = self
-                        .commit(
-                            old.id,
-                            old.source,
-                            old.destination,
-                            old.spec,
-                            path,
-                            deadlines,
-                        )
-                        .expect("try_admit built a periodic task from each of these deadlines");
-                    report.rerouted.push(channel.to_route());
-                    self.rerouted += 1;
-                    readmitted = true;
-                    break;
-                }
-            }
-            if !readmitted {
-                report.dropped.push(old.to_route());
-                self.dropped_on_failure += 1;
-            }
-        }
-        report
-    }
-
-    /// Repair a previously failed trunk and *re-optimise*: every admitted
-    /// channel whose current path differs from the router's primary route on
-    /// the repaired graph is released and re-admitted onto that primary
-    /// route (same channel id, fresh deadline split), so capacity freed by
-    /// the repair flows back to the shortest paths instead of staying
-    /// stranded on fail-over detours.  Channels are moved one at a time and
-    /// a channel whose primary route cannot admit it is restored onto its
-    /// detour with its exact previous reservation — a repair never drops a
-    /// channel.  The report's `rerouted` lists the channels moved back
-    /// (with their new routes); `dropped` is always empty.
+    /// Repair a previously failed trunk and *re-optimise*, as
+    /// [`ChannelManager::handle_link_repair`] describes: every admitted
+    /// channel off the router's primary route on the repaired graph is moved
+    /// back onto it (same id, fresh deadline split), or left on its detour
+    /// with its exact previous reservation.  `rerouted` lists the channels
+    /// moved back, with their new routes; `dropped` is always empty.
     pub fn repair_trunk(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
         self.topology.repair_trunk(from, to)?;
-        Ok(self.reoptimize((from, to)))
-    }
-
-    /// The repair-side counterpart of [`MultiHopAdmission::fail_over`]:
-    /// migrate detoured channels back onto their primary routes, never
-    /// dropping any.  A channel already seen on its primary route under this
-    /// very fabric state, and not re-placed since, is counted `unaffected`
-    /// without asking the router again: the answer would be the same route,
-    /// and the decision for such a channel is to leave it alone.
-    fn reoptimize(&mut self, link: (SwitchId, SwitchId)) -> FailoverReport {
-        self.on_primary.observe_under(self.topology.fingerprint());
-        let unseen: Vec<u16> = self
-            .channels
-            .keys()
-            .copied()
-            .filter(|&id| !self.on_primary.contains(id))
-            .collect();
-        let mut report = FailoverReport {
-            link,
-            rerouted: Vec::new(),
-            dropped: Vec::new(),
-            unaffected: self.channels.len() - unseen.len(),
-        };
-        for raw_id in unseen {
-            let channel = &self.channels[&raw_id];
-            let Ok(primary) =
-                self.router
-                    .route(&self.topology, channel.source, channel.destination)
-            else {
-                report.unaffected += 1;
-                continue;
-            };
-            if primary == channel.path {
-                self.on_primary.insert(raw_id);
-                report.unaffected += 1;
-                continue;
-            }
-            // Release-then-readmit, one channel at a time: freeing only this
-            // channel's capacity means the fallback below can always restore
-            // its exact previous reservation, so re-optimisation is safe.
-            let old = self
-                .release(ChannelId::new(raw_id))
-                .expect("ids were read off the channel table, and a repair removes none");
-            match self.try_admit(&old.spec, &primary) {
-                Ok(deadlines) => {
-                    let moved = self
-                        .commit(
-                            old.id,
-                            old.source,
-                            old.destination,
-                            old.spec,
-                            primary,
-                            deadlines,
-                        )
-                        .expect("try_admit built a periodic task from each of these deadlines");
-                    report.rerouted.push(moved.to_route());
-                    self.rerouted += 1;
-                    self.on_primary.insert(raw_id);
-                }
-                Err(_) => {
-                    // The primary route cannot carry it: put it back on its
-                    // detour with the deadline split it already held (the
-                    // ledger state this restores was feasible a moment ago).
-                    self.commit(
-                        old.id,
-                        old.source,
-                        old.destination,
-                        old.spec,
-                        old.path,
-                        old.link_deadlines,
-                    )
-                    .expect("these deadlines were committed as periodic tasks before");
-                    report.unaffected += 1;
-                }
-            }
-        }
-        report
+        Ok(fault::reoptimize(self, (from, to)))
     }
 
     /// Tear down a channel, releasing its capacity on every link of its
     /// path.
-    pub fn release(&mut self, id: ChannelId) -> RtResult<MultiHopChannel> {
+    pub fn release(&mut self, id: ChannelId) -> RtResult<ChannelRoute> {
         let channel = self
             .channels
             .remove(&id.get())
             .ok_or(RtError::UnknownChannel(id))?;
-        // Whatever places this id next — a new channel, a fail-over, a
-        // repair's move or its restore — starts with nothing known about it.
-        self.on_primary.remove(id.get());
+        self.faults.forget(id.get());
         // `commit` reserved this id on exactly the links of the path, so
         // releasing along it frees everything the channel holds without
         // visiting the rest of the fabric's ledger.
@@ -745,6 +526,62 @@ impl MultiHopAdmission {
             self.ledger.release(*link, key);
         }
         Ok(channel)
+    }
+}
+
+/// The fault engine's view of the central manager: one table, one ledger that
+/// owns every link, keys that are the channel ids themselves.
+impl ChannelStore for MultiHopAdmission {
+    type Holder = ();
+
+    fn fabric(&self) -> &Topology {
+        &self.topology
+    }
+
+    fn router(&self) -> &dyn Router {
+        self.router.as_ref()
+    }
+
+    fn ids(&self) -> impl ExactSizeIterator<Item = u16> + '_ {
+        self.channels.keys().copied()
+    }
+
+    fn record(&self, id: u16) -> &ChannelRoute {
+        &self.channels[&id]
+    }
+
+    fn faults(&self) -> &FaultLog {
+        &self.faults
+    }
+
+    fn faults_mut(&mut self) -> &mut FaultLog {
+        &mut self.faults
+    }
+
+    fn ids_on(&self, trunk: HopLink, ids: &mut Vec<u16>) {
+        // `commit` reserved each channel's key on exactly the links of its
+        // path, and reserves under channel ids only.
+        for key in self.ledger.keys_on(trunk) {
+            if let ReservationKey::Channel(id) = key {
+                ids.push(id);
+            }
+        }
+    }
+
+    fn lift(&mut self, id: u16) -> (ChannelRoute, ()) {
+        let lifted = self.release(ChannelId::new(id));
+        (
+            lifted.expect("the engine lifts only ids it read off the table or its books"),
+            (),
+        )
+    }
+
+    fn admit(&self, spec: &RtChannelSpec, route: &Route) -> Option<Vec<Slots>> {
+        self.try_admit(spec, route).ok()
+    }
+
+    fn put(&mut self, channel: ChannelRoute, (): ()) -> &ChannelRoute {
+        self.commit(channel)
     }
 }
 
@@ -789,26 +626,6 @@ impl FabricChannelManager {
         &self.admission
     }
 
-    /// Number of reservations still waiting for the destination's answer.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Established (confirmed or pending) channel count, for reporting.
-    pub fn channel_count(&self) -> usize {
-        self.admission.channel_count()
-    }
-
-    /// Look up an admitted channel (its route and per-link deadlines).
-    pub fn channel(&self, id: ChannelId) -> Option<&MultiHopChannel> {
-        self.admission.channel(id)
-    }
-
-    /// Handle a RequestFrame received from a source node.
-    pub fn handle_request(&mut self, frame: &RequestFrame) -> RtResult<Vec<SwitchAction>> {
-        Ok(vec![self.answer_request(frame)?])
-    }
-
     /// The one action a RequestFrame ends in: the annotated request forwarded
     /// to the destination, or the rejection sent back to the source.
     fn answer_request(&mut self, frame: &RequestFrame) -> RtResult<SwitchAction> {
@@ -848,11 +665,6 @@ impl FabricChannelManager {
         }
     }
 
-    /// Handle a ResponseFrame received from a destination node.
-    pub fn handle_response(&mut self, frame: &ResponseFrame) -> RtResult<Vec<SwitchAction>> {
-        Ok(vec![self.answer_response(frame)?])
-    }
-
     /// The one action a ResponseFrame ends in: the destination's verdict
     /// passed on to the source, the reservation rolled back if it refused.
     fn answer_response(&mut self, frame: &ResponseFrame) -> RtResult<SwitchAction> {
@@ -877,24 +689,29 @@ impl FabricChannelManager {
         })
     }
 
-    /// Handle a channel tear-down: release the reserved capacity on every
-    /// link of the path.
-    pub fn handle_teardown(&mut self, channel: ChannelId) -> RtResult<MultiHopChannel> {
-        self.admission.release(channel)
+    /// A channel that is gone can no longer complete a pending handshake.
+    fn forget_pending(&mut self, report: FailoverReport) -> FailoverReport {
+        for dropped in &report.dropped {
+            self.pending.remove(&dropped.id.get());
+        }
+        report
     }
 }
 
 impl ChannelManager for FabricChannelManager {
     fn handle_request(&mut self, frame: &RequestFrame) -> RtResult<Vec<SwitchAction>> {
-        FabricChannelManager::handle_request(self, frame)
+        Ok(vec![self.answer_request(frame)?])
     }
 
     fn handle_response(&mut self, frame: &ResponseFrame) -> RtResult<Vec<SwitchAction>> {
-        FabricChannelManager::handle_response(self, frame)
+        Ok(vec![self.answer_response(frame)?])
     }
 
     fn handle_teardown(&mut self, channel: ChannelId) -> RtResult<ReleasedChannel> {
-        let released = FabricChannelManager::handle_teardown(self, channel)?;
+        let released = self.admission.release(channel)?;
+        // Torn down while the destination's answer was outstanding: that
+        // answer, when it comes, finds no request to complete.
+        self.pending.remove(&channel.get());
         Ok(ReleasedChannel {
             id: released.id,
             destination: released.destination,
@@ -902,11 +719,11 @@ impl ChannelManager for FabricChannelManager {
     }
 
     fn channel_count(&self) -> usize {
-        FabricChannelManager::channel_count(self)
+        self.admission.channel_count()
     }
 
     fn pending_count(&self) -> usize {
-        FabricChannelManager::pending_count(self)
+        self.pending.len()
     }
 
     fn channel_ids(&self) -> Vec<ChannelId> {
@@ -914,7 +731,7 @@ impl ChannelManager for FabricChannelManager {
     }
 
     fn channel_route(&self, id: ChannelId) -> Option<ChannelRoute> {
-        Some(self.admission.channel(id)?.to_route())
+        self.admission.channel(id).cloned()
     }
 
     fn link_load(&self, link: HopLink) -> usize {
@@ -940,7 +757,7 @@ impl ChannelManager for FabricChannelManager {
             Frame::Request(request) => (vec![(at, self.answer_request(request)?)], Vec::new()),
             Frame::Response(response) => (vec![(at, self.answer_response(response)?)], Vec::new()),
             Frame::Teardown(teardown) => {
-                let released = ChannelManager::handle_teardown(self, teardown.rt_channel_id)?;
+                let released = self.handle_teardown(teardown.rt_channel_id)?;
                 (Vec::new(), vec![released])
             }
             other => {
@@ -957,11 +774,7 @@ impl ChannelManager for FabricChannelManager {
 
     fn handle_link_failure(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
         let report = self.admission.fail_trunk(from, to)?;
-        // A dropped channel can no longer complete a pending handshake.
-        for dropped in &report.dropped {
-            self.pending.remove(&dropped.id.get());
-        }
-        Ok(report)
+        Ok(self.forget_pending(report))
     }
 
     fn handle_link_repair(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
@@ -970,10 +783,7 @@ impl ChannelManager for FabricChannelManager {
 
     fn handle_switch_failure(&mut self, switch: SwitchId) -> RtResult<FailoverReport> {
         let report = self.admission.fail_switch(switch)?;
-        for dropped in &report.dropped {
-            self.pending.remove(&dropped.id.get());
-        }
-        Ok(report)
+        Ok(self.forget_pending(report))
     }
 }
 
@@ -981,6 +791,7 @@ impl ChannelManager for FabricChannelManager {
 mod tests {
     use super::*;
     use crate::dps::DpsKind;
+    use crate::fault::tests::{seen_on_primary, CountingRouter, Fault, Walked};
 
     /// Two access switches joined by one trunk; `m` masters on switch 0 and
     /// `s` slaves on switch 1.
@@ -1338,6 +1149,20 @@ mod tests {
         assert_eq!(next_id(&mut admission, 4), 2);
     }
 
+    #[test]
+    fn next_free_id_wraps_inside_its_block_and_runs_out() {
+        let block = (10, 12);
+        let mut cursor = 0; // outside the block: the search starts at its head
+        assert_eq!(next_free_id(&mut cursor, block, |_| false), Some(10));
+        assert_eq!(next_free_id(&mut cursor, block, |id| id == 11), Some(12));
+        assert_eq!(cursor, 10, "past the block's last id is its first");
+        assert_eq!(next_free_id(&mut cursor, block, |id| id != 11), Some(11));
+        assert_eq!(next_free_id(&mut cursor, block, |_| true), None);
+        assert_eq!(cursor, 12, "a full block moves nothing");
+        assert_eq!(next_free_id(&mut cursor, (7, 7), |_| false), Some(7));
+        assert_eq!(cursor, 7);
+    }
+
     /// A router that knows no route at all is a configuration error of the
     /// caller's, reported as one.
     #[test]
@@ -1467,7 +1292,7 @@ mod tests {
         admission.fail_trunk(sw2, sw3).unwrap();
         let seen = admission.repair_trunk(sw2, sw3).unwrap();
         assert_eq!((seen.rerouted.len(), seen.unaffected), (0, 1));
-        assert_eq!(admission.seen_on_primary(), 1);
+        assert_eq!(seen_on_primary(&admission), 1);
 
         admission.release(first.id).unwrap();
         admission.fail_trunk(sw3, sw0).unwrap();
@@ -1539,7 +1364,8 @@ mod tests {
     /// of exactly the channels whose path crosses it.  Scans the whole ledger
     /// (`loaded_links`, `keys_on`) — here, in the test, so product code can
     /// release along one path and still be checked against every link.
-    fn assert_ledger_matches_channels(admission: &MultiHopAdmission, gone: &[ChannelId]) {
+    /// Returns how many links hold anything.
+    fn assert_ledger_matches_channels(admission: &MultiHopAdmission) -> usize {
         let mut expected: BTreeMap<HopLink, Vec<ReservationKey>> = BTreeMap::new();
         for channel in admission.channels() {
             for link in channel.path.iter() {
@@ -1559,461 +1385,56 @@ mod tests {
             })
             .collect();
         assert_eq!(held, expected, "ledger and channel table disagree");
-        for id in gone {
-            let key = ReservationKey::channel(*id);
-            for (link, keys) in &held {
-                assert!(!keys.contains(&key), "{link} still holds released {id}");
-            }
-        }
+        held.len()
     }
 
     // --- the fault path against the code it replaced -----------------------
 
-    /// The fail-over and the re-optimisation this module ran before PR 22,
-    /// kept as the oracles the current ones are compared with: they read no
-    /// ledger book to find a channel and no mark to skip one.
-    impl MultiHopAdmission {
-        /// Fail-over that finds the affected channels by walking every hop
-        /// of every live channel.
-        fn fail_over_by_full_scan(
+    /// The central manager under `fault::tests`' walk.
+    impl Walked for MultiHopAdmission {
+        fn build(topology: &Topology, router: Arc<dyn Router>) -> Self {
+            MultiHopAdmission::with_router(topology.clone(), MultiHopDps::Asymmetric, router)
+        }
+
+        fn ask(
             &mut self,
-            cut: &[(SwitchId, SwitchId)],
-            link: (SwitchId, SwitchId),
-        ) -> FailoverReport {
-            let crosses = |c: &MultiHopChannel| {
-                c.path.iter().any(|l| {
-                    matches!(l, HopLink::Trunk { from: f, to: t }
-                        if cut
-                            .iter()
-                            .any(|&(a, b)| (*f == a && *t == b) || (*f == b && *t == a)))
-                })
-            };
-            let affected: Vec<u16> = self
-                .channels()
-                .filter(|c| crosses(c))
-                .map(|c| c.id.get())
-                .collect();
-            let mut report = FailoverReport {
-                link,
-                rerouted: Vec::new(),
-                dropped: Vec::new(),
-                unaffected: self.channels.len() - affected.len(),
-            };
-            let released: Vec<MultiHopChannel> = affected
-                .into_iter()
-                .map(|raw_id| self.release(ChannelId::new(raw_id)).unwrap())
-                .collect();
-            for old in released {
-                let candidates = self
-                    .router
-                    .routes(&self.topology, old.source, old.destination)
-                    .unwrap_or_default();
-                let readmitted = candidates.into_iter().find_map(|path| {
-                    let deadlines = self.try_admit(&old.spec, &path).ok()?;
-                    Some((path, deadlines))
-                });
-                match readmitted {
-                    Some((path, deadlines)) => {
-                        let placed = self
-                            .commit(
-                                old.id,
-                                old.source,
-                                old.destination,
-                                old.spec,
-                                path,
-                                deadlines,
-                            )
-                            .unwrap();
-                        report.rerouted.push(placed.to_route());
-                        self.rerouted += 1;
-                    }
-                    None => {
-                        report.dropped.push(old.to_route());
-                        self.dropped_on_failure += 1;
-                    }
-                }
-            }
-            report
+            source: NodeId,
+            destination: NodeId,
+            spec: RtChannelSpec,
+        ) -> RtResult<Option<ChannelRoute>> {
+            Ok(self.request(source, destination, spec)?.ok().cloned())
         }
 
-        /// How many live channels carry the last repair's mark.
-        fn seen_on_primary(&self) -> usize {
-            let marked = |id: &&u16| self.on_primary.contains(**id);
-            self.channels.keys().filter(marked).count()
+        fn tear_down(&mut self, id: ChannelId) {
+            self.release(id).unwrap();
         }
 
-        /// Re-optimisation that asks the router about every live channel.
-        fn reoptimize_every_channel(&mut self, link: (SwitchId, SwitchId)) -> FailoverReport {
-            let mut report = FailoverReport {
-                link,
-                rerouted: Vec::new(),
-                dropped: Vec::new(),
-                unaffected: 0,
-            };
-            let ids: Vec<u16> = self.channels.keys().copied().collect();
-            for raw_id in ids {
-                let channel = &self.channels[&raw_id];
-                let primary =
-                    self.router
-                        .route(&self.topology, channel.source, channel.destination);
-                let Some(primary) = primary.ok().filter(|primary| *primary != channel.path) else {
-                    report.unaffected += 1;
-                    continue;
-                };
-                let old = self.release(ChannelId::new(raw_id)).unwrap();
-                match self.try_admit(&old.spec, &primary) {
-                    Ok(deadlines) => {
-                        let moved = self
-                            .commit(
-                                old.id,
-                                old.source,
-                                old.destination,
-                                old.spec,
-                                primary,
-                                deadlines,
-                            )
-                            .unwrap();
-                        report.rerouted.push(moved.to_route());
-                        self.rerouted += 1;
-                    }
-                    Err(_) => {
-                        self.commit(
-                            old.id,
-                            old.source,
-                            old.destination,
-                            old.spec,
-                            old.path,
-                            old.link_deadlines,
-                        )
-                        .unwrap();
-                        report.unaffected += 1;
-                    }
-                }
-            }
-            report
-        }
-    }
-
-    /// One fault notification, as either twin of the walk below takes it.
-    #[derive(Debug, Clone, Copy)]
-    enum Fault {
-        Cut(SwitchId, SwitchId),
-        Repair(SwitchId, SwitchId),
-        Kill(SwitchId),
-    }
-
-    impl Fault {
-        fn apply(self, admission: &mut MultiHopAdmission) -> RtResult<FailoverReport> {
-            match self {
-                Fault::Cut(a, b) => admission.fail_trunk(a, b),
-                Fault::Repair(a, b) => admission.repair_trunk(a, b),
-                Fault::Kill(switch) => admission.fail_switch(switch),
+        fn notify(&mut self, fault: Fault) -> RtResult<FailoverReport> {
+            match fault {
+                Fault::Cut(a, b) => self.fail_trunk(a, b),
+                Fault::Repair(a, b) => self.repair_trunk(a, b),
+                Fault::Kill(switch) => self.fail_switch(switch),
             }
         }
 
-        /// The same notification through the oracles.
-        fn apply_to_oracle(self, oracle: &mut MultiHopAdmission) -> RtResult<FailoverReport> {
-            Ok(match self {
-                Fault::Cut(a, b) => {
-                    oracle.topology.fail_trunk(a, b)?;
-                    oracle.fail_over_by_full_scan(&[(a, b)], (a, b))
-                }
-                Fault::Repair(a, b) => {
-                    oracle.topology.repair_trunk(a, b)?;
-                    oracle.reoptimize_every_channel((a, b))
-                }
-                Fault::Kill(switch) => {
-                    let cut = oracle.topology.fail_switch(switch)?;
-                    oracle.fail_over_by_full_scan(&cut, (switch, switch))
-                }
+        fn degrade(&mut self, fault: Fault) -> RtResult<Vec<(SwitchId, SwitchId)>> {
+            Ok(match fault {
+                Fault::Cut(a, b) => self.topology.fail_trunk(a, b).map(|()| vec![(a, b)])?,
+                Fault::Repair(a, b) => self.topology.repair_trunk(a, b).map(|()| vec![])?,
+                Fault::Kill(switch) => self.topology.fail_switch(switch)?,
             })
         }
-    }
 
-    /// What a seeded walk did, so that the property can say it really went
-    /// where it claims to go.
-    #[derive(Debug, Default)]
-    struct WalkTally {
-        torn_down: usize,
-        moved_by_cuts: usize,
-        moved_by_repairs: usize,
-        dropped: usize,
-        /// Channels a repair left alone on the strength of their mark.
-        skipped: usize,
-        /// Channels a repair examined and had to leave off their primary
-        /// route (it could not admit them, or there is none).
-        kept_on_detour: usize,
-        /// Channels admitted on another candidate than the primary route.
-        admitted_on_fallback: usize,
-        concurrent_cuts: usize,
-        switch_kills: usize,
-    }
-
-    /// Seeds of the fault differential property: the `RT_ADVERSARIAL_SEEDS`
-    /// matrix the CI soaks crank up, or the policy's own default — 8 under
-    /// the shortest-path router, which is what the path-release property
-    /// this one took over always ran, 4 under the other two: sixteen walks,
-    /// about three seconds of a debug build.
-    fn fault_walk_seeds(default: u64) -> u64 {
-        std::env::var("RT_ADVERSARIAL_SEEDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// 400 steps of request / teardown / cut / repair / flap / switch kill on
-    /// `torus(3, 3, 4)`, taken by two controllers: one through
-    /// `fail_trunk` / `fail_switch` / `repair_trunk`, its twin through the
-    /// oracles above.  Up to three trunks are down at once (a killed switch
-    /// takes four), repairs pick any failed trunk — so not in the order of
-    /// the cuts, and onto states no repair has seen — and a flap cuts and
-    /// repairs one trunk twice over, which is where a mark written by one
-    /// repair meets the next.  After every fault the two reports are equal
-    /// field for field, after every step the two channel tables are, and
-    /// both ledgers hold exactly what their channels say.
-    ///
-    /// `tests/distributed_admission.rs` takes the same walk through the
-    /// distributed manager and writes the generator out a second time (it
-    /// cannot see this module): the arms of `match rng.below(40)` below, the
-    /// rng seed and the spec ranges **must be changed in both places
-    /// together**.  Its doc lists what that copy leaves out.
-    fn fault_walk(seed: u64, router: impl Fn() -> Arc<dyn Router>, tally: &mut WalkTally) {
-        let topology = Topology::torus(3, 3, 4);
-        let nodes = topology.node_count() as u64;
-        let trunks: Vec<(SwitchId, SwitchId)> = topology.trunks().collect();
-        let mut rng = rt_types::rng::Xoshiro256::new(0x1ed6_e400 + seed);
-        let build =
-            || MultiHopAdmission::with_router(topology.clone(), MultiHopDps::Asymmetric, router());
-        let (mut admission, mut oracle) = (build(), build());
-        let mut live: Vec<ChannelId> = Vec::new();
-        let mut gone: Vec<ChannelId> = Vec::new();
-
-        for step in 0..400 {
-            let failed: Vec<_> = admission.topology().failed_trunks().collect();
-            let healthy = |rng: &mut rt_types::rng::Xoshiro256| loop {
-                let (a, b) = trunks[rng.below(trunks.len() as u64) as usize];
-                if admission.topology().has_trunk(a, b) {
-                    return (a, b);
-                }
-            };
-            let mut faults: Vec<Fault> = Vec::new();
-            match rng.below(40) {
-                // Tear one down.
-                0..=11 if !live.is_empty() => {
-                    let id = live.swap_remove(rng.below(live.len() as u64) as usize);
-                    admission.release(id).unwrap();
-                    oracle.release(id).unwrap();
-                    gone.push(id);
-                    tally.torn_down += 1;
-                }
-                // Cut a trunk, beside whatever is down already ...
-                12..=14 if failed.len() < 3 => {
-                    let (a, b) = healthy(&mut rng);
-                    tally.concurrent_cuts += usize::from(!failed.is_empty());
-                    faults.push(Fault::Cut(a, b));
-                }
-                // ... splice any failed one back, which re-optimises ...
-                12..=16 if !failed.is_empty() => {
-                    let (a, b) = failed[rng.below(failed.len() as u64) as usize];
-                    faults.push(Fault::Repair(a, b));
-                }
-                // ... flap one trunk twice ...
-                17 => {
-                    let (a, b) = healthy(&mut rng);
-                    let flap = [Fault::Cut(a, b), Fault::Repair(b, a)];
-                    faults.extend(flap.iter().chain(&flap));
-                }
-                // ... or lose a whole switch.
-                18 | 19 if failed.is_empty() => {
-                    faults.push(Fault::Kill(SwitchId::new(rng.below(9) as u32)));
-                    tally.switch_kills += 1;
-                }
-                // Otherwise ask for a new channel, half of them towards the
-                // first switch so that its links fill and fallbacks occur.
-                _ => {
-                    let src = rng.below(nodes) as u32;
-                    let dst = if rng.chance(0.5) {
-                        rng.below(4) as u32
-                    } else {
-                        rng.below(nodes) as u32
-                    };
-                    let spec = RtChannelSpec::new(
-                        Slots::new(rng.range_inclusive(50, 400)),
-                        Slots::new(rng.range_inclusive(1, 6)),
-                        Slots::new(rng.range_inclusive(30, 80)),
-                    )
-                    .unwrap();
-                    if src != dst {
-                        let (src, dst) = (NodeId::new(src), NodeId::new(dst));
-                        // `Err`: a killed switch is still cut off.
-                        let asked = admission.request(src, dst, spec).map(|r| r.cloned());
-                        let twin = oracle.request(src, dst, spec).map(|r| r.cloned());
-                        assert_eq!(asked.is_ok(), twin.is_ok(), "seed {seed} step {step}");
-                        assert_eq!(
-                            asked.as_ref().ok(),
-                            twin.as_ref().ok(),
-                            "seed {seed} step {step}"
-                        );
-                        if let Ok(Ok(channel)) = asked {
-                            let primary = admission.router.route(admission.topology(), src, dst);
-                            tally.admitted_on_fallback +=
-                                usize::from(primary.ok().as_ref() != Some(&channel.path));
-                            // Ids are reused once free: a reused id is live
-                            // again, not gone.
-                            gone.retain(|id| *id != channel.id);
-                            live.push(channel.id);
-                        }
-                    }
-                }
-            }
-            for fault in faults {
-                let what = format!("seed {seed} step {step} {fault:?}");
-                if let Fault::Repair(a, b) = fault {
-                    let mut repaired = admission.topology().clone();
-                    repaired.repair_trunk(a, b).unwrap();
-                    if admission.on_primary.under == Some(repaired.fingerprint()) {
-                        tally.skipped += admission.seen_on_primary();
-                    }
-                }
-                let report = fault.apply(&mut admission).expect(&what);
-                let expected = fault.apply_to_oracle(&mut oracle).expect(&what);
-                assert_eq!(report.link, expected.link, "{what}");
-                assert_eq!(report.rerouted, expected.rerouted, "{what}: rerouted");
-                assert_eq!(report.dropped, expected.dropped, "{what}: dropped");
-                assert_eq!(report.unaffected, expected.unaffected, "{what}: unaffected");
-                for dropped in &report.dropped {
-                    live.retain(|id| *id != dropped.id);
-                    gone.push(dropped.id);
-                }
-                tally.dropped += report.dropped.len();
-                match fault {
-                    Fault::Repair(..) => {
-                        assert!(report.dropped.is_empty(), "{what}");
-                        tally.moved_by_repairs += report.rerouted.len();
-                        // A repair marks every channel it leaves on its
-                        // primary route, so the rest are off theirs.
-                        tally.kept_on_detour +=
-                            admission.channel_count() - admission.seen_on_primary();
-                    }
-                    _ => tally.moved_by_cuts += report.rerouted.len(),
-                }
-                assert_ledger_matches_channels(&admission, &gone);
-                assert_ledger_matches_channels(&oracle, &gone);
-            }
-            assert!(
-                admission.channels().eq(oracle.channels()),
-                "seed {seed} step {step}: the channel tables diverge"
-            );
-            if step % 10 == 0 {
-                assert_ledger_matches_channels(&admission, &gone);
-            }
-        }
-        assert_ledger_matches_channels(&admission, &gone);
-        assert_eq!(admission.channel_count(), live.len());
-        assert_eq!(admission.rerouted_count(), oracle.rerouted_count());
-        assert_eq!(
-            admission.failure_dropped_count(),
-            oracle.failure_dropped_count()
-        );
-        // Everything torn down: the ledger is empty, link by link.
-        for id in live.drain(..) {
-            admission.release(id).unwrap();
-        }
-        assert_eq!(admission.loaded_links().count(), 0, "seed {seed}");
-    }
-
-    /// The differential property of the fault path: what `fail_over` reads
-    /// off the cut trunks' books and what `reoptimize` skips on a mark are
-    /// the decisions of the full scan and of asking about every channel —
-    /// ids, routes and deadline splits in order, `dropped`, `unaffected` —
-    /// under the single-route policy, the k-shortest one (whose fallback
-    /// admissions sit off their primary and must be looked at by every
-    /// repair) and ECMP.  It also is the ledger's path-release property: no
-    /// key of a released, dropped or moved channel stays behind.
-    #[test]
-    fn prop_fault_reports_match_the_full_scan_oracles() {
-        type MakeRouter = fn() -> Arc<dyn Router>;
-        let policies: [(&str, u64, MakeRouter); 3] = [
-            ("shortest-path", 8, || Arc::new(ShortestPathRouter::new())),
-            ("k-shortest", 4, || {
-                Arc::new(rt_types::KShortestRouter::new(3))
-            }),
-            ("ecmp", 4, || Arc::new(rt_types::EcmpRouter::new(0xec3f))),
-        ];
-        for (policy, default_seeds, router) in policies {
-            let seeds = fault_walk_seeds(default_seeds);
-            let mut tally = WalkTally::default();
-            for seed in 0..seeds {
-                fault_walk(seed, router, &mut tally);
-            }
-            // The walks went everywhere they claim to.
-            let per_seed = |count: usize| count as u64 / seeds;
-            assert!(
-                per_seed(tally.torn_down) > 50
-                    && per_seed(tally.moved_by_cuts) > 30
-                    && per_seed(tally.moved_by_repairs) > 30
-                    && per_seed(tally.skipped) > 150
-                    && tally.dropped > 0
-                    && tally.concurrent_cuts > 0
-                    && tally.switch_kills > 0,
-                "{policy}: {tally:?}"
-            );
-            if policy == "k-shortest" {
-                assert!(
-                    tally.admitted_on_fallback > 0 && tally.kept_on_detour > 0,
-                    "{policy}: {tally:?}"
-                );
-            }
+        fn audit(&mut self) -> usize {
+            assert_ledger_matches_channels(self)
         }
     }
 
     // --- the mechanism, as counts ------------------------------------------
 
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-    /// [`ShortestPathRouter`], counting the calls admission makes.
-    #[derive(Debug, Default)]
-    struct CountingRouter {
-        inner: ShortestPathRouter,
-        route_calls: AtomicU64,
-        routes_calls: AtomicU64,
-    }
-
-    impl CountingRouter {
-        /// `(route, routes)` calls since the last look.
-        fn take(&self) -> (u64, u64) {
-            (
-                self.route_calls.swap(0, Relaxed),
-                self.routes_calls.swap(0, Relaxed),
-            )
-        }
-    }
-
-    impl Router for CountingRouter {
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-        fn validate(&self, topology: &Topology) -> RtResult<()> {
-            self.inner.validate(topology)
-        }
-        fn route(&self, t: &Topology, s: NodeId, d: NodeId) -> RtResult<Route> {
-            self.route_calls.fetch_add(1, Relaxed);
-            self.inner.route(t, s, d)
-        }
-        fn next_hop_cache(&self) -> Option<&rt_types::NextHopCache> {
-            self.inner.next_hop_cache()
-        }
-        fn routes(&self, t: &Topology, s: NodeId, d: NodeId) -> RtResult<Vec<Route>> {
-            self.routes_calls.fetch_add(1, Relaxed);
-            self.inner.routes(t, s, d)
-        }
-    }
-
     /// Every live channel with what the ledger holds for it, link by link.
-    fn holdings(
-        admission: &MultiHopAdmission,
-    ) -> BTreeMap<u16, (MultiHopChannel, Vec<PeriodicTask>)> {
-        let held = |channel: &MultiHopChannel| {
+    fn holdings(admission: &MultiHopAdmission) -> BTreeMap<u16, (ChannelRoute, Vec<PeriodicTask>)> {
+        let held = |channel: &ChannelRoute| {
             let key = ReservationKey::channel(channel.id);
             let on = |link: &HopLink| {
                 let at = admission.ledger.keys_on(*link).binary_search(&key).unwrap();
@@ -2086,7 +1507,7 @@ mod tests {
         let report = admission.repair_trunk(a, b).unwrap();
         assert_eq!(router.take(), (300, 0));
         assert_eq!(report.rerouted.len(), on_the_trunk);
-        let back_on = |(id, (was, _)): (&u16, &(MultiHopChannel, Vec<PeriodicTask>))| {
+        let back_on = |(id, (was, _)): (&u16, &(ChannelRoute, Vec<PeriodicTask>))| {
             admission.channels[id].path == was.path
         };
         assert!(
@@ -2149,7 +1570,8 @@ mod tests {
         assert_eq!(m.pending_count(), 1);
         assert_eq!(m.channel_count(), 1);
         // The committed channel crosses all three links.
-        let channel = m.channel(forwarded.rt_channel_id.unwrap()).unwrap();
+        let id = forwarded.rt_channel_id.unwrap();
+        let channel = m.admission().channel(id).unwrap();
         assert_eq!(channel.path.len(), 3);
 
         let actions = m.handle_response(&destination_accepts(&forwarded)).unwrap();
@@ -2220,6 +1642,38 @@ mod tests {
         no_id.rt_channel_id = None;
         assert!(m.handle_response(&no_id).is_err());
         assert!(m.handle_request(&fabric_request(9, 0, 1)).is_err());
+    }
+
+    /// A teardown that arrives while the destination's answer is outstanding
+    /// ends the handshake too: nothing stays pending for a channel that holds
+    /// nothing, and the late answer — either verdict — finds no request.
+    #[test]
+    fn a_teardown_before_the_destination_answers_forgets_the_handshake() {
+        let mut m = FabricChannelManager::new(MultiHopAdmission::new(
+            dumbbell(2, 2),
+            MultiHopDps::Asymmetric,
+        ));
+        for verdict in [ResponseVerdict::Accepted, ResponseVerdict::Rejected] {
+            let actions = m.handle_request(&fabric_request(0, 2, 5)).unwrap();
+            let fwd = match &actions[0] {
+                SwitchAction::ForwardRequest { frame, .. } => *frame,
+                other => panic!("unexpected {other:?}"),
+            };
+            let id = fwd.rt_channel_id.unwrap();
+            let route = m.admission().channel(id).unwrap().path.clone();
+            assert_eq!((route.len(), m.pending_count()), (3, 1));
+
+            m.handle_teardown(id).unwrap();
+            assert_eq!((m.pending_count(), m.channel_count()), (0, 0));
+            assert!(route.iter().all(|link| m.link_load(*link) == 0));
+            let mut late = destination_accepts(&fwd);
+            late.verdict = verdict;
+            let answer = m.handle_response(&late);
+            assert!(
+                matches!(answer, Err(RtError::UnknownRequest(_))),
+                "{answer:?}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod feasibility;
-pub mod fixed_priority;
 pub mod queue;
 pub mod schedule;
 pub mod task;
@@ -35,7 +34,6 @@ pub(crate) mod testgen;
 pub use feasibility::{
     DemandScratch, FeasibilityConfig, FeasibilityOutcome, FeasibilityTester, FeasibilityVerdict,
 };
-pub use fixed_priority::{dm_schedulable, dm_schedulable_with_candidate, DmAnalysis};
 pub use queue::{EdfQueue, FcfsQueue};
 pub use schedule::{simulate_edf_schedule, ScheduleOutcome};
 pub use task::PeriodicTask;

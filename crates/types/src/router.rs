@@ -1,4 +1,4 @@
-//! Path selection over a [`Topology`]: the [`Router`] trait and its three
+//! Path selection over a [`Topology`]: the [`Router`] trait and its four
 //! stock implementations.
 //!
 //! Hoang & Jonsson's analysis treats every *directed link* as an independent
@@ -17,8 +17,11 @@
 //!   hash of `(seed, source, destination)` through the in-repo
 //!   [`Xoshiro256`] PRNG, so different channels spread over redundant
 //!   trunks while a fixed seed always yields the same route.
+//! * [`KShortestRouter`] — the shortest path as the primary route plus up to
+//!   `k − 1` loop-free alternates in ascending cost ([`Router::routes`]), so
+//!   admission and fail-over can fall back to a detour.
 //!
-//! (A fourth policy, the table-free
+//! (A fifth policy, the table-free
 //! [`crate::structural::StructuralRouter`], lives in its own module.)
 //!
 //! All stock routers share a per-topology [`NextHopCache`] keyed by
@@ -425,11 +428,10 @@ pub trait Router: fmt::Debug + Send + Sync {
     /// their exact behaviour.
     ///
     /// The primary is [`Router::route`]'s answer: `routes` fails exactly when
-    /// `route` does, and otherwise `routes(..)[0] == route(..)`.  Both channel
-    /// managers rely on it when a repair asks whether a channel sits on its
-    /// primary route — the central one reads `route`, the distributed one
-    /// the head of its memoised `routes` — and an implementation that
-    /// overrides `routes` must keep it.
+    /// `route` does, and otherwise `routes(..)[0] == route(..)`.  The channel
+    /// managers rely on it: a request and a fail-over try `routes` in order,
+    /// a repair asks `route` whether a channel sits on its primary route.  An
+    /// implementation that overrides `routes` must keep it.
     fn routes(
         &self,
         topology: &Topology,

@@ -11,7 +11,9 @@
 
 use switched_rt_ethernet::core::manager::SwitchAction;
 use switched_rt_ethernet::core::rtlayer::{EstablishmentOutcome, RtLayer, RtLayerConfig};
-use switched_rt_ethernet::core::{DpsKind, FabricChannelManager, MultiHopAdmission, RtChannelSpec};
+use switched_rt_ethernet::core::{
+    ChannelManager, DpsKind, FabricChannelManager, MultiHopAdmission, RtChannelSpec,
+};
 use switched_rt_ethernet::frames::Frame;
 use switched_rt_ethernet::types::{NodeId, SwitchId, Topology};
 

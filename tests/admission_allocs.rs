@@ -59,8 +59,9 @@
 //!
 //! A trunk repair is held to a difference, not to a budget: one that lands
 //! on a fabric state every live channel was already seen on asks for the
-//! same blocks over 50 channels and over 500 (before PR 22 it asked the
-//! router for a route per channel).
+//! same blocks over 50 channels and over 500 — through either manager, whose
+//! repair is one piece of code (before PR 22 the central manager asked the
+//! router for a route per channel, and the distributed one until PR 24).
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -281,9 +282,30 @@ fn pump(
     from: u32,
     frame: Frame,
 ) -> (Option<Option<ChannelId>>, Vec<Hop>) {
-    let access = |node: NodeId| topology.switch_of(node).expect("an attached node");
     let from = NodeId::new(from);
-    let mut queue = VecDeque::from([(access(from), from, frame)]);
+    let access = topology.switch_of(from).expect("an attached node");
+    deliver_all(manager, topology, VecDeque::from([(access, from, frame)]))
+}
+
+/// Deliver the link-state flood the last fault notification queued, to
+/// convergence.
+fn flood(manager: &mut DistributedChannelManager, topology: &Topology) {
+    let announced = manager.drain_control().into_iter().map(|(_, action)| {
+        let SwitchAction::SendControl { to, frame } = action else {
+            panic!("a fault notification queues control frames only: {action:?}")
+        };
+        (to, NodeId::SWITCH, Frame::Reservation(frame))
+    });
+    deliver_all(manager, topology, announced.collect());
+}
+
+/// [`pump`]'s loop, over whatever is queued to begin with.
+fn deliver_all(
+    manager: &mut DistributedChannelManager,
+    topology: &Topology,
+    mut queue: VecDeque<(SwitchId, NodeId, Frame)>,
+) -> (Option<Option<ChannelId>>, Vec<Hop>) {
+    let access = |node: NodeId| topology.switch_of(node).expect("an attached node");
     let (mut verdict, mut hops) = (None, Vec::with_capacity(16));
     while let Some((at, from, frame)) = queue.pop_front() {
         let op = match &frame {
@@ -512,4 +534,51 @@ fn a_repair_that_moves_nothing_allocates_the_same_whatever_the_fabric_holds() {
     let few = second_repair(50);
     assert_eq!(few, second_repair(500));
     assert!(few <= 2, "{few} allocations to put one trunk back");
+}
+
+/// The same through the distributed manager, whose repair is the same code:
+/// what the second repair of a trunk off every route asks for — the two
+/// adjacent switches' link-state announcements, and nothing per channel — is
+/// the same over 50 channels and over 500.  (Its own repair, before it was
+/// handed the fault engine, listed every live id, asked for the memoised
+/// candidates of each and copied the primary route out of them.)
+#[test]
+fn a_distributed_repair_that_moves_nothing_allocates_the_same_whatever_the_fabric_holds() {
+    let topology = Topology::fat_tree(4).expect("radix 4 is a valid fat tree");
+    let tiny = RtChannelSpec::new(Slots::new(100_000), Slots::new(1), Slots::new(60_000)).unwrap();
+    let second_repair = |held: usize| -> u64 {
+        let mut manager = distributed(&topology);
+        for round in 0..held {
+            let ask = request(1, 14, tiny, round as u8);
+            let (verdict, _) = pump(&mut manager, &topology, 1, ask);
+            verdict.flatten().expect("five hundred tiny channels fit");
+        }
+        let first = manager.channel_ids()[0];
+        let route = manager.channel_route(first).unwrap().path;
+        let crosses = |a: SwitchId, b: SwitchId| {
+            let on = |from, to| route.contains(&HopLink::Trunk { from, to });
+            on(a, b) || on(b, a)
+        };
+        let (a, b) = topology
+            .trunks()
+            .find(|&(a, b)| !crosses(a, b))
+            .expect("a six-link route leaves most of the fat tree alone");
+        let mut allocated = 0;
+        for flap in 0..2 {
+            let cut = manager.handle_link_failure(a, b).unwrap();
+            assert_eq!((cut.affected(), cut.unaffected), (0, held), "flap {flap}");
+            flood(&mut manager, &topology);
+            let before = allocations();
+            let repair = manager.handle_link_repair(a, b).unwrap();
+            allocated = allocations() - before;
+            assert_eq!(
+                (repair.affected(), repair.unaffected),
+                (0, held),
+                "flap {flap}"
+            );
+            flood(&mut manager, &topology);
+        }
+        allocated
+    };
+    assert_eq!(second_repair(50), second_repair(500));
 }

@@ -973,13 +973,14 @@ fn fault_walk_seeds() -> u64 {
 /// — 400 steps of request / teardown / cut / repair / flap / switch kill on
 /// `torus(3, 3, 4)`, up to three trunks down at once, repairs in any order —
 /// taken by a central and a distributed manager side by side.  That property
-/// holds the central reports to the full-scan oracles; this one holds the
-/// distributed manager's reports to the central ones: ids paired in
-/// admission order, then the same channels re-routed onto the same routes
-/// with the same deadline splits, the same ones dropped, the same count left
-/// alone.  The distributed repair asks the router about every channel and
-/// the central one skips those it has seen, so this is also a second witness
-/// that skipping decides what asking decides.
+/// holds the one fault engine to its full-scan oracles, on each manager by
+/// itself; this one holds the two managers' reports to each other: ids
+/// paired in admission order, then the same channels re-routed onto the same
+/// routes with the same deadline splits, the same ones dropped, the same
+/// count left alone.  Both repairs are the engine's, so what this compares is
+/// what the managers answer it with — whose book a link's reservations are
+/// in, under which key, released how — through the public interface and the
+/// wire protocol.
 ///
 /// The generator is written out twice because the two tests sit on either
 /// side of the crate boundary and sharing it would take a `pub` item.  The
