@@ -53,7 +53,7 @@
 //!   disagreements abort into ReserveFailed instead of reserving on the
 //!   wrong links.
 //! * **Reservation leases.**  Every tentative reservation carries an
-//!   expiry deadline in its site's [`SlackLedger`]; sites sweep expired
+//!   expiry deadline in its key's record at the site; sites sweep expired
 //!   leases whenever a frame reaches them (and on explicit clock ticks),
 //!   so a handshake stranded by a cut or a killed coordinator has its
 //!   partial reservations *expire* instead of leaking slack forever.  The
@@ -100,15 +100,21 @@
 //! allocation that already holds "its state plus this event" if a live one
 //! does, onto a fresh copy otherwise, so sites that agree share memory (and
 //! the memoised fingerprint) while a site that has not heard yet keeps
-//! reading the old state.  Each site keeps a `DueFloor` under its
-//! coordinations and relay entries and its ledger one under its leases, so
-//! the sweep in front of every frame looks at nothing until something can be
-//! due.  A handler reads its position, its neighbours and its one or two
-//! owned links straight off the memoised candidate route; what a hop still
-//! allocates is the `values` list of the frame it forwards and the emission
-//! list of its outcome, both part of the public frame and trait types.
+//! reading the old state.  Each site keeps one `DueFloor` under its leases,
+//! coordinations and relay entries, so the sweep in front of every frame
+//! looks at nothing until something can be due.  A hop
+//! finds its candidate route with one hashed probe of the memo all sites
+//! share (keyed by view fingerprint and node pair), and what its key holds
+//! at the site with another: the key's record — its one or two links and its
+//! lease — beside the site's [`SlackLedger`] books, so a release touches two
+//! books at most, not every book the site ever filled.  A handler reads its
+//! position, neighbours and owned links straight off the memoised route;
+//! what a hop still allocates is the `values` list of the frame it forwards
+//! and the emission list of its outcome, both part of the public frame and
+//! trait types.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -125,7 +131,7 @@ use rt_types::{
 
 use crate::channel::RtChannelSpec;
 use crate::fault::{self, ChannelStore, FaultLog};
-use crate::ledger::{DueFloor, ReservationKey, SlackLedger};
+use crate::ledger::{FoldState, ReservationKey, SlackLedger};
 use crate::manager::{
     ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel, SwitchAction,
 };
@@ -169,13 +175,49 @@ struct DestPending {
     expires: SimTime,
 }
 
+/// A lower bound on the earliest deadline a collection holds, so that its
+/// sweep can return without looking while nothing can be due: every deadline
+/// written lowers it, removals leave it, a real scan resets it to what is
+/// left.  `None`: nothing has been held since that scan.
+#[derive(Debug, Default, Clone, Copy)]
+struct DueFloor(Option<SimTime>);
+
+impl DueFloor {
+    /// A deadline `at` was written into the collection.
+    fn lower(&mut self, at: SimTime) {
+        self.0 = Some(self.0.map_or(at, |floor| floor.min(at)));
+    }
+
+    /// `true` while nothing held can be due at `now`.
+    fn is_above(&self, now: SimTime) -> bool {
+        self.0.is_none_or(|floor| now < floor)
+    }
+}
+
+/// What one key holds at one site: at most two links — the uplink and first
+/// trunk at position 0 of its route, a same-switch route's two access links,
+/// one link elsewhere; every step that reserves under a key first drops what
+/// the key held here, so a record is replaced, never merged — and, while the
+/// reservation is tentative, its lease.
+#[derive(Debug, Default)]
+struct Held {
+    links: [Option<HopLink>; 2],
+    lease: Option<SimTime>,
+}
+
 /// One switch's control-plane state.
 #[derive(Debug)]
 struct Site {
     /// The switch this state belongs to.
     switch: SwitchId,
-    /// The slack ledger of the links this switch owns.
+    /// The slack ledger of the links this switch owns, written only by
+    /// `reserve` / `release_key`, which keep `held` in step with it.
     ledger: SlackLedger,
+    /// The record of every key that holds a link here.
+    held: HashMap<ReservationKey, Held, FoldState>,
+    /// Records looked at by sweeps, books by key releases (for the tests).
+    #[cfg(test)]
+    examined: (u64, u64),
     /// Admissions this switch coordinates, by token.
     coordinations: BTreeMap<u16, Coordination>,
     /// Destination-side pending relays, by raw channel id — the one
@@ -197,8 +239,7 @@ struct Site {
     ls_seen: BTreeMap<(u32, u32), u64>,
     /// Next channel-id candidate inside this switch's id block.
     next_local_id: u16,
-    /// No coordination and no relay entry here expires below this (the
-    /// ledger keeps the same bound under its leases).
+    /// No lease, coordination or relay entry here falls due below this.
     due: DueFloor,
 }
 
@@ -207,6 +248,9 @@ impl Site {
         Site {
             switch,
             ledger: SlackLedger::new(),
+            held: HashMap::default(),
+            #[cfg(test)]
+            examined: (0, 0),
             coordinations: BTreeMap::new(),
             expecting: BTreeMap::new(),
             view,
@@ -214,6 +258,116 @@ impl Site {
             next_local_id: block_start,
             due: DueFloor::default(),
         }
+    }
+
+    /// Reserve `task` on `link` under `key`, in the books and the record.
+    fn reserve(&mut self, link: HopLink, key: ReservationKey, task: PeriodicTask) {
+        let links = &mut self.held.entry(key).or_default().links;
+        if !links.contains(&Some(link)) {
+            let free = links.iter_mut().find(|slot| slot.is_none());
+            *free.expect("a key holds at most two links at a site") = Some(link);
+        }
+        self.ledger.reserve(link, key, task);
+    }
+
+    /// Release everything `key` holds here — the links its record names, not
+    /// a walk over the books — and its lease; returns the links freed.
+    fn release_key(&mut self, key: ReservationKey) -> usize {
+        let links = self.held.remove(&key).map_or([None; 2], |held| held.links);
+        #[cfg(test)]
+        {
+            self.examined.1 += links.iter().flatten().count() as u64;
+        }
+        let freed = links.into_iter().flatten();
+        freed
+            .map(|link| usize::from(self.ledger.release(link, key)))
+            .sum()
+    }
+
+    /// Put (or move) the lease of `key`, which holds links here: they are
+    /// reclaimed by the first sweep at or past `expires` unless the lease is
+    /// cleared (commit) or the key released (rollback) first.
+    fn lease(&mut self, key: ReservationKey, expires: SimTime) {
+        if let Some(held) = self.held.get_mut(&key) {
+            held.lease = Some(expires);
+            self.due.lower(expires);
+        }
+    }
+
+    /// Clear `key`'s lease (commit); `false` if none was held — it expired,
+    /// and the slack must not be resurrected.
+    fn clear_lease(&mut self, key: ReservationKey) -> bool {
+        self.held
+            .get_mut(&key)
+            .and_then(|held| held.lease.take())
+            .is_some()
+    }
+
+    /// The deadline of `key`'s lease here, if it holds one.
+    fn lease_of(&self, key: ReservationKey) -> Option<SimTime> {
+        self.held.get(&key)?.lease
+    }
+
+    /// The earliest lease deadline held here, if any.
+    fn next_expiry(&self) -> Option<SimTime> {
+        self.held.values().filter_map(|held| held.lease).min()
+    }
+
+    /// Sweep what is due here at `now` (at or before it): a key whose lease
+    /// ran out is reclaimed and returned (ascending) — unless it is a
+    /// committed channel's (`path_of` names the path), which keeps its links
+    /// on the path, permanent since the commit, and loses the lease and any
+    /// link off the path, an earlier candidate's leftover no teardown will
+    /// visit; stale relay entries go; stalled coordinations are returned for
+    /// the manager to abort.  Below the floor this looks at nothing.
+    fn sweep<'r>(
+        &mut self,
+        now: SimTime,
+        path_of: impl Fn(ReservationKey) -> Option<&'r Route>,
+    ) -> (Vec<ReservationKey>, Vec<u16>) {
+        if self.due.is_above(now) {
+            return (Vec::new(), Vec::new());
+        }
+        #[cfg(test)]
+        {
+            self.examined.0 += self.held.len() as u64;
+        }
+        self.expecting.retain(|_, p| p.expires > now);
+        let leases = self.held.values().filter_map(|held| held.lease);
+        let coordinations = self.coordinations.values().map(|c| c.expires);
+        let relays = self.expecting.values().map(|p| p.expires);
+        self.due = DueFloor::default();
+        for expires in leases.chain(coordinations).chain(relays) {
+            if expires > now {
+                self.due.lower(expires);
+            }
+        }
+        let stalled = self.coordinations.iter().filter(|(_, c)| c.expires <= now);
+        let stalled = stalled.map(|(&token, _)| token).collect();
+        let expired = self
+            .held
+            .iter()
+            .filter(|(_, h)| h.lease.is_some_and(|t| t <= now));
+        let mut expired: Vec<_> = expired.map(|(&key, _)| key).collect();
+        expired.retain(|&key| {
+            let Some(path) = path_of(key) else {
+                self.release_key(key);
+                return true;
+            };
+            let held = self.held.get_mut(&key).expect("a due key has a record");
+            held.lease = None;
+            for slot in &mut held.links {
+                if let Some(link) = slot.take_if(|link| !path.contains(link)) {
+                    self.ledger.release(link, key);
+                }
+            }
+            if held.links == [None; 2] {
+                self.held.remove(&key);
+            }
+            false
+        });
+        expired.sort_unstable();
+        (expired, stalled)
     }
 }
 
@@ -232,9 +386,8 @@ impl DistChannel {
     }
 }
 
-/// Memoised candidate lists, keyed by `(topology fingerprint, source,
-/// destination)`.
-type RouteCache = BTreeMap<(u64, u32, u32), Arc<[Route]>>;
+/// Memoised candidate lists by `(view fingerprint, source, destination)`.
+type RouteCache = HashMap<(u64, u32, u32), Arc<[Route]>, FoldState>;
 
 /// The distributed channel manager: one `Site` per switch behind the one
 /// [`ChannelManager`] seam, driven through
@@ -247,12 +400,10 @@ pub struct DistributedChannelManager {
     /// a switch id to its slot.
     sites: Vec<Site>,
     site_index: IdIndex,
-    /// Memo of the router's candidate lists, keyed by `(topology
-    /// fingerprint, source, destination)`: reservation frames carry only
-    /// the candidate *index* and every hop re-derives the route, so without
-    /// this a k-shortest enumeration would rerun per control-frame hop.
+    /// The router's candidate lists, for every site: reservation frames
+    /// carry only the candidate *index* and every hop re-derives the route.
     /// The fingerprint key makes entries self-invalidating across topology
-    /// changes.  Lists are shared, not copied, per look-up.
+    /// changes, and lists are shared, not copied, per look-up.
     route_cache: RouteCache,
     /// Committed channels, by raw id.  Written only through
     /// [`DistributedChannelManager::register`] /
@@ -322,7 +473,7 @@ impl DistributedChannelManager {
             dps,
             sites,
             site_index,
-            route_cache: BTreeMap::new(),
+            route_cache: HashMap::default(),
             registry: BTreeMap::new(),
             committed: BTreeMap::new(),
             next_token: 1,
@@ -441,7 +592,8 @@ impl DistributedChannelManager {
     /// `i`: to the switch before it, or straight to the coordinator (hop 0)
     /// when this site's view knows no such candidate or does not put the
     /// site at `i` — a view disagreement mid-walk; what the shortcut skips
-    /// is bounded by leases and spared by the sweep's registry check.
+    /// is bounded by leases: the sweep reclaims it, and of a key that
+    /// committed meanwhile it keeps only the links on the channel's path.
     fn step_back(
         site: &Site,
         route: Option<&Route>,
@@ -470,15 +622,13 @@ impl DistributedChannelManager {
     }
 
     /// The router's candidate list for one node pair as seen from site
-    /// `s`'s *own view*, memoised per view fingerprint (every
-    /// reservation-frame hop re-derives its route from `(source,
-    /// destination, candidate)`, and a k-shortest enumeration is far too
-    /// expensive to rerun per hop): the key's fingerprint is the view's
-    /// memoised one, so a hit costs one map probe and one reference-count
-    /// bump.  Two sites whose views disagree during a link-state convergence
-    /// window can derive different lists for the same pair — the per-hop
-    /// geometry checks turn that disagreement into a graceful abort, never a
-    /// reservation on the wrong links.
+    /// `s`'s *own view*, memoised per view fingerprint (the view's memoised
+    /// one), so a hit costs one hashed probe and one reference-count bump,
+    /// and sites sharing a view share the answer.  Two sites whose views
+    /// disagree during a link-state convergence window can derive different
+    /// lists for the same pair — the per-hop geometry checks turn that
+    /// disagreement into a graceful abort, never a reservation on the wrong
+    /// links.
     fn candidate_routes_at(
         &mut self,
         s: usize,
@@ -537,7 +687,7 @@ impl DistributedChannelManager {
             let owner = self.owner_slot(*link);
             if owner != released_at {
                 if let Some(s) = owner {
-                    self.sites[s].ledger.release_key(key);
+                    self.sites[s].release_key(key);
                 }
                 released_at = owner;
             }
@@ -809,15 +959,16 @@ impl DistributedChannelManager {
     ) -> Result<(), ()> {
         let site = &mut self.sites[c];
         let spec = site.coordinations[&token].spec;
+        let key = ReservationKey::token(site.switch, token);
+        // What an earlier candidate left here under the key is replaced.
+        site.release_key(key);
         let ledger = &site.ledger;
         let deadlines =
             admit_along(self.dps.into(), &spec, route, |link| ledger.link(link)).map_err(|_| ())?;
-        let key = ReservationKey::token(site.switch, token);
-        let ledger = &mut site.ledger;
         reserve_along(&spec, route, &deadlines, |link, task| {
-            ledger.reserve(link, key, task)
+            site.reserve(link, key, task)
         });
-        ledger.lease(key, now.saturating_add(self.lease_duration));
+        site.lease(key, now.saturating_add(self.lease_duration));
         let coord = site
             .coordinations
             .get_mut(&token)
@@ -897,7 +1048,7 @@ impl DistributedChannelManager {
     ) -> RtResult<ControlOutcome> {
         match frame.op {
             ReservationOp::Probe => self.on_probe(s, frame, now),
-            ReservationOp::Reserve => self.on_reserve(s, frame, now),
+            ReservationOp::Reserve => self.on_reserve(s, Cow::Borrowed(frame), now),
             ReservationOp::Rollback => self.on_rollback(s, frame, now),
             ReservationOp::ReserveFailed => self.on_reserve_failed(s, frame, now),
             ReservationOp::Confirm => self.on_confirm(s, frame, now),
@@ -921,8 +1072,7 @@ impl DistributedChannelManager {
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         let site = &mut self.sites[s];
-        let key = ReservationKey::token(frame.coordinator, frame.token);
-        site.ledger.release_key(key);
+        site.release_key(ReservationKey::token(frame.coordinator, frame.token));
         if site.switch == frame.coordinator {
             // No coordination left: it already timed out, and the sweep
             // answered the requester.
@@ -1005,22 +1155,24 @@ impl DistributedChannelManager {
             deadlines.iter().map(|d| d.get()).collect(),
         );
         // Process our own (last-hop) reserve step inline — same switch, no
-        // wire hop — then the frame travels backward.
-        self.on_reserve(s, &reserve, now)
+        // wire hop — then the frame, handed over whole, travels backward.
+        self.on_reserve(s, Cow::Owned(reserve), now)
     }
 
     /// Reserve: feasibility-test and reserve our owned links; forward
     /// backward, or complete at the coordinator.  On failure, roll back the
     /// switches that already reserved (they sit *behind* us on the backward
-    /// pass) and have the destination switch notify the coordinator.
+    /// pass) and have the destination switch notify the coordinator.  The
+    /// frame is borrowed when it came off the wire and owned when the last
+    /// Probe hop built it, which then forwards it without a copy.
     fn on_reserve(
         &mut self,
         s: usize,
-        frame: &ReservationFrame,
+        frame: Cow<'_, ReservationFrame>,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let Some(candidates) = self.candidates_at(s, frame) else {
-            return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
+        let Some(candidates) = self.candidates_at(s, &frame) else {
+            return self.abort_handshake(s, &frame, ReservationReason::Infeasible, now);
         };
         let route = &candidates[usize::from(frame.candidate)];
         let expires = now.saturating_add(self.lease_duration);
@@ -1030,47 +1182,40 @@ impl DistributedChannelManager {
             // Our view derives a different geometry for this candidate
             // than the probe pass did — abort rather than reserve on links
             // the deadlines were not partitioned for.
-            return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
+            return self.abort_handshake(s, &frame, ReservationReason::Infeasible, now);
         }
         let spec = RtChannelSpec::new(frame.period, frame.capacity, frame.deadline)?;
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        // The owned links below `held` are reserved; the step is feasible
-        // when that is all of them.
-        let owned = Self::owned_link_indices(i);
-        let mut held = owned.start;
-        for idx in owned.clone() {
+        // Whatever the key still holds here is an earlier candidate's, left
+        // by a Rollback that a view disagreement cut short: this step
+        // replaces it.  The step is feasible when every owned link takes it.
+        site.release_key(key);
+        let feasible = Self::owned_link_indices(i).all(|idx| {
             let link = route[idx];
             // A dead owned trunk fails the candidate like any infeasible
             // link — this is the stale-coordinator path: we always know
             // about our own trunks before the flood converges.
-            if matches!(link, HopLink::Trunk { from, to } if !site.view.has_trunk(from, to)) {
-                break;
-            }
-            let deadline = Slots::new(frame.values[idx]);
-            let Ok(task) = PeriodicTask::new(spec.period, spec.capacity, deadline) else {
-                break;
+            let live =
+                !matches!(link, HopLink::Trunk { from, to } if !site.view.has_trunk(from, to));
+            let task = PeriodicTask::new(spec.period, spec.capacity, Slots::new(frame.values[idx]));
+            let fits = |t: &_| live && site.ledger.feasible_with(link, t).is_feasible();
+            let Some(task) = task.ok().filter(fits) else {
+                return false;
             };
-            if !site.ledger.feasible_with(link, &task).is_feasible() {
-                break;
-            }
-            site.ledger.reserve(link, key, task);
-            held = idx + 1;
-        }
-        if held == owned.end {
+            site.reserve(link, key, task);
+            true
+        });
+        if feasible {
             // Lease the tentative reservation: if the handshake strands
             // here (cut trunk, killed coordinator), the slack comes back
             // at expiry instead of leaking forever.
-            site.ledger.lease(key, expires);
+            site.lease(key, expires);
             if i > 0 {
-                let backward = Self::follow_up(
-                    frame,
-                    ReservationOp::Reserve,
-                    ReservationReason::None,
-                    frame.hop - 1,
-                    frame.values.clone(),
-                );
                 let before = Self::switch_at(&site.view, route, i - 1)
                     .expect("a position past the first has a predecessor");
+                let mut backward = frame.into_owned();
+                backward.reason = ReservationReason::None;
+                backward.hop -= 1;
                 return Ok(Self::send(at, before, backward));
             }
             // hop 0: the coordinator itself just reserved — the route is
@@ -1079,21 +1224,20 @@ impl DistributedChannelManager {
                 // The coordination timed out while the backward pass was in
                 // flight; the requester was already answered.  Drop our own
                 // step again — everything behind us is lease-bounded.
-                site.ledger.release_key(key);
+                site.release_key(key);
                 return Ok(ControlOutcome::empty());
             };
             coord.deadlines = Some(frame.values.iter().map(|&v| Slots::new(v)).collect());
             return self.complete_reservation(s, frame.token, now);
         }
-        // Infeasible here: undo our partial step, sweep the switches that
-        // already reserved (i+1 ..= last) with a Rollback; the destination
-        // switch then answers ReserveFailed to the coordinator.
-        for idx in owned.start..held {
-            site.ledger.release(route[idx], key);
-        }
+        // Infeasible here: undo our partial step (all the key holds here),
+        // sweep the switches that already reserved (i+1 ..= last) with a
+        // Rollback; the destination switch then answers ReserveFailed to the
+        // coordinator.
+        site.release_key(key);
         if let Some(behind) = Self::switch_at(&site.view, route, i + 1) {
             let rollback = Self::follow_up(
-                frame,
+                &frame,
                 ReservationOp::Rollback,
                 ReservationReason::Infeasible,
                 frame.hop + 1,
@@ -1105,7 +1249,7 @@ impl DistributedChannelManager {
         // failed on its very first step; no relay state exists yet — it is
         // only registered at commit time), or the degenerate single-switch
         // coordinator: notify / advance directly.
-        self.abort_handshake(s, frame, ReservationReason::Infeasible, now)
+        self.abort_handshake(s, &frame, ReservationReason::Infeasible, now)
     }
 
     /// Rollback: release whatever this reservation holds here, then keep
@@ -1120,7 +1264,7 @@ impl DistributedChannelManager {
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        self.sites[s].ledger.release_key(key);
+        self.sites[s].release_key(key);
         let candidates = self.candidates_at(s, frame);
         let route = candidates
             .as_deref()
@@ -1212,8 +1356,7 @@ impl DistributedChannelManager {
             let Some(coord) = site.coordinations.remove(&frame.token) else {
                 return Ok(ControlOutcome::empty());
             };
-            site.ledger
-                .release_key(ReservationKey::token(at, frame.token));
+            site.release_key(ReservationKey::token(at, frame.token));
             let rejection = self.rejection(&coord, coord.channel);
             return Ok(Self::emit(at, rejection));
         }
@@ -1243,7 +1386,7 @@ impl DistributedChannelManager {
             return self.commit_confirmed(s, frame.token);
         }
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        if site.ledger.lease_of(key).is_none() {
+        if site.lease_of(key).is_none() {
             // Our lease expired before the Confirm arrived: the slack is
             // already reclaimed — never resurrect it.
             let failed = Self::follow_up(
@@ -1255,7 +1398,7 @@ impl DistributedChannelManager {
             );
             return Ok(Self::send(at, frame.coordinator, failed));
         }
-        site.ledger.lease(key, expires);
+        site.lease(key, expires);
         let candidates = self.candidates_at(s, frame);
         let route = candidates
             .as_deref()
@@ -1285,10 +1428,10 @@ impl DistributedChannelManager {
             return Ok(ControlOutcome::empty());
         };
         let key = ReservationKey::token(coordinator, token);
-        if !site.ledger.clear_lease(key) {
+        if !site.clear_lease(key) {
             // Our own lease expired before the Confirm arrived: the slack
             // is reclaimed; reject rather than resurrect.
-            site.ledger.release_key(key);
+            site.release_key(key);
             let rejection = self.rejection(&coord, coord.channel);
             return Ok(Self::emit(coordinator, rejection));
         }
@@ -1366,7 +1509,7 @@ impl DistributedChannelManager {
             if at == pending.coordinator {
                 return self.commit_confirmed(s, pending.token);
             }
-            if site.ledger.lease_of(key).is_none() {
+            if site.lease_of(key).is_none() {
                 // Our own lease expired while the destination deliberated:
                 // the slack is reclaimed — tear the admission down.
                 notice.op = ReservationOp::ReserveFailed;
@@ -1375,11 +1518,11 @@ impl DistributedChannelManager {
             }
             // Renew (attest) our lease and start the backward Confirm walk
             // at our predecessor on the route.
-            site.ledger.lease(key, expires);
+            site.lease(key, expires);
         } else {
             // Destination refused: release the whole route, ending at the
             // coordinator which answers the source.
-            site.ledger.release_key(key);
+            site.release_key(key);
             if at == pending.coordinator {
                 return self.finish_destination_reject(s, pending.token);
             }
@@ -1408,7 +1551,7 @@ impl DistributedChannelManager {
             .unregister(channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
         let site = &mut self.sites[s];
-        site.ledger.release_key(dist.key());
+        site.release_key(dist.key());
         let mut emissions = Vec::new();
         let channel = &dist.route;
         if channel.path.len() > 2 {
@@ -1447,8 +1590,7 @@ impl DistributedChannelManager {
     /// carried in the frame.
     fn on_release(&mut self, s: usize, frame: &ReservationFrame) -> RtResult<ControlOutcome> {
         let site = &mut self.sites[s];
-        let key = ReservationKey::token(frame.coordinator, frame.token);
-        site.ledger.release_key(key);
+        site.release_key(ReservationKey::token(frame.coordinator, frame.token));
         let Some(&next) = frame.values.get(usize::from(frame.hop) + 1) else {
             return Ok(ControlOutcome::empty());
         };
@@ -1610,51 +1752,24 @@ impl DistributedChannelManager {
 
     // --- time-driven reclamation ------------------------------------------
 
-    /// Sweep one site's clock-driven state at `now`: expired reservation
-    /// leases (sparing committed channels — their slack is permanent, only
-    /// the leftover lease is dropped), timed-out coordinations (the
-    /// requester gets a rejection and the candidate route a release
-    /// sweep), and stale destination-side relay entries.  This runs in
-    /// front of every frame, so it looks only when something can be due:
-    /// the ledger's floor guards the leases, the site's the other two.
+    /// Sweep one site's clock-driven state at `now` (`Site::sweep`): expired
+    /// leases are reclaimed, sparing what committed channels hold on their
+    /// paths; a timed-out coordination — a lost frame or a partition stalled
+    /// the handshake — is aborted, the requester answered and the candidate
+    /// route swept.  This runs in front of every frame, so it looks only
+    /// when something can be due.
     fn sweep_site(&mut self, s: usize, now: SimTime) -> Vec<(SwitchId, SwitchAction)> {
-        // Committed channels hold their slack permanently: a lease whose
-        // clear never reached this site is dropped without reclaiming
-        // anything — one of the two documented places the manager-global
-        // registry is consulted, and only for this site's own expired
-        // leases, of which there are usually none.
-        let committed = &self.committed;
-        let site = &mut self.sites[s];
-        let reclaimed = site
-            .ledger
-            .sweep_expired(now, |key| committed.contains_key(&key));
+        // One of the two documented places the manager-global registry is
+        // consulted, and only for this site's own expired leases, of which
+        // there are usually none.
+        let (committed, registry) = (&self.committed, &self.registry);
+        let path_of = |key| committed.get(&key).map(|id| &registry[id].route.path);
+        let (reclaimed, stalled) = self.sites[s].sweep(now, path_of);
         self.lease_expired += reclaimed.len() as u64;
-        if site.due.is_above(now) {
-            return Vec::new();
-        }
-        // Timed-out coordinations: a lost frame or a partition stalled the
-        // handshake past its deadline — abort, answer the requester, sweep
-        // the candidate route.
-        let stalled: Vec<u16> = site
-            .coordinations
-            .iter()
-            .filter(|(_, c)| c.expires <= now)
-            .map(|(&t, _)| t)
-            .collect();
-        let mut emissions = Vec::new();
-        for token in stalled {
-            emissions.extend(self.abort_coordination(s, token));
-        }
-        // Stale relay entries: the destination node never answered (its
-        // request or its response was lost to a fault).
-        let site = &mut self.sites[s];
-        site.expecting.retain(|_, p| p.expires > now);
-        site.due = DueFloor::default();
-        let coordinations = site.coordinations.values().map(|c| c.expires);
-        for expires in coordinations.chain(site.expecting.values().map(|p| p.expires)) {
-            site.due.lower(expires);
-        }
-        emissions
+        let aborted = stalled
+            .into_iter()
+            .map(|token| self.abort_coordination(s, token));
+        aborted.flatten().collect()
     }
 
     /// Abort a timed-out coordination at its coordinator: release whatever
@@ -1667,8 +1782,7 @@ impl DistributedChannelManager {
         let Some(coord) = site.coordinations.remove(&token) else {
             return Vec::new();
         };
-        site.ledger
-            .release_key(ReservationKey::token(coordinator, token));
+        site.release_key(ReservationKey::token(coordinator, token));
         let mut emissions = Vec::new();
         if let Some(route) = coord.candidates.get(coord.candidate) {
             if route.len() > 2 {
@@ -1749,6 +1863,9 @@ impl ChannelStore for DistributedChannelManager {
     fn put(&mut self, route: ChannelRoute, (coordinator, token): (SwitchId, u16)) -> &ChannelRoute {
         let id = route.id.get();
         let key = ReservationKey::token(coordinator, token);
+        // What the key still holds at these sites — a leftover of an earlier
+        // candidate — is replaced, not merged.
+        self.release_along(&route.path, key);
         reserve_along(
             &route.spec,
             &route.path,
@@ -1756,7 +1873,7 @@ impl ChannelStore for DistributedChannelManager {
             |link, task| {
                 let owner = self.owner_slot(link);
                 let owner = owner.expect("admitted, or reserved before, at its links' owners");
-                self.sites[owner].ledger.reserve(link, key, task);
+                self.sites[owner].reserve(link, key, task);
             },
         );
         self.register(DistChannel {
@@ -1885,8 +2002,7 @@ impl ChannelManager for DistributedChannelManager {
         let of_site = |site: &Site| {
             let coordinations = site.coordinations.values().map(|c| c.expires);
             let relays = site.expecting.values().map(|p| p.expires);
-            site.ledger
-                .next_expiry()
+            site.next_expiry()
                 .into_iter()
                 .chain(coordinations)
                 .chain(relays)
@@ -1934,20 +2050,36 @@ impl ChannelManager for DistributedChannelManager {
                     "site {s} still expects a destination verdict for channel {id}"
                 )));
             }
-            if let Some(t) = site.ledger.next_expiry() {
+            if let Some(t) = site.next_expiry() {
                 return Err(RtError::ProtocolViolation(format!(
                     "site {s} still holds a lease expiring at {t}"
                 )));
             }
-            for (link, _) in site.ledger.loaded_links() {
+            // Every key in a book is a committed channel's and has a record
+            // naming the link, and the records name nothing else.
+            let recorded = |key, link| site.held.get(&key).is_some_and(|h| h.links.contains(&link));
+            let mut booked = 0;
+            for (link, load) in site.ledger.loaded_links() {
+                booked += load;
                 for key in site.ledger.keys_on(link) {
-                    if !committed.contains(&key) {
-                        return Err(RtError::ProtocolViolation(format!(
-                            "slack leak: site {s} holds {key:?} on {link:?} \
-                             for no admitted channel"
-                        )));
-                    }
+                    let why = match (committed.contains(&key), recorded(key, Some(link))) {
+                        (false, _) => "for no admitted channel",
+                        (true, false) => "without a record of it",
+                        (true, true) => continue,
+                    };
+                    return Err(RtError::ProtocolViolation(format!(
+                        "slack leak: site {s} holds {key:?} on {link:?} {why}"
+                    )));
                 }
+            }
+            let named = site
+                .held
+                .values()
+                .flat_map(|h| h.links.into_iter().flatten());
+            if named.count() != booked || site.held.values().any(|h| h.links == [None; 2]) {
+                return Err(RtError::ProtocolViolation(format!(
+                    "site {s}'s key records name other links than its books hold"
+                )));
             }
         }
         // Every admitted channel holds exactly its route's reservations at

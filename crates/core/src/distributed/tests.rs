@@ -1,11 +1,12 @@
-//! Tests that have to see every site's ledger, which no public accessor
-//! shows: what the manager-level releases leave behind, site by site.
+//! Tests that have to see every site's ledger and key records, which no
+//! public accessor shows: what the manager-level releases leave behind, site
+//! by site, and what the records cost.
 
 use std::collections::VecDeque;
 
 use rt_frames::codec::TeardownFrame;
 use rt_types::rng::Xoshiro256;
-use rt_types::ShortestPathRouter;
+use rt_types::{KShortestRouter, ShortestPathRouter};
 
 use super::*;
 use crate::fault::tests::{seen_on_primary, CountingRouter, Fault, Walked};
@@ -17,9 +18,19 @@ fn pump(
     manager: &mut DistributedChannelManager,
     first: (SwitchId, NodeId, Frame),
 ) -> Option<Option<ChannelId>> {
+    pump_with(manager, first, |_, _, _| {})
+}
+
+/// [`pump`], handing every delivery to `before` just before it is made.
+fn pump_with(
+    manager: &mut DistributedChannelManager,
+    first: (SwitchId, NodeId, Frame),
+    mut before: impl FnMut(&mut DistributedChannelManager, SwitchId, &Frame),
+) -> Option<Option<ChannelId>> {
     let mut queue = VecDeque::from([first]);
     let mut verdict = None;
     while let Some((at, from, frame)) = queue.pop_front() {
+        before(manager, at, &frame);
         let outcome = manager
             .handle_frame_at(at, from, &frame, SimTime::ZERO)
             .expect("a well-formed control frame");
@@ -86,7 +97,7 @@ fn assert_sites_match_channels(manager: &DistributedChannelManager, gone: &[Rese
             held.insert((site.switch, link), keys);
         }
         for key in gone {
-            let lease = site.ledger.lease_of(*key);
+            let lease = site.lease_of(*key);
             assert_eq!(lease, None, "{} still leases released {key:?}", site.switch);
         }
     }
@@ -175,7 +186,7 @@ fn path_local_release_leaves_no_key_behind_at_any_site() {
         // A committed channel's interior sites still carry the lease the
         // Confirm walk renewed (the churn never advances the clock) ...
         interior_leases += (manager.sites.iter())
-            .filter(|site| site.ledger.next_expiry().is_some())
+            .filter(|site| site.next_expiry().is_some())
             .count();
         // ... and tearing everything down, half through the API and half
         // over the wire, empties every site of reservations and leases.
@@ -414,4 +425,418 @@ fn a_reissued_id_carries_nothing_over_from_its_last_distributed_holder() {
         assert_eq!(manager.record(second.id.get()).path.len(), 3, "{way}");
         manager.audit();
     }
+}
+
+// --- the sites' key records --------------------------------------------------
+
+/// Seeds of a seeded property: the `RT_ADVERSARIAL_SEEDS` matrix the CI
+/// soaks crank up, else `default`.
+fn adversarial_seeds(default: u64) -> u64 {
+    std::env::var("RT_ADVERSARIAL_SEEDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// A site of switch 0 on its own, for the tests of its records.
+fn bare_site() -> Site {
+    Site::new(SwitchId::new(0), Arc::new(Topology::new()), 1)
+}
+
+fn task(period: u64, capacity: u64, deadline: u64) -> PeriodicTask {
+    let slots = (
+        Slots::new(period),
+        Slots::new(capacity),
+        Slots::new(deadline),
+    );
+    PeriodicTask::new(slots.0, slots.1, slots.2).unwrap()
+}
+
+/// The key records and their bounded sweep against a plain map and the full
+/// scan the ledger ran before (PR 17's oracle, moved here with the leases): a
+/// seeded walk of leases (new, moved earlier, moved later), lease clears,
+/// whole-key releases, candidate steps (the key's old links dropped, one or
+/// two new ones reserved — a record is replaced, never merged), single
+/// reserves and sweeps, the clock advancing by random steps and, every so
+/// often, exactly onto the next deadline.  A due key of a committed channel
+/// keeps only its links on the channel's path.  After every step: what
+/// `release_key` freed, the reclaimed keys, `next_expiry`, `lease_of`, every
+/// record against the model, `loaded_links`, `keys_on`, and the records
+/// against the books.
+#[test]
+fn prop_bounded_sweep_matches_a_full_scan() {
+    use std::collections::BTreeSet;
+
+    let (sw, n) = (SwitchId::new, NodeId::new);
+    let links = [
+        HopLink::Uplink(n(0)),
+        HopLink::Downlink(n(1)),
+        HopLink::Trunk {
+            from: sw(0),
+            to: sw(1),
+        },
+        HopLink::Trunk {
+            from: sw(0),
+            to: sw(2),
+        },
+    ];
+    // What a committed key's channel crosses: two of the four links here.
+    let path = Route::from_links(vec![links[0], links[2], HopLink::Downlink(n(5))]).unwrap();
+    let keys: Vec<ReservationKey> = (0..24)
+        .map(|t| ReservationKey::token(sw(t % 3), t as u16))
+        .collect();
+    let path_of = |key| matches!(key, ReservationKey::Token(_, t) if t % 4 == 0).then_some(&path);
+    let (mut fresh, mut earlier, mut later, mut on_deadline) = (0, 0, 0, 0);
+    let (mut reclaimed, mut spared, mut trimmed, mut idle_sweeps) = (0, 0, 0, 0);
+    let (mut replaced, mut freed) = (0, 0);
+
+    let seeds = adversarial_seeds(32);
+    for seed in 0..seeds {
+        let mut rng = Xoshiro256::new(0xd0e7_1700 + seed);
+        let mut pick = |n: usize| rng.below(n as u64) as usize;
+        let mut site = bare_site();
+        let mut leases: BTreeMap<ReservationKey, SimTime> = BTreeMap::new();
+        let mut held: BTreeMap<ReservationKey, BTreeSet<HopLink>> = BTreeMap::new();
+        let mut now = 0u64;
+        for _ in 0..500 {
+            let (link, key) = (links[pick(links.len())], keys[pick(keys.len())]);
+            match pick(12) {
+                // A lease on a key that holds nothing here is no lease: most
+                // leases go to a key that holds something.
+                0..=3 => {
+                    let key = match held.keys().nth(pick(held.len() + held.len() / 3 + 1)) {
+                        Some(&holder) => holder,
+                        None => key,
+                    };
+                    let expires = SimTime::from_micros(now + pick(60) as u64);
+                    match held.contains_key(&key).then(|| leases.insert(key, expires)) {
+                        Some(None) => fresh += 1,
+                        Some(Some(old)) if expires < old => earlier += 1,
+                        Some(Some(old)) if expires > old => later += 1,
+                        _ => {}
+                    }
+                    site.lease(key, expires);
+                }
+                4 => assert_eq!(site.clear_lease(key), leases.remove(&key).is_some()),
+                5 => {
+                    leases.remove(&key);
+                    let expected = held.remove(&key).map_or(0, |links| links.len());
+                    freed += expected;
+                    assert_eq!(site.release_key(key), expected);
+                }
+                // A candidate's step: what the key held here goes, one or two
+                // links come.
+                6 | 7 => {
+                    leases.remove(&key);
+                    replaced += usize::from(held.remove(&key).is_some());
+                    site.release_key(key);
+                    let mut step = BTreeSet::from([link]);
+                    if pick(2) == 0 {
+                        step.insert(links[pick(links.len())]);
+                    }
+                    for &link in &step {
+                        site.reserve(link, key, task(100, 1, 50));
+                    }
+                    held.insert(key, step);
+                }
+                // One more link under the key, or a new task on one it holds.
+                8 => {
+                    let record = held.entry(key).or_default();
+                    if record.len() < 2 || record.contains(&link) {
+                        record.insert(link);
+                        site.reserve(link, key, task(100, 1, 40));
+                    }
+                }
+                _ => {
+                    // Advance by a random step, or exactly onto the next
+                    // deadline still ahead.
+                    let ahead = leases.values().map(|d| d.as_nanos() / 1_000);
+                    match ahead.filter(|&d| d > now).min() {
+                        Some(deadline) if pick(3) == 0 => {
+                            now = deadline;
+                            on_deadline += 1;
+                        }
+                        _ => now += pick(25) as u64,
+                    }
+                    let at = SimTime::from_micros(now);
+                    let due: Vec<_> = (leases.iter().filter(|(_, &deadline)| deadline <= at))
+                        .map(|(&key, _)| key)
+                        .collect();
+                    idle_sweeps += usize::from(due.is_empty());
+                    let mut expected = Vec::new();
+                    for key in due {
+                        leases.remove(&key);
+                        let mut links = held.remove(&key).unwrap_or_default();
+                        if path_of(key).is_some() {
+                            spared += 1;
+                            let before = links.len();
+                            links.retain(|link| path.contains(link));
+                            trimmed += before - links.len();
+                            if !links.is_empty() {
+                                held.insert(key, links);
+                            }
+                        } else {
+                            expected.push(key);
+                        }
+                    }
+                    reclaimed += expected.len();
+                    assert_eq!(site.sweep(at, path_of).0, expected);
+                }
+            }
+            held.retain(|_, links| !links.is_empty());
+            assert_eq!(site.next_expiry(), leases.values().min().copied());
+            for key in &keys {
+                assert_eq!(site.lease_of(*key), leases.get(key).copied());
+                let record = site
+                    .held
+                    .get(key)
+                    .map(|h| h.links.iter().flatten().copied());
+                let record: BTreeSet<HopLink> = record.into_iter().flatten().collect();
+                assert_eq!(record, held.get(key).cloned().unwrap_or_default());
+            }
+            let mut on_links: BTreeMap<HopLink, Vec<ReservationKey>> = BTreeMap::new();
+            for (key, links) in &held {
+                links
+                    .iter()
+                    .for_each(|link| on_links.entry(*link).or_default().push(*key));
+            }
+            let loaded: Vec<_> = on_links.iter().map(|(l, keys)| (*l, keys.len())).collect();
+            assert_eq!(site.ledger.loaded_links().collect::<Vec<_>>(), loaded);
+            for (link, keys) in &on_links {
+                assert_eq!(&site.ledger.keys_on(*link), keys);
+            }
+            // The records against the books, directly.
+            let in_books = site.ledger.loaded_links().flat_map(|(link, _)| {
+                let keys = site.ledger.keys_on(link);
+                keys.into_iter().map(move |key| (key, link))
+            });
+            let in_records = site
+                .held
+                .iter()
+                .flat_map(|(key, h)| h.links.into_iter().flatten().map(|link| (*key, link)));
+            assert_eq!(
+                in_books.collect::<BTreeSet<_>>(),
+                in_records.collect::<BTreeSet<_>>()
+            );
+        }
+    }
+    // The walk really moved leases both ways, landed on deadlines, reclaimed
+    // and spared keys, trimmed committed keys' leftovers, replaced
+    // candidates' links and swept with nothing due — in every seed, on
+    // average.
+    let n = seeds as usize;
+    assert!(
+        fresh > 50 * n && earlier > 10 * n && later > 10 * n && on_deadline > 20 * n,
+        "{fresh} new, {earlier} earlier, {later} later, {on_deadline} on a deadline"
+    );
+    assert!(
+        reclaimed > 30 * n && spared > 20 * n && trimmed > 5 * n && idle_sweeps > 30 * n,
+        "{reclaimed} reclaimed, {spared} spared, {trimmed} trimmed, {idle_sweeps} idle sweeps"
+    );
+    assert!(
+        replaced > 10 * n && freed > 10 * n,
+        "{replaced} replaced, {freed} freed"
+    );
+}
+
+/// What a sweep costs while nothing is due does not grow with what the site
+/// holds: it looks at no record and returns a `Vec` that never allocated.
+/// The sweep that reaches the earliest deadline looks at every record once,
+/// and leaves the bound on the next deadline.
+#[test]
+fn sweeps_below_the_earliest_deadline_examine_nothing() {
+    let mut site = bare_site();
+    let link = HopLink::Uplink(NodeId::new(0));
+    for t in 0..500u16 {
+        let key = ReservationKey::token(SwitchId::new(1), t);
+        site.reserve(link, key, task(10_000, 1, 5_000));
+        site.lease(key, SimTime::from_micros(1_000 + u64::from(t / 2)));
+    }
+    for tick in 0..1_000 {
+        let swept = site.sweep(SimTime::from_nanos(tick * 999), |_| None).0;
+        assert_eq!((swept.len(), swept.capacity()), (0, 0));
+    }
+    assert_eq!(site.examined.0, 0);
+    // Exactly at the earliest deadline: one look at each record.
+    let reclaimed = site.sweep(SimTime::from_micros(1_000), |_| None).0;
+    assert_eq!(reclaimed.len(), 2);
+    assert_eq!(site.examined.0, 500);
+    assert_eq!(site.next_expiry(), Some(SimTime::from_micros(1_001)));
+    // And below the next one, nothing again.
+    site.sweep(SimTime::from_nanos(1_000_999), |_| None);
+    assert_eq!(site.examined.0, 500);
+}
+
+/// Releasing a key costs the links it holds, not the books its site ever
+/// filled: at a site with 24 filled books, one key's release looks at its own
+/// two.  (The walk over every book it replaced looked at all 24.)
+#[test]
+fn releasing_a_key_examines_its_own_books_only() {
+    let mut site = bare_site();
+    let key = |t: u16| ReservationKey::token(SwitchId::new(0), t);
+    for node in 0..12 {
+        for link in [
+            HopLink::Uplink(NodeId::new(node)),
+            HopLink::Downlink(NodeId::new(node)),
+        ] {
+            site.reserve(link, key(node as u16), task(100, 1, 50));
+        }
+    }
+    assert_eq!(site.ledger.loaded_links().count(), 24);
+    assert_eq!(site.release_key(key(7)), 2);
+    assert_eq!(site.examined.1, 2, "books examined");
+    assert_eq!(site.release_key(key(7)), 0);
+    assert_eq!(site.examined.1, 2, "a key with no record examines nothing");
+    assert_eq!(site.ledger.loaded_links().count(), 22);
+}
+
+/// The route memo is one table for all sites, keyed by the view's state:
+/// sites that share a view ask the router once per node pair, however many
+/// of them ask and however often, and a site that hears of a cut asks once
+/// for the new state — which a second site moving onto that state then finds.
+#[test]
+fn sites_sharing_a_view_call_the_router_once_per_pair_per_fabric_state() {
+    let topology = Topology::ring(4, 2);
+    let router = Arc::new(CountingRouter::default());
+    let mut manager = DistributedChannelManager::build(&topology, router.clone());
+    let (source, destination) = (NodeId::new(0), NodeId::new(5));
+    let ask = |manager: &mut DistributedChannelManager, sites: &[usize]| {
+        for &s in sites {
+            manager.candidate_routes_at(s, source, destination).unwrap();
+        }
+        router.take()
+    };
+    assert_eq!(ask(&mut manager, &[0, 1, 2, 0, 3, 3]), (0, 1));
+    let (sw1, sw2, sw3) = (SwitchId::new(1), SwitchId::new(2), SwitchId::new(3));
+    let cut = DistributedChannelManager::link_state_frame(sw2, sw2, sw3, false, 1);
+    let cut = Frame::Reservation(cut);
+    manager
+        .handle_frame_at(sw1, NodeId::SWITCH, &cut, SimTime::ZERO)
+        .unwrap();
+    assert_eq!(
+        ask(&mut manager, &[1, 1, 0, 2, 3]),
+        (0, 1),
+        "site 1's new state"
+    );
+    manager
+        .handle_frame_at(sw2, NodeId::SWITCH, &cut, SimTime::ZERO)
+        .unwrap();
+    assert_eq!(
+        ask(&mut manager, &[2, 1, 0]),
+        (0, 0),
+        "both states memoised"
+    );
+}
+
+/// A committed key's leftover does not outlive its channel.  A Rollback that
+/// a view disagreement stops early leaves the failed candidate's reservations
+/// past the disagreeing site in place, lease-bounded; when the next candidate
+/// then commits under the same key, a sweep at expiry must reclaim those —
+/// they lie on no link of the channel's path, so its teardown will never
+/// visit them — instead of sparing the key wholesale and keeping them for
+/// good.  Reached through `handle_frame_at` alone, one site's view moved by
+/// a hand-delivered `LinkState` frame.
+#[test]
+fn a_committed_keys_leftover_does_not_outlive_its_channel() {
+    // Switch 0 to switch 4 two ways: 0-1-2-3-4 (candidate 0) and
+    // 0-5-6-7-8-4 (candidate 1).  Node s sits on switch s.
+    let sw = SwitchId::new;
+    let mut topology = Topology::new();
+    for s in 0..9 {
+        topology.add_switch(sw(s));
+        topology.attach_node(NodeId::new(s), sw(s)).unwrap();
+    }
+    for (a, b) in [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (0, 5),
+        (5, 6),
+        (6, 7),
+        (7, 8),
+        (8, 4),
+    ] {
+        topology.add_trunk(sw(a), sw(b)).unwrap();
+    }
+    let router = Arc::new(KShortestRouter::new(2));
+    let mut manager = DistributedChannelManager::new(topology, MultiHopDps::Asymmetric, router);
+    let ask = |source: u32, destination: u32, deadline: u64, id: u8| {
+        let spec = RtChannelSpec::new(Slots::new(100), Slots::new(30), Slots::new(deadline));
+        let request = ChannelRequest {
+            source: NodeId::new(source),
+            destination: NodeId::new(destination),
+            spec: spec.unwrap(),
+            request_id: ConnectionRequestId::new(id),
+        };
+        (
+            sw(source),
+            NodeId::new(source),
+            Frame::Request(request.to_frame()),
+        )
+    };
+    // Three channels of U = 0.3 fill trunk 1 → 2: a fourth is over.
+    for id in 0..3 {
+        let verdict = pump(&mut manager, ask(1, 2, 600, id));
+        verdict.flatten().expect("the trunk holds three");
+    }
+    // Candidate 0 is reserved backward from switch 4 to switch 2 and refused
+    // at switch 1; switch 2 hears of a cut of 2-3 just before the Rollback
+    // reaches it, no longer places itself on the candidate, and stops the
+    // sweep there: switches 3 and 4 keep what they reserved.
+    let mut told = false;
+    let tell = |manager: &mut DistributedChannelManager, at: SwitchId, frame: &Frame| {
+        let rollback = matches!(frame, Frame::Reservation(f) if f.op == ReservationOp::Rollback);
+        if at == sw(2) && rollback && !told {
+            told = true;
+            let cut = DistributedChannelManager::link_state_frame(sw(2), sw(2), sw(3), false, 1);
+            let cut = Frame::Reservation(cut);
+            manager
+                .handle_frame_at(at, NodeId::SWITCH, &cut, SimTime::ZERO)
+                .unwrap();
+        }
+    };
+    let id = pump_with(&mut manager, ask(0, 4, 1_200, 9), tell);
+    let id = id.flatten().expect("candidate 1 admits it");
+    assert!(told, "the Rollback reached switch 2");
+    let channel = manager.registry[&id.get()].route.clone();
+    let leftover = HopLink::Trunk {
+        from: sw(3),
+        to: sw(4),
+    };
+    assert!(!channel.path.contains(&leftover), "{}", channel.path);
+    let at_3 = manager.slot(sw(3)).unwrap();
+    let key = manager.registry[&id.get()].key();
+    assert!(
+        manager.sites[at_3].ledger.holds(leftover, key),
+        "the leftover stays"
+    );
+
+    // Every lease runs out while the channel lives, then it is torn down and
+    // the rest runs out: nothing may stay behind.
+    let tick_out = |manager: &mut DistributedChannelManager| {
+        while let Some(due) = manager.next_timeout() {
+            assert!(manager.on_tick(due).unwrap().emissions.is_empty());
+        }
+    };
+    tick_out(&mut manager);
+    assert!(
+        !manager.sites[at_3].ledger.holds(leftover, key),
+        "reclaimed at expiry"
+    );
+    manager.audit_quiescent().unwrap();
+    tear_down_over_the_wire(&mut manager, id);
+    tick_out(&mut manager);
+    manager.audit_quiescent().unwrap();
+    let held = |site: &Site| {
+        site.ledger
+            .loaded_links()
+            .map(|(_, load)| load)
+            .sum::<usize>()
+    };
+    let held: usize = manager.sites.iter().map(held).sum();
+    assert_eq!(
+        held, 9,
+        "the three channels on trunk 1 → 2 hold three links each"
+    );
 }

@@ -32,13 +32,14 @@
 //! the growth of books and tables under churn.
 //!
 //! The distributed handshake, frame by frame on the same warmed fabric (an
-//! inter-pod route: five switches, six links), is what PR 17 measured:
+//! inter-pod route: five switches, six links), is what PR 17 measured, and
+//! PR 25 less the copy of the Reserve list the last Probe hop forwarded:
 //!
-//! | | frames | parent | since PR 17 |
-//! |---|---|---|---|
-//! | accepted (`Request` → 4 `Probe` → 4 `Reserve` → `Response` → 4 `Confirm`) | 14 | 90 | 27 |
-//! | its `Teardown` → 4 `Release` | 5 | 13 | 9 |
-//! | refused (`Request` → 4 `Probe` → 4 `Reserve` → 4 `Rollback` → `ReserveFailed`) | 14 | 87 | 25 |
+//! | | frames | parent | since PR 17 | since PR 25 |
+//! |---|---|---|---|---|
+//! | accepted (`Request` → 4 `Probe` → 4 `Reserve` → `Response` → 4 `Confirm`) | 14 | 90 | 27 | 26 |
+//! | its `Teardown` → 4 `Release` | 5 | 13 | 9 | 9 |
+//! | refused (`Request` → 4 `Probe` → 4 `Reserve` → 4 `Rollback` → `ReserveFailed`) | 14 | 87 | 25 | 24 |
 //!
 //! The parent cloned the candidate route and built the switch sequence and an
 //! owned-link list on every hop (seven allocations per forwarded Probe or
@@ -49,13 +50,15 @@
 //! one) and the emission list of its outcome (`ControlOutcome::emissions`) —
 //! two per forwarded Probe, Reserve or Release, one per Confirm or Rollback.
 //! Beside those: the last Probe hop builds the load list, the deadline split
-//! and the Reserve frame's list (five in all), the coordinator keeps the
-//! split, commit copies the route into the registry, a teardown builds its
-//! itinerary and its `released` list, and the maps of coordinations, relays,
-//! leases and committed channels allocate a node now and then.  `rtbench`'s
-//! traced `core.manager.allocs_per_attempt` on `churn_distributed` reads 32.4
-//! (86.2 at the parent; the ROADMAP asks for 40): 45 % of its arrivals are
-//! refused, most of them earlier than the refusal measured here.
+//! and the Reserve frame's list, which it hands on whole (four in all), the
+//! coordinator keeps the split, commit copies the route into the registry, a
+//! teardown builds its itinerary and its `released` list, the maps of
+//! coordinations, relays and committed channels allocate a node now and then,
+//! and the sites' key records and the route memo grow their tables.
+//! `rtbench`'s traced `core.manager.allocs_per_attempt` on `churn_distributed`
+//! reads 29.27 since PR 25 (30.41 before it, 86.2 at PR 17's parent): 45 % of
+//! its arrivals are refused, most of them earlier than the refusal measured
+//! here.
 //!
 //! A trunk repair is held to a difference, not to a budget: one that lands
 //! on a fabric state every live channel was already seen on asks for the
@@ -261,11 +264,11 @@ fn a_link_that_empties_and_refills_asks_the_allocator_for_nothing() {
 // --- the distributed handshake, frame by frame -----------------------------
 
 /// Allocations of one accepted inter-pod establishment's 14 frames.
-const DISTRIBUTED_ACCEPTED: u64 = 27;
+const DISTRIBUTED_ACCEPTED: u64 = 26;
 /// Allocations of its teardown's 5 frames.
 const DISTRIBUTED_TEARDOWN: u64 = 9;
 /// Allocations of one refused inter-pod request's 14 frames.
-const DISTRIBUTED_REFUSED: u64 = 25;
+const DISTRIBUTED_REFUSED: u64 = 24;
 
 /// One delivery to the distributed manager: where, which reservation op (if
 /// the frame was one), and what `handle_frame_at` asked the allocator for.
