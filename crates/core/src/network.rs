@@ -966,7 +966,7 @@ mod tests {
     }
 
     /// The payload is *moved* from the wire into `received_messages()`
-    /// (the delivery's clone → classify → `handle_data`, no copy in between): what
+    /// (the injected buffer → the delivery → classify → `handle_data`, no copy anywhere): what
     /// arrives must still be exactly what `prepare_data` was given — headers
     /// cut off, nothing of the padding or the neighbour left in.
     #[test]

@@ -165,7 +165,7 @@ pub trait EventScheduler: std::fmt::Debug {
         let (time, event) = self.pop_at_or_before(limit)?;
         out.push(event);
         while self.peek_time() == Some(time) {
-            let (_, event) = self.pop().expect("peeked a pending event");
+            let (_, event) = self.pop().expect("peek_time just saw an event pending");
             out.push(event);
         }
         Some(time)

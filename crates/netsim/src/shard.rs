@@ -9,9 +9,9 @@
 //! node and the directed trunk ports leaving an owned switch.  Each shard
 //! drives the one forwarding core (`crate::switch`) over a lane of its own —
 //! its own calendar, ports and [`SimStats`] — through a sink that stages
-//! switch arrivals and parks deliveries; the coordinator folds everything
-//! back together at the end of the run.  No forwarding
-//! rule lives in this file.
+//! switch arrivals and parks deliveries and drops; the coordinator folds
+//! everything back together at the end of the run, moving the frames' bytes
+//! into their deliveries.  No forwarding rule lives in this file.
 //!
 //! # Synchronisation
 //!
@@ -22,9 +22,9 @@
 //! `V` the globally minimal pending time, every shard may safely execute
 //! `[V, V + L)` — no event executed in the window can produce a cross-shard
 //! arrival inside it.  Cross-shard arrivals travel as `(time, switch,
-//! FrameId)` triples over lock-free SPSC rings (the frame itself stays in
-//! the shared read-only fabric); ring overflow spills through the
-//! coordinator, so the rings bound memory, never correctness.
+//! FrameId)` triples over lock-free SPSC rings (the record stays in the
+//! shared fabric, the bytes with the coordinator); ring overflow spills
+//! through the coordinator, so the rings bound memory, never correctness.
 //!
 //! # Determinism (oracle pinning)
 //!
@@ -80,6 +80,8 @@ use crate::switch::{self, Core, Fabric, Lane, PortFlips, Sink};
 /// is handled by spilling through the coordinator, so this only sizes the
 /// fast path.
 const RING_CAPACITY: usize = 1024;
+
+const WORKER_ALIVE: &str = "a worker holds its channels until Finish unless it panicked";
 
 // ---------------------------------------------------------------------------
 // SPSC ring
@@ -200,6 +202,7 @@ struct Report {
 struct WorkerFinal {
     stats: SimStats,
     deliveries: Vec<(DeliveryKey, Delivery)>,
+    discarded: Vec<FrameId>,
     processed: u64,
     last_ns: u64,
 }
@@ -222,9 +225,9 @@ struct Staged {
 // ---------------------------------------------------------------------------
 
 /// A shard's [`Sink`]: switch arrivals are staged for deterministic
-/// ingestion or pushed onto the owning shard's ring, and deliveries and (in
-/// the lane) statistics are parked for the end-of-run merge — the delivery
-/// list belongs to the coordinator.
+/// ingestion or pushed onto the owning shard's ring, and deliveries (without
+/// their bytes), drops and (in the lane) statistics are parked for the
+/// end-of-run merge — the delivery list and the bytes are the coordinator's.
 struct ShardSink<'a> {
     fabric: &'a Fabric,
     /// Dense switch index → owning shard.
@@ -238,6 +241,7 @@ struct ShardSink<'a> {
     spill: Vec<(u32, RingEntry)>,
     outbound_min_ns: u64,
     deliveries: Vec<(DeliveryKey, Delivery)>,
+    discarded: Vec<FrameId>,
 }
 
 impl ShardSink<'_> {
@@ -292,6 +296,10 @@ impl Sink for ShardSink<'_> {
             delivery.frame.get(),
         ];
         self.deliveries.push((key, delivery));
+    }
+
+    fn discard(&mut self, frame: FrameId) {
+        self.discarded.push(frame);
     }
 }
 
@@ -469,6 +477,7 @@ fn worker_main(
     let _ = finals.send(WorkerFinal {
         stats: worker.lane.stats,
         deliveries: worker.sink.deliveries,
+        discarded: worker.sink.discarded,
         processed: worker.lane.events.processed(),
         last_ns: worker.last_ns,
     });
@@ -488,7 +497,7 @@ fn worker_main(
 /// `poll_deliveries`, `stats().summary()`, per-channel and per-link
 /// counters — is byte-for-byte identical to the single-thread run.
 pub struct ShardedSimulator {
-    inner: Simulator,
+    pub(crate) inner: Simulator,
     shards: usize,
     strategy: ShardStrategy,
     /// Dense switch index -> owning shard.
@@ -553,7 +562,7 @@ impl ShardedSimulator {
         for (pos, switch) in inner.topology().switches().enumerate() {
             let idx = dense
                 .index_of(switch)
-                .expect("topology switches are dense-indexed");
+                .expect("the router's dense index covers every topology switch");
             assignment[idx as usize] = partition[pos];
         }
         Ok(ShardedSimulator {
@@ -769,6 +778,7 @@ impl ShardedSimulator {
                             spill: Vec::new(),
                             outbound_min_ns: u64::MAX,
                             deliveries: Vec::new(),
+                            discarded: Vec::new(),
                         },
                         batch: Vec::new(),
                         injections,
@@ -787,7 +797,7 @@ impl ShardedSimulator {
             let mut held: Vec<Vec<RingEntry>> = vec![Vec::new(); shards];
             let gather = |next_ns: &mut [u64], held: &mut [Vec<RingEntry>]| {
                 for _ in 0..shards {
-                    let report = report_rx.recv().expect("worker thread alive");
+                    let report = report_rx.recv().expect(WORKER_ALIVE);
                     next_ns[report.shard as usize] = report.next_ns;
                     for (dest, entry) in report.spill {
                         held[dest as usize].push(entry);
@@ -829,7 +839,7 @@ impl ShardedSimulator {
                             rank,
                             flips: Arc::clone(&flips),
                         })
-                        .expect("worker thread alive");
+                        .expect(WORKER_ALIVE);
                     }
                     gather(&mut next_ns, &mut held);
                 } else {
@@ -845,7 +855,7 @@ impl ShardedSimulator {
                             dense: Arc::clone(dense_next_hop),
                             spilled: std::mem::take(&mut held[shard]),
                         })
-                        .expect("worker thread alive");
+                        .expect(WORKER_ALIVE);
                     }
                     gather(&mut next_ns, &mut held);
                     windows += 1;
@@ -857,18 +867,22 @@ impl ShardedSimulator {
         });
 
         // Every worker has exited (the scope joined them), so the channel
-        // holds exactly one hand-back per shard.
+        // holds exactly one hand-back per shard.  The oracle's sink takes it.
+        let sink = &mut self.inner.sink;
         let mut deliveries: Vec<(DeliveryKey, Delivery)> = Vec::new();
         for done in final_rx.iter() {
             self.inner.lane.stats.merge_from(&done.stats);
             deliveries.extend(done.deliveries);
+            done.discarded
+                .into_iter()
+                .for_each(|frame| sink.discard(frame));
             self.extra_processed += done.processed;
             last_ns = last_ns.max(done.last_ns);
         }
         deliveries.sort_unstable_by_key(|a| a.0);
-        self.inner
-            .pending_deliveries
-            .extend(deliveries.into_iter().map(|(_, d)| d));
+        for (_, delivery) in deliveries {
+            sink.deliver(delivery, Duration::ZERO);
+        }
         self.windows_executed += windows;
         self.finished_at = self.finished_at.max(SimTime::from_nanos(last_ns));
         self.now()

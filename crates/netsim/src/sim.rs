@@ -157,7 +157,7 @@ pub struct Delivery {
     pub switch: Option<SwitchId>,
     /// The node (or switch) that injected the frame.
     pub source: NodeId,
-    /// The Ethernet frame, as it was injected.
+    /// The Ethernet frame as it was injected: that very buffer, never copied.
     pub eth: EthernetFrame,
     /// When the frame was injected.
     pub injected_at: SimTime,
@@ -330,18 +330,22 @@ pub struct Simulator {
     switch_macs: HashMap<MacAddr, u32>,
     /// The switch hosting the RT channel management software.
     manager_switch: SwitchId,
-    pub(crate) pending_deliveries: Vec<Delivery>,
+    /// The bytes of the frames in flight and the pending deliveries.
+    pub(crate) sink: Inline,
     /// Reusable scratch for the batched same-time event drain.
     event_batch: Vec<Event>,
 }
 
-/// The single-thread driver's [`Sink`]: a switch arrival is one more event
-/// in the lane's own calendar and a delivery is appended as it happens.
-struct Inline<'a> {
-    deliveries: &'a mut Vec<Delivery>,
+/// The single-thread driver's [`Sink`] (and the sharded merge's): a switch
+/// arrival is one more calendar event, a delivery takes its bytes, a drop frees them.
+#[derive(Debug, Default)]
+pub(crate) struct Inline {
+    /// The bytes of the frames in flight, by [`FrameId`].
+    pub(crate) bytes: Vec<Option<EthernetFrame>>,
+    pub(crate) deliveries: Vec<Delivery>,
 }
 
-impl Sink for Inline<'_> {
+impl Sink for Inline {
     #[inline]
     fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId) {
         let switch = lane.dense.switch_at(switch);
@@ -349,8 +353,14 @@ impl Sink for Inline<'_> {
     }
 
     #[inline]
-    fn deliver(&mut self, delivery: Delivery, _since_scheduled: Duration) {
+    fn deliver(&mut self, mut delivery: Delivery, _since_scheduled: Duration) {
+        let eth = self.bytes[delivery.frame.get() as usize].take();
+        delivery.eth = eth.expect("a frame has one event pending: one delivery or drop");
         self.deliveries.push(delivery);
+    }
+
+    fn discard(&mut self, frame: FrameId) {
+        self.bytes[frame.get() as usize] = None;
     }
 }
 
@@ -425,7 +435,7 @@ impl Simulator {
         let manager_switch = topology
             .switches()
             .next()
-            .expect("switch_count checked above");
+            .expect("the fabric has a switch: switch_count was checked above");
         let switch_macs = topology
             .switches()
             .map(|switch| (MacAddr::for_switch_id(switch), switch_idx(switch)))
@@ -455,7 +465,7 @@ impl Simulator {
             switch_mac: MacAddr::for_switch(),
             switch_macs,
             manager_switch,
-            pending_deliveries: Vec::new(),
+            sink: Inline::default(),
             event_batch: Vec::new(),
         })
     }
@@ -523,14 +533,14 @@ impl Simulator {
 
     /// Drain the deliveries that have accumulated since the last call.
     pub fn poll_deliveries(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.pending_deliveries)
+        std::mem::take(&mut self.sink.deliveries)
     }
 
     /// [`Simulator::poll_deliveries`] for a driver that polls after every
     /// delivery: the accumulated deliveries are moved to the end of `out`
     /// and both buffers keep their capacity, so a poll allocates nothing.
     pub fn poll_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
-        out.append(&mut self.pending_deliveries);
+        out.append(&mut self.sink.deliveries);
     }
 
     // --- channel wire state ----------------------------------------------
@@ -690,13 +700,11 @@ impl Simulator {
     /// Lend the fabric, the lane and the inline sink to the core for one
     /// event or fault.
     #[inline]
-    fn with_core<R>(&mut self, run: impl FnOnce(&mut Core<'_, Inline<'_>>) -> R) -> R {
+    fn with_core<R>(&mut self, run: impl FnOnce(&mut Core<'_, Inline>) -> R) -> R {
         run(&mut Core {
             fabric: &self.fabric,
             lane: &mut self.lane,
-            sink: &mut Inline {
-                deliveries: &mut self.pending_deliveries,
-            },
+            sink: &mut self.sink,
         })
     }
 
@@ -806,10 +814,10 @@ impl Simulator {
         } else if switch::is_control(class, channel) {
             self.lane.stats.record_control_frame();
         }
-        // The record keeps the frame it was handed; only the small
-        // `FrameId` travels through the event loop.
+        // The buffer waits in the byte table for its delivery or drop; only
+        // the small `FrameId` travels through the event loop.
+        self.sink.bytes.push(Some(eth));
         self.fabric.frames.push(FrameRecord {
-            eth,
             class,
             deadline,
             channel,
@@ -875,6 +883,7 @@ impl Simulator {
         }
         // Infallible from here on.
         self.fabric.frames.reserve(prepared.len());
+        self.sink.bytes.reserve(prepared.len());
         let mut ids = Vec::with_capacity(prepared.len());
         for (FrameInjection { node, eth, at }, classified) in prepared {
             let id = self.register_classified(eth, classified, node, at);
@@ -958,7 +967,7 @@ impl Simulator {
     /// whole event queue has drained — a teardown or a fault must take
     /// effect while later traffic is still in flight, not after it.
     pub fn run_until_delivery(&mut self) -> bool {
-        while self.pending_deliveries.is_empty() {
+        while self.sink.deliveries.is_empty() {
             if !self.step() {
                 return false;
             }
@@ -970,7 +979,7 @@ impl Simulator {
     /// until a delivery is pending (`true`) or no event at or before
     /// `limit` remains (`false`).  Events after `limit` stay pending.
     pub fn run_until_delivery_before(&mut self, limit: SimTime) -> bool {
-        while self.pending_deliveries.is_empty() {
+        while self.sink.deliveries.is_empty() {
             match self.lane.events.pop_until(limit) {
                 Some((time, event)) => self.dispatch(time, event),
                 None => return false,

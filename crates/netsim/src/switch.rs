@@ -5,15 +5,15 @@
 //! The core runs over three things:
 //!
 //! * a [`Fabric`] it only reads — the dense index tables, the per-channel
-//!   wire state and the frame records, each holding the frame it was
-//!   injected with;
+//!   wire state and the frame records, each holding what forwarding needs
+//!   to know of a frame but not its bytes;
 //! * a [`Lane`] it writes — the output ports, their dead/doomed flags, the
 //!   pending-event set, the routing table in force and the statistics.  The
 //!   single-thread [`crate::sim::Simulator`] has one lane; every shard of
 //!   the [`crate::shard::ShardedSimulator`] has its own, over the full
 //!   dense port space, and touches only the ports it owns;
-//! * a [`Sink`] for the two things the drivers do differently: where a
-//!   switch arrival goes and how a [`Delivery`] is recorded.
+//! * a [`Sink`] for what the drivers do differently: where a switch
+//!   arrival goes, and where a delivered or dropped frame's bytes go.
 //!
 //! Everything else — egress selection, the queue deadline, enqueueing,
 //! start of transmission, delivery, every drop rule and the death and
@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use rt_frames::EthernetFrame;
 use rt_types::{
-    ChannelId, DenseNextHop, Duration, HopLink, IdIndex, NodeId, Router, RtResult, SimTime,
-    SwitchId, Topology, NO_INDEX,
+    ChannelId, DenseNextHop, Duration, HopLink, IdIndex, MacAddr, NodeId, Router, RtResult,
+    SimTime, SwitchId, Topology, NO_INDEX,
 };
 
 use crate::event::{Event, EventQueue};
@@ -60,11 +60,10 @@ pub(crate) enum FrameDest {
     Unknown,
 }
 
-/// Everything the simulator remembers about one injected frame.
+/// Everything the simulator remembers about one injected frame but its
+/// bytes, which are the driver's.
 #[derive(Debug, Clone)]
 pub(crate) struct FrameRecord {
-    /// The frame as it was injected; a delivery hands out a clone.
-    pub(crate) eth: EthernetFrame,
     pub(crate) class: TrafficClass,
     /// Absolute end-to-end deadline (simulated time) for RT frames.
     pub(crate) deadline: Option<SimTime>,
@@ -89,6 +88,14 @@ pub(crate) struct FrameRecord {
 pub(crate) fn is_control(class: TrafficClass, channel: Option<ChannelId>) -> bool {
     class == TrafficClass::RealTime && channel.is_none()
 }
+
+/// A [`Delivery`]'s `eth` until its sink moves the frame's bytes in.
+const NO_BYTES: EthernetFrame = EthernetFrame {
+    dst: MacAddr::ZERO,
+    src: MacAddr::ZERO,
+    ethertype: 0,
+    payload: Vec::new(),
+};
 
 /// Per-channel wire state installed at admission time: the EDF deadline
 /// budget of every link of the route, plus the per-switch forwarding
@@ -336,15 +343,19 @@ impl Lane {
 // What the drivers do differently
 // ---------------------------------------------------------------------------
 
-/// The two decisions the core leaves to its driver.
+/// The decisions the core leaves to its driver.
 pub(crate) trait Sink {
     /// A frame has fully crossed a link into dense switch `switch` and
     /// becomes eligible for forwarding there at `at`.
     fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId);
 
-    /// A frame reached its receiver.  `since_scheduled` is how long before
+    /// A frame reached its receiver.  `delivery.eth` is empty: the driver
+    /// moves the frame's bytes in.  `since_scheduled` is how long before
     /// `delivery.delivered_at` the delivering event was scheduled.
     fn deliver(&mut self, delivery: Delivery, since_scheduled: Duration);
+
+    /// A frame left the fabric undelivered (already counted): free its bytes.
+    fn discard(&mut self, frame: FrameId);
 }
 
 // ---------------------------------------------------------------------------
@@ -467,7 +478,7 @@ impl<S: Sink> Core<'_, S> {
                             // The channel was torn down: the switch has no
                             // state for it any more, so the frame is
                             // discarded, not delivered on a stale route.
-                            self.lane.stats.record_released_channel_drop();
+                            self.drop_frame(frame, SimStats::record_released_channel_drop);
                             return;
                         }
                         match self.egress_port(at, dest_node, dest_switch, record.channel) {
@@ -475,7 +486,7 @@ impl<S: Sink> Core<'_, S> {
                                 // A stale per-channel forwarding entry still
                                 // points at the cut trunk; the frame is lost
                                 // until the channel is re-routed.
-                                self.lane.stats.record_failed_link_drop();
+                                self.drop_frame(frame, SimStats::record_failed_link_drop);
                             }
                             port => self.forward(now, frame, port),
                         }
@@ -504,7 +515,7 @@ impl<S: Sink> Core<'_, S> {
                         // picked up new frames while this doomed
                         // transmission still held it busy — restart it.
                         self.lane.doomed[p] = false;
-                        self.lane.stats.record_failed_link_drop();
+                        self.drop_frame(frame, SimStats::record_failed_link_drop);
                     } else {
                         // Store-and-forward at the receiving switch, exactly
                         // as for a frame arriving over an uplink.
@@ -571,8 +582,14 @@ impl<S: Sink> Core<'_, S> {
                 self.enqueue_at_port(frame, port);
                 self.try_start_tx(now, port);
             }
-            None => self.lane.stats.record_unroutable(),
+            None => self.drop_frame(frame, SimStats::record_unroutable),
         }
+    }
+
+    /// Every undelivered exit: count the frame once and give its bytes back.
+    fn drop_frame(&mut self, frame: FrameId, count: fn(&mut SimStats)) {
+        count(&mut self.lane.stats);
+        self.sink.discard(frame);
     }
 
     fn enqueue_at_port(&mut self, frame: FrameId, port: u32) {
@@ -588,7 +605,7 @@ impl<S: Sink> Core<'_, S> {
             }
             TrafficClass::BestEffort => {
                 if !out.enqueue_be(frame) {
-                    self.lane.stats.record_be_drop();
+                    self.drop_frame(frame, SimStats::record_be_drop);
                 }
             }
         }
@@ -657,7 +674,7 @@ impl<S: Sink> Core<'_, S> {
             receiver,
             switch,
             source: record.source,
-            eth: record.eth.clone(),
+            eth: NO_BYTES,
             injected_at: record.injected_at,
             delivered_at: now,
             channel: record.channel,
@@ -680,8 +697,8 @@ impl<S: Sink> Core<'_, S> {
             if self.lane.ports[p].is_busy(now) {
                 self.lane.doomed[p] = true;
             }
-            for _ in self.lane.ports[p].drain() {
-                self.lane.stats.record_failed_link_drop();
+            for lost in self.lane.ports[p].drain() {
+                self.drop_frame(lost.frame, SimStats::record_failed_link_drop);
             }
         }
         for &port in &flips.revives {
@@ -693,8 +710,9 @@ impl<S: Sink> Core<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedSimulator;
     use crate::sim::tests::{be_frame, rt_frame};
-    use crate::sim::Simulator;
+    use crate::sim::{FaultScript, FrameInjection, Simulator};
     use rt_types::Route;
 
     /// A sink that keeps what the core hands it (and feeds switch arrivals
@@ -702,6 +720,7 @@ mod tests {
     #[derive(Default)]
     struct Recording {
         delivered: Vec<FrameId>,
+        discarded: Vec<FrameId>,
     }
 
     impl Sink for Recording {
@@ -713,6 +732,15 @@ mod tests {
         fn deliver(&mut self, delivery: Delivery, _since_scheduled: Duration) {
             self.delivered.push(delivery.frame);
         }
+
+        fn discard(&mut self, frame: FrameId) {
+            self.discarded.push(frame);
+        }
+    }
+
+    /// How many frames still have bytes in the table.
+    fn bytes_held(bytes: &[Option<EthernetFrame>]) -> usize {
+        bytes.iter().filter(|slot| slot.is_some()).count()
     }
 
     const N0: NodeId = NodeId::new(0);
@@ -736,10 +764,13 @@ mod tests {
         delivered: Vec<u64>,
     }
 
-    /// Every undelivered exit bumps exactly one drop counter; a repaired port
-    /// that picked up a frame behind a doomed transmission restarts.  Driven through the core
-    /// alone, on a two-switch line (node 0 — switch 0 — switch 1 — node 1):
-    /// the port flips are applied by hand, the topology never changes.
+    /// Every undelivered exit bumps exactly one drop counter and gives the
+    /// frame's bytes back; a repaired port that picked up a frame behind a
+    /// doomed transmission restarts.  On a two-switch line (node 0 — switch
+    /// 0 — switch 1 — node 1), driven three ways: through the core alone
+    /// with the port flips applied by hand, then through each driver's
+    /// `run_to_idle` with the flips scripted as faults — after which the
+    /// driver's byte table must be empty.
     #[test]
     fn every_undelivered_exit_counts_once() {
         let config = SimConfig::default();
@@ -850,16 +881,36 @@ mod tests {
         ];
 
         for case in cases {
-            let name = case.name;
             let config = SimConfig {
                 be_queue_capacity: case.be_capacity,
                 ..config
             };
-            let mut sim = Simulator::with_topology(config, Topology::line(2, 1)).unwrap();
-            (case.setup)(&mut sim);
-            for eth in &case.frames {
-                sim.inject(N0, eth.clone(), SimTime::ZERO).unwrap();
-            }
+            let line = || Topology::line(2, 1);
+            let prepare = |sim: &mut Simulator| {
+                (case.setup)(sim);
+                for eth in &case.frames {
+                    sim.inject(N0, eth.clone(), SimTime::ZERO).unwrap();
+                }
+            };
+            // `held`: frames whose bytes are still in the driver's table.
+            let check = |driver: &str, stats: &SimStats, delivered: Vec<FrameId>, held: usize| {
+                let name = format!("{} ({driver})", case.name);
+                assert_eq!((case.counter)(stats), case.lost, "{name}: its counter");
+                assert_eq!(stats.total_dropped(), case.lost, "{name}: no other counter");
+                let delivered: Vec<u64> = delivered.iter().map(|f| f.get()).collect();
+                assert_eq!(delivered, case.delivered, "{name}: deliveries");
+                assert_eq!(
+                    stats.total_dropped() + delivered.len() as u64,
+                    case.frames.len() as u64,
+                    "{name}: every frame is delivered or dropped"
+                );
+                assert_eq!(held, 0, "{name}: every frame's bytes leave with it");
+            };
+
+            // The core alone: the port flips applied by hand, the topology
+            // never changes.
+            let mut sim = Simulator::with_topology(config, line()).unwrap();
+            prepare(&mut sim);
             let trunk = sim
                 .fabric
                 .trunk_port(0, 1)
@@ -886,16 +937,79 @@ mod tests {
                 core.handle(time, event);
             }
 
-            let stats = &sim.lane.stats;
-            assert_eq!((case.counter)(stats), case.lost, "{name}: its counter");
-            assert_eq!(stats.total_dropped(), case.lost, "{name}: no other counter");
-            let delivered: Vec<u64> = sink.delivered.iter().map(|f| f.get()).collect();
-            assert_eq!(delivered, case.delivered, "{name}: deliveries");
-            assert_eq!(
-                stats.total_dropped() + sink.delivered.len() as u64,
-                case.frames.len() as u64,
-                "{name}: every frame is delivered or dropped"
-            );
+            assert_eq!(sink.discarded.len() as u64, case.lost, "{}", case.name);
+            let held = case.frames.len() - sink.delivered.len() - sink.discarded.len();
+            check("core", &sim.lane.stats, sink.delivered, held);
+
+            // Both drivers, the cut and the repair scripted as faults.
+            let (a, b) = (SwitchId::new(0), SwitchId::new(1));
+            let mut script = FaultScript::new();
+            if let Some(at) = case.cut_at {
+                script = script.fail_at(at, a, b);
+            }
+            if let Some(at) = case.repair_at {
+                script = script.repair_at(at, a, b);
+            }
+            let delivered = |sim: &Simulator| -> Vec<FrameId> {
+                sim.sink.deliveries.iter().map(|d| d.frame).collect()
+            };
+            let mut single = Simulator::with_topology(config, line()).unwrap();
+            prepare(&mut single);
+            single.schedule_faults(&script).unwrap();
+            single.run_to_idle();
+            let held = bytes_held(&single.sink.bytes);
+            check("single-thread", single.stats(), delivered(&single), held);
+            let mut sharded = ShardedSimulator::new(config, line(), 2).unwrap();
+            prepare(&mut sharded.inner);
+            sharded.schedule_faults(&script).unwrap();
+            sharded.run_to_idle();
+            let held = bytes_held(&sharded.inner.sink.bytes);
+            check("sharded", sharded.stats(), delivered(&sharded.inner), held);
         }
+    }
+
+    /// A delivery's payload is the very buffer that was injected, under
+    /// both drivers and both injection paths: moved, never copied.
+    #[test]
+    fn a_delivery_carries_the_injected_buffer_itself() {
+        let (config, line) = (SimConfig::default(), || Topology::line(2, 1));
+        // Frame 0 goes through `inject`, frame 1 through `inject_batch`.
+        let frames = || {
+            let one = be_frame(N0, N1, 300);
+            let eth = rt_frame(N0, N1, 7, SimTime::from_millis(1), 200);
+            let injected = vec![one.payload.as_ptr(), eth.payload.as_ptr()];
+            let batched = FrameInjection {
+                node: N0,
+                eth,
+                at: SimTime::ZERO,
+            };
+            (one, [batched], injected)
+        };
+        let check = |driver: &str, injected: Vec<*const u8>, deliveries: Vec<Delivery>| {
+            assert_eq!(deliveries.len(), injected.len(), "{driver}");
+            for d in deliveries {
+                let sent = injected[d.frame.get() as usize];
+                assert_eq!(
+                    d.eth.payload.as_ptr(),
+                    sent,
+                    "{driver}: frame {:?}",
+                    d.frame
+                );
+            }
+        };
+
+        let (one, batch, injected) = frames();
+        let mut single = Simulator::with_topology(config, line()).unwrap();
+        single.inject(N0, one, SimTime::ZERO).unwrap();
+        single.inject_batch(batch).unwrap();
+        single.run_to_idle();
+        check("single-thread", injected, single.poll_deliveries());
+
+        let (one, batch, injected) = frames();
+        let mut sharded = ShardedSimulator::new(config, line(), 2).unwrap();
+        sharded.inject(N0, one, SimTime::ZERO).unwrap();
+        sharded.inject_batch(batch).unwrap();
+        sharded.run_to_idle();
+        check("sharded", injected, sharded.poll_deliveries());
     }
 }

@@ -1,7 +1,7 @@
 //! The cost and the manners of the `RtNetwork` pump: a delivered RT frame
-//! is *moved* from the simulator into `received_messages()`, not copied
-//! there, and a frame that arrives for a channel released mid-run is
-//! ignored, never an error.
+//! is *moved* from its injection through the simulator into
+//! `received_messages()`, never copied, and a frame that arrives for a
+//! channel released mid-run is ignored, never an error.
 //!
 //! The allocation count comes from the per-thread counting
 //! `#[global_allocator]` of `tests/common/counting_alloc.rs`; it is
@@ -24,21 +24,25 @@ fn line() -> RtNetwork {
         .expect("a line fabric always builds")
 }
 
-/// One copy of a delivered frame's bytes is left — the delivery's clone of
-/// the injected frame — and with it one allocation (the received message
-/// then hands the header bytes of that buffer back, which asks for no
-/// memory); the pump's own buffers are reused from poll to poll.  Before the
-/// frame was moved it cost four copies and five allocations (the delivery's
-/// copy, the pending-delivery vector of every poll, `eth.clone()`,
-/// `from_ethernet`'s `to_vec`, `handle_data`'s `payload.clone()`).
+/// No copy of a delivered frame's bytes is left: the buffer `send_periodic`
+/// injected is moved through the simulator into the delivery, and from
+/// there into the received message (which hands the header bytes of that
+/// buffer back, asking for no memory); the pump's own buffers are reused
+/// from poll to poll.  What remains is a handful of growths of vectors that
+/// outlive the window (the received-message list among them), not a cost
+/// per frame.  The delivery used to clone the injected frame, one
+/// allocation per frame (1 218 for 1 200 frames); before that, four copies
+/// and five allocations (the delivery's decode, the pending-delivery vector
+/// of every poll, `eth.clone()`, `from_ethernet`'s `to_vec`,
+/// `handle_data`'s `payload.clone()`).
 ///
 /// `cargo test` runs this in a debug build, with the queue's reference heap
 /// beside the calendar: `send_periodic` has pushed every frame's first event
 /// before the counted window opens and a frame holds one pending event at a
 /// time, so the heap's buffer never grows inside the window — the count is
-/// 1 218 for 1 200 frames in a debug and in a release build alike.
+/// the same in a debug and in a release build.
 #[test]
-fn a_delivered_rt_frame_costs_at_most_two_allocations() {
+fn a_delivered_rt_frame_is_moved_into_its_message_never_copied() {
     let mut net = line();
     let spec = RtChannelSpec::paper_default();
     let tx = net
@@ -58,7 +62,7 @@ fn a_delivered_rt_frame_costs_at_most_two_allocations() {
     assert_eq!(net.received_messages().len() as u64, frames);
     assert!(net.received_messages().iter().all(|m| !m.missed_deadline));
     assert!(
-        allocated <= 2 * frames,
+        allocated <= frames / 20,
         "{allocated} allocations for {frames} delivered RT frames ({:.2} per frame)",
         allocated as f64 / frames as f64
     );
