@@ -19,8 +19,9 @@
 //! **Part 2 — mesh (ring) vs. spanning tree.**  A ring of four access
 //! switches is the line plus one *redundant* closing trunk.  The same
 //! cross-switch request sequence is driven twice through `RtNetworkBuilder`:
-//! once over the spanning line under `TreeRouter` (the pre-mesh behaviour)
-//! and once over the ring under `ShortestPathRouter`.  The redundant trunk
+//! once over the spanning line under `RoutePolicy::Tree` (the pre-mesh
+//! behaviour) and once over the ring under the default
+//! `RoutePolicy::Shortest`.  The redundant trunk
 //! both shortens routes (fewer hops → more slack per link) and removes the
 //! middle-trunk bottleneck, so the mesh admits more channels; every admitted
 //! channel is again validated on the wire against its hop-aware bound.
@@ -30,13 +31,11 @@
 //!
 //! Usage: `cargo run -p rt-bench --bin multiswitch [results.json]`.
 
-use std::sync::Arc;
-
 use rt_bench::report::{json_object, maybe_write_json_from_args, Table, ToJson};
 use rt_core::multihop::{HopLink, MultiHopAdmission, MultiHopDps, SwitchId, Topology};
 use rt_core::{RtChannelSpec, RtNetwork};
 use rt_traffic::FabricScenario;
-use rt_types::{Duration, NodeId, Router, ShortestPathRouter, TreeRouter};
+use rt_types::{Duration, NodeId, RoutePolicy, ShortestPathRouter};
 
 #[derive(Debug)]
 struct MultiSwitchRow {
@@ -308,7 +307,7 @@ fn part2_mesh(messages: u64) -> Vec<MeshRow> {
     let line = FabricScenario::line(SWITCHES, MASTERS, SLAVES);
     let ring = FabricScenario::ring(SWITCHES, MASTERS, SLAVES);
     println!("\nPart 2 — mesh vs spanning tree ({SWITCHES} access switches, {MASTERS} masters + {SLAVES} slaves each)");
-    println!("identical cross-switch request sequences; TreeRouter over the line vs ShortestPathRouter over the ring");
+    println!("identical cross-switch request sequences; the tree policy over the line vs the shortest-path policy over the ring");
     println!("(the ring = the line + one redundant closing trunk)\n");
 
     let spec = RtChannelSpec::paper_default();
@@ -329,14 +328,13 @@ fn part2_mesh(messages: u64) -> Vec<MeshRow> {
             .iter()
             .map(|r| (r.source, r.destination))
             .collect();
-        let tree_router: Arc<dyn Router> = Arc::new(TreeRouter::new());
         let tree = drive_on_the_wire(
             RtNetwork::builder()
                 .topology(line.topology())
-                .router_arc(tree_router)
+                .router(ShortestPathRouter::with_policy(RoutePolicy::Tree))
                 .multihop_dps(MultiHopDps::Asymmetric)
                 .build()
-                .expect("TreeRouter accepts the line"),
+                .expect("the tree policy accepts the line"),
             &requests,
             messages,
         );
@@ -346,7 +344,7 @@ fn part2_mesh(messages: u64) -> Vec<MeshRow> {
                 .router(ShortestPathRouter::new())
                 .multihop_dps(MultiHopDps::Asymmetric)
                 .build()
-                .expect("ShortestPathRouter accepts the ring"),
+                .expect("the shortest-path policy accepts the ring"),
             &requests,
             messages,
         );
@@ -407,7 +405,7 @@ fn main() {
     assert_eq!(
         (last_mesh.tree.established, last_mesh.mesh.established),
         (16, 21),
-        "acceptance at 48 requests (line under TreeRouter, ring under ShortestPathRouter)"
+        "acceptance at 48 requests (line under the tree policy, ring under shortest-path)"
     );
     println!();
     maybe_write_json_from_args(&results);

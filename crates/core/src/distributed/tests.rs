@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use rt_frames::codec::TeardownFrame;
 use rt_types::rng::Xoshiro256;
-use rt_types::{KShortestRouter, ShortestPathRouter};
+use rt_types::{RoutePolicy, ShortestPathRouter};
 
 use super::*;
 use crate::fault::tests::{seen_on_primary, CountingRouter, Fault, Walked};
@@ -759,7 +759,9 @@ fn a_committed_keys_leftover_does_not_outlive_its_channel() {
     ] {
         topology.add_trunk(sw(a), sw(b)).unwrap();
     }
-    let router = Arc::new(KShortestRouter::new(2));
+    let router = Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+        k: 2,
+    }));
     let mut manager = DistributedChannelManager::new(topology, MultiHopDps::Asymmetric, router);
     let ask = |source: u32, destination: u32, deadline: u64, id: u8| {
         let spec = RtChannelSpec::new(Slots::new(100), Slots::new(30), Slots::new(deadline));

@@ -229,9 +229,7 @@ pub(crate) mod tests {
     use std::sync::Arc;
 
     use rt_types::rng::Xoshiro256;
-    use rt_types::{
-        ChannelId, EcmpRouter, KShortestRouter, NextHopCache, NodeId, RtResult, ShortestPathRouter,
-    };
+    use rt_types::{ChannelId, NextHopCache, NodeId, RoutePolicy, RtResult, ShortestPathRouter};
 
     use super::*;
     use crate::distributed::DistributedChannelManager;
@@ -578,8 +576,16 @@ pub(crate) mod tests {
         ];
         let policies: [(&str, u64, MakeRouter); 3] = [
             ("shortest-path", 8, || Arc::new(ShortestPathRouter::new())),
-            ("k-shortest", 4, || Arc::new(KShortestRouter::new(3))),
-            ("ecmp", 4, || Arc::new(EcmpRouter::new(0xec3f))),
+            ("k-shortest", 4, || {
+                Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                    k: 3,
+                }))
+            }),
+            ("ecmp", 4, || {
+                Arc::new(ShortestPathRouter::with_policy(RoutePolicy::Ecmp {
+                    seed: 0xec3f,
+                }))
+            }),
         ];
         for (manager, walk) in managers {
             for (policy, default_seeds, router) in policies {

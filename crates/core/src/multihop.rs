@@ -11,9 +11,10 @@
 //!   which trunk links connect the switches (trees *and* meshes),
 //! * a [`Router`] selects the [`Route`] an RT channel takes — the source's
 //!   uplink, zero or more directed trunk hops, and the destination's
-//!   downlink; [`rt_types::TreeRouter`] reproduces the unique-tree-path
-//!   behaviour, [`rt_types::ShortestPathRouter`] and [`rt_types::EcmpRouter`]
-//!   open up cyclic fabrics with redundant trunks,
+//!   downlink; [`rt_types::ShortestPathRouter`] under
+//!   [`rt_types::RoutePolicy::Tree`] reproduces the unique-tree-path
+//!   behaviour, its other policies open up cyclic fabrics with redundant
+//!   trunks,
 //! * the end-to-end deadline is partitioned over all links of the route by a
 //!   [`MultiHopDps`]: the symmetric scheme gives every hop `d_i / k`, the
 //!   asymmetric scheme distributes the slack `d_i − k·C_i` proportionally to
@@ -436,7 +437,7 @@ impl MultiHopAdmission {
     ///
     /// The router's candidate routes are tried in preference order: with a
     /// single-route policy this is exactly the classic one-shot admission,
-    /// while a [`rt_types::KShortestRouter`] turns a saturated (or cut)
+    /// while [`rt_types::RoutePolicy::KShortest`] turns a saturated (or cut)
     /// primary path into a detour instead of a rejection.  A rejection
     /// reports the *primary* path's failure — that is the bound the caller
     /// asked about.
@@ -809,6 +810,14 @@ mod tests {
         t
     }
 
+    /// The links the default router gives a channel from node `source` to
+    /// node `destination`.
+    fn links_of(t: &Topology, source: u32, destination: u32) -> RtResult<Vec<HopLink>> {
+        ShortestPathRouter::new()
+            .route(t, NodeId::new(source), NodeId::new(destination))
+            .map(Route::into_links)
+    }
+
     #[test]
     fn topology_construction_and_validation() {
         let mut t = Topology::new();
@@ -846,7 +855,7 @@ mod tests {
         assert_eq!(t.switch_path(SwitchId::new(0), SwitchId::new(9)), None);
 
         // Cross-switch route: uplink, trunk, downlink.
-        let route = t.route(NodeId::new(0), NodeId::new(2)).unwrap();
+        let route = links_of(&t, 0, 2).unwrap();
         assert_eq!(
             route,
             vec![
@@ -859,10 +868,10 @@ mod tests {
             ]
         );
         // Same-switch route: no trunk hop.
-        let route = t.route(NodeId::new(0), NodeId::new(1)).unwrap();
+        let route = links_of(&t, 0, 1).unwrap();
         assert_eq!(route.len(), 2);
-        assert!(t.route(NodeId::new(0), NodeId::new(0)).is_err());
-        assert!(t.route(NodeId::new(0), NodeId::new(99)).is_err());
+        assert!(links_of(&t, 0, 0).is_err());
+        assert!(links_of(&t, 0, 99).is_err());
     }
 
     #[test]
@@ -877,7 +886,7 @@ mod tests {
         }
         t.attach_node(NodeId::new(0), SwitchId::new(0)).unwrap();
         t.attach_node(NodeId::new(1), SwitchId::new(3)).unwrap();
-        let route = t.route(NodeId::new(0), NodeId::new(1)).unwrap();
+        let route = links_of(&t, 0, 1).unwrap();
         assert_eq!(route.len(), 5); // uplink + 3 trunks + downlink
         assert!(matches!(route[2], HopLink::Trunk { from, to }
             if from == SwitchId::new(1) && to == SwitchId::new(2)));
@@ -887,7 +896,7 @@ mod tests {
     fn symmetric_partition_splits_evenly() {
         let spec = RtChannelSpec::paper_default(); // C=3, d=40
         let t = dumbbell(1, 1);
-        let path = t.route(NodeId::new(0), NodeId::new(1)).unwrap();
+        let path = links_of(&t, 0, 1).unwrap();
         // Same-switch path would be 2 hops; cross-switch is 3.
         let parts = MultiHopDps::Symmetric
             .partition(&spec, &path, &vec![0; path.len()])
@@ -1353,7 +1362,9 @@ mod tests {
             admission.accepted_count()
         };
         let shortest_only = run(Arc::new(rt_types::ShortestPathRouter::new()));
-        let with_fallback = run(Arc::new(rt_types::KShortestRouter::new(3)));
+        let with_fallback = run(Arc::new(ShortestPathRouter::with_policy(
+            rt_types::RoutePolicy::KShortest { k: 3 },
+        )));
         assert!(
             with_fallback > shortest_only,
             "k-shortest fallback ({with_fallback}) must beat single-path ({shortest_only})"

@@ -85,7 +85,7 @@ enum FabricShape {
 /// ```
 ///
 /// A tree fabric routes over unique paths (the default shortest-path
-/// routing coincides with [`rt_types::TreeRouter`] on trees):
+/// routing coincides with [`rt_types::RoutePolicy::Tree`] on trees):
 ///
 /// ```
 /// use rt_core::{MultiHopDps, RtChannelSpec, RtNetwork};
@@ -213,11 +213,13 @@ impl RtNetworkBuilder {
         self
     }
 
-    /// The path-selection policy.  Defaults to [`ShortestPathRouter`]
+    /// The path-selection policy.  Defaults to [`ShortestPathRouter::new`]
     /// (identical to the historical tree routing on trees and stars; picks
-    /// shortest paths on meshes).  Use [`rt_types::TreeRouter`] to *enforce*
-    /// acyclic fabrics, or [`rt_types::EcmpRouter`] to spread equal-cost
-    /// channels over redundant trunks.
+    /// shortest paths on meshes).  [`ShortestPathRouter::with_policy`] takes
+    /// [`rt_types::RoutePolicy::Tree`] to *enforce* acyclic fabrics,
+    /// [`rt_types::RoutePolicy::Ecmp`] to spread equal-cost channels over
+    /// redundant trunks, or [`rt_types::RoutePolicy::KShortest`] to offer
+    /// admission and fail-over detours.
     pub fn router(self, router: impl Router + 'static) -> Self {
         self.router_arc(Arc::new(router))
     }
@@ -226,18 +228,6 @@ impl RtNetworkBuilder {
     pub fn router_arc(mut self, router: Arc<dyn Router>) -> Self {
         self.router = Some(router);
         self
-    }
-
-    /// Route table-free from switch coordinates: shorthand for
-    /// `.router(StructuralRouter::new())`.  Requires a
-    /// [`Topology::fat_tree`] / [`Topology::torus_nd`] fabric (the build
-    /// fails on anything else); next hops are byte-identical to the
-    /// default [`ShortestPathRouter`], but routing state stays O(V) and a
-    /// fault flip costs a per-destination detour scan instead of a full
-    /// O(V·E) table rebuild — the difference between milliseconds and
-    /// minutes of rebuild on a `fat_tree(32)`-class fabric under churn.
-    pub fn structural_routing(self) -> Self {
-        self.router(rt_types::StructuralRouter::new())
     }
 
     /// Per-node limit on incoming channels (`None` = unlimited).
@@ -297,7 +287,7 @@ impl RtNetworkBuilder {
             }
         };
         // Simulator::with_router runs the router's capability check (e.g.
-        // TreeRouter rejecting cyclic graphs) on this same topology.
+        // the tree policy rejecting cyclic graphs) on this same topology.
         let sim = Simulator::with_router(self.sim, topology, Arc::clone(&router))?;
         // Eq. 18.1's constant term for the two-hop star path; multi-hop
         // channels get a per-channel override once their route is known.
@@ -892,7 +882,7 @@ impl RtNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_types::{EcmpRouter, TreeRouter};
+    use rt_types::RoutePolicy;
 
     fn network(nodes: u32, dps: DpsKind) -> RtNetwork {
         RtNetwork::builder()
@@ -1222,55 +1212,19 @@ mod tests {
     }
 
     #[test]
-    fn structural_routing_builds_fat_trees_and_rejects_untagged_fabrics() {
-        // Structural routing needs the builder's coordinate metadata.
-        let result = RtNetwork::builder()
-            .topology(Topology::ring(4, 1))
-            .structural_routing()
-            .build();
-        assert!(result.is_err(), "a ring carries no structure tag");
-
-        // On a fat tree it admits and delivers exactly like the tabled
-        // shortest-path default (the closed forms are byte-identical).
-        let drive = |structural: bool| {
-            let builder = RtNetwork::builder()
-                .topology(Topology::fat_tree(4).unwrap())
-                .multihop_dps(MultiHopDps::Asymmetric);
-            let mut net = if structural {
-                builder.structural_routing().build().unwrap()
-            } else {
-                builder.build().unwrap()
-            };
-            let spec = RtChannelSpec::paper_default();
-            let tx = net
-                .establish_channel(NodeId::new(0), NodeId::new(15), spec)
-                .unwrap()
-                .expect("empty fat tree accepts the channel");
-            let start = net.now() + Duration::from_millis(1);
-            net.send_periodic(NodeId::new(0), tx.id, 10, 900, start)
-                .unwrap();
-            net.run_to_completion().unwrap();
-            net.received_messages()
-                .iter()
-                .map(|m| (m.receiver, m.delivered_at))
-                .collect::<Vec<_>>()
-        };
-        let structural = drive(true);
-        assert!(!structural.is_empty());
-        assert_eq!(structural, drive(false));
-    }
-
-    #[test]
     fn tree_router_rejects_mesh_builds_at_build_time() {
         let result = RtNetwork::builder()
             .topology(Topology::ring(4, 1))
-            .router(TreeRouter::new())
+            .router(ShortestPathRouter::with_policy(RoutePolicy::Tree))
             .build();
-        assert!(result.is_err(), "a TreeRouter must refuse a cyclic fabric");
+        assert!(
+            result.is_err(),
+            "the tree policy must refuse a cyclic fabric"
+        );
         // The same router on the spanning line is fine.
         assert!(RtNetwork::builder()
             .topology(Topology::line(4, 1))
-            .router(TreeRouter::new())
+            .router(ShortestPathRouter::with_policy(RoutePolicy::Tree))
             .build()
             .is_ok());
     }
@@ -1323,7 +1277,7 @@ mod tests {
         let run = |seed: u64| {
             let mut net = RtNetwork::builder()
                 .topology(Topology::ring(4, 2))
-                .router(EcmpRouter::new(seed))
+                .router(ShortestPathRouter::with_policy(RoutePolicy::Ecmp { seed }))
                 .multihop_dps(MultiHopDps::Symmetric)
                 .build()
                 .unwrap();
@@ -1354,7 +1308,9 @@ mod tests {
     fn fail_trunk_reroutes_established_channels_on_the_wire() {
         let mut net = RtNetwork::builder()
             .topology(Topology::ring(4, 1))
-            .router(rt_types::KShortestRouter::new(3))
+            .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 3,
+            }))
             .multihop_dps(MultiHopDps::Symmetric)
             .build()
             .unwrap();

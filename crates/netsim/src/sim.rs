@@ -384,7 +384,7 @@ impl Simulator {
     }
 
     /// Build a simulator over `topology` with an explicit [`Router`]: the
-    /// router's capability check runs once here (a [`rt_types::TreeRouter`]
+    /// router's capability check runs once here ([`rt_types::RoutePolicy::Tree`]
     /// rejects cyclic graphs), and its cached next-hop table forwards all
     /// traffic that has no per-route forwarding entries.
     pub fn with_router(
@@ -1824,22 +1824,19 @@ pub(crate) mod tests {
 
     #[test]
     fn with_router_runs_the_capability_check() {
+        use rt_types::RoutePolicy;
         use std::sync::Arc;
-        // A TreeRouter-backed simulator refuses a cyclic fabric...
-        assert!(Simulator::with_router(
-            SimConfig::default(),
-            Topology::ring(4, 1),
-            Arc::new(rt_types::TreeRouter::new()),
-        )
-        .is_err());
+        let tree_policy = || Arc::new(ShortestPathRouter::with_policy(RoutePolicy::Tree));
+        // A tree-policy simulator refuses a cyclic fabric...
+        assert!(
+            Simulator::with_router(SimConfig::default(), Topology::ring(4, 1), tree_policy())
+                .is_err()
+        );
         // ...but accepts a line, and produces the same next-hop table as
         // the default shortest-path router (unique paths on a tree).
-        let tree = Simulator::with_router(
-            SimConfig::default(),
-            Topology::line(3, 1),
-            Arc::new(rt_types::TreeRouter::new()),
-        )
-        .unwrap();
+        let tree =
+            Simulator::with_router(SimConfig::default(), Topology::line(3, 1), tree_policy())
+                .unwrap();
         let shortest =
             Simulator::with_topology(SimConfig::default(), Topology::line(3, 1)).unwrap();
         assert_eq!(*tree.next_hop_table(), *shortest.next_hop_table());

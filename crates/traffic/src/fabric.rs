@@ -284,7 +284,7 @@ impl FabricScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_types::{HopLink, SwitchId};
+    use rt_types::{HopLink, Router, ShortestPathRouter, SwitchId};
 
     #[test]
     fn node_allocation_is_switch_major() {
@@ -309,7 +309,9 @@ mod tests {
         assert_eq!(t.trunks().count(), 2);
         assert_eq!(t.switch_of(NodeId::new(4)), Some(SwitchId::new(1)));
         // A cross-fabric route exists and uses the trunks.
-        let route = t.route(f.master(0, 0), f.slave(2, 0)).unwrap();
+        let route = ShortestPathRouter::new()
+            .route(&t, f.master(0, 0), f.slave(2, 0))
+            .unwrap();
         assert_eq!(route.len(), 4);
         assert!(matches!(route[1], HopLink::Trunk { .. }));
     }
@@ -345,7 +347,9 @@ mod tests {
             assert_eq!(t.switch_of(r.source), Some(SwitchId::new(0)));
             assert_eq!(t.switch_of(r.destination), Some(SwitchId::new(1)));
             // The shortest route is the direct sw0 -> sw1 trunk.
-            let route = t.route(r.source, r.destination).unwrap();
+            let route = ShortestPathRouter::new()
+                .route(&t, r.source, r.destination)
+                .unwrap();
             assert!(route.contains(&HopLink::Trunk {
                 from: SwitchId::new(0),
                 to: SwitchId::new(1)
@@ -368,7 +372,9 @@ mod tests {
         assert_eq!(f.slave(3, 0), NodeId::new(7));
         // The shortest route between adjacent-via-closing-trunk switches is
         // a single trunk hop.
-        let route = t.route(f.master(0, 0), f.slave(3, 0)).unwrap();
+        let route = ShortestPathRouter::new()
+            .route(&t, f.master(0, 0), f.slave(3, 0))
+            .unwrap();
         assert_eq!(route.len(), 3);
     }
 
@@ -388,7 +394,9 @@ mod tests {
         assert_eq!(t.nodes_of(SwitchId::new(4)).count(), 0);
         assert_eq!(t.node_count(), 6);
         // Leaf-to-leaf routes cross exactly one spine (2 trunk hops).
-        let route = t.route(f.master(0, 0), f.slave(2, 0)).unwrap();
+        let route = ShortestPathRouter::new()
+            .route(&t, f.master(0, 0), f.slave(2, 0))
+            .unwrap();
         assert_eq!(route.len(), 4);
         // Requests still cross access switches.
         let reqs = f.cross_switch_requests(12, RtChannelSpec::paper_default());

@@ -24,7 +24,6 @@ pub mod ids;
 pub mod partition;
 pub mod rng;
 pub mod router;
-pub mod structural;
 pub mod time;
 pub mod topology;
 
@@ -36,9 +35,8 @@ pub use ids::{ChannelId, ConnectionRequestId, LinkDirection, LinkId, NodeId, Por
 pub use partition::{effective_shards, partition_switches, ShardStrategy};
 pub use rng::Xoshiro256;
 pub use router::{
-    DenseNextHop, EcmpRouter, KShortestRouter, NextHopCache, NextHopCacheStats, NextHopTable,
-    Route, Router, ShortestPathRouter, TreeRouter,
+    DenseNextHop, NextHopCache, NextHopCacheStats, NextHopTable, Route, RoutePolicy, Router,
+    ShortestPathRouter,
 };
-pub use structural::StructuralRouter;
 pub use time::{Duration, LinkSpeed, SimTime, Slots};
-pub use topology::{FabricStructure, HopLink, ManagerPlacement, SwitchId, Topology};
+pub use topology::{HopLink, ManagerPlacement, SwitchId, Topology};

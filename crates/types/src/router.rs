@@ -1,30 +1,29 @@
-//! Path selection over a [`Topology`]: the [`Router`] trait and its four
-//! stock implementations.
+//! Path selection over a [`Topology`]: the [`Router`] trait, its one stock
+//! implementation [`ShortestPathRouter`], and the [`RoutePolicy`] that
+//! router follows.
 //!
 //! Hoang & Jonsson's analysis treats every *directed link* as an independent
 //! EDF processor, so nothing in the admission theory cares how a channel's
 //! path was chosen — only that the path is fixed at establishment time and
-//! that every link on it passes the per-link feasibility test.  That makes
-//! path selection a pluggable policy:
+//! that every link on it passes the per-link feasibility test.  Every policy
+//! picks a shortest path (a cheapest one on weighted trunks); they differ in
+//! which one and in how many:
 //!
-//! * [`TreeRouter`] — the pre-mesh behaviour, byte for byte: requires the
-//!   switch graph to be a tree (its *capability check*) and returns the
-//!   unique path.
-//! * [`ShortestPathRouter`] — BFS shortest paths over arbitrary connected
-//!   meshes, deterministic tie-break (lowest switch id first).
-//! * [`EcmpRouter`] — equal-cost multi-path: enumerates (by counting, not
-//!   materialising) all shortest paths and picks one by a deterministic
+//! * [`RoutePolicy::Shortest`], the default — shortest paths over arbitrary
+//!   connected meshes, deterministic tie-break (lowest switch id first).
+//! * [`RoutePolicy::Tree`] — the pre-mesh behaviour: the switch graph must
+//!   be a tree (its *capability check*) and the route is the unique path.
+//! * [`RoutePolicy::Ecmp`] — equal-cost multi-path: counts (without listing
+//!   them) all hop-count shortest paths and picks one by a deterministic
 //!   hash of `(seed, source, destination)` through the in-repo
-//!   [`Xoshiro256`] PRNG, so different channels spread over redundant
-//!   trunks while a fixed seed always yields the same route.
-//! * [`KShortestRouter`] — the shortest path as the primary route plus up to
-//!   `k − 1` loop-free alternates in ascending cost ([`Router::routes`]), so
-//!   admission and fail-over can fall back to a detour.
+//!   [`Xoshiro256`] PRNG, so different channels spread over redundant trunks
+//!   while a fixed seed always yields the same route.
+//! * [`RoutePolicy::KShortest`] — the shortest path as the primary route
+//!   plus up to `k − 1` loop-free alternates in ascending cost
+//!   ([`Router::routes`]), so admission and fail-over can fall back to a
+//!   detour.
 //!
-//! (A fifth policy, the table-free
-//! [`crate::structural::StructuralRouter`], lives in its own module.)
-//!
-//! All stock routers share a per-topology [`NextHopCache`] keyed by
+//! The router keeps a per-topology [`NextHopCache`] keyed by
 //! [`Topology::fingerprint`], so constructing many simulators (or routing
 //! many channels) over the same fabric computes the forwarding state once.
 //! On uniform-cost fabrics the cache rebuilds *incrementally* across fault
@@ -41,7 +40,7 @@ use crate::dense::{IdIndex, NO_INDEX};
 use crate::error::{RtError, RtResult};
 use crate::ids::NodeId;
 use crate::rng::Xoshiro256;
-use crate::topology::{FabricStructure, HopLink, SwitchId, Topology};
+use crate::topology::{HopLink, SwitchId, Topology};
 
 /// The next-hop forwarding table of a trunk graph: `(at, towards) →
 /// neighbour of `at` on a shortest path towards `towards``.
@@ -49,49 +48,30 @@ pub type NextHopTable = BTreeMap<(SwitchId, SwitchId), SwitchId>;
 
 /// The forwarding table in the form the per-event hot path consumes:
 /// switches get contiguous indices (via [`IdIndex`]) and a forwarding
-/// decision is a couple of array reads — or, on structured fabrics, a
-/// handful of integer operations with no table at all.
+/// decision is a couple of array reads.  It carries the *same* routes as the
+/// policy's `BTreeMap` table — the simulator uses this form for speed, not
+/// policy.
 ///
-/// Both backings carry the *same* routes the policy's `BTreeMap` table
-/// would — the simulator uses this form for speed, not policy:
-///
-/// * **Columns** — destination-major `S × S` storage, one `Arc`'d column
-///   per destination, so an incremental rebuild after a single trunk flip
-///   shares every untouched column with the previous table instead of
-///   copying O(V²) entries.  A uniform-cost build keeps the trunk graph it
-///   swept beside the columns, one `Arc`'d row per switch, and the rebuild
-///   shares those the same way: a flip re-reads the two rows it changed.
-/// * **Structural** — table-free: next hops are computed from switch
-///   coordinates ([`FabricStructure`] closed forms, O(V) resident state
-///   for the id index), plus a sparse detour overlay covering exactly the
-///   entries a failed trunk changes.
+/// Storage is destination-major `S × S`, one `Arc`'d column per destination,
+/// so an incremental rebuild after a single trunk flip shares every
+/// untouched column with the previous table instead of copying O(V²)
+/// entries.  The trunk graph the columns route over stays beside them, one
+/// `Arc`'d row per switch, and the rebuild shares those the same way: a flip
+/// re-reads the two rows it changed.
 #[derive(Debug)]
 pub struct DenseNextHop {
     index: IdIndex,
-    backing: Backing,
-}
-
-#[derive(Debug)]
-enum Backing {
-    Columns {
-        /// `next[towards][at]` = dense index of the next switch, or
-        /// [`NO_INDEX`] when unreachable (or `at == towards`).
-        next: Vec<Arc<[u32]>>,
-        /// The trunk graph the columns were swept over: `adjacency[at]` =
-        /// the dense indices of `at`'s healthy neighbours, ascending.  What
-        /// a state one trunk flip away patches instead of reading the whole
-        /// fabric again; `None` when built from a table
-        /// ([`DenseNextHop::build`]), which nothing can patch from.
-        adjacency: Option<Vec<Arc<[u32]>>>,
-    },
-    /// Closed-form next hops.  The structured builders allocate contiguous
-    /// switch ids, so dense index == switch id and the closed forms apply
-    /// directly; `detours` overrides `(at, towards)` pairs whose healthy
-    /// route crosses a failed trunk ([`NO_INDEX`] = unreachable).
-    Structural {
-        structure: Arc<FabricStructure>,
-        detours: Arc<BTreeMap<(u32, u32), u32>>,
-    },
+    /// `next[towards][at]` = dense index of the next switch, or
+    /// [`NO_INDEX`] when unreachable (or `at == towards`).
+    next: Vec<Arc<[u32]>>,
+    /// `adjacency[at]` = the dense indices of `at`'s healthy neighbours,
+    /// ascending: what a state one trunk flip away patches instead of
+    /// reading the whole fabric again, and what ECMP counts paths over.
+    adjacency: Vec<Arc<[u32]>>,
+    /// Per-destination hop counts of a uniform-cost sweep (`u32::MAX` =
+    /// unreachable), the base an incremental rebuild patches from; `None`
+    /// for a table built from a weighted one ([`DenseNextHop::build`]).
+    dist: Option<Vec<Arc<[u32]>>>,
 }
 
 impl DenseNextHop {
@@ -110,34 +90,11 @@ impl DenseNextHop {
             };
             columns[t as usize][f as usize] = x;
         }
-        let next = columns.into_iter().map(Arc::from).collect();
-        let backing = Backing::Columns {
-            next,
-            adjacency: None,
-        };
-        DenseNextHop { index, backing }
-    }
-
-    /// Columns swept over `adjacency`, which stays with them.
-    fn from_sweep(index: IdIndex, next: Vec<Arc<[u32]>>, adjacency: Vec<Arc<[u32]>>) -> Self {
-        let backing = Backing::Columns {
-            next,
-            adjacency: Some(adjacency),
-        };
-        DenseNextHop { index, backing }
-    }
-
-    fn structural(
-        index: IdIndex,
-        structure: Arc<FabricStructure>,
-        detours: BTreeMap<(u32, u32), u32>,
-    ) -> Self {
         DenseNextHop {
+            adjacency: dense_adjacency(topology, &index),
             index,
-            backing: Backing::Structural {
-                structure,
-                detours: Arc::new(detours),
-            },
+            next: columns.into_iter().map(Arc::from).collect(),
+            dist: None,
         }
     }
 
@@ -163,19 +120,9 @@ impl DenseNextHop {
     /// as a dense index.  This is the per-event fast path.
     #[inline]
     pub fn next_hop_index(&self, at: u32, towards: u32) -> Option<u32> {
-        match &self.backing {
-            Backing::Columns { next, .. } => match next[towards as usize][at as usize] {
-                NO_INDEX => None,
-                next => Some(next),
-            },
-            Backing::Structural { structure, detours } => {
-                if !detours.is_empty() {
-                    if let Some(&next) = detours.get(&(at, towards)) {
-                        return if next == NO_INDEX { None } else { Some(next) };
-                    }
-                }
-                structure.next_hop(at, towards)
-            }
+        match self.next[towards as usize][at as usize] {
+            NO_INDEX => None,
+            next => Some(next),
         }
     }
 
@@ -206,22 +153,18 @@ impl DenseNextHop {
         table
     }
 
-    /// Approximate resident bytes of the forwarding state: O(V²) for the
-    /// tabled backing (its O(V + E) adjacency rows included), O(V + detours)
-    /// for the structural one.  What `rtbench` reports as
-    /// `types.router.table_bytes`.
+    /// Approximate resident bytes of the forwarding state: the id index,
+    /// the O(V²) next-hop columns and the O(V + E) adjacency rows.  What
+    /// `rtbench` reports as `types.router.table_bytes`.
     pub fn resident_bytes(&self) -> usize {
         let index = self.index.len() * 2 * std::mem::size_of::<u32>();
-        index
-            + match &self.backing {
-                Backing::Columns { next, adjacency } => next
-                    .iter()
-                    .chain(adjacency.iter().flatten())
-                    .map(|c| std::mem::size_of::<Arc<[u32]>>() + std::mem::size_of_val(&c[..]))
-                    .sum(),
-                // BTreeMap node overhead, rounded up generously.
-                Backing::Structural { detours, .. } => 64 + detours.len() * 40,
-            }
+        let rows: usize = self
+            .next
+            .iter()
+            .chain(&self.adjacency)
+            .map(|c| std::mem::size_of::<Arc<[u32]>>() + std::mem::size_of_val(&c[..]))
+            .sum();
+        index + rows
     }
 }
 
@@ -321,7 +264,7 @@ impl Route {
     pub fn source(&self) -> NodeId {
         match self.links[0] {
             HopLink::Uplink(n) => n,
-            _ => unreachable!("validated in from_links"),
+            _ => unreachable!("from_links admits only routes that start with an uplink"),
         }
     }
 
@@ -329,7 +272,7 @@ impl Route {
     pub fn destination(&self) -> NodeId {
         match self.links[self.links.len() - 1] {
             HopLink::Downlink(n) => n,
-            _ => unreachable!("validated in from_links"),
+            _ => unreachable!("from_links admits only routes that end with a downlink"),
         }
     }
 
@@ -373,24 +316,25 @@ impl fmt::Display for Route {
 /// Implementations must be deterministic: the same topology, source and
 /// destination always yield the same route (that is what makes admission
 /// decisions and simulated delivery sequences reproducible).
+/// [`ShortestPathRouter`] is the one stock implementation; the trait is the
+/// seam a wrapper (a tracing or counting router) substitutes through.
 pub trait Router: fmt::Debug + Send + Sync {
     /// A short policy name for reports and error messages.
     fn name(&self) -> &'static str;
 
     /// Capability check: can this router serve the given topology at all?
-    /// [`TreeRouter`] rejects cyclic graphs here; the mesh routers only
-    /// require connectivity.  Called once when a network or simulator is
-    /// built, not per route.
+    /// [`RoutePolicy::Tree`] rejects cyclic graphs here; the other policies
+    /// only require connectivity.  Called once when a network or simulator
+    /// is built, not per route.
     fn validate(&self, topology: &Topology) -> RtResult<()>;
 
     /// Select the path for an RT channel from `source` to `destination`.
     fn route(&self, topology: &Topology, source: NodeId, destination: NodeId) -> RtResult<Route>;
 
     /// The shared per-topology forwarding cache, when the policy keeps one.
-    /// The stock routers all return theirs, which lets the two defaulted
-    /// table accessors below dispatch through a single implementation
-    /// (instead of every router duplicating the pair) and gives callers
-    /// access to the cache's [`NextHopCache::stats`] counters.
+    /// The stock router returns its own, which lets the two defaulted
+    /// table accessors below dispatch through a single implementation and
+    /// gives callers access to the cache's [`NextHopCache::stats`] counters.
     fn next_hop_cache(&self) -> Option<&NextHopCache> {
         None
     }
@@ -422,10 +366,9 @@ pub trait Router: fmt::Debug + Send + Sync {
 
     /// Candidate routes in preference order, primary first.  Admission
     /// control tries them in order and accepts the first feasible one, so a
-    /// router that can enumerate alternates (the [`KShortestRouter`]) turns
-    /// "the shortest path is saturated" from a rejection into a detour.
-    /// The default is the single [`Router::route`] — existing policies keep
-    /// their exact behaviour.
+    /// router that can enumerate alternates ([`RoutePolicy::KShortest`])
+    /// turns "the shortest path is saturated" from a rejection into a
+    /// detour.  The default is the single [`Router::route`].
     ///
     /// The primary is [`Router::route`]'s answer: `routes` fails exactly when
     /// `route` does, and otherwise `routes(..)[0] == route(..)`.  The channel
@@ -443,8 +386,8 @@ pub trait Router: fmt::Debug + Send + Sync {
 }
 
 /// A per-topology memo of the forwarding state, keyed by
-/// [`Topology::fingerprint`].  Shared by all stock routers so repeated
-/// simulator constructions over the same fabric reuse one table.
+/// [`Topology::fingerprint`], so repeated simulator constructions over the
+/// same fabric reuse one table.
 ///
 /// The memo keeps a small bounded set of fabric states (most recently used
 /// first), not just the latest one.  Under fault churn a fabric alternates
@@ -464,22 +407,15 @@ pub trait Router: fmt::Debug + Send + Sync {
 ///   whose route tree actually crossed the flipped trunk are recomputed,
 ///   everything else shares the previous `Arc`'d column.  A single cut on
 ///   a 1280-switch fabric costs milliseconds instead of a full rebuild.
-/// * In structural mode (the [`crate::structural::StructuralRouter`]), a
-///   fabric tagged with a [`FabricStructure`] gets a table-free backing:
-///   closed-form next hops plus a sparse detour overlay for faults, O(V)
-///   resident instead of O(V²).
 /// * The `BTreeMap` form is materialised lazily per state, only when
 ///   [`NextHopCache::get`] is actually called.
 ///
 /// Weighted fabrics keep the exact legacy build: Dijkstra tie-breaks are
 /// not the local min-id rule, and byte-identical tables are a hard
 /// requirement for reproducible admission.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct NextHopCache {
     inner: Mutex<CacheInner>,
-    capacity: usize,
-    /// Prefer the table-free structural backing for tagged fabrics.
-    structural: bool,
 }
 
 #[derive(Debug, Default)]
@@ -488,12 +424,11 @@ struct CacheInner {
     stats: NextHopCacheStats,
 }
 
-/// Default number of distinct fabric states kept memoized.  Fault scripts
-/// flip between a handful of graph states (healthy plus one per concurrent
-/// cut), so a small bound captures the churn working set while keeping the
-/// linear scan and memory footprint trivial; tune per router via
-/// [`NextHopCache::with_capacity`].
-pub const DEFAULT_NEXT_HOP_CACHE_CAPACITY: usize = 8;
+/// Number of distinct fabric states kept memoized.  Fault scripts flip
+/// between a handful of graph states (healthy plus one per concurrent cut),
+/// so a small bound captures the churn working set while keeping the linear
+/// scan and memory footprint trivial.
+const CACHE_CAPACITY: usize = 8;
 
 /// Counters describing how a [`NextHopCache`] behaves under churn —
 /// observable via [`NextHopCache::stats`] / [`Router::next_hop_cache`].
@@ -519,57 +454,17 @@ struct CacheEntry {
     /// two states with equal values differ only in which trunks are failed,
     /// which is what makes cross-state incremental rebuilds sound.
     structural_fingerprint: u64,
-    uniform: bool,
     /// This state's failed trunks, normalised `(min, max)` and sorted.
     failed: Vec<(u32, u32)>,
     dense: Arc<DenseNextHop>,
-    /// Per-destination BFS distance columns (uniform tabled states only) —
-    /// the base data an incremental rebuild patches from.
-    dist: Option<Vec<Arc<[u32]>>>,
     /// The `BTreeMap` form, materialised on first [`NextHopCache::get`].
     table: Option<Arc<NextHopTable>>,
 }
 
-impl Default for NextHopCache {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_NEXT_HOP_CACHE_CAPACITY)
-    }
-}
-
 impl NextHopCache {
-    /// A cache with the default capacity.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A cache keeping up to `capacity` fabric states resident (clamped to
-    /// at least 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        NextHopCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity: capacity.max(1),
-            structural: false,
-        }
-    }
-
-    /// A cache that serves structure-tagged fabrics table-free (closed-form
-    /// next hops + fault detour overlay) and falls back to the tabled path
-    /// for everything else.
-    pub fn structural() -> Self {
-        Self::structural_with_capacity(DEFAULT_NEXT_HOP_CACHE_CAPACITY)
-    }
-
-    /// Structural-mode cache with an explicit capacity.
-    pub fn structural_with_capacity(capacity: usize) -> Self {
-        NextHopCache {
-            structural: true,
-            ..Self::with_capacity(capacity)
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// A snapshot of the hit/miss/eviction/rebuild counters.
@@ -582,34 +477,34 @@ impl NextHopCache {
     /// hot paths that only ever touch the dense form never pay for it.
     pub fn get(&self, topology: &Topology) -> Arc<NextHopTable> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        self.ensure(topology, &mut inner);
-        let entry = &mut inner.entries[0];
-        if entry.table.is_none() {
-            entry.table = Some(Arc::new(entry.dense.to_table()));
-        }
-        Arc::clone(entry.table.as_ref().expect("just materialised"))
+        let entry = Self::ensure(&mut inner, topology);
+        let dense = &entry.dense;
+        Arc::clone(
+            entry
+                .table
+                .get_or_insert_with(|| Arc::new(dense.to_table())),
+        )
     }
 
     /// The cached dense form for `topology` — the entry point the simulator
-    /// and the routers' own walks use.
+    /// and the router's own walks use.
     pub fn get_dense(&self, topology: &Topology) -> Arc<DenseNextHop> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        self.ensure(topology, &mut inner);
-        Arc::clone(&inner.entries[0].dense)
+        Arc::clone(&Self::ensure(&mut inner, topology).dense)
     }
 
-    /// Make the entry for `topology` resident at the front of the list.
-    fn ensure(&self, topology: &Topology, inner: &mut CacheInner) {
+    /// Make the entry for `topology` resident at the front of the list, and
+    /// return it.
+    fn ensure<'a>(inner: &'a mut CacheInner, topology: &Topology) -> &'a mut CacheEntry {
         let fp = topology.fingerprint();
         if let Some(pos) = inner.entries.iter().position(|e| e.fingerprint == fp) {
             inner.stats.hits += 1;
             // Move the hit to the front so eviction drops the least
             // recently used fabric state (a no-op for a hit at the front).
             inner.entries[..=pos].rotate_right(1);
-            return;
+            return &mut inner.entries[0];
         }
         inner.stats.misses += 1;
-        let uniform = topology.has_uniform_cost();
         let structural_fingerprint = topology.structural_fingerprint();
         let failed: Vec<(u32, u32)> = topology
             .failed_trunks()
@@ -617,84 +512,59 @@ impl NextHopCache {
             .collect();
         let index = IdIndex::new(topology.switches().map(|s| s.get()));
 
-        let entry = 'build: {
-            let blank = |dense: Arc<DenseNextHop>, dist, table| CacheEntry {
-                fingerprint: fp,
-                structural_fingerprint,
-                uniform,
-                failed: failed.clone(),
-                dense,
-                dist,
-                table,
-            };
-            if uniform && self.structural {
-                if let Some(structure) = topology.structure() {
-                    if ids_are_contiguous(&index, structure) {
-                        let dense = structural_dense(topology, structure, index, &failed);
-                        break 'build blank(Arc::new(dense), None, None);
-                    }
+        let (dense, table) = if topology.has_uniform_cost() {
+            // A resident uniform state one trunk flip away on the same
+            // fabric seeds an incremental rebuild.
+            let patched = inner.entries.iter().find_map(|e| {
+                if e.structural_fingerprint != structural_fingerprint {
+                    return None;
                 }
-            }
-            if uniform {
-                // A resident state one trunk flip away on the same fabric
-                // seeds an incremental rebuild.
-                let base = inner.entries.iter().find_map(|e| {
-                    if !e.uniform || e.structural_fingerprint != structural_fingerprint {
-                        return None;
-                    }
-                    let dist = e.dist.as_ref()?;
-                    let Backing::Columns {
-                        next,
-                        adjacency: Some(adjacency),
-                    } = &e.dense.backing
-                    else {
-                        return None;
-                    };
-                    single_trunk_delta(&e.failed, &failed)
-                        .map(|delta| (next.clone(), dist.clone(), adjacency.clone(), delta))
-                });
-                if let Some((base_next, base_dist, mut adjacency, delta)) = base {
+                let delta = single_trunk_delta(&e.failed, &failed)?;
+                incremental_columns(topology, &index, &e.dense, &delta)
+            });
+            let (adjacency, (next, dist)) = match patched {
+                Some(columns) => {
                     inner.stats.incremental_rebuilds += 1;
-                    let (next_cols, dist_cols) = incremental_columns(
-                        topology,
-                        &index,
-                        &base_next,
-                        &base_dist,
-                        &mut adjacency,
-                        &delta,
-                    );
-                    let dense = DenseNextHop::from_sweep(index, next_cols, adjacency);
-                    break 'build blank(Arc::new(dense), Some(dist_cols), None);
+                    columns
                 }
-                inner.stats.full_rebuilds += 1;
-                let adjacency = dense_adjacency(topology, &index);
-                let (next_cols, dist_cols) = uniform_columns(&adjacency);
-                let dense = DenseNextHop::from_sweep(index, next_cols, adjacency);
-                break 'build blank(Arc::new(dense), Some(dist_cols), None);
-            }
+                None => {
+                    inner.stats.full_rebuilds += 1;
+                    let adjacency = dense_adjacency(topology, &index);
+                    let columns = uniform_columns(&adjacency);
+                    (adjacency, columns)
+                }
+            };
+            let dense = DenseNextHop {
+                index,
+                next,
+                adjacency,
+                dist: Some(dist),
+            };
+            (dense, None)
+        } else {
             // Weighted trunks: deterministic-Dijkstra tie-breaks are not
             // the local min-id rule, so keep the exact legacy build (and
             // its eager table — it exists as a by-product anyway).
             inner.stats.full_rebuilds += 1;
             let table = Arc::new(topology.next_hop_table());
-            let dense = Arc::new(DenseNextHop::build(topology, &table));
-            blank(dense, None, Some(table))
+            (DenseNextHop::build(topology, &table), Some(table))
         };
-        inner.entries.insert(0, entry);
-        while inner.entries.len() > self.capacity {
+        inner.entries.insert(
+            0,
+            CacheEntry {
+                fingerprint: fp,
+                structural_fingerprint,
+                failed,
+                dense: Arc::new(dense),
+                table,
+            },
+        );
+        if inner.entries.len() > CACHE_CAPACITY {
             inner.entries.pop();
             inner.stats.evictions += 1;
         }
+        &mut inner.entries[0]
     }
-}
-
-/// The structured builders allocate switch ids `0..n`, so dense index ==
-/// switch id and the closed forms can be evaluated on indices directly.
-/// Cheap sanity check (the structure tag is cleared by any mutation that
-/// could break this, so it never fails in practice).
-fn ids_are_contiguous(index: &IdIndex, structure: &FabricStructure) -> bool {
-    let n = index.len();
-    n == structure.switch_count() as usize && n > 0 && index.id_at(n as u32 - 1) == n as u32 - 1
 }
 
 /// One row of the dense adjacency: the dense indices of `switch`'s healthy
@@ -763,15 +633,9 @@ type ColumnSets = (Vec<Arc<[u32]>>, Vec<Arc<[u32]>>);
 
 /// From-scratch per-destination build of every column.
 fn uniform_columns(adjacency: &[Arc<[u32]>]) -> ColumnSets {
-    let n = adjacency.len();
-    let mut next_cols = Vec::with_capacity(n);
-    let mut dist_cols = Vec::with_capacity(n);
-    for t in 0..n {
-        let (next, dist) = bfs_column(adjacency, t);
-        next_cols.push(next);
-        dist_cols.push(dist);
-    }
-    (next_cols, dist_cols)
+    (0..adjacency.len())
+        .map(|t| bfs_column(adjacency, t))
+        .unzip()
 }
 
 /// A single-trunk difference between two failed-trunk sets.
@@ -812,10 +676,11 @@ fn single_trunk_delta(base: &[(u32, u32)], new: &[(u32, u32)]) -> Option<TrunkDe
     one_extra(new, base).map(TrunkDelta::Repaired)
 }
 
-/// Patch a base state's per-destination columns for a single trunk flip,
-/// sharing every untouched column's `Arc`.  `adjacency` comes in as the base
-/// state's and leaves as `topology`'s: the flipped trunk's two rows are read
-/// again, every other row stays the base's allocation.
+/// Patch a base state's adjacency and per-destination columns for a single
+/// trunk flip, sharing every untouched row's and column's `Arc`: the
+/// flipped trunk's two adjacency rows are read again from `topology`.
+/// `None` when the base was not a uniform-cost sweep, which has no distance
+/// columns to patch from.
 ///
 /// Soundness rests on two facts about uniform-cost BFS columns:
 ///
@@ -835,11 +700,10 @@ fn single_trunk_delta(base: &[(u32, u32)], new: &[(u32, u32)]) -> Option<TrunkDe
 fn incremental_columns(
     topology: &Topology,
     index: &IdIndex,
-    base_next: &[Arc<[u32]>],
-    base_dist: &[Arc<[u32]>],
-    adjacency: &mut [Arc<[u32]>],
+    base: &DenseNextHop,
     delta: &TrunkDelta,
-) -> ColumnSets {
+) -> Option<(Vec<Arc<[u32]>>, ColumnSets)> {
+    let base_dist = base.dist.as_ref()?;
     let (edge, is_cut) = match delta {
         TrunkDelta::Cut(e) => (e, true),
         TrunkDelta::Repaired(e) => (e, false),
@@ -852,16 +716,15 @@ fn incremental_columns(
             as usize
     };
     let (a, b) = (dense(edge.0), dense(edge.1));
+    let mut adjacency = base.adjacency.clone();
     for (at, id) in [(a, edge.0), (b, edge.1)] {
         adjacency[at] = adjacency_row(topology, index, SwitchId::new(id));
     }
-    let adjacency = &*adjacency;
     let n = adjacency.len();
     let mut next_cols = Vec::with_capacity(n);
     let mut dist_cols = Vec::with_capacity(n);
-    for t in 0..n {
-        let next = &base_next[t];
-        let dist = &base_dist[t];
+    for (next, dist) in base.next.iter().zip(base_dist) {
+        let t = next_cols.len();
         let (da, db) = (dist[a], dist[b]);
         // Equal distances (finite or both unreachable): the trunk is off
         // every shortest path towards t either way.
@@ -895,7 +758,7 @@ fn incremental_columns(
                     dist_cols.push(Arc::clone(dist));
                 }
                 None => {
-                    let (nc, dc) = bfs_column(adjacency, t);
+                    let (nc, dc) = bfs_column(&adjacency, t);
                     next_cols.push(nc);
                     dist_cols.push(dc);
                 }
@@ -903,7 +766,7 @@ fn incremental_columns(
         } else if dist[u] == u32::MAX || dist[u] - dist[v] >= 2 {
             // The repair shortens paths (or reconnects a region):
             // recompute the column.
-            let (nc, dc) = bfs_column(adjacency, t);
+            let (nc, dc) = bfs_column(&adjacency, t);
             next_cols.push(nc);
             dist_cols.push(dc);
         } else if (v as u32) < next[u] {
@@ -917,50 +780,7 @@ fn incremental_columns(
             dist_cols.push(Arc::clone(dist));
         }
     }
-    (next_cols, dist_cols)
-}
-
-/// Build the table-free backing for a structure-tagged fabric: closed-form
-/// next hops plus a sparse detour overlay.
-///
-/// For each destination `t`, the healthy lex-min route tree crosses a
-/// failed trunk iff some endpoint's healthy next hop towards `t` is the
-/// other endpoint.  Destinations whose tree avoids every failed trunk are
-/// served purely by the closed form (byte-identical to the degraded BFS by
-/// the patching argument above); the rest get one degraded BFS column, and
-/// only the entries that *differ* from the closed form land in the
-/// overlay — O(faulted columns), not O(V²).
-fn structural_dense(
-    topology: &Topology,
-    structure: &FabricStructure,
-    index: IdIndex,
-    failed: &[(u32, u32)],
-) -> DenseNextHop {
-    let mut detours = BTreeMap::new();
-    if !failed.is_empty() {
-        let adjacency = dense_adjacency(topology, &index);
-        let n = adjacency.len() as u32;
-        for t in 0..n {
-            let used = failed.iter().any(|&(x, y)| {
-                structure.next_hop(x, t) == Some(y) || structure.next_hop(y, t) == Some(x)
-            });
-            if !used {
-                continue;
-            }
-            let (next, _) = bfs_column(&adjacency, t as usize);
-            for s in 0..n {
-                if s == t {
-                    continue;
-                }
-                let healthy = structure.next_hop(s, t).unwrap_or(NO_INDEX);
-                let degraded = next[s as usize];
-                if degraded != healthy {
-                    detours.insert((s, t), degraded);
-                }
-            }
-        }
-    }
-    DenseNextHop::structural(index, Arc::new(structure.clone()), detours)
+    Some((adjacency, (next_cols, dist_cols)))
 }
 
 /// Resolve and sanity-check the endpoints of a requested route.
@@ -987,68 +807,229 @@ fn route_endpoints(
 /// by link; a longer route grows it once.
 const ROUTE_LINKS_HINT: usize = 8;
 
-/// Walk the dense next-hop form from the source's switch to the
-/// destination's, producing the uplink + trunks + downlink route.  Walking
-/// the dense form (rather than the `BTreeMap`) means a `route()` call never
-/// forces the lazy O(V²) table materialisation.
-pub(crate) fn walk_dense(
-    dense: &DenseNextHop,
-    topology: &Topology,
+/// The one route assembly: `source`'s uplink, a trunk between every two
+/// consecutive switches of `path`, `destination`'s downlink.
+fn assemble(
     source: NodeId,
     destination: NodeId,
+    path: impl IntoIterator<Item = SwitchId>,
 ) -> RtResult<Route> {
-    let (src_switch, dst_switch) = route_endpoints(topology, source, destination)?;
-    let not_connected = || {
-        RtError::Config(format!(
-            "switches {src_switch} and {dst_switch} are not connected"
-        ))
-    };
-    let (Some(mut at), Some(towards)) = (dense.index_of(src_switch), dense.index_of(dst_switch))
-    else {
-        return Err(not_connected());
-    };
     let mut links = Vec::with_capacity(ROUTE_LINKS_HINT);
     links.push(HopLink::Uplink(source));
-    while at != towards {
-        let next = dense
-            .next_hop_index(at, towards)
-            .ok_or_else(not_connected)?;
-        links.push(HopLink::Trunk {
-            from: dense.switch_at(at),
-            to: dense.switch_at(next),
-        });
-        at = next;
+    let mut path = path.into_iter();
+    if let Some(mut from) = path.next() {
+        for to in path {
+            links.push(HopLink::Trunk { from, to });
+            from = to;
+        }
     }
     links.push(HopLink::Downlink(destination));
     Route::from_links(links)
 }
 
-/// The pre-mesh routing policy: the switch graph must be a tree and the
-/// route is the unique path through it.  Identical, link for link, to the
-/// routing `Topology::route` performed before path selection became
-/// pluggable.
-#[derive(Debug, Default)]
-pub struct TreeRouter {
-    cache: NextHopCache,
-    /// Fingerprint of the last topology that passed the tree check.
-    checked: Mutex<Option<u64>>,
+/// The switches from `from` to `to` along the dense next hops, both ends
+/// included, or `None` when `to` is unreachable.  Walking the dense form
+/// (rather than the `BTreeMap`) means a route never forces the lazy O(V²)
+/// table materialisation.  A column is a shortest-path tree towards its
+/// destination: every next hop is strictly closer and has a next hop of
+/// its own until it is `to`, which has none towards itself — so once the
+/// first hop exists the walk ends exactly at `to`.
+fn walk(
+    dense: &DenseNextHop,
+    from: SwitchId,
+    to: SwitchId,
+) -> Option<impl Iterator<Item = SwitchId> + '_> {
+    let (at, towards) = (dense.index_of(from)?, dense.index_of(to)?);
+    if at != towards && dense.next_hop_index(at, towards).is_none() {
+        return None;
+    }
+    let hops = std::iter::successors(Some(at), move |&at| dense.next_hop_index(at, towards));
+    Some(hops.map(move |at| dense.switch_at(at)))
 }
 
-impl TreeRouter {
-    /// Create a tree router.
+/// [`RoutePolicy::Ecmp`]'s hash key for one `(source, destination)` pair:
+/// independent of call order, so a fixed seed reproduces every pick.
+fn ecmp_key(seed: u64, source: NodeId, destination: NodeId) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (u64::from(source.get()) << 32)
+        ^ u64::from(destination.get())
+}
+
+/// [`RoutePolicy::Ecmp`]'s switch path from `from` to `to`: of all
+/// hop-count shortest paths, the one `key` picks, or `None` when `to` is
+/// unreachable.  The paths are counted, never listed: each switch's number
+/// of shortest paths on to `to` is summed from its closer neighbours in
+/// ascending distance (saturating: a count only steers the hash), over the
+/// dense adjacency and the cached distance column — a weighted fabric's
+/// table has none, so it gets a BFS column of its own — and the walk
+/// descends through the counts to the picked path.
+fn ecmp_path(
+    dense: &DenseNextHop,
+    from: SwitchId,
+    to: SwitchId,
+    key: u64,
+) -> Option<Vec<SwitchId>> {
+    let (s, t) = (dense.index_of(from)? as usize, dense.index_of(to)? as usize);
+    let swept;
+    let dist: &[u32] = match &dense.dist {
+        Some(columns) => &columns[t],
+        None => {
+            swept = bfs_column(&dense.adjacency, t).1;
+            &swept
+        }
+    };
+    if dist[s] == u32::MAX {
+        return None;
+    }
+    let closer = |v: usize| {
+        dense.adjacency[v]
+            .iter()
+            .map(|&u| u as usize)
+            .filter(move |&u| dist[u] != u32::MAX && dist[u] + 1 == dist[v])
+    };
+    let mut order: Vec<usize> = (0..dist.len()).filter(|&v| dist[v] <= dist[s]).collect();
+    order.sort_unstable_by_key(|&v| dist[v]);
+    let mut count = vec![0u64; dist.len()];
+    count[t] = 1;
+    for &v in order.iter().filter(|&&v| v != t) {
+        let paths = closer(v).map(|u| count[u]).fold(0, u64::saturating_add);
+        count[v] = paths;
+    }
+    let mut remaining = match count[s] {
+        0 | 1 => 0,
+        paths => Xoshiro256::new(key).below(paths),
+    };
+    let mut path = vec![from];
+    let mut at = s;
+    while at != t {
+        // Cannot come up empty: `remaining < count[at]`, which is at most
+        // the sum of what `at`'s closer neighbours carry.
+        at = closer(at).find(|&u| {
+            let here = remaining < count[u];
+            if !here {
+                remaining -= count[u];
+            }
+            here
+        })?;
+        path.push(dense.switch_at(at as u32));
+    }
+    Some(path)
+}
+
+/// [`RoutePolicy::KShortest`]'s candidates: `first`, then up to `k − 1`
+/// further loop-free switch paths to `to`, cheapest first (Yen's algorithm
+/// over the trunk graph; candidates ordered by `(cost, path)`, so on an
+/// unweighted fabric by length, then lexicographically).  Fewer when the
+/// graph has fewer distinct loop-free paths.  Every spur search is
+/// [`Topology::switch_path_banned`], whose tie-breaks the cached table the
+/// primary is walked on reproduces.
+fn k_shortest_paths(
+    topology: &Topology,
+    first: Vec<SwitchId>,
+    to: SwitchId,
+    k: usize,
+) -> Vec<Vec<SwitchId>> {
+    let cost = |path: &[SwitchId]| -> u64 {
+        path.windows(2)
+            .map(|w| topology.trunk_cost(w[0], w[1]).unwrap_or(1))
+            .sum()
+    };
+    let mut paths = vec![first];
+    let mut candidates = std::collections::BTreeSet::new();
+    while paths.len() < k {
+        let prev = &paths[paths.len() - 1];
+        for i in 0..prev.len().saturating_sub(1) {
+            let root = &prev[..=i];
+            // Edges already used by accepted paths sharing this root must
+            // not be reused for the spur, nor the root's switches revisited.
+            let banned_edges = paths
+                .iter()
+                .filter(|p| p.len() > i + 1 && p[..=i] == *root)
+                .map(|p| (p[i], p[i + 1]))
+                .collect();
+            let banned_nodes = root[..i].iter().copied().collect();
+            if let Some(spur) =
+                topology.switch_path_banned(prev[i], to, &banned_nodes, &banned_edges)
+            {
+                let mut total = root[..i].to_vec();
+                total.extend(spur);
+                if !paths.contains(&total) {
+                    candidates.insert((cost(&total), total));
+                }
+            }
+        }
+        let Some((_, best)) = candidates.pop_first() else {
+            break;
+        };
+        paths.push(best);
+    }
+    paths
+}
+
+/// Which shortest path a [`ShortestPathRouter`] picks, and how many it
+/// offers.  See the module docs for what each policy is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RoutePolicy {
+    /// The lexicographically smallest shortest path (cheapest, on weighted
+    /// trunks) over any connected mesh.
+    #[default]
+    Shortest,
+    /// [`RoutePolicy::Shortest`] on a switch graph that must be a tree, so
+    /// the route is the unique path; a cyclic or disconnected fabric is
+    /// refused.
+    Tree,
+    /// One of the hop-count shortest paths, picked by a hash of `(seed,
+    /// source, destination)`.
+    Ecmp {
+        /// The hash seed.
+        seed: u64,
+    },
+    /// [`RoutePolicy::Shortest`]'s path first, then up to `k − 1` loop-free
+    /// alternates in ascending cost.
+    KShortest {
+        /// Candidate paths offered per request (0 offers one, as 1 does).
+        k: usize,
+    },
+}
+
+/// The stock [`Router`]: a [`RoutePolicy`] over a [`NextHopCache`].  Every
+/// policy picks a shortest path, hence the name; [`ShortestPathRouter::new`]
+/// follows [`RoutePolicy::Shortest`].
+#[derive(Debug, Default)]
+pub struct ShortestPathRouter {
+    policy: RoutePolicy,
+    cache: NextHopCache,
+}
+
+impl ShortestPathRouter {
+    /// A router following [`RoutePolicy::Shortest`].
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn ensure_tree(&self, topology: &Topology) -> RtResult<()> {
-        let fp = topology.fingerprint();
-        let mut guard = self.checked.lock().unwrap_or_else(|e| e.into_inner());
-        if *guard == Some(fp) {
-            return Ok(());
+    /// A router following `policy`.
+    pub fn with_policy(policy: RoutePolicy) -> Self {
+        ShortestPathRouter {
+            policy,
+            cache: NextHopCache::default(),
         }
-        if !topology.is_tree() {
-            return Err(RtError::Config(format!(
-                "TreeRouter requires a tree, but the switch graph has {} switches and {} trunks{}",
+    }
+}
+
+impl Router for ShortestPathRouter {
+    fn name(&self) -> &'static str {
+        match self.policy {
+            RoutePolicy::Shortest => "shortest-path",
+            RoutePolicy::Tree => "tree",
+            RoutePolicy::Ecmp { .. } => "ecmp",
+            RoutePolicy::KShortest { .. } => "k-shortest",
+        }
+    }
+
+    fn validate(&self, topology: &Topology) -> RtResult<()> {
+        match self.policy {
+            RoutePolicy::Tree if !topology.is_tree() => Err(RtError::Config(format!(
+                "the tree policy requires a tree, but the switch graph has {} switches and {} trunks{}",
                 topology.switch_count(),
                 topology.trunk_count(),
                 if topology.is_connected() {
@@ -1056,30 +1037,56 @@ impl TreeRouter {
                 } else {
                     " (disconnected)"
                 }
-            )));
+            ))),
+            _ if !topology.is_connected() => Err(RtError::Config(
+                "the switch graph must be connected".into(),
+            )),
+            _ => Ok(()),
         }
-        *guard = Some(fp);
-        Ok(())
-    }
-}
-
-impl Router for TreeRouter {
-    fn name(&self) -> &'static str {
-        "tree"
-    }
-
-    fn validate(&self, topology: &Topology) -> RtResult<()> {
-        self.ensure_tree(topology)
     }
 
     fn route(&self, topology: &Topology, source: NodeId, destination: NodeId) -> RtResult<Route> {
-        self.ensure_tree(topology)?;
-        walk_dense(
-            &self.cache.get_dense(topology),
-            topology,
-            source,
-            destination,
-        )
+        if self.policy == RoutePolicy::Tree {
+            self.validate(topology)?;
+        }
+        let (from, to) = route_endpoints(topology, source, destination)?;
+        let not_connected =
+            || RtError::Config(format!("switches {from} and {to} are not connected"));
+        match self.policy {
+            RoutePolicy::Ecmp { seed } => {
+                let dense = self.cache.get_dense(topology);
+                let key = ecmp_key(seed, source, destination);
+                let path = ecmp_path(&dense, from, to, key).ok_or_else(not_connected)?;
+                assemble(source, destination, path)
+            }
+            _ => {
+                let dense = self.cache.get_dense(topology);
+                let path = walk(&dense, from, to).ok_or_else(not_connected)?;
+                assemble(source, destination, path)
+            }
+        }
+    }
+
+    fn routes(
+        &self,
+        topology: &Topology,
+        source: NodeId,
+        destination: NodeId,
+    ) -> RtResult<Vec<Route>> {
+        let primary = self.route(topology, source, destination)?;
+        let RoutePolicy::KShortest { k } = self.policy else {
+            return Ok(vec![primary]);
+        };
+        let (from, to) = route_endpoints(topology, source, destination)?;
+        let trunk_ends = primary.links().iter().filter_map(|link| match *link {
+            HopLink::Trunk { to: end, .. } => Some(end),
+            _ => None,
+        });
+        let first = std::iter::once(from).chain(trunk_ends).collect();
+        let alternates = k_shortest_paths(topology, first, to, k).into_iter().skip(1);
+        std::iter::once(Ok(primary))
+            .chain(alternates.map(|path| assemble(source, destination, path)))
+            .collect()
     }
 
     fn next_hop_cache(&self) -> Option<&NextHopCache> {
@@ -1087,103 +1094,67 @@ impl Router for TreeRouter {
     }
 }
 
-/// BFS shortest-path routing over arbitrary connected meshes, with a
-/// deterministic tie-break (the BFS visits neighbours in ascending switch
-/// id, so among equal-cost paths the lexicographically smallest wins).  On
-/// a tree this coincides with [`TreeRouter`].
-#[derive(Debug, Default)]
-pub struct ShortestPathRouter {
-    cache: NextHopCache,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
 
-impl ShortestPathRouter {
-    /// Create a shortest-path router.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+    /// One of each policy, with the values the old constructors were given.
+    const POLICIES: [RoutePolicy; 4] = [
+        RoutePolicy::Shortest,
+        RoutePolicy::Tree,
+        RoutePolicy::Ecmp { seed: 7 },
+        RoutePolicy::KShortest { k: 3 },
+    ];
 
-impl Router for ShortestPathRouter {
-    fn name(&self) -> &'static str {
-        "shortest-path"
+    fn ring4() -> Topology {
+        Topology::ring(4, 1)
     }
 
-    fn validate(&self, topology: &Topology) -> RtResult<()> {
-        if !topology.is_connected() {
-            return Err(RtError::Config("the switch graph must be connected".into()));
+    fn router(policy: RoutePolicy) -> ShortestPathRouter {
+        ShortestPathRouter::with_policy(policy)
+    }
+
+    fn switches(ids: &[u32]) -> Vec<SwitchId> {
+        ids.iter().copied().map(SwitchId::new).collect()
+    }
+
+    // --- oracles: the routing bodies from before one type took a policy ---
+    //
+    // Kept as they were, apart from the table they walk, so that the merged
+    // router can be checked against them route for route.
+
+    /// `ShortestPathRouter` and `TreeRouter`'s walk, over the legacy
+    /// per-source table ([`Topology::next_hop_table`]) instead of the cache:
+    /// an oracle that shares no code with the cache's columns.
+    fn oracle_walk(
+        table: &NextHopTable,
+        topology: &Topology,
+        source: NodeId,
+        destination: NodeId,
+    ) -> RtResult<Route> {
+        let (src_switch, dst_switch) = route_endpoints(topology, source, destination)?;
+        let mut links = vec![HopLink::Uplink(source)];
+        let mut at = src_switch;
+        while at != dst_switch {
+            let next = *table
+                .get(&(at, dst_switch))
+                .ok_or_else(|| RtError::Config("not connected".into()))?;
+            links.push(HopLink::Trunk { from: at, to: next });
+            at = next;
         }
-        Ok(())
+        links.push(HopLink::Downlink(destination));
+        Route::from_links(links)
     }
 
-    fn route(&self, topology: &Topology, source: NodeId, destination: NodeId) -> RtResult<Route> {
-        walk_dense(
-            &self.cache.get_dense(topology),
-            topology,
-            source,
-            destination,
-        )
-    }
-
-    fn next_hop_cache(&self) -> Option<&NextHopCache> {
-        Some(&self.cache)
-    }
-}
-
-/// Equal-cost multi-path routing: among *all* shortest paths between two
-/// switches, pick one by a deterministic hash of `(seed, source,
-/// destination)`.  Distinct node pairs therefore spread over redundant
-/// trunks, while a fixed seed makes every run exactly reproducible.
-///
-/// The selection never materialises the path set: a BFS from the
-/// destination switch yields distances, the per-switch shortest-path
-/// *counts* are accumulated in distance order, and the hash picks the k-th
-/// path by descending through the counts.
-#[derive(Debug)]
-pub struct EcmpRouter {
-    seed: u64,
-    cache: NextHopCache,
-}
-
-impl EcmpRouter {
-    /// Create an ECMP router with the given hash seed.
-    pub fn new(seed: u64) -> Self {
-        EcmpRouter {
-            seed,
-            cache: NextHopCache::default(),
-        }
-    }
-
-    /// The hash seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The deterministic per-pair selector: a PRNG keyed on the seed and
-    /// the endpoints, independent of call order.
-    fn pick(&self, source: NodeId, destination: NodeId, count: u64) -> u64 {
-        if count <= 1 {
-            return 0;
-        }
-        let key = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (u64::from(source.get()) << 32)
-            ^ u64::from(destination.get());
-        Xoshiro256::new(key).below(count)
-    }
-}
-
-impl Router for EcmpRouter {
-    fn name(&self) -> &'static str {
-        "ecmp"
-    }
-
-    fn validate(&self, topology: &Topology) -> RtResult<()> {
-        if !topology.is_connected() {
-            return Err(RtError::Config("the switch graph must be connected".into()));
-        }
-        Ok(())
-    }
-
-    fn route(&self, topology: &Topology, source: NodeId, destination: NodeId) -> RtResult<Route> {
+    /// `EcmpRouter::route`: BFS distances and shortest-path counts in
+    /// `BTreeMap`s over [`Topology::neighbours`].
+    fn oracle_ecmp(
+        seed: u64,
+        topology: &Topology,
+        source: NodeId,
+        destination: NodeId,
+    ) -> RtResult<Route> {
         let (src_switch, dst_switch) = route_endpoints(topology, source, destination)?;
         if src_switch == dst_switch {
             return Route::from_links(vec![
@@ -1191,7 +1162,6 @@ impl Router for EcmpRouter {
                 HopLink::Downlink(destination),
             ]);
         }
-        // BFS distances towards the destination switch.
         let mut dist: BTreeMap<SwitchId, u64> = BTreeMap::from([(dst_switch, 0)]);
         let mut queue = std::collections::VecDeque::from([dst_switch]);
         while let Some(current) = queue.pop_front() {
@@ -1204,12 +1174,8 @@ impl Router for EcmpRouter {
             }
         }
         if !dist.contains_key(&src_switch) {
-            return Err(RtError::Config(format!(
-                "switches {src_switch} and {dst_switch} are not connected"
-            )));
+            return Err(RtError::Config("not connected".into()));
         }
-        // Shortest-path counts towards the destination, accumulated in
-        // ascending distance (saturating: the count only steers the hash).
         let mut by_distance: Vec<(u64, SwitchId)> = dist.iter().map(|(&s, &d)| (d, s)).collect();
         by_distance.sort_unstable();
         let mut count: BTreeMap<SwitchId, u64> = BTreeMap::from([(dst_switch, 1)]);
@@ -1221,8 +1187,15 @@ impl Router for EcmpRouter {
                 .fold(0u64, u64::saturating_add);
             count.insert(s, total);
         }
-        // Pick the k-th shortest path and walk it.
-        let mut remaining = self.pick(source, destination, count[&src_switch]);
+        let paths = count[&src_switch];
+        let mut remaining = if paths <= 1 {
+            0
+        } else {
+            let key = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (u64::from(source.get()) << 32)
+                ^ u64::from(destination.get());
+            Xoshiro256::new(key).below(paths)
+        };
         let mut links = vec![HopLink::Uplink(source)];
         let mut at = src_switch;
         while at != dst_switch {
@@ -1247,124 +1220,43 @@ impl Router for EcmpRouter {
         Route::from_links(links)
     }
 
-    fn next_hop_cache(&self) -> Option<&NextHopCache> {
-        Some(&self.cache)
-    }
-}
-
-/// Cheapest switch path from `from` to `to` that avoids `banned_nodes` and
-/// the *directed* `banned_edges` — the one shared search of
-/// [`Topology::cheapest_predecessors_banned`] (BFS on uniform costs, byte
-/// for byte the historical behaviour; deterministic Dijkstra on weighted
-/// trunks), so the routers and `Topology`'s own paths can never disagree on
-/// tie-breaks.
-fn bfs_switch_path(
-    topology: &Topology,
-    from: SwitchId,
-    to: SwitchId,
-    banned_nodes: &std::collections::BTreeSet<SwitchId>,
-    banned_edges: &std::collections::BTreeSet<(SwitchId, SwitchId)>,
-) -> Option<Vec<SwitchId>> {
-    if from == to {
-        return Some(vec![from]);
-    }
-    let predecessor =
-        topology.cheapest_predecessors_banned(from, Some(to), banned_nodes, banned_edges);
-    if !predecessor.contains_key(&to) {
-        return None;
-    }
-    let mut path = vec![to];
-    let mut current = to;
-    while current != from {
-        current = predecessor[&current];
-        path.push(current);
-    }
-    path.reverse();
-    Some(path)
-}
-
-/// The summed trunk cost of a switch path (1 per trunk on unweighted
-/// fabrics, so ordering by cost coincides with ordering by length there).
-fn switch_path_cost(topology: &Topology, path: &[SwitchId]) -> u64 {
-    path.windows(2)
-        .map(|w| topology.trunk_cost(w[0], w[1]).unwrap_or(1))
-        .sum()
-}
-
-/// K-shortest-path routing with admission fallback: the primary route is
-/// the BFS shortest path, and [`Router::routes`] enumerates up to `k`
-/// loop-free switch paths in ascending length (Yen's algorithm, ties broken
-/// lexicographically) so admission control can fall back to a detour when
-/// the shortest path's feasibility test fails — and fail-over can re-admit
-/// channels over whatever survives a trunk cut.
-///
-/// Deterministic like every router: same topology and endpoints always
-/// yield the same candidate list.
-#[derive(Debug)]
-pub struct KShortestRouter {
-    k: usize,
-    cache: NextHopCache,
-}
-
-impl KShortestRouter {
-    /// Create a router that offers up to `k` candidate paths per request
-    /// (`k` is clamped to at least 1).
-    pub fn new(k: usize) -> Self {
-        KShortestRouter {
-            k: k.max(1),
-            cache: NextHopCache::default(),
-        }
-    }
-
-    /// The number of candidate paths offered per request.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Up to `k` loop-free switch paths from `from` to `to`, shortest first
-    /// (Yen's algorithm over the trunk graph).  Fewer than `k` when the
-    /// graph has fewer distinct loop-free paths.
-    pub fn switch_paths(
-        &self,
+    /// `KShortestRouter::switch_paths`: Yen's algorithm, its first path
+    /// from the source's own search, every search the shared one.
+    fn oracle_switch_paths(
+        k: usize,
         topology: &Topology,
         from: SwitchId,
         to: SwitchId,
     ) -> Vec<Vec<SwitchId>> {
-        let none_banned = std::collections::BTreeSet::new();
-        let no_edges = std::collections::BTreeSet::new();
-        let Some(first) = bfs_switch_path(topology, from, to, &none_banned, &no_edges) else {
+        let none = BTreeSet::new();
+        let Some(first) = topology.switch_path_banned(from, to, &none, &BTreeSet::new()) else {
             return Vec::new();
         };
         let mut paths = vec![first];
-        // Candidates ordered by (cost, lexicographic path): ascending
-        // iteration pops the best next path deterministically.  On an
-        // unweighted fabric cost = trunks = length − 1, so the order is the
-        // historical (length, path) one, byte for byte.
-        let mut candidates: std::collections::BTreeSet<(u64, Vec<SwitchId>)> =
-            std::collections::BTreeSet::new();
-        while paths.len() < self.k {
+        let mut candidates: BTreeSet<(u64, Vec<SwitchId>)> = BTreeSet::new();
+        while paths.len() < k.max(1) {
             let prev = paths.last().expect("paths starts non-empty").clone();
             for i in 0..prev.len() - 1 {
                 let spur = prev[i];
                 let root = &prev[..=i];
-                // Edges already used by accepted paths sharing this root
-                // must not be reused for the spur.
-                let mut banned_edges = std::collections::BTreeSet::new();
+                let mut banned_edges = BTreeSet::new();
                 for p in &paths {
                     if p.len() > i + 1 && p[..=i] == *root {
                         banned_edges.insert((p[i], p[i + 1]));
                     }
                 }
-                // Root nodes before the spur must not be revisited.
-                let banned_nodes: std::collections::BTreeSet<SwitchId> =
-                    root[..i].iter().copied().collect();
+                let banned_nodes: BTreeSet<SwitchId> = root[..i].iter().copied().collect();
                 if let Some(spur_path) =
-                    bfs_switch_path(topology, spur, to, &banned_nodes, &banned_edges)
+                    topology.switch_path_banned(spur, to, &banned_nodes, &banned_edges)
                 {
                     let mut total: Vec<SwitchId> = root[..i].to_vec();
                     total.extend(spur_path);
                     if !paths.contains(&total) {
-                        candidates.insert((switch_path_cost(topology, &total), total));
+                        let cost = total
+                            .windows(2)
+                            .map(|w| topology.trunk_cost(w[0], w[1]).unwrap_or(1))
+                            .sum();
+                        candidates.insert((cost, total));
                     }
                 }
             }
@@ -1377,14 +1269,13 @@ impl KShortestRouter {
         paths
     }
 
-    /// Wrap a switch path into the uplink + trunks + downlink [`Route`].
-    fn route_from_switch_path(
+    /// `KShortestRouter::route_from_switch_path`.
+    fn oracle_route_along(
         source: NodeId,
         destination: NodeId,
         path: &[SwitchId],
     ) -> RtResult<Route> {
-        let mut links = Vec::with_capacity(path.len() + 1);
-        links.push(HopLink::Uplink(source));
+        let mut links = vec![HopLink::Uplink(source)];
         for pair in path.windows(2) {
             links.push(HopLink::Trunk {
                 from: pair[0],
@@ -1394,64 +1285,175 @@ impl KShortestRouter {
         links.push(HopLink::Downlink(destination));
         Route::from_links(links)
     }
-}
 
-impl Router for KShortestRouter {
-    fn name(&self) -> &'static str {
-        "k-shortest"
-    }
-
-    fn validate(&self, topology: &Topology) -> RtResult<()> {
-        if !topology.is_connected() {
-            return Err(RtError::Config("the switch graph must be connected".into()));
-        }
-        Ok(())
-    }
-
-    fn route(&self, topology: &Topology, source: NodeId, destination: NodeId) -> RtResult<Route> {
-        let (src_switch, dst_switch) = route_endpoints(topology, source, destination)?;
-        let none = std::collections::BTreeSet::new();
-        let no_edges = std::collections::BTreeSet::new();
-        let path = bfs_switch_path(topology, src_switch, dst_switch, &none, &no_edges).ok_or_else(
-            || {
-                RtError::Config(format!(
-                    "switches {src_switch} and {dst_switch} are not connected"
-                ))
-            },
-        )?;
-        Self::route_from_switch_path(source, destination, &path)
-    }
-
-    fn routes(
-        &self,
+    /// `KShortestRouter::routes`; its `route` is the first of these.
+    fn oracle_k_shortest(
+        k: usize,
         topology: &Topology,
         source: NodeId,
         destination: NodeId,
     ) -> RtResult<Vec<Route>> {
         let (src_switch, dst_switch) = route_endpoints(topology, source, destination)?;
-        let paths = self.switch_paths(topology, src_switch, dst_switch);
+        let paths = oracle_switch_paths(k, topology, src_switch, dst_switch);
         if paths.is_empty() {
-            return Err(RtError::Config(format!(
-                "switches {src_switch} and {dst_switch} are not connected"
-            )));
+            return Err(RtError::Config("not connected".into()));
         }
         paths
             .iter()
-            .map(|p| Self::route_from_switch_path(source, destination, p))
+            .map(|p| oracle_route_along(source, destination, p))
             .collect()
     }
 
-    fn next_hop_cache(&self) -> Option<&NextHopCache> {
-        Some(&self.cache)
+    /// What the router of `policy` answered before the merge: its candidate
+    /// list, whose first entry was its `route`.  `table` is
+    /// `topology.next_hop_table()` and `tree` its `is_tree()`.
+    fn oracle(
+        policy: RoutePolicy,
+        (table, tree): (&NextHopTable, bool),
+        topology: &Topology,
+        source: NodeId,
+        destination: NodeId,
+    ) -> RtResult<Vec<Route>> {
+        let primary = match policy {
+            RoutePolicy::Shortest => oracle_walk(table, topology, source, destination),
+            RoutePolicy::Tree if !tree => Err(RtError::Config("not a tree".into())),
+            RoutePolicy::Tree => oracle_walk(table, topology, source, destination),
+            RoutePolicy::Ecmp { seed } => oracle_ecmp(seed, topology, source, destination),
+            RoutePolicy::KShortest { k } => {
+                return oracle_k_shortest(k, topology, source, destination)
+            }
+        };
+        Ok(vec![primary?])
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Seeds of the route-policy property: the `RT_ADVERSARIAL_SEEDS`
+    /// matrix the CI soaks crank up, else 32.
+    fn adversarial_seeds() -> u64 {
+        std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(32)
+    }
 
-    fn ring4() -> Topology {
-        Topology::ring(4, 1)
+    /// A random tree of `switches` switches (each joined to a random
+    /// earlier one) with one or two nodes on each, node ids switch-major.
+    fn random_tree(rng: &mut Xoshiro256, switches: u32) -> Topology {
+        let mut t = Topology::new();
+        let mut node = 0;
+        for s in 0..switches {
+            t.add_switch(SwitchId::new(s));
+            if s > 0 {
+                let parent = SwitchId::new(rng.below(u64::from(s)) as u32);
+                t.add_trunk(parent, SwitchId::new(s)).unwrap();
+            }
+            for _ in 0..1 + rng.below(2) {
+                t.attach_node(NodeId::new(node), SwitchId::new(s)).unwrap();
+                node += 1;
+            }
+        }
+        t
+    }
+
+    /// Seed `seed`'s fabric: seed 3 is `fat_tree(4)` (its 33 states are
+    /// most of the property's time in a debug build, so it runs once), the
+    /// others a random tree, a ring, a torus or a weighted mesh in turn (a
+    /// random tree plus chords, trunk costs 1–3 so that equal-cost ties stay
+    /// common).
+    fn random_fabric(seed: u64, rng: &mut Xoshiro256) -> Topology {
+        let below = |rng: &mut Xoshiro256, n: u32| rng.below(u64::from(n)) as u32;
+        match seed % 4 {
+            _ if seed == 3 => Topology::fat_tree(4).unwrap(),
+            0 => {
+                let n = 2 + below(rng, 7);
+                random_tree(rng, n)
+            }
+            1 => Topology::ring(3 + below(rng, 5), 1 + below(rng, 2)),
+            2 => Topology::torus(2 + below(rng, 2), 3 + below(rng, 2), 1),
+            _ => {
+                let n = 5 + below(rng, 3);
+                let mut t = random_tree(rng, n);
+                for _ in 0..2 + rng.below(3) {
+                    let (a, b) = (below(rng, n), below(rng, n));
+                    let cost = 1 + rng.below(3);
+                    // A self-loop or a repeat is refused; that is fine here.
+                    let _ = t.add_trunk_weighted(SwitchId::new(a), SwitchId::new(b), cost);
+                }
+                let trunks: Vec<_> = t.trunks().collect();
+                for (a, b) in trunks {
+                    t.set_trunk_cost(a, b, 1 + rng.below(3)).unwrap();
+                }
+                t
+            }
+        }
+    }
+
+    /// Every policy against the body it replaced: `route` and `routes` for
+    /// every ordered node pair on a random tree, ring, torus, `fat_tree(4)`
+    /// or weighted mesh, healthy and under every single trunk cut (one
+    /// router per policy across the cuts, so the cache's incremental
+    /// rebuilds are what is walked), with `routes(..)[0] == route(..)`
+    /// throughout.  What is compared is the routes: an error is an error
+    /// whatever its text.
+    #[test]
+    fn prop_every_policy_routes_like_its_oracle() {
+        let (mut routed, mut refused, mut alternates, mut weighted) = (0u64, 0u64, 0u64, 0u64);
+        for seed in 0..adversarial_seeds() {
+            let mut rng = Xoshiro256::new(0x0e7a_c1e5 ^ seed);
+            let healthy = random_fabric(seed, &mut rng);
+            let policies = [
+                RoutePolicy::Shortest,
+                RoutePolicy::Tree,
+                RoutePolicy::Ecmp {
+                    seed: rng.next_u64(),
+                },
+                RoutePolicy::KShortest {
+                    k: rng.below(5) as usize,
+                },
+            ];
+            let routers = policies.map(router);
+            let cuts = std::iter::once(None).chain(healthy.trunks().map(Some));
+            for cut in cuts.collect::<Vec<_>>() {
+                let mut t = healthy.clone();
+                if let Some((a, b)) = cut {
+                    t.fail_trunk(a, b).unwrap();
+                }
+                weighted += u64::from(!t.has_uniform_cost());
+                let (table, tree) = (t.next_hop_table(), t.is_tree());
+                for (router, policy) in routers.iter().zip(policies) {
+                    for (s, d) in t.nodes().flat_map(|s| t.nodes().map(move |d| (s, d))) {
+                        let expected = oracle(policy, (&table, tree), &t, s, d).ok();
+                        let routes = router.routes(&t, s, d).ok();
+                        let route = router.route(&t, s, d).ok();
+                        assert_eq!(
+                            routes, expected,
+                            "seed {seed} {policy:?} {cut:?}: {s} -> {d}"
+                        );
+                        assert_eq!(
+                            route.as_ref(),
+                            routes.as_ref().and_then(|r| r.first()),
+                            "seed {seed} {policy:?} {cut:?}: {s} -> {d}: the primary is not first"
+                        );
+                        match routes {
+                            Some(candidates) => {
+                                routed += 1;
+                                alternates += candidates.len() as u64 - 1;
+                            }
+                            None => refused += 1,
+                        }
+                    }
+                }
+            }
+        }
+        // The matrix really routed, refused (same-node pairs, cut trees,
+        // cyclic fabrics under `Tree`), offered detours and weighed trunks.
+        assert!(
+            routed > 0 && refused > 0 && alternates > 0,
+            "{routed} {refused} {alternates}"
+        );
+        assert!(
+            weighted > 0 || adversarial_seeds() < 8,
+            "no weighted fabric was drawn"
+        );
     }
 
     #[test]
@@ -1531,27 +1533,26 @@ mod tests {
     }
 
     #[test]
-    fn tree_router_matches_topology_route_on_trees() {
+    fn the_tree_policy_routes_like_shortest_path_on_trees() {
         let t = Topology::line(4, 2);
-        let router = TreeRouter::new();
-        router.validate(&t).unwrap();
-        for src in 0..8u32 {
-            for dst in 0..8u32 {
-                if src == dst {
-                    continue;
-                }
-                let legacy = t.route(NodeId::new(src), NodeId::new(dst)).unwrap();
-                let routed = router
-                    .route(&t, NodeId::new(src), NodeId::new(dst))
-                    .unwrap();
-                assert_eq!(routed.links(), legacy.as_slice());
-            }
+        let tree = router(RoutePolicy::Tree);
+        tree.validate(&t).unwrap();
+        let shortest = ShortestPathRouter::new();
+        for (s, d) in t.nodes().flat_map(|s| t.nodes().map(move |d| (s, d))) {
+            assert_eq!(tree.route(&t, s, d), shortest.route(&t, s, d), "{s} -> {d}");
         }
+        // Node 0 (sw0) to node 7 (sw3) runs the whole line.
+        let route = tree.route(&t, NodeId::new(0), NodeId::new(7)).unwrap();
+        let trunks = [(0, 1), (1, 2), (2, 3)].map(|(from, to)| HopLink::Trunk {
+            from: SwitchId::new(from),
+            to: SwitchId::new(to),
+        });
+        assert_eq!(route.links()[1..4], trunks);
     }
 
     #[test]
-    fn tree_router_rejects_cycles_and_disconnection() {
-        let router = TreeRouter::new();
+    fn the_tree_policy_rejects_cycles_and_disconnection() {
+        let router = router(RoutePolicy::Tree);
         assert!(router.validate(&ring4()).is_err());
         assert!(router
             .route(&ring4(), NodeId::new(0), NodeId::new(2))
@@ -1586,14 +1587,10 @@ mod tests {
     }
 
     #[test]
-    fn routers_report_consistent_errors() {
+    fn every_policy_reports_consistent_errors() {
         let t = Topology::line(2, 1);
-        let routers: [&dyn Router; 3] = [
-            &TreeRouter::new(),
-            &ShortestPathRouter::new(),
-            &EcmpRouter::new(7),
-        ];
-        for r in routers {
+        for policy in POLICIES {
+            let r = router(policy);
             assert!(r.route(&t, NodeId::new(0), NodeId::new(0)).is_err());
             assert!(r.route(&t, NodeId::new(0), NodeId::new(99)).is_err());
             assert!(r.route(&t, NodeId::new(99), NodeId::new(0)).is_err());
@@ -1603,8 +1600,8 @@ mod tests {
     #[test]
     fn ecmp_is_deterministic_per_seed_and_spreads_over_paths() {
         let t = ring4();
-        let a = EcmpRouter::new(42);
-        let b = EcmpRouter::new(42);
+        let a = router(RoutePolicy::Ecmp { seed: 42 });
+        let b = router(RoutePolicy::Ecmp { seed: 42 });
         // Equal-cost pair: sw0 -> sw2 has two 2-trunk paths.
         for (src, dst) in [(0u32, 2u32), (1, 3), (2, 0), (3, 1)] {
             let ra = a.route(&t, NodeId::new(src), NodeId::new(dst)).unwrap();
@@ -1615,7 +1612,7 @@ mod tests {
         // Over many node pairs on a larger ring, both equal-cost branches
         // are exercised.
         let big = Topology::ring(4, 8);
-        let router = EcmpRouter::new(1);
+        let router = router(RoutePolicy::Ecmp { seed: 1 });
         let mut via_sw1 = 0u32;
         let mut via_sw3 = 0u32;
         for k in 0..8u32 {
@@ -1647,17 +1644,10 @@ mod tests {
 
     /// `routes(..)[0] == route(..)`, and `routes` fails exactly when `route`
     /// does: the contract the trait states and the channel managers' repair
-    /// path relies on, for the five stock routers on a ring and a torus,
-    /// healthy and with a trunk down.
+    /// path relies on, for every policy on a ring and a torus, healthy and
+    /// with a trunk down.
     #[test]
     fn the_first_candidate_is_the_primary_route_for_every_stock_router() {
-        let routers: [Box<dyn Router>; 5] = [
-            Box::new(TreeRouter::new()),
-            Box::new(ShortestPathRouter::new()),
-            Box::new(EcmpRouter::new(7)),
-            Box::new(KShortestRouter::new(3)),
-            Box::new(crate::structural::StructuralRouter::new()),
-        ];
         let mut fabrics = Vec::new();
         for healthy in [Topology::ring(6, 2), Topology::torus(3, 3, 2)] {
             let mut degraded = healthy.clone();
@@ -1665,7 +1655,8 @@ mod tests {
             degraded.fail_trunk(a, b).unwrap();
             fabrics.extend([healthy, degraded]);
         }
-        for router in &routers {
+        for policy in POLICIES {
+            let router = router(policy);
             let (mut agreed, mut refused) = (0, 0);
             for t in &fabrics {
                 for (s, d) in t.nodes().flat_map(|s| t.nodes().map(move |d| (s, d))) {
@@ -1682,7 +1673,7 @@ mod tests {
                     }
                 }
             }
-            // Every router serves the cut ring (a line, so a tree), and each
+            // Every policy serves the cut ring (a line, so a tree), and each
             // refuses at least the `s -> s` pairs.
             assert!(agreed >= 12 * 11 && refused >= 12, "{}", router.name());
         }
@@ -1691,71 +1682,62 @@ mod tests {
     #[test]
     fn k_shortest_enumerates_both_ways_around_a_ring() {
         let t = ring4();
-        let router = KShortestRouter::new(4);
+        let router = router(RoutePolicy::KShortest { k: 4 });
         router.validate(&t).unwrap();
+        let paths = |to: u32| -> Vec<Vec<SwitchId>> {
+            let routes = router.routes(&t, NodeId::new(0), NodeId::new(to)).unwrap();
+            let trunk_ends = |route: &Route| -> Vec<SwitchId> {
+                let ends = route.links().iter().filter_map(|l| match l {
+                    HopLink::Trunk { to, .. } => Some(*to),
+                    _ => None,
+                });
+                std::iter::once(SwitchId::new(0)).chain(ends).collect()
+            };
+            routes.iter().map(trunk_ends).collect()
+        };
         // sw0 -> sw2: two loop-free paths exist (via sw1 and via sw3).
-        let paths = router.switch_paths(&t, SwitchId::new(0), SwitchId::new(2));
-        assert_eq!(paths.len(), 2);
-        assert_eq!(
-            paths[0],
-            vec![SwitchId::new(0), SwitchId::new(1), SwitchId::new(2)]
-        );
-        assert_eq!(
-            paths[1],
-            vec![SwitchId::new(0), SwitchId::new(3), SwitchId::new(2)]
-        );
+        assert_eq!(paths(2), [switches(&[0, 1, 2]), switches(&[0, 3, 2])]);
         // sw0 -> sw1: the direct trunk, then the long way around.
-        let paths = router.switch_paths(&t, SwitchId::new(0), SwitchId::new(1));
-        assert_eq!(paths.len(), 2);
-        assert_eq!(paths[0], vec![SwitchId::new(0), SwitchId::new(1)]);
-        assert_eq!(
-            paths[1],
-            vec![
-                SwitchId::new(0),
-                SwitchId::new(3),
-                SwitchId::new(2),
-                SwitchId::new(1)
-            ]
-        );
+        assert_eq!(paths(1), [switches(&[0, 1]), switches(&[0, 3, 2, 1])]);
         // As routes: primary first, every candidate a valid Route.
         let routes = router.routes(&t, NodeId::new(0), NodeId::new(1)).unwrap();
-        assert_eq!(routes.len(), 2);
         assert_eq!(
             routes[0],
             router.route(&t, NodeId::new(0), NodeId::new(1)).unwrap()
         );
-        assert_eq!(routes[0].hops(), 3);
-        assert_eq!(routes[1].hops(), 5);
+        assert_eq!(routes.iter().map(|r| r.hops()).collect::<Vec<_>>(), [3, 5]);
     }
 
     #[test]
     fn k_shortest_is_deterministic_and_respects_k() {
         let t = Topology::torus(3, 3, 1);
-        let a = KShortestRouter::new(3);
-        let b = KShortestRouter::new(3);
-        let pa = a.switch_paths(&t, SwitchId::new(0), SwitchId::new(4));
-        let pb = b.switch_paths(&t, SwitchId::new(0), SwitchId::new(4));
-        assert_eq!(pa, pb);
-        assert_eq!(pa.len(), 3, "a torus has at least 3 loop-free paths");
+        let (from, to) = (SwitchId::new(0), SwitchId::new(4));
+        let first = switches(&[0, 1, 4]);
+        let paths = k_shortest_paths(&t, first.clone(), to, 3);
+        assert_eq!(paths, k_shortest_paths(&t, first.clone(), to, 3));
+        assert_eq!(paths.len(), 3, "a torus has at least 3 loop-free paths");
+        assert_eq!(paths[0], t.switch_path(from, to).unwrap());
         // Ascending length, shortest first.
-        for w in pa.windows(2) {
+        for w in paths.windows(2) {
             assert!(w[0].len() <= w[1].len());
         }
-        // k = 1 degenerates to the single shortest path.
-        let single = KShortestRouter::new(0); // clamped to 1
-        assert_eq!(single.k(), 1);
-        assert_eq!(
-            single
-                .switch_paths(&t, SwitchId::new(0), SwitchId::new(4))
-                .len(),
-            1
-        );
+        // k = 1, and k = 0 with it, is the single shortest path.
+        for k in [0, 1] {
+            assert_eq!(
+                k_shortest_paths(&t, first.clone(), to, k),
+                vec![first.clone()]
+            );
+            let routes = router(RoutePolicy::KShortest { k })
+                .routes(&t, NodeId::new(0), NodeId::new(4))
+                .unwrap();
+            assert_eq!(routes.len(), 1);
+        }
     }
 
     #[test]
     fn k_shortest_survives_a_trunk_cut() {
         let mut t = ring4();
-        let router = KShortestRouter::new(2);
+        let router = router(RoutePolicy::KShortest { k: 2 });
         let before = router.routes(&t, NodeId::new(0), NodeId::new(3)).unwrap();
         assert_eq!(before[0].hops(), 3, "closing trunk is the primary");
         t.fail_trunk(SwitchId::new(3), SwitchId::new(0)).unwrap();
@@ -1869,14 +1851,21 @@ mod tests {
         assert_eq!(stats.full_rebuilds, 1);
         assert_eq!(stats.evictions, 0);
 
-        // A tiny cache evicts under churn.
-        let small = NextHopCache::with_capacity(1);
-        assert_eq!(small.capacity(), 1);
-        small.get_dense(&Topology::line(3, 1));
-        small.get_dense(&Topology::line(4, 1));
-        let stats = small.stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.evictions, 1);
+        // Nine distinct cuts on top of the healthy state are ten fabric
+        // states: the two least recently used leave an eight-entry cache.
+        let churned = ShortestPathRouter::new();
+        let ring = Topology::ring(9, 1);
+        churned.dense_next_hop(&ring);
+        for (a, b) in ring.trunks() {
+            let mut cut = ring.clone();
+            cut.fail_trunk(a, b).unwrap();
+            churned.dense_next_hop(&cut);
+        }
+        let stats = churned.next_hop_cache().unwrap().stats();
+        assert_eq!((stats.misses, stats.evictions), (10, 2));
+        // The healthy ring was the first to go: asking again is a miss.
+        churned.dense_next_hop(&ring);
+        assert_eq!(churned.next_hop_cache().unwrap().stats().misses, 11);
     }
 
     #[test]
@@ -1918,13 +1907,7 @@ mod tests {
     #[test]
     fn an_incremental_rebuild_shares_every_untouched_adjacency_row_with_its_base() {
         fn rows(dense: &DenseNextHop) -> &[Arc<[u32]>] {
-            match &dense.backing {
-                Backing::Columns {
-                    adjacency: Some(adjacency),
-                    ..
-                } => adjacency,
-                _ => panic!("a tabled router keeps its columns and what they were swept over"),
-            }
+            &dense.adjacency
         }
         let flipped_rows_only = |base: &DenseNextHop, rebuilt: &DenseNextHop, t: &Topology| {
             for (at, (was, is)) in rows(base).iter().zip(rows(rebuilt)).enumerate() {
@@ -1959,36 +1942,19 @@ mod tests {
 
     #[test]
     fn a_cut_on_the_datacenter_fabric_never_falls_back_to_a_from_scratch_sweep() {
-        // What a silent fallback would change is the counters and the
-        // resident size, so those are pinned, not the wall-clock; entry
-        // identity of the three modes is `tests/fabric_properties.rs`.
+        // What a silent fallback would change is the counters, so those are
+        // pinned, not the wall-clock.
         let healthy = Topology::fat_tree(32).unwrap();
         let (a, b) = healthy.trunks().next().unwrap();
         let mut degraded = healthy.clone();
         degraded.fail_trunk(a, b).unwrap();
 
-        let tabled = NextHopCache::new();
-        tabled.get_dense(&healthy);
-        let full = tabled.get_dense(&degraded);
-        let stats = tabled.stats();
-        assert_eq!(stats.incremental_rebuilds, 1, "the cut is a single delta");
-        assert_eq!(stats.full_rebuilds, 1, "only the healthy prime is full");
-
-        let cache = NextHopCache::structural();
-        let structural = cache.get_dense(&healthy);
+        let cache = NextHopCache::new();
+        cache.get_dense(&healthy);
         cache.get_dense(&degraded);
         let stats = cache.stats();
-        assert_eq!(
-            (stats.full_rebuilds, stats.incremental_rebuilds),
-            (0, 0),
-            "structural mode never builds a table"
-        );
-        assert!(
-            structural.resident_bytes() * 50 < full.resident_bytes(),
-            "structural routing state must be O(V), far under the O(V^2) table ({} B vs {} B)",
-            structural.resident_bytes(),
-            full.resident_bytes()
-        );
+        assert_eq!(stats.incremental_rebuilds, 1, "the cut is a single delta");
+        assert_eq!(stats.full_rebuilds, 1, "only the healthy prime is full");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! connected *mesh* — trees, rings, redundant trunks are all valid; nothing
 //! in the per-link EDF analysis requires unique paths.  Which path a channel
 //! takes through a mesh is the job of a [`crate::router::Router`]: the
-//! [`crate::router::TreeRouter`] insists on a tree (unique paths, the
-//! pre-mesh behaviour), while the shortest-path and ECMP routers accept any
-//! connected graph.
+//! [`crate::router::RoutePolicy::Tree`] policy insists on a tree (unique
+//! paths, the pre-mesh behaviour), the others accept any connected graph.
 //!
 //! The types live here (rather than in the admission-control crate) because
 //! both the analytical side (`rt-core`'s multi-hop admission) and the
@@ -43,36 +42,6 @@ pub enum ManagerPlacement {
     /// to the generic switch MAC are consumed by the receiving node's access
     /// switch, and switch-to-switch reservation frames hop the fabric.
     Distributed,
-}
-
-/// The regular fabric family a topology was built as, carried by the
-/// structured builders ([`Topology::fat_tree`], [`Topology::torus_nd`],
-/// [`Topology::torus`]) so coordinate-based routing can recognise the shape
-/// without re-deriving it from the edge set.
-///
-/// The metadata describes the *healthy* graph: it survives
-/// [`Topology::fail_trunk`] / [`Topology::repair_trunk`] (a cut cable does
-/// not change what the fabric is), but any structural mutation that the
-/// closed forms cannot describe — an extra switch, an extra trunk, a
-/// non-default trunk cost — clears it, and routing falls back to the
-/// general-mesh path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FabricStructure {
-    /// The three-tier fat tree of [`Topology::fat_tree`]: radix `k`,
-    /// `(k/2)²` cores then `k` pods of `k/2` aggregation + `k/2` edge
-    /// switches.
-    FatTree {
-        /// The switch radix (even, at least 4).
-        k: u32,
-    },
-    /// The n-dimensional wrap-around torus of [`Topology::torus_nd`]
-    /// (row-major switch ids, last dimension fastest); the 2-D builder
-    /// [`Topology::torus`] tags itself as `TorusNd { dims: [rows, cols] }`,
-    /// which is the identical graph.
-    TorusNd {
-        /// Dimension lengths, slowest-varying first.
-        dims: Vec<u32>,
-    },
 }
 
 /// Identifier of a switch in a multi-switch topology.
@@ -155,11 +124,6 @@ pub struct Topology {
     costs: BTreeMap<(SwitchId, SwitchId), u64>,
     /// Where the channel management software runs (see [`ManagerPlacement`]).
     placement: ManagerPlacement,
-    /// The regular fabric family this topology was built as, when a
-    /// structured builder produced it (see [`FabricStructure`]).  Cleared by
-    /// any mutation the closed forms cannot describe; preserved across
-    /// trunk failures and repairs.
-    structure: Option<FabricStructure>,
     /// Memo of [`Topology::fingerprint`] and
     /// [`Topology::structural_fingerprint`], each filled by its first call
     /// after a mutation that can change it: a trunk flip drops the routing
@@ -185,14 +149,12 @@ impl Topology {
     }
 
     /// The degenerate single-switch star of the paper's §18.1: one switch,
-    /// the given nodes attached to it.
+    /// the given nodes attached to it (a node listed twice is attached
+    /// once).
     pub fn star(switch: SwitchId, nodes: impl IntoIterator<Item = NodeId>) -> Self {
         let mut t = Topology::new();
         t.add_switch(switch);
-        for n in nodes {
-            t.attach_node(n, switch)
-                .expect("attaching fresh nodes to a fresh switch cannot fail");
-        }
+        t.attachments.extend(nodes.into_iter().map(|n| (n, switch)));
         t
     }
 
@@ -205,14 +167,9 @@ impl Topology {
         }
         for s in 1..switches {
             t.add_trunk(SwitchId::new(s - 1), SwitchId::new(s))
-                .expect("a chain has no duplicate trunks");
+                .expect("a fresh chain joins each two consecutive switches once");
         }
-        for s in 0..switches {
-            for k in 0..nodes_per_switch {
-                t.attach_node(NodeId::new(s * nodes_per_switch + k), SwitchId::new(s))
-                    .expect("fresh node");
-            }
-        }
+        t.attach_switch_major(switches, nodes_per_switch);
         t
     }
 
@@ -223,13 +180,13 @@ impl Topology {
     /// duplicate an existing one, so the result degenerates to a line.
     ///
     /// A ring is the smallest *cyclic* fabric: every pair of switches is
-    /// connected by two disjoint paths, so it needs a mesh-capable router
-    /// (shortest-path or ECMP) — [`crate::router::TreeRouter`] rejects it.
+    /// connected by two disjoint paths, so it needs a mesh-capable policy —
+    /// [`crate::router::RoutePolicy::Tree`] rejects it.
     pub fn ring(switches: u32, nodes_per_switch: u32) -> Self {
         let mut t = Topology::line(switches, nodes_per_switch);
         if switches >= 3 {
             t.add_trunk(SwitchId::new(switches - 1), SwitchId::new(0))
-                .expect("the closing trunk of a >=3 ring is fresh");
+                .expect("a line of three or more has no trunk between its ends");
         }
         t
     }
@@ -243,44 +200,24 @@ impl Topology {
     ///
     /// Rows or columns shorter than three skip the wrap-around trunk in
     /// that dimension (it would duplicate an existing edge), exactly as
-    /// [`Topology::ring`] degenerates to a line.
+    /// [`Topology::ring`] degenerates to a line.  This is
+    /// [`Topology::torus_nd`]`(&[rows, cols], nodes_per_switch)`; what that
+    /// refuses — a zero-length dimension, ids past `u32` — is the empty
+    /// topology here.
     pub fn torus(rows: u32, cols: u32, nodes_per_switch: u32) -> Self {
-        let mut t = Topology::new();
-        let id = |r: u32, c: u32| SwitchId::new(r * cols + c);
-        for r in 0..rows {
-            for c in 0..cols {
-                t.add_switch(id(r, c));
-            }
-        }
-        for r in 0..rows {
-            for c in 0..cols {
-                // Rightward trunk (wrap only when the row has >= 3 switches).
-                if c + 1 < cols {
-                    t.add_trunk(id(r, c), id(r, c + 1)).expect("fresh trunk");
-                } else if cols >= 3 {
-                    t.add_trunk(id(r, c), id(r, 0)).expect("fresh wrap trunk");
-                }
-                // Downward trunk (wrap only when the column has >= 3).
-                if r + 1 < rows {
-                    t.add_trunk(id(r, c), id(r + 1, c)).expect("fresh trunk");
-                } else if rows >= 3 {
-                    t.add_trunk(id(r, c), id(0, c)).expect("fresh wrap trunk");
-                }
-            }
-        }
-        for s in 0..rows * cols {
+        Topology::torus_nd(&[rows, cols], nodes_per_switch).unwrap_or_default()
+    }
+
+    /// Attach `nodes_per_switch` end nodes to each of the switches
+    /// `0..switches`, node ids allocated switch-major: the attachments of
+    /// the regular builders, which add those switches first.
+    fn attach_switch_major(&mut self, switches: u32, nodes_per_switch: u32) {
+        for s in 0..switches {
             for k in 0..nodes_per_switch {
-                t.attach_node(NodeId::new(s * nodes_per_switch + k), SwitchId::new(s))
-                    .expect("fresh node");
+                self.attach_node(NodeId::new(s * nodes_per_switch + k), SwitchId::new(s))
+                    .expect("ids s·n + k repeat only past 2^32 nodes, and every switch exists");
             }
         }
-        // Same graph as `torus_nd(&[rows, cols], n)` switch for switch, so
-        // it carries the same structural tag (set last: the builder's own
-        // mutations would clear it).
-        t.structure = Some(FabricStructure::TorusNd {
-            dims: vec![rows, cols],
-        });
-        t
     }
 
     /// A three-tier fat-tree built from `k`-port switches: `(k/2)²` core
@@ -313,6 +250,12 @@ impl Topology {
                 "fat_tree: switch radix k must be even and at least 4, got {k}"
             )));
         }
+        // Host ids run to k³/4, past the 5k²/4 switch ids from k = 6 on.
+        if u64::from(k).pow(3) / 4 > u64::from(u32::MAX) {
+            return Err(RtError::Config(format!(
+                "fat_tree: k = {k} overflows the u32 node id space"
+            )));
+        }
         let half = k / 2;
         let cores = half * half;
         let mut t = Topology::new();
@@ -326,21 +269,20 @@ impl Topology {
                 // Aggregation switch j uplinks to its stripe of the core.
                 for c in 0..half {
                     t.add_trunk(SwitchId::new(agg0 + j), SwitchId::new(j * half + c))
-                        .expect("fresh trunk");
+                        .expect("each aggregation-core pair is joined once");
                 }
                 // Edge switch j uplinks to every aggregation switch in the pod.
                 for a in 0..half {
                     t.add_trunk(SwitchId::new(edge0 + j), SwitchId::new(agg0 + a))
-                        .expect("fresh trunk");
+                        .expect("each edge-aggregation pair is joined once");
                 }
                 for h in 0..half {
                     let edge_index = pod * half + j;
                     t.attach_node(NodeId::new(edge_index * half + h), SwitchId::new(edge0 + j))
-                        .expect("fresh node");
+                        .expect("the k³/4 host ids, checked to fit u32, are distinct");
                 }
             }
         }
-        t.structure = Some(FabricStructure::FatTree { k });
         Ok(t)
     }
 
@@ -403,33 +345,27 @@ impl Topology {
         }
         for s in 0..total {
             for (&len, &stride) in dims.iter().zip(&strides) {
+                // The successor along this dimension; a wrap closes only a
+                // ring of three or more (shorter, it would repeat a trunk).
                 let coord = (s / stride) % len;
-                if coord + 1 < len {
-                    t.add_trunk(SwitchId::new(s), SwitchId::new(s + stride))
-                        .expect("fresh trunk");
+                let next = if coord + 1 < len {
+                    s + stride
                 } else if len >= 3 {
-                    t.add_trunk(SwitchId::new(s), SwitchId::new(s - coord * stride))
-                        .expect("fresh wrap trunk");
-                }
+                    s - coord * stride
+                } else {
+                    continue;
+                };
+                t.add_trunk(SwitchId::new(s), SwitchId::new(next))
+                    .expect("each switch is joined once to its successor in each dimension");
             }
         }
-        for s in 0..total {
-            for k in 0..nodes_per_switch {
-                t.attach_node(NodeId::new(s * nodes_per_switch + k), SwitchId::new(s))
-                    .expect("fresh node");
-            }
-        }
-        t.structure = Some(FabricStructure::TorusNd {
-            dims: dims.to_vec(),
-        });
+        t.attach_switch_major(total, nodes_per_switch);
         Ok(t)
     }
 
-    /// Add a switch (idempotent).  Clears any [`FabricStructure`] tag: an
-    /// extra switch is outside what the structured builders describe.
+    /// Add a switch (idempotent).
     pub fn add_switch(&mut self, switch: SwitchId) {
         self.invalidate_fingerprints();
-        self.structure = None;
         self.switches.insert(switch);
         self.adjacency.entry(switch).or_default();
     }
@@ -471,7 +407,6 @@ impl Topology {
             )));
         }
         self.invalidate_fingerprints();
-        self.structure = None;
         self.adjacency.entry(a).or_default().insert(b);
         self.adjacency.entry(b).or_default().insert(a);
         Ok(())
@@ -479,9 +414,10 @@ impl Topology {
 
     /// Connect two switches with a full-duplex trunk of the given routing
     /// cost (`cost >= 1`; cost 1 is the hop-count default, so an all-ones
-    /// fabric routes exactly as an unweighted one).  Cost-aware routers
-    /// ([`crate::router::ShortestPathRouter`], [`crate::router::KShortestRouter`])
-    /// minimise the summed trunk cost instead of the trunk count.
+    /// fabric routes exactly as an unweighted one).  Routing
+    /// ([`crate::router::ShortestPathRouter`]) minimises the summed trunk
+    /// cost instead of the trunk count, except under
+    /// [`crate::router::RoutePolicy::Ecmp`], which spreads over hop counts.
     pub fn add_trunk_weighted(&mut self, a: SwitchId, b: SwitchId, cost: u64) -> RtResult<()> {
         if cost == 0 {
             return Err(RtError::Config(format!(
@@ -512,9 +448,6 @@ impl Topology {
         if cost == 1 {
             self.costs.remove(&key);
         } else {
-            // Weighted trunks break the hop-count closed forms, so the
-            // structural tag goes with them.
-            self.structure = None;
             self.costs.insert(key, cost);
         }
         Ok(())
@@ -564,14 +497,11 @@ impl Topology {
             return Err(RtError::Config(format!("no trunk {a} <-> {b} to fail")));
         }
         self.invalidate_routing_fingerprint();
-        self.adjacency
-            .get_mut(&a)
-            .expect("checked above")
-            .remove(&b);
-        self.adjacency
-            .get_mut(&b)
-            .expect("trunks are symmetric")
-            .remove(&a);
+        for (x, y) in [(a, b), (b, a)] {
+            if let Some(neighbours) = self.adjacency.get_mut(&x) {
+                neighbours.remove(&y);
+            }
+        }
         self.failed.insert(key);
         Ok(())
     }
@@ -612,7 +542,7 @@ impl Topology {
         let mut cut = Vec::with_capacity(neighbours.len());
         for n in neighbours {
             self.fail_trunk(switch, n)
-                .expect("incident trunks are healthy by construction");
+                .expect("a healthy neighbour's trunk exists and is not yet failed");
             cut.push((switch, n));
         }
         Ok(cut)
@@ -641,7 +571,8 @@ impl Topology {
 
     /// `true` if the switch graph is a *tree*: connected with exactly
     /// `switch_count − 1` trunks, so the path between any two switches is
-    /// unique.  This is the capability [`crate::router::TreeRouter`] checks.
+    /// unique.  This is the capability [`crate::router::RoutePolicy::Tree`]
+    /// checks.
     pub fn is_tree(&self) -> bool {
         if self.switches.is_empty() {
             return true;
@@ -671,14 +602,6 @@ impl Topology {
             .fingerprints
             .routing
             .get_or_init(|| self.scan_fingerprint(false))
-    }
-
-    /// The regular fabric family this topology was built as, if a structured
-    /// builder produced it and no structural mutation has occurred since.
-    /// Trunk failures and repairs preserve the tag (see
-    /// [`FabricStructure`]).
-    pub fn structure(&self) -> Option<&FabricStructure> {
-        self.structure.as_ref()
     }
 
     /// Like [`Topology::fingerprint`] (and memoised the same way), but over
@@ -820,46 +743,45 @@ impl Topology {
     /// deterministic Dijkstra minimising the summed cost.  On a tree it is
     /// the unique path either way.
     pub fn switch_path(&self, from: SwitchId, to: SwitchId) -> Option<Vec<SwitchId>> {
+        self.switch_path_banned(from, to, &BTreeSet::new(), &BTreeSet::new())
+    }
+
+    /// [`Topology::switch_path`] avoiding the switches `banned_nodes` and
+    /// the *directed* trunks `banned_edges`: the spur search of
+    /// [`crate::router::RoutePolicy::KShortest`]'s Yen enumeration.
+    pub(crate) fn switch_path_banned(
+        &self,
+        from: SwitchId,
+        to: SwitchId,
+        banned_nodes: &BTreeSet<SwitchId>,
+        banned_edges: &BTreeSet<(SwitchId, SwitchId)>,
+    ) -> Option<Vec<SwitchId>> {
         if from == to {
             return Some(vec![from]);
         }
-        if !self.switches.contains(&from) || !self.switches.contains(&to) {
-            return None;
-        }
-        let predecessor = self.cheapest_predecessors(from, Some(to));
-        if !predecessor.contains_key(&to) {
-            return None;
-        }
+        let predecessor =
+            self.cheapest_predecessors_banned(from, Some(to), banned_nodes, banned_edges);
         let mut path = vec![to];
         let mut current = to;
         while current != from {
-            current = predecessor[&current];
+            current = *predecessor.get(&current)?;
             path.push(current);
         }
         path.reverse();
         Some(path)
     }
 
-    /// Predecessor map of cheapest paths out of `from` (optionally stopping
+    /// Predecessor map of cheapest paths out of `from` that avoid
+    /// `banned_nodes` and the directed `banned_edges` (optionally stopping
     /// early once `until` is settled): BFS when every trunk costs 1, a
     /// deterministic Dijkstra (frontier popped in `(distance, switch id)`
     /// order, neighbours relaxed in ascending id, ties keep the first
-    /// finder) otherwise.
-    fn cheapest_predecessors(
-        &self,
-        from: SwitchId,
-        until: Option<SwitchId>,
-    ) -> BTreeMap<SwitchId, SwitchId> {
-        self.cheapest_predecessors_banned(from, until, &BTreeSet::new(), &BTreeSet::new())
-    }
-
-    /// The ban-aware form of [`Topology::cheapest_predecessors`], shared
-    /// with the k-shortest router (Yen's spur searches ban root switches
-    /// and the *directed* edges of already-accepted paths).  One
-    /// implementation carries both so the tie-break rules — which decide
-    /// which equal-cost path the whole stack agrees on — can never drift
-    /// apart between plain routing and candidate enumeration.
-    pub(crate) fn cheapest_predecessors_banned(
+    /// finder) otherwise.  The one search behind every path the crate
+    /// computes outside the router's cache — [`Topology::switch_path`],
+    /// Yen's spurs, [`Topology::next_hop_table`] — so the tie-break rules,
+    /// which decide which equal-cost path the whole stack agrees on, cannot
+    /// drift apart between them.
+    fn cheapest_predecessors_banned(
         &self,
         from: SwitchId,
         until: Option<SwitchId>,
@@ -928,39 +850,6 @@ impl Topology {
         predecessor
     }
 
-    /// The directed links an RT channel from `source` to `destination`
-    /// traverses along a shortest path: uplink, trunk hops, downlink.
-    ///
-    /// This is the BFS primitive the routers build on; prefer going through
-    /// a [`crate::router::Router`], which adds capability checks, caching
-    /// and (for ECMP) multi-path selection.
-    pub fn route(&self, source: NodeId, destination: NodeId) -> RtResult<Vec<HopLink>> {
-        if source == destination {
-            return Err(RtError::InvalidChannelSpec(
-                "source and destination must differ".into(),
-            ));
-        }
-        let src_switch = self.switch_of(source).ok_or(RtError::UnknownNode(source))?;
-        let dst_switch = self
-            .switch_of(destination)
-            .ok_or(RtError::UnknownNode(destination))?;
-        let switch_path = self.switch_path(src_switch, dst_switch).ok_or_else(|| {
-            RtError::Config(format!(
-                "switches {src_switch} and {dst_switch} are not connected"
-            ))
-        })?;
-        let mut links = Vec::with_capacity(switch_path.len() + 1);
-        links.push(HopLink::Uplink(source));
-        for pair in switch_path.windows(2) {
-            links.push(HopLink::Trunk {
-                from: pair[0],
-                to: pair[1],
-            });
-        }
-        links.push(HopLink::Downlink(destination));
-        Ok(links)
-    }
-
     /// The next-hop forwarding table of the trunk graph: for every ordered
     /// pair of distinct connected switches `(at, towards)`, the neighbour of
     /// `at` on a cheapest path towards `towards` (the unique path on a
@@ -971,17 +860,20 @@ impl Topology {
     /// [`crate::router::Router::next_hop_table`].
     pub fn next_hop_table(&self) -> BTreeMap<(SwitchId, SwitchId), SwitchId> {
         let mut table = BTreeMap::new();
+        let (no_nodes, no_edges) = (BTreeSet::new(), BTreeSet::new());
         for &from in &self.switches {
-            // One search per source switch.
-            let predecessor = self.cheapest_predecessors(from, None);
-            for &to in &self.switches {
-                if to == from || !predecessor.contains_key(&to) {
-                    continue;
-                }
-                // Walk back from `to` until the step out of `from`.
+            // One search per source switch; the switches it reaches are the
+            // ones with a predecessor.
+            let predecessor = self.cheapest_predecessors_banned(from, None, &no_nodes, &no_edges);
+            for &to in predecessor.keys() {
+                // Walk back from `to` until the step out of `from`: every
+                // predecessor chain ends at `from`, which has none itself.
                 let mut step = to;
-                while predecessor[&step] != from {
-                    step = predecessor[&step];
+                while let Some(&back) = predecessor.get(&step) {
+                    if back == from {
+                        break;
+                    }
+                    step = back;
                 }
                 table.insert((from, to), step);
             }
@@ -993,6 +885,15 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::{Route, Router, ShortestPathRouter};
+
+    /// The links the default router gives a channel from node `source` to
+    /// node `destination`.
+    fn links_of(t: &Topology, source: u32, destination: u32) -> RtResult<Vec<HopLink>> {
+        ShortestPathRouter::new()
+            .route(t, NodeId::new(source), NodeId::new(destination))
+            .map(Route::into_links)
+    }
 
     fn dumbbell(m: u32, s: u32) -> Topology {
         let mut t = Topology::new();
@@ -1053,7 +954,7 @@ mod tests {
         assert!(line.is_connected());
         assert!(line.is_tree());
         // End-to-end route: uplink + 2 trunks + downlink.
-        let route = line.route(NodeId::new(0), NodeId::new(5)).unwrap();
+        let route = links_of(&line, 0, 5).unwrap();
         assert_eq!(route.len(), 4);
     }
 
@@ -1182,7 +1083,7 @@ mod tests {
         // A ring of 4: node 0 on sw0, node 3 on sw3 — one trunk hop via the
         // closing edge, not three through the line.
         let t = Topology::ring(4, 1);
-        let route = t.route(NodeId::new(0), NodeId::new(3)).unwrap();
+        let route = links_of(&t, 0, 3).unwrap();
         assert_eq!(
             route,
             vec![
@@ -1195,8 +1096,8 @@ mod tests {
             ]
         );
         // Equal-cost pair (sw0 -> sw2): BFS tie-break is deterministic.
-        let first = t.route(NodeId::new(0), NodeId::new(2)).unwrap();
-        let second = t.route(NodeId::new(0), NodeId::new(2)).unwrap();
+        let first = links_of(&t, 0, 2).unwrap();
+        let second = links_of(&t, 0, 2).unwrap();
         assert_eq!(first, second);
         assert_eq!(first.len(), 4);
     }
@@ -1214,7 +1115,7 @@ mod tests {
         );
         assert_eq!(t.switch_path(SwitchId::new(0), SwitchId::new(9)), None);
 
-        let route = t.route(NodeId::new(0), NodeId::new(2)).unwrap();
+        let route = links_of(&t, 0, 2).unwrap();
         assert_eq!(
             route,
             vec![
@@ -1226,10 +1127,10 @@ mod tests {
                 HopLink::Downlink(NodeId::new(2)),
             ]
         );
-        let route = t.route(NodeId::new(0), NodeId::new(1)).unwrap();
+        let route = links_of(&t, 0, 1).unwrap();
         assert_eq!(route.len(), 2);
-        assert!(t.route(NodeId::new(0), NodeId::new(0)).is_err());
-        assert!(t.route(NodeId::new(0), NodeId::new(99)).is_err());
+        assert!(links_of(&t, 0, 0).is_err());
+        assert!(links_of(&t, 0, 99).is_err());
     }
 
     #[test]
@@ -1273,7 +1174,7 @@ mod tests {
         // The fingerprint changed, so NextHopCache entries invalidate.
         assert_ne!(t.fingerprint(), fp_healthy);
         // Routing sees the degraded graph: sw0 -> sw3 is now 3 trunk hops.
-        assert_eq!(t.route(NodeId::new(0), NodeId::new(3)).unwrap().len(), 5);
+        assert_eq!(links_of(&t, 0, 3).unwrap().len(), 5);
 
         // Double-failing, failing a non-existent trunk and re-adding a
         // failed trunk are all rejected.
@@ -1285,7 +1186,7 @@ mod tests {
         t.repair_trunk(SwitchId::new(0), SwitchId::new(3)).unwrap();
         assert_eq!(t.fingerprint(), fp_healthy);
         assert_eq!(t.failed_trunks().count(), 0);
-        assert_eq!(t.route(NodeId::new(0), NodeId::new(3)).unwrap().len(), 3);
+        assert_eq!(links_of(&t, 0, 3).unwrap().len(), 3);
         // Repairing a healthy trunk is an error.
         assert!(t.repair_trunk(SwitchId::new(0), SwitchId::new(3)).is_err());
     }
@@ -1295,49 +1196,12 @@ mod tests {
         let mut t = Topology::line(3, 1);
         t.fail_trunk(SwitchId::new(1), SwitchId::new(2)).unwrap();
         assert!(!t.is_connected());
-        assert!(t.route(NodeId::new(0), NodeId::new(2)).is_err());
+        assert!(links_of(&t, 0, 2).is_err());
         assert!(!t
             .next_hop_table()
             .contains_key(&(SwitchId::new(0), SwitchId::new(2))));
         t.repair_trunk(SwitchId::new(2), SwitchId::new(1)).unwrap();
         assert!(t.is_connected());
-    }
-
-    #[test]
-    fn structure_tag_survives_faults_but_not_mutations() {
-        let mut ft = Topology::fat_tree(4).unwrap();
-        assert_eq!(ft.structure(), Some(&FabricStructure::FatTree { k: 4 }));
-        // A cut and its repair describe the same fabric.
-        let (a, b) = ft.trunks().next().unwrap();
-        ft.fail_trunk(a, b).unwrap();
-        assert!(ft.structure().is_some());
-        ft.repair_trunk(a, b).unwrap();
-        assert!(ft.structure().is_some());
-        // An extra trunk does not.
-        ft.add_trunk(SwitchId::new(0), SwitchId::new(1)).unwrap();
-        assert!(ft.structure().is_none());
-
-        let nd = Topology::torus_nd(&[3, 4], 1).unwrap();
-        assert_eq!(
-            nd.structure(),
-            Some(&FabricStructure::TorusNd { dims: vec![3, 4] })
-        );
-        // The 2-D builder tags the identical graph identically.
-        assert_eq!(Topology::torus(3, 4, 1).structure(), nd.structure());
-
-        let mut weighted = Topology::torus(3, 3, 1);
-        weighted
-            .set_trunk_cost(SwitchId::new(0), SwitchId::new(1), 5)
-            .unwrap();
-        assert!(weighted.structure().is_none());
-
-        let mut grown = Topology::torus(3, 3, 1);
-        grown.add_switch(SwitchId::new(99));
-        assert!(grown.structure().is_none());
-
-        // Hand-built topologies never carry a tag.
-        assert!(Topology::ring(4, 1).structure().is_none());
-        assert!(Topology::line(3, 1).structure().is_none());
     }
 
     #[test]
@@ -1474,7 +1338,7 @@ mod tests {
         t.attach_node(NodeId::new(0), SwitchId::new(0)).unwrap();
         t.attach_node(NodeId::new(1), SwitchId::new(1)).unwrap();
         assert!(!t.is_connected());
-        assert!(t.route(NodeId::new(0), NodeId::new(1)).is_err());
+        assert!(links_of(&t, 0, 1).is_err());
         assert!(t.next_hop_table().is_empty());
     }
 }

@@ -76,6 +76,6 @@ pub use rt_core::{
     RtNetwork, RtNetworkBuilder,
 };
 pub use rt_types::{
-    ChannelId, EcmpRouter, HopLink, LinkId, NodeId, Route, Router, ShortestPathRouter, Slots,
-    SwitchId, Topology, TreeRouter,
+    ChannelId, HopLink, LinkId, NodeId, Route, RoutePolicy, Router, ShortestPathRouter, Slots,
+    SwitchId, Topology,
 };

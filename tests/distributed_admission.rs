@@ -20,9 +20,8 @@ use switched_rt_ethernet::core::{
 };
 use switched_rt_ethernet::traffic::FabricScenario;
 use switched_rt_ethernet::types::{
-    ChannelId, ConnectionRequestId, Duration, EcmpRouter, HopLink, KShortestRouter,
-    ManagerPlacement, NodeId, Router, ShortestPathRouter, SimTime, Slots, SwitchId, Topology,
-    Xoshiro256,
+    ChannelId, ConnectionRequestId, Duration, HopLink, ManagerPlacement, NodeId, RoutePolicy,
+    Router, ShortestPathRouter, SimTime, Slots, SwitchId, Topology, Xoshiro256,
 };
 
 fn spec() -> RtChannelSpec {
@@ -201,7 +200,11 @@ fn torus_1024_hot_trunk_admits_44_of_48_under_both_placements() {
         .collect();
     let admitted = admitted_identically_under_both_placements(
         &fabric.topology(),
-        || Arc::new(KShortestRouter::new(3)),
+        || {
+            Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 3,
+            }))
+        },
         &requests,
     );
     assert_eq!((admitted, requests.len()), (44, 48));
@@ -217,7 +220,9 @@ fn torus_1024_admits_2_of_16_while_the_flood_propagates_and_leaks_nothing() {
     let fabric = FabricScenario::torus(8, 8, 8, 8);
     let mut net = RtNetwork::builder()
         .topology(fabric.topology())
-        .router(KShortestRouter::new(3))
+        .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+            k: 3,
+        }))
         .multihop_dps(MultiHopDps::Asymmetric)
         .distributed_control()
         .build()
@@ -406,7 +411,9 @@ fn teardown_releases_every_hop_over_the_wire() {
 fn trunk_cut_adjacent_to_the_former_manager_is_survived() {
     let mut net = RtNetwork::builder()
         .topology(Topology::ring(4, 1))
-        .router(KShortestRouter::new(3))
+        .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+            k: 3,
+        }))
         .multihop_dps(MultiHopDps::Symmetric)
         .distributed_control()
         .build()
@@ -524,7 +531,9 @@ fn ring_switch_failure_reroutes_through_traffic_and_drops_local_endpoints() {
     // channels are dropped.
     let mut net = RtNetwork::builder()
         .topology(Topology::ring(4, 2))
-        .router(KShortestRouter::new(4))
+        .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+            k: 4,
+        }))
         .multihop_dps(MultiHopDps::Symmetric)
         .build()
         .unwrap();
@@ -584,7 +593,9 @@ fn torus_switch_failure_reroutes_everything_with_zero_misses() {
     // adjacent switches' ledgers.
     let mut net = RtNetwork::builder()
         .topology(Topology::torus(3, 3, 1))
-        .router(KShortestRouter::new(6))
+        .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+            k: 6,
+        }))
         .multihop_dps(MultiHopDps::Symmetric)
         .distributed_control()
         .build()
@@ -836,7 +847,9 @@ fn repair_racing_a_pending_rollback_leaks_nothing() {
     let mut mgr = DistributedChannelManager::new(
         topology.clone(),
         MultiHopDps::Symmetric,
-        Arc::new(KShortestRouter::new(3)),
+        Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+            k: 3,
+        })),
     );
     let mut h = ControlHarness::new(&topology);
     let now = SimTime::from_millis(1);
@@ -903,18 +916,21 @@ fn k_shortest_orders_candidates_by_cost() {
         .unwrap();
     t.add_trunk_weighted(SwitchId::new(3), SwitchId::new(2), 5)
         .unwrap();
-    let router = KShortestRouter::new(2);
-    let paths = router.switch_paths(&t, SwitchId::new(0), SwitchId::new(2));
-    assert_eq!(paths.len(), 2);
+    t.attach_node(NodeId::new(0), SwitchId::new(0)).unwrap();
+    t.attach_node(NodeId::new(1), SwitchId::new(2)).unwrap();
+    let router = ShortestPathRouter::with_policy(RoutePolicy::KShortest { k: 2 });
+    let routes = router.routes(&t, NodeId::new(0), NodeId::new(1)).unwrap();
+    let trunk = |from: u32, to: u32| HopLink::Trunk {
+        from: SwitchId::new(from),
+        to: SwitchId::new(to),
+    };
+    assert_eq!(routes.len(), 2);
     assert_eq!(
-        paths[0],
-        vec![SwitchId::new(0), SwitchId::new(1), SwitchId::new(2)],
+        routes[0].links()[1..3],
+        [trunk(0, 1), trunk(1, 2)],
         "the cheap branch is the primary"
     );
-    assert_eq!(
-        paths[1],
-        vec![SwitchId::new(0), SwitchId::new(3), SwitchId::new(2)]
-    );
+    assert_eq!(routes[1].links()[1..3], [trunk(0, 3), trunk(3, 2)]);
 }
 
 // --- the fault path, distributed against central ---------------------------
@@ -1148,8 +1164,16 @@ fn distributed_fault_reports_match_the_central_ones() {
     type MakeRouter = fn() -> Arc<dyn Router>;
     let policies: [(&str, MakeRouter); 3] = [
         ("shortest-path", || Arc::new(ShortestPathRouter::new())),
-        ("k-shortest", || Arc::new(KShortestRouter::new(3))),
-        ("ecmp", || Arc::new(EcmpRouter::new(0xec3f))),
+        ("k-shortest", || {
+            Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 3,
+            }))
+        }),
+        ("ecmp", || {
+            Arc::new(ShortestPathRouter::with_policy(RoutePolicy::Ecmp {
+                seed: 0xec3f,
+            }))
+        }),
     ];
     let seeds = fault_walk_seeds();
     for (policy, router) in policies {

@@ -38,9 +38,8 @@ use switched_rt_ethernet::netsim::{
     Delivery, FaultScript, FrameId, FrameInjection, ShardedSimulator, SimConfig, Simulator,
 };
 use switched_rt_ethernet::types::{
-    ChannelId, ConnectionRequestId, Duration, KShortestRouter, MacAddr, ManagerPlacement,
-    NextHopCache, NodeId, Router, ShardStrategy, ShortestPathRouter, SimTime, Slots,
-    StructuralRouter, SwitchId, Topology, Xoshiro256,
+    ChannelId, ConnectionRequestId, Duration, MacAddr, ManagerPlacement, NextHopCache, NodeId,
+    RoutePolicy, ShardStrategy, ShortestPathRouter, SimTime, Slots, SwitchId, Topology, Xoshiro256,
 };
 
 /// The fixed seed matrix: every invariant below holds for all of these.
@@ -408,7 +407,9 @@ fn central_and_distributed_control_planes_are_equivalent_on_random_fabrics() {
             let nodes: Vec<NodeId> = topology.nodes().collect();
             let mut net = RtNetwork::builder()
                 .topology(topology)
-                .router(KShortestRouter::new(3))
+                .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                    k: 3,
+                }))
                 .multihop_dps(if rng.chance(0.5) {
                     MultiHopDps::Asymmetric
                 } else {
@@ -591,7 +592,9 @@ fn churn_is_deterministic_and_placement_invariant_on_random_fabrics() {
             let mut manager = FabricChannelManager::new(MultiHopAdmission::with_router(
                 topology.clone(),
                 dps,
-                Arc::new(KShortestRouter::new(3)),
+                Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                    k: 3,
+                })),
             ));
             process.run(&mut manager).expect("churn run completes")
         };
@@ -606,7 +609,9 @@ fn churn_is_deterministic_and_placement_invariant_on_random_fabrics() {
         let mut manager = DistributedChannelManager::new(
             topology.clone(),
             dps,
-            Arc::new(KShortestRouter::new(3)),
+            Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 3,
+            })),
         );
         let distributed = process.run(&mut manager).expect("churn run completes");
         // Raw ids differ (per-switch id blocks), so placement parity is the
@@ -678,7 +683,9 @@ fn adversarial_mid_handshake_faults_never_leak_slack_or_double_admit() {
             } else {
                 MultiHopDps::Symmetric
             },
-            Arc::new(KShortestRouter::new(3)),
+            Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 3,
+            })),
         );
         let mut h = ControlHarness::new(&topology);
         let mut now = SimTime::from_millis(1);
@@ -1021,7 +1028,9 @@ fn admitted_channels_never_miss_deadlines_on_random_fabrics() {
         let nodes: Vec<NodeId> = topology.nodes().collect();
         let mut net = RtNetwork::builder()
             .topology(topology)
-            .router(KShortestRouter::new(3))
+            .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 3,
+            }))
             .multihop_dps(if rng.chance(0.5) {
                 MultiHopDps::Asymmetric
             } else {
@@ -1082,73 +1091,7 @@ fn admitted_channels_never_miss_deadlines_on_random_fabrics() {
     }
 }
 
-// --- structural routing and incremental rebuilds --------------------------
-
-/// On every healthy regular fabric, the table-free [`StructuralRouter`]
-/// must be indistinguishable from the tabled [`ShortestPathRouter`]: the
-/// closed-form next hops reproduce the lex-min BFS table byte for byte.
-#[test]
-fn structural_router_matches_the_table_on_healthy_fabrics() {
-    let fabrics: Vec<(String, Topology)> = vec![
-        ("fat_tree(4)".into(), Topology::fat_tree(4).unwrap()),
-        ("fat_tree(6)".into(), Topology::fat_tree(6).unwrap()),
-        ("fat_tree(16)".into(), Topology::fat_tree(16).unwrap()),
-        (
-            "torus_nd[3,4]".into(),
-            Topology::torus_nd(&[3, 4], 1).unwrap(),
-        ),
-        (
-            "torus_nd[2,2,3]".into(),
-            Topology::torus_nd(&[2, 2, 3], 1).unwrap(),
-        ),
-        (
-            "torus_nd[4,4,4]".into(),
-            Topology::torus_nd(&[4, 4, 4], 1).unwrap(),
-        ),
-    ];
-    for (name, topology) in &fabrics {
-        let router = StructuralRouter::new();
-        let structural = router.next_hop_table(topology);
-        let tabled = ShortestPathRouter::new().next_hop_table(topology);
-        assert_eq!(
-            *structural, *tabled,
-            "{name}: structural next hops diverge from the lex-min table"
-        );
-        let stats = router.cache_stats();
-        assert_eq!(
-            stats.full_rebuilds, 0,
-            "{name}: the structural router must never run a from-scratch build"
-        );
-        assert_eq!(
-            stats.incremental_rebuilds, 0,
-            "{name}: healthy structural tables need no rebuild at all"
-        );
-    }
-}
-
-/// Under a single trunk cut the structural detour overlay must still agree
-/// with a from-scratch lex-min table of the degraded fabric — for *every*
-/// trunk, so both the closed-form case (lex-min tree never crossed the
-/// trunk) and the degraded-column case are exercised.
-#[test]
-fn structural_detours_match_the_degraded_table_for_every_cut() {
-    for (name, healthy) in [
-        ("fat_tree(4)", Topology::fat_tree(4).unwrap()),
-        ("torus_nd[3,3]", Topology::torus_nd(&[3, 3], 1).unwrap()),
-    ] {
-        let trunks: Vec<(SwitchId, SwitchId)> = healthy.trunks().collect();
-        for &(a, b) in &trunks {
-            let mut degraded = healthy.clone();
-            degraded.fail_trunk(a, b).unwrap();
-            let structural = StructuralRouter::new().next_hop_table(&degraded);
-            let scratch = ShortestPathRouter::new().next_hop_table(&degraded);
-            assert_eq!(
-                *structural, *scratch,
-                "{name}: detour overlay diverges after cutting {a}-{b}"
-            );
-        }
-    }
-}
+// --- incremental rebuilds -------------------------------------------------
 
 /// The incremental single-delta rebuild must be invisible: after any cut
 /// (including disconnecting ones) and after the matching repair, the

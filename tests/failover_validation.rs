@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use switched_rt_ethernet::core::{ChannelRoute, MultiHopDps, RtChannelSpec, RtNetwork};
 use switched_rt_ethernet::traffic::FailoverScenario;
 use switched_rt_ethernet::types::{
-    ChannelId, Duration, HopLink, KShortestRouter, NodeId, SimTime, Slots, SwitchId,
+    ChannelId, Duration, HopLink, NodeId, RoutePolicy, ShortestPathRouter, SimTime, Slots, SwitchId,
 };
 
 fn conservation_holds(net: &RtNetwork) {
@@ -47,7 +47,9 @@ fn ring_trunk_cut_mid_run_reroutes_and_meets_bounds() {
     let drive = |cut: bool| {
         let mut net = RtNetwork::builder()
             .topology(scenario.fabric().topology())
-            .router(KShortestRouter::new(3))
+            .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 3,
+            }))
             .multihop_dps(MultiHopDps::Symmetric)
             .build()
             .unwrap();
@@ -150,7 +152,9 @@ fn torus_link_cut_reroutes_all_affected_channels() {
     let spec = RtChannelSpec::paper_default();
     let mut net = RtNetwork::builder()
         .topology(scenario.fabric().topology())
-        .router(KShortestRouter::new(4))
+        .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+            k: 4,
+        }))
         .multihop_dps(MultiHopDps::Asymmetric)
         .build()
         .unwrap();
@@ -245,7 +249,9 @@ fn torus_1024_mid_run_cut_reroutes_the_pinned_eight_and_spares_the_rest() {
     let drive = |cut: bool| {
         let mut net = RtNetwork::builder()
             .topology(fabric.topology())
-            .router(KShortestRouter::new(4))
+            .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 4,
+            }))
             .multihop_dps(MultiHopDps::Asymmetric)
             .build()
             .unwrap();
@@ -400,7 +406,9 @@ fn failover_runs_are_scheduler_invariant() {
     let spec = RtChannelSpec::paper_default();
     let mut net = RtNetwork::builder()
         .topology(scenario.fabric().topology())
-        .router(KShortestRouter::new(3))
+        .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+            k: 3,
+        }))
         .multihop_dps(MultiHopDps::Asymmetric)
         .build()
         .unwrap();

@@ -2,12 +2,13 @@
 //! topology built through `RtNetworkBuilder` admits channels via
 //! `ShortestPathRouter`, every measured worst-case delay on the simulated
 //! wire stays within the hop-aware bound `d·slot + T_latency(h)` of the
-//! *selected* route, and `EcmpRouter` is deterministic for a fixed seed.
+//! *selected* route, and `RoutePolicy::Ecmp` is deterministic for a fixed
+//! seed.
 
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
 use switched_rt_ethernet::traffic::FabricScenario;
 use switched_rt_ethernet::types::{
-    Duration, EcmpRouter, HopLink, NodeId, Route, ShortestPathRouter, Topology, TreeRouter,
+    Duration, HopLink, NodeId, Route, RoutePolicy, ShortestPathRouter, Topology,
 };
 
 /// Build-establish-drive-validate over a fabric; returns the routes taken.
@@ -92,7 +93,7 @@ fn leaf_spine_fabric_works_with_ecmp_and_is_seed_deterministic() {
     let run = |seed: u64| {
         let net = RtNetwork::builder()
             .topology(fabric.topology())
-            .router(EcmpRouter::new(seed))
+            .router(ShortestPathRouter::with_policy(RoutePolicy::Ecmp { seed }))
             .multihop_dps(MultiHopDps::Symmetric)
             .build()
             .expect("a 2-connected fabric builds with ECMP");
@@ -124,12 +125,12 @@ fn leaf_spine_fabric_works_with_ecmp_and_is_seed_deterministic() {
 fn tree_router_accepts_lines_and_rejects_rings_at_build_time() {
     assert!(RtNetwork::builder()
         .topology(Topology::line(3, 1))
-        .router(TreeRouter::new())
+        .router(ShortestPathRouter::with_policy(RoutePolicy::Tree))
         .build()
         .is_ok());
     assert!(RtNetwork::builder()
         .topology(Topology::ring(3, 1))
-        .router(TreeRouter::new())
+        .router(ShortestPathRouter::with_policy(RoutePolicy::Tree))
         .build()
         .is_err());
     // Disconnected fabrics are rejected whatever the router.
