@@ -7,9 +7,9 @@
 //! best-effort throughput degrades gracefully (drops appear once its queue
 //! overflows).
 //!
-//! Usage: `cargo run -p rt-bench --bin coexistence [results.json]`
+//! Usage: `cargo run -p rt-bench --bin coexistence`
 
-use rt_bench::report::{maybe_write_json_from_args, Table};
+use rt_bench::report::Table;
 
 fn main() {
     println!("Ablation C — RT guarantees vs offered best-effort load on a shared link\n");
@@ -45,5 +45,4 @@ fn main() {
             "PRESENT (guarantee violated)"
         }
     );
-    maybe_write_json_from_args(&results);
 }

@@ -6,10 +6,10 @@
 //! and compares the measured worst-case end-to-end delay per channel against
 //! the analytical bound.
 //!
-//! Usage: `cargo run -p rt-bench --bin delay_validation [results.json]`
+//! Usage: `cargo run -p rt-bench --bin delay_validation`
 
 use rt_bench::experiments::delay_validation;
-use rt_bench::report::{maybe_write_json_from_args, Table};
+use rt_bench::report::Table;
 use rt_core::DpsKind;
 
 fn main() {
@@ -49,5 +49,4 @@ fn main() {
         "All admitted channels met the Eq. 18.1 bound: {}",
         if all_ok { "YES" } else { "NO" }
     );
-    maybe_write_json_from_args(&results);
 }

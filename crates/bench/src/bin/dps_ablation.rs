@@ -5,33 +5,12 @@
 //! random, slave→master, uniform, hotspot) and across homogeneous
 //! (paper parameters) vs heterogeneous channel specs.
 //!
-//! Usage: `cargo run -p rt-bench --bin dps_ablation [results.json]`
+//! Usage: `cargo run -p rt-bench --bin dps_ablation`
 
 use rt_bench::experiments::run_admission;
-use rt_bench::report::{json_object, maybe_write_json_from_args, Table, ToJson};
+use rt_bench::report::Table;
 use rt_core::{DpsKind, RtChannelSpec};
 use rt_traffic::{HeterogeneousSpecs, RequestPattern, Scenario};
-
-#[derive(Debug)]
-struct AblationRow {
-    pattern: String,
-    specs: String,
-    dps: String,
-    requested: u64,
-    accepted: u64,
-}
-
-impl ToJson for AblationRow {
-    fn to_json(&self) -> String {
-        json_object(&[
-            ("pattern", self.pattern.to_json()),
-            ("specs", self.specs.to_json()),
-            ("dps", self.dps.to_json()),
-            ("requested", self.requested.to_json()),
-            ("accepted", self.accepted.to_json()),
-        ])
-    }
-}
 
 fn main() {
     let scenario = Scenario::paper_master_slave();
@@ -49,7 +28,6 @@ fn main() {
         ("hotspot", RequestPattern::Hotspot),
     ];
 
-    let mut rows = Vec::new();
     println!("Ablation A — accepted channels out of {requested} requested, per DPS and request pattern\n");
     let mut table = Table::new(&[
         "pattern",
@@ -72,13 +50,6 @@ fn main() {
             let mut accepted = Vec::new();
             for dps in DpsKind::ALL {
                 let result = run_admission(&nodes, &requests, dps, false);
-                rows.push(AblationRow {
-                    pattern: pattern_name.to_string(),
-                    specs: specs_kind.to_string(),
-                    dps: result.dps.clone(),
-                    requested,
-                    accepted: result.accepted,
-                });
                 accepted.push(result.accepted);
             }
             table.row_strings(vec![
@@ -96,6 +67,4 @@ fn main() {
     println!("Reading guide: ADPS >= SDPS whenever load is asymmetric (master/slave, hotspot);");
     println!("the utilisation-weighted variant matters when channel specs are heterogeneous;");
     println!("Search-DPS is the per-request upper bound any partitioning scheme can reach.");
-
-    maybe_write_json_from_args(&rows);
 }

@@ -7,12 +7,12 @@
 //! and its consequence (per-link deadline misses in a slot-accurate EDF
 //! schedule), plus the admission-decision cost of the exact test.
 //!
-//! Usage: `cargo run -p rt-bench --bin feasibility_ablation [results.json]`
+//! Usage: `cargo run -p rt-bench --bin feasibility_ablation`
 
 use std::time::Instant;
 
 use rt_bench::experiments::{run_admission, run_admission_returning_controller};
-use rt_bench::report::{json_object, maybe_write_json_from_args, Table, ToJson};
+use rt_bench::report::Table;
 use rt_core::{DpsKind, RtChannelSpec};
 use rt_edf::schedule::simulate_over_hyperperiod;
 use rt_traffic::{RequestPattern, Scenario};
@@ -26,19 +26,6 @@ struct FeasibilityRow {
     links_with_misses: u64,
     total_misses: u64,
     admission_time_us: u128,
-}
-
-impl ToJson for FeasibilityRow {
-    fn to_json(&self) -> String {
-        json_object(&[
-            ("test", self.test.to_json()),
-            ("requested", self.requested.to_json()),
-            ("accepted", self.accepted.to_json()),
-            ("links_with_misses", self.links_with_misses.to_json()),
-            ("total_misses", self.total_misses.to_json()),
-            ("admission_time_us", self.admission_time_us.to_json()),
-        ])
-    }
 }
 
 fn run_case(utilisation_only: bool, requested: u64) -> FeasibilityRow {
@@ -84,7 +71,6 @@ fn main() {
     println!("Ablation B — exact feasibility test vs utilisation-only admission");
     println!("(paper parameters C=3, P=100, D=40 => d << P, SDPS, master/slave)\n");
 
-    let mut rows = Vec::new();
     let mut table = Table::new(&[
         "admission test",
         "requested",
@@ -97,20 +83,17 @@ fn main() {
         for utilisation_only in [false, true] {
             let row = run_case(utilisation_only, requested);
             table.row_strings(vec![
-                row.test.clone(),
+                row.test,
                 row.requested.to_string(),
                 row.accepted.to_string(),
                 row.links_with_misses.to_string(),
                 row.total_misses.to_string(),
                 row.admission_time_us.to_string(),
             ]);
-            rows.push(row);
         }
     }
     table.print();
     println!();
     println!("The exact test accepts fewer channels but every accepted set is schedulable;");
     println!("the utilisation-only test over-admits and the resulting per-link EDF schedules miss deadlines.");
-
-    maybe_write_json_from_args(&rows);
 }

@@ -5,10 +5,10 @@
 //! requested channel has the same parameters `C_i = 3`, `P_i = 100`,
 //! `d_i = 40`; requests go master → slave.
 //!
-//! Usage: `cargo run -p rt-bench --bin fig18_5 [results.json]`
+//! Usage: `cargo run -p rt-bench --bin fig18_5`
 
 use rt_bench::experiments::admission_sweep;
-use rt_bench::report::{maybe_write_json_from_args, Table};
+use rt_bench::report::Table;
 
 fn main() {
     // The figure's x axis: 20 to 200 requested channels.
@@ -39,6 +39,4 @@ fn main() {
     println!();
     println!("SDPS saturates at {sdps_max} accepted channels (paper: ~60).");
     println!("ADPS saturates at {adps_max} accepted channels (paper: ~110-120).");
-
-    maybe_write_json_from_args(&rows);
 }

@@ -29,51 +29,13 @@
 //! Both sweeps are deterministic, so the last row of each is pinned in-binary
 //! (dumbbell: 4 symmetric / 9 asymmetric; line 16, ring 21).
 //!
-//! Usage: `cargo run -p rt-bench --bin multiswitch [results.json]`.
+//! Usage: `cargo run -p rt-bench --bin multiswitch`.
 
-use rt_bench::report::{json_object, maybe_write_json_from_args, Table, ToJson};
+use rt_bench::report::Table;
 use rt_core::multihop::{HopLink, MultiHopAdmission, MultiHopDps, SwitchId, Topology};
 use rt_core::{RtChannelSpec, RtNetwork};
 use rt_traffic::FabricScenario;
 use rt_types::{Duration, NodeId, RoutePolicy, ShortestPathRouter};
-
-#[derive(Debug)]
-struct MultiSwitchRow {
-    requested: u64,
-    symmetric_accepted: u64,
-    asymmetric_accepted: u64,
-    trunk_load_symmetric: usize,
-    trunk_load_asymmetric: usize,
-    // Wire-level validation of the asymmetric run.
-    simulated_established: u64,
-    simulated_frames: u64,
-    simulated_misses: u64,
-    worst_latency_ns: u64,
-    worst_bound_ns: u64,
-}
-
-impl ToJson for MultiSwitchRow {
-    fn to_json(&self) -> String {
-        json_object(&[
-            ("requested", self.requested.to_json()),
-            ("symmetric_accepted", self.symmetric_accepted.to_json()),
-            ("asymmetric_accepted", self.asymmetric_accepted.to_json()),
-            ("trunk_load_symmetric", self.trunk_load_symmetric.to_json()),
-            (
-                "trunk_load_asymmetric",
-                self.trunk_load_asymmetric.to_json(),
-            ),
-            (
-                "simulated_established",
-                self.simulated_established.to_json(),
-            ),
-            ("simulated_frames", self.simulated_frames.to_json()),
-            ("simulated_misses", self.simulated_misses.to_json()),
-            ("worst_latency_ns", self.worst_latency_ns.to_json()),
-            ("worst_bound_ns", self.worst_bound_ns.to_json()),
-        ])
-    }
-}
 
 /// One router's wire-level numbers at one sweep point of the mesh
 /// experiment.
@@ -84,48 +46,6 @@ struct WireOutcome {
     misses: u64,
     worst_latency_ns: u64,
     worst_bound_ns: u64,
-}
-
-#[derive(Debug)]
-struct MeshRow {
-    requested: u64,
-    tree: WireOutcome,
-    mesh: WireOutcome,
-}
-
-impl ToJson for MeshRow {
-    fn to_json(&self) -> String {
-        let enc = |o: &WireOutcome| {
-            json_object(&[
-                ("established", o.established.to_json()),
-                ("frames", o.frames.to_json()),
-                ("misses", o.misses.to_json()),
-                ("worst_latency_ns", o.worst_latency_ns.to_json()),
-                ("worst_bound_ns", o.worst_bound_ns.to_json()),
-            ])
-        };
-        json_object(&[
-            ("requested", self.requested.to_json()),
-            ("tree_router_line", enc(&self.tree)),
-            ("shortest_path_ring", enc(&self.mesh)),
-        ])
-    }
-}
-
-/// The whole experiment, for the JSON dump.
-#[derive(Debug)]
-struct Results {
-    dumbbell: Vec<MultiSwitchRow>,
-    mesh: Vec<MeshRow>,
-}
-
-impl ToJson for Results {
-    fn to_json(&self) -> String {
-        json_object(&[
-            ("dumbbell", self.dumbbell.to_json()),
-            ("mesh_vs_tree", self.mesh.to_json()),
-        ])
-    }
 }
 
 /// Two switches, `masters` nodes on switch 0 and `slaves` nodes on switch 1.
@@ -235,14 +155,17 @@ fn simulate_dumbbell(masters: u32, slaves: u32, requested: u64, messages: u64) -
     drive_on_the_wire(net, &requests, messages)
 }
 
-fn part1_dumbbell(masters: u32, slaves: u32, messages: u64) -> Vec<MultiSwitchRow> {
+/// Runs the sweep and returns the last point's (symmetric, asymmetric)
+/// acceptance.
+fn part1_dumbbell(masters: u32, slaves: u32, messages: u64) -> (u64, u64) {
     println!(
         "Part 1 — dumbbell fabric ({masters} masters on sw0, {slaves} slaves on sw1, one trunk)"
     );
     println!("every channel crosses uplink + trunk + downlink; C=3, P=100, D=40");
     println!("analysis: symmetric vs load-proportional multi-hop split; simulation: asymmetric run on the wire\n");
 
-    let mut rows = Vec::new();
+    let mut last = (0, 0);
+    let mut all_met = true;
     let mut table = Table::new(&[
         "requested",
         "sym accepted",
@@ -273,22 +196,11 @@ fn part1_dumbbell(masters: u32, slaves: u32, messages: u64) -> Vec<MultiSwitchRo
             format!("{:.1}", wire.worst_latency_ns as f64 / 1000.0),
             format!("{:.1}", wire.worst_bound_ns as f64 / 1000.0),
         ]);
-        rows.push(MultiSwitchRow {
-            requested,
-            symmetric_accepted: sym,
-            asymmetric_accepted: asym,
-            trunk_load_symmetric: sym_trunk,
-            trunk_load_asymmetric: asym_trunk,
-            simulated_established: wire.established,
-            simulated_frames: wire.frames,
-            simulated_misses: wire.misses,
-            worst_latency_ns: wire.worst_latency_ns,
-            worst_bound_ns: wire.worst_bound_ns,
-        });
+        all_met &= wire.misses == 0;
+        last = (sym, asym);
     }
     table.print();
     println!();
-    let all_met = rows.iter().all(|r| r.simulated_misses == 0);
     println!(
         "The single trunk carries every channel, so it saturates long before the access links;"
     );
@@ -297,10 +209,12 @@ fn part1_dumbbell(masters: u32, slaves: u32, messages: u64) -> Vec<MultiSwitchRo
         "Wire-level validation: every admitted channel met its hop-aware Eq. 18.1 bound: {}",
         if all_met { "YES" } else { "NO" }
     );
-    rows
+    last
 }
 
-fn part2_mesh(messages: u64) -> Vec<MeshRow> {
+/// Runs the sweep and returns the last point's (tree, mesh) established
+/// channels.
+fn part2_mesh(messages: u64) -> (u64, u64) {
     const SWITCHES: u32 = 4;
     const MASTERS: u32 = 2;
     const SLAVES: u32 = 2;
@@ -311,7 +225,8 @@ fn part2_mesh(messages: u64) -> Vec<MeshRow> {
     println!("(the ring = the line + one redundant closing trunk)\n");
 
     let spec = RtChannelSpec::paper_default();
-    let mut rows = Vec::new();
+    let mut last = (0, 0);
+    let mut gained = 0;
     let mut table = Table::new(&[
         "requested",
         "tree accepted",
@@ -368,45 +283,28 @@ fn part2_mesh(messages: u64) -> Vec<MeshRow> {
             ),
             format!("{}/{}", tree.misses, mesh.misses),
         ]);
-        rows.push(MeshRow {
-            requested,
-            tree,
-            mesh,
-        });
+        gained += mesh.established - tree.established;
+        last = (tree.established, mesh.established);
     }
     table.print();
     println!();
-    let gained: u64 = rows
-        .iter()
-        .map(|r| r.mesh.established - r.tree.established)
-        .sum();
     println!("The closing trunk shortens end-of-line routes and bypasses the middle trunks,");
     println!("admitting {gained} extra channels over the sweep; every admitted channel still met");
     println!("its hop-aware Eq. 18.1 bound on the wire, under both routers.");
-    rows
+    last
 }
 
 fn main() {
     let messages = 10u64;
-    let results = Results {
-        dumbbell: part1_dumbbell(10, 50, messages),
-        mesh: part2_mesh(messages),
-    };
-    let last_dumbbell = results.dumbbell.last().expect("part 1 sweeps");
     assert_eq!(
-        (
-            last_dumbbell.symmetric_accepted,
-            last_dumbbell.asymmetric_accepted
-        ),
+        part1_dumbbell(10, 50, messages),
         (4, 9),
         "dumbbell hot-trunk acceptance at 200 requests (symmetric, asymmetric)"
     );
-    let last_mesh = results.mesh.last().expect("part 2 sweeps");
     assert_eq!(
-        (last_mesh.tree.established, last_mesh.mesh.established),
+        part2_mesh(messages),
         (16, 21),
         "acceptance at 48 requests (line under the tree policy, ring under shortest-path)"
     );
     println!();
-    maybe_write_json_from_args(&results);
 }

@@ -1,19 +1,14 @@
-//! Reusable experiment drivers shared by the harness binaries and the
-//! Criterion benches.
+//! Reusable experiment drivers shared by the experiment binaries.
 
 use rt_core::{DpsKind, MultiHopAdmission, Refusal, RtChannelSpec, RtNetwork};
 use rt_edf::FeasibilityTester;
 use rt_traffic::{ChannelRequest, RequestPattern, Scenario};
 use rt_types::{Duration, HopLink, NodeId, SimTime, SwitchId, Topology};
 
-use crate::report::{json_object, ToJson};
-
 /// Aggregate result of feeding a request sequence to one admission
 /// controller configuration.
 #[derive(Debug, Clone)]
 pub struct AdmissionRunResult {
-    /// Name of the deadline-partitioning scheme.
-    pub dps: String,
     /// Number of requests submitted.
     pub requested: u64,
     /// Number of requests accepted.
@@ -35,19 +30,6 @@ impl AdmissionRunResult {
         } else {
             self.accepted as f64 / self.requested as f64
         }
-    }
-}
-
-impl ToJson for AdmissionRunResult {
-    fn to_json(&self) -> String {
-        json_object(&[
-            ("dps", self.dps.to_json()),
-            ("requested", self.requested.to_json()),
-            ("accepted", self.accepted.to_json()),
-            ("rejected_uplink", self.rejected_uplink.to_json()),
-            ("rejected_downlink", self.rejected_downlink.to_json()),
-            ("rejected_other", self.rejected_other.to_json()),
-        ])
     }
 }
 
@@ -87,7 +69,6 @@ pub fn run_admission(
     utilisation_only: bool,
 ) -> AdmissionRunResult {
     let mut result = AdmissionRunResult {
-        dps: dps.name().to_string(),
         requested: requests.len() as u64,
         accepted: 0,
         rejected_uplink: 0,
@@ -132,16 +113,6 @@ pub struct Fig18Row {
     pub sdps_accepted: u64,
     /// Channels accepted under asymmetric deadline partitioning.
     pub adps_accepted: u64,
-}
-
-impl ToJson for Fig18Row {
-    fn to_json(&self) -> String {
-        json_object(&[
-            ("requested", self.requested.to_json()),
-            ("sdps_accepted", self.sdps_accepted.to_json()),
-            ("adps_accepted", self.adps_accepted.to_json()),
-        ])
-    }
 }
 
 /// Reproduce Figure 18.5: for each number of requested channels, count how
@@ -189,21 +160,6 @@ pub struct DelayValidationResult {
     pub bound_ns: u64,
     /// `true` when every frame met the bound.
     pub all_within_bound: bool,
-}
-
-impl ToJson for DelayValidationResult {
-    fn to_json(&self) -> String {
-        json_object(&[
-            ("dps", self.dps.to_json()),
-            ("channels_requested", self.channels_requested.to_json()),
-            ("channels_established", self.channels_established.to_json()),
-            ("frames_delivered", self.frames_delivered.to_json()),
-            ("deadline_misses", self.deadline_misses.to_json()),
-            ("worst_latency_ns", self.worst_latency_ns.to_json()),
-            ("bound_ns", self.bound_ns.to_json()),
-            ("all_within_bound", self.all_within_bound.to_json()),
-        ])
-    }
 }
 
 /// Establish `channels` channels (master → slave, paper parameters) over the
@@ -267,19 +223,6 @@ pub struct CoexistenceResult {
     pub be_delivered: u64,
     /// Best-effort frames dropped at full queues.
     pub be_dropped: u64,
-}
-
-impl ToJson for CoexistenceResult {
-    fn to_json(&self) -> String {
-        json_object(&[
-            ("be_load_fraction", self.be_load_fraction.to_json()),
-            ("rt_delivered", self.rt_delivered.to_json()),
-            ("rt_misses", self.rt_misses.to_json()),
-            ("rt_worst_latency_ns", self.rt_worst_latency_ns.to_json()),
-            ("be_delivered", self.be_delivered.to_json()),
-            ("be_dropped", self.be_dropped.to_json()),
-        ])
-    }
 }
 
 /// Run the coexistence experiment: a handful of RT channels plus best-effort

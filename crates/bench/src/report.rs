@@ -1,95 +1,7 @@
-//! Small reporting helpers: aligned text tables and JSON result dumps.
-//!
-//! The JSON side is a deliberately tiny, dependency-free encoder: result
-//! rows implement [`ToJson`] by hand (usually one [`json_object`] call), so
-//! experiment outputs stay machine-readable without pulling a serialisation
-//! framework into the workspace.
+//! An aligned text table: the one reporting helper the experiment binaries
+//! share.
 
 use std::fmt::Display;
-use std::fs;
-use std::path::Path;
-
-/// A value that can render itself as a JSON document.
-pub trait ToJson {
-    /// The JSON text of this value.
-    fn to_json(&self) -> String;
-}
-
-macro_rules! impl_tojson_display {
-    ($($t:ty),*) => {
-        $(impl ToJson for $t {
-            fn to_json(&self) -> String {
-                self.to_string()
-            }
-        })*
-    };
-}
-
-impl_tojson_display!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, bool);
-
-impl ToJson for f64 {
-    fn to_json(&self) -> String {
-        if self.is_finite() {
-            self.to_string()
-        } else {
-            // JSON has no NaN/Infinity; null is the conventional stand-in.
-            "null".to_string()
-        }
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> String {
-        json_string(self)
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> String {
-        json_string(self)
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> String {
-        self.as_slice().to_json()
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> String {
-        let items: Vec<String> = self.iter().map(|v| v.to_json()).collect();
-        format!("[\n  {}\n]", items.join(",\n  "))
-    }
-}
-
-/// Escape and quote a string for JSON.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Build a JSON object from already-encoded field values.
-pub fn json_object(fields: &[(&str, String)]) -> String {
-    let parts: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("{}: {}", json_string(k), v))
-        .collect();
-    format!("{{{}}}", parts.join(", "))
-}
 
 /// A simple aligned text table.
 #[derive(Debug, Default, Clone)]
@@ -181,26 +93,6 @@ impl Table {
     }
 }
 
-/// Write `value` as JSON to `path` (creating parent directories).
-pub fn write_json<T: ToJson + ?Sized>(path: &Path, value: &T) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, value.to_json())
-}
-
-/// If the process was given a path argument, write the JSON results there.
-/// Flag-style arguments (leading `-`) are ignored — `cargo bench` passes
-/// `--bench` to every bench binary.
-pub fn maybe_write_json_from_args<T: ToJson + ?Sized>(value: &T) {
-    if let Some(path) = std::env::args().skip(1).find(|a| !a.starts_with('-')) {
-        match write_json(Path::new(&path), value) {
-            Ok(()) => println!("\nresults written to {path}"),
-            Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,29 +118,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&[&1u32]);
-    }
-
-    #[test]
-    fn write_json_round_trip() {
-        let dir = std::env::temp_dir().join("rt_bench_report_test");
-        let path = dir.join("out.json");
-        write_json(&path, &vec![1u32, 2, 3]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let compact: String = text.chars().filter(|c| !c.is_whitespace()).collect();
-        assert_eq!(compact, "[1,2,3]");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn json_values_encode_correctly() {
-        assert_eq!(42u64.to_json(), "42");
-        assert_eq!(true.to_json(), "true");
-        assert_eq!(1.5f64.to_json(), "1.5");
-        assert_eq!(f64::NAN.to_json(), "null");
-        assert_eq!("a\"b\\c\nd".to_json(), r#""a\"b\\c\nd""#);
-        assert_eq!(
-            json_object(&[("x", 1u64.to_json()), ("name", "hi".to_json())]),
-            r#"{"x": 1, "name": "hi"}"#
-        );
     }
 }

@@ -11,9 +11,9 @@
 //! paper's rules split the *whole* deadline in proportion to the loads
 //! (Eq. 18.16), the per-hop rules hand every link `C_i` first and split only
 //! the slack.  Each measures better on its own workload (ARCHITECTURE.md,
-//! "two DPS families, measured"), so a star build partitions with a
-//! [`DpsKind`] and a fabric build with a [`MultiHopDps`]; everything under
-//! the rule — ledger, per-link test, handshake — is shared.
+//! the `rt-core` section, *Two DPS families*), so a star build partitions
+//! with a [`DpsKind`] and a fabric build with a [`MultiHopDps`]; everything
+//! under the rule — ledger, per-link test, handshake — is shared.
 
 use rt_edf::PeriodicTask;
 use rt_types::{RtResult, Slots};

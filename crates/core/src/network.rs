@@ -183,7 +183,7 @@ impl RtNetworkBuilder {
     /// 10-master/50-slave star accepts 100 of Figure 18.5's channels where
     /// this family's ADPS accepts 110, and Eq. 18.16 put under the fabric
     /// workloads costs up to 16 % of their accepted channels
-    /// (ARCHITECTURE.md, "two DPS families, measured").
+    /// (ARCHITECTURE.md, the `rt-core` section, *Two DPS families*).
     pub fn dps(mut self, dps: DpsKind) -> Self {
         self.dps = dps;
         self

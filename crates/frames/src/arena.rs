@@ -6,11 +6,11 @@
 //! freed, so in steady state the pool performs **zero** allocations per
 //! frame: buffers are recycled by size class.
 //!
-//! The simulator no longer stores frames here — measured on `wire_preload`
-//! and `wire_rt`, a frame record owning the `EthernetFrame` it was injected
-//! with was faster and smaller in every run (ARCHITECTURE.md, *The frame
-//! memory model*).  The type stays only because the frozen benchmark's
-//! `frames.arena.alloc_free_ns` kernel times it; it leaves with that row.
+//! The simulator does not store frames here: its driver keeps each injected
+//! `EthernetFrame` and moves it into the delivery (ARCHITECTURE.md, the
+//! `rt-netsim` section, *The frame memory model*).  The type stays only
+//! because the frozen benchmark's `frames.arena.alloc_free_ns` kernel times
+//! it; it leaves with that row.
 //!
 //! Three size classes keep recycled capacity close to what frames actually
 //! need: small (control frames), medium (sensor-sized data), and MTU

@@ -26,8 +26,10 @@ impl ByteWriter {
     }
 
     /// Create a writer that appends to an existing buffer, preserving its
-    /// contents and capacity.  This is how the `encode_into` codec entry
-    /// points reuse arena-pooled buffers without reallocating.
+    /// contents and capacity.  The `encode_into` codec entry points build on
+    /// it: each header's owned `encode` is its `encode_into` over an empty
+    /// vector, and `RtDataFrame::encode_payload_into` appends the IPv4 and
+    /// UDP headers to one buffer without an intermediate allocation.
     pub fn from_vec(buf: Vec<u8>) -> Self {
         ByteWriter { buf }
     }
