@@ -26,8 +26,9 @@ use rt_types::{ChannelId, HopLink, SwitchId};
 /// What a ledger entry belongs to: an established channel, or an in-flight
 /// two-phase reservation identified by its coordinator switch and token.
 ///
-/// The ordering is total and deterministic (channels sort before tokens), so
-/// ledger iteration — and therefore every derived task set — is reproducible.
+/// The ordering is total and deterministic (channels sort before tokens): it
+/// breaks deadline ties inside a link's book and orders what the ledger
+/// reports, so both are reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReservationKey {
     /// A committed channel.
@@ -48,12 +49,16 @@ impl ReservationKey {
     }
 }
 
-/// One link's reservations: the keys ascending, and the task `keys[i]` holds
-/// at `tasks[i]`.  The tasks lie contiguous, in the (key) order every derived
-/// task set has always had, so the feasibility test reads them where they
-/// are.  A book outlives its reservations: the release that empties it leaves
-/// it in its slot, both vectors empty with their capacity kept, and an empty
-/// book reads everywhere as a link that holds nothing.
+/// One link's reservations: the tasks in relative-deadline order, ties by
+/// key, and the key that holds `tasks[i]` at `keys[i]`.  The order is a
+/// function of what the book holds, not of how it got there.  The tasks lie
+/// contiguous in the order the Constraint 2 scan visits their first
+/// deadlines, so the feasibility test reads them where they are and the
+/// events it gathers from them arrive nearly sorted (the candidate last).
+/// A book holds a few dozen reservations at most: a key is found by a
+/// linear scan.  A book outlives its reservations: the release that empties
+/// it leaves it in its slot, both vectors empty with their capacity kept,
+/// and an empty book reads everywhere as a link that holds nothing.
 #[derive(Debug)]
 struct LinkBook {
     link: HopLink,
@@ -62,9 +67,25 @@ struct LinkBook {
 }
 
 impl LinkBook {
+    /// Where `key`'s entry sits, if the book holds one.
+    fn find(&self, key: ReservationKey) -> Option<usize> {
+        self.keys.iter().position(|&held| held == key)
+    }
+
+    /// Book `task` under `key`, which holds nothing here, at its deadline's
+    /// place.
+    fn insert(&mut self, key: ReservationKey, task: PeriodicTask) {
+        let place = (task.relative_deadline(), key);
+        let at = (self.tasks.iter().zip(&self.keys))
+            .position(|(held, &k)| (held.relative_deadline(), k) > place)
+            .unwrap_or(self.keys.len());
+        self.keys.insert(at, key);
+        self.tasks.insert(at, task);
+    }
+
     /// Drop `key`'s entry; `false` if it held none.
     fn remove(&mut self, key: ReservationKey) -> bool {
-        let Ok(at) = self.keys.binary_search(&key) else {
+        let Some(at) = self.find(key) else {
             return false;
         };
         self.keys.remove(at);
@@ -130,13 +151,13 @@ impl Hasher for FoldHasher {
 /// releases.  Deadline partitioning, candidate routes and the commit /
 /// rollback protocol live in its callers.
 ///
-/// Each link that has ever held a reservation has one *book*: its
-/// reservation keys, sorted, and their tasks in a parallel contiguous vector.
-/// A per-link test therefore costs what the link holds and nothing it has to
-/// rebuild — the tester is handed the book's task slice and the candidate,
-/// and the one buffer its demand scan needs is lent from the ledger
-/// ([`SlackLedger::feasible_with`] stays `&self`; the buffer sits behind a
-/// `RefCell` nothing re-enters).
+/// Each link that has ever held a reservation has one *book*: its tasks in
+/// relative-deadline order in one contiguous vector, and the key holding
+/// each in a parallel one.  A per-link test therefore costs what the link
+/// holds and nothing it has to rebuild — the tester is handed the book's
+/// task slice and the candidate, and the one buffer its demand scan needs
+/// is lent from the ledger ([`SlackLedger::feasible_with`] stays `&self`;
+/// the buffer sits behind a `RefCell` nothing re-enters).
 ///
 /// The books sit in a `Vec`, one *slot* each, and a link finds its slot
 /// through an open-addressed table of slot numbers hashed by the link
@@ -146,10 +167,14 @@ impl Hasher for FoldHasher {
 /// a host link that goes 0 → 1 → 0 reservations asks the allocator for
 /// nothing the second time round.  Every per-link call — `reserve`,
 /// `release`, `holds`, `keys_on`, the load and the test — is one probe of
-/// that table and one index, then a binary search (and for a write a shift)
+/// that table and one index, then a linear find (and for a write a shift)
 /// in the book; none of it grows with the number of links loaded.  Nothing
 /// observable reads the table's or the slots' order: [`loaded_links`]
-/// sorts.  A ledger that has booked nothing has allocated nothing.
+/// sorts, as do [`keys_on`] and [`taskset`], which promise key order.  A
+/// ledger that has booked nothing has allocated nothing.
+///
+/// [`keys_on`]: SlackLedger::keys_on
+/// [`taskset`]: SlackLedger::taskset
 ///
 /// [`loaded_links`]: SlackLedger::loaded_links
 #[derive(Debug, Default)]
@@ -171,6 +196,7 @@ pub struct SlackLedger {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LinkView<'a> {
     ledger: &'a SlackLedger,
+    keys: &'a [ReservationKey],
     held: &'a [PeriodicTask],
 }
 
@@ -180,9 +206,15 @@ impl LinkView<'_> {
         self.held.len()
     }
 
-    /// The link's reserved utilisation `Σ C/P`.
+    /// The link's reserved utilisation `Σ C/P`, summed in key order, not in
+    /// the book's: the float is then a function of the keys held, so an
+    /// uplink and a downlink holding the same channels read the same bits
+    /// whatever deadlines their splits gave them, and the utilisation-weighted
+    /// split, which rounds on it, splits them alike.
     pub(crate) fn utilisation(&self) -> f64 {
-        self.held.iter().map(PeriodicTask::utilisation).sum()
+        let mut terms: Vec<_> = self.keys.iter().zip(self.held).collect();
+        terms.sort_unstable_by_key(|&(key, _)| *key);
+        terms.into_iter().map(|(_, task)| task.utilisation()).sum()
     }
 
     /// Run the per-link EDF feasibility test with `task` added to the
@@ -290,9 +322,13 @@ impl SlackLedger {
 
     /// What is held on `link`, resolved once for any number of reads.
     pub(crate) fn link(&self, link: HopLink) -> LinkView<'_> {
+        let (keys, held) = self
+            .book(link)
+            .map_or((&[][..], &[][..]), |book| (&book.keys, &book.tasks));
         LinkView {
             ledger: self,
-            held: self.book(link).map_or(&[], |book| &book.tasks),
+            keys,
+            held,
         }
     }
 
@@ -301,10 +337,15 @@ impl SlackLedger {
         self.link(link).load()
     }
 
-    /// The task set currently reserved on `link`, in deterministic
-    /// (reservation-key) order.
+    /// The task set currently reserved on `link`, in reservation-key order
+    /// (sorted on the way out: the book keeps its tasks in deadline order).
     pub fn taskset(&self, link: HopLink) -> TaskSet {
-        TaskSet::from_tasks(self.link(link).held.to_vec())
+        let Some(book) = self.book(link) else {
+            return TaskSet::new();
+        };
+        let mut entries: Vec<_> = book.keys.iter().zip(&book.tasks).collect();
+        entries.sort_unstable_by_key(|&(key, _)| *key);
+        TaskSet::from_tasks(entries.into_iter().map(|(_, task)| *task).collect())
     }
 
     /// Links that currently hold at least one reservation, ascending, each
@@ -327,13 +368,9 @@ impl SlackLedger {
     /// the same key — a key holds at most one task per link).
     pub fn reserve(&mut self, link: HopLink, key: ReservationKey, task: PeriodicTask) {
         let book = self.intern(link);
-        match book.keys.binary_search(&key) {
-            Ok(at) => book.tasks[at] = task,
-            Err(at) => {
-                book.keys.insert(at, key);
-                book.tasks.insert(at, task);
-            }
-        }
+        // A replaced entry moves to its new deadline's place.
+        book.remove(key);
+        book.insert(key, task);
     }
 
     /// Release the reservation `key` holds on `link`.  Returns `false` if
@@ -348,17 +385,17 @@ impl SlackLedger {
         self.books[slot].remove(key)
     }
 
-    /// The reservation keys currently holding slack on `link`, ascending.
+    /// The reservation keys currently holding slack on `link`, ascending
+    /// (sorted on the way out: the book keeps them in deadline order).
     pub fn keys_on(&self, link: HopLink) -> Vec<ReservationKey> {
-        self.book(link)
-            .map(|book| book.keys.clone())
-            .unwrap_or_default()
+        let mut keys = self.book(link).map_or(vec![], |book| book.keys.clone());
+        keys.sort_unstable();
+        keys
     }
 
     /// `true` if `key` holds a reservation on `link`.
     pub fn holds(&self, link: HopLink, key: ReservationKey) -> bool {
-        self.book(link)
-            .is_some_and(|book| book.keys.binary_search(&key).is_ok())
+        self.book(link).is_some_and(|book| book.find(key).is_some())
     }
 }
 
@@ -500,8 +537,9 @@ mod tests {
                         assert_eq!(ledger.holds(link, *key), held.contains_key(key));
                     }
                     tasks.push(candidate);
+                    let n = tasks.len();
                     let expected = tester.test(&TaskSet::from_tasks(tasks));
-                    assert_eq!(ledger.feasible_with(link, &candidate), expected);
+                    assert_same_outcome(ledger.feasible_with(link, &candidate), expected, n);
                     refused += usize::from(!expected.is_feasible());
                 }
             }
@@ -511,6 +549,24 @@ mod tests {
         assert!(
             replaced > 50 && emptied > 10 && refused > 50,
             "{replaced} replaced, {emptied} emptied, {refused} refused"
+        );
+    }
+
+    /// A book's outcome against the tester's over the same tasks in key
+    /// order: the same verdict (`at` and `demand` included), `busy_period`
+    /// and `checkpoints_examined`.  The book sums `utilisation` in deadline
+    /// order, so the float may differ in its last bits: it is held inside the
+    /// float error Constraint 1's band already allows such a sum, `(n + 3)·4ε`
+    /// relative for `n` tasks.
+    fn assert_same_outcome(got: FeasibilityOutcome, expected: FeasibilityOutcome, n: usize) {
+        let exact = |o: &FeasibilityOutcome| (o.verdict, o.busy_period, o.checkpoints_examined);
+        assert_eq!(exact(&got), exact(&expected));
+        let band = (n as f64 + 3.0) * 4.0 * f64::EPSILON * expected.utilisation.max(1.0);
+        assert!(
+            (got.utilisation - expected.utilisation).abs() <= band,
+            "{} against {}",
+            got.utilisation,
+            expected.utilisation
         );
     }
 
@@ -699,9 +755,26 @@ mod tests {
                 for key in &keys {
                     assert_eq!(ledger.holds(link, *key), oracle.holds(link, *key));
                 }
-                let verdict = oracle.feasible_with(link, &candidate).verdict;
-                assert_eq!(ledger.feasible_with(link, &candidate).verdict, verdict);
-                refused += usize::from(verdict != rt_edf::FeasibilityVerdict::Feasible);
+                let expected = oracle.feasible_with(link, &candidate);
+                let n = oracle.held(link).len() + 1;
+                assert_same_outcome(ledger.feasible_with(link, &candidate), expected, n);
+                refused += usize::from(!expected.is_feasible());
+                // The load the utilisation-weighted split reads: to the bit.
+                let key_order: f64 = oracle
+                    .held(link)
+                    .iter()
+                    .map(PeriodicTask::utilisation)
+                    .sum();
+                assert_eq!(
+                    ledger.link(link).utilisation().to_bits(),
+                    key_order.to_bits()
+                );
+                // The book in (deadline, key) order, strictly: no key twice.
+                let book = ledger.book(link).map_or(vec![], |book| {
+                    let deadlines = book.tasks.iter().map(PeriodicTask::relative_deadline);
+                    deadlines.zip(book.keys.iter().copied()).collect()
+                });
+                assert!(book.windows(2).all(|w| w[0] < w[1]), "{book:?}");
 
                 let interned: Vec<HopLink> = ledger.books.iter().map(|book| book.link).collect();
                 assert_eq!(interned.iter().copied().collect::<BTreeSet<_>>(), ever);
@@ -728,6 +801,50 @@ mod tests {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
+    }
+
+    /// `reserve` under a key the book already holds — the fault engine
+    /// re-admitting a channel under its id — moves the task to its new
+    /// deadline's place, ties broken by key, so the book's order is that of
+    /// what it holds however it got there; `taskset` and `keys_on` still come
+    /// out key-ascending.
+    #[test]
+    fn a_replaced_key_moves_to_its_new_deadline() {
+        let link = HopLink::Trunk {
+            from: SwitchId::new(0),
+            to: SwitchId::new(1),
+        };
+        let key = |id| ReservationKey::channel(ChannelId::new(id));
+        let book = |ledger: &SlackLedger| -> Vec<(u64, ReservationKey)> {
+            let book = ledger.book(link).unwrap();
+            let deadlines = book.tasks.iter().map(|t| t.relative_deadline().get());
+            deadlines.zip(book.keys.iter().copied()).collect()
+        };
+        let mut ledger = SlackLedger::new();
+        for (id, d) in [(1, 30), (2, 10), (3, 20)] {
+            ledger.reserve(link, key(id), task(100, 2, d));
+        }
+        assert_eq!(book(&ledger), [(10, key(2)), (20, key(3)), (30, key(1))]);
+
+        // Channel 2 re-admitted with a longer deadline: last in the book.
+        ledger.reserve(link, key(2), task(100, 2, 40));
+        assert_eq!(book(&ledger), [(20, key(3)), (30, key(1)), (40, key(2))]);
+        // Channel 3 onto channel 1's deadline: the tie goes by key.
+        ledger.reserve(link, key(3), task(100, 2, 30));
+        assert_eq!(book(&ledger), [(30, key(1)), (30, key(3)), (40, key(2))]);
+        assert_eq!(ledger.link_load(link), 3);
+        assert_eq!(ledger.keys_on(link), [key(1), key(2), key(3)]);
+        assert_eq!(
+            ledger.taskset(link).tasks(),
+            [task(100, 2, 30), task(100, 2, 40), task(100, 2, 30)]
+        );
+
+        // The same holdings booked in another order make the same book.
+        let mut fresh = SlackLedger::new();
+        for (id, d) in [(2, 40), (3, 30), (1, 30)] {
+            fresh.reserve(link, key(id), task(100, 2, d));
+        }
+        assert_eq!(book(&fresh), book(&ledger));
     }
 
     #[test]

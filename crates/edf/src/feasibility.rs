@@ -245,13 +245,23 @@ impl FeasibilityTester {
         // Σ C_i <= Σ C_i·(H/P_i) = U·H <= H, W is monotone and W(H) = U·H <= H:
         // no iterate ever passes H, and `min(H, busy_period_cap)` could only
         // ever bind through the cap.
-        let mut busy_period: Slots = tasks().map(|t| t.capacity()).sum();
+        let (mut busy_period, least_period) = tasks()
+            .fold((Slots::ZERO, Slots::MAX), |(capacity, period), t| {
+                (capacity + t.capacity(), period.min(t.period()))
+            });
+        // Σ C_i no longer than the least period holds one job of every task,
+        // so W(Σ C_i) = Σ C_i: the search ends where it starts, without a
+        // pass over the tasks.
+        let single_job = busy_period <= least_period;
         loop {
             if busy_period > self.config.busy_period_cap {
                 return outcome(FeasibilityVerdict::AnalysisLimitExceeded, None, 0);
             }
+            if single_job {
+                break;
+            }
             // A busy period no longer than a task's period holds one job of
-            // it (L >= Σ C_i >= 1): the usual case, answered without dividing.
+            // it (L >= Σ C_i >= 1): answered without dividing.
             let jobs = |t: &PeriodicTask| {
                 if busy_period <= t.period() {
                     1
@@ -271,6 +281,9 @@ impl FeasibilityTester {
         // deadlines are gathered once, sorted, and h carried as a running
         // sum: additions, where recomputing h(t) per check-point costs a
         // division per task.  (d_i >= C_i >= 1: no event sits at t = 0.)
+        // A ledger's book lists its tasks in deadline order, so the events
+        // of a busy period holding one job per task arrive sorted but for
+        // the candidate's, and the sort has next to nothing to do.
         let events = &mut scratch.events;
         events.clear();
         for task in tasks() {
@@ -305,7 +318,7 @@ impl FeasibilityTester {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testgen::random_task_vec;
+    use crate::testgen::{random_task_vec, random_tasks};
     use rt_types::rng::Xoshiro256;
 
     fn task(p: u64, c: u64, d: u64) -> PeriodicTask {
@@ -583,12 +596,44 @@ mod tests {
         violation_at_last: usize,
         feasible_by_demand: usize,
         limit_exceeded: usize,
+        // Sets that arrived as a ledger's book plus a candidate (every task
+        // but the last in deadline order); all but the cap past Constraint 1.
+        book_at_least_period: usize,
+        book_one_slot_over: usize,
+        book_tied_deadline: usize,
+        book_infeasible: usize,
+        book_implicit: usize,
+        book_capped: usize,
     }
 
     impl Coverage {
         fn record(&mut self, tester: &FeasibilityTester, set: &TaskSet, out: &FeasibilityOutcome) {
             let tasks = set.tasks();
             self.cases += 1;
+            let book = tasks.split_last().filter(|(_, held)| {
+                !held.is_empty() && held.is_sorted_by_key(|t| t.relative_deadline())
+            });
+            if let Some((candidate, held)) = book {
+                self.book_capped +=
+                    usize::from(out.verdict == FeasibilityVerdict::AnalysisLimitExceeded);
+                if out.busy_period.is_some() {
+                    // `Σ C` at the least period holds one job of every task
+                    // (the single-job shortcut's edge); one slot over, the
+                    // busy-period search iterates.
+                    let total: Slots = tasks.iter().map(|t| t.capacity()).sum();
+                    let least = tasks.iter().map(|t| t.period()).min().unwrap();
+                    self.book_at_least_period += usize::from(total == least);
+                    self.book_one_slot_over += usize::from(total == least + Slots::ONE);
+                    let deadline = candidate.relative_deadline();
+                    self.book_tied_deadline +=
+                        usize::from(held.iter().any(|t| t.relative_deadline() == deadline));
+                    let alone = tester.test(&TaskSet::from_tasks(held.to_vec())).verdict;
+                    self.book_infeasible +=
+                        usize::from(matches!(alone, FeasibilityVerdict::DemandExceeded { .. }));
+                    self.book_implicit +=
+                        usize::from(held.iter().all(|t| t.is_implicit_deadline()));
+                }
+            }
             self.empty += usize::from(tasks.is_empty());
             self.all_implicit +=
                 usize::from(!tasks.is_empty() && tasks.iter().all(|t| t.is_implicit_deadline()));
@@ -644,12 +689,22 @@ mod tests {
     /// `test_slice` — over a set, and over a held slice plus a candidate, one
     /// scratch lent to every call — equals the oracle on the whole
     /// [`FeasibilityOutcome`]: verdict with `at`/`demand`, `busy_period`,
-    /// `checkpoints_examined`, and `utilisation` to the bit.
+    /// `checkpoints_examined`, and `utilisation` to the bit.  Half the sets
+    /// arrive as a ledger hands its book over: the held slice in deadline
+    /// order, the candidate last.  Those reach `Σ C` at the least period and
+    /// one slot over, a candidate deadline tying held ones, a book infeasible
+    /// on its own, a book of implicit deadlines only, and the analysis cap.
     #[test]
     fn prop_slice_test_matches_the_oracle() {
         let mut scratch = DemandScratch::default();
         let mut seen = Coverage::default();
-        let mut check = |tasks: Vec<PeriodicTask>, cap: u64| {
+        let mut coin = Xoshiro256::new(0xb00c_3000);
+        let mut check = |mut tasks: Vec<PeriodicTask>, cap: u64| {
+            if coin.below(2) == 0 {
+                if let Some((_, held)) = tasks.split_last_mut() {
+                    held.sort_by_key(|t| t.relative_deadline());
+                }
+            }
             let set = TaskSet::from_tasks(tasks);
             for tester in [
                 FeasibilityTester::new(),
@@ -737,6 +792,38 @@ mod tests {
                     })
                     .collect();
                 check(tasks, cap(&mut rng));
+                // The single-job edge: `Σ C` is the least period exactly, or
+                // one slot more; the last deadline half the time on another.
+                let k = rng.range_inclusive(2, 8) as usize;
+                let capacities: Vec<u64> = (0..k).map(|_| rng.range_inclusive(1, 6)).collect();
+                let total: u64 = capacities.iter().sum();
+                let least = total - rng.below(2);
+                let shortest = rng.below(k as u64) as usize;
+                let mut tasks: Vec<PeriodicTask> = (0..k)
+                    .map(|i| {
+                        let c = capacities[i];
+                        let p = if i == shortest {
+                            least
+                        } else {
+                            rng.range_inclusive(total, 3 * total)
+                        };
+                        task(p, c, rng.range_inclusive(c, p + total))
+                    })
+                    .collect();
+                let on = tasks[rng.below(k as u64 - 1) as usize].relative_deadline();
+                let last = tasks.last_mut().unwrap();
+                if rng.below(2) == 0 && on >= last.capacity() {
+                    *last = last.with_relative_deadline(on).unwrap();
+                }
+                check(tasks, cap(&mut rng));
+                // A book of implicit deadlines, then a constrained candidate.
+                let mut tasks: Vec<PeriodicTask> =
+                    random_task_vec(&mut rng, (1, 10), (8, 80), (1, 6), (1, 1))
+                        .into_iter()
+                        .map(|t| t.with_relative_deadline(t.period()).unwrap())
+                        .collect();
+                tasks.extend(random_tasks(&mut rng, 1, (8, 80), (1, 6), (1, 40)));
+                check(tasks, cap(&mut rng));
             }
         }
 
@@ -756,9 +843,21 @@ mod tests {
             violation_at_last,
             feasible_by_demand,
             limit_exceeded,
+            book_at_least_period,
+            book_one_slot_over,
+            book_tied_deadline,
+            book_infeasible,
+            book_implicit,
+            book_capped,
         } = seen;
         assert!(
             [
+                book_at_least_period,
+                book_one_slot_over,
+                book_tied_deadline,
+                book_infeasible,
+                book_implicit,
+                book_capped,
                 empty,
                 all_implicit,
                 deadline_past_period,
