@@ -125,13 +125,13 @@ use rt_frames::{
     Frame, RequestFrame, ReservationFrame, ReservationOp, ReservationReason, ResponseFrame,
 };
 use rt_types::{
-    ChannelId, ConnectionRequestId, Duration, IdIndex, MacAddr, NodeId, Route, Router, RtError,
-    RtResult, SimTime, Slots, SwitchId, Topology,
+    ChannelId, ConnectionRequestId, Duration, FoldState, IdIndex, MacAddr, NodeId, Route, Router,
+    RtError, RtResult, SimTime, Slots, SwitchId, Topology,
 };
 
 use crate::channel::RtChannelSpec;
 use crate::fault::{self, ChannelStore, FaultLog};
-use crate::ledger::{FoldState, ReservationKey, SlackLedger};
+use crate::ledger::{ReservationKey, SlackLedger};
 use crate::manager::{
     ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel, SwitchAction,
 };
@@ -219,11 +219,11 @@ struct Site {
     #[cfg(test)]
     examined: (u64, u64),
     /// Admissions this switch coordinates, by token.
-    coordinations: BTreeMap<u16, Coordination>,
+    coordinations: HashMap<u16, Coordination, FoldState>,
     /// Destination-side pending relays, by raw channel id — the one
     /// network-unique key the destination node echoes back, so concurrent
     /// admissions from different sources can never collide here.
-    expecting: BTreeMap<u16, DestPending>,
+    expecting: HashMap<u16, DestPending, FoldState>,
     /// This switch's own — possibly stale — view of the fabric.  Changed
     /// only by link-state flood frames (and by originating an announcement
     /// for a trunk this switch is adjacent to); never written "through the
@@ -251,8 +251,8 @@ impl Site {
             held: HashMap::default(),
             #[cfg(test)]
             examined: (0, 0),
-            coordinations: BTreeMap::new(),
-            expecting: BTreeMap::new(),
+            coordinations: HashMap::default(),
+            expecting: HashMap::default(),
             view,
             ls_seen: BTreeMap::new(),
             next_local_id: block_start,
@@ -343,7 +343,8 @@ impl Site {
             }
         }
         let stalled = self.coordinations.iter().filter(|(_, c)| c.expires <= now);
-        let stalled = stalled.map(|(&token, _)| token).collect();
+        let mut stalled: Vec<u16> = stalled.map(|(&token, _)| token).collect();
+        stalled.sort_unstable();
         let expired = self
             .held
             .iter()
@@ -408,12 +409,13 @@ pub struct DistributedChannelManager {
     /// Committed channels, by raw id.  Written only through
     /// [`DistributedChannelManager::register`] /
     /// [`DistributedChannelManager::unregister`], which keep `committed` in
-    /// step.
-    registry: BTreeMap<u16, DistChannel>,
+    /// step.  Hashed, as is the index: the outputs that promise ascending
+    /// ids sort on the way out.
+    registry: HashMap<u16, DistChannel, FoldState>,
     /// The registry indexed by reservation key (→ raw channel id): "is this
     /// key a committed channel's" is asked by every lease sweep and every
     /// token allocation, and must not cost a walk over the whole registry.
-    committed: BTreeMap<ReservationKey, u16>,
+    committed: HashMap<ReservationKey, u16, FoldState>,
     next_token: u16,
     switch_mac: MacAddr,
     /// How long an in-flight reservation (and a coordination, and a
@@ -474,8 +476,8 @@ impl DistributedChannelManager {
             sites,
             site_index,
             route_cache: HashMap::default(),
-            registry: BTreeMap::new(),
-            committed: BTreeMap::new(),
+            registry: HashMap::default(),
+            committed: HashMap::default(),
             next_token: 1,
             switch_mac: MacAddr::for_switch(),
             lease_duration: Duration::from_millis(50),
@@ -1925,7 +1927,9 @@ impl ChannelManager for DistributedChannelManager {
     }
 
     fn channel_ids(&self) -> Vec<ChannelId> {
-        self.registry.keys().map(|&id| ChannelId::new(id)).collect()
+        let mut ids: Vec<ChannelId> = self.registry.keys().map(|&id| ChannelId::new(id)).collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn channel_route(&self, id: ChannelId) -> Option<ChannelRoute> {
@@ -2040,12 +2044,12 @@ impl ChannelManager for DistributedChannelManager {
         }
         for site in &self.sites {
             let s = site.switch;
-            if let Some(token) = site.coordinations.keys().next() {
+            if let Some(token) = site.coordinations.keys().min() {
                 return Err(RtError::ProtocolViolation(format!(
                     "site {s} still coordinates token {token} in a quiescent fabric"
                 )));
             }
-            if let Some(id) = site.expecting.keys().next() {
+            if let Some(id) = site.expecting.keys().min() {
                 return Err(RtError::ProtocolViolation(format!(
                     "site {s} still expects a destination verdict for channel {id}"
                 )));
@@ -2084,7 +2088,9 @@ impl ChannelManager for DistributedChannelManager {
         }
         // Every admitted channel holds exactly its route's reservations at
         // the owning sites, and its id sits inside its coordinator's block.
-        for chan in self.registry.values() {
+        let mut channels: Vec<&DistChannel> = self.registry.values().collect();
+        channels.sort_unstable_by_key(|chan| chan.route.id);
+        for chan in channels {
             let (key, id) = (chan.key(), chan.route.id);
             for link in chan.route.path.iter() {
                 let owner = self.owner_of(*link).ok_or_else(|| {

@@ -9,7 +9,10 @@ use rt_types::rng::Xoshiro256;
 use rt_types::{RoutePolicy, ShortestPathRouter};
 
 use super::*;
-use crate::fault::tests::{seen_on_primary, CountingRouter, Fault, Walked};
+use crate::fault::tests::{
+    assert_ascending_across_the_wrap, reuse_ids_across_the_wrap, seen_on_primary, CountingRouter,
+    Fault, Walked,
+};
 
 /// Deliver `first` and everything it sets off, switch to switch, at time
 /// zero; destinations accept.  Returns the verdict a requester heard, if one
@@ -841,4 +844,26 @@ fn a_committed_keys_leftover_does_not_outlive_its_channel() {
         held, 9,
         "the three channels on trunk 1 → 2 hold three links each"
     );
+}
+
+/// The ascending-id contract on the distributed manager: `channel_ids()`
+/// reads the hashed registry and the fault reports come out of the engine,
+/// each in ascending id order, after every coordinator handed ids out again
+/// out of order across the end of its block.
+#[test]
+fn ids_come_out_ascending_after_reuse_across_the_wrap() {
+    let block = |manager: &DistributedChannelManager, slot| {
+        DistributedChannelManager::id_block_of(manager.sites.len(), slot)
+    };
+    let wrap = |manager: &mut DistributedChannelManager| {
+        for slot in 0..manager.sites.len() {
+            manager.sites[slot].next_local_id = block(manager, slot).1 - 3;
+        }
+    };
+    let (manager, admitted, reports) = reuse_ids_across_the_wrap(wrap);
+    // Switch 1 coordinates the requests from node 2.
+    let (start, end) = block(&manager, 1);
+    assert!(admitted.contains(&end) && admitted.contains(&start));
+    let live: Vec<u16> = manager.channel_ids().iter().map(|id| id.get()).collect();
+    assert_ascending_across_the_wrap(&admitted, &reports, &live);
 }

@@ -88,7 +88,7 @@ pub(crate) trait ChannelStore {
     fn fabric(&self) -> &Topology;
     /// The path-selection policy.
     fn router(&self) -> &dyn Router;
-    /// The ids of the admitted channels, ascending.
+    /// The ids of the admitted channels, in no particular order.
     fn ids(&self) -> impl ExactSizeIterator<Item = u16> + '_;
     /// The record of an admitted channel.
     fn record(&self, id: u16) -> &ChannelRoute;
@@ -179,7 +179,9 @@ pub(crate) fn reoptimize<S: ChannelStore>(
     let state = store.fabric().fingerprint();
     store.faults_mut().observe_under(state);
     let (log, ids) = (store.faults(), store.ids());
-    let unseen: Vec<u16> = ids.filter(|id| !log.seen_on_primary(*id)).collect();
+    let mut unseen: Vec<u16> = ids.filter(|id| !log.seen_on_primary(*id)).collect();
+    // One at a time in ascending id: each move changes what the next finds.
+    unseen.sort_unstable();
     let mut report = FailoverReport {
         link,
         rerouted: Vec::new(),
@@ -225,6 +227,7 @@ pub(crate) fn reoptimize<S: ChannelStore>(
 /// the counting router the "a fault costs what it touches" tests share.
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::sync::Arc;
 
@@ -250,7 +253,8 @@ pub(crate) mod tests {
                 if cut.iter().any(|&(a, b)| (from, to) == (a, b) || (from, to) == (b, a)))
         };
         let crosses = |id: &u16| store.record(*id).path.iter().any(is_cut);
-        let affected: Vec<u16> = store.ids().filter(crosses).collect();
+        let mut affected: Vec<u16> = store.ids().filter(crosses).collect();
+        affected.sort_unstable();
         let mut report = FailoverReport {
             link,
             rerouted: Vec::new(),
@@ -293,7 +297,8 @@ pub(crate) mod tests {
             dropped: Vec::new(),
             unaffected: 0,
         };
-        let ids: Vec<u16> = store.ids().collect();
+        let mut ids: Vec<u16> = store.ids().collect();
+        ids.sort_unstable();
         for id in ids {
             let channel = store.record(id);
             let (router, fabric) = (store.router(), store.fabric());
@@ -386,6 +391,87 @@ pub(crate) mod tests {
     pub(crate) fn seen_on_primary<S: ChannelStore>(store: &S) -> usize {
         let marked = |id: &u16| store.faults().seen_on_primary(*id);
         store.ids().filter(marked).count()
+    }
+
+    /// The ascending-id contract's scenario, on `ring(6, 2)` (switch `s`
+    /// holds nodes `2s` and `2s + 1`): ids are handed out across the end of
+    /// the id space or block (`wrap` moves the manager's cursors there), a
+    /// scattered third of the channels is released, and after a second wrap
+    /// the freed ids are handed out again, out of order, among live ones.
+    /// Then switch 0 dies — channels between switches 1 and 5 re-route the
+    /// long way round, channels to or from switch 0 are dropped — and its two
+    /// trunks come back one at a time, the second repair moving the detoured
+    /// channels back.  Returns the manager, the ids it admitted, and the
+    /// reports of the kill and the two repairs.
+    pub(crate) fn reuse_ids_across_the_wrap<S: Walked>(
+        wrap: impl Fn(&mut S),
+    ) -> (S, Vec<u16>, [FailoverReport; 3]) {
+        let topology = Topology::ring(6, 2);
+        let mut manager = S::build(&topology, Arc::new(ShortestPathRouter::new()));
+        let spec = RtChannelSpec::new(Slots::new(100), Slots::new(1), Slots::new(60)).unwrap();
+        let pairs = [(2, 10), (11, 3), (0, 6), (8, 1), (4, 7)];
+        let mut admitted = Vec::new();
+        let mut ask = |manager: &mut S, k: usize| {
+            let (src, dst) = pairs[k % pairs.len()];
+            let asked = manager.ask(NodeId::new(src), NodeId::new(dst), spec);
+            let channel = asked.unwrap().expect("the ring has room for every request");
+            admitted.push(channel.id.get());
+            channel.id
+        };
+        wrap(&mut manager);
+        let first: Vec<ChannelId> = (0..24).map(|k| ask(&mut manager, k)).collect();
+        for id in first.iter().step_by(3).rev() {
+            manager.tear_down(*id);
+        }
+        wrap(&mut manager);
+        for k in 0..12 {
+            ask(&mut manager, k);
+        }
+        manager.audit();
+        let mut notify = |fault| {
+            let report = manager.notify(fault).unwrap();
+            manager.audit();
+            report
+        };
+        let killed = notify(Fault::Kill(SwitchId::new(0)));
+        let first_back = notify(Fault::Repair(SwitchId::new(0), SwitchId::new(1)));
+        let second_back = notify(Fault::Repair(SwitchId::new(0), SwitchId::new(5)));
+        (manager, admitted, [killed, first_back, second_back])
+    }
+
+    /// What [`reuse_ids_across_the_wrap`] must have produced, and every id
+    /// list of its reports ascending; `live` is what the manager says it
+    /// holds, in the order it says it.
+    pub(crate) fn assert_ascending_across_the_wrap(
+        admitted: &[u16],
+        reports: &[FailoverReport; 3],
+        live: &[u16],
+    ) {
+        let ascending = |ids: &[u16], what: &str| {
+            assert!(
+                ids.is_sorted_by(|a, b| a < b),
+                "{what} not ascending: {ids:?}"
+            );
+        };
+        let reused = admitted.len() - admitted.iter().collect::<BTreeSet<_>>().len();
+        assert!(reused >= 4, "freed ids were handed out again: {admitted:?}");
+        ascending(live, "the live channels");
+        let [killed, first_back, second_back] = reports;
+        let ids =
+            |channels: &[ChannelRoute]| channels.iter().map(|c| c.id.get()).collect::<Vec<_>>();
+        for (report, what) in [
+            (killed, "kill"),
+            (first_back, "repair 1"),
+            (second_back, "repair 2"),
+        ] {
+            ascending(&ids(&report.rerouted), &format!("{what}: rerouted"));
+            ascending(&ids(&report.dropped), &format!("{what}: dropped"));
+        }
+        assert!(
+            killed.rerouted.len() >= 2 && killed.dropped.len() >= 2,
+            "{killed:?}"
+        );
+        assert!(second_back.rerouted.len() >= 2, "{second_back:?}");
     }
 
     /// Seeds of the fault differential property: the `RT_ADVERSARIAL_SEEDS`
@@ -533,7 +619,9 @@ pub(crate) mod tests {
                 oracle.audit();
             }
             let table = |store: &S| -> Vec<ChannelRoute> {
-                store.ids().map(|id| store.record(id).clone()).collect()
+                let mut ids: Vec<u16> = store.ids().collect();
+                ids.sort_unstable();
+                ids.into_iter().map(|id| store.record(id).clone()).collect()
             };
             assert_eq!(
                 table(&manager),

@@ -18,9 +18,9 @@
 //! links a key holds, are a distributed site's own record (`distributed.rs`).
 
 use std::cell::RefCell;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use rt_edf::{DemandScratch, FeasibilityOutcome, FeasibilityTester, PeriodicTask, TaskSet};
+use rt_types::hash::FOLD_MIX;
 use rt_types::{ChannelId, HopLink, SwitchId};
 
 /// What a ledger entry belongs to: an established channel, or an in-flight
@@ -94,9 +94,6 @@ impl LinkBook {
     }
 }
 
-/// The odd multiplier of the ledger's fixed hashes (`2^64 / φ`).
-const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
-
 /// Where `link` starts its probe of a slot table of `1 << bits` cells: the
 /// link packed into a word, multiplied and folded, top `bits` bits kept.  A
 /// function of the link alone — the same in every run, on every host.
@@ -107,41 +104,8 @@ fn home_cell(link: HopLink, bits: u32) -> usize {
         HopLink::Trunk { from, to } => (2, from.get(), to.get()),
     };
     let packed = (u64::from(high) << 32 | u64::from(low)) ^ tier << 62;
-    let mixed = packed.wrapping_mul(MIX);
-    ((mixed ^ mixed >> 32).wrapping_mul(MIX) >> (u64::BITS - bits)) as usize
-}
-
-/// `home_cell`'s multiply-and-fold as a [`Hasher`], for the hash tables a
-/// protocol hop probes: each word is folded in by a rotate, an xor and a
-/// multiply, and `finish` folds the top half onto the bottom around one more
-/// multiply, so that a table's bucket (low bits) and tag (top bits) both
-/// depend on every word.  Fixed, not seeded: every key hashed with it is made
-/// of ids the fabric or the manager itself issued (a view fingerprint, node
-/// ids a route exists between, a coordinator's token), and SipHash costs a
-/// hop more than the probe it serves.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FoldHasher(u64);
-
-/// The hasher parameter of the tables that use [`FoldHasher`].
-pub(crate) type FoldState = BuildHasherDefault<FoldHasher>;
-
-impl Hasher for FoldHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(MIX);
-    }
-
-    fn finish(&self) -> u64 {
-        let mixed = (self.0 ^ self.0 >> 32).wrapping_mul(MIX);
-        mixed ^ mixed >> 32
-    }
+    let mixed = packed.wrapping_mul(FOLD_MIX);
+    ((mixed ^ mixed >> 32).wrapping_mul(FOLD_MIX) >> (u64::BITS - bits)) as usize
 }
 
 /// Per-link reservation state plus the feasibility tester that guards it.

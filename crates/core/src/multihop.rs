@@ -30,7 +30,7 @@
 //! iff every link on its path can schedule its share of the deadline.  Only
 //! *path selection* is policy; the acceptance theory is untouched.
 
-use std::collections::{btree_map, BTreeMap};
+use std::collections::{hash_map, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -38,8 +38,8 @@ use rt_edf::{FeasibilityTester, FeasibilityVerdict, PeriodicTask, TaskSet};
 use rt_frames::rt_response::ResponseVerdict;
 use rt_frames::{Frame, RequestFrame, ResponseFrame};
 use rt_types::{
-    ChannelId, ConnectionRequestId, MacAddr, NodeId, RtError, RtResult, ShortestPathRouter,
-    SimTime, Slots,
+    ChannelId, ConnectionRequestId, FoldState, MacAddr, NodeId, RtError, RtResult,
+    ShortestPathRouter, SimTime, Slots,
 };
 // The topology and routing types themselves live in `rt-types` (shared with
 // the fabric simulator); re-exported here for backwards compatibility.
@@ -273,7 +273,10 @@ pub struct MultiHopAdmission {
     router: Arc<dyn Router>,
     dps: DpsFamily,
     ledger: SlackLedger,
-    channels: BTreeMap<u16, ChannelRoute>,
+    /// The admitted channels by raw id, hashed: a request, a teardown and
+    /// the fault engine look channels up one id at a time, and the few
+    /// outputs that promise ascending ids sort them on the way out.
+    channels: HashMap<u16, ChannelRoute, FoldState>,
     faults: FaultLog,
     next_channel_id: u16,
     accepted: u64,
@@ -318,7 +321,7 @@ impl MultiHopAdmission {
             router,
             dps: dps.into(),
             ledger: SlackLedger::new(),
-            channels: BTreeMap::new(),
+            channels: HashMap::default(),
             faults: FaultLog::default(),
             next_channel_id: 1,
             accepted: 0,
@@ -390,7 +393,9 @@ impl MultiHopAdmission {
 
     /// The active channels, in ascending id order.
     pub fn channels(&self) -> impl Iterator<Item = &ChannelRoute> {
-        self.channels.values()
+        let mut channels: Vec<&ChannelRoute> = self.channels.values().collect();
+        channels.sort_unstable_by_key(|channel| channel.id);
+        channels.into_iter()
     }
 
     /// The next free id of the one fabric-wide block `1..=u16::MAX` (0 means
@@ -422,8 +427,8 @@ impl MultiHopAdmission {
             |link, task| ledger.reserve(link, key, task),
         );
         match self.channels.entry(channel.id.get()) {
-            btree_map::Entry::Vacant(slot) => slot.insert(channel),
-            btree_map::Entry::Occupied(slot) => {
+            hash_map::Entry::Vacant(slot) => slot.insert(channel),
+            hash_map::Entry::Occupied(slot) => {
                 let stored = slot.into_mut();
                 *stored = channel;
                 stored
@@ -608,7 +613,7 @@ pub struct FabricChannelManager {
     admission: MultiHopAdmission,
     /// Reservations keyed by the assigned channel id, awaiting the
     /// destination's ResponseFrame.
-    pending: BTreeMap<u16, PendingFabricReservation>,
+    pending: HashMap<u16, PendingFabricReservation, FoldState>,
     switch_mac: MacAddr,
 }
 
@@ -617,7 +622,7 @@ impl FabricChannelManager {
     pub fn new(admission: MultiHopAdmission) -> Self {
         FabricChannelManager {
             admission,
-            pending: BTreeMap::new(),
+            pending: HashMap::default(),
             switch_mac: MacAddr::for_switch(),
         }
     }
@@ -790,9 +795,14 @@ impl ChannelManager for FabricChannelManager {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::dps::DpsKind;
-    use crate::fault::tests::{seen_on_primary, CountingRouter, Fault, Walked};
+    use crate::fault::tests::{
+        assert_ascending_across_the_wrap, reuse_ids_across_the_wrap, seen_on_primary,
+        CountingRouter, Fault, Walked,
+    };
 
     /// Two access switches joined by one trunk; `m` masters on switch 0 and
     /// `s` slaves on switch 1.
@@ -1156,6 +1166,22 @@ mod tests {
         assert_eq!(next_id(&mut admission, 2), u16::MAX);
         // 0 means "not set yet" on the wire and 1 is still live.
         assert_eq!(next_id(&mut admission, 4), 2);
+    }
+
+    /// The ascending-id contract on the central manager: `channels()` and
+    /// `channel_ids()` read a hashed table and the fault reports come out of
+    /// the engine, each in ascending id order, after ids were handed out again
+    /// out of order across the end of the id space.
+    #[test]
+    fn ids_come_out_ascending_after_reuse_across_the_wrap() {
+        let wrap = |admission: &mut MultiHopAdmission| admission.next_channel_id = u16::MAX - 3;
+        let (admission, admitted, reports) = reuse_ids_across_the_wrap(wrap);
+        assert!(admitted.contains(&u16::MAX) && admitted.contains(&1));
+        let live: Vec<u16> = admission.channels().map(|c| c.id.get()).collect();
+        assert_ascending_across_the_wrap(&admitted, &reports, &live);
+        let manager = FabricChannelManager::new(admission);
+        let ids: Vec<u16> = manager.channel_ids().iter().map(|id| id.get()).collect();
+        assert_eq!(ids, live);
     }
 
     #[test]

@@ -57,7 +57,11 @@ pub struct PortCounters {
 pub struct OutputPort {
     rt: EdfQueue<QueuedFrame>,
     be: FcfsQueue<QueuedFrame>,
-    /// The port is transmitting until this time (inclusive upper edge).
+    /// The port is transmitting until this time (exclusive upper edge): it
+    /// is busy exactly while `busy_until > now`.  Nothing clears it — a
+    /// completion handled at `busy_until` finds the port free by the clock
+    /// alone, and so does any other event of that instant, whichever runs
+    /// first; the one that starts the next frame moves it forward.
     busy_until: Option<SimTime>,
     counters: PortCounters,
 }
@@ -122,11 +126,6 @@ impl OutputPort {
     /// Mark the port busy until `until` (called when a transmission starts).
     pub fn set_busy_until(&mut self, until: SimTime) {
         self.busy_until = Some(until);
-    }
-
-    /// Clear the busy state (called when a transmission completes).
-    pub fn clear_busy(&mut self) {
-        self.busy_until = None;
     }
 
     /// Select the next frame to transmit: the earliest-deadline real-time
@@ -225,9 +224,14 @@ mod tests {
         assert!(!p.is_busy(SimTime::ZERO));
         p.set_busy_until(SimTime::from_micros(10));
         assert!(p.is_busy(SimTime::from_micros(5)));
+        // Free at the completion instant by the clock alone.
         assert!(!p.is_busy(SimTime::from_micros(10)));
-        p.clear_busy();
-        assert!(!p.is_busy(SimTime::ZERO));
+        // The next frame started in that instant holds the port to its own
+        // end, whatever else that instant handles.
+        p.set_busy_until(SimTime::from_micros(20));
+        assert!(p.is_busy(SimTime::from_micros(10)));
+        assert!(p.is_busy(SimTime::from_micros(19)));
+        assert!(!p.is_busy(SimTime::from_micros(20)));
     }
 
     #[test]

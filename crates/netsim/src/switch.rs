@@ -433,7 +433,6 @@ impl<S: Sink> Core<'_, S> {
             Event::NodeTxComplete { node, frame } => {
                 let node_idx = fabric.node_idx(node);
                 let port = 2 * node_idx;
-                self.lane.ports[port as usize].clear_busy();
                 // Last bit leaves the node now; it arrives at the access
                 // switch after the propagation delay, and becomes eligible
                 // for forwarding after the switch processing latency.
@@ -496,7 +495,6 @@ impl<S: Sink> Core<'_, S> {
             }
             Event::SwitchTxComplete { to, frame } => {
                 let port = 2 * fabric.node_idx(to) + 1;
-                self.lane.ports[port as usize].clear_busy();
                 let arrive = now + fabric.config.propagation_delay;
                 self.lane
                     .schedule(arrive, Event::ArriveAtNode { node: to, frame });
@@ -506,7 +504,6 @@ impl<S: Sink> Core<'_, S> {
                 let to_idx = self.lane.switch_idx(to);
                 if let Some(port) = fabric.trunk_port(self.lane.switch_idx(from), to_idx) {
                     let p = port as usize;
-                    self.lane.ports[p].clear_busy();
                     if self.lane.doomed[p] || self.lane.dead[p] {
                         // The cable was cut while this frame was on it (or
                         // is still cut): the frame never arrives.  A dead

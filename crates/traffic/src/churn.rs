@@ -27,7 +27,8 @@
 //! [`FabricChannelManager`]: rt_core::FabricChannelManager
 //! [`DistributedChannelManager`]: rt_core::DistributedChannelManager
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{hash_map, BinaryHeap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use rt_core::manager::SwitchAction;
@@ -38,7 +39,8 @@ use rt_frames::rt_response::ResponseVerdict;
 use rt_frames::{Frame, ResponseFrame};
 use rt_types::rng::Xoshiro256;
 use rt_types::{
-    ChannelId, ConnectionRequestId, MacAddr, NodeId, RtError, RtResult, SimTime, SwitchId, Topology,
+    ChannelId, ConnectionRequestId, FoldState, MacAddr, NodeId, RtError, RtResult, SimTime,
+    SwitchId, Topology,
 };
 
 use crate::pattern::HeterogeneousSpecs;
@@ -318,7 +320,7 @@ impl ChurnReport {
 #[derive(Debug, Default)]
 struct AdmissionOrderIds {
     admitted: u64,
-    live: BTreeMap<u16, u64>,
+    live: HashMap<u16, u64, FoldState>,
 }
 
 impl AdmissionOrderIds {
@@ -348,9 +350,10 @@ struct ActiveChannel {
     /// The source's access switch — where the tear-down frame enters the
     /// fabric (the coordinator under distributed placement).
     access: SwitchId,
-    departs_at: u64,
     /// Admission sequence number — the placement-invariant departure
-    /// tie-break (raw ids differ across placements by construction).
+    /// tie-break (raw ids differ across placements by construction), and
+    /// what tells this channel's departure entry from one a dropped
+    /// earlier holder of the same raw id left in the heap.
     admit_order: u64,
     /// Index into `ChurnReport::windows` when window recording is on.
     window: Option<usize>,
@@ -458,14 +461,16 @@ impl ChurnProcess {
             }
         };
 
-        // Virtual clock state: the active channel set and its departure
-        // queue, both keyed deterministically.
+        // Virtual clock state: the active channels by raw id, and their
+        // departures in a min-heap on (tick, admission order, raw id): raw
+        // ids are placement-dependent under per-switch id blocks, so
+        // same-tick departures tie-break on the admission order, which both
+        // placements share.  A channel a fault drops leaves its entry in the
+        // heap; the entry is skipped when it comes up, since its id is no
+        // longer active under that admission order.
         let mut clock = 0u64;
-        let mut active: BTreeMap<u16, ActiveChannel> = BTreeMap::new();
-        // Departure queue keyed by (tick, admission order): raw ids are
-        // placement-dependent under per-switch id blocks, so same-tick
-        // departures must tie-break on something both placements share.
-        let mut departures: BTreeMap<(u64, u64), u16> = BTreeMap::new();
+        let mut active: HashMap<u16, ActiveChannel, FoldState> = HashMap::default();
+        let mut departures: BinaryHeap<Reverse<(u64, u64, u16)>> = BinaryHeap::new();
         let mut pump = ProtocolPump::new();
         let mut window_started = None;
 
@@ -490,7 +495,6 @@ impl ChurnProcess {
                             // No `Released` will name this channel.
                             norm_ids.released(id);
                             if let Some(gone) = active.remove(&id) {
-                                departures.remove(&(gone.departs_at, gone.admit_order));
                                 if let Some(w) = gone.window {
                                     report.windows[w].released_at_tick = Some(clock);
                                 }
@@ -524,12 +528,17 @@ impl ChurnProcess {
             // whose holding time expired on the way.
             let step = arrivals_rng.exponential(cfg.mean_interarrival).round() as u64;
             clock += step.max(1);
-            while let Some((&(when, order), &id)) = departures.first_key_value() {
+            while let Some(&Reverse((when, order, id))) = departures.peek() {
                 if when > clock {
                     break;
                 }
-                departures.remove(&(when, order));
-                let channel = active.remove(&id).expect("departure queue tracks active");
+                departures.pop();
+                let channel = match active.entry(id) {
+                    hash_map::Entry::Occupied(entry) if entry.get().admit_order == order => {
+                        entry.remove()
+                    }
+                    _ => continue,
+                };
                 pump.release(manager, channel.access, channel.source, ChannelId::new(id))?;
                 if let Some(w) = channel.window {
                     report.windows[w].released_at_tick = Some(when);
@@ -597,12 +606,11 @@ impl ChurnProcess {
                         ActiveChannel {
                             source,
                             access: src_switch,
-                            departs_at,
                             admit_order,
                             window,
                         },
                     );
-                    departures.insert((departs_at, admit_order), id.get());
+                    departures.push(Reverse((departs_at, admit_order, id.get())));
                     report.peak_active = report.peak_active.max(active.len());
                     record(&mut report, &mut norm_ids, ChurnEvent::Admitted(id));
                 }
@@ -761,6 +769,7 @@ mod tests {
         DistributedChannelManager, FabricChannelManager, MultiHopAdmission, MultiHopDps,
     };
     use rt_types::{Router, ShortestPathRouter};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn central(topology: &Topology) -> FabricChannelManager {

@@ -20,6 +20,7 @@ pub mod addr;
 pub mod constants;
 pub mod dense;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod partition;
 pub mod rng;
@@ -31,6 +32,7 @@ pub use addr::{Ipv4Address, MacAddr};
 pub use constants::*;
 pub use dense::{IdIndex, NO_INDEX};
 pub use error::{RtError, RtResult};
+pub use hash::{FoldHasher, FoldState};
 pub use ids::{ChannelId, ConnectionRequestId, LinkDirection, LinkId, NodeId, PortId};
 pub use partition::{effective_shards, partition_switches, ShardStrategy};
 pub use rng::Xoshiro256;

@@ -111,7 +111,10 @@ impl fmt::Display for HopLink {
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     switches: BTreeSet<SwitchId>,
-    attachments: BTreeMap<NodeId, SwitchId>,
+    /// Every end node with its access switch, sorted by node id: a look-up
+    /// is one probe when the ids are `0..n` and a binary search otherwise,
+    /// and a walk is in ascending node order.
+    attachments: Vec<(NodeId, SwitchId)>,
     /// Adjacency of the (undirected) trunk graph — *healthy* trunks only.
     adjacency: BTreeMap<SwitchId, BTreeSet<SwitchId>>,
     /// Trunks currently failed, canonical `(a, b)` with `a < b`.  Disjoint
@@ -154,7 +157,9 @@ impl Topology {
     pub fn star(switch: SwitchId, nodes: impl IntoIterator<Item = NodeId>) -> Self {
         let mut t = Topology::new();
         t.add_switch(switch);
-        t.attachments.extend(nodes.into_iter().map(|n| (n, switch)));
+        t.attachments = nodes.into_iter().map(|n| (n, switch)).collect();
+        t.attachments.sort_unstable_by_key(|&(n, _)| n);
+        t.attachments.dedup_by_key(|&mut (n, _)| n);
         t
     }
 
@@ -375,11 +380,11 @@ impl Topology {
         if !self.switches.contains(&switch) {
             return Err(RtError::Config(format!("unknown switch {switch}")));
         }
-        if self.attachments.contains_key(&node) {
+        let Err(at) = self.attachment(node) else {
             return Err(RtError::Config(format!("{node} is already attached")));
-        }
+        };
         self.invalidate_fingerprints();
-        self.attachments.insert(node, switch);
+        self.attachments.insert(at, (node, switch));
         Ok(())
     }
 
@@ -647,7 +652,7 @@ impl Topology {
             h = mix(h, 1);
             h = mix(h, u64::from(s.0));
         }
-        for (n, s) in &self.attachments {
+        for &(n, s) in &self.attachments {
             h = mix(h, 2);
             h = mix(h, u64::from(n.get()));
             h = mix(h, u64::from(s.0));
@@ -696,7 +701,19 @@ impl Topology {
 
     /// The switch an end node is attached to.
     pub fn switch_of(&self, node: NodeId) -> Option<SwitchId> {
-        self.attachments.get(&node).copied()
+        let at = self.attachment(node).ok()?;
+        Some(self.attachments[at].1)
+    }
+
+    /// Where `node` sits in the attachments, or where it would be inserted.
+    /// The builders number their nodes `0..n`, which puts every node at the
+    /// index of its own id: that one probe answers before any search.
+    fn attachment(&self, node: NodeId) -> Result<usize, usize> {
+        let at = node.get() as usize;
+        match self.attachments.get(at) {
+            Some(&(n, _)) if n == node => Ok(at),
+            _ => self.attachments.binary_search_by_key(&node, |&(n, _)| n),
+        }
     }
 
     /// The trunk neighbours of a switch, in ascending id order.
@@ -706,15 +723,15 @@ impl Topology {
 
     /// The attached end nodes, in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.attachments.keys().copied()
+        self.attachments.iter().map(|&(n, _)| n)
     }
 
     /// The end nodes attached to one switch, in ascending id order.
     pub fn nodes_of(&self, switch: SwitchId) -> impl Iterator<Item = NodeId> + '_ {
         self.attachments
             .iter()
-            .filter(move |(_, &s)| s == switch)
-            .map(|(&n, _)| n)
+            .filter(move |&&(_, s)| s == switch)
+            .map(|&(n, _)| n)
     }
 
     /// `true` if every switch can reach every other switch over trunks.
@@ -956,6 +973,36 @@ mod tests {
         // End-to-end route: uplink + 2 trunks + downlink.
         let route = links_of(&line, 0, 5).unwrap();
         assert_eq!(route.len(), 4);
+    }
+
+    /// Ids that are not `0..n`, attached out of order, are found by the
+    /// search behind the own-index probe, and every walk stays ascending.
+    #[test]
+    fn scattered_node_ids_attach_and_walk_in_ascending_order() {
+        let mut t = Topology::star(SwitchId::new(0), [7, 2, 7, 40].map(NodeId::new));
+        t.add_switch(SwitchId::new(1));
+        for id in [3, 0, 4_000_000_000, 1] {
+            t.attach_node(NodeId::new(id), SwitchId::new(1)).unwrap();
+        }
+        assert!(t.attach_node(NodeId::new(40), SwitchId::new(1)).is_err());
+        let ids =
+            |nodes: &mut dyn Iterator<Item = NodeId>| nodes.map(NodeId::get).collect::<Vec<_>>();
+        assert_eq!(ids(&mut t.nodes()), [0, 1, 2, 3, 7, 40, 4_000_000_000]);
+        assert_eq!(ids(&mut t.nodes_of(SwitchId::new(0))), [2, 7, 40]);
+        for (node, switch) in [
+            (0, 1),
+            (1, 1),
+            (2, 0),
+            (3, 1),
+            (7, 0),
+            (40, 0),
+            (4_000_000_000, 1),
+        ] {
+            assert_eq!(t.switch_of(NodeId::new(node)), Some(SwitchId::new(switch)));
+        }
+        for absent in [4, 5, 6, 39, 41, u32::MAX] {
+            assert_eq!(t.switch_of(NodeId::new(absent)), None);
+        }
     }
 
     #[test]

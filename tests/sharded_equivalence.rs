@@ -24,7 +24,11 @@
 //! * channels with **per-hop EDF budgets and routes pinned off the shortest
 //!   path**, one of them **released** before the run and one crossing a
 //!   trunk the fault script cuts, forward, queue and drop identically at
-//!   every shard count — the per-channel wire state reaches the shards.
+//!   every shard count — the per-channel wire state reaches the shards,
+//! * a frame injected at the **very instant a transmission completes** on
+//!   the same uplink starts the queued frame, and the completion that
+//!   follows in the same instant must not free the port again: one link
+//!   carries one frame at a time.
 
 use switched_rt_ethernet::frames::{
     EthernetFrame, RequestFrame, ReservationFrame, ReservationOp, ReservationReason, RtDataFrame,
@@ -651,4 +655,43 @@ fn pinned_routes_hop_budgets_and_released_channels_survive_sharding() {
             );
         }
     }
+}
+
+/// Node 0 injects best-effort frames A and B at t = 0 and C at t = tx(A),
+/// the instant A's last bit leaves the uplink.  C's injection is older than
+/// A's completion, so it is handled first, finds the uplink free and starts
+/// B; A's completion then must leave B's transmission alone, and C waits
+/// behind B.  B (to node 1) and C (to node 2) leave the switch on different
+/// downlinks, so their arrivals are exactly one transmission apart: 45 840
+/// and 59 120 ns.  A port that forgets B's transmission at A's completion
+/// sends C beside it, and both arrive at 45 840 ns.
+#[test]
+fn a_completion_does_not_free_a_port_its_own_instant_already_reused() {
+    let topology = Topology::line(2, 3);
+    let (n0, n1, n2) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+    // 100 payload bytes: 166 bytes on the wire, 13 280 ns at Fast Ethernet.
+    let tx = SimConfig::default().link_speed.transmission_time(166);
+    assert_eq!(tx, Duration::from_nanos(13_280));
+    let injection = |to: NodeId, at: SimTime| FrameInjection {
+        node: n0,
+        eth: be_frame(n0, to, 100),
+        at,
+    };
+    let workload = vec![
+        injection(n1, SimTime::ZERO),
+        injection(n1, SimTime::ZERO),
+        injection(n2, SimTime::ZERO + tx),
+    ];
+    let faults = FaultScript::new();
+    let (deliveries, _, _) = oracle(&topology, &workload, &faults);
+    let arrivals: Vec<(u64, NodeId, u64)> = deliveries
+        .iter()
+        .map(|&(frame, receiver, at, _)| (frame, receiver, at))
+        .collect();
+    assert_eq!(
+        arrivals,
+        [(0, n1, 32_560), (1, n1, 45_840), (2, n2, 59_120)],
+        "the uplink carried two frames at once"
+    );
+    assert_equivalent(&topology, &workload, &faults);
 }
