@@ -46,12 +46,13 @@
 //!   the announcement to its *own* [`Topology`] view and re-floods, with a
 //!   per-trunk epoch deduplicating the flood and ordering late frames.
 //!   Until the flood converges, two switches can disagree about the fabric
-//!   — admission stays safe because each site checks *its own* trunks'
-//!   liveness on every Probe/Reserve step (a site is always current about
-//!   the trunks it owns), so a probe routed over a dead link by a stale
-//!   coordinator fails cleanly into the Rollback path, and geometry
-//!   disagreements abort into ReserveFailed instead of reserving on the
-//!   wrong links.
+//!   — admission stays safe because every Probe/Reserve step re-derives the
+//!   candidate from the site's *own* view and aborts into ReserveFailed when
+//!   that view does not put the site where the frame says (the geometry
+//!   check).  A site is always current about the trunks it owns, and a view
+//!   never routes over a trunk it lacks, so a probe a stale coordinator
+//!   routed over a dead link dies at the link's owner, never reserving on
+//!   the wrong links.
 //! * **Reservation leases.**  Every tentative reservation carries an
 //!   expiry deadline in its key's record at the site; sites sweep expired
 //!   leases whenever a frame reaches them (and on explicit clock ticks),
@@ -102,18 +103,24 @@
 //! the memoised fingerprint) while a site that has not heard yet keeps
 //! reading the old state.  Each site keeps one `DueFloor` under its leases,
 //! coordinations and relay entries, so the sweep in front of every frame
-//! looks at nothing until something can be due.  A hop
-//! finds its candidate route with one hashed probe of the memo all sites
-//! share (keyed by view fingerprint and node pair), and what its key holds
-//! at the site with another: the key's record — its one or two links and its
-//! lease — beside the site's [`SlackLedger`] books, so a release touches two
-//! books at most, not every book the site ever filled.  A handler reads its
-//! position, neighbours and owned links straight off the memoised route;
-//! what a hop still allocates is the `values` list of the frame it forwards
-//! and the emission list of its outcome, both part of the public frame and
-//! trait types.
+//! looks at nothing until something can be due — `handle_frame_at` reads the
+//! floor before it calls the sweep.  A hop borrows its candidate route in
+//! place with one hashed probe of the memo all sites share (keyed by view
+//! fingerprint and node pair); only a coordinator keeps a reference to a
+//! list.  What its key holds at the site is found with another probe: the
+//! key's record — its one or two links and its lease — beside the site's
+//! [`SlackLedger`] books, so a release touches two books at most, not every
+//! book the site ever filled.  A Reserve step takes the record once, frees
+//! what the key held, and tests and books each owned link under one probe of
+//! the ledger's slot table.  A handler reads its position, neighbours and
+//! owned links straight off the memoised route and checks no trunk's
+//! liveness (its own view's route crosses live trunks only); what a hop
+//! still allocates is the `values` list of the frame it forwards and the
+//! emission list of its outcome, both part of the public frame and trait
+//! types.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Range;
@@ -135,7 +142,7 @@ use crate::ledger::{ReservationKey, SlackLedger};
 use crate::manager::{
     ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel, SwitchAction,
 };
-use crate::multihop::{admit_along, next_free_id, reserve_along, HopLink, MultiHopDps};
+use crate::multihop::{admit_along, next_free_id, reserve_along, with_slots, HopLink, MultiHopDps};
 use crate::protocol::ChannelRequest;
 
 /// An in-flight admission, owned by its coordinator (the source's access
@@ -146,8 +153,10 @@ struct Coordination {
     destination: NodeId,
     spec: RtChannelSpec,
     request_id: ConnectionRequestId,
-    /// The router's candidate routes, tried in order (the memoised list,
-    /// shared with the route cache).
+    /// The router's candidate routes, tried in order: the memoised list,
+    /// shared with the route memo.  The coordinator is the one holder that
+    /// keeps a reference — the memo may be cleared while its handshake is in
+    /// flight; a hop borrows the list for the length of its handler.
     candidates: Arc<[Route]>,
     /// Index of the candidate currently being probed / reserved.
     candidate: usize,
@@ -270,6 +279,76 @@ impl Site {
         self.ledger.reserve(link, key, task);
     }
 
+    /// A Reserve step under `key`: what the key held here — an earlier
+    /// candidate's leftover, left by a Rollback that a view disagreement cut
+    /// short — is freed, then each of `tasks` (one or two) is tested and
+    /// booked on its link, and the key's record names exactly those links
+    /// under a lease to `expires` — if the handshake strands (cut trunk,
+    /// killed coordinator), the slack comes back then instead of leaking.
+    /// `false` when a task does not fit or is none: then the key holds
+    /// nothing here, record included — a key new here gets none.  One probe
+    /// of the records, and per link one of the ledger's slot table.
+    fn reserve_step(
+        &mut self,
+        key: ReservationKey,
+        tasks: impl Iterator<Item = (HopLink, Option<PeriodicTask>)>,
+        expires: SimTime,
+    ) -> bool {
+        let held = match self.held.entry(key) {
+            Entry::Occupied(mut record) => {
+                for link in record.get_mut().links.iter_mut().filter_map(Option::take) {
+                    self.ledger.release(link, key);
+                }
+                let Some(links) = Self::book_all(&mut self.ledger, key, tasks) else {
+                    record.remove();
+                    return false;
+                };
+                let held = record.into_mut();
+                held.links = links;
+                held
+            }
+            Entry::Vacant(record) => {
+                let Some(links) = Self::book_all(&mut self.ledger, key, tasks) else {
+                    return false;
+                };
+                record.insert(Held { links, lease: None })
+            }
+        };
+        held.lease = Some(expires);
+        self.due.lower(expires);
+        true
+    }
+
+    /// Test and book each of `tasks` on its link under `key`, which holds
+    /// none of them: the links booked, or `None` with nothing booked when a
+    /// task does not fit or is none.
+    fn book_all(
+        ledger: &mut SlackLedger,
+        key: ReservationKey,
+        tasks: impl Iterator<Item = (HopLink, Option<PeriodicTask>)>,
+    ) -> Option<[Option<HopLink>; 2]> {
+        let mut booked = [None; 2];
+        for (slot, (link, task)) in booked.iter_mut().zip(tasks) {
+            if !task.is_some_and(|task| ledger.reserve_if_feasible(link, key, task)) {
+                for link in booked.into_iter().flatten() {
+                    ledger.release(link, key);
+                }
+                return None;
+            }
+            *slot = Some(link);
+        }
+        Some(booked)
+    }
+
+    /// The coordination this site leads under `token`.  Every caller has the
+    /// token's coordination in place — `begin_request` inserted it, or the
+    /// handler that called found it — so a miss is a broken protocol path,
+    /// reported rather than panicked on.
+    fn coordination(&mut self, token: u16) -> RtResult<&mut Coordination> {
+        let at = self.switch;
+        (self.coordinations.get_mut(&token)).ok_or_else(|| lost_coordination(at, token))
+    }
+
     /// Release everything `key` holds here — the links its record names, not
     /// a walk over the books — and its lease; returns the links freed.
     fn release_key(&mut self, key: ReservationKey) -> usize {
@@ -303,7 +382,20 @@ impl Site {
             .is_some()
     }
 
+    /// Renew (attest) `key`'s lease: move it to `expires`, under one probe
+    /// of the records; `false` if none was held — it expired, and the slack
+    /// must not be resurrected.
+    fn renew_lease(&mut self, key: ReservationKey, expires: SimTime) -> bool {
+        let Some(lease) = self.held.get_mut(&key).and_then(|held| held.lease.as_mut()) else {
+            return false;
+        };
+        *lease = expires;
+        self.due.lower(expires);
+        true
+    }
+
     /// The deadline of `key`'s lease here, if it holds one.
+    #[cfg(test)]
     fn lease_of(&self, key: ReservationKey) -> Option<SimTime> {
         self.held.get(&key)?.lease
     }
@@ -372,6 +464,12 @@ impl Site {
     }
 }
 
+/// The error for a coordination its handler's caller had but the handler
+/// cannot find (see [`Site::coordination`]).
+fn lost_coordination(at: SwitchId, token: u16) -> RtError {
+    RtError::ProtocolViolation(format!("{at} leads no coordination under token {token}"))
+}
+
 /// A committed channel: its record, registered at commit time with the
 /// coordinator and token that make its reservation key.
 #[derive(Debug)]
@@ -387,25 +485,72 @@ impl DistChannel {
     }
 }
 
-/// Memoised candidate lists by `(view fingerprint, source, destination)`.
-type RouteCache = HashMap<(u64, u32, u32), Arc<[Route]>, FoldState>;
+/// The router, and its candidate lists memoised by `(view fingerprint,
+/// source, destination)` for every site: reservation frames carry only the
+/// candidate *index* and every hop re-derives the route from its own view.
+/// The fingerprint key makes entries self-invalidating across topology
+/// changes.  A field of the manager beside the sites, so a hop handler
+/// borrows its site and a list at once, and reads the list in place.
+struct RouteMemo {
+    router: Arc<dyn Router>,
+    lists: HashMap<(u64, u32, u32), Arc<[Route]>, FoldState>,
+}
+
+impl RouteMemo {
+    /// A runaway-workload backstop on the number of lists, not an LRU:
+    /// stale fingerprints never match again, so dropping everything is
+    /// always safe.
+    const CAPACITY: usize = 4096;
+
+    /// The router's candidate list for one node pair as seen from `view` —
+    /// a site's *own* view — so a hit costs one hashed probe, and sites
+    /// sharing a view share the answer.  Two sites whose views disagree
+    /// during a link-state convergence window can derive different lists
+    /// for the same pair — the per-hop geometry checks turn that
+    /// disagreement into a graceful abort, never a reservation on the wrong
+    /// links.
+    fn candidates(
+        &mut self,
+        view: &Topology,
+        source: NodeId,
+        destination: NodeId,
+    ) -> RtResult<&Arc<[Route]>> {
+        let key = (view.fingerprint(), source.get(), destination.get());
+        // Only a full memo pays a second probe, to keep a hit.
+        if self.lists.len() >= Self::CAPACITY && !self.lists.contains_key(&key) {
+            self.lists.clear();
+        }
+        match self.lists.entry(key) {
+            Entry::Occupied(hit) => Ok(hit.into_mut()),
+            Entry::Vacant(miss) => {
+                Ok(miss.insert(self.router.routes(view, source, destination)?.into()))
+            }
+        }
+    }
+
+    /// The candidate route a reservation frame refers to (at
+    /// `frame.candidate`), re-derived from `view`.  `None` when this view
+    /// (or the frame) knows no such candidate — the caller aborts the
+    /// handshake gracefully instead of reserving on links the coordinator
+    /// did not mean.
+    fn route_for(&mut self, view: &Topology, frame: &ReservationFrame) -> Option<&Route> {
+        let candidates = self.candidates(view, frame.source, frame.destination);
+        candidates.ok()?.get(usize::from(frame.candidate))
+    }
+}
 
 /// The distributed channel manager: one `Site` per switch behind the one
 /// [`ChannelManager`] seam, driven through
 /// [`ChannelManager::handle_frame_at`] with real switch context.
 pub struct DistributedChannelManager {
     topology: Topology,
-    router: Arc<dyn Router>,
     dps: MultiHopDps,
     /// One site per switch, in ascending switch-id order; `site_index` maps
     /// a switch id to its slot.
     sites: Vec<Site>,
     site_index: IdIndex,
-    /// The router's candidate lists, for every site: reservation frames
-    /// carry only the candidate *index* and every hop re-derives the route.
-    /// The fingerprint key makes entries self-invalidating across topology
-    /// changes, and lists are shared, not copied, per look-up.
-    route_cache: RouteCache,
+    /// The router and its memoised candidate lists, shared by every site.
+    routes: RouteMemo,
     /// Committed channels, by raw id.  Written only through
     /// [`DistributedChannelManager::register`] /
     /// [`DistributedChannelManager::unregister`], which keep `committed` in
@@ -439,7 +584,7 @@ pub struct DistributedChannelManager {
 impl fmt::Debug for DistributedChannelManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DistributedChannelManager")
-            .field("router", &self.router.name())
+            .field("router", &self.routes.router.name())
             .field("dps", &self.dps)
             .field("sites", &self.sites.len())
             .field("channels", &self.registry.len())
@@ -471,11 +616,13 @@ impl DistributedChannelManager {
             .collect();
         DistributedChannelManager {
             topology,
-            router,
             dps,
             sites,
             site_index,
-            route_cache: HashMap::default(),
+            routes: RouteMemo {
+                router,
+                lists: HashMap::default(),
+            },
             registry: HashMap::default(),
             committed: HashMap::default(),
             next_token: 1,
@@ -621,47 +768,6 @@ impl DistributedChannelManager {
             }
         }
         ids
-    }
-
-    /// The router's candidate list for one node pair as seen from site
-    /// `s`'s *own view*, memoised per view fingerprint (the view's memoised
-    /// one), so a hit costs one hashed probe and one reference-count bump,
-    /// and sites sharing a view share the answer.  Two sites whose views
-    /// disagree during a link-state convergence window can derive different
-    /// lists for the same pair — the per-hop geometry checks turn that
-    /// disagreement into a graceful abort, never a reservation on the wrong
-    /// links.
-    fn candidate_routes_at(
-        &mut self,
-        s: usize,
-        source: NodeId,
-        destination: NodeId,
-    ) -> RtResult<Arc<[Route]>> {
-        let (cache, view) = (&mut self.route_cache, &self.sites[s].view);
-        let key = (view.fingerprint(), source.get(), destination.get());
-        if let Some(candidates) = cache.get(&key) {
-            return Ok(Arc::clone(candidates));
-        }
-        let candidates: Arc<[Route]> = self.router.routes(view, source, destination)?.into();
-        // A runaway-workload backstop, not an LRU: stale fingerprints never
-        // match again, so dropping everything is always safe.
-        if cache.len() >= 4096 {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&candidates));
-        Ok(candidates)
-    }
-
-    /// The memoised list holding the candidate route a reservation frame
-    /// refers to (at `frame.candidate`), re-derived from the handling site's
-    /// own view and borrowed, not copied.  `None` when this view (or the
-    /// frame) no longer knows such a candidate — the caller aborts the
-    /// handshake gracefully instead of reserving on links the coordinator
-    /// did not mean.
-    fn candidates_at(&mut self, s: usize, frame: &ReservationFrame) -> Option<Arc<[Route]>> {
-        self.candidate_routes_at(s, frame.source, frame.destination)
-            .ok()
-            .filter(|candidates| usize::from(frame.candidate) < candidates.len())
     }
 
     /// Enter a committed channel into the registry and its key index.
@@ -867,8 +973,12 @@ impl DistributedChannelManager {
         // A view in which the endpoints are unreachable (mid-convergence or
         // genuinely partitioned) yields no candidates — the honest answer is
         // a rejection, not a control-plane fault.
-        let candidates = match self.candidate_routes_at(s, request.source, request.destination) {
-            Ok(candidates) => candidates,
+        let view = &self.sites[s].view;
+        let candidates = match self
+            .routes
+            .candidates(view, request.source, request.destination)
+        {
+            Ok(candidates) => Arc::clone(candidates),
             Err(RtError::Config(_)) => Arc::from([]),
             Err(e) => return Err(e),
         };
@@ -891,66 +1001,53 @@ impl DistributedChannelManager {
         self.try_candidate(s, token, now)
     }
 
-    /// Try the coordination's current candidate route: run the whole
-    /// reservation locally when the route never leaves this switch, start
-    /// the Probe pass otherwise.  Exhausted candidates reject the request.
+    /// Try the coordination's candidate routes from its current one on: run
+    /// the whole reservation locally while a route never leaves this switch,
+    /// start the Probe pass on the first that does.  Exhausted candidates
+    /// reject the request.
     fn try_candidate(&mut self, c: usize, token: u16, now: SimTime) -> RtResult<ControlOutcome> {
         let expires = now.saturating_add(self.lease_duration);
         let site = &mut self.sites[c];
         let coordinator = site.switch;
         site.due.lower(expires);
-        let coord = site
-            .coordinations
-            .get_mut(&token)
-            .expect("coordination exists");
+        let coord = site.coordination(token)?;
         coord.expires = expires;
-        let candidates = Arc::clone(&coord.candidates);
-        loop {
-            let coord = &self.sites[c].coordinations[&token];
-            let Some(route) = candidates.get(coord.candidate) else {
-                // Every candidate failed: reject, exactly like the central
-                // manager answering the source directly.
-                let coord = self.sites[c].coordinations.remove(&token);
-                let coord = coord.expect("coordination exists");
-                let rejection = self.rejection(&coord, None);
-                return Ok(Self::emit(coordinator, rejection));
-            };
+        let (candidates, first) = (Arc::clone(&coord.candidates), coord.candidate);
+        for (n, route) in candidates.iter().enumerate().skip(first) {
             if route.len() == 2 {
                 // Same-switch route: probe + reserve collapse to local
                 // ledger operations on the one access switch.
-                match self.reserve_local(c, token, route, now) {
-                    Ok(()) => return self.complete_reservation(c, token, now),
-                    Err(()) => {
-                        let site = &mut self.sites[c];
-                        site.coordinations
-                            .get_mut(&token)
-                            .expect("coordination exists")
-                            .candidate += 1;
-                        continue;
-                    }
+                self.sites[c].coordination(token)?.candidate = n;
+                if self.reserve_local(c, token, route, now)? {
+                    return self.complete_reservation(c, token, now);
                 }
+                continue;
             }
             // Multi-switch: append the coordinator's own loads and send the
             // Probe to the next switch of the sequence.
-            let site = &self.sites[c];
+            let site = &mut self.sites[c];
             let mut values = Vec::with_capacity(route.len());
             for idx in Self::owned_link_indices(0) {
                 values.push(site.ledger.link_load(route[idx]) as u64);
             }
-            let frame = Self::reservation_frame(
-                ReservationOp::Probe,
-                (coord, coordinator, token),
-                1,
-                values,
-            );
             let next = Self::switch_at(&site.view, route, 1)
                 .expect("a route of more than two links crosses a trunk");
+            let coord = site.coordination(token)?;
+            coord.candidate = n;
+            let coord = (&*coord, coordinator, token);
+            let frame = Self::reservation_frame(ReservationOp::Probe, coord, 1, values);
             return Ok(Self::send(coordinator, next, frame));
         }
+        // Every candidate failed: reject, exactly like the central manager
+        // answering the source directly.
+        let coord = self.sites[c].coordinations.remove(&token);
+        let coord = coord.ok_or_else(|| lost_coordination(coordinator, token))?;
+        let rejection = self.rejection(&coord, None);
+        Ok(Self::emit(coordinator, rejection))
     }
 
     /// Same-switch admission: partition and reserve both access links on
-    /// the one site, leased like any tentative reservation.  `Err(())`
+    /// the one site, leased like any tentative reservation.  `Ok(false)`
     /// means "this candidate is infeasible".
     fn reserve_local(
         &mut self,
@@ -958,25 +1055,23 @@ impl DistributedChannelManager {
         token: u16,
         route: &Route,
         now: SimTime,
-    ) -> Result<(), ()> {
+    ) -> RtResult<bool> {
         let site = &mut self.sites[c];
-        let spec = site.coordinations[&token].spec;
+        let spec = site.coordination(token)?.spec;
         let key = ReservationKey::token(site.switch, token);
         // What an earlier candidate left here under the key is replaced.
         site.release_key(key);
         let ledger = &site.ledger;
-        let deadlines =
-            admit_along(self.dps.into(), &spec, route, |link| ledger.link(link)).map_err(|_| ())?;
+        let admitted = admit_along(self.dps.into(), &spec, route, |link| ledger.link(link));
+        let Ok(deadlines) = admitted else {
+            return Ok(false);
+        };
         reserve_along(&spec, route, &deadlines, |link, task| {
             site.reserve(link, key, task)
         });
         site.lease(key, now.saturating_add(self.lease_duration));
-        let coord = site
-            .coordinations
-            .get_mut(&token)
-            .expect("coordination exists");
-        coord.deadlines = Some(deadlines);
-        Ok(())
+        site.coordination(token)?.deadlines = Some(deadlines);
+        Ok(true)
     }
 
     /// The whole route is reserved: assign the channel id, register the
@@ -1002,10 +1097,7 @@ impl DistributedChannelManager {
         let site = &mut self.sites[c];
         let coordinator = site.switch;
         site.due.lower(expires);
-        let coord = site
-            .coordinations
-            .get_mut(&token)
-            .expect("coordination exists");
+        let coord = site.coordination(token)?;
         coord.channel = Some(id);
         coord.expires = expires;
         let request = ChannelRequest {
@@ -1106,24 +1198,25 @@ impl DistributedChannelManager {
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let Some(candidates) = self.candidates_at(s, frame) else {
+        let (site, routes) = (&self.sites[s], &mut self.routes);
+        let (at, i) = (site.switch, usize::from(frame.hop));
+        // The geometry check: a probe a stale coordinator routed over one of
+        // our dead trunks dies here.  We are always current about our own
+        // trunks (the switches adjacent to a cut update their views the
+        // instant it happens), so our view derives another candidate, one
+        // that does not put us at this position — or none at all.
+        let placed = |route: &&Route| Self::switch_at(&site.view, route, i) == Some(at);
+        let Some(route) = routes.route_for(&site.view, frame).filter(placed) else {
             return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
         };
-        let route = &candidates[usize::from(frame.candidate)];
-        let site = &self.sites[s];
-        let (at, i) = (site.switch, usize::from(frame.hop));
-        if Self::switch_at(&site.view, route, i) != Some(at) {
-            return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
-        }
         let own_loads = Self::owned_link_indices(i).map(|idx| site.ledger.link_load(route[idx]));
         if let Some(next) = Self::switch_at(&site.view, route, i + 1) {
-            // We are always current about our own trunks (the switches
-            // adjacent to a cut update their views the instant it
-            // happens): a probe routed over our dead trunk by a stale
-            // coordinator dies here, cleanly.
-            if !site.view.has_trunk(at, next) {
-                return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
-            }
+            // No liveness check: a view never routes over a trunk it lacks
+            // (`prop_candidates_cross_only_trunks_their_own_view_has`).
+            debug_assert!(
+                site.view.has_trunk(at, next),
+                "{at}'s own route crosses a dead trunk"
+            );
             let mut values = Vec::with_capacity(route.len());
             values.extend_from_slice(&frame.values);
             values.extend(own_loads.map(|load| load as u64));
@@ -1138,9 +1231,14 @@ impl DistributedChannelManager {
         }
         // Last switch: all loads collected — partition and start Reserve.
         let spec = RtChannelSpec::new(frame.period, frame.capacity, frame.deadline)?;
-        let collected = frame.values.iter().map(|&v| v as usize);
-        let loads: Vec<usize> = collected.chain(own_loads).collect();
-        let Ok(deadlines) = self.dps.partition(&spec, route, &loads) else {
+        let deadlines = with_slots(route.len(), 0, |loads| {
+            let collected = frame.values.iter().map(|&v| v as usize);
+            for (slot, load) in loads.iter_mut().zip(collected.chain(own_loads)) {
+                *slot = load;
+            }
+            self.dps.partition(&spec, route, loads)
+        });
+        let Ok(deadlines) = deadlines else {
             // The candidate cannot even be partitioned: tell the
             // coordinator to move on.  Nothing was reserved anywhere.
             return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
@@ -1148,13 +1246,13 @@ impl DistributedChannelManager {
         // No relay state yet: it is registered — keyed by the then-known
         // channel id — only once the whole route is reserved
         // (`complete_reservation`), so failed candidates leave nothing to
-        // clean up here.
+        // clean up here.  The split becomes the frame's list in place.
         let reserve = Self::follow_up(
             frame,
             ReservationOp::Reserve,
             ReservationReason::None,
             frame.hop,
-            deadlines.iter().map(|d| d.get()).collect(),
+            deadlines.into_iter().map(Slots::get).collect(),
         );
         // Process our own (last-hop) reserve step inline — same switch, no
         // wire hop — then the frame, handed over whole, travels backward.
@@ -1173,45 +1271,37 @@ impl DistributedChannelManager {
         frame: Cow<'_, ReservationFrame>,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let Some(candidates) = self.candidates_at(s, &frame) else {
+        let expires = now.saturating_add(self.lease_duration);
+        let (site, routes) = (&mut self.sites[s], &mut self.routes);
+        let (at, i) = (site.switch, usize::from(frame.hop));
+        // The geometry check: our view must derive the geometry the probe
+        // pass did — abort rather than reserve on links the deadlines were
+        // not partitioned for.  This is also what stops a stale
+        // coordinator's candidate over one of our dead trunks, as in
+        // `on_probe`.
+        let view = &site.view;
+        let placed = |route: &&Route| {
+            Self::switch_at(view, route, i) == Some(at) && frame.values.len() == route.len()
+        };
+        let Some(route) = routes.route_for(view, &frame).filter(placed) else {
             return self.abort_handshake(s, &frame, ReservationReason::Infeasible, now);
         };
-        let route = &candidates[usize::from(frame.candidate)];
-        let expires = now.saturating_add(self.lease_duration);
-        let site = &mut self.sites[s];
-        let (at, i) = (site.switch, usize::from(frame.hop));
-        if Self::switch_at(&site.view, route, i) != Some(at) || frame.values.len() != route.len() {
-            // Our view derives a different geometry for this candidate
-            // than the probe pass did — abort rather than reserve on links
-            // the deadlines were not partitioned for.
-            return self.abort_handshake(s, &frame, ReservationReason::Infeasible, now);
-        }
         let spec = RtChannelSpec::new(frame.period, frame.capacity, frame.deadline)?;
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        // Whatever the key still holds here is an earlier candidate's, left
-        // by a Rollback that a view disagreement cut short: this step
-        // replaces it.  The step is feasible when every owned link takes it.
-        site.release_key(key);
-        let feasible = Self::owned_link_indices(i).all(|idx| {
-            let link = route[idx];
-            // A dead owned trunk fails the candidate like any infeasible
-            // link — this is the stale-coordinator path: we always know
-            // about our own trunks before the flood converges.
-            let live =
-                !matches!(link, HopLink::Trunk { from, to } if !site.view.has_trunk(from, to));
-            let task = PeriodicTask::new(spec.period, spec.capacity, Slots::new(frame.values[idx]));
-            let fits = |t: &_| live && site.ledger.feasible_with(link, t).is_feasible();
-            let Some(task) = task.ok().filter(fits) else {
-                return false;
-            };
-            site.reserve(link, key, task);
-            true
+        // No liveness check either: our own view's route crosses live trunks.
+        debug_assert!(
+            Self::owned_link_indices(i).all(|idx| match route[idx] {
+                HopLink::Trunk { from, to } => view.has_trunk(from, to),
+                _ => true,
+            }),
+            "{at}'s own route crosses a dead trunk"
+        );
+        let tasks = Self::owned_link_indices(i).map(|idx| {
+            let deadline = Slots::new(frame.values[idx]);
+            let task = PeriodicTask::new(spec.period, spec.capacity, deadline);
+            (route[idx], task.ok())
         });
-        if feasible {
-            // Lease the tentative reservation: if the handshake strands
-            // here (cut trunk, killed coordinator), the slack comes back
-            // at expiry instead of leaking forever.
-            site.lease(key, expires);
+        if site.reserve_step(key, tasks, expires) {
             if i > 0 {
                 let before = Self::switch_at(&site.view, route, i - 1)
                     .expect("a position past the first has a predecessor");
@@ -1222,21 +1312,21 @@ impl DistributedChannelManager {
             }
             // hop 0: the coordinator itself just reserved — the route is
             // fully held.
-            let Some(coord) = site.coordinations.get_mut(&frame.token) else {
+            let token = frame.token;
+            let Some(coord) = site.coordinations.get_mut(&token) else {
                 // The coordination timed out while the backward pass was in
                 // flight; the requester was already answered.  Drop our own
                 // step again — everything behind us is lease-bounded.
                 site.release_key(key);
                 return Ok(ControlOutcome::empty());
             };
-            coord.deadlines = Some(frame.values.iter().map(|&v| Slots::new(v)).collect());
-            return self.complete_reservation(s, frame.token, now);
+            let deadlines = frame.into_owned().values.into_iter().map(Slots::new);
+            coord.deadlines = Some(deadlines.collect());
+            return self.complete_reservation(s, token, now);
         }
-        // Infeasible here: undo our partial step (all the key holds here),
-        // sweep the switches that already reserved (i+1 ..= last) with a
-        // Rollback; the destination switch then answers ReserveFailed to the
-        // coordinator.
-        site.release_key(key);
+        // Infeasible here: the step left nothing under the key; sweep the
+        // switches that already reserved (i+1 ..= last) with a Rollback; the
+        // destination switch then answers ReserveFailed to the coordinator.
         if let Some(behind) = Self::switch_at(&site.view, route, i + 1) {
             let rollback = Self::follow_up(
                 &frame,
@@ -1266,12 +1356,9 @@ impl DistributedChannelManager {
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        self.sites[s].release_key(key);
-        let candidates = self.candidates_at(s, frame);
-        let route = candidates
-            .as_deref()
-            .map(|c| &c[usize::from(frame.candidate)]);
-        let site = &self.sites[s];
+        let (site, routes) = (&mut self.sites[s], &mut self.routes);
+        site.release_key(key);
+        let route = routes.route_for(&site.view, frame);
         let (at, i) = (site.switch, usize::from(frame.hop));
         match frame.reason {
             ReservationReason::Infeasible => {
@@ -1388,7 +1475,7 @@ impl DistributedChannelManager {
             return self.commit_confirmed(s, frame.token);
         }
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        if site.lease_of(key).is_none() {
+        if !site.renew_lease(key, expires) {
             // Our lease expired before the Confirm arrived: the slack is
             // already reclaimed — never resurrect it.
             let failed = Self::follow_up(
@@ -1400,17 +1487,8 @@ impl DistributedChannelManager {
             );
             return Ok(Self::send(at, frame.coordinator, failed));
         }
-        site.lease(key, expires);
-        let candidates = self.candidates_at(s, frame);
-        let route = candidates
-            .as_deref()
-            .map(|c| &c[usize::from(frame.candidate)]);
-        let (hop, to) = Self::step_back(
-            &self.sites[s],
-            route,
-            usize::from(frame.hop),
-            frame.coordinator,
-        );
+        let route = self.routes.route_for(&site.view, frame);
+        let (hop, to) = Self::step_back(site, route, usize::from(frame.hop), frame.coordinator);
         let onward = Self::follow_up(
             frame,
             ReservationOp::Confirm,
@@ -1511,16 +1589,15 @@ impl DistributedChannelManager {
             if at == pending.coordinator {
                 return self.commit_confirmed(s, pending.token);
             }
-            if site.lease_of(key).is_none() {
+            // Renew (attest) our lease and start the backward Confirm walk
+            // at our predecessor on the route.
+            if !site.renew_lease(key, expires) {
                 // Our own lease expired while the destination deliberated:
                 // the slack is reclaimed — tear the admission down.
                 notice.op = ReservationOp::ReserveFailed;
                 notice.reason = ReservationReason::LeaseExpired;
                 return Ok(Self::send(at, pending.coordinator, notice));
             }
-            // Renew (attest) our lease and start the backward Confirm walk
-            // at our predecessor on the route.
-            site.lease(key, expires);
         } else {
             // Destination refused: release the whole route, ending at the
             // coordinator which answers the source.
@@ -1533,12 +1610,9 @@ impl DistributedChannelManager {
         }
         // Either way the notice walks the route backward from its last
         // position, which is ours.
-        let candidates = self.candidates_at(s, &notice);
-        let route = candidates
-            .as_deref()
-            .map(|c| &c[usize::from(notice.candidate)]);
+        let route = self.routes.route_for(&site.view, &notice);
         let last = route.map_or(0, |r| r.len() - 2);
-        let (hop, to) = Self::step_back(&self.sites[s], route, last, pending.coordinator);
+        let (hop, to) = Self::step_back(site, route, last, pending.coordinator);
         notice.hop = hop;
         Ok(Self::send(at, to, notice))
     }
@@ -1814,7 +1888,7 @@ impl ChannelStore for DistributedChannelManager {
     }
 
     fn router(&self) -> &dyn Router {
-        self.router.as_ref()
+        self.routes.router.as_ref()
     }
 
     fn ids(&self) -> impl ExactSizeIterator<Item = u16> + '_ {
@@ -1981,8 +2055,13 @@ impl ChannelManager for DistributedChannelManager {
         let s = self.slot(at)?;
         // Time first: anything expired at this site is reclaimed before the
         // frame is looked at, so a frame arriving one tick late finds its
-        // lease gone — not a resurrection path.
-        let swept = self.sweep_site(s, now);
+        // lease gone — not a resurrection path.  Below the site's floor
+        // nothing can be due, and the sweep is not even called.
+        let swept = if self.sites[s].due.is_above(now) {
+            Vec::new()
+        } else {
+            self.sweep_site(s, now)
+        };
         let mut outcome = match frame {
             Frame::Request(req) => self.begin_request(s, req, now),
             Frame::Response(resp) => self.on_response(s, from, resp, now),

@@ -705,7 +705,11 @@ fn sites_sharing_a_view_call_the_router_once_per_pair_per_fabric_state() {
     let (source, destination) = (NodeId::new(0), NodeId::new(5));
     let ask = |manager: &mut DistributedChannelManager, sites: &[usize]| {
         for &s in sites {
-            manager.candidate_routes_at(s, source, destination).unwrap();
+            let view = &manager.sites[s].view;
+            manager
+                .routes
+                .candidates(view, source, destination)
+                .unwrap();
         }
         router.take()
     };
@@ -866,4 +870,159 @@ fn ids_come_out_ascending_after_reuse_across_the_wrap() {
     assert!(admitted.contains(&end) && admitted.contains(&start));
     let live: Vec<u16> = manager.channel_ids().iter().map(|id| id.get()).collect();
     assert_ascending_across_the_wrap(&admitted, &reports, &live);
+}
+
+// --- what a site's own view guarantees -----------------------------------------
+
+/// The invariant that lets a protocol hop skip a liveness check: every
+/// candidate a site derives from its own view crosses only trunks that view
+/// has, however far the view lags the fabric.  Random cuts and repairs on a
+/// ring and a torus, each flood delivered only in part (every link-state
+/// frame lost with probability one half, so views stay stale and disagree);
+/// after every step, every site's candidates for every node pair under
+/// `KShortest { k: 3 }` are checked against that site's view.  Release
+/// builds compile the hop handlers' `debug_assert!`s out: this is their
+/// release-build guard.
+#[test]
+fn prop_candidates_cross_only_trunks_their_own_view_has() {
+    let (mut checked, mut stale) = (0u64, 0u64);
+    for seed in 0..adversarial_seeds(3) {
+        for topology in [Topology::ring(6, 1), Topology::torus(3, 3, 1)] {
+            let mut rng = Xoshiro256::new(0x11fe_5ca1 + seed);
+            let policy = RoutePolicy::KShortest { k: 3 };
+            let router = Arc::new(ShortestPathRouter::with_policy(policy));
+            let mut manager =
+                DistributedChannelManager::new(topology.clone(), MultiHopDps::Asymmetric, router);
+            let trunks: Vec<(SwitchId, SwitchId)> = topology.trunks().collect();
+            let nodes: Vec<NodeId> = topology.nodes().collect();
+            for _ in 0..30 {
+                let (a, b) = trunks[rng.below(trunks.len() as u64) as usize];
+                if manager.topology.has_trunk(a, b) {
+                    manager.handle_link_failure(a, b).unwrap();
+                } else {
+                    manager.handle_link_repair(a, b).unwrap();
+                }
+                let mut queue = VecDeque::from(manager.drain_control());
+                while let Some((_, action)) = queue.pop_front() {
+                    let SwitchAction::SendControl { to, frame } = action else {
+                        panic!("a flood sends only link-state frames: {action:?}");
+                    };
+                    if rng.below(2) == 0 {
+                        continue;
+                    }
+                    let frame = Frame::Reservation(frame);
+                    let outcome = manager
+                        .handle_frame_at(to, NodeId::SWITCH, &frame, SimTime::ZERO)
+                        .unwrap();
+                    queue.extend(outcome.emissions);
+                }
+                for s in 0..manager.sites.len() {
+                    let view = Arc::clone(&manager.sites[s].view);
+                    let truth = manager.topology.failed_trunks();
+                    stale += u64::from(!view.failed_trunks().eq(truth));
+                    for (&source, &destination) in nodes
+                        .iter()
+                        .flat_map(|src| nodes.iter().map(move |dst| (src, dst)))
+                    {
+                        if source == destination {
+                            continue;
+                        }
+                        let Ok(candidates) = manager.routes.candidates(&view, source, destination)
+                        else {
+                            continue;
+                        };
+                        for link in candidates.iter().flat_map(|route| route.iter()) {
+                            if let HopLink::Trunk { from, to } = *link {
+                                assert!(
+                                    view.has_trunk(from, to),
+                                    "seed {seed}: site {s}'s candidate for {source} → \
+                                     {destination} crosses {from} → {to}, which its view lacks"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 0 && stale > 0,
+        "{checked} trunks checked, {stale} stale views"
+    );
+}
+
+/// The stale-coordinator path, with no liveness check in the hops: trunk
+/// 2 – 3 of a ring is cut and only its two ends hear of it, so switches 1
+/// and 4 still route over it.  Each asks for a pair whose primary crosses
+/// the dead trunk (one direction each): the request is answered, nothing is
+/// ever booked on the dead trunk, and the fabric settles quiescent: the
+/// geometry check at the dead trunk's ends stops the stale candidate.
+#[test]
+fn a_stale_coordinator_never_books_a_dead_trunk() {
+    let sw = SwitchId::new;
+    let topology = Topology::ring(6, 1);
+    let policy = RoutePolicy::KShortest { k: 2 };
+    let router = Arc::new(ShortestPathRouter::with_policy(policy));
+    let mut manager =
+        DistributedChannelManager::new(topology.clone(), MultiHopDps::Asymmetric, router);
+    manager.handle_link_failure(sw(2), sw(3)).unwrap();
+    // The flood is lost past the two adjacent switches.
+    let flood = manager.drain_control();
+    assert!(!flood.is_empty());
+    let dead = [
+        HopLink::Trunk {
+            from: sw(2),
+            to: sw(3),
+        },
+        HopLink::Trunk {
+            from: sw(3),
+            to: sw(2),
+        },
+    ];
+    let booked_on_dead = |manager: &DistributedChannelManager| {
+        let sites = manager.sites.iter();
+        sites
+            .flat_map(|site| dead.map(|link| site.ledger.link_load(link)))
+            .sum::<usize>()
+    };
+    let node_on = |s: u32| {
+        topology
+            .nodes()
+            .find(|&n| topology.switch_of(n) == Some(sw(s)))
+    };
+    for (from, to) in [(1, 3), (4, 2)] {
+        let (source, destination) = (node_on(from).unwrap(), node_on(to).unwrap());
+        let s = manager.slot(sw(from)).unwrap();
+        assert!(
+            manager.sites[s].view.has_trunk(sw(2), sw(3)),
+            "switch {from} is stale"
+        );
+        let view = &manager.sites[s].view;
+        let candidates = manager
+            .routes
+            .candidates(view, source, destination)
+            .unwrap();
+        assert!(candidates[0].iter().any(|link| dead.contains(link)));
+        let spec = RtChannelSpec::new(Slots::new(100), Slots::new(2), Slots::new(60)).unwrap();
+        let request = ChannelRequest {
+            source,
+            destination,
+            spec,
+            request_id: ConnectionRequestId::new(from as u8),
+        };
+        let first = (sw(from), source, Frame::Request(request.to_frame()));
+        let verdict = pump_with(&mut manager, first, |manager, _, _| {
+            assert_eq!(booked_on_dead(manager), 0, "a booking on the dead trunk");
+        });
+        // Refused: the primary dies at the dead trunk's near end, and the
+        // detour (candidate 1) at its far end, whose current view knows no
+        // second candidate for the pair.
+        assert_eq!(verdict, Some(None), "{source} → {destination} is answered");
+        assert_eq!(booked_on_dead(&manager), 0);
+    }
+    while let Some(due) = manager.next_timeout() {
+        manager.on_tick(due).unwrap();
+    }
+    manager.audit_quiescent().unwrap();
 }

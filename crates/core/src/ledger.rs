@@ -337,6 +337,32 @@ impl SlackLedger {
         book.insert(key, task);
     }
 
+    /// Book `task` on `link` under `key`, which holds nothing there, if the
+    /// per-link EDF test passes with it: [`SlackLedger::feasible_with`] and
+    /// then [`SlackLedger::reserve`] under one probe of the slot table.
+    /// `false`, booking nothing and interning nothing, when it does not fit.
+    pub(crate) fn reserve_if_feasible(
+        &mut self,
+        link: HopLink,
+        key: ReservationKey,
+        task: PeriodicTask,
+    ) -> bool {
+        let slot = self.slot_of(link);
+        let held = slot.map_or(&[][..], |slot| &self.books[slot].tasks[..]);
+        let outcome = (self.tester).test_slice(held, Some(&task), self.scratch.get_mut());
+        if !outcome.is_feasible() {
+            return false;
+        }
+        let book = match slot {
+            Some(slot) => &mut self.books[slot],
+            // A link's first booking interns it: a second probe, once per link.
+            None => self.intern(link),
+        };
+        debug_assert!(book.find(key).is_none(), "{key:?} already holds {link:?}");
+        book.insert(key, task);
+        true
+    }
+
     /// Release the reservation `key` holds on `link`.  Returns `false` if
     /// there was none (a rollback may race a release; releasing twice must
     /// be harmless, never double-free someone else's slack).
@@ -616,7 +642,8 @@ mod tests {
     /// downlinks and trunks, most of them first reserved mid-walk, so the slot
     /// table grows four times under load) and one site's ledger over the
     /// twelve links switch 4 owns.  A seeded walk of reserves (fresh keys and
-    /// replaced ones, channel and token keys) and releases (held, absent,
+    /// replaced ones, channel and token keys; half the fresh ones tested and
+    /// booked in one `reserve_if_feasible` call) and releases (held, absent,
     /// twice, on links never reserved on), in stretches that fill the books
     /// and stretches that drain them; after every step every accessor is
     /// compared on the link touched and `loaded_links` as a whole, order
@@ -655,6 +682,7 @@ mod tests {
             .collect();
         let (mut fresh, mut replaced, mut emptied, mut refilled) = (0, 0, 0, 0);
         let (mut absent, mut unbooked, mut refused) = (0, 0, 0);
+        let (mut booked_in_place, mut refused_in_place) = (0, 0);
 
         for (seed, links) in
             (0..adversarial_seeds(3)).flat_map(|s| placements.iter().map(move |p| (s, p)))
@@ -682,12 +710,24 @@ mod tests {
                         4 + pick(60) as u64,
                     );
                     let (held, had) = (oracle.held(link).len(), oracle.holds(link, key));
-                    fresh += usize::from(!had);
-                    replaced += usize::from(had);
-                    refilled += usize::from(held == 0 && ever.contains(&link));
-                    ever.insert(link);
-                    ledger.reserve(link, key, t);
-                    oracle.reserve(link, key, t);
+                    // Half the fresh keys are tested and booked in one call,
+                    // as a Reserve hop books them.
+                    let in_place = !had && pick(2) == 0;
+                    let fits = !in_place || oracle.feasible_with(link, &t).is_feasible();
+                    if fits {
+                        fresh += usize::from(!had);
+                        replaced += usize::from(had);
+                        refilled += usize::from(held == 0 && ever.contains(&link));
+                        ever.insert(link);
+                        oracle.reserve(link, key, t);
+                    }
+                    if in_place {
+                        booked_in_place += usize::from(fits);
+                        refused_in_place += usize::from(!fits);
+                        assert_eq!(ledger.reserve_if_feasible(link, key, t), fits);
+                    } else {
+                        ledger.reserve(link, key, t);
+                    }
                 } else {
                     // Half the releases aim at a key the link holds, so that
                     // the draining stretches really empty books.
@@ -755,6 +795,10 @@ mod tests {
         assert!(
             absent > 50 && unbooked > 20 && refused > 50,
             "{absent} absent, {unbooked} never booked, {refused} refused"
+        );
+        assert!(
+            booked_in_place > 200 && refused_in_place > 10,
+            "{booked_in_place} booked and {refused_in_place} refused in one call"
         );
     }
 

@@ -126,7 +126,7 @@ const INLINE_HOPS: usize = 16;
 
 /// Run `f` over `n` slots holding `fill`: on the stack for a route of up to
 /// [`INLINE_HOPS`] links, on the heap for a longer one.
-fn with_slots<T: Copy, R>(n: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+pub(crate) fn with_slots<T: Copy, R>(n: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
     if n <= INLINE_HOPS {
         f(&mut [fill; INLINE_HOPS][..n])
     } else {

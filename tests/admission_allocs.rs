@@ -32,14 +32,17 @@
 //! the growth of books and tables under churn.
 //!
 //! The distributed handshake, frame by frame on the same warmed fabric (an
-//! inter-pod route: five switches, six links), is what PR 17 measured, and
-//! PR 25 less the copy of the Reserve list the last Probe hop forwarded:
+//! inter-pod route: five switches, six links), at four stages: the first
+//! protocol; hops that read the memoised route instead of cloning it; a last
+//! Probe hop that hands its Reserve list on instead of copying it; and one
+//! that reads the loads into stack slots and turns the deadline split into
+//! that list in place (the budgets below):
 //!
-//! | | frames | parent | since PR 17 | since PR 25 |
-//! |---|---|---|---|---|
-//! | accepted (`Request` → 4 `Probe` → 4 `Reserve` → `Response` → 4 `Confirm`) | 14 | 90 | 27 | 26 |
-//! | its `Teardown` → 4 `Release` | 5 | 13 | 9 | 9 |
-//! | refused (`Request` → 4 `Probe` → 4 `Reserve` → 4 `Rollback` → `ReserveFailed`) | 14 | 87 | 25 | 24 |
+//! | | frames | first | route read | list handed on | split in place |
+//! |---|---|---|---|---|---|
+//! | accepted (`Request` → 4 `Probe` → 4 `Reserve` → `Response` → 4 `Confirm`) | 14 | 90 | 27 | 26 | 24 |
+//! | its `Teardown` → 4 `Release` | 5 | 13 | 9 | 9 | 9 |
+//! | refused (`Request` → 4 `Probe` → 4 `Reserve` → 4 `Rollback` → `ReserveFailed`) | 14 | 87 | 25 | 24 | 22 |
 //!
 //! The parent cloned the candidate route and built the switch sequence and an
 //! owned-link list on every hop (seven allocations per forwarded Probe or
@@ -49,8 +52,9 @@
 //! forwards (`ReservationFrame::values`: Probe, Reserve and Release carry
 //! one) and the emission list of its outcome (`ControlOutcome::emissions`) —
 //! two per forwarded Probe, Reserve or Release, one per Confirm or Rollback.
-//! Beside those: the last Probe hop builds the load list, the deadline split
-//! and the Reserve frame's list, which it hands on whole (four in all), the
+//! Beside those: the last Probe hop reads the loads into stack slots and
+//! builds the deadline split, which becomes the Reserve frame's list in place
+//! and is handed on whole (two in all, with the outcome's list), the
 //! coordinator keeps the split, commit copies the route into the registry, a
 //! teardown builds its itinerary and its `released` list, the maps of
 //! coordinations, relays and committed channels allocate a node now and then,
@@ -264,11 +268,11 @@ fn a_link_that_empties_and_refills_asks_the_allocator_for_nothing() {
 // --- the distributed handshake, frame by frame -----------------------------
 
 /// Allocations of one accepted inter-pod establishment's 14 frames.
-const DISTRIBUTED_ACCEPTED: u64 = 26;
+const DISTRIBUTED_ACCEPTED: u64 = 24;
 /// Allocations of its teardown's 5 frames.
 const DISTRIBUTED_TEARDOWN: u64 = 9;
 /// Allocations of one refused inter-pod request's 14 frames.
-const DISTRIBUTED_REFUSED: u64 = 24;
+const DISTRIBUTED_REFUSED: u64 = 22;
 
 /// One delivery to the distributed manager: where, which reservation op (if
 /// the frame was one), and what `handle_frame_at` asked the allocator for.
