@@ -38,7 +38,7 @@ use rt_frames::{EthernetFrame, Frame};
 use rt_netsim::{Delivery, FrameInjection, SimConfig, Simulator};
 use rt_types::constants::ETHERTYPE_IPV4;
 use rt_types::{
-    ChannelId, ConnectionRequestId, Duration, HopLink, Ipv4Address, LinkSpeed, MacAddr,
+    ChannelId, ConnectionRequestId, Duration, HopLink, IdIndex, Ipv4Address, LinkSpeed, MacAddr,
     ManagerPlacement, NodeId, Router, RtError, RtResult, ShortestPathRouter, SimTime, Slots,
     SwitchId, Topology,
 };
@@ -297,11 +297,14 @@ impl RtNetworkBuilder {
             t_latency,
             max_incoming_channels: self.max_incoming_channels,
         };
-        let layers: BTreeMap<u32, RtLayer> = sim
-            .topology()
-            .nodes()
-            .map(|n| (n.get(), RtLayer::new(n, layer_config)))
-            .collect();
+        let layers = Layers {
+            index: IdIndex::new(sim.topology().nodes().map(NodeId::get)),
+            layers: sim
+                .topology()
+                .nodes()
+                .map(|n| RtLayer::new(n, layer_config))
+                .collect(),
+        };
         Ok(RtNetwork {
             sim,
             manager,
@@ -311,6 +314,8 @@ impl RtNetworkBuilder {
             received: Vec::new(),
             be_received: 0,
             t_latency,
+            #[cfg(test)]
+            one_event_pump: false,
         })
     }
 }
@@ -328,22 +333,43 @@ pub struct DeliveredMessage {
     pub missed_deadline: bool,
 }
 
+/// The RT layer of every attached node, in ascending node order, found
+/// through the dense node index.
+struct Layers {
+    index: IdIndex,
+    layers: Vec<RtLayer>,
+}
+
+impl Layers {
+    fn get(&self, node: NodeId) -> Option<&RtLayer> {
+        Some(&self.layers[self.index.get(node.get())? as usize])
+    }
+
+    fn get_mut(&mut self, node: NodeId) -> Option<&mut RtLayer> {
+        Some(&mut self.layers[self.index.get(node.get())? as usize])
+    }
+}
+
 /// The full stack: simulator + switch manager + per-node RT layers.
 pub struct RtNetwork {
     sim: Simulator,
     manager: Box<dyn ChannelManager>,
     router: Arc<dyn Router>,
-    layers: BTreeMap<u32, RtLayer>,
+    layers: Layers,
     outcomes: BTreeMap<(u32, u8), EstablishmentOutcome>,
     received: Vec<DeliveredMessage>,
     be_received: u64,
     t_latency: Duration,
+    /// Pump with [`Simulator::step`], one event at a time: the oracle the
+    /// tests hold the instant-draining pump against.
+    #[cfg(test)]
+    one_event_pump: bool,
 }
 
 impl std::fmt::Debug for RtNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RtNetwork")
-            .field("nodes", &self.layers.len())
+            .field("nodes", &self.layers.layers.len())
             .field("channels", &self.channel_count())
             .field("now", &self.sim.now())
             .finish()
@@ -380,7 +406,7 @@ impl RtNetwork {
 
     /// The RT layer of `node`.
     pub fn layer(&self, node: NodeId) -> Option<&RtLayer> {
-        self.layers.get(&node.get())
+        self.layers.get(node)
     }
 
     /// Current simulated time.
@@ -443,7 +469,7 @@ impl RtNetwork {
         let now = self.sim.now();
         let (request_id, eth) = self
             .layers
-            .get_mut(&source.get())
+            .get_mut(source)
             .ok_or(RtError::UnknownNode(source))?
             .request_channel(destination, spec)?;
         self.sim.inject(source, eth, now)?;
@@ -543,7 +569,7 @@ impl RtNetwork {
             offsets.push((*link, offset));
         }
         self.sim.set_channel_hop_schedule(route.id, offsets);
-        if let Some(layer) = self.layers.get_mut(&route.source.get()) {
+        if let Some(layer) = self.layers.get_mut(route.source) {
             layer.set_channel_t_latency(route.id, config.t_latency_for_hops(hops));
         }
     }
@@ -554,7 +580,7 @@ impl RtNetwork {
         let now = self.sim.now();
         let eth = self
             .layers
-            .get_mut(&source.get())
+            .get_mut(source)
             .ok_or(RtError::UnknownNode(source))?
             .teardown_channel(channel)?;
         self.sim.inject(source, eth, now)?;
@@ -581,10 +607,10 @@ impl RtNetwork {
         }
         for old in &report.dropped {
             self.sim.release_channel(old.id);
-            if let Some(layer) = self.layers.get_mut(&old.destination.get()) {
+            if let Some(layer) = self.layers.get_mut(old.destination) {
                 layer.forget_rx_channel(old.id);
             }
-            if let Some(layer) = self.layers.get_mut(&old.source.get()) {
+            if let Some(layer) = self.layers.get_mut(old.source) {
                 layer.forget_tx_channel(old.id);
             }
         }
@@ -607,10 +633,10 @@ impl RtNetwork {
         }
         for old in &report.dropped {
             self.sim.release_channel(old.id);
-            if let Some(layer) = self.layers.get_mut(&old.destination.get()) {
+            if let Some(layer) = self.layers.get_mut(old.destination) {
                 layer.forget_rx_channel(old.id);
             }
-            if let Some(layer) = self.layers.get_mut(&old.source.get()) {
+            if let Some(layer) = self.layers.get_mut(old.source) {
                 layer.forget_tx_channel(old.id);
             }
         }
@@ -653,6 +679,10 @@ impl RtNetwork {
     /// starting at `start` and spaced by the channel's period.  Each message
     /// is `C_i` frames of `payload_len` bytes, all stamped with the same
     /// absolute deadline (they belong to the same periodic message).
+    ///
+    /// A `count` whose frames or whose last release time do not fit the
+    /// counters, or whose batch cannot be allocated, is an error that
+    /// leaves the network untouched.
     pub fn send_periodic(
         &mut self,
         source: NodeId,
@@ -663,7 +693,7 @@ impl RtNetwork {
     ) -> RtResult<()> {
         let layer = self
             .layers
-            .get_mut(&source.get())
+            .get_mut(source)
             .ok_or(RtError::UnknownNode(source))?;
         let spec = layer
             .tx_channel(channel)
@@ -671,7 +701,29 @@ impl RtNetwork {
             .spec;
         let period = self.sim.config().link_speed.slots_to_duration(spec.period);
         let start = start.max(self.sim.now());
-        let mut batch = Vec::with_capacity((count * spec.capacity.get()) as usize);
+        let too_many = || {
+            RtError::Simulation(format!(
+                "{count} periodic messages of {} frames every {period} from {start} \
+                 overflow the frame count or the simulated clock",
+                spec.capacity.get()
+            ))
+        };
+        let frames = count
+            .checked_mul(spec.capacity.get())
+            .and_then(|frames| usize::try_from(frames).ok())
+            .ok_or_else(too_many)?;
+        // The last message's release and the deadline stamped on it.
+        let stamp = layer.absolute_deadline_for(channel, &spec, SimTime::ZERO) - SimTime::ZERO;
+        if let Some(last) = count.checked_sub(1) {
+            period
+                .as_nanos()
+                .checked_mul(last)
+                .and_then(|span| start.checked_add(Duration::from_nanos(span)))
+                .and_then(|at| at.checked_add(stamp))
+                .ok_or_else(too_many)?;
+        }
+        let mut batch = Vec::new();
+        batch.try_reserve_exact(frames).map_err(|_| too_many())?;
         for k in 0..count {
             let at = start + period.saturating_mul(k);
             let message = layer.prepare_message(channel, vec![0u8; payload_len], at)?;
@@ -733,7 +785,7 @@ impl RtNetwork {
     /// its simulated time, so a teardown inside the window takes effect on
     /// the traffic behind it.
     pub fn run_until(&mut self, limit: SimTime) -> RtResult<SimTime> {
-        self.pump_with(|sim| sim.run_until_delivery_before(limit))?;
+        self.pump_until(limit)?;
         Ok(self.sim.now())
     }
 
@@ -743,21 +795,34 @@ impl RtNetwork {
     /// channel's wire state — while later traffic is still in flight,
     /// exactly as a real switch would.
     fn pump(&mut self) -> RtResult<()> {
-        self.pump_with(Simulator::run_until_delivery)
+        self.pump_until(SimTime::MAX)
     }
 
-    /// The pump loop over either stepping rule: `step` runs the simulator
-    /// up to its next delivery (`true`) or until it has nothing left to run
-    /// (`false`).  One buffer takes the deliveries of every poll.
-    fn pump_with(&mut self, mut step: impl FnMut(&mut Simulator) -> bool) -> RtResult<()> {
+    /// The pump loop: run the simulator to its next deliveries at or before
+    /// `limit` ([`Simulator::run_until_delivery_before`]: whole instants,
+    /// stopping right after a delivery that must be answered) and dispatch
+    /// them in order, until nothing is left at or before `limit`.  One
+    /// buffer takes the deliveries of every poll.
+    fn pump_until(&mut self, limit: SimTime) -> RtResult<()> {
         let mut deliveries = Vec::new();
-        while step(&mut self.sim) {
+        while self.advance(limit) {
             self.sim.poll_deliveries_into(&mut deliveries);
             for delivery in deliveries.drain(..) {
                 self.dispatch(delivery)?;
             }
         }
         Ok(())
+    }
+
+    /// One pump step; the one-event oracle in test builds that ask for it.
+    #[inline]
+    fn advance(&mut self, limit: SimTime) -> bool {
+        #[cfg(test)]
+        if self.one_event_pump {
+            let due = self.sim.next_event_time().is_some_and(|t| t <= limit);
+            return due && self.sim.step();
+        }
+        self.sim.run_until_delivery_before(limit)
     }
 
     /// Tear a released channel down on the wire and at the endpoints: its
@@ -767,7 +832,7 @@ impl RtNetwork {
     /// it too.
     fn process_released(&mut self, released: ReleasedChannel) {
         self.sim.release_channel(released.id);
-        if let Some(layer) = self.layers.get_mut(&released.destination.get()) {
+        if let Some(layer) = self.layers.get_mut(released.destination) {
             layer.forget_rx_channel(released.id);
         }
     }
@@ -803,7 +868,7 @@ impl RtNetwork {
 
         // Traffic delivered to an end node.
         let node_key = receiver.get();
-        let Some(layer) = self.layers.get_mut(&node_key) else {
+        let Some(layer) = self.layers.get_mut(receiver) else {
             return Err(RtError::UnknownNode(receiver));
         };
         match frame {
@@ -883,6 +948,118 @@ impl RtNetwork {
 mod tests {
     use super::*;
     use rt_types::RoutePolicy;
+
+    /// What the pump differential compares of a finished run.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        received: String,
+        best_effort: u64,
+        stats: String,
+        now: SimTime,
+        events: u64,
+    }
+
+    /// One scripted run on a ring of four switches with two nodes each:
+    /// channels established, periodic RT traffic plus best effort, a trunk
+    /// cut mid-run (its link-state flood racing the traffic under
+    /// distributed control), a teardown mid-run (its frame racing the
+    /// traffic to the end of the run), then an establishment while best
+    /// effort is in flight.  `one_event_pump` runs it on the oracle.
+    fn scripted_run(one_event_pump: bool, distributed: bool, seed: u64) -> Outcome {
+        let mut builder = RtNetwork::builder()
+            .topology(Topology::ring(4, 2))
+            .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 3,
+            }))
+            .multihop_dps(MultiHopDps::Symmetric);
+        if distributed {
+            builder = builder.distributed_control();
+        }
+        let mut net = builder.build().unwrap();
+        net.one_event_pump = one_event_pump;
+        let mut rng = rt_types::rng::Xoshiro256::new(0x9a3b ^ seed);
+        let spec = RtChannelSpec::paper_default();
+        let mut channels = Vec::new();
+        for (source, destination) in [(0, 5), (2, 7), (4, 1), (6, 3), (1, 4)] {
+            let (source, destination) = (NodeId::new(source), NodeId::new(destination));
+            if let Some(tx) = net.establish_channel(source, destination, spec).unwrap() {
+                channels.push((source, tx.id));
+            }
+        }
+        assert!(channels.len() >= 3, "{} channels admitted", channels.len());
+        let start = net.now() + Duration::from_micros(100);
+        let best_effort = |net: &mut RtNetwork, rng: &mut rt_types::rng::Xoshiro256, from| {
+            for _ in 0..40 {
+                let (source, destination) = (rng.below(8) as u32, rng.below(8) as u32);
+                let at = from + Duration::from_micros(rng.below(3_000));
+                let payload = 64 + rng.below(900) as usize;
+                if source != destination {
+                    net.send_best_effort(
+                        NodeId::new(source),
+                        NodeId::new(destination),
+                        payload,
+                        at,
+                    )
+                    .unwrap();
+                }
+            }
+        };
+        for (k, &(source, id)) in channels.iter().enumerate() {
+            let at = start + Duration::from_nanos(rng.below(5_000));
+            net.send_periodic(source, id, 12, 100 + 200 * k, at)
+                .unwrap();
+        }
+        best_effort(&mut net, &mut rng, start);
+        net.run_until(start + Duration::from_micros(300 + rng.below(1_000)))
+            .unwrap();
+        let report = net.fail_trunk(SwitchId::new(0), SwitchId::new(1)).unwrap();
+        assert!(!report.rerouted.is_empty(), "the cut moves a channel");
+        net.run_until(start + Duration::from_micros(1_500 + rng.below(1_000)))
+            .unwrap();
+        let &(source, id) = channels
+            .iter()
+            .find(|(_, id)| report.dropped.iter().all(|old| old.id != *id))
+            .expect("a channel survives the cut");
+        net.teardown_channel(source, id).unwrap();
+        let now = net.now();
+        best_effort(&mut net, &mut rng, now);
+        net.establish_channel(NodeId::new(3), NodeId::new(6), spec)
+            .unwrap();
+        net.settle().unwrap();
+        assert!(net.best_effort_received() > 0 && !net.received_messages().is_empty());
+        Outcome {
+            received: format!("{:?}", net.received_messages()),
+            best_effort: net.best_effort_received(),
+            stats: format!("{:?}", net.simulator().stats()),
+            now: net.now(),
+            events: net.simulator().events_processed(),
+        }
+    }
+
+    /// The instant-draining pump against the one-event oracle
+    /// (`pump_until` over [`Simulator::step`]), central and distributed
+    /// control: the same received messages in the same order, the same best
+    /// effort count, statistics, clock and event count.  Seeds from
+    /// `RT_ADVERSARIAL_SEEDS`, else 2.
+    #[test]
+    fn prop_pump_matches_the_one_event_oracle() {
+        let seeds = std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(2);
+        for seed in 0..seeds {
+            for distributed in [false, true] {
+                let oracle = scripted_run(true, distributed, seed);
+                let pump = scripted_run(false, distributed, seed);
+                let context = format!("seed {seed}, distributed {distributed}");
+                assert_eq!(pump.received, oracle.received, "{context}: received");
+                assert_eq!(pump.best_effort, oracle.best_effort, "{context}");
+                assert_eq!(pump.stats, oracle.stats, "{context}: statistics");
+                assert_eq!(pump.now, oracle.now, "{context}: clock");
+                assert_eq!(pump.events, oracle.events, "{context}: events");
+            }
+        }
+    }
 
     fn network(nodes: u32, dps: DpsKind) -> RtNetwork {
         RtNetwork::builder()
@@ -972,7 +1149,7 @@ mod tests {
             .collect();
         let mut at = net.now() + Duration::from_millis(1);
         for payload in &payloads {
-            let layer = net.layers.get_mut(&src.get()).unwrap();
+            let layer = net.layers.get_mut(src).unwrap();
             let eth = layer.prepare_data(tx.id, payload.clone(), at).unwrap();
             net.sim.inject(src, eth, at).unwrap();
             at += Duration::from_millis(1);

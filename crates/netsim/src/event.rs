@@ -9,11 +9,19 @@
 //! runs on; the [`HeapScheduler`] is the straightforward reference it is
 //! checked against — event by event inside every debug-build [`EventQueue`],
 //! and directly by this module's differential tests in any build.
+//!
+//! Beside the calendar, an [`EventQueue`] keeps FIFO *delay lanes*: an
+//! event scheduled a fixed delay `d` after the current instant goes to the
+//! lane of `d`, where it lands behind every earlier event of that lane in
+//! `(time, seq)` order — no priority-queue operation is needed to keep an
+//! already ordered stream ordered.  The forwarding core's hop events (a
+//! transmission's end, a switch or node arrival) are such streams; every pop
+//! merges the lane heads with the calendar's minimum.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-use rt_types::{NodeId, SimTime, SwitchId};
+use rt_types::{Duration, NodeId, SimTime, SwitchId};
 
 use crate::sim::FrameId;
 
@@ -614,18 +622,24 @@ impl CalendarScheduler {
     }
 
     /// Settle the cursor on the bucket holding the global minimum: its slot
-    /// and, in a chain, the slot linked before it (`NIL` at the head), or
-    /// `None` when nothing is pending at or before `limit`.  A refusal
-    /// commits the cursor (repeated window probes do not rescan the same
-    /// empty buckets) but never the year.
+    /// and, in a chain, the slot linked before it (`NIL` at the head).  When
+    /// nothing is pending at or before `limit`, the refusal carries a lower
+    /// bound of the minimal `(time, seq)`: the minimum itself when it was
+    /// found, the overflow's earliest time when the year stayed put.  A
+    /// refusal commits the cursor (repeated window probes do not rescan the
+    /// same empty buckets) but never the year.
     #[inline]
-    fn locate(&mut self, limit: u64) -> Option<(u32, u32)> {
+    fn locate(&mut self, limit: u64) -> Result<(u32, u32), (u64, u64)> {
         loop {
             if self.in_buckets == 0 && !self.migrate(limit) {
-                return None;
+                return Err((self.overflow_min, 0));
             }
-            if let Some(&Reverse((time, _, slot))) = self.active.peek() {
-                return (time <= limit).then_some((slot, NIL));
+            if let Some(&Reverse((time, seq, slot))) = self.active.peek() {
+                return if time <= limit {
+                    Ok((slot, NIL))
+                } else {
+                    Err((time, seq))
+                };
             }
             let mut cursor = self.cursor;
             while self.buckets[cursor] == NIL {
@@ -647,17 +661,22 @@ impl CalendarScheduler {
             self.examined(cursor - self.cursor + len);
             self.cursor = cursor;
             if len <= WIDTH_SAMPLE {
-                return (self.slab[slot as usize].time <= limit).then_some((slot, prev));
+                let min = &self.slab[slot as usize];
+                return if min.time <= limit {
+                    Ok((slot, prev))
+                } else {
+                    Err((min.time, min.seq))
+                };
             }
             self.load();
         }
     }
 
     /// Unlink every event at `time`, the minimum, from the chain under the
-    /// cursor in **one** walk and release them to `out` in FIFO order.
+    /// cursor in **one** walk and release them to `emit` in FIFO order.
     /// Equal times land in the same bucket at any geometry, so this really
     /// is the whole run; a `locate` per event would rescan the same chain.
-    fn drain_run(&mut self, time: u64, out: &mut Vec<Event>) {
+    fn drain_run(&mut self, time: u64, emit: &mut impl FnMut(u64, Event)) {
         let mut run = std::mem::take(&mut self.run_scratch);
         let mut prev = NIL;
         let mut walk = self.buckets[self.cursor];
@@ -679,8 +698,8 @@ impl CalendarScheduler {
         self.in_buckets -= run.len();
         // The bucket chain is unordered; FIFO comes from the seq sort.
         run.sort_unstable_by_key(|&(seq, _)| seq);
-        for (_, slot) in run.drain(..) {
-            out.push(self.release_slot(slot).1);
+        for (seq, slot) in run.drain(..) {
+            emit(seq, self.release_slot(slot).1);
         }
         self.run_scratch = run;
         self.floor = time;
@@ -710,6 +729,58 @@ impl CalendarScheduler {
             self.resize();
         }
     }
+
+    /// `Ok` with the `(time, seq)` of the minimal event if it lies at or
+    /// before `limit`; otherwise `Err` with a key later than `limit` and no
+    /// later than the minimum (`SimTime::MAX` when nothing is pending).
+    /// Like a refused pop it may settle the cursor and order a long bucket;
+    /// it moves the year only when the minimum is at or before `limit`, so
+    /// a caller passes as `limit` the earliest time it could pop next (the
+    /// year invariant then holds whichever source it pops).
+    pub(crate) fn peek_key(&mut self, limit: SimTime) -> Result<(SimTime, u64), (SimTime, u64)> {
+        let key = |(time, seq)| (SimTime::from_nanos(time), seq);
+        match self.locate(limit.as_nanos()) {
+            Ok((slot, _)) => {
+                let s = &self.slab[slot as usize];
+                Ok(key((s.time, s.seq)))
+            }
+            Err(bound) => Err(key(bound)),
+        }
+    }
+
+    /// [`EventScheduler::pop_run_at_or_before`] with each event's `seq`:
+    /// the run is appended to `out` as `(seq, event)` in FIFO order.
+    pub(crate) fn pop_run_keyed(
+        &mut self,
+        limit: SimTime,
+        out: &mut Vec<(u64, Event)>,
+    ) -> Option<SimTime> {
+        self.pop_run_with(limit, &mut |seq, event| out.push((seq, event)))
+    }
+
+    /// The minimal same-time run at or before `limit`, handed to `emit` as
+    /// `(seq, event)` in FIFO order.
+    #[inline]
+    fn pop_run_with(
+        &mut self,
+        limit: SimTime,
+        emit: &mut impl FnMut(u64, Event),
+    ) -> Option<SimTime> {
+        let (slot, _) = self.locate(limit.as_nanos()).ok()?;
+        let time = self.slab[slot as usize].time;
+        if self.active.is_empty() {
+            self.drain_run(time, emit);
+        }
+        // The run is the top of the ordered bucket, in FIFO order.
+        while let Some(&Reverse((next, seq, slot))) = self.active.peek() {
+            if next != time {
+                break;
+            }
+            emit(seq, self.take(slot, NIL).1);
+        }
+        self.shrink_if_sparse();
+        Some(SimTime::from_nanos(time))
+    }
 }
 
 impl EventScheduler for CalendarScheduler {
@@ -731,27 +802,14 @@ impl EventScheduler for CalendarScheduler {
 
     #[inline]
     fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
-        let (slot, prev) = self.locate(limit.as_nanos())?;
+        let (slot, prev) = self.locate(limit.as_nanos()).ok()?;
         let popped = self.take(slot, prev);
         self.shrink_if_sparse();
         Some(popped)
     }
 
     fn pop_run_at_or_before(&mut self, limit: SimTime, out: &mut Vec<Event>) -> Option<SimTime> {
-        let (slot, _) = self.locate(limit.as_nanos())?;
-        let time = self.slab[slot as usize].time;
-        if self.active.is_empty() {
-            self.drain_run(time, out);
-        }
-        // The run is the top of the ordered bucket, in FIFO order.
-        while let Some(&Reverse((next, _, slot))) = self.active.peek() {
-            if next != time {
-                break;
-            }
-            out.push(self.take(slot, NIL).1);
-        }
-        self.shrink_if_sparse();
-        Some(SimTime::from_nanos(time))
+        self.pop_run_with(limit, &mut |_, event| out.push(event))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -779,7 +837,15 @@ impl EventScheduler for CalendarScheduler {
 }
 
 /// A time-ordered event queue with FIFO tie-breaking and a monotone clock,
-/// on the [`CalendarScheduler`].
+/// on the [`CalendarScheduler`] and up to 16 FIFO delay lanes.
+///
+/// [`EventQueue::schedule`] files an event at an absolute time into the
+/// calendar.  The crate-private `schedule_after` files an event a fixed
+/// delay after a given instant into the lane of that delay, first come
+/// first served, and into the calendar once the lanes are taken.  Every pop
+/// flavour takes the `(time, seq)` minimum over the lane heads and the
+/// calendar, and a same-time run that spans several of them is merged by
+/// `seq`: the total order is the one a single scheduler would give.
 ///
 /// In debug builds the queue also feeds every event to a [`HeapScheduler`]
 /// and asserts on every pop that the reference yields the same `(time,
@@ -788,11 +854,145 @@ impl EventScheduler for CalendarScheduler {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     scheduler: CalendarScheduler,
+    /// A key no later than the calendar's minimal `(time, seq)`: a lane
+    /// head before it pops without a look at the calendar.
+    calendar_bound: (SimTime, u64),
+    lanes: DelayLanes,
+    /// Reusable scratch: the lanes at the earliest time, and a calendar run
+    /// with its `seq`s for merging with them.
+    fronts: Fronts,
+    merge: Vec<(u64, Event)>,
     #[cfg(debug_assertions)]
     shadow: Shadow,
     next_seq: u64,
     now: SimTime,
     processed: u64,
+}
+
+/// The most distinct delays that get a lane.  The forwarding core uses one
+/// per transmission time (one per frame size), one for a switch arrival and
+/// one for a node arrival: 3 for traffic of one frame size, 5 for the full
+/// stack's mix of RT data, control and best-effort frames on the torus.
+const MAX_LANES: usize = 16;
+
+/// FIFO queues of events, one per fixed delay: each lane is in `(time,
+/// seq)` order because its events were scheduled at non-decreasing instants
+/// with strictly increasing `seq`.
+#[derive(Debug, Default)]
+struct DelayLanes {
+    /// The delay of each lane, in nanoseconds, in order of first use.
+    delays: Vec<u64>,
+    queues: Vec<VecDeque<ScheduledEvent>>,
+    /// Events in all lanes.
+    len: usize,
+}
+
+impl DelayLanes {
+    /// The lane an event `delay` after its instant, due at `at`, joins: the
+    /// delay's own lane (a new one while fewer than [`MAX_LANES`] exist),
+    /// unless `at` lies before the lane's last event — an instant that went
+    /// back — or no lane is free (`None`: the calendar takes it).
+    #[inline]
+    fn lane_for(&mut self, delay: u64, at: SimTime) -> Option<usize> {
+        let lane = match self.delays.iter().position(|&d| d == delay) {
+            Some(lane) => lane,
+            None if self.delays.len() < MAX_LANES => {
+                self.delays.push(delay);
+                self.queues.push(VecDeque::new());
+                self.delays.len() - 1
+            }
+            None => return None,
+        };
+        match self.queues[lane].back() {
+            Some(last) if last.time > at => None,
+            _ => Some(lane),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, lane: usize, event: ScheduledEvent) {
+        self.queues[lane].push_back(event);
+        self.len += 1;
+    }
+
+    /// The earliest time at the lanes' fronts, with every lane whose front
+    /// is at that time in `fronts`.
+    #[inline]
+    fn earliest(&self, fronts: &mut Fronts) -> Option<SimTime> {
+        fronts.len = 0;
+        let mut earliest: Option<SimTime> = None;
+        for (lane, queue) in self.queues.iter().enumerate() {
+            let Some(e) = queue.front() else { continue };
+            if earliest.is_none_or(|time| e.time < time) {
+                earliest = Some(e.time);
+                fronts.len = 0;
+            }
+            if earliest == Some(e.time) {
+                fronts.keys[fronts.len] = (e.seq, lane);
+                fronts.len += 1;
+            }
+        }
+        earliest
+    }
+
+    /// Remove lane `lane`'s front event.
+    #[inline]
+    fn pop(&mut self, lane: usize) -> (SimTime, Event) {
+        let e = self.queues[lane]
+            .pop_front()
+            .expect("only a lane with a front event is popped");
+        self.len -= 1;
+        (e.time, e.event)
+    }
+
+    /// Move every event at `time` — of the lanes in `fronts`, which
+    /// [`DelayLanes::earliest`] found at `time`, and of `calendar`, a run at
+    /// `time` in `seq` order — to `out`, merged by `seq`.
+    #[inline]
+    fn merge_at(
+        &mut self,
+        time: SimTime,
+        fronts: &mut Fronts,
+        calendar: impl Iterator<Item = (u64, Event)>,
+        out: &mut Vec<Event>,
+    ) {
+        let mut calendar = calendar.peekable();
+        loop {
+            let Some(at) = (0..fronts.len).min_by_key(|&at| fronts.keys[at]) else {
+                out.extend(calendar.map(|(_, event)| event));
+                return;
+            };
+            let (seq, lane) = fronts.keys[at];
+            if calendar.peek().is_some_and(|&(first, _)| first < seq) {
+                out.extend(calendar.next().map(|(_, event)| event));
+                continue;
+            }
+            out.push(self.pop(lane).1);
+            match self.queues[lane].front() {
+                Some(next) if next.time == time => fronts.keys[at].0 = next.seq,
+                _ => {
+                    fronts.len -= 1;
+                    fronts.keys[at] = fronts.keys[fronts.len];
+                }
+            }
+        }
+    }
+}
+
+/// The `(seq, lane)` of the lanes whose front events share the earliest
+/// time.
+#[derive(Debug, Default)]
+struct Fronts {
+    keys: [(u64, usize); MAX_LANES],
+    len: usize,
+}
+
+impl Fronts {
+    /// The front with the least `seq`: the lanes' `(time, seq)` minimum.
+    #[inline]
+    fn first(&self) -> Option<(u64, usize)> {
+        self.keys[..self.len].iter().copied().min()
+    }
 }
 
 /// The reference beside the calendar (debug builds only).
@@ -860,12 +1060,22 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.scheduler.len()
+        self.scheduler.len() + self.lanes.len
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.scheduler.is_empty()
+        self.len() == 0
+    }
+
+    /// The next `seq`, with the event fed to the debug-build reference.
+    #[inline]
+    fn take_seq(&mut self, _at: SimTime, _event: &Event) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        #[cfg(debug_assertions)]
+        self.shadow.heap.push(_at, seq, _event.clone());
+        seq
     }
 
     /// Schedule `event` at absolute time `at`.  Scheduling in the past is a
@@ -882,17 +1092,47 @@ impl EventQueue {
         );
         let clamped = at < self.now;
         let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        #[cfg(debug_assertions)]
-        self.shadow.heap.push(at, seq, event.clone());
+        let seq = self.take_seq(at, &event);
+        self.calendar_bound = self.calendar_bound.min((at, seq));
         self.scheduler.push(at, seq, event);
         clamped
     }
 
+    /// The calendar's minimal `(time, seq)` if its time is at or before
+    /// `limit`, read from the bound when that settles it.
+    #[inline]
+    fn calendar_head(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
+        if self.calendar_bound.0 > limit {
+            return None;
+        }
+        let head = self.scheduler.peek_key(limit);
+        self.calendar_bound = head.unwrap_or_else(|bound| bound);
+        head.ok()
+    }
+
+    /// Schedule `event` `delay` after the instant `from` (the time of the
+    /// event being handled), in the FIFO lane of `delay`.  Same contract
+    /// and return value as [`EventQueue::schedule`], which it falls back on
+    /// when no lane can take the event.
+    #[inline]
+    pub(crate) fn schedule_after(&mut self, from: SimTime, delay: Duration, event: Event) -> bool {
+        let time = from + delay;
+        let lane = match self.lanes.lane_for(delay.as_nanos(), time) {
+            Some(lane) if time >= self.now => lane,
+            _ => return self.schedule(time, event),
+        };
+        let seq = self.take_seq(time, &event);
+        self.lanes.push(lane, ScheduledEvent { time, seq, event });
+        false
+    }
+
     /// The time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.scheduler.peek_time()
+        let lane = self.lanes.earliest(&mut Fronts::default());
+        match (lane, self.scheduler.peek_time()) {
+            (Some(lane), Some(calendar)) => Some(lane.min(calendar)),
+            (lane, calendar) => lane.or(calendar),
+        }
     }
 
     /// Pop the next event, advancing the clock to its time.
@@ -903,7 +1143,22 @@ impl EventQueue {
     /// Pop the next event only if it is scheduled at or before `limit` (one
     /// min search: the calendar's peek is not O(1)).
     pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
-        let popped = self.scheduler.pop_at_or_before(limit);
+        let lane = self
+            .lanes
+            .earliest(&mut self.fronts)
+            .filter(|&time| time <= limit);
+        // The calendar is asked only about what could precede the lanes.
+        let calendar_limit = lane.unwrap_or(limit);
+        let first = lane.zip(self.fronts.first());
+        let popped = match (first, self.calendar_head(calendar_limit)) {
+            (Some((time, (seq, lane))), calendar)
+                if calendar.is_none_or(|key| (time, seq) < key) =>
+            {
+                Some(self.lanes.pop(lane))
+            }
+            (_, Some(_)) => self.scheduler.pop_at_or_before(calendar_limit),
+            (_, None) => None,
+        };
         #[cfg(debug_assertions)]
         self.shadow.check_pop(limit, popped.as_ref());
         let (time, event) = popped?;
@@ -923,12 +1178,43 @@ impl EventQueue {
     /// same-time run only if it is scheduled at or before `limit`.
     pub fn pop_run_until(&mut self, limit: SimTime, out: &mut Vec<Event>) -> Option<SimTime> {
         out.clear();
-        let time = self.scheduler.pop_run_at_or_before(limit, out);
+        let time = self.drain_run(limit, out);
         #[cfg(debug_assertions)]
         self.shadow.check_run(limit, time, out);
         let time = time?;
         self.now = time;
         self.processed += out.len() as u64;
+        Some(time)
+    }
+
+    /// The run of [`EventQueue::pop_run_until`], from whichever sources hold
+    /// it: the calendar alone hands its run over as it is, lanes are merged
+    /// by `seq` with each other and with the calendar.
+    #[inline]
+    fn drain_run(&mut self, limit: SimTime, out: &mut Vec<Event>) -> Option<SimTime> {
+        let lane = self
+            .lanes
+            .earliest(&mut self.fronts)
+            .filter(|&time| time <= limit);
+        let calendar = self
+            .calendar_head(lane.unwrap_or(limit))
+            .map(|(time, _)| time);
+        let time = match (lane, calendar) {
+            (Some(lane), Some(calendar)) => lane.min(calendar),
+            (lane, calendar) => lane.or(calendar)?,
+        };
+        if calendar != Some(time) {
+            self.lanes
+                .merge_at(time, &mut self.fronts, std::iter::empty(), out);
+        } else if lane != Some(time) {
+            self.scheduler.pop_run_at_or_before(time, out);
+        } else {
+            let mut merge = std::mem::take(&mut self.merge);
+            self.scheduler.pop_run_keyed(time, &mut merge);
+            self.lanes
+                .merge_at(time, &mut self.fronts, merge.drain(..), out);
+            self.merge = merge;
+        }
         Some(time)
     }
 }
@@ -1531,6 +1817,150 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The queue — lanes and calendar — and the reference heap, fed the
+    /// same events: the queue through `schedule_after` (lane events) and
+    /// `schedule` (calendar events), the heap by absolute time.  Every pop
+    /// flavour asserts that the two agree, with `peek_time` and `len`
+    /// after it, so the comparison holds in release builds too.
+    struct LanePair {
+        queue: EventQueue,
+        heap: HeapScheduler,
+        seq: u64,
+        heap_run: Vec<Event>,
+        context: String,
+    }
+
+    impl LanePair {
+        fn new(context: String) -> Self {
+            LanePair {
+                queue: EventQueue::new(),
+                heap: HeapScheduler::new(),
+                seq: 0,
+                heap_run: Vec::new(),
+                context,
+            }
+        }
+
+        fn schedule(&mut self, at: SimTime, event: Event) {
+            self.heap.push(at, self.seq, event.clone());
+            self.queue.schedule(at, event);
+            self.seq += 1;
+        }
+
+        fn schedule_after(&mut self, from: SimTime, delay: u64, event: Event) {
+            let delay = rt_types::Duration::from_nanos(delay);
+            self.heap.push(from + delay, self.seq, event.clone());
+            self.queue.schedule_after(from, delay, event);
+            self.seq += 1;
+        }
+
+        fn settle<T: PartialEq + std::fmt::Debug>(&self, heap: T, queue: T) -> T {
+            let context = &self.context;
+            assert_eq!(heap, queue, "{context}: the lanes diverged from the heap");
+            assert_eq!(
+                self.heap.peek_time(),
+                self.queue.peek_time(),
+                "{context}: peek diverged"
+            );
+            assert_eq!(
+                self.heap.len(),
+                self.queue.len(),
+                "{context}: populations diverged"
+            );
+            queue
+        }
+
+        fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
+            let heap = self.heap.pop_at_or_before(limit);
+            let queue = self.queue.pop_until(limit);
+            self.settle(heap, queue)
+        }
+
+        fn pop_run_until(&mut self, limit: SimTime, out: &mut Vec<Event>) -> Option<SimTime> {
+            let mut heap_run = std::mem::take(&mut self.heap_run);
+            heap_run.clear();
+            let heap = self.heap.pop_run_at_or_before(limit, &mut heap_run);
+            let queue = self.queue.pop_run_until(limit, out);
+            let (time, _) = self.settle((heap, &heap_run), (queue, out));
+            self.heap_run = heap_run;
+            time
+        }
+    }
+
+    /// The delay lanes beside the calendar against the reference heap, in
+    /// every pop flavour, on a cascade that makes each popped event
+    /// schedule follow-ups: 20 distinct delays (so four overflow into the
+    /// calendar), a zero delay, every time a multiple of 100 ns (so one
+    /// instant often holds lane and calendar events alike), instants handled
+    /// ahead of the clock and then behind that (the lane refuses an event
+    /// that would precede its tail), far-future calendar events, and windows
+    /// that refuse.
+    #[test]
+    fn prop_lanes_and_calendar_match_the_heap_on_every_pop_flavour() {
+        for seed in 0..skew_seeds() {
+            let mut rng = Xoshiro256::new(0x1a9e5 ^ seed);
+            let mut pair = LanePair::new(format!("seed {seed}"));
+            let delays: Vec<u64> = (0..20).map(|k| k * 100 * (1 + seed % 3)).collect();
+            for k in 0..2_000 {
+                let at = 100 * rng.below(if k % 50 == 0 { 10_000_000 } else { 2_000 });
+                pair.schedule(SimTime::from_nanos(at), ev(0, k));
+            }
+            let mut frame = 10_000u64;
+            let mut out = Vec::new();
+            let (mut lanes_used, mut spanned, mut ties) = (0, 0, 0);
+            while pair.seq < 40_000 && !pair.heap.is_empty() {
+                let now = pair.queue.now();
+                let lane = pair.queue.lanes.earliest(&mut Fronts::default());
+                ties += usize::from(lane.is_some() && lane == pair.queue.scheduler.peek_time());
+                let limit = now + rt_types::Duration::from_nanos(100 * rng.below(30));
+                let popped = match rng.below(4) {
+                    0 => pair.pop_until(SimTime::MAX).map(|(t, e)| (t, vec![e])),
+                    1 => pair.pop_until(limit).map(|(t, e)| (t, vec![e])),
+                    2 => pair
+                        .pop_run_until(SimTime::MAX, &mut out)
+                        .map(|t| (t, out.clone())),
+                    _ => pair
+                        .pop_run_until(limit, &mut out)
+                        .map(|t| (t, out.clone())),
+                };
+                let Some((now, events)) = popped else {
+                    continue;
+                };
+                for _ in &events {
+                    for _ in 0..rng.below(3) {
+                        frame += 1;
+                        let event = ev(1, frame);
+                        match rng.below(8) {
+                            0 => {
+                                let at = now + rt_types::Duration::from_nanos(100 * rng.below(40));
+                                pair.schedule(at, event);
+                            }
+                            // An instant handled ahead of the clock.
+                            1 => {
+                                let from = now + rt_types::Duration::from_nanos(100 * rng.below(5));
+                                let delay = delays[rng.below(20) as usize];
+                                pair.schedule_after(from, delay, event);
+                            }
+                            _ => {
+                                let delay = delays[rng.below(20) as usize];
+                                pair.schedule_after(now, delay, event);
+                            }
+                        }
+                    }
+                }
+                lanes_used = lanes_used.max(pair.queue.lanes.queues.len());
+                spanned += usize::from(events.len() > 1);
+            }
+            assert_eq!(lanes_used, MAX_LANES, "seed {seed}: every lane in use");
+            assert!(
+                spanned > 100,
+                "seed {seed}: only {spanned} multi-event runs"
+            );
+            assert!(ties > 100, "seed {seed}: only {ties} lane-calendar ties");
+            while pair.pop_until(SimTime::MAX).is_some() {}
         }
     }
 

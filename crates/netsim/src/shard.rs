@@ -264,7 +264,15 @@ impl ShardSink<'_> {
 impl Sink for ShardSink<'_> {
     /// Stage the arrival locally, or hand it to the owning shard's ring
     /// (spilling through the coordinator when full).
-    fn switch_arrival(&mut self, _lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId) {
+    fn switch_arrival(
+        &mut self,
+        _lane: &mut Lane,
+        now: SimTime,
+        after: Duration,
+        switch: u32,
+        frame: FrameId,
+    ) {
+        let at = now + after;
         let dest = self.assignment[switch as usize];
         if dest == self.shard {
             self.stage(at.as_nanos(), switch, frame);

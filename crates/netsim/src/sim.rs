@@ -52,11 +52,11 @@
 //! entity gets a contiguous index — nodes, switches (via the router's
 //! [`rt_types::DenseNextHop`]) and output ports (uplink `2i`, downlink `2i + 1`,
 //! trunks after all access ports) — and every per-event decision is a few
-//! bounds-checked array reads.  A frame's destination MAC is resolved
+//! bounds-checked array reads.  A frame's destination MAC is decoded
 //! *once*, at injection time, into its dense node and access-switch
-//! indices.  The pending-event set lives in the calendar queue of
-//! [`crate::event::EventQueue`]; debug builds check every pop against the
-//! binary-heap reference.
+//! indices.  The pending-event set lives in [`crate::event::EventQueue`]:
+//! hop events in its FIFO delay lanes, the rest in its calendar queue;
+//! debug builds check every pop against the binary-heap reference.
 //!
 //! The single-switch star of the paper's §18.1 is the degenerate one-switch
 //! case ([`Simulator::new`]) and behaves exactly as it always has.
@@ -64,7 +64,6 @@
 //! The simulator is single-threaded and deterministic: identical inputs
 //! produce identical event sequences, deliveries and statistics.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rt_frames::{EthernetFrame, Frame, FramePeek};
@@ -320,20 +319,21 @@ pub struct Simulator {
     pub(crate) fabric: Fabric,
     /// What the per-event path writes.
     pub(crate) lane: Lane,
-    /// MAC → node table (static; consulted once per frame at injection).
-    forwarding: HashMap<MacAddr, NodeId>,
-    /// The generic switch MAC address (node-originated control traffic is
-    /// addressed here).
-    switch_mac: MacAddr,
-    /// Per-switch control-plane MAC → dense switch index (the transport of
-    /// switch-to-switch reservation frames).
-    switch_macs: HashMap<MacAddr, u32>,
     /// The switch hosting the RT channel management software.
     manager_switch: SwitchId,
     /// The bytes of the frames in flight and the pending deliveries.
     pub(crate) sink: Inline,
-    /// Reusable scratch for the batched same-time event drain.
-    event_batch: Vec<Event>,
+    /// The same-time run being dispatched; its events from `run_next` on
+    /// are pending yet (a run a delivery interrupted holds them here).
+    run: Vec<Event>,
+    run_next: usize,
+}
+
+/// `true` if the driver must answer `delivery` before the simulation may go
+/// on: a frame to a switch's control plane, or control traffic (real-time
+/// class without a channel) to a node.
+fn needs_answer(delivery: &Delivery) -> bool {
+    delivery.receiver == NodeId::SWITCH || switch::is_control(delivery.class, delivery.channel)
 }
 
 /// The single-thread driver's [`Sink`] (and the sharded merge's): a switch
@@ -347,9 +347,16 @@ pub(crate) struct Inline {
 
 impl Sink for Inline {
     #[inline]
-    fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId) {
+    fn switch_arrival(
+        &mut self,
+        lane: &mut Lane,
+        now: SimTime,
+        after: Duration,
+        switch: u32,
+        frame: FrameId,
+    ) {
         let switch = lane.dense.switch_at(switch);
-        lane.schedule(at, Event::ArriveAtSwitch { switch, frame });
+        lane.schedule_after(now, after, Event::ArriveAtSwitch { switch, frame });
     }
 
     #[inline]
@@ -414,7 +421,6 @@ impl Simulator {
         let node_index = IdIndex::new(topology.nodes().map(|n| n.get()));
         let mut node_access = Vec::with_capacity(node_index.len());
         let mut port_links = Vec::with_capacity(2 * node_index.len() + 2 * topology.trunk_count());
-        let mut forwarding = HashMap::new();
         for node in topology.nodes() {
             let access = topology
                 .switch_of(node)
@@ -422,7 +428,6 @@ impl Simulator {
             node_access.push(switch_idx(access));
             port_links.push(HopLink::Uplink(node));
             port_links.push(HopLink::Downlink(node));
-            forwarding.insert(MacAddr::for_node(node), node);
         }
         let mut trunk_ports = vec![NO_INDEX; switch_count * switch_count];
         for (a, b) in topology.trunks() {
@@ -436,10 +441,6 @@ impl Simulator {
             .switches()
             .next()
             .expect("the fabric has a switch: switch_count was checked above");
-        let switch_macs = topology
-            .switches()
-            .map(|switch| (MacAddr::for_switch_id(switch), switch_idx(switch)))
-            .collect();
         let distributed_control =
             topology.manager_placement() == rt_types::ManagerPlacement::Distributed;
         let manager_index = switch_idx(manager_switch);
@@ -461,12 +462,10 @@ impl Simulator {
                 frames: Vec::new(),
             },
             lane,
-            forwarding,
-            switch_mac: MacAddr::for_switch(),
-            switch_macs,
             manager_switch,
             sink: Inline::default(),
-            event_batch: Vec::new(),
+            run: Vec::new(),
+            run_next: 0,
         })
     }
 
@@ -515,7 +514,7 @@ impl Simulator {
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.lane.events.processed()
+        self.lane.events.processed() - self.held() as u64
     }
 
     /// Number of frames ever registered with the fabric (every injection
@@ -528,7 +527,20 @@ impl Simulator {
 
     /// Number of events still pending.
     pub fn events_pending(&self) -> usize {
-        self.lane.events.len()
+        self.lane.events.len() + self.held()
+    }
+
+    /// The time of the next pending event, if any.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        if self.held() > 0 {
+            return Some(self.now());
+        }
+        self.lane.events.peek_time()
+    }
+
+    /// Events of an interrupted run not dispatched yet.
+    fn held(&self) -> usize {
+        self.run.len() - self.run_next
     }
 
     /// Drain the deliveries that have accumulated since the last call.
@@ -757,26 +769,25 @@ impl Simulator {
         }
     }
 
-    /// Resolve a destination MAC once, into dense indices.
+    /// Resolve a destination MAC once, into dense indices: the generic
+    /// switch address, a topology switch's [`MacAddr::for_switch_id`] or an
+    /// attached node's [`MacAddr::for_node`], decoded and looked up in the
+    /// dense indices; anything else is unknown.
     fn resolve_dest(&self, dst: MacAddr) -> FrameDest {
-        if dst == self.switch_mac {
+        if dst == MacAddr::for_switch() {
             return FrameDest::ControlPlane;
         }
-        if let Some(&switch) = self.switch_macs.get(&dst) {
+        if let Some(switch) = dst.switch_id().and_then(|s| self.lane.dense.index_of(s)) {
             return FrameDest::Switch { switch };
         }
-        match self.forwarding.get(&dst) {
-            Some(&node) => {
-                let node_idx = self
-                    .fabric
-                    .node_index
-                    .get(node.get())
-                    .expect("forwarding only holds attached nodes");
-                FrameDest::Node {
-                    node: node_idx,
-                    switch: self.fabric.node_access[node_idx as usize],
-                }
-            }
+        match dst
+            .node_id()
+            .and_then(|n| self.fabric.node_index.get(n.get()))
+        {
+            Some(node) => FrameDest::Node {
+                node,
+                switch: self.fabric.node_access[node as usize],
+            },
             None => FrameDest::Unknown,
         }
     }
@@ -951,54 +962,81 @@ impl Simulator {
     /// later sequence numbers, so handling the run before them is exactly
     /// the single-pop order.
     pub fn run_to_idle(&mut self) -> SimTime {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while let Some(time) = self.lane.events.pop_run(&mut batch) {
-            for event in batch.drain(..) {
-                self.dispatch(time, event);
-            }
-        }
-        self.event_batch = batch;
+        self.run_instants::<false>(SimTime::MAX);
         self.now()
     }
 
-    /// Run until at least one delivery is pending (`true`) or the event
-    /// queue drains (`false`).  This is what a control-plane driver wants:
-    /// react to each delivery *at its simulated time* instead of after the
-    /// whole event queue has drained — a teardown or a fault must take
-    /// effect while later traffic is still in flight, not after it.
+    /// Run until deliveries are pending (`true`) or the event queue drains
+    /// (`false`).  This is what a control-plane driver wants: react to
+    /// deliveries *at their simulated time* instead of after the whole event
+    /// queue has drained — a teardown or a fault must take effect while
+    /// later traffic is still in flight, not after it.
+    ///
+    /// Whole instants run at a time, and the run stops:
+    ///
+    /// * right after a delivery the driver must answer — one to a switch's
+    ///   control plane, or a real-time-class frame without a channel (a
+    ///   request or response) to a node.  The rest of that instant stays
+    ///   pending, and whichever entry point runs next finishes it first;
+    /// * otherwise at the end of an instant that delivered anything.
+    ///
+    /// A driver that answers each delivery as it is polled therefore acts
+    /// at the same point of the event order as one that steps event by
+    /// event: what it defers to the instant's end (RT data and best effort
+    /// to a node) never reaches back into the simulation.
     pub fn run_until_delivery(&mut self) -> bool {
-        while self.sink.deliveries.is_empty() {
-            if !self.step() {
-                return false;
-            }
-        }
-        true
+        self.run_until_delivery_before(SimTime::MAX)
     }
 
     /// The time-bounded form of [`Simulator::run_until_delivery`]: run
-    /// until a delivery is pending (`true`) or no event at or before
+    /// until deliveries are pending (`true`) or no event at or before
     /// `limit` remains (`false`).  Events after `limit` stay pending.
     pub fn run_until_delivery_before(&mut self, limit: SimTime) -> bool {
-        while self.sink.deliveries.is_empty() {
-            match self.lane.events.pop_until(limit) {
-                Some((time, event)) => self.dispatch(time, event),
-                None => return false,
-            }
-        }
-        true
+        !self.sink.deliveries.is_empty() || self.run_instants::<true>(limit)
     }
 
     /// Run until `limit` (inclusive); events after `limit` stay pending.
     /// Same-time runs are drained in one scheduler dispatch, as in
     /// [`Simulator::run_to_idle`].
     pub fn run_until(&mut self, limit: SimTime) {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while let Some(time) = self.lane.events.pop_run_until(limit, &mut batch) {
-            for event in batch.drain(..) {
-                self.dispatch(time, event);
+        self.run_instants::<false>(limit);
+    }
+
+    /// The one run loop: the held rest of an interrupted run first, then
+    /// whole same-time runs at or before `limit`.  `UNTIL_DELIVERY` applies
+    /// the stop rule of [`Simulator::run_until_delivery`] and returns `true`
+    /// at a stop; `false` means nothing is left at or before `limit`.
+    #[inline]
+    fn run_instants<const UNTIL_DELIVERY: bool>(&mut self, limit: SimTime) -> bool {
+        if self.held() > 0 && self.now() > limit {
+            return false;
+        }
+        loop {
+            loop {
+                let delivered = self.sink.deliveries.len();
+                if !self.step_held() {
+                    break;
+                }
+                if UNTIL_DELIVERY
+                    && self.sink.deliveries.len() > delivered
+                    && self.sink.deliveries.last().is_some_and(needs_answer)
+                {
+                    return true;
+                }
+            }
+            if UNTIL_DELIVERY && !self.sink.deliveries.is_empty() {
+                return true;
+            }
+            self.run_next = 0;
+            if self
+                .lane
+                .events
+                .pop_run_until(limit, &mut self.run)
+                .is_none()
+            {
+                return false;
             }
         }
-        self.event_batch = batch;
     }
 
     /// Drive the simulation with a pull-based [`TrafficSource`]: inject the
@@ -1027,8 +1065,12 @@ impl Simulator {
         }
     }
 
-    /// Process a single event; returns `false` when the queue is empty.
+    /// Process a single event — the next of an interrupted run, if one is
+    /// held; returns `false` when nothing is pending.
     pub fn step(&mut self) -> bool {
+        if self.step_held() {
+            return true;
+        }
         match self.lane.events.pop() {
             Some((time, event)) => {
                 self.dispatch(time, event);
@@ -1036,6 +1078,17 @@ impl Simulator {
             }
             None => false,
         }
+    }
+
+    /// Dispatch the next event of the held run; `false` if none is held.
+    #[inline]
+    fn step_held(&mut self) -> bool {
+        let Some(event) = self.run.get(self.run_next).cloned() else {
+            return false;
+        };
+        self.run_next += 1;
+        self.dispatch(self.now(), event);
+        true
     }
 
     /// Execute one event: one of the two kinds only this driver's calendar
@@ -1998,6 +2051,213 @@ pub(crate) mod tests {
         assert_eq!(sim.poll_deliveries().len(), 50);
         assert!(end >= SimTime::from_micros(100 + 49 * 400));
         assert_eq!(sim.events_pending(), 0);
+    }
+
+    /// A star of six nodes: nodes 0, 1 and 2 send one request each to the
+    /// switch at time zero, so their three arrivals at the control plane
+    /// make up one instant; node 3 sends best effort to node 4 beside them.
+    fn three_requests_in_one_instant() -> Simulator {
+        let mut sim = Simulator::new(SimConfig::default(), nodes(6));
+        for n in 0..3 {
+            let node = NodeId::new(n);
+            let req = rt_frames::RequestFrame {
+                src_mac: MacAddr::for_node(node),
+                dst_mac: MacAddr::for_node(NodeId::new(5)),
+                src_ip: Ipv4Address::for_node(node),
+                dst_ip: Ipv4Address::for_node(NodeId::new(5)),
+                period: rt_types::Slots::new(100),
+                capacity: rt_types::Slots::new(3),
+                deadline: rt_types::Slots::new(40),
+                rt_channel_id: None,
+                connection_request_id: rt_types::ConnectionRequestId::new(1),
+            };
+            let eth = req
+                .into_ethernet(MacAddr::for_node(node), MacAddr::for_switch())
+                .unwrap();
+            sim.inject(node, eth, SimTime::ZERO).unwrap();
+        }
+        let (a, b) = (NodeId::new(3), NodeId::new(4));
+        sim.inject(a, be_frame(a, b, 40), SimTime::ZERO).unwrap();
+        sim
+    }
+
+    /// What a driver sees of a simulator: the clock, the exact event
+    /// counters and the frames polled so far, with their receivers.
+    fn observed(sim: &mut Simulator, polled: &mut Vec<(FrameId, NodeId)>) -> (SimTime, u64, usize) {
+        polled.extend(sim.poll_deliveries().iter().map(|d| (d.frame, d.receiver)));
+        (sim.now(), sim.events_processed(), sim.events_pending())
+    }
+
+    /// `run_until_delivery` stops right after the first request reaches the
+    /// control plane, with the other two arrivals of that instant held: the
+    /// clock and both counters read exactly as after stepping event by event
+    /// to the same delivery.  From there `step`, `run_until`, `run_to_idle`
+    /// and `run_until_delivery` each finish the held arrivals first, in
+    /// order, and agree with the one-event oracle at every stop.
+    #[test]
+    fn a_run_stopped_mid_instant_is_finished_first_by_every_entry_point() {
+        let mut oracle = three_requests_in_one_instant();
+        let mut oracle_polled = Vec::new();
+        while oracle.sink.deliveries.is_empty() {
+            assert!(oracle.step());
+        }
+        let at_stop = observed(&mut oracle, &mut oracle_polled);
+
+        let interrupted = || {
+            let mut sim = three_requests_in_one_instant();
+            let mut polled = Vec::new();
+            assert!(sim.run_until_delivery());
+            assert_eq!(sim.held(), 2, "two arrivals of the instant are held");
+            let state = observed(&mut sim, &mut polled);
+            (sim, polled, state)
+        };
+        let (_, polled, state) = interrupted();
+        assert_eq!(state, at_stop, "(now, processed, pending) at the stop");
+        assert_eq!(polled, oracle_polled);
+        assert_eq!(polled[0].1, NodeId::SWITCH);
+
+        // `step`: the next held arrival, and nothing else.
+        let (mut sim, mut polled, _) = interrupted();
+        let mut oracle = three_requests_in_one_instant();
+        let mut oracle_polled = Vec::new();
+        for _ in 0..at_stop.1 + 1 {
+            oracle.step();
+        }
+        assert!(sim.step());
+        assert_eq!(
+            observed(&mut sim, &mut polled),
+            observed(&mut oracle, &mut oracle_polled)
+        );
+        assert_eq!(polled, oracle_polled);
+        assert_eq!(polled.len(), 2);
+
+        // `run_until_delivery` again: stops after the second request.
+        let (mut sim, mut polled, _) = interrupted();
+        assert!(sim.run_until_delivery());
+        assert_eq!(
+            observed(&mut sim, &mut polled),
+            observed(&mut oracle, &mut Vec::new())
+        );
+        assert_eq!(polled, oracle_polled);
+
+        // `run_until` the stop instant: the whole held rest, and no more.
+        let (mut sim, mut polled, _) = interrupted();
+        sim.run_until(at_stop.0);
+        let mut oracle = three_requests_in_one_instant();
+        let mut oracle_polled = Vec::new();
+        while oracle.next_event_time().is_some_and(|t| t <= at_stop.0) {
+            oracle.step();
+        }
+        assert_eq!(
+            observed(&mut sim, &mut polled),
+            observed(&mut oracle, &mut oracle_polled)
+        );
+        assert_eq!(polled, oracle_polled);
+        assert_eq!(
+            polled.len(),
+            3,
+            "the three requests, none of the best effort"
+        );
+
+        // `run_to_idle`: everything, in the one-event order.
+        let (mut sim, mut polled, _) = interrupted();
+        sim.run_to_idle();
+        let mut oracle = three_requests_in_one_instant();
+        let mut oracle_polled = Vec::new();
+        while oracle.step() {}
+        assert_eq!(
+            observed(&mut sim, &mut polled),
+            observed(&mut oracle, &mut oracle_polled)
+        );
+        assert_eq!(polled, oracle_polled);
+        assert_eq!(polled.len(), 4);
+        assert_eq!(sim.events_pending(), 0);
+    }
+
+    /// The two hashed MAC tables `resolve_dest` once probed, kept as its
+    /// oracle: generic switch MAC, then the per-switch table, then the
+    /// node table.
+    fn resolve_by_maps(sim: &Simulator, dst: MacAddr) -> FrameDest {
+        let switch_macs: std::collections::HashMap<MacAddr, u32> = sim
+            .topology
+            .switches()
+            .map(|s| {
+                (
+                    MacAddr::for_switch_id(s),
+                    sim.lane.dense.index_of(s).unwrap(),
+                )
+            })
+            .collect();
+        let forwarding: std::collections::HashMap<MacAddr, NodeId> = sim
+            .topology
+            .nodes()
+            .map(|n| (MacAddr::for_node(n), n))
+            .collect();
+        if dst == MacAddr::for_switch() {
+            return FrameDest::ControlPlane;
+        }
+        if let Some(&switch) = switch_macs.get(&dst) {
+            return FrameDest::Switch { switch };
+        }
+        match forwarding.get(&dst) {
+            Some(&node) => {
+                let node = sim.fabric.node_index.get(node.get()).unwrap();
+                FrameDest::Node {
+                    node,
+                    switch: sim.fabric.node_access[node as usize],
+                }
+            }
+            None => FrameDest::Unknown,
+        }
+    }
+
+    /// Decoding a destination MAC resolves it exactly as the hashed tables
+    /// did, on random connected fabrics with sparse switch and node ids:
+    /// every attached node, unattached node ids, every topology switch,
+    /// switch ids outside the topology, the generic switch address,
+    /// broadcast, zero and random addresses.
+    #[test]
+    fn prop_decoded_destinations_match_the_mac_tables() {
+        let mut rng = rt_types::rng::Xoshiro256::new(0xdec0de);
+        for round in 0..40 {
+            let mut t = Topology::new();
+            let switches: Vec<SwitchId> = (0..1 + rng.below(8))
+                .map(|k| SwitchId::new((k * (1 + rng.below(3_000))) as u32))
+                .collect();
+            for (k, &s) in switches.iter().enumerate() {
+                t.add_switch(s);
+                if k > 0 {
+                    let parent = switches[rng.below(k as u64) as usize];
+                    let _ = t.add_trunk(parent, s);
+                }
+            }
+            let mut next_node = rng.below(5);
+            for &s in &switches {
+                for _ in 0..rng.below(4) {
+                    next_node += 1 + rng.below(if round % 2 == 0 { 3 } else { 1 << 20 });
+                    t.attach_node(NodeId::new(next_node as u32), s).unwrap();
+                }
+            }
+            let sim = Simulator::with_topology(SimConfig::default(), t).unwrap();
+            let mut probes = vec![MacAddr::for_switch(), MacAddr::BROADCAST, MacAddr::ZERO];
+            probes.extend(sim.topology.nodes().map(MacAddr::for_node));
+            probes.extend(sim.topology.switches().map(MacAddr::for_switch_id));
+            for _ in 0..20 {
+                let id = rng.below(next_node + 10) as u32;
+                probes.push(MacAddr::for_node(NodeId::new(id)));
+                probes.push(MacAddr::for_switch_id(SwitchId::new(id)));
+                probes.push(MacAddr::from_u64(rng.next_u64()));
+            }
+            probes.push(MacAddr::for_node(NodeId::new(u32::MAX)));
+            probes.push(MacAddr::for_switch_id(SwitchId::new(u32::MAX)));
+            for dst in probes {
+                assert_eq!(
+                    sim.resolve_dest(dst),
+                    resolve_by_maps(&sim, dst),
+                    "round {round}: {dst}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ use crate::sim::{Delivery, FrameId, LinkFault, SimConfig};
 use crate::stats::SimStats;
 
 /// Where a frame is headed, resolved once at injection time so the per-hop
-/// forwarding decision never touches the MAC table again.
-#[derive(Debug, Clone, Copy)]
+/// forwarding decision never reads the MAC again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FrameDest {
     /// An attached end node: its dense node index and the dense index of
     /// its access switch.
@@ -327,6 +327,15 @@ impl Lane {
         }
     }
 
+    /// Schedule a hop event `delay` after `now`, the instant being handled:
+    /// into the queue's FIFO lane of `delay` (see [`EventQueue`]).
+    #[inline]
+    pub(crate) fn schedule_after(&mut self, now: SimTime, delay: Duration, event: Event) {
+        if self.events.schedule_after(now, delay, event) {
+            self.stats.record_clamped();
+        }
+    }
+
     /// Dense index of an event's switch.  Cannot fail: events carry switch
     /// ids the core read out of `port_links` or `dense.switch_at`, or that
     /// `inject_at_switch` checked against this index; faults never change
@@ -345,9 +354,16 @@ impl Lane {
 
 /// The decisions the core leaves to its driver.
 pub(crate) trait Sink {
-    /// A frame has fully crossed a link into dense switch `switch` and
-    /// becomes eligible for forwarding there at `at`.
-    fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId);
+    /// A frame has fully crossed a link into dense switch `switch` at
+    /// `now` and becomes eligible for forwarding there `after` that.
+    fn switch_arrival(
+        &mut self,
+        lane: &mut Lane,
+        now: SimTime,
+        after: Duration,
+        switch: u32,
+        frame: FrameId,
+    );
 
     /// A frame reached its receiver.  `delivery.eth` is empty: the driver
     /// moves the frame's bytes in.  `since_scheduled` is how long before
@@ -436,9 +452,10 @@ impl<S: Sink> Core<'_, S> {
                 // Last bit leaves the node now; it arrives at the access
                 // switch after the propagation delay, and becomes eligible
                 // for forwarding after the switch processing latency.
-                let arrive = now + fabric.switch_arrival_delay();
+                let after = fabric.switch_arrival_delay();
                 let switch = fabric.node_access[node_idx as usize];
-                self.sink.switch_arrival(self.lane, arrive, switch, frame);
+                self.sink
+                    .switch_arrival(self.lane, now, after, switch, frame);
                 self.try_start_tx(now, port);
             }
             Event::ArriveAtSwitch { switch, frame } => {
@@ -495,9 +512,9 @@ impl<S: Sink> Core<'_, S> {
             }
             Event::SwitchTxComplete { to, frame } => {
                 let port = 2 * fabric.node_idx(to) + 1;
-                let arrive = now + fabric.config.propagation_delay;
+                let after = fabric.config.propagation_delay;
                 self.lane
-                    .schedule(arrive, Event::ArriveAtNode { node: to, frame });
+                    .schedule_after(now, after, Event::ArriveAtNode { node: to, frame });
                 self.try_start_tx(now, port);
             }
             Event::TrunkTxComplete { from, to, frame } => {
@@ -516,8 +533,9 @@ impl<S: Sink> Core<'_, S> {
                     } else {
                         // Store-and-forward at the receiving switch, exactly
                         // as for a frame arriving over an uplink.
-                        let arrive = now + fabric.switch_arrival_delay();
-                        self.sink.switch_arrival(self.lane, arrive, to_idx, frame);
+                        let after = fabric.switch_arrival_delay();
+                        self.sink
+                            .switch_arrival(self.lane, now, after, to_idx, frame);
                     }
                     self.try_start_tx(now, port);
                 }
@@ -624,8 +642,7 @@ impl<S: Sink> Core<'_, S> {
             self.lane.stats.record_control_hop();
         }
         let tx = self.fabric.tx_time(wire_bytes);
-        let done = now + tx;
-        out.set_busy_until(done);
+        out.set_busy_until(now + tx);
         self.lane
             .stats
             .record_transmission(port as usize, wire_bytes, tx);
@@ -635,7 +652,7 @@ impl<S: Sink> Core<'_, S> {
             HopLink::Downlink(node) => Event::SwitchTxComplete { to: node, frame },
             HopLink::Trunk { from, to } => Event::TrunkTxComplete { from, to, frame },
         };
-        self.lane.schedule(done, event);
+        self.lane.schedule_after(now, tx, event);
     }
 
     /// Deliver a frame to the control plane of dense switch `at` (the
@@ -721,9 +738,16 @@ mod tests {
     }
 
     impl Sink for Recording {
-        fn switch_arrival(&mut self, lane: &mut Lane, at: SimTime, switch: u32, frame: FrameId) {
+        fn switch_arrival(
+            &mut self,
+            lane: &mut Lane,
+            now: SimTime,
+            after: Duration,
+            switch: u32,
+            frame: FrameId,
+        ) {
             let switch = lane.dense.switch_at(switch);
-            lane.schedule(at, Event::ArriveAtSwitch { switch, frame });
+            lane.schedule_after(now, after, Event::ArriveAtSwitch { switch, frame });
         }
 
         fn deliver(&mut self, delivery: Delivery, _since_scheduled: Duration) {

@@ -62,6 +62,18 @@ impl MacAddr {
         ])
     }
 
+    /// The node id a [`MacAddr::for_node`] address encodes, or `None` for
+    /// any other address.
+    pub const fn node_id(self) -> Option<NodeId> {
+        let o = self.0;
+        if o[0] != 0x02 || o[1] != 0x00 {
+            return None;
+        }
+        Some(NodeId::new(
+            ((o[2] as u32) << 24) | ((o[3] as u32) << 16) | ((o[4] as u32) << 8) | (o[5] as u32),
+        ))
+    }
+
     /// The MAC address used for the switch in simulated networks.
     ///
     /// This is the *generic* switch address: a node addressing its control
@@ -254,6 +266,21 @@ mod tests {
         assert!(MacAddr::BROADCAST.is_multicast());
         assert!(MacAddr::BROADCAST.is_broadcast());
         assert!(!a.is_broadcast());
+    }
+
+    #[test]
+    fn node_and_switch_addresses_decode_to_their_ids() {
+        for id in [0, 1, 255, 256, 70_000, u32::MAX] {
+            let node = NodeId::new(id);
+            let switch = crate::topology::SwitchId::new(id);
+            assert_eq!(MacAddr::for_node(node).node_id(), Some(node));
+            assert_eq!(MacAddr::for_node(node).switch_id(), None);
+            assert_eq!(MacAddr::for_switch_id(switch).switch_id(), Some(switch));
+            assert_eq!(MacAddr::for_switch_id(switch).node_id(), None);
+        }
+        for other in [MacAddr::for_switch(), MacAddr::BROADCAST, MacAddr::ZERO] {
+            assert_eq!((other.node_id(), other.switch_id()), (None, None));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ mod counting_alloc;
 
 use counting_alloc::allocations;
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
-use switched_rt_ethernet::types::{Duration, NodeId, Topology};
+use switched_rt_ethernet::types::{Duration, NodeId, SimTime, Topology};
 
 /// sw0 — sw1 — sw2, two nodes each: node 0 to node 5 crosses both trunks.
 fn line() -> RtNetwork {
@@ -105,5 +105,40 @@ fn a_late_frame_of_a_released_channel_is_ignored_not_an_error() {
     assert!(
         ignored_somewhere,
         "no offset of the sweep left a frame on the downlink behind the release"
+    );
+}
+
+/// A `count` too large for the frame counter or the simulated clock is an
+/// error, not a panic, and leaves the network as it was: nothing injected,
+/// no event pending, and an honest count right after still runs.
+#[test]
+fn a_periodic_count_past_the_clock_is_an_error_that_changes_nothing() {
+    let mut net = line();
+    let spec = RtChannelSpec::paper_default();
+    let (src, dst) = (NodeId::new(0), NodeId::new(5));
+    let tx = net.establish_channel(src, dst, spec).unwrap().unwrap();
+    let start = net.now();
+    let injected = net.simulator().injected_count();
+    let pending = net.simulator().events_pending();
+    for count in [
+        u64::MAX,
+        u64::MAX / spec.capacity.get() + 1,
+        u64::MAX / 1_000,
+    ] {
+        let refused = net.send_periodic(src, tx.id, count, 1000, start);
+        assert!(refused.is_err(), "count {count} accepted");
+        assert_eq!(net.simulator().injected_count(), injected, "count {count}");
+        assert_eq!(net.simulator().events_pending(), pending, "count {count}");
+    }
+    // The last release and its deadline must fit the clock, too.
+    let late = SimTime::from_nanos(u64::MAX - 1_000);
+    assert!(net.send_periodic(src, tx.id, 1, 1000, late).is_err());
+    assert_eq!(net.simulator().injected_count(), injected);
+
+    net.send_periodic(src, tx.id, 2, 1000, start).unwrap();
+    net.run_to_completion().unwrap();
+    assert_eq!(
+        net.received_messages().len() as u64,
+        2 * spec.capacity.get()
     );
 }
