@@ -34,8 +34,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rt_frames::{EthernetFrame, Frame};
-use rt_netsim::{Delivery, FrameInjection, SimConfig, Simulator};
+use rt_frames::{EthernetFrame, Frame, RtDataFrame};
+use rt_netsim::{Delivery, FrameInjection, SimConfig, Simulator, TrafficClass};
 use rt_types::constants::ETHERTYPE_IPV4;
 use rt_types::{
     ChannelId, ConnectionRequestId, Duration, HopLink, IdIndex, Ipv4Address, LinkSpeed, MacAddr,
@@ -316,6 +316,8 @@ impl RtNetworkBuilder {
             t_latency,
             #[cfg(test)]
             one_event_pump: false,
+            #[cfg(test)]
+            classify_every_delivery: false,
         })
     }
 }
@@ -364,6 +366,10 @@ pub struct RtNetwork {
     /// tests hold the instant-draining pump against.
     #[cfg(test)]
     one_event_pump: bool,
+    /// Dispatch every delivery through [`Frame::classify`]: the oracle the
+    /// tests hold the dispatch by the simulator's classification against.
+    #[cfg(test)]
+    classify_every_delivery: bool,
 }
 
 impl std::fmt::Debug for RtNetwork {
@@ -754,9 +760,11 @@ impl RtNetwork {
             Ipv4Address::for_node(destination),
             payload_len + rt_types::constants::UDP_HEADER_BYTES,
         )?;
-        let mut bytes = ip.encode();
-        bytes.extend_from_slice(&udp.encode());
-        bytes.extend(std::iter::repeat_n(0u8, payload_len));
+        // The datagram in one buffer: headers, then the zeroed payload.
+        let mut bytes = Vec::with_capacity(usize::from(ip.total_length));
+        ip.encode_into(&mut bytes);
+        udp.encode_into(&mut bytes);
+        bytes.resize(usize::from(ip.total_length), 0);
         let eth = EthernetFrame::new(
             MacAddr::for_node(destination),
             MacAddr::for_node(source),
@@ -837,10 +845,17 @@ impl RtNetwork {
         }
     }
 
+    /// Hand a delivery to its receiver.  The simulator classified the
+    /// frame's bytes at injection ([`Frame::peek`], the accept set of
+    /// [`Frame::classify`]) and the bytes have not changed since, so a
+    /// delivery to a node is read by its `class` and `channel`: RT data is
+    /// parsed once, straight into its datagram, and best effort is counted
+    /// undecoded.  Control frames, to a node or to a switch, are classified.
     fn dispatch(&mut self, delivery: Delivery) -> RtResult<()> {
-        let now = self.sim.now();
-        // Taken apart by value: the frame's buffer travels on into the
-        // decoded frame (and, for RT data, into the received message).
+        #[cfg(test)]
+        if self.classify_every_delivery {
+            return tests::dispatch_by_classify(self, delivery);
+        }
         let Delivery {
             receiver,
             switch,
@@ -848,13 +863,16 @@ impl RtNetwork {
             eth,
             delivered_at,
             deadline,
+            channel,
+            class,
             ..
         } = delivery;
-        let frame = Frame::classify(eth)?;
+        let now = self.sim.now();
         if receiver == NodeId::SWITCH {
             // Control-plane traffic: the delivery names the switch whose
             // control plane received the frame (the managing switch under
             // central placement, any switch under distributed placement).
+            let frame = Frame::classify(eth)?;
             let at = switch.unwrap_or(self.sim.manager_switch());
             let outcome = self.manager.handle_frame_at(at, source, &frame, now)?;
             for (origin, action) in outcome.emissions {
@@ -867,24 +885,14 @@ impl RtNetwork {
         }
 
         // Traffic delivered to an end node.
-        let node_key = receiver.get();
         let Some(layer) = self.layers.get_mut(receiver) else {
             return Err(RtError::UnknownNode(receiver));
         };
-        match frame {
-            Frame::Request(req) => {
-                // The switch forwarded a request: this node is the
-                // destination and must answer.
-                let (eth, _accepted) = layer.handle_forwarded_request(&req)?;
-                self.sim.inject(receiver, eth, now)?;
-            }
-            Frame::Response(resp) => {
-                let outcome = layer.handle_response(&resp)?;
-                self.outcomes
-                    .insert((node_key, resp.connection_request_id.get()), outcome);
-            }
-            Frame::RtData(data) => {
-                match layer.handle_data(data) {
+        match (class, channel) {
+            (TrafficClass::RealTime, Some(_)) => {
+                // Taken apart by value: the frame's buffer becomes the
+                // received message's payload.
+                match layer.handle_data(RtDataFrame::from_ethernet(eth)?) {
                     Ok(message) => {
                         let missed_deadline = deadline.is_some_and(|d| delivered_at > d);
                         self.received.push(DeliveredMessage {
@@ -903,13 +911,23 @@ impl RtNetwork {
                     Err(e) => return Err(e),
                 }
             }
-            Frame::Teardown(_) | Frame::Reservation(_) => {
+            (TrafficClass::BestEffort, _) => self.be_received += 1,
+            (TrafficClass::RealTime, None) => match Frame::classify(eth)? {
+                Frame::Request(req) => {
+                    // The switch forwarded a request: this node is the
+                    // destination and must answer.
+                    let (eth, _accepted) = layer.handle_forwarded_request(&req)?;
+                    self.sim.inject(receiver, eth, now)?;
+                }
+                Frame::Response(resp) => {
+                    let outcome = layer.handle_response(&resp)?;
+                    self.outcomes
+                        .insert((receiver.get(), resp.connection_request_id.get()), outcome);
+                }
                 // Nodes do not receive teardown or reservation frames in
-                // this protocol.
-            }
-            Frame::BestEffort(_) => {
-                self.be_received += 1;
-            }
+                // this protocol; data and best effort were read above.
+                _ => {}
+            },
         }
         Ok(())
     }
@@ -949,7 +967,87 @@ mod tests {
     use super::*;
     use rt_types::RoutePolicy;
 
-    /// What the pump differential compares of a finished run.
+    /// The dispatch that classified every delivery with [`Frame::classify`],
+    /// whatever the simulator had found at injection: the oracle of
+    /// `prop_dispatch_matches_the_classify_everything_oracle`.
+    pub(super) fn dispatch_by_classify(net: &mut RtNetwork, delivery: Delivery) -> RtResult<()> {
+        let now = net.sim.now();
+        // Taken apart by value: the frame's buffer travels on into the
+        // decoded frame (and, for RT data, into the received message).
+        let Delivery {
+            receiver,
+            switch,
+            source,
+            eth,
+            delivered_at,
+            deadline,
+            ..
+        } = delivery;
+        let frame = Frame::classify(eth)?;
+        if receiver == NodeId::SWITCH {
+            // Control-plane traffic: the delivery names the switch whose
+            // control plane received the frame (the managing switch under
+            // central placement, any switch under distributed placement).
+            let at = switch.unwrap_or(net.sim.manager_switch());
+            let outcome = net.manager.handle_frame_at(at, source, &frame, now)?;
+            for (origin, action) in outcome.emissions {
+                net.emit(origin, action, now)?;
+            }
+            for released in outcome.released {
+                net.process_released(released);
+            }
+            return Ok(());
+        }
+
+        // Traffic delivered to an end node.
+        let node_key = receiver.get();
+        let Some(layer) = net.layers.get_mut(receiver) else {
+            return Err(RtError::UnknownNode(receiver));
+        };
+        match frame {
+            Frame::Request(req) => {
+                // The switch forwarded a request: this node is the
+                // destination and must answer.
+                let (eth, _accepted) = layer.handle_forwarded_request(&req)?;
+                net.sim.inject(receiver, eth, now)?;
+            }
+            Frame::Response(resp) => {
+                let outcome = layer.handle_response(&resp)?;
+                net.outcomes
+                    .insert((node_key, resp.connection_request_id.get()), outcome);
+            }
+            Frame::RtData(data) => {
+                match layer.handle_data(data) {
+                    Ok(message) => {
+                        let missed_deadline = deadline.is_some_and(|d| delivered_at > d);
+                        net.received.push(DeliveredMessage {
+                            receiver,
+                            message,
+                            delivered_at,
+                            missed_deadline,
+                        });
+                    }
+                    // A frame of a channel released while it was already
+                    // past its last switch (on the downlink when the
+                    // teardown / fail-over drop landed): the receiver has
+                    // forgotten the channel, so the late frame is ignored —
+                    // a mid-run release must never abort the whole run.
+                    Err(RtError::UnknownChannel(_)) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Frame::Teardown(_) | Frame::Reservation(_) => {
+                // Nodes do not receive teardown or reservation frames in
+                // this protocol.
+            }
+            Frame::BestEffort(_) => {
+                net.be_received += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// What the pump differentials compare of a finished run.
     #[derive(Debug, PartialEq)]
     struct Outcome {
         received: String,
@@ -959,13 +1057,26 @@ mod tests {
         events: u64,
     }
 
+    /// Which of the pump's test oracles a scripted run uses.
+    #[derive(Debug, Clone, Copy)]
+    enum Oracle {
+        /// Neither: the pump and the dispatch the network runs.
+        None,
+        /// `one_event_pump`.
+        OneEvent,
+        /// `classify_every_delivery`.
+        ClassifyEvery,
+    }
+
     /// One scripted run on a ring of four switches with two nodes each:
     /// channels established, periodic RT traffic plus best effort, a trunk
     /// cut mid-run (its link-state flood racing the traffic under
     /// distributed control), a teardown mid-run (its frame racing the
-    /// traffic to the end of the run), then an establishment while best
-    /// effort is in flight.  `one_event_pump` runs it on the oracle.
-    fn scripted_run(one_event_pump: bool, distributed: bool, seed: u64) -> Outcome {
+    /// traffic to the end of the run), RT data frames injected raw for a
+    /// channel their receivers never learned, then an establishment while
+    /// best effort is in flight.  `oracle` picks the pump or the dispatch
+    /// it runs on.
+    fn scripted_run(oracle: Oracle, distributed: bool, seed: u64) -> Outcome {
         let mut builder = RtNetwork::builder()
             .topology(Topology::ring(4, 2))
             .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
@@ -976,7 +1087,8 @@ mod tests {
             builder = builder.distributed_control();
         }
         let mut net = builder.build().unwrap();
-        net.one_event_pump = one_event_pump;
+        net.one_event_pump = matches!(oracle, Oracle::OneEvent);
+        net.classify_every_delivery = matches!(oracle, Oracle::ClassifyEvery);
         let mut rng = rt_types::rng::Xoshiro256::new(0x9a3b ^ seed);
         let spec = RtChannelSpec::paper_default();
         let mut channels = Vec::new();
@@ -1023,10 +1135,36 @@ mod tests {
         net.teardown_channel(source, id).unwrap();
         let now = net.now();
         best_effort(&mut net, &mut rng, now);
+        for k in 0..6u64 {
+            let (source, destination) = (k as u32, 7 - k as u32);
+            let at = now + Duration::from_micros(rng.below(2_000));
+            let stray = RtDataFrame {
+                eth_src: MacAddr::for_node(NodeId::new(source)),
+                eth_dst: MacAddr::for_node(NodeId::new(destination)),
+                stamp: rt_frames::rt_data::DeadlineStamp::new(
+                    (at + Duration::from_millis(5)).as_nanos(),
+                    ChannelId::new(0),
+                )
+                .unwrap(),
+                src_port: 1,
+                dst_port: 2,
+                payload: vec![k as u8; 64 + 100 * k as usize],
+            };
+            net.sim
+                .inject(NodeId::new(source), stray.into_ethernet().unwrap(), at)
+                .unwrap();
+        }
         net.establish_channel(NodeId::new(3), NodeId::new(6), spec)
             .unwrap();
         net.settle().unwrap();
         assert!(net.best_effort_received() > 0 && !net.received_messages().is_empty());
+        // Channel 0 is never handed out: no receiver knows the strays'.
+        let strays = net.simulator().stats().channel(ChannelId::new(0));
+        assert_eq!(strays.map(|c| c.delivered), Some(6), "the strays arrive");
+        assert!(net
+            .received_messages()
+            .iter()
+            .all(|m| m.message.channel != ChannelId::new(0)));
         Outcome {
             received: format!("{:?}", net.received_messages()),
             best_effort: net.best_effort_received(),
@@ -1049,14 +1187,37 @@ mod tests {
             .unwrap_or(2);
         for seed in 0..seeds {
             for distributed in [false, true] {
-                let oracle = scripted_run(true, distributed, seed);
-                let pump = scripted_run(false, distributed, seed);
+                let oracle = scripted_run(Oracle::OneEvent, distributed, seed);
+                let pump = scripted_run(Oracle::None, distributed, seed);
                 let context = format!("seed {seed}, distributed {distributed}");
                 assert_eq!(pump.received, oracle.received, "{context}: received");
                 assert_eq!(pump.best_effort, oracle.best_effort, "{context}");
                 assert_eq!(pump.stats, oracle.stats, "{context}: statistics");
                 assert_eq!(pump.now, oracle.now, "{context}: clock");
                 assert_eq!(pump.events, oracle.events, "{context}: events");
+            }
+        }
+    }
+
+    /// The dispatch by the simulator's classification (RT data parsed once
+    /// into its datagram, best effort counted undecoded) against the oracle
+    /// that classifies every delivery, central and distributed control:
+    /// the same received messages, payload bytes included, in the same
+    /// order, the same best effort count, statistics, clock and event
+    /// count.  The script's stray RT frames, of a channel their receiver
+    /// never learned, are ignored by both.  Seeds from
+    /// `RT_ADVERSARIAL_SEEDS`, else 2.
+    #[test]
+    fn prop_dispatch_matches_the_classify_everything_oracle() {
+        let seeds = std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(2);
+        for seed in 0..seeds {
+            for distributed in [false, true] {
+                let oracle = scripted_run(Oracle::ClassifyEvery, distributed, seed);
+                let dispatch = scripted_run(Oracle::None, distributed, seed);
+                assert_eq!(dispatch, oracle, "seed {seed}, distributed {distributed}");
             }
         }
     }
@@ -1133,9 +1294,10 @@ mod tests {
     }
 
     /// The payload is *moved* from the wire into `received_messages()`
-    /// (the injected buffer → the delivery → classify → `handle_data`, no copy anywhere): what
-    /// arrives must still be exactly what `prepare_data` was given — headers
-    /// cut off, nothing of the padding or the neighbour left in.
+    /// (the injected buffer → the delivery → `RtDataFrame::from_ethernet` →
+    /// `handle_data`, no copy anywhere): what arrives must still be exactly
+    /// what `prepare_data` was given — headers cut off, nothing of the
+    /// padding or the neighbour left in.
     #[test]
     fn payload_bytes_survive_the_move_through_the_pump() {
         let mut net = fabric(MultiHopDps::Asymmetric);

@@ -27,8 +27,8 @@ use rt_frames::rt_response::ResponseVerdict;
 use rt_frames::{EthernetFrame, RequestFrame, ResponseFrame};
 use rt_types::constants::ETHERTYPE_RT_CONTROL;
 use rt_types::{
-    ChannelId, ConnectionRequestId, Duration, LinkSpeed, MacAddr, NodeId, RtError, RtResult,
-    SimTime,
+    ChannelId, ConnectionRequestId, Duration, FoldState, LinkSpeed, MacAddr, NodeId, RtError,
+    RtResult, SimTime,
 };
 
 use crate::channel::{Endpoint, RtChannelSpec};
@@ -112,12 +112,12 @@ pub struct RtLayer {
     endpoint: Endpoint,
     config: RtLayerConfig,
     next_request_id: u8,
-    outstanding: HashMap<u8, (NodeId, RtChannelSpec)>,
-    tx_channels: HashMap<u16, TxChannel>,
-    rx_channels: HashMap<u16, RxChannel>,
+    outstanding: HashMap<u8, (NodeId, RtChannelSpec), FoldState>,
+    tx_channels: HashMap<u16, TxChannel, FoldState>,
+    rx_channels: HashMap<u16, RxChannel, FoldState>,
     /// Per-channel `T_latency` overrides for channels whose path is longer
     /// than the star's two hops (multi-switch fabrics).
-    tx_latency_overrides: HashMap<u16, Duration>,
+    tx_latency_overrides: HashMap<u16, Duration, FoldState>,
     frames_sent: u64,
     frames_received: u64,
 }
@@ -130,10 +130,10 @@ impl RtLayer {
             endpoint: Endpoint::for_node(node),
             config,
             next_request_id: 0,
-            outstanding: HashMap::new(),
-            tx_channels: HashMap::new(),
-            rx_channels: HashMap::new(),
-            tx_latency_overrides: HashMap::new(),
+            outstanding: HashMap::default(),
+            tx_channels: HashMap::default(),
+            rx_channels: HashMap::default(),
+            tx_latency_overrides: HashMap::default(),
             frames_sent: 0,
             frames_received: 0,
         }
@@ -149,14 +149,14 @@ impl RtLayer {
         self.config
     }
 
-    /// Established outgoing channels.
+    /// Established outgoing channels, in ascending channel id.
     pub fn tx_channels(&self) -> impl Iterator<Item = &TxChannel> {
-        self.tx_channels.values()
+        ascending(&self.tx_channels)
     }
 
-    /// Established incoming channels.
+    /// Established incoming channels, in ascending channel id.
     pub fn rx_channels(&self) -> impl Iterator<Item = &RxChannel> {
-        self.rx_channels.values()
+        ascending(&self.rx_channels)
     }
 
     /// Look up an outgoing channel.
@@ -379,19 +379,18 @@ impl RtLayer {
 
     /// Handle an incoming deadline-stamped data frame: restore the original
     /// addressing from the channel table and deliver the payload — moved out
-    /// of the frame, not copied, and its buffer (which held the headers too)
-    /// given back down to the payload's size, since the application keeps it.
+    /// of the frame, not copied.  The buffer is handed over as delivered: it
+    /// keeps the capacity of the headers it held too, since shrinking it
+    /// would cost a reallocation per frame and give no memory back.
     pub fn handle_data(&mut self, frame: RtDataFrame) -> RtResult<ReceivedMessage> {
         let rx = self
             .rx_channels
             .get(&frame.stamp.channel.get())
             .ok_or(RtError::UnknownChannel(frame.stamp.channel))?;
         self.frames_received += 1;
-        let mut payload = frame.payload;
-        payload.shrink_to_fit();
         Ok(ReceivedMessage {
             channel: rx.id,
-            payload,
+            payload: frame.payload,
             absolute_deadline: SimTime::from_nanos(frame.stamp.absolute_deadline),
             source: rx.source,
         })
@@ -433,6 +432,14 @@ impl RtLayer {
         self.tx_channels.remove(&channel.get());
         self.tx_latency_overrides.remove(&channel.get());
     }
+}
+
+/// A channel table's entries in ascending channel id: the tables hash, and
+/// their iteration order is no output.
+fn ascending<T>(table: &HashMap<u16, T, FoldState>) -> impl Iterator<Item = &T> {
+    let mut entries: Vec<(&u16, &T)> = table.iter().collect();
+    entries.sort_unstable_by_key(|&(id, _)| *id);
+    entries.into_iter().map(|(_, entry)| entry)
 }
 
 #[cfg(test)]
@@ -544,6 +551,53 @@ mod tests {
                 assert_eq!(r.rt_channel_id, Some(ChannelId::new(33)));
             }
             other => panic!("expected Response, got {other:?}"),
+        }
+    }
+
+    /// The channel tables hash; `tx_channels()` and `rx_channels()` still
+    /// yield ascending ids, so two layers that learn the same channels in
+    /// different orders iterate identically.
+    #[test]
+    fn layers_that_learn_channels_in_any_order_iterate_alike() {
+        let ids = [40u16, 7, u16::MAX, 1, 300, 12, 9000, 2, 513, 64];
+        let learn = |order: &[u16]| {
+            let mut l = layer(0);
+            for &id in order {
+                let (request_id, _) = l.request_channel(NodeId::new(1), spec()).unwrap();
+                l.handle_response(&ResponseFrame {
+                    rt_channel_id: Some(ChannelId::new(id)),
+                    switch_mac: MacAddr::for_switch(),
+                    verdict: ResponseVerdict::Accepted,
+                    connection_request_id: request_id,
+                })
+                .unwrap();
+                let mut forwarded = ChannelRequest {
+                    source: NodeId::new(1),
+                    destination: NodeId::new(0),
+                    spec: spec(),
+                    request_id,
+                }
+                .to_frame();
+                forwarded.rt_channel_id = Some(ChannelId::new(id));
+                l.handle_forwarded_request(&forwarded).unwrap();
+            }
+            let tx: Vec<ChannelId> = l.tx_channels().map(|c| c.id).collect();
+            let rx: Vec<ChannelId> = l.rx_channels().map(|c| c.id).collect();
+            (tx, rx)
+        };
+        let mut ascending: Vec<ChannelId> = ids.iter().map(|&id| ChannelId::new(id)).collect();
+        ascending.sort_unstable();
+        let mut rng = rt_types::rng::Xoshiro256::new(0x1d5);
+        let mut order = ids;
+        for _ in 0..8 {
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            assert_eq!(
+                learn(&order),
+                (ascending.clone(), ascending.clone()),
+                "{order:?}"
+            );
         }
     }
 

@@ -142,7 +142,7 @@ impl Frame {
             ETHERTYPE_IPV4 => {
                 let ip = Ipv4Header::decode(&eth.payload)?;
                 if ip.is_realtime() {
-                    Ok(Frame::RtData(RtDataFrame::from_ethernet(eth)?))
+                    Ok(Frame::RtData(RtDataFrame::from_ethernet_after(eth, &ip)?))
                 } else {
                     Ok(Frame::BestEffort(eth))
                 }
@@ -156,9 +156,9 @@ impl Frame {
     /// the simulator hot path.
     ///
     /// Accepts and rejects exactly the same set of frames as `classify`
-    /// (control frames are fully validated, RT IPv4 frames are validated via
-    /// [`RtDataFrame::peek_stamp`]); it only skips materialising the decoded
-    /// payload.
+    /// (control frames are fully validated, RT IPv4 frames run the parse of
+    /// [`RtDataFrame::from_ethernet`] on the IPv4 header decoded here); it
+    /// only skips materialising the decoded payload.
     pub fn peek(eth: &EthernetFrame) -> RtResult<FramePeek> {
         match eth.ethertype {
             ETHERTYPE_RT_CONTROL => {
@@ -193,7 +193,7 @@ impl Frame {
             ETHERTYPE_IPV4 => {
                 let ip = Ipv4Header::decode(&eth.payload)?;
                 if ip.is_realtime() {
-                    Ok(FramePeek::RtData(RtDataFrame::peek_stamp(eth)?))
+                    Ok(FramePeek::RtData(RtDataFrame::peek_stamp_after(eth, &ip)?))
                 } else {
                     Ok(FramePeek::BestEffort)
                 }
@@ -227,6 +227,10 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::udp::UdpHeader;
+    use crate::wire::internet_checksum;
+    use rt_types::constants::{IPV4_HEADER_BYTES, UDP_HEADER_BYTES};
+    use rt_types::rng::Xoshiro256;
     use rt_types::{ConnectionRequestId, Ipv4Address, MacAddr, Slots};
 
     fn request() -> RequestFrame {
@@ -341,10 +345,11 @@ mod tests {
         ));
     }
 
-    /// `peek` must agree with `classify` on both acceptance and class for a
-    /// representative zoo of frames, including malformed ones.
-    #[test]
-    fn peek_agrees_with_classify() {
+    /// A representative zoo of frames, well-formed and malformed: every
+    /// control frame type, a link-state flood, RT data, best-effort IPv4, a
+    /// foreign EtherType, an unknown control type, an empty and a truncated
+    /// control payload and garbage IPv4.
+    fn zoo() -> Vec<EthernetFrame> {
         // Well-formed control frames.
         let mut zoo: Vec<EthernetFrame> = vec![request()
             .into_ethernet(MacAddr::ZERO, MacAddr::for_switch())
@@ -416,6 +421,11 @@ mod tests {
             payload: vec![1, 2, 3],
         };
         zoo.push(data.into_ethernet().unwrap());
+        let data = RtDataFrame {
+            payload: (0..1000).map(|i| i as u8).collect(),
+            ..data
+        };
+        zoo.push(data.into_ethernet().unwrap());
         // Plain best-effort IPv4 and a foreign EtherType.
         let ip = Ipv4Header::udp(
             Ipv4Address::new(10, 0, 0, 1),
@@ -470,43 +480,173 @@ mod tests {
             .unwrap(),
         );
 
-        for eth in zoo {
-            let peeked = Frame::peek(&eth);
-            let classified = Frame::classify(eth.clone());
-            match (peeked, classified) {
-                (Err(_), Err(_)) => {}
-                (Ok(p), Ok(c)) => {
-                    match p {
-                        FramePeek::Control => {
-                            assert!(c.is_control());
-                            assert!(!matches!(
-                                &c,
-                                Frame::Reservation(rf) if rf.op == ReservationOp::LinkState
-                            ));
-                        }
-                        FramePeek::LinkState => assert!(matches!(
+        zoo
+    }
+
+    /// Classify `eth` both ways and check that `peek` and `classify` agree
+    /// on acceptance and class (and on the stamp of RT data); `peek`'s
+    /// verdict, `None` for a rejected frame.
+    fn peek_agreeing_with_classify(eth: &EthernetFrame) -> Option<FramePeek> {
+        let peeked = Frame::peek(eth);
+        let classified = Frame::classify(eth.clone());
+        match (peeked, classified) {
+            (Err(_), Err(_)) => None,
+            (Ok(p), Ok(c)) => {
+                match p {
+                    FramePeek::Control => {
+                        assert!(c.is_control());
+                        assert!(!matches!(
                             &c,
                             Frame::Reservation(rf) if rf.op == ReservationOp::LinkState
-                        )),
-                        FramePeek::RtData(stamp) => match &c {
-                            Frame::RtData(d) => assert_eq!(d.stamp, stamp),
-                            other => panic!("peek said RtData, classify said {other:?}"),
-                        },
-                        FramePeek::BestEffort => {
-                            assert!(matches!(c, Frame::BestEffort(_)))
-                        }
+                        ));
                     }
-                    assert_eq!(
-                        matches!(
-                            p,
-                            FramePeek::Control | FramePeek::LinkState | FramePeek::RtData(_)
-                        ),
-                        c.is_realtime()
-                    );
+                    FramePeek::LinkState => assert!(matches!(
+                        &c,
+                        Frame::Reservation(rf) if rf.op == ReservationOp::LinkState
+                    )),
+                    FramePeek::RtData(stamp) => match &c {
+                        Frame::RtData(d) => assert_eq!(d.stamp, stamp),
+                        other => panic!("peek said RtData, classify said {other:?}"),
+                    },
+                    FramePeek::BestEffort => {
+                        assert!(matches!(c, Frame::BestEffort(_)))
+                    }
                 }
-                (p, c) => panic!("peek/classify disagree on {eth:?}: {p:?} vs {c:?}"),
+                assert_eq!(
+                    matches!(
+                        p,
+                        FramePeek::Control | FramePeek::LinkState | FramePeek::RtData(_)
+                    ),
+                    c.is_realtime()
+                );
+                Some(p)
+            }
+            (p, c) => panic!("peek/classify disagree on {eth:?}: {p:?} vs {c:?}"),
+        }
+    }
+
+    /// `peek` must agree with `classify` on both acceptance and class for a
+    /// representative zoo of frames, including malformed ones.
+    #[test]
+    fn peek_agrees_with_classify() {
+        for eth in zoo() {
+            peek_agreeing_with_classify(&eth);
+        }
+    }
+
+    /// One to three seeded mutations of a frame's wire image, biased to the
+    /// Ethernet, IPv4 and UDP headers: a flipped bit, an overwritten byte, a
+    /// cut, random bytes appended, or an edge value in the EtherType, the
+    /// ToS or a length field.  Half the time the IPv4 checksum is made
+    /// right again, so that a mutation gets past it into the protocol,
+    /// stamp, length and UDP checks.
+    fn mutate(bytes: &mut Vec<u8>, rng: &mut Xoshiro256) {
+        const HEADERS: u64 = 14 + 20 + 8;
+        for _ in 0..1 + rng.below(3) {
+            let len = bytes.len() as u64;
+            match rng.below(6) {
+                0 if len > 0 => {
+                    let at = rng.below(len.min(HEADERS)) as usize;
+                    bytes[at] ^= 1 << rng.below(8);
+                }
+                1 if len > 0 => {
+                    let at = rng.below(len.min(HEADERS)) as usize;
+                    bytes[at] = rng.below(256) as u8;
+                }
+                2 if len > 0 => {
+                    let at = rng.below(len) as usize;
+                    bytes[at] = rng.below(256) as u8;
+                }
+                3 => bytes.truncate(rng.below(len + 1) as usize),
+                4 => bytes.extend((0..1 + rng.below(64)).map(|_| rng.below(256) as u8)),
+                _ => {
+                    let (at, value): (usize, u16) = match rng.below(5) {
+                        0 => (
+                            12,
+                            [ETHERTYPE_IPV4, ETHERTYPE_RT_CONTROL][rng.below(2) as usize],
+                        ),
+                        1 => (14, 0x45ff),               // version/IHL, ToS 255
+                        2 => (16, rng.below(80) as u16), // IPv4 total length
+                        3 => (38, rng.below(80) as u16), // UDP length
+                        _ => (16 + 22 * rng.below(2) as usize, rng.next_u64() as u16),
+                    };
+                    if bytes.len() >= at + 2 {
+                        bytes[at..at + 2].copy_from_slice(&value.to_be_bytes());
+                    }
+                }
             }
         }
+        if bytes.len() >= 34 && rng.chance(0.5) {
+            bytes[24..26].fill(0);
+            let checksum = internet_checksum(&bytes[14..34]);
+            bytes[24..26].copy_from_slice(&checksum.to_be_bytes());
+        }
+    }
+
+    /// Seeded byte mutations of the zoo's wire images through every decoder
+    /// of the frame path.  No decoder panics; `peek` accepts exactly the
+    /// frames `classify` accepts, with equal class and stamp;
+    /// `peek_stamp` and `from_ethernet` accept the same frames with the
+    /// same stamp; and whatever decodes as RT data survives
+    /// `into_ethernet` → `from_ethernet` (and the wire image in between)
+    /// unchanged, its payload the bytes behind its headers.  Every class,
+    /// and RT data refused after its IPv4 header, must be reached.  Seeds
+    /// from `RT_ADVERSARIAL_SEEDS`, else 2.
+    #[test]
+    fn prop_mutated_frames_never_panic_and_decode_alike() {
+        let seeds = std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(2u64);
+        let images: Vec<Vec<u8>> = zoo().iter().map(EthernetFrame::encode).collect();
+        let (mut control, mut link_state, mut rt_data, mut best_effort) = (0, 0, 0, 0);
+        let mut refused_past_ip = 0;
+        for seed in 0..seeds {
+            let mut rng = Xoshiro256::new(0x6d75_7461 ^ seed);
+            for _ in 0..4_000 {
+                let mut bytes = images[rng.below(images.len() as u64) as usize].clone();
+                mutate(&mut bytes, &mut rng);
+                let Ok(eth) = EthernetFrame::decode(&bytes) else {
+                    continue;
+                };
+                let ip = Ipv4Header::decode(&eth.payload);
+                let _ = UdpHeader::decode(eth.payload.get(IPV4_HEADER_BYTES..).unwrap_or(&[]));
+                match peek_agreeing_with_classify(&eth) {
+                    Some(FramePeek::Control) => control += 1,
+                    Some(FramePeek::LinkState) => link_state += 1,
+                    Some(FramePeek::RtData(_)) => rt_data += 1,
+                    Some(FramePeek::BestEffort) => best_effort += 1,
+                    None => {}
+                }
+                let peeked = RtDataFrame::peek_stamp(&eth);
+                match (peeked, RtDataFrame::from_ethernet(eth.clone())) {
+                    (Err(_), Err(_)) => {
+                        let ipv4 = eth.ethertype == ETHERTYPE_IPV4;
+                        refused_past_ip += usize::from(ipv4 && ip.is_ok_and(|ip| ip.is_realtime()));
+                    }
+                    (Ok(stamp), Ok(data)) => {
+                        assert_eq!(data.stamp, stamp);
+                        let start = IPV4_HEADER_BYTES + UDP_HEADER_BYTES;
+                        let end = start + data.payload.len();
+                        assert_eq!(data.payload, eth.payload[start..end]);
+                        let ip = ip.expect("an RT data frame has an IPv4 header");
+                        assert!(
+                            end <= usize::from(ip.total_length),
+                            "past the IPv4 datagram"
+                        );
+                        let image = data.into_ethernet().unwrap();
+                        assert_eq!(RtDataFrame::from_ethernet(image.clone()).unwrap(), data);
+                        let rewired = EthernetFrame::decode(&image.encode()).unwrap();
+                        assert_eq!(RtDataFrame::from_ethernet(rewired).unwrap(), data);
+                    }
+                    (p, f) => {
+                        panic!("peek_stamp/from_ethernet disagree on {eth:?}: {p:?} vs {f:?}")
+                    }
+                }
+            }
+        }
+        let reached = [control, link_state, rt_data, best_effort, refused_past_ip];
+        assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
     }
 
     #[test]

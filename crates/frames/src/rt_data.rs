@@ -102,6 +102,18 @@ impl DeadlineStamp {
     }
 }
 
+/// Where the UDP payload starts in an RT data frame's Ethernet payload.
+const PAYLOAD_START: usize = IPV4_HEADER_BYTES + UDP_HEADER_BYTES;
+
+/// What the one parse of an RT data frame found.
+struct Parsed {
+    stamp: DeadlineStamp,
+    udp: UdpHeader,
+    /// Where the UDP payload ends in the Ethernet payload: the UDP length,
+    /// cut to the IPv4 total length and to the bytes present.
+    payload_end: usize,
+}
+
 /// A complete real-time data frame: Ethernet + stamped IPv4 + UDP + payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RtDataFrame {
@@ -148,56 +160,89 @@ impl RtDataFrame {
     }
 
     /// Validate an Ethernet frame as an RT data frame and extract its stamp
-    /// *without copying the payload*.  Performs exactly the checks of
-    /// [`RtDataFrame::from_ethernet`] (which is implemented on top of this),
-    /// so the two accept and reject the same set of frames.
+    /// *without copying the payload*.  Runs the parse of
+    /// [`RtDataFrame::from_ethernet`], so the two accept and reject the same
+    /// set of frames.
     pub fn peek_stamp(frame: &EthernetFrame) -> RtResult<DeadlineStamp> {
+        Ok(Self::parse(frame)?.stamp)
+    }
+
+    /// [`RtDataFrame::peek_stamp`] for a caller that has decoded the frame's
+    /// IPv4 header already (its ethertype is IPv4).
+    pub(crate) fn peek_stamp_after(
+        frame: &EthernetFrame,
+        ip: &Ipv4Header,
+    ) -> RtResult<DeadlineStamp> {
+        Ok(Self::parse_after(frame, ip)?.stamp)
+    }
+
+    /// Parse an RT data frame back out of an Ethernet frame.  Fails when the
+    /// frame is not IPv4/UDP or not marked real-time.  The frame is taken
+    /// apart: its payload buffer becomes the datagram's, cut down to the
+    /// UDP payload in place instead of being copied out.  The buffer keeps
+    /// its capacity, the header bytes included.
+    pub fn from_ethernet(frame: EthernetFrame) -> RtResult<Self> {
+        let parsed = Self::parse(&frame)?;
+        Ok(Self::take_apart(frame, parsed))
+    }
+
+    /// [`RtDataFrame::from_ethernet`] for a caller that has decoded the
+    /// frame's IPv4 header already (its ethertype is IPv4).
+    pub(crate) fn from_ethernet_after(frame: EthernetFrame, ip: &Ipv4Header) -> RtResult<Self> {
+        let parsed = Self::parse_after(&frame, ip)?;
+        Ok(Self::take_apart(frame, parsed))
+    }
+
+    /// The one parse of an RT data frame: ethertype, the IPv4 header, then
+    /// [`RtDataFrame::parse_after`].
+    fn parse(frame: &EthernetFrame) -> RtResult<Parsed> {
         if frame.ethertype != ETHERTYPE_IPV4 {
             return Err(RtError::FrameDecode(format!(
                 "RtDataFrame: ethertype {:#06x} is not IPv4",
                 frame.ethertype
             )));
         }
-        let ip = Ipv4Header::decode(&frame.payload)?;
+        Self::parse_after(frame, &Ipv4Header::decode(&frame.payload)?)
+    }
+
+    /// The parse past the IPv4 header `ip` (decoded from `frame`'s payload):
+    /// protocol, stamp, length and the UDP header, each checked once.
+    fn parse_after(frame: &EthernetFrame, ip: &Ipv4Header) -> RtResult<Parsed> {
         if ip.protocol != IP_PROTO_UDP {
             return Err(RtError::FrameDecode(format!(
                 "RtDataFrame: IP protocol {} is not UDP",
                 ip.protocol
             )));
         }
-        let stamp = DeadlineStamp::extract(&ip)?;
+        let stamp = DeadlineStamp::extract(ip)?;
         let ip_payload_end = (ip.total_length as usize).min(frame.payload.len());
-        if ip_payload_end < IPV4_HEADER_BYTES + UDP_HEADER_BYTES {
+        if ip_payload_end < PAYLOAD_START {
             return Err(RtError::FrameDecode(
                 "RtDataFrame: datagram too short for a UDP header".into(),
             ));
         }
-        UdpHeader::decode(&frame.payload[IPV4_HEADER_BYTES..])?;
-        Ok(stamp)
+        let udp = UdpHeader::decode(&frame.payload[IPV4_HEADER_BYTES..])?;
+        Ok(Parsed {
+            stamp,
+            udp,
+            payload_end: (PAYLOAD_START + udp.payload_length()).min(ip_payload_end),
+        })
     }
 
-    /// Parse an RT data frame back out of an Ethernet frame.  Fails when the
-    /// frame is not IPv4/UDP or not marked real-time.  The frame is taken
-    /// apart: its payload buffer becomes the datagram's, cut down to the
-    /// UDP payload in place instead of being copied out.
-    pub fn from_ethernet(frame: EthernetFrame) -> RtResult<Self> {
-        let stamp = Self::peek_stamp(&frame)?;
-        let ip = Ipv4Header::decode(&frame.payload)?;
-        let udp = UdpHeader::decode(&frame.payload[IPV4_HEADER_BYTES..])?;
-        let ip_payload_end = (ip.total_length as usize).min(frame.payload.len());
-        let payload_start = IPV4_HEADER_BYTES + UDP_HEADER_BYTES;
-        let payload_end = (payload_start + udp.payload_length()).min(ip_payload_end);
+    /// Move `frame`'s payload buffer into the datagram, cut down to the UDP
+    /// payload `parsed` found.
+    fn take_apart(frame: EthernetFrame, parsed: Parsed) -> Self {
         let mut payload = frame.payload;
-        payload.truncate(payload_end);
-        payload.drain(..payload_start);
-        Ok(RtDataFrame {
+        payload.truncate(parsed.payload_end);
+        payload.drain(..PAYLOAD_START);
+        RtDataFrame {
             eth_src: frame.src,
             eth_dst: frame.dst,
-            stamp,
-            src_port: udp.src_port,
-            dst_port: udp.dst_port,
+            stamp: parsed.stamp,
+            src_port: parsed.udp.src_port,
+            dst_port: parsed.udp.dst_port,
             payload,
-        })
+        }
     }
 
     /// Wire size (including preamble and inter-frame gap) of this frame when

@@ -491,8 +491,14 @@ impl LinkSpeed {
     pub fn transmission_time(self, bytes: usize) -> Duration {
         let bits = bytes as u64 * 8;
         // ns = bits * 1e9 / rate, rounded up so we never under-estimate.
-        let ns = (bits as u128 * 1_000_000_000u128).div_ceil(self.bits_per_second as u128);
-        Duration(ns as u64)
+        // In `u64` whenever `bits · 1e9` fits (any frame under 2.3 GB).
+        let ns = match bits.checked_mul(1_000_000_000) {
+            Some(scaled) => scaled.div_ceil(self.bits_per_second),
+            None => {
+                (bits as u128 * 1_000_000_000u128).div_ceil(self.bits_per_second as u128) as u64
+            }
+        };
+        Duration(ns)
     }
 
     /// Length of one paper time slot: the wire time of a maximum-sized frame
@@ -610,6 +616,53 @@ mod tests {
         assert_eq!(min.as_nanos(), 6_720);
         // Gigabit is 10x faster.
         assert_eq!(LinkSpeed::GIGABIT.slot_duration().as_nanos(), 12_304);
+    }
+
+    /// The `u64` path of `transmission_time` against the `u128` formula, for
+    /// every byte count of an IPv4 datagram and rates across the
+    /// constructors' range: the named speeds, `from_mbps` up to its largest
+    /// rate, `from_bps` down to 1 bit/s and up to `u64::MAX`; then the last
+    /// byte count whose `bits · 1e9` fits a `u64`, the first that does not,
+    /// and two far past it, which take the `u128` path.
+    #[test]
+    fn prop_transmission_time_in_u64_matches_u128() {
+        let wide = |speed: LinkSpeed, bytes: usize| {
+            let bits = bytes as u128 * 8;
+            (bits * 1_000_000_000).div_ceil(u128::from(speed.bits_per_second())) as u64
+        };
+        let mut rng = crate::rng::Xoshiro256::new(0x7a5e);
+        let mut speeds = vec![
+            LinkSpeed::ETHERNET_10M,
+            LinkSpeed::FAST_ETHERNET,
+            LinkSpeed::GIGABIT,
+            LinkSpeed::from_mbps(u64::MAX / 1_000_000),
+            LinkSpeed::from_bps(1),
+            LinkSpeed::from_bps(3),
+            LinkSpeed::from_bps(u64::MAX),
+        ];
+        for _ in 0..9 {
+            speeds.push(LinkSpeed::from_mbps(
+                rng.range_inclusive(1, u64::MAX / 1_000_000),
+            ));
+            speeds.push(LinkSpeed::from_bps(rng.range_inclusive(1, u64::MAX)));
+            speeds.push(LinkSpeed::from_mbps(rng.range_inclusive(1, 100_000)));
+        }
+        for speed in speeds {
+            for bytes in 0..=65_535 {
+                assert_eq!(
+                    speed.transmission_time(bytes).as_nanos(),
+                    wide(speed, bytes),
+                    "{bytes} bytes at {} bit/s",
+                    speed.bits_per_second()
+                );
+            }
+            for bytes in [2_305_843_009, 2_305_843_010, 1 << 40, usize::MAX / 8] {
+                assert_eq!(
+                    speed.transmission_time(bytes).as_nanos(),
+                    wide(speed, bytes)
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ mod counting_alloc;
 
 use counting_alloc::allocations;
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
+use switched_rt_ethernet::types::constants::{IPV4_HEADER_BYTES, UDP_HEADER_BYTES};
 use switched_rt_ethernet::types::{Duration, NodeId, SimTime, Topology};
 
 /// sw0 — sw1 — sw2, two nodes each: node 0 to node 5 crosses both trunks.
@@ -26,9 +27,9 @@ fn line() -> RtNetwork {
 
 /// No copy of a delivered frame's bytes is left: the buffer `send_periodic`
 /// injected is moved through the simulator into the delivery, and from
-/// there into the received message (which hands the header bytes of that
-/// buffer back, asking for no memory); the pump's own buffers are reused
-/// from poll to poll.  What remains is a handful of growths of vectors that
+/// there into the received message (which keeps the buffer as delivered,
+/// the capacity of its header bytes included: no reallocation); the pump's
+/// own buffers are reused from poll to poll.  What remains is a handful of growths of vectors that
 /// outlive the window (the received-message list among them), not a cost
 /// per frame.  The delivery used to clone the injected frame, one
 /// allocation per frame (1 218 for 1 200 frames); before that, four copies
@@ -66,6 +67,45 @@ fn a_delivered_rt_frame_is_moved_into_its_message_never_copied() {
         "{allocated} allocations for {frames} delivered RT frames ({:.2} per frame)",
         allocated as f64 / frames as f64
     );
+}
+
+/// A received payload is the delivered buffer as it came: it keeps the
+/// capacity of the IPv4 and UDP headers the RT layer cut off in front, and
+/// holds exactly the bytes `send_periodic` sent — nothing of the headers,
+/// nothing of a short frame's padding — from one byte to a full frame.
+#[test]
+fn a_received_payload_is_exact_in_a_buffer_that_kept_its_header_capacity() {
+    let mut net = line();
+    let spec = RtChannelSpec::paper_default();
+    let src = NodeId::new(0);
+    let tx = net
+        .establish_channel(src, NodeId::new(5), spec)
+        .unwrap()
+        .expect("the empty fabric admits the channel");
+    let lengths = [1usize, 17, 18, 333, 1000, 1472];
+    let mut at = net.now() + Duration::from_millis(1);
+    for &len in &lengths {
+        net.send_periodic(src, tx.id, 1, len, at).unwrap();
+        at += Duration::from_millis(1);
+    }
+    net.run_to_completion().unwrap();
+
+    let frames = spec.capacity.get() as usize;
+    let received = net.received_messages();
+    assert_eq!(received.len(), lengths.len() * frames);
+    for (delivered, &len) in received.iter().zip(
+        lengths
+            .iter()
+            .flat_map(|len| std::iter::repeat_n(len, frames)),
+    ) {
+        let payload = &delivered.message.payload;
+        assert_eq!(*payload, vec![0u8; len], "a {len}-byte payload");
+        assert!(
+            payload.capacity() >= len + IPV4_HEADER_BYTES + UDP_HEADER_BYTES,
+            "a {len}-byte payload in a buffer of {} bytes",
+            payload.capacity()
+        );
+    }
 }
 
 /// A teardown that lands while frames of the channel are past their last
