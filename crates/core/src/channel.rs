@@ -152,11 +152,6 @@ impl DeadlineSplit {
     pub fn upart(&self, spec: &RtChannelSpec) -> f64 {
         self.uplink.get() as f64 / spec.deadline.get() as f64
     }
-
-    /// The downlink fraction `D_part = 1 − U_part` (Eq. 18.12).
-    pub fn dpart(&self, spec: &RtChannelSpec) -> f64 {
-        1.0 - self.upart(spec)
-    }
 }
 
 /// The addressing information of a channel endpoint.
@@ -223,7 +218,6 @@ mod tests {
         assert_eq!(split.uplink, Slots::new(20));
         assert_eq!(split.downlink, Slots::new(20));
         assert!((split.upart(&s) - 0.5).abs() < 1e-12);
-        assert!((split.dpart(&s) - 0.5).abs() < 1e-12);
 
         // Odd deadline: halves differ by one but still sum to d.
         let s = spec(100, 3, 41);

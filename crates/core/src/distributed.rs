@@ -539,6 +539,11 @@ impl RouteMemo {
     }
 }
 
+/// How long an in-flight reservation (and a coordination, and a
+/// destination-side relay entry) may live before its site reclaims it:
+/// generous enough that healthy handshakes never race it.
+const LEASE_DURATION: Duration = Duration::from_millis(50);
+
 /// The distributed channel manager: one `Site` per switch behind the one
 /// [`ChannelManager`] seam, driven through
 /// [`ChannelManager::handle_frame_at`] with real switch context.
@@ -563,9 +568,6 @@ pub struct DistributedChannelManager {
     committed: HashMap<ReservationKey, u16, FoldState>,
     next_token: u16,
     switch_mac: MacAddr,
-    /// How long an in-flight reservation (and a coordination, and a
-    /// destination-side relay entry) may live before its site reclaims it.
-    lease_duration: Duration,
     /// Monotone link-state epoch source: one fresh epoch per trunk event,
     /// shared by the two adjacent origin switches so their floods absorb
     /// each other.
@@ -627,7 +629,6 @@ impl DistributedChannelManager {
             committed: HashMap::default(),
             next_token: 1,
             switch_mac: MacAddr::for_switch(),
-            lease_duration: Duration::from_millis(50),
             ls_epoch: 0,
             pending_control: Vec::new(),
             faults: FaultLog::default(),
@@ -652,14 +653,7 @@ impl DistributedChannelManager {
     /// How long in-flight reservations live before their site reclaims
     /// them.
     pub fn lease_duration(&self) -> Duration {
-        self.lease_duration
-    }
-
-    /// Override the reservation lease duration (tests shorten it to force
-    /// expiries; the default is generous enough that healthy handshakes
-    /// never race it).
-    pub fn set_lease_duration(&mut self, lease: Duration) {
-        self.lease_duration = lease;
+        LEASE_DURATION
     }
 
     /// In-flight reservations reclaimed because their lease expired.
@@ -680,11 +674,6 @@ impl DistributedChannelManager {
     /// Channels re-routed over a surviving path after a failure.
     pub fn rerouted_count(&self) -> u64 {
         self.faults.rerouted
-    }
-
-    /// Channels dropped because no surviving route could re-admit them.
-    pub fn failure_dropped_count(&self) -> u64 {
-        self.faults.dropped
     }
 
     // --- ownership and geometry ------------------------------------------
@@ -983,7 +972,7 @@ impl DistributedChannelManager {
             Err(e) => return Err(e),
         };
         let token = self.allocate_token(s)?;
-        let expires = now.saturating_add(self.lease_duration);
+        let expires = now.saturating_add(LEASE_DURATION);
         self.sites[s].coordinations.insert(
             token,
             Coordination {
@@ -1006,7 +995,7 @@ impl DistributedChannelManager {
     /// start the Probe pass on the first that does.  Exhausted candidates
     /// reject the request.
     fn try_candidate(&mut self, c: usize, token: u16, now: SimTime) -> RtResult<ControlOutcome> {
-        let expires = now.saturating_add(self.lease_duration);
+        let expires = now.saturating_add(LEASE_DURATION);
         let site = &mut self.sites[c];
         let coordinator = site.switch;
         site.due.lower(expires);
@@ -1069,7 +1058,7 @@ impl DistributedChannelManager {
         reserve_along(&spec, route, &deadlines, |link, task| {
             site.reserve(link, key, task)
         });
-        site.lease(key, now.saturating_add(self.lease_duration));
+        site.lease(key, now.saturating_add(LEASE_DURATION));
         site.coordination(token)?.deadlines = Some(deadlines);
         Ok(true)
     }
@@ -1093,7 +1082,7 @@ impl DistributedChannelManager {
     ) -> RtResult<ControlOutcome> {
         let id = self.allocate_channel_id(c)?;
         self.accepted += 1;
-        let expires = now.saturating_add(self.lease_duration);
+        let expires = now.saturating_add(LEASE_DURATION);
         let site = &mut self.sites[c];
         let coordinator = site.switch;
         site.due.lower(expires);
@@ -1271,7 +1260,7 @@ impl DistributedChannelManager {
         frame: Cow<'_, ReservationFrame>,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let expires = now.saturating_add(self.lease_duration);
+        let expires = now.saturating_add(LEASE_DURATION);
         let (site, routes) = (&mut self.sites[s], &mut self.routes);
         let (at, i) = (site.switch, usize::from(frame.hop));
         // The geometry check: our view must derive the geometry the probe
@@ -1468,7 +1457,7 @@ impl DistributedChannelManager {
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let expires = now.saturating_add(self.lease_duration);
+        let expires = now.saturating_add(LEASE_DURATION);
         let site = &mut self.sites[s];
         let at = site.switch;
         if at == frame.coordinator {
@@ -1559,7 +1548,7 @@ impl DistributedChannelManager {
         let channel = resp.rt_channel_id.ok_or_else(|| {
             RtError::ProtocolViolation("destination response carries no RT channel id".into())
         })?;
-        let expires = now.saturating_add(self.lease_duration);
+        let expires = now.saturating_add(LEASE_DURATION);
         let site = &mut self.sites[s];
         let at = site.switch;
         // No relay entry: it was garbage-collected — the handshake stalled

@@ -366,11 +366,6 @@ impl MultiHopAdmission {
         self.faults.rerouted
     }
 
-    /// Channels dropped because no surviving route could re-admit them.
-    pub fn failure_dropped_count(&self) -> u64 {
-        self.faults.dropped
-    }
-
     /// The number of channels currently traversing `link`.
     pub fn link_load(&self, link: HopLink) -> usize {
         self.ledger.link_load(link)
@@ -1279,7 +1274,6 @@ mod tests {
         // The untouched channel is byte-for-byte identical.
         assert_eq!(admission.channel(untouched.id).unwrap(), &untouched_before);
         assert_eq!(admission.rerouted_count(), 1);
-        assert_eq!(admission.failure_dropped_count(), 0);
 
         // Repair restores the trunk AND re-optimises: the detoured channel
         // migrates back onto its 3-hop primary route, id preserved.
@@ -1361,7 +1355,6 @@ mod tests {
             0,
             "released on every hop"
         );
-        assert_eq!(admission.failure_dropped_count(), 1);
         // Failing a non-existent trunk is an error, not a silent no-op.
         assert!(admission
             .fail_trunk(SwitchId::new(0), SwitchId::new(1))

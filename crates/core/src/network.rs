@@ -38,9 +38,8 @@ use rt_frames::{EthernetFrame, Frame, RtDataFrame};
 use rt_netsim::{Delivery, FrameInjection, SimConfig, Simulator, TrafficClass};
 use rt_types::constants::ETHERTYPE_IPV4;
 use rt_types::{
-    ChannelId, ConnectionRequestId, Duration, HopLink, IdIndex, Ipv4Address, LinkSpeed, MacAddr,
-    ManagerPlacement, NodeId, Router, RtError, RtResult, ShortestPathRouter, SimTime, Slots,
-    SwitchId, Topology,
+    ChannelId, Duration, HopLink, IdIndex, Ipv4Address, LinkSpeed, MacAddr, ManagerPlacement,
+    NodeId, Router, RtError, RtResult, ShortestPathRouter, SimTime, Slots, SwitchId, Topology,
 };
 
 use crate::channel::RtChannelSpec;
@@ -607,20 +606,7 @@ impl RtNetwork {
     pub fn fail_trunk(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
         self.sim.fail_link(from, to)?;
         let report = self.manager.handle_link_failure(from, to)?;
-        self.flood_pending_control()?;
-        for route in &report.rerouted {
-            self.install_channel_wire(route);
-        }
-        for old in &report.dropped {
-            self.sim.release_channel(old.id);
-            if let Some(layer) = self.layers.get_mut(old.destination) {
-                layer.forget_rx_channel(old.id);
-            }
-            if let Some(layer) = self.layers.get_mut(old.source) {
-                layer.forget_tx_channel(old.id);
-            }
-        }
-        Ok(report)
+        self.follow_fault(report)
     }
 
     /// Fail a whole switch at the current simulated time: every healthy
@@ -633,20 +619,7 @@ impl RtNetwork {
     pub fn fail_switch(&mut self, switch: SwitchId) -> RtResult<FailoverReport> {
         self.sim.fail_switch(switch)?;
         let report = self.manager.handle_switch_failure(switch)?;
-        self.flood_pending_control()?;
-        for route in &report.rerouted {
-            self.install_channel_wire(route);
-        }
-        for old in &report.dropped {
-            self.sim.release_channel(old.id);
-            if let Some(layer) = self.layers.get_mut(old.destination) {
-                layer.forget_rx_channel(old.id);
-            }
-            if let Some(layer) = self.layers.get_mut(old.source) {
-                layer.forget_tx_channel(old.id);
-            }
-        }
-        Ok(report)
+        self.follow_fault(report)
     }
 
     /// Splice a previously cut trunk back, on the wire and in admission
@@ -659,9 +632,26 @@ impl RtNetwork {
     pub fn repair_trunk(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
         self.sim.repair_link(from, to)?;
         let report = self.manager.handle_link_repair(from, to)?;
+        self.follow_fault(report)
+    }
+
+    /// What the wire and the RT layers do after admission has handled a
+    /// fault or a repair: the fault origins' link-state frames go out, the
+    /// re-routed channels get their new wire state, and the dropped ones
+    /// are released on the wire and forgotten at both ends.
+    fn follow_fault(&mut self, report: FailoverReport) -> RtResult<FailoverReport> {
         self.flood_pending_control()?;
         for route in &report.rerouted {
             self.install_channel_wire(route);
+        }
+        for old in &report.dropped {
+            self.sim.release_channel(old.id);
+            if let Some(layer) = self.layers.get_mut(old.destination) {
+                layer.forget_rx_channel(old.id);
+            }
+            if let Some(layer) = self.layers.get_mut(old.source) {
+                layer.forget_tx_channel(old.id);
+            }
         }
         Ok(report)
     }
@@ -949,16 +939,6 @@ impl RtNetwork {
             }
         }
         Ok(())
-    }
-
-    /// Look up the outcome of a finished establishment attempt (mainly for
-    /// tests that drive the handshake manually).
-    pub fn establishment_outcome(
-        &self,
-        source: NodeId,
-        request: ConnectionRequestId,
-    ) -> Option<&EstablishmentOutcome> {
-        self.outcomes.get(&(source.get(), request.get()))
     }
 }
 

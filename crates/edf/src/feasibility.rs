@@ -142,8 +142,7 @@ pub struct DemandScratch {
 /// The feasibility tester (stateless apart from its configuration).
 ///
 /// There is one implementation of the test, [`FeasibilityTester::test_slice`];
-/// [`FeasibilityTester::test`] and [`FeasibilityTester::test_with_candidate`]
-/// are thin callers of it.  The textbook formulation it replaced — `h(t)`
+/// [`FeasibilityTester::test`] is a thin caller of it.  The textbook formulation it replaced — `h(t)`
 /// recomputed from scratch at every check-point, the busy-period search capped
 /// by the hyperperiod `H` — lives on as the `oracle` of this module's tests,
 /// built from [`TaskSet`]'s public `hyperperiod`/`busy_period`/`checkpoints`/
@@ -188,19 +187,10 @@ impl FeasibilityTester {
         self.test_slice(set.tasks(), None, &mut DemandScratch::default())
     }
 
-    /// Test whether `candidate` can be added to `set`, which is left as it
-    /// is.  This is exactly the question the switch answers during admission
-    /// control.
-    pub fn test_with_candidate(
-        &self,
-        set: &TaskSet,
-        candidate: &PeriodicTask,
-    ) -> FeasibilityOutcome {
-        self.test_slice(set.tasks(), Some(candidate), &mut DemandScratch::default())
-    }
-
     /// The test itself, on the tasks of `held` followed by `candidate` (if
     /// any), copying neither: what a link holds is tested where it lies.
+    /// With a candidate, this is exactly the question the switch answers
+    /// during admission control.
     pub fn test_slice(
         &self,
         held: &[PeriodicTask],
@@ -390,9 +380,12 @@ mod tests {
         // SDPS halves the deadline of C=3, P=100, D=40 channels to 20 slots.
         // On one uplink at most floor(20/3) = 6 such halves fit.
         let tester = FeasibilityTester::new();
+        let with_candidate = |set: &TaskSet, candidate: &PeriodicTask| {
+            tester.test_slice(set.tasks(), Some(candidate), &mut DemandScratch::default())
+        };
         let mut set = TaskSet::new();
         for i in 0..7 {
-            let out = tester.test_with_candidate(&set, &task(100, 3, 20));
+            let out = with_candidate(&set, &task(100, 3, 20));
             if i < 6 {
                 assert!(out.is_feasible(), "channel {i} should be accepted");
                 set.push(task(100, 3, 20));
@@ -409,13 +402,11 @@ mod tests {
         // fits floor(33/3) = 11 halves.
         let mut set = TaskSet::new();
         for _ in 0..11 {
-            let out = tester.test_with_candidate(&set, &task(100, 3, 33));
+            let out = with_candidate(&set, &task(100, 3, 33));
             assert!(out.is_feasible());
             set.push(task(100, 3, 33));
         }
-        assert!(!tester
-            .test_with_candidate(&set, &task(100, 3, 33))
-            .is_feasible());
+        assert!(!with_candidate(&set, &task(100, 3, 33)).is_feasible());
     }
 
     #[test]
@@ -460,14 +451,6 @@ mod tests {
         let out = tester.test(&set);
         assert_eq!(out.verdict, FeasibilityVerdict::AnalysisLimitExceeded);
         assert!(!out.is_feasible());
-    }
-
-    #[test]
-    fn candidate_test_does_not_mutate_set() {
-        let set = TaskSet::from_tasks(vec![task(100, 3, 20)]);
-        let before = set.clone();
-        let _ = FeasibilityTester::new().test_with_candidate(&set, &task(100, 3, 20));
-        assert_eq!(set, before);
     }
 
     /// A set of `n` tasks, every one with `C/P = 1/n` exactly (so `U = 1`)

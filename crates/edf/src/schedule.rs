@@ -48,15 +48,6 @@ impl ScheduleOutcome {
     pub fn is_miss_free(&self) -> bool {
         self.misses.is_empty()
     }
-
-    /// Fraction of the horizon during which the link was transmitting.
-    pub fn link_utilisation(&self) -> f64 {
-        if self.horizon.is_zero() {
-            0.0
-        } else {
-            self.busy_slots as f64 / self.horizon.get() as f64
-        }
-    }
 }
 
 /// One in-flight job during schedule simulation.
@@ -199,7 +190,6 @@ mod tests {
         let out = simulate_edf_schedule(&TaskSet::new(), Slots::new(100));
         assert!(out.is_miss_free());
         assert_eq!(out.busy_slots, 0);
-        assert_eq!(out.link_utilisation(), 0.0);
     }
 
     #[test]
@@ -209,7 +199,6 @@ mod tests {
         assert!(out.is_miss_free());
         assert_eq!(out.busy_slots, 30);
         assert_eq!(out.completed_jobs, 10);
-        assert!((out.link_utilisation() - 0.3).abs() < 1e-12);
     }
 
     #[test]

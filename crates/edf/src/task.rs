@@ -87,12 +87,6 @@ impl PeriodicTask {
         self.capacity.get() as f64 / self.period.get() as f64
     }
 
-    /// Density `C / min(d, P)` of this task as a float.
-    pub fn density(&self) -> f64 {
-        let denom = self.relative_deadline.min(self.period);
-        self.capacity.get() as f64 / denom.get() as f64
-    }
-
     /// Contribution of this task to the workload function `h(t)` of Eq. 18.3:
     /// `(1 + floor((t - d) / P)) * C` for `t ≥ d`, zero otherwise.
     pub fn demand_up_to(&self, t: Slots) -> Slots {
@@ -101,12 +95,6 @@ impl PeriodicTask {
         }
         let jobs = 1 + (t - self.relative_deadline).div_floor(self.period);
         self.capacity.saturating_mul(jobs)
-    }
-
-    /// Number of whole jobs released in `[0, t)` assuming the first release
-    /// at time zero: `ceil(t / P)`.
-    pub fn releases_before(&self, t: Slots) -> u64 {
-        t.div_ceil(self.period)
     }
 
     /// Return a copy with a different relative deadline (used by deadline
@@ -143,13 +131,9 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_and_density() {
+    fn utilisation_is_c_over_p() {
         let task = t(100, 3, 40);
         assert!((task.utilisation() - 0.03).abs() < 1e-12);
-        assert!((task.density() - 3.0 / 40.0).abs() < 1e-12);
-        // Density uses min(d, P).
-        let task = t(10, 2, 20);
-        assert!((task.density() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -163,16 +147,6 @@ mod tests {
         assert_eq!(task.demand_up_to(Slots::new(119)), Slots::new(3));
         assert_eq!(task.demand_up_to(Slots::new(120)), Slots::new(6));
         assert_eq!(task.demand_up_to(Slots::new(1020)), Slots::new(33));
-    }
-
-    #[test]
-    fn releases_before_counts_jobs() {
-        let task = t(10, 1, 10);
-        assert_eq!(task.releases_before(Slots::new(0)), 0);
-        assert_eq!(task.releases_before(Slots::new(1)), 1);
-        assert_eq!(task.releases_before(Slots::new(10)), 1);
-        assert_eq!(task.releases_before(Slots::new(11)), 2);
-        assert_eq!(task.releases_before(Slots::new(100)), 10);
     }
 
     #[test]

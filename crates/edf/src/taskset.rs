@@ -102,11 +102,6 @@ impl Utilisation {
         self.num > self.den
     }
 
-    /// `true` if the utilisation is less than or equal to 1.
-    pub fn at_most_one(self) -> bool {
-        self.num <= self.den
-    }
-
     /// The value as a float (for reporting only).
     pub fn as_f64(self) -> f64 {
         self.num as f64 / self.den as f64
@@ -157,17 +152,6 @@ impl TaskSet {
     /// Add a task.
     pub fn push(&mut self, task: PeriodicTask) {
         self.tasks.push(task);
-    }
-
-    /// Remove the first task equal to `task`; returns `true` if one was
-    /// removed.  Used to roll back a tentative admission.
-    pub fn remove_one(&mut self, task: &PeriodicTask) -> bool {
-        if let Some(pos) = self.tasks.iter().position(|t| t == task) {
-            self.tasks.remove(pos);
-            true
-        } else {
-            false
-        }
     }
 
     /// Total utilisation `U = Σ C_i / P_i` (Eq. 18.2), exact.
@@ -251,16 +235,6 @@ impl TaskSet {
         points.dedup();
         points
     }
-
-    /// Convenience: the largest relative deadline in the set, if any.
-    pub fn max_relative_deadline(&self) -> Option<Slots> {
-        self.tasks.iter().map(|t| t.relative_deadline()).max()
-    }
-
-    /// Convenience: the sum of all capacities.
-    pub fn total_capacity(&self) -> Slots {
-        self.tasks.iter().map(|t| t.capacity()).sum()
-    }
 }
 
 impl FromIterator<PeriodicTask> for TaskSet {
@@ -287,7 +261,7 @@ mod tests {
             .add(Utilisation::from_ratio(1, 3))
             .add(Utilisation::from_ratio(1, 3));
         assert!(!u.exceeds_one());
-        assert!(u.at_most_one());
+        assert!(!u.exceeds_one());
         assert_eq!(u, Utilisation::from_ratio(1, 1));
         let over = u.add(Utilisation::from_ratio(1, 1_000_000));
         assert!(over.exceeds_one());
@@ -300,9 +274,9 @@ mod tests {
         for _ in 0..33 {
             set.push(task(100, 3, 40));
         }
-        assert!(set.utilisation().at_most_one());
+        assert!(!set.utilisation().exceeds_one());
         set.push(task(100, 3, 40));
-        assert!(!set.utilisation().at_most_one());
+        assert!(set.utilisation().exceeds_one());
         assert!((set.utilisation_f64() - 1.02).abs() < 1e-9);
     }
 
@@ -377,27 +351,6 @@ mod tests {
         let set = TaskSet::from_tasks(vec![task(10, 1, 5), task(10, 2, 5)]);
         let pts = set.checkpoints(Slots::new(30));
         assert_eq!(pts, vec![Slots::new(5), Slots::new(15), Slots::new(25)]);
-    }
-
-    #[test]
-    fn remove_one_rolls_back() {
-        let mut set = TaskSet::new();
-        let t1 = task(100, 3, 40);
-        set.push(t1);
-        set.push(t1);
-        assert!(set.remove_one(&t1));
-        assert_eq!(set.len(), 1);
-        assert!(set.remove_one(&t1));
-        assert!(!set.remove_one(&t1));
-        assert!(set.is_empty());
-    }
-
-    #[test]
-    fn totals() {
-        let set = TaskSet::from_tasks(vec![task(10, 2, 10), task(20, 5, 15)]);
-        assert_eq!(set.total_capacity(), Slots::new(7));
-        assert_eq!(set.max_relative_deadline(), Some(Slots::new(15)));
-        assert_eq!(TaskSet::new().max_relative_deadline(), None);
     }
 
     /// h(t) is non-decreasing in t.

@@ -86,20 +86,6 @@ impl DeadlineStamp {
             channel,
         })
     }
-
-    /// Undo the rewrite: restore the original addresses (known to the
-    /// receiving RT layer from channel establishment) and clear the ToS.
-    pub fn restore(
-        header: &Ipv4Header,
-        original_src: Ipv4Address,
-        original_dst: Ipv4Address,
-    ) -> Ipv4Header {
-        let mut out = *header;
-        out.tos = 0;
-        out.src = original_src;
-        out.dst = original_dst;
-        out
-    }
 }
 
 /// Where the UDP payload starts in an RT data frame's Ethernet payload.
@@ -275,9 +261,6 @@ mod tests {
 
         let extracted = DeadlineStamp::extract(&stamped).unwrap();
         assert_eq!(extracted, stamp);
-
-        let restored = DeadlineStamp::restore(&stamped, original.src, original.dst);
-        assert_eq!(restored, original);
     }
 
     #[test]

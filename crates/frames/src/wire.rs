@@ -59,18 +59,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Append the low 48 bits of `v` in big-endian order (used for MAC
-    /// addresses and the 48-bit absolute deadline of §18.2.2).
-    pub fn put_u48(&mut self, v: u64) {
-        let b = v.to_be_bytes();
-        self.buf.extend_from_slice(&b[2..8]);
-    }
-
-    /// Append a big-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Append raw bytes.
     pub fn put_slice(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -149,33 +137,12 @@ impl<'a> ByteReader<'a> {
         Ok(u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
     }
 
-    /// Read a 48-bit big-endian value into the low bits of a `u64`.
-    pub fn get_u48(&mut self) -> RtResult<u64> {
-        let s = self.take(6)?;
-        let mut b = [0u8; 8];
-        b[2..8].copy_from_slice(s);
-        Ok(u64::from_be_bytes(b))
-    }
-
-    /// Read a big-endian `u64`.
-    pub fn get_u64(&mut self) -> RtResult<u64> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_be_bytes(b))
-    }
-
     /// Read exactly `N` bytes into an array.
     pub fn get_array<const N: usize>(&mut self) -> RtResult<[u8; N]> {
         let s = self.take(N)?;
         let mut out = [0u8; N];
         out.copy_from_slice(s);
         Ok(out)
-    }
-
-    /// Read `n` bytes as a slice.
-    pub fn get_slice(&mut self, n: usize) -> RtResult<&'a [u8]> {
-        self.take(n)
     }
 
     /// Read all remaining bytes.
@@ -225,20 +192,16 @@ mod tests {
         w.put_u8(0xab);
         w.put_u16(0x1234);
         w.put_u32(0xdead_beef);
-        w.put_u48(0x0102_0304_0506);
-        w.put_u64(0x1122_3344_5566_7788);
         w.put_slice(&[9, 9, 9]);
         w.put_zeros(2);
         let buf = w.into_vec();
-        assert_eq!(buf.len(), 1 + 2 + 4 + 6 + 8 + 3 + 2);
+        assert_eq!(buf.len(), 1 + 2 + 4 + 3 + 2);
 
         let mut r = ByteReader::new(&buf, "test");
         assert_eq!(r.get_u8().unwrap(), 0xab);
         assert_eq!(r.get_u16().unwrap(), 0x1234);
         assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.get_u48().unwrap(), 0x0102_0304_0506);
-        assert_eq!(r.get_u64().unwrap(), 0x1122_3344_5566_7788);
-        assert_eq!(r.get_slice(3).unwrap(), &[9, 9, 9]);
+        assert_eq!(r.get_array::<3>().unwrap(), [9, 9, 9]);
         assert_eq!(r.get_rest(), &[0, 0]);
         assert_eq!(r.remaining(), 0);
     }
@@ -285,14 +248,6 @@ mod tests {
         assert_eq!(a, [5, 6, 7, 8]);
         let mut r2 = ByteReader::new(&buf[..3], "arr");
         assert!(r2.get_array::<4>().is_err());
-    }
-
-    #[test]
-    fn u48_masks_high_bits() {
-        let mut w = ByteWriter::new();
-        w.put_u48(0xffff_0102_0304_0506); // high 16 bits must be dropped
-        let buf = w.into_vec();
-        assert_eq!(buf, [0x01, 0x02, 0x03, 0x04, 0x05, 0x06]);
     }
 
     #[test]

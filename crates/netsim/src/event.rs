@@ -75,15 +75,6 @@ pub enum Event {
         /// The frame.
         frame: FrameId,
     },
-    /// A frame originated by the switch control plane (channel-management
-    /// traffic such as ResponseFrames) is handed to the managing switch's
-    /// ports, addressed to end node `to`.
-    EnqueueAtSwitch {
-        /// The destination node.
-        to: NodeId,
-        /// The frame.
-        frame: FrameId,
-    },
     /// Fault injection: the trunk between `from` and `to` is cut at this
     /// instant.  Both directed ports die, their queues are lost, and frames
     /// mid-serialisation are lost with the cable.
@@ -1168,14 +1159,9 @@ impl EventQueue {
     }
 
     /// Drain the whole run of events at the minimal pending time into
-    /// `out` (cleared first; FIFO order), advancing the clock to that time.
-    /// One min search per *instant* instead of per event.
-    pub fn pop_run(&mut self, out: &mut Vec<Event>) -> Option<SimTime> {
-        self.pop_run_until(SimTime::MAX, out)
-    }
-
-    /// The windowed form of [`EventQueue::pop_run`]: drains the minimal
-    /// same-time run only if it is scheduled at or before `limit`.
+    /// `out` (cleared first; FIFO order), advancing the clock to that time,
+    /// if that time is at or before `limit`.  One min search per *instant*
+    /// instead of per event.
     pub fn pop_run_until(&mut self, limit: SimTime, out: &mut Vec<Event>) -> Option<SimTime> {
         out.clear();
         let time = self.drain_run(limit, out);
@@ -1410,7 +1396,7 @@ mod tests {
         q.scheduler.push(at, 1, ev(2, 2));
         q.shadow.heap.push(at, 1, ev(1, 1));
         q.shadow.heap.push(at, 0, ev(2, 2));
-        q.pop_run(&mut Vec::new());
+        q.pop_run_until(SimTime::MAX, &mut Vec::new());
     }
 
     // --- calendar-specific behaviour -------------------------------------
@@ -1638,7 +1624,7 @@ mod tests {
             q.schedule(SimTime::from_micros(30), ev(2, 200 + i));
         }
         let mut out = Vec::new();
-        let t = q.pop_run(&mut out).unwrap();
+        let t = q.pop_run_until(SimTime::MAX, &mut out).unwrap();
         assert_eq!(t, SimTime::from_micros(10));
         assert_eq!(q.now(), t);
         assert_eq!(
@@ -1646,11 +1632,17 @@ mod tests {
             (0..5).map(|i| ev(0, i)).collect::<Vec<_>>(),
             "first run must be complete and FIFO"
         );
-        assert_eq!(q.pop_run(&mut out), Some(SimTime::from_micros(20)));
+        assert_eq!(
+            q.pop_run_until(SimTime::MAX, &mut out),
+            Some(SimTime::from_micros(20))
+        );
         assert_eq!(out, vec![ev(1, 100)]);
-        assert_eq!(q.pop_run(&mut out), Some(SimTime::from_micros(30)));
+        assert_eq!(
+            q.pop_run_until(SimTime::MAX, &mut out),
+            Some(SimTime::from_micros(30))
+        );
         assert_eq!(out.len(), 3);
-        assert_eq!(q.pop_run(&mut out), None);
+        assert_eq!(q.pop_run_until(SimTime::MAX, &mut out), None);
         assert!(out.is_empty(), "a refused pop_run leaves out cleared");
         assert_eq!(q.processed(), 9);
     }

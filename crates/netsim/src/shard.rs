@@ -703,7 +703,7 @@ impl ShardedSimulator {
     ///
     /// The pending set holds node injections and scripted faults — the full
     /// workload model of the property harness — and nothing else: this
-    /// front-end offers no `inject_at_switch` / `inject_from_switch`, and
+    /// front-end offers no `inject_at_switch`, and
     /// the events the forwarding core derives live in the shards' own
     /// calendars, which are drained before this returns.
     pub fn run_to_idle(&mut self) -> SimTime {

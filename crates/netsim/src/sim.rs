@@ -32,9 +32,9 @@
 //!   a tree.
 //! * Frames addressed to the switch MAC itself (RT-layer control traffic)
 //!   are forwarded to the *managing switch* (the lowest switch id) and
-//!   delivered to its "control plane" — the caller; the caller can originate
-//!   frames from the managing switch with [`Simulator::inject_from_switch`]
-//!   (used for ResponseFrames).
+//!   delivered to its "control plane" — the caller; the caller originates
+//!   frames at any switch with [`Simulator::inject_at_switch`] (used for
+//!   ResponseFrames).
 //! * For multi-hop RT channels, per-hop EDF deadlines can be registered with
 //!   [`Simulator::set_channel_hop_schedule`]: each port then sorts the
 //!   channel's frames by the per-hop deadline budget of *that* link rather
@@ -46,9 +46,9 @@
 //! What the fabric does with one event lives in the private `switch` module
 //! (one forwarding core for this simulator and for the shards of
 //! [`crate::shard::ShardedSimulator`]); this file is its single-thread
-//! driver — the run loops, the faults and control-plane originations only it
-//! sees — and the public front-end that builds and edits what the core
-//! reads.  The per-event path is allocation- and hash-free: at construction every
+//! driver — the run loops and the faults only it sees — and the public
+//! front-end that builds and edits what the core reads.  The per-event path
+//! is allocation- and hash-free: at construction every
 //! entity gets a contiguous index — nodes, switches (via the router's
 //! [`rt_types::DenseNextHop`]) and output ports (uplink `2i`, downlink `2i + 1`,
 //! trunks after all access ports) — and every per-event decision is a few
@@ -68,8 +68,8 @@ use std::sync::Arc;
 
 use rt_frames::{EthernetFrame, Frame, FramePeek};
 use rt_types::{
-    ChannelId, Duration, HopLink, IdIndex, LinkId, MacAddr, NextHopTable, NodeId, Route, Router,
-    RtError, RtResult, ShortestPathRouter, SimTime, SwitchId, Topology, NO_INDEX,
+    ChannelId, Duration, HopLink, IdIndex, MacAddr, NextHopTable, NodeId, Route, Router, RtError,
+    RtResult, ShortestPathRouter, SimTime, SwitchId, Topology, NO_INDEX,
 };
 
 use crate::event::Event;
@@ -739,11 +739,6 @@ impl Simulator {
         Ok(())
     }
 
-    /// The currently failed trunks (each once, `from < to`).
-    pub fn failed_links(&self) -> Vec<(SwitchId, SwitchId)> {
-        self.topology.failed_trunks().collect()
-    }
-
     // --- injection -------------------------------------------------------
 
     fn classify(
@@ -905,22 +900,6 @@ impl Simulator {
         Ok(ids)
     }
 
-    /// Inject a frame originated by the switch control plane (e.g. a
-    /// ResponseFrame) towards `to`.  The frame starts at the managing
-    /// switch's ports at time `at` and crosses any trunks on the way.
-    pub fn inject_from_switch(
-        &mut self,
-        to: NodeId,
-        eth: EthernetFrame,
-        at: SimTime,
-    ) -> RtResult<FrameId> {
-        self.validate_injection(to, at)?;
-        let id = self.register_frame(eth, NodeId::SWITCH, at)?;
-        self.lane
-            .schedule(at, Event::EnqueueAtSwitch { to, frame: id });
-        Ok(id)
-    }
-
     /// Inject a frame originated by the control plane of a *specific*
     /// switch: it enters that switch's forwarding at time `at` and is
     /// routed by its destination MAC — to an attached node, or to another
@@ -966,11 +945,12 @@ impl Simulator {
         self.now()
     }
 
-    /// Run until deliveries are pending (`true`) or the event queue drains
-    /// (`false`).  This is what a control-plane driver wants: react to
-    /// deliveries *at their simulated time* instead of after the whole event
-    /// queue has drained — a teardown or a fault must take effect while
-    /// later traffic is still in flight, not after it.
+    /// Run until deliveries are pending (`true`) or no event at or before
+    /// `limit` remains (`false`); events after `limit` stay pending.  This
+    /// is what a control-plane driver wants: react to deliveries *at their
+    /// simulated time* instead of after the whole event queue has drained —
+    /// a teardown or a fault must take effect while later traffic is still
+    /// in flight, not after it.
     ///
     /// Whole instants run at a time, and the run stops:
     ///
@@ -984,13 +964,6 @@ impl Simulator {
     /// at the same point of the event order as one that steps event by
     /// event: what it defers to the instant's end (RT data and best effort
     /// to a node) never reaches back into the simulation.
-    pub fn run_until_delivery(&mut self) -> bool {
-        self.run_until_delivery_before(SimTime::MAX)
-    }
-
-    /// The time-bounded form of [`Simulator::run_until_delivery`]: run
-    /// until deliveries are pending (`true`) or no event at or before
-    /// `limit` remains (`false`).  Events after `limit` stay pending.
     pub fn run_until_delivery_before(&mut self, limit: SimTime) -> bool {
         !self.sink.deliveries.is_empty() || self.run_instants::<true>(limit)
     }
@@ -1004,8 +977,8 @@ impl Simulator {
 
     /// The one run loop: the held rest of an interrupted run first, then
     /// whole same-time runs at or before `limit`.  `UNTIL_DELIVERY` applies
-    /// the stop rule of [`Simulator::run_until_delivery`] and returns `true`
-    /// at a stop; `false` means nothing is left at or before `limit`.
+    /// the stop rule of [`Simulator::run_until_delivery_before`] and returns
+    /// `true` at a stop; `false` means nothing is left at or before `limit`.
     #[inline]
     fn run_instants<const UNTIL_DELIVERY: bool>(&mut self, limit: SimTime) -> bool {
         if self.held() > 0 && self.now() > limit {
@@ -1091,37 +1064,27 @@ impl Simulator {
         true
     }
 
-    /// Execute one event: one of the two kinds only this driver's calendar
-    /// ever holds, or the forwarding core's.
+    /// Execute one event: a scripted fault, which only this driver's
+    /// calendar ever holds, or the forwarding core's.
     #[inline]
     fn dispatch(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::EnqueueAtSwitch { .. }
-            | Event::FailTrunk { .. }
-            | Event::RepairTrunk { .. }
-            | Event::FailSwitch { .. } => self.dispatch_own(now, event),
+            Event::FailTrunk { .. } | Event::RepairTrunk { .. } | Event::FailSwitch { .. } => {
+                self.dispatch_fault(&event)
+            }
             forwarding => self.with_core(|core| core.handle(now, forwarding)),
         }
     }
 
-    /// The scripted faults of a [`FaultScript`] and the managing switch's
-    /// control-plane originations.  Out of line: they are rare, and the
-    /// run loops inline `dispatch`.
-    fn dispatch_own(&mut self, now: SimTime, event: Event) {
-        if let Some(fault) = LinkFault::from_event(&event) {
+    /// The scripted faults of a [`FaultScript`].  Out of line: they are
+    /// rare, and the run loops inline `dispatch`.
+    fn dispatch_fault(&mut self, event: &Event) {
+        if let Some(fault) = LinkFault::from_event(event) {
             // A scripted cut of an already-failed (or unknown) trunk is a
             // script bug in debug builds; release builds ignore it rather
             // than corrupting the run.
             let result = self.apply_fault(fault);
             debug_assert!(result.is_ok(), "scripted {fault:?} failed: {result:?}");
-        } else if let Event::EnqueueAtSwitch { to, frame } = event {
-            self.with_core(|core| {
-                let fabric = core.fabric;
-                let to_idx = fabric.node_idx(to);
-                let dest_switch = fabric.node_access[to_idx as usize];
-                let port = core.egress_port(fabric.manager_index, to_idx, dest_switch, None);
-                core.forward(now, frame, port);
-            });
         }
     }
 
@@ -1139,24 +1102,6 @@ impl Simulator {
         rt_frames::ArenaStats::default()
     }
 
-    /// Total transmission (busy) time recorded on an access link so far.
-    pub fn link_busy_time(&self, link: LinkId) -> Duration {
-        self.lane
-            .stats
-            .link(link)
-            .map(|l| l.busy_time)
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Total transmission (busy) time recorded on any fabric link so far.
-    pub fn hop_busy_time(&self, link: HopLink) -> Duration {
-        self.lane
-            .stats
-            .hop_link(link)
-            .map(|l| l.busy_time)
-            .unwrap_or(Duration::ZERO)
-    }
-
     /// Convenience: the transmission time of a frame of `wire_bytes` bytes at
     /// the configured link speed.
     pub fn transmission_time(&self, wire_bytes: usize) -> Duration {
@@ -1169,7 +1114,7 @@ pub(crate) mod tests {
     use super::*;
     use rt_frames::rt_data::{DeadlineStamp, RtDataFrame};
     use rt_types::constants::ETHERTYPE_IPV4;
-    use rt_types::Ipv4Address;
+    use rt_types::{Ipv4Address, LinkId};
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId::new).collect()
@@ -1277,7 +1222,7 @@ pub(crate) mod tests {
         let eth = resp
             .into_ethernet(MacAddr::for_switch(), MacAddr::for_node(n1))
             .unwrap();
-        sim.inject_from_switch(n1, eth, SimTime::from_micros(10))
+        sim.inject_at_switch(sim.manager_switch(), eth, SimTime::from_micros(10))
             .unwrap();
         sim.run_to_idle();
         let deliveries = sim.poll_deliveries();
@@ -1391,7 +1336,7 @@ pub(crate) mod tests {
         let n9 = NodeId::new(9);
         assert!(sim.inject(n9, be_frame(n0, n0, 10), SimTime::ZERO).is_err());
         assert!(sim
-            .inject_from_switch(n9, be_frame(n0, n0, 10), SimTime::ZERO)
+            .inject_at_switch(SwitchId::new(9), be_frame(n0, n0, 10), SimTime::ZERO)
             .is_err());
         // Advance time, then try to inject in the past.
         sim.inject(n0, be_frame(n0, n0, 10), SimTime::from_micros(100))
@@ -1405,7 +1350,7 @@ pub(crate) mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("simulation time is already"));
         let err = sim
-            .inject_from_switch(n0, be_frame(n0, n0, 10), SimTime::ZERO)
+            .inject_at_switch(sim.manager_switch(), be_frame(n0, n0, 10), SimTime::ZERO)
             .unwrap_err();
         assert!(err.to_string().contains("simulation time is already"));
     }
@@ -1664,7 +1609,8 @@ pub(crate) mod tests {
         let eth = resp
             .into_ethernet(MacAddr::for_switch(), MacAddr::for_node(n1))
             .unwrap();
-        sim.inject_from_switch(n1, eth, sim.now()).unwrap();
+        sim.inject_at_switch(sim.manager_switch(), eth, sim.now())
+            .unwrap();
         sim.run_to_idle();
         let deliveries = sim.poll_deliveries();
         assert_eq!(deliveries.len(), 1);
@@ -2088,12 +2034,13 @@ pub(crate) mod tests {
         (sim.now(), sim.events_processed(), sim.events_pending())
     }
 
-    /// `run_until_delivery` stops right after the first request reaches the
-    /// control plane, with the other two arrivals of that instant held: the
-    /// clock and both counters read exactly as after stepping event by event
-    /// to the same delivery.  From there `step`, `run_until`, `run_to_idle`
-    /// and `run_until_delivery` each finish the held arrivals first, in
-    /// order, and agree with the one-event oracle at every stop.
+    /// `run_until_delivery_before` stops right after the first request
+    /// reaches the control plane, with the other two arrivals of that
+    /// instant held: the clock and both counters read exactly as after
+    /// stepping event by event to the same delivery.  From there `step`,
+    /// `run_until`, `run_to_idle` and `run_until_delivery_before` each
+    /// finish the held arrivals first, in order, and agree with the
+    /// one-event oracle at every stop.
     #[test]
     fn a_run_stopped_mid_instant_is_finished_first_by_every_entry_point() {
         let mut oracle = three_requests_in_one_instant();
@@ -2106,7 +2053,7 @@ pub(crate) mod tests {
         let interrupted = || {
             let mut sim = three_requests_in_one_instant();
             let mut polled = Vec::new();
-            assert!(sim.run_until_delivery());
+            assert!(sim.run_until_delivery_before(SimTime::MAX));
             assert_eq!(sim.held(), 2, "two arrivals of the instant are held");
             let state = observed(&mut sim, &mut polled);
             (sim, polled, state)
@@ -2131,9 +2078,9 @@ pub(crate) mod tests {
         assert_eq!(polled, oracle_polled);
         assert_eq!(polled.len(), 2);
 
-        // `run_until_delivery` again: stops after the second request.
+        // `run_until_delivery_before` again: stops after the second request.
         let (mut sim, mut polled, _) = interrupted();
-        assert!(sim.run_until_delivery());
+        assert!(sim.run_until_delivery_before(SimTime::MAX));
         assert_eq!(
             observed(&mut sim, &mut polled),
             observed(&mut oracle, &mut Vec::new())
@@ -2394,7 +2341,7 @@ pub(crate) mod tests {
             sim.stats().total_delivered() + sim.stats().total_dropped()
         );
         assert_eq!(
-            sim.failed_links(),
+            sim.topology().failed_trunks().collect::<Vec<_>>(),
             vec![(SwitchId::new(0), SwitchId::new(1))]
         );
         // After the cut, cross-switch traffic is unroutable (the dumbbell
@@ -2409,7 +2356,7 @@ pub(crate) mod tests {
         assert_eq!(sim.stats().unroutable_dropped, 1);
         // ...until the repair, after which delivery resumes.
         sim.repair_link(SwitchId::new(1), SwitchId::new(0)).unwrap();
-        assert!(sim.failed_links().is_empty());
+        assert!(sim.topology().failed_trunks().next().is_none());
         sim.inject(
             NodeId::new(0),
             be_frame(NodeId::new(0), dst, 400),

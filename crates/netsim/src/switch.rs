@@ -543,14 +543,13 @@ impl<S: Sink> Core<'_, S> {
             Event::ArriveAtNode { node, frame } => {
                 self.deliver_inner(frame, node, None, now, fabric.config.propagation_delay);
             }
-            Event::EnqueueAtSwitch { .. }
-            | Event::FailTrunk { .. }
-            | Event::RepairTrunk { .. }
-            | Event::FailSwitch { .. } => unreachable!(
-                "a control-plane origination or a fault never reaches the core: \
-                 Simulator::dispatch takes them first, and a shard calendar holds only \
-                 node injections and what the core itself schedules"
-            ),
+            Event::FailTrunk { .. } | Event::RepairTrunk { .. } | Event::FailSwitch { .. } => {
+                unreachable!(
+                    "a fault never reaches the core: Simulator::dispatch takes it first, \
+                     and a shard calendar holds only node injections and what the core \
+                     itself schedules"
+                )
+            }
         }
     }
 

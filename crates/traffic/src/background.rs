@@ -1,11 +1,12 @@
-//! Best-effort background traffic generators for the coexistence experiment.
+//! A best-effort background traffic generator.
 //!
 //! The paper's network carries ordinary TCP/IP traffic alongside the RT
-//! channels, queued FCFS behind all real-time frames.  For the coexistence
-//! experiment we do not need a full TCP implementation — what matters for
-//! the real-time guarantees is *how much* best-effort load is offered and in
-//! what arrival pattern — so two generators are provided: Poisson arrivals
-//! and a bursty on/off source.
+//! channels, queued FCFS behind all real-time frames.  What matters for the
+//! real-time guarantees is *how much* best-effort load is offered and in
+//! what arrival pattern, not a full TCP implementation, so the generator
+//! draws Poisson arrivals between random node pairs.  The coexistence
+//! integration test drives it; the `coexistence` bin and example pace their
+//! own best-effort frames.
 
 use rt_types::rng::Xoshiro256;
 use rt_types::{Duration, NodeId, SimTime};
@@ -30,19 +31,6 @@ pub struct BackgroundFrame {
 pub struct PoissonConfig {
     /// Mean inter-arrival time between frames.
     pub mean_interarrival: Duration,
-    /// Payload size of every frame.
-    pub payload_len: usize,
-}
-
-/// Configuration of a bursty on/off background source.
-#[derive(Debug, Clone, Copy)]
-pub struct BurstyConfig {
-    /// Number of frames per burst.
-    pub burst_len: u32,
-    /// Gap between frames inside a burst.
-    pub intra_burst_gap: Duration,
-    /// Mean gap between bursts (exponentially distributed).
-    pub mean_burst_gap: Duration,
     /// Payload size of every frame.
     pub payload_len: usize,
 }
@@ -102,55 +90,6 @@ impl BackgroundTraffic {
         }
         frames
     }
-
-    /// Generate bursty on/off traffic from one fixed source to one fixed
-    /// destination over `[start, start + window)`.
-    pub fn bursty(
-        &mut self,
-        source: NodeId,
-        destination: NodeId,
-        config: BurstyConfig,
-        start: SimTime,
-        window: Duration,
-    ) -> Vec<BackgroundFrame> {
-        let mut frames = Vec::new();
-        let end = start + window;
-        let mut t = start;
-        while t < end {
-            for k in 0..config.burst_len {
-                let at = t + config.intra_burst_gap.saturating_mul(u64::from(k));
-                if at >= end {
-                    break;
-                }
-                frames.push(BackgroundFrame {
-                    source,
-                    destination,
-                    payload_len: config.payload_len,
-                    at,
-                });
-            }
-            let gap = self
-                .rng
-                .exponential(config.mean_burst_gap.as_nanos() as f64)
-                .round() as u64;
-            t = t
-                + config
-                    .intra_burst_gap
-                    .saturating_mul(u64::from(config.burst_len))
-                + Duration::from_nanos(gap.max(1));
-        }
-        frames
-    }
-
-    /// The total offered load (payload bytes per second) of a frame list
-    /// over a window — useful for labelling experiment axes.
-    pub fn offered_load_bps(frames: &[BackgroundFrame], window: Duration) -> f64 {
-        if window.as_nanos() == 0 {
-            return 0.0;
-        }
-        let bytes: u64 = frames.iter().map(|f| f.payload_len as u64).sum();
-        (bytes * 8) as f64 / window.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -196,51 +135,5 @@ mod tests {
             Duration::from_millis(5),
         );
         assert!(frames.windows(2).all(|w| w[0].at <= w[1].at));
-    }
-
-    #[test]
-    fn bursty_traffic_shape() {
-        let config = BurstyConfig {
-            burst_len: 5,
-            intra_burst_gap: Duration::from_micros(10),
-            mean_burst_gap: Duration::from_millis(1),
-            payload_len: 1400,
-        };
-        let frames = BackgroundTraffic::new(4).bursty(
-            NodeId::new(0),
-            NodeId::new(3),
-            config,
-            SimTime::ZERO,
-            Duration::from_millis(10),
-        );
-        assert!(!frames.is_empty());
-        assert!(frames.iter().all(|f| f.source == NodeId::new(0)));
-        assert!(frames.iter().all(|f| f.destination == NodeId::new(3)));
-        assert!(frames.iter().all(|f| f.at < SimTime::from_millis(10)));
-        // Bursts of 5: at least one run of 5 frames spaced by 10 us.
-        let tight_gaps = frames
-            .windows(2)
-            .filter(|w| w[1].at.saturating_duration_since(w[0].at) == Duration::from_micros(10))
-            .count();
-        assert!(tight_gaps >= 4);
-    }
-
-    #[test]
-    fn offered_load_computation() {
-        let frames = vec![
-            BackgroundFrame {
-                source: NodeId::new(0),
-                destination: NodeId::new(1),
-                payload_len: 1000,
-                at: SimTime::ZERO,
-            };
-            10
-        ];
-        let load = BackgroundTraffic::offered_load_bps(&frames, Duration::from_secs(1));
-        assert!((load - 80_000.0).abs() < 1e-6);
-        assert_eq!(
-            BackgroundTraffic::offered_load_bps(&frames, Duration::ZERO),
-            0.0
-        );
     }
 }

@@ -93,13 +93,6 @@ pub struct ChurnConfig {
     /// trace hash is always computed; soak runs switch the trace off to
     /// keep millions of arrivals cheap.
     pub record_trace: bool,
-    /// Record one [`ChannelWindow`] per admitted channel (endpoints, spec
-    /// and admit/release ticks) so the run can be replayed on the wire by
-    /// [`ChurnFrameSource`].  Off by default — soak runs at millions of
-    /// arrivals do not want the extra vector.
-    ///
-    /// [`ChurnFrameSource`]: crate::source::ChurnFrameSource
-    pub record_windows: bool,
 }
 
 impl ChurnConfig {
@@ -115,7 +108,6 @@ impl ChurnConfig {
             mean_holding: 50.0,
             faults: Vec::new(),
             record_trace: true,
-            record_windows: false,
         }
     }
 
@@ -158,37 +150,6 @@ impl ChurnConfig {
         self.record_trace = false;
         self
     }
-
-    /// Record per-channel admission windows for wire-level replay.
-    pub fn with_windows(mut self) -> Self {
-        self.record_windows = true;
-        self
-    }
-}
-
-/// The lifetime of one admitted channel inside a churn run, on the
-/// process's virtual clock: who talked to whom, under what contract, from
-/// which tick to which tick.  A recorded window set is the bridge between
-/// the synchronous admission soak and the wire simulator — feed it to
-/// [`ChurnFrameSource`] to replay the same population as deadline-stamped
-/// Ethernet frames.
-///
-/// [`ChurnFrameSource`]: crate::source::ChurnFrameSource
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelWindow {
-    /// The admitted channel id (raw; placement-dependent).
-    pub channel: ChannelId,
-    /// Sending node.
-    pub source: NodeId,
-    /// Receiving node.
-    pub destination: NodeId,
-    /// The admitted traffic contract.
-    pub spec: RtChannelSpec,
-    /// Virtual tick at which the channel was admitted.
-    pub admitted_at_tick: u64,
-    /// Virtual tick at which the channel was released (holding-time expiry
-    /// or a fault drop); `None` if it was still up when the run ended.
-    pub released_at_tick: Option<u64>,
 }
 
 /// One observable event of a churn run, in process order.  The sequence is
@@ -283,12 +244,6 @@ pub struct ChurnReport {
     /// even when their id allocators differ — the parity invariant under
     /// the distributed manager's per-switch id blocks.
     pub normalized_trace_hash: u64,
-    /// One window per admitted channel, in admission order (empty unless
-    /// [`ChurnConfig::record_windows`] is set).
-    pub windows: Vec<ChannelWindow>,
-    /// The virtual clock at the end of the run — the open end of every
-    /// window whose channel was still up.
-    pub end_tick: u64,
 }
 
 impl ChurnReport {
@@ -298,16 +253,6 @@ impl ChurnReport {
             return 0.0;
         }
         self.measured_admitted as f64 / self.measured_attempts as f64
-    }
-
-    /// Admission decisions per wall-clock second over the measurement
-    /// window (each decision is a full establishment handshake).
-    pub fn admissions_per_second(&self) -> f64 {
-        let secs = self.measured_elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.measured_attempts as f64 / secs
     }
 }
 
@@ -355,8 +300,6 @@ struct ActiveChannel {
     /// what tells this channel's departure entry from one a dropped
     /// earlier holder of the same raw id left in the heap.
     admit_order: u64,
-    /// Index into `ChurnReport::windows` when window recording is on.
-    window: Option<usize>,
 }
 
 /// The seeded arrival/departure process.  Construct once per run; `run`
@@ -434,8 +377,6 @@ impl ChurnProcess {
             trace: Vec::new(),
             trace_hash: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
             normalized_trace_hash: 0xcbf2_9ce4_8422_2325,
-            windows: Vec::new(),
-            end_tick: 0,
         };
         let mut norm_ids = AdmissionOrderIds::default();
         let record = |report: &mut ChurnReport, ids: &mut AdmissionOrderIds, event: ChurnEvent| {
@@ -494,11 +435,7 @@ impl ChurnProcess {
                             let id = dropped.id.get();
                             // No `Released` will name this channel.
                             norm_ids.released(id);
-                            if let Some(gone) = active.remove(&id) {
-                                if let Some(w) = gone.window {
-                                    report.windows[w].released_at_tick = Some(clock);
-                                }
-                            }
+                            active.remove(&id);
                         }
                         report.dropped_by_faults += outcome.dropped.len() as u64;
                         record(
@@ -540,9 +477,6 @@ impl ChurnProcess {
                     _ => continue,
                 };
                 pump.release(manager, channel.access, channel.source, ChannelId::new(id))?;
-                if let Some(w) = channel.window {
-                    report.windows[w].released_at_tick = Some(when);
-                }
                 record(
                     &mut report,
                     &mut norm_ids,
@@ -590,24 +524,12 @@ impl ChurnProcess {
                     let holding = holding_rng.exponential(cfg.mean_holding).round() as u64;
                     let departs_at = clock + holding.max(1);
                     let admit_order = report.admitted;
-                    let window = cfg.record_windows.then(|| {
-                        report.windows.push(ChannelWindow {
-                            channel: id,
-                            source,
-                            destination,
-                            spec,
-                            admitted_at_tick: clock,
-                            released_at_tick: None,
-                        });
-                        report.windows.len() - 1
-                    });
                     active.insert(
                         id.get(),
                         ActiveChannel {
                             source,
                             access: src_switch,
                             admit_order,
-                            window,
                         },
                     );
                     departures.push(Reverse((departs_at, admit_order, id.get())));
@@ -627,7 +549,6 @@ impl ChurnProcess {
             .map(|t| t.elapsed())
             .unwrap_or(Duration::ZERO);
         report.active_at_end = active.len();
-        report.end_tick = clock;
         Ok(report)
     }
 }
@@ -961,61 +882,6 @@ mod tests {
         );
         // Churn continues past the faults.
         assert_eq!(report.attempts, 400);
-    }
-
-    #[test]
-    fn windows_record_every_admission_lifetime() {
-        let topology = Topology::torus_nd(&[3, 3], 2).unwrap();
-        let (a, b) = topology.trunks().next().unwrap();
-        let config = ChurnConfig::new(9)
-            .windows(100, 300)
-            .load(1.0, 60.0)
-            .cut_at(200, a, b)
-            .with_windows();
-        let process = ChurnProcess::new(config, &topology).unwrap();
-        let mut manager = central(&topology);
-        let report = process.run(&mut manager).unwrap();
-
-        assert_eq!(report.windows.len() as u64, report.admitted);
-        assert!(report.end_tick > 0);
-        let released = report
-            .windows
-            .iter()
-            .filter(|w| w.released_at_tick.is_some())
-            .count();
-        let release_events = report
-            .trace
-            .iter()
-            .filter(|e| matches!(e, ChurnEvent::Released(_)))
-            .count() as u64;
-        // Every trace release and every fault drop closes a window; the
-        // rest stay open until the end of the run.
-        assert_eq!(
-            released as u64,
-            release_events + report.dropped_by_faults,
-            "windows close exactly on release or fault drop"
-        );
-        assert_eq!(
-            report.windows.len() - released,
-            report.active_at_end,
-            "open windows are the channels still up at the end"
-        );
-        for w in &report.windows {
-            assert_ne!(w.source, w.destination);
-            assert!(w.released_at_tick.unwrap_or(report.end_tick) >= w.admitted_at_tick);
-        }
-
-        // Recording off (the default) keeps the report lean.
-        let quiet = ChurnProcess::new(
-            ChurnConfig::new(9).windows(100, 300).load(1.0, 60.0),
-            &topology,
-        )
-        .unwrap();
-        let mut m2 = central(&topology);
-        assert!(m2.channel_count() == 0);
-        let lean = quiet.run(&mut m2).unwrap();
-        assert!(lean.windows.is_empty());
-        assert_eq!(lean.end_tick, report.end_tick, "same seed, same clock");
     }
 
     /// `trace_hash` (and, the central ids not having wrapped, also

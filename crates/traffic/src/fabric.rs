@@ -137,14 +137,6 @@ impl FabricScenario {
         self.switches
     }
 
-    /// Total number of switches, including leaf-spine spines.
-    pub fn total_switch_count(&self) -> u32 {
-        match self.shape {
-            FabricShape::Line | FabricShape::Ring | FabricShape::Torus { .. } => self.switches,
-            FabricShape::LeafSpine => self.switches + 2,
-        }
-    }
-
     /// Nodes per switch.
     pub fn nodes_per_switch(&self) -> u32 {
         self.masters_per_switch + self.slaves_per_switch
@@ -363,7 +355,6 @@ mod tests {
         assert_eq!(f.shape(), FabricShape::Ring);
         let t = f.topology();
         assert_eq!(t.switch_count(), 4);
-        assert_eq!(f.total_switch_count(), 4);
         assert_eq!(t.trunk_count(), 4);
         assert!(t.is_connected());
         assert!(!t.is_tree());
@@ -383,7 +374,6 @@ mod tests {
         let f = FabricScenario::leaf_spine(3, 1, 1);
         assert_eq!(f.shape(), FabricShape::LeafSpine);
         assert_eq!(f.switch_count(), 3);
-        assert_eq!(f.total_switch_count(), 5);
         let t = f.topology();
         assert_eq!(t.switch_count(), 5);
         assert_eq!(t.trunk_count(), 6, "every leaf reaches both spines");
@@ -410,7 +400,6 @@ mod tests {
         let f = FabricScenario::torus(8, 8, 8, 8);
         assert_eq!(f.shape(), FabricShape::Torus { rows: 8, cols: 8 });
         assert_eq!(f.switch_count(), 64);
-        assert_eq!(f.total_switch_count(), 64);
         assert_eq!(f.node_count(), 1024);
         let t = f.topology();
         assert_eq!(t.switch_count(), 64);

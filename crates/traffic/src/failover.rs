@@ -1,7 +1,6 @@
 //! Fail-over scenarios: a [`FabricScenario`] plus a deterministic trunk to
-//! cut (and the [`rt_netsim::FaultScript`] that cuts it), so tests, the
-//! property harness and the survivability experiment all break the *same*
-//! link in the *same* way.
+//! cut, so tests, the property harness and the survivability experiment all
+//! break the *same* link in the *same* way.
 //!
 //! The two stock shapes mirror the redundancy spectrum:
 //!
@@ -12,8 +11,7 @@
 //!   a richly redundant fabric where k-shortest re-routing has many
 //!   detours to choose from.
 
-use rt_netsim::FaultScript;
-use rt_types::{SimTime, SwitchId};
+use rt_types::SwitchId;
 
 use crate::fabric::FabricScenario;
 
@@ -69,24 +67,11 @@ impl FailoverScenario {
     pub fn cut_trunk(&self) -> (SwitchId, SwitchId) {
         self.cut
     }
-
-    /// The cut as a single-event [`FaultScript`] firing at `at`, for
-    /// simulator-level workloads.
-    pub fn fault_script(&self, at: SimTime) -> FaultScript {
-        FaultScript::new().fail_at(at, self.cut.0, self.cut.1)
-    }
-
-    /// A cut-then-repair script: fail at `at`, splice back at `repair_at`.
-    pub fn fault_and_repair_script(&self, at: SimTime, repair_at: SimTime) -> FaultScript {
-        self.fault_script(at)
-            .repair_at(repair_at, self.cut.0, self.cut.1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_netsim::LinkFault;
 
     #[test]
     fn ring_cut_targets_the_closing_trunk() {
@@ -113,32 +98,5 @@ mod tests {
             .unwrap();
         assert!(degraded.is_connected());
         assert!(!degraded.is_tree(), "a torus survives one cut redundantly");
-    }
-
-    #[test]
-    fn scripts_carry_the_cut_and_the_repair() {
-        let s = FailoverScenario::ring_trunk_cut(3, 1, 1);
-        let script = s.fault_and_repair_script(SimTime::from_millis(1), SimTime::from_millis(2));
-        assert_eq!(script.len(), 2);
-        assert_eq!(
-            script.events()[0],
-            (
-                SimTime::from_millis(1),
-                LinkFault::Fail {
-                    from: SwitchId::new(2),
-                    to: SwitchId::new(0)
-                }
-            )
-        );
-        assert_eq!(
-            script.events()[1],
-            (
-                SimTime::from_millis(2),
-                LinkFault::Repair {
-                    from: SwitchId::new(2),
-                    to: SwitchId::new(0)
-                }
-            )
-        );
     }
 }

@@ -15,11 +15,10 @@
 //! * [`pattern`] — channel-request patterns: the paper's master→slave
 //!   pattern plus uniform and hotspot patterns used by the ablations, and a
 //!   generator of heterogeneous channel specs,
-//! * [`background`] — best-effort background traffic generators (Poisson and
-//!   bursty on/off) for the coexistence experiment,
+//! * [`background`] — a Poisson best-effort background traffic generator
+//!   (the coexistence integration test drives it),
 //! * [`failover`] — fail-over scenarios: a fabric scenario plus the
-//!   deterministic trunk cut (ring closing trunk, torus grid trunk) and the
-//!   fault script that performs it,
+//!   deterministic trunk cut (ring closing trunk, torus grid trunk),
 //! * [`churn`] — long-running admission churn: a seeded arrival/departure
 //!   process that drives a channel manager through millions of cumulative
 //!   establish/release cycles with warm-up and measurement windows, and can
@@ -40,12 +39,10 @@ pub mod pattern;
 pub mod scenario;
 pub mod source;
 
-pub use background::{BackgroundTraffic, BurstyConfig, PoissonConfig};
-pub use churn::{
-    ChannelWindow, ChurnConfig, ChurnEvent, ChurnFault, ChurnFaultKind, ChurnProcess, ChurnReport,
-};
+pub use background::{BackgroundTraffic, PoissonConfig};
+pub use churn::{ChurnConfig, ChurnEvent, ChurnFault, ChurnFaultKind, ChurnProcess, ChurnReport};
 pub use fabric::{FabricScenario, FabricShape};
 pub use failover::FailoverScenario;
 pub use pattern::{ChannelRequest, HeterogeneousSpecs, RequestPattern};
 pub use scenario::Scenario;
-pub use source::{ChurnFrameSource, ScenarioFrameSource};
+pub use source::ScenarioFrameSource;

@@ -8,14 +8,10 @@
 //! instead of the whole experiment.  Both modes produce the *identical*
 //! frame sequence, so they are interchangeable in equivalence tests.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use rt_frames::rt_data::{DeadlineStamp, RtDataFrame};
 use rt_netsim::{FrameInjection, TrafficSource};
-use rt_types::{ChannelId, Duration, LinkSpeed, MacAddr, NodeId, SimTime};
+use rt_types::{ChannelId, Duration, MacAddr, NodeId, SimTime};
 
-use crate::churn::{ChannelWindow, ChurnReport};
 use crate::fabric::FabricScenario;
 
 /// A deterministic cross-switch RT frame workload over a fabric scenario:
@@ -27,7 +23,6 @@ pub struct ScenarioFrameSource {
     scenario: FabricScenario,
     total: u64,
     emitted: u64,
-    start: SimTime,
     spacing: Duration,
     relative_deadline: Duration,
     payload_len: usize,
@@ -43,7 +38,6 @@ impl ScenarioFrameSource {
             scenario,
             total,
             emitted: 0,
-            start: SimTime::ZERO,
             spacing,
             relative_deadline: Duration::from_millis(10),
             payload_len: 1000,
@@ -62,12 +56,6 @@ impl ScenarioFrameSource {
         self
     }
 
-    /// Override the injection time of the first frame.
-    pub fn starting_at(mut self, start: SimTime) -> Self {
-        self.start = start;
-        self
-    }
-
     /// Total frames this source produces.
     pub fn total(&self) -> u64 {
         self.total
@@ -80,9 +68,14 @@ impl ScenarioFrameSource {
         self.scenario.cross_switch_pair(k)
     }
 
+    /// When frame `k` is injected.
+    fn injected_at(&self, k: u64) -> SimTime {
+        SimTime::ZERO + self.spacing.saturating_mul(k)
+    }
+
     fn frame(&self, k: u64) -> FrameInjection {
         let (source, destination) = self.pair(k);
-        let at = self.start + self.spacing.saturating_mul(k);
+        let at = self.injected_at(k);
         let deadline = at + self.relative_deadline;
         // A bounded pool of channel ids keeps the per-channel statistics
         // maps small at any workload size.
@@ -114,150 +107,11 @@ impl ScenarioFrameSource {
     }
 }
 
-/// The wire-level twin of a churn run: replays the recorded
-/// [`ChannelWindow`]s as periodic, deadline-stamped RT frame streams, so
-/// the exact channel population the admission soak established can be
-/// driven through the frame simulator.
-///
-/// Each admitted window becomes a stream of messages, one every `P_i`
-/// slots, each message `C_i` back-to-back frames stamped with the
-/// channel's id and a `d_i`-slot relative deadline — the admitted
-/// `{P_i, C_i, d_i}` contract on the wire.  The churn process's virtual
-/// ticks map to simulated time through a configurable tick duration;
-/// windows still open at run end emit until the final tick.
-///
-/// Emission order is deterministic: frames sort by injection time with the
-/// admission order as tie-break, so a replay is reproducible run over run
-/// exactly like the churn trace it came from.
-#[derive(Debug, Clone)]
-pub struct ChurnFrameSource {
-    windows: Vec<ChannelWindow>,
-    end_tick: u64,
-    tick: Duration,
-    start: SimTime,
-    speed: LinkSpeed,
-    payload_len: usize,
-    /// Min-heap of `(injection time, window index, message seq)`.
-    pending: BinaryHeap<Reverse<(SimTime, usize, u64)>>,
-}
-
-impl ChurnFrameSource {
-    /// Replay the windows recorded in `report` (run the churn with
-    /// [`ChurnConfig::with_windows`]), mapping one virtual churn tick to
-    /// `tick` of simulated time.  Defaults: time zero start, Fast Ethernet
-    /// slot timing, 1000-byte payloads.
-    ///
-    /// [`ChurnConfig::with_windows`]: crate::churn::ChurnConfig::with_windows
-    pub fn new(report: &ChurnReport, tick: Duration) -> Self {
-        let mut source = ChurnFrameSource {
-            windows: report.windows.clone(),
-            end_tick: report.end_tick,
-            tick,
-            start: SimTime::ZERO,
-            speed: LinkSpeed::default(),
-            payload_len: 1000,
-            pending: BinaryHeap::new(),
-        };
-        source.reset();
-        source
-    }
-
-    /// Override the injection time of the first tick.
-    pub fn starting_at(mut self, start: SimTime) -> Self {
-        self.start = start;
-        self.reset();
-        self
-    }
-
-    /// Override the link speed used to convert slot counts (periods and
-    /// deadlines) into simulated time.
-    pub fn link_speed(mut self, speed: LinkSpeed) -> Self {
-        self.speed = speed;
-        self
-    }
-
-    /// Override the payload length.
-    pub fn payload_len(mut self, payload_len: usize) -> Self {
-        self.payload_len = payload_len;
-        self
-    }
-
-    /// Number of channel windows this source replays.
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// When window `i` closes on the simulated clock (its release tick, or
-    /// the end of the run for channels still up).
-    fn closes_at(&self, window: &ChannelWindow) -> SimTime {
-        let tick = window.released_at_tick.unwrap_or(self.end_tick);
-        self.start + self.tick.saturating_mul(tick)
-    }
-
-    /// Seed the heap with every window's first message.
-    fn reset(&mut self) {
-        self.pending.clear();
-        for (i, window) in self.windows.iter().enumerate() {
-            let opens = self.start + self.tick.saturating_mul(window.admitted_at_tick);
-            if opens < self.closes_at(window) {
-                self.pending.push(Reverse((opens, i, 0)));
-            }
-        }
-    }
-
-    /// The `C_i` frames of message `seq` on window `i`, injected at `at`.
-    fn message(&self, at: SimTime, i: usize) -> Vec<FrameInjection> {
-        let window = &self.windows[i];
-        let deadline = at + self.speed.slots_to_duration(window.spec.deadline);
-        let eth = RtDataFrame {
-            eth_src: MacAddr::for_node(window.source),
-            eth_dst: MacAddr::for_node(window.destination),
-            stamp: DeadlineStamp::new(deadline.as_nanos(), window.channel)
-                .expect("admitted channel ids are nonzero"),
-            src_port: 0x4000,
-            dst_port: 0x4001,
-            payload: vec![0u8; self.payload_len],
-        }
-        .into_ethernet()
-        .expect("generated RT frames are well-formed");
-        (0..window.spec.capacity.get())
-            .map(|_| FrameInjection {
-                node: window.source,
-                eth: eth.clone(),
-                at,
-            })
-            .collect()
-    }
-}
-
-impl TrafficSource for ChurnFrameSource {
-    fn next_batch(&mut self, horizon: SimTime) -> Vec<FrameInjection> {
-        let mut out = Vec::new();
-        while let Some(&Reverse((at, i, seq))) = self.pending.peek() {
-            if at >= horizon {
-                break;
-            }
-            self.pending.pop();
-            out.extend(self.message(at, i));
-            let next = at + self.speed.slots_to_duration(self.windows[i].spec.period);
-            if next < self.closes_at(&self.windows[i]) {
-                self.pending.push(Reverse((next, i, seq + 1)));
-            }
-        }
-        out
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
 impl TrafficSource for ScenarioFrameSource {
     fn next_batch(&mut self, horizon: SimTime) -> Vec<FrameInjection> {
         let mut out = Vec::new();
         while self.emitted < self.total {
-            let at = self.start + self.spacing.saturating_mul(self.emitted);
-            if at >= horizon {
+            if self.injected_at(self.emitted) >= horizon {
                 break;
             }
             out.push(self.frame(self.emitted));
@@ -334,58 +188,6 @@ mod tests {
             .unwrap();
         assert_eq!(sim.poll_deliveries().len(), 60);
         assert_eq!(sim.stats().rt_delivered, 60);
-    }
-
-    #[test]
-    fn churn_windows_replay_on_the_wire() {
-        use crate::churn::{ChurnConfig, ChurnProcess};
-        use rt_core::{FabricChannelManager, MultiHopAdmission, MultiHopDps};
-        use rt_types::{ShortestPathRouter, Topology};
-        use std::sync::Arc;
-
-        let topology = Topology::fat_tree(4).unwrap();
-        let config = ChurnConfig::new(21)
-            .windows(20, 60)
-            .load(1.0, 20.0)
-            .with_windows();
-        let process = ChurnProcess::new(config, &topology).unwrap();
-        let mut manager = FabricChannelManager::new(MultiHopAdmission::with_router(
-            topology.clone(),
-            MultiHopDps::Symmetric,
-            Arc::new(ShortestPathRouter::new()),
-        ));
-        let report = process.run(&mut manager).unwrap();
-        assert!(report.admitted > 0);
-
-        let tick = Duration::from_millis(2);
-        let mut source = ChurnFrameSource::new(&report, tick);
-        assert_eq!(source.window_count(), report.admitted as usize);
-
-        // The replay is deterministic and time-ordered, and every frame
-        // falls inside its channel's admission window.
-        let mut expected = 0u64;
-        let mut probe = source.clone();
-        let mut prev = SimTime::ZERO;
-        while !probe.is_exhausted() {
-            for f in probe.next_batch(SimTime::MAX) {
-                assert!(f.at >= prev, "frames are time-ordered");
-                prev = f.at;
-                expected += 1;
-            }
-        }
-        assert!(
-            expected >= report.admitted,
-            "every window emits at least once"
-        );
-
-        // Driving the simulator with the twin delivers the whole workload.
-        let mut sim = Simulator::with_topology(SimConfig::default(), topology).unwrap();
-        sim.run_with_source(&mut source, Duration::from_millis(1))
-            .unwrap();
-        assert!(source.is_exhausted());
-        assert_eq!(sim.stats().rt_delivered, expected);
-        let deliveries = sim.poll_deliveries();
-        assert_eq!(deliveries.len() as u64, expected);
     }
 
     #[test]

@@ -37,17 +37,6 @@ impl MacAddr {
         MacAddr([b[2], b[3], b[4], b[5], b[6], b[7]])
     }
 
-    /// The address as the low 48 bits of a `u64`.
-    pub const fn to_u64(self) -> u64 {
-        let o = self.0;
-        ((o[0] as u64) << 40)
-            | ((o[1] as u64) << 32)
-            | ((o[2] as u64) << 24)
-            | ((o[3] as u64) << 16)
-            | ((o[4] as u64) << 8)
-            | (o[5] as u64)
-    }
-
     /// A locally-administered unicast MAC address derived deterministically
     /// from a node id — convenient for simulated networks.
     pub const fn for_node(node: NodeId) -> Self {
@@ -111,16 +100,6 @@ impl MacAddr {
         Some(crate::topology::SwitchId::new(
             ((o[2] as u32) << 24) | ((o[3] as u32) << 16) | ((o[4] as u32) << 8) | (o[5] as u32),
         ))
-    }
-
-    /// `true` if this is the broadcast address.
-    pub const fn is_broadcast(self) -> bool {
-        self.to_u64() == 0xffff_ffff_ffff
-    }
-
-    /// `true` if the group (multicast/broadcast) bit is set.
-    pub const fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
     }
 }
 
@@ -239,10 +218,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mac_u64_round_trip() {
+    fn mac_from_u64_takes_the_low_48_bits() {
         let m = MacAddr::new([0x02, 0x00, 0x00, 0x00, 0x01, 0x2a]);
-        assert_eq!(MacAddr::from_u64(m.to_u64()), m);
-        assert_eq!(MacAddr::BROADCAST.to_u64(), 0xffff_ffff_ffff);
+        assert_eq!(MacAddr::from_u64(0x0200_0000_012a), m);
+        assert_eq!(MacAddr::from_u64(0xffff_0200_0000_012a), m);
         assert_eq!(MacAddr::from_u64(0xffff_ffff_ffff), MacAddr::BROADCAST);
     }
 
@@ -261,11 +240,9 @@ mod tests {
         let a = MacAddr::for_node(NodeId::new(1));
         let b = MacAddr::for_node(NodeId::new(2));
         assert_ne!(a, b);
-        assert!(!a.is_multicast());
-        assert!(!MacAddr::for_switch().is_multicast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!a.is_broadcast());
+        // The group bit is clear: node and switch addresses are unicast.
+        assert_eq!(a.0[0] & 0x01, 0);
+        assert_eq!(MacAddr::for_switch().0[0] & 0x01, 0);
     }
 
     #[test]

@@ -93,14 +93,6 @@ impl fmt::Display for RtError {
 
 impl std::error::Error for RtError {}
 
-impl RtError {
-    /// `true` if this error represents an admission-control rejection rather
-    /// than a programming or configuration mistake.
-    pub fn is_rejection(&self) -> bool {
-        matches!(self, RtError::ChannelRejected { .. })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,17 +112,6 @@ mod tests {
             reason: "no path".into(),
         };
         assert!(e.to_string().contains("no path"));
-    }
-
-    #[test]
-    fn rejection_classification() {
-        assert!(RtError::ChannelRejected {
-            link: None,
-            reason: String::new()
-        }
-        .is_rejection());
-        assert!(!RtError::ChannelIdsExhausted.is_rejection());
-        assert!(!RtError::UnknownChannel(ChannelId::new(1)).is_rejection());
     }
 
     #[test]

@@ -50,29 +50,6 @@ impl From<u32> for NodeId {
     }
 }
 
-/// Identifier of a switch output port.  In the star topology port `n` leads
-/// to node `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PortId(pub u32);
-
-impl PortId {
-    /// Construct a port id.
-    pub const fn new(id: u32) -> Self {
-        PortId(id)
-    }
-
-    /// Raw value.
-    pub const fn get(self) -> u32 {
-        self.0
-    }
-}
-
-impl fmt::Display for PortId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "port{}", self.0)
-    }
-}
-
 /// Network-unique identifier of an established RT channel (16 bits on the
 /// wire, Figure 18.3/18.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -140,14 +117,6 @@ pub enum LinkDirection {
 }
 
 impl LinkDirection {
-    /// The opposite direction.
-    pub const fn opposite(self) -> LinkDirection {
-        match self {
-            LinkDirection::Uplink => LinkDirection::Downlink,
-            LinkDirection::Downlink => LinkDirection::Uplink,
-        }
-    }
-
     /// Both directions, uplink first.
     pub const fn both() -> [LinkDirection; 2] {
         [LinkDirection::Uplink, LinkDirection::Downlink]
@@ -212,9 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn link_direction_opposite() {
-        assert_eq!(LinkDirection::Uplink.opposite(), LinkDirection::Downlink);
-        assert_eq!(LinkDirection::Downlink.opposite(), LinkDirection::Uplink);
+    fn link_direction_both_lists_two() {
         assert_eq!(LinkDirection::both().len(), 2);
     }
 
@@ -246,7 +213,6 @@ mod tests {
     fn display_forms() {
         assert_eq!(format!("{}", ChannelId::new(5)), "ch5");
         assert_eq!(format!("{}", ConnectionRequestId::new(2)), "req2");
-        assert_eq!(format!("{}", PortId::new(1)), "port1");
         assert_eq!(format!("{}", LinkDirection::Uplink), "uplink");
     }
 }

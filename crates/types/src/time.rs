@@ -260,12 +260,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Milliseconds since the epoch (rounded down).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds since the epoch as a float.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -469,13 +463,6 @@ impl LinkSpeed {
         }
     }
 
-    /// Construct from bits per second.
-    pub const fn from_bps(bps: u64) -> Self {
-        LinkSpeed {
-            bits_per_second: bps,
-        }
-    }
-
     /// The raw rate in bits per second.
     pub const fn bits_per_second(self) -> u64 {
         self.bits_per_second
@@ -510,13 +497,6 @@ impl LinkSpeed {
     /// Convert a slot count into simulated time.
     pub fn slots_to_duration(self, slots: Slots) -> Duration {
         self.slot_duration().saturating_mul(slots.get())
-    }
-
-    /// Convert a duration into whole slots, rounding up (a partial slot
-    /// still occupies the link for scheduling purposes).
-    pub fn duration_to_slots_ceil(self, d: Duration) -> Slots {
-        let slot = self.slot_duration().as_nanos().max(1);
-        Slots(d.as_nanos().div_ceil(slot))
     }
 }
 
@@ -595,7 +575,6 @@ mod tests {
         assert_eq!(t.saturating_duration_since(t + d), Duration::ZERO);
         assert_eq!((t + d).saturating_duration_since(t), d);
         assert_eq!(SimTime::from_millis(1).as_micros(), 1_000);
-        assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
     }
 
     #[test]
@@ -621,7 +600,7 @@ mod tests {
     /// The `u64` path of `transmission_time` against the `u128` formula, for
     /// every byte count of an IPv4 datagram and rates across the
     /// constructors' range: the named speeds, `from_mbps` up to its largest
-    /// rate, `from_bps` down to 1 bit/s and up to `u64::MAX`; then the last
+    /// rate, raw rates down to 1 bit/s and up to `u64::MAX`; then the last
     /// byte count whose `bits · 1e9` fits a `u64`, the first that does not,
     /// and two far past it, which take the `u128` path.
     #[test]
@@ -636,15 +615,19 @@ mod tests {
             LinkSpeed::FAST_ETHERNET,
             LinkSpeed::GIGABIT,
             LinkSpeed::from_mbps(u64::MAX / 1_000_000),
-            LinkSpeed::from_bps(1),
-            LinkSpeed::from_bps(3),
-            LinkSpeed::from_bps(u64::MAX),
+            LinkSpeed { bits_per_second: 1 },
+            LinkSpeed { bits_per_second: 3 },
+            LinkSpeed {
+                bits_per_second: u64::MAX,
+            },
         ];
         for _ in 0..9 {
             speeds.push(LinkSpeed::from_mbps(
                 rng.range_inclusive(1, u64::MAX / 1_000_000),
             ));
-            speeds.push(LinkSpeed::from_bps(rng.range_inclusive(1, u64::MAX)));
+            speeds.push(LinkSpeed {
+                bits_per_second: rng.range_inclusive(1, u64::MAX),
+            });
             speeds.push(LinkSpeed::from_mbps(rng.range_inclusive(1, 100_000)));
         }
         for speed in speeds {
@@ -663,15 +646,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn link_speed_slot_round_trip() {
-        let speed = LinkSpeed::FAST_ETHERNET;
-        let d = speed.slots_to_duration(Slots::new(40));
-        assert_eq!(speed.duration_to_slots_ceil(d), Slots::new(40));
-        // A partial slot rounds up.
-        let d_plus = d + Duration::from_nanos(1);
-        assert_eq!(speed.duration_to_slots_ceil(d_plus), Slots::new(41));
     }
 }
