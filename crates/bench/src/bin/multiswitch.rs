@@ -32,10 +32,9 @@
 //! Usage: `cargo run -p rt-bench --bin multiswitch`.
 
 use rt_bench::report::Table;
-use rt_core::multihop::{HopLink, MultiHopAdmission, MultiHopDps, SwitchId, Topology};
-use rt_core::{RtChannelSpec, RtNetwork};
+use rt_core::{MultiHopAdmission, MultiHopDps, RtChannelSpec, RtNetwork};
 use rt_traffic::FabricScenario;
-use rt_types::{Duration, NodeId, RoutePolicy, ShortestPathRouter};
+use rt_types::{Duration, HopLink, NodeId, RoutePolicy, ShortestPathRouter, SwitchId, Topology};
 
 /// One router's wire-level numbers at one sweep point of the mesh
 /// experiment.

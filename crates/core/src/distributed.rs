@@ -132,8 +132,8 @@ use rt_frames::{
     Frame, RequestFrame, ReservationFrame, ReservationOp, ReservationReason, ResponseFrame,
 };
 use rt_types::{
-    ChannelId, ConnectionRequestId, Duration, FoldState, IdIndex, MacAddr, NodeId, Route, Router,
-    RtError, RtResult, SimTime, Slots, SwitchId, Topology,
+    ChannelId, ConnectionRequestId, Duration, FoldState, HopLink, IdIndex, MacAddr, NodeId, Route,
+    Router, RtError, RtResult, SimTime, Slots, SwitchId, Topology,
 };
 
 use crate::channel::RtChannelSpec;
@@ -142,7 +142,7 @@ use crate::ledger::{ReservationKey, SlackLedger};
 use crate::manager::{
     ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel, SwitchAction,
 };
-use crate::multihop::{admit_along, next_free_id, reserve_along, with_slots, HopLink, MultiHopDps};
+use crate::multihop::{admit_along, next_free_id, reserve_along, with_slots, MultiHopDps};
 use crate::protocol::ChannelRequest;
 
 /// An in-flight admission, owned by its coordinator (the source's access
@@ -400,9 +400,14 @@ impl Site {
         self.held.get(&key)?.lease
     }
 
-    /// The earliest lease deadline held here, if any.
-    fn next_expiry(&self) -> Option<SimTime> {
-        self.held.values().filter_map(|held| held.lease).min()
+    /// Every deadline held here: the leases, the coordinations and the
+    /// relay entries.  The sweep's floor, the manager's next timeout and the
+    /// quiescence audit all read these.
+    fn deadlines(&self) -> impl Iterator<Item = SimTime> + '_ {
+        let leases = self.held.values().filter_map(|held| held.lease);
+        let coordinations = self.coordinations.values().map(|c| c.expires);
+        let relays = self.expecting.values().map(|p| p.expires);
+        leases.chain(coordinations).chain(relays)
     }
 
     /// Sweep what is due here at `now` (at or before it): a key whose lease
@@ -425,15 +430,7 @@ impl Site {
             self.examined.0 += self.held.len() as u64;
         }
         self.expecting.retain(|_, p| p.expires > now);
-        let leases = self.held.values().filter_map(|held| held.lease);
-        let coordinations = self.coordinations.values().map(|c| c.expires);
-        let relays = self.expecting.values().map(|p| p.expires);
-        self.due = DueFloor::default();
-        for expires in leases.chain(coordinations).chain(relays) {
-            if expires > now {
-                self.due.lower(expires);
-            }
-        }
+        self.due = DueFloor(self.deadlines().filter(|&expires| expires > now).min());
         let stalled = self.coordinations.iter().filter(|(_, c)| c.expires <= now);
         let mut stalled: Vec<u16> = stalled.map(|(&token, _)| token).collect();
         stalled.sort_unstable();
@@ -2071,16 +2068,7 @@ impl ChannelManager for DistributedChannelManager {
     fn next_timeout(&self) -> Option<SimTime> {
         // Exact, not the sweep's lower bounds: the caller advances its clock
         // to this instant and expects the sweep there to find something.
-        let of_site = |site: &Site| {
-            let coordinations = site.coordinations.values().map(|c| c.expires);
-            let relays = site.expecting.values().map(|p| p.expires);
-            site.next_expiry()
-                .into_iter()
-                .chain(coordinations)
-                .chain(relays)
-                .min()
-        };
-        self.sites.iter().filter_map(of_site).min()
+        self.sites.iter().flat_map(Site::deadlines).min()
     }
 
     fn on_tick(&mut self, now: SimTime) -> RtResult<ControlOutcome> {
@@ -2122,7 +2110,8 @@ impl ChannelManager for DistributedChannelManager {
                     "site {s} still expects a destination verdict for channel {id}"
                 )));
             }
-            if let Some(t) = site.next_expiry() {
+            // No coordination and no relay is left: a deadline is a lease's.
+            if let Some(t) = site.deadlines().min() {
                 return Err(RtError::ProtocolViolation(format!(
                     "site {s} still holds a lease expiring at {t}"
                 )));

@@ -189,7 +189,7 @@ fn path_local_release_leaves_no_key_behind_at_any_site() {
         // A committed channel's interior sites still carry the lease the
         // Confirm walk renewed (the churn never advances the clock) ...
         interior_leases += (manager.sites.iter())
-            .filter(|site| site.next_expiry().is_some())
+            .filter(|site| site.deadlines().next().is_some())
             .count();
         // ... and tearing everything down, half through the API and half
         // over the wire, empties every site of reservations and leases.
@@ -463,7 +463,7 @@ fn task(period: u64, capacity: u64, deadline: u64) -> PeriodicTask {
 /// reserves and sweeps, the clock advancing by random steps and, every so
 /// often, exactly onto the next deadline.  A due key of a committed channel
 /// keeps only its links on the channel's path.  After every step: what
-/// `release_key` freed, the reclaimed keys, `next_expiry`, `lease_of`, every
+/// `release_key` freed, the reclaimed keys, `deadlines`, `lease_of`, every
 /// record against the model, `loaded_links`, `keys_on`, and the records
 /// against the books.
 #[test]
@@ -587,7 +587,7 @@ fn prop_bounded_sweep_matches_a_full_scan() {
                 }
             }
             held.retain(|_, links| !links.is_empty());
-            assert_eq!(site.next_expiry(), leases.values().min().copied());
+            assert_eq!(site.deadlines().min(), leases.values().min().copied());
             for key in &keys {
                 assert_eq!(site.lease_of(*key), leases.get(key).copied());
                 let record = site
@@ -664,7 +664,7 @@ fn sweeps_below_the_earliest_deadline_examine_nothing() {
     let reclaimed = site.sweep(SimTime::from_micros(1_000), |_| None).0;
     assert_eq!(reclaimed.len(), 2);
     assert_eq!(site.examined.0, 500);
-    assert_eq!(site.next_expiry(), Some(SimTime::from_micros(1_001)));
+    assert_eq!(site.deadlines().min(), Some(SimTime::from_micros(1_001)));
     // And below the next one, nothing again.
     site.sweep(SimTime::from_nanos(1_000_999), |_| None);
     assert_eq!(site.examined.0, 500);

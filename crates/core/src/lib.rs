@@ -52,9 +52,6 @@ pub use distributed::DistributedChannelManager;
 pub use dps::{DpsFamily, DpsKind};
 pub use ledger::{ReservationKey, SlackLedger};
 pub use manager::{ChannelManager, ChannelRoute, ControlOutcome, FailoverReport, ReleasedChannel};
-pub use multihop::{
-    FabricChannelManager, HopLink, MultiHopAdmission, MultiHopDps, Refusal, RefusalCause, Route,
-    Router, SwitchId, Topology,
-};
+pub use multihop::{FabricChannelManager, MultiHopAdmission, MultiHopDps, Refusal, RefusalCause};
 pub use network::{RtNetwork, RtNetworkBuilder};
 pub use rtlayer::RtLayer;

@@ -38,12 +38,9 @@ use rt_edf::{FeasibilityTester, FeasibilityVerdict, PeriodicTask, TaskSet};
 use rt_frames::rt_response::ResponseVerdict;
 use rt_frames::{Frame, RequestFrame, ResponseFrame};
 use rt_types::{
-    ChannelId, ConnectionRequestId, FoldState, MacAddr, NodeId, RtError, RtResult,
-    ShortestPathRouter, SimTime, Slots,
+    ChannelId, ConnectionRequestId, FoldState, HopLink, MacAddr, NodeId, Route, Router, RtError,
+    RtResult, ShortestPathRouter, SimTime, Slots, SwitchId, Topology,
 };
-// The topology and routing types themselves live in `rt-types` (shared with
-// the fabric simulator); re-exported here for backwards compatibility.
-pub use rt_types::{HopLink, Route, Router, SwitchId, Topology};
 
 use crate::channel::RtChannelSpec;
 use crate::dps::DpsFamily;

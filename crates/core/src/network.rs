@@ -6,11 +6,10 @@
 //! one step further) — and wires the control plane into it:
 //!
 //! * each end node gets an [`RtLayer`],
-//! * the managing switch gets a [`ChannelManager`] — one stack, three
-//!   builds: a [`FabricChannelManager`] (admission over every link of the
-//!   route) over the star's one-switch topology with the paper's two-link
-//!   deadline partitioning, the same manager over a fabric with multi-hop
-//!   partitioning, or a [`DistributedChannelManager`] —
+//! * the managing switch gets a [`ChannelManager`] — a
+//!   [`FabricChannelManager`] (admission over every link of the route)
+//!   partitioning deadlines by the paper's two-link rule on one switch or
+//!   by a per-hop rule on any topology, or a [`DistributedChannelManager`] —
 //! * a [`Router`] picks the path of every admitted channel; the network
 //!   registers the route's forwarding entries and per-hop deadline budgets
 //!   with the simulator at establishment time,
@@ -38,8 +37,8 @@ use rt_frames::{EthernetFrame, Frame, RtDataFrame};
 use rt_netsim::{Delivery, FrameInjection, SimConfig, Simulator, TrafficClass};
 use rt_types::constants::ETHERTYPE_IPV4;
 use rt_types::{
-    ChannelId, Duration, HopLink, IdIndex, Ipv4Address, LinkSpeed, MacAddr, ManagerPlacement,
-    NodeId, Router, RtError, RtResult, ShortestPathRouter, SimTime, Slots, SwitchId, Topology,
+    ChannelId, Duration, HopLink, IdIndex, Ipv4Address, MacAddr, ManagerPlacement, NodeId, Router,
+    RtError, RtResult, ShortestPathRouter, SimTime, Slots, SwitchId, Topology,
 };
 
 use crate::channel::RtChannelSpec;
@@ -48,18 +47,6 @@ use crate::dps::{DpsFamily, DpsKind};
 use crate::manager::{ChannelManager, FailoverReport, ReleasedChannel, SwitchAction};
 use crate::multihop::{FabricChannelManager, MultiHopAdmission, MultiHopDps};
 use crate::rtlayer::{EstablishmentOutcome, ReceivedMessage, RtLayer, RtLayerConfig, TxChannel};
-
-/// What the network is built over, and with it which family of rules
-/// partitions its deadlines.
-#[derive(Debug, Clone)]
-enum FabricShape {
-    /// Single-switch star over the given nodes: every route is `uplink →
-    /// downlink`, partitioned by the paper's §18.4 rules ([`DpsKind`]).
-    Star(Vec<NodeId>),
-    /// Explicit multi-switch topology: routes of any length, partitioned
-    /// per hop ([`MultiHopDps`]).
-    Fabric(Topology),
-}
 
 /// Builder for a simulated RT network — the single entry point for stars,
 /// trees and meshes.
@@ -123,29 +110,14 @@ enum FabricShape {
 ///     .expect("accepted");
 /// assert_eq!(net.manager().channel_route(tx.id).unwrap().path.len(), 3);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RtNetworkBuilder {
     sim: SimConfig,
-    dps: DpsKind,
-    multihop_dps: MultiHopDps,
-    shape: Option<FabricShape>,
+    dps: Option<DpsFamily>,
+    topology: Option<Topology>,
     router: Option<Arc<dyn Router>>,
     max_incoming_channels: Option<usize>,
     placement: ManagerPlacement,
-}
-
-impl Default for RtNetworkBuilder {
-    fn default() -> Self {
-        RtNetworkBuilder {
-            sim: SimConfig::default(),
-            dps: DpsKind::Asymmetric,
-            multihop_dps: MultiHopDps::Asymmetric,
-            shape: None,
-            router: None,
-            max_incoming_channels: None,
-            placement: ManagerPlacement::Central,
-        }
-    }
 }
 
 impl RtNetworkBuilder {
@@ -154,28 +126,32 @@ impl RtNetworkBuilder {
         Self::default()
     }
 
-    /// Build the paper's single-switch star over nodes `0..n`.
+    /// Build the paper's single-switch star over nodes `0..n`: shorthand
+    /// for [`RtNetworkBuilder::topology`] with [`Topology::star`].
     pub fn star(self, n: u32) -> Self {
         self.nodes((0..n).map(NodeId::new))
     }
 
-    /// Build a single-switch star over an explicit node set.
-    pub fn nodes(mut self, nodes: impl IntoIterator<Item = NodeId>) -> Self {
-        self.shape = Some(FabricShape::Star(nodes.into_iter().collect()));
-        self
+    /// Build a single-switch star over an explicit node set: shorthand for
+    /// [`RtNetworkBuilder::topology`] with [`Topology::star`].
+    pub fn nodes(self, nodes: impl IntoIterator<Item = NodeId>) -> Self {
+        self.topology(Topology::star(SwitchId::new(0), nodes))
     }
 
-    /// Build a multi-switch fabric over `topology` (tree or mesh).  The
-    /// topology's attachments define the end nodes.
+    /// Build over `topology`: one switch (the star) or many (tree or mesh).
+    /// The topology's attachments define the end nodes.
     pub fn topology(mut self, topology: Topology) -> Self {
-        self.shape = Some(FabricShape::Fabric(topology));
+        self.topology = Some(topology);
         self
     }
 
-    /// The deadline-partitioning rule of a star build (`.star(n)` /
-    /// `.nodes(..)`), one of the paper's two-link family: the *whole*
-    /// deadline split in proportion to the two links' loads (Eq. 18.16).
-    /// Ignored on fabrics, which take a [`RtNetworkBuilder::multihop_dps`].
+    /// The deadline-partitioning rule, one of the paper's two-link family:
+    /// the *whole* deadline split in proportion to the two links' loads
+    /// (Eq. 18.16).  Only a one-switch topology's routes have two links, so
+    /// [`RtNetworkBuilder::build`] refuses it on more switches.  The rule
+    /// set last, by this or [`RtNetworkBuilder::multihop_dps`], wins; with
+    /// neither, a one-switch topology takes [`DpsKind::Asymmetric`] and any
+    /// other [`MultiHopDps::Asymmetric`].
     ///
     /// There are two families because each measures better on its own
     /// workload: the per-hop `Asymmetric` rule put under the paper's
@@ -184,17 +160,18 @@ impl RtNetworkBuilder {
     /// workloads costs up to 16 % of their accepted channels
     /// (ARCHITECTURE.md, the `rt-core` section, *Two DPS families*).
     pub fn dps(mut self, dps: DpsKind) -> Self {
-        self.dps = dps;
+        self.dps = Some(dps.into());
         self
     }
 
-    /// The deadline-partitioning rule of a fabric build (`.topology(..)`),
-    /// one of the per-hop family: every link of the route gets `C_i` first
-    /// and only the slack `d_i − k·C_i` is split.  Ignored on stars, which
-    /// take a [`RtNetworkBuilder::dps`] — see there for why there are two
+    /// The deadline-partitioning rule, one of the per-hop family: every
+    /// link of the route gets `C_i` first and only the slack `d_i − k·C_i`
+    /// is split, and the split goes on the wire as per-hop budgets.  Fits
+    /// routes of any length.  The rule set last wins — see
+    /// [`RtNetworkBuilder::dps`] for the default and why there are two
     /// families.
     pub fn multihop_dps(mut self, dps: MultiHopDps) -> Self {
-        self.multihop_dps = dps;
+        self.dps = Some(dps.into());
         self
     }
 
@@ -202,13 +179,6 @@ impl RtNetworkBuilder {
     /// delay, switch latency, best-effort queue bound).
     pub fn sim_config(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
-        self
-    }
-
-    /// Shorthand: override only the link speed of the simulator
-    /// configuration.
-    pub fn link_speed(mut self, speed: LinkSpeed) -> Self {
-        self.sim.link_speed = speed;
         self
     }
 
@@ -239,9 +209,9 @@ impl RtNetworkBuilder {
     /// channel manager owning the slack ledgers of its local links, and
     /// multi-hop admission runs as a two-phase reservation in control
     /// frames that really traverse the fabric (see
-    /// [`DistributedChannelManager`]).  Requires a
-    /// [`RtNetworkBuilder::topology`] fabric — the single-switch star has
-    /// nothing to distribute.
+    /// [`DistributedChannelManager`]).  Requires a per-hop rule
+    /// ([`RtNetworkBuilder::multihop_dps`]); a two-link rule, the default
+    /// on one switch, runs only centrally.
     pub fn distributed_control(self) -> Self {
         self.manager_placement(ManagerPlacement::Distributed)
     }
@@ -253,22 +223,32 @@ impl RtNetworkBuilder {
         self
     }
 
-    /// Build the network: validate the topology against the router, build
-    /// the simulator fabric, the channel manager and one RT layer per node.
+    /// Build the network: validate the topology against the router and
+    /// the DPS rule, build the simulator fabric, the channel manager and one
+    /// RT layer per node.
     pub fn build(self) -> RtResult<RtNetwork> {
-        let shape = self.shape.ok_or_else(|| {
+        let mut topology = self.topology.ok_or_else(|| {
             RtError::Config(
                 "RtNetworkBuilder needs a fabric: call .star(n), .nodes(..) or .topology(..)"
                     .into(),
             )
         })?;
+        let switches = topology.switch_count();
+        let dps = match self.dps {
+            None if switches == 1 => DpsKind::Asymmetric.into(),
+            None => MultiHopDps::Asymmetric.into(),
+            Some(DpsFamily::TwoLink(kind)) if switches > 1 => {
+                return Err(RtError::Config(format!(
+                    "the two-link rule {kind:?} splits a deadline over one switch's \
+                     uplink and downlink; a topology of {switches} switches needs a \
+                     .multihop_dps(..) rule"
+                )));
+            }
+            Some(dps) => dps,
+        };
         let router: Arc<dyn Router> = self
             .router
             .unwrap_or_else(|| Arc::new(ShortestPathRouter::new()));
-        let (mut topology, dps): (Topology, DpsFamily) = match shape {
-            FabricShape::Star(nodes) => (Topology::star(SwitchId::new(0), nodes), self.dps.into()),
-            FabricShape::Fabric(topology) => (topology, self.multihop_dps.into()),
-        };
         topology.set_manager_placement(self.placement);
         let manager: Box<dyn ChannelManager> = match (self.placement, dps) {
             (ManagerPlacement::Central, dps) => Box::new(FabricChannelManager::new(
@@ -279,8 +259,8 @@ impl RtNetworkBuilder {
             ),
             (ManagerPlacement::Distributed, DpsFamily::TwoLink(_)) => {
                 return Err(RtError::Config(
-                    "distributed control needs a .topology(..) fabric: a single-switch \
-                     star has nothing to distribute"
+                    "distributed control needs a per-hop .multihop_dps(..) rule: the \
+                     two-link rules, a one-switch topology's default, run centrally"
                         .into(),
                 ));
             }
@@ -288,12 +268,11 @@ impl RtNetworkBuilder {
         // Simulator::with_router runs the router's capability check (e.g.
         // the tree policy rejecting cyclic graphs) on this same topology.
         let sim = Simulator::with_router(self.sim, topology, Arc::clone(&router))?;
-        // Eq. 18.1's constant term for the two-hop star path; multi-hop
-        // channels get a per-channel override once their route is known.
-        let t_latency = self.sim.t_latency();
+        // Eq. 18.1's constant term for the two-hop star path; a channel with
+        // per-hop budgets gets its route's once the route is known.
         let layer_config = RtLayerConfig {
             link_speed: self.sim.link_speed,
-            t_latency,
+            t_latency: self.sim.t_latency_for_hops(2),
             max_incoming_channels: self.max_incoming_channels,
         };
         let layers = Layers {
@@ -312,7 +291,6 @@ impl RtNetworkBuilder {
             outcomes: BTreeMap::new(),
             received: Vec::new(),
             be_received: 0,
-            t_latency,
             #[cfg(test)]
             one_event_pump: false,
             #[cfg(test)]
@@ -360,7 +338,6 @@ pub struct RtNetwork {
     outcomes: BTreeMap<(u32, u8), EstablishmentOutcome>,
     received: Vec<DeliveredMessage>,
     be_received: u64,
-    t_latency: Duration,
     /// Pump with [`Simulator::step`], one event at a time: the oracle the
     /// tests hold the instant-draining pump against.
     #[cfg(test)]
@@ -419,20 +396,11 @@ impl RtNetwork {
         self.sim.now()
     }
 
-    /// The constant latency term `T_latency` (Eq. 18.1) of a two-hop star
-    /// path in this network.
-    pub fn t_latency(&self) -> Duration {
-        self.t_latency
-    }
-
     /// The end-to-end delay bound `d_i + T_latency` (Eq. 18.1) for a
     /// star-path channel with contract `spec`.
     pub fn deadline_bound(&self, spec: &RtChannelSpec) -> Duration {
-        self.sim
-            .config()
-            .link_speed
-            .slots_to_duration(spec.deadline)
-            + self.t_latency
+        let config = self.sim.config();
+        config.link_speed.slots_to_duration(spec.deadline) + config.t_latency_for_hops(2)
     }
 
     /// The hop-count-aware end-to-end delay bound of an *established*
@@ -709,7 +677,8 @@ impl RtNetwork {
             .and_then(|frames| usize::try_from(frames).ok())
             .ok_or_else(too_many)?;
         // The last message's release and the deadline stamped on it.
-        let stamp = layer.absolute_deadline_for(channel, &spec, SimTime::ZERO) - SimTime::ZERO;
+        let stamp = layer.absolute_deadline_for(channel, SimTime::ZERO);
+        let stamp = stamp.ok_or(RtError::UnknownChannel(channel))? - SimTime::ZERO;
         if let Some(last) = count.checked_sub(1) {
             period
                 .as_nanos()
@@ -1504,6 +1473,25 @@ mod tests {
         assert!(RtNetwork::builder().star(0).build().is_ok());
     }
 
+    /// A two-link rule is refused where routes have more than two links,
+    /// whichever call set it last; a per-hop rule set after it wins.
+    #[test]
+    fn a_two_link_rule_on_more_than_one_switch_is_a_build_error() {
+        let line = || RtNetwork::builder().topology(Topology::line(3, 2));
+        for builder in [
+            line().dps(DpsKind::Symmetric),
+            line()
+                .multihop_dps(MultiHopDps::Asymmetric)
+                .dps(DpsKind::Asymmetric),
+        ] {
+            assert!(matches!(builder.build(), Err(RtError::Config(_))));
+        }
+        let per_hop = line()
+            .dps(DpsKind::Symmetric)
+            .multihop_dps(MultiHopDps::Symmetric);
+        assert!(per_hop.build().unwrap().manager().schedules_hops());
+    }
+
     /// Establishment plus ten periodic messages across a ring: control and
     /// data events interleaved in one calendar (debug builds check every
     /// pop of it against the reference heap).
@@ -1771,20 +1759,41 @@ mod tests {
     }
 
     /// The one place a star build and a fabric build differ: the same
-    /// one-switch topology partitions by the paper's two-link rule under
-    /// `.star(..)` and by the per-hop rule under `.topology(..)`, and only the
-    /// latter puts per-hop budgets on the wire.
+    /// one-switch topology partitions by the paper's two-link rule or by the
+    /// per-hop rule, whichever was set last (the two-link ADPS when none
+    /// was), and only the latter puts per-hop budgets on the wire.
     #[test]
     fn star_and_fabric_builds_of_one_switch_differ_only_in_the_dps_family() {
         let spec = RtChannelSpec::paper_default();
-        let one_switch = Topology::star(SwitchId::new(0), (0..4).map(NodeId::new));
-        let star = RtNetwork::builder().star(4).dps(DpsKind::Asymmetric);
-        let fabric = RtNetwork::builder()
-            .topology(one_switch)
-            .multihop_dps(MultiHopDps::Asymmetric);
-        for (builder, hops_scheduled, second_split) in
-            [(star, false, [27, 13]), (fabric, true, [26, 14])]
-        {
+        let one_switch = || Topology::star(SwitchId::new(0), (0..4).map(NodeId::new));
+        let star = || RtNetwork::builder().star(4);
+        let two_link = (false, [27, 13]);
+        let per_hop = (true, [26, 14]);
+        for (builder, (hops_scheduled, second_split)) in [
+            (star().dps(DpsKind::Asymmetric), two_link),
+            (
+                RtNetwork::builder()
+                    .topology(one_switch())
+                    .multihop_dps(MultiHopDps::Asymmetric),
+                per_hop,
+            ),
+            (star().multihop_dps(MultiHopDps::Asymmetric), per_hop),
+            (
+                RtNetwork::builder()
+                    .topology(one_switch())
+                    .multihop_dps(MultiHopDps::Asymmetric)
+                    .dps(DpsKind::Asymmetric),
+                two_link,
+            ),
+            (
+                star()
+                    .dps(DpsKind::Asymmetric)
+                    .multihop_dps(MultiHopDps::Asymmetric),
+                per_hop,
+            ),
+            (star(), two_link),
+            (RtNetwork::builder().topology(one_switch()), two_link),
+        ] {
             let mut net = builder.build().unwrap();
             let mut establish = |dst: u32| {
                 let tx = net.establish_channel(NodeId::new(0), NodeId::new(dst), spec);

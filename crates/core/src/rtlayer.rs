@@ -41,7 +41,8 @@ pub struct RtLayerConfig {
     /// time when stamping frames.
     pub link_speed: LinkSpeed,
     /// The constant latency term of Eq. 18.1 added on top of `d_i` when
-    /// computing the absolute delivery deadline of a frame.
+    /// computing the absolute delivery deadline of a frame: every outgoing
+    /// channel's until [`RtLayer::set_channel_t_latency`] sets its own.
     pub t_latency: Duration,
     /// Maximum number of incoming channels this node accepts as a
     /// destination (`None` = unlimited).
@@ -113,11 +114,11 @@ pub struct RtLayer {
     config: RtLayerConfig,
     next_request_id: u8,
     outstanding: HashMap<u8, (NodeId, RtChannelSpec), FoldState>,
-    tx_channels: HashMap<u16, TxChannel, FoldState>,
+    /// Each outgoing channel with the `T_latency` its stamps add: the
+    /// layer's default until [`RtLayer::set_channel_t_latency`] sets the
+    /// channel's own.
+    tx_channels: HashMap<u16, (TxChannel, Duration), FoldState>,
     rx_channels: HashMap<u16, RxChannel, FoldState>,
-    /// Per-channel `T_latency` overrides for channels whose path is longer
-    /// than the star's two hops (multi-switch fabrics).
-    tx_latency_overrides: HashMap<u16, Duration, FoldState>,
     frames_sent: u64,
     frames_received: u64,
 }
@@ -133,7 +134,6 @@ impl RtLayer {
             outstanding: HashMap::default(),
             tx_channels: HashMap::default(),
             rx_channels: HashMap::default(),
-            tx_latency_overrides: HashMap::default(),
             frames_sent: 0,
             frames_received: 0,
         }
@@ -151,7 +151,7 @@ impl RtLayer {
 
     /// Established outgoing channels, in ascending channel id.
     pub fn tx_channels(&self) -> impl Iterator<Item = &TxChannel> {
-        ascending(&self.tx_channels)
+        ascending(&self.tx_channels).map(|(tx, _)| tx)
     }
 
     /// Established incoming channels, in ascending channel id.
@@ -161,7 +161,7 @@ impl RtLayer {
 
     /// Look up an outgoing channel.
     pub fn tx_channel(&self, id: ChannelId) -> Option<&TxChannel> {
-        self.tx_channels.get(&id.get())
+        self.tx_channels.get(&id.get()).map(|(tx, _)| tx)
     }
 
     /// Number of requests still waiting for a response.
@@ -228,7 +228,8 @@ impl RtLayer {
                     destination: Endpoint::for_node(destination),
                     spec,
                 };
-                self.tx_channels.insert(id.get(), tx);
+                self.tx_channels
+                    .insert(id.get(), (tx, self.config.t_latency));
                 Ok(EstablishmentOutcome::Established(tx))
             }
             (ResponseVerdict::Accepted, None) => Err(RtError::ProtocolViolation(
@@ -290,49 +291,38 @@ impl RtLayer {
 
     // --- data path -----------------------------------------------------------
 
-    /// The absolute delivery deadline (Eq. 18.1) of a message generated at
-    /// `generation_time` on a channel with contract `spec`, using the
-    /// layer-wide `T_latency` constant (the two-hop star path).  For an
-    /// *established* channel prefer [`RtLayer::absolute_deadline_for`],
-    /// which honours per-channel multi-hop overrides.
-    pub fn absolute_deadline(&self, spec: &RtChannelSpec, generation_time: SimTime) -> SimTime {
-        self.stamp_deadline(self.config.t_latency, spec, generation_time)
-    }
-
-    /// Override the constant `T_latency` term for one established outgoing
+    /// Set the constant `T_latency` term of one established outgoing
     /// channel.  On a multi-switch fabric the constant depends on the hop
     /// count of the channel's route, which only the managing switch knows;
     /// the network glue calls this once establishment completes.
     pub fn set_channel_t_latency(&mut self, channel: ChannelId, t_latency: Duration) {
-        self.tx_latency_overrides.insert(channel.get(), t_latency);
+        if let Some((_, own)) = self.tx_channels.get_mut(&channel.get()) {
+            *own = t_latency;
+        }
     }
 
-    /// The absolute delivery deadline of a message on an established
-    /// channel, honouring any per-channel `T_latency` override — this is
-    /// the stamp [`RtLayer::prepare_data`] writes on the wire.
+    /// The absolute delivery deadline (Eq. 18.1) of a message generated at
+    /// `generation_time` on an established channel, with the channel's own
+    /// `T_latency` — the stamp [`RtLayer::prepare_data`] writes on the wire.
+    /// `None` if the channel is not established here.
     pub fn absolute_deadline_for(
         &self,
         channel: ChannelId,
-        spec: &RtChannelSpec,
         generation_time: SimTime,
-    ) -> SimTime {
-        let t_latency = self
-            .tx_latency_overrides
-            .get(&channel.get())
-            .copied()
-            .unwrap_or(self.config.t_latency);
-        self.stamp_deadline(t_latency, spec, generation_time)
+    ) -> Option<SimTime> {
+        let (tx, t_latency) = self.tx_channels.get(&channel.get())?;
+        Some(self.stamp_deadline(tx, *t_latency, generation_time))
     }
 
     /// `generation_time + d_i·slot + t_latency` — the single place the
     /// Eq. 18.1 stamp is computed.
     fn stamp_deadline(
         &self,
+        tx: &TxChannel,
         t_latency: Duration,
-        spec: &RtChannelSpec,
         generation_time: SimTime,
     ) -> SimTime {
-        let d = self.config.link_speed.slots_to_duration(spec.deadline);
+        let d = self.config.link_speed.slots_to_duration(tx.spec.deadline);
         generation_time + d + t_latency
     }
 
@@ -345,11 +335,11 @@ impl RtLayer {
         payload: Vec<u8>,
         generation_time: SimTime,
     ) -> RtResult<EthernetFrame> {
-        let tx = self
+        let (tx, t_latency) = self
             .tx_channels
             .get(&channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
-        let deadline = self.absolute_deadline_for(channel, &tx.spec, generation_time);
+        let deadline = self.stamp_deadline(tx, *t_latency, generation_time);
         let frame = RtDataFrame {
             eth_src: self.endpoint.mac,
             eth_dst: tx.destination.mac,
@@ -372,7 +362,7 @@ impl RtLayer {
         generation_time: SimTime,
     ) -> RtResult<std::iter::RepeatN<EthernetFrame>> {
         let eth = self.prepare_data(channel, payload, generation_time)?;
-        let frames = self.tx_channels[&channel.get()].spec.capacity.get();
+        let frames = self.tx_channels[&channel.get()].0.spec.capacity.get();
         self.frames_sent += frames.saturating_sub(1);
         Ok(std::iter::repeat_n(eth, frames as usize))
     }
@@ -404,7 +394,6 @@ impl RtLayer {
         if self.tx_channels.remove(&channel.get()).is_none() {
             return Err(RtError::UnknownChannel(channel));
         }
-        self.tx_latency_overrides.remove(&channel.get());
         let frame = TeardownFrame {
             rt_channel_id: channel,
         };
@@ -424,13 +413,10 @@ impl RtLayer {
     /// Forget an outgoing channel *without* emitting a TeardownFrame — the
     /// network side of a fail-over drop: the fabric already released the
     /// channel because no surviving route could re-admit it, so the source
-    /// merely stops believing it can transmit on it.  Like
-    /// [`RtLayer::teardown_channel`], the per-channel `T_latency` override
-    /// goes with it — a recycled channel id must not inherit a dead
-    /// channel's constant.
+    /// merely stops believing it can transmit on it.  The channel's
+    /// `T_latency` goes with its entry.
     pub fn forget_tx_channel(&mut self, channel: ChannelId) {
         self.tx_channels.remove(&channel.get());
-        self.tx_latency_overrides.remove(&channel.get());
     }
 }
 
@@ -714,23 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn absolute_deadline_includes_t_latency() {
-        let l = RtLayer::new(
-            NodeId::new(0),
-            RtLayerConfig {
-                t_latency: Duration::from_micros(11),
-                ..RtLayerConfig::default()
-            },
-        );
-        let s = spec();
-        let gen = SimTime::from_millis(1);
-        let expected = gen
-            + LinkSpeed::FAST_ETHERNET.slots_to_duration(s.deadline)
-            + Duration::from_micros(11);
-        assert_eq!(l.absolute_deadline(&s, gen), expected);
-    }
-
-    #[test]
     fn per_channel_t_latency_override_changes_the_stamp() {
         let mut l = RtLayer::new(
             NodeId::new(0),
@@ -770,6 +739,27 @@ mod tests {
         assert_eq!(
             data.stamp.absolute_deadline,
             (gen + base + Duration::from_micros(55)).as_nanos()
+        );
+        assert_eq!(
+            l.absolute_deadline_for(ChannelId::new(4), gen),
+            Some(gen + base + Duration::from_micros(55))
+        );
+
+        // The constant goes with the channel: a recycled id starts from the
+        // layer's default again.
+        l.forget_tx_channel(ChannelId::new(4));
+        assert_eq!(l.absolute_deadline_for(ChannelId::new(4), gen), None);
+        let (req_id, _) = l.request_channel(NodeId::new(1), spec()).unwrap();
+        l.handle_response(&ResponseFrame {
+            rt_channel_id: Some(ChannelId::new(4)),
+            switch_mac: MacAddr::for_switch(),
+            verdict: ResponseVerdict::Accepted,
+            connection_request_id: req_id,
+        })
+        .unwrap();
+        assert_eq!(
+            l.absolute_deadline_for(ChannelId::new(4), gen),
+            Some(gen + base + Duration::from_micros(10))
         );
     }
 

@@ -308,7 +308,7 @@ impl FeasibilityTester {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testgen::{random_task_vec, random_tasks};
+    use crate::testgen::{adversarial_seeds, random_task_vec, random_tasks};
     use rt_types::rng::Xoshiro256;
 
     fn task(p: u64, c: u64, d: u64) -> PeriodicTask {
@@ -660,15 +660,6 @@ mod tests {
         }
     }
 
-    /// Seeds of the differential property (the `RT_ADVERSARIAL_SEEDS` matrix
-    /// the CI soaks crank up), default 32.
-    fn differential_seeds() -> u64 {
-        std::env::var("RT_ADVERSARIAL_SEEDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(32)
-    }
-
     /// `test_slice` — over a set, and over a held slice plus a candidate, one
     /// scratch lent to every call — equals the oracle on the whole
     /// [`FeasibilityOutcome`]: verdict with `at`/`demand`, `busy_period`,
@@ -712,7 +703,7 @@ mod tests {
             }
         };
 
-        for seed in 0..differential_seeds() {
+        for seed in 0..adversarial_seeds() {
             let mut rng = Xoshiro256::new(0xfea5_1600 + seed);
             let cap = |rng: &mut Xoshiro256| rng.range_inclusive(1, 60);
             check(Vec::new(), cap(&mut rng));

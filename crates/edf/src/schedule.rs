@@ -178,7 +178,7 @@ mod tests {
     use super::*;
     use crate::feasibility::FeasibilityTester;
     use crate::task::PeriodicTask;
-    use crate::testgen::random_task_vec;
+    use crate::testgen::{adversarial_seeds, random_task_vec};
     use rt_types::rng::Xoshiro256;
 
     fn task(p: u64, c: u64, d: u64) -> PeriodicTask {
@@ -257,6 +257,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A synchronous set that misses under slot-preemptive EDF first misses
+    /// inside its synchronous busy period (Baruah, Rosier & Howell 1990;
+    /// Spuri 1996): simulating up to the busy period's end and simulating
+    /// the capped hyperperiod agree on whether the set misses and on its
+    /// first miss — including sets with deadlines past their periods.
+    #[test]
+    fn prop_the_busy_period_finds_the_first_miss() {
+        let cap = Slots::new(5_000);
+        // (sets compared, of them missing, with some d > P, busy period
+        // shorter than the capped hyperperiod, first miss past the set's
+        // least relative deadline)
+        let mut seen = (0, 0, 0, 0, 0);
+        for seed in 0..adversarial_seeds() {
+            let mut rng = Xoshiro256::new(0xb05e_0000 + seed);
+            for _ in 0..40 {
+                for tasks in [
+                    // Small and dense: overloads, deadlines either side of
+                    // the period.
+                    random_task_vec(&mut rng, (1, 6), (2, 16), (1, 4), (1, 40)),
+                    // Longer and lighter: busy periods far inside long
+                    // hyperperiods.
+                    random_task_vec(&mut rng, (2, 8), (5, 60), (1, 6), (1, 90)),
+                    // Near full: misses past the first deadline.
+                    random_task_vec(&mut rng, (2, 5), (4, 12), (1, 5), (3, 12)),
+                ] {
+                    let set = TaskSet::from_tasks(tasks);
+                    let Some(busy) = set.busy_period(cap) else {
+                        continue;
+                    };
+                    let full = simulate_over_hyperperiod(&set, cap);
+                    let short = simulate_edf_schedule(&set, busy);
+                    assert_eq!(short.is_miss_free(), full.is_miss_free(), "{set:?}");
+                    assert_eq!(short.misses.first(), full.misses.first(), "{set:?}");
+                    let past = |t: &PeriodicTask| t.relative_deadline() > t.period();
+                    let first_deadline = set.tasks().iter().map(|t| t.relative_deadline()).min();
+                    let late = |m: &DeadlineMiss| Some(m.deadline) > first_deadline;
+                    seen.0 += 1;
+                    seen.1 += usize::from(!full.is_miss_free());
+                    seen.2 += usize::from(set.tasks().iter().any(past));
+                    seen.3 += usize::from(busy < full.horizon);
+                    seen.4 += usize::from(full.misses.first().is_some_and(late));
+                }
+            }
+        }
+        let (sets, missing, past, shorter, late) = seen;
+        assert!(
+            missing > 0 && past > 0 && shorter > sets / 2 && late > 0,
+            "{seen:?}"
+        );
     }
 
     /// A simulated miss implies the analysis also rejects the set

@@ -44,3 +44,12 @@ pub(crate) fn random_task_vec(
     let n = rng.range_inclusive(len.0 as u64, len.1 as u64) as usize;
     random_tasks(rng, n, p, c, d)
 }
+
+/// Seeds of a seeded property (the `RT_ADVERSARIAL_SEEDS` matrix the CI
+/// soaks crank up), default 32.
+pub(crate) fn adversarial_seeds() -> u64 {
+    std::env::var("RT_ADVERSARIAL_SEEDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(32)
+}

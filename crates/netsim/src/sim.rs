@@ -58,8 +58,8 @@
 //! hop events in its FIFO delay lanes, the rest in its calendar queue;
 //! debug builds check every pop against the binary-heap reference.
 //!
-//! The single-switch star of the paper's §18.1 is the degenerate one-switch
-//! case ([`Simulator::new`]) and behaves exactly as it always has.
+//! The single-switch star of the paper's §18.1 is the one-switch
+//! [`Topology::star`], built like any other fabric.
 //!
 //! The simulator is single-threaded and deterministic: identical inputs
 //! produce identical event sequences, deliveries and statistics.
@@ -135,11 +135,6 @@ impl SimConfig {
         self.propagation_delay * hops
             + self.switch_latency * hops.saturating_sub(1)
             + self.link_speed.slot_duration() * hops
-    }
-
-    /// The `T_latency` constant for the single-switch star (two link hops).
-    pub fn t_latency(&self) -> Duration {
-        self.t_latency_for_hops(2)
     }
 }
 
@@ -372,16 +367,6 @@ impl Sink for Inline {
 }
 
 impl Simulator {
-    /// Build the degenerate single-switch star with `node_ids` attached —
-    /// the network of the paper's §18.1.
-    ///
-    /// Each node is assigned the MAC address [`MacAddr::for_node`]; the
-    /// switch uses [`MacAddr::for_switch`].
-    pub fn new(config: SimConfig, node_ids: impl IntoIterator<Item = NodeId>) -> Self {
-        Simulator::with_topology(config, Topology::star(SwitchId::new(0), node_ids))
-            .expect("a single-switch star is always a valid topology")
-    }
-
     /// Build a simulator over an arbitrary connected multi-switch topology
     /// (tree or mesh) with the default [`ShortestPathRouter`] forwarding
     /// fabric-internal traffic: one output port per directed edge — node
@@ -1114,10 +1099,15 @@ pub(crate) mod tests {
     use super::*;
     use rt_frames::rt_data::{DeadlineStamp, RtDataFrame};
     use rt_types::constants::ETHERTYPE_IPV4;
-    use rt_types::{Ipv4Address, LinkId};
+    use rt_types::Ipv4Address;
 
-    fn nodes(n: u32) -> Vec<NodeId> {
-        (0..n).map(NodeId::new).collect()
+    /// The paper's single-switch star over nodes `0..n`.
+    fn star(config: SimConfig, n: u32) -> Simulator {
+        Simulator::with_topology(
+            config,
+            Topology::star(SwitchId::new(0), (0..n).map(NodeId::new)),
+        )
+        .expect("a one-switch star is a valid topology")
     }
 
     pub(crate) fn be_frame(from: NodeId, to: NodeId, payload_len: usize) -> EthernetFrame {
@@ -1163,7 +1153,7 @@ pub(crate) mod tests {
     #[test]
     fn single_frame_end_to_end_latency() {
         let config = SimConfig::default();
-        let mut sim = Simulator::new(config, nodes(2));
+        let mut sim = star(config, 2);
         let n0 = NodeId::new(0);
         let n1 = NodeId::new(1);
         let eth = be_frame(n0, n1, 1000);
@@ -1185,7 +1175,7 @@ pub(crate) mod tests {
 
     #[test]
     fn control_frames_to_switch_are_delivered_to_control_plane() {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+        let mut sim = star(SimConfig::default(), 2);
         let n0 = NodeId::new(0);
         let req = rt_frames::RequestFrame {
             src_mac: MacAddr::for_node(n0),
@@ -1211,7 +1201,7 @@ pub(crate) mod tests {
 
     #[test]
     fn switch_originated_frames_reach_the_node() {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+        let mut sim = star(SimConfig::default(), 2);
         let n1 = NodeId::new(1);
         let resp = rt_frames::ResponseFrame {
             rt_channel_id: Some(ChannelId::new(1)),
@@ -1233,7 +1223,7 @@ pub(crate) mod tests {
 
     #[test]
     fn rt_frames_overtake_best_effort_on_the_uplink() {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+        let mut sim = star(SimConfig::default(), 2);
         let n0 = NodeId::new(0);
         let n1 = NodeId::new(1);
         // Queue three large best-effort frames first, then one RT frame, all
@@ -1271,7 +1261,7 @@ pub(crate) mod tests {
 
     #[test]
     fn deadline_misses_are_detected() {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+        let mut sim = star(SimConfig::default(), 2);
         let n0 = NodeId::new(0);
         let n1 = NodeId::new(1);
         // An impossible deadline: 1 us for a full-size frame.
@@ -1293,7 +1283,7 @@ pub(crate) mod tests {
         // Both node 0 and node 1 send to node 2 at the same time: the two
         // uplinks run in parallel but the downlink serialises the frames.
         let config = SimConfig::default();
-        let mut sim = Simulator::new(config, nodes(3));
+        let mut sim = star(config, 3);
         let n0 = NodeId::new(0);
         let n1 = NodeId::new(1);
         let n2 = NodeId::new(2);
@@ -1304,7 +1294,7 @@ pub(crate) mod tests {
         sim.run_to_idle();
         let deliveries = sim.poll_deliveries();
         assert_eq!(deliveries.len(), 2);
-        let downlink = sim.stats().link(LinkId::downlink(n2)).unwrap();
+        let downlink = sim.stats().hop_link(HopLink::Downlink(n2)).unwrap();
         assert_eq!(downlink.frames, 2);
         // The second delivery is at least one transmission time after the
         // first (serialisation on the shared downlink).
@@ -1319,7 +1309,7 @@ pub(crate) mod tests {
 
     #[test]
     fn unknown_destination_is_dropped() {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+        let mut sim = star(SimConfig::default(), 2);
         let n0 = NodeId::new(0);
         let ghost = NodeId::new(99);
         sim.inject(n0, be_frame(n0, ghost, 100), SimTime::ZERO)
@@ -1331,7 +1321,7 @@ pub(crate) mod tests {
 
     #[test]
     fn injection_errors() {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(1));
+        let mut sim = star(SimConfig::default(), 1);
         let n0 = NodeId::new(0);
         let n9 = NodeId::new(9);
         assert!(sim.inject(n9, be_frame(n0, n0, 10), SimTime::ZERO).is_err());
@@ -1357,7 +1347,7 @@ pub(crate) mod tests {
 
     #[test]
     fn run_until_leaves_future_events_pending() {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+        let mut sim = star(SimConfig::default(), 2);
         let n0 = NodeId::new(0);
         let n1 = NodeId::new(1);
         sim.inject(n0, be_frame(n0, n1, 100), SimTime::from_millis(10))
@@ -1376,10 +1366,9 @@ pub(crate) mod tests {
         let slot = config.link_speed.slot_duration();
         // Star: 2 links, 1 switch, 2 blocking slots.
         assert_eq!(
-            config.t_latency(),
+            config.t_latency_for_hops(2),
             config.propagation_delay * 2 + config.switch_latency + slot * 2
         );
-        assert_eq!(config.t_latency(), config.t_latency_for_hops(2));
         // A 3-switch line path: 4 links, 3 switches, 4 blocking slots.
         assert_eq!(
             config.t_latency_for_hops(4),
@@ -1396,7 +1385,7 @@ pub(crate) mod tests {
     #[test]
     fn determinism_same_inputs_same_outputs() {
         let run = || {
-            let mut sim = Simulator::new(SimConfig::default(), nodes(4));
+            let mut sim = star(SimConfig::default(), 4);
             for i in 0..4u32 {
                 for j in 0..4u32 {
                     if i != j {
@@ -1513,53 +1502,6 @@ pub(crate) mod tests {
                 to: SwitchId::new(1),
             })
             .is_none());
-    }
-
-    #[test]
-    fn star_topology_matches_the_new_constructor_exactly() {
-        // The acceptance bar for the refactor: the explicit one-switch
-        // topology and the legacy star constructor produce byte-identical
-        // delivery sequences.
-        let drive = |mut sim: Simulator| {
-            for i in 0..3u32 {
-                for j in 0..3u32 {
-                    if i != j {
-                        sim.inject(
-                            NodeId::new(i),
-                            rt_frame(
-                                NodeId::new(i),
-                                NodeId::new(j),
-                                (i * 3 + j) as u16,
-                                SimTime::from_millis(1),
-                                700,
-                            ),
-                            SimTime::from_micros(u64::from(3 * i + j)),
-                        )
-                        .unwrap();
-                        sim.inject(
-                            NodeId::new(i),
-                            be_frame(NodeId::new(i), NodeId::new(j), 1200),
-                            SimTime::from_micros(u64::from(3 * i + j)),
-                        )
-                        .unwrap();
-                    }
-                }
-            }
-            sim.run_to_idle();
-            sim.poll_deliveries()
-                .iter()
-                .map(|d| (d.frame, d.receiver, d.delivered_at, d.eth.encode()))
-                .collect::<Vec<_>>()
-        };
-        let star = drive(Simulator::new(SimConfig::default(), nodes(3)));
-        let topo = drive(
-            Simulator::with_topology(
-                SimConfig::default(),
-                Topology::star(SwitchId::new(0), nodes(3)),
-            )
-            .unwrap(),
-        );
-        assert_eq!(star, topo);
     }
 
     #[test]
@@ -1868,7 +1810,7 @@ pub(crate) mod tests {
     /// of it against the reference heap).
     #[test]
     fn a_busy_star_delivers_everything_in_time_order() {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(6));
+        let mut sim = star(SimConfig::default(), 6);
         for k in 0..200u64 {
             let src = NodeId::new((k % 6) as u32);
             let dst = NodeId::new(((k + 3) % 6) as u32);
@@ -1892,7 +1834,7 @@ pub(crate) mod tests {
         let n0 = NodeId::new(0);
         let n1 = NodeId::new(1);
         let singles = {
-            let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+            let mut sim = star(SimConfig::default(), 2);
             for k in 0..20u64 {
                 sim.inject(n0, be_frame(n0, n1, 300), SimTime::from_micros(k * 50))
                     .unwrap();
@@ -1904,7 +1846,7 @@ pub(crate) mod tests {
                 .collect::<Vec<_>>()
         };
         let batched = {
-            let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+            let mut sim = star(SimConfig::default(), 2);
             let ids = sim
                 .inject_batch((0..20u64).map(|k| FrameInjection {
                     node: n0,
@@ -1923,7 +1865,7 @@ pub(crate) mod tests {
         // A bad entry anywhere fails the whole batch atomically: nothing is
         // registered or scheduled, so a corrected retry cannot duplicate
         // the earlier frames.
-        let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+        let mut sim = star(SimConfig::default(), 2);
         assert!(sim
             .inject_batch([
                 FrameInjection {
@@ -1984,7 +1926,7 @@ pub(crate) mod tests {
 
     #[test]
     fn run_with_source_delivers_the_whole_workload() {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(2));
+        let mut sim = star(SimConfig::default(), 2);
         let mut source = EveryPeriod {
             next_at: SimTime::from_micros(100),
             period: Duration::from_micros(400),
@@ -2003,7 +1945,7 @@ pub(crate) mod tests {
     /// switch at time zero, so their three arrivals at the control plane
     /// make up one instant; node 3 sends best effort to node 4 beside them.
     fn three_requests_in_one_instant() -> Simulator {
-        let mut sim = Simulator::new(SimConfig::default(), nodes(6));
+        let mut sim = star(SimConfig::default(), 6);
         for n in 0..3 {
             let node = NodeId::new(n);
             let req = rt_frames::RequestFrame {

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use rt_types::{ChannelId, Duration, HopLink, LinkId, SimTime};
+use rt_types::{ChannelId, Duration, HopLink, SimTime};
 
 /// Latency statistics for one RT channel.
 #[derive(Debug, Clone, Copy)]
@@ -332,17 +332,6 @@ impl SimStats {
         self.channels.get(&id.get())
     }
 
-    /// Statistics for one directed access link, if it ever transmitted —
-    /// the star-era view, kept for existing callers; the `LinkId` is
-    /// converted to the equivalent access [`HopLink`].
-    pub fn link(&self, id: LinkId) -> Option<&LinkStats> {
-        let hop = match id.direction {
-            rt_types::LinkDirection::Uplink => HopLink::Uplink(id.node),
-            rt_types::LinkDirection::Downlink => HopLink::Downlink(id.node),
-        };
-        self.hop_link(hop)
-    }
-
     /// Statistics for any directed link of the fabric, including trunks.
     /// `None` if the link never transmitted (or is not a port of the
     /// fabric).
@@ -440,8 +429,6 @@ mod tests {
         let mut s = SimStats::for_ports(vec![link, other]);
         s.record_transmission(0, 1538, Duration::from_micros(123));
         s.record_transmission(0, 1538, Duration::from_micros(123));
-        // Both the HopLink and the legacy LinkId view resolve the entry.
-        assert!(s.link(LinkId::uplink(NodeId::new(3))).is_some());
         let l = s.hop_link(link).unwrap();
         assert_eq!(l.frames, 2);
         assert_eq!(l.wire_bytes, 3076);
@@ -581,7 +568,7 @@ mod tests {
         let s = SimStats::default();
         assert!(s.worst_case_latency().is_none());
         assert!(s.channel(ChannelId::new(1)).is_none());
-        assert!(s.link(LinkId::uplink(NodeId::new(0))).is_none());
+        assert!(s.hop_link(HopLink::Uplink(NodeId::new(0))).is_none());
         assert!(s.all_deadlines_met());
         assert_eq!(s.links().count(), 0);
     }

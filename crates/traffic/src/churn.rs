@@ -36,7 +36,7 @@ use rt_core::protocol::ChannelRequest as ProtocolRequest;
 use rt_core::{ChannelManager, RtChannelSpec};
 use rt_frames::codec::TeardownFrame;
 use rt_frames::rt_response::ResponseVerdict;
-use rt_frames::{Frame, ResponseFrame};
+use rt_frames::{Frame, ReservationFrame, ResponseFrame};
 use rt_types::rng::Xoshiro256;
 use rt_types::{
     ChannelId, ConnectionRequestId, FoldState, MacAddr, NodeId, RtError, RtResult, SimTime,
@@ -180,22 +180,23 @@ pub enum ChurnEvent {
 }
 
 impl ChurnEvent {
-    /// Fold this event into a running FNV-1a hash.
-    fn fold(&self, hash: &mut u64) {
+    /// Fold this event into a running FNV-1a hash, a channel id as the
+    /// word `channel` makes of it.
+    fn fold(&self, hash: &mut u64, channel: impl FnOnce(ChannelId) -> u64) {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut mix = |byte: u64| {
-            *hash ^= byte;
+        let mut mix = |word: u64| {
+            *hash ^= word;
             *hash = hash.wrapping_mul(PRIME);
         };
         match *self {
             ChurnEvent::Admitted(id) => {
                 mix(1);
-                mix(u64::from(id.get()));
+                mix(channel(id));
             }
             ChurnEvent::Rejected => mix(2),
             ChurnEvent::Released(id) => {
                 mix(3);
-                mix(u64::from(id.get()));
+                mix(channel(id));
             }
             ChurnEvent::TrunkCut { rerouted, dropped } => {
                 mix(4);
@@ -380,23 +381,11 @@ impl ChurnProcess {
         };
         let mut norm_ids = AdmissionOrderIds::default();
         let record = |report: &mut ChurnReport, ids: &mut AdmissionOrderIds, event: ChurnEvent| {
-            event.fold(&mut report.trace_hash);
-            const PRIME: u64 = 0x0000_0100_0000_01b3;
-            let mix = |hash: &mut u64, byte: u64| {
-                *hash ^= byte;
-                *hash = hash.wrapping_mul(PRIME);
-            };
-            match event {
-                ChurnEvent::Admitted(id) => {
-                    mix(&mut report.normalized_trace_hash, 1);
-                    mix(&mut report.normalized_trace_hash, ids.admitted(id.get()));
-                }
-                ChurnEvent::Released(id) => {
-                    mix(&mut report.normalized_trace_hash, 3);
-                    mix(&mut report.normalized_trace_hash, ids.released(id.get()));
-                }
-                other => other.fold(&mut report.normalized_trace_hash),
-            }
+            event.fold(&mut report.trace_hash, |id| u64::from(id.get()));
+            event.fold(&mut report.normalized_trace_hash, |id| match event {
+                ChurnEvent::Admitted(_) => ids.admitted(id.get()),
+                _ => ids.released(id.get()),
+            });
             if cfg.record_trace {
                 report.trace.push(event);
             }
@@ -590,42 +579,30 @@ impl ProtocolPump {
             request_id,
         }
         .to_frame();
-        self.queue.clear();
-        self.queue
-            .push_back((src_switch, source, Frame::Request(request)));
+        let first = (src_switch, source, Frame::Request(request));
         let mut verdict = None;
-        while let Some((at, from, frame)) = self.queue.pop_front() {
-            // The pump is synchronous: every frame is delivered in zero
-            // simulated time, so reservation leases never expire mid-pump.
-            let outcome = manager.handle_frame_at(at, from, &frame, SimTime::ZERO)?;
-            for (_, action) in outcome.emissions {
-                match action {
-                    SwitchAction::ForwardRequest { to, frame } => {
-                        // The destination node accepts and answers through
-                        // its own access switch, like the RT layer would.
-                        debug_assert_eq!(to, destination);
-                        let response = ResponseFrame {
-                            rt_channel_id: frame.rt_channel_id,
-                            switch_mac: MacAddr::for_switch(),
-                            verdict: ResponseVerdict::Accepted,
-                            connection_request_id: frame.connection_request_id,
-                        };
-                        self.queue
-                            .push_back((dst_switch, to, Frame::Response(response)));
-                    }
-                    SwitchAction::SendResponse { frame, .. } => {
-                        verdict = Some(match frame.verdict {
-                            ResponseVerdict::Accepted => frame.rt_channel_id,
-                            ResponseVerdict::Rejected => None,
-                        });
-                    }
-                    SwitchAction::SendControl { to, frame } => {
-                        self.queue
-                            .push_back((to, NodeId::SWITCH, Frame::Reservation(frame)));
-                    }
-                }
+        self.drain(manager, [first], |action| match action {
+            SwitchAction::ForwardRequest { to, frame } => {
+                // The destination node accepts and answers through its own
+                // access switch, like the RT layer would.
+                debug_assert_eq!(to, destination);
+                let response = ResponseFrame {
+                    rt_channel_id: frame.rt_channel_id,
+                    switch_mac: MacAddr::for_switch(),
+                    verdict: ResponseVerdict::Accepted,
+                    connection_request_id: frame.connection_request_id,
+                };
+                Some((dst_switch, to, Frame::Response(response)))
             }
-        }
+            SwitchAction::SendResponse { frame, .. } => {
+                verdict = Some(match frame.verdict {
+                    ResponseVerdict::Accepted => frame.rt_channel_id,
+                    ResponseVerdict::Rejected => None,
+                });
+                None
+            }
+            SwitchAction::SendControl { .. } => None,
+        })?;
         verdict.ok_or_else(|| {
             RtError::ProtocolViolation("establishment pump drained without a verdict".into())
         })
@@ -642,18 +619,7 @@ impl ProtocolPump {
         id: ChannelId,
     ) -> RtResult<()> {
         let teardown = Frame::Teardown(TeardownFrame { rt_channel_id: id });
-        self.queue.clear();
-        self.queue.push_back((access, source, teardown));
-        while let Some((at, from, frame)) = self.queue.pop_front() {
-            let outcome = manager.handle_frame_at(at, from, &frame, SimTime::ZERO)?;
-            for (_, action) in outcome.emissions {
-                if let SwitchAction::SendControl { to, frame } = action {
-                    self.queue
-                        .push_back((to, NodeId::SWITCH, Frame::Reservation(frame)));
-                }
-            }
-        }
-        Ok(())
+        self.drain(manager, [(access, source, teardown)], |_| None)
     }
 
     /// Propagate a topology event's link-state flood to convergence: drain
@@ -663,24 +629,46 @@ impl ProtocolPump {
     /// between arrivals, so the flood always converges before the next
     /// admission: traces stay placement-identical.
     fn flood<M: ChannelManager + ?Sized>(&mut self, manager: &mut M) -> RtResult<()> {
+        let origins = manager.drain_control().into_iter();
+        let seeds = origins.filter_map(|(_, action)| match action {
+            SwitchAction::SendControl { to, frame } => Some(to_switch(to, frame)),
+            _ => None,
+        });
+        self.drain(manager, seeds, |_| None)
+    }
+
+    /// Deliver `first` in order, and every frame the deliveries emit, until
+    /// nothing is left: reservation frames go to the switch they are sent
+    /// to, any other emission to `other`, which may answer with a frame to
+    /// deliver.  The pump is synchronous: every frame is delivered in zero
+    /// simulated time, so reservation leases never expire mid-pump.
+    fn drain<M: ChannelManager + ?Sized>(
+        &mut self,
+        manager: &mut M,
+        first: impl IntoIterator<Item = (SwitchId, NodeId, Frame)>,
+        mut other: impl FnMut(SwitchAction) -> Option<(SwitchId, NodeId, Frame)>,
+    ) -> RtResult<()> {
         self.queue.clear();
-        for (_, action) in manager.drain_control() {
-            if let SwitchAction::SendControl { to, frame } = action {
-                self.queue
-                    .push_back((to, NodeId::SWITCH, Frame::Reservation(frame)));
-            }
-        }
+        self.queue.extend(first);
         while let Some((at, from, frame)) = self.queue.pop_front() {
             let outcome = manager.handle_frame_at(at, from, &frame, SimTime::ZERO)?;
             for (_, action) in outcome.emissions {
-                if let SwitchAction::SendControl { to, frame } = action {
-                    self.queue
-                        .push_back((to, NodeId::SWITCH, Frame::Reservation(frame)));
+                match action {
+                    SwitchAction::SendControl { to, frame } => {
+                        self.queue.push_back(to_switch(to, frame));
+                    }
+                    action => self.queue.extend(other(action)),
                 }
             }
         }
         Ok(())
     }
+}
+
+/// A reservation frame as the pump delivers it: to the switch it is sent
+/// to, from that switch's control plane.
+fn to_switch(to: SwitchId, frame: ReservationFrame) -> (SwitchId, NodeId, Frame) {
+    (to, NodeId::SWITCH, Frame::Reservation(frame))
 }
 
 #[cfg(test)]

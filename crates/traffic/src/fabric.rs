@@ -24,7 +24,7 @@ use crate::pattern::ChannelRequest;
 
 /// The trunk-graph shape of a [`FabricScenario`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricShape {
+enum Shape {
     /// A chain of access switches (tree).
     Line,
     /// A closed chain of access switches (cyclic mesh).
@@ -42,8 +42,8 @@ pub enum FabricShape {
     },
 }
 
-/// A multi-switch scenario: `switches` *access* switches in the given
-/// [`FabricShape`], each with `masters_per_switch` masters and
+/// A multi-switch scenario: `switches` *access* switches in one of the
+/// shapes above, each with `masters_per_switch` masters and
 /// `slaves_per_switch` slaves attached.
 ///
 /// Node ids are allocated access-switch-major, masters first: access switch
@@ -52,19 +52,14 @@ pub enum FabricShape {
 /// ids after the leaves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricScenario {
-    shape: FabricShape,
+    shape: Shape,
     switches: u32,
     masters_per_switch: u32,
     slaves_per_switch: u32,
 }
 
 impl FabricScenario {
-    fn build(
-        shape: FabricShape,
-        switches: u32,
-        masters_per_switch: u32,
-        slaves_per_switch: u32,
-    ) -> Self {
+    fn build(shape: Shape, switches: u32, masters_per_switch: u32, slaves_per_switch: u32) -> Self {
         assert!(switches > 0, "a fabric needs at least one switch");
         assert!(
             masters_per_switch + slaves_per_switch > 0,
@@ -81,23 +76,13 @@ impl FabricScenario {
     /// Build a line scenario.  Requires at least one switch and at least one
     /// node per switch.
     pub fn line(switches: u32, masters_per_switch: u32, slaves_per_switch: u32) -> Self {
-        Self::build(
-            FabricShape::Line,
-            switches,
-            masters_per_switch,
-            slaves_per_switch,
-        )
+        Self::build(Shape::Line, switches, masters_per_switch, slaves_per_switch)
     }
 
     /// Build a ring scenario: the line plus a closing trunk (a cyclic mesh
     /// for three or more switches).
     pub fn ring(switches: u32, masters_per_switch: u32, slaves_per_switch: u32) -> Self {
-        Self::build(
-            FabricShape::Ring,
-            switches,
-            masters_per_switch,
-            slaves_per_switch,
-        )
+        Self::build(Shape::Ring, switches, masters_per_switch, slaves_per_switch)
     }
 
     /// Build a leaf-spine scenario: `leaves` access switches, each trunked
@@ -106,7 +91,7 @@ impl FabricScenario {
     /// a spine loss and gives ECMP routing something to spread over.
     pub fn leaf_spine(leaves: u32, masters_per_switch: u32, slaves_per_switch: u32) -> Self {
         Self::build(
-            FabricShape::LeafSpine,
+            Shape::LeafSpine,
             leaves,
             masters_per_switch,
             slaves_per_switch,
@@ -120,16 +105,11 @@ impl FabricScenario {
     pub fn torus(rows: u32, cols: u32, masters_per_switch: u32, slaves_per_switch: u32) -> Self {
         assert!(rows > 0 && cols > 0, "a torus needs at least one switch");
         Self::build(
-            FabricShape::Torus { rows, cols },
+            Shape::Torus { rows, cols },
             rows * cols,
             masters_per_switch,
             slaves_per_switch,
         )
-    }
-
-    /// The trunk-graph shape.
-    pub fn shape(&self) -> FabricShape {
-        self.shape
     }
 
     /// Number of *access* (node-bearing) switches.
@@ -172,12 +152,10 @@ impl FabricScenario {
     /// [`FabricScenario::master`] / [`FabricScenario::slave`] index into.
     pub fn topology(&self) -> Topology {
         match self.shape {
-            FabricShape::Line => Topology::line(self.switches, self.nodes_per_switch()),
-            FabricShape::Ring => Topology::ring(self.switches, self.nodes_per_switch()),
-            FabricShape::Torus { rows, cols } => {
-                Topology::torus(rows, cols, self.nodes_per_switch())
-            }
-            FabricShape::LeafSpine => {
+            Shape::Line => Topology::line(self.switches, self.nodes_per_switch()),
+            Shape::Ring => Topology::ring(self.switches, self.nodes_per_switch()),
+            Shape::Torus { rows, cols } => Topology::torus(rows, cols, self.nodes_per_switch()),
+            Shape::LeafSpine => {
                 let mut t = Topology::new();
                 for leaf in 0..self.switches {
                     t.add_switch(SwitchId::new(leaf));
@@ -352,7 +330,7 @@ mod tests {
     #[test]
     fn ring_scenario_closes_the_cycle() {
         let f = FabricScenario::ring(4, 1, 1);
-        assert_eq!(f.shape(), FabricShape::Ring);
+        assert_eq!(f.shape, Shape::Ring);
         let t = f.topology();
         assert_eq!(t.switch_count(), 4);
         assert_eq!(t.trunk_count(), 4);
@@ -372,7 +350,7 @@ mod tests {
     #[test]
     fn leaf_spine_scenario_is_two_connected() {
         let f = FabricScenario::leaf_spine(3, 1, 1);
-        assert_eq!(f.shape(), FabricShape::LeafSpine);
+        assert_eq!(f.shape, Shape::LeafSpine);
         assert_eq!(f.switch_count(), 3);
         let t = f.topology();
         assert_eq!(t.switch_count(), 5);
@@ -398,7 +376,7 @@ mod tests {
     #[test]
     fn torus_scenario_scales_to_a_thousand_nodes() {
         let f = FabricScenario::torus(8, 8, 8, 8);
-        assert_eq!(f.shape(), FabricShape::Torus { rows: 8, cols: 8 });
+        assert_eq!(f.shape, Shape::Torus { rows: 8, cols: 8 });
         assert_eq!(f.switch_count(), 64);
         assert_eq!(f.node_count(), 1024);
         let t = f.topology();

@@ -41,7 +41,7 @@ pub mod source;
 
 pub use background::{BackgroundTraffic, PoissonConfig};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnFault, ChurnFaultKind, ChurnProcess, ChurnReport};
-pub use fabric::{FabricScenario, FabricShape};
+pub use fabric::FabricScenario;
 pub use failover::FailoverScenario;
 pub use pattern::{ChannelRequest, HeterogeneousSpecs, RequestPattern};
 pub use scenario::Scenario;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::ids::{ChannelId, LinkId, NodeId};
+use crate::ids::{ChannelId, NodeId};
 
 /// Result alias using [`RtError`].
 pub type RtResult<T> = Result<T, RtError>;
@@ -33,15 +33,7 @@ pub enum RtError {
         reason: String,
     },
 
-    // --- admission control -------------------------------------------------
-    /// The requested channel was rejected by admission control.
-    ChannelRejected {
-        /// The link whose feasibility test failed, if the rejection was
-        /// link-specific.
-        link: Option<LinkId>,
-        /// Why the channel was rejected.
-        reason: String,
-    },
+    // --- channels and requests ---------------------------------------------
     /// An operation referenced a channel id that is not established.
     UnknownChannel(ChannelId),
     /// An operation referenced a node that is not part of the network.
@@ -75,10 +67,6 @@ impl fmt::Display for RtError {
             RtError::InvalidPartition { reason } => {
                 write!(f, "invalid deadline partition: {reason}")
             }
-            RtError::ChannelRejected { link, reason } => match link {
-                Some(l) => write!(f, "channel rejected on {l}: {reason}"),
-                None => write!(f, "channel rejected: {reason}"),
-            },
             RtError::UnknownChannel(id) => write!(f, "unknown RT channel {id}"),
             RtError::UnknownNode(id) => write!(f, "unknown node {id}"),
             RtError::ChannelIdsExhausted => write!(f, "no free RT channel ids"),
@@ -99,19 +87,15 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = RtError::ChannelRejected {
-            link: Some(LinkId::uplink(NodeId::new(2))),
-            reason: "utilisation above 1".into(),
+        let e = RtError::InvalidPartition {
+            reason: "d_u + d_d exceeds d".into(),
         };
         let s = e.to_string();
-        assert!(s.contains("node2/uplink"));
-        assert!(s.contains("utilisation"));
-
-        let e = RtError::ChannelRejected {
-            link: None,
-            reason: "no path".into(),
-        };
-        assert!(e.to_string().contains("no path"));
+        assert!(s.contains("deadline partition"));
+        assert!(s.contains("d_u + d_d"));
+        assert!(RtError::UnknownNode(NodeId::new(2))
+            .to_string()
+            .contains("node2"));
     }
 
     #[test]

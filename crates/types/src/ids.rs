@@ -1,12 +1,10 @@
-//! Identifiers for nodes, ports, links, RT channels and connection requests.
+//! Identifiers for nodes, RT channels and connection requests.
 //!
 //! The paper identifies an RT channel by a *network-unique* 16-bit ID that
 //! the switch assigns during establishment, and a connection request by an
 //! 8-bit *source-node-unique* ID so that a node can match responses to its
-//! outstanding requests.  Links are identified by the end-node they attach to
-//! plus a direction — because the network is a star, every link connects one
-//! node to the switch, and full duplex makes the two directions independent
-//! scheduling resources ("two CPUs" in the paper's analogy).
+//! outstanding requests.  Directed links are [`crate::HopLink`]s, on a star
+//! and on any fabric alike.
 
 use std::fmt;
 
@@ -15,7 +13,8 @@ use std::fmt;
 pub struct NodeId(pub u32);
 
 impl NodeId {
-    /// Conventional identifier for the switch in a single-switch star.
+    /// The receiver of a control-plane frame: the control plane of a
+    /// switch, whichever switch of the fabric it is.
     pub const SWITCH: NodeId = NodeId(u32::MAX);
 
     /// Construct a node id.
@@ -102,75 +101,9 @@ impl fmt::Display for ConnectionRequestId {
     }
 }
 
-/// Direction of a link relative to the switch.
-///
-/// An RT channel always traverses exactly two directed links: the *uplink*
-/// from the source node into the switch, and the *downlink* from the switch
-/// to the destination node.  Because links are full duplex the two directions
-/// of one physical cable are scheduled independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LinkDirection {
-    /// Node → switch.
-    Uplink,
-    /// Switch → node.
-    Downlink,
-}
-
-impl LinkDirection {
-    /// Both directions, uplink first.
-    pub const fn both() -> [LinkDirection; 2] {
-        [LinkDirection::Uplink, LinkDirection::Downlink]
-    }
-}
-
-impl fmt::Display for LinkDirection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LinkDirection::Uplink => write!(f, "uplink"),
-            LinkDirection::Downlink => write!(f, "downlink"),
-        }
-    }
-}
-
-/// A directed link in the star network: the physical cable of `node` taken in
-/// `direction`.  This is the unit on which the per-link EDF feasibility test
-/// runs ("each link organises two independent CPUs").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LinkId {
-    /// The end node whose cable this is.
-    pub node: NodeId,
-    /// Which of the two full-duplex directions.
-    pub direction: LinkDirection,
-}
-
-impl LinkId {
-    /// The uplink of `node` (node → switch).
-    pub const fn uplink(node: NodeId) -> Self {
-        LinkId {
-            node,
-            direction: LinkDirection::Uplink,
-        }
-    }
-
-    /// The downlink of `node` (switch → node).
-    pub const fn downlink(node: NodeId) -> Self {
-        LinkId {
-            node,
-            direction: LinkDirection::Downlink,
-        }
-    }
-}
-
-impl fmt::Display for LinkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.node, self.direction)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn node_id_switch_sentinel() {
@@ -181,38 +114,8 @@ mod tests {
     }
 
     #[test]
-    fn link_direction_both_lists_two() {
-        assert_eq!(LinkDirection::both().len(), 2);
-    }
-
-    #[test]
-    fn link_id_constructors() {
-        let n = NodeId::new(7);
-        assert_eq!(
-            LinkId::uplink(n),
-            LinkId {
-                node: n,
-                direction: LinkDirection::Uplink
-            }
-        );
-        assert_eq!(LinkId::downlink(n).direction, LinkDirection::Downlink);
-        assert_eq!(format!("{}", LinkId::uplink(n)), "node7/uplink");
-    }
-
-    #[test]
-    fn ids_are_hashable_and_distinct() {
-        let mut set = HashSet::new();
-        for i in 0..10 {
-            set.insert(LinkId::uplink(NodeId::new(i)));
-            set.insert(LinkId::downlink(NodeId::new(i)));
-        }
-        assert_eq!(set.len(), 20);
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(format!("{}", ChannelId::new(5)), "ch5");
         assert_eq!(format!("{}", ConnectionRequestId::new(2)), "req2");
-        assert_eq!(format!("{}", LinkDirection::Uplink), "uplink");
     }
 }

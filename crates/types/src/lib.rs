@@ -33,7 +33,7 @@ pub use constants::*;
 pub use dense::{IdIndex, NO_INDEX};
 pub use error::{RtError, RtResult};
 pub use hash::{FoldHasher, FoldState};
-pub use ids::{ChannelId, ConnectionRequestId, LinkDirection, LinkId, NodeId};
+pub use ids::{ChannelId, ConnectionRequestId, NodeId};
 pub use partition::{effective_shards, partition_switches, ShardStrategy};
 pub use rng::Xoshiro256;
 pub use router::{

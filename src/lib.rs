@@ -76,6 +76,6 @@ pub use rt_core::{
     RtNetwork, RtNetworkBuilder,
 };
 pub use rt_types::{
-    ChannelId, HopLink, LinkId, NodeId, Route, RoutePolicy, Router, ShortestPathRouter, Slots,
-    SwitchId, Topology,
+    ChannelId, HopLink, NodeId, Route, RoutePolicy, Router, ShortestPathRouter, Slots, SwitchId,
+    Topology,
 };

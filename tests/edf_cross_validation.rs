@@ -2,14 +2,16 @@
 //! EDF schedule simulation, on randomly generated systems.
 //!
 //! Property: any per-link task set the admission controller has accepted is
-//! schedulable — its slot-accurate EDF schedule over the hyperperiod is free
-//! of deadline misses.  This ties together `rt-core` (admission, DPS),
+//! schedulable — its slot-accurate EDF schedule over the synchronous busy
+//! period is free of deadline misses.  This ties together `rt-core` (admission, DPS),
 //! `rt-edf` (analysis and schedule generation) and `rt-traffic` (workload
 //! generation).
 
 use switched_rt_ethernet::core::{DpsKind, MultiHopAdmission};
-use switched_rt_ethernet::edf::schedule::simulate_over_hyperperiod;
-use switched_rt_ethernet::edf::FeasibilityTester;
+use switched_rt_ethernet::edf::schedule::{
+    simulate_edf_schedule, simulate_over_hyperperiod, ScheduleOutcome,
+};
+use switched_rt_ethernet::edf::{FeasibilityTester, TaskSet};
 use switched_rt_ethernet::traffic::{HeterogeneousSpecs, RequestPattern, Scenario};
 use switched_rt_ethernet::types::rng::Xoshiro256;
 use switched_rt_ethernet::types::{Slots, SwitchId, Topology};
@@ -17,6 +19,19 @@ use switched_rt_ethernet::types::{Slots, SwitchId, Topology};
 /// The admission controller of `scenario`'s single-switch star.
 fn star_controller(scenario: &Scenario, dps: DpsKind) -> MultiHopAdmission {
     MultiHopAdmission::new(Topology::star(SwitchId::new(0), scenario.nodes()), dps)
+}
+
+/// The slot-level EDF schedule of `set` up to the end of its synchronous
+/// busy period, where the first miss of a synchronous set falls if it has
+/// one (Baruah, Rosier & Howell 1990; Spuri 1996); over the hyperperiod
+/// capped at `cap` when no busy period ends below the cap.
+/// `schedule::tests::prop_the_busy_period_finds_the_first_miss` holds the
+/// two horizons to the same verdict and the same first miss.
+fn simulate_busy_period(set: &TaskSet, cap: Slots) -> ScheduleOutcome {
+    match set.busy_period(cap) {
+        Some(busy) => simulate_edf_schedule(set, busy),
+        None => simulate_over_hyperperiod(set, cap),
+    }
 }
 
 fn assert_all_links_schedulable(controller: &MultiHopAdmission) {
@@ -27,11 +42,8 @@ fn assert_all_links_schedulable(controller: &MultiHopAdmission) {
             FeasibilityTester::new().test(&set).is_feasible(),
             "link {link} holds an infeasible task set after admission"
         );
-        // ...and so must the actual slot-level schedule.  The horizon is
-        // capped: heterogeneous periods can have hyperperiods of many
-        // millions of slots, and simulating the first 400k slots already
-        // covers every release pattern that matters for this property.
-        let outcome = simulate_over_hyperperiod(&set, Slots::new(400_000));
+        // ...and so must the actual slot-level schedule.
+        let outcome = simulate_busy_period(&set, Slots::new(400_000));
         assert!(
             outcome.is_miss_free(),
             "link {link} misses deadlines: {:?}",
@@ -106,8 +118,7 @@ fn utilisation_only_admission_produces_deadline_misses() {
     // ...but the uplinks are not actually schedulable.
     let mut misses = 0u64;
     for (link, _) in controller.loaded_links() {
-        let outcome =
-            simulate_over_hyperperiod(&controller.link_taskset(link), Slots::new(100_000));
+        let outcome = simulate_busy_period(&controller.link_taskset(link), Slots::new(100_000));
         misses += outcome.misses.len() as u64;
     }
     assert!(

@@ -9,12 +9,22 @@
 //! `examples/`) and the benchmark's `rtbench/src/`; comments and string
 //! literals name nothing.  The scan is by name, so an uncalled function that
 //! shares its name with a called one goes unseen: it catches regrowth, not
-//! every dead method.
+//! every dead method.  `Simulator::new`, `SimStats::link`,
+//! `RtLayer::absolute_deadline`, `RtNetwork::t_latency` and
+//! `RtNetworkBuilder::link_speed` went uncalled past it for that reason:
+//! other types' `new`, `link`, `absolute_deadline` (a field),
+//! `t_latency` (a field) and `link_speed` (a field) are named all over.
 //!
 //! What nothing calls but stays is listed in [`ALLOWED`] with its reason;
 //! an entry the scan no longer finds fails too, so the list cannot rot.
+//!
+//! Every `RtError` variant must be constructed by non-test code outside
+//! `error.rs`: the production part of a file under `crates/` (a crate's
+//! `tests/` left out), `src/`, `examples/` or `rtbench/src/`.  A mention
+//! that is a pattern — followed, past its fields and closing parentheses,
+//! by `=>`, `=`, `|` or a match guard — constructs nothing.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::Path;
 
@@ -40,6 +50,9 @@ const CALLER_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", "rtbench/s
 
 /// This file: its allow-list names the functions it exempts.
 const SELF: &str = "tests/surface.rs";
+
+/// The file that defines `RtError` (and displays every variant).
+const ERRORS: &str = "crates/types/src/error.rs";
 
 /// Why a function nothing calls stays.
 #[derive(Debug, Clone, Copy)]
@@ -196,6 +209,107 @@ fn workspace_sources() -> Vec<Source> {
         .collect()
 }
 
+/// The variants of `enum RtError` in `src`.
+fn error_variants(src: &str) -> Vec<String> {
+    let toks = lex(src);
+    let start = toks
+        .windows(3)
+        .position(|w| {
+            w[0] == Tok::Ident("enum".into())
+                && w[1] == Tok::Ident("RtError".into())
+                && w[2] == Tok::Punct('{')
+        })
+        .expect("error.rs defines enum RtError");
+    let mut variants = Vec::new();
+    let mut depth = 0;
+    for i in start + 2..toks.len() {
+        match &toks[i] {
+            Tok::Punct('{' | '(' | '[') => depth += 1,
+            Tok::Punct('}' | ')' | ']') => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            Tok::Ident(name) if depth == 1 => {
+                if matches!(toks[i - 1], Tok::Punct('{' | ',' | ']')) {
+                    variants.push(name.clone());
+                }
+            }
+            _ => {}
+        }
+    }
+    variants
+}
+
+/// The `RtError` variants `src` constructs: every `RtError::V` that is not
+/// a pattern.
+fn constructed_errors(src: &str, out: &mut HashSet<String>) {
+    let toks = lex(src);
+    let is = |i: usize, c: char| toks.get(i) == Some(&Tok::Punct(c));
+    for i in 0..toks.len().saturating_sub(3) {
+        let Tok::Ident(variant) = &toks[i + 3] else {
+            continue;
+        };
+        if toks[i] != Tok::Ident("RtError".into()) || !is(i + 1, ':') || !is(i + 2, ':') {
+            continue;
+        }
+        // Past the variant's fields, then past the parentheses it sits in.
+        let mut j = i + 4;
+        if is(j, '(') || is(j, '{') {
+            let mut depth = 0;
+            loop {
+                match toks.get(j) {
+                    Some(Tok::Punct('(' | '{' | '[')) => depth += 1,
+                    Some(Tok::Punct(')' | '}' | ']')) => depth -= 1,
+                    None => break,
+                    _ => {}
+                }
+                j += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
+        while is(j, ')') {
+            j += 1;
+        }
+        let pattern = (is(j, '=') && !is(j + 1, '='))
+            || is(j, '|')
+            || toks.get(j) == Some(&Tok::Ident("if".into()));
+        if !pattern {
+            out.insert(variant.clone());
+        }
+    }
+}
+
+/// Every variant of the `RtError` that `sources` define which no non-test
+/// code outside [`ERRORS`] constructs.
+fn unconstructed_errors(sources: &[Source]) -> Vec<String> {
+    let production = |path: &str| {
+        path != ERRORS
+            && !path.starts_with("tests/")
+            && !path.contains("/tests/")
+            && ["crates/", "src/", "examples/", "rtbench/src/"]
+                .iter()
+                .any(|dir| path.starts_with(dir))
+    };
+    let mut constructed = HashSet::new();
+    for source in sources.iter().filter(|s| production(&s.path)) {
+        constructed_errors(source.parts().0, &mut constructed);
+    }
+    let errors = sources
+        .iter()
+        .find(|s| s.path == ERRORS)
+        .expect("the sources include error.rs");
+    let mut found: Vec<String> = error_variants(errors.parts().0)
+        .into_iter()
+        .filter(|v| !constructed.contains(v))
+        .collect();
+    found.sort();
+    found
+}
+
 #[test]
 fn every_public_function_has_a_caller_or_a_reason() {
     let found = uncalled(&workspace_sources(), &SCANNED);
@@ -271,5 +385,61 @@ fn the_scan_flags_a_function_only_its_own_tests_call() {
     assert_eq!(
         flagged,
         ["documented", "in_a_string", "sibling_tested", "tested_only"]
+    );
+}
+
+#[test]
+fn every_error_variant_is_constructed_outside_its_own_file() {
+    let unconstructed = unconstructed_errors(&workspace_sources());
+    assert!(
+        unconstructed.is_empty(),
+        "RtError variants no non-test code outside {ERRORS} constructs (delete them):\n  {}",
+        unconstructed.join("\n  ")
+    );
+}
+
+#[test]
+fn the_error_scan_flags_a_variant_only_patterns_and_tests_name() {
+    let source = |path: &str, text: &str| Source {
+        path: path.into(),
+        text: text.into(),
+    };
+    let sources = [
+        source(
+            ERRORS,
+            "pub enum RtError {\n\
+                 /// Built.\n\
+                 Built(String),\n\
+                 Matched { at: u32 },\n\
+                 Guarded,\n\
+                 Tested,\n\
+                 Displayed,\n\
+                 Unit,\n\
+             }\n\
+             fn show(e: &RtError) { let _ = RtError::Displayed; }\n",
+        ),
+        source(
+            "crates/a/src/lib.rs",
+            "fn f() -> RtResult<()> {\n\
+                 match g() {\n\
+                     Err(RtError::Matched { .. }) | Err(RtError::Guarded) => {}\n\
+                     Err(RtError::Built(m)) if m.is_empty() => {}\n\
+                     _ => {}\n\
+                 }\n\
+                 let e = RtError::Unit;\n\
+                 Err(RtError::Built(format!(\"{}\", 1)))\n\
+             }\n\
+             #[cfg(test)]\n\
+             mod tests { fn t() { let _ = RtError::Tested; } }\n",
+        ),
+        source("tests/user.rs", "fn t() { let _ = RtError::Tested; }\n"),
+        source(
+            "crates/a/tests/it.rs",
+            "fn t() { let _ = RtError::Tested; }\n",
+        ),
+    ];
+    assert_eq!(
+        unconstructed_errors(&sources),
+        ["Displayed", "Guarded", "Matched", "Tested"]
     );
 }
