@@ -64,7 +64,7 @@
 //!   coordinator, which answers the requester with a rejection; it never
 //!   resurrects reclaimed slack.  Coordinations themselves time out the
 //!   same way.
-//! * **Per-switch id blocks.**  The id space `1..=u16::MAX` is sharded
+//! * **Per-switch id blocks.**  The id space `1..=u16::MAX` is split
 //!   into one contiguous block per switch; a coordinator allocates only
 //!   from its own block (wrapping within it, skipping live ids), so no
 //!   fabric-wide sequencer exists and two coordinators can never race to

@@ -27,7 +27,7 @@
 //!   its stated future work, interconnected switches (trees and meshes) with
 //!   pluggable path selection via [`rt_types::Router`]; and the central
 //!   channel manager on top of it,
-//! * [`distributed`] — the same ledger and admission sequence sharded one
+//! * [`distributed`] — the same ledger and admission sequence split one
 //!   site per switch, behind a two-phase reservation protocol.
 //!
 //! Both managers hand a trunk cut or repair to one private fault engine

@@ -264,7 +264,7 @@ pub(crate) fn next_free_id(
 ///
 /// The reservation book-keeping lives in one fabric-wide [`SlackLedger`] —
 /// the central control plane is the degenerate "one switch owns every link"
-/// placement of the same ledger the distributed manager shards per switch.
+/// placement of the same ledger the distributed manager splits per switch.
 pub struct MultiHopAdmission {
     topology: Topology,
     router: Arc<dyn Router>,

@@ -587,11 +587,13 @@ mod tests {
     /// of the frame path.  No decoder panics; `peek` accepts exactly the
     /// frames `classify` accepts, with equal class and stamp;
     /// `peek_stamp` and `from_ethernet` accept the same frames with the
-    /// same stamp; and whatever decodes as RT data survives
+    /// same stamp; whatever decodes as RT data survives
     /// `into_ethernet` → `from_ethernet` (and the wire image in between)
-    /// unchanged, its payload the bytes behind its headers.  Every class,
-    /// and RT data refused after its IPv4 header, must be reached.  Seeds
-    /// from `RT_ADVERSARIAL_SEEDS`, else 2.
+    /// unchanged, its payload the bytes behind its headers; and whatever
+    /// decodes as a `RequestFrame`, `ResponseFrame` or `ReservationFrame`
+    /// encodes to bytes that decode back to it.  Every class, each of the
+    /// three control decoders, and RT data refused after its IPv4 header,
+    /// must be reached.  Seeds from `RT_ADVERSARIAL_SEEDS`, else 2.
     #[test]
     fn prop_mutated_frames_never_panic_and_decode_alike() {
         let seeds = std::env::var("RT_ADVERSARIAL_SEEDS")
@@ -600,7 +602,7 @@ mod tests {
             .unwrap_or(2u64);
         let images: Vec<Vec<u8>> = zoo().iter().map(EthernetFrame::encode).collect();
         let (mut control, mut link_state, mut rt_data, mut best_effort) = (0, 0, 0, 0);
-        let mut refused_past_ip = 0;
+        let (mut refused_past_ip, mut requests, mut responses, mut reservations) = (0, 0, 0, 0);
         for seed in 0..seeds {
             let mut rng = Xoshiro256::new(0x6d75_7461 ^ seed);
             for _ in 0..4_000 {
@@ -617,6 +619,18 @@ mod tests {
                     Some(FramePeek::RtData(_)) => rt_data += 1,
                     Some(FramePeek::BestEffort) => best_effort += 1,
                     None => {}
+                }
+                if let Ok(x) = RequestFrame::decode(&eth.payload) {
+                    assert_eq!(RequestFrame::decode(&x.encode().unwrap()).unwrap(), x);
+                    requests += 1;
+                }
+                if let Ok(x) = ResponseFrame::decode(&eth.payload) {
+                    assert_eq!(ResponseFrame::decode(&x.encode()).unwrap(), x);
+                    responses += 1;
+                }
+                if let Ok(x) = ReservationFrame::decode(&eth.payload) {
+                    assert_eq!(ReservationFrame::decode(&x.encode().unwrap()).unwrap(), x);
+                    reservations += 1;
                 }
                 let peeked = RtDataFrame::peek_stamp(&eth);
                 match (peeked, RtDataFrame::from_ethernet(eth.clone())) {
@@ -645,7 +659,16 @@ mod tests {
                 }
             }
         }
-        let reached = [control, link_state, rt_data, best_effort, refused_past_ip];
+        let reached = [
+            control,
+            link_state,
+            rt_data,
+            best_effort,
+            refused_past_ip,
+            requests,
+            responses,
+            reservations,
+        ];
         assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
     }
 

@@ -18,15 +18,14 @@
 //!
 //! Modules:
 //! * [`event`] — the simulation clock and the event scheduler (a calendar
-//!   queue; debug builds check it, pop by pop, against a binary heap),
+//!   queue plus FIFO delay lanes; debug builds check it, pop by pop, against
+//!   a binary heap),
 //! * [`port`] — the dual-queue (RT + best effort) output port model,
 //! * `switch` (private) — the forwarding core: what the fabric does with one
-//!   event, written once over a read-only fabric view, one lane of mutable
-//!   state and a two-method sink,
-//! * [`sim`] — the single-thread driver of that core and the public
-//!   front-end: construction, injection, channel wire state, faults,
-//! * [`shard`] — the parallel driver: conservative time windows over worker
-//!   threads, pinned byte for byte to the single-thread run,
+//!   event, over a read-only fabric view, the mutable lane the events change
+//!   and the table of frame bytes,
+//! * [`sim`] — the driver of that core and the public front-end:
+//!   construction, injection, channel wire state, faults, the run loops,
 //! * [`stats`] — latency / deadline-miss / utilisation accounting.
 
 #![forbid(unsafe_code)]
@@ -34,14 +33,14 @@
 
 pub mod event;
 pub mod port;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 mod switch;
 
 pub use event::{CalendarScheduler, Event, EventQueue, EventScheduler, HeapScheduler};
 pub use port::{OutputPort, QueuedFrame, TrafficClass};
-pub use shard::ShardedSimulator;
+#[doc(hidden)]
+pub use sim::ShardedSimulator;
 pub use sim::{
     Delivery, FaultScript, FrameId, FrameInjection, LinkFault, SimConfig, Simulator, TrafficSource,
 };

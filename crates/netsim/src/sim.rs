@@ -44,15 +44,13 @@
 //! ## Hot path
 //!
 //! What the fabric does with one event lives in the private `switch` module
-//! (one forwarding core for this simulator and for the shards of
-//! [`crate::shard::ShardedSimulator`]); this file is its single-thread
-//! driver — the run loops and the faults only it sees — and the public
-//! front-end that builds and edits what the core reads.  The per-event path
-//! is allocation- and hash-free: at construction every
-//! entity gets a contiguous index — nodes, switches (via the router's
-//! [`rt_types::DenseNextHop`]) and output ports (uplink `2i`, downlink `2i + 1`,
-//! trunks after all access ports) — and every per-event decision is a few
-//! bounds-checked array reads.  A frame's destination MAC is decoded
+//! (the forwarding core); this file drives it — the run loops and the
+//! scripted faults — and is the public front-end that builds and edits what
+//! the core reads.  The per-event path is allocation- and hash-free: at
+//! construction every entity gets a contiguous index — nodes, switches (via
+//! the router's [`rt_types::DenseNextHop`]) and output ports (uplink `2i`,
+//! downlink `2i + 1`, trunks after all access ports) — and every per-event
+//! decision is a few bounds-checked array reads.  A frame's destination MAC is decoded
 //! *once*, at injection time, into its dense node and access-switch
 //! indices.  The pending-event set lives in [`crate::event::EventQueue`]:
 //! hop events in its FIFO delay lanes, the rest in its calendar queue;
@@ -75,7 +73,9 @@ use rt_types::{
 use crate::event::Event;
 use crate::port::TrafficClass;
 use crate::stats::SimStats;
-use crate::switch::{self, ChannelWireState, Core, Fabric, FrameDest, FrameRecord, Lane, Sink};
+use crate::switch::{
+    self, ChannelWireState, Core, Fabric, FrameDest, FrameRecord, Lane, PortFlips, Sink,
+};
 
 /// Identifier of a frame inside one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -224,16 +224,6 @@ impl LinkFault {
             LinkFault::FailSwitch { switch } => Event::FailSwitch { switch },
         }
     }
-
-    /// The fault a calendar event carries; `None` for every other event.
-    pub(crate) fn from_event(event: &Event) -> Option<Self> {
-        match *event {
-            Event::FailTrunk { from, to } => Some(LinkFault::Fail { from, to }),
-            Event::RepairTrunk { from, to } => Some(LinkFault::Repair { from, to }),
-            Event::FailSwitch { switch } => Some(LinkFault::FailSwitch { switch }),
-            _ => None,
-        }
-    }
 }
 
 /// A scripted sequence of link failures and repairs, injected up front like
@@ -303,13 +293,13 @@ pub trait TrafficSource {
 /// The simulator.
 #[derive(Debug)]
 pub struct Simulator {
-    pub(crate) topology: Topology,
+    topology: Topology,
     /// The path-selection policy the fabric was built with.  The
     /// `BTreeMap` reference form of its table is *not* held here: the
     /// router's cache materialises it lazily for whoever asks
     /// ([`Simulator::next_hop_table`]), so a structural fabric never pays
     /// the O(V²) table at all.
-    pub(crate) router: Arc<dyn Router>,
+    router: Arc<dyn Router>,
     /// What the per-event path reads.
     pub(crate) fabric: Fabric,
     /// What the per-event path writes.
@@ -317,7 +307,7 @@ pub struct Simulator {
     /// The switch hosting the RT channel management software.
     manager_switch: SwitchId,
     /// The bytes of the frames in flight and the pending deliveries.
-    pub(crate) sink: Inline,
+    pub(crate) sink: Sink,
     /// The same-time run being dispatched; its events from `run_next` on
     /// are pending yet (a run a delivery interrupted holds them here).
     run: Vec<Event>,
@@ -329,41 +319,6 @@ pub struct Simulator {
 /// class without a channel) to a node.
 fn needs_answer(delivery: &Delivery) -> bool {
     delivery.receiver == NodeId::SWITCH || switch::is_control(delivery.class, delivery.channel)
-}
-
-/// The single-thread driver's [`Sink`] (and the sharded merge's): a switch
-/// arrival is one more calendar event, a delivery takes its bytes, a drop frees them.
-#[derive(Debug, Default)]
-pub(crate) struct Inline {
-    /// The bytes of the frames in flight, by [`FrameId`].
-    pub(crate) bytes: Vec<Option<EthernetFrame>>,
-    pub(crate) deliveries: Vec<Delivery>,
-}
-
-impl Sink for Inline {
-    #[inline]
-    fn switch_arrival(
-        &mut self,
-        lane: &mut Lane,
-        now: SimTime,
-        after: Duration,
-        switch: u32,
-        frame: FrameId,
-    ) {
-        let switch = lane.dense.switch_at(switch);
-        lane.schedule_after(now, after, Event::ArriveAtSwitch { switch, frame });
-    }
-
-    #[inline]
-    fn deliver(&mut self, mut delivery: Delivery, _since_scheduled: Duration) {
-        let eth = self.bytes[delivery.frame.get() as usize].take();
-        delivery.eth = eth.expect("a frame has one event pending: one delivery or drop");
-        self.deliveries.push(delivery);
-    }
-
-    fn discard(&mut self, frame: FrameId) {
-        self.bytes[frame.get() as usize] = None;
-    }
 }
 
 impl Simulator {
@@ -429,12 +384,13 @@ impl Simulator {
         let distributed_control =
             topology.manager_placement() == rt_types::ManagerPlacement::Distributed;
         let manager_index = switch_idx(manager_switch);
-        let lane = Lane::new(&config, &port_links, dense_next_hop);
+        let lane = Lane::new(&config, &port_links);
         Ok(Simulator {
             topology,
             router,
             fabric: Fabric {
                 config,
+                dense: dense_next_hop,
                 node_index,
                 node_access,
                 trunk_ports,
@@ -448,7 +404,7 @@ impl Simulator {
             },
             lane,
             manager_switch,
-            sink: Inline::default(),
+            sink: Sink::default(),
             run: Vec::new(),
             run_next: 0,
         })
@@ -558,7 +514,7 @@ impl Simulator {
         let mut state = ChannelWireState::default();
         for (link, offset) in offsets {
             self.add_forwarding_entry(&mut state, link);
-            if let Some(port) = self.fabric.port_of_link(&self.lane.dense, link) {
+            if let Some(port) = self.fabric.port_of_link(link) {
                 state.set_offset(port, offset);
             }
         }
@@ -583,11 +539,11 @@ impl Simulator {
     /// is the egress of its transmitting switch, a downlink the egress of
     /// the destination's access switch, an uplink belongs to the node.
     fn add_forwarding_entry(&self, state: &mut ChannelWireState, link: HopLink) {
-        let dense = &self.lane.dense;
+        let dense = &self.fabric.dense;
         match link {
             HopLink::Trunk { from, .. } => {
                 if let (Some(switch), Some(port)) =
-                    (dense.index_of(from), self.fabric.port_of_link(dense, link))
+                    (dense.index_of(from), self.fabric.port_of_link(link))
                 {
                     state.set_forwarding(switch, port);
                 }
@@ -679,25 +635,43 @@ impl Simulator {
         self.apply_fault(LinkFault::FailSwitch { switch })
     }
 
-    /// One fault, now: the topology and the routing table change, then the
-    /// ports the fault names die or come back.
+    /// One fault, now.  A cut degrades the topology
+    /// ([`Topology::fail_trunk`] / [`Topology::fail_switch`]), a repair
+    /// splices the trunk back ([`Topology::repair_trunk`]); the dense
+    /// next-hop form is re-pulled from the router, which caches per
+    /// fingerprint (rebuilding incrementally for a single trunk flip), so
+    /// control and best-effort forwarding avoid a dead edge, and see a
+    /// restored one, from this instant on.  Then the ports the fault names
+    /// die or come back.  An `Err` (unknown trunk, already failed, not
+    /// failed) leaves everything as it was.
     fn apply_fault(&mut self, fault: LinkFault) -> RtResult<()> {
-        let flips = switch::apply_fault(
-            &mut self.topology,
-            &*self.router,
-            &self.fabric,
-            &mut self.lane.dense,
-            fault,
-        )?;
+        let mut flips = PortFlips::default();
+        let fabric = &mut self.fabric;
+        match fault {
+            LinkFault::Fail { from, to } => {
+                self.topology.fail_trunk(from, to)?;
+                fabric.trunk_ports_of(from, to, &mut flips.kills);
+            }
+            LinkFault::Repair { from, to } => {
+                self.topology.repair_trunk(from, to)?;
+                fabric.trunk_ports_of(from, to, &mut flips.revives);
+            }
+            LinkFault::FailSwitch { switch } => {
+                for (a, b) in self.topology.fail_switch(switch)? {
+                    fabric.trunk_ports_of(a, b, &mut flips.kills);
+                }
+            }
+        }
+        fabric.dense = self.router.dense_next_hop(&self.topology);
         let now = self.now();
         self.with_core(|core| core.flip_ports(&flips, now));
         Ok(())
     }
 
-    /// Lend the fabric, the lane and the inline sink to the core for one
-    /// event or fault.
+    /// Lend the fabric, the lane and the sink to the core for one event or
+    /// fault.
     #[inline]
-    fn with_core<R>(&mut self, run: impl FnOnce(&mut Core<'_, Inline>) -> R) -> R {
+    fn with_core<R>(&mut self, run: impl FnOnce(&mut Core<'_>) -> R) -> R {
         run(&mut Core {
             fabric: &self.fabric,
             lane: &mut self.lane,
@@ -757,7 +731,7 @@ impl Simulator {
         if dst == MacAddr::for_switch() {
             return FrameDest::ControlPlane;
         }
-        if let Some(switch) = dst.switch_id().and_then(|s| self.lane.dense.index_of(s)) {
+        if let Some(switch) = dst.switch_id().and_then(|s| self.fabric.dense.index_of(s)) {
             return FrameDest::Switch { switch };
         }
         match dst
@@ -898,7 +872,7 @@ impl Simulator {
         eth: EthernetFrame,
         at: SimTime,
     ) -> RtResult<FrameId> {
-        if self.lane.dense.index_of(at_switch).is_none() {
+        if self.fabric.dense.index_of(at_switch).is_none() {
             return Err(RtError::Config(format!("unknown switch {at_switch}")));
         }
         if at < self.now() {
@@ -1049,28 +1023,25 @@ impl Simulator {
         true
     }
 
-    /// Execute one event: a scripted fault, which only this driver's
-    /// calendar ever holds, or the forwarding core's.
+    /// Execute one event: a scripted fault, or the forwarding core's.
     #[inline]
     fn dispatch(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::FailTrunk { .. } | Event::RepairTrunk { .. } | Event::FailSwitch { .. } => {
-                self.dispatch_fault(&event)
-            }
+            Event::FailTrunk { from, to } => self.dispatch_fault(LinkFault::Fail { from, to }),
+            Event::RepairTrunk { from, to } => self.dispatch_fault(LinkFault::Repair { from, to }),
+            Event::FailSwitch { switch } => self.dispatch_fault(LinkFault::FailSwitch { switch }),
             forwarding => self.with_core(|core| core.handle(now, forwarding)),
         }
     }
 
     /// The scripted faults of a [`FaultScript`].  Out of line: they are
     /// rare, and the run loops inline `dispatch`.
-    fn dispatch_fault(&mut self, event: &Event) {
-        if let Some(fault) = LinkFault::from_event(event) {
-            // A scripted cut of an already-failed (or unknown) trunk is a
-            // script bug in debug builds; release builds ignore it rather
-            // than corrupting the run.
-            let result = self.apply_fault(fault);
-            debug_assert!(result.is_ok(), "scripted {fault:?} failed: {result:?}");
-        }
+    fn dispatch_fault(&mut self, fault: LinkFault) {
+        // A scripted cut of an already-failed (or unknown) trunk is a script
+        // bug in debug builds; release builds ignore it rather than
+        // corrupting the run.
+        let result = self.apply_fault(fault);
+        debug_assert!(result.is_ok(), "scripted {fault:?} failed: {result:?}");
     }
 
     /// Always 0: frames no longer travel through a buffer pool.  Kept, with
@@ -1091,6 +1062,33 @@ impl Simulator {
     /// the configured link speed.
     pub fn transmission_time(&self, wire_bytes: usize) -> Duration {
         self.fabric.tx_time(wire_bytes)
+    }
+}
+
+/// The one-thread [`Simulator`] under the name the frozen `rtbench` links
+/// against: its `netsim.shard.ns_per_event_2` kernel builds one with two
+/// "shards", and the row reads one thread until ROADMAP 1(A)(3) drops it.
+/// The shim leaves with the row, like the arena shims above.
+#[doc(hidden)]
+pub struct ShardedSimulator(Simulator);
+
+impl ShardedSimulator {
+    /// [`Simulator::with_topology`]; the shard count is ignored.
+    pub fn new(config: SimConfig, topology: Topology, _shards: usize) -> RtResult<Self> {
+        Simulator::with_topology(config, topology).map(ShardedSimulator)
+    }
+}
+
+impl std::ops::Deref for ShardedSimulator {
+    type Target = Simulator;
+    fn deref(&self) -> &Simulator {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for ShardedSimulator {
+    fn deref_mut(&mut self) -> &mut Simulator {
+        &mut self.0
     }
 }
 
@@ -1188,15 +1186,45 @@ pub(crate) mod tests {
             rt_channel_id: None,
             connection_request_id: rt_types::ConnectionRequestId::new(1),
         };
-        let eth = req
-            .into_ethernet(MacAddr::for_node(n0), MacAddr::for_switch())
-            .unwrap();
-        sim.inject(n0, eth, SimTime::ZERO).unwrap();
+        // Two CONNECTs and two link-state floods: control-class on the wire
+        // alike, counted apart.
+        let link_state = rt_frames::ReservationFrame {
+            op: rt_frames::ReservationOp::LinkState,
+            reason: rt_frames::ReservationReason::None,
+            coordinator: SwitchId::new(0),
+            token: 1,
+            source: n0,
+            destination: n0,
+            request_id: rt_types::ConnectionRequestId::new(0),
+            candidate: 0,
+            hop: 0,
+            channel: None,
+            period: rt_types::Slots::new(100),
+            capacity: rt_types::Slots::new(1),
+            deadline: rt_types::Slots::new(50),
+            values: vec![0, 1, 0, 1],
+        };
+        for at in [SimTime::ZERO, SimTime::from_micros(50)] {
+            let eth = req
+                .into_ethernet(MacAddr::for_node(n0), MacAddr::for_switch())
+                .unwrap();
+            sim.inject(n0, eth, at).unwrap();
+            let eth = link_state
+                .into_ethernet(MacAddr::for_node(n0), MacAddr::for_switch())
+                .unwrap();
+            sim.inject(n0, eth, at).unwrap();
+        }
         sim.run_to_idle();
         let deliveries = sim.poll_deliveries();
-        assert_eq!(deliveries.len(), 1);
-        assert_eq!(deliveries[0].receiver, NodeId::SWITCH);
-        assert_eq!(deliveries[0].class, TrafficClass::RealTime);
+        assert_eq!(deliveries.len(), 4);
+        for d in &deliveries {
+            assert_eq!(d.receiver, NodeId::SWITCH);
+            assert_eq!(d.class, TrafficClass::RealTime);
+        }
+        let stats = sim.stats();
+        assert_eq!((stats.control_frames, stats.link_state_frames), (2, 2));
+        let summary = stats.summary();
+        assert!(summary.contains("control=2") && summary.contains("link_state=2"));
     }
 
     #[test]
@@ -2073,7 +2101,7 @@ pub(crate) mod tests {
             .map(|s| {
                 (
                     MacAddr::for_switch_id(s),
-                    sim.lane.dense.index_of(s).unwrap(),
+                    sim.fabric.dense.index_of(s).unwrap(),
                 )
             })
             .collect();

@@ -61,18 +61,6 @@ impl ChannelStats {
         self.total_latency += latency;
     }
 
-    /// Fold another accumulator for the same channel into this one —
-    /// min/max take the extremes, counts and the latency sum add, so the
-    /// merge of per-shard accumulators is indistinguishable from one
-    /// accumulator that saw every delivery.
-    fn merge(&mut self, other: &ChannelStats) {
-        self.delivered += other.delivered;
-        self.deadline_misses += other.deadline_misses;
-        self.min_latency = self.min_latency.min(other.min_latency);
-        self.max_latency = self.max_latency.max(other.max_latency);
-        self.total_latency += other.total_latency;
-    }
-
     /// Mean end-to-end latency over all delivered frames.
     pub fn mean_latency(&self) -> Duration {
         if self.delivered == 0 {
@@ -282,51 +270,6 @@ impl SimStats {
         }
     }
 
-    /// Fold another run's measurements into this one.
-    ///
-    /// This is the reduction step of the sharded simulator: every worker
-    /// accumulates into its own `SimStats` (registered over the *full* port
-    /// set, so dense port ids agree), and the coordinator folds them into the
-    /// injection-side accumulator at the end of the run.  Every counter is a
-    /// sum, per-channel statistics merge commutatively, and per-port link
-    /// stats add slot-wise — so the merged result is exactly what a
-    /// single-thread run would have recorded, which the equivalence suite
-    /// pins against the oracle (including the `control_frames` /
-    /// `link_state_frames` split that `summary()` reports).
-    pub fn merge_from(&mut self, other: &SimStats) {
-        for (id, stats) in &other.channels {
-            self.channels
-                .entry(*id)
-                .or_insert_with(ChannelStats::new)
-                .merge(stats);
-        }
-        if self.port_links.is_empty() && !other.port_links.is_empty() {
-            self.port_links = other.port_links.clone();
-            self.port_stats = vec![LinkStats::default(); self.port_links.len()];
-        }
-        debug_assert!(
-            other.port_links.is_empty() || self.port_links == other.port_links,
-            "merged stats must be registered over the same port set"
-        );
-        for (mine, theirs) in self.port_stats.iter_mut().zip(other.port_stats.iter()) {
-            mine.frames += theirs.frames;
-            mine.wire_bytes += theirs.wire_bytes;
-            mine.busy_time += theirs.busy_time;
-        }
-        self.rt_delivered += other.rt_delivered;
-        self.be_delivered += other.be_delivered;
-        self.be_dropped += other.be_dropped;
-        self.unroutable_dropped += other.unroutable_dropped;
-        self.failed_link_dropped += other.failed_link_dropped;
-        self.released_channel_dropped += other.released_channel_dropped;
-        self.control_frames += other.control_frames;
-        self.control_hops += other.control_hops;
-        self.link_state_frames += other.link_state_frames;
-        self.link_state_hops += other.link_state_hops;
-        self.total_deadline_misses += other.total_deadline_misses;
-        self.clamped_events += other.clamped_events;
-    }
-
     /// Statistics for one channel, if any frame was delivered on it.
     pub fn channel(&self, id: ChannelId) -> Option<&ChannelStats> {
         self.channels.get(&id.get())
@@ -473,94 +416,6 @@ mod tests {
         assert_eq!(s.total_dropped(), 5);
         assert!(s.summary().contains("link_failed=2"));
         assert!(s.summary().contains("released=1"));
-    }
-
-    #[test]
-    fn merge_reproduces_a_single_accumulator() {
-        let links = vec![
-            HopLink::Uplink(NodeId::new(0)),
-            HopLink::Downlink(NodeId::new(0)),
-        ];
-        let ch = ChannelId::new(7);
-        // One accumulator that saw everything, and two shard-local
-        // accumulators that split the same history between them.
-        let mut whole = SimStats::for_ports(links.clone());
-        let mut parts = [
-            SimStats::for_ports(links.clone()),
-            SimStats::for_ports(links.clone()),
-        ];
-        let deliveries = [
-            (SimTime::ZERO, SimTime::from_micros(50), None),
-            (
-                SimTime::from_micros(10),
-                SimTime::from_micros(200),
-                Some(SimTime::from_micros(100)),
-            ),
-            (SimTime::from_micros(20), SimTime::from_micros(40), None),
-        ];
-        for (i, &(injected, delivered, deadline)) in deliveries.iter().enumerate() {
-            for s in [&mut whole, &mut parts[i % 2]] {
-                s.record_rt_delivery(Some(ch), injected, delivered, deadline);
-            }
-        }
-        for s in [&mut whole, &mut parts[0]] {
-            s.record_be_delivery();
-            s.record_be_drop();
-            s.record_control_frame();
-            s.record_control_hop();
-            s.record_transmission(0, 1538, Duration::from_micros(123));
-        }
-        for s in [&mut whole, &mut parts[1]] {
-            s.record_unroutable();
-            s.record_failed_link_drop();
-            s.record_released_channel_drop();
-            s.record_link_state_frame();
-            s.record_link_state_hop();
-            s.record_transmission(1, 84, Duration::from_micros(7));
-            s.record_clamped();
-        }
-
-        let mut merged = SimStats::for_ports(links);
-        let [a, b] = parts;
-        merged.merge_from(&a);
-        merged.merge_from(&b);
-
-        assert_eq!(merged.summary(), whole.summary());
-        assert!(merged.summary().contains("control=1"));
-        let (mc, wc) = (
-            merged.channel(ch).expect("merged channel"),
-            whole.channel(ch).expect("whole channel"),
-        );
-        assert_eq!(mc.delivered, wc.delivered);
-        assert_eq!(mc.deadline_misses, wc.deadline_misses);
-        assert_eq!(mc.min_latency, wc.min_latency);
-        assert_eq!(mc.max_latency, wc.max_latency);
-        assert_eq!(mc.mean_latency(), wc.mean_latency());
-        assert_eq!(merged.control_hops, whole.control_hops);
-        assert_eq!(merged.link_state_hops, whole.link_state_hops);
-        assert_eq!(merged.total_delivered(), whole.total_delivered());
-        assert_eq!(merged.total_dropped(), whole.total_dropped());
-        assert_eq!(merged.links().count(), whole.links().count());
-        for (link, ws) in whole.links() {
-            let ms = merged.hop_link(link).expect("merged link stats");
-            assert_eq!(ms.frames, ws.frames);
-            assert_eq!(ms.wire_bytes, ws.wire_bytes);
-            assert_eq!(ms.busy_time, ws.busy_time);
-        }
-    }
-
-    #[test]
-    fn merge_into_unregistered_stats_adopts_the_port_registry() {
-        let links = vec![HopLink::Uplink(NodeId::new(1))];
-        let mut part = SimStats::for_ports(links);
-        part.record_transmission(0, 100, Duration::from_micros(1));
-        let mut merged = SimStats::default();
-        merged.merge_from(&part);
-        assert_eq!(merged.links().count(), 1);
-        // Merging a port-less accumulator into a registered one is a no-op
-        // on the link side.
-        merged.merge_from(&SimStats::default());
-        assert_eq!(merged.links().count(), 1);
     }
 
     #[test]

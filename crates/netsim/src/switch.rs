@@ -1,35 +1,34 @@
 //! The forwarding core: what one switched-Ethernet fabric does with one
 //! event (§18.1, Fig. 18.2 — store-and-forward, an EDF queue over a FCFS
-//! queue per output port), written once for both drivers.
+//! queue per output port).
 //!
-//! The core runs over three things:
+//! The core runs over three parts of the [`crate::sim::Simulator`]:
 //!
-//! * a [`Fabric`] it only reads — the dense index tables, the per-channel
-//!   wire state and the frame records, each holding what forwarding needs
-//!   to know of a frame but not its bytes;
+//! * a [`Fabric`] it only reads — the dense index tables, the routing
+//!   table in force, the per-channel wire state and the frame records, each
+//!   holding what forwarding needs to know of a frame but not its bytes;
 //! * a [`Lane`] it writes — the output ports, their dead/doomed flags, the
-//!   pending-event set, the routing table in force and the statistics.  The
-//!   single-thread [`crate::sim::Simulator`] has one lane; every shard of
-//!   the [`crate::shard::ShardedSimulator`] has its own, over the full
-//!   dense port space, and touches only the ports it owns;
-//! * a [`Sink`] for what the drivers do differently: where a switch
-//!   arrival goes, and where a delivered or dropped frame's bytes go.
+//!   pending-event set and the statistics;
+//! * a [`Sink`] where frames leave — the bytes of the frames in flight and
+//!   the deliveries not polled yet.
 //!
-//! Everything else — egress selection, the queue deadline, enqueueing,
-//! start of transmission, delivery, every drop rule and the death and
-//! revival of a trunk's ports — is [`Core`]'s and exists nowhere else.
+//! The three are separate borrows so that a frame's record, read from the
+//! fabric, stays in hand while the lane changes.  Egress selection, the
+//! queue deadline, enqueueing, start of transmission, delivery, every drop
+//! rule and the death and revival of a trunk's ports are [`Core`]'s and
+//! exist nowhere else.
 
 use std::sync::Arc;
 
 use rt_frames::EthernetFrame;
 use rt_types::{
-    ChannelId, DenseNextHop, Duration, HopLink, IdIndex, MacAddr, NodeId, Router, RtResult,
-    SimTime, SwitchId, Topology, NO_INDEX,
+    ChannelId, DenseNextHop, Duration, HopLink, IdIndex, MacAddr, NodeId, SimTime, SwitchId,
+    NO_INDEX,
 };
 
 use crate::event::{Event, EventQueue};
 use crate::port::{OutputPort, TrafficClass};
-use crate::sim::{Delivery, FrameId, LinkFault, SimConfig};
+use crate::sim::{Delivery, FrameId, SimConfig};
 use crate::stats::SimStats;
 
 /// Where a frame is headed, resolved once at injection time so the per-hop
@@ -61,7 +60,7 @@ pub(crate) enum FrameDest {
 }
 
 /// Everything the simulator remembers about one injected frame but its
-/// bytes, which are the driver's.
+/// bytes, which wait in the [`Sink`].
 #[derive(Debug, Clone)]
 pub(crate) struct FrameRecord {
     pub(crate) class: TrafficClass,
@@ -89,7 +88,7 @@ pub(crate) fn is_control(class: TrafficClass, channel: Option<ChannelId>) -> boo
     class == TrafficClass::RealTime && channel.is_none()
 }
 
-/// A [`Delivery`]'s `eth` until its sink moves the frame's bytes in.
+/// A [`Delivery`]'s `eth` until [`Sink::deliver`] moves the frame's bytes in.
 const NO_BYTES: EthernetFrame = EthernetFrame {
     dst: MacAddr::ZERO,
     src: MacAddr::ZERO,
@@ -150,11 +149,16 @@ impl ChannelWireState {
 // ---------------------------------------------------------------------------
 
 /// The parts of the fabric no event changes: built at construction, edited
-/// between runs by injection and channel management, and only read while
-/// events execute — so the shards of a parallel run share one `&Fabric`.
+/// between events by injection, channel management and faults, and only
+/// read while an event executes.
 #[derive(Debug)]
 pub(crate) struct Fabric {
     pub(crate) config: SimConfig,
+    /// The `(at, towards) → neighbour` forwarding state of the trunk graph
+    /// in dense form, re-pulled from the router after every fault.  The
+    /// dense switch indexing is stable across failures (the switch set
+    /// never changes), so ports and trunk indices stay valid.
+    pub(crate) dense: Arc<DenseNextHop>,
     /// Raw node id → dense node index.
     pub(crate) node_index: IdIndex,
     /// Dense node index → dense index of the node's access switch.
@@ -205,21 +209,32 @@ impl Fabric {
         }
     }
 
+    /// Dense index of an event's switch.  Cannot fail: events carry switch
+    /// ids the core read out of `port_links` or `dense.switch_at`, or that
+    /// `inject_at_switch` checked against this index; faults never change
+    /// the switch set.
+    #[inline]
+    fn switch_idx(&self, switch: SwitchId) -> u32 {
+        self.dense
+            .index_of(switch)
+            .expect("events only carry switches of the dense index built at construction")
+    }
+
     /// The port id of a topology link, if the link exists in this fabric.
-    pub(crate) fn port_of_link(&self, dense: &DenseNextHop, link: HopLink) -> Option<u32> {
+    pub(crate) fn port_of_link(&self, link: HopLink) -> Option<u32> {
         match link {
             HopLink::Uplink(node) => self.node_index.get(node.get()).map(|i| 2 * i),
             HopLink::Downlink(node) => self.node_index.get(node.get()).map(|i| 2 * i + 1),
             HopLink::Trunk { from, to } => {
-                self.trunk_port(dense.index_of(from)?, dense.index_of(to)?)
+                self.trunk_port(self.dense.index_of(from)?, self.dense.index_of(to)?)
             }
         }
     }
 
     /// Both directed ports of the trunk `a — b`, appended to `out`.
-    fn trunk_ports_of(&self, dense: &DenseNextHop, a: SwitchId, b: SwitchId, out: &mut Vec<u32>) {
+    pub(crate) fn trunk_ports_of(&self, a: SwitchId, b: SwitchId, out: &mut Vec<u32>) {
         for (from, to) in [(a, b), (b, a)] {
-            out.extend(self.port_of_link(dense, HopLink::Trunk { from, to }));
+            out.extend(self.port_of_link(HopLink::Trunk { from, to }));
         }
     }
 
@@ -235,9 +250,9 @@ impl Fabric {
 
     /// How long after the last bit leaves a port the frame becomes eligible
     /// at the switch on the far side: propagation plus the store-and-forward
-    /// processing latency.  The sharded run's lookahead.
+    /// processing latency.
     #[inline]
-    pub(crate) fn switch_arrival_delay(&self) -> Duration {
+    fn switch_arrival_delay(&self) -> Duration {
         self.config.propagation_delay + self.config.switch_latency
     }
 
@@ -277,15 +292,10 @@ impl Fabric {
 // One lane of mutable state
 // ---------------------------------------------------------------------------
 
-/// Everything events change, for one thread of execution.
+/// Everything events change.
 #[derive(Debug)]
 pub(crate) struct Lane {
     pub(crate) events: EventQueue,
-    /// The `(at, towards) → neighbour` forwarding state of the trunk graph
-    /// in dense form, re-pulled from the router after every fault.  The
-    /// dense switch indexing is stable across failures (the switch set
-    /// never changes), so ports and trunk indices stay valid.
-    pub(crate) dense: Arc<DenseNextHop>,
     /// One output port per directed edge, by dense port id.
     ports: Vec<OutputPort>,
     /// Ports whose link is currently failed.  Only trunk ports can die
@@ -299,18 +309,13 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    pub(crate) fn new(
-        config: &SimConfig,
-        port_links: &[HopLink],
-        dense: Arc<DenseNextHop>,
-    ) -> Self {
+    pub(crate) fn new(config: &SimConfig, port_links: &[HopLink]) -> Self {
         let make_port = |_| match config.be_queue_capacity {
             Some(cap) => OutputPort::with_be_capacity(cap),
             None => OutputPort::new(),
         };
         Lane {
             events: EventQueue::new(),
-            dense,
             ports: (0..port_links.len()).map(make_port).collect(),
             dead: vec![false; port_links.len()],
             doomed: vec![false; port_links.len()],
@@ -335,43 +340,34 @@ impl Lane {
             self.stats.record_clamped();
         }
     }
-
-    /// Dense index of an event's switch.  Cannot fail: events carry switch
-    /// ids the core read out of `port_links` or `dense.switch_at`, or that
-    /// `inject_at_switch` checked against this index; faults never change
-    /// the switch set.
-    #[inline]
-    fn switch_idx(&self, switch: SwitchId) -> u32 {
-        self.dense
-            .index_of(switch)
-            .expect("events only carry switches of the dense index built at construction")
-    }
 }
 
 // ---------------------------------------------------------------------------
-// What the drivers do differently
+// Where frames leave
 // ---------------------------------------------------------------------------
 
-/// The decisions the core leaves to its driver.
-pub(crate) trait Sink {
-    /// A frame has fully crossed a link into dense switch `switch` at
-    /// `now` and becomes eligible for forwarding there `after` that.
-    fn switch_arrival(
-        &mut self,
-        lane: &mut Lane,
-        now: SimTime,
-        after: Duration,
-        switch: u32,
-        frame: FrameId,
-    );
+/// The bytes of the frames in flight, by [`FrameId`], and the deliveries
+/// not polled yet: a buffer waits here from its injection to its delivery,
+/// which takes it, or its drop, which frees it.
+#[derive(Debug, Default)]
+pub(crate) struct Sink {
+    pub(crate) bytes: Vec<Option<EthernetFrame>>,
+    pub(crate) deliveries: Vec<Delivery>,
+}
 
-    /// A frame reached its receiver.  `delivery.eth` is empty: the driver
-    /// moves the frame's bytes in.  `since_scheduled` is how long before
-    /// `delivery.delivered_at` the delivering event was scheduled.
-    fn deliver(&mut self, delivery: Delivery, since_scheduled: Duration);
+impl Sink {
+    /// A frame reached its receiver: its bytes move into the delivery.
+    #[inline]
+    fn deliver(&mut self, mut delivery: Delivery) {
+        let eth = self.bytes[delivery.frame.get() as usize].take();
+        delivery.eth = eth.expect("a frame has one event pending: one delivery or drop");
+        self.deliveries.push(delivery);
+    }
 
     /// A frame left the fabric undelivered (already counted): free its bytes.
-    fn discard(&mut self, frame: FrameId);
+    fn discard(&mut self, frame: FrameId) {
+        self.bytes[frame.get() as usize] = None;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -381,59 +377,24 @@ pub(crate) trait Sink {
 /// The directed ports one fault kills and revives.
 #[derive(Debug, Default)]
 pub(crate) struct PortFlips {
-    kills: Vec<u32>,
-    revives: Vec<u32>,
-}
-
-/// Apply one fault to the topology — a cut degrades it
-/// ([`Topology::fail_trunk`] / [`Topology::fail_switch`]), a repair splices
-/// the trunk back ([`Topology::repair_trunk`]) — re-pull the dense next-hop
-/// form from the router, and list the ports that die or come back.  The
-/// router caches per fingerprint (rebuilding incrementally for a single
-/// trunk flip), so control and best-effort forwarding avoid a dead edge,
-/// and see a restored one, from this instant on.  An `Err` (unknown trunk,
-/// already failed, not failed) leaves everything as it was.
-pub(crate) fn apply_fault(
-    topology: &mut Topology,
-    router: &dyn Router,
-    fabric: &Fabric,
-    dense: &mut Arc<DenseNextHop>,
-    fault: LinkFault,
-) -> RtResult<PortFlips> {
-    let mut flips = PortFlips::default();
-    match fault {
-        LinkFault::Fail { from, to } => {
-            topology.fail_trunk(from, to)?;
-            fabric.trunk_ports_of(dense, from, to, &mut flips.kills);
-        }
-        LinkFault::Repair { from, to } => {
-            topology.repair_trunk(from, to)?;
-            fabric.trunk_ports_of(dense, from, to, &mut flips.revives);
-        }
-        LinkFault::FailSwitch { switch } => {
-            for (a, b) in topology.fail_switch(switch)? {
-                fabric.trunk_ports_of(dense, a, b, &mut flips.kills);
-            }
-        }
-    }
-    *dense = router.dense_next_hop(topology);
-    Ok(flips)
+    pub(crate) kills: Vec<u32>,
+    pub(crate) revives: Vec<u32>,
 }
 
 // ---------------------------------------------------------------------------
 // The core
 // ---------------------------------------------------------------------------
 
-/// One fabric view, one lane and one sink, bound together for the duration
+/// The fabric view, the lane and the sink, bound together for the duration
 /// of an event (or a fault).
-pub(crate) struct Core<'a, S: Sink> {
+pub(crate) struct Core<'a> {
     pub(crate) fabric: &'a Fabric,
     pub(crate) lane: &'a mut Lane,
-    pub(crate) sink: &'a mut S,
+    pub(crate) sink: &'a mut Sink,
 }
 
-impl<S: Sink> Core<'_, S> {
-    /// Execute one forwarding event.  Inlined into the drivers' run loops,
+impl Core<'_> {
+    /// Execute one forwarding event.  Inlined into the simulator's run loops,
     /// where the `Core` then dissolves into the three references it holds
     /// instead of being rebuilt in memory for every event (about 4 of 130 ns
     /// per event on the 1024-node torus).
@@ -452,14 +413,14 @@ impl<S: Sink> Core<'_, S> {
                 // Last bit leaves the node now; it arrives at the access
                 // switch after the propagation delay, and becomes eligible
                 // for forwarding after the switch processing latency.
-                let after = fabric.switch_arrival_delay();
-                let switch = fabric.node_access[node_idx as usize];
-                self.sink
-                    .switch_arrival(self.lane, now, after, switch, frame);
+                let switch = fabric
+                    .dense
+                    .switch_at(fabric.node_access[node_idx as usize]);
+                self.arrive_at_switch(now, switch, frame);
                 self.try_start_tx(now, port);
             }
             Event::ArriveAtSwitch { switch, frame } => {
-                let at = self.lane.switch_idx(switch);
+                let at = fabric.switch_idx(switch);
                 let record = fabric.record(frame);
                 match record.dest {
                     FrameDest::ControlPlane => {
@@ -518,8 +479,8 @@ impl<S: Sink> Core<'_, S> {
                 self.try_start_tx(now, port);
             }
             Event::TrunkTxComplete { from, to, frame } => {
-                let to_idx = self.lane.switch_idx(to);
-                if let Some(port) = fabric.trunk_port(self.lane.switch_idx(from), to_idx) {
+                let to_idx = fabric.switch_idx(to);
+                if let Some(port) = fabric.trunk_port(fabric.switch_idx(from), to_idx) {
                     let p = port as usize;
                     if self.lane.doomed[p] || self.lane.dead[p] {
                         // The cable was cut while this frame was on it (or
@@ -533,31 +494,35 @@ impl<S: Sink> Core<'_, S> {
                     } else {
                         // Store-and-forward at the receiving switch, exactly
                         // as for a frame arriving over an uplink.
-                        let after = fabric.switch_arrival_delay();
-                        self.sink
-                            .switch_arrival(self.lane, now, after, to_idx, frame);
+                        self.arrive_at_switch(now, to, frame);
                     }
                     self.try_start_tx(now, port);
                 }
             }
             Event::ArriveAtNode { node, frame } => {
-                self.deliver_inner(frame, node, None, now, fabric.config.propagation_delay);
+                self.deliver_inner(frame, node, None, now);
             }
             Event::FailTrunk { .. } | Event::RepairTrunk { .. } | Event::FailSwitch { .. } => {
-                unreachable!(
-                    "a fault never reaches the core: Simulator::dispatch takes it first, \
-                     and a shard calendar holds only node injections and what the core \
-                     itself schedules"
-                )
+                unreachable!("a fault never reaches the core: Simulator::dispatch takes it first")
             }
         }
+    }
+
+    /// A frame has fully crossed a link into `switch` at `now`: it becomes
+    /// eligible for forwarding there after propagation and the switch's
+    /// store-and-forward latency.
+    #[inline]
+    fn arrive_at_switch(&mut self, now: SimTime, switch: SwitchId, frame: FrameId) {
+        let after = self.fabric.switch_arrival_delay();
+        self.lane
+            .schedule_after(now, after, Event::ArriveAtSwitch { switch, frame });
     }
 
     /// The trunk port at dense switch `at` on the next-hop table's way to
     /// dense switch `towards`.
     #[inline]
     fn trunk_towards(&self, at: u32, towards: u32) -> Option<u32> {
-        let next = self.lane.dense.next_hop_index(at, towards)?;
+        let next = self.fabric.dense.next_hop_index(at, towards)?;
         self.fabric.trunk_port(at, next)
     }
 
@@ -657,9 +622,8 @@ impl<S: Sink> Core<'_, S> {
     /// Deliver a frame to the control plane of dense switch `at` (the
     /// receiver is [`NodeId::SWITCH`]; the `switch` field says which one).
     fn deliver_to_switch(&mut self, frame: FrameId, at: u32, now: SimTime) {
-        let switch = self.lane.dense.switch_at(at);
-        let since_scheduled = self.fabric.switch_arrival_delay();
-        self.deliver_inner(frame, NodeId::SWITCH, Some(switch), now, since_scheduled);
+        let switch = self.fabric.dense.switch_at(at);
+        self.deliver_inner(frame, NodeId::SWITCH, Some(switch), now);
     }
 
     fn deliver_inner(
@@ -668,7 +632,6 @@ impl<S: Sink> Core<'_, S> {
         receiver: NodeId,
         switch: Option<SwitchId>,
         now: SimTime,
-        since_scheduled: Duration,
     ) {
         let record = self.fabric.record(frame);
         match record.class {
@@ -694,15 +657,13 @@ impl<S: Sink> Core<'_, S> {
             deadline: record.deadline,
             class: record.class,
         };
-        self.sink.deliver(delivery, since_scheduled);
+        self.sink.deliver(delivery);
     }
 
     /// Carry out a fault's port flips at `now`.  A killed port is marked
     /// dead, a frame mid-serialisation on it is doomed (lost with the cable
     /// even across a repair), and its queues are drained and counted; a
-    /// revived port simply accepts frames again.  A shard flips every
-    /// listed port of its lane: the ones it does not own never hold a frame
-    /// or a transmission, so the flip changes nothing there.
+    /// revived port simply accepts frames again.
     pub(crate) fn flip_ports(&mut self, flips: &PortFlips, now: SimTime) {
         for &port in &flips.kills {
             let p = port as usize;
@@ -723,44 +684,16 @@ impl<S: Sink> Core<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardedSimulator;
     use crate::sim::tests::{be_frame, rt_frame};
     use crate::sim::{FaultScript, FrameInjection, Simulator};
-    use rt_types::Route;
+    use rt_types::{Route, Topology};
 
-    /// A sink that keeps what the core hands it (and feeds switch arrivals
-    /// back into the lane, so a frame keeps travelling).
-    #[derive(Default)]
-    struct Recording {
-        delivered: Vec<FrameId>,
-        discarded: Vec<FrameId>,
-    }
-
-    impl Sink for Recording {
-        fn switch_arrival(
-            &mut self,
-            lane: &mut Lane,
-            now: SimTime,
-            after: Duration,
-            switch: u32,
-            frame: FrameId,
-        ) {
-            let switch = lane.dense.switch_at(switch);
-            lane.schedule_after(now, after, Event::ArriveAtSwitch { switch, frame });
-        }
-
-        fn deliver(&mut self, delivery: Delivery, _since_scheduled: Duration) {
-            self.delivered.push(delivery.frame);
-        }
-
-        fn discard(&mut self, frame: FrameId) {
-            self.discarded.push(frame);
-        }
-    }
-
-    /// How many frames still have bytes in the table.
-    fn bytes_held(bytes: &[Option<EthernetFrame>]) -> usize {
-        bytes.iter().filter(|slot| slot.is_some()).count()
+    /// The frames the simulator delivered, and how many still have bytes in
+    /// its table.
+    fn delivered_and_held(sim: &Simulator) -> (Vec<FrameId>, usize) {
+        let delivered = sim.sink.deliveries.iter().map(|d| d.frame).collect();
+        let held = sim.sink.bytes.iter().filter(|slot| slot.is_some()).count();
+        (delivered, held)
     }
 
     const N0: NodeId = NodeId::new(0);
@@ -787,10 +720,9 @@ mod tests {
     /// Every undelivered exit bumps exactly one drop counter and gives the
     /// frame's bytes back; a repaired port that picked up a frame behind a
     /// doomed transmission restarts.  On a two-switch line (node 0 — switch
-    /// 0 — switch 1 — node 1), driven three ways: through the core alone
-    /// with the port flips applied by hand, then through each driver's
-    /// `run_to_idle` with the flips scripted as faults — after which the
-    /// driver's byte table must be empty.
+    /// 0 — switch 1 — node 1), driven two ways: through the core alone with
+    /// the port flips applied by hand, then through `run_to_idle` with the
+    /// flips scripted as faults — after which the byte table must be empty.
     #[test]
     fn every_undelivered_exit_counts_once() {
         let config = SimConfig::default();
@@ -912,9 +844,9 @@ mod tests {
                     sim.inject(N0, eth.clone(), SimTime::ZERO).unwrap();
                 }
             };
-            // `held`: frames whose bytes are still in the driver's table.
-            let check = |driver: &str, stats: &SimStats, delivered: Vec<FrameId>, held: usize| {
-                let name = format!("{} ({driver})", case.name);
+            // `held`: frames whose bytes are still in the simulator's table.
+            let check = |how: &str, stats: &SimStats, delivered: Vec<FrameId>, held: usize| {
+                let name = format!("{} ({how})", case.name);
                 assert_eq!((case.counter)(stats), case.lost, "{name}: its counter");
                 assert_eq!(stats.total_dropped(), case.lost, "{name}: no other counter");
                 let delivered: Vec<u64> = delivered.iter().map(|f| f.get()).collect();
@@ -940,11 +872,10 @@ mod tests {
                 (case.repair_at, vec![], vec![trunk]),
             ];
 
-            let mut sink = Recording::default();
             let mut core = Core {
                 fabric: &sim.fabric,
                 lane: &mut sim.lane,
-                sink: &mut sink,
+                sink: &mut sim.sink,
             };
             for (at, kills, revives) in flips {
                 let Some(at) = at else { continue };
@@ -957,11 +888,10 @@ mod tests {
                 core.handle(time, event);
             }
 
-            assert_eq!(sink.discarded.len() as u64, case.lost, "{}", case.name);
-            let held = case.frames.len() - sink.delivered.len() - sink.discarded.len();
-            check("core", &sim.lane.stats, sink.delivered, held);
+            let (delivered, held) = delivered_and_held(&sim);
+            check("core", &sim.lane.stats, delivered, held);
 
-            // Both drivers, the cut and the repair scripted as faults.
+            // `run_to_idle`, the cut and the repair scripted as faults.
             let (a, b) = (SwitchId::new(0), SwitchId::new(1));
             let mut script = FaultScript::new();
             if let Some(at) = case.cut_at {
@@ -970,66 +900,37 @@ mod tests {
             if let Some(at) = case.repair_at {
                 script = script.repair_at(at, a, b);
             }
-            let delivered = |sim: &Simulator| -> Vec<FrameId> {
-                sim.sink.deliveries.iter().map(|d| d.frame).collect()
-            };
-            let mut single = Simulator::with_topology(config, line()).unwrap();
-            prepare(&mut single);
-            single.schedule_faults(&script).unwrap();
-            single.run_to_idle();
-            let held = bytes_held(&single.sink.bytes);
-            check("single-thread", single.stats(), delivered(&single), held);
-            let mut sharded = ShardedSimulator::new(config, line(), 2).unwrap();
-            prepare(&mut sharded.inner);
-            sharded.schedule_faults(&script).unwrap();
-            sharded.run_to_idle();
-            let held = bytes_held(&sharded.inner.sink.bytes);
-            check("sharded", sharded.stats(), delivered(&sharded.inner), held);
+            let mut sim = Simulator::with_topology(config, line()).unwrap();
+            prepare(&mut sim);
+            sim.schedule_faults(&script).unwrap();
+            sim.run_to_idle();
+            let (delivered, held) = delivered_and_held(&sim);
+            check("run_to_idle", sim.stats(), delivered, held);
         }
     }
 
     /// A delivery's payload is the very buffer that was injected, under
-    /// both drivers and both injection paths: moved, never copied.
+    /// both injection paths: moved, never copied.
     #[test]
     fn a_delivery_carries_the_injected_buffer_itself() {
-        let (config, line) = (SimConfig::default(), || Topology::line(2, 1));
         // Frame 0 goes through `inject`, frame 1 through `inject_batch`.
-        let frames = || {
-            let one = be_frame(N0, N1, 300);
-            let eth = rt_frame(N0, N1, 7, SimTime::from_millis(1), 200);
-            let injected = vec![one.payload.as_ptr(), eth.payload.as_ptr()];
-            let batched = FrameInjection {
-                node: N0,
-                eth,
-                at: SimTime::ZERO,
-            };
-            (one, [batched], injected)
+        let one = be_frame(N0, N1, 300);
+        let eth = rt_frame(N0, N1, 7, SimTime::from_millis(1), 200);
+        let injected = [one.payload.as_ptr(), eth.payload.as_ptr()];
+        let batched = FrameInjection {
+            node: N0,
+            eth,
+            at: SimTime::ZERO,
         };
-        let check = |driver: &str, injected: Vec<*const u8>, deliveries: Vec<Delivery>| {
-            assert_eq!(deliveries.len(), injected.len(), "{driver}");
-            for d in deliveries {
-                let sent = injected[d.frame.get() as usize];
-                assert_eq!(
-                    d.eth.payload.as_ptr(),
-                    sent,
-                    "{driver}: frame {:?}",
-                    d.frame
-                );
-            }
-        };
-
-        let (one, batch, injected) = frames();
-        let mut single = Simulator::with_topology(config, line()).unwrap();
-        single.inject(N0, one, SimTime::ZERO).unwrap();
-        single.inject_batch(batch).unwrap();
-        single.run_to_idle();
-        check("single-thread", injected, single.poll_deliveries());
-
-        let (one, batch, injected) = frames();
-        let mut sharded = ShardedSimulator::new(config, line(), 2).unwrap();
-        sharded.inject(N0, one, SimTime::ZERO).unwrap();
-        sharded.inject_batch(batch).unwrap();
-        sharded.run_to_idle();
-        check("sharded", injected, sharded.poll_deliveries());
+        let mut sim = Simulator::with_topology(SimConfig::default(), Topology::line(2, 1)).unwrap();
+        sim.inject(N0, one, SimTime::ZERO).unwrap();
+        sim.inject_batch([batched]).unwrap();
+        sim.run_to_idle();
+        let deliveries = sim.poll_deliveries();
+        assert_eq!(deliveries.len(), injected.len());
+        for d in deliveries {
+            let sent = injected[d.frame.get() as usize];
+            assert_eq!(d.eth.payload.as_ptr(), sent, "frame {:?}", d.frame);
+        }
     }
 }

@@ -32,9 +32,6 @@ pub const ETH_WIRE_OVERHEAD_BYTES: usize = ETH_PREAMBLE_BYTES + ETH_IFG_BYTES;
 /// time-slot length.
 pub const MAX_FRAME_WIRE_BYTES: usize = MAX_FRAME_BYTES + ETH_WIRE_OVERHEAD_BYTES;
 
-/// Total wire occupancy of a minimum-sized frame.
-pub const MIN_FRAME_WIRE_BYTES: usize = MIN_FRAME_BYTES + ETH_WIRE_OVERHEAD_BYTES;
-
 /// IPv4 header length without options, in bytes.
 pub const IPV4_HEADER_BYTES: usize = 20;
 
@@ -114,7 +111,6 @@ mod tests {
         );
         assert_eq!(ETH_MIN_PAYLOAD_BYTES, 46);
         assert_eq!(MAX_FRAME_WIRE_BYTES, 1538);
-        assert_eq!(MIN_FRAME_WIRE_BYTES, 84);
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub mod dense;
 pub mod error;
 pub mod hash;
 pub mod ids;
-pub mod partition;
 pub mod rng;
 pub mod router;
 pub mod time;
@@ -34,7 +33,6 @@ pub use dense::{IdIndex, NO_INDEX};
 pub use error::{RtError, RtResult};
 pub use hash::{FoldHasher, FoldState};
 pub use ids::{ChannelId, ConnectionRequestId, NodeId};
-pub use partition::{effective_shards, partition_switches, ShardStrategy};
 pub use rng::Xoshiro256;
 pub use router::{
     DenseNextHop, NextHopCache, NextHopCacheStats, NextHopTable, Route, RoutePolicy, Router,

@@ -14,99 +14,12 @@
 //! analytical bound `d_i·slot + T_latency(hops)`.
 //!
 //! Run with: `cargo run --example multiswitch_fabric`
-//!
-//! `--shards N` runs the sharded-simulator smoke instead: the same line
-//! fabric under a pre-generated cross-switch workload plus a mid-run trunk
-//! cut and repair, driven once on the single-thread simulator and once on
-//! [`ShardedSimulator`] with `N` worker threads, asserting the two runs
-//! are **byte-for-byte identical** — deliveries, statistics and event
-//! counts.
 
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
-use switched_rt_ethernet::netsim::{FaultScript, ShardedSimulator, SimConfig, Simulator};
-use switched_rt_ethernet::traffic::{FabricScenario, ScenarioFrameSource};
-use switched_rt_ethernet::types::{Duration, HopLink, SimTime, SwitchId};
-
-/// The `--shards N` mode: single-thread oracle vs. sharded run on the same
-/// workload and fault script, compared byte for byte.
-fn sharded_smoke(shards: usize) {
-    let fabric = FabricScenario::line(3, 2, 2);
-    let workload = ScenarioFrameSource::new(fabric.clone(), 3_000, Duration::from_micros(1))
-        .payload_len(200)
-        .drain_all();
-    // Cut the sw1--sw2 trunk mid-run and splice it back: the smoke covers
-    // the coordinator's fault barrier, not just steady-state windowing.
-    let faults = FaultScript::new()
-        .fail_at(
-            SimTime::from_micros(800),
-            SwitchId::new(1),
-            SwitchId::new(2),
-        )
-        .repair_at(SimTime::from_millis(2), SwitchId::new(1), SwitchId::new(2));
-
-    let mut oracle = Simulator::with_topology(SimConfig::default(), fabric.topology())
-        .expect("a line fabric always builds");
-    oracle
-        .inject_batch(workload.clone())
-        .expect("workload is valid");
-    oracle
-        .schedule_faults(&faults)
-        .expect("faults are in-window");
-    oracle.run_to_idle();
-    let oracle_events = oracle.events_processed();
-    let oracle_deliveries: Vec<_> = oracle
-        .poll_deliveries()
-        .into_iter()
-        .map(|d| (d.frame, d.receiver, d.delivered_at, d.eth.encode()))
-        .collect();
-
-    let mut sharded = ShardedSimulator::new(SimConfig::default(), fabric.topology(), shards)
-        .expect("a line fabric satisfies the lookahead bound");
-    sharded.inject_batch(workload).expect("workload is valid");
-    sharded
-        .schedule_faults(&faults)
-        .expect("faults are in-window");
-    sharded.run_to_idle();
-    println!(
-        "sharded smoke: {} switches across {} shards, {} conservative windows",
-        fabric.switch_count(),
-        sharded.shard_count(),
-        sharded.windows_executed(),
-    );
-
-    assert_eq!(
-        oracle.stats().summary(),
-        sharded.stats().summary(),
-        "merged sharded statistics must reproduce the oracle accumulator"
-    );
-    let sharded_deliveries: Vec<_> = sharded
-        .poll_deliveries()
-        .into_iter()
-        .map(|d| (d.frame, d.receiver, d.delivered_at, d.eth.encode()))
-        .collect();
-    assert_eq!(
-        oracle_deliveries, sharded_deliveries,
-        "sharded deliveries must be byte-identical to the oracle"
-    );
-    assert_eq!(oracle_events, sharded.events_processed());
-    println!(
-        "oracle and sharded runs identical: {} deliveries, {} events, summary {}",
-        sharded_deliveries.len(),
-        oracle_events,
-        sharded.stats().summary(),
-    );
-    println!("byte-for-byte equivalence across {shards} shards HELD");
-}
+use switched_rt_ethernet::traffic::FabricScenario;
+use switched_rt_ethernet::types::{Duration, HopLink, SwitchId};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        let shards = args
-            .get(i + 1)
-            .and_then(|n| n.parse().ok())
-            .expect("--shards takes a shard count");
-        return sharded_smoke(shards);
-    }
     // 1. The fabric: sw0 -- sw1 -- sw2, nodes 0..12 attached switch-major.
     let fabric = FabricScenario::line(3, 2, 2);
     let mut network = RtNetwork::builder()

@@ -19,9 +19,9 @@
 //!    latency stays below the hop-aware Eq. 18.1 bound
 //!    `d·slot + T_latency(h)`.
 //! 4. **What goes in comes out** — every delivered frame is struct-equal,
-//!    and `encode()`-byte-equal, to the frame injected under its id, single
-//!    thread and sharded, faulted or not, with Ethernet payloads of 0, 1,
-//!    45, 46 (the padding boundary) and 1500 bytes in every workload.
+//!    and `encode()`-byte-equal, to the frame injected under its id, faulted
+//!    or not, with Ethernet payloads of 0, 1, 45, 46 (the padding boundary)
+//!    and 1500 bytes in every workload.
 //! 5. **Churn determinism** — the long-running admission churn process
 //!    replays a byte-identical admission trace from the same seed, and the
 //!    central and distributed control planes produce that same trace,
@@ -31,15 +31,18 @@
 //! seed through `Xoshiro256`.
 
 mod common;
+#[path = "common/frames.rs"]
+mod frames;
 
 use common::ControlHarness;
+use frames::{be_frame, rt_frame};
 use switched_rt_ethernet::core::{ChannelManager, MultiHopDps, RtChannelSpec, RtNetwork};
 use switched_rt_ethernet::netsim::{
-    Delivery, FaultScript, FrameId, FrameInjection, ShardedSimulator, SimConfig, Simulator,
+    Delivery, FaultScript, FrameId, FrameInjection, SimConfig, Simulator,
 };
 use switched_rt_ethernet::types::{
     ChannelId, ConnectionRequestId, Duration, MacAddr, ManagerPlacement, NextHopCache, NodeId,
-    RoutePolicy, ShardStrategy, ShortestPathRouter, SimTime, Slots, SwitchId, Topology, Xoshiro256,
+    RoutePolicy, ShortestPathRouter, SimTime, Slots, SwitchId, Topology, Xoshiro256,
 };
 
 /// The fixed seed matrix: every invariant below holds for all of these.
@@ -88,46 +91,6 @@ fn random_topology(rng: &mut Xoshiro256) -> Topology {
         }
     }
     t
-}
-
-fn be_frame(from: NodeId, to: NodeId, payload_len: usize) -> rt_frames::EthernetFrame {
-    let udp = rt_frames::UdpHeader::new(1000, 2000, payload_len).unwrap();
-    let ip = rt_frames::Ipv4Header::udp(
-        switched_rt_ethernet::types::Ipv4Address::for_node(from),
-        switched_rt_ethernet::types::Ipv4Address::for_node(to),
-        8 + payload_len,
-    )
-    .unwrap();
-    let mut bytes = ip.encode();
-    bytes.extend_from_slice(&udp.encode());
-    bytes.extend(std::iter::repeat_n(0x5au8, payload_len));
-    rt_frames::EthernetFrame::new(
-        MacAddr::for_node(to),
-        MacAddr::for_node(from),
-        switched_rt_ethernet::types::constants::ETHERTYPE_IPV4,
-        bytes,
-    )
-    .unwrap()
-}
-
-fn rt_frame(
-    from: NodeId,
-    to: NodeId,
-    channel: u16,
-    deadline: SimTime,
-    payload_len: usize,
-) -> rt_frames::EthernetFrame {
-    rt_frames::rt_data::RtDataFrame {
-        eth_src: MacAddr::for_node(from),
-        eth_dst: MacAddr::for_node(to),
-        stamp: rt_frames::rt_data::DeadlineStamp::new(deadline.as_nanos(), ChannelId::new(channel))
-            .unwrap(),
-        src_port: 5000,
-        dst_port: 5001,
-        payload: vec![0u8; payload_len],
-    }
-    .into_ethernet()
-    .unwrap()
 }
 
 /// Ethernet payload lengths every workload carries: empty, one byte, either
@@ -219,22 +182,6 @@ fn random_faults(rng: &mut Xoshiro256, topology: &Topology) -> FaultScript {
 
 // --- invariant drivers ----------------------------------------------------
 
-type Snapshot = Vec<(u64, NodeId, u64, Vec<u8>)>;
-
-fn snapshot(deliveries: &[Delivery]) -> Snapshot {
-    deliveries
-        .iter()
-        .map(|d| {
-            (
-                d.frame.get(),
-                d.receiver,
-                d.delivered_at.as_nanos(),
-                d.eth.encode(),
-            )
-        })
-        .collect()
-}
-
 /// Invariant 4: each delivery carries exactly the frame injected under its
 /// id — the same struct, hence the same wire bytes.
 fn assert_deliveries_are_what_went_in(
@@ -260,9 +207,8 @@ fn assert_deliveries_are_what_went_in(
 }
 
 /// Run one seed's workload (and optional fault script); assert
-/// conservation and that what went in came out; return the observable
-/// outcome.
-fn drive(seed: u64, with_faults: bool) -> (Snapshot, String, u64) {
+/// conservation and that what went in came out; return the deliveries.
+fn drive(seed: u64, with_faults: bool) -> Vec<Delivery> {
     let mut rng = Xoshiro256::new(seed);
     let topology = random_topology(&mut rng);
     let workload = random_workload(&mut rng, &topology);
@@ -287,53 +233,9 @@ fn drive(seed: u64, with_faults: bool) -> (Snapshot, String, u64) {
         stats.summary(),
     );
     assert_eq!(stats.clamped_events, 0, "seed {seed}: causality violated");
-    let processed = sim.events_processed();
     let deliveries = sim.poll_deliveries();
     assert_deliveries_are_what_went_in(&format!("seed {seed}"), &ids, &workload, &deliveries);
-    (snapshot(&deliveries), sim.stats().summary(), processed)
-}
-
-/// [`drive`] on the sharded simulator: identical generation, identical
-/// invariant checks, `shards` worker threads under `strategy`.
-fn drive_sharded(
-    seed: u64,
-    shards: usize,
-    strategy: ShardStrategy,
-    with_faults: bool,
-) -> (Snapshot, String, u64) {
-    let mut rng = Xoshiro256::new(seed);
-    let topology = random_topology(&mut rng);
-    let workload = random_workload(&mut rng, &topology);
-    let faults = random_faults(&mut rng, &topology);
-    let mut sim = ShardedSimulator::with_strategy(SimConfig::default(), topology, shards, strategy)
-        .expect("generated fabric is valid");
-    let ids = sim
-        .inject_batch(workload.clone())
-        .expect("workload is valid");
-    if with_faults {
-        sim.schedule_faults(&faults).expect("faults are in-window");
-    }
-    sim.run_to_idle();
-    let stats = sim.stats();
-    assert_eq!(
-        sim.injected_count(),
-        stats.total_delivered() + stats.total_dropped(),
-        "seed {seed} x{shards}: sharded conservation violated ({})",
-        stats.summary(),
-    );
-    assert_eq!(
-        stats.clamped_events, 0,
-        "seed {seed} x{shards}: sharded causality violated"
-    );
-    let processed = sim.events_processed();
-    let deliveries = sim.poll_deliveries();
-    assert_deliveries_are_what_went_in(
-        &format!("seed {seed} x{shards}"),
-        &ids,
-        &workload,
-        &deliveries,
-    );
-    (snapshot(&deliveries), sim.stats().summary(), processed)
+    deliveries
 }
 
 // --- the properties -------------------------------------------------------
@@ -343,11 +245,11 @@ fn drive_sharded(
 #[test]
 fn random_fabrics_conserve_frames_and_are_scheduler_invariant() {
     for seed in 0..SEEDS {
-        let (deliveries, _, _) = drive(seed, false);
+        let deliveries = drive(seed, false);
         // The boundary frames are the first five injected; none is lost.
         for boundary in 0..BOUNDARY_PAYLOADS.len() as u64 {
             assert!(
-                deliveries.iter().any(|&(frame, ..)| frame == boundary),
+                deliveries.iter().any(|d| d.frame.get() == boundary),
                 "seed {seed}: boundary frame {boundary} was not delivered"
             );
         }
@@ -361,34 +263,6 @@ fn random_fabrics_conserve_frames_and_are_scheduler_invariant() {
 fn random_fabrics_with_faults_conserve_frames_and_are_scheduler_invariant() {
     for seed in 0..SEEDS {
         drive(seed, true);
-    }
-}
-
-/// Sharded-equivalence invariant: for shards ∈ {1, 2, 4} and both
-/// partition strategies, the parallel run conserves frames, delivers what
-/// was injected, and is **byte-for-byte identical** to the single-thread
-/// [`Simulator`] — deliveries, stats summary and event count —
-/// on every seed of the matrix, with and without random trunk cuts and
-/// switch kills.  Seed count follows `RT_ADVERSARIAL_SEEDS` (the CI
-/// standard job dials it down; soaks crank it up).
-#[test]
-fn sharded_runs_are_byte_identical_to_the_single_thread_oracle() {
-    for with_faults in [false, true] {
-        for seed in 0..adversarial_seeds() {
-            let oracle = drive(seed, with_faults);
-            for shards in [1usize, 2, 4] {
-                for strategy in [ShardStrategy::BfsRegions, ShardStrategy::Striped] {
-                    let sharded = drive_sharded(seed, shards, strategy, with_faults);
-                    assert_eq!(
-                        oracle,
-                        sharded,
-                        "seed {seed}: sharded x{shards} ({}) diverges from the oracle \
-                         (faults={with_faults})",
-                        strategy.name(),
-                    );
-                }
-            }
-        }
     }
 }
 
