@@ -66,8 +66,8 @@ use std::sync::Arc;
 
 use rt_frames::{EthernetFrame, Frame, FramePeek};
 use rt_types::{
-    ChannelId, Duration, HopLink, IdIndex, MacAddr, NextHopTable, NodeId, Route, Router, RtError,
-    RtResult, ShortestPathRouter, SimTime, SwitchId, Topology, NO_INDEX,
+    ChannelId, Duration, HopLink, IdIndex, MacAddr, NodeId, Route, Router, RtError, RtResult,
+    ShortestPathRouter, SimTime, SwitchId, Topology, NO_INDEX,
 };
 
 use crate::event::Event;
@@ -423,14 +423,6 @@ impl Simulator {
     /// The path-selection policy the fabric was built with.
     pub fn router(&self) -> &Arc<dyn Router> {
         &self.router
-    }
-
-    /// The router's `(at, towards) → neighbour` next-hop table (reference
-    /// form; the hot path reads the dense flattening instead).  Served from
-    /// the router's per-fingerprint cache, materialised lazily on first
-    /// call — constructing a simulator never builds the `BTreeMap` form.
-    pub fn next_hop_table(&self) -> Arc<NextHopTable> {
-        self.router.next_hop_table(&self.topology)
     }
 
     /// The switch hosting the control plane (the lowest switch id).
@@ -1808,7 +1800,8 @@ pub(crate) mod tests {
                 .unwrap();
         let shortest =
             Simulator::with_topology(SimConfig::default(), Topology::line(3, 1)).unwrap();
-        assert_eq!(*tree.next_hop_table(), *shortest.next_hop_table());
+        let table = |sim: &Simulator| sim.router().next_hop_table(sim.topology());
+        assert_eq!(*table(&tree), *table(&shortest));
         assert_eq!(tree.router().name(), "tree");
     }
 

@@ -6,8 +6,8 @@
 //! EDF processor, so nothing in the admission theory cares how a channel's
 //! path was chosen — only that the path is fixed at establishment time and
 //! that every link on it passes the per-link feasibility test.  Every policy
-//! picks a shortest path (a cheapest one on weighted trunks); they differ in
-//! which one and in how many:
+//! picks a shortest path by trunk count; they differ in which one and in how
+//! many:
 //!
 //! * [`RoutePolicy::Shortest`], the default — shortest paths over arbitrary
 //!   connected meshes, deterministic tie-break (lowest switch id first).
@@ -19,17 +19,19 @@
 //!   [`Xoshiro256`] PRNG, so different channels spread over redundant trunks
 //!   while a fixed seed always yields the same route.
 //! * [`RoutePolicy::KShortest`] — the shortest path as the primary route
-//!   plus up to `k − 1` loop-free alternates in ascending cost
+//!   plus up to `k − 1` loop-free alternates in ascending length
 //!   ([`Router::routes`]), so admission and fail-over can fall back to a
 //!   detour.
 //!
 //! The router keeps a per-topology [`NextHopCache`] keyed by
 //! [`Topology::fingerprint`], so constructing many simulators (or routing
 //! many channels) over the same fabric computes the forwarding state once.
-//! On uniform-cost fabrics the cache rebuilds *incrementally* across fault
-//! churn — a state one trunk flip away from a resident one is patched per
-//! destination instead of rebuilt from scratch — and materialises the
-//! `BTreeMap` table form lazily.
+//! That state is one BFS column per destination, and it is the library's
+//! only path search: routes, tables, ECMP's path counts and Yen's spurs all
+//! read it or sweep a column of it.  The cache rebuilds *incrementally*
+//! across fault churn — a state one trunk flip away from a resident one is
+//! patched per destination instead of rebuilt from scratch — and
+//! materialises the `BTreeMap` table form lazily.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -48,9 +50,8 @@ pub type NextHopTable = BTreeMap<(SwitchId, SwitchId), SwitchId>;
 
 /// The forwarding table in the form the per-event hot path consumes:
 /// switches get contiguous indices (via [`IdIndex`]) and a forwarding
-/// decision is a couple of array reads.  It carries the *same* routes as the
-/// policy's `BTreeMap` table — the simulator uses this form for speed, not
-/// policy.
+/// decision is a couple of array reads.  [`DenseNextHop::to_table`] derives
+/// the `BTreeMap` form from it, so the two carry the same routes.
 ///
 /// Storage is destination-major `S × S`, one `Arc`'d column per destination,
 /// so an incremental rebuild after a single trunk flip shares every
@@ -66,38 +67,16 @@ pub struct DenseNextHop {
     next: Vec<Arc<[u32]>>,
     /// `adjacency[at]` = the dense indices of `at`'s healthy neighbours,
     /// ascending: what a state one trunk flip away patches instead of
-    /// reading the whole fabric again, and what ECMP counts paths over.
+    /// reading the whole fabric again, what ECMP counts paths over and what
+    /// Yen's spurs sweep.
     adjacency: Vec<Arc<[u32]>>,
-    /// Per-destination hop counts of a uniform-cost sweep (`u32::MAX` =
-    /// unreachable), the base an incremental rebuild patches from; `None`
-    /// for a table built from a weighted one ([`DenseNextHop::build`]).
-    dist: Option<Vec<Arc<[u32]>>>,
+    /// `dist[towards][at]` = hop count from `at` to `towards` (`u32::MAX` =
+    /// unreachable): what ECMP counts paths by and what an incremental
+    /// rebuild patches from.
+    dist: Vec<Arc<[u32]>>,
 }
 
 impl DenseNextHop {
-    /// Flatten `table` over the switches of `topology`.
-    pub fn build(topology: &Topology, table: &NextHopTable) -> Self {
-        let index = IdIndex::new(topology.switches().map(|s| s.get()));
-        let n = index.len();
-        let mut columns = vec![vec![NO_INDEX; n]; n];
-        for (&(from, to), &next) in table {
-            let (Some(f), Some(t), Some(x)) = (
-                index.get(from.get()),
-                index.get(to.get()),
-                index.get(next.get()),
-            ) else {
-                continue;
-            };
-            columns[t as usize][f as usize] = x;
-        }
-        DenseNextHop {
-            adjacency: dense_adjacency(topology, &index),
-            index,
-            next: columns.into_iter().map(Arc::from).collect(),
-            dist: None,
-        }
-    }
-
     /// Number of switches.
     #[inline]
     pub fn switch_count(&self) -> usize {
@@ -154,13 +133,14 @@ impl DenseNextHop {
     }
 
     /// Approximate resident bytes of the forwarding state: the id index,
-    /// the O(V²) next-hop columns and the O(V + E) adjacency rows.  What
-    /// `rtbench` reports as `types.router.table_bytes`.
+    /// the O(V²) next-hop and distance columns and the O(V + E) adjacency
+    /// rows.  What `rtbench` reports as `types.router.table_bytes`.
     pub fn resident_bytes(&self) -> usize {
         let index = self.index.len() * 2 * std::mem::size_of::<u32>();
         let rows: usize = self
             .next
             .iter()
+            .chain(&self.dist)
             .chain(&self.adjacency)
             .map(|c| std::mem::size_of::<Arc<[u32]>>() + std::mem::size_of_val(&c[..]))
             .sum();
@@ -343,11 +323,11 @@ pub trait Router: fmt::Debug + Send + Sync {
     /// per-route forwarding state (control-plane and best-effort frames).
     /// Served from [`Router::next_hop_cache`] when the policy keeps one
     /// (the `BTreeMap` form is materialised lazily, once per cached fabric
-    /// state); built fresh otherwise.
+    /// state); built through a fresh cache otherwise.
     fn next_hop_table(&self, topology: &Topology) -> Arc<NextHopTable> {
         match self.next_hop_cache() {
             Some(cache) => cache.get(topology),
-            None => Arc::new(topology.next_hop_table()),
+            None => NextHopCache::new().get(topology),
         }
     }
 
@@ -357,10 +337,7 @@ pub trait Router: fmt::Debug + Send + Sync {
     fn dense_next_hop(&self, topology: &Topology) -> Arc<DenseNextHop> {
         match self.next_hop_cache() {
             Some(cache) => cache.get_dense(topology),
-            None => Arc::new(DenseNextHop::build(
-                topology,
-                &self.next_hop_table(topology),
-            )),
+            None => NextHopCache::new().get_dense(topology),
         }
     }
 
@@ -399,20 +376,16 @@ pub trait Router: fmt::Debug + Send + Sync {
 ///
 /// A miss no longer implies a from-scratch pass, either:
 ///
-/// * On uniform-cost fabrics the table is built per *destination* (one BFS
-///   column each, next hop = minimum-id neighbour one hop closer — exactly
-///   the lex-min entry the legacy per-source build produces), and a miss
-///   whose failed-trunk set differs from a resident state's by a single
-///   trunk is served by *patching* that state's columns: only destinations
-///   whose route tree actually crossed the flipped trunk are recomputed,
+/// * The table is built per *destination* (one BFS column each, next hop =
+///   minimum-id neighbour one hop closer, which makes every route the
+///   lexicographically smallest shortest path), and a miss whose
+///   failed-trunk set differs from a resident state's by a single trunk is
+///   served by *patching* that state's columns: only destinations whose
+///   route tree actually crossed the flipped trunk are recomputed,
 ///   everything else shares the previous `Arc`'d column.  A single cut on
 ///   a 1280-switch fabric costs milliseconds instead of a full rebuild.
 /// * The `BTreeMap` form is materialised lazily per state, only when
 ///   [`NextHopCache::get`] is actually called.
-///
-/// Weighted fabrics keep the exact legacy build: Dijkstra tie-breaks are
-/// not the local min-id rule, and byte-identical tables are a hard
-/// requirement for reproducible admission.
 #[derive(Debug, Default)]
 pub struct NextHopCache {
     inner: Mutex<CacheInner>,
@@ -511,43 +484,32 @@ impl NextHopCache {
             .map(|(a, b)| (a.get(), b.get()))
             .collect();
         let index = IdIndex::new(topology.switches().map(|s| s.get()));
-
-        let (dense, table) = if topology.has_uniform_cost() {
-            // A resident uniform state one trunk flip away on the same
-            // fabric seeds an incremental rebuild.
-            let patched = inner.entries.iter().find_map(|e| {
-                if e.structural_fingerprint != structural_fingerprint {
-                    return None;
-                }
-                let delta = single_trunk_delta(&e.failed, &failed)?;
-                incremental_columns(topology, &index, &e.dense, &delta)
-            });
-            let (adjacency, (next, dist)) = match patched {
-                Some(columns) => {
-                    inner.stats.incremental_rebuilds += 1;
-                    columns
-                }
-                None => {
-                    inner.stats.full_rebuilds += 1;
-                    let adjacency = dense_adjacency(topology, &index);
-                    let columns = uniform_columns(&adjacency);
-                    (adjacency, columns)
-                }
-            };
-            let dense = DenseNextHop {
-                index,
-                next,
-                adjacency,
-                dist: Some(dist),
-            };
-            (dense, None)
-        } else {
-            // Weighted trunks: deterministic-Dijkstra tie-breaks are not
-            // the local min-id rule, so keep the exact legacy build (and
-            // its eager table — it exists as a by-product anyway).
-            inner.stats.full_rebuilds += 1;
-            let table = Arc::new(topology.next_hop_table());
-            (DenseNextHop::build(topology, &table), Some(table))
+        // A resident state one trunk flip away on the same fabric seeds an
+        // incremental rebuild.
+        let patched = inner.entries.iter().find_map(|e| {
+            if e.structural_fingerprint != structural_fingerprint {
+                return None;
+            }
+            let delta = single_trunk_delta(&e.failed, &failed)?;
+            Some(incremental_columns(topology, &index, &e.dense, &delta))
+        });
+        let (adjacency, (next, dist)) = match patched {
+            Some(columns) => {
+                inner.stats.incremental_rebuilds += 1;
+                columns
+            }
+            None => {
+                inner.stats.full_rebuilds += 1;
+                let adjacency = dense_adjacency(topology, &index);
+                let columns = uniform_columns(&adjacency);
+                (adjacency, columns)
+            }
+        };
+        let dense = DenseNextHop {
+            index,
+            next,
+            adjacency,
+            dist,
         };
         inner.entries.insert(
             0,
@@ -556,7 +518,7 @@ impl NextHopCache {
                 structural_fingerprint,
                 failed,
                 dense: Arc::new(dense),
-                table,
+                table: None,
             },
         );
         if inner.entries.len() > CACHE_CAPACITY {
@@ -591,12 +553,11 @@ fn dense_adjacency(topology: &Topology, index: &IdIndex) -> Vec<Arc<[u32]>> {
 /// first tight neighbour the minimum) and per-source distance
 /// (`u32::MAX` = unreachable).
 ///
-/// The legacy per-source build ([`Topology::next_hop_table`]) explores
-/// neighbours in ascending id with first-finder parents, which yields the
-/// lexicographically-minimal shortest path for every pair — and the first
-/// hop of the lex-min path from `s` is precisely the minimum-id neighbour
-/// of `s` that is one hop closer to `t`.  So this per-destination build
-/// produces byte-identical entries at a fraction of the allocation cost.
+/// The first hop of the lexicographically smallest shortest path from `s`
+/// is the minimum-id neighbour of `s` one hop closer to `t`, so walking a
+/// column's next hops yields that path for every pair: the path a per-source
+/// BFS exploring neighbours in ascending id, first finder keeping the
+/// parent, finds too.
 fn bfs_column(adjacency: &[Arc<[u32]>], t: usize) -> (Arc<[u32]>, Arc<[u32]>) {
     let n = adjacency.len();
     let mut dist = vec![u32::MAX; n];
@@ -679,10 +640,8 @@ fn single_trunk_delta(base: &[(u32, u32)], new: &[(u32, u32)]) -> Option<TrunkDe
 /// Patch a base state's adjacency and per-destination columns for a single
 /// trunk flip, sharing every untouched row's and column's `Arc`: the
 /// flipped trunk's two adjacency rows are read again from `topology`.
-/// `None` when the base was not a uniform-cost sweep, which has no distance
-/// columns to patch from.
 ///
-/// Soundness rests on two facts about uniform-cost BFS columns:
+/// Soundness rests on two facts about BFS columns:
 ///
 /// * A trunk between switches at *equal* distance from the destination (or
 ///   with either endpoint unreachable) lies on no shortest path at all, so
@@ -702,8 +661,7 @@ fn incremental_columns(
     index: &IdIndex,
     base: &DenseNextHop,
     delta: &TrunkDelta,
-) -> Option<(Vec<Arc<[u32]>>, ColumnSets)> {
-    let base_dist = base.dist.as_ref()?;
+) -> (Vec<Arc<[u32]>>, ColumnSets) {
     let (edge, is_cut) = match delta {
         TrunkDelta::Cut(e) => (e, true),
         TrunkDelta::Repaired(e) => (e, false),
@@ -723,7 +681,7 @@ fn incremental_columns(
     let n = adjacency.len();
     let mut next_cols = Vec::with_capacity(n);
     let mut dist_cols = Vec::with_capacity(n);
-    for (next, dist) in base.next.iter().zip(base_dist) {
+    for (next, dist) in base.next.iter().zip(&base.dist) {
         let t = next_cols.len();
         let (da, db) = (dist[a], dist[b]);
         // Equal distances (finite or both unreachable): the trunk is off
@@ -780,7 +738,7 @@ fn incremental_columns(
             dist_cols.push(Arc::clone(dist));
         }
     }
-    Some((adjacency, (next_cols, dist_cols)))
+    (adjacency, (next_cols, dist_cols))
 }
 
 /// Resolve and sanity-check the endpoints of a requested route.
@@ -801,6 +759,11 @@ fn route_endpoints(
         .switch_of(destination)
         .ok_or(RtError::UnknownNode(destination))?;
     Ok((src_switch, dst_switch))
+}
+
+/// The error of a route between two switches no trunk path joins.
+fn not_connected(from: SwitchId, to: SwitchId) -> RtError {
+    RtError::Config(format!("switches {from} and {to} are not connected"))
 }
 
 /// Room for a fat-tree route (six links) without regrowing the vector link
@@ -860,9 +823,8 @@ fn ecmp_key(seed: u64, source: NodeId, destination: NodeId) -> u64 {
 /// unreachable.  The paths are counted, never listed: each switch's number
 /// of shortest paths on to `to` is summed from its closer neighbours in
 /// ascending distance (saturating: a count only steers the hash), over the
-/// dense adjacency and the cached distance column — a weighted fabric's
-/// table has none, so it gets a BFS column of its own — and the walk
-/// descends through the counts to the picked path.
+/// dense adjacency and the cached distance column, and the walk descends
+/// through the counts to the picked path.
 fn ecmp_path(
     dense: &DenseNextHop,
     from: SwitchId,
@@ -870,14 +832,7 @@ fn ecmp_path(
     key: u64,
 ) -> Option<Vec<SwitchId>> {
     let (s, t) = (dense.index_of(from)? as usize, dense.index_of(to)? as usize);
-    let swept;
-    let dist: &[u32] = match &dense.dist {
-        Some(columns) => &columns[t],
-        None => {
-            swept = bfs_column(&dense.adjacency, t).1;
-            &swept
-        }
-    };
+    let dist = &dense.dist[t];
     if dist[s] == u32::MAX {
         return None;
     }
@@ -917,24 +872,24 @@ fn ecmp_path(
 }
 
 /// [`RoutePolicy::KShortest`]'s candidates: `first`, then up to `k − 1`
-/// further loop-free switch paths to `to`, cheapest first (Yen's algorithm
-/// over the trunk graph; candidates ordered by `(cost, path)`, so on an
-/// unweighted fabric by length, then lexicographically).  Fewer when the
-/// graph has fewer distinct loop-free paths.  Every spur search is
-/// [`Topology::switch_path_banned`], whose tie-breaks the cached table the
-/// primary is walked on reproduces.
+/// further loop-free switch paths to `to`, shortest first (Yen's algorithm
+/// over the trunk graph; candidates ordered by `(hops, path)`, so by length,
+/// then lexicographically).  Fewer when the graph has fewer distinct
+/// loop-free paths.  Paths are dense indices here, which order as the
+/// switch ids do.
 fn k_shortest_paths(
-    topology: &Topology,
+    dense: &DenseNextHop,
     first: Vec<SwitchId>,
     to: SwitchId,
     k: usize,
 ) -> Vec<Vec<SwitchId>> {
-    let cost = |path: &[SwitchId]| -> u64 {
-        path.windows(2)
-            .map(|w| topology.trunk_cost(w[0], w[1]).unwrap_or(1))
-            .sum()
+    let index = |s: SwitchId| {
+        dense
+            .index_of(s)
+            .expect("a routed path runs over the switches its table was built for")
     };
-    let mut paths = vec![first];
+    let t = index(to);
+    let mut paths: Vec<Vec<u32>> = vec![first.into_iter().map(index).collect()];
     let mut candidates = std::collections::BTreeSet::new();
     while paths.len() < k {
         let prev = &paths[paths.len() - 1];
@@ -942,19 +897,16 @@ fn k_shortest_paths(
             let root = &prev[..=i];
             // Edges already used by accepted paths sharing this root must
             // not be reused for the spur, nor the root's switches revisited.
-            let banned_edges = paths
+            let banned_edges: Vec<(u32, u32)> = paths
                 .iter()
                 .filter(|p| p.len() > i + 1 && p[..=i] == *root)
                 .map(|p| (p[i], p[i + 1]))
                 .collect();
-            let banned_nodes = root[..i].iter().copied().collect();
-            if let Some(spur) =
-                topology.switch_path_banned(prev[i], to, &banned_nodes, &banned_edges)
-            {
+            if let Some(spur) = spur_path(&dense.adjacency, prev[i], t, &root[..i], &banned_edges) {
                 let mut total = root[..i].to_vec();
                 total.extend(spur);
                 if !paths.contains(&total) {
-                    candidates.insert((cost(&total), total));
+                    candidates.insert((total.len(), total));
                 }
             }
         }
@@ -964,14 +916,59 @@ fn k_shortest_paths(
         paths.push(best);
     }
     paths
+        .into_iter()
+        .map(|p| p.into_iter().map(|at| dense.switch_at(at)).collect())
+        .collect()
+}
+
+/// Yen's spur search: the lexicographically smallest shortest path from
+/// `from` to `to` that enters none of `banned_nodes` and takes none of the
+/// directed `banned_edges`, or `None` when they cut `to` off.  A BFS column
+/// towards `to` over the adjacency with those removed, walked from `from`
+/// by the minimum-id closer neighbour, as [`bfs_column`]'s tables are.
+fn spur_path(
+    adjacency: &[Arc<[u32]>],
+    from: u32,
+    to: u32,
+    banned_nodes: &[u32],
+    banned_edges: &[(u32, u32)],
+) -> Option<Vec<u32>> {
+    let usable = |at: u32, next: u32| !banned_edges.contains(&(at, next));
+    let mut dist = vec![u32::MAX; adjacency.len()];
+    dist[to as usize] = 0;
+    let mut queue = std::collections::VecDeque::from([to]);
+    while let Some(v) = queue.pop_front() {
+        for &u in adjacency[v as usize].iter() {
+            if dist[u as usize] == u32::MAX && !banned_nodes.contains(&u) && usable(u, v) {
+                dist[u as usize] = dist[v as usize] + 1;
+                queue.push_back(u);
+            }
+        }
+    }
+    if dist[from as usize] == u32::MAX {
+        return None;
+    }
+    let mut path = vec![from];
+    let mut at = from;
+    while at != to {
+        // Cannot come up empty: `at` was reached from a usable neighbour
+        // one hop closer.
+        at = adjacency[at as usize].iter().copied().find(|&next| {
+            dist[next as usize] != u32::MAX
+                && dist[next as usize] + 1 == dist[at as usize]
+                && usable(at, next)
+        })?;
+        path.push(at);
+    }
+    Some(path)
 }
 
 /// Which shortest path a [`ShortestPathRouter`] picks, and how many it
 /// offers.  See the module docs for what each policy is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutePolicy {
-    /// The lexicographically smallest shortest path (cheapest, on weighted
-    /// trunks) over any connected mesh.
+    /// The lexicographically smallest shortest path over any connected
+    /// mesh.
     #[default]
     Shortest,
     /// [`RoutePolicy::Shortest`] on a switch graph that must be a tree, so
@@ -985,7 +982,7 @@ pub enum RoutePolicy {
         seed: u64,
     },
     /// [`RoutePolicy::Shortest`]'s path first, then up to `k − 1` loop-free
-    /// alternates in ascending cost.
+    /// alternates in ascending length.
     KShortest {
         /// Candidate paths offered per request (0 offers one, as 1 does).
         k: usize,
@@ -1050,18 +1047,16 @@ impl Router for ShortestPathRouter {
             self.validate(topology)?;
         }
         let (from, to) = route_endpoints(topology, source, destination)?;
-        let not_connected =
-            || RtError::Config(format!("switches {from} and {to} are not connected"));
+        let dense = self.cache.get_dense(topology);
         match self.policy {
             RoutePolicy::Ecmp { seed } => {
-                let dense = self.cache.get_dense(topology);
                 let key = ecmp_key(seed, source, destination);
-                let path = ecmp_path(&dense, from, to, key).ok_or_else(not_connected)?;
+                let path =
+                    ecmp_path(&dense, from, to, key).ok_or_else(|| not_connected(from, to))?;
                 assemble(source, destination, path)
             }
             _ => {
-                let dense = self.cache.get_dense(topology);
-                let path = walk(&dense, from, to).ok_or_else(not_connected)?;
+                let path = walk(&dense, from, to).ok_or_else(|| not_connected(from, to))?;
                 assemble(source, destination, path)
             }
         }
@@ -1073,19 +1068,18 @@ impl Router for ShortestPathRouter {
         source: NodeId,
         destination: NodeId,
     ) -> RtResult<Vec<Route>> {
-        let primary = self.route(topology, source, destination)?;
         let RoutePolicy::KShortest { k } = self.policy else {
-            return Ok(vec![primary]);
+            return Ok(vec![self.route(topology, source, destination)?]);
         };
+        // `route`'s primary, walked off the same table the spurs sweep.
         let (from, to) = route_endpoints(topology, source, destination)?;
-        let trunk_ends = primary.links().iter().filter_map(|link| match *link {
-            HopLink::Trunk { to: end, .. } => Some(end),
-            _ => None,
-        });
-        let first = std::iter::once(from).chain(trunk_ends).collect();
-        let alternates = k_shortest_paths(topology, first, to, k).into_iter().skip(1);
-        std::iter::once(Ok(primary))
-            .chain(alternates.map(|path| assemble(source, destination, path)))
+        let dense = self.cache.get_dense(topology);
+        let first = walk(&dense, from, to)
+            .ok_or_else(|| not_connected(from, to))?
+            .collect();
+        k_shortest_paths(&dense, first, to, k)
+            .into_iter()
+            .map(|path| assemble(source, destination, path))
             .collect()
     }
 
@@ -1097,6 +1091,7 @@ impl Router for ShortestPathRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::oracle;
     use std::collections::BTreeSet;
 
     /// One of each policy, with the values the old constructors were given.
@@ -1124,9 +1119,9 @@ mod tests {
     // Kept as they were, apart from the table they walk, so that the merged
     // router can be checked against them route for route.
 
-    /// `ShortestPathRouter` and `TreeRouter`'s walk, over the legacy
-    /// per-source table ([`Topology::next_hop_table`]) instead of the cache:
-    /// an oracle that shares no code with the cache's columns.
+    /// `ShortestPathRouter` and `TreeRouter`'s walk, over the per-source
+    /// table ([`oracle::next_hop_table`]) instead of the cache: an oracle
+    /// that shares no code with the cache's columns.
     fn oracle_walk(
         table: &NextHopTable,
         topology: &Topology,
@@ -1221,7 +1216,8 @@ mod tests {
     }
 
     /// `KShortestRouter::switch_paths`: Yen's algorithm, its first path
-    /// from the source's own search, every search the shared one.
+    /// from the source's own search, every search the per-source BFS of
+    /// [`oracle::switch_path_banned`].
     fn oracle_switch_paths(
         k: usize,
         topology: &Topology,
@@ -1229,11 +1225,12 @@ mod tests {
         to: SwitchId,
     ) -> Vec<Vec<SwitchId>> {
         let none = BTreeSet::new();
-        let Some(first) = topology.switch_path_banned(from, to, &none, &BTreeSet::new()) else {
+        let Some(first) = oracle::switch_path_banned(topology, from, to, &none, &BTreeSet::new())
+        else {
             return Vec::new();
         };
         let mut paths = vec![first];
-        let mut candidates: BTreeSet<(u64, Vec<SwitchId>)> = BTreeSet::new();
+        let mut candidates: BTreeSet<(usize, Vec<SwitchId>)> = BTreeSet::new();
         while paths.len() < k.max(1) {
             let prev = paths.last().expect("paths starts non-empty").clone();
             for i in 0..prev.len() - 1 {
@@ -1247,16 +1244,13 @@ mod tests {
                 }
                 let banned_nodes: BTreeSet<SwitchId> = root[..i].iter().copied().collect();
                 if let Some(spur_path) =
-                    topology.switch_path_banned(spur, to, &banned_nodes, &banned_edges)
+                    oracle::switch_path_banned(topology, spur, to, &banned_nodes, &banned_edges)
                 {
                     let mut total: Vec<SwitchId> = root[..i].to_vec();
                     total.extend(spur_path);
                     if !paths.contains(&total) {
-                        let cost = total
-                            .windows(2)
-                            .map(|w| topology.trunk_cost(w[0], w[1]).unwrap_or(1))
-                            .sum();
-                        candidates.insert((cost, total));
+                        let hops = total.len() - 1;
+                        candidates.insert((hops, total));
                     }
                 }
             }
@@ -1306,7 +1300,7 @@ mod tests {
 
     /// What the router of `policy` answered before the merge: its candidate
     /// list, whose first entry was its `route`.  `table` is
-    /// `topology.next_hop_table()` and `tree` its `is_tree()`.
+    /// `oracle::next_hop_table(topology)` and `tree` its `is_tree()`.
     fn oracle(
         policy: RoutePolicy,
         (table, tree): (&NextHopTable, bool),
@@ -1356,9 +1350,8 @@ mod tests {
 
     /// Seed `seed`'s fabric: seed 3 is `fat_tree(4)` (its 33 states are
     /// most of the property's time in a debug build, so it runs once), the
-    /// others a random tree, a ring, a torus or a weighted mesh in turn (a
-    /// random tree plus chords, trunk costs 1–3 so that equal-cost ties stay
-    /// common).
+    /// others a random tree, a ring, a torus or a mesh in turn (a random
+    /// tree plus chords, so cycles of uneven lengths meet).
     fn random_fabric(seed: u64, rng: &mut Xoshiro256) -> Topology {
         let below = |rng: &mut Xoshiro256, n: u32| rng.below(u64::from(n)) as u32;
         match seed % 4 {
@@ -1374,13 +1367,8 @@ mod tests {
                 let mut t = random_tree(rng, n);
                 for _ in 0..2 + rng.below(3) {
                     let (a, b) = (below(rng, n), below(rng, n));
-                    let cost = 1 + rng.below(3);
                     // A self-loop or a repeat is refused; that is fine here.
-                    let _ = t.add_trunk_weighted(SwitchId::new(a), SwitchId::new(b), cost);
-                }
-                let trunks: Vec<_> = t.trunks().collect();
-                for (a, b) in trunks {
-                    t.set_trunk_cost(a, b, 1 + rng.below(3)).unwrap();
+                    let _ = t.add_trunk(SwitchId::new(a), SwitchId::new(b));
                 }
                 t
             }
@@ -1389,17 +1377,17 @@ mod tests {
 
     /// Every policy against the body it replaced: `route` and `routes` for
     /// every ordered node pair on a random tree, ring, torus, `fat_tree(4)`
-    /// or weighted mesh, healthy and under every single trunk cut (one
-    /// router per policy across the cuts, so the cache's incremental
-    /// rebuilds are what is walked), with `routes(..)[0] == route(..)`
-    /// throughout.  What is compared is the routes: an error is an error
-    /// whatever its text.
+    /// or mesh, healthy and under every single trunk cut (one router per
+    /// policy across the cuts, so the cache's incremental rebuilds are what
+    /// is walked), with `routes(..)[0] == route(..)` throughout.  What is
+    /// compared is the routes: an error is an error whatever its text.
     #[test]
     fn prop_every_policy_routes_like_its_oracle() {
-        let (mut routed, mut refused, mut alternates, mut weighted) = (0u64, 0u64, 0u64, 0u64);
+        let (mut routed, mut refused, mut alternates, mut meshes) = (0u64, 0u64, 0u64, 0u64);
         for seed in 0..adversarial_seeds() {
             let mut rng = Xoshiro256::new(0x0e7a_c1e5 ^ seed);
             let healthy = random_fabric(seed, &mut rng);
+            meshes += u64::from(seed % 4 == 3 && seed != 3 && !healthy.is_tree());
             let policies = [
                 RoutePolicy::Shortest,
                 RoutePolicy::Tree,
@@ -1417,8 +1405,7 @@ mod tests {
                 if let Some((a, b)) = cut {
                     t.fail_trunk(a, b).unwrap();
                 }
-                weighted += u64::from(!t.has_uniform_cost());
-                let (table, tree) = (t.next_hop_table(), t.is_tree());
+                let (table, tree) = (oracle::next_hop_table(&t), t.is_tree());
                 for (router, policy) in routers.iter().zip(policies) {
                     for (s, d) in t.nodes().flat_map(|s| t.nodes().map(move |d| (s, d))) {
                         let expected = oracle(policy, (&table, tree), &t, s, d).ok();
@@ -1445,15 +1432,63 @@ mod tests {
             }
         }
         // The matrix really routed, refused (same-node pairs, cut trees,
-        // cyclic fabrics under `Tree`), offered detours and weighed trunks.
+        // cyclic fabrics under `Tree`), offered detours and drew cyclic
+        // meshes.
         assert!(
             routed > 0 && refused > 0 && alternates > 0,
             "{routed} {refused} {alternates}"
         );
         assert!(
-            weighted > 0 || adversarial_seeds() < 8,
-            "no weighted fabric was drawn"
+            meshes > 0 || adversarial_seeds() < 8,
+            "no cyclic mesh was drawn"
         );
+    }
+
+    /// Yen's spur search against the per-source oracle's, on the property's
+    /// fabrics with random banned switches and directed trunks: the same
+    /// path, or none on both sides.
+    #[test]
+    fn prop_spur_paths_match_the_per_source_search() {
+        let (mut found, mut cut_off) = (0u64, 0u64);
+        for seed in 0..adversarial_seeds() {
+            let mut rng = Xoshiro256::new(0x5b0a_0000 ^ seed);
+            let t = random_fabric(seed, &mut rng);
+            let dense = NextHopCache::new().get_dense(&t);
+            let n = dense.switch_count() as u64;
+            let directed: Vec<(SwitchId, SwitchId)> =
+                t.trunks().flat_map(|(a, b)| [(a, b), (b, a)]).collect();
+            for _ in 0..64 {
+                let pick = |rng: &mut Xoshiro256| dense.switch_at(rng.below(n) as u32);
+                let (from, to) = (pick(&mut rng), pick(&mut rng));
+                let banned_nodes: BTreeSet<SwitchId> = (0..rng.below(3))
+                    .map(|_| pick(&mut rng))
+                    .filter(|&s| s != from && s != to)
+                    .collect();
+                let banned_edges: BTreeSet<(SwitchId, SwitchId)> = (0..rng.below(4))
+                    .map(|_| directed[rng.below(directed.len() as u64) as usize])
+                    .collect();
+                let expected =
+                    oracle::switch_path_banned(&t, from, to, &banned_nodes, &banned_edges);
+                let index = |s: &SwitchId| dense.index_of(*s).unwrap();
+                let nodes: Vec<u32> = banned_nodes.iter().map(index).collect();
+                let edges: Vec<(u32, u32)> = banned_edges
+                    .iter()
+                    .map(|(a, b)| (index(a), index(b)))
+                    .collect();
+                let spur = spur_path(&dense.adjacency, index(&from), index(&to), &nodes, &edges)
+                    .map(|p| p.into_iter().map(|at| dense.switch_at(at)).collect());
+                assert_eq!(
+                    spur, expected,
+                    "seed {seed}: {from} -> {to} {nodes:?} {edges:?}"
+                );
+                if spur.is_some() {
+                    found += 1;
+                } else {
+                    cut_off += 1;
+                }
+            }
+        }
+        assert!(found > 0 && cut_off > 0, "{found} {cut_off}");
     }
 
     #[test]
@@ -1711,12 +1746,15 @@ mod tests {
     #[test]
     fn k_shortest_is_deterministic_and_respects_k() {
         let t = Topology::torus(3, 3, 1);
+        let dense = NextHopCache::new().get_dense(&t);
         let (from, to) = (SwitchId::new(0), SwitchId::new(4));
         let first = switches(&[0, 1, 4]);
-        let paths = k_shortest_paths(&t, first.clone(), to, 3);
-        assert_eq!(paths, k_shortest_paths(&t, first.clone(), to, 3));
+        let paths = k_shortest_paths(&dense, first.clone(), to, 3);
+        assert_eq!(paths, k_shortest_paths(&dense, first.clone(), to, 3));
         assert_eq!(paths.len(), 3, "a torus has at least 3 loop-free paths");
-        assert_eq!(paths[0], t.switch_path(from, to).unwrap());
+        let (none, no_edges) = (BTreeSet::new(), BTreeSet::new());
+        let shortest = oracle::switch_path_banned(&t, from, to, &none, &no_edges);
+        assert_eq!(Some(&paths[0]), shortest.as_ref());
         // Ascending length, shortest first.
         for w in paths.windows(2) {
             assert!(w[0].len() <= w[1].len());
@@ -1724,7 +1762,7 @@ mod tests {
         // k = 1, and k = 0 with it, is the single shortest path.
         for k in [0, 1] {
             assert_eq!(
-                k_shortest_paths(&t, first.clone(), to, k),
+                k_shortest_paths(&dense, first.clone(), to, k),
                 vec![first.clone()]
             );
             let routes = router(RoutePolicy::KShortest { k })
@@ -1772,6 +1810,41 @@ mod tests {
         }
     }
 
+    /// A router that keeps no cache gets its tables through a fresh one,
+    /// built anew per call: the same entries as the stock router's.
+    #[test]
+    fn a_router_without_a_cache_builds_its_tables_through_a_fresh_one() {
+        #[derive(Debug)]
+        struct Uncached;
+        impl Router for Uncached {
+            fn name(&self) -> &'static str {
+                "uncached"
+            }
+            fn validate(&self, _: &Topology) -> RtResult<()> {
+                Ok(())
+            }
+            fn route(&self, t: &Topology, s: NodeId, d: NodeId) -> RtResult<Route> {
+                ShortestPathRouter::new().route(t, s, d)
+            }
+        }
+        let mut t = Topology::torus(3, 4, 1);
+        t.fail_trunk(SwitchId::new(0), SwitchId::new(1)).unwrap();
+        assert_eq!(*Uncached.next_hop_table(&t), oracle::next_hop_table(&t));
+        let (first, second) = (Uncached.dense_next_hop(&t), Uncached.dense_next_hop(&t));
+        assert!(!Arc::ptr_eq(&first, &second));
+        let stock = ShortestPathRouter::new().dense_next_hop(&t);
+        for (from, to) in t
+            .switches()
+            .flat_map(|f| t.switches().map(move |to| (f, to)))
+        {
+            assert_eq!(
+                first.next_hop(from, to),
+                stock.next_hop(from, to),
+                "{from} -> {to}"
+            );
+        }
+    }
+
     #[test]
     fn dense_next_hop_is_cached_per_topology() {
         let t = Topology::line(4, 1);
@@ -1806,12 +1879,8 @@ mod tests {
     #[test]
     fn cached_tables_stay_byte_identical_to_the_legacy_build() {
         // The per-destination column build (and the lazy BTreeMap form
-        // derived from it) must reproduce Topology::next_hop_table exactly,
+        // derived from it) must reproduce the per-source oracle exactly,
         // healthy and degraded — admission reproducibility depends on it.
-        let mut weighted = Topology::ring(5, 1);
-        weighted
-            .set_trunk_cost(SwitchId::new(0), SwitchId::new(1), 3)
-            .unwrap();
         let mut degraded = Topology::torus(3, 4, 1);
         degraded
             .fail_trunk(SwitchId::new(0), SwitchId::new(1))
@@ -1821,17 +1890,15 @@ mod tests {
             Topology::ring(6, 1),
             Topology::torus(3, 4, 1),
             Topology::fat_tree(4).unwrap(),
-            weighted,
             degraded,
         ];
         for t in topologies {
             let router = ShortestPathRouter::new();
             assert_eq!(
                 *router.next_hop_table(&t),
-                t.next_hop_table(),
-                "switches={} uniform={}",
-                t.switch_count(),
-                t.has_uniform_cost()
+                oracle::next_hop_table(&t),
+                "switches={}",
+                t.switch_count()
             );
         }
     }
@@ -1883,13 +1950,17 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.incremental_rebuilds, 1);
         assert_eq!(stats.full_rebuilds, 1);
-        assert_eq!(*degraded, t.next_hop_table(), "patched == from-scratch");
+        assert_eq!(
+            *degraded,
+            oracle::next_hop_table(&t),
+            "patched == from-scratch"
+        );
 
         // A second, concurrent cut patches the degraded state.
         t.fail_trunk(SwitchId::new(5), SwitchId::new(6)).unwrap();
         let twice = router.next_hop_table(&t);
         assert_eq!(cache.stats().incremental_rebuilds, 2);
-        assert_eq!(*twice, t.next_hop_table());
+        assert_eq!(*twice, oracle::next_hop_table(&t));
 
         // Repairing back is a fingerprint hit, not a rebuild.
         t.repair_trunk(SwitchId::new(5), SwitchId::new(6)).unwrap();
@@ -1931,13 +2002,24 @@ mod tests {
         let stats = router.next_hop_cache().unwrap().stats();
         assert_eq!((stats.full_rebuilds, stats.incremental_rebuilds), (1, 3));
 
-        // Sixteen switches: the index, sixteen next-hop columns, and the
-        // rows — 2 x 16 directed trunks less the one that is down.
+        // Sixteen switches: the index, sixteen next-hop and sixteen distance
+        // columns, and the rows — 2 x 16 directed trunks less the one that
+        // is down.
         let word = std::mem::size_of::<u32>();
         let handle = std::mem::size_of::<Arc<[u32]>>();
-        let columns = 16 * 2 * word + 16 * (handle + 16 * word);
+        let columns = 16 * 2 * word + 2 * 16 * (handle + 16 * word);
         let adjacency = 16 * handle + (2 * 32 - 2) * word;
         assert_eq!(spliced.resident_bytes(), columns + adjacency);
+    }
+
+    /// What `rtbench` reads as `types.router.table_bytes` on
+    /// `churn_central`'s fabric: 320 switches, so a 2 560-byte index, 320
+    /// next-hop and 320 distance columns of 16 + 320 x 4 bytes each, and
+    /// 320 adjacency rows over 2 x 2 048 directed trunks.
+    #[test]
+    fn the_fat_tree_16_table_counts_its_distance_columns() {
+        let dense = NextHopCache::new().get_dense(&Topology::fat_tree(16).unwrap());
+        assert_eq!(dense.resident_bytes(), 853_504);
     }
 
     #[test]
@@ -1970,7 +2052,7 @@ mod tests {
         t.repair_trunk(SwitchId::new(0), SwitchId::new(5)).unwrap();
         let healthy = router.next_hop_table(&t);
         assert_eq!(cache.stats().incremental_rebuilds, 1);
-        assert_eq!(*healthy, t.next_hop_table());
+        assert_eq!(*healthy, oracle::next_hop_table(&t));
     }
 
     #[test]
@@ -1985,7 +2067,7 @@ mod tests {
         let degraded = router.next_hop_table(&t);
         let cache = router.next_hop_cache().unwrap();
         assert_eq!(cache.stats().incremental_rebuilds, 1);
-        assert_eq!(*degraded, t.next_hop_table());
+        assert_eq!(*degraded, oracle::next_hop_table(&t));
     }
 
     #[test]

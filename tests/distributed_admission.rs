@@ -20,8 +20,8 @@ use switched_rt_ethernet::core::{
 };
 use switched_rt_ethernet::traffic::FabricScenario;
 use switched_rt_ethernet::types::{
-    ChannelId, ConnectionRequestId, Duration, HopLink, ManagerPlacement, NodeId, RoutePolicy,
-    Router, ShortestPathRouter, SimTime, Slots, SwitchId, Topology, Xoshiro256,
+    ChannelId, ConnectionRequestId, Duration, HopLink, ManagerPlacement, NodeId, Route,
+    RoutePolicy, Router, ShortestPathRouter, SimTime, Slots, SwitchId, Topology, Xoshiro256,
 };
 
 fn spec() -> RtChannelSpec {
@@ -631,64 +631,6 @@ fn torus_switch_failure_reroutes_everything_with_zero_misses() {
     assert!(net.simulator().stats().all_deadlines_met(), "0 misses");
 }
 
-// --- weighted links (satellite) -------------------------------------------
-
-#[test]
-fn weighted_trunks_steer_routing_and_admission() {
-    // A triangle: sw0 - sw1 direct (cost 10) vs sw0 - sw2 - sw1 (cost 1+1).
-    let mut t = Topology::new();
-    for s in 0..3 {
-        t.add_switch(SwitchId::new(s));
-    }
-    t.add_trunk_weighted(SwitchId::new(0), SwitchId::new(1), 10)
-        .unwrap();
-    t.add_trunk(SwitchId::new(0), SwitchId::new(2)).unwrap();
-    t.add_trunk(SwitchId::new(2), SwitchId::new(1)).unwrap();
-    t.attach_node(NodeId::new(0), SwitchId::new(0)).unwrap();
-    t.attach_node(NodeId::new(1), SwitchId::new(1)).unwrap();
-    assert!(!t.has_uniform_cost());
-    assert_eq!(t.trunk_cost(SwitchId::new(0), SwitchId::new(1)), Some(10));
-
-    // Cheapest path avoids the expensive direct trunk.
-    assert_eq!(
-        t.switch_path(SwitchId::new(0), SwitchId::new(1)),
-        Some(vec![SwitchId::new(0), SwitchId::new(2), SwitchId::new(1)])
-    );
-
-    // The whole stack (admission + wire) follows the cheap detour.
-    let mut net = RtNetwork::builder()
-        .topology(t)
-        .router(ShortestPathRouter::new())
-        .multihop_dps(MultiHopDps::Symmetric)
-        .distributed_control()
-        .build()
-        .unwrap();
-    let tx = net
-        .establish_channel(NodeId::new(0), NodeId::new(1), spec())
-        .unwrap()
-        .unwrap();
-    let route = net.manager().channel_route(tx.id).unwrap();
-    assert_eq!(route.path.len(), 4, "uplink + 2 cheap trunks + downlink");
-    assert!(route.path.contains(&HopLink::Trunk {
-        from: SwitchId::new(0),
-        to: SwitchId::new(2)
-    }));
-    let start = net.now() + Duration::from_millis(1);
-    net.send_periodic(NodeId::new(0), tx.id, 10, 800, start)
-        .unwrap();
-    net.run_to_completion().unwrap();
-    assert!(net.simulator().stats().all_deadlines_met());
-    // The expensive trunk never carried a data frame.
-    assert!(net
-        .simulator()
-        .stats()
-        .hop_link(HopLink::Trunk {
-            from: SwitchId::new(0),
-            to: SwitchId::new(1)
-        })
-        .is_none());
-}
-
 // --- reservation leases (tentpole: honest fault survival) -----------------
 
 fn direct(topology: &Topology) -> DistributedChannelManager {
@@ -905,32 +847,39 @@ fn repair_racing_a_pending_rollback_leaks_nothing() {
 
 #[test]
 fn k_shortest_orders_candidates_by_cost() {
-    // Square: sw0-sw1-sw2 (costs 1,1) vs sw0-sw3-sw2 (costs 5,5).
+    // Square: sw0-sw1-sw2 vs sw0-sw3-sw2, two hops each, plus sw1-sw4-sw3,
+    // which makes two four-hop paths.  A path costs its hop count, and
+    // equal costs order by switch id: sw0-sw1-sw4-sw3-sw2 sorts before
+    // sw0-sw3-sw2 by id but comes after it by length.
     let mut t = Topology::new();
-    for s in 0..4 {
+    for s in 0..5 {
         t.add_switch(SwitchId::new(s));
     }
-    t.add_trunk(SwitchId::new(0), SwitchId::new(1)).unwrap();
-    t.add_trunk(SwitchId::new(1), SwitchId::new(2)).unwrap();
-    t.add_trunk_weighted(SwitchId::new(0), SwitchId::new(3), 5)
-        .unwrap();
-    t.add_trunk_weighted(SwitchId::new(3), SwitchId::new(2), 5)
-        .unwrap();
+    for (a, b) in [(0, 1), (1, 2), (0, 3), (3, 2), (1, 4), (4, 3)] {
+        t.add_trunk(SwitchId::new(a), SwitchId::new(b)).unwrap();
+    }
     t.attach_node(NodeId::new(0), SwitchId::new(0)).unwrap();
     t.attach_node(NodeId::new(1), SwitchId::new(2)).unwrap();
-    let router = ShortestPathRouter::with_policy(RoutePolicy::KShortest { k: 2 });
+    let router = ShortestPathRouter::with_policy(RoutePolicy::KShortest { k: 5 });
     let routes = router.routes(&t, NodeId::new(0), NodeId::new(1)).unwrap();
-    let trunk = |from: u32, to: u32| HopLink::Trunk {
-        from: SwitchId::new(from),
-        to: SwitchId::new(to),
+    let switches = |route: &Route| -> Vec<u32> {
+        let ends = route.links().iter().filter_map(|l| match l {
+            HopLink::Trunk { to, .. } => Some(to.get()),
+            _ => None,
+        });
+        std::iter::once(0).chain(ends).collect()
     };
-    assert_eq!(routes.len(), 2);
+    let paths: Vec<Vec<u32>> = routes.iter().map(switches).collect();
     assert_eq!(
-        routes[0].links()[1..3],
-        [trunk(0, 1), trunk(1, 2)],
-        "the cheap branch is the primary"
+        paths,
+        [
+            vec![0, 1, 2],
+            vec![0, 3, 2],
+            vec![0, 1, 4, 3, 2],
+            vec![0, 3, 4, 1, 2],
+        ],
+        "the lower-id two-hop branch is the primary; four loop-free paths exist"
     );
-    assert_eq!(routes[1].links()[1..3], [trunk(0, 3), trunk(3, 2)]);
 }
 
 // --- the fault path, distributed against central ---------------------------
@@ -1038,6 +987,7 @@ fn fault_walk(seed: u64, router: impl Fn() -> Arc<dyn Router>) -> (usize, usize,
     // Live channels in admission order: (central id, distributed id).
     let mut live: Vec<(ChannelId, ChannelId)> = Vec::new();
     let (mut moved_by_cuts, mut moved_by_repairs, mut dropped) = (0, 0, 0);
+    let routable = ShortestPathRouter::new();
 
     for step in 0..400 {
         let fabric = central.admission().topology();
@@ -1080,14 +1030,12 @@ fn fault_walk(seed: u64, router: impl Fn() -> Arc<dyn Router>) -> (usize, usize,
                     Slots::new(rng.range_inclusive(30, 80)),
                 )
                 .unwrap();
-                // A pair the fabric cannot join right now (a killed switch
-                // not yet spliced back) is an error to one manager and a
-                // refusal to the other: not what this walk compares.
-                let joined = |node| fabric.switch_of(node);
-                let routable = fabric
-                    .switch_path(joined(source).unwrap(), joined(destination).unwrap())
-                    .is_some();
-                if source != destination && routable {
+                // Pairs the router refuses are left out: one node twice,
+                // and a pair the fabric cannot join right now (a killed
+                // switch not yet spliced back), which is an error to one
+                // manager and a refusal to the other: not what this walk
+                // compares.
+                if routable.route(fabric, source, destination).is_ok() {
                     let pair = (source, destination);
                     let c = establish(&mut central, &mut central_wire, pair, spec);
                     let d = establish(&mut distributed, &mut distributed_wire, pair, spec);
