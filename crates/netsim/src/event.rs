@@ -229,6 +229,10 @@ struct CalendarSlot {
 
 /// "No slot" sentinel for the intrusive links.
 const NIL: u32 = u32::MAX;
+/// Marks a free slot while [`CalendarScheduler::compact`] sweeps the slab.
+const FREE: u32 = u32::MAX - 1;
+/// Slab slots (192 KiB) up to which a draining calendar keeps its slab.
+const SLAB_FLOOR: usize = 4 * 1024;
 
 /// A placeholder event for vacated slots (never observable outside).
 fn placeholder_event() -> Event {
@@ -249,7 +253,10 @@ fn placeholder_event() -> Event {
 /// bucket array small enough to stay cache-resident at six-figure pending
 /// populations and makes push/pop allocation-free in steady state — the
 /// naive `Vec<Vec<Entry>>` layout measurably slowed the *rest* of the
-/// simulator down by evicting its hot state from cache.
+/// simulator down by evicting its hot state from cache.  The slab follows
+/// its population: once a pop leaves at most half of it live (above a
+/// 4 Ki-slot floor), the live slots move down, the storage shrinks in
+/// place and every link is rebuilt under the same geometry.
 ///
 /// ## Behaviour
 ///
@@ -515,28 +522,58 @@ impl CalendarScheduler {
         true
     }
 
-    /// Collect every live slot index (chains + overflow + ordered bucket).
-    fn live_slots(&self) -> Vec<u32> {
-        let mut slots = Vec::with_capacity(self.len());
-        for &head in self.buckets.iter().chain([&self.overflow_head]) {
-            let mut walk = head;
-            while walk != NIL {
-                slots.push(walk);
-                walk = self.slab[walk as usize].next;
+    /// Drop the free slots: every live slot moves down, in slab order, into
+    /// the first `len()` places, and the slab is cut there and its storage
+    /// shrunk in place.  One pass, no second buffer; every link is stale
+    /// afterwards, so the caller re-links.
+    fn compact(&mut self) {
+        if self.slab.len() == self.len() {
+            return;
+        }
+        let mut walk = std::mem::replace(&mut self.free_head, NIL);
+        while walk != NIL {
+            walk = std::mem::replace(&mut self.slab[walk as usize].next, FREE);
+        }
+        let mut live = 0;
+        for slot in 0..self.slab.len() {
+            if self.slab[slot].next != FREE {
+                self.slab.swap(live, slot);
+                live += 1;
             }
         }
-        slots.extend(self.active.iter().map(|&Reverse((_, _, slot))| slot));
-        slots
+        debug_assert_eq!(live, self.len(), "every slot off the free list is live");
+        self.examined(self.slab.len());
+        self.slab.truncate(live);
+        self.slab.shrink_to_fit();
+    }
+
+    /// Link every slot of the compacted slab afresh under the current
+    /// geometry, the year anchored at the push floor: a future push may
+    /// legally carry any time >= floor, and anchoring past it would misfile
+    /// that push into a "past year".  If everything pending is far in the
+    /// future the buckets simply stay empty until pop migrates.
+    fn relink(&mut self) {
+        self.buckets.fill(NIL);
+        self.active.clear();
+        self.overflow_head = NIL;
+        (self.overflow_len, self.overflow_min) = (0, u64::MAX);
+        self.in_buckets = 0;
+        self.cursor = 0;
+        self.current_year = self.year_of(self.floor);
+        self.examined(self.slab.len());
+        for slot in 0..self.slab.len() as u32 {
+            self.link(slot);
+        }
     }
 
     /// Grow or shrink so the population fits the bucket count, and
     /// re-estimate the bucket width from the observed event spacing.
     fn resize(&mut self) {
-        let slots = self.live_slots();
+        self.compact();
         // Estimate the typical spacing between consecutive events from the
         // spread of the nearest pending times: (k-th smallest − smallest) /
         // k.  This tracks the local density and ignores far-future outliers.
-        let mut times: Vec<u64> = slots.iter().map(|&s| self.slab[s as usize].time).collect();
+        let mut times: Vec<u64> = self.slab.iter().map(|s| s.time).collect();
         let mut width_shift = self.width_shift;
         if times.len() >= 2 {
             let k = (times.len() - 1).min(WIDTH_SAMPLE);
@@ -547,38 +584,26 @@ impl CalendarScheduler {
                 width_shift = width_shift_for(gap);
             }
         }
-        self.reseat(slots, width_shift);
+        self.reseat(width_shift);
     }
 
-    /// Re-seat `slots` — every live slot — under the bucket count that fits
-    /// the population and the given width: only links move, the slab stays.
+    /// Re-seat every live event under the bucket count that fits the
+    /// population and the given width: the slab drops its free slots and
+    /// every link is rebuilt.
     #[cold]
-    fn reseat(&mut self, slots: Vec<u32>, width_shift: u32) {
-        let target_buckets = (slots.len() / TARGET_OCCUPANCY)
+    fn reseat(&mut self, width_shift: u32) {
+        let target_buckets = (self.len() / TARGET_OCCUPANCY)
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
         if target_buckets == self.buckets.len() && width_shift == self.width_shift {
             return;
         }
+        self.compact();
         self.buckets = vec![NIL; target_buckets];
         self.bucket_mask = (target_buckets - 1) as u64;
         self.width_shift = width_shift;
-        self.active.clear();
-        self.overflow_head = NIL;
-        (self.overflow_len, self.overflow_min) = (0, u64::MAX);
-        self.in_buckets = 0;
-        self.cursor = 0;
-        // Anchor the new year at the push floor, NOT at the earliest
-        // pending event: a future push may legally carry any time >= floor,
-        // and anchoring past it would misfile that push into a "past year".
-        // If everything pending is far in the future the buckets simply
-        // stay empty until pop migrates — correctness over a one-off scan.
-        self.current_year = self.year_of(self.floor);
         self.resizes += 1;
-        self.examined(slots.len());
-        for slot in slots {
-            self.link(slot);
-        }
+        self.relink();
     }
 
     /// Detach the long chain under the cursor into the ordered bucket.  If
@@ -607,7 +632,7 @@ impl CalendarScheduler {
             let sparsest = span / (WIDTH_SAMPLE * self.len()) as u64;
             let width_shift = width_shift_for(gap.max(sparsest));
             if width_shift < self.width_shift {
-                self.reseat(self.live_slots(), width_shift);
+                self.reseat(width_shift);
             }
         }
     }
@@ -714,10 +739,17 @@ impl CalendarScheduler {
         (SimTime::from_nanos(time), event)
     }
 
-    /// Shrink once the pops have left the bucket array mostly empty.
+    /// Shrink once the pops have left the bucket array mostly empty, or the
+    /// slab at most half live above [`SLAB_FLOOR`].  A compaction leaves the
+    /// slab all live, so the next one comes only after pops have freed half
+    /// the slab it cuts: O(1) amortised per pop, and a population hovering
+    /// at the threshold cannot compact twice in a row.
     fn shrink_if_sparse(&mut self) {
         if self.len() * 8 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
             self.resize();
+        } else if self.slab.len() > SLAB_FLOOR && 2 * self.len() <= self.slab.len() {
+            self.compact();
+            self.relink();
         }
     }
 
@@ -1809,6 +1841,76 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The slab across its compaction point, on a skewed population (a near
+    /// cluster, a flood at one instant, far stragglers): grown past
+    /// [`SLAB_FLOOR`], drained to an eighth, refilled and drained to empty,
+    /// with pushes at the floor in between, through every pop flavour.
+    /// Every pop matches the heap;
+    /// after every pop the slab's capacity is at most four times the live
+    /// count or twice the floor; and a compaction comes only after as many
+    /// pops as half the slab it cut, so a population hovering at the
+    /// threshold cannot compact twice in a row.
+    #[test]
+    fn slab_compaction_under_skew_matches_the_heap_and_follows_the_population() {
+        for seed in 0..skew_seeds() {
+            let mut rng = Xoshiro256::new(0xc0_3ac7 ^ seed);
+            let mut pair = Pair {
+                context: format!("seed {seed}"),
+                ..Pair::default()
+            };
+            let (mut out, mut frame) = (Vec::new(), 0u64);
+            let (mut compactions, mut popped_since) = (0, 0);
+            for last in [false, true] {
+                let grow = 2 * SLAB_FLOOR as u64 + rng.below(SLAB_FLOOR as u64);
+                for _ in 0..grow {
+                    let ahead = match rng.below(10) {
+                        0 => 1_000_000_000 + rng.below(1_000_000_000),
+                        1..=4 => 1_000_000,
+                        _ => rng.below(2_000_000),
+                    };
+                    let at = pair.now + rt_types::Duration::from_nanos(ahead);
+                    pair.schedule(at, ev(0, frame));
+                    frame += 1;
+                }
+                let stop = if last { 0 } else { pair.cal.len() / 8 };
+                while pair.cal.len() > stop {
+                    let (slab, resizes) = (pair.cal.slab.len(), pair.cal.resizes());
+                    let limit = pair.now + rt_types::Duration::from_nanos(rng.below(50_000));
+                    // Runs are rare, so that single pops reach into the
+                    // flood and a compaction meets the ordered bucket.
+                    popped_since += match rng.below(16) {
+                        0 => pair.pop_run(&mut out).map_or(0, |_| out.len()),
+                        1 => pair.pop_run_until(limit, &mut out).map_or(0, |_| out.len()),
+                        2..=8 => usize::from(pair.pop().is_some()),
+                        _ => usize::from(pair.pop_until(limit).is_some()),
+                    };
+                    let (live, capacity) = (pair.cal.len(), pair.cal.slab.capacity());
+                    assert!(
+                        capacity <= 4 * live || capacity <= 2 * SLAB_FLOOR,
+                        "seed {seed}: a slab of {capacity} slots for {live} events"
+                    );
+                    if pair.cal.slab.len() < slab {
+                        if pair.cal.resizes() == resizes {
+                            compactions += 1;
+                            assert!(
+                                popped_since >= slab / 2,
+                                "seed {seed}: {slab} slots compacted after {popped_since} pops"
+                            );
+                        }
+                        popped_since = 0;
+                    }
+                    // A push at the floor: the earliest time still legal.
+                    if rng.below(3) == 0 {
+                        pair.schedule(pair.now, ev(1, frame));
+                        frame += 1;
+                    }
+                }
+            }
+            assert!(compactions >= 2, "seed {seed}: {compactions} compactions");
+            assert!(pair.cal.slab.capacity() <= 2 * SLAB_FLOOR);
         }
     }
 

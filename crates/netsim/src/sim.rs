@@ -62,9 +62,11 @@
 //! The simulator is single-threaded and deterministic: identical inputs
 //! produce identical event sequences, deliveries and statistics.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use rt_frames::{EthernetFrame, Frame, FramePeek};
+use rt_frames::{EthernetFrame, Frame};
+use rt_types::constants::ETH_MTU_BYTES;
 use rt_types::{
     ChannelId, Duration, HopLink, IdIndex, MacAddr, NodeId, Route, Router, RtError, RtResult,
     ShortestPathRouter, SimTime, SwitchId, Topology, NO_INDEX,
@@ -692,27 +694,20 @@ impl Simulator {
 
     // --- injection -------------------------------------------------------
 
-    fn classify(
-        eth: &EthernetFrame,
-    ) -> RtResult<(TrafficClass, Option<SimTime>, Option<ChannelId>, bool)> {
-        // `Frame::peek` borrows: classification costs no clone and no
-        // payload copy, and accepts/rejects exactly as `Frame::classify`.
-        match Frame::peek(eth)? {
-            FramePeek::RtData(stamp) => Ok((
-                TrafficClass::RealTime,
-                Some(SimTime::from_nanos(stamp.absolute_deadline)),
-                Some(stamp.channel),
-                false,
-            )),
-            // Control frames ride the RT queue with an immediate deadline
-            // so that channel management is never starved.
-            FramePeek::Control => Ok((TrafficClass::RealTime, None, None, false)),
-            // Link-state floods queue exactly like other control frames but
-            // are accounted separately: they are convergence overhead, not
-            // per-admission reservation traffic.
-            FramePeek::LinkState => Ok((TrafficClass::RealTime, None, None, true)),
-            FramePeek::BestEffort => Ok((TrafficClass::BestEffort, None, None, false)),
+    /// Classify `eth` once and build its record.  `Frame::peek` borrows:
+    /// classification costs no clone and no payload copy, and accepts or
+    /// rejects exactly as `Frame::classify`; a payload over the Ethernet MTU
+    /// is refused too, so the record's wire size fits its `u16`.
+    fn record_of(&self, eth: &EthernetFrame, source: NodeId, at: SimTime) -> RtResult<FrameRecord> {
+        if eth.payload.len() > ETH_MTU_BYTES {
+            return Err(RtError::FrameEncode(format!(
+                "payload of {} bytes exceeds the {ETH_MTU_BYTES} byte Ethernet MTU",
+                eth.payload.len()
+            )));
         }
+        let peek = Frame::peek(eth)?;
+        let dest = self.resolve_dest(eth.dst);
+        Ok(FrameRecord::new(peek, dest, source, at, eth.wire_bytes()))
     }
 
     /// Resolve a destination MAC once, into dense indices: the generic
@@ -730,61 +725,26 @@ impl Simulator {
             .node_id()
             .and_then(|n| self.fabric.node_index.get(n.get()))
         {
-            Some(node) => FrameDest::Node {
-                node,
-                switch: self.fabric.node_access[node as usize],
-            },
+            Some(node) => FrameDest::Node { node },
             None => FrameDest::Unknown,
         }
     }
 
+    /// Classify and file one frame: its record in the frame table, its
+    /// buffer in the byte table, where it waits for its delivery or drop
+    /// (only the small `FrameId` travels through the event loop).
     fn register_frame(
         &mut self,
         eth: EthernetFrame,
         source: NodeId,
         injected_at: SimTime,
     ) -> RtResult<FrameId> {
-        let classified = Self::classify(&eth)?;
-        Ok(self.register_classified(eth, classified, source, injected_at))
-    }
-
-    /// The infallible second half of frame registration (classification
-    /// already done — the batch path pre-validates everything first so a
-    /// failed batch leaves the simulation untouched).
-    fn register_classified(
-        &mut self,
-        eth: EthernetFrame,
-        (class, deadline, channel, link_state): (
-            TrafficClass,
-            Option<SimTime>,
-            Option<ChannelId>,
-            bool,
-        ),
-        source: NodeId,
-        injected_at: SimTime,
-    ) -> FrameId {
-        let dest = self.resolve_dest(eth.dst);
-        let wire_bytes = eth.wire_bytes();
+        let record = self.record_of(&eth, source, injected_at)?;
         let id = FrameId(self.fabric.frames.len() as u64);
-        if link_state {
-            self.lane.stats.record_link_state_frame();
-        } else if switch::is_control(class, channel) {
-            self.lane.stats.record_control_frame();
-        }
-        // The buffer waits in the byte table for its delivery or drop; only
-        // the small `FrameId` travels through the event loop.
+        self.lane.count_injection(&record);
+        self.fabric.frames.push(record);
         self.sink.bytes.push(Some(eth));
-        self.fabric.frames.push(FrameRecord {
-            class,
-            deadline,
-            channel,
-            link_state,
-            dest,
-            source,
-            injected_at,
-            wire_bytes,
-        });
-        id
+        Ok(id)
     }
 
     /// One checked gate for every injection path: the entry point must be an
@@ -819,36 +779,50 @@ impl Simulator {
         Ok(id)
     }
 
-    /// Inject a whole batch of frames in one call, reserving the frame
-    /// store up front — what scenario generators should use instead of one
-    /// [`Simulator::inject`] round-trip per frame.
+    /// Inject a whole batch of frames in one call — what scenario
+    /// generators should use instead of one [`Simulator::inject`]
+    /// round-trip per frame.  Returns the batch's ids: consecutive, in
+    /// batch order, exactly the ids frame-by-frame injection would give.
     ///
-    /// All-or-nothing: the whole batch is validated (and classified)
-    /// before the first frame is registered, so an `Err` leaves the
-    /// simulation exactly as it was — retrying a corrected batch cannot
-    /// double-inject the earlier frames.
+    /// All-or-nothing: every frame is validated, classified once and filed
+    /// before the first is counted or scheduled, and on the first `Err` the
+    /// frames filed so far are taken back out, so the simulation is exactly
+    /// as it was (no id used, no statistic counted, no event pending) —
+    /// retrying a corrected batch cannot double-inject the earlier frames.
+    /// Nothing is held per frame besides the tables the batch fills and
+    /// the events it schedules.
     pub fn inject_batch(
         &mut self,
         batch: impl IntoIterator<Item = FrameInjection>,
-    ) -> RtResult<Vec<FrameId>> {
+    ) -> RtResult<Range<FrameId>> {
         let batch = batch.into_iter();
-        let mut prepared = Vec::with_capacity(batch.size_hint().0);
-        for injection in batch {
-            self.validate_injection(injection.node, injection.at)?;
-            let classified = Self::classify(&injection.eth)?;
-            prepared.push((injection, classified));
+        let start = self.fabric.frames.len();
+        self.fabric.frames.reserve(batch.size_hint().0);
+        self.sink.bytes.reserve(batch.size_hint().0);
+        for FrameInjection { node, eth, at } in batch {
+            let filed = self
+                .validate_injection(node, at)
+                .and_then(|()| self.record_of(&eth, node, at));
+            match filed {
+                Ok(record) => {
+                    self.fabric.frames.push(record);
+                    self.sink.bytes.push(Some(eth));
+                }
+                Err(e) => {
+                    self.fabric.frames.truncate(start);
+                    self.sink.bytes.truncate(start);
+                    return Err(e);
+                }
+            }
         }
-        // Infallible from here on.
-        self.fabric.frames.reserve(prepared.len());
-        self.sink.bytes.reserve(prepared.len());
-        let mut ids = Vec::with_capacity(prepared.len());
-        for (FrameInjection { node, eth, at }, classified) in prepared {
-            let id = self.register_classified(eth, classified, node, at);
+        // Infallible from here on: count and schedule in batch order.
+        for (index, record) in (start..).zip(&self.fabric.frames[start..]) {
+            self.lane.count_injection(record);
+            let (node, frame) = (record.source, FrameId(index as u64));
             self.lane
-                .schedule(at, Event::EnqueueAtNode { node, frame: id });
-            ids.push(id);
+                .schedule(record.injected_at, Event::EnqueueAtNode { node, frame });
         }
-        Ok(ids)
+        Ok(FrameId(start as u64)..FrameId(self.fabric.frames.len() as u64))
     }
 
     /// Inject a frame originated by the control plane of a *specific*
@@ -1087,7 +1061,7 @@ impl std::ops::DerefMut for ShardedSimulator {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use rt_frames::rt_data::{DeadlineStamp, RtDataFrame};
+    use rt_frames::rt_data::{DeadlineStamp, RtDataFrame, MAX_DEADLINE_VALUE};
     use rt_types::constants::ETHERTYPE_IPV4;
     use rt_types::Ipv4Address;
 
@@ -1163,30 +1137,32 @@ pub(crate) mod tests {
         assert_eq!(sim.stats().be_delivered, 1);
     }
 
-    #[test]
-    fn control_frames_to_switch_are_delivered_to_control_plane() {
-        let mut sim = star(SimConfig::default(), 2);
-        let n0 = NodeId::new(0);
-        let req = rt_frames::RequestFrame {
-            src_mac: MacAddr::for_node(n0),
+    /// A CONNECT from `from` to the switch's control plane.
+    fn request_frame(from: NodeId) -> EthernetFrame {
+        rt_frames::RequestFrame {
+            src_mac: MacAddr::for_node(from),
             dst_mac: MacAddr::for_node(NodeId::new(1)),
-            src_ip: Ipv4Address::for_node(n0),
+            src_ip: Ipv4Address::for_node(from),
             dst_ip: Ipv4Address::for_node(NodeId::new(1)),
             period: rt_types::Slots::new(100),
             capacity: rt_types::Slots::new(3),
             deadline: rt_types::Slots::new(40),
             rt_channel_id: None,
             connection_request_id: rt_types::ConnectionRequestId::new(1),
-        };
-        // Two CONNECTs and two link-state floods: control-class on the wire
-        // alike, counted apart.
-        let link_state = rt_frames::ReservationFrame {
+        }
+        .into_ethernet(MacAddr::for_node(from), MacAddr::for_switch())
+        .unwrap()
+    }
+
+    /// A link-state flood from `from` to the switch's control plane.
+    fn link_state_frame(from: NodeId) -> EthernetFrame {
+        rt_frames::ReservationFrame {
             op: rt_frames::ReservationOp::LinkState,
             reason: rt_frames::ReservationReason::None,
             coordinator: SwitchId::new(0),
             token: 1,
-            source: n0,
-            destination: n0,
+            source: from,
+            destination: from,
             request_id: rt_types::ConnectionRequestId::new(0),
             candidate: 0,
             hop: 0,
@@ -1195,16 +1171,20 @@ pub(crate) mod tests {
             capacity: rt_types::Slots::new(1),
             deadline: rt_types::Slots::new(50),
             values: vec![0, 1, 0, 1],
-        };
+        }
+        .into_ethernet(MacAddr::for_node(from), MacAddr::for_switch())
+        .unwrap()
+    }
+
+    #[test]
+    fn control_frames_to_switch_are_delivered_to_control_plane() {
+        let mut sim = star(SimConfig::default(), 2);
+        let n0 = NodeId::new(0);
+        // Two CONNECTs and two link-state floods: control-class on the wire
+        // alike, counted apart.
         for at in [SimTime::ZERO, SimTime::from_micros(50)] {
-            let eth = req
-                .into_ethernet(MacAddr::for_node(n0), MacAddr::for_switch())
-                .unwrap();
-            sim.inject(n0, eth, at).unwrap();
-            let eth = link_state
-                .into_ethernet(MacAddr::for_node(n0), MacAddr::for_switch())
-                .unwrap();
-            sim.inject(n0, eth, at).unwrap();
+            sim.inject(n0, request_frame(n0), at).unwrap();
+            sim.inject(n0, link_state_frame(n0), at).unwrap();
         }
         sim.run_to_idle();
         let deliveries = sim.poll_deliveries();
@@ -1348,6 +1328,15 @@ pub(crate) mod tests {
         assert!(sim
             .inject_at_switch(SwitchId::new(9), be_frame(n0, n0, 10), SimTime::ZERO)
             .is_err());
+        // A payload over the MTU is no Ethernet frame: its record could not
+        // hold its wire size.
+        let mut jumbo = be_frame(n0, n0, 10);
+        jumbo.payload.resize(ETH_MTU_BYTES + 1, 0);
+        assert!(matches!(
+            sim.inject(n0, jumbo, SimTime::ZERO),
+            Err(RtError::FrameEncode(_))
+        ));
+        assert_eq!(sim.injected_count(), 0);
         // Advance time, then try to inject in the past.
         sim.inject(n0, be_frame(n0, n0, 10), SimTime::from_micros(100))
             .unwrap();
@@ -1850,72 +1839,105 @@ pub(crate) mod tests {
             .all(|pair| pair[0].delivered_at <= pair[1].delivered_at));
     }
 
+    /// 10 000 frames between nodes 0 and 1, both ways, 2 µs apart: RT data
+    /// on channel 0 and at the 48-bit maximum deadline, a request, a
+    /// link-state flood and best effort, in turn.
+    fn mixed_batch(from: SimTime) -> Vec<FrameInjection> {
+        (0..10_000u64)
+            .map(|k| {
+                let (node, to) = (NodeId::new((k % 2) as u32), NodeId::new(1 - (k % 2) as u32));
+                let at = from + Duration::from_micros(2 * k);
+                let eth = match k % 5 {
+                    0 => rt_frame(node, to, 0, at + Duration::from_micros(300), 64),
+                    1 => rt_frame(node, to, 9, SimTime::from_nanos(MAX_DEADLINE_VALUE), 64),
+                    2 => request_frame(node),
+                    3 => link_state_frame(node),
+                    _ => be_frame(node, to, 200),
+                };
+                FrameInjection { node, eth, at }
+            })
+            .collect()
+    }
+
+    /// What a refused batch must leave as it was.
+    fn untouched(sim: &Simulator) -> (u64, usize, u64, u64) {
+        let stats = sim.stats();
+        (
+            sim.injected_count(),
+            sim.events_pending(),
+            stats.control_frames,
+            stats.link_state_frames,
+        )
+    }
+
     #[test]
     fn inject_batch_matches_individual_injection() {
-        let n0 = NodeId::new(0);
-        let n1 = NodeId::new(1);
-        let singles = {
-            let mut sim = star(SimConfig::default(), 2);
-            for k in 0..20u64 {
-                sim.inject(n0, be_frame(n0, n1, 300), SimTime::from_micros(k * 50))
-                    .unwrap();
-            }
+        let batch = mixed_batch(SimTime::ZERO);
+        let mut singles = star(SimConfig::default(), 2);
+        for FrameInjection { node, eth, at } in batch.clone() {
+            singles.inject(node, eth, at).unwrap();
+        }
+        let mut batched = star(SimConfig::default(), 2);
+        let ids = batched.inject_batch(batch).unwrap();
+        assert_eq!(ids, FrameId::new(0)..FrameId::new(10_000));
+        assert_eq!(untouched(&batched), untouched(&singles));
+        let run = |sim: &mut Simulator| {
             sim.run_to_idle();
             sim.poll_deliveries()
-                .iter()
-                .map(|d| (d.frame, d.delivered_at))
-                .collect::<Vec<_>>()
         };
-        let batched = {
-            let mut sim = star(SimConfig::default(), 2);
-            let ids = sim
-                .inject_batch((0..20u64).map(|k| FrameInjection {
-                    node: n0,
-                    eth: be_frame(n0, n1, 300),
-                    at: SimTime::from_micros(k * 50),
-                }))
-                .unwrap();
-            assert_eq!(ids.len(), 20);
-            sim.run_to_idle();
-            sim.poll_deliveries()
-                .iter()
-                .map(|d| (d.frame, d.delivered_at))
-                .collect::<Vec<_>>()
+        let expected = run(&mut singles);
+        let latest = Some(SimTime::from_nanos(MAX_DEADLINE_VALUE));
+        assert!(expected
+            .iter()
+            .any(|d| d.channel == Some(ChannelId::new(0))));
+        assert!(expected.iter().any(|d| d.deadline == latest));
+        // `Delivery` has no `PartialEq`: every field, bytes included, is
+        // compared in its `Debug` form.
+        let fields = |deliveries: Vec<Delivery>| -> Vec<String> {
+            deliveries.iter().map(|d| format!("{d:?}")).collect()
         };
-        assert_eq!(singles, batched);
-        // A bad entry anywhere fails the whole batch atomically: nothing is
-        // registered or scheduled, so a corrected retry cannot duplicate
-        // the earlier frames.
+        assert_eq!(fields(run(&mut batched)), fields(expected));
+        assert_eq!(batched.stats().summary(), singles.stats().summary());
+    }
+
+    /// A bad last entry fails a whole 10 000-frame batch atomically: no id
+    /// used, no control or link-state frame counted, no event pending, so
+    /// a corrected retry cannot duplicate the earlier frames.
+    #[test]
+    fn a_refused_batch_leaves_the_simulation_as_it_was() {
         let mut sim = star(SimConfig::default(), 2);
-        assert!(sim
-            .inject_batch([
-                FrameInjection {
-                    node: n0,
-                    eth: be_frame(n0, n1, 10),
-                    at: SimTime::ZERO,
-                },
-                FrameInjection {
-                    node: NodeId::new(77),
-                    eth: be_frame(n0, n1, 10),
-                    at: SimTime::ZERO,
-                },
-            ])
-            .is_err());
-        assert_eq!(sim.events_pending(), 0, "failed batch must inject nothing");
-        let retry = sim
-            .inject_batch([FrameInjection {
-                node: n0,
-                eth: be_frame(n0, n1, 10),
-                at: SimTime::ZERO,
-            }])
-            .unwrap();
+        let mut batch = mixed_batch(SimTime::ZERO);
+        batch.last_mut().unwrap().node = NodeId::new(77);
+        let before = untouched(&sim);
+        assert!(matches!(
+            sim.inject_batch(batch.clone()),
+            Err(RtError::UnknownNode(_))
+        ));
+        assert_eq!(untouched(&sim), before);
+        batch.last_mut().unwrap().node = NodeId::new(0);
+        let ids = sim.inject_batch(batch).unwrap();
         assert_eq!(
-            retry[0],
+            ids.start,
             FrameId::new(0),
-            "no ghost frames from the failed batch"
+            "no ghost frames from the refusal"
         );
         sim.run_to_idle();
-        assert_eq!(sim.poll_deliveries().len(), 1);
+        assert!(sim.now() > SimTime::ZERO);
+
+        let mut late = mixed_batch(sim.now());
+        late.last_mut().unwrap().at = SimTime::ZERO;
+        let before = untouched(&sim);
+        assert!(sim.inject_batch(late.clone()).is_err());
+        assert_eq!(untouched(&sim), before);
+        late.last_mut().unwrap().at = sim.now() + Duration::from_millis(50);
+        let ids = sim.inject_batch(late).unwrap();
+        assert_eq!(ids, FrameId::new(10_000)..FrameId::new(20_000));
+        sim.run_to_idle();
+        let stats = sim.stats();
+        assert_eq!(
+            sim.injected_count(),
+            stats.total_delivered() + stats.total_dropped()
+        );
     }
 
     /// A source that emits one frame every `period`, pull-driven.
@@ -2110,13 +2132,9 @@ pub(crate) mod tests {
             return FrameDest::Switch { switch };
         }
         match forwarding.get(&dst) {
-            Some(&node) => {
-                let node = sim.fabric.node_index.get(node.get()).unwrap();
-                FrameDest::Node {
-                    node,
-                    switch: sim.fabric.node_access[node as usize],
-                }
-            }
+            Some(&node) => FrameDest::Node {
+                node: sim.fabric.node_index.get(node.get()).unwrap(),
+            },
             None => FrameDest::Unknown,
         }
     }

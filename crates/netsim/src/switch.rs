@@ -20,7 +20,8 @@
 
 use std::sync::Arc;
 
-use rt_frames::EthernetFrame;
+use rt_frames::rt_data::MAX_DEADLINE_VALUE;
+use rt_frames::{EthernetFrame, FramePeek};
 use rt_types::{
     ChannelId, DenseNextHop, Duration, HopLink, IdIndex, MacAddr, NodeId, SimTime, SwitchId,
     NO_INDEX,
@@ -35,13 +36,11 @@ use crate::stats::SimStats;
 /// forwarding decision never reads the MAC again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FrameDest {
-    /// An attached end node: its dense node index and the dense index of
-    /// its access switch.
+    /// An attached end node, by dense node index: its downlink port is
+    /// `2·node + 1`, its access switch `Fabric::node_access[node]`.
     Node {
-        /// Dense node index (downlink port is `2·node + 1`).
+        /// Dense node index.
         node: u32,
-        /// Dense index of the node's access switch.
-        switch: u32,
     },
     /// The generic switch MAC: deliver to the managing switch's control
     /// plane (central placement) or to the first switch that receives the
@@ -60,24 +59,103 @@ pub(crate) enum FrameDest {
 }
 
 /// Everything the simulator remembers about one injected frame but its
-/// bytes, which wait in the [`Sink`].
+/// bytes, which wait in the [`Sink`]: 32 bytes, one per frame ever
+/// injected.  An RT data frame's stamp — a 48-bit deadline and its 16-bit
+/// channel, always found together — packs into one word; the class and the
+/// link-state mark share a flags byte with "stamped" (channel 0 is a legal
+/// stamp, so no channel value can mean "none").
 #[derive(Debug, Clone)]
 pub(crate) struct FrameRecord {
-    pub(crate) class: TrafficClass,
-    /// Absolute end-to-end deadline (simulated time) for RT frames.
-    pub(crate) deadline: Option<SimTime>,
-    /// RT channel for RT data frames.
-    pub(crate) channel: Option<ChannelId>,
-    /// `true` for link-state flood frames — control-class on the wire, but
-    /// accounted as convergence overhead instead of reservation traffic.
-    pub(crate) link_state: bool,
-    /// The resolved destination (dense indices).
-    pub(crate) dest: FrameDest,
+    /// `deadline | channel << 48` when [`FrameRecord::STAMPED`] is set.
+    stamp: u64,
+    pub(crate) injected_at: SimTime,
     /// Where the frame entered the network (`NodeId::SWITCH` for frames
     /// originated by the switch control plane).
     pub(crate) source: NodeId,
-    pub(crate) injected_at: SimTime,
-    pub(crate) wire_bytes: usize,
+    /// The resolved destination (dense indices).
+    pub(crate) dest: FrameDest,
+    /// At most 1 538: the payload is held to the Ethernet MTU at injection.
+    wire_bytes: u16,
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<FrameRecord>() <= 32);
+
+impl FrameRecord {
+    const BEST_EFFORT: u8 = 1;
+    /// A link-state flood frame — control-class on the wire, but accounted
+    /// as convergence overhead instead of reservation traffic.
+    const LINK_STATE: u8 = 2;
+    /// An RT data frame: `stamp` holds its deadline and channel.
+    const STAMPED: u8 = 4;
+
+    /// The record of a frame `peek` classified; `wire_bytes` must fit a
+    /// `u16` (the caller checked the MTU).
+    pub(crate) fn new(
+        peek: FramePeek,
+        dest: FrameDest,
+        source: NodeId,
+        injected_at: SimTime,
+        wire_bytes: usize,
+    ) -> Self {
+        let (flags, stamp) = match peek {
+            FramePeek::RtData(stamp) => (
+                Self::STAMPED,
+                stamp.absolute_deadline | u64::from(stamp.channel.get()) << 48,
+            ),
+            // Control frames ride the RT queue with an immediate deadline
+            // so that channel management is never starved.
+            FramePeek::Control => (0, 0),
+            // Link-state floods queue exactly like other control frames but
+            // are accounted separately.
+            FramePeek::LinkState => (Self::LINK_STATE, 0),
+            FramePeek::BestEffort => (Self::BEST_EFFORT, 0),
+        };
+        debug_assert!(
+            wire_bytes <= usize::from(u16::MAX),
+            "{wire_bytes} wire bytes"
+        );
+        FrameRecord {
+            stamp,
+            injected_at,
+            source,
+            dest,
+            wire_bytes: wire_bytes as u16,
+            flags,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn class(&self) -> TrafficClass {
+        if self.flags & Self::BEST_EFFORT != 0 {
+            TrafficClass::BestEffort
+        } else {
+            TrafficClass::RealTime
+        }
+    }
+
+    /// Absolute end-to-end deadline (simulated time) of an RT data frame.
+    #[inline]
+    pub(crate) fn deadline(&self) -> Option<SimTime> {
+        (self.flags & Self::STAMPED != 0)
+            .then(|| SimTime::from_nanos(self.stamp & MAX_DEADLINE_VALUE))
+    }
+
+    /// The RT channel of an RT data frame.
+    #[inline]
+    pub(crate) fn channel(&self) -> Option<ChannelId> {
+        (self.flags & Self::STAMPED != 0).then(|| ChannelId::new((self.stamp >> 48) as u16))
+    }
+
+    #[inline]
+    pub(crate) fn link_state(&self) -> bool {
+        self.flags & Self::LINK_STATE != 0
+    }
+
+    #[inline]
+    pub(crate) fn wire_bytes(&self) -> usize {
+        usize::from(self.wire_bytes)
+    }
 }
 
 /// `true` if a frame of this classification is control-plane traffic:
@@ -279,12 +357,12 @@ impl Fabric {
     #[inline]
     fn queue_deadline(&self, record: &FrameRecord, port: u32) -> Option<SimTime> {
         if let Some(offset) = self
-            .channel_state(record.channel)
+            .channel_state(record.channel())
             .and_then(|state| state.offset_for(port))
         {
             return Some(record.injected_at + offset);
         }
-        record.deadline
+        record.deadline()
     }
 }
 
@@ -323,6 +401,16 @@ impl Lane {
         }
     }
 
+    /// Count an injected control or link-state frame.
+    #[inline]
+    pub(crate) fn count_injection(&mut self, record: &FrameRecord) {
+        if record.link_state() {
+            self.stats.record_link_state_frame();
+        } else if is_control(record.class(), record.channel()) {
+            self.stats.record_control_frame();
+        }
+    }
+
     /// Schedule an event, folding the (release-build) past-time clamp count
     /// into the run statistics.
     #[inline]
@@ -347,8 +435,10 @@ impl Lane {
 // ---------------------------------------------------------------------------
 
 /// The bytes of the frames in flight, by [`FrameId`], and the deliveries
-/// not polled yet: a buffer waits here from its injection to its delivery,
-/// which takes it, or its drop, which frees it.
+/// not polled yet: a buffer waits in its byte slot from its injection to
+/// its delivery, which takes it, or its drop, which frees it.  The slot
+/// itself, an empty `Option`, stays for the rest of the run, as the
+/// frame's [`FrameRecord`] does.
 #[derive(Debug, Default)]
 pub(crate) struct Sink {
     pub(crate) bytes: Vec<Option<EthernetFrame>>,
@@ -447,18 +537,17 @@ impl Core<'_> {
                             self.forward(now, frame, port);
                         }
                     }
-                    FrameDest::Node {
-                        node: dest_node,
-                        switch: dest_switch,
-                    } => {
-                        if fabric.is_released(record.channel) {
+                    FrameDest::Node { node: dest_node } => {
+                        let channel = record.channel();
+                        if fabric.is_released(channel) {
                             // The channel was torn down: the switch has no
                             // state for it any more, so the frame is
                             // discarded, not delivered on a stale route.
                             self.drop_frame(frame, SimStats::record_released_channel_drop);
                             return;
                         }
-                        match self.egress_port(at, dest_node, dest_switch, record.channel) {
+                        let dest_switch = fabric.node_access[dest_node as usize];
+                        match self.egress_port(at, dest_node, dest_switch, channel) {
                             Some(port) if self.lane.dead[port as usize] => {
                                 // A stale per-channel forwarding entry still
                                 // points at the cut trunk; the frame is lost
@@ -575,7 +664,7 @@ impl Core<'_> {
         let record = self.fabric.record(frame);
         let deadline = self.fabric.queue_deadline(record, port);
         let out = &mut self.lane.ports[port as usize];
-        match record.class {
+        match record.class() {
             TrafficClass::RealTime => {
                 // Control frames have no deadline; give them "now or
                 // earlier" urgency by using time zero so they are never
@@ -599,10 +688,10 @@ impl Core<'_> {
             return;
         };
         let record = self.fabric.record(queued.frame);
-        let wire_bytes = record.wire_bytes;
-        if record.link_state {
+        let wire_bytes = record.wire_bytes();
+        if record.link_state() {
             self.lane.stats.record_link_state_hop();
-        } else if is_control(record.class, record.channel) {
+        } else if is_control(record.class(), record.channel()) {
             self.lane.stats.record_control_hop();
         }
         let tx = self.fabric.tx_time(wire_bytes);
@@ -634,14 +723,12 @@ impl Core<'_> {
         now: SimTime,
     ) {
         let record = self.fabric.record(frame);
-        match record.class {
+        let (class, channel, deadline) = (record.class(), record.channel(), record.deadline());
+        match class {
             TrafficClass::RealTime => {
-                self.lane.stats.record_rt_delivery(
-                    record.channel,
-                    record.injected_at,
-                    now,
-                    record.deadline,
-                );
+                self.lane
+                    .stats
+                    .record_rt_delivery(channel, record.injected_at, now, deadline);
             }
             TrafficClass::BestEffort => self.lane.stats.record_be_delivery(),
         }
@@ -653,9 +740,9 @@ impl Core<'_> {
             eth: NO_BYTES,
             injected_at: record.injected_at,
             delivered_at: now,
-            channel: record.channel,
-            deadline: record.deadline,
-            class: record.class,
+            channel,
+            deadline,
+            class,
         };
         self.sink.deliver(delivery);
     }

@@ -34,6 +34,8 @@ mod common;
 #[path = "common/frames.rs"]
 mod frames;
 
+use std::ops::Range;
+
 use common::ControlHarness;
 use frames::{be_frame, rt_frame};
 use switched_rt_ethernet::core::{ChannelManager, MultiHopDps, RtChannelSpec, RtNetwork};
@@ -186,17 +188,18 @@ fn random_faults(rng: &mut Xoshiro256, topology: &Topology) -> FaultScript {
 /// id — the same struct, hence the same wire bytes.
 fn assert_deliveries_are_what_went_in(
     context: &str,
-    ids: &[FrameId],
+    ids: Range<FrameId>,
     workload: &[FrameInjection],
     deliveries: &[Delivery],
 ) {
-    assert_eq!(ids.len(), workload.len());
+    assert_eq!(ids.end.get() - ids.start.get(), workload.len() as u64);
     for delivery in deliveries {
-        let position = ids
-            .iter()
-            .position(|&id| id == delivery.frame)
-            .unwrap_or_else(|| panic!("{context}: {:?} was never injected", delivery.frame));
-        let sent = &workload[position].eth;
+        assert!(
+            ids.contains(&delivery.frame),
+            "{context}: {:?} was never injected",
+            delivery.frame
+        );
+        let sent = &workload[(delivery.frame.get() - ids.start.get()) as usize].eth;
         assert_eq!(
             delivery.eth, *sent,
             "{context}: {:?} changed in flight",
@@ -234,7 +237,7 @@ fn drive(seed: u64, with_faults: bool) -> Vec<Delivery> {
     );
     assert_eq!(stats.clamped_events, 0, "seed {seed}: causality violated");
     let deliveries = sim.poll_deliveries();
-    assert_deliveries_are_what_went_in(&format!("seed {seed}"), &ids, &workload, &deliveries);
+    assert_deliveries_are_what_went_in(&format!("seed {seed}"), ids, &workload, &deliveries);
     deliveries
 }
 
@@ -448,8 +451,11 @@ fn churn_is_deterministic_and_placement_invariant_on_random_fabrics() {
         } else {
             MultiHopDps::Symmetric
         };
+        // The first seeds churn 500 arrivals, the rest a quarter of that:
+        // every fabric is still drawn, cut, repaired and compared.
+        let (warmup, measured) = if seed < 4 { (100, 400) } else { (25, 100) };
         let mut config = ChurnConfig::new(seed)
-            .windows(100, 400)
+            .windows(warmup, measured)
             .load(1.0, rng.range_inclusive(10, 60) as f64);
         // Cut (and later repair) a redundant trunk mid-run when the fabric
         // has one — fail-over and repair re-optimisation must be just as
@@ -458,7 +464,10 @@ fn churn_is_deterministic_and_placement_invariant_on_random_fabrics() {
             .trunks()
             .find(|&trunk| connected_without(&topology, trunk))
         {
-            config = config.cut_at(150, a, b).repair_at(300, a, b);
+            config =
+                config
+                    .cut_at(warmup + measured / 8, a, b)
+                    .repair_at(warmup + measured / 2, a, b);
         }
         let process = ChurnProcess::new(config, &topology).expect("generated config is valid");
 
@@ -515,7 +524,7 @@ fn churn_is_deterministic_and_placement_invariant_on_random_fabrics() {
             }
         }
         assert!(
-            first.attempts == 500 && first.admitted > 0,
+            first.attempts == warmup + measured && first.admitted > 0,
             "seed {seed}: the run must admit something ({} attempts, {} admitted)",
             first.attempts,
             first.admitted
