@@ -30,23 +30,27 @@
 //! bound `d_i + T_latency` (with `T_latency` hop-count-aware on multi-hop
 //! paths).
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
-use rt_frames::{EthernetFrame, Frame, RtDataFrame};
-use rt_netsim::{Delivery, FrameInjection, SimConfig, Simulator, TrafficClass};
-use rt_types::constants::ETHERTYPE_IPV4;
+use rt_frames::{EthernetFrame, Frame, Ipv4Header, RtDataFrame, UdpHeader};
+use rt_netsim::{Delivery, SimConfig, Simulator, TrafficClass};
+use rt_types::constants::{ETHERTYPE_IPV4, UDP_HEADER_BYTES};
 use rt_types::{
     ChannelId, Duration, HopLink, IdIndex, Ipv4Address, MacAddr, ManagerPlacement, NodeId, Router,
     RtError, RtResult, ShortestPathRouter, SimTime, Slots, SwitchId, Topology,
 };
 
-use crate::channel::RtChannelSpec;
+use crate::channel::{Endpoint, RtChannelSpec};
 use crate::distributed::DistributedChannelManager;
 use crate::dps::{DpsFamily, DpsKind};
 use crate::manager::{ChannelManager, FailoverReport, ReleasedChannel, SwitchAction};
 use crate::multihop::{FabricChannelManager, MultiHopAdmission, MultiHopDps};
-use crate::rtlayer::{EstablishmentOutcome, ReceivedMessage, RtLayer, RtLayerConfig, TxChannel};
+use crate::rtlayer::{
+    DataTemplate, EstablishmentOutcome, ReceivedMessage, RtLayer, RtLayerConfig, TxChannel,
+};
 
 /// Builder for a simulated RT network — the single entry point for stars,
 /// trees and meshes.
@@ -291,25 +295,152 @@ impl RtNetworkBuilder {
             outcomes: BTreeMap::new(),
             received: Vec::new(),
             be_received: 0,
+            deferred: Deferred::default(),
             #[cfg(test)]
             one_event_pump: false,
+            #[cfg(test)]
+            immediate_injection: false,
             #[cfg(test)]
             classify_every_delivery: false,
         })
     }
 }
 
-/// A delivered real-time message together with when and where it arrived.
+/// A delivered real-time message: what the receiving RT layer decoded of
+/// it, when and where it arrived.  Its payload is not kept — the buffer is
+/// parsed once by [`RtLayer::handle_data`] and freed — since `RtNetwork`
+/// sends zeroed payloads only ([`RtNetwork::send_periodic`]): its length
+/// is all it says.
 #[derive(Debug, Clone)]
 pub struct DeliveredMessage {
     /// The receiving node.
     pub receiver: NodeId,
-    /// The decoded message.
-    pub message: ReceivedMessage,
+    /// The channel it arrived on.
+    pub channel: ChannelId,
+    /// The length of the UDP payload.
+    pub payload_len: usize,
+    /// The absolute deadline the frame carried.
+    pub absolute_deadline: SimTime,
+    /// The restored original source (from the receiver's channel table).
+    pub source: Endpoint,
     /// When the last bit arrived.
     pub delivered_at: SimTime,
     /// Whether the frame arrived after its stamped absolute deadline.
     pub missed_deadline: bool,
+}
+
+impl DeliveredMessage {
+    /// The record of `message`, delivered to `receiver` at `delivered_at`
+    /// against the deadline the simulator read at injection; the payload
+    /// goes.
+    fn new(
+        receiver: NodeId,
+        message: ReceivedMessage,
+        delivered_at: SimTime,
+        deadline: Option<SimTime>,
+    ) -> Self {
+        DeliveredMessage {
+            receiver,
+            channel: message.channel,
+            payload_len: message.payload.len(),
+            absolute_deadline: message.absolute_deadline,
+            source: message.source,
+            delivered_at,
+            missed_deadline: deadline.is_some_and(|d| delivered_at > d),
+        }
+    }
+}
+
+/// How far past the next pending instant the pump files deferred frames:
+/// the frames built ahead of the simulation are those of one such window.
+const FILING_WINDOW: Duration = Duration::from_micros(200);
+
+/// Traffic sent and not filed with the simulator yet.  Every frame got its
+/// event key `(time, seq)` when it was sent
+/// ([`Simulator::reserve_injections`]); the pump builds it and files it under
+/// that key ([`Simulator::inject_reserved`]) just before the simulation may
+/// reach its instant, so the events run exactly as if every frame had been
+/// injected when it was sent.
+#[derive(Debug, Default)]
+struct Deferred {
+    /// The periodic streams, by index; dropped together once nothing is due.
+    streams: Vec<Stream>,
+    /// The next message of every unfinished stream and every best-effort
+    /// frame, the earliest key on top.
+    due: BinaryHeap<Reverse<Due>>,
+    /// Everything due at or before this instant is filed.
+    filed_through: SimTime,
+}
+
+/// The `count` messages of one [`RtNetwork::send_periodic`] call.
+#[derive(Debug)]
+struct Stream {
+    source: NodeId,
+    template: DataTemplate,
+    start: SimTime,
+    period: Duration,
+    count: u64,
+    /// `C_i`: the frames of one message, filed under consecutive seqs.
+    frames: u64,
+}
+
+/// One entry of [`Deferred::due`], by its key.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    at: SimTime,
+    seq: u64,
+    what: DueFrames,
+}
+
+// A best-effort frame waits in 32 B.
+const _: () = assert!(std::mem::size_of::<Due>() == 32);
+
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum DueFrames {
+    /// Message `message` of stream `stream`, its frames under `seq..seq + C`.
+    Message { stream: u32, message: u64 },
+    /// One [`RtNetwork::send_best_effort`] frame.
+    BestEffort {
+        source: NodeId,
+        destination: NodeId,
+        payload_len: u16,
+    },
+}
+
+/// The UDP and IPv4 headers of a best-effort datagram, checked as building
+/// its frame checks them: the lengths, then the Ethernet MTU.
+fn best_effort_headers(
+    source: NodeId,
+    destination: NodeId,
+    payload_len: usize,
+) -> RtResult<(UdpHeader, Ipv4Header)> {
+    let udp = UdpHeader::new(0x2000, 0x2001, payload_len)?;
+    let ip = Ipv4Header::udp(
+        Ipv4Address::for_node(source),
+        Ipv4Address::for_node(destination),
+        payload_len + UDP_HEADER_BYTES,
+    )?;
+    EthernetFrame::check_payload_len(usize::from(ip.total_length))?;
+    Ok((udp, ip))
+}
+
+/// A best-effort UDP frame: headers and the zeroed payload in one buffer.
+fn best_effort_frame(
+    source: NodeId,
+    destination: NodeId,
+    payload_len: usize,
+) -> RtResult<EthernetFrame> {
+    let (udp, ip) = best_effort_headers(source, destination, payload_len)?;
+    let mut bytes = Vec::with_capacity(usize::from(ip.total_length));
+    ip.encode_into(&mut bytes);
+    udp.encode_into(&mut bytes);
+    bytes.resize(usize::from(ip.total_length), 0);
+    EthernetFrame::new(
+        MacAddr::for_node(destination),
+        MacAddr::for_node(source),
+        ETHERTYPE_IPV4,
+        bytes,
+    )
 }
 
 /// The RT layer of every attached node, in ascending node order, found
@@ -338,10 +469,15 @@ pub struct RtNetwork {
     outcomes: BTreeMap<(u32, u8), EstablishmentOutcome>,
     received: Vec<DeliveredMessage>,
     be_received: u64,
+    deferred: Deferred,
     /// Pump with [`Simulator::step`], one event at a time: the oracle the
     /// tests hold the instant-draining pump against.
     #[cfg(test)]
     one_event_pump: bool,
+    /// Build and inject every frame when it is sent, under fresh seqs: the
+    /// oracle the tests hold the deferred filing against.
+    #[cfg(test)]
+    immediate_injection: bool,
     /// Dispatch every delivery through [`Frame::classify`]: the oracle the
     /// tests hold the dispatch by the simulator's classification against.
     #[cfg(test)]
@@ -641,12 +777,23 @@ impl RtNetwork {
 
     /// Schedule `count` periodic messages on an established channel,
     /// starting at `start` and spaced by the channel's period.  Each message
-    /// is `C_i` frames of `payload_len` bytes, all stamped with the same
-    /// absolute deadline (they belong to the same periodic message).
+    /// is `C_i` frames of `payload_len` zeroed bytes, all stamped with the
+    /// same absolute deadline (they belong to the same periodic message).
     ///
-    /// A `count` whose frames or whose last release time do not fit the
-    /// counters, or whose batch cannot be allocated, is an error that
-    /// leaves the network untouched.
+    /// Nothing is built here: the call checks what building the frames
+    /// would check, counts them as sent ([`RtLayer::counters`]) and files
+    /// their event keys; each message's frames are built from what the
+    /// channel is now (addressing, stamp offset) just before the run
+    /// reaches its release, and run exactly where frames injected now would
+    /// run.  A channel torn down or failed over in between still sends
+    /// them, and the fabric drops them at the first switch as it would have.
+    /// The simulator sees a frame only once it is filed: its
+    /// `injected_count()` and `events_pending()` do not count it before.
+    ///
+    /// A `count` whose frames or whose last release time and deadline do
+    /// not fit the counters or the 48-bit stamp, or a payload whose
+    /// datagram does not fit a frame, is an error that leaves the network
+    /// untouched.
     pub fn send_periodic(
         &mut self,
         source: NodeId,
@@ -674,38 +821,49 @@ impl RtNetwork {
         };
         let frames = count
             .checked_mul(spec.capacity.get())
-            .and_then(|frames| usize::try_from(frames).ok())
             .ok_or_else(too_many)?;
         // The last message's release and the deadline stamped on it.
         let stamp = layer.absolute_deadline_for(channel, SimTime::ZERO);
         let stamp = stamp.ok_or(RtError::UnknownChannel(channel))? - SimTime::ZERO;
-        if let Some(last) = count.checked_sub(1) {
-            period
-                .as_nanos()
-                .checked_mul(last)
-                .and_then(|span| start.checked_add(Duration::from_nanos(span)))
-                .and_then(|at| at.checked_add(stamp))
-                .ok_or_else(too_many)?;
+        let Some(last) = count.checked_sub(1) else {
+            return Ok(());
+        };
+        period
+            .as_nanos()
+            .checked_mul(last)
+            .and_then(|span| start.checked_add(Duration::from_nanos(span)))
+            .and_then(|at| at.checked_add(stamp))
+            .ok_or_else(too_many)?;
+        let stream = u32::try_from(self.deferred.streams.len()).map_err(|_| too_many())?;
+        let template = layer.prepare_stream(channel, payload_len, start, period, count)?;
+        #[cfg(test)]
+        if self.immediate_injection {
+            let message = (start, period, spec.capacity.get());
+            return tests::inject_stream_now(self, source, template, message, count);
         }
-        let mut batch = Vec::new();
-        batch.try_reserve_exact(frames).map_err(|_| too_many())?;
-        for k in 0..count {
-            let at = start + period.saturating_mul(k);
-            let message = layer.prepare_message(channel, vec![0u8; payload_len], at)?;
-            batch.extend(message.map(|eth| FrameInjection {
-                node: source,
-                eth,
-                at,
-            }));
-        }
-        // One call per channel: validated as a whole, the frame store
-        // reserved once, ids and event order as frame-by-frame injection.
-        self.sim.inject_batch(batch)?;
+        let seq = self.sim.reserve_injections(frames)?;
+        self.deferred.streams.push(Stream {
+            source,
+            template,
+            start,
+            period,
+            count,
+            frames: spec.capacity.get(),
+        });
+        let message = DueFrames::Message { stream, message: 0 };
+        self.deferred.due.push(Reverse(Due {
+            at: start,
+            seq,
+            what: message,
+        }));
         Ok(())
     }
 
-    /// Inject a single best-effort (non-RT) UDP frame from `source` to
-    /// `destination` at time `at`.
+    /// Send a single best-effort (non-RT) UDP frame of `payload_len` zeroed
+    /// bytes from `source` to `destination` at time `at` (now, if `at` has
+    /// passed).  Like [`RtNetwork::send_periodic`], the call checks the
+    /// frame and files its event key; the frame is built just before its
+    /// instant.
     pub fn send_best_effort(
         &mut self,
         source: NodeId,
@@ -713,24 +871,72 @@ impl RtNetwork {
         payload_len: usize,
         at: SimTime,
     ) -> RtResult<()> {
-        let udp = rt_frames::UdpHeader::new(0x2000, 0x2001, payload_len)?;
-        let ip = rt_frames::Ipv4Header::udp(
-            Ipv4Address::for_node(source),
-            Ipv4Address::for_node(destination),
-            payload_len + rt_types::constants::UDP_HEADER_BYTES,
-        )?;
-        // The datagram in one buffer: headers, then the zeroed payload.
-        let mut bytes = Vec::with_capacity(usize::from(ip.total_length));
-        ip.encode_into(&mut bytes);
-        udp.encode_into(&mut bytes);
-        bytes.resize(usize::from(ip.total_length), 0);
-        let eth = EthernetFrame::new(
-            MacAddr::for_node(destination),
-            MacAddr::for_node(source),
-            ETHERTYPE_IPV4,
-            bytes,
-        )?;
-        self.sim.inject(source, eth, at.max(self.sim.now()))?;
+        best_effort_headers(source, destination, payload_len)?;
+        if self.layers.get(source).is_none() {
+            return Err(RtError::UnknownNode(source));
+        }
+        let at = at.max(self.sim.now());
+        #[cfg(test)]
+        if self.immediate_injection {
+            let eth = best_effort_frame(source, destination, payload_len)?;
+            return self.sim.inject(source, eth, at).map(drop);
+        }
+        let seq = self.sim.reserve_injections(1)?;
+        let what = DueFrames::BestEffort {
+            source,
+            destination,
+            // At most the MTU: the headers' check passed.
+            payload_len: payload_len as u16,
+        };
+        self.deferred.due.push(Reverse(Due { at, seq, what }));
+        Ok(())
+    }
+
+    /// Build and file every deferred frame due at or before `horizon`,
+    /// under the key it was given when sent.
+    fn file_through(&mut self, horizon: SimTime) -> RtResult<()> {
+        loop {
+            let Some(top) = self.deferred.due.peek_mut() else {
+                break;
+            };
+            if top.0.at > horizon {
+                return Ok(());
+            }
+            let Reverse(Due { at, seq, what }) = PeekMut::pop(top);
+            match what {
+                DueFrames::Message { stream, message } => {
+                    let s = &self.deferred.streams[stream as usize];
+                    let (source, frames) = (s.source, s.frames);
+                    let eth = s.template.frame(at)?;
+                    if message + 1 < s.count {
+                        let next = Due {
+                            at: s.start + s.period.saturating_mul(message + 1),
+                            seq: seq + frames,
+                            what: DueFrames::Message {
+                                stream,
+                                message: message + 1,
+                            },
+                        };
+                        self.deferred.due.push(Reverse(next));
+                    }
+                    for k in 1..frames {
+                        self.sim
+                            .inject_reserved(source, eth.clone(), at, seq + k - 1)?;
+                    }
+                    self.sim
+                        .inject_reserved(source, eth, at, seq + frames - 1)?;
+                }
+                DueFrames::BestEffort {
+                    source,
+                    destination,
+                    payload_len,
+                } => {
+                    let eth = best_effort_frame(source, destination, usize::from(payload_len))?;
+                    self.sim.inject_reserved(source, eth, at, seq)?;
+                }
+            }
+        }
+        self.deferred.streams.clear();
         Ok(())
     }
 
@@ -770,15 +976,44 @@ impl RtNetwork {
     /// stopping right after a delivery that must be answered) and dispatch
     /// them in order, until nothing is left at or before `limit`.  One
     /// buffer takes the deliveries of every poll.
+    ///
+    /// While deferred traffic is due, the simulator runs no further than
+    /// the window the pump has filed it through; when nothing is left in
+    /// the window, the window moves to [`FILING_WINDOW`] past the next
+    /// instant, deferred or pending, and its frames are filed first.
     fn pump_until(&mut self, limit: SimTime) -> RtResult<()> {
         let mut deliveries = Vec::new();
-        while self.advance(limit) {
-            self.sim.poll_deliveries_into(&mut deliveries);
-            for delivery in deliveries.drain(..) {
-                self.dispatch(delivery)?;
+        loop {
+            let horizon = if self.deferred.due.is_empty() {
+                limit
+            } else {
+                limit.min(self.deferred.filed_through)
+            };
+            // Frames sent since the last filing may be due in the window.
+            self.file_through(horizon)?;
+            if self.advance(horizon) {
+                self.sim.poll_deliveries_into(&mut deliveries);
+                for delivery in deliveries.drain(..) {
+                    self.dispatch(delivery)?;
+                }
+                continue;
             }
+            if horizon >= limit {
+                return Ok(());
+            }
+            let deferred = self.deferred.due.peek().map(|Reverse(due)| due.at);
+            let next = match (self.sim.next_event_time(), deferred) {
+                (Some(pending), Some(deferred)) => pending.min(deferred),
+                (pending, deferred) => match pending.or(deferred) {
+                    Some(next) => next,
+                    None => return Ok(()),
+                },
+            };
+            if next > limit {
+                return Ok(());
+            }
+            self.deferred.filed_through = next.checked_add(FILING_WINDOW).unwrap_or(SimTime::MAX);
         }
-        Ok(())
     }
 
     /// One pump step; the one-event oracle in test builds that ask for it.
@@ -852,15 +1087,12 @@ impl RtNetwork {
                 // Taken apart by value: the frame's buffer becomes the
                 // received message's payload.
                 match layer.handle_data(RtDataFrame::from_ethernet(eth)?) {
-                    Ok(message) => {
-                        let missed_deadline = deadline.is_some_and(|d| delivered_at > d);
-                        self.received.push(DeliveredMessage {
-                            receiver,
-                            message,
-                            delivered_at,
-                            missed_deadline,
-                        });
-                    }
+                    Ok(message) => self.received.push(DeliveredMessage::new(
+                        receiver,
+                        message,
+                        delivered_at,
+                        deadline,
+                    )),
                     // A frame of a channel released while it was already
                     // past its last switch (on the downlink when the
                     // teardown / fail-over drop landed): the receiver has
@@ -967,15 +1199,12 @@ mod tests {
             }
             Frame::RtData(data) => {
                 match layer.handle_data(data) {
-                    Ok(message) => {
-                        let missed_deadline = deadline.is_some_and(|d| delivered_at > d);
-                        net.received.push(DeliveredMessage {
-                            receiver,
-                            message,
-                            delivered_at,
-                            missed_deadline,
-                        });
-                    }
+                    Ok(message) => net.received.push(DeliveredMessage::new(
+                        receiver,
+                        message,
+                        delivered_at,
+                        deadline,
+                    )),
                     // A frame of a channel released while it was already
                     // past its last switch (on the downlink when the
                     // teardown / fail-over drop landed): the receiver has
@@ -996,6 +1225,31 @@ mod tests {
         Ok(())
     }
 
+    /// The sending of the `immediate_injection` oracle: every frame of the
+    /// stream built now and injected in one batch under fresh seqs, as
+    /// `send_periodic` did before it deferred them.
+    pub(super) fn inject_stream_now(
+        net: &mut RtNetwork,
+        node: NodeId,
+        template: DataTemplate,
+        (start, period, frames): (SimTime, Duration, u64),
+        count: u64,
+    ) -> RtResult<()> {
+        let mut batch = Vec::new();
+        for k in 0..count {
+            let at = start + period.saturating_mul(k);
+            let eth = template.frame(at)?;
+            batch.extend(
+                std::iter::repeat_n(eth, frames as usize).map(|eth| rt_netsim::FrameInjection {
+                    node,
+                    eth,
+                    at,
+                }),
+            );
+        }
+        net.sim.inject_batch(batch).map(drop)
+    }
+
     /// What the pump differentials compare of a finished run.
     #[derive(Debug, PartialEq)]
     struct Outcome {
@@ -1009,12 +1263,14 @@ mod tests {
     /// Which of the pump's test oracles a scripted run uses.
     #[derive(Debug, Clone, Copy)]
     enum Oracle {
-        /// Neither: the pump and the dispatch the network runs.
+        /// None: the pump, the dispatch and the filing the network runs.
         None,
         /// `one_event_pump`.
         OneEvent,
         /// `classify_every_delivery`.
         ClassifyEvery,
+        /// `immediate_injection`.
+        Immediate,
     }
 
     /// One scripted run on a ring of four switches with two nodes each:
@@ -1023,8 +1279,10 @@ mod tests {
     /// distributed control), a teardown mid-run (its frame racing the
     /// traffic to the end of the run), RT data frames injected raw for a
     /// channel their receivers never learned, then an establishment while
-    /// best effort is in flight.  `oracle` picks the pump or the dispatch
-    /// it runs on.
+    /// best effort is in flight.  One node releases an RT message and a
+    /// best-effort frame at the same instant, and more traffic is sent
+    /// after the cut and after the teardown, into a run already under way.
+    /// `oracle` picks the pump, the dispatch or the filing it runs on.
     fn scripted_run(oracle: Oracle, distributed: bool, seed: u64) -> Outcome {
         let mut builder = RtNetwork::builder()
             .topology(Topology::ring(4, 2))
@@ -1038,6 +1296,7 @@ mod tests {
         let mut net = builder.build().unwrap();
         net.one_event_pump = matches!(oracle, Oracle::OneEvent);
         net.classify_every_delivery = matches!(oracle, Oracle::ClassifyEvery);
+        net.immediate_injection = matches!(oracle, Oracle::Immediate);
         let mut rng = rt_types::rng::Xoshiro256::new(0x9a3b ^ seed);
         let spec = RtChannelSpec::paper_default();
         let mut channels = Vec::new();
@@ -1069,20 +1328,34 @@ mod tests {
             let at = start + Duration::from_nanos(rng.below(5_000));
             net.send_periodic(source, id, 12, 100 + 200 * k, at)
                 .unwrap();
+            if k == 0 {
+                // An RT and a best-effort release at one instant, one node.
+                let other = NodeId::new((source.get() + 1) % 8);
+                net.send_best_effort(source, other, 300, at).unwrap();
+            }
         }
         best_effort(&mut net, &mut rng, start);
         net.run_until(start + Duration::from_micros(300 + rng.below(1_000)))
             .unwrap();
         let report = net.fail_trunk(SwitchId::new(0), SwitchId::new(1)).unwrap();
         assert!(!report.rerouted.is_empty(), "the cut moves a channel");
+        let survivors: Vec<(NodeId, ChannelId)> = channels
+            .iter()
+            .copied()
+            .filter(|(_, id)| report.dropped.iter().all(|old| old.id != *id))
+            .collect();
+        let (source, id) = *survivors.first().expect("a channel survives the cut");
+        // Sent into the run: its first release may lie inside the window
+        // already filed.
+        let at = net.now() + Duration::from_nanos(rng.below(300_000));
+        net.send_periodic(source, id, 4, 500, at).unwrap();
         net.run_until(start + Duration::from_micros(1_500 + rng.below(1_000)))
             .unwrap();
-        let &(source, id) = channels
-            .iter()
-            .find(|(_, id)| report.dropped.iter().all(|old| old.id != *id))
-            .expect("a channel survives the cut");
         net.teardown_channel(source, id).unwrap();
         let now = net.now();
+        if let Some(&(source, id)) = survivors.get(1) {
+            net.send_periodic(source, id, 3, 700, now).unwrap();
+        }
         best_effort(&mut net, &mut rng, now);
         for k in 0..6u64 {
             let (source, destination) = (k as u32, 7 - k as u32);
@@ -1113,7 +1386,7 @@ mod tests {
         assert!(net
             .received_messages()
             .iter()
-            .all(|m| m.message.channel != ChannelId::new(0)));
+            .all(|m| m.channel != ChannelId::new(0)));
         Outcome {
             received: format!("{:?}", net.received_messages()),
             best_effort: net.best_effort_received(),
@@ -1151,9 +1424,8 @@ mod tests {
     /// The dispatch by the simulator's classification (RT data parsed once
     /// into its datagram, best effort counted undecoded) against the oracle
     /// that classifies every delivery, central and distributed control:
-    /// the same received messages, payload bytes included, in the same
-    /// order, the same best effort count, statistics, clock and event
-    /// count.  The script's stray RT frames, of a channel their receiver
+    /// the same received messages in the same order, the same best effort
+    /// count, statistics, clock and event count.  The script's stray RT frames, of a channel their receiver
     /// never learned, are ignored by both.  Seeds from
     /// `RT_ADVERSARIAL_SEEDS`, else 2.
     #[test]
@@ -1169,6 +1441,66 @@ mod tests {
                 assert_eq!(dispatch, oracle, "seed {seed}, distributed {distributed}");
             }
         }
+    }
+
+    /// Frames filed by the pump just before their instants, under the keys
+    /// reserved when they were sent, against the oracle that builds and
+    /// injects every frame when it is sent (fresh seqs, one batch per
+    /// stream), central and distributed control: the same received
+    /// messages in the same order, the same best effort count, statistics
+    /// (`SimStats` whole, its summary with it), clock and event count.  The
+    /// script cuts a trunk and tears a channel down mid-run, races an
+    /// establishment against traffic, sends into a run under way and
+    /// releases RT and best effort at one instant on one node.  Seeds from
+    /// `RT_ADVERSARIAL_SEEDS`, else 2.
+    #[test]
+    fn prop_deferred_filing_matches_immediate_injection() {
+        let seeds = std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(2);
+        for seed in 0..seeds {
+            for distributed in [false, true] {
+                let oracle = scripted_run(Oracle::Immediate, distributed, seed);
+                let deferred = scripted_run(Oracle::None, distributed, seed);
+                assert_eq!(deferred, oracle, "seed {seed}, distributed {distributed}");
+            }
+        }
+    }
+
+    /// A send files keys, not frames: nothing is injected or pending until
+    /// the run, a refused send reserves nothing, and the run injects and
+    /// delivers every frame.
+    #[test]
+    fn a_send_files_nothing_with_the_simulator_until_the_run() {
+        let mut net = fabric(MultiHopDps::Asymmetric);
+        let spec = RtChannelSpec::paper_default();
+        let (src, dst) = (NodeId::new(0), NodeId::new(5));
+        let tx = net.establish_channel(src, dst, spec).unwrap().unwrap();
+        let (injected, pending) = (net.sim.injected_count(), net.sim.events_pending());
+        let at = net.now() + Duration::from_millis(1);
+        net.send_periodic(src, tx.id, 50, 1000, at).unwrap();
+        net.send_best_effort(src, dst, 1200, at).unwrap();
+        assert!(
+            net.send_best_effort(src, dst, 1473, at).is_err(),
+            "over the MTU"
+        );
+        assert!(
+            net.send_periodic(src, tx.id, 1, 1473, at).is_err(),
+            "over the MTU"
+        );
+        assert_eq!(net.sim.injected_count(), injected);
+        assert_eq!(net.sim.events_pending(), pending);
+        assert_eq!(
+            net.deferred.due.len(),
+            2,
+            "one stream, one best-effort frame"
+        );
+        net.run_to_completion().unwrap();
+        assert_eq!(net.sim.injected_count(), injected + 50 * 3 + 1);
+        assert_eq!(net.received_messages().len(), 50 * 3);
+        assert_eq!(net.best_effort_received(), 1);
+        assert!(net.deferred.due.is_empty() && net.deferred.streams.is_empty());
     }
 
     fn network(nodes: u32, dps: DpsKind) -> RtNetwork {
@@ -1242,13 +1574,11 @@ mod tests {
         assert!(worst <= bound, "worst {worst} exceeds bound {bound}");
     }
 
-    /// The payload is *moved* from the wire into `received_messages()`
-    /// (the injected buffer → the delivery → `RtDataFrame::from_ethernet` →
-    /// `handle_data`, no copy anywhere): what arrives must still be exactly
-    /// what `prepare_data` was given — headers cut off, nothing of the
-    /// padding or the neighbour left in.
+    /// Frames built by `prepare_data` and injected raw arrive as messages
+    /// of the lengths they were given — headers cut off, nothing of a short
+    /// frame's padding counted — on the channel they were sent on.
     #[test]
-    fn payload_bytes_survive_the_move_through_the_pump() {
+    fn payload_lengths_survive_the_pump() {
         let mut net = fabric(MultiHopDps::Asymmetric);
         let spec = RtChannelSpec::paper_default();
         let (src, dst) = (NodeId::new(0), NodeId::new(5));
@@ -1266,16 +1596,16 @@ mod tests {
             at += Duration::from_millis(1);
         }
         net.run_to_completion().unwrap();
-        let received: Vec<&[u8]> = net
+        let received: Vec<usize> = net
             .received_messages()
             .iter()
-            .map(|m| m.message.payload.as_slice())
+            .map(|m| m.payload_len)
             .collect();
-        assert_eq!(received, payloads);
+        assert_eq!(received, payloads.iter().map(Vec::len).collect::<Vec<_>>());
         assert!(net
             .received_messages()
             .iter()
-            .all(|m| { m.receiver == dst && m.message.channel == tx.id && !m.missed_deadline }));
+            .all(|m| { m.receiver == dst && m.channel == tx.id && !m.missed_deadline }));
     }
 
     #[test]
@@ -1734,7 +2064,7 @@ mod tests {
             let local_seq: Vec<(u64, bool)> = net
                 .received_messages()
                 .iter()
-                .filter(|m| m.message.channel == local.id)
+                .filter(|m| m.channel == local.id)
                 .map(|m| (m.delivered_at.as_nanos(), m.missed_deadline))
                 .collect();
             (local_seq, net.simulator().stats().all_deadlines_met())

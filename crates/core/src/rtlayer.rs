@@ -22,13 +22,13 @@
 use std::collections::HashMap;
 
 use rt_frames::codec::TeardownFrame;
-use rt_frames::rt_data::{DeadlineStamp, RtDataFrame};
+use rt_frames::rt_data::{DeadlineStamp, RtDataFrame, MAX_DEADLINE_VALUE};
 use rt_frames::rt_response::ResponseVerdict;
-use rt_frames::{EthernetFrame, RequestFrame, ResponseFrame};
-use rt_types::constants::ETHERTYPE_RT_CONTROL;
+use rt_frames::{EthernetFrame, Ipv4Header, RequestFrame, ResponseFrame, UdpHeader};
+use rt_types::constants::{ETHERTYPE_IPV4, ETHERTYPE_RT_CONTROL, UDP_HEADER_BYTES};
 use rt_types::{
-    ChannelId, ConnectionRequestId, Duration, FoldState, LinkSpeed, MacAddr, NodeId, RtError,
-    RtResult, SimTime,
+    ChannelId, ConnectionRequestId, Duration, FoldState, Ipv4Address, LinkSpeed, MacAddr, NodeId,
+    RtError, RtResult, SimTime,
 };
 
 use crate::channel::{Endpoint, RtChannelSpec};
@@ -104,6 +104,58 @@ pub struct ReceivedMessage {
     pub absolute_deadline: SimTime,
     /// The restored original source IP (from the channel table).
     pub source: Endpoint,
+}
+
+/// What every data frame of a periodic stream carries, its deadline aside:
+/// captured by [`RtLayer::prepare_stream`] when the stream is sent, so the
+/// frames built from it later are byte for byte what
+/// [`RtLayer::prepare_data`] built at that moment with a zeroed payload,
+/// even if the channel has been torn down, moved or given another
+/// `T_latency` since.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DataTemplate {
+    eth_src: MacAddr,
+    eth_dst: MacAddr,
+    src_port: u16,
+    dst_port: u16,
+    channel: ChannelId,
+    /// `d_i·slot + T_latency`: a frame's stamp is its generation time plus
+    /// this.
+    stamp_offset: Duration,
+    payload_len: usize,
+}
+
+impl DataTemplate {
+    /// The frame of the message generated at `generation_time`: the stamped
+    /// IPv4 header, the UDP header and the zeroed payload in one buffer.
+    pub fn frame(&self, generation_time: SimTime) -> RtResult<EthernetFrame> {
+        let stamp = self.stamp(generation_time)?;
+        let (udp, ip) = self.headers()?;
+        let len = usize::from(ip.total_length);
+        let mut bytes = Vec::with_capacity(len);
+        stamp.apply(&ip).encode_into(&mut bytes);
+        udp.encode_into(&mut bytes);
+        bytes.resize(len, 0);
+        EthernetFrame::new(self.eth_dst, self.eth_src, ETHERTYPE_IPV4, bytes)
+    }
+
+    fn stamp(&self, generation_time: SimTime) -> RtResult<DeadlineStamp> {
+        let deadline = generation_time + self.stamp_offset;
+        DeadlineStamp::new(deadline.as_nanos(), self.channel)
+    }
+
+    /// The headers, checked as [`RtDataFrame::into_ethernet`] checks them:
+    /// the UDP and IPv4 lengths, then the Ethernet MTU.
+    fn headers(&self) -> RtResult<(UdpHeader, Ipv4Header)> {
+        let udp = UdpHeader::new(self.src_port, self.dst_port, self.payload_len)?;
+        let ip = Ipv4Header::udp(
+            Ipv4Address::UNSPECIFIED,
+            Ipv4Address::UNSPECIFIED,
+            UDP_HEADER_BYTES + self.payload_len,
+        )?;
+        EthernetFrame::check_payload_len(usize::from(ip.total_length))?;
+        Ok((udp, ip))
+    }
 }
 
 /// The node-side RT layer.
@@ -310,20 +362,27 @@ impl RtLayer {
         channel: ChannelId,
         generation_time: SimTime,
     ) -> Option<SimTime> {
-        let (tx, t_latency) = self.tx_channels.get(&channel.get())?;
-        Some(self.stamp_deadline(tx, *t_latency, generation_time))
+        let template = self.template(channel, 0).ok()?;
+        Some(generation_time + template.stamp_offset)
     }
 
-    /// `generation_time + d_i·slot + t_latency` — the single place the
-    /// Eq. 18.1 stamp is computed.
-    fn stamp_deadline(
-        &self,
-        tx: &TxChannel,
-        t_latency: Duration,
-        generation_time: SimTime,
-    ) -> SimTime {
-        let d = self.config.link_speed.slots_to_duration(tx.spec.deadline);
-        generation_time + d + t_latency
+    /// What every data frame of `payload_len` bytes on an established
+    /// channel carries but its deadline: the single place the addressing
+    /// and the Eq. 18.1 stamp offset `d_i·slot + t_latency` are decided.
+    fn template(&self, channel: ChannelId, payload_len: usize) -> RtResult<DataTemplate> {
+        let (tx, t_latency) = self
+            .tx_channels
+            .get(&channel.get())
+            .ok_or(RtError::UnknownChannel(channel))?;
+        Ok(DataTemplate {
+            eth_src: self.endpoint.mac,
+            eth_dst: tx.destination.mac,
+            src_port: 0x4000 | (self.node.get() & 0x3fff) as u16,
+            dst_port: 0x4000,
+            channel,
+            stamp_offset: self.config.link_speed.slots_to_duration(tx.spec.deadline) + *t_latency,
+            payload_len,
+        })
     }
 
     /// Prepare an outgoing real-time datagram on an established channel:
@@ -335,36 +394,54 @@ impl RtLayer {
         payload: Vec<u8>,
         generation_time: SimTime,
     ) -> RtResult<EthernetFrame> {
-        let (tx, t_latency) = self
-            .tx_channels
-            .get(&channel.get())
-            .ok_or(RtError::UnknownChannel(channel))?;
-        let deadline = self.stamp_deadline(tx, *t_latency, generation_time);
+        let template = self.template(channel, payload.len())?;
         let frame = RtDataFrame {
-            eth_src: self.endpoint.mac,
-            eth_dst: tx.destination.mac,
-            stamp: DeadlineStamp::new(deadline.as_nanos(), channel)?,
-            src_port: 0x4000 | (self.node.get() & 0x3fff) as u16,
-            dst_port: 0x4000,
+            eth_src: template.eth_src,
+            eth_dst: template.eth_dst,
+            stamp: template.stamp(generation_time)?,
+            src_port: template.src_port,
+            dst_port: template.dst_port,
             payload,
         };
         self.frames_sent += 1;
         frame.into_ethernet()
     }
 
-    /// Prepare the `C_i` frames of one periodic message.  They carry the same
-    /// stamp and the same payload, so the message is encoded once
-    /// ([`RtLayer::prepare_data`]) and the image copied for the rest.
-    pub fn prepare_message(
+    /// Send `count` periodic messages of `C_i` zeroed frames each on an
+    /// established channel, generated at `start`, `start + period`, …,
+    /// without building one: every check [`RtLayer::prepare_data`] would
+    /// make of them is made now, with the error it would return first, and
+    /// on success the frames count as sent.  The returned template builds
+    /// each message's frame when it is due ([`DataTemplate::frame`]), with
+    /// the addressing and stamp offset the channel has now.  The caller
+    /// checks that the last generation time plus its stamp offset fits the
+    /// clock.
+    pub fn prepare_stream(
         &mut self,
         channel: ChannelId,
-        payload: Vec<u8>,
-        generation_time: SimTime,
-    ) -> RtResult<std::iter::RepeatN<EthernetFrame>> {
-        let eth = self.prepare_data(channel, payload, generation_time)?;
-        let frames = self.tx_channels[&channel.get()].0.spec.capacity.get();
-        self.frames_sent += frames.saturating_sub(1);
-        Ok(std::iter::repeat_n(eth, frames as usize))
+        payload_len: usize,
+        start: SimTime,
+        period: Duration,
+        count: u64,
+    ) -> RtResult<DataTemplate> {
+        let template = self.template(channel, payload_len)?;
+        let capacity = self
+            .tx_channel(channel)
+            .map_or(0, |tx| tx.spec.capacity.get());
+        if let Some(last) = count.checked_sub(1) {
+            // The first message fails on its stamp or on its lengths; a
+            // later one only on its stamp, the first whose stamp overflows.
+            template.stamp(start)?;
+            template.headers()?;
+            let first = (start + template.stamp_offset).as_nanos();
+            let span = period.as_nanos().saturating_mul(last);
+            if first.saturating_add(span) > MAX_DEADLINE_VALUE {
+                let k = (MAX_DEADLINE_VALUE - first) / period.as_nanos().max(1) + 1;
+                template.stamp(start + period.saturating_mul(k))?;
+            }
+        }
+        self.frames_sent += count.saturating_mul(capacity);
+        Ok(template)
     }
 
     /// Handle an incoming deadline-stamped data frame: restore the original
@@ -680,6 +757,88 @@ mod tests {
         assert_eq!(msg.source.node, NodeId::new(0));
         assert_eq!(source.counters().0, 1);
         assert_eq!(destination.counters().1, 1);
+    }
+
+    /// A source layer with channel 5 to node 1 established.
+    fn source_with_channel_5() -> RtLayer {
+        let mut source = layer(0);
+        let (req_id, _) = source.request_channel(NodeId::new(1), spec()).unwrap();
+        source
+            .handle_response(&ResponseFrame {
+                rt_channel_id: Some(ChannelId::new(5)),
+                switch_mac: MacAddr::for_switch(),
+                verdict: ResponseVerdict::Accepted,
+                connection_request_id: req_id,
+            })
+            .unwrap();
+        source
+    }
+
+    /// A stream's template builds, byte for byte, the frame `prepare_data`
+    /// builds of a zeroed payload — from the channel as it was when the
+    /// stream was sent, whatever happened to it since; and `prepare_stream`
+    /// refuses with the error the first failing `prepare_data` of the
+    /// stream returns, counting nothing.
+    #[test]
+    fn a_stream_template_builds_what_prepare_data_builds() {
+        let ch = ChannelId::new(5);
+        let mut l = source_with_channel_5();
+        l.set_channel_t_latency(ch, Duration::from_micros(77));
+        let period = Duration::from_micros(250);
+        for len in [0, 1, 17, 18, 333, 1472] {
+            for start in [SimTime::ZERO, SimTime::from_millis(10)] {
+                let template = l.prepare_stream(ch, len, start, period, 4).unwrap();
+                for k in 0..4 {
+                    let at = start + period.saturating_mul(k);
+                    let built = l.prepare_data(ch, vec![0; len], at).unwrap();
+                    assert_eq!(template.frame(at).unwrap(), built, "{len} bytes at {at}");
+                }
+            }
+        }
+        assert_eq!(l.counters().0, 6 * 2 * (4 * 3 + 4));
+
+        // Captured when sent: a new T_latency, even a forgotten channel,
+        // leaves the template's frames as they were.
+        let at = SimTime::from_millis(3);
+        let template = l.prepare_stream(ch, 100, at, period, 1).unwrap();
+        let before = l.prepare_data(ch, vec![0; 100], at).unwrap();
+        l.set_channel_t_latency(ch, Duration::from_micros(5));
+        assert_ne!(l.prepare_data(ch, vec![0; 100], at).unwrap(), before);
+        l.forget_tx_channel(ch);
+        assert_eq!(template.frame(at).unwrap(), before);
+
+        let mut l = source_with_channel_5();
+        let offset = l.absolute_deadline_for(ch, SimTime::ZERO).unwrap() - SimTime::ZERO;
+        let edge = SimTime::from_nanos(MAX_DEADLINE_VALUE) - offset;
+        for (len, start, count) in [
+            (1473, SimTime::ZERO, 1),
+            (65_600, SimTime::ZERO, 3),
+            // The first message's stamp fails before its length.
+            (1473, edge + Duration::from_nanos(1), 2),
+            // The fourth of five messages is the first past the stamp.
+            (10, edge - period.saturating_mul(2), 5),
+            (
+                10,
+                edge - period.saturating_mul(3) + Duration::from_nanos(1),
+                5,
+            ),
+        ] {
+            let sent = l.counters().0;
+            let refused = l.prepare_stream(ch, len, start, period, count).unwrap_err();
+            assert_eq!(l.counters().0, sent, "a refused stream counts nothing");
+            let first = (0..count)
+                .find_map(|k| {
+                    let at = start + period.saturating_mul(k);
+                    l.prepare_data(ch, vec![0; len], at).err()
+                })
+                .expect("some message of the stream fails");
+            assert_eq!(
+                refused.to_string(),
+                first.to_string(),
+                "{len} bytes from {start}"
+            );
+        }
+        assert!(l.prepare_stream(ch, 10, edge - period, period, 2).is_ok());
     }
 
     #[test]

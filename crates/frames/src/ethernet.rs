@@ -34,19 +34,24 @@ pub struct EthernetFrame {
 impl EthernetFrame {
     /// Build a frame, rejecting payloads that exceed the Ethernet MTU.
     pub fn new(dst: MacAddr, src: MacAddr, ethertype: u16, payload: Vec<u8>) -> RtResult<Self> {
-        if payload.len() > ETH_MTU_BYTES {
-            return Err(RtError::FrameEncode(format!(
-                "payload of {} bytes exceeds the {} byte Ethernet MTU",
-                payload.len(),
-                ETH_MTU_BYTES
-            )));
-        }
+        Self::check_payload_len(payload.len())?;
         Ok(EthernetFrame {
             dst,
             src,
             ethertype,
             payload,
         })
+    }
+
+    /// The check of [`EthernetFrame::new`] alone, for a caller that decides
+    /// whether a payload of `len` bytes fits before building it.
+    pub fn check_payload_len(len: usize) -> RtResult<()> {
+        if len > ETH_MTU_BYTES {
+            return Err(RtError::FrameEncode(format!(
+                "payload of {len} bytes exceeds the {ETH_MTU_BYTES} byte Ethernet MTU"
+            )));
+        }
+        Ok(())
     }
 
     /// Size of the MAC frame on the medium: header + padded payload + FCS.

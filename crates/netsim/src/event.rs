@@ -133,8 +133,11 @@ impl PartialOrd for ScheduledEvent {
 /// never an approximation, so that every scheduler yields the identical
 /// event sequence for identical inputs.
 pub trait EventScheduler: std::fmt::Debug {
-    /// Insert an event.  `seq` values arrive strictly increasing, and
-    /// `time` is never earlier than the time of the last popped event.
+    /// Insert an event.  Its key `(time, seq)` is later than the key of
+    /// every event popped so far, and no pending event carries its `seq`.
+    /// Seqs need not arrive in order: a seq reserved earlier may be pushed
+    /// after later ones were, at an instant not popped yet (or at the
+    /// instant being popped, if it is later than that instant's last pop).
     fn push(&mut self, time: SimTime, seq: u64, event: Event);
 
     /// Remove and return the `(time, seq)`-minimal event.
@@ -189,6 +192,9 @@ pub trait EventScheduler: std::fmt::Debug {
 #[derive(Debug, Default)]
 pub struct HeapScheduler {
     heap: BinaryHeap<ScheduledEvent>,
+    /// The key of the last popped event: debug builds assert that every
+    /// push lands after it, the [`EventScheduler::push`] contract.
+    popped: Option<(SimTime, u64)>,
 }
 
 impl HeapScheduler {
@@ -200,11 +206,18 @@ impl HeapScheduler {
 
 impl EventScheduler for HeapScheduler {
     fn push(&mut self, time: SimTime, seq: u64, event: Event) {
+        debug_assert!(
+            self.popped.is_none_or(|popped| (time, seq) > popped),
+            "event filed at ({time}, seq {seq}) behind the last pop {:?}: {event:?}",
+            self.popped
+        );
         self.heap.push(ScheduledEvent { time, seq, event });
     }
 
     fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        let e = self.heap.pop()?;
+        self.popped = Some((e.time, e.seq));
+        Some((e.time, e.event))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -1101,6 +1114,36 @@ impl EventQueue {
         seq
     }
 
+    /// Hand out `count` consecutive seqs for [`EventQueue::schedule_reserved`]
+    /// and return the first: exactly the seqs the next `count` schedules
+    /// would have taken.  `None` if the seq space cannot hold them.
+    pub fn reserve(&mut self, count: u64) -> Option<u64> {
+        let first = self.next_seq;
+        self.next_seq = first.checked_add(count)?;
+        Some(first)
+    }
+
+    /// [`EventQueue::schedule`] under a seq handed out by
+    /// [`EventQueue::reserve`]: the event pops where it would have, had it
+    /// been scheduled when the seq was reserved, provided its key `(at,
+    /// seq)` is later than the last pop's (debug builds assert it).  Filed
+    /// into the calendar; same clamp and return value as `schedule`.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: Event) -> bool {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        debug_assert!(
+            at >= self.now,
+            "event filed in the past: {at} < {} ({event:?})",
+            self.now
+        );
+        let clamped = at < self.now;
+        let at = at.max(self.now);
+        #[cfg(debug_assertions)]
+        self.shadow.heap.push(at, seq, event.clone());
+        self.calendar_bound = self.calendar_bound.min((at, seq));
+        self.scheduler.push(at, seq, event);
+        clamped
+    }
+
     /// Schedule `event` at absolute time `at`.  Scheduling in the past is a
     /// programming error and panics in debug builds; in release builds the
     /// event is clamped to `now` so the simulation stays causally ordered,
@@ -1761,13 +1804,14 @@ mod tests {
 
     // --- skew and flood: by count, not by clock --------------------------
 
-    /// Seeds of the skew property (the `RT_ADVERSARIAL_SEEDS` matrix the
-    /// fabric properties use; CI smokes the release build with 8).
+    /// Seeds of the calendar and lane properties: `RT_ADVERSARIAL_SEEDS`,
+    /// else 4 in a debug build (where the queue's own shadow heap doubles
+    /// every push) and 32 in a release build.  CI runs all 32 in release.
     fn skew_seeds() -> u64 {
         std::env::var("RT_ADVERSARIAL_SEEDS")
             .ok()
             .and_then(|s| s.parse().ok())
-            .unwrap_or(32)
+            .unwrap_or(if cfg!(debug_assertions) { 4 } else { 32 })
     }
 
     /// The bimodal hold model — the shape of `send_periodic` on the wire: a
@@ -1799,7 +1843,7 @@ mod tests {
         })
     }
 
-    /// 32 seeds of the bimodal hold model, popped through a random mix of
+    /// The seeds of the bimodal hold model, popped through a random mix of
     /// `pop` / `pop_until` / `pop_run` / `pop_run_until` (refused windows
     /// included): heap and calendar yield the identical `(time, event)`
     /// sequence.
@@ -1951,6 +1995,19 @@ mod tests {
             self.seq += 1;
         }
 
+        /// `count` seqs for later pushes, the heap's in step.
+        fn reserve(&mut self, count: u64) -> u64 {
+            let first = self.queue.reserve(count).expect("the seq space holds them");
+            assert_eq!(first, self.seq, "{}: reserved the wrong seqs", self.context);
+            self.seq += count;
+            first
+        }
+
+        fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+            self.heap.push(at, seq, event.clone());
+            self.queue.schedule_reserved(at, seq, event);
+        }
+
         fn settle<T: PartialEq + std::fmt::Debug>(&self, heap: T, queue: T) -> T {
             let context = &self.context;
             assert_eq!(heap, queue, "{context}: the lanes diverged from the heap");
@@ -1991,7 +2048,9 @@ mod tests {
     /// instant often holds lane and calendar events alike), instants handled
     /// ahead of the clock and then behind that (the lane refuses an event
     /// that would precede its tail), far-future calendar events, and windows
-    /// that refuse.
+    /// that refuse.  Beside them, seqs reserved in blocks and pushed later —
+    /// after later seqs were scheduled, out of order within the block, at
+    /// instants not popped yet, often tied with pending events.
     #[test]
     fn prop_lanes_and_calendar_match_the_heap_on_every_pop_flavour() {
         for seed in 0..skew_seeds() {
@@ -2005,7 +2064,32 @@ mod tests {
             let mut frame = 10_000u64;
             let mut out = Vec::new();
             let (mut lanes_used, mut spanned, mut ties) = (0, 0, 0);
+            // Reserved seqs not pushed yet, and how many were pushed behind
+            // a later seq.
+            let (mut reserved, mut late_pushes) = (Vec::new(), 0);
             while pair.seq < 40_000 && !pair.heap.is_empty() {
+                match rng.below(16) {
+                    0 => {
+                        let count = 1 + rng.below(6);
+                        let first = pair.reserve(count);
+                        reserved.extend(first..first + count);
+                    }
+                    1 if !reserved.is_empty() => {
+                        // Any reserved seq, at an instant after the clock.
+                        let seq = reserved.swap_remove(rng.below(reserved.len() as u64) as usize);
+                        let ahead = 100
+                            * match rng.below(8) {
+                                0 => 1 + rng.below(100_000),
+                                1..=3 => 1,
+                                _ => 1 + rng.below(30),
+                            };
+                        let at = pair.queue.now() + rt_types::Duration::from_nanos(ahead);
+                        late_pushes += usize::from(seq + 1 < pair.seq);
+                        frame += 1;
+                        pair.schedule_reserved(at, seq, ev(2, frame));
+                    }
+                    _ => {}
+                }
                 let now = pair.queue.now();
                 let lane = pair.queue.lanes.earliest(&mut Fronts::default());
                 ties += usize::from(lane.is_some() && lane == pair.queue.scheduler.peek_time());
@@ -2054,8 +2138,31 @@ mod tests {
                 "seed {seed}: only {spanned} multi-event runs"
             );
             assert!(ties > 100, "seed {seed}: only {ties} lane-calendar ties");
+            assert!(
+                late_pushes > 100,
+                "seed {seed}: only {late_pushes} reserved seqs pushed behind later ones"
+            );
+            let now = pair.queue.now();
+            for seq in reserved {
+                pair.schedule_reserved(now + rt_types::Duration::from_nanos(100), seq, ev(3, seq));
+            }
             while pair.pop_until(SimTime::MAX).is_some() {}
         }
+    }
+
+    /// A reserved event filed ahead of the lanes' front, while the calendar
+    /// holds only a far event (so a refused probe has moved the calendar's
+    /// bound past the lane), pops first: the filing lowers the bound.
+    #[test]
+    fn a_reserved_event_ahead_of_the_lanes_pops_before_them() {
+        let mut q = EventQueue::new();
+        let reserved = q.reserve(1).expect("the seq space is empty");
+        q.schedule(SimTime::from_nanos(10_000), ev(0, 1));
+        assert_eq!(q.pop_until(SimTime::ZERO), None);
+        q.schedule_after(SimTime::ZERO, Duration::from_nanos(1_000), ev(0, 2));
+        q.schedule_reserved(SimTime::from_nanos(500), reserved, ev(0, 3));
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [ev(0, 3), ev(0, 2), ev(0, 1)]);
     }
 
     /// Slots examined per pop, on the calendar alone.

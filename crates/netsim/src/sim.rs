@@ -282,6 +282,14 @@ impl FaultScript {
 /// long experiment up front (bloating the pending-event set), the simulator
 /// asks the source for the next window's worth of frames as simulated time
 /// advances — see [`Simulator::run_with_source`].
+///
+/// A pulled frame takes a fresh seq when its window is injected, so frames
+/// of one instant run in pull order, behind everything scheduled before the
+/// pull: the source fixes what runs, not where it falls among the other
+/// events of its instant.  A driver that must keep the order of up-front
+/// injection reserves the keys instead
+/// ([`Simulator::reserve_injections`], [`Simulator::inject_reserved`]), as
+/// `RtNetwork`'s traffic does.
 pub trait TrafficSource {
     /// The frames to inject with `at < horizon`.  Called with a
     /// monotonically advancing horizon; return an empty batch when nothing
@@ -779,6 +787,36 @@ impl Simulator {
         Ok(id)
     }
 
+    /// Reserve the event keys of `count` injections to come: the seqs the
+    /// next `count` [`Simulator::inject`] calls would take, in order.
+    /// Returns the first; [`Simulator::inject_reserved`] files a frame
+    /// under one of them later, and it runs exactly where it would have run
+    /// had it been injected now.  An error if the seq space is exhausted.
+    pub fn reserve_injections(&mut self, count: u64) -> RtResult<u64> {
+        self.lane.events.reserve(count).ok_or_else(|| {
+            RtError::Simulation(format!("{count} injections overflow the event sequence"))
+        })
+    }
+
+    /// [`Simulator::inject`] under a seq from
+    /// [`Simulator::reserve_injections`].  The caller files the frame before
+    /// the simulation pops any event whose key lies after `(at, seq)` (a
+    /// debug build asserts it), so building a frame can wait until just
+    /// before its instant without moving a single event.
+    pub fn inject_reserved(
+        &mut self,
+        node: NodeId,
+        eth: EthernetFrame,
+        at: SimTime,
+        seq: u64,
+    ) -> RtResult<FrameId> {
+        self.validate_injection(node, at)?;
+        let frame = self.register_frame(eth, node, at)?;
+        self.lane
+            .schedule_reserved(at, seq, Event::EnqueueAtNode { node, frame });
+        Ok(frame)
+    }
+
     /// Inject a whole batch of frames in one call — what scenario
     /// generators should use instead of one [`Simulator::inject`]
     /// round-trip per frame.  Returns the batch's ids: consecutive, in
@@ -940,7 +978,9 @@ impl Simulator {
     /// Drive the simulation with a pull-based [`TrafficSource`]: inject the
     /// source's frames window by window (so the pending-event set stays
     /// proportional to one window, not to the whole experiment), then drain
-    /// the fabric.  Returns the final simulated time.
+    /// the fabric.  Returns the final simulated time.  Each window's frames
+    /// take fresh seqs (see [`TrafficSource`] for what that does to the
+    /// order within an instant).
     pub fn run_with_source(
         &mut self,
         source: &mut dyn TrafficSource,

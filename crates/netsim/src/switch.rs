@@ -420,6 +420,15 @@ impl Lane {
         }
     }
 
+    /// [`Lane::schedule`] under a reserved seq
+    /// ([`EventQueue::schedule_reserved`]).
+    #[inline]
+    pub(crate) fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+        if self.events.schedule_reserved(at, seq, event) {
+            self.stats.record_clamped();
+        }
+    }
+
     /// Schedule a hop event `delay` after `now`, the instant being handled:
     /// into the queue's FIFO lane of `delay` (see [`EventQueue`]).
     #[inline]

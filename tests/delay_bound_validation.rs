@@ -107,3 +107,77 @@ fn saturated_adps_system_still_meets_every_deadline() {
     assert_eq!(stats.total_deadline_misses, 0);
     assert!(stats.worst_case_latency().unwrap() <= net.deadline_bound(&spec));
 }
+
+/// The critical instant on a hot downlink.  Channels from distinct sources
+/// to one destination are admitted until the switch refuses — one more
+/// slot of `C` on any admitted channel is then refused too — and every
+/// source releases its messages of full-slot frames at one instant through
+/// `send_periodic`, so the downlink's whole load arrives at once, its
+/// frames ordered by deadline and, on ties, by the order they were sent.
+/// The worst latency reaches most of the Eq. 18.1 bound; both are pinned.
+#[test]
+fn a_hot_downlink_filled_to_its_edge_nears_the_bound_at_the_critical_instant() {
+    let spec = RtChannelSpec::paper_default();
+    let sources = 24u32;
+    let hot = NodeId::new(0);
+    let mut net = RtNetwork::builder()
+        .star(sources + 1)
+        .dps(DpsKind::Asymmetric)
+        .build()
+        .unwrap();
+    // Full-size channels while they fit, then one-slot channels into what
+    // is left: the downlink ends at its edge.
+    let thin = RtChannelSpec::new(spec.period, Slots::new(1), spec.deadline).unwrap();
+    let mut admitted = Vec::new();
+    let mut sources_left = (1..=sources).map(NodeId::new);
+    for contract in [spec, thin] {
+        for source in sources_left.by_ref() {
+            match net.establish_channel(source, hot, contract).unwrap() {
+                Some(tx) => admitted.push((source, tx.id, contract)),
+                None => break,
+            }
+        }
+    }
+    assert!(
+        sources_left.next().is_some(),
+        "the downlink must fill before the sources run out"
+    );
+
+    let start = net.now() + Duration::from_millis(1);
+    let payload = 1472; // a full frame: one slot on the wire
+    for &(source, id, _) in &admitted {
+        net.send_periodic(source, id, 4, payload, start).unwrap();
+    }
+    net.run_to_completion().unwrap();
+    let stats = net.simulator().stats();
+    assert_eq!(stats.total_deadline_misses, 0);
+    let worst = stats.worst_case_latency().expect("frames were delivered");
+    let bound = net.deadline_bound(&spec);
+    // Twelve three-slot channels and one one-slot channel: 37 full frames
+    // queue for the downlink at once.  The last of them arrives 4 681.52 µs
+    // after its release, 0.905 of the 5 173.68 µs bound.
+    assert_eq!(admitted.len(), 13);
+    assert_eq!((worst.as_nanos(), bound.as_nanos()), (4_681_520, 5_173_680));
+    let ratio = worst.as_nanos() as f64 / bound.as_nanos() as f64;
+    assert!(ratio > 0.70, "worst / bound = {ratio:.3}");
+
+    // One more slot of `C` on any admitted channel is refused, and the
+    // channel as it was is admitted again.
+    for &(source, id, contract) in &admitted {
+        let wider = RtChannelSpec::new(
+            contract.period,
+            contract.capacity + Slots::new(1),
+            contract.deadline,
+        )
+        .unwrap();
+        net.teardown_channel(source, id).unwrap();
+        assert!(
+            net.establish_channel(source, hot, wider).unwrap().is_none(),
+            "{id}"
+        );
+        assert!(net
+            .establish_channel(source, hot, contract)
+            .unwrap()
+            .is_some());
+    }
+}

@@ -351,8 +351,8 @@ fn central_and_distributed_control_planes_are_equivalent_on_random_fabrics() {
                 .map(|m| {
                     (
                         m.receiver,
-                        m.message.channel,
-                        m.message.payload.clone(),
+                        m.channel,
+                        m.payload_len,
                         m.delivered_at.as_nanos(),
                     )
                 })

@@ -97,7 +97,7 @@ fn ring_trunk_cut_mid_run_reroutes_and_meets_bounds() {
         let local_seq: Vec<(u64, bool)> = net
             .received_messages()
             .iter()
-            .filter(|m| m.message.channel == local.id)
+            .filter(|m| m.channel == local.id)
             .map(|m| (m.delivered_at.as_nanos(), m.missed_deadline))
             .collect();
         (net, affected.id, local_seq)
@@ -282,7 +282,7 @@ fn torus_1024_mid_run_cut_reroutes_the_pinned_eight_and_spares_the_rest() {
         for m in net.received_messages() {
             let at = m.delivered_at.as_nanos();
             let seen = (m.receiver, at, m.missed_deadline);
-            traces.entry(m.message.channel).or_default().push(seen);
+            traces.entry(m.channel).or_default().push(seen);
         }
         let misses = net.simulator().stats().total_deadline_misses;
         (routes_before, report, traces, misses)

@@ -1,20 +1,25 @@
 //! The cost and the manners of the `RtNetwork` pump: a delivered RT frame
-//! is *moved* from its injection through the simulator into
-//! `received_messages()`, never copied, and a frame that arrives for a
-//! channel released mid-run is ignored, never an error.
+//! is built just before its release and *moved* from its injection through
+//! the simulator into the receiver's parse, never copied; a run holds what
+//! is in flight, not what was sent; and a frame that arrives for a channel
+//! released mid-run is ignored, never an error.
 //!
-//! The allocation count comes from the per-thread counting
-//! `#[global_allocator]` of `tests/common/counting_alloc.rs`; it is
-//! deterministic for a deterministic simulation, so it is asserted exactly as
-//! a bound, not statistically.
+//! The allocation and live-byte counts come from the per-thread counting
+//! `#[global_allocator]` of `tests/common/counting_alloc.rs`; they are
+//! deterministic for a deterministic simulation, so they are asserted
+//! exactly as bounds, not statistically.
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::allocations;
-use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
+use counting_alloc::{allocations, live_bytes, peak_live_bytes, reset_peak_live_bytes};
+use switched_rt_ethernet::core::rtlayer::RtLayerConfig;
+use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtLayer, RtNetwork};
+use switched_rt_ethernet::frames::rt_data::RtDataFrame;
+use switched_rt_ethernet::frames::rt_response::ResponseVerdict;
+use switched_rt_ethernet::frames::{Frame, ResponseFrame};
 use switched_rt_ethernet::types::constants::{IPV4_HEADER_BYTES, UDP_HEADER_BYTES};
-use switched_rt_ethernet::types::{Duration, NodeId, SimTime, Topology};
+use switched_rt_ethernet::types::{ChannelId, Duration, MacAddr, NodeId, SimTime, Topology};
 
 /// sw0 — sw1 — sw2, two nodes each: node 0 to node 5 crosses both trunks.
 fn line() -> RtNetwork {
@@ -25,23 +30,24 @@ fn line() -> RtNetwork {
         .expect("a line fabric always builds")
 }
 
-/// No copy of a delivered frame's bytes is left: the buffer `send_periodic`
-/// injected is moved through the simulator into the delivery, and from
-/// there into the received message (which keeps the buffer as delivered,
-/// the capacity of its header bytes included: no reallocation); the pump's
-/// own buffers are reused from poll to poll.  What remains is a handful of growths of vectors that
-/// outlive the window (the received-message list among them), not a cost
-/// per frame.  The delivery used to clone the injected frame, one
-/// allocation per frame (1 218 for 1 200 frames); before that, four copies
-/// and five allocations (the delivery's decode, the pending-delivery vector
-/// of every poll, `eth.clone()`, `from_ethernet`'s `to_vec`,
-/// `handle_data`'s `payload.clone()`).
+/// No copy of a delivered frame's bytes is made: `send_periodic` builds
+/// nothing, the pump builds each message's frame just before its release
+/// (one buffer per frame: the message's image and its `C - 1` clones) and
+/// the buffer moves through the simulator into the delivery and from there
+/// into the receiving RT layer's parse, which frees it.  What remains is a
+/// handful of growths of vectors that outlive the window (the frame tables
+/// and the received-message list among them), not a cost per frame.  The
+/// count covers the send and the run together: 1 233 for 1 200 frames, where
+/// building every frame in `send_periodic` took 1 644 — a zeroed payload, its
+/// image and `C - 1` clones per message, and the batch.  The delivery used
+/// to clone the injected frame, one more allocation per frame; before that,
+/// four copies and five allocations.
 ///
 /// `cargo test` runs this in a debug build, with the queue's reference heap
-/// beside the calendar: `send_periodic` has pushed every frame's first event
-/// before the counted window opens and a frame holds one pending event at a
-/// time, so the heap's buffer never grows inside the window — the count is
-/// the same in a debug and in a release build.
+/// beside the calendar: a frame holds one pending event at a time and the
+/// pending set stays a few frames deep, so the heap's buffer stops growing
+/// within the first messages — the count is the same in a debug and in a
+/// release build.
 #[test]
 fn a_delivered_rt_frame_is_moved_into_its_message_never_copied() {
     let mut net = line();
@@ -52,10 +58,10 @@ fn a_delivered_rt_frame_is_moved_into_its_message_never_copied() {
         .expect("the empty fabric admits the channel");
     let messages = 400;
     let start = net.now() + Duration::from_millis(1);
-    net.send_periodic(NodeId::new(0), tx.id, messages, 1000, start)
-        .unwrap();
 
     let before = allocations();
+    net.send_periodic(NodeId::new(0), tx.id, messages, 1000, start)
+        .unwrap();
     net.run_to_completion().unwrap();
     let allocated = allocations() - before;
 
@@ -63,49 +69,117 @@ fn a_delivered_rt_frame_is_moved_into_its_message_never_copied() {
     assert_eq!(net.received_messages().len() as u64, frames);
     assert!(net.received_messages().iter().all(|m| !m.missed_deadline));
     assert!(
-        allocated <= frames / 20,
+        allocated <= frames + frames / 20,
         "{allocated} allocations for {frames} delivered RT frames ({:.2} per frame)",
         allocated as f64 / frames as f64
     );
 }
 
-/// A received payload is the delivered buffer as it came: it keeps the
-/// capacity of the IPv4 and UDP headers the RT layer cut off in front, and
-/// holds exactly the bytes `send_periodic` sent — nothing of the headers,
-/// nothing of a short frame's padding — from one byte to a full frame.
+/// The memory of a run follows what is in flight, not what was sent: over
+/// `send_periodic` and `run_to_completion` of a 400-message stream of three
+/// 1 000-byte frames per message, the thread's live bytes never exceed the
+/// baseline by more than the frames' bookkeeping — a 32-B frame record, a
+/// 40-B byte slot and a 48-B delivered message each, in vectors that may
+/// have doubled — plus a few frames in flight.  A send that built every
+/// frame up front, or a message list that kept every payload, holds more
+/// than `messages × C × 1 000` bytes at once.
 #[test]
-fn a_received_payload_is_exact_in_a_buffer_that_kept_its_header_capacity() {
+fn a_streams_memory_follows_what_is_in_flight_not_what_was_sent() {
     let mut net = line();
     let spec = RtChannelSpec::paper_default();
-    let src = NodeId::new(0);
     let tx = net
-        .establish_channel(src, NodeId::new(5), spec)
+        .establish_channel(NodeId::new(0), NodeId::new(5), spec)
         .unwrap()
         .expect("the empty fabric admits the channel");
-    let lengths = [1usize, 17, 18, 333, 1000, 1472];
-    let mut at = net.now() + Duration::from_millis(1);
-    for &len in &lengths {
-        net.send_periodic(src, tx.id, 1, len, at).unwrap();
-        at += Duration::from_millis(1);
-    }
-    net.run_to_completion().unwrap();
+    let (messages, payload) = (400u64, 1000usize);
+    let frames = messages * spec.capacity.get();
+    let start = net.now() + Duration::from_millis(1);
 
-    let frames = spec.capacity.get() as usize;
-    let received = net.received_messages();
-    assert_eq!(received.len(), lengths.len() * frames);
-    for (delivered, &len) in received.iter().zip(
-        lengths
-            .iter()
-            .flat_map(|len| std::iter::repeat_n(len, frames)),
-    ) {
-        let payload = &delivered.message.payload;
-        assert_eq!(*payload, vec![0u8; len], "a {len}-byte payload");
+    let base = live_bytes();
+    reset_peak_live_bytes();
+    net.send_periodic(NodeId::new(0), tx.id, messages, payload, start)
+        .unwrap();
+    net.run_to_completion().unwrap();
+    let peak = peak_live_bytes() - base;
+
+    assert_eq!(net.received_messages().len() as u64, frames);
+    let sent = (frames as usize * payload) as i64;
+    let bookkeeping = 2 * (32 + 40 + 48) * frames as i64;
+    let in_flight = 16 * 1024;
+    assert!(
+        peak <= bookkeeping + in_flight,
+        "{peak} live bytes at the peak for {frames} frames ({sent} bytes sent): \
+         more than their bookkeeping ({bookkeeping}) and a few frames in flight"
+    );
+}
+
+/// A received payload is the delivered buffer as it came: it keeps the
+/// capacity of the IPv4 and UDP headers the RT layer cut off in front, and
+/// holds exactly the bytes `send_periodic` sends — nothing of the headers,
+/// nothing of a short frame's padding — from one byte to a full frame.  The
+/// frames are the ones a stream's template builds, taken apart as the pump
+/// takes them apart ([`RtDataFrame::from_ethernet`]) and handed to the
+/// receiving layer; `RtNetwork` keeps only their lengths, which the second
+/// half checks on the wire.
+#[test]
+fn a_received_payload_is_exact_in_a_buffer_that_kept_its_header_capacity() {
+    let spec = RtChannelSpec::paper_default();
+    let (src, dst, channel) = (NodeId::new(0), NodeId::new(5), ChannelId::new(9));
+    let lengths = [1usize, 17, 18, 333, 1000, 1472];
+    let period = Duration::from_millis(1);
+
+    // The two layers as a handshake over channel 9 leaves them.
+    let mut source = RtLayer::new(src, RtLayerConfig::default());
+    let mut destination = RtLayer::new(dst, RtLayerConfig::default());
+    let (request_id, request) = source.request_channel(dst, spec).unwrap();
+    let Frame::Request(mut forwarded) = Frame::classify(request).unwrap() else {
+        panic!("a channel request classifies as one");
+    };
+    forwarded.rt_channel_id = Some(channel);
+    destination.handle_forwarded_request(&forwarded).unwrap();
+    source
+        .handle_response(&ResponseFrame {
+            rt_channel_id: Some(channel),
+            switch_mac: MacAddr::for_switch(),
+            verdict: ResponseVerdict::Accepted,
+            connection_request_id: request_id,
+        })
+        .unwrap();
+    for &len in &lengths {
+        let at = SimTime::from_millis(len as u64);
+        let template = source.prepare_stream(channel, len, at, period, 1).unwrap();
+        let data = RtDataFrame::from_ethernet(template.frame(at).unwrap()).unwrap();
+        let payload = destination.handle_data(data).unwrap().payload;
+        assert_eq!(payload, vec![0u8; len], "a {len}-byte payload");
         assert!(
             payload.capacity() >= len + IPV4_HEADER_BYTES + UDP_HEADER_BYTES,
             "a {len}-byte payload in a buffer of {} bytes",
             payload.capacity()
         );
     }
+
+    let mut net = line();
+    let tx = net
+        .establish_channel(src, dst, spec)
+        .unwrap()
+        .expect("the empty fabric admits the channel");
+    let mut at = net.now() + Duration::from_millis(1);
+    for &len in &lengths {
+        net.send_periodic(src, tx.id, 1, len, at).unwrap();
+        at += period;
+    }
+    net.run_to_completion().unwrap();
+    let frames = spec.capacity.get() as usize;
+    let received: Vec<usize> = net
+        .received_messages()
+        .iter()
+        .map(|m| m.payload_len)
+        .collect();
+    let sent: Vec<usize> = lengths
+        .iter()
+        .flat_map(|&len| std::iter::repeat_n(len, frames))
+        .collect();
+    assert_eq!(received, sent);
 }
 
 /// A teardown that lands while frames of the channel are past their last
