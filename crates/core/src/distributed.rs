@@ -15,10 +15,11 @@
 //! ## The protocol (per candidate route, coordinated by the source's access
 //! switch)
 //!
-//! 1. **Probe** (forward): hops the route's switch sequence; each switch
-//!    appends the current load of the route links it owns.  The collected
-//!    loads are exactly what the central manager would have read, so the
-//!    deadline partition ([`MultiHopDps`]) is identical.
+//! 1. **Probe** (forward): carries the switch sequence of the candidate the
+//!    coordinator picked from its own view; each switch appends the current
+//!    load of the route links it owns.  The collected loads are exactly what
+//!    the central manager would have read, so the deadline partition
+//!    ([`MultiHopDps`]) is identical.
 //! 2. **Reserve** (backward, started by the destination's access switch
 //!    after partitioning): each switch feasibility-tests and *tentatively
 //!    reserves* its owned links under the per-link deadlines the frame
@@ -45,14 +46,13 @@
 //!   frames that really traverse the fabric; every receiving site applies
 //!   the announcement to its *own* [`Topology`] view and re-floods, with a
 //!   per-trunk epoch deduplicating the flood and ordering late frames.
-//!   Until the flood converges, two switches can disagree about the fabric
-//!   — admission stays safe because every Probe/Reserve step re-derives the
-//!   candidate from the site's *own* view and aborts into ReserveFailed when
-//!   that view does not put the site where the frame says (the geometry
-//!   check).  A site is always current about the trunks it owns, and a view
-//!   never routes over a trunk it lacks, so a probe a stale coordinator
-//!   routed over a dead link dies at the link's owner, never reserving on
-//!   the wrong links.
+//!   Until the flood converges, two switches can disagree about the fabric;
+//!   admission stays safe because a hop reads its place on the carried route
+//!   and checks the trunks next to it in its *own* view, refusing a stale
+//!   route with `StaleRoute`.  The ends of a trunk are always current about
+//!   it, so a route a stale coordinator sent over a dead trunk dies there,
+//!   and one over live trunks is accepted whatever the hop's own view would
+//!   have routed.
 //! * **Reservation leases.**  Every tentative reservation carries an
 //!   expiry deadline in its key's record at the site; sites sweep expired
 //!   leases whenever a frame reaches them (and on explicit clock ticks),
@@ -88,7 +88,8 @@
 //! adjacent to the cut**: they own the dead trunk's directed ports, so their
 //! ledgers name exactly the channels that crossed it, and each of those comes
 //! off and goes back on at the owners of its path links.  The same adjacent
-//! switches originate the link-state flood for the cut.
+//! switches originate the link-state flood for the cut, and abort the
+//! handshakes in flight over it.
 //!
 //! ## What one protocol hop costs
 //!
@@ -104,26 +105,21 @@
 //! reading the old state.  Each site keeps one `DueFloor` under its leases,
 //! coordinations and relay entries, so the sweep in front of every frame
 //! looks at nothing until something can be due — `handle_frame_at` reads the
-//! floor before it calls the sweep.  A hop borrows its candidate route in
-//! place with one hashed probe of the memo all sites share (keyed by view
-//! fingerprint and node pair); only a coordinator keeps a reference to a
-//! list.  What its key holds at the site is found with another probe: the
-//! key's record — its one or two links and its lease — beside the site's
-//! [`SlackLedger`] books, so a release touches two books at most, not every
-//! book the site ever filled.  A Reserve step takes the record once, frees
-//! what the key held, and tests and books each owned link under one probe of
-//! the ledger's slot table.  A handler reads its position, neighbours and
-//! owned links straight off the memoised route and checks no trunk's
-//! liveness (its own view's route crosses live trunks only); what a hop
-//! still allocates is the `values` list of the frame it forwards and the
-//! emission list of its outcome, both part of the public frame and trait
-//! types.
+//! floor before it calls the sweep.  A Probe or Reserve hop reads its place
+//! and owned links off the carried route and asks its view about two trunks
+//! at most; no hop asks a router.  What its key holds at the site is found
+//! with one probe: the key's record — its one or two links, its lease and
+//! its place on the route — beside the site's [`SlackLedger`] books, so a
+//! release touches two books at most.  A Reserve step takes the record once,
+//! frees what the key held, and tests and books each owned link under one
+//! probe of the ledger's slot table.  What a hop still allocates is the
+//! `values` list of the frame it forwards and the emission list of its
+//! outcome, both part of the public frame and trait types.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 use rt_edf::PeriodicTask;
@@ -154,9 +150,8 @@ struct Coordination {
     spec: RtChannelSpec,
     request_id: ConnectionRequestId,
     /// The router's candidate routes, tried in order: the memoised list,
-    /// shared with the route memo.  The coordinator is the one holder that
-    /// keeps a reference — the memo may be cleared while its handshake is in
-    /// flight; a hop borrows the list for the length of its handler.
+    /// held here because the memo may be cleared while the handshake is in
+    /// flight.  Only the coordinator reads it.
     candidates: Arc<[Route]>,
     /// Index of the candidate currently being probed / reserved.
     candidate: usize,
@@ -178,7 +173,6 @@ struct DestPending {
     token: u16,
     source: NodeId,
     spec: RtChannelSpec,
-    candidate: u8,
     /// When this relay entry is garbage-collected (the destination node
     /// never answered — its request or its response was lost to a fault).
     expires: SimTime,
@@ -207,11 +201,51 @@ impl DueFloor {
 /// trunk at position 0 of its route, a same-switch route's two access links,
 /// one link elsewhere; every step that reserves under a key first drops what
 /// the key held here, so a record is replaced, never merged — and, while the
-/// reservation is tentative, its lease.
+/// reservation is tentative, its lease.  A Reserve step also writes where the
+/// site stands on the key's route, so the Rollback, the Confirm and the
+/// destination's relay walk on from here without a list.
 #[derive(Debug, Default)]
 struct Held {
     links: [Option<HopLink>; 2],
     lease: Option<SimTime>,
+    place: Place,
+}
+
+/// Where a site stands on a route: its position in the switch sequence and
+/// the switches before and after it there (`None` past either end).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Place {
+    hop: u8,
+    before: Option<SwitchId>,
+    after: Option<SwitchId>,
+}
+
+impl Place {
+    /// The links the site of switch `at`, standing here on a route from
+    /// `source` to `destination`, owns, with their indices on the route: the
+    /// uplink and the first trunk at position 0, the outgoing trunk inside,
+    /// the downlink at the end.
+    fn owned(
+        self,
+        at: SwitchId,
+        source: NodeId,
+        destination: NodeId,
+    ) -> impl Iterator<Item = (usize, HopLink)> {
+        let uplink = (self.hop == 0).then_some((0, HopLink::Uplink(source)));
+        let trunk = |to| HopLink::Trunk { from: at, to };
+        let onward = self.after.map_or(HopLink::Downlink(destination), trunk);
+        uplink
+            .into_iter()
+            .chain([(usize::from(self.hop) + 1, onward)])
+    }
+
+    /// Where a walk back along the route goes from here: the switch before
+    /// this one, or — at position 0, or for a site whose record its lease
+    /// already took — straight to the coordinator.
+    fn back(place: Option<Place>, coordinator: SwitchId) -> (u8, SwitchId) {
+        let before = place.and_then(|p| Some((p.hop.checked_sub(1)?, p.before?)));
+        before.unwrap_or((0, coordinator))
+    }
 }
 
 /// One switch's control-plane state.
@@ -219,6 +253,8 @@ struct Held {
 struct Site {
     /// The switch this state belongs to.
     switch: SwitchId,
+    /// The far ends of this switch's trunks, alive or not, ascending.
+    trunk_ends: Box<[SwitchId]>,
     /// The slack ledger of the links this switch owns, written only by
     /// `reserve` / `release_key`, which keep `held` in step with it.
     ledger: SlackLedger,
@@ -254,8 +290,13 @@ struct Site {
 
 impl Site {
     fn new(switch: SwitchId, view: Arc<Topology>, block_start: u16) -> Self {
+        let far_end = |(a, b)| (a == switch).then_some(b).or((b == switch).then_some(a));
+        let failed = view.failed_trunks().filter_map(far_end);
+        let mut trunk_ends: Vec<SwitchId> = view.neighbours(switch).chain(failed).collect();
+        trunk_ends.sort_unstable();
         Site {
             switch,
+            trunk_ends: trunk_ends.into(),
             ledger: SlackLedger::new(),
             held: HashMap::default(),
             #[cfg(test)]
@@ -274,24 +315,28 @@ impl Site {
         let links = &mut self.held.entry(key).or_default().links;
         if !links.contains(&Some(link)) {
             let free = links.iter_mut().find(|slot| slot.is_none());
-            *free.expect("a key holds at most two links at a site") = Some(link);
+            let why = "a route has at most two links at one switch, and every caller first \
+                       released what the key held here";
+            *free.expect(why) = Some(link);
         }
         self.ledger.reserve(link, key, task);
     }
 
-    /// A Reserve step under `key`: what the key held here — an earlier
-    /// candidate's leftover, left by a Rollback that a view disagreement cut
-    /// short — is freed, then each of `tasks` (one or two) is tested and
-    /// booked on its link, and the key's record names exactly those links
-    /// under a lease to `expires` — if the handshake strands (cut trunk,
-    /// killed coordinator), the slack comes back then instead of leaking.
-    /// `false` when a task does not fit or is none: then the key holds
-    /// nothing here, record included — a key new here gets none.  One probe
-    /// of the records, and per link one of the ledger's slot table.
+    /// A Reserve step under `key` at `place` on its route: what the key held
+    /// here — an earlier candidate's leftover, left by a handshake aborted
+    /// past this site — is freed, then each of `tasks` (one or two) is tested
+    /// and booked on its link, and the key's record names exactly those
+    /// links and this place under a lease to `expires` — if the handshake
+    /// strands (cut trunk, killed coordinator), the slack comes back then
+    /// instead of leaking.  `false` when a task does not fit or is none:
+    /// then the key holds nothing here, record included — a key new here
+    /// gets none.  One probe of the records, and per link one of the
+    /// ledger's slot table.
     fn reserve_step(
         &mut self,
         key: ReservationKey,
         tasks: impl Iterator<Item = (HopLink, Option<PeriodicTask>)>,
+        place: Place,
         expires: SimTime,
     ) -> bool {
         let held = match self.held.entry(key) {
@@ -311,9 +356,13 @@ impl Site {
                 let Some(links) = Self::book_all(&mut self.ledger, key, tasks) else {
                     return false;
                 };
-                record.insert(Held { links, lease: None })
+                record.insert(Held {
+                    links,
+                    ..Held::default()
+                })
             }
         };
+        held.place = place;
         held.lease = Some(expires);
         self.due.lower(expires);
         true
@@ -383,15 +432,14 @@ impl Site {
     }
 
     /// Renew (attest) `key`'s lease: move it to `expires`, under one probe
-    /// of the records; `false` if none was held — it expired, and the slack
-    /// must not be resurrected.
-    fn renew_lease(&mut self, key: ReservationKey, expires: SimTime) -> bool {
-        let Some(lease) = self.held.get_mut(&key).and_then(|held| held.lease.as_mut()) else {
-            return false;
-        };
-        *lease = expires;
+    /// of the records, and say where the key's Reserve step stood here;
+    /// `None` if no lease was held — it expired, and the slack must not be
+    /// resurrected.
+    fn renew_lease(&mut self, key: ReservationKey, expires: SimTime) -> Option<Place> {
+        let held = self.held.get_mut(&key)?;
+        *held.lease.as_mut()? = expires;
         self.due.lower(expires);
-        true
+        Some(held.place)
     }
 
     /// The deadline of `key`'s lease here, if it holds one.
@@ -444,7 +492,8 @@ impl Site {
                 self.release_key(key);
                 return true;
             };
-            let held = self.held.get_mut(&key).expect("a due key has a record");
+            let why = "due keys were read off the records, and a step touches its own key only";
+            let held = self.held.get_mut(&key).expect(why);
             held.lease = None;
             for slot in &mut held.links {
                 if let Some(link) = slot.take_if(|link| !path.contains(link)) {
@@ -483,11 +532,11 @@ impl DistChannel {
 }
 
 /// The router, and its candidate lists memoised by `(view fingerprint,
-/// source, destination)` for every site: reservation frames carry only the
-/// candidate *index* and every hop re-derives the route from its own view.
-/// The fingerprint key makes entries self-invalidating across topology
-/// changes.  A field of the manager beside the sites, so a hop handler
-/// borrows its site and a list at once, and reads the list in place.
+/// source, destination)` for every coordinator: the one reader of a
+/// candidate list is the coordinator that picks from it, and the route it
+/// picks travels in the frames.  The fingerprint key makes entries
+/// self-invalidating across topology changes, and coordinators that share a
+/// view share the answer.
 struct RouteMemo {
     router: Arc<dyn Router>,
     lists: HashMap<(u64, u32, u32), Arc<[Route]>, FoldState>,
@@ -500,12 +549,7 @@ impl RouteMemo {
     const CAPACITY: usize = 4096;
 
     /// The router's candidate list for one node pair as seen from `view` —
-    /// a site's *own* view — so a hit costs one hashed probe, and sites
-    /// sharing a view share the answer.  Two sites whose views disagree
-    /// during a link-state convergence window can derive different lists
-    /// for the same pair — the per-hop geometry checks turn that
-    /// disagreement into a graceful abort, never a reservation on the wrong
-    /// links.
+    /// a coordinator's *own* view — so a hit costs one hashed probe.
     fn candidates(
         &mut self,
         view: &Topology,
@@ -524,16 +568,6 @@ impl RouteMemo {
             }
         }
     }
-
-    /// The candidate route a reservation frame refers to (at
-    /// `frame.candidate`), re-derived from `view`.  `None` when this view
-    /// (or the frame) knows no such candidate — the caller aborts the
-    /// handshake gracefully instead of reserving on links the coordinator
-    /// did not mean.
-    fn route_for(&mut self, view: &Topology, frame: &ReservationFrame) -> Option<&Route> {
-        let candidates = self.candidates(view, frame.source, frame.destination);
-        candidates.ok()?.get(usize::from(frame.candidate))
-    }
 }
 
 /// How long an in-flight reservation (and a coordination, and a
@@ -551,7 +585,8 @@ pub struct DistributedChannelManager {
     /// a switch id to its slot.
     sites: Vec<Site>,
     site_index: IdIndex,
-    /// The router and its memoised candidate lists, shared by every site.
+    /// The router and its memoised candidate lists, shared by every
+    /// coordinator.
     routes: RouteMemo,
     /// Committed channels, by raw id.  Written only through
     /// [`DistributedChannelManager::register`] /
@@ -570,8 +605,9 @@ pub struct DistributedChannelManager {
     /// each other.
     ls_epoch: u64,
     /// Link-state floods originated by fault/repair notifications (which
-    /// have no frame context to emit from); the caller drains these onto
-    /// the wire via [`ChannelManager::drain_control`].
+    /// have no frame context to emit from), and what aborting the
+    /// handshakes over a cut trunk sends; the caller drains these onto the
+    /// wire via [`ChannelManager::drain_control`].
     pending_control: Vec<(SwitchId, SwitchAction)>,
     faults: FaultLog,
     accepted: u64,
@@ -598,9 +634,7 @@ impl DistributedChannelManager {
     /// switch, the given deadline-partitioning scheme and path-selection
     /// policy shared by all.  Every site starts from the same converged
     /// view of the (healthy) fabric and thereafter learns of trunk events
-    /// only through link-state flood frames, so candidate routes are
-    /// recomputed per hop from each site's *own* view instead of being
-    /// carried in the frames.
+    /// only through link-state flood frames.
     pub fn new(topology: Topology, dps: MultiHopDps, router: Arc<dyn Router>) -> Self {
         let site_index = IdIndex::new(topology.switches().map(|s| s.get()));
         let view = Arc::new(topology.clone());
@@ -673,7 +707,7 @@ impl DistributedChannelManager {
         self.faults.rerouted
     }
 
-    // --- ownership and geometry ------------------------------------------
+    // --- ownership and routes ---------------------------------------------
 
     /// The slot of `switch` in the site table.
     fn slot(&self, switch: SwitchId) -> RtResult<usize> {
@@ -697,63 +731,60 @@ impl DistributedChannelManager {
         self.slot(self.owner_of(link)?).ok()
     }
 
-    /// The switch at position `i` of a route's switch sequence — the
-    /// transmitter of its `i`-th trunk, the receiver of its last one, or the
-    /// one access switch of a route that crosses no trunk — read off the
-    /// links, so every handler agrees on geometry and none builds the
-    /// sequence.  `None` past the last position.
-    fn switch_at(view: &Topology, route: &Route, i: usize) -> Option<SwitchId> {
-        match (route.get(i), route.get(i + 1)?) {
-            (_, HopLink::Trunk { from, .. }) => Some(*from),
-            (Some(HopLink::Trunk { to, .. }), _) => Some(*to),
-            (Some(HopLink::Uplink(source)), _) => view.switch_of(*source),
-            _ => None,
-        }
+    /// The switch ids a route crosses, in order — each trunk's transmitter,
+    /// then the last one's receiver: the sequence a Probe and a Reserve
+    /// carry, and a Release as its itinerary.  Empty for a same-switch route.
+    fn switches_of(route: &Route) -> impl ExactSizeIterator<Item = u64> + '_ {
+        let count = match route.len() - 2 {
+            0 => 0,
+            trunks => trunks + 1,
+        };
+        // Position 0 is the first trunk's transmitter, position i its i-th
+        // trunk's receiver.
+        (0..count).map(move |i| match route[i.max(1)] {
+            HopLink::Trunk { from, .. } if i == 0 => u64::from(from.get()),
+            HopLink::Trunk { to, .. } => u64::from(to.get()),
+            _ => unreachable!("Route::from_links admits only trunks between the access links"),
+        })
     }
 
-    /// The link indices (into the route) owned by the switch at position
-    /// `i` of the switch sequence: the uplink at position 0, the outgoing
-    /// trunk at every interior position, the downlink at the last — one
-    /// link, or two adjacent ones at position 0.
-    fn owned_link_indices(i: usize) -> Range<usize> {
-        if i == 0 {
-            0..2
-        } else {
-            i + 1..i + 2
+    /// Where `site` stands on the route `switches` a Probe or Reserve
+    /// carries, read off the frame and checked against the site's own view
+    /// alone: the route crosses a trunk, names the site at `frame.hop` and
+    /// nowhere else, runs from the coordinator — the source's access switch
+    /// — to the destination's access switch, and both trunks next to the
+    /// site on it exist and are alive in the view.  `None` — a stale route,
+    /// refused — otherwise.  The ends of a trunk always know its state, so a
+    /// route over a dead trunk dies at the trunk, whatever its coordinator
+    /// believed.
+    fn place_on(site: &Site, frame: &ReservationFrame, switches: &[u64]) -> Option<Place> {
+        let at = site.switch;
+        let switch = |i: usize| Some(SwitchId::new(u32::try_from(*switches.get(i)?).ok()?));
+        // The switch at `j`, joined to this one by a trunk alive in its view.
+        let joined = |j: usize| {
+            let other = switch(j)?;
+            let failed = (at.min(other), at.max(other));
+            let alive = !site.view.failed_trunks().any(|t| t == failed);
+            (site.trunk_ends.binary_search(&other).is_ok() && alive).then_some(other)
+        };
+        let (i, last) = (usize::from(frame.hop), switches.len().checked_sub(1)?);
+        let named = |s: &&u64| **s == u64::from(at.get());
+        if last == 0
+            || switch(i) != Some(at)
+            || switches.iter().filter(named).count() != 1
+            || switch(0) != Some(frame.coordinator)
+            || site.view.switch_of(frame.source) != Some(frame.coordinator)
+            || site.view.switch_of(frame.destination) != switch(last)
+        {
+            return None;
         }
-    }
-
-    /// Where a frame walking a candidate route backward goes from position
-    /// `i`: to the switch before it, or straight to the coordinator (hop 0)
-    /// when this site's view knows no such candidate or does not put the
-    /// site at `i` — a view disagreement mid-walk; what the shortcut skips
-    /// is bounded by leases: the sweep reclaims it, and of a key that
-    /// committed meanwhile it keeps only the links on the channel's path.
-    fn step_back(
-        site: &Site,
-        route: Option<&Route>,
-        i: usize,
-        coordinator: SwitchId,
-    ) -> (u8, SwitchId) {
-        route
-            .filter(|r| i > 0 && Self::switch_at(&site.view, r, i) == Some(site.switch))
-            .and_then(|r| Self::switch_at(&site.view, r, i - 1))
-            .map_or((0, coordinator), |before| ((i - 1) as u8, before))
-    }
-
-    /// The switch ids a route crosses, in order: the itinerary a Release
-    /// pass carries in its frame.  Empty for a same-switch route.
-    fn itinerary(route: &Route) -> Vec<u64> {
-        let mut ids = Vec::with_capacity(route.len() - 1);
-        for link in route.iter() {
-            if let HopLink::Trunk { from, to } = link {
-                if ids.is_empty() {
-                    ids.push(u64::from(from.get()));
-                }
-                ids.push(u64::from(to.get()));
-            }
-        }
-        ids
+        let before = if i > 0 { Some(joined(i - 1)?) } else { None };
+        let after = if i < last { Some(joined(i + 1)?) } else { None };
+        Some(Place {
+            hop: frame.hop,
+            before,
+            after,
+        })
     }
 
     /// Enter a committed channel into the registry and its key index.
@@ -837,39 +868,13 @@ impl DistributedChannelManager {
 
     // --- frame construction ----------------------------------------------
 
-    fn reservation_frame(
-        op: ReservationOp,
-        coordination: (&Coordination, SwitchId, u16),
-        hop: u8,
-        values: Vec<u64>,
-    ) -> ReservationFrame {
-        let (coord, coordinator, token) = coordination;
-        ReservationFrame {
-            op,
-            reason: ReservationReason::None,
-            coordinator,
-            token,
-            source: coord.source,
-            destination: coord.destination,
-            request_id: coord.request_id,
-            candidate: coord.candidate as u8,
-            hop,
-            channel: coord.channel,
-            period: coord.spec.period,
-            capacity: coord.spec.capacity,
-            deadline: coord.spec.deadline,
-            values,
-        }
-    }
-
     /// Derive a follow-up frame from a received one, keeping the request
-    /// identity and changing op / hop / values.
+    /// identity and changing op / reason / hop; its `values` start empty.
     fn follow_up(
         received: &ReservationFrame,
         op: ReservationOp,
         reason: ReservationReason,
         hop: u8,
-        values: Vec<u64>,
     ) -> ReservationFrame {
         // Field-by-field rather than `..received.clone()`: the update
         // syntax would clone the received frame's `values` vector (the only
@@ -889,7 +894,7 @@ impl DistributedChannelManager {
             period: received.period,
             capacity: received.capacity,
             deadline: received.deadline,
-            values,
+            values: Vec::new(),
         }
     }
 
@@ -1009,19 +1014,34 @@ impl DistributedChannelManager {
                 }
                 continue;
             }
-            // Multi-switch: append the coordinator's own loads and send the
-            // Probe to the next switch of the sequence.
+            // Multi-switch: the route's switch sequence, then the
+            // coordinator's own loads; the Probe goes to the next switch.
             let site = &mut self.sites[c];
-            let mut values = Vec::with_capacity(route.len());
-            for idx in Self::owned_link_indices(0) {
-                values.push(site.ledger.link_load(route[idx]) as u64);
-            }
-            let next = Self::switch_at(&site.view, route, 1)
-                .expect("a route of more than two links crosses a trunk");
+            let mut values = ReservationFrame::route_values(Self::switches_of(route), 2);
+            values.extend(
+                route[..2]
+                    .iter()
+                    .map(|&link| site.ledger.link_load(link) as u64),
+            );
+            let next = SwitchId::new(values[2] as u32);
             let coord = site.coordination(token)?;
             coord.candidate = n;
-            let coord = (&*coord, coordinator, token);
-            let frame = Self::reservation_frame(ReservationOp::Probe, coord, 1, values);
+            let frame = ReservationFrame {
+                op: ReservationOp::Probe,
+                reason: ReservationReason::None,
+                coordinator,
+                token,
+                source: coord.source,
+                destination: coord.destination,
+                request_id: coord.request_id,
+                candidate: n as u8,
+                hop: 1,
+                channel: None,
+                period: coord.spec.period,
+                capacity: coord.spec.capacity,
+                deadline: coord.spec.deadline,
+                values,
+            };
             return Ok(Self::send(coordinator, next, frame));
         }
         // Every candidate failed: reject, exactly like the central manager
@@ -1097,7 +1117,6 @@ impl DistributedChannelManager {
             token,
             source: request.source,
             spec: request.spec,
-            candidate: coord.candidate as u8,
             expires,
         };
         let dest_switch = self
@@ -1140,10 +1159,8 @@ impl DistributedChannelManager {
     /// Abort an in-flight handshake gracefully at site `s`: release whatever
     /// its key holds here and steer the coordinator to the next candidate
     /// (inline when this site *is* the coordinator, by ReserveFailed
-    /// otherwise).  Used when a frame's geometry no longer matches this
-    /// site's view — legitimate during a link-state convergence window —
-    /// and for the degenerate infeasibility cases.  Reservations the
-    /// direct notification skips are bounded by their leases.
+    /// otherwise).  Reservations the direct notification skips are bounded
+    /// by their leases.
     fn abort_handshake(
         &mut self,
         s: usize,
@@ -1162,95 +1179,101 @@ impl DistributedChannelManager {
             coord.candidate += 1;
             return self.try_candidate(s, frame.token, now);
         }
-        let failed = Self::follow_up(
-            frame,
-            ReservationOp::ReserveFailed,
-            reason,
-            frame.hop,
-            Vec::new(),
-        );
+        let failed = Self::follow_up(frame, ReservationOp::ReserveFailed, reason, frame.hop);
         Ok(Self::send(site.switch, frame.coordinator, failed))
+    }
+
+    /// Send `frame` on as a Rollback for `reason` — to `onward`, `(hop,
+    /// switch)`, or, with nothing onward, back to the coordinator as
+    /// ReserveFailed (`abort_handshake`) — releasing what its key holds here.
+    fn roll_on(
+        &mut self,
+        s: usize,
+        frame: &ReservationFrame,
+        reason: ReservationReason,
+        onward: Option<(u8, SwitchId)>,
+        now: SimTime,
+    ) -> RtResult<ControlOutcome> {
+        let Some((hop, to)) = onward else {
+            return self.abort_handshake(s, frame, reason, now);
+        };
+        let site = &mut self.sites[s];
+        site.release_key(ReservationKey::token(frame.coordinator, frame.token));
+        let rollback = Self::follow_up(frame, ReservationOp::Rollback, reason, hop);
+        Ok(Self::send(site.switch, to, rollback))
     }
 
     /// Probe: append the loads of our owned links; forward, or — at the
     /// destination's access switch — partition the deadline and start the
-    /// backward Reserve pass.  Geometry is re-derived from this site's own
-    /// view; a disagreement with the coordinator's (stale) derivation
-    /// aborts the candidate cleanly — the probe pass reserves nothing, so
-    /// there is nothing to sweep.
+    /// backward Reserve pass.  Where we stand and what we own are read off
+    /// the carried route; a route our own view refuses (`place_on`) aborts
+    /// with `StaleRoute` — the probe pass reserves nothing, so there is
+    /// nothing to sweep.
     fn on_probe(
         &mut self,
         s: usize,
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let (site, routes) = (&self.sites[s], &mut self.routes);
-        let (at, i) = (site.switch, usize::from(frame.hop));
-        // The geometry check: a probe a stale coordinator routed over one of
-        // our dead trunks dies here.  We are always current about our own
-        // trunks (the switches adjacent to a cut update their views the
-        // instant it happens), so our view derives another candidate, one
-        // that does not put us at this position — or none at all.
-        let placed = |route: &&Route| Self::switch_at(&site.view, route, i) == Some(at);
-        let Some(route) = routes.route_for(&site.view, frame).filter(placed) else {
-            return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
+        let (site, at) = (&self.sites[s], self.sites[s].switch);
+        let (switches, loads) = frame.carried_route()?;
+        // What the positions before ours own: two links at 0, one after it.
+        let owned_before = match frame.hop {
+            0 => 0,
+            hop => usize::from(hop) + 1,
         };
-        let own_loads = Self::owned_link_indices(i).map(|idx| site.ledger.link_load(route[idx]));
-        if let Some(next) = Self::switch_at(&site.view, route, i + 1) {
-            // No liveness check: a view never routes over a trunk it lacks
-            // (`prop_candidates_cross_only_trunks_their_own_view_has`).
-            debug_assert!(
-                site.view.has_trunk(at, next),
-                "{at}'s own route crosses a dead trunk"
-            );
-            let mut values = Vec::with_capacity(route.len());
+        if loads.len() != owned_before {
+            let count = loads.len();
+            let e = format!("Probe at hop {} carries {count} loads", frame.hop);
+            return Err(RtError::ProtocolViolation(e));
+        }
+        let Some(place) = Self::place_on(site, frame, switches) else {
+            return self.abort_handshake(s, frame, ReservationReason::StaleRoute, now);
+        };
+        let owned = place.owned(at, frame.source, frame.destination);
+        let own_loads = owned.map(|(_, link)| site.ledger.link_load(link));
+        if let Some(next) = place.after {
+            let mut values = Vec::with_capacity(frame.values.len() + 2);
             values.extend_from_slice(&frame.values);
             values.extend(own_loads.map(|load| load as u64));
-            let forwarded = Self::follow_up(
-                frame,
-                ReservationOp::Probe,
-                ReservationReason::None,
-                frame.hop + 1,
-                values,
-            );
+            let none = ReservationReason::None;
+            let mut forwarded = Self::follow_up(frame, ReservationOp::Probe, none, place.hop + 1);
+            forwarded.values = values;
             return Ok(Self::send(at, next, forwarded));
         }
-        // Last switch: all loads collected — partition and start Reserve.
+        // Last switch: all loads collected — partition, the split going
+        // straight after the route in the Reserve list, and start Reserve.
         let spec = RtChannelSpec::new(frame.period, frame.capacity, frame.deadline)?;
-        let deadlines = with_slots(route.len(), 0, |loads| {
-            let collected = frame.values.iter().map(|&v| v as usize);
-            for (slot, load) in loads.iter_mut().zip(collected.chain(own_loads)) {
+        let links = switches.len() + 1;
+        let mut values = ReservationFrame::route_values(switches.iter().copied(), links);
+        let split = with_slots(links, 0, |all| {
+            let collected = loads.iter().map(|&v| v as usize);
+            for (slot, load) in all.iter_mut().zip(collected.chain(own_loads)) {
                 *slot = load;
             }
-            self.dps.partition(&spec, route, loads)
+            self.dps.partition_into(&spec, all, &mut values)
         });
-        let Ok(deadlines) = deadlines else {
-            // The candidate cannot even be partitioned: tell the
-            // coordinator to move on.  Nothing was reserved anywhere.
+        if split.is_err() {
+            // Not even partitionable: nothing was reserved anywhere.
             return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
-        };
-        // No relay state yet: it is registered — keyed by the then-known
-        // channel id — only once the whole route is reserved
-        // (`complete_reservation`), so failed candidates leave nothing to
-        // clean up here.  The split becomes the frame's list in place.
-        let reserve = Self::follow_up(
-            frame,
-            ReservationOp::Reserve,
-            ReservationReason::None,
-            frame.hop,
-            deadlines.into_iter().map(Slots::get).collect(),
-        );
-        // Process our own (last-hop) reserve step inline — same switch, no
-        // wire hop — then the frame, handed over whole, travels backward.
+        }
+        // No relay state yet: it is registered only once the whole route is
+        // reserved (`complete_reservation`).  Our own step runs inline, then
+        // the frame, handed over whole, travels backward.
+        let none = ReservationReason::None;
+        let mut reserve = Self::follow_up(frame, ReservationOp::Reserve, none, frame.hop);
+        reserve.values = values;
         self.on_reserve(s, Cow::Owned(reserve), now)
     }
 
-    /// Reserve: feasibility-test and reserve our owned links; forward
-    /// backward, or complete at the coordinator.  On failure, roll back the
-    /// switches that already reserved (they sit *behind* us on the backward
-    /// pass) and have the destination switch notify the coordinator.  The
-    /// frame is borrowed when it came off the wire and owned when the last
-    /// Probe hop built it, which then forwards it without a copy.
+    /// Reserve: feasibility-test and reserve our owned links, read off the
+    /// carried route, recording where we stand on it; forward backward, or
+    /// complete at the coordinator.  Refused — the test failed, or our view
+    /// refuses the route — nothing is left under the key here, and a
+    /// Rollback sweeps the switches after us, which reserved before us,
+    /// up to the destination's access switch, which answers ReserveFailed.
+    /// The frame is borrowed when it came off the wire and owned when the
+    /// last Probe hop built it, which then forwards it without a copy.
     fn on_reserve(
         &mut self,
         s: usize,
@@ -1258,83 +1281,67 @@ impl DistributedChannelManager {
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         let expires = now.saturating_add(LEASE_DURATION);
-        let (site, routes) = (&mut self.sites[s], &mut self.routes);
-        let (at, i) = (site.switch, usize::from(frame.hop));
-        // The geometry check: our view must derive the geometry the probe
-        // pass did — abort rather than reserve on links the deadlines were
-        // not partitioned for.  This is also what stops a stale
-        // coordinator's candidate over one of our dead trunks, as in
-        // `on_probe`.
-        let view = &site.view;
-        let placed = |route: &&Route| {
-            Self::switch_at(view, route, i) == Some(at) && frame.values.len() == route.len()
+        let (switches, deadlines) = frame.carried_route()?;
+        if deadlines.len() != switches.len() + 1 {
+            let e = format!("Reserve over {switches:?} carries {deadlines:?}");
+            return Err(RtError::ProtocolViolation(e));
+        }
+        let Some(place) = Self::place_on(&self.sites[s], &frame, switches) else {
+            let hop = frame.hop.saturating_add(1);
+            let after = switches
+                .get(usize::from(hop))
+                .and_then(|&id| u32::try_from(id).ok());
+            let onward = after.map(|id| (hop, SwitchId::new(id)));
+            return self.roll_on(s, &frame, ReservationReason::StaleRoute, onward, now);
         };
-        let Some(route) = routes.route_for(view, &frame).filter(placed) else {
-            return self.abort_handshake(s, &frame, ReservationReason::Infeasible, now);
-        };
-        let spec = RtChannelSpec::new(frame.period, frame.capacity, frame.deadline)?;
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        // No liveness check either: our own view's route crosses live trunks.
-        debug_assert!(
-            Self::owned_link_indices(i).all(|idx| match route[idx] {
-                HopLink::Trunk { from, to } => view.has_trunk(from, to),
-                _ => true,
-            }),
-            "{at}'s own route crosses a dead trunk"
-        );
-        let tasks = Self::owned_link_indices(i).map(|idx| {
-            let deadline = Slots::new(frame.values[idx]);
-            let task = PeriodicTask::new(spec.period, spec.capacity, deadline);
-            (route[idx], task.ok())
-        });
-        if site.reserve_step(key, tasks, expires) {
-            if i > 0 {
-                let before = Self::switch_at(&site.view, route, i - 1)
-                    .expect("a position past the first has a predecessor");
-                let mut backward = frame.into_owned();
-                backward.reason = ReservationReason::None;
-                backward.hop -= 1;
-                return Ok(Self::send(at, before, backward));
-            }
-            // hop 0: the coordinator itself just reserved — the route is
-            // fully held.
-            let token = frame.token;
-            let Some(coord) = site.coordinations.get_mut(&token) else {
+        let site = &mut self.sites[s];
+        let at = site.switch;
+        if place.before.is_none() {
+            // The coordinator's own step completes the candidate its
+            // coordination is trying, and no other.
+            let Some(coord) = site.coordinations.get(&frame.token) else {
                 // The coordination timed out while the backward pass was in
-                // flight; the requester was already answered.  Drop our own
-                // step again — everything behind us is lease-bounded.
+                // flight; the requester was already answered.  Everything
+                // behind us is lease-bounded.
                 site.release_key(key);
                 return Ok(ControlOutcome::empty());
             };
-            let deadlines = frame.into_owned().values.into_iter().map(Slots::new);
-            coord.deadlines = Some(deadlines.collect());
-            return self.complete_reservation(s, token, now);
+            let trying = coord.candidates.get(coord.candidate);
+            if !trying.is_some_and(|route| Self::switches_of(route).eq(switches.iter().copied())) {
+                let e = format!("Reserve off {at}'s candidate for token {}", frame.token);
+                return Err(RtError::ProtocolViolation(e));
+            }
         }
-        // Infeasible here: the step left nothing under the key; sweep the
-        // switches that already reserved (i+1 ..= last) with a Rollback; the
-        // destination switch then answers ReserveFailed to the coordinator.
-        if let Some(behind) = Self::switch_at(&site.view, route, i + 1) {
-            let rollback = Self::follow_up(
-                &frame,
-                ReservationOp::Rollback,
-                ReservationReason::Infeasible,
-                frame.hop + 1,
-                Vec::new(),
-            );
-            return Ok(Self::send(at, behind, rollback));
+        let spec = RtChannelSpec::new(frame.period, frame.capacity, frame.deadline)?;
+        let task = |d| PeriodicTask::new(spec.period, spec.capacity, Slots::new(d)).ok();
+        let owned = place.owned(at, frame.source, frame.destination);
+        let tasks = owned.map(|(idx, link)| (link, task(deadlines[idx])));
+        if !site.reserve_step(key, tasks, place, expires) {
+            let onward = place.after.map(|after| (place.hop + 1, after));
+            return self.roll_on(s, &frame, ReservationReason::Infeasible, onward, now);
         }
-        // We *are* the destination switch (only possible when the reserve
-        // failed on its very first step; no relay state exists yet — it is
-        // only registered at commit time), or the degenerate single-switch
-        // coordinator: notify / advance directly.
-        self.abort_handshake(s, &frame, ReservationReason::Infeasible, now)
+        if let Some(before) = place.before {
+            let mut backward = frame.into_owned();
+            backward.hop = place.hop - 1;
+            return Ok(Self::send(at, before, backward));
+        }
+        // hop 0: the coordinator itself just reserved — the route is fully
+        // held.
+        let coord = site.coordination(frame.token)?;
+        coord.deadlines = Some(deadlines.iter().map(|&d| Slots::new(d)).collect());
+        self.complete_reservation(s, frame.token, now)
     }
 
-    /// Rollback: release whatever this reservation holds here, then keep
-    /// sweeping.  `Infeasible` rollbacks ascend towards the destination
-    /// switch (which then answers ReserveFailed); `DestinationRejected`
-    /// rollbacks descend towards the coordinator (which then answers the
-    /// source).
+    /// Rollback: release whatever this reservation holds here and walk on
+    /// from where the key's record says this site stood.  `Infeasible` and
+    /// `StaleRoute` rollbacks ascend towards the destination switch (which
+    /// then answers ReserveFailed); `DestinationRejected` rollbacks descend
+    /// towards the coordinator (which then answers the source).  A site
+    /// whose record its lease already took cannot walk on: an ascending
+    /// sweep ends there — the switches past it reserved earlier, so their
+    /// leases ran out first — and a descending one goes straight to the
+    /// coordinator, leaving what it skips to the leases.
     fn on_rollback(
         &mut self,
         s: usize,
@@ -1342,54 +1349,26 @@ impl DistributedChannelManager {
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        let (site, routes) = (&mut self.sites[s], &mut self.routes);
-        site.release_key(key);
-        let route = routes.route_for(&site.view, frame);
-        let (at, i) = (site.switch, usize::from(frame.hop));
-        match frame.reason {
-            ReservationReason::Infeasible => {
-                let onward = route
-                    .filter(|r| Self::switch_at(&site.view, r, i) == Some(at))
-                    .and_then(|r| Self::switch_at(&site.view, r, i + 1));
-                let Some(behind) = onward else {
-                    // Destination switch (or a view disagreement that stops
-                    // the sweep — leases bound whatever it would have
-                    // reclaimed): tell the coordinator to try the next
-                    // candidate.  No relay state exists for a
-                    // never-committed reservation.
-                    return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
-                };
-                let rollback = Self::follow_up(
-                    frame,
-                    ReservationOp::Rollback,
-                    frame.reason,
-                    frame.hop + 1,
-                    Vec::new(),
-                );
-                Ok(Self::send(at, behind, rollback))
+        let site = &mut self.sites[s];
+        let place = site.held.get(&key).map(|held| held.place);
+        let onward = match frame.reason {
+            ReservationReason::Infeasible | ReservationReason::StaleRoute => {
+                place.and_then(|p| Some((p.hop + 1, p.after?)))
             }
-            ReservationReason::DestinationRejected => {
-                if at == frame.coordinator {
-                    // The whole-route release is complete; answer the
-                    // source.  The consumed channel id is not reused —
-                    // exactly the central manager's behaviour on a
-                    // destination rejection.
-                    return self.finish_destination_reject(s, frame.token);
-                }
-                let (hop, to) = Self::step_back(site, route, i, frame.coordinator);
-                let rollback = Self::follow_up(
-                    frame,
-                    ReservationOp::Rollback,
-                    frame.reason,
-                    hop,
-                    Vec::new(),
-                );
-                Ok(Self::send(at, to, rollback))
+            ReservationReason::DestinationRejected if site.switch == frame.coordinator => {
+                // The whole-route release is complete; answer the source.
+                // The consumed channel id is not reused — exactly the
+                // central manager's behaviour on a destination rejection.
+                site.release_key(key);
+                return self.finish_destination_reject(s, frame.token);
             }
-            ReservationReason::None | ReservationReason::LeaseExpired => Err(
-                RtError::ProtocolViolation("rollback without a cause".into()),
-            ),
-        }
+            ReservationReason::DestinationRejected => Some(Place::back(place, frame.coordinator)),
+            ReservationReason::None | ReservationReason::LeaseExpired => {
+                let e = "rollback without a cause".into();
+                return Err(RtError::ProtocolViolation(e));
+            }
+        };
+        self.roll_on(s, frame, frame.reason, onward, now)
     }
 
     fn finish_destination_reject(&mut self, c: usize, token: u16) -> RtResult<ControlOutcome> {
@@ -1406,11 +1385,11 @@ impl DistributedChannelManager {
     }
 
     /// ReserveFailed (direct to the coordinator): the current candidate is
-    /// dead and its rollback has completed — try the next one.  A
-    /// `LeaseExpired` reason means a lease expired *under the Confirm
-    /// walk*: the admission is torn, the requester gets a rejection, and
-    /// nothing is resurrected (expired slack is already reclaimed, live
-    /// leases will expire on their own).
+    /// infeasible or stale and its rollback has completed — try the next
+    /// one.  A `LeaseExpired` reason means a lease expired *under the
+    /// Confirm walk*: the admission is torn, the requester gets a
+    /// rejection, and nothing is resurrected (expired slack is already
+    /// reclaimed, live leases will expire on their own).
     fn on_reserve_failed(
         &mut self,
         s: usize,
@@ -1443,11 +1422,12 @@ impl DistributedChannelManager {
     }
 
     /// Confirm: the destination accepted.  The frame walks the admitted
-    /// route *backward* from the destination's access switch; every site
-    /// renews (attests) its lease on the way — a site whose lease already
-    /// expired answers `ReserveFailed(LeaseExpired)` instead, and the
-    /// admission is torn down rather than resurrected.  At the coordinator
-    /// (hop 0) the channel commits.
+    /// route *backward* from the destination's access switch, each site
+    /// sending it to the switch its record names before it and renewing
+    /// (attesting) its lease on the way — a site whose lease already expired
+    /// answers `ReserveFailed(LeaseExpired)` instead, and the admission is
+    /// torn down rather than resurrected.  At the coordinator the channel
+    /// commits.
     fn on_confirm(
         &mut self,
         s: usize,
@@ -1461,27 +1441,15 @@ impl DistributedChannelManager {
             return self.commit_confirmed(s, frame.token);
         }
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        if !site.renew_lease(key, expires) {
+        let Some(place) = site.renew_lease(key, expires) else {
             // Our lease expired before the Confirm arrived: the slack is
             // already reclaimed — never resurrect it.
-            let failed = Self::follow_up(
-                frame,
-                ReservationOp::ReserveFailed,
-                ReservationReason::LeaseExpired,
-                frame.hop,
-                Vec::new(),
-            );
+            let reason = ReservationReason::LeaseExpired;
+            let failed = Self::follow_up(frame, ReservationOp::ReserveFailed, reason, frame.hop);
             return Ok(Self::send(at, frame.coordinator, failed));
-        }
-        let route = self.routes.route_for(&site.view, frame);
-        let (hop, to) = Self::step_back(site, route, usize::from(frame.hop), frame.coordinator);
-        let onward = Self::follow_up(
-            frame,
-            ReservationOp::Confirm,
-            ReservationReason::None,
-            hop,
-            Vec::new(),
-        );
+        };
+        let (hop, to) = Place::back(Some(place), frame.coordinator);
+        let onward = Self::follow_up(frame, ReservationOp::Confirm, ReservationReason::None, hop);
         Ok(Self::send(at, to, onward))
     }
 
@@ -1501,19 +1469,13 @@ impl DistributedChannelManager {
             let rejection = self.rejection(&coord, coord.channel);
             return Ok(Self::emit(coordinator, rejection));
         }
-        let id = coord.channel.ok_or_else(|| {
-            RtError::ProtocolViolation("Confirm for a reservation without a channel id".into())
-        })?;
-        let path = coord
-            .candidates
-            .get(coord.candidate)
-            .cloned()
-            .ok_or_else(|| {
-                RtError::ProtocolViolation("Confirm for a reservation without a route".into())
-            })?;
-        let link_deadlines = coord.deadlines.take().ok_or_else(|| {
-            RtError::ProtocolViolation("Confirm for a reservation without deadlines".into())
-        })?;
+        let path = coord.candidates.get(coord.candidate).cloned();
+        let (Some(id), Some(path), Some(link_deadlines)) =
+            (coord.channel, path, coord.deadlines.take())
+        else {
+            let e = "Confirm for a reservation without a channel id, route or deadlines";
+            return Err(RtError::ProtocolViolation(e.into()));
+        };
         self.register(DistChannel {
             route: ChannelRoute {
                 id,
@@ -1531,10 +1493,11 @@ impl DistributedChannelManager {
     }
 
     /// The destination node answered: its access switch relays the verdict
-    /// — Confirm on accept, a descending rollback on reject.  The relay
-    /// state is matched by the channel id the destination echoed back (the
-    /// one key that is unique fabric-wide even under concurrent admissions
-    /// from different sources).
+    /// — a Confirm on accept, a descending `DestinationRejected` Rollback on
+    /// reject — as if that frame had reached it, the route's last switch.
+    /// The relay state is matched by the channel id the destination echoed
+    /// back (the one key that is unique fabric-wide even under concurrent
+    /// admissions from different sources).
     fn on_response(
         &mut self,
         s: usize,
@@ -1545,24 +1508,28 @@ impl DistributedChannelManager {
         let channel = resp.rt_channel_id.ok_or_else(|| {
             RtError::ProtocolViolation("destination response carries no RT channel id".into())
         })?;
-        let expires = now.saturating_add(LEASE_DURATION);
-        let site = &mut self.sites[s];
-        let at = site.switch;
         // No relay entry: it was garbage-collected — the handshake stalled
         // past its lease and the coordination timeout already answered the
         // requester.  A late destination verdict changes nothing.
-        let Some(pending) = site.expecting.remove(&channel.get()) else {
+        let Some(pending) = self.sites[s].expecting.remove(&channel.get()) else {
             return Ok(ControlOutcome::empty());
         };
-        let mut notice = ReservationFrame {
-            op: ReservationOp::Confirm,
-            reason: ReservationReason::None,
+        let (op, reason) = match resp.verdict.is_accepted() {
+            true => (ReservationOp::Confirm, ReservationReason::None),
+            false => (
+                ReservationOp::Rollback,
+                ReservationReason::DestinationRejected,
+            ),
+        };
+        let notice = ReservationFrame {
+            op,
+            reason,
             coordinator: pending.coordinator,
             token: pending.token,
             source: pending.source,
             destination: from,
             request_id: resp.connection_request_id,
-            candidate: pending.candidate,
+            candidate: 0,
             hop: 0,
             channel: resp.rt_channel_id,
             period: pending.spec.period,
@@ -1570,40 +1537,41 @@ impl DistributedChannelManager {
             deadline: pending.spec.deadline,
             values: Vec::new(),
         };
-        let key = ReservationKey::token(pending.coordinator, pending.token);
-        if resp.verdict.is_accepted() {
-            if at == pending.coordinator {
-                return self.commit_confirmed(s, pending.token);
-            }
-            // Renew (attest) our lease and start the backward Confirm walk
-            // at our predecessor on the route.
-            if !site.renew_lease(key, expires) {
-                // Our own lease expired while the destination deliberated:
-                // the slack is reclaimed — tear the admission down.
-                notice.op = ReservationOp::ReserveFailed;
-                notice.reason = ReservationReason::LeaseExpired;
-                return Ok(Self::send(at, pending.coordinator, notice));
-            }
-        } else {
-            // Destination refused: release the whole route, ending at the
-            // coordinator which answers the source.
-            site.release_key(key);
-            if at == pending.coordinator {
-                return self.finish_destination_reject(s, pending.token);
-            }
-            notice.op = ReservationOp::Rollback;
-            notice.reason = ReservationReason::DestinationRejected;
-        }
-        // Either way the notice walks the route backward from its last
-        // position, which is ours.
-        let route = self.routes.route_for(&site.view, &notice);
-        let last = route.map_or(0, |r| r.len() - 2);
-        let (hop, to) = Self::step_back(site, route, last, pending.coordinator);
-        notice.hop = hop;
-        Ok(Self::send(at, to, notice))
+        self.on_reservation(s, &notice, now)
     }
 
     // --- tear-down --------------------------------------------------------
+
+    /// The Release pass over `path` under `coordinator`'s `token`, sent by
+    /// the route's first switch to its second: the itinerary travels in the
+    /// frame, so the route is released even if the topology has changed
+    /// since.  `None` for a same-switch route.
+    fn release_pass(
+        (coordinator, token): (SwitchId, u16),
+        spec: &RtChannelSpec,
+        channel: Option<ChannelId>,
+        path: &Route,
+    ) -> Option<(SwitchId, SwitchAction)> {
+        let itinerary: Vec<u64> = Self::switches_of(path).collect();
+        let to = SwitchId::new(*itinerary.get(1)? as u32);
+        let frame = ReservationFrame {
+            op: ReservationOp::Release,
+            reason: ReservationReason::None,
+            coordinator,
+            token,
+            source: path.source(),
+            destination: path.destination(),
+            request_id: ConnectionRequestId::new(0),
+            candidate: 0,
+            hop: 1,
+            channel,
+            period: spec.period,
+            capacity: spec.capacity,
+            deadline: spec.deadline,
+            values: itinerary,
+        };
+        Some((coordinator, SwitchAction::SendControl { to, frame }))
+    }
 
     /// A TeardownFrame arrived at the channel's coordinator (the source's
     /// access switch): release locally and send the Release pass down the
@@ -1612,35 +1580,12 @@ impl DistributedChannelManager {
         let dist = self
             .unregister(channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
-        let site = &mut self.sites[s];
-        site.release_key(dist.key());
-        let mut emissions = Vec::new();
+        self.sites[s].release_key(dist.key());
         let channel = &dist.route;
-        if channel.path.len() > 2 {
-            // The itinerary travels in the frame: the admitted route must
-            // be released even if the topology has changed since.
-            let itinerary = Self::itinerary(&channel.path);
-            let next = SwitchId::new(itinerary[1] as u32);
-            let frame = ReservationFrame {
-                op: ReservationOp::Release,
-                reason: ReservationReason::None,
-                coordinator: dist.coordinator,
-                token: dist.token,
-                source: channel.source,
-                destination: channel.destination,
-                request_id: ConnectionRequestId::new(0),
-                candidate: 0,
-                hop: 1,
-                channel: Some(channel.id),
-                period: channel.spec.period,
-                capacity: channel.spec.capacity,
-                deadline: channel.spec.deadline,
-                values: itinerary,
-            };
-            emissions.push((site.switch, SwitchAction::SendControl { to: next, frame }));
-        }
+        let holder = (dist.coordinator, dist.token);
+        let release = Self::release_pass(holder, &channel.spec, Some(channel.id), &channel.path);
         Ok(ControlOutcome {
-            emissions,
+            emissions: release.into_iter().collect(),
             released: vec![ReleasedChannel {
                 id: channel.id,
                 destination: channel.destination,
@@ -1656,13 +1601,9 @@ impl DistributedChannelManager {
         let Some(&next) = frame.values.get(usize::from(frame.hop) + 1) else {
             return Ok(ControlOutcome::empty());
         };
-        let onward = Self::follow_up(
-            frame,
-            ReservationOp::Release,
-            ReservationReason::None,
-            frame.hop + 1,
-            frame.values.clone(),
-        );
+        let mut onward =
+            Self::follow_up(frame, ReservationOp::Release, frame.reason, frame.hop + 1);
+        onward.values = frame.values.clone();
         Ok(Self::send(site.switch, SwitchId::new(next as u32), onward))
     }
 
@@ -1750,9 +1691,11 @@ impl DistributedChannelManager {
                 None => {
                     let own = Arc::make_mut(&mut self.sites[s].view);
                     if alive {
-                        own.repair_trunk(a, b).expect("the trunk is failed");
+                        own.repair_trunk(a, b)
+                            .expect("`changes`: failed in this very view");
                     } else {
-                        own.fail_trunk(a, b).expect("the trunk is healthy");
+                        own.fail_trunk(a, b)
+                            .expect("`changes`: alive in this very view");
                     }
                 }
             }
@@ -1812,6 +1755,38 @@ impl DistributedChannelManager {
         }
     }
 
+    /// Abort the handshakes in flight over trunks that just died — the keys
+    /// of no committed channel in the books of a dead trunk's owners — as
+    /// part of the adjacent switches' recovery decision: a handshake past
+    /// its Reserve step there would otherwise commit over the dead trunk,
+    /// and the fail-over moves committed channels only.  Each coordination
+    /// ends at once, its requester's rejection queued with the flood, its
+    /// coordinator's own hold released; what it holds elsewhere is
+    /// lease-bounded, as a timed-out handshake's is.
+    fn abort_handshakes_over(&mut self, cut: &[(SwitchId, SwitchId)]) {
+        let mut on_dead = Vec::new();
+        for (from, to) in cut.iter().flat_map(|&(a, b)| [(a, b), (b, a)]) {
+            let trunk = HopLink::Trunk { from, to };
+            if let Some(owner) = self.owner_slot(trunk) {
+                on_dead.extend(self.sites[owner].ledger.keys_on(trunk));
+            }
+        }
+        // A committed channel's key leads no coordination any more.
+        for key in on_dead {
+            let ReservationKey::Token(at, token) = key else {
+                continue;
+            };
+            let at = SwitchId::new(at);
+            let Ok(c) = self.slot(at) else { continue };
+            let Some(coord) = self.sites[c].coordinations.remove(&token) else {
+                continue;
+            };
+            self.sites[c].release_key(key);
+            let rejection = self.rejection(&coord, coord.channel);
+            self.pending_control.push((at, rejection));
+        }
+    }
+
     // --- time-driven reclamation ------------------------------------------
 
     /// Sweep one site's clock-driven state at `now` (`Site::sweep`): expired
@@ -1845,21 +1820,11 @@ impl DistributedChannelManager {
             return Vec::new();
         };
         site.release_key(ReservationKey::token(coordinator, token));
-        let mut emissions = Vec::new();
-        if let Some(route) = coord.candidates.get(coord.candidate) {
-            if route.len() > 2 {
-                let frame = Self::reservation_frame(
-                    ReservationOp::Release,
-                    (&coord, coordinator, token),
-                    1,
-                    Self::itinerary(route),
-                );
-                let to = SwitchId::new(frame.values[1] as u32);
-                emissions.push((coordinator, SwitchAction::SendControl { to, frame }));
-            }
-        }
-        emissions.push((coordinator, self.rejection(&coord, coord.channel)));
-        emissions
+        let route = coord.candidates.get(coord.candidate);
+        let holder = (coordinator, token);
+        let release = route.and_then(|r| Self::release_pass(holder, &coord.spec, coord.channel, r));
+        let rejection = (coordinator, self.rejection(&coord, coord.channel));
+        release.into_iter().chain([rejection]).collect()
     }
 }
 
@@ -2008,6 +1973,7 @@ impl ChannelManager for DistributedChannelManager {
     fn handle_link_failure(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
         self.topology.fail_trunk(from, to)?;
         self.originate_link_state(&[(from, to)], false, None);
+        self.abort_handshakes_over(&[(from, to)]);
         Ok(fault::fail_over(self, &[(from, to)], (from, to)))
     }
 
@@ -2028,6 +1994,7 @@ impl ChannelManager for DistributedChannelManager {
             self.sites[s].coordinations.clear();
             self.sites[s].expecting.clear();
         }
+        self.abort_handshakes_over(&cut);
         Ok(fault::fail_over(self, &cut, (switch, switch)))
     }
 

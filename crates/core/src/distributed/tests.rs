@@ -2,6 +2,7 @@
 //! public accessor shows: what the manager-level releases leave behind, site
 //! by site, and what the records cost.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use rt_frames::codec::TeardownFrame;
@@ -10,8 +11,8 @@ use rt_types::{RoutePolicy, ShortestPathRouter};
 
 use super::*;
 use crate::fault::tests::{
-    assert_ascending_across_the_wrap, reuse_ids_across_the_wrap, seen_on_primary, CountingRouter,
-    Fault, Walked,
+    assert_ascending_across_the_wrap, fault_walk, reuse_ids_across_the_wrap, seen_on_primary,
+    CountingRouter, Fault, WalkTally, Walked,
 };
 
 /// Deliver `first` and everything it sets off, switch to switch, at time
@@ -215,9 +216,19 @@ fn path_local_release_leaves_no_key_behind_at_any_site() {
 
 // --- the fault engine under the distributed manager -------------------------
 
+thread_local! {
+    /// When set, the seed of the order [`Walked::ask`] delivers in, and the
+    /// floods of the walk's faults wait for the next request, whose
+    /// deliveries they race, instead of converging in [`Walked::audit`].
+    static SHUFFLE: Cell<Option<u64>> = const { Cell::new(None) };
+    /// The `StaleRoute` refusals shuffled requests met.
+    static STALE: Cell<usize> = const { Cell::new(0) };
+}
+
 /// The distributed manager under `fault::tests`' walk: requests over the wire
 /// protocol, teardowns alternately over the wire and through the API, every
-/// link-state flood carried to convergence before the books are looked at.
+/// link-state flood carried to convergence before the books are looked at —
+/// or, shuffled, raced by the next request.
 impl Walked for DistributedChannelManager {
     fn build(topology: &Topology, router: Arc<dyn Router>) -> Self {
         DistributedChannelManager::new(topology.clone(), MultiHopDps::Asymmetric, router)
@@ -236,8 +247,26 @@ impl Walked for DistributedChannelManager {
             request_id: ConnectionRequestId::new(0),
         };
         let access = self.topology.switch_of(source).expect("attached");
-        let verdict = pump(self, (access, source, Frame::Request(request.to_frame())));
-        let admitted = verdict.expect("every request is answered");
+        let first = (access, source, Frame::Request(request.to_frame()));
+        let admitted = match SHUFFLE.get() {
+            None => pump(self, first).expect("every request is answered"),
+            // The manager and its oracle twin are in one state here, so the
+            // token they are about to hand out salts the same order for both.
+            Some(seed) => {
+                let (salt, mut step) = (u64::from(self.next_token) << 32, 0);
+                let pick = |n: usize| {
+                    step += 1;
+                    Xoshiro256::new(seed ^ salt ^ step).below(n as u64) as usize
+                };
+                let floods = |manager: &mut Self, step| match step {
+                    0 => manager.drain_control(),
+                    _ => Vec::new(),
+                };
+                let heard = explore(self, vec![first], pick, floods);
+                STALE.set(STALE.get() + heard.stale);
+                heard.one_each(1)[0]
+            }
+        };
         Ok(admitted.map(|id| self.registry[&id.get()].route.clone()))
     }
 
@@ -262,6 +291,7 @@ impl Walked for DistributedChannelManager {
             Fault::Cut(a, b) => {
                 self.topology.fail_trunk(a, b)?;
                 self.originate_link_state(&[(a, b)], false, None);
+                self.abort_handshakes_over(&[(a, b)]);
                 vec![(a, b)]
             }
             Fault::Repair(a, b) => {
@@ -275,13 +305,16 @@ impl Walked for DistributedChannelManager {
                 let dead = self.slot(switch)?;
                 self.sites[dead].coordinations.clear();
                 self.sites[dead].expecting.clear();
+                self.abort_handshakes_over(&cut);
                 cut
             }
         })
     }
 
     fn audit(&mut self) -> usize {
-        flood(self);
+        if SHUFFLE.get().is_none() {
+            flood(self);
+        }
         assert_sites_match_channels(self, &[]);
         // Let the leases the Confirm walks renewed run out (a committed
         // channel only loses the leftover lease), then the manager's own
@@ -735,23 +768,16 @@ fn sites_sharing_a_view_call_the_router_once_per_pair_per_fabric_state() {
     );
 }
 
-/// A committed key's leftover does not outlive its channel.  A Rollback that
-/// a view disagreement stops early leaves the failed candidate's reservations
-/// past the disagreeing site in place, lease-bounded; when the next candidate
-/// then commits under the same key, a sweep at expiry must reclaim those —
-/// they lie on no link of the channel's path, so its teardown will never
-/// visit them — instead of sparing the key wholesale and keeping them for
-/// good.  Reached through `handle_frame_at` alone, one site's view moved by
-/// a hand-delivered `LinkState` frame.
-#[test]
-fn a_committed_keys_leftover_does_not_outlive_its_channel() {
-    // Switch 0 to switch 4 two ways: 0-1-2-3-4 (candidate 0) and
-    // 0-5-6-7-8-4 (candidate 1).  Node s sits on switch s.
+/// Switch 0 to switch 4 two ways: 0-1-2-3-4 (the primary) and 0-5-6-7-8-4
+/// (the detour).  Nodes `s` and `100 + s` sit on switch `s`; the router
+/// offers both paths (`KShortest { k: 2 }`).
+fn two_paths() -> DistributedChannelManager {
     let sw = SwitchId::new;
     let mut topology = Topology::new();
     for s in 0..9 {
         topology.add_switch(sw(s));
         topology.attach_node(NodeId::new(s), sw(s)).unwrap();
+        topology.attach_node(NodeId::new(100 + s), sw(s)).unwrap();
     }
     for (a, b) in [
         (0, 1),
@@ -766,33 +792,55 @@ fn a_committed_keys_leftover_does_not_outlive_its_channel() {
     ] {
         topology.add_trunk(sw(a), sw(b)).unwrap();
     }
-    let router = Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
-        k: 2,
-    }));
-    let mut manager = DistributedChannelManager::new(topology, MultiHopDps::Asymmetric, router);
-    let ask = |source: u32, destination: u32, deadline: u64, id: u8| {
-        let spec = RtChannelSpec::new(Slots::new(100), Slots::new(30), Slots::new(deadline));
-        let request = ChannelRequest {
-            source: NodeId::new(source),
-            destination: NodeId::new(destination),
-            spec: spec.unwrap(),
-            request_id: ConnectionRequestId::new(id),
-        };
-        (
-            sw(source),
-            NodeId::new(source),
-            Frame::Request(request.to_frame()),
-        )
+    let policy = RoutePolicy::KShortest { k: 2 };
+    let router = Arc::new(ShortestPathRouter::with_policy(policy));
+    DistributedChannelManager::new(topology, MultiHopDps::Asymmetric, router)
+}
+
+/// The request frame of `source` for `{P 100, C c, d deadline}`, as its
+/// access switch receives it.
+fn request_frame(
+    manager: &DistributedChannelManager,
+    (source, destination): (u32, u32),
+    (capacity, deadline): (u64, u64),
+    id: u8,
+) -> (SwitchId, NodeId, Frame) {
+    let spec = RtChannelSpec::new(Slots::new(100), Slots::new(capacity), Slots::new(deadline));
+    let request = ChannelRequest {
+        source: NodeId::new(source),
+        destination: NodeId::new(destination),
+        spec: spec.unwrap(),
+        request_id: ConnectionRequestId::new(id),
     };
+    let access = manager.topology.switch_of(request.source).unwrap();
+    (access, request.source, Frame::Request(request.to_frame()))
+}
+
+/// Move the clock through every lease and timeout the manager holds, each
+/// sweep sending nothing.
+fn tick_out(manager: &mut DistributedChannelManager) {
+    while let Some(due) = manager.next_timeout() {
+        assert!(manager.on_tick(due).unwrap().emissions.is_empty());
+    }
+}
+
+/// A Rollback walks on from the record its key's Reserve step left, not from
+/// the site's view: candidate 0 is reserved backward from switch 4 to switch
+/// 2 and refused at switch 1; switch 2 hears of a cut of 2-3 just before the
+/// Rollback reaches it, and the Rollback still sweeps switches 3 and 4 at
+/// once.  Candidate 1 then commits, and the sites hold exactly what the
+/// channels say before any lease runs out.
+#[test]
+fn a_view_change_mid_rollback_does_not_stop_it() {
+    let sw = SwitchId::new;
+    let mut manager = two_paths();
     // Three channels of U = 0.3 fill trunk 1 → 2: a fourth is over.
     for id in 0..3 {
-        let verdict = pump(&mut manager, ask(1, 2, 600, id));
-        verdict.flatten().expect("the trunk holds three");
+        let first = request_frame(&manager, (1, 2), (30, 600), id);
+        pump(&mut manager, first)
+            .flatten()
+            .expect("the trunk holds three");
     }
-    // Candidate 0 is reserved backward from switch 4 to switch 2 and refused
-    // at switch 1; switch 2 hears of a cut of 2-3 just before the Rollback
-    // reaches it, no longer places itself on the candidate, and stops the
-    // sweep there: switches 3 and 4 keep what they reserved.
     let mut told = false;
     let tell = |manager: &mut DistributedChannelManager, at: SwitchId, frame: &Frame| {
         let rollback = matches!(frame, Frame::Reservation(f) if f.op == ReservationOp::Rollback);
@@ -805,49 +853,90 @@ fn a_committed_keys_leftover_does_not_outlive_its_channel() {
                 .unwrap();
         }
     };
-    let id = pump_with(&mut manager, ask(0, 4, 1_200, 9), tell);
+    let first = request_frame(&manager, (0, 4), (30, 1_200), 9);
+    let id = pump_with(&mut manager, first, tell);
     let id = id.flatten().expect("candidate 1 admits it");
     assert!(told, "the Rollback reached switch 2");
-    let channel = manager.registry[&id.get()].route.clone();
-    let leftover = HopLink::Trunk {
-        from: sw(3),
-        to: sw(4),
-    };
-    assert!(!channel.path.contains(&leftover), "{}", channel.path);
-    let at_3 = manager.slot(sw(3)).unwrap();
-    let key = manager.registry[&id.get()].key();
-    assert!(
-        manager.sites[at_3].ledger.holds(leftover, key),
-        "the leftover stays"
-    );
-
-    // Every lease runs out while the channel lives, then it is torn down and
-    // the rest runs out: nothing may stay behind.
-    let tick_out = |manager: &mut DistributedChannelManager| {
-        while let Some(due) = manager.next_timeout() {
-            assert!(manager.on_tick(due).unwrap().emissions.is_empty());
-        }
-    };
+    let path = &manager.registry[&id.get()].route.path;
+    assert_eq!(path.len(), 7, "over the detour: {path}");
+    assert_sites_match_channels(&manager, &[]);
     tick_out(&mut manager);
-    assert!(
-        !manager.sites[at_3].ledger.holds(leftover, key),
-        "reclaimed at expiry"
-    );
     manager.audit_quiescent().unwrap();
     tear_down_over_the_wire(&mut manager, id);
     tick_out(&mut manager);
     manager.audit_quiescent().unwrap();
-    let held = |site: &Site| {
-        site.ledger
-            .loaded_links()
-            .map(|(_, load)| load)
-            .sum::<usize>()
+    assert_sites_match_channels(&manager, &[]);
+}
+
+/// A committed key's leftover does not outlive its channel.  A stray
+/// Reserve under the key — a copy of another candidate's step, delivered
+/// after the channel committed on the primary — books off the channel's path
+/// under a lease; the sweep at expiry must reclaim that link, which no
+/// teardown will visit, instead of sparing the key wholesale, and keep the
+/// channel's own links.  Reached through `handle_frame_at` alone.
+#[test]
+fn a_committed_keys_leftover_does_not_outlive_its_channel() {
+    let sw = SwitchId::new;
+    let mut manager = two_paths();
+    let first = request_frame(&manager, (0, 4), (30, 1_200), 9);
+    let id = pump(&mut manager, first)
+        .flatten()
+        .expect("the primary admits it");
+    let channel = manager.registry[&id.get()].route.clone();
+    let (key, coordinator, token) = {
+        let committed = &manager.registry[&id.get()];
+        (committed.key(), committed.coordinator, committed.token)
     };
-    let held: usize = manager.sites.iter().map(held).sum();
-    assert_eq!(
-        held, 9,
-        "the three channels on trunk 1 → 2 hold three links each"
+    // The detour's step at switch 8, which owns trunk 8 → 4.
+    let detour = [0u64, 5, 6, 7, 8, 4];
+    let mut values = ReservationFrame::route_values(detour.into_iter(), 7);
+    values.extend([170; 7]);
+    let copy = ReservationFrame {
+        op: ReservationOp::Reserve,
+        reason: ReservationReason::None,
+        coordinator,
+        token,
+        source: NodeId::new(0),
+        destination: NodeId::new(4),
+        request_id: ConnectionRequestId::new(9),
+        candidate: 1,
+        hop: 4,
+        channel: None,
+        period: Slots::new(100),
+        capacity: Slots::new(30),
+        deadline: Slots::new(1_200),
+        values,
+    };
+    // Switch 8 books its trunk and sends the step on; the copy is lost there.
+    let copy = Frame::Reservation(copy);
+    let outcome = manager
+        .handle_frame_at(sw(8), NodeId::SWITCH, &copy, SimTime::ZERO)
+        .unwrap();
+    assert_eq!(outcome.emissions.len(), 1);
+    let leftover = HopLink::Trunk {
+        from: sw(8),
+        to: sw(4),
+    };
+    assert!(!channel.path.contains(&leftover), "{}", channel.path);
+    let at_8 = manager.slot(sw(8)).unwrap();
+    assert!(
+        manager.sites[at_8].ledger.holds(leftover, key),
+        "the leftover stays"
     );
+    tick_out(&mut manager);
+    assert!(
+        !manager.sites[at_8].ledger.holds(leftover, key),
+        "reclaimed at expiry"
+    );
+    assert_sites_match_channels(&manager, &[]);
+    manager.audit_quiescent().unwrap();
+    tear_down_over_the_wire(&mut manager, id);
+    tick_out(&mut manager);
+    manager.audit_quiescent().unwrap();
+    let held: usize = (manager.sites.iter())
+        .map(|site| site.ledger.loaded_links().count())
+        .sum();
+    assert_eq!(held, 0);
 }
 
 /// The ascending-id contract on the distributed manager: `channel_ids()`
@@ -872,92 +961,15 @@ fn ids_come_out_ascending_after_reuse_across_the_wrap() {
     assert_ascending_across_the_wrap(&admitted, &reports, &live);
 }
 
-// --- what a site's own view guarantees -----------------------------------------
+// --- stale views ---------------------------------------------------------------
 
-/// The invariant that lets a protocol hop skip a liveness check: every
-/// candidate a site derives from its own view crosses only trunks that view
-/// has, however far the view lags the fabric.  Random cuts and repairs on a
-/// ring and a torus, each flood delivered only in part (every link-state
-/// frame lost with probability one half, so views stay stale and disagree);
-/// after every step, every site's candidates for every node pair under
-/// `KShortest { k: 3 }` are checked against that site's view.  Release
-/// builds compile the hop handlers' `debug_assert!`s out: this is their
-/// release-build guard.
-#[test]
-fn prop_candidates_cross_only_trunks_their_own_view_has() {
-    let (mut checked, mut stale) = (0u64, 0u64);
-    for seed in 0..adversarial_seeds(3) {
-        for topology in [Topology::ring(6, 1), Topology::torus(3, 3, 1)] {
-            let mut rng = Xoshiro256::new(0x11fe_5ca1 + seed);
-            let policy = RoutePolicy::KShortest { k: 3 };
-            let router = Arc::new(ShortestPathRouter::with_policy(policy));
-            let mut manager =
-                DistributedChannelManager::new(topology.clone(), MultiHopDps::Asymmetric, router);
-            let trunks: Vec<(SwitchId, SwitchId)> = topology.trunks().collect();
-            let nodes: Vec<NodeId> = topology.nodes().collect();
-            for _ in 0..30 {
-                let (a, b) = trunks[rng.below(trunks.len() as u64) as usize];
-                if manager.topology.has_trunk(a, b) {
-                    manager.handle_link_failure(a, b).unwrap();
-                } else {
-                    manager.handle_link_repair(a, b).unwrap();
-                }
-                let mut queue = VecDeque::from(manager.drain_control());
-                while let Some((_, action)) = queue.pop_front() {
-                    let SwitchAction::SendControl { to, frame } = action else {
-                        panic!("a flood sends only link-state frames: {action:?}");
-                    };
-                    if rng.below(2) == 0 {
-                        continue;
-                    }
-                    let frame = Frame::Reservation(frame);
-                    let outcome = manager
-                        .handle_frame_at(to, NodeId::SWITCH, &frame, SimTime::ZERO)
-                        .unwrap();
-                    queue.extend(outcome.emissions);
-                }
-                for s in 0..manager.sites.len() {
-                    let view = Arc::clone(&manager.sites[s].view);
-                    let truth = manager.topology.failed_trunks();
-                    stale += u64::from(!view.failed_trunks().eq(truth));
-                    for (&source, &destination) in nodes
-                        .iter()
-                        .flat_map(|src| nodes.iter().map(move |dst| (src, dst)))
-                    {
-                        if source == destination {
-                            continue;
-                        }
-                        let Ok(candidates) = manager.routes.candidates(&view, source, destination)
-                        else {
-                            continue;
-                        };
-                        for link in candidates.iter().flat_map(|route| route.iter()) {
-                            if let HopLink::Trunk { from, to } = *link {
-                                assert!(
-                                    view.has_trunk(from, to),
-                                    "seed {seed}: site {s}'s candidate for {source} → \
-                                     {destination} crosses {from} → {to}, which its view lacks"
-                                );
-                                checked += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(
-        checked > 0 && stale > 0,
-        "{checked} trunks checked, {stale} stale views"
-    );
-}
-
-/// The stale-coordinator path, with no liveness check in the hops: trunk
-/// 2 – 3 of a ring is cut and only its two ends hear of it, so switches 1
-/// and 4 still route over it.  Each asks for a pair whose primary crosses
-/// the dead trunk (one direction each): the request is answered, nothing is
-/// ever booked on the dead trunk, and the fabric settles quiescent: the
-/// geometry check at the dead trunk's ends stops the stale candidate.
+/// The stale-coordinator path: trunk 2 – 3 of a ring is cut and only its
+/// two ends hear of it, so switches 1 and 4 still route over it.  Each asks
+/// for a pair whose primary crosses the dead trunk (one direction each): the
+/// primary dies at the dead trunk's near end with `StaleRoute`, nothing is
+/// ever booked on the dead trunk, and the detour — candidate 1 of the stale
+/// coordinator's list, which the far end's own list does not have at that
+/// index — is admitted, because every hop reads the route off the frame.
 #[test]
 fn a_stale_coordinator_never_books_a_dead_trunk() {
     let sw = SwitchId::new;
@@ -1015,14 +1027,434 @@ fn a_stale_coordinator_never_books_a_dead_trunk() {
         let verdict = pump_with(&mut manager, first, |manager, _, _| {
             assert_eq!(booked_on_dead(manager), 0, "a booking on the dead trunk");
         });
-        // Refused: the primary dies at the dead trunk's near end, and the
-        // detour (candidate 1) at its far end, whose current view knows no
-        // second candidate for the pair.
-        assert_eq!(verdict, Some(None), "{source} → {destination} is answered");
+        let id = verdict.flatten().expect("the detour admits it");
+        let path = &manager.registry[&id.get()].route.path;
+        assert!(!path.iter().any(|link| dead.contains(link)), "{path}");
         assert_eq!(booked_on_dead(&manager), 0);
     }
     while let Some(due) = manager.next_timeout() {
         manager.on_tick(due).unwrap();
     }
+    manager.audit_quiescent().unwrap();
+}
+
+// --- the delivery-order explorer ------------------------------------------------
+
+/// A delivery waiting to be made: the switch it reaches, its sender, the
+/// frame.
+type Delivery = (SwitchId, NodeId, Frame);
+
+/// What the requesters of an explored run heard.
+#[derive(Debug, Default)]
+struct Heard {
+    /// Every verdict each request got, by `(source, request id)`.
+    verdicts: BTreeMap<(NodeId, u8), Vec<Option<ChannelId>>>,
+    /// The reasons of the ReserveFailed frames delivered: `StaleRoute`,
+    /// `Infeasible`.
+    stale: usize,
+    infeasible: usize,
+}
+
+impl Heard {
+    /// Put what one delivery sent among the waiting ones: a reservation frame
+    /// to its switch, a forwarded request to its destination — which accepts,
+    /// through its access switch — and a verdict to the record.
+    fn route(
+        &mut self,
+        manager: &DistributedChannelManager,
+        emissions: Vec<(SwitchId, SwitchAction)>,
+        pending: &mut Vec<Delivery>,
+    ) {
+        for (_, action) in emissions {
+            match action {
+                SwitchAction::SendControl { to, frame } => {
+                    pending.push((to, NodeId::SWITCH, Frame::Reservation(frame)));
+                }
+                SwitchAction::ForwardRequest { to, frame } => {
+                    let access = manager.topology.switch_of(to).expect("attached");
+                    let accept = ResponseFrame {
+                        rt_channel_id: frame.rt_channel_id,
+                        switch_mac: MacAddr::for_switch(),
+                        verdict: ResponseVerdict::Accepted,
+                        connection_request_id: frame.connection_request_id,
+                    };
+                    pending.push((access, to, Frame::Response(accept)));
+                }
+                SwitchAction::SendResponse { to, frame } => {
+                    let verdict = frame.rt_channel_id.filter(|_| frame.verdict.is_accepted());
+                    let request = (to, frame.connection_request_id.get());
+                    self.verdicts.entry(request).or_default().push(verdict);
+                }
+            }
+        }
+    }
+
+    /// The one verdict of every request: none twice, none missing.
+    fn one_each(&self, requests: usize) -> Vec<Option<ChannelId>> {
+        assert_eq!(self.verdicts.len(), requests, "{:?}", self.verdicts);
+        let once = |(request, verdicts): (&(NodeId, u8), &Vec<_>)| match verdicts[..] {
+            [verdict] => verdict,
+            _ => panic!("{request:?} heard {verdicts:?}"),
+        };
+        self.verdicts.iter().map(once).collect()
+    }
+}
+
+/// What a fault between two deliveries queued for the wire.
+type Queued = Vec<(SwitchId, SwitchAction)>;
+
+/// Deliver `pending` and everything it sets off at time zero, the next
+/// delivery being the one at `pick(n)` of the `n` waiting (0: first come,
+/// first served); `between(manager, step)` runs before each — a fault lands
+/// there — and what it returns joins the waiting.  Then the clock moves from
+/// timeout to timeout until nothing is due, what the sweeps send delivered
+/// first come, first served.
+fn explore(
+    manager: &mut DistributedChannelManager,
+    mut pending: Vec<Delivery>,
+    mut pick: impl FnMut(usize) -> usize,
+    mut between: impl FnMut(&mut DistributedChannelManager, usize) -> Queued,
+) -> Heard {
+    let mut heard = Heard::default();
+    let (mut step, mut now) = (0, SimTime::ZERO);
+    loop {
+        if pending.is_empty() {
+            let Some(due) = manager.next_timeout() else {
+                return heard;
+            };
+            now = due;
+            let swept = manager.on_tick(now).unwrap();
+            heard.route(manager, swept.emissions, &mut pending);
+            continue;
+        }
+        let queued = between(manager, step);
+        heard.route(manager, queued, &mut pending);
+        step += 1;
+        let next = if now == SimTime::ZERO {
+            pick(pending.len())
+        } else {
+            0
+        };
+        let (at, from, frame) = pending.remove(next);
+        if let Frame::Reservation(f) = &frame {
+            if f.op == ReservationOp::ReserveFailed {
+                heard.stale += usize::from(f.reason == ReservationReason::StaleRoute);
+                heard.infeasible += usize::from(f.reason == ReservationReason::Infeasible);
+            }
+        }
+        let outcome = manager.handle_frame_at(at, from, &frame, now);
+        let outcome = outcome.unwrap_or_else(|e| panic!("{frame:?} at {at}: {e}"));
+        heard.route(manager, outcome.emissions, &mut pending);
+    }
+}
+
+/// Run `run` once per delivery order, depth first: the picker it is handed
+/// replays a prefix of choices and takes the first option past it, and the
+/// next run takes the next option at the deepest choice that has one.
+/// Returns the number of orders.
+fn every_order(mut run: impl FnMut(&mut dyn FnMut(usize) -> usize)) -> usize {
+    // (choice, options) at each delivery of the run being replayed.
+    let mut script: Vec<(usize, usize)> = Vec::new();
+    let mut orders = 0;
+    loop {
+        let mut depth = 0;
+        run(&mut |options| {
+            if depth == script.len() {
+                script.push((0, options));
+            }
+            assert_eq!(script[depth].1, options, "a replay sees the same choices");
+            depth += 1;
+            script[depth - 1].0
+        });
+        orders += 1;
+        while let Some((choice, options)) = script.pop() {
+            if choice + 1 < options {
+                script.push((choice + 1, options));
+                break;
+            }
+        }
+        if script.is_empty() {
+            return orders;
+        }
+    }
+}
+
+/// After an explored run: every request heard exactly one verdict, the
+/// sites hold exactly what the live channels say and the manager's audit
+/// passes (the explorer ran the leases out), every live channel crosses only
+/// live trunks, and every admission the requesters heard is live unless a
+/// fail-over dropped it.  Returns the live channels.
+fn assert_settled(
+    manager: &DistributedChannelManager,
+    heard: &Heard,
+    requests: usize,
+    dropped: &[ChannelId],
+) -> usize {
+    let admitted = heard.one_each(requests).into_iter().flatten();
+    for id in admitted.filter(|id| !dropped.contains(id)) {
+        assert!(manager.registry.contains_key(&id.get()), "{id} is gone");
+    }
+    assert_sites_match_channels(manager, &[]);
+    manager.audit_quiescent().unwrap();
+    for channel in manager.registry.values() {
+        let dead = |link: &HopLink| match *link {
+            HopLink::Trunk { from, to } => !manager.topology.has_trunk(from, to),
+            _ => false,
+        };
+        let path = &channel.route.path;
+        assert!(
+            !path.iter().any(dead),
+            "{} crosses a dead trunk: {path}",
+            channel.route.id
+        );
+    }
+    manager.registry.len()
+}
+
+/// Two requests from switch 0 of a three-switch line, to switch 2 and to
+/// switch 1, in every delivery order of their 8 and 5 deliveries (1 287
+/// orders): both cross trunk 0 → 1, both are admitted — the
+/// one-after-the-other answer — and nothing is refused.
+#[test]
+fn every_order_of_two_requests_on_a_line_admits_both() {
+    let topology = Topology::line(3, 2);
+    let build = || {
+        let router = Arc::new(ShortestPathRouter::new());
+        DistributedChannelManager::new(topology.clone(), MultiHopDps::Asymmetric, router)
+    };
+    let requests = |manager: &DistributedChannelManager| {
+        [(0, 4), (1, 3)]
+            .into_iter()
+            .enumerate()
+            .map(|(id, pair)| request_frame(manager, pair, (20, 300), id as u8))
+            .collect::<Vec<_>>()
+    };
+    let mut oracle = build();
+    for first in requests(&oracle) {
+        pump(&mut oracle, first)
+            .flatten()
+            .expect("one at a time admits both");
+    }
+    let orders = every_order(|pick| {
+        let mut manager = build();
+        let pending = requests(&manager);
+        let heard = explore(&mut manager, pending, pick, |_, _| Vec::new());
+        assert_eq!(assert_settled(&manager, &heard, 2, &[]), 2);
+        assert_eq!((heard.stale, heard.infeasible), (0, 0));
+    });
+    assert_eq!(orders, 1_287);
+}
+
+/// Five concurrent requests of `{P 100, C 30, d 600}` over [`two_paths`],
+/// 0 → 4 and 100 → 104 in turn, delivered first come, first served and in
+/// seeded random orders; in half the random runs, and in a first come, first
+/// served run per step, trunk 2 – 3 is cut at a step among the first 40, its
+/// flood racing the handshakes.  Whatever the order, each request hears one
+/// verdict, nothing leaks once the leases run out and no live channel
+/// crosses the dead trunk.  A cut racing the handshakes admits what the cut
+/// fabric admits once the flood has converged: first come, first served,
+/// exactly what the same run admits with the flood converged before the
+/// requests (2); in any order, no fewer, and no more than the converged
+/// fabric admits one request at a time (3).  A stale coordinator's detour is
+/// accepted at every hop, whatever index the hop's own list gives it.
+#[test]
+fn every_explored_order_admits_what_the_converged_fabric_admits() {
+    const REQUESTS: usize = 5;
+    let sw = SwitchId::new;
+    let requests = |manager: &DistributedChannelManager| {
+        let pairs = [(0, 4), (100, 104)];
+        (0..REQUESTS)
+            .map(|id| request_frame(manager, pairs[id % 2], (30, 600), id as u8))
+            .collect::<Vec<_>>()
+    };
+    let run = |converged: bool, cut_at: Option<usize>, pick: &mut dyn FnMut(usize) -> usize| {
+        let mut manager = two_paths();
+        if converged {
+            manager.handle_link_failure(sw(2), sw(3)).unwrap();
+            flood(&mut manager);
+        }
+        let mut dropped = Vec::new();
+        let pending = requests(&manager);
+        let heard = explore(&mut manager, pending, pick, |manager, step| {
+            if Some(step) != cut_at {
+                return Vec::new();
+            }
+            let report = manager.handle_link_failure(sw(2), sw(3)).unwrap();
+            dropped.extend(report.dropped.iter().map(|d| d.id));
+            manager.drain_control()
+        });
+        let admitted = assert_settled(&manager, &heard, REQUESTS, &dropped);
+        (admitted, heard)
+    };
+    // The converged answers: the five one after another, and all at once,
+    // first come, first served.
+    let one_at_a_time = |cut: bool| {
+        let mut manager = two_paths();
+        if cut {
+            manager.handle_link_failure(sw(2), sw(3)).unwrap();
+            flood(&mut manager);
+        }
+        for first in requests(&manager) {
+            pump(&mut manager, first);
+        }
+        manager.registry.len()
+    };
+    let (whole, cut) = (one_at_a_time(false), one_at_a_time(true));
+    let (admitted, heard) = run(false, None, &mut |_| 0);
+    assert_eq!((admitted, heard.stale), (whole, 0));
+    let (together, heard) = run(true, None, &mut |_| 0);
+    assert_eq!((whole, cut, together, heard.stale), (5, 3, 2, 0));
+    for at in 0..40 {
+        let (admitted, heard) = run(false, Some(at), &mut |_| 0);
+        assert_eq!(admitted, together, "cut at step {at}");
+        assert!(at > 5 || heard.stale > 0, "cut at step {at}: {heard:?}");
+    }
+    // Seeded random orders.
+    let mut admissions: BTreeMap<(bool, usize), usize> = BTreeMap::new();
+    let (mut stale, mut infeasible) = (0, 0);
+    for seed in 0..100 * adversarial_seeds(2) {
+        let mut rng = Xoshiro256::new(0x0e7d_e125 + seed);
+        let cut_at = (seed % 2 == 1).then(|| rng.below(40) as usize);
+        let (admitted, heard) = run(false, cut_at, &mut |n| rng.below(n as u64) as usize);
+        let range = if cut_at.is_some() {
+            together..=cut
+        } else {
+            1..=whole
+        };
+        assert!(
+            range.contains(&admitted),
+            "seed {seed}: {admitted} admitted, cut at {cut_at:?}"
+        );
+        *admissions.entry((cut_at.is_some(), admitted)).or_default() += 1;
+        (stale, infeasible) = (stale + heard.stale, infeasible + heard.infeasible);
+    }
+    println!(
+        "(cut, admitted) → runs: {admissions:?}; refused {stale} stale, {infeasible} infeasible"
+    );
+    assert!(
+        stale > 0 && infeasible > 0,
+        "{stale} stale, {infeasible} infeasible"
+    );
+}
+
+/// `fault::tests`' walk — 400 steps of requests, teardowns, cuts, repairs,
+/// flaps and switch kills, the fault reports held to the full-scan oracles
+/// and the books audited after every step, leases run out — with every
+/// request delivered in a seeded random order among the floods of the faults
+/// before it, so requests meet views that disagree.  Under `KShortest { k:
+/// 3 }`, so that stale candidates have detours.
+#[test]
+fn the_fault_walk_holds_with_requests_racing_the_floods() {
+    let mut tally = WalkTally::default();
+    STALE.set(0);
+    for seed in 0..adversarial_seeds(1) {
+        SHUFFLE.set(Some(0x5ca7_7e2d + seed));
+        let router = || -> Arc<dyn Router> {
+            Arc::new(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
+                k: 3,
+            }))
+        };
+        fault_walk::<DistributedChannelManager>(seed, router, &mut tally);
+    }
+    SHUFFLE.set(None);
+    println!("{tally:?}, {} stale", STALE.get());
+    assert!(
+        tally.torn_down > 0 && STALE.get() > 0,
+        "{tally:?}, {} stale",
+        STALE.get()
+    );
+}
+
+// --- hostile routes ---------------------------------------------------------------
+
+/// Hand-built Probe and Reserve frames whose carried route is no route this
+/// fabric has — shorter than the hop, another switch at the hop, an unknown
+/// switch, a non-adjacent pair, a repeated switch, the wrong last switch —
+/// at the switch they name at their hop (or, for the route shorter than the
+/// hop, the one after).  Each is refused with an `RtError::ProtocolViolation`
+/// and nothing changed, or aborted with `StaleRoute`: a Reserve refused
+/// before the last switch sweeps on with a Rollback, a Probe or a last step
+/// tells the coordinator.  Whatever the refusals send is delivered, and once
+/// the leases run out the sites hold exactly the channel admitted before and
+/// the audit passes.
+#[test]
+fn hostile_routes_are_refused_never_booked() {
+    let sw = SwitchId::new;
+    // Node s on switch s of the line 0 - 1 - 2 - 3.
+    let mut manager = DistributedChannelManager::new(
+        Topology::line(4, 1),
+        MultiHopDps::Asymmetric,
+        Arc::new(ShortestPathRouter::new()),
+    );
+    let first = request_frame(&manager, (0, 3), (10, 200), 0);
+    pump(&mut manager, first)
+        .flatten()
+        .expect("an empty line admits it");
+    let frame = |op, route: &[u64], hop: u8| {
+        let links = route.len() + 1;
+        let mut values = ReservationFrame::route_values(route.iter().copied(), links);
+        let per_link = match op {
+            // What the positions before the hop own: two links at 0, one after.
+            ReservationOp::Probe if hop > 0 => usize::from(hop) + 1,
+            ReservationOp::Probe => 0,
+            _ => links,
+        };
+        values.extend(std::iter::repeat_n(40, per_link));
+        ReservationFrame {
+            op,
+            reason: ReservationReason::None,
+            coordinator: sw(0),
+            token: 7,
+            source: NodeId::new(0),
+            destination: NodeId::new(3),
+            request_id: ConnectionRequestId::new(1),
+            candidate: 0,
+            hop,
+            channel: None,
+            period: Slots::new(100),
+            capacity: Slots::new(10),
+            deadline: Slots::new(200),
+            values,
+        }
+    };
+    let routes: [(&str, &[u64], u8, u32); 6] = [
+        ("shorter than the hop", &[0, 1], 2, 2),
+        ("another switch at the hop", &[0, 1, 2, 3], 1, 2),
+        ("an unknown switch", &[0, 1, 9, 3], 1, 1),
+        ("a non-adjacent pair", &[0, 1, 3], 1, 1),
+        ("a repeated switch", &[0, 1, 2, 1, 2, 3], 1, 1),
+        ("the wrong last switch", &[0, 1, 2], 1, 1),
+    ];
+    let (mut violations, mut stale) = (0, 0);
+    for op in [ReservationOp::Probe, ReservationOp::Reserve] {
+        for (what, route, hop, at) in routes {
+            let hostile = Frame::Reservation(frame(op, route, hop));
+            let outcome = manager.handle_frame_at(sw(at), NodeId::SWITCH, &hostile, SimTime::ZERO);
+            let emissions = match outcome {
+                Err(RtError::ProtocolViolation(_)) => {
+                    violations += 1;
+                    continue;
+                }
+                Err(e) => panic!("{op:?} over {what}: {e}"),
+                Ok(outcome) => outcome.emissions,
+            };
+            let [(_, SwitchAction::SendControl { to, frame })] = &emissions[..] else {
+                panic!("{op:?} over {what}: {emissions:?}");
+            };
+            assert_eq!(
+                frame.reason,
+                ReservationReason::StaleRoute,
+                "{op:?} over {what}"
+            );
+            stale += 1;
+            if manager.slot(*to).is_ok() {
+                let answer = Frame::Reservation(frame.clone());
+                pump(&mut manager, (*to, NodeId::SWITCH, answer));
+            }
+        }
+    }
+    assert_eq!((violations, stale), (2, 10));
+    tick_out(&mut manager);
+    assert_sites_match_channels(&manager, &[]);
     manager.audit_quiescent().unwrap();
 }

@@ -371,8 +371,8 @@ pub(crate) mod tests {
     /// What a seeded walk did, so that the property can say it really went
     /// where it claims to go.
     #[derive(Debug, Default)]
-    struct WalkTally {
-        torn_down: usize,
+    pub(crate) struct WalkTally {
+        pub(crate) torn_down: usize,
         moved_by_cuts: usize,
         moved_by_repairs: usize,
         dropped: usize,
@@ -501,7 +501,7 @@ pub(crate) mod tests {
     /// rng.below(40)` below, the rng seed and the spec ranges **must be
     /// changed in both places together**.  Its doc lists what that copy
     /// leaves out.
-    fn fault_walk<S: Walked>(
+    pub(crate) fn fault_walk<S: Walked>(
         seed: u64,
         router: impl Fn() -> Arc<dyn Router>,
         tally: &mut WalkTally,

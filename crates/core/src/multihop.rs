@@ -72,13 +72,29 @@ impl MultiHopDps {
         path: &[HopLink],
         loads: &[usize],
     ) -> RtResult<Vec<Slots>> {
-        let hops = path.len() as u64;
+        debug_assert_eq!(path.len(), loads.len());
+        let mut parts = Vec::with_capacity(loads.len());
+        self.partition_into(spec, loads, &mut parts)?;
+        // Collected in place: a `Slots` is its count.
+        Ok(parts.into_iter().map(Slots::new).collect())
+    }
+
+    /// [`MultiHopDps::partition`] over a route whose links carry `loads`,
+    /// appended to `out` as slot counts — a Reserve frame's list gets its
+    /// split straight after its route this way.  Nothing is appended on an
+    /// error.
+    pub(crate) fn partition_into(
+        &self,
+        spec: &RtChannelSpec,
+        loads: &[usize],
+        out: &mut Vec<u64>,
+    ) -> RtResult<()> {
+        let hops = loads.len() as u64;
         if hops == 0 {
             return Err(RtError::InvalidPartition {
                 reason: "empty path".into(),
             });
         }
-        debug_assert_eq!(path.len(), loads.len());
         let c = spec.capacity.get();
         let d = spec.deadline.get();
         if d < hops * c {
@@ -91,29 +107,29 @@ impl MultiHopDps {
             MultiHopDps::Symmetric => 1.0,
             MultiHopDps::Asymmetric => loads[i] as f64 + 1.0,
         };
-        let total_weight: f64 = (0..path.len()).map(weight).sum();
+        let total_weight: f64 = (0..loads.len()).map(weight).sum();
         // Integer apportionment of the slack: floor of the proportional
         // share, then hand the remaining slots to the largest fractional
         // remainders (ties broken by position, so the result is
-        // deterministic).  The remainders live on the stack: the result is
-        // the only thing this asks the allocator for.
-        let mut parts: Vec<Slots> = Vec::with_capacity(path.len());
-        with_slots(path.len(), (0.0f64, 0usize), |remainders| {
+        // deterministic).  The remainders live on the stack: `out` is the
+        // only thing this may ask the allocator for.
+        let base = out.len();
+        with_slots(loads.len(), (0.0f64, 0usize), |remainders| {
             let mut assigned = 0u64;
             for (i, remainder) in remainders.iter_mut().enumerate() {
                 let exact = slack as f64 * weight(i) / total_weight;
                 let floor = exact.floor() as u64;
-                parts.push(Slots::new(c + floor));
+                out.push(c + floor);
                 assigned += floor;
                 *remainder = (exact - floor as f64, i);
             }
             remainders.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
             for k in 0..(slack - assigned) as usize {
-                parts[remainders[k % remainders.len()].1] += Slots::ONE;
+                out[base + remainders[k % remainders.len()].1] += 1;
             }
         });
-        debug_assert_eq!(parts.iter().map(|s| s.get()).sum::<u64>(), d);
-        Ok(parts)
+        debug_assert_eq!(out[base..].iter().sum::<u64>(), d);
+        Ok(())
     }
 }
 

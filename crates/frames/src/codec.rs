@@ -227,6 +227,7 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reservation::ReservationReason;
     use crate::udp::UdpHeader;
     use crate::wire::internet_checksum;
     use rt_types::constants::{IPV4_HEADER_BYTES, UDP_HEADER_BYTES};
@@ -376,10 +377,11 @@ mod tests {
             )
             .unwrap(),
         );
-        // Reservation traffic: a Probe (plain control) and a LinkState flood.
+        // Reservation traffic: a Probe carrying its route (plain control), a
+        // ReserveFailed refusing a stale route, and a LinkState flood.
         let mut reservation = ReservationFrame {
             op: ReservationOp::Probe,
-            reason: crate::reservation::ReservationReason::None,
+            reason: ReservationReason::None,
             coordinator: rt_types::SwitchId::new(2),
             token: 9,
             source: rt_types::NodeId::new(1),
@@ -391,26 +393,25 @@ mod tests {
             period: Slots::new(100),
             capacity: Slots::new(3),
             deadline: Slots::new(40),
-            values: vec![1, 2],
+            values: vec![3, 2, 3, 4, 1, 2],
         };
-        zoo.push(
+        let to_3 = |reservation: &ReservationFrame| {
             reservation
                 .into_ethernet(
                     MacAddr::for_switch_id(rt_types::SwitchId::new(2)),
                     MacAddr::for_switch_id(rt_types::SwitchId::new(3)),
                 )
-                .unwrap(),
-        );
+                .unwrap()
+        };
+        zoo.push(to_3(&reservation));
+        let mut failed = reservation.clone();
+        failed.op = ReservationOp::ReserveFailed;
+        failed.reason = ReservationReason::StaleRoute;
+        failed.values.clear();
+        zoo.push(to_3(&failed));
         reservation.op = ReservationOp::LinkState;
         reservation.values = vec![2, 3, 0, 1];
-        zoo.push(
-            reservation
-                .into_ethernet(
-                    MacAddr::for_switch_id(rt_types::SwitchId::new(2)),
-                    MacAddr::for_switch_id(rt_types::SwitchId::new(3)),
-                )
-                .unwrap(),
-        );
+        zoo.push(to_3(&reservation));
         // RT data.
         let data = RtDataFrame {
             eth_src: MacAddr::ZERO,
@@ -591,9 +592,11 @@ mod tests {
     /// `into_ethernet` → `from_ethernet` (and the wire image in between)
     /// unchanged, its payload the bytes behind its headers; and whatever
     /// decodes as a `RequestFrame`, `ResponseFrame` or `ReservationFrame`
-    /// encodes to bytes that decode back to it.  Every class, each of the
-    /// three control decoders, and RT data refused after its IPv4 header,
-    /// must be reached.  Seeds from `RT_ADVERSARIAL_SEEDS`, else 2.
+    /// encodes to bytes that decode back to it, and a decoded reservation's
+    /// `carried_route` reads its list or refuses it without panicking.  Every
+    /// class, each of the three control decoders, a carried route that
+    /// reads, a `StaleRoute` reason, and RT data refused after its IPv4
+    /// header, must be reached.  Seeds from `RT_ADVERSARIAL_SEEDS`, else 2.
     #[test]
     fn prop_mutated_frames_never_panic_and_decode_alike() {
         let seeds = std::env::var("RT_ADVERSARIAL_SEEDS")
@@ -603,6 +606,7 @@ mod tests {
         let images: Vec<Vec<u8>> = zoo().iter().map(EthernetFrame::encode).collect();
         let (mut control, mut link_state, mut rt_data, mut best_effort) = (0, 0, 0, 0);
         let (mut refused_past_ip, mut requests, mut responses, mut reservations) = (0, 0, 0, 0);
+        let (mut routes, mut stale_routes) = (0, 0);
         for seed in 0..seeds {
             let mut rng = Xoshiro256::new(0x6d75_7461 ^ seed);
             for _ in 0..4_000 {
@@ -631,6 +635,8 @@ mod tests {
                 if let Ok(x) = ReservationFrame::decode(&eth.payload) {
                     assert_eq!(ReservationFrame::decode(&x.encode().unwrap()).unwrap(), x);
                     reservations += 1;
+                    routes += usize::from(x.carried_route().is_ok());
+                    stale_routes += usize::from(x.reason == ReservationReason::StaleRoute);
                 }
                 let peeked = RtDataFrame::peek_stamp(&eth);
                 match (peeked, RtDataFrame::from_ethernet(eth.clone())) {
@@ -668,6 +674,8 @@ mod tests {
             requests,
             responses,
             reservations,
+            routes,
+            stale_routes,
         ];
         assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
     }

@@ -6,9 +6,10 @@
 //! candidate route, carried in frames that really traverse the fabric:
 //!
 //! * **Probe** (forward, source access switch → destination access switch):
-//!   each visited switch appends the current load of the route links it
-//!   owns, so the deadline partition is computed from the same loads the
-//!   central manager would have seen,
+//!   carries the candidate route's switch sequence; each visited switch
+//!   appends the current load of the route links it owns, so the deadline
+//!   partition is computed from the same loads the central manager would
+//!   have seen,
 //! * **Reserve** (backward, destination access switch → coordinator): each
 //!   visited switch feasibility-tests and tentatively reserves its owned
 //!   links under the per-link deadlines carried by the frame,
@@ -24,8 +25,9 @@
 //!   two switches can briefly disagree about the fabric.
 //!
 //! One wire format serves all seven operations; the op-specific payload
-//! (collected loads, per-link deadlines, the switch itinerary, or the
-//! announced trunk) rides in the variable-length `values` list.
+//! (the route and its collected loads or per-link deadlines, the switch
+//! itinerary, or the announced trunk) rides in the variable-length `values`
+//! list.
 
 use rt_types::{
     constants::{ETHERTYPE_RT_CONTROL, RT_FRAME_TYPE_RESERVATION},
@@ -41,12 +43,13 @@ pub const RESERVATION_FRAME_FIXED_BYTES: usize = 35;
 /// What a reservation frame asks the receiving switch to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReservationOp {
-    /// Forward pass: append the loads of the route links you own and pass
-    /// the frame on (the destination access switch then partitions the
-    /// deadline and starts the Reserve pass).
+    /// Forward pass along the carried route: append the loads of the route
+    /// links you own and pass the frame on (the destination access switch
+    /// then partitions the deadline and starts the Reserve pass).
     Probe,
-    /// Backward pass: feasibility-test and tentatively reserve your owned
-    /// links under the carried per-link deadlines.
+    /// Backward pass along the carried route: feasibility-test and
+    /// tentatively reserve your owned links under the carried per-link
+    /// deadlines.
     Reserve,
     /// Release the tentative (or committed) reservations of this request at
     /// every switch the frame visits.
@@ -115,6 +118,10 @@ pub enum ReservationReason {
     /// completed (a coordinator died or the confirm path was cut); the
     /// slack was reclaimed by the owning site's sweep.
     LeaseExpired,
+    /// A switch refused the route the frame carries: a trunk it owns on the
+    /// route is dead in its own view, or the route does not place it where
+    /// the frame says.
+    StaleRoute,
 }
 
 impl ReservationReason {
@@ -124,6 +131,7 @@ impl ReservationReason {
             ReservationReason::Infeasible => 1,
             ReservationReason::DestinationRejected => 2,
             ReservationReason::LeaseExpired => 3,
+            ReservationReason::StaleRoute => 4,
         }
     }
 
@@ -133,6 +141,7 @@ impl ReservationReason {
             1 => ReservationReason::Infeasible,
             2 => ReservationReason::DestinationRejected,
             3 => ReservationReason::LeaseExpired,
+            4 => ReservationReason::StaleRoute,
             other => {
                 return Err(RtError::FrameDecode(format!(
                     "ReservationFrame: unknown reason {other:#04x}"
@@ -144,11 +153,12 @@ impl ReservationReason {
 
 /// One switch-to-switch control frame of the two-phase reservation protocol.
 ///
-/// The route itself is *not* carried: every switch shares the converged
-/// topology and the deterministic router, so `(source, destination,
-/// candidate)` identifies the candidate route exactly — each hop recomputes
-/// it locally.  Only the `Release` op (which may outlive topology changes)
-/// carries its switch itinerary explicitly, in `values`.
+/// The route travels in the frame, never as an index into a list a hop
+/// would have to re-derive: a Probe and a Reserve carry the candidate's
+/// switch sequence ahead of their per-link values
+/// ([`ReservationFrame::carried_route`]), a Release carries the admitted
+/// route's switch itinerary.  Rollback and Confirm carry no list: each site
+/// remembers its neighbours on the route from its Reserve step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReservationFrame {
     /// The operation requested of the receiving switch.
@@ -168,10 +178,10 @@ pub struct ReservationFrame {
     /// The source node's connection request id (echoed into the final
     /// response).
     pub request_id: ConnectionRequestId,
-    /// Index of the candidate route being attempted (into the router's
-    /// deterministic candidate list).
+    /// The coordinator's attempt number: which of its candidate routes it
+    /// is trying.  Only the coordinator reads it.
     pub candidate: u8,
-    /// Current position in the candidate route's switch sequence.
+    /// Current position in the route's switch sequence.
     pub hop: u8,
     /// The assigned channel id, once one exists (`None` on the wire as 0).
     pub channel: Option<ChannelId>,
@@ -181,12 +191,44 @@ pub struct ReservationFrame {
     pub capacity: Slots,
     /// Requested end-to-end deadline `d_i` in slots.
     pub deadline: Slots,
-    /// Op-specific payload: collected per-link loads (Probe), per-link
-    /// deadline slots (Reserve), or the switch itinerary (Release).
+    /// Op-specific payload: the route and its collected per-link loads
+    /// (Probe) or per-link deadline slots (Reserve), laid out as
+    /// [`ReservationFrame::carried_route`] says; the switch itinerary
+    /// (Release); the announced trunk (LinkState).
     pub values: Vec<u64>,
 }
 
 impl ReservationFrame {
+    /// A Probe or Reserve `values` list holding the route `switches` (its
+    /// switch sequence, source side first) and room for `per_link` values
+    /// after it: `[n, s_0, …, s_{n−1}]`, the leading count `n` saying where
+    /// the per-link values start.  A route of `n` switches has `n + 1`
+    /// links — the uplink, `n − 1` trunks, the downlink.
+    pub fn route_values(switches: impl ExactSizeIterator<Item = u64>, per_link: usize) -> Vec<u64> {
+        let mut values = Vec::with_capacity(1 + switches.len() + per_link);
+        values.push(switches.len() as u64);
+        values.extend(switches);
+        values
+    }
+
+    /// The route a Probe or Reserve carries and the per-link values after
+    /// it (see [`ReservationFrame::route_values`]): `(switches, per_link)`.
+    /// An error when the count runs past the list or the route is shorter
+    /// than `hop`: the list is not a route this frame can stand on.
+    pub fn carried_route(&self) -> RtResult<(&[u64], &[u64])> {
+        let (n, rest) = match self.values.split_first() {
+            Some((&n, rest)) => (usize::try_from(n).unwrap_or(usize::MAX), rest),
+            None => (usize::MAX, &[][..]),
+        };
+        if n > rest.len() || usize::from(self.hop) >= n {
+            return Err(RtError::ProtocolViolation(format!(
+                "{:?} at hop {} carries no route of that length in {:?}",
+                self.op, self.hop, self.values
+            )));
+        }
+        Ok(rest.split_at(n))
+    }
+
     /// Serialise the payload: 35 fixed bytes plus `4·values.len()`.
     ///
     /// Layout (offsets in bytes): `0` type, `1` op, `2` reason,
@@ -376,6 +418,7 @@ mod tests {
                 ReservationReason::Infeasible,
                 ReservationReason::DestinationRejected,
                 ReservationReason::LeaseExpired,
+                ReservationReason::StaleRoute,
             ] {
                 let mut f = sample();
                 f.op = op;
@@ -428,6 +471,39 @@ mod tests {
         assert_eq!(bytes[1], 4); // op = ReserveFailed
         assert_eq!(bytes[2], 3); // reason = LeaseExpired
         assert_eq!(ReservationFrame::decode(&bytes).unwrap(), f);
+    }
+
+    #[test]
+    fn golden_bytes_stale_route_reason() {
+        let mut f = sample();
+        f.op = ReservationOp::ReserveFailed;
+        f.reason = ReservationReason::StaleRoute;
+        let bytes = f.encode().unwrap();
+        assert_eq!(bytes[2], 4); // reason = StaleRoute
+        assert_eq!(ReservationFrame::decode(&bytes).unwrap(), f);
+    }
+
+    /// A route and its per-link values: the count leads, the switches follow,
+    /// and a count past the list or a route shorter than the hop is refused.
+    #[test]
+    fn a_carried_route_reads_back_and_a_short_one_is_refused() {
+        let mut f = sample();
+        f.values = ReservationFrame::route_values([3u64, 8, 5].into_iter(), 4);
+        assert_eq!((f.values.len(), f.values.capacity()), (4, 8));
+        f.values.extend([0, 4]);
+        assert_eq!(
+            f.carried_route().unwrap(),
+            (&[3, 8, 5][..], &[0, 4][..]),
+            "hop 2 stands on the last switch"
+        );
+        assert_eq!(ReservationFrame::decode(&f.encode().unwrap()).unwrap(), f);
+        f.hop = 3;
+        assert!(f.carried_route().is_err(), "past the last switch");
+        f.hop = 0;
+        for values in [vec![], vec![4, 1, 2, 3], vec![u64::MAX, 1]] {
+            f.values = values;
+            assert!(f.carried_route().is_err(), "{:?}", f.values);
+        }
     }
 
     #[test]

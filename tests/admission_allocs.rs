@@ -32,33 +32,36 @@
 //! the growth of books and tables under churn.
 //!
 //! The distributed handshake, frame by frame on the same warmed fabric (an
-//! inter-pod route: five switches, six links), at four stages: the first
+//! inter-pod route: five switches, six links), at five stages: the first
 //! protocol; hops that read the memoised route instead of cloning it; a last
-//! Probe hop that hands its Reserve list on instead of copying it; and one
-//! that reads the loads into stack slots and turns the deadline split into
-//! that list in place (the budgets below):
+//! Probe hop that hands its Reserve list on instead of copying it; one that
+//! reads the loads into stack slots and turns the deadline split into that
+//! list in place; and Probe and Reserve carrying the route's switch sequence,
+//! the last Probe hop writing the split straight after it (the budgets
+//! below):
 //!
-//! | | frames | first | route read | list handed on | split in place |
-//! |---|---|---|---|---|---|
-//! | accepted (`Request` → 4 `Probe` → 4 `Reserve` → `Response` → 4 `Confirm`) | 14 | 90 | 27 | 26 | 24 |
-//! | its `Teardown` → 4 `Release` | 5 | 13 | 9 | 9 | 9 |
-//! | refused (`Request` → 4 `Probe` → 4 `Reserve` → 4 `Rollback` → `ReserveFailed`) | 14 | 87 | 25 | 24 | 22 |
+//! | | frames | first | route read | list handed on | split in place | route carried |
+//! |---|---|---|---|---|---|---|
+//! | accepted (`Request` → 4 `Probe` → 4 `Reserve` → `Response` → 4 `Confirm`) | 14 | 90 | 27 | 26 | 24 | 24 |
+//! | its `Teardown` → 4 `Release` | 5 | 13 | 9 | 9 | 9 | 9 |
+//! | refused (`Request` → 4 `Probe` → 4 `Reserve` → 4 `Rollback` → `ReserveFailed`) | 14 | 87 | 25 | 24 | 22 | 22 |
 //!
-//! The parent cloned the candidate route and built the switch sequence and an
-//! owned-link list on every hop (seven allocations per forwarded Probe or
-//! Reserve, four per Rollback), built every outcome through two `Vec`s, and
-//! grew the cloned `values` list of each forwarded Probe.  What a hop still
-//! asks for is in the public types: the `values` list of the frame it
-//! forwards (`ReservationFrame::values`: Probe, Reserve and Release carry
-//! one) and the emission list of its outcome (`ControlOutcome::emissions`) —
-//! two per forwarded Probe, Reserve or Release, one per Confirm or Rollback.
-//! Beside those: the last Probe hop reads the loads into stack slots and
-//! builds the deadline split, which becomes the Reserve frame's list in place
-//! and is handed on whole (two in all, with the outcome's list), the
-//! coordinator keeps the split, commit copies the route into the registry, a
-//! teardown builds its itinerary and its `released` list, the maps of
-//! coordinations, relays and committed channels allocate a node now and then,
-//! and the sites' key records and the route memo grow their tables.
+//! The first protocol cloned the candidate route and built the switch
+//! sequence and an owned-link list on every hop (seven allocations per
+//! forwarded Probe or Reserve, four per Rollback), built every outcome
+//! through two `Vec`s, and grew the cloned `values` list of each forwarded
+//! Probe.  What a hop still asks for is in the public types: the `values`
+//! list of the frame it forwards (`ReservationFrame::values`: Probe, Reserve
+//! and Release carry one) and the emission list of its outcome
+//! (`ControlOutcome::emissions`) — two per forwarded Probe, Reserve or
+//! Release, one per Confirm or Rollback, which carry no list: a site walks
+//! them on from its key's record.  Beside those: the last Probe hop reads the
+//! loads into stack slots and writes the route and the deadline split into
+//! the Reserve frame's list, handed on whole (two in all, with the outcome's
+//! list), the coordinator copies the split, commit copies the route into the
+//! registry, a teardown builds its itinerary and its `released` list, the
+//! maps of coordinations, relays and committed channels allocate a node now
+//! and then, and the sites' key records and the route memo grow their tables.
 //! `rtbench`'s traced `core.manager.allocs_per_attempt` on `churn_distributed`
 //! reads 29.27 since PR 25 (30.41 before it, 86.2 at PR 17's parent): 45 % of
 //! its arrivals are refused, most of them earlier than the refusal measured
