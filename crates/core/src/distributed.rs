@@ -1272,6 +1272,10 @@ impl DistributedChannelManager {
     /// refuses the route — nothing is left under the key here, and a
     /// Rollback sweeps the switches after us, which reserved before us,
     /// up to the destination's access switch, which answers ReserveFailed.
+    /// A Reserve under a committed channel's key is a copy or a forgery —
+    /// the channel commits only once its last Reserve step is done — and is
+    /// refused before any book is touched, since the step would first free
+    /// what the channel holds here.
     /// The frame is borrowed when it came off the wire and owned when the
     /// last Probe hop built it, which then forwards it without a copy.
     fn on_reserve(
@@ -1280,6 +1284,11 @@ impl DistributedChannelManager {
         frame: Cow<'_, ReservationFrame>,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
+        let key = ReservationKey::token(frame.coordinator, frame.token);
+        if let Some(id) = self.committed.get(&key) {
+            let e = format!("Reserve under channel {id}'s committed key {key:?}");
+            return Err(RtError::ProtocolViolation(e));
+        }
         let expires = now.saturating_add(LEASE_DURATION);
         let (switches, deadlines) = frame.carried_route()?;
         if deadlines.len() != switches.len() + 1 {
@@ -1294,7 +1303,6 @@ impl DistributedChannelManager {
             let onward = after.map(|id| (hop, SwitchId::new(id)));
             return self.roll_on(s, &frame, ReservationReason::StaleRoute, onward, now);
         };
-        let key = ReservationKey::token(frame.coordinator, frame.token);
         let site = &mut self.sites[s];
         let at = site.switch;
         if place.before.is_none() {

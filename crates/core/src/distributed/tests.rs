@@ -868,30 +868,20 @@ fn a_view_change_mid_rollback_does_not_stop_it() {
     assert_sites_match_channels(&manager, &[]);
 }
 
-/// A committed key's leftover does not outlive its channel.  A stray
-/// Reserve under the key — a copy of another candidate's step, delivered
-/// after the channel committed on the primary — books off the channel's path
-/// under a lease; the sweep at expiry must reclaim that link, which no
-/// teardown will visit, instead of sparing the key wholesale, and keep the
-/// channel's own links.  Reached through `handle_frame_at` alone.
-#[test]
-fn a_committed_keys_leftover_does_not_outlive_its_channel() {
-    let sw = SwitchId::new;
-    let mut manager = two_paths();
-    let first = request_frame(&manager, (0, 4), (30, 1_200), 9);
-    let id = pump(&mut manager, first)
-        .flatten()
-        .expect("the primary admits it");
-    let channel = manager.registry[&id.get()].route.clone();
-    let (key, coordinator, token) = {
-        let committed = &manager.registry[&id.get()];
-        (committed.key(), committed.coordinator, committed.token)
-    };
-    // The detour's step at switch 8, which owns trunk 8 → 4.
-    let detour = [0u64, 5, 6, 7, 8, 4];
-    let mut values = ReservationFrame::route_values(detour.into_iter(), 7);
-    values.extend([170; 7]);
-    let copy = ReservationFrame {
+/// A Reserve step of `two_paths`' node 0 → node 4 request for `{P 100, C
+/// 30, d 1 200}` under `(coordinator, token)`: candidate `candidate` over
+/// the switches `route`, at position `hop`, with `per_link` slots on every
+/// link.
+fn reserve_step(
+    (coordinator, token): (SwitchId, u16),
+    (route, candidate): (&[u64], u8),
+    hop: u8,
+    per_link: u64,
+) -> Frame {
+    let links = route.len() + 1;
+    let mut values = ReservationFrame::route_values(route.iter().copied(), links);
+    values.extend(std::iter::repeat_n(per_link, links));
+    Frame::Reservation(ReservationFrame {
         op: ReservationOp::Reserve,
         reason: ReservationReason::None,
         coordinator,
@@ -899,20 +889,53 @@ fn a_committed_keys_leftover_does_not_outlive_its_channel() {
         source: NodeId::new(0),
         destination: NodeId::new(4),
         request_id: ConnectionRequestId::new(9),
-        candidate: 1,
-        hop: 4,
+        candidate,
+        hop,
         channel: None,
         period: Slots::new(100),
         capacity: Slots::new(30),
         deadline: Slots::new(1_200),
         values,
+    })
+}
+
+/// A committed key's leftover does not outlive its channel.  A stray
+/// Reserve under the key — a copy of another candidate's step, delivered
+/// while the channel's Confirm walks back along the primary — books off the
+/// channel's path under a lease; the sweep at expiry must reclaim that
+/// link, which no teardown will visit, instead of sparing the key
+/// wholesale, and keep the channel's own links.  Reached through
+/// `handle_frame_at` alone.  Once the channel has committed, such a copy is
+/// refused outright (`a_replayed_reserve_never_touches_a_committed_channel`).
+#[test]
+fn a_committed_keys_leftover_does_not_outlive_its_channel() {
+    let sw = SwitchId::new;
+    let mut manager = two_paths();
+    let mut stray = None;
+    let copy_at_8 = |manager: &mut DistributedChannelManager, _: SwitchId, frame: &Frame| {
+        let Frame::Reservation(confirm) = frame else {
+            return;
+        };
+        if confirm.op != ReservationOp::Confirm || stray.is_some() {
+            return;
+        }
+        // The detour's step at switch 8, which owns trunk 8 → 4: switch 8
+        // books its trunk and sends the step on; the copy is lost there.
+        let key = (confirm.coordinator, confirm.token);
+        let copy = reserve_step(key, (&[0, 5, 6, 7, 8, 4], 1), 4, 170);
+        let outcome = manager
+            .handle_frame_at(sw(8), NodeId::SWITCH, &copy, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(outcome.emissions.len(), 1);
+        stray = Some(ReservationKey::token(key.0, key.1));
     };
-    // Switch 8 books its trunk and sends the step on; the copy is lost there.
-    let copy = Frame::Reservation(copy);
-    let outcome = manager
-        .handle_frame_at(sw(8), NodeId::SWITCH, &copy, SimTime::ZERO)
-        .unwrap();
-    assert_eq!(outcome.emissions.len(), 1);
+    let first = request_frame(&manager, (0, 4), (30, 1_200), 9);
+    let id = pump_with(&mut manager, first, copy_at_8)
+        .flatten()
+        .expect("the primary admits it");
+    let channel = manager.registry[&id.get()].route.clone();
+    let key = manager.registry[&id.get()].key();
+    assert_eq!(stray, Some(key), "the copy went in under the channel's key");
     let leftover = HopLink::Trunk {
         from: sw(8),
         to: sw(4),
@@ -937,6 +960,45 @@ fn a_committed_keys_leftover_does_not_outlive_its_channel() {
         .map(|site| site.ledger.loaded_links().count())
         .sum();
     assert_eq!(held, 0);
+}
+
+/// A Reserve delivered again, or forged, under a committed channel's key is
+/// refused before any book is touched: its step would free what the key
+/// holds at the site before testing the frame's deadlines.  Copies of the
+/// primary's step at its last switch, switch 4 — one with per-link
+/// deadlines below `C`, which no link can hold, one with deadlines every
+/// link can — are both refused, and the channel keeps its reservation on
+/// the downlink switch 4 owns.
+#[test]
+fn a_replayed_reserve_never_touches_a_committed_channel() {
+    let sw = SwitchId::new;
+    let mut manager = two_paths();
+    let first = request_frame(&manager, (0, 4), (30, 1_200), 9);
+    let id = pump(&mut manager, first)
+        .flatten()
+        .expect("the primary admits it");
+    tick_out(&mut manager);
+    manager.audit_quiescent().unwrap();
+    let committed = &manager.registry[&id.get()];
+    let (key, by) = (committed.key(), (committed.coordinator, committed.token));
+    let downlink = HopLink::Downlink(NodeId::new(4));
+    let at_4 = manager.slot(sw(4)).unwrap();
+    for per_link in [10, 200] {
+        let copy = reserve_step(by, (&[0, 1, 2, 3, 4], 0), 4, per_link);
+        let outcome = manager.handle_frame_at(sw(4), NodeId::SWITCH, &copy, SimTime::ZERO);
+        assert!(
+            manager.sites[at_4].ledger.holds(downlink, key),
+            "{per_link} slots a link: the channel keeps {downlink}"
+        );
+        manager.audit_quiescent().unwrap();
+        assert!(
+            matches!(outcome, Err(RtError::ProtocolViolation(_))),
+            "{per_link} slots a link: {outcome:?}"
+        );
+    }
+    tick_out(&mut manager);
+    manager.audit_quiescent().unwrap();
+    assert_sites_match_channels(&manager, &[]);
 }
 
 /// The ascending-id contract on the distributed manager: `channel_ids()`

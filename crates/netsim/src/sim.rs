@@ -62,6 +62,7 @@
 //! The simulator is single-threaded and deterministic: identical inputs
 //! produce identical event sequences, deliveries and statistics.
 
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -324,6 +325,19 @@ pub struct Simulator {
     run_next: usize,
 }
 
+/// The frame tables keep up to this many slots of storage however few
+/// frames are in flight; above it they shrink to fit once a quarter full.
+const FRAME_TABLE_FLOOR: usize = 4096;
+
+/// Give a frame table's storage back once at most a quarter of it is in use
+/// above [`FRAME_TABLE_FLOOR`] slots, so that after every retirement its
+/// storage is within four times what it holds, or the floor.
+fn shrink_when_sparse<T>(table: &mut VecDeque<T>) {
+    if table.capacity() > FRAME_TABLE_FLOOR && table.len() <= table.capacity() / 4 {
+        table.shrink_to_fit();
+    }
+}
+
 /// `true` if the driver must answer `delivery` before the simulation may go
 /// on: a frame to a switch's control plane, or control traffic (real-time
 /// class without a channel) to a node.
@@ -410,7 +424,8 @@ impl Simulator {
                 distributed_control,
                 channel_wire: Vec::new(),
                 released_channels: Vec::new(),
-                frames: Vec::new(),
+                frames: VecDeque::new(),
+                first_frame: 0,
             },
             lane,
             manager_switch,
@@ -465,7 +480,7 @@ impl Simulator {
     /// event queue drains, `injected_count() == stats().total_delivered() +
     /// stats().total_dropped()` — frame conservation.
     pub fn injected_count(&self) -> u64 {
-        self.fabric.frames.len() as u64
+        self.fabric.first_frame + self.fabric.frames.len() as u64
     }
 
     /// Number of events still pending.
@@ -748,10 +763,10 @@ impl Simulator {
         injected_at: SimTime,
     ) -> RtResult<FrameId> {
         let record = self.record_of(&eth, source, injected_at)?;
-        let id = FrameId(self.fabric.frames.len() as u64);
+        let id = FrameId(self.injected_count());
         self.lane.count_injection(&record);
-        self.fabric.frames.push(record);
-        self.sink.bytes.push(Some(eth));
+        self.fabric.frames.push_back(record);
+        self.sink.bytes.push_back(Some(eth));
         Ok(id)
     }
 
@@ -834,33 +849,33 @@ impl Simulator {
         batch: impl IntoIterator<Item = FrameInjection>,
     ) -> RtResult<Range<FrameId>> {
         let batch = batch.into_iter();
-        let start = self.fabric.frames.len();
+        let (start, filed) = (self.injected_count(), self.fabric.frames.len());
         self.fabric.frames.reserve(batch.size_hint().0);
         self.sink.bytes.reserve(batch.size_hint().0);
         for FrameInjection { node, eth, at } in batch {
-            let filed = self
+            let checked = self
                 .validate_injection(node, at)
                 .and_then(|()| self.record_of(&eth, node, at));
-            match filed {
+            match checked {
                 Ok(record) => {
-                    self.fabric.frames.push(record);
-                    self.sink.bytes.push(Some(eth));
+                    self.fabric.frames.push_back(record);
+                    self.sink.bytes.push_back(Some(eth));
                 }
                 Err(e) => {
-                    self.fabric.frames.truncate(start);
-                    self.sink.bytes.truncate(start);
+                    self.fabric.frames.truncate(filed);
+                    self.sink.bytes.truncate(filed);
                     return Err(e);
                 }
             }
         }
         // Infallible from here on: count and schedule in batch order.
-        for (index, record) in (start..).zip(&self.fabric.frames[start..]) {
+        for (id, record) in (start..).zip(self.fabric.frames.range(filed..)) {
             self.lane.count_injection(record);
-            let (node, frame) = (record.source, FrameId(index as u64));
+            let (node, frame) = (record.source, FrameId(id));
             self.lane
                 .schedule(record.injected_at, Event::EnqueueAtNode { node, frame });
         }
-        Ok(FrameId(start as u64)..FrameId(self.fabric.frames.len() as u64))
+        Ok(FrameId(start)..FrameId(self.injected_count()))
     }
 
     /// Inject a frame originated by the control plane of a *specific*
@@ -963,6 +978,7 @@ impl Simulator {
             if UNTIL_DELIVERY && !self.sink.deliveries.is_empty() {
                 return true;
             }
+            self.retire_frames();
             self.run_next = 0;
             if self
                 .lane
@@ -1004,18 +1020,44 @@ impl Simulator {
     }
 
     /// Process a single event — the next of an interrupted run, if one is
-    /// held; returns `false` when nothing is pending.
+    /// held; returns `false` when nothing is pending.  A frame the event
+    /// takes out of the fabric leaves the frame tables at once (the run
+    /// loops pop such frames at the end of each instant).
     pub fn step(&mut self) -> bool {
-        if self.step_held() {
-            return true;
+        if !self.step_held() {
+            let Some((time, event)) = self.lane.events.pop() else {
+                return false;
+            };
+            self.dispatch(time, event);
         }
-        match self.lane.events.pop() {
-            Some((time, event)) => {
-                self.dispatch(time, event);
-                true
-            }
-            None => false,
+        self.retire_frames();
+        true
+    }
+
+    /// Pop the frames that have left the fabric off the front of the frame
+    /// tables, records and byte slots alike (an empty byte slot is a frame
+    /// that has left: see [`Sink`]), and give their storage back once at
+    /// most a quarter of it is in use above [`FRAME_TABLE_FLOOR`] slots.
+    /// A frame still in flight holds the front, and the frames behind it
+    /// wait for it.  One test of the front when nothing has left.
+    #[inline]
+    pub(crate) fn retire_frames(&mut self) {
+        if self.sink.bytes.front().is_some_and(Option::is_none) {
+            self.retire_front();
         }
+    }
+
+    fn retire_front(&mut self) {
+        let bytes = &mut self.sink.bytes;
+        let left = bytes
+            .iter()
+            .position(Option::is_some)
+            .unwrap_or(bytes.len());
+        bytes.drain(..left);
+        self.fabric.frames.drain(..left);
+        self.fabric.first_frame += left as u64;
+        shrink_when_sparse(bytes);
+        shrink_when_sparse(&mut self.fabric.frames);
     }
 
     /// Dispatch the next event of the held run; `false` if none is held.
@@ -1942,7 +1984,10 @@ pub(crate) mod tests {
 
     /// A bad last entry fails a whole 10 000-frame batch atomically: no id
     /// used, no control or link-state frame counted, no event pending, so
-    /// a corrected retry cannot duplicate the earlier frames.
+    /// a corrected retry cannot duplicate the earlier frames.  The second
+    /// refusal comes mid-run, once frames have left the front of the frame
+    /// tables and others are still in flight: the tables keep their base
+    /// and their frames, and the retry's ids start at the old end.
     #[test]
     fn a_refused_batch_leaves_the_simulation_as_it_was() {
         let mut sim = star(SimConfig::default(), 2);
@@ -1961,14 +2006,16 @@ pub(crate) mod tests {
             FrameId::new(0),
             "no ghost frames from the refusal"
         );
-        sim.run_to_idle();
-        assert!(sim.now() > SimTime::ZERO);
+        sim.run_until(SimTime::from_millis(10));
+        let (base, held) = frame_table(&sim);
+        assert!(base > 0 && held > 0, "{base} frames left, {held} held");
 
         let mut late = mixed_batch(sim.now());
         late.last_mut().unwrap().at = SimTime::ZERO;
         let before = untouched(&sim);
         assert!(sim.inject_batch(late.clone()).is_err());
         assert_eq!(untouched(&sim), before);
+        assert_eq!(frame_table(&sim), (base, held));
         late.last_mut().unwrap().at = sim.now() + Duration::from_millis(50);
         let ids = sim.inject_batch(late).unwrap();
         assert_eq!(ids, FrameId::new(10_000)..FrameId::new(20_000));
@@ -1978,6 +2025,15 @@ pub(crate) mod tests {
             sim.injected_count(),
             stats.total_delivered() + stats.total_dropped()
         );
+        assert_eq!(frame_table(&sim), (20_000, 0));
+    }
+
+    /// The frame tables' base, the id of their first frame, and how many
+    /// frames they hold from it on; the two tables always agree on both.
+    pub(crate) fn frame_table(sim: &Simulator) -> (u64, usize) {
+        let held = sim.fabric.frames.len();
+        assert_eq!(sim.sink.bytes.len(), held, "records and byte slots");
+        (sim.fabric.first_frame, held)
     }
 
     /// A source that emits one frame every `period`, pull-driven.
@@ -2022,6 +2078,151 @@ pub(crate) mod tests {
         assert_eq!(sim.poll_deliveries().len(), 50);
         assert!(end >= SimTime::from_micros(100 + 49 * 400));
         assert_eq!(sim.events_pending(), 0);
+    }
+
+    /// Best effort from node 0 to node 1 of a star, frame `k` at `20·k` µs
+    /// with a payload of `46 + k % 64` bytes: two or three frames in flight
+    /// at a time, leaving in id order.
+    fn stream(ids: Range<u64>) -> Vec<FrameInjection> {
+        let (from, to) = (NodeId::new(0), NodeId::new(1));
+        ids.map(|k| FrameInjection {
+            node: from,
+            eth: be_frame(from, to, 46 + (k % 64) as usize),
+            at: SimTime::ZERO + Duration::from_micros(20 * k),
+        })
+        .collect()
+    }
+
+    /// Frames whose bytes are still in the simulator: injected, and neither
+    /// delivered nor dropped.
+    fn in_flight(sim: &Simulator) -> usize {
+        sim.sink.bytes.iter().filter(|slot| slot.is_some()).count()
+    }
+
+    /// The storage the frame tables keep, in slots.
+    fn table_capacity(sim: &Simulator) -> usize {
+        sim.fabric.frames.capacity().max(sim.sink.bytes.capacity())
+    }
+
+    /// Every delivery of a `stream` carries its frame's own bytes.
+    fn assert_stream_delivered(deliveries: &[Delivery], frames: u64) {
+        let mut ids: Vec<u64> = deliveries.iter().map(|d| d.frame.get()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..frames).collect::<Vec<_>>());
+        for d in deliveries {
+            let k = d.frame.get();
+            assert_eq!(d.eth, stream(k..k + 1).remove(0).eth, "frame {k}");
+        }
+    }
+
+    /// A run through any entry point leaves the frame tables holding the
+    /// frames in flight and nothing else: 10 000 frames of a `stream`, fed
+    /// a millisecond at a time to `run_until`, `run_until_delivery_before`
+    /// and `step` (checked after every millisecond), or all at once to
+    /// `run_to_idle` and through a `TrafficSource` to `run_with_source`.
+    /// Each run ends with empty tables at base 10 000 whose storage is back
+    /// within the floor, where a table of every frame ever injected would
+    /// hold 10 000 slots.
+    #[test]
+    fn every_entry_point_leaves_the_frame_tables_holding_what_is_in_flight() {
+        const FRAMES: u64 = 10_000;
+        const WINDOW: u64 = 50;
+        type Advance = fn(&mut Simulator, SimTime, &mut Vec<Delivery>);
+        let windowed: [(&str, Advance); 3] = [
+            ("run_until", |sim, end, _| sim.run_until(end)),
+            ("run_until_delivery_before", |sim, end, delivered| {
+                while sim.run_until_delivery_before(end) {
+                    sim.poll_deliveries_into(delivered);
+                }
+            }),
+            ("step", |sim, end, _| {
+                while sim.next_event_time().is_some_and(|t| t <= end) {
+                    sim.step();
+                }
+            }),
+        ];
+        for (name, advance) in windowed {
+            let mut sim = star(SimConfig::default(), 2);
+            let mut delivered = Vec::new();
+            for window in 0..FRAMES / WINDOW {
+                let ids = window * WINDOW..(window + 1) * WINDOW;
+                let end = SimTime::ZERO + Duration::from_micros(20 * ids.end);
+                sim.inject_batch(stream(ids)).unwrap();
+                advance(&mut sim, end, &mut delivered);
+                let (_, held) = frame_table(&sim);
+                assert_eq!(held, in_flight(&sim), "{name}: by {end}");
+                assert!(table_capacity(&sim) <= FRAME_TABLE_FLOOR, "{name}");
+            }
+            advance(&mut sim, SimTime::MAX, &mut delivered);
+            sim.poll_deliveries_into(&mut delivered);
+            assert_stream_delivered(&delivered, FRAMES);
+            assert_eq!(frame_table(&sim), (FRAMES, 0), "{name}");
+        }
+
+        let mut sim = star(SimConfig::default(), 2);
+        sim.inject_batch(stream(0..FRAMES)).unwrap();
+        assert_eq!(frame_table(&sim), (0, FRAMES as usize));
+        sim.run_to_idle();
+        assert_stream_delivered(&sim.poll_deliveries(), FRAMES);
+        assert_eq!(frame_table(&sim), (FRAMES, 0), "run_to_idle");
+        assert!(table_capacity(&sim) <= FRAME_TABLE_FLOOR, "run_to_idle");
+
+        struct Stream(Range<u64>);
+        impl TrafficSource for Stream {
+            fn next_batch(&mut self, horizon: SimTime) -> Vec<FrameInjection> {
+                let due = (horizon.as_nanos().div_ceil(20_000)).min(self.0.end);
+                let batch = stream(self.0.start.min(due)..due);
+                self.0.start = self.0.start.max(due);
+                batch
+            }
+            fn is_exhausted(&self) -> bool {
+                self.0.is_empty()
+            }
+        }
+        let mut sim = star(SimConfig::default(), 2);
+        let window = Duration::from_millis(1);
+        sim.run_with_source(&mut Stream(0..FRAMES), window).unwrap();
+        assert_stream_delivered(&sim.poll_deliveries(), FRAMES);
+        assert_eq!(frame_table(&sim), (FRAMES, 0), "run_with_source");
+        assert!(table_capacity(&sim) <= FRAME_TABLE_FLOOR, "run_with_source");
+    }
+
+    /// A frame still in flight holds the front of the frame tables while
+    /// the frames behind it leave: frame 100 of a 10 000-frame `stream` is
+    /// filed at 500 ms instead, after the rest have gone.  At 300 ms the
+    /// tables start at it and keep the 9 899 frames behind it, every one of
+    /// them delivered with its own bytes; then it leaves, byte-exact, and
+    /// the tables empty.
+    #[test]
+    fn a_lingering_frame_holds_the_front_while_later_frames_leave() {
+        let mut sim = star(SimConfig::default(), 2);
+        sim.inject_batch(stream(0..100)).unwrap();
+        let mut lingering = stream(100..101).remove(0);
+        lingering.at = SimTime::from_millis(500);
+        let id = sim
+            .inject(lingering.node, lingering.eth.clone(), lingering.at)
+            .unwrap();
+        assert_eq!(id, FrameId::new(100));
+        sim.inject_batch(stream(101..10_000)).unwrap();
+
+        sim.run_until(SimTime::from_millis(300));
+        assert_eq!(frame_table(&sim), (100, 9_900));
+        assert_eq!(in_flight(&sim), 1);
+        let early = sim.poll_deliveries();
+        assert_eq!(early.len(), 9_999);
+        assert!(early.iter().all(|d| d.frame != id));
+
+        sim.run_to_idle();
+        let [last] = &sim.poll_deliveries()[..] else {
+            panic!("only the lingering frame is left");
+        };
+        assert_eq!((last.frame, last.injected_at), (id, lingering.at));
+        assert_eq!(last.eth, lingering.eth);
+        let mut all = early;
+        all.push(last.clone());
+        assert_stream_delivered(&all, 10_000);
+        assert_eq!(frame_table(&sim), (10_000, 0));
+        assert!(table_capacity(&sim) <= FRAME_TABLE_FLOOR);
     }
 
     /// A star of six nodes: nodes 0, 1 and 2 send one request each to the

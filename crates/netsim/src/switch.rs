@@ -5,8 +5,9 @@
 //! The core runs over three parts of the [`crate::sim::Simulator`]:
 //!
 //! * a [`Fabric`] it only reads — the dense index tables, the routing
-//!   table in force, the per-channel wire state and the frame records, each
-//!   holding what forwarding needs to know of a frame but not its bytes;
+//!   table in force, the per-channel wire state and the records of the
+//!   frames in flight, each holding what forwarding needs to know of a frame
+//!   but not its bytes;
 //! * a [`Lane`] it writes — the output ports, their dead/doomed flags, the
 //!   pending-event set and the statistics;
 //! * a [`Sink`] where frames leave — the bytes of the frames in flight and
@@ -18,6 +19,7 @@
 //! rule and the death and revival of a trunk's ports are [`Core`]'s and
 //! exist nowhere else.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rt_frames::rt_data::MAX_DEADLINE_VALUE;
@@ -58,12 +60,13 @@ pub(crate) enum FrameDest {
     Unknown,
 }
 
-/// Everything the simulator remembers about one injected frame but its
-/// bytes, which wait in the [`Sink`]: 32 bytes, one per frame ever
-/// injected.  An RT data frame's stamp — a 48-bit deadline and its 16-bit
-/// channel, always found together — packs into one word; the class and the
-/// link-state mark share a flags byte with "stamped" (channel 0 is a legal
-/// stamp, so no channel value can mean "none").
+/// Everything the simulator remembers about one frame in flight but its
+/// bytes, which wait in the [`Sink`]: 32 bytes, from the frame's injection
+/// until it leaves the fabric.  An RT data frame's stamp — a 48-bit
+/// deadline and its 16-bit channel, always found together — packs into one
+/// word; the class and the link-state mark share a flags byte with
+/// "stamped" (channel 0 is a legal stamp, so no channel value can mean
+/// "none").
 #[derive(Debug, Clone)]
 pub(crate) struct FrameRecord {
     /// `deadline | channel << 48` when [`FrameRecord::STAMPED`] is set.
@@ -264,7 +267,12 @@ pub(crate) struct Fabric {
     /// never silently delivered.  Re-installing a hop schedule
     /// (re-admission under the same id) clears the flag.
     pub(crate) released_channels: Vec<bool>,
-    pub(crate) frames: Vec<FrameRecord>,
+    /// The records of the frames from `first_frame` on, in id order: frame
+    /// `first_frame + i` at `frames[i]`.  Frames leave in any order; the
+    /// simulator pops the front once it has left (see [`Sink`]).
+    pub(crate) frames: VecDeque<FrameRecord>,
+    /// The id of `frames[0]`: every frame before it has left the fabric.
+    pub(crate) first_frame: u64,
 }
 
 impl Fabric {
@@ -316,9 +324,16 @@ impl Fabric {
         }
     }
 
+    /// Where a frame in flight sits in the frame tables, the records here
+    /// and the byte slots in the [`Sink`].
+    #[inline]
+    pub(crate) fn slot(&self, frame: FrameId) -> usize {
+        (frame.get() - self.first_frame) as usize
+    }
+
     #[inline]
     pub(crate) fn record(&self, frame: FrameId) -> &FrameRecord {
-        &self.frames[frame.get() as usize]
+        &self.frames[self.slot(frame)]
     }
 
     #[inline]
@@ -443,29 +458,35 @@ impl Lane {
 // Where frames leave
 // ---------------------------------------------------------------------------
 
-/// The bytes of the frames in flight, by [`FrameId`], and the deliveries
-/// not polled yet: a buffer waits in its byte slot from its injection to
-/// its delivery, which takes it, or its drop, which frees it.  The slot
-/// itself, an empty `Option`, stays for the rest of the run, as the
-/// frame's [`FrameRecord`] does.
+/// The bytes of the frames in flight, slot by slot beside the
+/// [`Fabric`]'s records, and the deliveries not polled yet.  A buffer waits
+/// in its slot from its injection to its delivery, which takes it, or its
+/// drop, which frees it: the two ways out of the fabric, and the only
+/// things that empty a slot.  An empty slot at the front is therefore a
+/// frame that has left, and the simulator pops it with its record between
+/// instants; a frame still in flight holds the slots behind it until it
+/// leaves too.
 #[derive(Debug, Default)]
 pub(crate) struct Sink {
-    pub(crate) bytes: Vec<Option<EthernetFrame>>,
+    pub(crate) bytes: VecDeque<Option<EthernetFrame>>,
     pub(crate) deliveries: Vec<Delivery>,
 }
 
 impl Sink {
-    /// A frame reached its receiver: its bytes move into the delivery.
+    /// A frame reached its receiver: its bytes, in `slot`, move into the
+    /// delivery.
     #[inline]
-    fn deliver(&mut self, mut delivery: Delivery) {
-        let eth = self.bytes[delivery.frame.get() as usize].take();
+    fn deliver(&mut self, mut delivery: Delivery, slot: usize) {
+        let eth = self.bytes[slot].take();
         delivery.eth = eth.expect("a frame has one event pending: one delivery or drop");
         self.deliveries.push(delivery);
     }
 
-    /// A frame left the fabric undelivered (already counted): free its bytes.
-    fn discard(&mut self, frame: FrameId) {
-        self.bytes[frame.get() as usize] = None;
+    /// A frame left the fabric undelivered (already counted): free its
+    /// bytes, in `slot`.
+    fn discard(&mut self, slot: usize) {
+        let freed = self.bytes[slot].take();
+        debug_assert!(freed.is_some(), "a frame leaves the fabric once");
     }
 }
 
@@ -666,7 +687,7 @@ impl Core<'_> {
     /// Every undelivered exit: count the frame once and give its bytes back.
     fn drop_frame(&mut self, frame: FrameId, count: fn(&mut SimStats)) {
         count(&mut self.lane.stats);
-        self.sink.discard(frame);
+        self.sink.discard(self.fabric.slot(frame));
     }
 
     fn enqueue_at_port(&mut self, frame: FrameId, port: u32) {
@@ -731,7 +752,8 @@ impl Core<'_> {
         switch: Option<SwitchId>,
         now: SimTime,
     ) {
-        let record = self.fabric.record(frame);
+        let slot = self.fabric.slot(frame);
+        let record = &self.fabric.frames[slot];
         let (class, channel, deadline) = (record.class(), record.channel(), record.deadline());
         match class {
             TrafficClass::RealTime => {
@@ -753,7 +775,7 @@ impl Core<'_> {
             deadline,
             class,
         };
-        self.sink.deliver(delivery);
+        self.sink.deliver(delivery, slot);
     }
 
     /// Carry out a fault's port flips at `now`.  A killed port is marked
@@ -780,15 +802,17 @@ impl Core<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::tests::{be_frame, rt_frame};
+    use crate::sim::tests::{be_frame, frame_table, rt_frame};
     use crate::sim::{FaultScript, FrameInjection, Simulator};
     use rt_types::{Route, Topology};
 
-    /// The frames the simulator delivered, and how many still have bytes in
-    /// its table.
-    fn delivered_and_held(sim: &Simulator) -> (Vec<FrameId>, usize) {
+    /// The frames the simulator delivered, and how many its frame tables
+    /// still hold once the frames that left are popped off their front.
+    fn delivered_and_held(sim: &mut Simulator) -> (Vec<FrameId>, usize) {
+        sim.retire_frames();
         let delivered = sim.sink.deliveries.iter().map(|d| d.frame).collect();
-        let held = sim.sink.bytes.iter().filter(|slot| slot.is_some()).count();
+        let (base, held) = frame_table(sim);
+        assert_eq!(base + held as u64, sim.injected_count());
         (delivered, held)
     }
 
@@ -818,7 +842,9 @@ mod tests {
     /// doomed transmission restarts.  On a two-switch line (node 0 — switch
     /// 0 — switch 1 — node 1), driven two ways: through the core alone with
     /// the port flips applied by hand, then through `run_to_idle` with the
-    /// flips scripted as faults — after which the byte table must be empty.
+    /// flips scripted as faults.  Each exit retires its frame exactly once:
+    /// a second exit of a frame panics in the `Sink`, and after either run
+    /// the frame tables have popped every frame off their front.
     #[test]
     fn every_undelivered_exit_counts_once() {
         let config = SimConfig::default();
@@ -940,7 +966,7 @@ mod tests {
                     sim.inject(N0, eth.clone(), SimTime::ZERO).unwrap();
                 }
             };
-            // `held`: frames whose bytes are still in the simulator's table.
+            // `held`: frames the frame tables still hold.
             let check = |how: &str, stats: &SimStats, delivered: Vec<FrameId>, held: usize| {
                 let name = format!("{} ({how})", case.name);
                 assert_eq!((case.counter)(stats), case.lost, "{name}: its counter");
@@ -952,7 +978,7 @@ mod tests {
                     case.frames.len() as u64,
                     "{name}: every frame is delivered or dropped"
                 );
-                assert_eq!(held, 0, "{name}: every frame's bytes leave with it");
+                assert_eq!(held, 0, "{name}: every frame leaves the frame tables");
             };
 
             // The core alone: the port flips applied by hand, the topology
@@ -984,7 +1010,7 @@ mod tests {
                 core.handle(time, event);
             }
 
-            let (delivered, held) = delivered_and_held(&sim);
+            let (delivered, held) = delivered_and_held(&mut sim);
             check("core", &sim.lane.stats, delivered, held);
 
             // `run_to_idle`, the cut and the repair scripted as faults.
@@ -1000,7 +1026,7 @@ mod tests {
             prepare(&mut sim);
             sim.schedule_faults(&script).unwrap();
             sim.run_to_idle();
-            let (delivered, held) = delivered_and_held(&sim);
+            let (delivered, held) = delivered_and_held(&mut sim);
             check("run_to_idle", sim.stats(), delivered, held);
         }
     }
