@@ -33,6 +33,9 @@
 //!    annotated request to the destination node, exactly as the paper's
 //!    manager does; the destination's answer is relayed back by its access
 //!    switch as a **Confirm** (commit) or a rolling-back rejection.
+//! 5. Every frame first passes one legality rule (`admits`, tabled in
+//!    ARCHITECTURE.md): a copy, a forgery, or a frame its handshake moved
+//!    past is refused or ignored before any book is touched.
 //!
 //! ## Honest distribution: convergence delay, leases, id blocks
 //!
@@ -78,10 +81,10 @@
 //! operator's fast path — and `tests/fabric_properties.rs` holds the two to
 //! the same verdicts over 32 seeds.  Remaining modelling simplifications,
 //! documented rather than hidden: the committed-channel registry is
-//! manager-level state (a site's lease sweep consults it to spare channels
-//! whose commit landed but whose lease-clear frame has not), and the
-//! destination-side relay state is written without a wire frame at commit
-//! time.
+//! manager-level state (the legality rule reads it, and a site's lease sweep
+//! spares channels whose commit landed but whose lease-clear frame has not),
+//! and the destination-side relay state is written without a wire frame at
+//! commit time.
 //!
 //! A trunk cut or repair is decided by the fault engine both managers share
 //! (`fault.rs`), here as the atomic recovery decision of **the switches
@@ -94,27 +97,22 @@
 //! ## What one protocol hop costs
 //!
 //! A hop pays for what its frame touches, not for what its site or the
-//! fabric holds.  The sites sit in a dense table in ascending switch-id
-//! order (`rt_types::IdIndex`: one array index per handler, and a switch's
-//! slot *is* its id-block number).  A view is one `Arc<Topology>` per
-//! *distinct fabric state*: every site starts on the same allocation, a
-//! link-state write moves the writing site — and only it — onto the
-//! allocation that already holds "its state plus this event" if a live one
-//! does, onto a fresh copy otherwise, so sites that agree share memory (and
-//! the memoised fingerprint) while a site that has not heard yet keeps
-//! reading the old state.  Each site keeps one `DueFloor` under its leases,
-//! coordinations and relay entries, so the sweep in front of every frame
-//! looks at nothing until something can be due — `handle_frame_at` reads the
-//! floor before it calls the sweep.  A Probe or Reserve hop reads its place
-//! and owned links off the carried route and asks its view about two trunks
-//! at most; no hop asks a router.  What its key holds at the site is found
-//! with one probe: the key's record — its one or two links, its lease and
-//! its place on the route — beside the site's [`SlackLedger`] books, so a
-//! release touches two books at most.  A Reserve step takes the record once,
-//! frees what the key held, and tests and books each owned link under one
-//! probe of the ledger's slot table.  What a hop still allocates is the
-//! `values` list of the frame it forwards and the emission list of its
-//! outcome, both part of the public frame and trait types.
+//! fabric holds.  The sites sit in a dense table in switch-id order
+//! (`rt_types::IdIndex`: a switch's slot *is* its id-block number).  A view
+//! is one `Arc<Topology>` per *distinct fabric state*: a link-state write
+//! moves the writing site alone onto the allocation that already holds "its
+//! state plus this event", or onto a fresh copy, so sites that agree share
+//! memory and the memoised fingerprint.  Each site keeps one `DueFloor`
+//! under its deadlines, so the sweep in front of every frame looks at
+//! nothing until something can be due.  A Probe or Reserve hop reads its
+//! place and owned links off the carried route and asks its view about two
+//! trunks at most; no hop asks a router.  A key's record — its one or two
+//! links, its lease and its place — sits beside the site's [`SlackLedger`]
+//! books and is found with one probe, so a release touches two books at
+//! most; a Reserve step takes it once and tests and books each owned link
+//! under one probe of the ledger's slot table.  The legality rule adds one
+//! probe of the `committed` index per book-writing frame.  What a hop still
+//! allocates is its forwarded frame's `values` and its outcome's emissions.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -203,18 +201,22 @@ impl DueFloor {
 /// the key held here, so a record is replaced, never merged — and, while the
 /// reservation is tentative, its lease.  A Reserve step also writes where the
 /// site stands on the key's route, so the Rollback, the Confirm and the
-/// destination's relay walk on from here without a list.
+/// destination's relay walk on from here without a list; a Confirm marks
+/// the record `attested`.
 #[derive(Debug, Default)]
 struct Held {
     links: [Option<HopLink>; 2],
     lease: Option<SimTime>,
     place: Place,
+    attested: bool,
 }
 
-/// Where a site stands on a route: its position in the switch sequence and
-/// the switches before and after it there (`None` past either end).
+/// Where a site stands on a route: the coordinator's candidate it is, the
+/// position in its switch sequence and the switches before and after it
+/// there (`None` past either end).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Place {
+    candidate: u8,
     hop: u8,
     before: Option<SwitchId>,
     after: Option<SwitchId>,
@@ -323,15 +325,14 @@ impl Site {
     }
 
     /// A Reserve step under `key` at `place` on its route: what the key held
-    /// here — an earlier candidate's leftover, left by a handshake aborted
-    /// past this site — is freed, then each of `tasks` (one or two) is tested
-    /// and booked on its link, and the key's record names exactly those
-    /// links and this place under a lease to `expires` — if the handshake
-    /// strands (cut trunk, killed coordinator), the slack comes back then
-    /// instead of leaking.  `false` when a task does not fit or is none:
-    /// then the key holds nothing here, record included — a key new here
-    /// gets none.  One probe of the records, and per link one of the
-    /// ledger's slot table.
+    /// here — an earlier candidate's leftover — is freed, then each of
+    /// `tasks` (one or two) is tested and booked on its link, and the key's
+    /// record names exactly those links and this place under a lease to
+    /// `expires`, so a stranded handshake's slack comes back then.  `false`
+    /// when a task does not fit or is none: the key then holds nothing here,
+    /// record included.  A record already at `place` took this very step:
+    /// `true`, nothing touched.  One probe of the records, and per link one
+    /// of the ledger's slot table.
     fn reserve_step(
         &mut self,
         key: ReservationKey,
@@ -340,6 +341,7 @@ impl Site {
         expires: SimTime,
     ) -> bool {
         let held = match self.held.entry(key) {
+            Entry::Occupied(record) if record.get().place == place => return true,
             Entry::Occupied(mut record) => {
                 for link in record.get_mut().links.iter_mut().filter_map(Option::take) {
                     self.ledger.release(link, key);
@@ -389,13 +391,20 @@ impl Site {
         Some(booked)
     }
 
-    /// The coordination this site leads under `token`.  Every caller has the
-    /// token's coordination in place — `begin_request` inserted it, or the
-    /// handler that called found it — so a miss is a broken protocol path,
-    /// reported rather than panicked on.
+    /// The coordination this site leads under `token`.  Every caller has it
+    /// in place — `begin_request` inserted it, or the legality rule found it
+    /// — so a miss is a broken protocol path, reported rather than panicked
+    /// on.
     fn coordination(&mut self, token: u16) -> RtResult<&mut Coordination> {
         let at = self.switch;
         (self.coordinations.get_mut(&token)).ok_or_else(|| lost_coordination(at, token))
+    }
+
+    /// End the coordination this site leads under `token` and hand it over;
+    /// a miss as in [`Site::coordination`].
+    fn end_coordination(&mut self, token: u16) -> RtResult<Coordination> {
+        let at = self.switch;
+        (self.coordinations.remove(&token)).ok_or_else(|| lost_coordination(at, token))
     }
 
     /// Release everything `key` holds here — the links its record names, not
@@ -431,13 +440,14 @@ impl Site {
             .is_some()
     }
 
-    /// Renew (attest) `key`'s lease: move it to `expires`, under one probe
-    /// of the records, and say where the key's Reserve step stood here;
-    /// `None` if no lease was held — it expired, and the slack must not be
-    /// resurrected.
+    /// Attest `key`'s record and renew its lease: move it to `expires`,
+    /// under one probe of the records, and say where the key's Reserve step
+    /// stood here; `None` if no lease was held — it expired, and the slack
+    /// must not be resurrected.
     fn renew_lease(&mut self, key: ReservationKey, expires: SimTime) -> Option<Place> {
         let held = self.held.get_mut(&key)?;
         *held.lease.as_mut()? = expires;
+        held.attested = true;
         self.due.lower(expires);
         Some(held.place)
     }
@@ -514,6 +524,12 @@ impl Site {
 /// cannot find (see [`Site::coordination`]).
 fn lost_coordination(at: SwitchId, token: u16) -> RtError {
     RtError::ProtocolViolation(format!("{at} leads no coordination under token {token}"))
+}
+
+/// What the entry points without a switch answer.
+fn needs_switch_context<T>() -> RtResult<T> {
+    let e = "the distributed control plane needs switch context; drive it through handle_frame_at";
+    Err(RtError::ProtocolViolation(e.into()))
 }
 
 /// A committed channel: its record, registered at commit time with the
@@ -781,6 +797,7 @@ impl DistributedChannelManager {
         let before = if i > 0 { Some(joined(i - 1)?) } else { None };
         let after = if i < last { Some(joined(i + 1)?) } else { None };
         Some(Place {
+            candidate: frame.candidate,
             hop: frame.hop,
             before,
             after,
@@ -835,16 +852,11 @@ impl DistributedChannelManager {
     /// into `n` equal spans, the last extended to `u16::MAX`.  Inclusive
     /// `(start, end)`.
     fn id_block_of(n: usize, idx: usize) -> (u16, u16) {
-        let n = (n.max(1)) as u32;
-        let idx = idx as u32;
-        let span = (u32::from(u16::MAX) / n).max(1);
-        let start = (1 + idx * span).min(u32::from(u16::MAX));
-        let end = if idx + 1 >= n {
-            u32::from(u16::MAX)
-        } else {
-            ((idx + 1) * span).min(u32::from(u16::MAX))
-        };
-        (start as u16, end.max(start) as u16)
+        let (n, idx, max) = (n.max(1) as u32, idx as u32, u32::from(u16::MAX));
+        let span = (max / n).max(1);
+        let start = (1 + idx * span).min(max);
+        let end = if idx + 1 >= n { max } else { (idx + 1) * span };
+        (start as u16, end.clamp(start, max) as u16)
     }
 
     /// Allocate the next free channel id from the id block of the
@@ -876,10 +888,8 @@ impl DistributedChannelManager {
         reason: ReservationReason,
         hop: u8,
     ) -> ReservationFrame {
-        // Field-by-field rather than `..received.clone()`: the update
-        // syntax would clone the received frame's `values` vector (the only
-        // non-`Copy` field) just to drop it — one heap round-trip per
-        // forwarded hop on the reservation path.
+        // Not `..received.clone()`, which would clone `values` to drop it:
+        // one heap round-trip per forwarded hop.
         ReservationFrame {
             op,
             reason,
@@ -1009,8 +1019,8 @@ impl DistributedChannelManager {
                 // Same-switch route: probe + reserve collapse to local
                 // ledger operations on the one access switch.
                 self.sites[c].coordination(token)?.candidate = n;
-                if self.reserve_local(c, token, route, now)? {
-                    return self.complete_reservation(c, token, now);
+                if let Some(deadlines) = self.reserve_local(c, token, route, now)? {
+                    return self.complete_reservation(c, token, deadlines, now);
                 }
                 continue;
             }
@@ -1046,22 +1056,21 @@ impl DistributedChannelManager {
         }
         // Every candidate failed: reject, exactly like the central manager
         // answering the source directly.
-        let coord = self.sites[c].coordinations.remove(&token);
-        let coord = coord.ok_or_else(|| lost_coordination(coordinator, token))?;
+        let coord = self.sites[c].end_coordination(token)?;
         let rejection = self.rejection(&coord, None);
         Ok(Self::emit(coordinator, rejection))
     }
 
     /// Same-switch admission: partition and reserve both access links on
-    /// the one site, leased like any tentative reservation.  `Ok(false)`
-    /// means "this candidate is infeasible".
+    /// the one site, leased like any tentative reservation; the split, or
+    /// `Ok(None)` when this candidate is infeasible.
     fn reserve_local(
         &mut self,
         c: usize,
         token: u16,
         route: &Route,
         now: SimTime,
-    ) -> RtResult<bool> {
+    ) -> RtResult<Option<Vec<Slots>>> {
         let site = &mut self.sites[c];
         let spec = site.coordination(token)?.spec;
         let key = ReservationKey::token(site.switch, token);
@@ -1070,31 +1079,27 @@ impl DistributedChannelManager {
         let ledger = &site.ledger;
         let admitted = admit_along(self.dps.into(), &spec, route, |link| ledger.link(link));
         let Ok(deadlines) = admitted else {
-            return Ok(false);
+            return Ok(None);
         };
         reserve_along(&spec, route, &deadlines, |link, task| {
             site.reserve(link, key, task)
         });
         site.lease(key, now.saturating_add(LEASE_DURATION));
-        site.coordination(token)?.deadlines = Some(deadlines);
-        Ok(true)
+        Ok(Some(deadlines))
     }
 
-    /// The whole route is reserved: assign the channel id, register the
-    /// destination-side relay state at the destination's access switch
-    /// (keyed by the new — unique — channel id, which the destination node
-    /// echoes back in its ResponseFrame), and forward the annotated request
-    /// to the destination node.
-    ///
-    /// The relay registration is a cross-site write without a wire frame —
-    /// the one place the commit message from coordinator to destination
-    /// switch is modelled as instantaneous, one of the two remaining
-    /// simplifications in the module docs.  (A production switch would
-    /// learn it from the annotated request passing through its egress.)
+    /// The whole route is reserved under the per-link `deadlines`: assign
+    /// the channel id, register the destination-side relay state at the
+    /// destination's access switch (keyed by the new — unique — channel id,
+    /// which the destination node echoes back in its ResponseFrame), and
+    /// forward the annotated request to the destination node.  The relay
+    /// registration is a cross-site write without a wire frame, one of the
+    /// two simplifications the module docs name.
     fn complete_reservation(
         &mut self,
         c: usize,
         token: u16,
+        deadlines: Vec<Slots>,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         let id = self.allocate_channel_id(c)?;
@@ -1104,6 +1109,7 @@ impl DistributedChannelManager {
         let coordinator = site.switch;
         site.due.lower(expires);
         let coord = site.coordination(token)?;
+        coord.deadlines = Some(deadlines);
         coord.channel = Some(id);
         coord.expires = expires;
         let request = ChannelRequest {
@@ -1139,12 +1145,17 @@ impl DistributedChannelManager {
 
     // --- the per-hop reservation protocol --------------------------------
 
+    /// Run a reservation frame at site `s` if [`Self::admits`] lets it in, as
+    /// it must the Reserve the last Probe hop builds too.
     fn on_reservation(
         &mut self,
         s: usize,
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
+        if !self.admits(s, frame)? {
+            return Ok(ControlOutcome::empty());
+        }
         match frame.op {
             ReservationOp::Probe => self.on_probe(s, frame, now),
             ReservationOp::Reserve => self.on_reserve(s, Cow::Borrowed(frame), now),
@@ -1156,11 +1167,58 @@ impl DistributedChannelManager {
         }
     }
 
-    /// Abort an in-flight handshake gracefully at site `s`: release whatever
-    /// its key holds here and steer the coordinator to the next candidate
-    /// (inline when this site *is* the coordinator, by ReserveFailed
-    /// otherwise).  Reservations the direct notification skips are bounded
-    /// by their leases.
+    /// The protocol's one legality rule, decided before any handler runs
+    /// from the frame's key `(coordinator, token)`, op, reason and candidate,
+    /// and what the key is at site `s`: committed, coordinated here (the
+    /// candidate tried; is its route held?), held (the record's candidate and
+    /// place; has a Confirm attested it?) or absent.  The first matching row
+    /// decides; `Ok(false)` is a no-op:
+    ///
+    /// | | frame | key at `s` | verdict |
+    /// |-|-------|------------|---------|
+    /// | a | Reserve, Rollback, Release | committed | `ProtocolViolation` |
+    /// | b | Rollback without a cause; ReserveFailed off its coordinator | any | `ProtocolViolation` |
+    /// | c | any but Release, LinkState, at its coordinator | not coordinated; or another candidate or phase | no-op |
+    /// | d | Rollback for `Infeasible` or `StaleRoute` elsewhere | held for another candidate, or attested | no-op |
+    /// | e | any other | any | its handler |
+    ///
+    /// A Confirm and the `DestinationRejected` and `LeaseExpired` answers
+    /// come once the route is held, the rest before.  Each no-op is a copy
+    /// or a frame its handshake moved past; what that left is lease-bounded.
+    /// Row d, and the rule that a Reserve step its record already took is
+    /// not taken again, read the record their handler probes anyway
+    /// (`on_rollback`, `Site::reserve_step`).  Cost: a probe of `committed`
+    /// per book-writing frame, and one of the coordinations at the coordinator.
+    fn admits(&self, s: usize, frame: &ReservationFrame) -> RtResult<bool> {
+        use ReservationOp::{Confirm, LinkState, Release, Reserve, ReserveFailed, Rollback};
+        use ReservationReason::{DestinationRejected, LeaseExpired};
+        let key = ReservationKey::token(frame.coordinator, frame.token);
+        let (site, at_coordinator) = (&self.sites[s], self.sites[s].switch == frame.coordinator);
+        let why = match (frame.op, frame.reason) {
+            (Reserve | Rollback | Release, _) if self.committed.contains_key(&key) => {
+                "under a committed key"
+            }
+            (Rollback, ReservationReason::None | LeaseExpired) => "without a cause",
+            (ReserveFailed, _) if !at_coordinator => "off its coordinator",
+            (LinkState | Release, _) => return Ok(true),
+            (op, reason) if at_coordinator => {
+                let answer = op == Confirm || matches!(reason, DestinationRejected | LeaseExpired);
+                let trying = |c: &Coordination| match c.channel {
+                    Some(_) => answer,
+                    None => !answer && c.candidate as u8 == frame.candidate,
+                };
+                return Ok(site.coordinations.get(&frame.token).is_some_and(trying));
+            }
+            _ => return Ok(true),
+        };
+        let e = format!("{:?} {why} at {}: {key:?}", frame.op, site.switch);
+        Err(RtError::ProtocolViolation(e))
+    }
+
+    /// Abort an in-flight handshake at site `s`, where its key holds nothing:
+    /// steer the coordinator to the next candidate — inline when this site
+    /// *is* the coordinator, by ReserveFailed otherwise.  What the direct
+    /// notification skips is lease-bounded.
     fn abort_handshake(
         &mut self,
         s: usize,
@@ -1169,23 +1227,17 @@ impl DistributedChannelManager {
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         let site = &mut self.sites[s];
-        site.release_key(ReservationKey::token(frame.coordinator, frame.token));
         if site.switch == frame.coordinator {
-            // No coordination left: it already timed out, and the sweep
-            // answered the requester.
-            let Some(coord) = site.coordinations.get_mut(&frame.token) else {
-                return Ok(ControlOutcome::empty());
-            };
-            coord.candidate += 1;
+            site.coordination(frame.token)?.candidate += 1;
             return self.try_candidate(s, frame.token, now);
         }
         let failed = Self::follow_up(frame, ReservationOp::ReserveFailed, reason, frame.hop);
         Ok(Self::send(site.switch, frame.coordinator, failed))
     }
 
-    /// Send `frame` on as a Rollback for `reason` — to `onward`, `(hop,
-    /// switch)`, or, with nothing onward, back to the coordinator as
-    /// ReserveFailed (`abort_handshake`) — releasing what its key holds here.
+    /// Release what `frame`'s key holds here and send the frame on as a
+    /// Rollback for `reason` — to `onward`, `(hop, switch)`, or, with nothing
+    /// onward, back to the coordinator as ReserveFailed (`abort_handshake`).
     fn roll_on(
         &mut self,
         s: usize,
@@ -1194,11 +1246,11 @@ impl DistributedChannelManager {
         onward: Option<(u8, SwitchId)>,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
+        let site = &mut self.sites[s];
+        site.release_key(ReservationKey::token(frame.coordinator, frame.token));
         let Some((hop, to)) = onward else {
             return self.abort_handshake(s, frame, reason, now);
         };
-        let site = &mut self.sites[s];
-        site.release_key(ReservationKey::token(frame.coordinator, frame.token));
         let rollback = Self::follow_up(frame, ReservationOp::Rollback, reason, hop);
         Ok(Self::send(site.switch, to, rollback))
     }
@@ -1208,7 +1260,7 @@ impl DistributedChannelManager {
     /// backward Reserve pass.  Where we stand and what we own are read off
     /// the carried route; a route our own view refuses (`place_on`) aborts
     /// with `StaleRoute` — the probe pass reserves nothing, so there is
-    /// nothing to sweep.
+    /// nothing to sweep, and it frees nothing either.
     fn on_probe(
         &mut self,
         s: usize,
@@ -1257,12 +1309,14 @@ impl DistributedChannelManager {
             // Not even partitionable: nothing was reserved anywhere.
             return self.abort_handshake(s, frame, ReservationReason::Infeasible, now);
         }
-        // No relay state yet: it is registered only once the whole route is
-        // reserved (`complete_reservation`).  Our own step runs inline, then
-        // the frame, handed over whole, travels backward.
+        // Our own step runs inline, past the legality rule, then the frame
+        // travels backward whole; relay state waits for the whole route.
         let none = ReservationReason::None;
         let mut reserve = Self::follow_up(frame, ReservationOp::Reserve, none, frame.hop);
         reserve.values = values;
+        if !self.admits(s, &reserve)? {
+            return Ok(ControlOutcome::empty());
+        }
         self.on_reserve(s, Cow::Owned(reserve), now)
     }
 
@@ -1272,10 +1326,6 @@ impl DistributedChannelManager {
     /// refuses the route — nothing is left under the key here, and a
     /// Rollback sweeps the switches after us, which reserved before us,
     /// up to the destination's access switch, which answers ReserveFailed.
-    /// A Reserve under a committed channel's key is a copy or a forgery —
-    /// the channel commits only once its last Reserve step is done — and is
-    /// refused before any book is touched, since the step would first free
-    /// what the channel holds here.
     /// The frame is borrowed when it came off the wire and owned when the
     /// last Probe hop built it, which then forwards it without a copy.
     fn on_reserve(
@@ -1285,10 +1335,6 @@ impl DistributedChannelManager {
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
         let key = ReservationKey::token(frame.coordinator, frame.token);
-        if let Some(id) = self.committed.get(&key) {
-            let e = format!("Reserve under channel {id}'s committed key {key:?}");
-            return Err(RtError::ProtocolViolation(e));
-        }
         let expires = now.saturating_add(LEASE_DURATION);
         let (switches, deadlines) = frame.carried_route()?;
         if deadlines.len() != switches.len() + 1 {
@@ -1308,13 +1354,7 @@ impl DistributedChannelManager {
         if place.before.is_none() {
             // The coordinator's own step completes the candidate its
             // coordination is trying, and no other.
-            let Some(coord) = site.coordinations.get(&frame.token) else {
-                // The coordination timed out while the backward pass was in
-                // flight; the requester was already answered.  Everything
-                // behind us is lease-bounded.
-                site.release_key(key);
-                return Ok(ControlOutcome::empty());
-            };
+            let coord = site.coordination(frame.token)?;
             let trying = coord.candidates.get(coord.candidate);
             if !trying.is_some_and(|route| Self::switches_of(route).eq(switches.iter().copied())) {
                 let e = format!("Reserve off {at}'s candidate for token {}", frame.token);
@@ -1336,20 +1376,17 @@ impl DistributedChannelManager {
         }
         // hop 0: the coordinator itself just reserved — the route is fully
         // held.
-        let coord = site.coordination(frame.token)?;
-        coord.deadlines = Some(deadlines.iter().map(|&d| Slots::new(d)).collect());
-        self.complete_reservation(s, frame.token, now)
+        let deadlines = deadlines.iter().map(|&d| Slots::new(d)).collect();
+        self.complete_reservation(s, frame.token, deadlines, now)
     }
 
-    /// Rollback: release whatever this reservation holds here and walk on
-    /// from where the key's record says this site stood.  `Infeasible` and
-    /// `StaleRoute` rollbacks ascend towards the destination switch (which
-    /// then answers ReserveFailed); `DestinationRejected` rollbacks descend
-    /// towards the coordinator (which then answers the source).  A site
-    /// whose record its lease already took cannot walk on: an ascending
-    /// sweep ends there — the switches past it reserved earlier, so their
-    /// leases ran out first — and a descending one goes straight to the
-    /// coordinator, leaving what it skips to the leases.
+    /// Rollback: release what this reservation holds here and walk on from
+    /// where the key's record says this site stood — `Infeasible` and
+    /// `StaleRoute` up to the destination switch, which answers
+    /// ReserveFailed, `DestinationRejected` down to the coordinator, which
+    /// answers the source.  With no record (its lease took it) an ascending
+    /// sweep ends here — the switches past it reserved earlier, so their
+    /// leases ran out first — and a descending one goes to the coordinator.
     fn on_rollback(
         &mut self,
         s: usize,
@@ -1358,38 +1395,27 @@ impl DistributedChannelManager {
     ) -> RtResult<ControlOutcome> {
         let key = ReservationKey::token(frame.coordinator, frame.token);
         let site = &mut self.sites[s];
-        let place = site.held.get(&key).map(|held| held.place);
+        let held = site.held.get(&key).map(|held| (held.place, held.attested));
+        let place = held.map(|(place, _)| place);
         let onward = match frame.reason {
-            ReservationReason::Infeasible | ReservationReason::StaleRoute => {
-                place.and_then(|p| Some((p.hop + 1, p.after?)))
-            }
             ReservationReason::DestinationRejected if site.switch == frame.coordinator => {
                 // The whole-route release is complete; answer the source.
                 // The consumed channel id is not reused — exactly the
                 // central manager's behaviour on a destination rejection.
                 site.release_key(key);
-                return self.finish_destination_reject(s, frame.token);
+                let coord = site.end_coordination(frame.token)?;
+                let rejection = self.rejection(&coord, coord.channel);
+                return Ok(Self::emit(frame.coordinator, rejection));
             }
             ReservationReason::DestinationRejected => Some(Place::back(place, frame.coordinator)),
-            ReservationReason::None | ReservationReason::LeaseExpired => {
-                let e = "rollback without a cause".into();
-                return Err(RtError::ProtocolViolation(e));
+            // `Infeasible` or `StaleRoute` (one without a cause was refused);
+            // row d of the legality rule, read off the record the walk reads.
+            _ if held.is_some_and(|(p, attested)| p.candidate != frame.candidate || attested) => {
+                return Ok(ControlOutcome::empty());
             }
+            _ => place.and_then(|p| Some((p.hop + 1, p.after?))),
         };
         self.roll_on(s, frame, frame.reason, onward, now)
-    }
-
-    fn finish_destination_reject(&mut self, c: usize, token: u16) -> RtResult<ControlOutcome> {
-        // The coordination may already be gone — timed out while the
-        // descending rollback was in flight; the requester was answered by
-        // the sweep.
-        let site = &mut self.sites[c];
-        let Some(coord) = site.coordinations.remove(&token) else {
-            return Ok(ControlOutcome::empty());
-        };
-        let coordinator = site.switch;
-        let rejection = self.rejection(&coord, coord.channel);
-        Ok(Self::emit(coordinator, rejection))
     }
 
     /// ReserveFailed (direct to the coordinator): the current candidate is
@@ -1404,28 +1430,14 @@ impl DistributedChannelManager {
         frame: &ReservationFrame,
         now: SimTime,
     ) -> RtResult<ControlOutcome> {
-        let site = &mut self.sites[s];
-        let at = site.switch;
-        if at != frame.coordinator {
-            return Err(RtError::ProtocolViolation(format!(
-                "ReserveFailed delivered to {at}, coordinator is {}",
-                frame.coordinator
-            )));
-        }
-        // No coordination left: timed out already, and the requester was
-        // answered by the sweep.
+        let (site, at) = (&mut self.sites[s], frame.coordinator);
         if frame.reason == ReservationReason::LeaseExpired {
-            let Some(coord) = site.coordinations.remove(&frame.token) else {
-                return Ok(ControlOutcome::empty());
-            };
+            let coord = site.end_coordination(frame.token)?;
             site.release_key(ReservationKey::token(at, frame.token));
             let rejection = self.rejection(&coord, coord.channel);
             return Ok(Self::emit(at, rejection));
         }
-        let Some(coord) = site.coordinations.get_mut(&frame.token) else {
-            return Ok(ControlOutcome::empty());
-        };
-        coord.candidate += 1;
+        site.coordination(frame.token)?.candidate += 1;
         self.try_candidate(s, frame.token, now)
     }
 
@@ -1462,13 +1474,9 @@ impl DistributedChannelManager {
     }
 
     fn commit_confirmed(&mut self, c: usize, token: u16) -> RtResult<ControlOutcome> {
-        // The coordination may have timed out while the Confirm walk was
-        // in flight; the requester was already answered with a rejection.
         let site = &mut self.sites[c];
         let coordinator = site.switch;
-        let Some(mut coord) = site.coordinations.remove(&token) else {
-            return Ok(ControlOutcome::empty());
-        };
+        let mut coord = site.end_coordination(token)?;
         let key = ReservationKey::token(coordinator, token);
         if !site.clear_lease(key) {
             // Our own lease expired before the Confirm arrived: the slack
@@ -1764,13 +1772,12 @@ impl DistributedChannelManager {
     }
 
     /// Abort the handshakes in flight over trunks that just died — the keys
-    /// of no committed channel in the books of a dead trunk's owners — as
-    /// part of the adjacent switches' recovery decision: a handshake past
-    /// its Reserve step there would otherwise commit over the dead trunk,
-    /// and the fail-over moves committed channels only.  Each coordination
-    /// ends at once, its requester's rejection queued with the flood, its
-    /// coordinator's own hold released; what it holds elsewhere is
-    /// lease-bounded, as a timed-out handshake's is.
+    /// of no committed channel in a dead trunk's books — as part of the
+    /// adjacent switches' recovery decision: one past its Reserve step there
+    /// would otherwise commit over the dead trunk, and the fail-over moves
+    /// committed channels only.  Each coordination ends at once, its
+    /// requester's rejection queued with the flood and its coordinator's own
+    /// hold released; what it holds elsewhere is lease-bounded.
     fn abort_handshakes_over(&mut self, cut: &[(SwitchId, SwitchId)]) {
         let mut on_dead = Vec::new();
         for (from, to) in cut.iter().flat_map(|&(a, b)| [(a, b), (b, a)]) {
@@ -1804,9 +1811,8 @@ impl DistributedChannelManager {
     /// route swept.  This runs in front of every frame, so it looks only
     /// when something can be due.
     fn sweep_site(&mut self, s: usize, now: SimTime) -> Vec<(SwitchId, SwitchAction)> {
-        // One of the two documented places the manager-global registry is
-        // consulted, and only for this site's own expired leases, of which
-        // there are usually none.
+        // The manager-global index, read for this site's own expired leases
+        // only, of which there are usually none.
         let (committed, registry) = (&self.committed, &self.registry);
         let path_of = |key| committed.get(&key).map(|id| &registry[id].route.path);
         let (reclaimed, stalled) = self.sites[s].sweep(now, path_of);
@@ -1922,17 +1928,11 @@ impl ChannelStore for DistributedChannelManager {
 
 impl ChannelManager for DistributedChannelManager {
     fn handle_request(&mut self, _frame: &RequestFrame) -> RtResult<Vec<SwitchAction>> {
-        Err(RtError::ProtocolViolation(
-            "the distributed control plane needs switch context; drive it through handle_frame_at"
-                .into(),
-        ))
+        needs_switch_context()
     }
 
     fn handle_response(&mut self, _frame: &ResponseFrame) -> RtResult<Vec<SwitchAction>> {
-        Err(RtError::ProtocolViolation(
-            "the distributed control plane needs switch context; drive it through handle_frame_at"
-                .into(),
-        ))
+        needs_switch_context()
     }
 
     fn handle_teardown(&mut self, channel: ChannelId) -> RtResult<ReleasedChannel> {

@@ -8,13 +8,20 @@
 //! that leaks from a hashed table into a verdict, a fail-over or a
 //! departure changes a hash here.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use switched_rt_ethernet::core::manager::SwitchAction;
 use switched_rt_ethernet::core::{
-    ChannelManager, DistributedChannelManager, FabricChannelManager, MultiHopAdmission, MultiHopDps,
+    ChannelManager, ChannelRoute, ControlOutcome, DistributedChannelManager, FabricChannelManager,
+    FailoverReport, MultiHopAdmission, MultiHopDps, ReleasedChannel,
 };
+use switched_rt_ethernet::frames::{Frame, RequestFrame, ReservationOp, ResponseFrame};
 use switched_rt_ethernet::traffic::{ChurnConfig, ChurnProcess};
-use switched_rt_ethernet::types::{Router, ShortestPathRouter, Topology};
+use switched_rt_ethernet::types::{
+    ChannelId, Duration, HopLink, NodeId, Router, RtResult, ShortestPathRouter, SimTime, SwitchId,
+    Topology,
+};
 
 /// The benchmark's seed.
 const SEED: u64 = 20644;
@@ -115,4 +122,140 @@ fn churn_faults_smoke_trace_is_pinned() {
         fault_every: Some(100),
     };
     assert_eq!(format!("{:016x}", soak.central()), "0560908332dd47b4");
+}
+
+/// The distributed manager with the instant of every Request it is handed,
+/// and the key of every handshake whose first Probe it is handed, on the
+/// record.
+#[derive(Debug)]
+struct KeyLog {
+    manager: DistributedChannelManager,
+    requests: Vec<SimTime>,
+    keys: Vec<(SwitchId, u16)>,
+}
+
+impl ChannelManager for KeyLog {
+    fn handle_request(&mut self, frame: &RequestFrame) -> RtResult<Vec<SwitchAction>> {
+        self.manager.handle_request(frame)
+    }
+
+    fn handle_response(&mut self, frame: &ResponseFrame) -> RtResult<Vec<SwitchAction>> {
+        self.manager.handle_response(frame)
+    }
+
+    fn handle_teardown(&mut self, channel: ChannelId) -> RtResult<ReleasedChannel> {
+        self.manager.handle_teardown(channel)
+    }
+
+    fn channel_count(&self) -> usize {
+        self.manager.channel_count()
+    }
+
+    fn pending_count(&self) -> usize {
+        self.manager.pending_count()
+    }
+
+    fn channel_ids(&self) -> Vec<ChannelId> {
+        self.manager.channel_ids()
+    }
+
+    fn channel_route(&self, id: ChannelId) -> Option<ChannelRoute> {
+        self.manager.channel_route(id)
+    }
+
+    fn link_load(&self, link: HopLink) -> usize {
+        self.manager.link_load(link)
+    }
+
+    fn schedules_hops(&self) -> bool {
+        self.manager.schedules_hops()
+    }
+
+    fn handle_link_failure(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
+        self.manager.handle_link_failure(from, to)
+    }
+
+    fn handle_link_repair(&mut self, from: SwitchId, to: SwitchId) -> RtResult<FailoverReport> {
+        self.manager.handle_link_repair(from, to)
+    }
+
+    fn handle_switch_failure(&mut self, switch: SwitchId) -> RtResult<FailoverReport> {
+        self.manager.handle_switch_failure(switch)
+    }
+
+    fn handle_frame_at(
+        &mut self,
+        at: SwitchId,
+        from: NodeId,
+        frame: &Frame,
+        now: SimTime,
+    ) -> RtResult<ControlOutcome> {
+        match frame {
+            Frame::Request(_) => self.requests.push(now),
+            Frame::Reservation(f) if f.op == ReservationOp::Probe && f.hop == 1 => {
+                self.keys.push((f.coordinator, f.token));
+            }
+            _ => {}
+        }
+        self.manager.handle_frame_at(at, from, frame, now)
+    }
+
+    fn next_timeout(&self) -> Option<SimTime> {
+        self.manager.next_timeout()
+    }
+
+    fn on_tick(&mut self, now: SimTime) -> RtResult<ControlOutcome> {
+        self.manager.on_tick(now)
+    }
+
+    fn drain_control(&mut self) -> Vec<(SwitchId, SwitchAction)> {
+        self.manager.drain_control()
+    }
+
+    fn audit_quiescent(&self) -> RtResult<()> {
+        self.manager.audit_quiescent()
+    }
+}
+
+/// How soon a reservation token can come round again under
+/// `churn_distributed` at smoke size, against the 50 ms lease that bounds
+/// how long a copy of a handshake's frame can find its key live.  One `u16`
+/// counter serves every coordinator and each request takes its next free
+/// token, so a token is handed out again only 65 535 requests later:
+/// here the first Probes show one key per handshake, tokens in request
+/// order, none twice.  But the churn pump delivers every frame at
+/// simulated time zero, so the 220 requests — and any 65 535 of a longer
+/// run — fall on one instant: the shortest simulated interval before a
+/// token comes round is zero, below the lease.  Only the request count
+/// stands between a held-back copy and a new handshake under its key.
+#[test]
+fn a_token_can_come_round_before_a_lease_runs_out() {
+    let soak = Soak {
+        topology: fat_tree_16(),
+        warmup: 60,
+        measured: 160,
+        holding: 1_000.0,
+        fault_every: None,
+    };
+    let router: Arc<dyn Router> = Arc::new(ShortestPathRouter::new());
+    let manager =
+        DistributedChannelManager::new(soak.topology.clone(), MultiHopDps::Asymmetric, router);
+    let lease = manager.lease_duration();
+    let mut log = KeyLog {
+        manager,
+        requests: Vec::new(),
+        keys: Vec::new(),
+    };
+    assert_eq!(
+        format!("{:016x}", soak.normalized_trace_hash(&mut log)),
+        "4f7c4934a5bf8a39"
+    );
+    assert_eq!(log.requests.len(), 220);
+    let distinct: BTreeSet<_> = log.keys.iter().collect();
+    assert_eq!(distinct.len(), log.keys.len(), "a key handed out twice");
+    assert!(log.keys.windows(2).all(|pair| pair[0].1 < pair[1].1));
+    let (first, last) = (log.requests.iter().min(), log.requests.iter().max());
+    let span = *last.unwrap() - *first.unwrap();
+    assert_eq!(span, Duration::ZERO, "the requests span simulated time");
+    assert!(span < lease);
 }
