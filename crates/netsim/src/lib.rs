@@ -22,8 +22,8 @@
 //!   a binary heap),
 //! * [`port`] — the dual-queue (RT + best effort) output port model,
 //! * `switch` (private) — the forwarding core: what the fabric does with one
-//!   event, over a read-only fabric view, the mutable lane the events change
-//!   and the table of frame bytes,
+//!   event, over a read-only fabric view and the mutable lane the events
+//!   change, which holds the table of the frames in flight,
 //! * [`sim`] — the driver of that core and the public front-end:
 //!   construction, injection, channel wire state, faults, the run loops,
 //! * [`stats`] — latency / deadline-miss / utilisation accounting.
@@ -38,7 +38,7 @@ pub mod stats;
 mod switch;
 
 pub use event::{CalendarScheduler, Event, EventQueue, EventScheduler, HeapScheduler};
-pub use port::{OutputPort, QueuedFrame, TrafficClass};
+pub use port::{OutputPort, TrafficClass};
 #[doc(hidden)]
 pub use sim::ShardedSimulator;
 pub use sim::{

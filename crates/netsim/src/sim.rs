@@ -62,7 +62,6 @@
 //! The simulator is single-threaded and deterministic: identical inputs
 //! produce identical event sequences, deliveries and statistics.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -77,7 +76,7 @@ use crate::event::Event;
 use crate::port::TrafficClass;
 use crate::stats::SimStats;
 use crate::switch::{
-    self, ChannelWireState, Core, Fabric, FrameDest, FrameRecord, Lane, PortFlips, Sink,
+    self, ChannelWireState, Core, Fabric, FrameDest, FrameRecord, Lane, PortFlips,
 };
 
 /// Identifier of a frame inside one simulation run.
@@ -305,37 +304,20 @@ pub trait TrafficSource {
 #[derive(Debug)]
 pub struct Simulator {
     topology: Topology,
-    /// The path-selection policy the fabric was built with.  The
-    /// `BTreeMap` reference form of its table is *not* held here: the
-    /// router's cache materialises it lazily for whoever asks
-    /// ([`Simulator::next_hop_table`]), so a structural fabric never pays
-    /// the O(V²) table at all.
+    /// The path-selection policy the fabric was built with: its dense
+    /// next-hop form is pulled into the [`Fabric`] at construction and
+    /// after every fault, and nothing else of it is held here.
     router: Arc<dyn Router>,
     /// What the per-event path reads.
     pub(crate) fabric: Fabric,
-    /// What the per-event path writes.
+    /// What the per-event path writes, the frames in flight included.
     pub(crate) lane: Lane,
     /// The switch hosting the RT channel management software.
     manager_switch: SwitchId,
-    /// The bytes of the frames in flight and the pending deliveries.
-    pub(crate) sink: Sink,
     /// The same-time run being dispatched; its events from `run_next` on
     /// are pending yet (a run a delivery interrupted holds them here).
     run: Vec<Event>,
     run_next: usize,
-}
-
-/// The frame tables keep up to this many slots of storage however few
-/// frames are in flight; above it they shrink to fit once a quarter full.
-const FRAME_TABLE_FLOOR: usize = 4096;
-
-/// Give a frame table's storage back once at most a quarter of it is in use
-/// above [`FRAME_TABLE_FLOOR`] slots, so that after every retirement its
-/// storage is within four times what it holds, or the floor.
-fn shrink_when_sparse<T>(table: &mut VecDeque<T>) {
-    if table.capacity() > FRAME_TABLE_FLOOR && table.len() <= table.capacity() / 4 {
-        table.shrink_to_fit();
-    }
 }
 
 /// `true` if the driver must answer `delivery` before the simulation may go
@@ -424,12 +406,9 @@ impl Simulator {
                 distributed_control,
                 channel_wire: Vec::new(),
                 released_channels: Vec::new(),
-                frames: VecDeque::new(),
-                first_frame: 0,
             },
             lane,
             manager_switch,
-            sink: Sink::default(),
             run: Vec::new(),
             run_next: 0,
         })
@@ -480,7 +459,7 @@ impl Simulator {
     /// event queue drains, `injected_count() == stats().total_delivered() +
     /// stats().total_dropped()` — frame conservation.
     pub fn injected_count(&self) -> u64 {
-        self.fabric.first_frame + self.fabric.frames.len() as u64
+        self.lane.frames.end()
     }
 
     /// Number of events still pending.
@@ -503,14 +482,14 @@ impl Simulator {
 
     /// Drain the deliveries that have accumulated since the last call.
     pub fn poll_deliveries(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.sink.deliveries)
+        std::mem::take(&mut self.lane.deliveries)
     }
 
     /// [`Simulator::poll_deliveries`] for a driver that polls after every
     /// delivery: the accumulated deliveries are moved to the end of `out`
     /// and both buffers keep their capacity, so a poll allocates nothing.
     pub fn poll_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
-        out.append(&mut self.sink.deliveries);
+        out.append(&mut self.lane.deliveries);
     }
 
     // --- channel wire state ----------------------------------------------
@@ -685,14 +664,12 @@ impl Simulator {
         Ok(())
     }
 
-    /// Lend the fabric, the lane and the sink to the core for one event or
-    /// fault.
+    /// Lend the fabric and the lane to the core for one event or fault.
     #[inline]
     fn with_core<R>(&mut self, run: impl FnOnce(&mut Core<'_>) -> R) -> R {
         run(&mut Core {
             fabric: &self.fabric,
             lane: &mut self.lane,
-            sink: &mut self.sink,
         })
     }
 
@@ -753,9 +730,9 @@ impl Simulator {
         }
     }
 
-    /// Classify and file one frame: its record in the frame table, its
-    /// buffer in the byte table, where it waits for its delivery or drop
-    /// (only the small `FrameId` travels through the event loop).
+    /// Classify and file one frame: its record and its buffer wait in the
+    /// frame table for its delivery or drop (only the small `FrameId`
+    /// travels through the event loop).
     fn register_frame(
         &mut self,
         eth: EthernetFrame,
@@ -763,11 +740,8 @@ impl Simulator {
         injected_at: SimTime,
     ) -> RtResult<FrameId> {
         let record = self.record_of(&eth, source, injected_at)?;
-        let id = FrameId(self.injected_count());
         self.lane.count_injection(&record);
-        self.fabric.frames.push_back(record);
-        self.sink.bytes.push_back(Some(eth));
-        Ok(id)
+        Ok(self.lane.frames.file(record, eth))
     }
 
     /// One checked gate for every injection path: the entry point must be an
@@ -842,40 +816,37 @@ impl Simulator {
     /// frames filed so far are taken back out, so the simulation is exactly
     /// as it was (no id used, no statistic counted, no event pending) —
     /// retrying a corrected batch cannot double-inject the earlier frames.
-    /// Nothing is held per frame besides the tables the batch fills and
-    /// the events it schedules.
+    /// Nothing is held per frame besides the frame table's slots and the
+    /// events the batch schedules.
     pub fn inject_batch(
         &mut self,
         batch: impl IntoIterator<Item = FrameInjection>,
     ) -> RtResult<Range<FrameId>> {
         let batch = batch.into_iter();
-        let (start, filed) = (self.injected_count(), self.fabric.frames.len());
-        self.fabric.frames.reserve(batch.size_hint().0);
-        self.sink.bytes.reserve(batch.size_hint().0);
+        let start = FrameId(self.injected_count());
+        self.lane.frames.reserve(batch.size_hint().0);
         for FrameInjection { node, eth, at } in batch {
             let checked = self
                 .validate_injection(node, at)
                 .and_then(|()| self.record_of(&eth, node, at));
             match checked {
-                Ok(record) => {
-                    self.fabric.frames.push_back(record);
-                    self.sink.bytes.push_back(Some(eth));
-                }
+                Ok(record) => _ = self.lane.frames.file(record, eth),
                 Err(e) => {
-                    self.fabric.frames.truncate(filed);
-                    self.sink.bytes.truncate(filed);
+                    self.lane.frames.unfile_from(start);
                     return Err(e);
                 }
             }
         }
         // Infallible from here on: count and schedule in batch order.
-        for (id, record) in (start..).zip(self.fabric.frames.range(filed..)) {
-            self.lane.count_injection(record);
-            let (node, frame) = (record.source, FrameId(id));
+        let end = FrameId(self.injected_count());
+        for frame in (start.0..end.0).map(FrameId) {
+            let record = self.lane.frames.record(frame);
+            self.lane.count_injection(&record);
+            let node = record.source;
             self.lane
                 .schedule(record.injected_at, Event::EnqueueAtNode { node, frame });
         }
-        Ok(FrameId(start)..FrameId(self.injected_count()))
+        Ok(start..end)
     }
 
     /// Inject a frame originated by the control plane of a *specific*
@@ -943,7 +914,7 @@ impl Simulator {
     /// event: what it defers to the instant's end (RT data and best effort
     /// to a node) never reaches back into the simulation.
     pub fn run_until_delivery_before(&mut self, limit: SimTime) -> bool {
-        !self.sink.deliveries.is_empty() || self.run_instants::<true>(limit)
+        !self.lane.deliveries.is_empty() || self.run_instants::<true>(limit)
     }
 
     /// Run until `limit` (inclusive); events after `limit` stay pending.
@@ -964,21 +935,21 @@ impl Simulator {
         }
         loop {
             loop {
-                let delivered = self.sink.deliveries.len();
+                let delivered = self.lane.deliveries.len();
                 if !self.step_held() {
                     break;
                 }
                 if UNTIL_DELIVERY
-                    && self.sink.deliveries.len() > delivered
-                    && self.sink.deliveries.last().is_some_and(needs_answer)
+                    && self.lane.deliveries.len() > delivered
+                    && self.lane.deliveries.last().is_some_and(needs_answer)
                 {
                     return true;
                 }
             }
-            if UNTIL_DELIVERY && !self.sink.deliveries.is_empty() {
+            if UNTIL_DELIVERY && !self.lane.deliveries.is_empty() {
                 return true;
             }
-            self.retire_frames();
+            self.lane.frames.retire();
             self.run_next = 0;
             if self
                 .lane
@@ -1021,8 +992,8 @@ impl Simulator {
 
     /// Process a single event — the next of an interrupted run, if one is
     /// held; returns `false` when nothing is pending.  A frame the event
-    /// takes out of the fabric leaves the frame tables at once (the run
-    /// loops pop such frames at the end of each instant).
+    /// takes out of the fabric leaves the frame table at once (the run
+    /// loops retire such frames at the end of each instant).
     pub fn step(&mut self) -> bool {
         if !self.step_held() {
             let Some((time, event)) = self.lane.events.pop() else {
@@ -1030,34 +1001,8 @@ impl Simulator {
             };
             self.dispatch(time, event);
         }
-        self.retire_frames();
+        self.lane.frames.retire();
         true
-    }
-
-    /// Pop the frames that have left the fabric off the front of the frame
-    /// tables, records and byte slots alike (an empty byte slot is a frame
-    /// that has left: see [`Sink`]), and give their storage back once at
-    /// most a quarter of it is in use above [`FRAME_TABLE_FLOOR`] slots.
-    /// A frame still in flight holds the front, and the frames behind it
-    /// wait for it.  One test of the front when nothing has left.
-    #[inline]
-    pub(crate) fn retire_frames(&mut self) {
-        if self.sink.bytes.front().is_some_and(Option::is_none) {
-            self.retire_front();
-        }
-    }
-
-    fn retire_front(&mut self) {
-        let bytes = &mut self.sink.bytes;
-        let left = bytes
-            .iter()
-            .position(Option::is_some)
-            .unwrap_or(bytes.len());
-        bytes.drain(..left);
-        self.fabric.frames.drain(..left);
-        self.fabric.first_frame += left as u64;
-        shrink_when_sparse(bytes);
-        shrink_when_sparse(&mut self.fabric.frames);
     }
 
     /// Dispatch the next event of the held run; `false` if none is held.
@@ -1143,6 +1088,7 @@ impl std::ops::DerefMut for ShardedSimulator {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::switch::FRAME_TABLE_FLOOR;
     use rt_frames::rt_data::{DeadlineStamp, RtDataFrame, MAX_DEADLINE_VALUE};
     use rt_types::constants::ETHERTYPE_IPV4;
     use rt_types::Ipv4Address;
@@ -1986,8 +1932,8 @@ pub(crate) mod tests {
     /// used, no control or link-state frame counted, no event pending, so
     /// a corrected retry cannot duplicate the earlier frames.  The second
     /// refusal comes mid-run, once frames have left the front of the frame
-    /// tables and others are still in flight: the tables keep their base
-    /// and their frames, and the retry's ids start at the old end.
+    /// table and others are still in flight: the table keeps its base and
+    /// its frames, and the retry's ids start at the old end.
     #[test]
     fn a_refused_batch_leaves_the_simulation_as_it_was() {
         let mut sim = star(SimConfig::default(), 2);
@@ -2028,12 +1974,10 @@ pub(crate) mod tests {
         assert_eq!(frame_table(&sim), (20_000, 0));
     }
 
-    /// The frame tables' base, the id of their first frame, and how many
-    /// frames they hold from it on; the two tables always agree on both.
+    /// The frame table's base, the id of its first frame, and how many
+    /// frames it holds from it on.
     pub(crate) fn frame_table(sim: &Simulator) -> (u64, usize) {
-        let held = sim.fabric.frames.len();
-        assert_eq!(sim.sink.bytes.len(), held, "records and byte slots");
-        (sim.fabric.first_frame, held)
+        sim.lane.frames.held()
     }
 
     /// A source that emits one frame every `period`, pull-driven.
@@ -2093,17 +2037,6 @@ pub(crate) mod tests {
         .collect()
     }
 
-    /// Frames whose bytes are still in the simulator: injected, and neither
-    /// delivered nor dropped.
-    fn in_flight(sim: &Simulator) -> usize {
-        sim.sink.bytes.iter().filter(|slot| slot.is_some()).count()
-    }
-
-    /// The storage the frame tables keep, in slots.
-    fn table_capacity(sim: &Simulator) -> usize {
-        sim.fabric.frames.capacity().max(sim.sink.bytes.capacity())
-    }
-
     /// Every delivery of a `stream` carries its frame's own bytes.
     fn assert_stream_delivered(deliveries: &[Delivery], frames: u64) {
         let mut ids: Vec<u64> = deliveries.iter().map(|d| d.frame.get()).collect();
@@ -2115,16 +2048,16 @@ pub(crate) mod tests {
         }
     }
 
-    /// A run through any entry point leaves the frame tables holding the
+    /// A run through any entry point leaves the frame table holding the
     /// frames in flight and nothing else: 10 000 frames of a `stream`, fed
     /// a millisecond at a time to `run_until`, `run_until_delivery_before`
     /// and `step` (checked after every millisecond), or all at once to
     /// `run_to_idle` and through a `TrafficSource` to `run_with_source`.
-    /// Each run ends with empty tables at base 10 000 whose storage is back
+    /// Each run ends with an empty table at base 10 000 whose storage is back
     /// within the floor, where a table of every frame ever injected would
     /// hold 10 000 slots.
     #[test]
-    fn every_entry_point_leaves_the_frame_tables_holding_what_is_in_flight() {
+    fn every_entry_point_leaves_the_frame_table_holding_what_is_in_flight() {
         const FRAMES: u64 = 10_000;
         const WINDOW: u64 = 50;
         type Advance = fn(&mut Simulator, SimTime, &mut Vec<Delivery>);
@@ -2150,8 +2083,8 @@ pub(crate) mod tests {
                 sim.inject_batch(stream(ids)).unwrap();
                 advance(&mut sim, end, &mut delivered);
                 let (_, held) = frame_table(&sim);
-                assert_eq!(held, in_flight(&sim), "{name}: by {end}");
-                assert!(table_capacity(&sim) <= FRAME_TABLE_FLOOR, "{name}");
+                assert_eq!(held, sim.lane.frames.in_flight(), "{name}: by {end}");
+                assert!(sim.lane.frames.capacity() <= FRAME_TABLE_FLOOR, "{name}");
             }
             advance(&mut sim, SimTime::MAX, &mut delivered);
             sim.poll_deliveries_into(&mut delivered);
@@ -2165,7 +2098,10 @@ pub(crate) mod tests {
         sim.run_to_idle();
         assert_stream_delivered(&sim.poll_deliveries(), FRAMES);
         assert_eq!(frame_table(&sim), (FRAMES, 0), "run_to_idle");
-        assert!(table_capacity(&sim) <= FRAME_TABLE_FLOOR, "run_to_idle");
+        assert!(
+            sim.lane.frames.capacity() <= FRAME_TABLE_FLOOR,
+            "run_to_idle"
+        );
 
         struct Stream(Range<u64>);
         impl TrafficSource for Stream {
@@ -2184,15 +2120,18 @@ pub(crate) mod tests {
         sim.run_with_source(&mut Stream(0..FRAMES), window).unwrap();
         assert_stream_delivered(&sim.poll_deliveries(), FRAMES);
         assert_eq!(frame_table(&sim), (FRAMES, 0), "run_with_source");
-        assert!(table_capacity(&sim) <= FRAME_TABLE_FLOOR, "run_with_source");
+        assert!(
+            sim.lane.frames.capacity() <= FRAME_TABLE_FLOOR,
+            "run_with_source"
+        );
     }
 
-    /// A frame still in flight holds the front of the frame tables while
-    /// the frames behind it leave: frame 100 of a 10 000-frame `stream` is
-    /// filed at 500 ms instead, after the rest have gone.  At 300 ms the
-    /// tables start at it and keep the 9 899 frames behind it, every one of
-    /// them delivered with its own bytes; then it leaves, byte-exact, and
-    /// the tables empty.
+    /// A frame still in flight holds the front of the frame table while the
+    /// frames behind it leave: frame 100 of a 10 000-frame `stream` is filed
+    /// at 500 ms instead, after the rest have gone.  At 300 ms the table
+    /// starts at it and keeps the 9 899 frames behind it, every one of them
+    /// delivered with its own bytes; then it leaves, byte-exact, and the
+    /// table empties.
     #[test]
     fn a_lingering_frame_holds_the_front_while_later_frames_leave() {
         let mut sim = star(SimConfig::default(), 2);
@@ -2207,7 +2146,7 @@ pub(crate) mod tests {
 
         sim.run_until(SimTime::from_millis(300));
         assert_eq!(frame_table(&sim), (100, 9_900));
-        assert_eq!(in_flight(&sim), 1);
+        assert_eq!(sim.lane.frames.in_flight(), 1);
         let early = sim.poll_deliveries();
         assert_eq!(early.len(), 9_999);
         assert!(early.iter().all(|d| d.frame != id));
@@ -2222,7 +2161,7 @@ pub(crate) mod tests {
         all.push(last.clone());
         assert_stream_delivered(&all, 10_000);
         assert_eq!(frame_table(&sim), (10_000, 0));
-        assert!(table_capacity(&sim) <= FRAME_TABLE_FLOOR);
+        assert!(sim.lane.frames.capacity() <= FRAME_TABLE_FLOOR);
     }
 
     /// A star of six nodes: nodes 0, 1 and 2 send one request each to the
@@ -2271,7 +2210,7 @@ pub(crate) mod tests {
     fn a_run_stopped_mid_instant_is_finished_first_by_every_entry_point() {
         let mut oracle = three_requests_in_one_instant();
         let mut oracle_polled = Vec::new();
-        while oracle.sink.deliveries.is_empty() {
+        while oracle.lane.deliveries.is_empty() {
             assert!(oracle.step());
         }
         let at_stop = observed(&mut oracle, &mut oracle_polled);

@@ -2,22 +2,16 @@
 //! event (§18.1, Fig. 18.2 — store-and-forward, an EDF queue over a FCFS
 //! queue per output port).
 //!
-//! The core runs over three parts of the [`crate::sim::Simulator`]:
-//!
-//! * a [`Fabric`] it only reads — the dense index tables, the routing
-//!   table in force, the per-channel wire state and the records of the
-//!   frames in flight, each holding what forwarding needs to know of a frame
-//!   but not its bytes;
-//! * a [`Lane`] it writes — the output ports, their dead/doomed flags, the
-//!   pending-event set and the statistics;
-//! * a [`Sink`] where frames leave — the bytes of the frames in flight and
-//!   the deliveries not polled yet.
-//!
-//! The three are separate borrows so that a frame's record, read from the
-//! fabric, stays in hand while the lane changes.  Egress selection, the
-//! queue deadline, enqueueing, start of transmission, delivery, every drop
-//! rule and the death and revival of a trunk's ports are [`Core`]'s and
-//! exist nowhere else.
+//! The core runs over two halves of the [`crate::sim::Simulator`]: a
+//! [`Fabric`] it only reads — the dense index tables, the routing table in
+//! force and the per-channel wire state — and a [`Lane`] it writes — the
+//! output ports, their dead/doomed flags, the pending-event set, the
+//! statistics, the [`FrameTable`] of the frames in flight and the
+//! deliveries not polled yet.  A handler copies a frame's record out of the
+//! table once and passes it on.  Egress selection, the queue deadline,
+//! enqueueing, start of transmission, delivery, every drop rule and the
+//! death and revival of a trunk's ports are [`Core`]'s and exist nowhere
+//! else.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -25,8 +19,7 @@ use std::sync::Arc;
 use rt_frames::rt_data::MAX_DEADLINE_VALUE;
 use rt_frames::{EthernetFrame, FramePeek};
 use rt_types::{
-    ChannelId, DenseNextHop, Duration, HopLink, IdIndex, MacAddr, NodeId, SimTime, SwitchId,
-    NO_INDEX,
+    ChannelId, DenseNextHop, Duration, HopLink, IdIndex, NodeId, SimTime, SwitchId, NO_INDEX,
 };
 
 use crate::event::{Event, EventQueue};
@@ -61,13 +54,13 @@ pub(crate) enum FrameDest {
 }
 
 /// Everything the simulator remembers about one frame in flight but its
-/// bytes, which wait in the [`Sink`]: 32 bytes, from the frame's injection
-/// until it leaves the fabric.  An RT data frame's stamp — a 48-bit
+/// bytes, which wait beside it in the [`FrameTable`]: 32 bytes, from the
+/// frame's injection until it leaves the fabric.  An RT data frame's stamp — a 48-bit
 /// deadline and its 16-bit channel, always found together — packs into one
 /// word; the class and the link-state mark share a flags byte with
 /// "stamped" (channel 0 is a legal stamp, so no channel value can mean
 /// "none").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct FrameRecord {
     /// `deadline | channel << 48` when [`FrameRecord::STAMPED`] is set.
     stamp: u64,
@@ -169,13 +162,112 @@ pub(crate) fn is_control(class: TrafficClass, channel: Option<ChannelId>) -> boo
     class == TrafficClass::RealTime && channel.is_none()
 }
 
-/// A [`Delivery`]'s `eth` until [`Sink::deliver`] moves the frame's bytes in.
-const NO_BYTES: EthernetFrame = EthernetFrame {
-    dst: MacAddr::ZERO,
-    src: MacAddr::ZERO,
-    ethertype: 0,
-    payload: Vec::new(),
-};
+/// The frame table keeps up to this many slots of storage however few
+/// frames it holds; above it, it shrinks to fit once a quarter full.
+pub(crate) const FRAME_TABLE_FLOOR: usize = 4096;
+
+/// The frames in flight, and the one place a [`FrameId`] becomes a slot:
+/// frame `base + i` has its record at `records[i]` and its bytes at
+/// `bytes[i]`.  The bytes wait from the frame's filing to its delivery,
+/// which takes them, or its drop, which frees them: the two ways out of the
+/// fabric, and the only things that empty a slot.  An empty slot at the
+/// front is therefore a frame that has left, and [`FrameTable::retire`]
+/// pops it between instants; a frame still in flight holds the front, and
+/// the frames behind it wait for it.
+#[derive(Debug, Default)]
+pub(crate) struct FrameTable {
+    /// The id of `records[0]`: every frame before it has left the fabric.
+    base: u64,
+    records: VecDeque<FrameRecord>,
+    bytes: VecDeque<Option<EthernetFrame>>,
+}
+
+impl FrameTable {
+    /// The id the next frame filed gets: the number of frames ever filed.
+    #[inline]
+    pub(crate) fn end(&self) -> u64 {
+        self.base + self.records.len() as u64
+    }
+
+    #[inline]
+    fn slot(&self, frame: FrameId) -> usize {
+        (frame.get() - self.base) as usize
+    }
+
+    /// File a frame under the next id.
+    #[inline]
+    pub(crate) fn file(&mut self, record: FrameRecord, eth: EthernetFrame) -> FrameId {
+        let id = FrameId::new(self.end());
+        self.records.push_back(record);
+        self.bytes.push_back(Some(eth));
+        id
+    }
+
+    /// Room for `additional` more frames.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.records.reserve(additional);
+        self.bytes.reserve(additional);
+    }
+
+    /// Take back every frame filed from `first` on, and the room a refused
+    /// batch took, as if none had been filed.
+    pub(crate) fn unfile_from(&mut self, first: FrameId) {
+        let slot = self.slot(first);
+        self.records.truncate(slot);
+        self.bytes.truncate(slot);
+        self.shrink_when_sparse();
+    }
+
+    /// A frame's record, by copy.
+    #[inline]
+    pub(crate) fn record(&self, frame: FrameId) -> FrameRecord {
+        self.records[self.slot(frame)]
+    }
+
+    /// The frame leaves the fabric: its bytes, for its delivery (a drop
+    /// frees them).
+    #[inline]
+    pub(crate) fn take(&mut self, frame: FrameId) -> EthernetFrame {
+        let slot = self.slot(frame);
+        self.bytes[slot]
+            .take()
+            .expect("a frame has one event pending: one delivery or drop")
+    }
+
+    /// Pop the frames that have left off the front, and give the storage
+    /// back once at most a quarter of it is in use above
+    /// [`FRAME_TABLE_FLOOR`] slots, so that it stays within four times what
+    /// the table holds, or the floor.  One test of the front when nothing
+    /// has left.
+    #[inline]
+    pub(crate) fn retire(&mut self) {
+        if self.bytes.front().is_some_and(Option::is_none) {
+            self.retire_front();
+        }
+    }
+
+    fn retire_front(&mut self) {
+        let left = self
+            .bytes
+            .iter()
+            .position(Option::is_some)
+            .unwrap_or(self.bytes.len());
+        self.bytes.drain(..left);
+        self.records.drain(..left);
+        self.base += left as u64;
+        self.shrink_when_sparse();
+    }
+
+    /// Give the storage back once at most a quarter of it is in use above
+    /// [`FRAME_TABLE_FLOOR`] slots.
+    fn shrink_when_sparse(&mut self) {
+        let capacity = self.bytes.capacity();
+        if capacity > FRAME_TABLE_FLOOR && self.bytes.len() <= capacity / 4 {
+            self.records.shrink_to_fit();
+            self.bytes.shrink_to_fit();
+        }
+    }
+}
 
 /// Per-channel wire state installed at admission time: the EDF deadline
 /// budget of every link of the route, plus the per-switch forwarding
@@ -267,12 +359,6 @@ pub(crate) struct Fabric {
     /// never silently delivered.  Re-installing a hop schedule
     /// (re-admission under the same id) clears the flag.
     pub(crate) released_channels: Vec<bool>,
-    /// The records of the frames from `first_frame` on, in id order: frame
-    /// `first_frame + i` at `frames[i]`.  Frames leave in any order; the
-    /// simulator pops the front once it has left (see [`Sink`]).
-    pub(crate) frames: VecDeque<FrameRecord>,
-    /// The id of `frames[0]`: every frame before it has left the fabric.
-    pub(crate) first_frame: u64,
 }
 
 impl Fabric {
@@ -322,18 +408,6 @@ impl Fabric {
         for (from, to) in [(a, b), (b, a)] {
             out.extend(self.port_of_link(HopLink::Trunk { from, to }));
         }
-    }
-
-    /// Where a frame in flight sits in the frame tables, the records here
-    /// and the byte slots in the [`Sink`].
-    #[inline]
-    pub(crate) fn slot(&self, frame: FrameId) -> usize {
-        (frame.get() - self.first_frame) as usize
-    }
-
-    #[inline]
-    pub(crate) fn record(&self, frame: FrameId) -> &FrameRecord {
-        &self.frames[self.slot(frame)]
     }
 
     #[inline]
@@ -388,6 +462,10 @@ impl Fabric {
 /// Everything events change.
 #[derive(Debug)]
 pub(crate) struct Lane {
+    /// The frames in flight: their records and their bytes.
+    pub(crate) frames: FrameTable,
+    /// The deliveries not polled yet.
+    pub(crate) deliveries: Vec<Delivery>,
     pub(crate) events: EventQueue,
     /// One output port per directed edge, by dense port id.
     ports: Vec<OutputPort>,
@@ -408,6 +486,8 @@ impl Lane {
             None => OutputPort::new(),
         };
         Lane {
+            frames: FrameTable::default(),
+            deliveries: Vec::new(),
             events: EventQueue::new(),
             ports: (0..port_links.len()).map(make_port).collect(),
             dead: vec![false; port_links.len()],
@@ -455,42 +535,6 @@ impl Lane {
 }
 
 // ---------------------------------------------------------------------------
-// Where frames leave
-// ---------------------------------------------------------------------------
-
-/// The bytes of the frames in flight, slot by slot beside the
-/// [`Fabric`]'s records, and the deliveries not polled yet.  A buffer waits
-/// in its slot from its injection to its delivery, which takes it, or its
-/// drop, which frees it: the two ways out of the fabric, and the only
-/// things that empty a slot.  An empty slot at the front is therefore a
-/// frame that has left, and the simulator pops it with its record between
-/// instants; a frame still in flight holds the slots behind it until it
-/// leaves too.
-#[derive(Debug, Default)]
-pub(crate) struct Sink {
-    pub(crate) bytes: VecDeque<Option<EthernetFrame>>,
-    pub(crate) deliveries: Vec<Delivery>,
-}
-
-impl Sink {
-    /// A frame reached its receiver: its bytes, in `slot`, move into the
-    /// delivery.
-    #[inline]
-    fn deliver(&mut self, mut delivery: Delivery, slot: usize) {
-        let eth = self.bytes[slot].take();
-        delivery.eth = eth.expect("a frame has one event pending: one delivery or drop");
-        self.deliveries.push(delivery);
-    }
-
-    /// A frame left the fabric undelivered (already counted): free its
-    /// bytes, in `slot`.
-    fn discard(&mut self, slot: usize) {
-        let freed = self.bytes[slot].take();
-        debug_assert!(freed.is_some(), "a frame leaves the fabric once");
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Faults
 // ---------------------------------------------------------------------------
 
@@ -505,17 +549,16 @@ pub(crate) struct PortFlips {
 // The core
 // ---------------------------------------------------------------------------
 
-/// The fabric view, the lane and the sink, bound together for the duration
-/// of an event (or a fault).
+/// The fabric view and the lane, bound together for the duration of an
+/// event (or a fault).
 pub(crate) struct Core<'a> {
     pub(crate) fabric: &'a Fabric,
     pub(crate) lane: &'a mut Lane,
-    pub(crate) sink: &'a mut Sink,
 }
 
 impl Core<'_> {
     /// Execute one forwarding event.  Inlined into the simulator's run loops,
-    /// where the `Core` then dissolves into the three references it holds
+    /// where the `Core` then dissolves into the two references it holds
     /// instead of being rebuilt in memory for every event (about 4 of 130 ns
     /// per event on the 1024-node torus).
     #[inline]
@@ -524,7 +567,8 @@ impl Core<'_> {
         match event {
             Event::EnqueueAtNode { node, frame } => {
                 let port = 2 * fabric.node_idx(node);
-                self.enqueue_at_port(frame, port);
+                let record = self.lane.frames.record(frame);
+                self.enqueue_at_port(frame, &record, port);
                 self.try_start_tx(now, port);
             }
             Event::NodeTxComplete { node, frame } => {
@@ -541,7 +585,7 @@ impl Core<'_> {
             }
             Event::ArriveAtSwitch { switch, frame } => {
                 let at = fabric.switch_idx(switch);
-                let record = fabric.record(frame);
+                let record = self.lane.frames.record(frame);
                 match record.dest {
                     FrameDest::ControlPlane => {
                         // Generic control-plane traffic.  Distributed
@@ -550,10 +594,10 @@ impl Core<'_> {
                         // deliver at the managing switch, forward over
                         // trunks towards it from anywhere else.
                         if fabric.distributed_control || at == fabric.manager_index {
-                            self.deliver_to_switch(frame, at, now);
+                            self.deliver_to_switch(frame, &record, at, now);
                         } else {
                             let port = self.trunk_towards(at, fabric.manager_index);
-                            self.forward(now, frame, port);
+                            self.forward(now, frame, &record, port);
                         }
                     }
                     FrameDest::Switch { switch: target } => {
@@ -561,10 +605,10 @@ impl Core<'_> {
                         // frames): deliver at the addressed switch, forward
                         // over trunks towards it from anywhere else.
                         if at == target {
-                            self.deliver_to_switch(frame, at, now);
+                            self.deliver_to_switch(frame, &record, at, now);
                         } else {
                             let port = self.trunk_towards(at, target);
-                            self.forward(now, frame, port);
+                            self.forward(now, frame, &record, port);
                         }
                     }
                     FrameDest::Node { node: dest_node } => {
@@ -584,10 +628,10 @@ impl Core<'_> {
                                 // until the channel is re-routed.
                                 self.drop_frame(frame, SimStats::record_failed_link_drop);
                             }
-                            port => self.forward(now, frame, port),
+                            port => self.forward(now, frame, &record, port),
                         }
                     }
-                    FrameDest::Unknown => self.forward(now, frame, None),
+                    FrameDest::Unknown => self.forward(now, frame, &record, None),
                 }
             }
             Event::SwitchTxComplete { to, frame } => {
@@ -619,7 +663,8 @@ impl Core<'_> {
                 }
             }
             Event::ArriveAtNode { node, frame } => {
-                self.deliver_inner(frame, node, None, now);
+                let record = self.lane.frames.record(frame);
+                self.deliver_inner(frame, &record, node, None, now);
             }
             Event::FailTrunk { .. } | Event::RepairTrunk { .. } | Event::FailSwitch { .. } => {
                 unreachable!("a fault never reaches the core: Simulator::dispatch takes it first")
@@ -674,10 +719,16 @@ impl Core<'_> {
     /// Queue the frame at its egress and start the port if it is idle; a
     /// frame without an egress is dropped as unroutable.
     #[inline]
-    pub(crate) fn forward(&mut self, now: SimTime, frame: FrameId, port: Option<u32>) {
+    pub(crate) fn forward(
+        &mut self,
+        now: SimTime,
+        frame: FrameId,
+        record: &FrameRecord,
+        port: Option<u32>,
+    ) {
         match port {
             Some(port) => {
-                self.enqueue_at_port(frame, port);
+                self.enqueue_at_port(frame, record, port);
                 self.try_start_tx(now, port);
             }
             None => self.drop_frame(frame, SimStats::record_unroutable),
@@ -687,11 +738,10 @@ impl Core<'_> {
     /// Every undelivered exit: count the frame once and give its bytes back.
     fn drop_frame(&mut self, frame: FrameId, count: fn(&mut SimStats)) {
         count(&mut self.lane.stats);
-        self.sink.discard(self.fabric.slot(frame));
+        drop(self.lane.frames.take(frame));
     }
 
-    fn enqueue_at_port(&mut self, frame: FrameId, port: u32) {
-        let record = self.fabric.record(frame);
+    fn enqueue_at_port(&mut self, frame: FrameId, record: &FrameRecord, port: u32) {
         let deadline = self.fabric.queue_deadline(record, port);
         let out = &mut self.lane.ports[port as usize];
         match record.class() {
@@ -714,10 +764,10 @@ impl Core<'_> {
         if out.is_busy(now) || out.is_empty() {
             return;
         }
-        let Some(queued) = out.dequeue_next() else {
+        let Some(frame) = out.dequeue_next() else {
             return;
         };
-        let record = self.fabric.record(queued.frame);
+        let record = self.lane.frames.record(frame);
         let wire_bytes = record.wire_bytes();
         if record.link_state() {
             self.lane.stats.record_link_state_hop();
@@ -729,7 +779,6 @@ impl Core<'_> {
         self.lane
             .stats
             .record_transmission(port as usize, wire_bytes, tx);
-        let frame = queued.frame;
         let event = match self.fabric.port_links[port as usize] {
             HopLink::Uplink(node) => Event::NodeTxComplete { node, frame },
             HopLink::Downlink(node) => Event::SwitchTxComplete { to: node, frame },
@@ -740,20 +789,19 @@ impl Core<'_> {
 
     /// Deliver a frame to the control plane of dense switch `at` (the
     /// receiver is [`NodeId::SWITCH`]; the `switch` field says which one).
-    fn deliver_to_switch(&mut self, frame: FrameId, at: u32, now: SimTime) {
+    fn deliver_to_switch(&mut self, frame: FrameId, record: &FrameRecord, at: u32, now: SimTime) {
         let switch = self.fabric.dense.switch_at(at);
-        self.deliver_inner(frame, NodeId::SWITCH, Some(switch), now);
+        self.deliver_inner(frame, record, NodeId::SWITCH, Some(switch), now);
     }
 
     fn deliver_inner(
         &mut self,
         frame: FrameId,
+        record: &FrameRecord,
         receiver: NodeId,
         switch: Option<SwitchId>,
         now: SimTime,
     ) {
-        let slot = self.fabric.slot(frame);
-        let record = &self.fabric.frames[slot];
         let (class, channel, deadline) = (record.class(), record.channel(), record.deadline());
         match class {
             TrafficClass::RealTime => {
@@ -763,19 +811,19 @@ impl Core<'_> {
             }
             TrafficClass::BestEffort => self.lane.stats.record_be_delivery(),
         }
-        let delivery = Delivery {
+        let eth = self.lane.frames.take(frame);
+        self.lane.deliveries.push(Delivery {
             frame,
             receiver,
             switch,
             source: record.source,
-            eth: NO_BYTES,
+            eth,
             injected_at: record.injected_at,
             delivered_at: now,
             channel,
             deadline,
             class,
-        };
-        self.sink.deliver(delivery, slot);
+        });
     }
 
     /// Carry out a fault's port flips at `now`.  A killed port is marked
@@ -790,7 +838,7 @@ impl Core<'_> {
                 self.lane.doomed[p] = true;
             }
             for lost in self.lane.ports[p].drain() {
-                self.drop_frame(lost.frame, SimStats::record_failed_link_drop);
+                self.drop_frame(lost, SimStats::record_failed_link_drop);
             }
         }
         for &port in &flips.revives {
@@ -804,13 +852,133 @@ mod tests {
     use super::*;
     use crate::sim::tests::{be_frame, frame_table, rt_frame};
     use crate::sim::{FaultScript, FrameInjection, Simulator};
-    use rt_types::{Route, Topology};
+    use rt_types::{MacAddr, Route, Topology, Xoshiro256};
+    use std::collections::BTreeMap;
 
-    /// The frames the simulator delivered, and how many its frame tables
-    /// still hold once the frames that left are popped off their front.
+    impl FrameTable {
+        /// The id of the first frame held, and how many are held from it on.
+        pub(crate) fn held(&self) -> (u64, usize) {
+            assert_eq!(
+                self.records.len(),
+                self.bytes.len(),
+                "records and byte slots"
+            );
+            (self.base, self.records.len())
+        }
+
+        /// Frames whose bytes are still here: filed, neither delivered nor
+        /// dropped.
+        pub(crate) fn in_flight(&self) -> usize {
+            self.bytes.iter().filter(|slot| slot.is_some()).count()
+        }
+
+        /// The storage the table keeps, in slots.
+        pub(crate) fn capacity(&self) -> usize {
+            self.records.capacity().max(self.bytes.capacity())
+        }
+    }
+
+    /// Seeds of the frame-table property: `RT_ADVERSARIAL_SEEDS`, else 8.
+    fn seeds() -> u64 {
+        std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(8)
+    }
+
+    /// The frame table against a map of the frames in flight, over seeded
+    /// walks of filings, refused batches, takes and retirements that swing
+    /// between a handful of frames and three times the floor.  Ids stay
+    /// consecutive across refusals and retirements; `record` gives back the
+    /// record filed and `take` the very buffer; a retirement pops exactly
+    /// the frames before the first still in flight; and after every step
+    /// the storage is within four times what the table holds or the floor,
+    /// and a table at or under the floor has given nothing back.
+    #[test]
+    fn prop_the_frame_table_matches_a_map_of_the_frames_in_flight() {
+        let eth = |id: u64| EthernetFrame {
+            dst: MacAddr::ZERO,
+            src: MacAddr::ZERO,
+            ethertype: 0,
+            payload: id.to_le_bytes().to_vec(),
+        };
+        let at = SimTime::from_nanos;
+        let record =
+            |id| FrameRecord::new(FramePeek::BestEffort, FrameDest::Unknown, N0, at(id), 64);
+        for seed in 0..seeds() {
+            let mut rng = Xoshiro256::new(seed);
+            let mut table = FrameTable::default();
+            // Id → the address of its payload, for the frames in flight.
+            let mut model = BTreeMap::new();
+            let mut end = 0;
+            for step in 0..600 {
+                let ctx = format!("seed {seed}, step {step}");
+                // The storage before the step gives anything back.
+                let mut before = table.capacity();
+                let size = match rng.below(8) {
+                    0 => rng.range_inclusive(1, 3 * FRAME_TABLE_FLOOR as u64),
+                    _ => rng.range_inclusive(1, 64),
+                };
+                match rng.below(4) {
+                    0 => {
+                        for id in end..end + size {
+                            let eth = eth(id);
+                            model.insert(id, eth.payload.as_ptr());
+                            assert_eq!(table.file(record(id), eth), FrameId::new(id), "{ctx}");
+                        }
+                        end += size;
+                    }
+                    1 => {
+                        for id in end..end + size {
+                            assert_eq!(table.file(record(id), eth(id)), FrameId::new(id), "{ctx}");
+                        }
+                        before = table.capacity();
+                        table.unfile_from(FrameId::new(end));
+                        assert_eq!(table.end(), end, "{ctx}: a refusal leaves no id used");
+                    }
+                    2 => {
+                        // Mostly the oldest frame in flight, now and then any.
+                        for _ in 0..size.min(model.len() as u64) {
+                            let (&first, _) = model.first_key_value().expect("in flight");
+                            let (&last, _) = model.last_key_value().expect("in flight");
+                            let from = match rng.below(4) {
+                                0 => rng.range_inclusive(first, last),
+                                _ => first,
+                            };
+                            let (&id, &payload) = model.range(from..).next().expect("at or after");
+                            let frame = FrameId::new(id);
+                            assert_eq!(table.record(frame).injected_at, at(id), "{ctx}");
+                            let taken = table.take(frame);
+                            assert_eq!(taken.payload.as_ptr(), payload, "{ctx}: frame {id}");
+                            assert_eq!(taken.payload, id.to_le_bytes(), "{ctx}: frame {id}");
+                            model.remove(&id);
+                        }
+                    }
+                    _ => {
+                        table.retire();
+                        let first = model.keys().next().copied().unwrap_or(end);
+                        let (base, held) = table.held();
+                        assert_eq!((base, held as u64), (first, end - first), "{ctx}: retired");
+                    }
+                }
+                assert_eq!(table.in_flight(), model.len(), "{ctx}");
+                let (capacity, held) = (table.capacity(), table.held().1);
+                assert!(
+                    capacity <= FRAME_TABLE_FLOOR.max(4 * held),
+                    "{ctx}: {capacity} slots for {held} frames"
+                );
+                if before <= FRAME_TABLE_FLOOR {
+                    assert!(capacity >= before, "{ctx}: shrunk under the floor");
+                }
+            }
+        }
+    }
+
+    /// The frames the simulator delivered, and how many its frame table
+    /// still holds once the frames that left are popped off its front.
     fn delivered_and_held(sim: &mut Simulator) -> (Vec<FrameId>, usize) {
-        sim.retire_frames();
-        let delivered = sim.sink.deliveries.iter().map(|d| d.frame).collect();
+        sim.lane.frames.retire();
+        let delivered = sim.lane.deliveries.iter().map(|d| d.frame).collect();
         let (base, held) = frame_table(sim);
         assert_eq!(base + held as u64, sim.injected_count());
         (delivered, held)
@@ -843,8 +1011,8 @@ mod tests {
     /// 0 — switch 1 — node 1), driven two ways: through the core alone with
     /// the port flips applied by hand, then through `run_to_idle` with the
     /// flips scripted as faults.  Each exit retires its frame exactly once:
-    /// a second exit of a frame panics in the `Sink`, and after either run
-    /// the frame tables have popped every frame off their front.
+    /// a second exit of a frame panics in the frame table, and after either run
+    /// the frame table has popped every frame off its front.
     #[test]
     fn every_undelivered_exit_counts_once() {
         let config = SimConfig::default();
@@ -966,7 +1134,7 @@ mod tests {
                     sim.inject(N0, eth.clone(), SimTime::ZERO).unwrap();
                 }
             };
-            // `held`: frames the frame tables still hold.
+            // `held`: frames the frame table still holds.
             let check = |how: &str, stats: &SimStats, delivered: Vec<FrameId>, held: usize| {
                 let name = format!("{} ({how})", case.name);
                 assert_eq!((case.counter)(stats), case.lost, "{name}: its counter");
@@ -978,7 +1146,7 @@ mod tests {
                     case.frames.len() as u64,
                     "{name}: every frame is delivered or dropped"
                 );
-                assert_eq!(held, 0, "{name}: every frame leaves the frame tables");
+                assert_eq!(held, 0, "{name}: every frame leaves the frame table");
             };
 
             // The core alone: the port flips applied by hand, the topology
@@ -997,7 +1165,6 @@ mod tests {
             let mut core = Core {
                 fabric: &sim.fabric,
                 lane: &mut sim.lane,
-                sink: &mut sim.sink,
             };
             for (at, kills, revives) in flips {
                 let Some(at) = at else { continue };

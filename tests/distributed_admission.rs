@@ -10,7 +10,7 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use common::ControlHarness;
 use switched_rt_ethernet::core::manager::{ChannelRoute, FailoverReport};
@@ -20,8 +20,9 @@ use switched_rt_ethernet::core::{
 };
 use switched_rt_ethernet::traffic::FabricScenario;
 use switched_rt_ethernet::types::{
-    ChannelId, ConnectionRequestId, Duration, HopLink, ManagerPlacement, NodeId, Route,
-    RoutePolicy, Router, ShortestPathRouter, SimTime, Slots, SwitchId, Topology, Xoshiro256,
+    ChannelId, ConnectionRequestId, Duration, HopLink, ManagerPlacement, NextHopCache, NodeId,
+    Route, RoutePolicy, Router, RtResult, ShortestPathRouter, SimTime, Slots, SwitchId, Topology,
+    Xoshiro256,
 };
 
 fn spec() -> RtChannelSpec {
@@ -210,25 +211,66 @@ fn torus_1024_hot_trunk_admits_44_of_48_under_both_placements() {
     assert_eq!((admitted, requests.len()), (44, 48));
 }
 
-/// Admission against stale views: the hot trunk is cut and the next batch is
-/// established while the link-state flood is still propagating, so the
-/// switches on the detours may still believe in the dead trunk while the
-/// coordinator, adjacent to it, routes around it.  Seeded, so the counts are
-/// exact; after settling nothing may be left reserved.  The 2 of 16 are what
-/// the same fabric admits with the flood converged before the batch: the 16
-/// contend for the detours' slack, and a hop accepts a carried route over
-/// live trunks whatever its own view would have routed.  (The
+/// A router that remembers every candidate list it was asked for: the
+/// pair, the trunks the asking view held failed, and the primary.
+#[derive(Debug)]
+struct ViewRecorder {
+    inner: ShortestPathRouter,
+    asked: Mutex<Vec<(NodeId, NodeId, Vec<(SwitchId, SwitchId)>, Route)>>,
+}
+
+impl Router for ViewRecorder {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn validate(&self, topology: &Topology) -> RtResult<()> {
+        self.inner.validate(topology)
+    }
+    fn route(&self, t: &Topology, s: NodeId, d: NodeId) -> RtResult<Route> {
+        self.inner.route(t, s, d)
+    }
+    fn next_hop_cache(&self) -> Option<&NextHopCache> {
+        self.inner.next_hop_cache()
+    }
+    fn routes(&self, t: &Topology, s: NodeId, d: NodeId) -> RtResult<Vec<Route>> {
+        let routes = self.inner.routes(t, s, d)?;
+        let failed = t.failed_trunks().collect();
+        self.asked
+            .lock()
+            .unwrap()
+            .push((s, d, failed, routes[0].clone()));
+        Ok(routes)
+    }
+}
+
+/// Admission against stale views: the hot trunk sw0 — sw1 is cut, and
+/// requests are established while the link-state flood is still
+/// propagating.  The first comes from a master on sw6 for a slave on sw1.
+/// sw6 is two trunks from the cut on the ring of switches 0..8, so the
+/// request reaches its coordinator over one uplink before the flood gets
+/// there over two trunks: sw6 routes it in a view without the cut (the
+/// recording router shows the view it asked in), and its primary, sw6 →
+/// sw7 → sw0 → sw1, crosses the dead trunk, which sw0 refuses.  Then 16
+/// contend for the hot trunk's detours.  Seeded, so the counts are exact;
+/// after settling nothing may be left reserved.  The same requests on the
+/// fabric with the flood converged first are the reference: there sw6's
+/// view has the cut and its primary avoids it.  A hop accepts a carried
+/// route over live trunks whatever its own view would have routed.  (The
 /// delivery-order explorer in `distributed/tests.rs` races a cut against the
 /// handshakes themselves.)
 #[test]
 fn torus_1024_admits_2_of_16_while_the_flood_propagates_and_leaks_nothing() {
     let fabric = FabricScenario::torus(8, 8, 8, 8);
+    let (stale_src, stale_dst) = (fabric.master(6, 0), fabric.slave(1, 0));
+    let cut = (SwitchId::new(0), SwitchId::new(1));
     let run = |converged: bool| {
+        let router = Arc::new(ViewRecorder {
+            inner: ShortestPathRouter::with_policy(RoutePolicy::KShortest { k: 3 }),
+            asked: Mutex::new(Vec::new()),
+        });
         let mut net = RtNetwork::builder()
             .topology(fabric.topology())
-            .router(ShortestPathRouter::with_policy(RoutePolicy::KShortest {
-                k: 3,
-            }))
+            .router_arc(router.clone())
             .multihop_dps(MultiHopDps::Asymmetric)
             .distributed_control()
             .build()
@@ -239,12 +281,29 @@ fn torus_1024_admits_2_of_16_while_the_flood_propagates_and_leaks_nothing() {
             net.establish_channel(r.source, r.destination, spec())
                 .unwrap();
         }
-        let report = net.fail_trunk(SwitchId::new(0), SwitchId::new(1)).unwrap();
+        let report = net.fail_trunk(cut.0, cut.1).unwrap();
         assert_eq!(report.rerouted.len(), 4);
         // `fail_trunk` injects the flood without pumping it to quiescence.
         if converged {
             net.settle().unwrap();
         }
+        router.asked.lock().unwrap().clear();
+        let stale = net
+            .establish_channel(stale_src, stale_dst, spec())
+            .unwrap()
+            .is_some();
+        let (view_has_cut, primary_crosses) = {
+            let asked = router.asked.lock().unwrap();
+            let (s, d, failed, primary) = &asked[0];
+            assert_eq!((*s, *d), (stale_src, stale_dst), "the first question");
+            let crosses = primary.links().iter().any(|l| {
+                *l == HopLink::Trunk {
+                    from: cut.0,
+                    to: cut.1,
+                }
+            });
+            (failed.contains(&cut), crosses)
+        };
         let accepted = fabric
             .hot_trunk_requests(16, spec())
             .iter()
@@ -256,10 +315,18 @@ fn torus_1024_admits_2_of_16_while_the_flood_propagates_and_leaks_nothing() {
             .count();
         net.settle().unwrap();
         net.manager().audit_quiescent().unwrap();
-        accepted
+        (view_has_cut, primary_crosses, stale, accepted)
     };
-    assert_eq!(run(false), 2, "of 16, while per-switch views disagreed");
-    assert_eq!(run(true), 2, "of 16, on the converged fabric");
+    assert_eq!(
+        run(false),
+        (false, true, true, 2),
+        "mid-flood: sw6's view, its primary, its admission, of 16"
+    );
+    assert_eq!(
+        run(true),
+        (true, false, true, 2),
+        "converged: sw6's view, its primary, its admission, of 16"
+    );
 }
 
 /// The two worlds must also *deliver* identically: identical admission

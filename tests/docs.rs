@@ -1,13 +1,15 @@
 //! The prose documents are held to the tree.
 //!
-//! * Every `Type`, `Type::member` and `file.rs` that ARCHITECTURE.md puts in
+//! * The architecture is ARCHITECTURE.md plus one `crates/<crate>/ARCHITECTURE.md`
+//!   per library crate, each of which the top-level file links.
+//! * Every `Type`, `Type::member` and `file.rs` that these files put in
 //!   backticks must still be defined by the workspace sources (`crates/`,
 //!   `src/`, `tests/`, `examples/`, `rtbench/src/`).  A type counts as
 //!   defined if a `struct`, `enum`, `union`, `trait` or `type` item, or an
 //!   enum variant, carries its name; a member if the type's own `struct`,
 //!   `enum` or `trait` body, or an `impl` block for it, defines it (field,
 //!   variant, `fn`, `const` or associated `type`).
-//! * ARCHITECTURE.md stays under 40 000 bytes and has no "since PR n" table.
+//! * Together they stay under 40 000 bytes, and none has a "since PR n" table.
 //! * Every CHANGES.md entry after its summary table (the paragraphs under
 //!   `## Entries`) is at most 1 500 characters long.
 
@@ -344,15 +346,49 @@ fn read_doc(name: &str) -> String {
     fs::read_to_string(Path::new(ROOT).join(name)).expect("document at the repository root")
 }
 
+/// The architecture files, the top-level one first, each with its text.
+fn architecture_docs() -> Vec<(String, String)> {
+    let mut names = vec!["ARCHITECTURE.md".to_string()];
+    let mut crates: Vec<_> = fs::read_dir(Path::new(ROOT).join("crates"))
+        .expect("a crates directory")
+        .map(|entry| entry.expect("readable directory entry").path())
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .map(|dir| dir.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    crates.sort();
+    names.extend(crates.iter().map(|c| format!("crates/{c}/ARCHITECTURE.md")));
+    names
+        .into_iter()
+        .map(|name| {
+            let text = read_doc(&name);
+            (name, text)
+        })
+        .collect()
+}
+
 #[test]
 fn architecture_names_only_what_the_tree_defines() {
     let (defined, paths) = scan_tree();
-    let missing = undefined_names(&read_doc("ARCHITECTURE.md"), &defined, &paths);
-    assert!(
-        missing.is_empty(),
-        "ARCHITECTURE.md names what the tree no longer defines:\n  {}",
-        missing.join("\n  ")
-    );
+    for (name, doc) in architecture_docs() {
+        let missing = undefined_names(&doc, &defined, &paths);
+        assert!(
+            missing.is_empty(),
+            "{name} names what the tree no longer defines:\n  {}",
+            missing.join("\n  ")
+        );
+    }
+}
+
+#[test]
+fn the_top_level_architecture_links_every_crate_file() {
+    let docs = architecture_docs();
+    let (_, top) = &docs[0];
+    for (name, _) in &docs[1..] {
+        assert!(
+            top.contains(&format!("]({name})")),
+            "ARCHITECTURE.md does not link {name}"
+        );
+    }
 }
 
 #[test]
@@ -375,20 +411,22 @@ fn the_name_check_flags_what_is_gone_and_passes_what_is_there() {
 
 #[test]
 fn architecture_stays_short_and_describes_only_the_current_system() {
-    let doc = read_doc("ARCHITECTURE.md");
+    let docs = architecture_docs();
+    let bytes: usize = docs.iter().map(|(_, doc)| doc.len()).sum();
     assert!(
-        doc.len() <= ARCHITECTURE_MAX_BYTES,
-        "ARCHITECTURE.md is {} bytes, over {ARCHITECTURE_MAX_BYTES}",
-        doc.len()
+        bytes <= ARCHITECTURE_MAX_BYTES,
+        "the architecture files are {bytes} bytes together, over {ARCHITECTURE_MAX_BYTES}"
     );
-    let history_columns: Vec<&str> = doc
-        .lines()
-        .filter(|l| l.starts_with('|') && l.contains("since PR"))
-        .collect();
-    assert!(
-        history_columns.is_empty(),
-        "tables with a \"since PR\" column: {history_columns:?}"
-    );
+    for (name, doc) in &docs {
+        let history_columns: Vec<&str> = doc
+            .lines()
+            .filter(|l| l.starts_with('|') && l.contains("since PR"))
+            .collect();
+        assert!(
+            history_columns.is_empty(),
+            "{name}: tables with a \"since PR\" column: {history_columns:?}"
+        );
+    }
 }
 
 #[test]

@@ -38,7 +38,7 @@ fn line() -> RtNetwork {
 /// handful of growths of vectors that outlive the window (the received-
 /// message list among them), not a cost per frame.  The count covers the
 /// send and the run together: 1 215 for 1 200 frames (1 233 while the
-/// simulator's frame tables grew with every frame injected), where
+/// simulator's frame table grew with every frame injected), where
 /// building every frame in `send_periodic` took 1 644 — a zeroed payload, its
 /// image and `C - 1` clones per message, and the batch.  The delivery used
 /// to clone the injected frame, one more allocation per frame; before that,
@@ -81,9 +81,9 @@ fn a_delivered_rt_frame_is_moved_into_its_message_never_copied() {
 /// 1 000-byte frames per message, the thread's live bytes never exceed the
 /// baseline by more than the delivered messages — 48 B each, in a vector
 /// that may have doubled — plus a few frames in flight and the simulator's
-/// frame tables: a 32-B record and a 40-B byte slot per frame in flight, 64
-/// of them allowed.  The peak read 250 KB when the tables kept a record and
-/// a slot per frame ever injected, and 103 KB since they pop the frames
+/// frame table: a 32-B record and a 40-B byte slot per frame in flight, 64
+/// of them allowed.  The peak read 250 KB when the table kept a record and
+/// a slot per frame ever injected, and 103 KB since it pops the frames
 /// that have left.  A send that
 /// built every frame up front, or a message list that kept every payload,
 /// holds more than `messages × C × 1 000` bytes at once.
@@ -110,12 +110,12 @@ fn a_streams_memory_follows_what_is_in_flight_not_what_was_sent() {
     let sent = (frames as usize * payload) as i64;
     let messages_kept = 2 * 48 * frames as i64;
     let in_flight = 16 * 1024;
-    let frame_tables = 64 * (32 + 40);
+    let frame_table = 64 * (32 + 40);
     assert!(
-        peak <= messages_kept + in_flight + frame_tables,
+        peak <= messages_kept + in_flight + frame_table,
         "{peak} live bytes at the peak for {frames} frames ({sent} bytes sent): \
          more than the delivered messages ({messages_kept}), a few frames in \
-         flight and the frame tables ({frame_tables})"
+         flight and the frame table ({frame_table})"
     );
 }
 

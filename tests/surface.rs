@@ -71,8 +71,6 @@ enum Reason {
 const ALLOWED: &[(&str, &str, Reason)] = {
     use Reason::*;
     &[
-        ("netsim/src/port.rs", "queued_rt", TestHook),
-        ("netsim/src/port.rs", "queued_be", TestHook),
         ("netsim/src/event.rs", "bucket_count", TestHook),
         ("types/src/router.rs", "next_hop", TestHook),
         ("edf/src/feasibility.rs", "with_config", TestHook),
