@@ -55,11 +55,11 @@ pub(crate) enum FrameDest {
 
 /// Everything the simulator remembers about one frame in flight but its
 /// bytes, which wait beside it in the [`FrameTable`]: 32 bytes, from the
-/// frame's injection until it leaves the fabric.  An RT data frame's stamp — a 48-bit
-/// deadline and its 16-bit channel, always found together — packs into one
-/// word; the class and the link-state mark share a flags byte with
-/// "stamped" (channel 0 is a legal stamp, so no channel value can mean
-/// "none").
+/// frame's injection until it leaves the fabric.  An RT data frame's stamp
+/// — a 48-bit deadline and its 16-bit channel, always found together —
+/// packs into one word; the class and the link-state mark share a flags
+/// byte with "stamped" (channel 0 is a legal stamp, so no channel value can
+/// mean "none").
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrameRecord {
     /// `deadline | channel << 48` when [`FrameRecord::STAMPED`] is set.
@@ -209,8 +209,9 @@ impl FrameTable {
         self.bytes.reserve(additional);
     }
 
-    /// Take back every frame filed from `first` on, and the room a refused
-    /// batch took, as if none had been filed.
+    /// Take back every frame filed from `first` on, as if none had been
+    /// filed: a refused batch.  The room it took goes back under the shrink
+    /// rule of [`FrameTable::retire`].
     pub(crate) fn unfile_from(&mut self, first: FrameId) {
         let slot = self.slot(first);
         self.records.truncate(slot);
@@ -913,7 +914,8 @@ mod tests {
             let mut end = 0;
             for step in 0..600 {
                 let ctx = format!("seed {seed}, step {step}");
-                // The storage before the step gives anything back.
+                // The storage just before the step may give some back: for a
+                // refused batch, once its frames are filed.
                 let mut before = table.capacity();
                 let size = match rng.below(8) {
                     0 => rng.range_inclusive(1, 3 * FRAME_TABLE_FLOOR as u64),

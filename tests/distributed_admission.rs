@@ -211,12 +211,20 @@ fn torus_1024_hot_trunk_admits_44_of_48_under_both_placements() {
     assert_eq!((admitted, requests.len()), (44, 48));
 }
 
-/// A router that remembers every candidate list it was asked for: the
-/// pair, the trunks the asking view held failed, and the primary.
+/// A router that remembers every candidate list it was asked for.
 #[derive(Debug)]
 struct ViewRecorder {
     inner: ShortestPathRouter,
-    asked: Mutex<Vec<(NodeId, NodeId, Vec<(SwitchId, SwitchId)>, Route)>>,
+    asked: Mutex<Vec<Asked>>,
+}
+
+/// One candidate list: the pair, the trunks the asking view held failed,
+/// and the primary.
+#[derive(Debug)]
+struct Asked {
+    pair: (NodeId, NodeId),
+    failed: Vec<(SwitchId, SwitchId)>,
+    primary: Route,
 }
 
 impl Router for ViewRecorder {
@@ -234,11 +242,11 @@ impl Router for ViewRecorder {
     }
     fn routes(&self, t: &Topology, s: NodeId, d: NodeId) -> RtResult<Vec<Route>> {
         let routes = self.inner.routes(t, s, d)?;
-        let failed = t.failed_trunks().collect();
-        self.asked
-            .lock()
-            .unwrap()
-            .push((s, d, failed, routes[0].clone()));
+        self.asked.lock().unwrap().push(Asked {
+            pair: (s, d),
+            failed: t.failed_trunks().collect(),
+            primary: routes[0].clone(),
+        });
         Ok(routes)
     }
 }
@@ -293,16 +301,16 @@ fn torus_1024_admits_2_of_16_while_the_flood_propagates_and_leaks_nothing() {
             .unwrap()
             .is_some();
         let (view_has_cut, primary_crosses) = {
-            let asked = router.asked.lock().unwrap();
-            let (s, d, failed, primary) = &asked[0];
-            assert_eq!((*s, *d), (stale_src, stale_dst), "the first question");
-            let crosses = primary.links().iter().any(|l| {
-                *l == HopLink::Trunk {
-                    from: cut.0,
-                    to: cut.1,
-                }
-            });
-            (failed.contains(&cut), crosses)
+            let asked = &router.asked.lock().unwrap()[0];
+            assert_eq!(asked.pair, (stale_src, stale_dst), "the first question");
+            let dead = HopLink::Trunk {
+                from: cut.0,
+                to: cut.1,
+            };
+            (
+                asked.failed.contains(&cut),
+                asked.primary.links().contains(&dead),
+            )
         };
         let accepted = fabric
             .hot_trunk_requests(16, spec())
