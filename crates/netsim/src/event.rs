@@ -20,6 +20,7 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 use rt_types::{Duration, NodeId, SimTime, SwitchId};
 
@@ -883,6 +884,12 @@ impl EventScheduler for CalendarScheduler {
 /// calendar, and a same-time run that spans several of them is merged by
 /// `seq`: the total order is the one a single scheduler would give.
 ///
+/// The crate-private `defer` holds a batch of frame injections without
+/// filing them: their seqs are reserved, and each injection's event is filed
+/// into the calendar under its seq just before the queue pops its instant.
+/// The queue keeps only a cursor per batch; a frame's time and event are
+/// read off the simulator's frame table when they are needed.
+///
 /// In debug builds the queue also feeds every event to a [`HeapScheduler`]
 /// and asserts on every pop that the reference yields the same `(time,
 /// event)` sequence, so every simulation a debug build runs is a
@@ -894,6 +901,10 @@ pub struct EventQueue {
     /// head before it pops without a look at the calendar.
     calendar_bound: (SimTime, u64),
     lanes: DelayLanes,
+    /// The deferred batches, the least head key on top, and how many of
+    /// their injections are not filed yet.
+    deferred: BinaryHeap<Reverse<Deferred>>,
+    deferred_len: usize,
     /// Reusable scratch: the lanes at the earliest time, and a calendar run
     /// with its `seq`s for merging with them.
     fronts: Fronts,
@@ -1015,6 +1026,45 @@ impl DelayLanes {
     }
 }
 
+/// The injections of one batch not filed yet: a cursor over frames
+/// `next..end`, whose seqs were reserved in a block.  The cursor's frames
+/// are those of the batch not earlier than any frame before them, so it
+/// runs in time order; a frame whose time goes back below the cursor's tail
+/// was filed at once ([`EventQueue::defer`]) and is stepped over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Deferred {
+    /// The `(time, seq)` of frame `next`.
+    head: (SimTime, u64),
+    next: u64,
+    end: u64,
+}
+
+impl Deferred {
+    /// The cursor past its head: at the next frame not earlier than the
+    /// head (those between were filed at `defer`), or `None` at the end.
+    fn step(self, injection: Injection<'_>) -> Option<Deferred> {
+        let (tail, seq) = self.head;
+        (self.next + 1..self.end)
+            .zip(seq + 1..)
+            .find_map(|(next, seq)| {
+                let (at, _) = injection(FrameId::new(next));
+                (at >= tail).then_some(Deferred {
+                    head: (at, seq),
+                    next,
+                    end: self.end,
+                })
+            })
+    }
+}
+
+/// A deferred injection's time and event, read off the frame table.
+pub(crate) type Injection<'a> = &'a dyn Fn(FrameId) -> (SimTime, Event);
+
+/// The lookup of a queue that never deferred anything.
+fn nothing_deferred(frame: FrameId) -> (SimTime, Event) {
+    unreachable!("frame {frame:?} deferred, but its injections are not reachable here")
+}
+
 /// The `(seq, lane)` of the lanes whose front events share the earliest
 /// time.
 #[derive(Debug, Default)]
@@ -1094,9 +1144,9 @@ impl EventQueue {
         self.processed
     }
 
-    /// Number of pending events.
+    /// Number of pending events, the deferred injections included.
     pub fn len(&self) -> usize {
-        self.scheduler.len() + self.lanes.len
+        self.scheduler.len() + self.lanes.len + self.deferred_len
     }
 
     /// `true` if no events are pending.
@@ -1176,6 +1226,86 @@ impl EventQueue {
         head.ok()
     }
 
+    /// Take the injections of frames `frames`, whose seqs `first_seq..` were
+    /// reserved in a block ([`EventQueue::reserve`]), without filing them:
+    /// one cursor holds the frames not earlier than any before them, and
+    /// each is filed just before its instant pops.  A frame whose time goes
+    /// back below the cursor's tail is filed now.  `injection` gives a
+    /// frame's time, which must not lie in the past, and its event.
+    pub(crate) fn defer(
+        &mut self,
+        frames: Range<FrameId>,
+        first_seq: u64,
+        injection: Injection<'_>,
+    ) {
+        let (start, end) = (frames.start.get(), frames.end.get());
+        let mut head = None;
+        let mut tail = SimTime::ZERO;
+        for (frame, seq) in (start..end).zip(first_seq..) {
+            let (at, event) = injection(FrameId::new(frame));
+            if at < tail {
+                self.schedule_reserved(at, seq, event);
+                continue;
+            }
+            head.get_or_insert(Deferred {
+                head: (at, seq),
+                next: frame,
+                end,
+            });
+            tail = at;
+            self.deferred_len += 1;
+        }
+        self.deferred.extend(head.map(Reverse));
+    }
+
+    /// The time of the earliest deferred injection.
+    #[inline]
+    fn deferred_time(&self) -> Option<SimTime> {
+        self.deferred.peek().map(|Reverse(d)| d.head.0)
+    }
+
+    /// File every deferred injection at `time`, the earliest instant of the
+    /// deferred batches, under its reserved seq; returns the least key filed.
+    fn file_deferred(&mut self, time: SimTime, injection: Injection<'_>) -> (SimTime, u64) {
+        let Some(&Reverse(Deferred { head: least, .. })) = self.deferred.peek() else {
+            unreachable!("an injection is due at {time}")
+        };
+        while let Some(&Reverse(batch)) = self.deferred.peek().filter(|b| b.0.head.0 == time) {
+            self.deferred.pop();
+            let mut cursor = Some(batch);
+            while let Some(batch) = cursor.filter(|b| b.head.0 == time) {
+                let (at, seq) = batch.head;
+                self.schedule_reserved(at, seq, injection(FrameId::new(batch.next)).1);
+                self.deferred_len -= 1;
+                cursor = batch.step(injection);
+            }
+            self.deferred.extend(cursor.map(Reverse));
+        }
+        least
+    }
+
+    /// [`EventQueue::calendar_head`], with the deferred injections of the
+    /// earliest instant filed first if that instant comes no later than the
+    /// calendar's minimum and `limit`: the instant pops next unless a lane
+    /// head precedes it, so its injections join the calendar now.
+    #[inline]
+    fn calendar_head_filing(
+        &mut self,
+        limit: SimTime,
+        injection: Injection<'_>,
+    ) -> Option<(SimTime, u64)> {
+        let Some(due) = self.deferred_time().filter(|&time| time <= limit) else {
+            return self.calendar_head(limit);
+        };
+        match self.calendar_head(due) {
+            Some(head) if head.0 < due => Some(head),
+            head => {
+                let filed = self.file_deferred(due, injection);
+                Some(head.map_or(filed, |head| head.min(filed)))
+            }
+        }
+    }
+
     /// Schedule `event` `delay` after the instant `from` (the time of the
     /// event being handled), in the FIFO lane of `delay`.  Same contract
     /// and return value as [`EventQueue::schedule`], which it falls back on
@@ -1192,13 +1322,14 @@ impl EventQueue {
         false
     }
 
-    /// The time of the next event without removing it.
+    /// The time of the next event without removing it, a deferred
+    /// injection's included.
     pub fn peek_time(&self) -> Option<SimTime> {
         let lane = self.lanes.earliest(&mut Fronts::default());
-        match (lane, self.scheduler.peek_time()) {
-            (Some(lane), Some(calendar)) => Some(lane.min(calendar)),
-            (lane, calendar) => lane.or(calendar),
-        }
+        [lane, self.scheduler.peek_time(), self.deferred_time()]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Pop the next event, advancing the clock to its time.
@@ -1209,6 +1340,16 @@ impl EventQueue {
     /// Pop the next event only if it is scheduled at or before `limit` (one
     /// min search: the calendar's peek is not O(1)).
     pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
+        self.pop_until_filing(limit, &nothing_deferred)
+    }
+
+    /// [`EventQueue::pop_until`] on a queue that may hold deferred
+    /// injections, read through `injection`.
+    pub(crate) fn pop_until_filing(
+        &mut self,
+        limit: SimTime,
+        injection: Injection<'_>,
+    ) -> Option<(SimTime, Event)> {
         let lane = self
             .lanes
             .earliest(&mut self.fronts)
@@ -1216,7 +1357,7 @@ impl EventQueue {
         // The calendar is asked only about what could precede the lanes.
         let calendar_limit = lane.unwrap_or(limit);
         let first = lane.zip(self.fronts.first());
-        let popped = match (first, self.calendar_head(calendar_limit)) {
+        let popped = match (first, self.calendar_head_filing(calendar_limit, injection)) {
             (Some((time, (seq, lane))), calendar)
                 if calendar.is_none_or(|key| (time, seq) < key) =>
             {
@@ -1233,13 +1374,31 @@ impl EventQueue {
         Some((time, event))
     }
 
+    /// [`EventQueue::pop_run_until_filing`] on a queue that never deferred
+    /// anything.
+    #[cfg(test)]
+    pub(crate) fn pop_run_until(
+        &mut self,
+        limit: SimTime,
+        out: &mut Vec<Event>,
+    ) -> Option<SimTime> {
+        self.pop_run_until_filing(limit, out, &nothing_deferred)
+    }
+
     /// Drain the whole run of events at the minimal pending time into
     /// `out` (cleared first; FIFO order), advancing the clock to that time,
     /// if that time is at or before `limit`.  One min search per *instant*
-    /// instead of per event.
-    pub fn pop_run_until(&mut self, limit: SimTime, out: &mut Vec<Event>) -> Option<SimTime> {
+    /// instead of per event.  The deferred injections of the instant,
+    /// read through `injection`, are filed just before it pops, so the run
+    /// holds them in `seq` order.
+    pub(crate) fn pop_run_until_filing(
+        &mut self,
+        limit: SimTime,
+        out: &mut Vec<Event>,
+        injection: Injection<'_>,
+    ) -> Option<SimTime> {
         out.clear();
-        let time = self.drain_run(limit, out);
+        let time = self.drain_run(limit, out, injection);
         #[cfg(debug_assertions)]
         self.shadow.check_run(limit, time, out);
         let time = time?;
@@ -1248,17 +1407,22 @@ impl EventQueue {
         Some(time)
     }
 
-    /// The run of [`EventQueue::pop_run_until`], from whichever sources hold
+    /// The run of [`EventQueue::pop_run_until_filing`], from whichever sources hold
     /// it: the calendar alone hands its run over as it is, lanes are merged
     /// by `seq` with each other and with the calendar.
     #[inline]
-    fn drain_run(&mut self, limit: SimTime, out: &mut Vec<Event>) -> Option<SimTime> {
+    fn drain_run(
+        &mut self,
+        limit: SimTime,
+        out: &mut Vec<Event>,
+        injection: Injection<'_>,
+    ) -> Option<SimTime> {
         let lane = self
             .lanes
             .earliest(&mut self.fronts)
             .filter(|&time| time <= limit);
         let calendar = self
-            .calendar_head(lane.unwrap_or(limit))
+            .calendar_head_filing(lane.unwrap_or(limit), injection)
             .map(|(time, _)| time);
         let time = match (lane, calendar) {
             (Some(lane), Some(calendar)) => lane.min(calendar),

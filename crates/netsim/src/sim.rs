@@ -53,8 +53,10 @@
 //! decision is a few bounds-checked array reads.  A frame's destination MAC is decoded
 //! *once*, at injection time, into its dense node and access-switch
 //! indices.  The pending-event set lives in [`crate::event::EventQueue`]:
-//! hop events in its FIFO delay lanes, the rest in its calendar queue;
-//! debug builds check every pop against the binary-heap reference.
+//! hop events in its FIFO delay lanes, the rest in its calendar queue, but
+//! for a batch's injections, which wait in the frame table until just
+//! before their instant; debug builds check every pop against the
+//! binary-heap reference.
 //!
 //! The single-switch star of the paper's §18.1 is the one-switch
 //! [`Topology::star`], built like any other fabric.
@@ -278,10 +280,10 @@ impl FaultScript {
     }
 }
 
-/// A pull-driven workload generator: instead of scheduling every frame of a
-/// long experiment up front (bloating the pending-event set), the simulator
-/// asks the source for the next window's worth of frames as simulated time
-/// advances — see [`Simulator::run_with_source`].
+/// A pull-driven workload generator: instead of filing every frame of a
+/// long experiment up front (holding them all in the frame table), the
+/// simulator asks the source for the next window's worth of frames as
+/// simulated time advances — see [`Simulator::run_with_source`].
 ///
 /// A pulled frame takes a fresh seq when its window is injected, so frames
 /// of one instant run in pull order, behind everything scheduled before the
@@ -812,12 +814,18 @@ impl Simulator {
     /// batch order, exactly the ids frame-by-frame injection would give.
     ///
     /// All-or-nothing: every frame is validated, classified once and filed
-    /// before the first is counted or scheduled, and on the first `Err` the
-    /// frames filed so far are taken back out, so the simulation is exactly
-    /// as it was (no id used, no statistic counted, no event pending) —
-    /// retrying a corrected batch cannot double-inject the earlier frames.
-    /// Nothing is held per frame besides the frame table's slots and the
-    /// events the batch schedules.
+    /// before the first is counted, and on the first `Err` the frames filed
+    /// so far are taken back out, so the simulation is exactly as it was
+    /// (no id used, no statistic counted, no event pending) — retrying a
+    /// corrected batch cannot double-inject the earlier frames.
+    ///
+    /// A frame waiting to enter the fabric is held once, in the frame
+    /// table: the batch reserves the seqs frame-by-frame injection would
+    /// take, and the event that hands a frame to its node is filed under
+    /// its seq just before its instant runs, so every event keeps its
+    /// place.  A frame earlier than one before it in the batch is scheduled
+    /// at once.  `events_pending()` and `next_event_time()` count the
+    /// frames not filed yet.
     pub fn inject_batch(
         &mut self,
         batch: impl IntoIterator<Item = FrameInjection>,
@@ -837,15 +845,20 @@ impl Simulator {
                 }
             }
         }
-        // Infallible from here on: count and schedule in batch order.
         let end = FrameId(self.injected_count());
+        let first_seq = match self.reserve_injections(end.0 - start.0) {
+            Ok(seq) => seq,
+            Err(e) => {
+                self.lane.frames.unfile_from(start);
+                return Err(e);
+            }
+        };
+        // Infallible from here on: count in batch order, then defer.
         for frame in (start.0..end.0).map(FrameId) {
             let record = self.lane.frames.record(frame);
             self.lane.count_injection(&record);
-            let node = record.source;
-            self.lane
-                .schedule(record.injected_at, Event::EnqueueAtNode { node, frame });
         }
+        self.lane.defer(start..end, first_seq);
         Ok(start..end)
     }
 
@@ -951,19 +964,14 @@ impl Simulator {
             }
             self.lane.frames.retire();
             self.run_next = 0;
-            if self
-                .lane
-                .events
-                .pop_run_until(limit, &mut self.run)
-                .is_none()
-            {
+            if self.lane.pop_run_until(limit, &mut self.run).is_none() {
                 return false;
             }
         }
     }
 
     /// Drive the simulation with a pull-based [`TrafficSource`]: inject the
-    /// source's frames window by window (so the pending-event set stays
+    /// source's frames window by window (so the frames held stay
     /// proportional to one window, not to the whole experiment), then drain
     /// the fabric.  Returns the final simulated time.  Each window's frames
     /// take fresh seqs (see [`TrafficSource`] for what that does to the
@@ -996,7 +1004,7 @@ impl Simulator {
     /// loops retire such frames at the end of each instant).
     pub fn step(&mut self) -> bool {
         if !self.step_held() {
-            let Some((time, event)) = self.lane.events.pop() else {
+            let Some((time, event)) = self.lane.pop() else {
                 return false;
             };
             self.dispatch(time, event);
@@ -1091,7 +1099,7 @@ pub(crate) mod tests {
     use crate::switch::FRAME_TABLE_FLOOR;
     use rt_frames::rt_data::{DeadlineStamp, RtDataFrame, MAX_DEADLINE_VALUE};
     use rt_types::constants::ETHERTYPE_IPV4;
-    use rt_types::Ipv4Address;
+    use rt_types::{Ipv4Address, Xoshiro256};
 
     /// The paper's single-switch star over nodes `0..n`.
     fn star(config: SimConfig, n: u32) -> Simulator {
@@ -2162,6 +2170,230 @@ pub(crate) mod tests {
         assert_stream_delivered(&all, 10_000);
         assert_eq!(frame_table(&sim), (10_000, 0));
         assert!(sim.lane.frames.capacity() <= FRAME_TABLE_FLOOR);
+    }
+
+    /// Seeds of the seeded properties: `RT_ADVERSARIAL_SEEDS`, else 8.
+    pub(crate) fn seeds() -> u64 {
+        std::env::var("RT_ADVERSARIAL_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(8)
+    }
+
+    /// One step of a script of injections, faults and run slices.
+    enum Op {
+        /// Frames, injected as one batch or one by one.
+        Inject(Vec<FrameInjection>),
+        Fault(SimTime, LinkFault),
+        /// Run to this instant through the entry point under test.
+        Advance(SimTime),
+    }
+
+    /// The fabric of the deferred-batch property: four switches in a ring,
+    /// two nodes each, so a cut trunk reroutes.
+    fn ring() -> Simulator {
+        Simulator::with_topology(SimConfig::default(), Topology::ring(4, 2)).unwrap()
+    }
+
+    /// A seeded script for `ring`: rounds of one to three batches, the later
+    /// ones overlapping the first in time, each round ended by a run slice.
+    /// Frame times sit on a grid of one best-effort transmission and mostly
+    /// leave nodes 0 and 1, so injections tie with each other and with the
+    /// ends of transmissions on their uplinks; one frame in eight goes back
+    /// below the batch's tail (never below the last slice's end).  Trunk 0 —
+    /// 1 is cut, repaired and cut again, each fault at an injection
+    /// instant, scheduled before or after the batch holding that instant.
+    fn deferred_script(rng: &mut Xoshiro256) -> Vec<Op> {
+        let grid =
+            ring().transmission_time(be_frame(NodeId::new(0), NodeId::new(1), 180).wire_bytes());
+        let trunk = (SwitchId::new(0), SwitchId::new(1));
+        let mut ops = Vec::new();
+        let (mut from, mut faults, mut last_fault) = (SimTime::ZERO, 0, SimTime::ZERO);
+        for _ in 0..rng.range_inclusive(3, 6) {
+            for _ in 0..rng.range_inclusive(1, 3) {
+                let mut tail = from + grid * rng.below(4);
+                let mut batch = Vec::new();
+                for _ in 0..rng.range_inclusive(1, 60) {
+                    tail += grid * rng.below(3);
+                    let at = match rng.below(8) {
+                        0 => {
+                            let back = grid * rng.range_inclusive(1, 5);
+                            tail - back.min(tail.saturating_duration_since(from))
+                        }
+                        _ => tail,
+                    };
+                    let node = NodeId::new(match rng.below(4) {
+                        0 => rng.below(8) as u32,
+                        _ => rng.below(2) as u32,
+                    });
+                    let to = NodeId::new((node.get() + 1 + rng.below(7) as u32) % 8);
+                    let eth = match rng.below(4) {
+                        0 => {
+                            let deadline = at + Duration::from_micros(rng.range_inclusive(40, 400));
+                            rt_frame(node, to, rng.below(3) as u16, deadline, 160)
+                        }
+                        1 => request_frame(node),
+                        _ => be_frame(node, to, 180),
+                    };
+                    batch.push(FrameInjection { node, eth, at });
+                }
+                let mut fault = batch
+                    .iter()
+                    .map(|f| f.at)
+                    .find(|&at| at > last_fault && faults < 3 && rng.below(3) == 0)
+                    .map(|at| {
+                        last_fault = at;
+                        faults += 1;
+                        let (from, to) = trunk;
+                        match faults {
+                            2 => Op::Fault(at, LinkFault::Repair { from, to }),
+                            _ => Op::Fault(at, LinkFault::Fail { from, to }),
+                        }
+                    });
+                let before = rng.below(2) == 0;
+                ops.extend(fault.take_if(|_| before));
+                ops.push(Op::Inject(batch));
+                ops.extend(fault);
+            }
+            from += grid * rng.range_inclusive(1, 40);
+            ops.push(Op::Advance(from));
+        }
+        ops.push(Op::Advance(SimTime::MAX));
+        ops
+    }
+
+    /// What a driver sees after a slice: the clock, both event counters,
+    /// the next event's time and every field of the deliveries since the
+    /// last slice.
+    fn slice(sim: &mut Simulator) -> String {
+        format!(
+            "{} {} {} {:?} {:?}",
+            sim.now(),
+            sim.events_processed(),
+            sim.events_pending(),
+            sim.next_event_time(),
+            sim.poll_deliveries()
+        )
+    }
+
+    type Advance = fn(&mut Simulator, SimTime, &mut Vec<String>);
+
+    /// Replay `ops` on `ring`, each `Inject` as one batch or frame by frame,
+    /// each slice through `advance`: what a driver sees after every slice,
+    /// then the statistics.
+    fn replay(ops: &[Op], batched: bool, advance: Advance) -> Vec<String> {
+        let mut sim = ring();
+        let mut seen = Vec::new();
+        for op in ops {
+            match op {
+                Op::Inject(frames) if batched => _ = sim.inject_batch(frames.clone()).unwrap(),
+                Op::Inject(frames) => {
+                    for f in frames.clone() {
+                        sim.inject(f.node, f.eth, f.at).unwrap();
+                    }
+                }
+                Op::Fault(at, fault) => sim.schedule_fault(*at, *fault).unwrap(),
+                Op::Advance(limit) => {
+                    advance(&mut sim, *limit, &mut seen);
+                    seen.push(slice(&mut sim));
+                }
+            }
+        }
+        seen.push(format!("{:?}", sim.stats()));
+        seen
+    }
+
+    /// The frames of `ops`, fed to `run_with_source` a window at a time as
+    /// one batch each, or injected frame by frame by the same loop written
+    /// out; the faults are scheduled up front.  The whole run's deliveries,
+    /// counters and statistics.
+    fn replay_source(ops: &[Op], batched: bool) -> String {
+        struct Frames(Vec<FrameInjection>);
+        impl TrafficSource for Frames {
+            fn next_batch(&mut self, horizon: SimTime) -> Vec<FrameInjection> {
+                let (due, later) = std::mem::take(&mut self.0)
+                    .into_iter()
+                    .partition(|f| f.at < horizon);
+                self.0 = later;
+                due
+            }
+            fn is_exhausted(&self) -> bool {
+                self.0.is_empty()
+            }
+        }
+        let mut source = Frames(Vec::new());
+        let mut sim = ring();
+        for op in ops {
+            match op {
+                Op::Inject(frames) => source.0.extend(frames.iter().cloned()),
+                Op::Fault(at, fault) => sim.schedule_fault(*at, *fault).unwrap(),
+                Op::Advance(_) => {}
+            }
+        }
+        let window = Duration::from_micros(50);
+        if batched {
+            sim.run_with_source(&mut source, window).unwrap();
+        } else {
+            let mut horizon = sim.now() + window;
+            loop {
+                for f in source.next_batch(horizon) {
+                    sim.inject(f.node, f.eth, f.at).unwrap();
+                }
+                if source.is_exhausted() {
+                    sim.run_to_idle();
+                    break;
+                }
+                sim.run_until(horizon);
+                horizon += window;
+            }
+        }
+        format!("{} {:?}", slice(&mut sim), sim.stats())
+    }
+
+    /// A deferred batch runs exactly as its frames injected one by one: on
+    /// seeded scripts of `deferred_script` (equal-time ties, frames going
+    /// back, overlapping batches, batches filed between slices, a trunk cut
+    /// at an injection instant), driven through `run_to_idle`, `run_until`,
+    /// `run_until_delivery_before`, `step` and `run_with_source`, every
+    /// field of every delivery, the statistics and both event counters
+    /// agree, and so do `events_pending()` and `next_event_time()` after
+    /// every slice.
+    #[test]
+    fn prop_deferred_batches_match_injection_one_by_one() {
+        let entry_points: [(&str, Advance); 4] = [
+            ("run_to_idle", |sim, limit, _| {
+                if limit == SimTime::MAX {
+                    sim.run_to_idle();
+                }
+            }),
+            ("run_until", |sim, limit, _| sim.run_until(limit)),
+            ("run_until_delivery_before", |sim, limit, seen| {
+                while sim.run_until_delivery_before(limit) {
+                    seen.push(slice(sim));
+                }
+            }),
+            ("step", |sim, limit, seen| {
+                while sim.next_event_time().is_some_and(|t| t <= limit) {
+                    assert!(sim.step());
+                    seen.push(slice(sim));
+                }
+            }),
+        ];
+        for seed in 0..seeds() {
+            let ops = deferred_script(&mut Xoshiro256::new(seed));
+            for (name, advance) in entry_points {
+                let (batched, single) = (replay(&ops, true, advance), replay(&ops, false, advance));
+                assert_eq!(batched.len(), single.len(), "seed {seed}, {name}: slices");
+                for (at, (b, s)) in batched.iter().zip(&single).enumerate() {
+                    assert_eq!(b, s, "seed {seed}, {name}: slice {at}");
+                }
+            }
+            assert_eq!(
+                replay_source(&ops, true),
+                replay_source(&ops, false),
+                "seed {seed}, run_with_source"
+            );
+        }
     }
 
     /// A star of six nodes: nodes 0, 1 and 2 send one request each to the

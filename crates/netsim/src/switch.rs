@@ -14,6 +14,7 @@
 //! else.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rt_frames::rt_data::MAX_DEADLINE_VALUE;
@@ -163,7 +164,8 @@ pub(crate) fn is_control(class: TrafficClass, channel: Option<ChannelId>) -> boo
 }
 
 /// The frame table keeps up to this many slots of storage however few
-/// frames it holds; above it, it shrinks to fit once a quarter full.
+/// frames it holds; above it, it shrinks to fit once half empty, and grows
+/// by half when full.
 pub(crate) const FRAME_TABLE_FLOOR: usize = 4096;
 
 /// The frames in flight, and the one place a [`FrameId`] becomes a slot:
@@ -194,10 +196,17 @@ impl FrameTable {
         (frame.get() - self.base) as usize
     }
 
-    /// File a frame under the next id.
+    /// File a frame under the next id.  A full table above
+    /// [`FRAME_TABLE_FLOOR`] grows by half, not double: doubled, it would
+    /// be half empty, and shrink again, as soon as one frame left.
     #[inline]
     pub(crate) fn file(&mut self, record: FrameRecord, eth: EthernetFrame) -> FrameId {
         let id = FrameId::new(self.end());
+        let len = self.bytes.len();
+        if len == self.bytes.capacity() && len >= FRAME_TABLE_FLOOR {
+            self.records.reserve_exact(len / 2);
+            self.bytes.reserve_exact(len / 2);
+        }
         self.records.push_back(record);
         self.bytes.push_back(Some(eth));
         id
@@ -225,6 +234,15 @@ impl FrameTable {
         self.records[self.slot(frame)]
     }
 
+    /// When the frame enters the fabric, and the event that hands it to
+    /// its node: what a deferred injection files ([`EventQueue::defer`]).
+    #[inline]
+    pub(crate) fn injection(&self, frame: FrameId) -> (SimTime, Event) {
+        let record = self.record(frame);
+        let node = record.source;
+        (record.injected_at, Event::EnqueueAtNode { node, frame })
+    }
+
     /// The frame leaves the fabric: its bytes, for its delivery (a drop
     /// frees them).
     #[inline]
@@ -236,10 +254,9 @@ impl FrameTable {
     }
 
     /// Pop the frames that have left off the front, and give the storage
-    /// back once at most a quarter of it is in use above
-    /// [`FRAME_TABLE_FLOOR`] slots, so that it stays within four times what
-    /// the table holds, or the floor.  One test of the front when nothing
-    /// has left.
+    /// back once at most half of it is in use above [`FRAME_TABLE_FLOOR`]
+    /// slots, so that it stays within twice what the table holds, or the
+    /// floor.  One test of the front when nothing has left.
     #[inline]
     pub(crate) fn retire(&mut self) {
         if self.bytes.front().is_some_and(Option::is_none) {
@@ -259,11 +276,11 @@ impl FrameTable {
         self.shrink_when_sparse();
     }
 
-    /// Give the storage back once at most a quarter of it is in use above
+    /// Give the storage back once at most half of it is in use above
     /// [`FRAME_TABLE_FLOOR`] slots.
     fn shrink_when_sparse(&mut self) {
         let capacity = self.bytes.capacity();
-        if capacity > FRAME_TABLE_FLOOR && self.bytes.len() <= capacity / 4 {
+        if capacity > FRAME_TABLE_FLOOR && self.bytes.len() <= capacity / 2 {
             self.records.shrink_to_fit();
             self.bytes.shrink_to_fit();
         }
@@ -523,6 +540,35 @@ impl Lane {
         if self.events.schedule_reserved(at, seq, event) {
             self.stats.record_clamped();
         }
+    }
+
+    /// Take the injections of a batch's frames, seqs `first_seq..`, without
+    /// filing them: they wait in the frame table ([`EventQueue::defer`]).
+    pub(crate) fn defer(&mut self, frames: Range<FrameId>, first_seq: u64) {
+        let table = &self.frames;
+        self.events
+            .defer(frames, first_seq, &|frame| table.injection(frame));
+    }
+
+    /// The next run of same-time events at or before `limit`, into `out`,
+    /// the deferred injections of its instant filed first
+    /// ([`EventQueue::pop_run_until_filing`]).
+    #[inline]
+    pub(crate) fn pop_run_until(
+        &mut self,
+        limit: SimTime,
+        out: &mut Vec<Event>,
+    ) -> Option<SimTime> {
+        let table = &self.frames;
+        self.events
+            .pop_run_until_filing(limit, out, &|frame| table.injection(frame))
+    }
+
+    /// The next event, a deferred injection filed first if it is due.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
+        let table = &self.frames;
+        self.events
+            .pop_until_filing(SimTime::MAX, &|frame| table.injection(frame))
     }
 
     /// Schedule a hop event `delay` after `now`, the instant being handled:
@@ -851,7 +897,7 @@ impl Core<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::tests::{be_frame, frame_table, rt_frame};
+    use crate::sim::tests::{be_frame, frame_table, rt_frame, seeds};
     use crate::sim::{FaultScript, FrameInjection, Simulator};
     use rt_types::{MacAddr, Route, Topology, Xoshiro256};
     use std::collections::BTreeMap;
@@ -879,22 +925,14 @@ mod tests {
         }
     }
 
-    /// Seeds of the frame-table property: `RT_ADVERSARIAL_SEEDS`, else 8.
-    fn seeds() -> u64 {
-        std::env::var("RT_ADVERSARIAL_SEEDS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(8)
-    }
-
     /// The frame table against a map of the frames in flight, over seeded
     /// walks of filings, refused batches, takes and retirements that swing
     /// between a handful of frames and three times the floor.  Ids stay
     /// consecutive across refusals and retirements; `record` gives back the
     /// record filed and `take` the very buffer; a retirement pops exactly
     /// the frames before the first still in flight; and after every step
-    /// the storage is within four times what the table holds or the floor,
-    /// and a table at or under the floor has given nothing back.
+    /// the storage is within twice what the table holds or the floor, and a
+    /// table at or under the floor has given nothing back.
     #[test]
     fn prop_the_frame_table_matches_a_map_of_the_frames_in_flight() {
         let eth = |id: u64| EthernetFrame {
@@ -966,7 +1004,7 @@ mod tests {
                 assert_eq!(table.in_flight(), model.len(), "{ctx}");
                 let (capacity, held) = (table.capacity(), table.held().1);
                 assert!(
-                    capacity <= FRAME_TABLE_FLOOR.max(4 * held),
+                    capacity <= FRAME_TABLE_FLOOR.max(2 * held),
                     "{ctx}: {capacity} slots for {held} frames"
                 );
                 if before <= FRAME_TABLE_FLOOR {

@@ -16,9 +16,15 @@
 //! if the calendar ever disagrees.  A release build carries no shadow;
 //! there the scenarios only check what they assert themselves, and the
 //! direct calendar-vs-heap properties are `rt-netsim`'s `event::tests`.
+//!
+//! `Simulator::inject_batch` files each frame's injection just before its
+//! instant, so a batch puts a handful of events in the calendar at a time.
+//! The scenarios that need a large population there inject frame by frame
+//! with `Simulator::inject`, which files at once; one scenario keeps the
+//! deferred batch.
 
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
-use switched_rt_ethernet::netsim::{Delivery, SimConfig, Simulator, TrafficSource};
+use switched_rt_ethernet::netsim::{Delivery, FrameInjection, SimConfig, Simulator, TrafficSource};
 use switched_rt_ethernet::traffic::{FabricScenario, ScenarioFrameSource};
 use switched_rt_ethernet::types::{Duration, NodeId, SimTime};
 
@@ -33,13 +39,36 @@ fn assert_all_delivered_in_order(deliveries: &[Delivery], frames: usize) {
     );
 }
 
-/// Drive `scenario` with a cross-switch RT workload injected up front.
+/// Inject `frames` one by one: each frame's event enters the calendar now.
+fn inject_each(sim: &mut Simulator, frames: Vec<FrameInjection>) {
+    for FrameInjection { node, eth, at } in frames {
+        sim.inject(node, eth, at).unwrap();
+    }
+}
+
+/// `Simulator::run_with_source`'s loop, each window's frames injected one
+/// by one, so the calendar holds every pending injection of the window.
+fn run_pulled(sim: &mut Simulator, source: &mut dyn TrafficSource, window: Duration) {
+    let mut horizon = sim.now() + window;
+    loop {
+        inject_each(sim, source.next_batch(horizon));
+        if source.is_exhausted() {
+            sim.run_to_idle();
+            return;
+        }
+        sim.run_until(horizon);
+        horizon += window;
+    }
+}
+
+/// Drive `scenario` with a cross-switch RT workload injected up front:
+/// every frame's injection in the calendar from the start.
 fn drive(scenario: FabricScenario, frames: u64) {
     let mut sim = Simulator::with_topology(SimConfig::default(), scenario.topology())
         .expect("scenario fabrics are valid");
     let mut source =
         ScenarioFrameSource::new(scenario, frames, Duration::from_micros(3)).payload_len(400);
-    sim.inject_batch(source.drain_all()).unwrap();
+    inject_each(&mut sim, source.drain_all());
     sim.run_to_idle();
     assert_all_delivered_in_order(&sim.poll_deliveries(), frames as usize);
     assert_eq!(sim.stats().total_dropped(), 0);
@@ -72,9 +101,30 @@ fn pull_driven_injection_is_scheduler_invariant() {
     let scenario = FabricScenario::ring(4, 1, 1);
     let mut sim = Simulator::with_topology(SimConfig::default(), scenario.topology()).unwrap();
     let mut source = ScenarioFrameSource::new(scenario, 500, Duration::from_micros(5));
+    run_pulled(&mut sim, &mut source, Duration::from_micros(400));
+    assert!(source.is_exhausted());
+    assert_all_delivered_in_order(&sim.poll_deliveries(), 500);
+}
+
+/// The deferred batch: a leaf-spine preload through `inject_batch`, each
+/// frame's injection filed into the calendar just before its instant, and
+/// a pull-driven ring whose windows are batches.  Every deferred event
+/// reaches the reference heap as it is filed.
+#[test]
+fn deferred_batches_are_scheduler_invariant() {
+    let scenario = FabricScenario::leaf_spine(3, 2, 2);
+    let mut sim = Simulator::with_topology(SimConfig::default(), scenario.topology()).unwrap();
+    let mut source =
+        ScenarioFrameSource::new(scenario, 2_000, Duration::from_micros(3)).payload_len(400);
+    sim.inject_batch(source.drain_all()).unwrap();
+    sim.run_to_idle();
+    assert_all_delivered_in_order(&sim.poll_deliveries(), 2_000);
+
+    let scenario = FabricScenario::ring(4, 1, 1);
+    let mut sim = Simulator::with_topology(SimConfig::default(), scenario.topology()).unwrap();
+    let mut source = ScenarioFrameSource::new(scenario, 500, Duration::from_micros(5));
     sim.run_with_source(&mut source, Duration::from_micros(400))
         .unwrap();
-    assert!(source.is_exhausted());
     assert_all_delivered_in_order(&sim.poll_deliveries(), 500);
 }
 
@@ -175,7 +225,7 @@ fn preloaded_periodic_run_through_the_pump_is_scheduler_invariant() {
 #[test]
 fn bursty_far_future_workload_is_scheduler_invariant() {
     struct Bursts {
-        pending: Vec<switched_rt_ethernet::netsim::FrameInjection>,
+        pending: Vec<FrameInjection>,
         emitted: usize,
     }
     impl Bursts {
@@ -195,10 +245,7 @@ fn bursty_far_future_workload_is_scheduler_invariant() {
         }
     }
     impl TrafficSource for Bursts {
-        fn next_batch(
-            &mut self,
-            horizon: SimTime,
-        ) -> Vec<switched_rt_ethernet::netsim::FrameInjection> {
+        fn next_batch(&mut self, horizon: SimTime) -> Vec<FrameInjection> {
             let mut out = Vec::new();
             while self.emitted < self.pending.len() && self.pending[self.emitted].at < horizon {
                 out.push(self.pending[self.emitted].clone());
@@ -214,7 +261,6 @@ fn bursty_far_future_workload_is_scheduler_invariant() {
 
     let scenario = FabricScenario::line(4, 2, 2);
     let mut sim = Simulator::with_topology(SimConfig::default(), scenario.topology()).unwrap();
-    sim.run_with_source(&mut Bursts::new(), Duration::from_millis(50))
-        .unwrap();
+    run_pulled(&mut sim, &mut Bursts::new(), Duration::from_millis(50));
     assert_all_delivered_in_order(&sim.poll_deliveries(), 400);
 }
